@@ -53,15 +53,6 @@
 //!                                # cache (default 128 payloads) and
 //!                                # `save` compacts the store to the
 //!                                # `--store-cap` most recent entries
-//! figures bench [--json] [--quick] [--label <name>]
-//!               [--baseline <BENCH_*.json> [--max-regression <pct>]]
-//!                                # perf-trajectory harness: simulator
-//!                                # throughput per pattern (elements/sec);
-//!                                # `--json > BENCH_<PR>.json` records a
-//!                                # baseline, `--quick` is the CI sizing,
-//!                                # `--max-regression` exits 1 when any
-//!                                # same-name pattern slows past the
-//!                                # threshold vs the baseline
 //! ```
 //!
 //! Experiment names must be unique, known, and not mixed with `all`.
@@ -363,153 +354,6 @@ fn interfere_main(args: &[String], out: &mut impl Write) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn bench_usage_error(message: &str) -> ExitCode {
-    eprintln!("figures bench: {message}");
-    eprintln!(
-        "usage: figures bench [--json] [--quick] [--label <name>] \
-         [--baseline <BENCH_*.json>] [--max-regression <pct>]"
-    );
-    ExitCode::from(2)
-}
-
-/// Options of the `figures bench` subcommand.
-#[derive(Debug, PartialEq)]
-struct BenchOptions {
-    json: bool,
-    quick: bool,
-    label: String,
-    baseline: Option<String>,
-    max_regression: Option<f64>,
-}
-
-/// Parse the arguments after the `bench` keyword.
-fn parse_bench_args(args: &[String]) -> Result<BenchOptions, String> {
-    let mut json = false;
-    let mut quick = false;
-    let mut label: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut max_regression: Option<f64> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--quick" => quick = true,
-            "--label" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--label needs a name".to_string())?;
-                if label.is_some() {
-                    return Err("--label given twice".to_string());
-                }
-                if value.is_empty() || !value.chars().all(|c| c.is_ascii_alphanumeric() || c == '-')
-                {
-                    // The label lands inside hand-rendered JSON; keep it to
-                    // characters that cannot break the quoting.
-                    return Err(format!(
-                        "--label: '{value}' must be non-empty alphanumeric/dashes"
-                    ));
-                }
-                label = Some(value.clone());
-            }
-            "--baseline" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--baseline needs a BENCH_*.json path".to_string())?;
-                if baseline.is_some() {
-                    return Err("--baseline given twice".to_string());
-                }
-                baseline = Some(value.clone());
-            }
-            "--max-regression" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| "--max-regression needs a percentage".to_string())?;
-                if max_regression.is_some() {
-                    return Err("--max-regression given twice".to_string());
-                }
-                let pct: f64 = value
-                    .parse()
-                    .map_err(|_| format!("--max-regression: '{value}' is not a number"))?;
-                if !pct.is_finite() || !(0.0..100.0).contains(&pct) {
-                    return Err(format!(
-                        "--max-regression: {pct} must be a percentage in [0, 100)"
-                    ));
-                }
-                max_regression = Some(pct);
-            }
-            other => return Err(format!("bench: unexpected argument '{other}'")),
-        }
-    }
-    if max_regression.is_some() && baseline.is_none() {
-        return Err("--max-regression requires --baseline".to_string());
-    }
-    Ok(BenchOptions {
-        json,
-        quick,
-        label: label.unwrap_or_else(|| "current".to_string()),
-        baseline,
-        max_regression,
-    })
-}
-
-/// Run the `figures bench` subcommand.
-fn bench_main(args: &[String], out: &mut impl Write) -> ExitCode {
-    let opts = match parse_bench_args(args) {
-        Ok(opts) => opts,
-        Err(message) => return bench_usage_error(&message),
-    };
-    // Read and validate the baseline before the (slow) measurements run.
-    let baseline = match &opts.baseline {
-        None => None,
-        Some(path) => match std::fs::read_to_string(path) {
-            Err(e) => return bench_usage_error(&format!("--baseline: cannot read {path}: {e}")),
-            Ok(text) => match clover_bench::perf::BaselineReport::parse(&text) {
-                None => {
-                    return bench_usage_error(&format!(
-                        "--baseline: {path} is not a bench report (expected the \
-                         figures bench --json format)"
-                    ))
-                }
-                Some(b) => Some(b),
-            },
-        },
-    };
-    if let Some(baseline) = &baseline {
-        // A pre-PR7 baseline without the field still gates throughput
-        // (missing `quick` is treated as comparable), but the comparison
-        // may mix sizings — say so instead of silently weakening the gate.
-        if baseline.quick.is_none() {
-            eprintln!(
-                "figures bench: warning: baseline '{}' has no quick/full marker; \
-                 comparing throughput anyway (sizings may differ)",
-                baseline.label
-            );
-        }
-    }
-    let mut report = clover_bench::run_perf_bench(opts.quick, &opts.label);
-    if let Some(baseline) = &baseline {
-        report.with_baseline(baseline);
-    }
-    if opts.json {
-        emit(out, format_args!("{}", report.to_json()));
-    } else {
-        emit(out, format_args!("{}", report.to_text()));
-    }
-    if let (Some(max_pct), Some(baseline)) = (opts.max_regression, &baseline) {
-        let regressions = report.regressions(baseline, max_pct);
-        if !regressions.is_empty() {
-            for r in &regressions {
-                eprintln!(
-                    "figures bench: {} regressed to {:.2}x of {} (limit {:.0}%)",
-                    r.name, r.factor, baseline.label, max_pct
-                );
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
 /// Run the `figures sweep` subcommand.
 fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
     let opts = match parse_sweep_args(args) {
@@ -686,9 +530,6 @@ fn main() -> ExitCode {
     }
     if args.first().map(String::as_str) == Some("serve") {
         return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return bench_main(&args[1..], &mut out);
     }
     if args.first().map(String::as_str) == Some("interfere") {
         return interfere_main(&args[1..], &mut out);
@@ -1082,74 +923,6 @@ mod tests {
         assert!(err.contains("duplicate"), "{err}");
         let err = with(&["--layer-condition", "ok", "--layer-condition", "ok"]).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn bench_args_parse_with_defaults_and_flags() {
-        let opts = parse_bench_args(&args(&[])).unwrap();
-        assert_eq!(
-            opts,
-            BenchOptions {
-                json: false,
-                quick: false,
-                label: "current".into(),
-                baseline: None,
-                max_regression: None,
-            }
-        );
-        let opts = parse_bench_args(&args(&[
-            "--json",
-            "--quick",
-            "--label",
-            "PR9",
-            "--baseline",
-            "BENCH_PR4.json",
-            "--max-regression",
-            "40",
-        ]))
-        .unwrap();
-        assert!(opts.json && opts.quick);
-        assert_eq!(opts.label, "PR9");
-        assert_eq!(opts.baseline.as_deref(), Some("BENCH_PR4.json"));
-        assert_eq!(opts.max_regression, Some(40.0));
-    }
-
-    #[test]
-    fn bench_args_reject_garbage() {
-        assert!(parse_bench_args(&args(&["--label"])).is_err());
-        assert!(parse_bench_args(&args(&["--label", "a", "--label", "b"])).is_err());
-        assert!(parse_bench_args(&args(&["--label", "has\"quote"])).is_err());
-        assert!(parse_bench_args(&args(&["--label", ""])).is_err());
-        assert!(parse_bench_args(&args(&["--baseline"])).is_err());
-        assert!(parse_bench_args(&args(&["--baseline", "a", "--baseline", "b"])).is_err());
-        assert!(parse_bench_args(&args(&["fig2"])).is_err());
-        assert!(parse_bench_args(&args(&["--jobs", "2"])).is_err());
-    }
-
-    #[test]
-    fn max_regression_needs_a_baseline_and_a_sane_percentage() {
-        // Without --baseline there is nothing to regress against.
-        let err = parse_bench_args(&args(&["--max-regression", "40"])).unwrap_err();
-        assert!(err.contains("requires --baseline"), "{err}");
-        for bad in ["NaN", "inf", "-5", "100", "150", "pct"] {
-            assert!(
-                parse_bench_args(&args(&["--baseline", "b.json", "--max-regression", bad]))
-                    .is_err(),
-                "{bad} must be rejected"
-            );
-        }
-        assert!(parse_bench_args(&args(&[
-            "--baseline",
-            "b.json",
-            "--max-regression",
-            "40",
-            "--max-regression",
-            "50"
-        ]))
-        .is_err());
-        let opts =
-            parse_bench_args(&args(&["--baseline", "b.json", "--max-regression", "0"])).unwrap();
-        assert_eq!(opts.max_regression, Some(0.0));
     }
 
     #[test]

@@ -4,25 +4,16 @@
 //! that produces a typed [`Artifact`] (named, unit-annotated columns); the
 //! CSV text the `figures` binary prints and its `--json` dump are renderings
 //! of that structure.  `figures --check` diffs each artifact against the
-//! digitised paper data in `clover-golden`; the Criterion benches under
-//! `benches/` measure the native kernels and the simulator itself.  The
-//! [`sweep`] module re-expresses the sweep-shaped experiments (fig7, fig9,
-//! fig10) as canned `clover-scenario` plans evaluated by the parallel
-//! runner, byte-identical to the sequential generators.  The
+//! digitised paper data in `clover-golden`; the Criterion bench under
+//! `benches/` measures the native kernels on the host.  The
 //! [`interference`] module adds the canned multi-tenant artifacts behind
 //! `figures interfere` — shared-LLC co-run studies the paper has no golden
-//! data for, kept outside [`EXPERIMENTS`].  The [`perf`]
-//! module is the perf-trajectory harness behind `figures bench --json`:
-//! throughput measurements of the simulator hot loops whose JSON reports
-//! (`BENCH_*.json`) seed a cross-PR performance baseline.
+//! data for, kept outside [`EXPERIMENTS`].  Performance is measured by the
+//! standalone package under `benchmark/` (see `benchmark/README.md`).
 
 pub mod interference;
-pub mod perf;
-pub mod sweep;
 
 pub use interference::{run_interference_artifact, INTERFERENCE_EXPERIMENTS};
-pub use perf::{run_perf_bench, BaselineReport, BenchReport, BenchResult, Speedup};
-pub use sweep::{canned_sweep_plan, run_canned_sweep, SWEEP_PLAN_EXPERIMENTS};
 
 use clover_cachesim::SimMemo;
 use clover_core::decomp::Decomposition;
@@ -237,27 +228,8 @@ fn store_ratio_columns(a: Artifact) -> Artifact {
         .num_column("stnt3", None, 3)
 }
 
-/// One store-ratio row of a figure (`snc` label, core count, six ratios).
-fn store_ratio_row(
-    machine: &Machine,
-    cores: usize,
-    extra: Option<&str>,
-    memo: &SimMemo,
-) -> Vec<Cell> {
-    let mut row: Vec<Cell> = Vec::new();
-    if let Some(label) = extra {
-        row.push(label.into());
-    }
-    row.push(cores.into());
-    row.extend(store_ratio_cells(machine, cores, memo));
-    row
-}
-
-/// The core counts a store-ratio figure samples: `cores` in steps of `step`.
-fn store_ratio_core_axis(cores: std::ops::RangeInclusive<usize>, step: usize) -> Vec<usize> {
-    cores.step_by(step).collect()
-}
-
+/// Append the store-ratio rows of `machine` to a figure: one row per core
+/// count in steps of `step` (`snc` label if any, core count, six ratios).
 fn store_ratio_figure(
     a: &mut Artifact,
     machine: &Machine,
@@ -266,8 +238,14 @@ fn store_ratio_figure(
     extra: Option<&str>,
     memo: &SimMemo,
 ) {
-    for c in store_ratio_core_axis(cores, step) {
-        a.push_row(store_ratio_row(machine, c, extra, memo));
+    for c in cores.step_by(step) {
+        let mut row: Vec<Cell> = Vec::new();
+        if let Some(label) = extra {
+            row.push(label.into());
+        }
+        row.push(c.into());
+        row.extend(store_ratio_cells(machine, c, memo));
+        a.push_row(row);
     }
 }
 

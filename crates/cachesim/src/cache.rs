@@ -862,209 +862,6 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     }
 }
 
-/// One cache level viewed through a policy-erased lens.
-///
-/// `CoreSim<R, W>` monomorphises every level over a single replacement
-/// policy `R`; the private/shared hierarchy split introduces call sites
-/// that must be generic over *which concrete cache* sits at a level — the
-/// private half is driven against whatever last-level bank the scheduler
-/// hands it, and the per-level policy simulator mixes different policies
-/// across levels of one hierarchy.  This trait is the seam: every
-/// `SetAssocCache<R>` implements it by delegating to its inherent methods
-/// (fully inlined, so `CoreSim`'s default monomorphisation is unchanged
-/// instruction for instruction), and [`AnyCache`] implements it by
-/// matching on the policy variant.
-pub trait CacheBank: std::fmt::Debug + Clone + Send + 'static {
-    /// Probe for `line`, refreshing recency (and dirtiness on a write hit).
-    fn touch(&mut self, line: u64, write: bool) -> LookupResult;
-    /// Repeat `n` guaranteed hits on `line`; `false` if it is absent.
-    fn touch_repeat(&mut self, line: u64, n: u64) -> bool;
-    /// Probe and, on a miss, fill in one scan.
-    fn probe_fill(&mut self, line: u64, write: bool) -> (LookupResult, Option<Eviction>);
-    /// Insert `line`, evicting a victim if the set is full.
-    fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction>;
-    /// Remove `line`; `Some(dirty)` if it was resident.
-    fn invalidate(&mut self, line: u64) -> Option<bool>;
-    /// Whether `line` is resident (no recency update).
-    fn contains(&self, line: u64) -> bool;
-    /// Drain every resident line, returning the dirty ones.
-    fn flush_dirty(&mut self) -> Vec<u64>;
-    /// Empty the cache and its statistics.
-    fn reset(&mut self);
-    /// Hits recorded so far.
-    fn hits(&self) -> u64;
-    /// Misses recorded so far.
-    fn misses(&self) -> u64;
-}
-
-impl<R: ReplacementPolicy, const SIMD: bool> CacheBank for SetAssocCache<R, SIMD> {
-    #[inline]
-    fn touch(&mut self, line: u64, write: bool) -> LookupResult {
-        SetAssocCache::touch(self, line, write)
-    }
-
-    #[inline]
-    fn touch_repeat(&mut self, line: u64, n: u64) -> bool {
-        SetAssocCache::touch_repeat(self, line, n)
-    }
-
-    #[inline]
-    fn probe_fill(&mut self, line: u64, write: bool) -> (LookupResult, Option<Eviction>) {
-        SetAssocCache::probe_fill(self, line, write)
-    }
-
-    #[inline]
-    fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
-        SetAssocCache::fill(self, line, dirty)
-    }
-
-    #[inline]
-    fn invalidate(&mut self, line: u64) -> Option<bool> {
-        SetAssocCache::invalidate(self, line)
-    }
-
-    #[inline]
-    fn contains(&self, line: u64) -> bool {
-        SetAssocCache::contains(self, line)
-    }
-
-    #[inline]
-    fn flush_dirty(&mut self) -> Vec<u64> {
-        SetAssocCache::flush_dirty(self)
-    }
-
-    #[inline]
-    fn reset(&mut self) {
-        SetAssocCache::reset(self)
-    }
-
-    #[inline]
-    fn hits(&self) -> u64 {
-        SetAssocCache::hits(self)
-    }
-
-    #[inline]
-    fn misses(&self) -> u64 {
-        SetAssocCache::misses(self)
-    }
-}
-
-/// A cache level whose replacement policy is chosen at *runtime* from the
-/// machine model's per-level [`CacheSpec::replacement`] field.
-///
-/// The policy-generic `SetAssocCache<R>` is zero-cost but forces one `R`
-/// per monomorphisation; a hierarchy that mixes policies across levels
-/// (the CVA6 preset runs random-evict L1/L2 under a PLRU last level)
-/// needs one *type* covering all four policies.  The enum dispatch costs
-/// one predictable branch per operation and is only used on the
-/// mixed-policy path — the paper-default simulators keep the generic
-/// banks.
-///
-/// [`CacheSpec::replacement`]: clover_machine::CacheSpec
-#[derive(Debug, Clone)]
-pub enum AnyCache {
-    /// True-LRU bank.
-    Lru(SetAssocCache<TrueLru>),
-    /// Tree-PLRU bank.
-    Plru(SetAssocCache<crate::policy::TreePlru>),
-    /// SRRIP bank.
-    Srrip(SetAssocCache<crate::policy::Srrip>),
-    /// Deterministic random-evict bank.
-    Random(SetAssocCache<crate::policy::RandomEvict>),
-}
-
-impl AnyCache {
-    /// Build a bank for `kind` with the given geometry.
-    pub fn for_kind(
-        kind: clover_machine::ReplacementPolicyKind,
-        capacity_bytes: usize,
-        ways: usize,
-    ) -> Self {
-        use clover_machine::ReplacementPolicyKind as K;
-        match kind {
-            K::Lru => AnyCache::Lru(SetAssocCache::new(capacity_bytes, ways)),
-            K::Plru => AnyCache::Plru(SetAssocCache::new(capacity_bytes, ways)),
-            K::Srrip => AnyCache::Srrip(SetAssocCache::new(capacity_bytes, ways)),
-            K::Random => AnyCache::Random(SetAssocCache::new(capacity_bytes, ways)),
-        }
-    }
-
-    /// The policy kind this bank was built for.
-    pub fn kind(&self) -> clover_machine::ReplacementPolicyKind {
-        use clover_machine::ReplacementPolicyKind as K;
-        match self {
-            AnyCache::Lru(_) => K::Lru,
-            AnyCache::Plru(_) => K::Plru,
-            AnyCache::Srrip(_) => K::Srrip,
-            AnyCache::Random(_) => K::Random,
-        }
-    }
-}
-
-/// Expand one delegation arm per policy variant.
-macro_rules! any_cache_delegate {
-    ($self:ident, $bank:ident => $body:expr) => {
-        match $self {
-            AnyCache::Lru($bank) => $body,
-            AnyCache::Plru($bank) => $body,
-            AnyCache::Srrip($bank) => $body,
-            AnyCache::Random($bank) => $body,
-        }
-    };
-}
-
-impl CacheBank for AnyCache {
-    #[inline]
-    fn touch(&mut self, line: u64, write: bool) -> LookupResult {
-        any_cache_delegate!(self, bank => bank.touch(line, write))
-    }
-
-    #[inline]
-    fn touch_repeat(&mut self, line: u64, n: u64) -> bool {
-        any_cache_delegate!(self, bank => bank.touch_repeat(line, n))
-    }
-
-    #[inline]
-    fn probe_fill(&mut self, line: u64, write: bool) -> (LookupResult, Option<Eviction>) {
-        any_cache_delegate!(self, bank => bank.probe_fill(line, write))
-    }
-
-    #[inline]
-    fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
-        any_cache_delegate!(self, bank => bank.fill(line, dirty))
-    }
-
-    #[inline]
-    fn invalidate(&mut self, line: u64) -> Option<bool> {
-        any_cache_delegate!(self, bank => bank.invalidate(line))
-    }
-
-    #[inline]
-    fn contains(&self, line: u64) -> bool {
-        any_cache_delegate!(self, bank => bank.contains(line))
-    }
-
-    #[inline]
-    fn flush_dirty(&mut self) -> Vec<u64> {
-        any_cache_delegate!(self, bank => bank.flush_dirty())
-    }
-
-    #[inline]
-    fn reset(&mut self) {
-        any_cache_delegate!(self, bank => bank.reset())
-    }
-
-    #[inline]
-    fn hits(&self) -> u64 {
-        any_cache_delegate!(self, bank => bank.hits())
-    }
-
-    #[inline]
-    fn misses(&self) -> u64 {
-        any_cache_delegate!(self, bank => bank.misses())
-    }
-}
-
 /// A simple fully-associative helper cache used for small structures
 /// (e.g. the streamer prefetcher's stream table).  Maps a key to a value
 /// with LRU eviction.

@@ -5,7 +5,7 @@
 //! the same occupancy, so their memory traffic is identical; the node
 //! simulator therefore simulates one *representative* core per distinct
 //! domain load and scales the counters — with an exact per-rank mode kept
-//! for validation (see the `row_sampling` ablation bench).
+//! for validation ([`NodeSim::run_spmd_exact`]).
 
 use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
 
@@ -125,6 +125,31 @@ impl NodeSimReport {
     }
 }
 
+/// Call `$sim.$typed::<R, W>(args)` with the policy types matching the
+/// configuration's runtime selectors — the one dispatch table from
+/// [`SimConfig::replacement`] × [`SimConfig::write_policy`] to the twelve
+/// monomorphised hierarchies.
+macro_rules! dispatch_policies {
+    ($sim:ident . $typed:ident ( $($arg:expr),* )) => {{
+        use ReplacementPolicyKind as R;
+        use WritePolicyKind as W;
+        match ($sim.config.replacement, $sim.config.write_policy) {
+            (R::Lru, W::Allocate) => $sim.$typed::<TrueLru, WriteAllocate>($($arg),*),
+            (R::Lru, W::NoAllocate) => $sim.$typed::<TrueLru, NoWriteAllocate>($($arg),*),
+            (R::Lru, W::NonTemporal) => $sim.$typed::<TrueLru, NonTemporal>($($arg),*),
+            (R::Plru, W::Allocate) => $sim.$typed::<TreePlru, WriteAllocate>($($arg),*),
+            (R::Plru, W::NoAllocate) => $sim.$typed::<TreePlru, NoWriteAllocate>($($arg),*),
+            (R::Plru, W::NonTemporal) => $sim.$typed::<TreePlru, NonTemporal>($($arg),*),
+            (R::Srrip, W::Allocate) => $sim.$typed::<Srrip, WriteAllocate>($($arg),*),
+            (R::Srrip, W::NoAllocate) => $sim.$typed::<Srrip, NoWriteAllocate>($($arg),*),
+            (R::Srrip, W::NonTemporal) => $sim.$typed::<Srrip, NonTemporal>($($arg),*),
+            (R::Random, W::Allocate) => $sim.$typed::<RandomEvict, WriteAllocate>($($arg),*),
+            (R::Random, W::NoAllocate) => $sim.$typed::<RandomEvict, NoWriteAllocate>($($arg),*),
+            (R::Random, W::NonTemporal) => $sim.$typed::<RandomEvict, NonTemporal>($($arg),*),
+        }
+    }};
+}
+
 /// Node-level SPMD simulator.
 #[derive(Debug, Clone)]
 pub struct NodeSim {
@@ -149,9 +174,9 @@ impl NodeSim {
 
     /// The closure-based entry points always simulate the default
     /// LRU + write-allocate hierarchy; a non-default policy configuration
-    /// would be silently ignored there, so flag it in debug builds.
+    /// would be silently ignored there, so refuse it.
     fn assert_default_policies(&self, entry: &str) {
-        debug_assert!(
+        assert!(
             self.config.replacement == ReplacementPolicyKind::default()
                 && self.config.write_policy == WritePolicyKind::default(),
             "{entry} always simulates the default LRU + write-allocate hierarchy; \
@@ -159,17 +184,14 @@ impl NodeSim {
         );
     }
 
-    /// Run an SPMD kernel, simulating one representative core per distinct
-    /// domain occupancy and scaling the counters by the number of ranks at
-    /// that occupancy.
-    ///
-    /// The kernel receives the rank id it is standing in for and the core
-    /// simulator to drive.
-    pub fn run_spmd<F>(&self, kernel: F) -> NodeSimReport
-    where
-        F: Fn(usize, &mut CoreSim),
-    {
-        self.assert_default_policies("run_spmd");
+    /// Fold one representative simulation per distinct domain load into a
+    /// node report: `simulate(ctx, options, rank)` runs (or looks up) the
+    /// core standing in for the domain whose first rank is `rank`, and its
+    /// counters are scaled by the number of ranks at that load.
+    fn fold_domains(
+        &self,
+        mut simulate: impl FnMut(OccupancyContext, CoreSimOptions, usize) -> MemCounters,
+    ) -> NodeSimReport {
         let machine = &self.config.machine;
         let occ = DomainOccupancy::compact(machine, self.config.ranks);
 
@@ -179,32 +201,15 @@ impl NodeSim {
         // Per-load dedup indexed by the domain load itself: O(1) per level
         // instead of a linear scan over every previously simulated load.
         let mut by_load: Vec<Option<MemCounters>> = vec![None; occ.busiest + 1];
-        // One core simulator serves every distinct domain load: `reset`
-        // reuses its cache arenas instead of reallocating three caches and
-        // two coalescers per load level.
-        let mut core: Option<CoreSim> = None;
         let mut first_rank_of_domain = 0usize;
         for &count in &occ.cores_per_domain {
             if count == 0 {
                 break;
             }
-            // Re-use a previously simulated domain with the same load.
-            let counters = if let Some(c) = by_load[count] {
-                c
-            } else {
+            let counters = *by_load[count].get_or_insert_with(|| {
                 let ctx = OccupancyContext::domain_load(machine, count, occ.active_domains);
-                let options = self.config.core_options(count);
-                if let Some(core) = core.as_mut() {
-                    core.reset(ctx, options);
-                } else {
-                    core = Some(CoreSim::new(machine, ctx, options));
-                }
-                let core = core.as_mut().expect("initialised above");
-                kernel(first_rank_of_domain, core);
-                let c = core.flush();
-                by_load[count] = Some(c);
-                c
-            };
+                simulate(ctx, self.config.core_options(count), first_rank_of_domain)
+            });
             if first {
                 per_rank = counters;
                 first = false;
@@ -219,6 +224,29 @@ impl NodeSim {
             per_rank,
             cores_per_domain: occ.cores_per_domain,
         }
+    }
+
+    /// Run an SPMD kernel, simulating one representative core per distinct
+    /// domain occupancy and scaling the counters by the number of ranks at
+    /// that occupancy.
+    ///
+    /// The kernel receives the rank id it is standing in for and the core
+    /// simulator to drive.
+    pub fn run_spmd<F>(&self, kernel: F) -> NodeSimReport
+    where
+        F: Fn(usize, &mut CoreSim),
+    {
+        self.assert_default_policies("run_spmd");
+        // One core simulator serves every distinct domain load: `reset`
+        // reuses its cache arenas instead of reallocating three caches and
+        // two coalescers per load level.
+        let mut core: Option<CoreSim> = None;
+        self.fold_domains(|ctx, options, rank| {
+            let core = core.get_or_insert_with(|| CoreSim::new(&self.config.machine, ctx, options));
+            core.reset(ctx, options);
+            kernel(rank, core);
+            core.flush()
+        })
     }
 
     /// Run an SPMD [`KernelSpec`] through a cross-sweep [`SimMemo`]: each
@@ -235,46 +263,7 @@ impl NodeSim {
     /// and [`write_policy`](SimConfig::write_policy) selectors by
     /// dispatching to the matching monomorphised hierarchy.
     pub fn run_spmd_memo(&self, kernel: &KernelSpec, memo: &SimMemo) -> NodeSimReport {
-        use ReplacementPolicyKind as R;
-        use WritePolicyKind as W;
-        match (self.config.replacement, self.config.write_policy) {
-            (R::Lru, W::Allocate) => {
-                self.run_spmd_memo_typed::<TrueLru, WriteAllocate>(kernel, memo)
-            }
-            (R::Lru, W::NoAllocate) => {
-                self.run_spmd_memo_typed::<TrueLru, NoWriteAllocate>(kernel, memo)
-            }
-            (R::Lru, W::NonTemporal) => {
-                self.run_spmd_memo_typed::<TrueLru, NonTemporal>(kernel, memo)
-            }
-            (R::Plru, W::Allocate) => {
-                self.run_spmd_memo_typed::<TreePlru, WriteAllocate>(kernel, memo)
-            }
-            (R::Plru, W::NoAllocate) => {
-                self.run_spmd_memo_typed::<TreePlru, NoWriteAllocate>(kernel, memo)
-            }
-            (R::Plru, W::NonTemporal) => {
-                self.run_spmd_memo_typed::<TreePlru, NonTemporal>(kernel, memo)
-            }
-            (R::Srrip, W::Allocate) => {
-                self.run_spmd_memo_typed::<Srrip, WriteAllocate>(kernel, memo)
-            }
-            (R::Srrip, W::NoAllocate) => {
-                self.run_spmd_memo_typed::<Srrip, NoWriteAllocate>(kernel, memo)
-            }
-            (R::Srrip, W::NonTemporal) => {
-                self.run_spmd_memo_typed::<Srrip, NonTemporal>(kernel, memo)
-            }
-            (R::Random, W::Allocate) => {
-                self.run_spmd_memo_typed::<RandomEvict, WriteAllocate>(kernel, memo)
-            }
-            (R::Random, W::NoAllocate) => {
-                self.run_spmd_memo_typed::<RandomEvict, NoWriteAllocate>(kernel, memo)
-            }
-            (R::Random, W::NonTemporal) => {
-                self.run_spmd_memo_typed::<RandomEvict, NonTemporal>(kernel, memo)
-            }
-        }
+        dispatch_policies!(self.run_spmd_memo_typed(kernel, memo))
     }
 
     fn run_spmd_memo_typed<RP: ReplacementPolicy, WP: WritePolicy>(
@@ -282,47 +271,9 @@ impl NodeSim {
         kernel: &KernelSpec,
         memo: &SimMemo,
     ) -> NodeSimReport {
-        let machine = &self.config.machine;
-        let occ = DomainOccupancy::compact(machine, self.config.ranks);
-
-        let mut total = MemCounters::new();
-        let mut per_rank = MemCounters::new();
-        let mut first = true;
-        let mut by_load: Vec<Option<MemCounters>> = vec![None; occ.busiest + 1];
-        let mut first_rank_of_domain = 0usize;
-        for &count in &occ.cores_per_domain {
-            if count == 0 {
-                break;
-            }
-            let counters = if let Some(c) = by_load[count] {
-                c
-            } else {
-                let ctx = OccupancyContext::domain_load(machine, count, occ.active_domains);
-                let options = self.config.core_options(count);
-                let c = memo.counters_for::<RP, WP>(
-                    machine,
-                    ctx,
-                    options,
-                    kernel,
-                    first_rank_of_domain,
-                );
-                by_load[count] = Some(c);
-                c
-            };
-            if first {
-                per_rank = counters;
-                first = false;
-            }
-            total.merge(&counters.scaled(count as f64));
-            first_rank_of_domain += count;
-        }
-
-        NodeSimReport {
-            ranks: self.config.ranks,
-            total,
-            per_rank,
-            cores_per_domain: occ.cores_per_domain,
-        }
+        self.fold_domains(|ctx, options, rank| {
+            memo.counters_for::<RP, WP>(&self.config.machine, ctx, options, kernel, rank)
+        })
     }
 
     /// Run an SPMD kernel simulating *every* rank individually.  Exact but
@@ -347,12 +298,8 @@ impl NodeSim {
             let ctx = OccupancyContext::domain_load(machine, count, occ.active_domains);
             for _ in 0..count {
                 let options = self.config.core_options(count);
-                if let Some(core) = core.as_mut() {
-                    core.reset(ctx, options);
-                } else {
-                    core = Some(CoreSim::new(machine, ctx, options));
-                }
-                let core = core.as_mut().expect("initialised above");
+                let core = core.get_or_insert_with(|| CoreSim::new(machine, ctx, options));
+                core.reset(ctx, options);
                 kernel(rank, core);
                 let c = core.flush();
                 if rank == 0 {
@@ -403,48 +350,7 @@ impl NodeSim {
         interleave_lines: u64,
         memo: &SimMemo,
     ) -> CoRunReport {
-        use ReplacementPolicyKind as R;
-        use WritePolicyKind as W;
-        match (self.config.replacement, self.config.write_policy) {
-            (R::Lru, W::Allocate) => {
-                self.run_corun_typed::<TrueLru, WriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Lru, W::NoAllocate) => {
-                self.run_corun_typed::<TrueLru, NoWriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Lru, W::NonTemporal) => {
-                self.run_corun_typed::<TrueLru, NonTemporal>(tenants, interleave_lines, memo)
-            }
-            (R::Plru, W::Allocate) => {
-                self.run_corun_typed::<TreePlru, WriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Plru, W::NoAllocate) => {
-                self.run_corun_typed::<TreePlru, NoWriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Plru, W::NonTemporal) => {
-                self.run_corun_typed::<TreePlru, NonTemporal>(tenants, interleave_lines, memo)
-            }
-            (R::Srrip, W::Allocate) => {
-                self.run_corun_typed::<Srrip, WriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Srrip, W::NoAllocate) => {
-                self.run_corun_typed::<Srrip, NoWriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Srrip, W::NonTemporal) => {
-                self.run_corun_typed::<Srrip, NonTemporal>(tenants, interleave_lines, memo)
-            }
-            (R::Random, W::Allocate) => {
-                self.run_corun_typed::<RandomEvict, WriteAllocate>(tenants, interleave_lines, memo)
-            }
-            (R::Random, W::NoAllocate) => self.run_corun_typed::<RandomEvict, NoWriteAllocate>(
-                tenants,
-                interleave_lines,
-                memo,
-            ),
-            (R::Random, W::NonTemporal) => {
-                self.run_corun_typed::<RandomEvict, NonTemporal>(tenants, interleave_lines, memo)
-            }
-        }
+        dispatch_policies!(self.run_corun_typed(tenants, interleave_lines, memo))
     }
 
     fn run_corun_typed<RP: ReplacementPolicy, WP: WritePolicy>(
@@ -627,7 +533,7 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
     let ways = caches.l3.associativity;
 
     let mut llc = SetAssocCache::<RP>::new(shared_bytes, ways);
-    let mut cores: Vec<PrivateCore<SetAssocCache<RP>, WP>> = (0..n)
+    let mut cores: Vec<PrivateCore<RP, WP>> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
     let mut cursors: Vec<SweepCursor> = tenants
@@ -706,7 +612,7 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
     if n > 1 {
         for (j, t) in tenants.iter().enumerate() {
             let mut llc = SetAssocCache::<RP>::new(shared_bytes, ways);
-            let mut core = PrivateCore::<SetAssocCache<RP>, WP>::new(machine, ctx, options);
+            let mut core = PrivateCore::<RP, WP>::new(machine, ctx, options);
             let mut cursor = SweepCursor::new(t.sweep(j));
             while !cursor.finished() {
                 cursor.advance(&mut core, &mut llc, u64::MAX);
@@ -887,6 +793,16 @@ mod tests {
         let m = icelake_sp_8360y();
         let cores = m.total_cores();
         let _ = NodeSim::new(SimConfig::new(m, cores + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "run_spmd always simulates the default")]
+    fn closure_path_refuses_a_non_default_policy_config() {
+        // A hard assert, not a debug one: a release build must not silently
+        // simulate LRU + write-allocate for a no-allocate configuration.
+        let cfg =
+            SimConfig::new(icelake_sp_8360y(), 1).with_write_policy(WritePolicyKind::NoAllocate);
+        let _ = NodeSim::new(cfg).run_spmd(store_kernel(64));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use clover_machine::speci2m::EvasionContext;
 use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
-use crate::cache::{AnyCache, CacheBank, LookupResult, SetAssocCache};
+use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
 use crate::policy::{
@@ -218,7 +218,7 @@ impl TraceRecorder {
 /// different) neighbour configuration: occupancy context, SpecI2M MSR
 /// switch and prefetcher evasion factor.  `speci2m` is the machine's raw
 /// parameter block (the MSR switch is applied here, like
-/// [`PrivateCore::from_parts`] does).  Every counter field is accumulated
+/// [`PrivateCore::new`] does).  Every counter field is accumulated
 /// by the same sequence of float additions the live simulation performs,
 /// so the result is bit-identical — asserted by the equivalence proptests.
 pub(crate) fn replay_trace(
@@ -293,16 +293,18 @@ pub(crate) fn replay_trace(
 /// (coalescers, SpecI2M model, streamer prefetcher) and this core's
 /// traffic counters — everything *except* the last level.
 ///
-/// Every driving method takes the last-level bank as a parameter: the solo
+/// Every driving method takes the last-level cache as a parameter: the solo
 /// [`CoreSim`] passes its own per-core L3 share, the co-run engine passes
-/// the tenant-shared LLC, and the per-level [`LevelPolicySim`] passes an
-/// [`AnyCache`].  Generic over the bank type `B` of the private levels and
-/// the store-miss policy `W`; for the defaults the monomorphised code is
-/// the pre-split `CoreSim` instruction for instruction.
+/// the tenant-shared LLC.  Generic over the replacement policy `R` of all
+/// levels, the store-miss policy `W` and the probe implementation `SIMD`.
 #[derive(Debug, Clone)]
-pub struct PrivateCore<B: CacheBank = SetAssocCache<TrueLru>, W: WritePolicy = WriteAllocate> {
-    l1: B,
-    l2: B,
+pub struct PrivateCore<
+    R: ReplacementPolicy = TrueLru,
+    W: WritePolicy = WriteAllocate,
+    const SIMD: bool = true,
+> {
+    l1: SetAssocCache<R, SIMD>,
+    l2: SetAssocCache<R, SIMD>,
     coalescer: WriteCoalescer,
     nt_coalescer: WriteCoalescer,
     streamer: StreamerPrefetcher,
@@ -319,32 +321,10 @@ pub struct PrivateCore<B: CacheBank = SetAssocCache<TrueLru>, W: WritePolicy = W
     _write: PhantomData<W>,
 }
 
-impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool>
-    PrivateCore<SetAssocCache<R, SIMD>, W>
-{
-    /// Build the private half for `machine` with policy-`R` L1/L2 banks.
+impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, SIMD> {
+    /// Build the private half for `machine` with policy-`R` L1/L2 caches.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
         let caches = &machine.caches;
-        Self::from_parts(
-            machine,
-            ctx,
-            options,
-            SetAssocCache::new(caches.l1.capacity_bytes, caches.l1.associativity),
-            SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
-        )
-    }
-}
-
-impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
-    /// Build the private half from already-constructed L1/L2 banks (the
-    /// caller chooses their policies and geometry).
-    pub fn from_parts(
-        machine: &Machine,
-        ctx: OccupancyContext,
-        options: CoreSimOptions,
-        l1: B,
-        l2: B,
-    ) -> Self {
         let speci2m = machine.speci2m.clone();
         let speci2m_store = if options.speci2m_enabled {
             speci2m.clone()
@@ -352,8 +332,8 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
             speci2m.switched_off()
         };
         Self {
-            l1,
-            l2,
+            l1: SetAssocCache::new(caches.l1.capacity_bytes, caches.l1.associativity),
+            l2: SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
             coalescer: WriteCoalescer::default(),
             nt_coalescer: WriteCoalescer::default(),
             streamer: StreamerPrefetcher::new(options.prefetchers.streamer_distance),
@@ -426,7 +406,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     }
 
     /// Feed a single access against the given last-level bank.
-    pub fn access<L: CacheBank>(&mut self, llc: &mut L, access: Access) {
+    pub fn access(&mut self, llc: &mut SetAssocCache<R, SIMD>, access: Access) {
         match access.kind {
             AccessKind::Load => {
                 for line in access.lines() {
@@ -439,7 +419,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     }
 
     /// Feed a load of `bytes` bytes at `addr`.
-    pub fn load<L: CacheBank>(&mut self, llc: &mut L, addr: u64, bytes: u32) {
+    pub fn load(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
         self.access(
             llc,
             Access {
@@ -451,7 +431,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     }
 
     /// Feed a store of `bytes` bytes at `addr`.
-    pub fn store<L: CacheBank>(&mut self, llc: &mut L, addr: u64, bytes: u32) {
+    pub fn store(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
         self.access(
             llc,
             Access {
@@ -463,7 +443,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     }
 
     /// Feed a non-temporal store of `bytes` bytes at `addr`.
-    pub fn store_nt<L: CacheBank>(&mut self, llc: &mut L, addr: u64, bytes: u32) {
+    pub fn store_nt(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
         self.access(
             llc,
             Access {
@@ -476,7 +456,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
 
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
     /// cache-line granularity (see [`CoreSim::drive_run`]).
-    pub fn drive_run<L: CacheBank>(&mut self, llc: &mut L, run: AccessRun) {
+    pub fn drive_run(&mut self, llc: &mut SetAssocCache<R, SIMD>, run: AccessRun) {
         if run.elements == 0 {
             return;
         }
@@ -491,7 +471,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     /// element touches as the guaranteed L1 hits they are in the scalar
     /// path (consecutive touches of a just-accessed line cannot miss — no
     /// fill happens in between).
-    fn load_run<L: CacheBank>(&mut self, llc: &mut L, base: u64, bytes: u64) {
+    fn load_run(&mut self, llc: &mut SetAssocCache<R, SIMD>, base: u64, bytes: u64) {
         let first = line_of(base);
         let last = line_of(base + bytes - 1);
         for line in first..=last {
@@ -515,7 +495,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     /// Allocation-free store path shared by the scalar API and the batched
     /// run driver: split the span into per-line segments and consume each
     /// finalized line as the coalescer produces it.
-    fn store_span<L: CacheBank>(&mut self, llc: &mut L, base: u64, bytes: u64, nt: bool) {
+    fn store_span(&mut self, llc: &mut SetAssocCache<R, SIMD>, base: u64, bytes: u64, nt: bool) {
         let mut addr = base;
         let mut remaining = bytes;
         while remaining > 0 {
@@ -530,9 +510,9 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
 
     /// Feed one single-line store segment to the matching coalescer and
     /// handle the at most one line it finalizes.
-    pub(crate) fn store_line_segment<L: CacheBank>(
+    pub(crate) fn store_line_segment(
         &mut self,
-        llc: &mut L,
+        llc: &mut SetAssocCache<R, SIMD>,
         line: u64,
         offset: u64,
         len: u64,
@@ -576,9 +556,9 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     /// and completes the accounting with [`account_writebacks`].
     ///
     /// [`account_writebacks`]: Self::account_writebacks
-    pub(crate) fn flush_streams_and_upper<L: CacheBank>(
+    pub(crate) fn flush_streams_and_upper(
         &mut self,
-        llc: &mut L,
+        llc: &mut SetAssocCache<R, SIMD>,
     ) -> (Vec<u64>, Vec<u64>) {
         let events = self.coalescer.flush();
         for ev in events {
@@ -624,7 +604,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
         self.counters
     }
 
-    fn hierarchy_hit<L: CacheBank>(&mut self, llc: &mut L, line: u64, write: bool) -> bool {
+    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64, write: bool) -> bool {
         if self.l1.touch(line, write) == LookupResult::Hit {
             return true;
         }
@@ -643,7 +623,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     /// Land a dirty line evicted from an upper level in the last level
     /// (present or not), counting the write-back its own victim may cause.
     /// One combined probe instead of a touch followed by a fill.
-    fn sink_dirty_into_llc<L: CacheBank>(&mut self, llc: &mut L, line: u64) {
+    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
         let (_, evicted) = llc.probe_fill(line, true);
         if let Some(ev3) = evicted {
             if ev3.dirty {
@@ -655,7 +635,13 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
     /// dirty evictions downwards without generating memory traffic.
-    fn fill_upper<L: CacheBank>(&mut self, llc: &mut L, line: u64, dirty: bool, levels: usize) {
+    fn fill_upper(
+        &mut self,
+        llc: &mut SetAssocCache<R, SIMD>,
+        line: u64,
+        dirty: bool,
+        levels: usize,
+    ) {
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
@@ -680,7 +666,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     /// Fill a line into the whole hierarchy after a memory read or an ITOM
     /// claim.  The dirty bit is kept at the last level only so the eventual
     /// write-back is counted exactly once.
-    fn fill_all<L: CacheBank>(&mut self, llc: &mut L, line: u64, dirty: bool) {
+    fn fill_all(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64, dirty: bool) {
         if let Some(ev) = llc.fill(line, dirty) {
             if ev.dirty {
                 self.counters.write_lines += 1.0;
@@ -691,7 +677,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
     }
 
     /// Fill a prefetched line into the last level only.
-    fn fill_prefetch<L: CacheBank>(&mut self, llc: &mut L, line: u64) {
+    fn fill_prefetch(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
         if llc.contains(line) {
             return;
         }
@@ -706,7 +692,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
         }
     }
 
-    fn load_line<L: CacheBank>(&mut self, llc: &mut L, line: u64) {
+    fn load_line(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
@@ -738,7 +724,7 @@ impl<B: CacheBank, W: WritePolicy> PrivateCore<B, W> {
         }
     }
 
-    fn handle_nt_line<L: CacheBank>(&mut self, llc: &mut L, ev: FinalizedLine) {
+    fn handle_nt_line(&mut self, llc: &mut SetAssocCache<R, SIMD>, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
         self.l1.invalidate(ev.line);
         self.l2.invalidate(ev.line);
@@ -777,7 +763,7 @@ pub struct CoreSim<
     W: WritePolicy = WriteAllocate,
     const SIMD: bool = true,
 > {
-    private: PrivateCore<SetAssocCache<R, SIMD>, W>,
+    private: PrivateCore<R, W, SIMD>,
     l3: SetAssocCache<R, SIMD>,
     /// Full (unshared) L3 capacity, kept so [`reset`](Self::reset) can
     /// re-derive the per-core share for a different sharer count.
@@ -917,111 +903,14 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
     }
 }
 
-/// A hierarchy whose replacement policy is chosen *per level* from the
-/// machine model's [`CacheSpec::replacement`] fields.
-///
-/// `CoreSim<R, W>` applies one policy hierarchy-wide because `R` is a
-/// single type parameter; machines like the CVA6 preset specify different
-/// policies per level (random-evict L1/L2 under a PLRU last level), which
-/// the simulator silently ignored until this type.  Built from
-/// [`AnyCache`] banks, it pays one branch per cache operation and is only
-/// used when the per-level fields actually differ — for uniform machines
-/// it produces bit-identical counters to the generic `CoreSim` (asserted
-/// in tests).
-///
-/// [`CacheSpec::replacement`]: clover_machine::CacheSpec
-#[derive(Debug, Clone)]
-pub struct LevelPolicySim<W: WritePolicy = WriteAllocate> {
-    private: PrivateCore<AnyCache, W>,
-    llc: AnyCache,
-}
-
-impl<W: WritePolicy> LevelPolicySim<W> {
-    /// Build a per-level-policy simulator for `machine`, honouring each
-    /// level's `CacheSpec::replacement` field.
-    pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
-        let caches = &machine.caches;
-        let l3_share = l3_share_bytes(caches.l3.capacity_bytes, options.l3_sharers);
-        let l1 = AnyCache::for_kind(
-            caches.l1.replacement,
-            caches.l1.capacity_bytes,
-            caches.l1.associativity,
-        );
-        let l2 = AnyCache::for_kind(
-            caches.l2.replacement,
-            caches.l2.capacity_bytes,
-            caches.l2.associativity,
-        );
-        let llc = AnyCache::for_kind(caches.l3.replacement, l3_share, caches.l3.associativity);
-        Self {
-            private: PrivateCore::from_parts(machine, ctx, options, l1, l2),
-            llc,
-        }
-    }
-
-    /// The replacement policy each level was constructed with
-    /// (L1, L2, L3).
-    pub fn level_policies(&self) -> [clover_machine::ReplacementPolicyKind; 3] {
-        let [l1, l2] = self.private.level_kinds();
-        [l1, l2, self.llc.kind()]
-    }
-
-    /// Current counter snapshot (without flushing pending state).
-    pub fn counters(&self) -> MemCounters {
-        self.private.counters()
-    }
-
-    /// Per-level `(hits, misses)` of the three levels.
-    pub fn cache_stats(&self) -> [(u64, u64); 3] {
-        let [l1, l2] = self.private.upper_cache_stats();
-        [l1, l2, (self.llc.hits(), self.llc.misses())]
-    }
-
-    /// Feed a load of `bytes` bytes at `addr`.
-    pub fn load(&mut self, addr: u64, bytes: u32) {
-        self.private.load(&mut self.llc, addr, bytes);
-    }
-
-    /// Feed a store of `bytes` bytes at `addr`.
-    pub fn store(&mut self, addr: u64, bytes: u32) {
-        self.private.store(&mut self.llc, addr, bytes);
-    }
-
-    /// Feed a non-temporal store of `bytes` bytes at `addr`.
-    pub fn store_nt(&mut self, addr: u64, bytes: u32) {
-        self.private.store_nt(&mut self.llc, addr, bytes);
-    }
-
-    /// Drive a contiguous element run (see [`CoreSim::drive_run`]).
-    pub fn drive_run(&mut self, run: AccessRun) {
-        self.private.drive_run(&mut self.llc, run);
-    }
-
-    /// Finalize pending store streams and flush dirty cache lines to
-    /// memory; returns the final counters.
-    pub fn flush(&mut self) -> MemCounters {
-        let (l1_dirty, l2_dirty) = self.private.flush_streams_and_upper(&mut self.llc);
-        let l3_dirty = self.llc.flush_dirty();
-        self.private
-            .account_writebacks(l1_dirty, l2_dirty, l3_dirty)
-    }
-}
-
-impl<W: WritePolicy> PrivateCore<AnyCache, W> {
-    /// The policy kinds of the private banks (L1, L2).
-    fn level_kinds(&self) -> [clover_machine::ReplacementPolicyKind; 2] {
-        [self.l1.kind(), self.l2.kind()]
-    }
-}
-
 impl WritePolicy for WriteAllocate {
     const KIND: WritePolicyKind = WritePolicyKind::Allocate;
 
     /// The paper machines' store-miss path: a write-allocate read unless
     /// SpecI2M claims the line without one (ITOM).
-    fn handle_store_line<B: CacheBank, L: CacheBank>(
-        core: &mut PrivateCore<B, Self>,
-        llc: &mut L,
+    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
+        core: &mut PrivateCore<R, Self, SIMD>,
+        llc: &mut SetAssocCache<R, SIMD>,
         ev: FinalizedLine,
     ) {
         if core.hierarchy_hit(llc, ev.line, true) {
@@ -1062,9 +951,9 @@ impl WritePolicy for NoWriteAllocate {
     /// No-write-allocate: a store miss writes the line through to memory
     /// without claiming it in the hierarchy — no read-for-ownership, no
     /// fill, no SpecI2M involvement.  Store hits stay write-back.
-    fn handle_store_line<B: CacheBank, L: CacheBank>(
-        core: &mut PrivateCore<B, Self>,
-        llc: &mut L,
+    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
+        core: &mut PrivateCore<R, Self, SIMD>,
+        llc: &mut SetAssocCache<R, SIMD>,
         ev: FinalizedLine,
     ) {
         if core.hierarchy_hit(llc, ev.line, true) {
@@ -1080,9 +969,9 @@ impl WritePolicy for NonTemporal {
 
     /// Every regular store behaves like a non-temporal streaming store:
     /// the coalesced line bypasses the hierarchy entirely.
-    fn handle_store_line<B: CacheBank, L: CacheBank>(
-        core: &mut PrivateCore<B, Self>,
-        llc: &mut L,
+    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
+        core: &mut PrivateCore<R, Self, SIMD>,
+        llc: &mut SetAssocCache<R, SIMD>,
         ev: FinalizedLine,
     ) {
         core.handle_nt_line(llc, ev);
@@ -1410,78 +1299,6 @@ mod tests {
         let mut fresh = serial_core(&m);
         assert_eq!(run(&mut reused), run(&mut fresh));
         assert_eq!(reused.cache_stats(), fresh.cache_stats());
-    }
-
-    #[test]
-    fn level_policy_sim_honours_per_level_policies() {
-        use clover_machine::ReplacementPolicyKind as K;
-        let m = clover_machine::cva6_like();
-        let sim = LevelPolicySim::<NoWriteAllocate>::new(
-            &m,
-            OccupancyContext::serial(&m),
-            CoreSimOptions {
-                speci2m_enabled: false,
-                l3_sharers: m.caches.l3_sharers,
-                ..Default::default()
-            },
-        );
-        // The CVA6 preset specifies random-evict L1/L2 under a PLRU LLC;
-        // the per-level simulator must construct exactly those banks.
-        assert_eq!(
-            [
-                m.caches.l1.replacement,
-                m.caches.l2.replacement,
-                m.caches.l3.replacement
-            ],
-            [K::Random, K::Random, K::Plru]
-        );
-        assert_eq!(sim.level_policies(), [K::Random, K::Random, K::Plru]);
-    }
-
-    #[test]
-    fn level_policy_sim_produces_traffic_on_cva6() {
-        let m = clover_machine::cva6_like();
-        let mut sim = LevelPolicySim::<NoWriteAllocate>::new(
-            &m,
-            OccupancyContext::serial(&m),
-            CoreSimOptions {
-                speci2m_enabled: false,
-                l3_sharers: m.caches.l3_sharers,
-                ..Default::default()
-            },
-        );
-        let n = 8 * 1024u64;
-        for i in 0..n {
-            sim.load(i * 8, 8);
-            sim.store((1 << 30) + i * 8, 8);
-        }
-        let c = sim.flush();
-        let lines = (n / 8) as f64;
-        // No-write-allocate: store misses stream straight to memory.
-        assert!(c.read_lines >= lines, "reads = {}", c.read_lines);
-        assert!(c.write_lines >= lines, "writes = {}", c.write_lines);
-        assert_eq!(c.write_allocate_lines, 0.0);
-    }
-
-    #[test]
-    fn level_policy_sim_matches_generic_core_for_uniform_lru() {
-        // ICX declares LRU at every level, so the per-level simulator and
-        // the policy-generic CoreSim must agree bit for bit.
-        let m = icelake_sp_8360y();
-        let ctx = OccupancyContext::serial(&m);
-        let mut mixed = LevelPolicySim::<WriteAllocate>::new(&m, ctx, CoreSimOptions::default());
-        let mut generic: CoreSim = CoreSim::new(&m, ctx, CoreSimOptions::default());
-        for row in 0..32u64 {
-            let off = row * (216 + 3) * 8;
-            for i in 0..216u64 {
-                mixed.load((1 << 33) + off + i * 8, 8);
-                mixed.store(off + i * 8, 8);
-                generic.load((1 << 33) + off + i * 8, 8);
-                generic.store(off + i * 8, 8);
-            }
-        }
-        assert_eq!(mixed.cache_stats(), generic.cache_stats());
-        assert_eq!(mixed.flush(), generic.flush());
     }
 
     #[test]

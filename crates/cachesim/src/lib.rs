@@ -33,8 +33,8 @@
 //! batched [`AccessRun`]/[`CoreSim::drive_run`] API expands contiguous
 //! element runs into one hierarchy operation per 64-byte cache line — the
 //! granularity at which traffic is decided — while staying bit-identical to
-//! the scalar per-element path.  `figures bench --json` (crate
-//! `clover-bench`) tracks the throughput of these paths across PRs.
+//! the scalar per-element path.  The `cachesim.*` per-layer probes of
+//! `benchmark/` track the throughput of these paths.
 
 pub mod access;
 pub mod cache;
@@ -58,12 +58,12 @@ pub mod prefetch;
 pub const SIM_SCHEMA_VERSION: u32 = 1;
 
 pub use access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
-pub use cache::{AnyCache, CacheBank, SetAssocCache};
+pub use cache::SetAssocCache;
 pub use coalescer::{StreakTracker, WriteCoalescer};
 pub use counters::MemCounters;
 pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
 pub use flight::FlightMemo;
-pub use hierarchy::{CoreSim, DomainOccupancy, LevelPolicySim, OccupancyContext, PrivateCore};
+pub use hierarchy::{CoreSim, DomainOccupancy, OccupancyContext, PrivateCore};
 pub use memo::{
     with_pooled_core, CoRunKey, KernelSpec, MemoStats, RankBase, SimKey, SimMemo, SpecOperand,
 };

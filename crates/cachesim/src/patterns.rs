@@ -12,7 +12,7 @@
 
 pub use crate::access::ELEM_BYTES;
 use crate::access::{line_of, AccessKind, AccessRun, LINE_BYTES};
-use crate::cache::CacheBank;
+use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
 use crate::policy::{ReplacementPolicy, WritePolicy};
 
@@ -30,10 +30,10 @@ fn scalar_access<R: ReplacementPolicy, W: WritePolicy>(
 }
 
 /// [`scalar_access`] against a split hierarchy (private half + explicit
-/// last-level bank) — the co-run cursor's primitive.
-fn scalar_access_split<B: CacheBank, W: WritePolicy, L: CacheBank>(
-    core: &mut PrivateCore<B, W>,
-    llc: &mut L,
+/// last-level cache) — the co-run cursor's primitive.
+fn scalar_access_split<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool>(
+    core: &mut PrivateCore<R, W, SIMD>,
+    llc: &mut SetAssocCache<R, SIMD>,
     kind: AccessKind,
     addr: u64,
 ) {
@@ -383,10 +383,10 @@ impl SweepCursor {
     /// been issued or the sweep finishes, whichever comes first; returns
     /// the number actually issued.  A zero budget still makes progress
     /// (one segment), so a co-run round-robin can never stall.
-    pub fn advance<B: CacheBank, W: WritePolicy, L: CacheBank>(
+    pub fn advance<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool>(
         &mut self,
-        core: &mut PrivateCore<B, W>,
-        llc: &mut L,
+        core: &mut PrivateCore<R, W, SIMD>,
+        llc: &mut SetAssocCache<R, SIMD>,
         budget_lines: u64,
     ) -> u64 {
         let budget = budget_lines.max(1);

@@ -24,7 +24,7 @@
 
 use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
 
-use crate::cache::CacheBank;
+use crate::cache::SetAssocCache;
 use crate::coalescer::FinalizedLine;
 use crate::hierarchy::PrivateCore;
 
@@ -300,7 +300,7 @@ impl ReplacementPolicy for RandomEvict {
 /// Store-miss behaviour of a simulated hierarchy.
 ///
 /// The policy is a type-level strategy: `handle_store_line` receives the
-/// private half of the core plus the last-level bank so implementations
+/// private half of the core plus the last-level cache so implementations
 /// can drive the hierarchy, the SpecI2M model and the traffic counters
 /// exactly like the original hard-coded store path did.  Implementations
 /// live next to `PrivateCore` (they need its internals); this trait and
@@ -311,11 +311,11 @@ pub trait WritePolicy: std::fmt::Debug + Clone + Send + Sized + 'static {
     const KIND: WritePolicyKind;
 
     /// Retire one coalesced store line through the hierarchy: the private
-    /// half of the core plus whatever last-level bank it currently shares
+    /// half of the core plus whatever last-level cache it currently shares
     /// (its own on the solo path, the tenant-shared LLC on a co-run).
-    fn handle_store_line<B: CacheBank, L: CacheBank>(
-        core: &mut PrivateCore<B, Self>,
-        llc: &mut L,
+    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
+        core: &mut PrivateCore<R, Self, SIMD>,
+        llc: &mut SetAssocCache<R, SIMD>,
         ev: FinalizedLine,
     );
 }

@@ -12,9 +12,7 @@
 
 use clover_cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
 use clover_cachesim::patterns::StencilRowSweep;
-use clover_cachesim::{
-    AccessKind, CoreSim, KernelSpec, MemCounters, RankBase, SimMemo, SpecOperand,
-};
+use clover_cachesim::{AccessKind, KernelSpec, MemCounters, RankBase, SimMemo, SpecOperand};
 use clover_machine::Machine;
 
 use crate::chunk::HALO;
@@ -238,23 +236,12 @@ impl KernelTrafficReport {
     }
 }
 
-/// The occupancy context and core options `timestep_traffic` simulates
-/// under for `total_ranks` compactly pinned ranks.
-fn replay_config(machine: &Machine, total_ranks: usize) -> (OccupancyContext, CoreSimOptions) {
-    let ctx = OccupancyContext::compact(machine, total_ranks);
-    let occ = DomainOccupancy::compact(machine, total_ranks);
-    let options = CoreSimOptions {
-        l3_sharers: DomainOccupancy::l3_sharers(machine, occ.busiest),
-        ..Default::default()
-    };
-    (ctx, options)
-}
-
-/// [`timestep_traffic`] through a cross-sweep [`SimMemo`]: bit-identical
-/// per-kernel reports, with each distinct `(occupancy, kernel footprint)`
-/// pair simulated once per memo lifetime — a rank-count sweep over the same
-/// chunk geometry re-simulates nothing once the busiest-domain context
-/// repeats.
+/// Replay every timestep kernel of a `nx × ny` local domain through the
+/// cache simulator and report the per-kernel traffic.  `total_ranks` sets
+/// the occupancy (and hence SpecI2M behaviour) of the simulated core.  Each
+/// distinct `(occupancy, kernel footprint)` pair is simulated once per
+/// `memo` lifetime — a rank-count sweep over the same chunk geometry
+/// re-simulates nothing once the busiest-domain context repeats.
 pub fn timestep_traffic_memo(
     machine: &Machine,
     nx: usize,
@@ -262,7 +249,12 @@ pub fn timestep_traffic_memo(
     total_ranks: usize,
     memo: &SimMemo,
 ) -> Vec<KernelTrafficReport> {
-    let (ctx, options) = replay_config(machine, total_ranks);
+    let ctx = OccupancyContext::compact(machine, total_ranks);
+    let occ = DomainOccupancy::compact(machine, total_ranks);
+    let options = CoreSimOptions {
+        l3_sharers: DomainOccupancy::l3_sharers(machine, occ.busiest),
+        ..Default::default()
+    };
     timestep_kernels()
         .into_iter()
         .map(|kernel| {
@@ -277,40 +269,20 @@ pub fn timestep_traffic_memo(
         .collect()
 }
 
-/// Replay every timestep kernel of a `nx × ny` local domain through the
-/// cache simulator and report the per-kernel traffic.  `total_ranks` sets
-/// the occupancy (and hence SpecI2M behaviour) of the simulated core.
+/// [`timestep_traffic_memo`] with a memo of its own.
 pub fn timestep_traffic(
     machine: &Machine,
     nx: usize,
     ny: usize,
     total_ranks: usize,
 ) -> Vec<KernelTrafficReport> {
-    let (ctx, options) = replay_config(machine, total_ranks);
-    let mut core: CoreSim = CoreSim::new(machine, ctx, options);
-    let mut first = true;
-    timestep_kernels()
-        .into_iter()
-        .map(|kernel| {
-            if first {
-                first = false;
-            } else {
-                core.reset(ctx, options);
-            }
-            let sweep = kernel.sweep(nx, ny);
-            sweep.drive(&mut core);
-            KernelTrafficReport {
-                name: kernel.name,
-                counters: core.flush(),
-                iterations: sweep.iterations() as f64,
-            }
-        })
-        .collect()
+    timestep_traffic_memo(machine, nx, ny, total_ranks, &SimMemo::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clover_cachesim::CoreSim;
     use clover_machine::icelake_sp_8360y;
 
     #[test]
@@ -384,13 +356,25 @@ mod tests {
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for ranks in [1usize, 18, 19, 72] {
-            let plain = timestep_traffic(&m, 256, 8, ranks);
             let memoized = timestep_traffic_memo(&m, 256, 8, ranks, &memo);
-            assert_eq!(plain.len(), memoized.len());
-            for (p, q) in plain.iter().zip(&memoized) {
-                assert_eq!(p.name, q.name);
-                assert_eq!(p.counters, q.counters, "{} ranks={ranks}", p.name);
-                assert_eq!(p.iterations, q.iterations, "{}", p.name);
+            let kernels = timestep_kernels();
+            assert_eq!(kernels.len(), memoized.len());
+            for (kernel, q) in kernels.iter().zip(&memoized) {
+                // The unmemoized reference: a fresh core driven directly.
+                let occ = DomainOccupancy::compact(&m, ranks);
+                let mut core: CoreSim = CoreSim::new(
+                    &m,
+                    OccupancyContext::compact(&m, ranks),
+                    CoreSimOptions {
+                        l3_sharers: DomainOccupancy::l3_sharers(&m, occ.busiest),
+                        ..Default::default()
+                    },
+                );
+                let sweep = kernel.sweep(256, 8);
+                sweep.drive(&mut core);
+                assert_eq!(kernel.name, q.name);
+                assert_eq!(core.flush(), q.counters, "{} ranks={ranks}", q.name);
+                assert_eq!(sweep.iterations() as f64, q.iterations, "{}", q.name);
             }
         }
         // Ranks 19 and 72 share no context, but a second pass over any rank

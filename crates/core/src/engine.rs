@@ -1,24 +1,19 @@
-//! Cross-sweep scaling engine: memoized, allocation-hoisted point
-//! evaluation for the node-level scaling model.
+//! Scaling engine: the node-level point evaluator (Figs. 2 and 3) and its
+//! cross-sweep memo.
 //!
-//! [`ScalingModel::point`](crate::ScalingModel::point) is a pure function of
-//! `(machine, grid, rank count, traffic options)`, but the reference
-//! implementation pays per call for state that never changes across a
-//! sweep: it rebuilds the 22-loop catalogue, re-derives the per-domain
-//! occupancy once per loop and clones the SpecI2M parameter block per loop.
-//! A sweep harness additionally re-evaluates the *same* points again and
-//! again — `figures all` sweeps the identical 72-point curve for Fig. 2 and
+//! A scaling point is a pure function of `(machine, grid, rank count,
+//! traffic options)`, and a sweep evaluates many points of one machine and
+//! grid — `figures all` sweeps the identical 72-point curve for Fig. 2 and
 //! Fig. 3, and a [`SweepPlan`] whose rank ranges overlap re-visits every
 //! shared rank count per stage.
 //!
 //! This module provides
 //!
-//! * [`ScalingEngine`] — a sweep-ready evaluator holding the hoisted
-//!   catalogue, code-balance bounds and SpecI2M parameter blocks.  Its
-//!   [`point`](ScalingEngine::point) performs the same floating-point
-//!   operations in the same order as the reference `ScalingModel::point`
-//!   and therefore returns bit-identical [`ScalingPoint`]s (a tier-1
-//!   tested property);
+//! * [`ScalingEngine`] — the evaluator, holding what never changes across
+//!   a sweep (the 22-loop catalogue, its code-balance bounds and the
+//!   SpecI2M parameter blocks) so [`point`](ScalingEngine::point) derives
+//!   only per-point state.  [`ScalingModel`](crate::ScalingModel) is its
+//!   one-shot front;
 //! * [`SweepMemo`] — a sharded concurrent memo of evaluated points keyed by
 //!   `(machine id, grid, ranks, options)`, meant to span a whole sweep
 //!   plan: overlapping rank ranges, repeated stages and repeated artifact
@@ -32,13 +27,12 @@
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
 use clover_cachesim::FlightMemo;
-use clover_machine::speci2m::EvasionContext;
-use clover_machine::{Machine, SpecI2MParams, WritePolicyKind};
+use clover_machine::Machine;
 use clover_stencil::{cloverleaf_loops, CodeBalance, LoopSpec};
 
 use crate::decomp::{is_prime, Decomposition};
 use crate::scaling::{ScalingPoint, NON_HOTSPOT_FRACTION};
-use crate::traffic::{CodeVariant, LoopTraffic, TrafficOptions};
+use crate::traffic::{loop_traffic, LoopTraffic, TrafficModel, TrafficOptions};
 
 /// Identity of one scaling point.  Machines are identified by their preset
 /// id (`Machine::id`); preset machines with equal ids are structurally
@@ -153,18 +147,14 @@ impl SweepMemo {
     }
 }
 
-/// Sweep-ready scaling evaluator for one machine and grid.
-///
-/// Bit-identical to [`ScalingModel`](crate::ScalingModel) point by point,
-/// with the per-sweep-invariant state hoisted out of the per-point path.
+/// Scaling evaluator for one machine and grid, with the
+/// per-sweep-invariant state hoisted out of the per-point path.
 #[derive(Debug, Clone)]
 pub struct ScalingEngine {
-    machine: Machine,
+    traffic: TrafficModel,
     grid: usize,
     specs: Vec<LoopSpec>,
     bounds: Vec<CodeBalance>,
-    params_on: SpecI2MParams,
-    params_off: SpecI2MParams,
 }
 
 impl ScalingEngine {
@@ -172,21 +162,24 @@ impl ScalingEngine {
     pub fn new(machine: Machine, grid: usize) -> Self {
         let specs = cloverleaf_loops();
         let bounds = specs.iter().map(CodeBalance::from_spec).collect();
-        let params_on = machine.speci2m.clone();
-        let params_off = machine.speci2m.switched_off();
         Self {
-            machine,
+            traffic: TrafficModel::new(machine),
             grid,
             specs,
             bounds,
-            params_on,
-            params_off,
         }
+    }
+
+    /// The same engine on a different square grid (the hoisted state does
+    /// not depend on the grid).
+    pub(crate) fn with_grid(mut self, grid: usize) -> Self {
+        self.grid = grid;
+        self
     }
 
     /// The machine the engine evaluates.
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.traffic.machine()
     }
 
     /// The grid size the engine evaluates.
@@ -194,138 +187,39 @@ impl ScalingEngine {
         self.grid
     }
 
-    /// Per-loop traffic prediction — the same arithmetic as
-    /// `TrafficModel::predict_loop` over the whole catalogue, with the
-    /// loop-invariant occupancy/parameter state computed once.
-    fn predict_loops(&self, opts: &TrafficOptions, decomp: &Decomposition) -> Vec<LoopTraffic> {
-        let local_inner = decomp.typical_local_inner().max(1);
-        let elem = 8.0;
-        let row_overhead = 8.0 / (local_inner as f64 + 8.0);
-
-        // Occupancy under compact pinning, shared by every loop's evasion
-        // context (the reference re-derives it per loop).
-        let per_domain = self.machine.topology.active_cores_per_domain(opts.ranks);
-        let active_domains = per_domain.iter().filter(|&&c| c > 0).count().max(1);
-        let busiest = per_domain.iter().copied().max().unwrap_or(1);
-        let domain_utilization = self.machine.domain_utilization(busiest);
-        let total_domains = self.machine.topology.domains.len();
-        let streak_lines = (local_inner as f64 * 8.0 / 64.0).max(1.0);
-
-        let params = match opts.variant {
-            CodeVariant::SpecI2MOff => &self.params_off,
-            _ => &self.params_on,
-        };
-        let nt_flush =
-            params.nt_partial_flush_fraction(domain_utilization, active_domains, total_domains);
-        // Replacement-policy reuse efficiency, hoisted (see
-        // `TrafficModel::predict_loop` for the blending rationale).
-        let eff = opts.replacement.reuse_efficiency();
-
-        self.specs
+    /// Evaluate one rank count: the per-loop traffic model combined with
+    /// the domain decomposition and the bandwidth saturation curve into a
+    /// time and a memory volume per timestep.
+    pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
+        let machine = self.machine();
+        assert!(ranks >= 1 && ranks <= machine.total_cores());
+        let decomp = Decomposition::new(ranks, self.grid, self.grid);
+        let ctx = self.traffic.point_context(opts, &decomp);
+        let loops: Vec<LoopTraffic> = self
+            .specs
             .iter()
             .zip(&self.bounds)
-            .map(|(spec, &bounds)| {
-                let rd_lcf = spec.rd_lcf() as f64;
-                let rd_lcb = spec.rd_lcb() as f64;
-                let rd_base = if opts.layer_condition_ok {
-                    if eff >= 1.0 {
-                        rd_lcf
-                    } else {
-                        rd_lcf + (rd_lcb - rd_lcf) * (1.0 - eff)
-                    }
-                } else {
-                    rd_lcb
-                };
-                let wr = spec.wr() as f64;
-                let mut evadable = spec.evadable_write_streams() as f64;
-                let read_halo_overhead = rd_base * elem * row_overhead;
-
-                let ctx = EvasionContext {
-                    domain_utilization,
-                    active_domains,
-                    total_domains,
-                    store_streams: spec.wr().max(1),
-                    streak_lines,
-                };
-                let blocked = match opts.variant {
-                    CodeVariant::Original => spec.speci2m_blocked || spec.has_branches,
-                    CodeVariant::Optimized => spec.has_branches,
-                    CodeVariant::SpecI2MOff => true,
-                };
-
-                let mut nt_streams = 0.0;
-                if opts.variant == CodeVariant::Optimized && evadable >= 1.0 {
-                    nt_streams = 1.0;
-                    evadable -= 1.0;
-                }
-
-                match opts.write_policy {
-                    WritePolicyKind::Allocate => {}
-                    WritePolicyKind::NoAllocate => {
-                        nt_streams = 0.0;
-                        evadable = 0.0;
-                    }
-                    WritePolicyKind::NonTemporal => {
-                        nt_streams += evadable;
-                        evadable = 0.0;
-                    }
-                }
-
-                let evasion = if blocked {
-                    0.0
-                } else {
-                    params.evasion_fraction(&ctx)
-                };
-                let spec_read = if blocked {
-                    0.0
-                } else {
-                    params.speculative_read_fraction(&ctx)
-                };
-
-                let wa_reads = evadable * elem * (1.0 - evasion);
-                let speculative = evadable * elem * spec_read;
-                let nt_reads = nt_streams * elem * nt_flush;
-                let read = rd_base * elem + wa_reads + speculative + nt_reads + read_halo_overhead;
-
-                let write_halo_overhead = wr * elem * row_overhead * 0.5;
-                let write = wr * elem + write_halo_overhead;
-
-                LoopTraffic {
-                    name: spec.name.clone(),
-                    bounds,
-                    read_bytes_per_it: read,
-                    write_bytes_per_it: write,
-                    evasion_fraction: evasion,
-                    flops_per_it: spec.flops as f64,
-                }
-            })
-            .collect()
-    }
-
-    /// Evaluate one rank count — bit-identical to
-    /// [`ScalingModel::point`](crate::ScalingModel::point) on the same
-    /// machine and grid.
-    pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
-        assert!(ranks >= 1 && ranks <= self.machine.total_cores());
-        let decomp = Decomposition::new(ranks, self.grid, self.grid);
-        let loops = self.predict_loops(opts, &decomp);
+            .map(|(spec, &bounds)| loop_traffic(spec, bounds, opts, &ctx))
+            .collect();
 
         let iterations = (self.grid as f64) * (self.grid as f64);
+        // Per-rank iterations; every loop sweeps the whole local domain.
         let per_rank_iterations = iterations / ranks as f64;
-        let peak = self.machine.core_peak_flops();
-        // Per-rank bandwidth of each populated domain, hoisted out of the
-        // per-loop maximum (same divisions, computed once).
-        let per_rank_bws: Vec<f64> = self
-            .machine
+        let peak = machine.core_peak_flops();
+        // Per-rank bandwidth of each populated domain.
+        let per_rank_bws: Vec<f64> = machine
             .topology
             .active_cores_per_domain(ranks)
             .iter()
             .filter(|&&c| c > 0)
-            .map(|&c| self.machine.bandwidth.domain_bandwidth(c) / c as f64)
+            .map(|&c| machine.bandwidth.domain_bandwidth(c) / c as f64)
             .collect();
         let mut time = 0.0;
         let mut volume = 0.0;
         for t in &loops {
+            // The code is bulk-synchronous (halo exchange after every
+            // kernel): each loop finishes when the most loaded ccNUMA
+            // domain finishes.
             let loop_time = per_rank_bws
                 .iter()
                 .map(|&bw| per_rank_iterations * t.time_per_iteration(bw, peak))
@@ -333,6 +227,7 @@ impl ScalingEngine {
             time += loop_time;
             volume += iterations * t.code_balance();
         }
+        // The non-hotspot 31 % scale the same way (memory bound).
         let time_per_step = time / (1.0 - NON_HOTSPOT_FRACTION);
         let volume_per_step = volume / (1.0 - NON_HOTSPOT_FRACTION);
         ScalingPoint {
@@ -358,7 +253,7 @@ impl ScalingEngine {
         memo: &SweepMemo,
     ) -> ScalingPoint {
         let key = PointKey {
-            machine: self.machine.id.clone(),
+            machine: self.machine().id.clone(),
             grid: self.grid,
             ranks,
             opts: *opts,
@@ -371,7 +266,7 @@ impl ScalingEngine {
     /// runner can group option-neighbours onto one worker (see
     /// [`PointKey::neighbour_class`]).
     pub fn neighbour_class(&self, ranks: usize) -> u64 {
-        neighbour_hash(&self.machine.id, self.grid, ranks)
+        neighbour_hash(&self.machine().id, self.grid, ranks)
     }
 
     /// Evaluate an inclusive rank range through `memo` and fill in speedups
@@ -398,7 +293,7 @@ mod tests {
     use clover_machine::{icelake_sp_8360y, sapphire_rapids_8480};
 
     fn all_options(ranks: usize) -> [TrafficOptions; 7] {
-        use clover_machine::ReplacementPolicyKind;
+        use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
         [
             TrafficOptions::original(ranks),
             TrafficOptions::optimized(ranks),
@@ -437,27 +332,6 @@ mod tests {
             ScalingEngine::new(sapphire_rapids_8480(), TINY_GRID).neighbour_class(18),
             class
         );
-    }
-
-    #[test]
-    fn engine_points_are_bit_identical_to_the_model() {
-        for machine in [icelake_sp_8360y(), sapphire_rapids_8480()] {
-            for grid in [1920usize, TINY_GRID] {
-                let model = ScalingModel::new(machine.clone()).with_grid(grid);
-                let engine = ScalingEngine::new(machine.clone(), grid);
-                for ranks in [1usize, 2, 9, 17, 18, 19, 36, 37, 53, 72] {
-                    for opts in all_options(ranks) {
-                        let reference = model.point(ranks, &opts);
-                        let fast = engine.point(ranks, &opts);
-                        assert_eq!(
-                            reference, fast,
-                            "{} grid={grid} ranks={ranks} {opts:?}",
-                            machine.id
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use clover_machine::Machine;
 
-use crate::decomp::Decomposition;
-use crate::traffic::{LoopTraffic, TrafficModel, TrafficOptions};
+use crate::engine::ScalingEngine;
+use crate::traffic::TrafficOptions;
 use crate::{TINY_GRID, TINY_STEPS};
 
 /// Fraction of the total runtime spent outside the three hotspot functions
@@ -52,90 +52,35 @@ pub fn normalise_speedups(points: &mut [ScalingPoint]) {
     }
 }
 
-/// The scaling model for one machine and one code variant.
+/// The scaling model for one machine: the one-shot front of a
+/// [`ScalingEngine`], which does the evaluation.
 #[derive(Debug, Clone)]
 pub struct ScalingModel {
-    machine: Machine,
-    traffic: TrafficModel,
-    grid: usize,
+    engine: ScalingEngine,
 }
 
 impl ScalingModel {
     /// Model for the Tiny working set on `machine`.
     pub fn new(machine: Machine) -> Self {
-        let traffic = TrafficModel::new(machine.clone());
         Self {
-            machine,
-            traffic,
-            grid: TINY_GRID,
+            engine: ScalingEngine::new(machine, TINY_GRID),
         }
     }
 
     /// Use a different (e.g. scaled-down) square grid.
     pub fn with_grid(mut self, grid: usize) -> Self {
-        self.grid = grid;
+        self.engine = self.engine.with_grid(grid);
         self
     }
 
     /// Grid size used by the model.
     pub fn grid(&self) -> usize {
-        self.grid
-    }
-
-    fn hotspot_time_and_volume(
-        &self,
-        ranks: usize,
-        opts: &TrafficOptions,
-        decomp: &Decomposition,
-    ) -> (f64, f64, Vec<LoopTraffic>) {
-        let loops = self.traffic.predict_all(opts, decomp);
-        let iterations = (self.grid as f64) * (self.grid as f64);
-        // Per-rank iterations; every loop sweeps the whole local domain.
-        let per_rank_iterations = iterations / ranks as f64;
-        let peak = self.machine.core_peak_flops();
-        // The code is bulk-synchronous (halo exchange after every kernel):
-        // each loop finishes when the most loaded ccNUMA domain finishes.
-        let per_domain = self.machine.topology.active_cores_per_domain(ranks);
-        let mut time = 0.0;
-        let mut volume = 0.0;
-        for t in &loops {
-            let loop_time = per_domain
-                .iter()
-                .filter(|&&c| c > 0)
-                .map(|&c| {
-                    let domain_bw = self.machine.bandwidth.domain_bandwidth(c);
-                    let per_rank_bw = domain_bw / c as f64;
-                    per_rank_iterations * t.time_per_iteration(per_rank_bw, peak)
-                })
-                .fold(0.0, f64::max);
-            time += loop_time;
-            volume += iterations * t.code_balance();
-        }
-        (time, volume, loops)
+        self.engine.grid()
     }
 
     /// Evaluate one rank count.
     pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
-        assert!(ranks >= 1 && ranks <= self.machine.total_cores());
-        let decomp = Decomposition::new(ranks, self.grid, self.grid);
-        let (hotspot_time, hotspot_volume, loops) =
-            self.hotspot_time_and_volume(ranks, opts, &decomp);
-        // The non-hotspot 31 % scale the same way (memory bound).
-        let time_per_step = hotspot_time / (1.0 - NON_HOTSPOT_FRACTION);
-        let volume_per_step = hotspot_volume / (1.0 - NON_HOTSPOT_FRACTION);
-        ScalingPoint {
-            ranks,
-            prime: crate::decomp::is_prime(ranks),
-            local_inner: decomp.typical_local_inner(),
-            time_per_step,
-            speedup: 0.0, // filled in by `sweep`
-            memory_bandwidth: volume_per_step / time_per_step,
-            volume_per_step,
-            loop_balances: loops
-                .iter()
-                .map(|l| (l.name.clone(), l.code_balance()))
-                .collect(),
-        }
+        self.engine.point(ranks, opts)
     }
 
     /// Evaluate a full sweep over 1..=`max_ranks` ranks and fill in

@@ -15,7 +15,7 @@
 //! produced by this module.
 
 use clover_machine::speci2m::EvasionContext;
-use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
+use clover_machine::{Machine, ReplacementPolicyKind, SpecI2MParams, WritePolicyKind};
 use clover_stencil::{CodeBalance, LoopSpec};
 
 use crate::decomp::Decomposition;
@@ -137,16 +137,156 @@ impl LoopTraffic {
     }
 }
 
+/// Everything of a loop-traffic prediction that depends on the evaluated
+/// point `(machine, options, decomposition)` but not on the loop: derived
+/// once per point and shared by all 22 catalogue loops.
+pub(crate) struct PointContext<'a> {
+    /// Short-row halo overhead factor (one extra line per row and stream).
+    row_overhead: f64,
+    /// Bandwidth utilisation of the busiest ccNUMA domain.
+    domain_utilization: f64,
+    /// Populated ccNUMA domains under compact pinning.
+    active_domains: usize,
+    /// Total ccNUMA domains of the node.
+    total_domains: usize,
+    /// Store streak length: a grid row of `local_inner` doubles, in lines.
+    streak_lines: f64,
+    /// SpecI2M parameter block with the variant's MSR switch applied.
+    params: &'a SpecI2MParams,
+    /// Early-flush read fraction of non-temporal stores.
+    nt_flush: f64,
+    /// Reuse efficiency of the modelled replacement policy.
+    reuse_efficiency: f64,
+}
+
+/// The paper's first-principles traffic formula for one hotspot loop: the
+/// structural `bounds` of `spec` refined by the SpecI2M response, the code
+/// variant and the cache policies of `opts` at the point described by
+/// `ctx`.
+pub(crate) fn loop_traffic(
+    spec: &LoopSpec,
+    bounds: CodeBalance,
+    opts: &TrafficOptions,
+    ctx: &PointContext<'_>,
+) -> LoopTraffic {
+    let elem = 8.0;
+
+    // An imperfect replacement policy evicts held stencil rows with
+    // probability (1 - reuse efficiency), blending the read balance
+    // from the LC-fulfilled towards the LC-broken value.  LRU has
+    // efficiency 1, so the default takes the exact LCF branch.
+    let rd_lcf = spec.rd_lcf() as f64;
+    let rd_lcb = spec.rd_lcb() as f64;
+    let eff = ctx.reuse_efficiency;
+    let rd_base = if opts.layer_condition_ok {
+        if eff >= 1.0 {
+            rd_lcf
+        } else {
+            rd_lcf + (rd_lcb - rd_lcf) * (1.0 - eff)
+        }
+    } else {
+        rd_lcb
+    };
+    let wr = spec.wr() as f64;
+    let mut evadable = spec.evadable_write_streams() as f64;
+
+    // Halo overhead of short rows: each read stream fetches up to one
+    // extra cache line per row (Sec. V-C); partial first/last lines of
+    // the written rows add the same overhead on the write-allocate side.
+    let read_halo_overhead = rd_base * elem * ctx.row_overhead;
+
+    let ectx = EvasionContext {
+        domain_utilization: ctx.domain_utilization,
+        active_domains: ctx.active_domains,
+        total_domains: ctx.total_domains,
+        store_streams: spec.wr().max(1),
+        streak_lines: ctx.streak_lines,
+    };
+
+    // Loops whose stores the hardware fails to recognise (ac01/ac05 in
+    // the original code) and branchy loops (ac02/ac06) see no SpecI2M in
+    // the original variant; the optimized variant restructures ac01/ac05.
+    let blocked = match opts.variant {
+        CodeVariant::Original => spec.speci2m_blocked || spec.has_branches,
+        CodeVariant::Optimized => spec.has_branches,
+        CodeVariant::SpecI2MOff => true,
+    };
+
+    let mut nt_streams = 0.0;
+    if opts.variant == CodeVariant::Optimized && evadable >= 1.0 {
+        // The compiler applies the NT directive to exactly one
+        // (alignable) write stream; the rest stays with SpecI2M.
+        nt_streams = 1.0;
+        evadable -= 1.0;
+    }
+
+    match opts.write_policy {
+        // The paper machines: store misses allocate, SpecI2M may evade.
+        WritePolicyKind::Allocate => {}
+        // No-write-allocate hardware never reads for ownership: no WA
+        // reads, no speculative reads, and the NT directive is moot.
+        WritePolicyKind::NoAllocate => {
+            nt_streams = 0.0;
+            evadable = 0.0;
+        }
+        // Every store behaves like a streaming store: all evadable
+        // streams move to the NT path (partial-flush reads only).
+        WritePolicyKind::NonTemporal => {
+            nt_streams += evadable;
+            evadable = 0.0;
+        }
+    }
+
+    let evasion = if blocked {
+        0.0
+    } else {
+        ctx.params.evasion_fraction(&ectx)
+    };
+    let spec_read = if blocked {
+        0.0
+    } else {
+        ctx.params.speculative_read_fraction(&ectx)
+    };
+
+    // Reads: leading elements + non-evaded write-allocates + speculative
+    // reads + NT partial flushes + short-row halo overhead.
+    let wa_reads = evadable * elem * (1.0 - evasion);
+    let speculative = evadable * elem * spec_read;
+    let nt_reads = nt_streams * elem * ctx.nt_flush;
+    let read = rd_base * elem + wa_reads + speculative + nt_reads + read_halo_overhead;
+
+    // Writes: every written element reaches memory once; partial lines
+    // at row boundaries add up to one extra line per row and stream.
+    let write_halo_overhead = wr * elem * ctx.row_overhead * 0.5;
+    let write = wr * elem + write_halo_overhead;
+
+    LoopTraffic {
+        name: spec.name.clone(),
+        bounds,
+        read_bytes_per_it: read,
+        write_bytes_per_it: write,
+        evasion_fraction: evasion,
+        flops_per_it: spec.flops as f64,
+    }
+}
+
 /// The per-loop traffic model for one machine.
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
     machine: Machine,
+    /// `machine.speci2m` with the MSR switch cleared, as
+    /// [`CodeVariant::SpecI2MOff`] sees it.
+    speci2m_off: SpecI2MParams,
 }
 
 impl TrafficModel {
     /// Create a model for `machine`.
     pub fn new(machine: Machine) -> Self {
-        Self { machine }
+        let speci2m_off = machine.speci2m.switched_off();
+        Self {
+            machine,
+            speci2m_off,
+        }
     }
 
     /// Borrow the machine description.
@@ -154,24 +294,37 @@ impl TrafficModel {
         &self.machine
     }
 
-    /// Evasion context of a rank under compact pinning with the given local
-    /// inner dimension (elements) and store stream count.
-    fn evasion_context(
+    /// The loop-independent state of a prediction for `opts` with the local
+    /// domains of `decomp`.
+    pub(crate) fn point_context(
         &self,
-        ranks: usize,
-        local_inner: usize,
-        store_streams: usize,
-    ) -> EvasionContext {
-        let per_domain = self.machine.topology.active_cores_per_domain(ranks);
+        opts: &TrafficOptions,
+        decomp: &Decomposition,
+    ) -> PointContext<'_> {
+        let machine = &self.machine;
+        let params = match opts.variant {
+            CodeVariant::SpecI2MOff => &self.speci2m_off,
+            _ => &machine.speci2m,
+        };
+        let local_inner = decomp.typical_local_inner().max(1);
+        let per_domain = machine.topology.active_cores_per_domain(opts.ranks);
         let active_domains = per_domain.iter().filter(|&&c| c > 0).count().max(1);
         let busiest = per_domain.iter().copied().max().unwrap_or(1);
-        EvasionContext {
-            domain_utilization: self.machine.domain_utilization(busiest),
+        let domain_utilization = machine.domain_utilization(busiest);
+        let total_domains = machine.topology.domains.len();
+        PointContext {
+            row_overhead: 8.0 / (local_inner as f64 + 8.0),
+            domain_utilization,
             active_domains,
-            total_domains: self.machine.topology.domains.len(),
-            store_streams: store_streams.max(1),
-            // A grid row of `local_inner` doubles forms one store streak.
+            total_domains,
             streak_lines: (local_inner as f64 * 8.0 / 64.0).max(1.0),
+            params,
+            nt_flush: params.nt_partial_flush_fraction(
+                domain_utilization,
+                active_domains,
+                total_domains,
+            ),
+            reuse_efficiency: opts.replacement.reuse_efficiency(),
         }
     }
 
@@ -183,118 +336,16 @@ impl TrafficModel {
         opts: &TrafficOptions,
         decomp: &Decomposition,
     ) -> LoopTraffic {
-        let bounds = CodeBalance::from_spec(spec);
-        let local_inner = decomp.typical_local_inner().max(1);
-        let elem = 8.0;
-
-        // An imperfect replacement policy evicts held stencil rows with
-        // probability (1 - reuse efficiency), blending the read balance
-        // from the LC-fulfilled towards the LC-broken value.  LRU has
-        // efficiency 1, so the default takes the exact LCF branch.
-        let rd_lcf = spec.rd_lcf() as f64;
-        let rd_lcb = spec.rd_lcb() as f64;
-        let eff = opts.replacement.reuse_efficiency();
-        let rd_base = if opts.layer_condition_ok {
-            if eff >= 1.0 {
-                rd_lcf
-            } else {
-                rd_lcf + (rd_lcb - rd_lcf) * (1.0 - eff)
-            }
-        } else {
-            rd_lcb
-        };
-        let wr = spec.wr() as f64;
-        let mut evadable = spec.evadable_write_streams() as f64;
-
-        // Halo overhead of short rows: each read stream fetches up to one
-        // extra cache line per row (Sec. V-C); partial first/last lines of
-        // the written rows add the same overhead on the write-allocate side.
-        let row_overhead = 8.0 / (local_inner as f64 + 8.0);
-        let read_halo_overhead = rd_base * elem * row_overhead;
-
-        let ctx = self.evasion_context(opts.ranks, local_inner, spec.wr().max(1));
-        let params = match opts.variant {
-            CodeVariant::SpecI2MOff => self.machine.speci2m.switched_off(),
-            _ => self.machine.speci2m.clone(),
-        };
-
-        // Loops whose stores the hardware fails to recognise (ac01/ac05 in
-        // the original code) and branchy loops (ac02/ac06) see no SpecI2M in
-        // the original variant; the optimized variant restructures ac01/ac05.
-        let blocked = match opts.variant {
-            CodeVariant::Original => spec.speci2m_blocked || spec.has_branches,
-            CodeVariant::Optimized => spec.has_branches,
-            CodeVariant::SpecI2MOff => true,
-        };
-
-        let mut nt_streams = 0.0;
-        if opts.variant == CodeVariant::Optimized && evadable >= 1.0 {
-            // The compiler applies the NT directive to exactly one
-            // (alignable) write stream; the rest stays with SpecI2M.
-            nt_streams = 1.0;
-            evadable -= 1.0;
-        }
-
-        match opts.write_policy {
-            // The paper machines: store misses allocate, SpecI2M may evade.
-            WritePolicyKind::Allocate => {}
-            // No-write-allocate hardware never reads for ownership: no WA
-            // reads, no speculative reads, and the NT directive is moot.
-            WritePolicyKind::NoAllocate => {
-                nt_streams = 0.0;
-                evadable = 0.0;
-            }
-            // Every store behaves like a streaming store: all evadable
-            // streams move to the NT path (partial-flush reads only).
-            WritePolicyKind::NonTemporal => {
-                nt_streams += evadable;
-                evadable = 0.0;
-            }
-        }
-
-        let evasion = if blocked {
-            0.0
-        } else {
-            params.evasion_fraction(&ctx)
-        };
-        let spec_read = if blocked {
-            0.0
-        } else {
-            params.speculative_read_fraction(&ctx)
-        };
-        let nt_flush = params.nt_partial_flush_fraction(
-            ctx.domain_utilization,
-            ctx.active_domains,
-            ctx.total_domains,
-        );
-
-        // Reads: leading elements + non-evaded write-allocates + speculative
-        // reads + NT partial flushes + short-row halo overhead.
-        let wa_reads = evadable * elem * (1.0 - evasion);
-        let speculative = evadable * elem * spec_read;
-        let nt_reads = nt_streams * elem * nt_flush;
-        let read = rd_base * elem + wa_reads + speculative + nt_reads + read_halo_overhead;
-
-        // Writes: every written element reaches memory once; partial lines
-        // at row boundaries add up to one extra line per row and stream.
-        let write_halo_overhead = wr * elem * row_overhead * 0.5;
-        let write = wr * elem + write_halo_overhead;
-
-        LoopTraffic {
-            name: spec.name.clone(),
-            bounds,
-            read_bytes_per_it: read,
-            write_bytes_per_it: write,
-            evasion_fraction: evasion,
-            flops_per_it: spec.flops as f64,
-        }
+        let ctx = self.point_context(opts, decomp);
+        loop_traffic(spec, CodeBalance::from_spec(spec), opts, &ctx)
     }
 
     /// Predict the traffic of every catalogue loop.
     pub fn predict_all(&self, opts: &TrafficOptions, decomp: &Decomposition) -> Vec<LoopTraffic> {
+        let ctx = self.point_context(opts, decomp);
         clover_stencil::cloverleaf_loops()
             .iter()
-            .map(|spec| self.predict_loop(spec, opts, decomp))
+            .map(|spec| loop_traffic(spec, CodeBalance::from_spec(spec), opts, &ctx))
             .collect()
     }
 }

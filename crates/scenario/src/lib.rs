@@ -14,9 +14,8 @@
 //! * [`evaluate`] — the default evaluator: the node-level scaling model of
 //!   `clover-core` applied to the scenario's axes.
 //!
-//! `clover-bench` layers canned plans for the paper's own figures on top
-//! (custom evaluators via [`runner::run_scenarios_with`]), and the `figures
-//! sweep` subcommand exposes the engine on the command line.
+//! The `figures sweep` subcommand and the `figures serve` daemon expose the
+//! engine; custom evaluators plug in via [`runner::run_scenarios_with`].
 
 pub mod cli;
 pub mod interference;
@@ -31,7 +30,7 @@ pub use plan::{
 pub use runner::{run_scenario_items_with, run_scenarios_with};
 
 use clover_cachesim::SimMemo;
-use clover_core::{normalise_speedups, ScalingEngine, ScalingModel, ScalingPoint, SweepMemo};
+use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
 use clover_golden::Artifact;
 
 /// Render one artifact as the block the `figures` CLI prints (`==== id ====`
@@ -118,14 +117,27 @@ fn apply_interference(scenario: &Scenario, points: &mut [ScalingPoint], memo: &S
     }
 }
 
-/// Default scenario evaluator: the node-level scaling model swept over the
-/// scenario's rank range on its machine, grid and code stage.
-pub fn evaluate(scenario: &Scenario) -> Artifact {
-    let machine = scenario.machine.machine();
-    let model = ScalingModel::new(machine.clone()).with_grid(scenario.grid);
-    let mut points = model.sweep_range(scenario.ranks.iter(), |r| scenario.options(r));
-    apply_interference(scenario, &mut points, &SimMemo::new());
+/// Turn the evaluated (un-normalised) points of `scenario` into its
+/// artifact: interference scaling, then speedup normalisation, then the
+/// table.  The one assemble step of [`evaluate`] and [`run_plan_memo`], so
+/// the two paths agree to the last bit of every cell.
+fn assemble(scenario: &Scenario, mut points: Vec<ScalingPoint>, corun_memo: &SimMemo) -> Artifact {
+    apply_interference(scenario, &mut points, corun_memo);
+    normalise_speedups(&mut points);
     sweep_artifact(scenario, &points)
+}
+
+/// Default scenario evaluator: the node-level scaling model swept over the
+/// scenario's rank range on its machine, grid and code stage — every point
+/// evaluated from scratch, nothing memoized or shared.
+pub fn evaluate(scenario: &Scenario) -> Artifact {
+    let engine = ScalingEngine::new(scenario.machine.machine(), scenario.grid);
+    let points = scenario
+        .ranks
+        .iter()
+        .map(|r| engine.point(r, &scenario.options(r)))
+        .collect();
+    assemble(scenario, points, &SimMemo::new())
 }
 
 /// Expand and run a whole plan with the default evaluator.
@@ -190,11 +202,7 @@ pub fn run_plan_memo(plan: &SweepPlan, jobs: usize, memo: &SweepMemo) -> Vec<Art
             let ranks = s.ranks.start + i;
             engine_for(s).point_memo(ranks, &s.options(ranks), memo)
         },
-        |s, mut points| {
-            apply_interference(s, &mut points, &corun_memo);
-            normalise_speedups(&mut points);
-            sweep_artifact(s, &points)
-        },
+        |s, points| assemble(s, points, &corun_memo),
     )
 }
 
@@ -272,9 +280,11 @@ mod tests {
             // Contention inflates volume and time by the same factor...
             assert!(c[volume].as_f64().unwrap() > s[volume].as_f64().unwrap());
             assert!(c[time].as_f64().unwrap() > s[time].as_f64().unwrap());
-            // ...so bandwidth and the speedup curve are untouched.
+            // ...so bandwidth and the speedup curve are untouched (the
+            // speedup up to the rounding of the scaled times).
             assert_eq!(c[bw], s[bw]);
-            assert_eq!(c[speedup], s[speedup]);
+            let (cs, ss) = (c[speedup].as_f64().unwrap(), s[speedup].as_f64().unwrap());
+            assert!((cs - ss).abs() <= 1e-12 * ss, "{cs} vs {ss}");
         }
         // The parallel plan path applies the identical scaling.
         let plan = SweepPlan::new()
@@ -285,5 +295,26 @@ mod tests {
             .aggressor(Aggressor::Thrash);
         let via_plan = run_plan(&plan, 2);
         assert_eq!(render_block(&via_plan[0]), render_block(&contended));
+    }
+
+    #[test]
+    fn contended_evaluate_equals_run_plan_to_the_last_bit() {
+        // `evaluate` is the un-memoized reference the served path is checked
+        // against: under an aggressor both must scale, then normalise, in
+        // the same order, or `speedup` differs in the last ulp and the
+        // `--json` bytes with it.
+        let plan = SweepPlan::new()
+            .machine(MachinePreset::IceLakeSp8360y)
+            .grid(1920)
+            .ranks(RankRange::new(1, 12))
+            .stage(Stage::Original)
+            .aggressor(Aggressor::Stream);
+        let reference: Vec<Artifact> = plan.expand().iter().map(evaluate).collect();
+        let served = run_plan(&plan, 2);
+        assert_eq!(reference, served);
+        let json = |artifacts: &[Artifact]| -> Vec<String> {
+            artifacts.iter().map(Artifact::to_json).collect()
+        };
+        assert_eq!(json(&reference), json(&served));
     }
 }

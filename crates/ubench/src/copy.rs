@@ -81,15 +81,11 @@ const HALO_ROWS: u64 = 96;
 /// Fig. 6: read/write/ITOM volume per iteration of the copy kernel as a
 /// function of the thread count.
 pub fn copy_volume_per_iteration(machine: &Machine, threads: usize) -> CopyVolumePoint {
-    let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
-    let sim = NodeSim::new(SimConfig::new(machine.clone(), threads));
-    let report = sim.run_spmd(|rank, core| spec.drive(rank, core));
-    copy_volume_point(threads, &report.total)
+    copy_volume_per_iteration_memo(machine, threads, &SimMemo::new())
 }
 
-/// [`copy_volume_per_iteration`] through a cross-sweep [`SimMemo`]:
-/// bit-identical, with each distinct domain-load context simulated once
-/// per memo lifetime.
+/// [`copy_volume_per_iteration`] through a cross-sweep [`SimMemo`]: each
+/// distinct domain-load context is simulated once per memo lifetime.
 pub fn copy_volume_per_iteration_memo(
     machine: &Machine,
     threads: usize,
@@ -97,11 +93,7 @@ pub fn copy_volume_per_iteration_memo(
 ) -> CopyVolumePoint {
     let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
     let sim = NodeSim::new(SimConfig::new(machine.clone(), threads));
-    let report = sim.run_spmd_memo(&spec, memo);
-    copy_volume_point(threads, &report.total)
-}
-
-fn copy_volume_point(threads: usize, total: &clover_cachesim::MemCounters) -> CopyVolumePoint {
+    let total = sim.run_spmd_memo(&spec, memo).total;
     let iterations = (threads as u64 * COPY_ELEMENTS) as f64;
     CopyVolumePoint {
         threads,
@@ -119,10 +111,7 @@ pub fn copy_halo_ratio(
     halo: usize,
     prefetchers: bool,
 ) -> CopyHaloPoint {
-    let spec = copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS);
-    let sim = NodeSim::new(copy_halo_config(machine, prefetchers));
-    let report = sim.run_spmd(|rank, core| spec.drive(rank, core));
-    copy_halo_point(inner, halo, prefetchers, &report.total)
+    copy_halo_ratio_memo(machine, inner, halo, prefetchers, &SimMemo::new())
 }
 
 /// [`copy_halo_ratio`] through a cross-sweep [`SimMemo`].  The halo/inner
@@ -136,25 +125,11 @@ pub fn copy_halo_ratio_memo(
     memo: &SimMemo,
 ) -> CopyHaloPoint {
     let spec = copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS);
-    let sim = NodeSim::new(copy_halo_config(machine, prefetchers));
-    let report = sim.run_spmd_memo(&spec, memo);
-    copy_halo_point(inner, halo, prefetchers, &report.total)
-}
-
-fn copy_halo_config(machine: &Machine, prefetchers: bool) -> SimConfig {
     let mut config = SimConfig::new(machine.clone(), machine.total_cores());
     if !prefetchers {
         config = config.without_prefetchers();
     }
-    config
-}
-
-fn copy_halo_point(
-    inner: usize,
-    halo: usize,
-    prefetchers: bool,
-    total: &clover_cachesim::MemCounters,
-) -> CopyHaloPoint {
+    let total = NodeSim::new(config).run_spmd_memo(&spec, memo).total;
     CopyHaloPoint {
         inner,
         halo,
@@ -254,17 +229,42 @@ mod tests {
 
     #[test]
     fn memoized_copy_points_are_bit_identical() {
+        // Against the unmemoized closure-driven `run_spmd` reference.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for threads in [1usize, 9, 17, 18, 19, 36] {
-            let plain = copy_volume_per_iteration(&m, threads);
+            let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
+            let plain = NodeSim::new(SimConfig::new(m.clone(), threads))
+                .run_spmd(|rank, core| spec.drive(rank, core))
+                .total;
             let memoized = copy_volume_per_iteration_memo(&m, threads, &memo);
-            assert_eq!(plain, memoized, "threads={threads}");
+            let iterations = (threads as u64 * COPY_ELEMENTS) as f64;
+            assert_eq!(
+                plain.read_bytes() / iterations,
+                memoized.read_bytes_per_it,
+                "threads={threads}"
+            );
+            assert_eq!(
+                plain.itom_bytes() / iterations,
+                memoized.itom_bytes_per_it,
+                "threads={threads}"
+            );
         }
         for (inner, halo, pf) in [(216usize, 5usize, true), (1920, 0, true), (216, 3, false)] {
-            let plain = copy_halo_ratio(&m, inner, halo, pf);
+            let spec = copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS);
+            let mut config = SimConfig::new(m.clone(), m.total_cores());
+            if !pf {
+                config = config.without_prefetchers();
+            }
+            let plain = NodeSim::new(config)
+                .run_spmd(|rank, core| spec.drive(rank, core))
+                .total;
             let memoized = copy_halo_ratio_memo(&m, inner, halo, pf, &memo);
-            assert_eq!(plain, memoized, "inner={inner} halo={halo} pf={pf}");
+            assert_eq!(
+                plain.read_bytes() / plain.write_bytes().max(1.0),
+                memoized.ratio,
+                "inner={inner} halo={halo} pf={pf}"
+            );
         }
     }
 

@@ -70,15 +70,12 @@ pub fn store_kernel_spec(streams: usize, kind: StoreKind) -> KernelSpec {
 /// Measure the store ratio for `cores` active cores, `streams` store streams
 /// per core and the given store kind.
 pub fn store_ratio(machine: &Machine, cores: usize, streams: usize, kind: StoreKind) -> f64 {
-    let spec = store_kernel_spec(streams, kind);
-    let sim = NodeSim::new(SimConfig::new(machine.clone(), cores));
-    let report = sim.run_spmd(|rank, core| spec.drive(rank, core));
-    store_ratio_of(&report.total_bytes(), cores, streams)
+    store_ratio_memo(machine, cores, streams, kind, &SimMemo::new())
 }
 
-/// [`store_ratio`] through a cross-sweep [`SimMemo`]: bit-identical, but a
-/// curve over many core counts simulates each distinct domain-load context
-/// only once per memo lifetime.
+/// [`store_ratio`] through a cross-sweep [`SimMemo`]: a curve over many
+/// core counts simulates each distinct domain-load context only once per
+/// memo lifetime.
 pub fn store_ratio_memo(
     machine: &Machine,
     cores: usize,
@@ -89,13 +86,9 @@ pub fn store_ratio_memo(
     let spec = store_kernel_spec(streams, kind);
     let sim = NodeSim::new(SimConfig::new(machine.clone(), cores));
     let report = sim.run_spmd_memo(&spec, memo);
-    store_ratio_of(&report.total_bytes(), cores, streams)
-}
-
-/// Actual traffic over initiated store volume.
-fn store_ratio_of(total_bytes: &f64, cores: usize, streams: usize) -> f64 {
+    // Actual traffic over initiated store volume.
     let initiated = (cores as u64 * streams as u64 * ELEMENTS_PER_STREAM * 8) as f64;
-    total_bytes / initiated
+    report.total_bytes() / initiated
 }
 
 /// Sweep the store ratio over core counts `1..=max_cores`.
@@ -219,14 +212,20 @@ mod tests {
 
     #[test]
     fn memoized_ratio_is_bit_identical_to_unmemoized() {
-        // One memo spans the whole mini-curve, so later points are served
-        // partly from cache — the ratios must not change in a single bit.
+        // The unmemoized reference is the closure-driven `run_spmd` on a
+        // fresh core per domain load.  One memo spans the whole mini-curve,
+        // so later points are served partly from cache — the ratios must
+        // not change in a single bit.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
             for streams in 1..=3 {
+                let spec = store_kernel_spec(streams, kind);
                 for cores in [1usize, 2, 18, 19, 20, 36, 37] {
-                    let plain = store_ratio(&m, cores, streams, kind);
+                    let plain = NodeSim::new(SimConfig::new(m.clone(), cores))
+                        .run_spmd(|rank, core| spec.drive(rank, core))
+                        .total_bytes()
+                        / (cores as u64 * streams as u64 * ELEMENTS_PER_STREAM * 8) as f64;
                     let memoized = store_ratio_memo(&m, cores, streams, kind, &memo);
                     assert!(
                         plain == memoized,

@@ -1,18 +1,14 @@
 //! Tier-1 suite of the scenario sweep engine.
 //!
-//! Three properties make the engine trustworthy:
+//! Two properties make the engine trustworthy:
 //!
 //! * the parallel runner is a pure speedup — its artifacts are
 //!   byte-identical to the sequential path for any worker count,
 //! * plan expansion is the exact cartesian product of the axes, in
-//!   deterministic order,
-//! * the canned fig7/fig9/fig10 sweep plans regenerate the *same* artifacts
-//!   as the sequential generators and therefore still pass the golden
-//!   `figures --check` gate.
+//!   deterministic order.
 
-use clover_bench::{run_artifact, run_canned_sweep, SWEEP_PLAN_EXPERIMENTS};
 use cloverleaf_wa::core::{ScalingEngine, ScalingModel, SweepMemo, TrafficOptions};
-use cloverleaf_wa::golden::{check_artifact, golden, Artifact};
+use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
 };
@@ -222,23 +218,4 @@ fn memoized_sweep_range_matches_model_sweep_range() {
     let (hits, misses) = memo.stats();
     assert_eq!(misses, 72, "each distinct point evaluated exactly once");
     assert_eq!(hits, 36 + 38, "overlapping ranges served from the memo");
-}
-
-#[test]
-fn canned_sweep_plans_still_pass_the_golden_check() {
-    for name in SWEEP_PLAN_EXPERIMENTS {
-        let swept = run_canned_sweep(name, 2)
-            .unwrap_or_else(|| panic!("experiment {name} has no canned sweep plan"));
-        // Same bytes as the sequential generator the golden data was
-        // validated against…
-        let direct = run_artifact(name).unwrap();
-        assert_eq!(direct.to_csv(), swept.to_csv(), "{name}");
-        // …and within tolerance of the digitised paper data.
-        let report = check_artifact(&swept, golden(name).unwrap());
-        assert!(
-            report.passed(),
-            "{name} swept artifact drifted from the paper:\n{}",
-            report.render_text(false)
-        );
-    }
 }
