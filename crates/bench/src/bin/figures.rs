@@ -40,7 +40,7 @@
 //!                                # contention); no golden data, so these
 //!                                # stay outside `all`/`--check`
 //! figures serve [--store <path>] [--socket <path>] [--workers N]
-//!               [--response-cache N] [--store-cap N]
+//!               [--store-cap N]
 //!                                # long-running sweep daemon: line-based
 //!                                # requests (`sweep <flags>`, `stats`,
 //!                                # `save`, `ping`, `quit`) over stdin or a
@@ -50,7 +50,7 @@
 //!                                # from a fixed pool of N workers
 //!                                # (default: the host's parallelism),
 //!                                # repeat queries hit a bounded response
-//!                                # cache (default 128 payloads) and
+//!                                # cache (128 payloads) and
 //!                                # `save` compacts the store to the
 //!                                # `--store-cap` most recent entries
 //! ```
@@ -68,7 +68,7 @@ use clover_bench::{
 use clover_cachesim::SimMemo;
 use clover_core::SweepMemo;
 use clover_golden::check_artifact;
-use clover_scenario::{render_block, run_plan_memo, SweepArgs, SweepPlan};
+use clover_scenario::{render_block, run_plan_memos, SweepArgs, SweepPlan};
 use clover_service::{LoadOutcome, PersistentStore, SweepService};
 
 /// Write to stdout, exiting quietly if the reader went away (`figures all |
@@ -120,7 +120,7 @@ fn serve_usage_error(message: &str) -> ExitCode {
     eprintln!("figures serve: {message}");
     eprintln!(
         "usage: figures serve [--store <path>] [--socket <path>] \
-         [--workers <n>] [--response-cache <n>] [--store-cap <n>]"
+         [--workers <n>] [--store-cap <n>]"
     );
     ExitCode::from(2)
 }
@@ -386,7 +386,7 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
             ),
         }
     }
-    let artifacts = run_plan_memo(&opts.plan, opts.jobs, &memo);
+    let artifacts = run_plan_memos(&opts.plan, opts.jobs, &memo, &sim);
     if opts.json {
         let blocks: Vec<String> = artifacts.iter().map(|a| a.to_json()).collect();
         emit(out, format_args!("[{}]\n", blocks.join(",")));
@@ -434,8 +434,8 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
 /// persistent store (`--store <path>`, compacted to `--store-cap`
 /// entries on save).  The socket mode serves every client from a fixed
 /// pool of `--workers` threads; repeat queries are answered from a
-/// bounded response cache (`--response-cache`, default
-/// [`clover_service::DEFAULT_RESPONSE_CACHE_ENTRIES`]).
+/// bounded response cache of
+/// [`clover_service::DEFAULT_RESPONSE_CACHE_ENTRIES`] payloads.
 fn serve_main(args: &[String]) -> ExitCode {
     let (rest, store_path) = match extract_path_flag(args, "--store") {
         Ok(split) => split,
@@ -446,10 +446,6 @@ fn serve_main(args: &[String]) -> ExitCode {
         Err(message) => return serve_usage_error(&message),
     };
     let (rest, workers) = match extract_count_flag(&rest, "--workers") {
-        Ok(split) => split,
-        Err(message) => return serve_usage_error(&message),
-    };
-    let (rest, response_cache) = match extract_count_flag(&rest, "--response-cache") {
         Ok(split) => split,
         Err(message) => return serve_usage_error(&message),
     };
@@ -486,9 +482,6 @@ fn serve_main(args: &[String]) -> ExitCode {
             service
         }
     };
-    if let Some(cap) = response_cache {
-        service = service.with_response_cache(cap);
-    }
     if let Some(cap) = store_cap {
         service = service.with_store_cap(cap);
     }

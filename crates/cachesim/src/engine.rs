@@ -16,7 +16,7 @@ use crate::hierarchy::{
     l3_share_bytes, CoreSim, CoreSimOptions, DomainOccupancy, OccupancyContext, PrivateCore,
 };
 use crate::memo::{CoRunKey, KernelSpec, SimMemo};
-use crate::patterns::SweepCursor;
+use crate::patterns::{StencilRowSweep, SweepCursor};
 use crate::policy::{
     NoWriteAllocate, NonTemporal, RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru,
     WriteAllocate, WritePolicy,
@@ -408,8 +408,19 @@ impl NodeSim {
             RP::KIND,
             WP::KIND,
         );
+        let share = l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers);
         let sorted_reports = memo.corun_get_or_insert_with(key, || {
-            simulate_corun::<RP, WP>(machine, ctx, options, &sorted, &spans, interleave)
+            let sweeps: Vec<StencilRowSweep> =
+                sorted.iter().enumerate().map(|(j, t)| t.sweep(j)).collect();
+            simulate_corun::<RP, WP>(
+                machine,
+                ctx,
+                options,
+                share * n,
+                &sweeps,
+                &spans,
+                interleave,
+            )
         });
 
         let mut slots: Vec<Option<TenantReport>> = vec![None; n];
@@ -424,7 +435,6 @@ impl NodeSim {
         for t in &tenant_reports {
             total.merge(&t.counters);
         }
-        let share = l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers);
         CoRunReport {
             tenants: tenant_reports,
             interleave_lines: interleave,
@@ -515,36 +525,31 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
         .position(|s| s.is_some_and(|(lo, hi)| (lo..=hi).contains(&line)))
 }
 
-/// The co-run simulation proper: private halves round-robin over one
-/// shared LLC, then solo baselines on an exclusive LLC of the same
-/// geometry.  `tenants` are in canonical order; the returned reports match
-/// that order.
+/// The co-run simulation proper: one private half per tenant sweep
+/// round-robins over one shared LLC of `llc_bytes`; then, for more than one
+/// tenant, each tenant's solo baseline — this function's own single-tenant
+/// case on an exclusive LLC of the same geometry, so the deltas measure
+/// pure interference.  `sweeps` are the tenants' kernels in canonical
+/// order, each materialised at its canonical rank; the returned reports
+/// match that order.
 fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
     machine: &Machine,
     ctx: OccupancyContext,
     options: CoreSimOptions,
-    tenants: &[KernelSpec],
+    llc_bytes: usize,
+    sweeps: &[StencilRowSweep],
     spans: &[Option<(u64, u64)>],
     interleave_lines: u64,
 ) -> Vec<TenantReport> {
-    let n = tenants.len();
-    let caches = &machine.caches;
-    let shared_bytes = l3_share_bytes(caches.l3.capacity_bytes, options.l3_sharers) * n;
-    let ways = caches.l3.associativity;
-
-    let mut llc = SetAssocCache::<RP>::new(shared_bytes, ways);
+    let n = sweeps.len();
+    let mut llc = SetAssocCache::<RP>::new(llc_bytes, machine.caches.l3.associativity);
     let mut cores: Vec<PrivateCore<RP, WP>> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
-    let mut cursors: Vec<SweepCursor> = tenants
-        .iter()
-        .enumerate()
-        .map(|(j, t)| SweepCursor::new(t.sweep(j)))
-        .collect();
+    let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
     let mut llc_hits = vec![0u64; n];
     let mut llc_misses = vec![0u64; n];
-    let mut active = cursors.iter().filter(|c| !c.finished()).count();
-    while active > 0 {
+    while cursors.iter().any(|c| !c.finished()) {
         for j in 0..n {
             if cursors[j].finished() {
                 continue;
@@ -553,9 +558,6 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
             cursors[j].advance(&mut cores[j], &mut llc, interleave_lines);
             llc_hits[j] += llc.hits() - h0;
             llc_misses[j] += llc.misses() - m0;
-            if cursors[j].finished() {
-                active -= 1;
-            }
         }
     }
 
@@ -606,30 +608,25 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
         });
     }
 
-    // Solo baselines on an exclusive LLC of the *same* geometry, so the
-    // deltas measure pure interference.  A single tenant has nothing to
-    // contend with: its co-run IS the solo run (deltas exactly zero).
+    // A single tenant has nothing to contend with: its co-run IS the solo
+    // run (deltas exactly zero), which is also the recursion's base case.
     if n > 1 {
-        for (j, t) in tenants.iter().enumerate() {
-            let mut llc = SetAssocCache::<RP>::new(shared_bytes, ways);
-            let mut core = PrivateCore::<RP, WP>::new(machine, ctx, options);
-            let mut cursor = SweepCursor::new(t.sweep(j));
-            while !cursor.finished() {
-                cursor.advance(&mut core, &mut llc, u64::MAX);
-            }
-            let mut occ = 0u64;
-            llc.for_each_resident(|line, _dirty| {
-                if owner_of(line, &spans[j..=j]).is_some() {
-                    occ += 1;
-                }
-            });
-            let (l1_dirty, l2_dirty) = core.flush_streams_and_upper(&mut llc);
-            let l3_dirty = llc.flush_dirty();
-            let rep = &mut reports[j];
-            rep.solo = core.account_writebacks(l1_dirty, l2_dirty, l3_dirty);
-            rep.solo_llc_hits = llc.hits();
-            rep.solo_llc_misses = llc.misses();
-            rep.solo_occupancy_lines = occ;
+        for (j, rep) in reports.iter_mut().enumerate() {
+            let solo = simulate_corun::<RP, WP>(
+                machine,
+                ctx,
+                options,
+                llc_bytes,
+                &sweeps[j..=j],
+                &spans[j..=j],
+                u64::MAX,
+            )
+            .pop()
+            .expect("one tenant, one report");
+            rep.solo = solo.counters;
+            rep.solo_llc_hits = solo.llc_hits;
+            rep.solo_llc_misses = solo.llc_misses;
+            rep.solo_occupancy_lines = solo.occupancy_lines;
         }
     }
     reports

@@ -418,42 +418,6 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         }
     }
 
-    /// Feed a load of `bytes` bytes at `addr`.
-    pub fn load(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
-        self.access(
-            llc,
-            Access {
-                addr,
-                bytes,
-                kind: AccessKind::Load,
-            },
-        );
-    }
-
-    /// Feed a store of `bytes` bytes at `addr`.
-    pub fn store(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
-        self.access(
-            llc,
-            Access {
-                addr,
-                bytes,
-                kind: AccessKind::Store,
-            },
-        );
-    }
-
-    /// Feed a non-temporal store of `bytes` bytes at `addr`.
-    pub fn store_nt(&mut self, llc: &mut SetAssocCache<R, SIMD>, addr: u64, bytes: u32) {
-        self.access(
-            llc,
-            Access {
-                addr,
-                bytes,
-                kind: AccessKind::StoreNT,
-            },
-        );
-    }
-
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
     /// cache-line granularity (see [`CoreSim::drive_run`]).
     pub fn drive_run(&mut self, llc: &mut SetAssocCache<R, SIMD>, run: AccessRun) {
@@ -827,17 +791,29 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
 
     /// Feed a load of `bytes` bytes at `addr`.
     pub fn load(&mut self, addr: u64, bytes: u32) {
-        self.private.load(&mut self.l3, addr, bytes);
+        self.access(Access {
+            addr,
+            bytes,
+            kind: AccessKind::Load,
+        });
     }
 
     /// Feed a store of `bytes` bytes at `addr`.
     pub fn store(&mut self, addr: u64, bytes: u32) {
-        self.private.store(&mut self.l3, addr, bytes);
+        self.access(Access {
+            addr,
+            bytes,
+            kind: AccessKind::Store,
+        });
     }
 
     /// Feed a non-temporal store of `bytes` bytes at `addr`.
     pub fn store_nt(&mut self, addr: u64, bytes: u32) {
-        self.private.store_nt(&mut self.l3, addr, bytes);
+        self.access(Access {
+            addr,
+            bytes,
+            kind: AccessKind::StoreNT,
+        });
     }
 
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
@@ -855,29 +831,11 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
         self.private.drive_run(&mut self.l3, run);
     }
 
-    /// Feed one single-line store segment to the matching coalescer and
-    /// handle the at most one line it finalizes.
-    pub(crate) fn store_line_segment(&mut self, line: u64, offset: u64, len: u64, nt: bool) {
-        self.private
-            .store_line_segment(&mut self.l3, line, offset, len, nt);
-    }
-
-    /// True if `line` is resident in the L1 (no LRU or counter effect).
-    pub(crate) fn l1_contains(&self, line: u64) -> bool {
-        self.private.l1_contains(line)
-    }
-
-    /// Account `n` guaranteed L1 hits on a resident line (see
-    /// [`SetAssocCache::touch_repeat`]); `false` if the line is not
-    /// resident and nothing was counted.
-    pub(crate) fn l1_touch_repeat(&mut self, line: u64, n: u64) -> bool {
-        self.private.l1_touch_repeat(line, n)
-    }
-
-    /// True if the (normal or NT) write coalescer has an open stream on
-    /// `line`, i.e. a further store segment to it is a pure coverage merge.
-    pub(crate) fn coalescer_at_line(&self, line: u64, nt: bool) -> bool {
-        self.private.coalescer_at_line(line, nt)
+    /// The private half and the L3 share it is driven against — what the
+    /// stencil cursor advances on (the co-run engine hands it a
+    /// tenant-shared LLC instead).
+    pub(crate) fn split(&mut self) -> (&mut PrivateCore<R, W, SIMD>, &mut SetAssocCache<R, SIMD>) {
+        (&mut self.private, &mut self.l3)
     }
 
     /// Finalize pending store streams and flush dirty cache lines to memory.

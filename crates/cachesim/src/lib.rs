@@ -65,7 +65,8 @@ pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
 pub use flight::FlightMemo;
 pub use hierarchy::{CoreSim, DomainOccupancy, OccupancyContext, PrivateCore};
 pub use memo::{
-    with_pooled_core, CoRunKey, KernelSpec, MemoStats, RankBase, SimKey, SimMemo, SpecOperand,
+    with_pooled_core, Accounting, CoRunKey, Dynamics, KernelSpec, MemoStats, RankBase, SimKey,
+    SimMemo, SpecOperand,
 };
 pub use patterns::{ArraySweep, RowSweep, StencilRowSweep, SweepCursor};
 pub use policy::{

@@ -12,8 +12,12 @@
 //!
 //! * [`KernelSpec`] — a typed, hashable description of an SPMD kernel (the
 //!   workloads previously passed to `run_spmd` as bare closures),
-//! * [`SimKey`] — the identity of one representative simulation: machine,
-//!   [`OccupancyContext`], [`CoreSimOptions`] and kernel,
+//! * [`Dynamics`] and [`Accounting`] — the simulation environment, declared
+//!   once: what can change the event sequence, and what only scales the
+//!   fractional accounting of those events,
+//! * [`SimKey`] (dynamics + accounting + kernel), [`CoRunKey`] (dynamics +
+//!   accounting + sorted tenants + interleave) and the trace key `DiffKey`
+//!   (dynamics + kernel) — the three memo identities built from them,
 //! * [`SimMemo`] — a sharded, concurrently usable map from [`SimKey`] to
 //!   [`MemCounters`], shared across a whole sweep (or several sweeps) so a
 //!   72-point curve performs O(distinct contexts) core simulations instead
@@ -65,7 +69,8 @@ pub enum RankBase {
     /// For memoized use the shift must be at least [`MIN_MEMO_SHIFT`]: a
     /// smaller shift puts rank bases inside the caches' set-index range,
     /// making counters genuinely rank-dependent, which would break the
-    /// memo's bit-exactness contract ([`SimKey::new`] debug-asserts this).
+    /// memo's bit-exactness contract ([`SimKey::for_policies`] debug-asserts
+    /// this).
     Shifted {
         /// Left shift applied to `rank + plus`.
         shift: u32,
@@ -220,16 +225,58 @@ impl KernelSpec {
     }
 }
 
-/// Identity of one representative-core simulation.  Two simulations with
-/// equal keys produce bit-identical counters, so the key is exactly what a
-/// memo may share: the machine (identified by its preset id — preset
-/// machines with equal ids are structurally identical), the occupancy
-/// context, the core options (floats keyed by their bit patterns) and the
-/// kernel.
+/// Everything of a simulation's environment that *can change the event
+/// sequence* — which lines hit, miss, evict, prefetch or write back: the
+/// machine (identified by its preset id — preset machines with equal ids
+/// are structurally identical, cache geometry included), the enabled
+/// prefetchers, the L3 sharer count and the policies.  Every memo identity
+/// carries it, the trace key included: that is the differential-replay
+/// soundness rule, as a type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub struct SimKey {
+pub struct Dynamics {
     /// `Machine::id` of the simulated machine.
     pub machine: String,
+    /// Adjacent-line prefetcher switch.
+    pub adjacent_line: bool,
+    /// Streamer prefetcher switch.
+    pub streamer: bool,
+    /// Streamer prefetch distance.
+    pub streamer_distance: u64,
+    /// Cores sharing the L3.
+    pub l3_sharers: usize,
+    /// Replacement policy of the simulated hierarchy.
+    pub replacement: ReplacementPolicyKind,
+    /// Store-miss policy of the simulated hierarchy.
+    pub write_policy: WritePolicyKind,
+}
+
+impl Dynamics {
+    fn of(
+        machine: &Machine,
+        options: CoreSimOptions,
+        replacement: ReplacementPolicyKind,
+        write_policy: WritePolicyKind,
+    ) -> Self {
+        Self {
+            machine: machine.id.clone(),
+            adjacent_line: options.prefetchers.adjacent_line,
+            streamer: options.prefetchers.streamer,
+            streamer_distance: options.prefetchers.streamer_distance,
+            l3_sharers: options.l3_sharers,
+            replacement,
+            write_policy,
+        }
+    }
+}
+
+/// Everything of a simulation's environment that *only scales the
+/// accounting* of an unchanged event sequence: the occupancy context, the
+/// SpecI2M MSR switch and the prefetch-off evasion factor weight
+/// fractional counter terms and decide nothing about the caches (floats
+/// keyed by their bit patterns).  Sweep points that differ only here are
+/// "neighbours": they share one event trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+pub struct Accounting {
     /// `OccupancyContext::domain_utilization` bit pattern.
     pub utilization_bits: u64,
     /// Populated ccNUMA domains.
@@ -238,47 +285,40 @@ pub struct SimKey {
     pub total_domains: usize,
     /// SpecI2M MSR switch.
     pub speci2m_enabled: bool,
-    /// Adjacent-line prefetcher switch.
-    pub adjacent_line: bool,
-    /// Streamer prefetcher switch.
-    pub streamer: bool,
-    /// Streamer prefetch distance.
-    pub streamer_distance: u64,
     /// `PrefetcherConfig::pf_off_evasion_factor` bit pattern.
     pub pf_off_evasion_bits: u64,
-    /// Cores sharing the L3.
-    pub l3_sharers: usize,
-    /// Replacement policy of the simulated hierarchy.
-    pub replacement: ReplacementPolicyKind,
-    /// Store-miss policy of the simulated hierarchy.
-    pub write_policy: WritePolicyKind,
+}
+
+impl Accounting {
+    fn of(ctx: OccupancyContext, options: CoreSimOptions) -> Self {
+        Self {
+            utilization_bits: ctx.domain_utilization.to_bits(),
+            active_domains: ctx.active_domains,
+            total_domains: ctx.total_domains,
+            speci2m_enabled: options.speci2m_enabled,
+            pf_off_evasion_bits: options.prefetchers.pf_off_evasion_factor.to_bits(),
+        }
+    }
+}
+
+/// Identity of one representative-core simulation.  Two simulations with
+/// equal keys produce bit-identical counters, so the key is exactly what a
+/// memo may share.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+pub struct SimKey {
+    /// What decides the event sequence.
+    pub dynamics: Dynamics,
+    /// What weights the events.
+    pub accounting: Accounting,
     /// The SPMD kernel.
     pub kernel: KernelSpec,
 }
 
 impl SimKey {
     /// Key of the simulation of `kernel` on `machine` under `ctx` and
-    /// `options` with the paper's default policies (true-LRU,
-    /// write-allocate).
-    pub fn new(
-        machine: &Machine,
-        ctx: OccupancyContext,
-        options: CoreSimOptions,
-        kernel: &KernelSpec,
-    ) -> Self {
-        Self::for_policies(
-            machine,
-            ctx,
-            options,
-            kernel,
-            ReplacementPolicyKind::Lru,
-            WritePolicyKind::Allocate,
-        )
-    }
-
-    /// Key of the simulation of `kernel` under an explicit policy pair.
-    /// Keys of distinct policies never collide, so one memo can span a
-    /// sweep that mixes policy configurations.
+    /// `options` with an explicit policy pair.  Keys of distinct policies
+    /// never collide, so one memo can span a sweep that mixes policy
+    /// configurations.
     pub fn for_policies(
         machine: &Machine,
         ctx: OccupancyContext,
@@ -298,59 +338,27 @@ impl SimKey {
             );
         }
         Self {
-            machine: machine.id.clone(),
-            utilization_bits: ctx.domain_utilization.to_bits(),
-            active_domains: ctx.active_domains,
-            total_domains: ctx.total_domains,
-            speci2m_enabled: options.speci2m_enabled,
-            adjacent_line: options.prefetchers.adjacent_line,
-            streamer: options.prefetchers.streamer,
-            streamer_distance: options.prefetchers.streamer_distance,
-            pf_off_evasion_bits: options.prefetchers.pf_off_evasion_factor.to_bits(),
-            l3_sharers: options.l3_sharers,
-            replacement,
-            write_policy,
+            dynamics: Dynamics::of(machine, options, replacement, write_policy),
+            accounting: Accounting::of(ctx, options),
             kernel: kernel.clone(),
         }
     }
 }
 
 /// Identity of one multi-tenant co-run simulation (see
-/// [`NodeSim::run_corun`](crate::engine::NodeSim::run_corun)).
-///
-/// The key carries the *sorted* tenant kernels plus the interleave
-/// granularity on top of every machine/occupancy/option field of
-/// [`SimKey`].  A co-run key can therefore never collide with a solo
+/// [`NodeSim::run_corun`](crate::engine::NodeSim::run_corun)): the whole
+/// environment of a [`SimKey`] plus the *sorted* tenant kernels and the
+/// interleave granularity.  A co-run key can never collide with a solo
 /// [`SimKey`] (they live in separate memo tables) and two co-runs share an
 /// entry only when their tenant multisets, interleave and environment all
 /// match — a solo result is never served for a contended run and vice
 /// versa.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct CoRunKey {
-    /// `Machine::id` of the simulated machine.
-    pub machine: String,
-    /// `OccupancyContext::domain_utilization` bit pattern.
-    pub utilization_bits: u64,
-    /// Populated ccNUMA domains.
-    pub active_domains: usize,
-    /// Total ccNUMA domains.
-    pub total_domains: usize,
-    /// SpecI2M MSR switch.
-    pub speci2m_enabled: bool,
-    /// Adjacent-line prefetcher switch.
-    pub adjacent_line: bool,
-    /// Streamer prefetcher switch.
-    pub streamer: bool,
-    /// Streamer prefetch distance.
-    pub streamer_distance: u64,
-    /// `PrefetcherConfig::pf_off_evasion_factor` bit pattern.
-    pub pf_off_evasion_bits: u64,
-    /// Cores sharing the L3.
-    pub l3_sharers: usize,
-    /// Replacement policy of the simulated hierarchies.
-    pub replacement: ReplacementPolicyKind,
-    /// Store-miss policy of the simulated hierarchies.
-    pub write_policy: WritePolicyKind,
+    /// What decides the event sequence.
+    pub dynamics: Dynamics,
+    /// What weights the events.
+    pub accounting: Accounting,
     /// Tenant kernels in canonical (sorted) order.
     pub tenants: Vec<KernelSpec>,
     /// Lines each tenant streams per round-robin turn at the shared LLC.
@@ -375,83 +383,25 @@ impl CoRunKey {
             "CoRunKey tenants must be in canonical sorted order"
         );
         Self {
-            machine: machine.id.clone(),
-            utilization_bits: ctx.domain_utilization.to_bits(),
-            active_domains: ctx.active_domains,
-            total_domains: ctx.total_domains,
-            speci2m_enabled: options.speci2m_enabled,
-            adjacent_line: options.prefetchers.adjacent_line,
-            streamer: options.prefetchers.streamer,
-            streamer_distance: options.prefetchers.streamer_distance,
-            pf_off_evasion_bits: options.prefetchers.pf_off_evasion_factor.to_bits(),
-            l3_sharers: options.l3_sharers,
-            replacement,
-            write_policy,
+            dynamics: Dynamics::of(machine, options, replacement, write_policy),
+            accounting: Accounting::of(ctx, options),
             tenants: tenants.to_vec(),
             interleave_lines,
         }
     }
 }
 
-/// Identity of one *cache-dynamics* trace: a [`SimKey`] with the five
-/// neighbour axes removed.
-///
-/// The occupancy context (`domain_utilization`, `active_domains`,
-/// `total_domains`), the SpecI2M MSR switch and the prefetch-off evasion
-/// factor scale *fractional counter accounting* only — which lines hit,
-/// miss, evict or write back is decided entirely by the cache geometry,
-/// the enabled prefetchers, the policies and the kernel's address stream.
-/// Sweep points that differ only along those five axes are "neighbours":
-/// they share one event trace, so the memo records the trace once and
+/// Identity of one *cache-dynamics* trace: a [`SimKey`] without its
+/// [`Accounting`].  The memo records the trace once per `DiffKey` and
 /// replays it (bit-identically — same floating-point addition order per
-/// counter field) under each neighbour's accounting parameters instead of
-/// re-simulating the cache dynamics from scratch.
-///
-/// Everything that *can* change the event sequence stays in the key, so a
-/// differential replay can never be served across machines, prefetcher
-/// switches, L3 sharer counts, policies or kernels — the same soundness
-/// discipline [`CoRunKey`] applies to co-runs.
+/// counter field) under each neighbour's accounting instead of
+/// re-simulating the cache dynamics from scratch.  Because the key holds
+/// the whole [`Dynamics`], a replay can never be served across machines,
+/// prefetcher switches, L3 sharer counts, policies or kernels.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct DiffKey {
-    /// `Machine::id` of the simulated machine.
-    machine: String,
-    /// Adjacent-line prefetcher switch.
-    adjacent_line: bool,
-    /// Streamer prefetcher switch.
-    streamer: bool,
-    /// Streamer prefetch distance.
-    streamer_distance: u64,
-    /// Cores sharing the L3.
-    l3_sharers: usize,
-    /// Replacement policy of the simulated hierarchy.
-    replacement: ReplacementPolicyKind,
-    /// Store-miss policy of the simulated hierarchy.
-    write_policy: WritePolicyKind,
-    /// The SPMD kernel.
+    dynamics: Dynamics,
     kernel: KernelSpec,
-}
-
-impl DiffKey {
-    /// The trace identity shared by every neighbour of `(machine,
-    /// options, kernel)` under the `(replacement, write_policy)` pair.
-    fn for_policies(
-        machine: &Machine,
-        options: CoreSimOptions,
-        kernel: &KernelSpec,
-        replacement: ReplacementPolicyKind,
-        write_policy: WritePolicyKind,
-    ) -> Self {
-        Self {
-            machine: machine.id.clone(),
-            adjacent_line: options.prefetchers.adjacent_line,
-            streamer: options.prefetchers.streamer,
-            streamer_distance: options.prefetchers.streamer_distance,
-            l3_sharers: options.l3_sharers,
-            replacement,
-            write_policy,
-            kernel: kernel.clone(),
-        }
-    }
 }
 
 /// One memoized cache-dynamics trace (or the fact that recording it was
@@ -576,9 +526,7 @@ impl SimMemo {
 
     /// Counters of `kernel` under an explicit policy pair `(R, W)`.  The
     /// key carries the policy kinds, so a hit can never be served from a
-    /// different policy's entry.  The default pair reuses the thread-local
-    /// core pool; other pairs build a fresh typed core (the branch is a
-    /// compile-time constant per monomorphisation).
+    /// different policy's entry.
     pub fn counters_for<R: ReplacementPolicy, W: WritePolicy>(
         &self,
         machine: &Machine,
@@ -589,23 +537,26 @@ impl SimMemo {
     ) -> MemCounters {
         let key = SimKey::for_policies(machine, ctx, options, kernel, R::KIND, W::KIND);
         self.get_or_insert_with(key, || {
+            let scratch = || Self::simulate::<R, W>(machine, ctx, options, kernel, rank, false).0;
             if !self.differential {
-                return Self::simulate_plain::<R, W>(machine, ctx, options, kernel, rank);
+                return scratch();
             }
-            // Differential path: one trace per DiffKey (the SimKey minus
-            // the five accounting-only neighbour axes).  The first miss on
+            // Differential path: one trace per DiffKey.  The first miss on
             // a trace key simulates live *with recording* and keeps its
             // own counters; every neighbour replays the recorded events
-            // under its own context instead of re-simulating.  Both memo
-            // layers are single-flight and the simulation/replay runs
+            // under its own accounting instead of re-simulating.  Both
+            // memo layers are single-flight and the simulation/replay runs
             // outside every lock; the diff lookup never waits on an
             // `inner` flight (only the reverse), so the nesting cannot
             // deadlock.
-            let dkey = DiffKey::for_policies(machine, options, kernel, R::KIND, W::KIND);
+            let dkey = DiffKey {
+                dynamics: Dynamics::of(machine, options, R::KIND, W::KIND),
+                kernel: kernel.clone(),
+            };
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
                 let (counters, ops) =
-                    Self::simulate_traced::<R, W>(machine, ctx, options, kernel, rank);
+                    Self::simulate::<R, W>(machine, ctx, options, kernel, rank, true);
                 live = Some(counters);
                 match ops {
                     Some(ops) => DiffEntry::Trace(ops.into()),
@@ -618,56 +569,46 @@ impl SimMemo {
             }
             match entry {
                 DiffEntry::Trace(ops) => replay_trace(&machine.speci2m, ctx, options, &ops),
-                DiffEntry::Oversized => {
-                    Self::simulate_plain::<R, W>(machine, ctx, options, kernel, rank)
-                }
+                DiffEntry::Oversized => scratch(),
             }
         })
     }
 
-    /// From-scratch simulation of one representative core (no trace).
-    fn simulate_plain<R: ReplacementPolicy, W: WritePolicy>(
+    /// From-scratch simulation of one representative core, recording the
+    /// event trace when `trace` is set.  The returned trace is `None`
+    /// when recording was off or the kernel overflowed the recording cap
+    /// (the counters are exact either way).  The default policy pair runs
+    /// on the thread-local core pool; other pairs build a fresh typed core
+    /// (the branch is a compile-time constant per monomorphisation).
+    fn simulate<R: ReplacementPolicy, W: WritePolicy>(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         kernel: &KernelSpec,
         rank: usize,
-    ) -> MemCounters {
-        if R::KIND == ReplacementPolicyKind::Lru && W::KIND == WritePolicyKind::Allocate {
-            with_pooled_core(machine, ctx, options, |core| {
-                kernel.drive(rank, core);
-                core.flush()
-            })
-        } else {
-            let mut core = CoreSim::<R, W>::new(machine, ctx, options);
-            kernel.drive(rank, &mut core);
-            core.flush()
-        }
-    }
-
-    /// From-scratch simulation that also records the event trace.
-    /// Returns `None` for the trace when the kernel overflowed the
-    /// recording cap (the counters are still exact).
-    fn simulate_traced<R: ReplacementPolicy, W: WritePolicy>(
-        machine: &Machine,
-        ctx: OccupancyContext,
-        options: CoreSimOptions,
-        kernel: &KernelSpec,
-        rank: usize,
+        trace: bool,
     ) -> (MemCounters, Option<Vec<TraceOp>>) {
-        if R::KIND == ReplacementPolicyKind::Lru && W::KIND == WritePolicyKind::Allocate {
-            with_pooled_core(machine, ctx, options, |core| {
+        fn run<R: ReplacementPolicy, W: WritePolicy>(
+            core: &mut CoreSim<R, W>,
+            kernel: &KernelSpec,
+            rank: usize,
+            trace: bool,
+        ) -> (MemCounters, Option<Vec<TraceOp>>) {
+            if trace {
                 core.start_trace();
-                kernel.drive(rank, core);
-                let counters = core.flush();
-                (counters, core.take_trace())
-            })
+            }
+            kernel.drive(rank, core);
+            (core.flush(), core.take_trace())
+        }
+        if R::KIND == ReplacementPolicyKind::Lru && W::KIND == WritePolicyKind::Allocate {
+            with_pooled_core(machine, ctx, options, |core| run(core, kernel, rank, trace))
         } else {
-            let mut core = CoreSim::<R, W>::new(machine, ctx, options);
-            core.start_trace();
-            kernel.drive(rank, &mut core);
-            let counters = core.flush();
-            (counters, core.take_trace())
+            run(
+                &mut CoreSim::<R, W>::new(machine, ctx, options),
+                kernel,
+                rank,
+                trace,
+            )
         }
     }
 
@@ -1047,6 +988,56 @@ mod tests {
                 0
             )
         );
+    }
+
+    #[test]
+    fn diff_key_ignores_every_accounting_field_and_no_dynamics_field() {
+        type Vary = fn(&mut OccupancyContext, &mut CoreSimOptions);
+        let m = icelake_sp_8360y();
+        let spec = store_spec(1024);
+        let (lru, wa) = (ReplacementPolicyKind::Lru, WritePolicyKind::Allocate);
+        let keys = |machine: &Machine, vary: Vary, spec: &KernelSpec, r, w| {
+            let mut ctx = OccupancyContext::domain_load(&m, 18, 2);
+            let mut options = CoreSimOptions::default();
+            vary(&mut ctx, &mut options);
+            let full = SimKey::for_policies(machine, ctx, options, spec, r, w);
+            let diff = DiffKey {
+                dynamics: full.dynamics.clone(),
+                kernel: full.kernel.clone(),
+            };
+            (full, diff)
+        };
+        let vary = |vary: Vary| keys(&m, vary, &spec, lru, wa);
+        let (base_full, base_diff) = vary(|_, _| {});
+
+        // One accounting field at a time: a different SimKey, the same trace.
+        let accounting: [Vary; 5] = [
+            |c, _| c.domain_utilization = 0.25,
+            |c, _| c.active_domains = 3,
+            |c, _| c.total_domains = 8,
+            |_, o| o.speci2m_enabled = false,
+            |_, o| o.prefetchers.pf_off_evasion_factor = 0.5,
+        ];
+        for (i, (full, diff)) in accounting.into_iter().map(vary).enumerate() {
+            assert_ne!(full, base_full, "accounting field {i} is in the SimKey");
+            assert_eq!(diff, base_diff, "accounting field {i} splits no trace");
+        }
+
+        // One dynamics field (or the kernel) at a time: a different trace.
+        let dynamics = [
+            keys(&sapphire_rapids_8480(), |_, _| {}, &spec, lru, wa),
+            vary(|_, o| o.prefetchers.adjacent_line = false),
+            vary(|_, o| o.prefetchers.streamer = false),
+            vary(|_, o| o.prefetchers.streamer_distance += 1),
+            vary(|_, o| o.l3_sharers = 36),
+            keys(&m, |_, _| {}, &spec, ReplacementPolicyKind::Srrip, wa),
+            keys(&m, |_, _| {}, &spec, lru, WritePolicyKind::NoAllocate),
+            keys(&m, |_, _| {}, &store_spec(1025), lru, wa),
+        ];
+        for (i, (full, diff)) in dynamics.into_iter().enumerate() {
+            assert_ne!(full, base_full, "dynamics field {i}");
+            assert_ne!(diff, base_diff, "dynamics field {i} must split traces");
+        }
     }
 
     #[test]

@@ -5,42 +5,26 @@
 //! small set of canonical patterns: contiguous array sweeps, row-wise sweeps
 //! with halo gaps, and multi-array stencil row sweeps.
 //!
-//! All drivers run on the batched line-granular fast path
-//! ([`CoreSim::drive_run`] and friends); each keeps a `drive_scalar`
-//! reference implementation issuing one 8-byte access per element, used by
-//! the equivalence tests to prove the fast path changes nothing but speed.
+//! The array and row sweeps run on the batched line-granular fast path
+//! ([`CoreSim::drive_run`]); the stencil sweep has exactly one driver, the
+//! resumable [`SweepCursor`], which the solo path ([`StencilRowSweep::drive`])
+//! runs to completion and the co-run engine advances in turns.  Each
+//! pattern keeps a `drive_scalar` reference implementation issuing one
+//! 8-byte access per element, used by the equivalence tests to prove the
+//! fast path changes nothing but speed.
 
 pub use crate::access::ELEM_BYTES;
-use crate::access::{line_of, AccessKind, AccessRun, LINE_BYTES};
+use crate::access::{line_of, Access, AccessKind, AccessRun, LINE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
 use crate::policy::{ReplacementPolicy, WritePolicy};
 
-/// Issue one scalar 8-byte access of the given kind.
-fn scalar_access<R: ReplacementPolicy, W: WritePolicy>(
-    core: &mut CoreSim<R, W>,
-    kind: AccessKind,
-    addr: u64,
-) {
-    match kind {
-        AccessKind::Load => core.load(addr, ELEM_BYTES as u32),
-        AccessKind::Store => core.store(addr, ELEM_BYTES as u32),
-        AccessKind::StoreNT => core.store_nt(addr, ELEM_BYTES as u32),
-    }
-}
-
-/// [`scalar_access`] against a split hierarchy (private half + explicit
-/// last-level cache) — the co-run cursor's primitive.
-fn scalar_access_split<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool>(
-    core: &mut PrivateCore<R, W, SIMD>,
-    llc: &mut SetAssocCache<R, SIMD>,
-    kind: AccessKind,
-    addr: u64,
-) {
-    match kind {
-        AccessKind::Load => core.load(llc, addr, ELEM_BYTES as u32),
-        AccessKind::Store => core.store(llc, addr, ELEM_BYTES as u32),
-        AccessKind::StoreNT => core.store_nt(llc, addr, ELEM_BYTES as u32),
+/// One scalar 8-byte access of the given kind.
+fn elem(kind: AccessKind, addr: u64) -> Access {
+    Access {
+        addr,
+        bytes: ELEM_BYTES as u32,
+        kind,
     }
 }
 
@@ -68,7 +52,7 @@ impl ArraySweep {
     /// Per-element reference implementation (bit-identical, slower).
     pub fn drive_scalar<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
         for i in 0..self.elements {
-            scalar_access(core, self.kind, self.base + i * ELEM_BYTES);
+            core.access(elem(self.kind, self.base + i * ELEM_BYTES));
         }
     }
 
@@ -122,7 +106,7 @@ impl RowSweep {
     pub fn drive_scalar<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
         for row in 0..self.rows {
             for i in 0..self.inner {
-                scalar_access(core, self.kind, self.addr(row, i));
+                core.access(elem(self.kind, self.addr(row, i)));
             }
         }
     }
@@ -187,115 +171,13 @@ impl StencilRowSweep {
 
     /// Drive the sweep through a core simulator in the loop order of the
     /// Fortran source: outer loop over rows, inner loop over `i`, reads
-    /// before the write of each iteration.
-    ///
-    /// Fast path: the inner loop advances every access stream by 8 bytes
-    /// per iteration, so all streams cross cache-line boundaries at
-    /// predictable points.  Between two crossings, every load is a
-    /// guaranteed L1 hit of the line its stream just touched and every
-    /// store is a pure coverage merge in the coalescer — so the driver
-    /// executes only the first iteration of each such segment faithfully
-    /// and accounts the rest in bulk, at one cache probe per line instead
-    /// of one per element.  The result is bit-identical to
-    /// [`drive_scalar`](Self::drive_scalar): the bulk phase performs no
-    /// fills or stream transitions, leaves the same final LRU order (the
-    /// streams are visited in operand order, like the last scalar
-    /// iteration) and counts the same hits; whenever its preconditions
-    /// cannot be proven (a misaligned operand base, a line evicted or a
-    /// stream displaced within the first iteration) it falls back to the
-    /// scalar path for the affected span.
+    /// before the write of each iteration.  This is a [`SweepCursor`] run
+    /// to completion against the core's own private half and L3 share —
+    /// the same segment loop the co-run engine advances in turns — and
+    /// bit-identical to [`drive_scalar`](Self::drive_scalar).
     pub fn drive<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
-        // Element accesses below assume 8-byte-aligned operands (true for
-        // every simulated allocation); otherwise elements straddle lines
-        // and the segment bookkeeping no longer holds.
-        if self.operands.iter().any(|op| op.base % ELEM_BYTES != 0) {
-            self.drive_scalar(core);
-            return;
-        }
-        let mut streams: Vec<StencilStream> = Vec::new();
-        for k in self.k0..self.k0 + self.rows {
-            streams.clear();
-            for op in &self.operands {
-                for &(di, dk) in &op.offsets {
-                    streams.push(StencilStream {
-                        kind: op.kind,
-                        row_base: self.addr(op.base, self.i0 as i64 + di, k as i64 + dk),
-                    });
-                }
-            }
-            self.drive_row(core, &streams);
-        }
-    }
-
-    /// Drive one row given the flattened streams positioned at `i0`.
-    fn drive_row<R: ReplacementPolicy, W: WritePolicy>(
-        &self,
-        core: &mut CoreSim<R, W>,
-        streams: &[StencilStream],
-    ) {
-        let mut done = 0u64; // inner iterations completed
-        while done < self.inner {
-            // Execute the segment's first iteration faithfully, in the
-            // scalar operand order (this is where line crossings, cache
-            // fills and coalescer transitions happen).
-            for s in streams {
-                scalar_access(core, s.kind, s.row_base + done * ELEM_BYTES);
-            }
-            // The segment extends until any stream reaches its next line
-            // boundary (each stream advances 8 bytes per iteration and is
-            // 8-aligned, so the residual is exact).
-            let mut seg = self.inner - done;
-            for s in streams {
-                let addr = s.row_base + done * ELEM_BYTES;
-                seg = seg.min((LINE_BYTES - addr % LINE_BYTES) / ELEM_BYTES);
-            }
-            if seg > 1 {
-                // Bulk preconditions: every load line resident in L1 and
-                // every store stream still open on its line.  After the
-                // faithful first iteration this is the overwhelmingly
-                // common case; it can only fail if that iteration evicted
-                // one of its own lines or displaced a store stream.
-                let provable = streams.iter().all(|s| {
-                    let line = line_of(s.row_base + done * ELEM_BYTES);
-                    match s.kind {
-                        AccessKind::Load => core.l1_contains(line),
-                        AccessKind::Store => core.coalescer_at_line(line, false),
-                        AccessKind::StoreNT => core.coalescer_at_line(line, true),
-                    }
-                });
-                if provable {
-                    for s in streams {
-                        let addr = s.row_base + (done + 1) * ELEM_BYTES;
-                        let line = line_of(addr);
-                        match s.kind {
-                            AccessKind::Load => {
-                                let resident = core.l1_touch_repeat(line, seg - 1);
-                                debug_assert!(resident, "bulk phase cannot evict");
-                            }
-                            AccessKind::Store => core.store_line_segment(
-                                line,
-                                addr % LINE_BYTES,
-                                (seg - 1) * ELEM_BYTES,
-                                false,
-                            ),
-                            AccessKind::StoreNT => core.store_line_segment(
-                                line,
-                                addr % LINE_BYTES,
-                                (seg - 1) * ELEM_BYTES,
-                                true,
-                            ),
-                        }
-                    }
-                } else {
-                    for step in 1..seg {
-                        for s in streams {
-                            scalar_access(core, s.kind, s.row_base + (done + step) * ELEM_BYTES);
-                        }
-                    }
-                }
-            }
-            done += seg;
-        }
+        let (private, l3) = core.split();
+        SweepCursor::new(self).advance(private, l3, u64::MAX);
     }
 
     /// Per-element reference implementation (bit-identical, slower).
@@ -305,7 +187,7 @@ impl StencilRowSweep {
                 for op in &self.operands {
                     for &(di, dk) in &op.offsets {
                         let addr = self.addr(op.base, i as i64 + di, k as i64 + dk);
-                        scalar_access(core, op.kind, addr);
+                        core.access(elem(op.kind, addr));
                     }
                 }
             }
@@ -318,65 +200,74 @@ impl StencilRowSweep {
     }
 }
 
-/// A resumable [`StencilRowSweep`] driver for co-scheduled tenants.
+/// The resumable driver of a [`StencilRowSweep`] — the one place a stencil
+/// inner loop becomes line-granular hierarchy operations.
 ///
-/// The co-run engine interleaves N tenants' access streams at the shared
-/// last level in turns of a configurable number of cache lines; each
-/// tenant's progress therefore has to survive across turns.  The cursor
-/// holds the sweep position (row, inner iterations completed, the
-/// flattened streams of the current row) and
-/// [`advance`](Self::advance) drives the *same* operation sequence as
-/// [`StencilRowSweep::drive`] — the fast segment loop with its faithful
-/// first iteration, provable-bulk accounting and scalar fallbacks —
-/// pausing only at segment boundaries.  Because no simulator state spans a
-/// segment boundary (all carry-over lives in the caches and coalescers
-/// themselves), a single-tenant cursor run is bit-identical to
-/// `drive` for *any* turn budget, which the tier-1 proptests assert.
+/// The inner loop advances every access stream by 8 bytes per iteration,
+/// so all streams cross cache-line boundaries at predictable points.
+/// Between two crossings every load is a guaranteed L1 hit of the line its
+/// stream just touched and every store is a pure coverage merge in the
+/// coalescer — so [`advance`](Self::advance) executes only the first
+/// iteration of each such *segment* faithfully (this is where line
+/// crossings, cache fills and coalescer transitions happen) and accounts
+/// the rest in bulk, at one cache probe per line instead of one per
+/// element.  The bulk phase performs no fills or stream transitions,
+/// leaves the same final LRU order (the streams are visited in operand
+/// order, like the last scalar iteration) and counts the same hits;
+/// whenever its preconditions cannot be proven (a line evicted or a stream
+/// displaced within the first iteration) the rest of the segment runs
+/// element by element, and a sweep with a misaligned operand base runs
+/// element by element throughout.
+///
+/// The cursor pauses only at segment boundaries, and no simulator state
+/// spans one (all carry-over lives in the caches and coalescers
+/// themselves), so a run is bit-identical to
+/// [`StencilRowSweep::drive_scalar`] for *any* sequence of turn budgets —
+/// which the tier-1 proptests assert against that reference.
 #[derive(Debug, Clone)]
 pub struct SweepCursor {
-    sweep: StencilRowSweep,
-    /// Misaligned operand base: step per-element like
-    /// [`StencilRowSweep::drive_scalar`] instead of per-segment.
-    scalar: bool,
-    /// Accesses per inner iteration (flattened stream count).
-    ops_per_iter: u64,
-    /// Current absolute row (`k0..k0 + rows`).
-    k: u64,
+    /// Flattened streams positioned at `i0` of the current row.
+    streams: Vec<StencilStream>,
+    /// Byte distance between consecutive rows of every stream.
+    row_bytes: u64,
+    /// Inner iterations per row.
+    inner: u64,
     /// Inner iterations completed in the current row.
     done: u64,
-    /// Flattened streams positioned at the current row (aligned mode).
-    streams: Vec<StencilStream>,
-    finished: bool,
+    /// Rows not yet completed, the current one included.
+    rows_left: u64,
+    /// Misaligned operand base: elements straddle lines and the segment
+    /// bookkeeping no longer holds, so every segment is one iteration.
+    scalar: bool,
 }
 
 impl SweepCursor {
     /// Position a cursor at the start of `sweep`.
-    pub fn new(sweep: StencilRowSweep) -> Self {
-        let scalar = sweep.operands.iter().any(|op| op.base % ELEM_BYTES != 0);
-        let ops_per_iter: u64 = sweep
+    pub fn new(sweep: &StencilRowSweep) -> Self {
+        let streams = sweep
             .operands
             .iter()
-            .map(|op| op.offsets.len() as u64)
-            .sum();
-        let finished = sweep.rows == 0;
-        let mut cursor = Self {
-            k: sweep.k0,
-            sweep,
-            scalar,
-            ops_per_iter,
+            .flat_map(|op| {
+                op.offsets.iter().map(|&(di, dk)| StencilStream {
+                    kind: op.kind,
+                    row_base: sweep.addr(op.base, sweep.i0 as i64 + di, sweep.k0 as i64 + dk),
+                })
+            })
+            .collect();
+        Self {
+            streams,
+            row_bytes: sweep.row_stride * ELEM_BYTES,
+            inner: sweep.inner,
             done: 0,
-            streams: Vec::new(),
-            finished,
-        };
-        if !cursor.finished && !cursor.scalar {
-            cursor.build_streams();
+            // A zero-trip inner loop has no row to pause in.
+            rows_left: if sweep.inner == 0 { 0 } else { sweep.rows },
+            scalar: sweep.operands.iter().any(|op| op.base % ELEM_BYTES != 0),
         }
-        cursor
     }
 
     /// Whether the sweep has been driven to completion.
     pub fn finished(&self) -> bool {
-        self.finished
+        self.rows_left == 0
     }
 
     /// Drive until at least `budget_lines` line-granular operations have
@@ -391,116 +282,72 @@ impl SweepCursor {
     ) -> u64 {
         let budget = budget_lines.max(1);
         let mut spent = 0u64;
-        while !self.finished && spent < budget {
-            if self.done >= self.sweep.inner {
-                self.next_row();
-                continue;
-            }
-            if self.scalar {
-                // One faithful per-element iteration in drive_scalar order.
-                let i = (self.sweep.i0 + self.done) as i64;
-                let k = self.k as i64;
-                for op in &self.sweep.operands {
-                    for &(di, dk) in &op.offsets {
-                        let addr = self.sweep.addr(op.base, i + di, k + dk);
-                        scalar_access_split(core, llc, op.kind, addr);
-                    }
-                }
-                self.done += 1;
-                spent += self.ops_per_iter.max(1);
-                continue;
-            }
-            // One segment, transcribed from `StencilRowSweep::drive_row`:
-            // faithful first iteration in stream order, then provable bulk.
-            let done = self.done;
+        while self.rows_left > 0 && spent < budget {
+            let at = self.done * ELEM_BYTES;
+            // The segment's first iteration, faithfully, in operand order.
             for s in &self.streams {
-                scalar_access_split(core, llc, s.kind, s.row_base + done * ELEM_BYTES);
+                core.access(llc, elem(s.kind, s.row_base + at));
             }
-            let mut seg = self.sweep.inner - done;
-            for s in &self.streams {
-                let addr = s.row_base + done * ELEM_BYTES;
-                seg = seg.min((LINE_BYTES - addr % LINE_BYTES) / ELEM_BYTES);
-            }
+            // The segment extends until any stream reaches its next line
+            // boundary (each stream advances 8 bytes per iteration and is
+            // 8-aligned, so the residual is exact).
+            let seg = if self.scalar {
+                1
+            } else {
+                self.streams.iter().fold(self.inner - self.done, |seg, s| {
+                    seg.min((LINE_BYTES - (s.row_base + at) % LINE_BYTES) / ELEM_BYTES)
+                })
+            };
             if seg > 1 {
+                // Bulk preconditions: every load line resident in L1 and
+                // every store stream still open on its line.  After the
+                // faithful first iteration this is the overwhelmingly
+                // common case; it can only fail if that iteration evicted
+                // one of its own lines or displaced a store stream.
                 let provable = self.streams.iter().all(|s| {
-                    let line = line_of(s.row_base + done * ELEM_BYTES);
+                    let line = line_of(s.row_base + at);
                     match s.kind {
                         AccessKind::Load => core.l1_contains(line),
-                        AccessKind::Store => core.coalescer_at_line(line, false),
-                        AccessKind::StoreNT => core.coalescer_at_line(line, true),
+                        kind => core.coalescer_at_line(line, kind == AccessKind::StoreNT),
                     }
                 });
                 if provable {
                     for s in &self.streams {
-                        let addr = s.row_base + (done + 1) * ELEM_BYTES;
+                        let addr = s.row_base + at + ELEM_BYTES;
                         let line = line_of(addr);
                         match s.kind {
                             AccessKind::Load => {
                                 let resident = core.l1_touch_repeat(line, seg - 1);
                                 debug_assert!(resident, "bulk phase cannot evict");
                             }
-                            AccessKind::Store => core.store_line_segment(
+                            kind => core.store_line_segment(
                                 llc,
                                 line,
                                 addr % LINE_BYTES,
                                 (seg - 1) * ELEM_BYTES,
-                                false,
-                            ),
-                            AccessKind::StoreNT => core.store_line_segment(
-                                llc,
-                                line,
-                                addr % LINE_BYTES,
-                                (seg - 1) * ELEM_BYTES,
-                                true,
+                                kind == AccessKind::StoreNT,
                             ),
                         }
                     }
                 } else {
                     for step in 1..seg {
                         for s in &self.streams {
-                            scalar_access_split(
-                                core,
-                                llc,
-                                s.kind,
-                                s.row_base + (done + step) * ELEM_BYTES,
-                            );
+                            core.access(llc, elem(s.kind, s.row_base + at + step * ELEM_BYTES));
                         }
                     }
                 }
             }
             self.done += seg;
             spent += (self.streams.len() as u64).max(1);
-        }
-        spent
-    }
-
-    /// Advance to the next row, rebuilding the streams (aligned mode).
-    fn next_row(&mut self) {
-        self.k += 1;
-        self.done = 0;
-        if self.k >= self.sweep.k0 + self.sweep.rows {
-            self.finished = true;
-            return;
-        }
-        if !self.scalar {
-            self.build_streams();
-        }
-    }
-
-    /// Flatten the operands into per-row streams positioned at `i0` of the
-    /// current row — the same flattening `StencilRowSweep::drive` performs.
-    fn build_streams(&mut self) {
-        self.streams.clear();
-        let k = self.k as i64;
-        let i0 = self.sweep.i0 as i64;
-        for op in &self.sweep.operands {
-            for &(di, dk) in &op.offsets {
-                self.streams.push(StencilStream {
-                    kind: op.kind,
-                    row_base: self.sweep.addr(op.base, i0 + di, k + dk),
-                });
+            if self.done >= self.inner {
+                self.done = 0;
+                self.rows_left -= 1;
+                for s in &mut self.streams {
+                    s.row_base += self.row_bytes;
+                }
             }
         }
+        spent
     }
 }
 

@@ -20,9 +20,9 @@
 //!   generations all collapse onto one evaluation per distinct point.
 //!
 //! Points are stored *before* speedup normalisation (speedup is a property
-//! of a sweep range, not of a point);
-//! [`sweep_range_memo`](ScalingEngine::sweep_range_memo) normalises its own
-//! copy exactly like `ScalingModel::sweep_range`.
+//! of a sweep range, not of a point); a caller normalises its own copy with
+//! [`normalise_speedups`](crate::normalise_speedups), exactly like
+//! `ScalingModel::sweep_range`.
 //!
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
@@ -50,33 +50,6 @@ pub struct PointKey {
     pub ranks: usize,
     /// Traffic-model options of the evaluation.
     pub opts: TrafficOptions,
-}
-
-/// Deterministic neighbour-class hash of `(machine id, grid, ranks)` —
-/// everything of a [`PointKey`] *except* the traffic options.
-///
-/// Points that differ only in their options are "neighbours": underneath
-/// the scaling model they share one cache-dynamics trace in the simulator's
-/// differential memo (see `clover_cachesim::SimMemo`), so a sweep runner
-/// that executes points of one class consecutively on one worker keeps the
-/// trace leader and its replays in the same warm path.  `DefaultHasher`
-/// with fixed keys is deterministic within a build, which is all a
-/// scheduling hint needs — the class value never reaches any output.
-fn neighbour_hash(machine_id: &str, grid: usize, ranks: usize) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    machine_id.hash(&mut h);
-    grid.hash(&mut h);
-    ranks.hash(&mut h);
-    h.finish()
-}
-
-impl PointKey {
-    /// Scheduling class of this point: equal for sweep points that differ
-    /// only in [`TrafficOptions`] (see [`neighbour_hash`]).
-    pub fn neighbour_class(&self) -> u64 {
-        neighbour_hash(&self.machine, self.grid, self.ranks)
-    }
 }
 
 /// Sharded concurrent memo of evaluated [`ScalingPoint`]s, spanning a whole
@@ -260,98 +233,13 @@ impl ScalingEngine {
         };
         memo.get_or_insert_with(key, || self.point(ranks, opts))
     }
-
-    /// Scheduling class of the point `(machine, grid, ranks)` — equal
-    /// across every [`TrafficOptions`] at that rank count, so a sweep
-    /// runner can group option-neighbours onto one worker (see
-    /// [`PointKey::neighbour_class`]).
-    pub fn neighbour_class(&self, ranks: usize) -> u64 {
-        neighbour_hash(&self.machine().id, self.grid, ranks)
-    }
-
-    /// Evaluate an inclusive rank range through `memo` and fill in speedups
-    /// relative to the first point — the memoized equivalent of
-    /// [`ScalingModel::sweep_range`](crate::ScalingModel::sweep_range).
-    pub fn sweep_range_memo(
-        &self,
-        ranks: std::ops::RangeInclusive<usize>,
-        opts_for: impl Fn(usize) -> TrafficOptions,
-        memo: &SweepMemo,
-    ) -> Vec<ScalingPoint> {
-        let mut points: Vec<ScalingPoint> = ranks
-            .map(|r| self.point_memo(r, &opts_for(r), memo))
-            .collect();
-        crate::scaling::normalise_speedups(&mut points);
-        points
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ScalingModel, TINY_GRID};
+    use crate::TINY_GRID;
     use clover_machine::{icelake_sp_8360y, sapphire_rapids_8480};
-
-    fn all_options(ranks: usize) -> [TrafficOptions; 7] {
-        use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
-        [
-            TrafficOptions::original(ranks),
-            TrafficOptions::optimized(ranks),
-            TrafficOptions::speci2m_off(ranks),
-            TrafficOptions::original(ranks).with_layer_condition(false),
-            TrafficOptions::original(ranks).with_replacement(ReplacementPolicyKind::Srrip),
-            TrafficOptions::original(ranks).with_write_policy(WritePolicyKind::NoAllocate),
-            TrafficOptions::optimized(ranks)
-                .with_replacement(ReplacementPolicyKind::Random)
-                .with_write_policy(WritePolicyKind::NonTemporal),
-        ]
-    }
-
-    #[test]
-    fn neighbour_class_ignores_options_only() {
-        let m = icelake_sp_8360y();
-        let engine = ScalingEngine::new(m.clone(), TINY_GRID);
-        // Same class across every option set at a rank count...
-        let class = engine.neighbour_class(18);
-        for opts in all_options(18) {
-            let key = PointKey {
-                machine: m.id.clone(),
-                grid: TINY_GRID,
-                ranks: 18,
-                opts,
-            };
-            assert_eq!(key.neighbour_class(), class);
-        }
-        // ...but distinct across ranks, grids and machines.
-        assert_ne!(engine.neighbour_class(19), class);
-        assert_ne!(
-            ScalingEngine::new(m.clone(), 1920).neighbour_class(18),
-            class
-        );
-        assert_ne!(
-            ScalingEngine::new(sapphire_rapids_8480(), TINY_GRID).neighbour_class(18),
-            class
-        );
-    }
-
-    #[test]
-    fn memoized_sweep_equals_the_reference_sweep() {
-        let machine = icelake_sp_8360y();
-        let model = ScalingModel::new(machine.clone());
-        let engine = ScalingEngine::new(machine.clone(), TINY_GRID);
-        let memo = SweepMemo::new();
-        // Overlapping ranges: the second and third sweeps are served mostly
-        // (then entirely) from the memo and must not change a bit.
-        for range in [1..=36, 1..=72, 9..=18] {
-            let reference = model.sweep_range(range.clone(), TrafficOptions::original);
-            let memoized = engine.sweep_range_memo(range.clone(), TrafficOptions::original, &memo);
-            assert_eq!(reference, memoized, "range {range:?}");
-        }
-        let (hits, misses) = memo.stats();
-        assert_eq!(misses, 72, "distinct points evaluated once");
-        assert_eq!(hits, 36 + 10, "overlap served from the memo");
-        assert_eq!(memo.len(), 72);
-    }
 
     #[test]
     fn memo_distinguishes_stage_grid_and_machine() {
@@ -369,22 +257,24 @@ mod tests {
 
     #[test]
     fn normalisation_happens_per_range_not_in_the_memo() {
-        // A memo hit must not leak another range's speedup normalisation.
+        // A memo hit must not leak another range's speedup normalisation:
+        // points are memoized un-normalised and each range scales its own
+        // copy.
         let engine = ScalingEngine::new(icelake_sp_8360y(), TINY_GRID);
         let memo = SweepMemo::new();
-        let full = engine.sweep_range_memo(1..=18, TrafficOptions::original, &memo);
-        let partial = engine.sweep_range_memo(9..=18, TrafficOptions::original, &memo);
+        let sweep = |ranks: std::ops::RangeInclusive<usize>| {
+            let mut points: Vec<ScalingPoint> = ranks
+                .map(|r| engine.point_memo(r, &TrafficOptions::original(r), &memo))
+                .collect();
+            crate::normalise_speedups(&mut points);
+            points
+        };
+        let full = sweep(1..=18);
+        let partial = sweep(9..=18);
+        assert_eq!(memo.stats(), (10, 18), "the sub-range is all hits");
+        assert!(memo.entries().iter().all(|(_, p)| p.speedup == 0.0));
         assert!((partial[0].speedup - 1.0).abs() < 1e-12);
         let expected = full[8].time_per_step / full[17].time_per_step;
         assert!((partial[9].speedup - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_range_yields_empty_sweep() {
-        let engine = ScalingEngine::new(icelake_sp_8360y(), TINY_GRID);
-        let memo = SweepMemo::new();
-        assert!(engine
-            .sweep_range_memo(5..=4, TrafficOptions::original, &memo)
-            .is_empty());
     }
 }

@@ -15,7 +15,7 @@
 //!   `clover-core` applied to the scenario's axes.
 //!
 //! The `figures sweep` subcommand and the `figures serve` daemon expose the
-//! engine; custom evaluators plug in via [`runner::run_scenarios_with`].
+//! engine; custom evaluators plug in via [`run_scenario_items_with`].
 
 pub mod cli;
 pub mod interference;
@@ -27,7 +27,7 @@ pub use interference::interference_factor;
 pub use plan::{
     Aggressor, LayerCondition, RankRange, Scenario, Stage, SweepPlan, DEFAULT_INTERLEAVE,
 };
-pub use runner::{run_scenario_items_with, run_scenarios_with};
+pub use runner::run_scenario_items_with;
 
 use clover_cachesim::SimMemo;
 use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
@@ -119,7 +119,7 @@ fn apply_interference(scenario: &Scenario, points: &mut [ScalingPoint], memo: &S
 
 /// Turn the evaluated (un-normalised) points of `scenario` into its
 /// artifact: interference scaling, then speedup normalisation, then the
-/// table.  The one assemble step of [`evaluate`] and [`run_plan_memo`], so
+/// table.  The one assemble step of [`evaluate`] and [`run_plan_memos`], so
 /// the two paths agree to the last bit of every cell.
 fn assemble(scenario: &Scenario, mut points: Vec<ScalingPoint>, corun_memo: &SimMemo) -> Artifact {
     apply_interference(scenario, &mut points, corun_memo);
@@ -153,15 +153,29 @@ pub fn run_plan(plan: &SweepPlan, jobs: usize) -> Vec<Artifact> {
     run_plan_memo(plan, jobs, &SweepMemo::new())
 }
 
-/// [`run_plan`] through an external, caller-owned [`SweepMemo`].
-///
-/// The memo may outlive the plan: a persistent store (`clover-service`)
-/// or a `figures serve` daemon passes one memo to every plan it runs, so
-/// points evaluated by earlier plans — or warm-loaded from disk — are
-/// served as hits.  Points are memoized pre-normalisation, so sharing a
-/// memo across plans cannot leak one range's speedup baseline into
-/// another; the output stays byte-identical to a cold [`run_plan`].
+/// [`run_plan`] through an external, caller-owned [`SweepMemo`]; the
+/// co-run simulations behind contended scenarios share a [`SimMemo`] that
+/// lives only as long as this plan (see [`run_plan_memos`]).
 pub fn run_plan_memo(plan: &SweepPlan, jobs: usize, memo: &SweepMemo) -> Vec<Artifact> {
+    run_plan_memos(plan, jobs, memo, &SimMemo::new())
+}
+
+/// [`run_plan`] through external, caller-owned memos.
+///
+/// Both memos may outlive the plan: a persistent store (`clover-service`)
+/// or a `figures serve` daemon passes one pair to every plan it runs, so
+/// points evaluated by earlier plans — or warm-loaded from disk — are
+/// served as hits, and plans sharing a `(machine, aggressor, interleave)`
+/// co-run identity pay for one interference simulation between them.
+/// Points are memoized pre-normalisation, so sharing a memo across plans
+/// cannot leak one range's speedup baseline into another; the output stays
+/// byte-identical to a cold [`run_plan`].
+pub fn run_plan_memos(
+    plan: &SweepPlan,
+    jobs: usize,
+    memo: &SweepMemo,
+    sims: &SimMemo,
+) -> Vec<Artifact> {
     let scenarios = plan.expand();
     // One engine per (machine, grid) axis pair, shared by every worker; the
     // few-entry list makes the per-item lookup a short scan.
@@ -184,25 +198,15 @@ pub fn run_plan_memo(plan: &SweepPlan, jobs: usize, memo: &SweepMemo) -> Vec<Art
             .map(|(_, e)| e)
             .expect("every scenario's engine was built above")
     };
-    // One co-run memo spans the plan: scenarios sharing (machine,
-    // aggressor, interleave) pay for one interference simulation.
-    let corun_memo = SimMemo::new();
-    // Schedule by neighbour class: points that differ only in their
-    // traffic options (same machine, grid and rank count) run
-    // consecutively, so the differential simulation memo's trace leader
-    // and its replays share one worker's warm path.  Scheduling reorders
-    // execution only — the output stays byte-identical (a tested runner
-    // property).
-    runner::run_scenario_items_scheduled(
+    run_scenario_items_with(
         &scenarios,
         jobs,
         |s| s.ranks.len(),
-        |s, i| engine_for(s).neighbour_class(s.ranks.start + i),
         |s, i| {
             let ranks = s.ranks.start + i;
             engine_for(s).point_memo(ranks, &s.options(ranks), memo)
         },
-        |s, points| assemble(s, points, &corun_memo),
+        |s, points| assemble(s, points, sims),
     )
 }
 

@@ -19,8 +19,9 @@ use parking_lot::Mutex;
 use crate::plan::Scenario;
 
 /// Evaluate the flattened `(scenario, item)` pairs of `scenarios` with
-/// `eval_item`, fanning out across `jobs` worker threads, then assemble one
-/// artifact per scenario (in plan order) from its items (in item order).
+/// `eval_item`, fanning out across `jobs` worker threads in plan order,
+/// then assemble one artifact per scenario (in plan order) from its items
+/// (in item order).
 ///
 /// `item_count` declares how many independent items each scenario splits
 /// into; `eval_item(scenario, i)` evaluates item `i` of a scenario;
@@ -42,40 +43,6 @@ where
     E: Fn(&Scenario, usize) -> T + Sync,
     A: Fn(&Scenario, Vec<T>) -> Artifact,
 {
-    // A constant key leaves the stable sort a no-op: execution stays in
-    // plan order.
-    run_scenario_items_scheduled(scenarios, jobs, item_count, |_, _| 0, eval_item, assemble)
-}
-
-/// [`run_scenario_items_with`] with a caller-supplied *affinity key*:
-/// items with equal `schedule_key(scenario, i)` are executed consecutively
-/// (stably, plan order within a key), so a work-stealing worker that picks
-/// up one item of a group tends to pick up its siblings while whatever
-/// per-group state the evaluator warms (a memoized trace, a pooled core
-/// arena) is still hot.
-///
-/// The key reorders *execution only*: results land in the same
-/// pre-allocated plan-position slots and assembly walks them in plan
-/// order, so the output is byte-identical for every key function and every
-/// `jobs` — the same determinism contract as the unscheduled runner.
-///
-/// # Panics
-/// Panics if `jobs == 0` or a worker panics (the panic is propagated).
-pub fn run_scenario_items_scheduled<T, C, K, E, A>(
-    scenarios: &[Scenario],
-    jobs: usize,
-    item_count: C,
-    schedule_key: K,
-    eval_item: E,
-    assemble: A,
-) -> Vec<Artifact>
-where
-    T: Send,
-    C: Fn(&Scenario) -> usize,
-    K: Fn(&Scenario, usize) -> u64,
-    E: Fn(&Scenario, usize) -> T + Sync,
-    A: Fn(&Scenario, Vec<T>) -> Artifact,
-{
     assert!(jobs >= 1, "jobs must be >= 1");
     let counts: Vec<usize> = scenarios.iter().map(&item_count).collect();
     let total: usize = counts.iter().sum();
@@ -93,13 +60,6 @@ where
         .enumerate()
         .flat_map(|(si, &n)| (0..n).map(move |ii| (si, ii)))
         .collect();
-    // Execution order: stable-sorted by affinity key so key groups run
-    // consecutively; slots stay addressed by plan position.
-    let mut order: Vec<usize> = (0..index.len()).collect();
-    order.sort_by_key(|&i| {
-        let (si, ii) = index[i];
-        schedule_key(&scenarios[si], ii)
-    });
     // Pre-allocated result slots, written directly by the workers: peak
     // extra memory is the in-flight items of the `jobs` workers, not a
     // channel buffering the whole plan until the scope ends.
@@ -109,16 +69,14 @@ where
     let eval_item = &eval_item;
     let next = &next;
     let index = &index;
-    let order = &order;
     let slots = &slots;
     crossbeam::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(move |_| loop {
-                let pos = next.fetch_add(1, Ordering::Relaxed);
-                if pos >= order.len() {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= index.len() {
                     break;
                 }
-                let i = order[pos];
                 let (si, ii) = index[i];
                 let value = eval_item(&scenarios[si], ii);
                 *slots[i].lock() = Some(value);
@@ -142,26 +100,6 @@ where
         artifacts.push(assemble(s, items));
     }
     artifacts
-}
-
-/// Evaluate `scenarios` with `eval`, fanning out across `jobs` worker
-/// threads.  The returned artifacts are in scenario order for any `jobs`.
-/// (One item per scenario; use [`run_scenario_items_with`] to split a
-/// scenario into finer work items.)
-///
-/// # Panics
-/// Panics if `jobs == 0` or a worker panics (the panic is propagated).
-pub fn run_scenarios_with<F>(scenarios: &[Scenario], jobs: usize, eval: F) -> Vec<Artifact>
-where
-    F: Fn(&Scenario) -> Artifact + Sync,
-{
-    run_scenario_items_with(
-        scenarios,
-        jobs,
-        |_| 1,
-        |s, _| eval(s),
-        |_, mut items| items.pop().expect("one item per scenario"),
-    )
 }
 
 #[cfg(test)]
@@ -246,48 +184,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_reorders_execution_but_not_output() {
-        // An adversarial key (reverse plan order) and a grouping key (item
-        // index across scenarios) must both produce byte-identical output
-        // to the unscheduled runner, for any worker count.
-        let scenarios = small_plan().expand();
-        let count = |s: &Scenario| s.ranks.len();
-        let eval = |s: &Scenario, i: usize| format!("{}#{}", s.id(), i);
-        let assemble = |s: &Scenario, items: Vec<String>| {
-            let mut a = Artifact::new(&s.id(), "sched").column("item", None);
-            for item in items {
-                a.push_row(vec![item.into()]);
-            }
-            a
-        };
-        let reference = run_scenario_items_with(&scenarios, 1, count, eval, assemble);
-        for jobs in [1usize, 2, 5] {
-            let reversed = run_scenario_items_scheduled(
-                &scenarios,
-                jobs,
-                count,
-                |s, i| u64::MAX - (s.ranks.start + i) as u64,
-                eval,
-                assemble,
-            );
-            assert_eq!(reference, reversed, "reversed key, jobs={jobs}");
-            let grouped = run_scenario_items_scheduled(
-                &scenarios,
-                jobs,
-                count,
-                |_, i| i as u64,
-                eval,
-                assemble,
-            );
-            assert_eq!(reference, grouped, "grouping key, jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn worker_panic_propagates() {
         let scenarios = small_plan().expand();
         let result = std::panic::catch_unwind(|| {
-            run_scenarios_with(&scenarios, 2, |_| panic!("evaluator exploded"))
+            run_scenario_items_with(
+                &scenarios,
+                2,
+                |_| 1,
+                |_, _| -> Artifact { panic!("evaluator exploded") },
+                |_, mut items| items.pop().expect("one item per scenario"),
+            )
         });
         assert!(result.is_err());
     }

@@ -11,7 +11,8 @@
 //!                         the `figures sweep` command line (shared
 //!                         parser), the response payload is byte-identical
 //!                         to what `figures sweep` prints
-//! stats                   memo hit/miss/entry counts
+//! stats                   memo hit/miss/entry counts (`sim-*` sum the
+//!                         solo and co-run simulation tables)
 //! save                    persist the memo state now
 //! ping                    liveness probe
 //! quit                    save (if a store is configured) and disconnect
@@ -42,14 +43,14 @@ use std::sync::Arc;
 
 use clover_cachesim::SimMemo;
 use clover_core::SweepMemo;
-use clover_scenario::{render_block, run_plan_memo, SweepArgs};
+use clover_scenario::{render_block, run_plan_memos, SweepArgs};
 
 use crate::cache::{ResponseCache, ResponseCacheStats};
 use crate::model::model_hash;
 use crate::pool::{ShardedQueue, WorkerPool};
 use crate::store::{LoadOutcome, PersistentStore};
 
-/// Default response-cache capacity (payload entries) of a new service.
+/// Response-cache capacity (payload entries) of a service.
 pub const DEFAULT_RESPONSE_CACHE_ENTRIES: usize = 128;
 
 /// A long-lived sweep evaluator: the memo state, optionally backed by a
@@ -58,9 +59,8 @@ pub struct SweepService {
     sim: SimMemo,
     sweep: SweepMemo,
     store: Option<PersistentStore>,
-    /// Rendered-payload cache; `None` disables response caching (every
-    /// request evaluates through the memos, the PR 7 behavior).
-    responses: Option<ResponseCache>,
+    /// Rendered-payload cache.
+    responses: ResponseCache,
     /// Entry bound applied when persisting the memos (see
     /// [`PersistentStore::save_capped`]); `None` saves everything.
     store_cap: Option<usize>,
@@ -91,7 +91,7 @@ impl SweepService {
             sim: SimMemo::new(),
             sweep: SweepMemo::new(),
             store: None,
-            responses: Some(ResponseCache::new(DEFAULT_RESPONSE_CACHE_ENTRIES)),
+            responses: ResponseCache::new(DEFAULT_RESPONSE_CACHE_ENTRIES),
             store_cap: None,
             max_jobs: None,
             requests: AtomicU64::new(0),
@@ -109,19 +109,6 @@ impl SweepService {
         let outcome = store.warm_load(&service.sim, &service.sweep);
         service.store = Some(store);
         (service, outcome)
-    }
-
-    /// Replace the response cache with one holding `cap` payloads.
-    pub fn with_response_cache(mut self, cap: usize) -> Self {
-        self.responses = Some(ResponseCache::new(cap));
-        self
-    }
-
-    /// Disable the response cache: every request evaluates through the
-    /// memos (the PR 7 request path; the bench baseline uses this).
-    pub fn without_response_cache(mut self) -> Self {
-        self.responses = None;
-        self
     }
 
     /// Bound persisted snapshots to `cap` entries: saves become
@@ -151,12 +138,9 @@ impl SweepService {
         &self.sweep
     }
 
-    /// Response-cache statistics (zeros when the cache is disabled).
+    /// Response-cache statistics.
     pub fn response_stats(&self) -> ResponseCacheStats {
-        self.responses
-            .as_ref()
-            .map(|c| c.stats())
-            .unwrap_or_default()
+        self.responses.stats()
     }
 
     /// Persist the memo state, if a store is configured.  Returns the
@@ -194,7 +178,8 @@ impl SweepService {
             Some("ping") => Response::Line("ok pong".into()),
             Some("stats") => {
                 let (sweep_hits, sweep_misses) = self.sweep.stats();
-                let sim = self.sim.stats();
+                // Both simulation tables: a co-run is a simulation too.
+                let (sim, corun) = (self.sim.stats(), self.sim.corun_stats());
                 let responses = self.response_stats();
                 Response::Line(format!(
                     "ok stats sweep-hits {sweep_hits} sweep-misses {sweep_misses} \
@@ -202,9 +187,9 @@ impl SweepService {
                      requests {} response-hits {} response-misses {} \
                      response-evictions {} store-evictions {} store-compactions {}",
                     self.sweep.len(),
-                    sim.hits,
-                    sim.misses,
-                    self.sim.len(),
+                    sim.hits + corun.hits,
+                    sim.misses + corun.misses,
+                    self.sim.len() + self.sim.corun_len(),
                     self.requests.load(Ordering::Relaxed),
                     responses.hits,
                     responses.misses,
@@ -227,22 +212,16 @@ impl SweepService {
                         // Canonical output identity: collapses flag
                         // spellings and `--jobs`, versioned by the model
                         // hash like the persistent store.
-                        let key = self
-                            .responses
-                            .as_ref()
-                            .map(|_| format!("{:016x}\n{}", model_hash(), parsed.cache_key()));
-                        if let (Some(cache), Some(key)) = (&self.responses, &key) {
-                            if let Some(payload) = cache.get(key) {
-                                // Repeat query: an O(payload) byte copy,
-                                // byte-identical by construction (payloads
-                                // are stored under the canonical key of
-                                // the deterministic evaluation that
-                                // produced them).
-                                return Response::Payload((*payload).clone());
-                            }
+                        let key = format!("{:016x}\n{}", model_hash(), parsed.cache_key());
+                        if let Some(payload) = self.responses.get(&key) {
+                            // Repeat query: an O(payload) byte copy,
+                            // byte-identical by construction (payloads are
+                            // stored under the canonical key of the
+                            // deterministic evaluation that produced them).
+                            return Response::Payload((*payload).clone());
                         }
                         let jobs = parsed.jobs.min(self.max_jobs.unwrap_or(usize::MAX)).max(1);
-                        let artifacts = run_plan_memo(&parsed.plan, jobs, &self.sweep);
+                        let artifacts = run_plan_memos(&parsed.plan, jobs, &self.sweep, &self.sim);
                         // Exactly the bytes `figures sweep` prints for the
                         // same flags — byte-identity is the contract.
                         let payload = if parsed.json {
@@ -252,9 +231,7 @@ impl SweepService {
                         } else {
                             artifacts.iter().map(render_block).collect()
                         };
-                        if let (Some(cache), Some(key)) = (&self.responses, key) {
-                            cache.insert(key, Arc::new(payload.clone()));
-                        }
+                        self.responses.insert(key, Arc::new(payload.clone()));
                         Response::Payload(payload)
                     }
                 }
@@ -429,7 +406,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let parsed = SweepArgs::parse(&args).unwrap();
-        let expected: String = run_plan_memo(&parsed.plan, 2, &SweepMemo::new())
+        let expected: String = clover_scenario::run_plan(&parsed.plan, 2)
             .iter()
             .map(render_block)
             .collect();
@@ -469,27 +446,9 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_response_cache_restores_memo_serving() {
-        let service = SweepService::new().without_response_cache();
-        let Response::Payload(cold) = service.handle_request(&sweep_line("")) else {
-            panic!("expected a payload");
-        };
-        let Response::Payload(warm) = service.handle_request(&sweep_line("")) else {
-            panic!("expected a payload");
-        };
-        assert_eq!(cold, warm);
-        let (hits, misses) = service.sweep_memo().stats();
-        assert_eq!(misses, 8, "second request evaluated nothing");
-        assert_eq!(hits, 8, "second request was served from the memo");
-        assert_eq!(service.response_stats(), Default::default());
-    }
-
-    #[test]
     fn jobs_clamp_changes_scheduling_not_bytes() {
-        let unclamped = SweepService::new().without_response_cache();
-        let clamped = SweepService::new()
-            .without_response_cache()
-            .with_max_jobs(1);
+        let unclamped = SweepService::new();
+        let clamped = SweepService::new().with_max_jobs(1);
         let Response::Payload(a) = unclamped.handle_request(&sweep_line("")) else {
             panic!("expected a payload");
         };
@@ -515,6 +474,27 @@ mod tests {
                 "response-hits 1 response-misses 1 response-evictions 0 \
                  store-evictions 0 store-compactions 0"
             ),
+            "{stats}"
+        );
+    }
+
+    #[test]
+    fn requests_with_one_corun_identity_share_its_simulation() {
+        let service = SweepService::new();
+        for ranks in ["1..36", "37..72"] {
+            let line =
+                format!("sweep --machine icx-8360y --ranks {ranks} --aggressor thrash --jobs 1");
+            let Response::Payload(_) = service.handle_request(&line) else {
+                panic!("expected a payload");
+            };
+        }
+        let corun = service.sim_memo().corun_stats();
+        assert_eq!((corun.hits, corun.misses), (1, 1));
+        let Response::Line(stats) = service.handle_request("stats") else {
+            panic!("expected a stats line");
+        };
+        assert!(
+            stats.contains("sim-hits 1 sim-misses 1 sim-entries 1 "),
             "{stats}"
         );
     }

@@ -29,8 +29,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use clover_cachesim::memo::{KernelSpec, RankBase, SimKey, SpecOperand};
+use clover_cachesim::memo::{Accounting, Dynamics, KernelSpec, RankBase, SimKey, SpecOperand};
 use clover_cachesim::{AccessKind, MemCounters, SimMemo};
 use clover_core::engine::PointKey;
 use clover_core::{CodeVariant, ScalingPoint, SweepMemo, TrafficOptions};
@@ -201,9 +202,21 @@ impl PersistentStore {
         if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
             fs::create_dir_all(dir)?;
         }
-        let tmp = self.path.with_extension("tmp");
-        fs::write(&tmp, &text)?;
-        fs::rename(&tmp, &self.path)?;
+        // A temp name of its own per save: concurrent saves (pool workers
+        // whose clients disconnect together, a daemon beside a `figures
+        // sweep --store`) must never write one temp file at once.  Same
+        // directory, so the rename stays atomic.
+        static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(format!(
+            ".tmp.{}.{}",
+            std::process::id(),
+            SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        if let Err(e) = fs::write(&tmp, &text).and_then(|()| fs::rename(&tmp, &self.path)) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         Ok(SaveReport {
             written: count,
             evicted,
@@ -501,22 +514,23 @@ fn decode_kernel(cur: &mut Cursor) -> Option<KernelSpec> {
 }
 
 fn encode_sim(key: &SimKey, c: &MemCounters) -> String {
+    let (d, a) = (&key.dynamics, &key.accounting);
     let mut out = String::from("sim ");
-    out.push_str(&esc(&key.machine));
+    out.push_str(&esc(&d.machine));
     let _ = write!(
         out,
         " {:016x} {} {} {} {} {} {} {:016x} {} {} {}",
-        key.utilization_bits,
-        key.active_domains,
-        key.total_domains,
-        bool_token(key.speci2m_enabled),
-        bool_token(key.adjacent_line),
-        bool_token(key.streamer),
-        key.streamer_distance,
-        key.pf_off_evasion_bits,
-        key.l3_sharers,
-        key.replacement.name(),
-        key.write_policy.name(),
+        a.utilization_bits,
+        a.active_domains,
+        a.total_domains,
+        bool_token(a.speci2m_enabled),
+        bool_token(d.adjacent_line),
+        bool_token(d.streamer),
+        d.streamer_distance,
+        a.pf_off_evasion_bits,
+        d.l3_sharers,
+        d.replacement.name(),
+        d.write_policy.name(),
     );
     encode_kernel(&mut out, &key.kernel);
     let _ = write!(
@@ -533,6 +547,8 @@ fn encode_sim(key: &SimKey, c: &MemCounters) -> String {
 }
 
 fn decode_sim(cur: &mut Cursor) -> Option<(SimKey, MemCounters)> {
+    // Token order is the `cloverstore 1` line format, not the key's
+    // structure: dynamics and accounting fields interleave.
     let machine = cur.string()?;
     let utilization_bits = cur.bits()?;
     let active_domains = cur.usize()?;
@@ -556,18 +572,22 @@ fn decode_sim(cur: &mut Cursor) -> Option<(SimKey, MemCounters)> {
     };
     Some((
         SimKey {
-            machine,
-            utilization_bits,
-            active_domains,
-            total_domains,
-            speci2m_enabled,
-            adjacent_line,
-            streamer,
-            streamer_distance,
-            pf_off_evasion_bits,
-            l3_sharers,
-            replacement,
-            write_policy,
+            dynamics: Dynamics {
+                machine,
+                adjacent_line,
+                streamer,
+                streamer_distance,
+                l3_sharers,
+                replacement,
+                write_policy,
+            },
+            accounting: Accounting {
+                utilization_bits,
+                active_domains,
+                total_domains,
+                speci2m_enabled,
+                pf_off_evasion_bits,
+            },
             kernel,
         },
         counters,
@@ -678,11 +698,13 @@ mod tests {
             k0: 0,
             rows: 4,
         };
-        let key = SimKey::new(
+        let key = SimKey::for_policies(
             &m,
             OccupancyContext::compact(&m, 18),
             CoreSimOptions::default(),
             &kernel,
+            ReplacementPolicyKind::Lru,
+            WritePolicyKind::Allocate,
         );
         let counters = MemCounters {
             read_lines: 1234.5,
@@ -735,6 +757,50 @@ mod tests {
             counters.speculative_read_lines.to_bits()
         );
         assert_eq!(rc, counters);
+    }
+
+    #[test]
+    fn sim_line_fixture_decodes_to_the_expected_key_and_encodes_back() {
+        // A literal `cloverstore 1` line: round trips alone would also pass
+        // a symmetric reorder of two fields in encode and decode.
+        let line = "sim spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 srrip \
+                    no-allocate shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt \
+                    221 2 216 1 4 40934a0000000000 3fd3333333333334 0010000000000000 \
+                    7e37e43c8800759c 0000000000000000 8000000000000000";
+        let (sample_key, expected_counters) = sample_sim_entry();
+        let expected_key = SimKey {
+            dynamics: Dynamics {
+                machine: "spr 8470".into(),
+                adjacent_line: true,
+                streamer: false,
+                streamer_distance: 12,
+                l3_sharers: 26,
+                replacement: ReplacementPolicyKind::Srrip,
+                write_policy: WritePolicyKind::NoAllocate,
+            },
+            accounting: Accounting {
+                utilization_bits: 0.75f64.to_bits(),
+                active_domains: 3,
+                total_domains: 8,
+                speci2m_enabled: false,
+                pf_off_evasion_bits: 0.55f64.to_bits(),
+            },
+            // The sample kernel: rank-shifted, a two-point load operand
+            // and a `store-nt` one.
+            kernel: KernelSpec {
+                i0: 2,
+                k0: 1,
+                ..sample_key.kernel
+            },
+        };
+        let tokens: Vec<&str> = line.split_whitespace().collect();
+        let mut cur = Cursor::new(&tokens[1..]);
+        let (key, counters) = decode_sim(&mut cur).expect("the fixture decodes");
+        assert!(cur.done());
+        assert_eq!(key, expected_key);
+        assert_eq!(counters, expected_counters);
+        assert!(counters.speculative_read_lines.is_sign_negative());
+        assert_eq!(encode_sim(&key, &counters), tokens.join(" "));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::patterns::{RowSweep, StencilOperand, StencilRowSweep};
 use cloverleaf_wa::cachesim::{
-    AccessKind, AccessRun, CoreSim, KernelSpec, NoWriteAllocate, NodeSim, NonTemporal,
-    PrefetcherConfig, RandomEvict, RankBase, ReplacementPolicy, SimConfig, SimMemo, SpecOperand,
-    Srrip, TreePlru, TrueLru, WriteAllocate, WritePolicy,
+    AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NoWriteAllocate, NodeSim,
+    NonTemporal, PrefetcherConfig, PrivateCore, RandomEvict, RankBase, ReplacementPolicy,
+    SetAssocCache, SimConfig, SimMemo, SpecOperand, Srrip, SweepCursor, TreePlru, TrueLru,
+    WriteAllocate, WritePolicy,
 };
 use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, ReplacementPolicyKind, WritePolicyKind};
 use proptest::prelude::*;
@@ -600,7 +601,11 @@ proptest! {
     /// A single-tenant co-run is the solo composition driven through the
     /// resumable cursor: for arbitrary kernels and *any* interleave
     /// granularity it must be bit-identical to `run_spmd` on one rank, with
-    /// every contended-vs-solo delta exactly zero.
+    /// every contended-vs-solo delta exactly zero.  `run_spmd` runs the
+    /// same cursor, so the oracle is the per-element `drive_scalar` on a
+    /// fresh core: same counters, same hits and misses at every level, for
+    /// every turn budget and for a misaligned base (the cursor's
+    /// element-by-element mode).
     #[test]
     fn single_tenant_corun_matches_run_spmd_for_any_interleave(
         operand_mix in 0usize..4,
@@ -608,10 +613,11 @@ proptest! {
         rows in 1u64..4,
         stride_extra in 0u64..6,
         interleave in prop::sample::select(vec![1u64, 2, 3, 7, 64, 1000, u64::MAX]),
+        misaligned in prop::sample::select(vec![false, true]),
     ) {
         let machine = icelake_sp_8360y();
         let mut operands = vec![SpecOperand {
-            offset: 1 << 33,
+            offset: (1 << 33) + if misaligned { 4 } else { 0 },
             points: vec![(0, 0)],
             kind: AccessKind::Store,
         }];
@@ -638,7 +644,7 @@ proptest! {
             k0: 1,
             rows,
         };
-        let sim = NodeSim::new(SimConfig::new(machine, 1));
+        let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
         let solo = sim.run_spmd(|rank, core| spec.drive(rank, core));
         let corun = sim.run_corun(std::slice::from_ref(&spec), interleave, &SimMemo::new());
         prop_assert_eq!(corun.tenants.len(), 1);
@@ -649,6 +655,30 @@ proptest! {
         prop_assert_eq!(t.llc_hits, t.solo_llc_hits);
         prop_assert_eq!(t.llc_misses, t.solo_llc_misses);
         prop_assert_eq!(t.occupancy_lines, t.solo_occupancy_lines);
+
+        let ctx = OccupancyContext::domain_load(&machine, 1, 1);
+        let options = CoreSimOptions {
+            l3_sharers: DomainOccupancy::l3_sharers(&machine, 1),
+            ..Default::default()
+        };
+        let mut oracle: CoreSim = CoreSim::new(&machine, ctx, options);
+        spec.sweep(0).drive_scalar(&mut oracle);
+        let stats_before_flush = oracle.cache_stats();
+        prop_assert_eq!(&t.counters, &oracle.flush(), "interleave={}", interleave);
+        prop_assert_eq!((t.llc_hits, t.llc_misses), oracle.cache_stats()[2]);
+        // The report carries the shared level only; the private levels are
+        // read off a cursor advanced in the same turns.
+        let mut private = PrivateCore::<TrueLru, WriteAllocate>::new(&machine, ctx, options);
+        let mut llc = SetAssocCache::<TrueLru>::new(
+            (corun.llc_lines * 64) as usize,
+            machine.caches.l3.associativity,
+        );
+        let mut cursor = SweepCursor::new(&spec.sweep(0));
+        while !cursor.finished() {
+            cursor.advance(&mut private, &mut llc, interleave);
+        }
+        let [l1, l2] = private.upper_cache_stats();
+        prop_assert_eq!([l1, l2, (llc.hits(), llc.misses())], stats_before_flush);
     }
 
     /// One `SimMemo` shared across solo runs and co-runs of the same

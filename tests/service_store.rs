@@ -187,15 +187,53 @@ fn serve_loop_answers_batched_clients_with_framed_payloads() {
         "repeat is a response-cache hit: {tail}"
     );
     assert!(tail.ends_with("ok bye\n"), "quit without a store: {tail}");
+}
 
-    // With the response cache disabled the repeat is served warm from the
-    // memo instead — the pre-PR10 daemon semantics stay reachable.
-    let service = SweepService::new().without_response_cache();
-    let mut out = Vec::new();
-    service.serve(batch.as_bytes(), &mut out).unwrap();
-    let text = String::from_utf8(out).unwrap();
-    assert!(text.contains("sweep-hits 36 sweep-misses 36"), "{text}");
-    assert!(text.contains("response-hits 0 response-misses 0"), "{text}");
+#[test]
+fn concurrent_saves_never_share_a_temp_file() {
+    // Every pool worker saves when its client quits or disconnects, so
+    // saves race each other and the sweeps still being served.  Whatever
+    // the interleaving, the file left behind is one complete snapshot.
+    let store = temp_store("concurrent-saves");
+    let (service, _) = SweepService::with_store(store.clone());
+    request_sweep(&service);
+    let barrier = std::sync::Barrier::new(9);
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                barrier.wait();
+                for _ in 0..25 {
+                    service.save().expect("a racing save must not fail");
+                }
+            });
+        }
+        scope.spawn(|| {
+            barrier.wait();
+            for ranks in 13..24 {
+                let line = format!("sweep --machine icx-8360y --grid 1920 --ranks 1..{ranks}");
+                let Response::Payload(_) = service.handle_request(&line) else {
+                    panic!("sweep failed under racing saves");
+                };
+            }
+        });
+    });
+    let entries = service.save().unwrap().expect("store is configured");
+    assert_eq!(
+        entries,
+        service.sweep_memo().len() + service.sim_memo().len()
+    );
+    assert_eq!(store.load().1, LoadOutcome::Warm(entries));
+    let dir = store.path().parent().unwrap();
+    let leftovers: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().contains(".tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
+    let _ = fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! * plan expansion is the exact cartesian product of the axes, in
 //!   deterministic order.
 
-use cloverleaf_wa::core::{ScalingEngine, ScalingModel, SweepMemo, TrafficOptions};
+use cloverleaf_wa::core::{
+    normalise_speedups, ScalingEngine, ScalingModel, SweepMemo, TrafficOptions,
+};
 use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
@@ -212,7 +214,11 @@ fn memoized_sweep_range_matches_model_sweep_range() {
     // Overlapping ranges exercise cold, mixed and fully-warm lookups.
     for range in [1..=72usize, 1..=36, 17..=54] {
         let reference = model.sweep_range(range.clone(), TrafficOptions::original);
-        let memoized = engine.sweep_range_memo(range.clone(), TrafficOptions::original, &memo);
+        let mut memoized: Vec<_> = range
+            .clone()
+            .map(|r| engine.point_memo(r, &TrafficOptions::original(r), &memo))
+            .collect();
+        normalise_speedups(&mut memoized);
         assert_eq!(reference, memoized, "range {range:?}");
     }
     let (hits, misses) = memo.stats();
