@@ -23,7 +23,7 @@ use clover_core::{
 };
 use clover_golden::{check_artifact, golden, markdown_delta_table, Artifact, Cell, DiffReport};
 use clover_machine::{icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine};
-use clover_stencil::{cloverleaf_loops, CodeBalance, PAPER_MEASURED_SINGLE_CORE};
+use clover_stencil::{loop_catalogue, CodeBalance, PAPER_MEASURED_SINGLE_CORE};
 use clover_ubench::{
     copy_halo_ratio_memo, copy_volume_per_iteration_memo, store_ratio_memo, StoreKind,
 };
@@ -120,9 +120,9 @@ pub fn table1() -> Artifact {
     .column("max", Some("byte/it"))
     .num_column("predicted_1core", Some("byte/it"), 2)
     .num_column("paper_measured_1core", Some("byte/it"), 2);
-    for spec in cloverleaf_loops() {
-        let b = CodeBalance::from_spec(&spec);
-        let t = model.predict_loop(&spec, &opts, &decomp);
+    for spec in loop_catalogue() {
+        let b = CodeBalance::from_spec(spec);
+        let t = model.predict_loop(spec, &opts, &decomp);
         let paper = PAPER_MEASURED_SINGLE_CORE
             .iter()
             .find(|(n, _)| *n == spec.name)
@@ -172,12 +172,12 @@ pub fn fig2() -> Artifact {
 pub fn fig3() -> Artifact {
     let model = ScalingModel::new(icx());
     let mut a = Artifact::new("fig3", "per-loop code balance vs. rank count").column("ranks", None);
-    for l in cloverleaf_loops() {
+    for l in loop_catalogue() {
         a = a.num_column(&l.name, Some("byte/it"), 2);
     }
     for p in model.sweep(72, TrafficOptions::original) {
         let mut row: Vec<Cell> = vec![p.ranks.into()];
-        row.extend(p.loop_balances.iter().map(|(_, b)| Cell::Num(*b)));
+        row.extend(p.loop_balances.iter().map(|&b| Cell::Num(b)));
         a.push_row(row);
     }
     a
@@ -300,7 +300,7 @@ pub fn fig7() -> Artifact {
     .num_column("prediction", Some("byte/it"), 2)
     .num_column("original", Some("byte/it"), 2)
     .num_column("optimized", Some("byte/it"), 2);
-    for (spec, advice) in cloverleaf_loops().iter().zip(&plan.loops) {
+    for (spec, advice) in loop_catalogue().iter().zip(&plan.loops) {
         let bounds = CodeBalance::from_spec(spec);
         let refined = model
             .predict_loop(spec, &TrafficOptions::original(72), &decomp)

@@ -9,11 +9,11 @@
 //!
 //! This module provides
 //!
-//! * [`ScalingEngine`] — the evaluator, holding what never changes across
-//!   a sweep (the 22-loop catalogue, its code-balance bounds and the
-//!   SpecI2M parameter blocks) so [`point`](ScalingEngine::point) derives
-//!   only per-point state.  [`ScalingModel`](crate::ScalingModel) is its
-//!   one-shot front;
+//! * [`ScalingEngine`] — the evaluator.  What no point can change about a
+//!   loop is a process-wide table and what no loop can change about a
+//!   point is derived once per point, so [`point`](ScalingEngine::point)
+//!   is a few flops per loop and allocates only its result.
+//!   [`ScalingModel`](crate::ScalingModel) is its one-shot front;
 //! * [`SweepMemo`] — a sharded concurrent memo of evaluated points keyed by
 //!   `(machine id, grid, ranks, options)`, meant to span a whole sweep
 //!   plan: overlapping rank ranges, repeated stages and repeated artifact
@@ -28,11 +28,10 @@
 
 use clover_cachesim::FlightMemo;
 use clover_machine::Machine;
-use clover_stencil::{cloverleaf_loops, CodeBalance, LoopSpec};
 
 use crate::decomp::{is_prime, Decomposition};
 use crate::scaling::{ScalingPoint, NON_HOTSPOT_FRACTION};
-use crate::traffic::{loop_traffic, LoopTraffic, TrafficModel, TrafficOptions};
+use crate::traffic::{loop_traffic, roofline_time, LoopInvariants, TrafficModel, TrafficOptions};
 
 /// Identity of one scaling point.  Machines are identified by their preset
 /// id (`Machine::id`); preset machines with equal ids are structurally
@@ -120,31 +119,23 @@ impl SweepMemo {
     }
 }
 
-/// Scaling evaluator for one machine and grid, with the
-/// per-sweep-invariant state hoisted out of the per-point path.
+/// Scaling evaluator for one machine and grid.
 #[derive(Debug, Clone)]
 pub struct ScalingEngine {
     traffic: TrafficModel,
     grid: usize,
-    specs: Vec<LoopSpec>,
-    bounds: Vec<CodeBalance>,
 }
 
 impl ScalingEngine {
     /// Engine for `machine` on a square `grid`.
     pub fn new(machine: Machine, grid: usize) -> Self {
-        let specs = cloverleaf_loops();
-        let bounds = specs.iter().map(CodeBalance::from_spec).collect();
         Self {
             traffic: TrafficModel::new(machine),
             grid,
-            specs,
-            bounds,
         }
     }
 
-    /// The same engine on a different square grid (the hoisted state does
-    /// not depend on the grid).
+    /// The same engine on a different square grid.
     pub(crate) fn with_grid(mut self, grid: usize) -> Self {
         self.grid = grid;
         self
@@ -168,12 +159,6 @@ impl ScalingEngine {
         assert!(ranks >= 1 && ranks <= machine.total_cores());
         let decomp = Decomposition::new(ranks, self.grid, self.grid);
         let ctx = self.traffic.point_context(opts, &decomp);
-        let loops: Vec<LoopTraffic> = self
-            .specs
-            .iter()
-            .zip(&self.bounds)
-            .map(|(spec, &bounds)| loop_traffic(spec, bounds, opts, &ctx))
-            .collect();
 
         let iterations = (self.grid as f64) * (self.grid as f64);
         // Per-rank iterations; every loop sweeps the whole local domain.
@@ -187,18 +172,23 @@ impl ScalingEngine {
             .filter(|&&c| c > 0)
             .map(|&c| machine.bandwidth.domain_bandwidth(c) / c as f64)
             .collect();
+        let loops = LoopInvariants::of_catalogue();
+        let mut loop_balances = Vec::with_capacity(loops.len());
         let mut time = 0.0;
         let mut volume = 0.0;
-        for t in &loops {
+        for inv in loops {
+            let bytes = loop_traffic(inv, opts, &ctx);
+            let balance = bytes.read + bytes.write;
             // The code is bulk-synchronous (halo exchange after every
             // kernel): each loop finishes when the most loaded ccNUMA
             // domain finishes.
             let loop_time = per_rank_bws
                 .iter()
-                .map(|&bw| per_rank_iterations * t.time_per_iteration(bw, peak))
+                .map(|&bw| per_rank_iterations * roofline_time(balance, inv.bounds.flops, bw, peak))
                 .fold(0.0, f64::max);
             time += loop_time;
-            volume += iterations * t.code_balance();
+            volume += iterations * balance;
+            loop_balances.push(balance);
         }
         // The non-hotspot 31 % scale the same way (memory bound).
         let time_per_step = time / (1.0 - NON_HOTSPOT_FRACTION);
@@ -211,10 +201,7 @@ impl ScalingEngine {
             speedup: 0.0, // filled in by the range normalisation
             memory_bandwidth: volume_per_step / time_per_step,
             volume_per_step,
-            loop_balances: loops
-                .iter()
-                .map(|l| (l.name.clone(), l.code_balance()))
-                .collect(),
+            loop_balances,
         }
     }
 

@@ -36,6 +36,10 @@ pub use profile::{hotspot_profile, ProfileEntry};
 pub use scaling::{normalise_speedups, ScalingModel, ScalingPoint};
 pub use traffic::{CodeVariant, LoopTraffic, TrafficModel, TrafficOptions};
 
+/// The loops a [`ScalingPoint`]'s `loop_balances` are the balances of, in
+/// order: the process-wide catalogue of `clover-stencil`.
+pub use clover_stencil::loop_catalogue;
+
 /// Schema version of the analytic models as seen by persisted memo
 /// entries.
 ///

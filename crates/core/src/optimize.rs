@@ -79,7 +79,7 @@ impl OptimizationPlan {
         let decomp = Decomposition::new(ranks, TINY_GRID, TINY_GRID);
         let orig_opts = TrafficOptions::original(ranks);
         let opt_opts = TrafficOptions::optimized(ranks);
-        let loops = clover_stencil::cloverleaf_loops()
+        let loops = clover_stencil::loop_catalogue()
             .iter()
             .map(|spec| {
                 let orig = model.predict_loop(spec, &orig_opts, &decomp);

@@ -51,7 +51,7 @@ pub fn hotspot_profile(machine: &Machine, ranks: usize) -> Vec<ProfileEntry> {
     let mut mom = 0.0;
     let mut cell = 0.0;
     let mut pdv = 0.0;
-    for (spec, traffic) in clover_stencil::cloverleaf_loops().iter().zip(&loops) {
+    for (spec, traffic) in clover_stencil::loop_catalogue().iter().zip(&loops) {
         let b = traffic.code_balance();
         match spec.function.as_str() {
             "advec_mom_kernel" => mom += 2.0 * b,

@@ -34,8 +34,10 @@ pub struct ScalingPoint {
     pub memory_bandwidth: f64,
     /// Memory data volume per timestep (bytes).
     pub volume_per_step: f64,
-    /// Per-loop code balance (byte/it) in catalogue order.
-    pub loop_balances: Vec<(String, f64)>,
+    /// Per-loop code balance (byte/it), one value per loop of
+    /// [`loop_catalogue`](crate::loop_catalogue) in its order (the names
+    /// live there).
+    pub loop_balances: Vec<f64>,
 }
 
 /// Fill in speedups relative to the first point of a range — the one
@@ -192,8 +194,10 @@ mod tests {
         // Regression: `sweep(0, …)` used to index `points[0]` out of bounds.
         let model = ScalingModel::new(icelake_sp_8360y());
         assert!(model.sweep(0, TrafficOptions::original).is_empty());
+        let empty = std::ops::RangeInclusive::new(5, 4);
+        assert!(empty.is_empty());
         assert!(model
-            .sweep_range(5..=4, TrafficOptions::original)
+            .sweep_range(empty, TrafficOptions::original)
             .is_empty());
     }
 

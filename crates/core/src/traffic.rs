@@ -14,9 +14,11 @@
 //! full-node model of Fig. 7 and the per-rank curves of Fig. 3 are both
 //! produced by this module.
 
-use clover_machine::speci2m::EvasionContext;
+use std::sync::OnceLock;
+
+use clover_machine::speci2m::SpecI2MResponse;
 use clover_machine::{Machine, ReplacementPolicyKind, SpecI2MParams, WritePolicyKind};
-use clover_stencil::{CodeBalance, LoopSpec};
+use clover_stencil::{loop_catalogue, CodeBalance, LoopSpec};
 
 use crate::decomp::Decomposition;
 
@@ -131,9 +133,51 @@ impl LoopTraffic {
     /// Roofline time per iteration (seconds) at memory bandwidth `bw`
     /// (byte/s) and peak in-core performance `peak_flops` (flop/s).
     pub fn time_per_iteration(&self, bw: f64, peak_flops: f64) -> f64 {
-        let mem = self.code_balance() / bw.max(1.0);
-        let core = self.flops_per_it / peak_flops.max(1.0);
-        mem.max(core)
+        roofline_time(self.code_balance(), self.flops_per_it, bw, peak_flops)
+    }
+}
+
+/// Roofline time per iteration (seconds) of a loop moving `balance` byte/it
+/// and executing `flops` flop/it.
+pub(crate) fn roofline_time(balance: f64, flops: f64, bw: f64, peak_flops: f64) -> f64 {
+    let mem = balance / bw.max(1.0);
+    let core = flops / peak_flops.max(1.0);
+    mem.max(core)
+}
+
+/// Everything of a loop-traffic prediction that depends on the loop but on
+/// no evaluated point: the Table I model inputs and bounds of its
+/// descriptor.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopInvariants {
+    rd_lcf: f64,
+    rd_lcb: f64,
+    wr: f64,
+    evadable: f64,
+    has_branches: bool,
+    speci2m_blocked: bool,
+    /// Structural code-balance bounds (carry the flops per iteration).
+    pub(crate) bounds: CodeBalance,
+}
+
+impl LoopInvariants {
+    pub(crate) fn from_spec(spec: &LoopSpec) -> Self {
+        Self {
+            rd_lcf: spec.rd_lcf() as f64,
+            rd_lcb: spec.rd_lcb() as f64,
+            wr: spec.wr() as f64,
+            evadable: spec.evadable_write_streams() as f64,
+            has_branches: spec.has_branches,
+            speci2m_blocked: spec.speci2m_blocked,
+            bounds: CodeBalance::from_spec(spec),
+        }
+    }
+
+    /// The invariants of every loop of `clover_stencil::loop_catalogue`, in
+    /// catalogue order, derived once per process.
+    pub(crate) fn of_catalogue() -> &'static [LoopInvariants] {
+        static TABLE: OnceLock<Vec<LoopInvariants>> = OnceLock::new();
+        TABLE.get_or_init(|| loop_catalogue().iter().map(Self::from_spec).collect())
     }
 }
 
@@ -143,72 +187,68 @@ impl LoopTraffic {
 pub(crate) struct PointContext<'a> {
     /// Short-row halo overhead factor (one extra line per row and stream).
     row_overhead: f64,
-    /// Bandwidth utilisation of the busiest ccNUMA domain.
-    domain_utilization: f64,
-    /// Populated ccNUMA domains under compact pinning.
-    active_domains: usize,
-    /// Total ccNUMA domains of the node.
-    total_domains: usize,
-    /// Store streak length: a grid row of `local_inner` doubles, in lines.
-    streak_lines: f64,
-    /// SpecI2M parameter block with the variant's MSR switch applied.
+    /// SpecI2M parameter block of the machine.
     params: &'a SpecI2MParams,
+    /// Its response at the point's occupancy and store streak length (a
+    /// grid row of `local_inner` doubles); only the stream count is left
+    /// to the loop.
+    response: SpecI2MResponse,
+    /// Speculative-read fraction of an unblocked loop.
+    speculative_reads: f64,
     /// Early-flush read fraction of non-temporal stores.
     nt_flush: f64,
     /// Reuse efficiency of the modelled replacement policy.
     reuse_efficiency: f64,
 }
 
+/// Predicted traffic of one loop at one point.
+pub(crate) struct LoopBytes {
+    /// Read traffic per iteration (bytes).
+    pub(crate) read: f64,
+    /// Write traffic per iteration (bytes).
+    pub(crate) write: f64,
+    /// Fraction of evadable write-allocates actually evaded.
+    pub(crate) evasion: f64,
+}
+
 /// The paper's first-principles traffic formula for one hotspot loop: the
-/// structural `bounds` of `spec` refined by the SpecI2M response, the code
+/// structural inputs of `inv` refined by the SpecI2M response, the code
 /// variant and the cache policies of `opts` at the point described by
 /// `ctx`.
 pub(crate) fn loop_traffic(
-    spec: &LoopSpec,
-    bounds: CodeBalance,
+    inv: &LoopInvariants,
     opts: &TrafficOptions,
     ctx: &PointContext<'_>,
-) -> LoopTraffic {
+) -> LoopBytes {
     let elem = 8.0;
 
     // An imperfect replacement policy evicts held stencil rows with
     // probability (1 - reuse efficiency), blending the read balance
     // from the LC-fulfilled towards the LC-broken value.  LRU has
     // efficiency 1, so the default takes the exact LCF branch.
-    let rd_lcf = spec.rd_lcf() as f64;
-    let rd_lcb = spec.rd_lcb() as f64;
     let eff = ctx.reuse_efficiency;
     let rd_base = if opts.layer_condition_ok {
         if eff >= 1.0 {
-            rd_lcf
+            inv.rd_lcf
         } else {
-            rd_lcf + (rd_lcb - rd_lcf) * (1.0 - eff)
+            inv.rd_lcf + (inv.rd_lcb - inv.rd_lcf) * (1.0 - eff)
         }
     } else {
-        rd_lcb
+        inv.rd_lcb
     };
-    let wr = spec.wr() as f64;
-    let mut evadable = spec.evadable_write_streams() as f64;
+    let mut evadable = inv.evadable;
 
     // Halo overhead of short rows: each read stream fetches up to one
     // extra cache line per row (Sec. V-C); partial first/last lines of
     // the written rows add the same overhead on the write-allocate side.
     let read_halo_overhead = rd_base * elem * ctx.row_overhead;
 
-    let ectx = EvasionContext {
-        domain_utilization: ctx.domain_utilization,
-        active_domains: ctx.active_domains,
-        total_domains: ctx.total_domains,
-        store_streams: spec.wr().max(1),
-        streak_lines: ctx.streak_lines,
-    };
-
     // Loops whose stores the hardware fails to recognise (ac01/ac05 in
     // the original code) and branchy loops (ac02/ac06) see no SpecI2M in
     // the original variant; the optimized variant restructures ac01/ac05.
     let blocked = match opts.variant {
-        CodeVariant::Original => spec.speci2m_blocked || spec.has_branches,
-        CodeVariant::Optimized => spec.has_branches,
+        CodeVariant::Original => inv.speci2m_blocked || inv.has_branches,
+        CodeVariant::Optimized => inv.has_branches,
         CodeVariant::SpecI2MOff => true,
     };
 
@@ -237,15 +277,15 @@ pub(crate) fn loop_traffic(
         }
     }
 
-    let evasion = if blocked {
-        0.0
+    let (evasion, spec_read) = if blocked {
+        (0.0, 0.0)
     } else {
-        ctx.params.evasion_fraction(&ectx)
-    };
-    let spec_read = if blocked {
-        0.0
-    } else {
-        ctx.params.speculative_read_fraction(&ectx)
+        // SpecI2M sees every written array as one concurrent store stream.
+        let store_streams = (inv.wr as usize).max(1);
+        (
+            ctx.params.evasion_at(&ctx.response, store_streams),
+            ctx.speculative_reads,
+        )
     };
 
     // Reads: leading elements + non-evaded write-allocates + speculative
@@ -257,16 +297,13 @@ pub(crate) fn loop_traffic(
 
     // Writes: every written element reaches memory once; partial lines
     // at row boundaries add up to one extra line per row and stream.
-    let write_halo_overhead = wr * elem * ctx.row_overhead * 0.5;
-    let write = wr * elem + write_halo_overhead;
+    let write_halo_overhead = inv.wr * elem * ctx.row_overhead * 0.5;
+    let write = inv.wr * elem + write_halo_overhead;
 
-    LoopTraffic {
-        name: spec.name.clone(),
-        bounds,
-        read_bytes_per_it: read,
-        write_bytes_per_it: write,
-        evasion_fraction: evasion,
-        flops_per_it: spec.flops as f64,
+    LoopBytes {
+        read,
+        write,
+        evasion,
     }
 }
 
@@ -274,19 +311,12 @@ pub(crate) fn loop_traffic(
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
     machine: Machine,
-    /// `machine.speci2m` with the MSR switch cleared, as
-    /// [`CodeVariant::SpecI2MOff`] sees it.
-    speci2m_off: SpecI2MParams,
 }
 
 impl TrafficModel {
     /// Create a model for `machine`.
     pub fn new(machine: Machine) -> Self {
-        let speci2m_off = machine.speci2m.switched_off();
-        Self {
-            machine,
-            speci2m_off,
-        }
+        Self { machine }
     }
 
     /// Borrow the machine description.
@@ -302,29 +332,47 @@ impl TrafficModel {
         decomp: &Decomposition,
     ) -> PointContext<'_> {
         let machine = &self.machine;
-        let params = match opts.variant {
-            CodeVariant::SpecI2MOff => &self.speci2m_off,
-            _ => &machine.speci2m,
-        };
+        // The MSR switch of `CodeVariant::SpecI2MOff` is `loop_traffic`'s
+        // `blocked`: that variant never reads the response.
+        let params = &machine.speci2m;
         let local_inner = decomp.typical_local_inner().max(1);
         let per_domain = machine.topology.active_cores_per_domain(opts.ranks);
         let active_domains = per_domain.iter().filter(|&&c| c > 0).count().max(1);
         let busiest = per_domain.iter().copied().max().unwrap_or(1);
         let domain_utilization = machine.domain_utilization(busiest);
         let total_domains = machine.topology.domains.len();
-        PointContext {
-            row_overhead: 8.0 / (local_inner as f64 + 8.0),
+        let response = params.response(
             domain_utilization,
             active_domains,
             total_domains,
-            streak_lines: (local_inner as f64 * 8.0 / 64.0).max(1.0),
+            (local_inner as f64 * 8.0 / 64.0).max(1.0),
+        );
+        PointContext {
+            row_overhead: 8.0 / (local_inner as f64 + 8.0),
             params,
+            response,
+            speculative_reads: params.speculative_reads_at(&response),
             nt_flush: params.nt_partial_flush_fraction(
                 domain_utilization,
                 active_domains,
                 total_domains,
             ),
             reuse_efficiency: opts.replacement.reuse_efficiency(),
+        }
+    }
+
+    /// The prediction for `spec`, whose model inputs are derived from the
+    /// descriptor here, at call time.
+    fn predict_in(spec: &LoopSpec, opts: &TrafficOptions, ctx: &PointContext<'_>) -> LoopTraffic {
+        let inv = LoopInvariants::from_spec(spec);
+        let bytes = loop_traffic(&inv, opts, ctx);
+        LoopTraffic {
+            name: spec.name.clone(),
+            bounds: inv.bounds,
+            read_bytes_per_it: bytes.read,
+            write_bytes_per_it: bytes.write,
+            evasion_fraction: bytes.evasion,
+            flops_per_it: inv.bounds.flops,
         }
     }
 
@@ -336,16 +384,15 @@ impl TrafficModel {
         opts: &TrafficOptions,
         decomp: &Decomposition,
     ) -> LoopTraffic {
-        let ctx = self.point_context(opts, decomp);
-        loop_traffic(spec, CodeBalance::from_spec(spec), opts, &ctx)
+        Self::predict_in(spec, opts, &self.point_context(opts, decomp))
     }
 
     /// Predict the traffic of every catalogue loop.
     pub fn predict_all(&self, opts: &TrafficOptions, decomp: &Decomposition) -> Vec<LoopTraffic> {
         let ctx = self.point_context(opts, decomp);
-        clover_stencil::cloverleaf_loops()
+        loop_catalogue()
             .iter()
-            .map(|spec| loop_traffic(spec, CodeBalance::from_spec(spec), opts, &ctx))
+            .map(|spec| Self::predict_in(spec, opts, &ctx))
             .collect()
     }
 }

@@ -7,6 +7,8 @@
 //! ([`crate::diff`]) consumes it directly at full `f64` precision, so
 //! display rounding never affects a verdict.
 
+use std::fmt::Write as _;
+
 use serde::Serialize;
 
 /// One column of an artifact table.
@@ -179,26 +181,33 @@ impl Artifact {
     /// a header line of column names, one comma-separated line per row, and
     /// the notes as trailing `# …` comments.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let header: Vec<&str> = self.columns.iter().map(|c| c.name.as_str()).collect();
-        out.push_str(&header.join(","));
+        // Every cell goes straight into the one output buffer; eight bytes
+        // a cell is a low guess that at worst costs a regrowth.
+        let mut out = String::with_capacity((self.rows.len() + 1) * self.columns.len() * 8);
+        for (i, col) in self.columns.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&col.name);
+        }
         out.push('\n');
         for row in &self.rows {
-            let cells: Vec<String> = row
-                .iter()
-                .zip(&self.columns)
-                .map(|(cell, col)| match cell {
-                    Cell::Int(i) => i.to_string(),
-                    Cell::Num(x) => format!("{:.*}", col.precision.unwrap_or(3), x),
-                    Cell::Text(t) => t.clone(),
-                    Cell::Empty => String::new(),
-                })
-                .collect();
-            out.push_str(&cells.join(","));
+            for (i, (cell, col)) in row.iter().zip(&self.columns).enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                // Writing into a `String` cannot fail.
+                let _ = match cell {
+                    Cell::Int(v) => write!(out, "{v}"),
+                    Cell::Num(x) => write!(out, "{:.*}", col.precision.unwrap_or(3), x),
+                    Cell::Text(t) => out.write_str(t),
+                    Cell::Empty => Ok(()),
+                };
+            }
             out.push('\n');
         }
         for note in &self.notes {
-            out.push_str(&format!("# {note}\n"));
+            let _ = writeln!(out, "# {note}");
         }
         out
     }

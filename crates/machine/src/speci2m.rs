@@ -83,6 +83,17 @@ pub struct SpecI2MParams {
     pub nt_partial_flush_max: f64,
 }
 
+/// The part of the SpecI2M response that the number of concurrent store
+/// streams cannot change: activation ramp, streak-length response and
+/// node-population factor.  An analytic point derives it once for all its
+/// loops ([`SpecI2MParams::response`]) and applies it per stream count.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SpecI2MResponse {
+    ramp: f64,
+    streak: f64,
+    node: f64,
+}
+
 /// Workload/occupancy context for one store stream, used to evaluate the
 /// SpecI2M efficiency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -162,28 +173,45 @@ impl SpecI2MParams {
         1.0 - self.node_population_penalty * frac
     }
 
-    /// Fraction of write-allocates evaded for full-line stores in the given
-    /// context (0..=1).
+    /// The stream-independent part of the SpecI2M response at one
+    /// occupancy and streak length.
+    #[inline]
+    pub fn response(
+        &self,
+        domain_utilization: f64,
+        active_domains: usize,
+        total_domains: usize,
+        streak_lines: f64,
+    ) -> SpecI2MResponse {
+        let ramp = self.activation_ramp(domain_utilization);
+        if ramp <= 0.0 {
+            // Disabled, or below the activation utilisation: both fractions
+            // are exactly zero; skip the exp() of the streak response (the
+            // store path of every serial measurement lands here).
+            return SpecI2MResponse::default();
+        }
+        SpecI2MResponse {
+            ramp,
+            streak: self.streak_response(streak_lines),
+            node: self.node_population_factor(active_domains, total_domains),
+        }
+    }
+
+    /// Fraction of write-allocates evaded (0..=1) by a core issuing
+    /// `store_streams` concurrent store streams under `response`.
     ///
     /// This is the central phenomenological function: the product of the
-    /// activation ramp, the stream-count response, the streak-length
-    /// response, the node-population penalty and the machine's maximum
-    /// evasion efficiency.
-    pub fn evasion_fraction(&self, ctx: &EvasionContext) -> f64 {
-        if !self.enabled {
+    /// machine's maximum evasion efficiency, the activation ramp, the
+    /// stream-count response, the streak-length response and the
+    /// node-population penalty, multiplied in exactly this order.
+    #[inline]
+    pub fn evasion_at(&self, response: &SpecI2MResponse, store_streams: usize) -> f64 {
+        if response.ramp <= 0.0 {
             return 0.0;
         }
-        let ramp = self.activation_ramp(ctx.domain_utilization);
-        if ramp <= 0.0 {
-            // Below the activation utilisation the product is exactly zero;
-            // skip the per-line exp() of the streak response (the store
-            // path of every serial measurement lands here).
-            return 0.0;
-        }
-        let streams = self.stream_response.factor(ctx.store_streams);
-        let streak = self.streak_response(ctx.streak_lines);
-        let node = self.node_population_factor(ctx.active_domains, ctx.total_domains);
-        (self.max_evasion * ramp * streams * streak * node).clamp(0.0, 1.0)
+        let streams = self.stream_response.factor(store_streams);
+        (self.max_evasion * response.ramp * streams * response.streak * response.node)
+            .clamp(0.0, 1.0)
     }
 
     /// Fraction of eligible (full-line) stores that trigger a *speculative
@@ -191,17 +219,34 @@ impl SpecI2MParams {
     /// SpecI2M starts speculating, fails, and the line is fetched anyway —
     /// sometimes more than once (adjacent-line prefetch), which is the
     /// origin of the up-to-24 % read inflation at prime rank counts.
-    pub fn speculative_read_fraction(&self, ctx: &EvasionContext) -> f64 {
-        if !self.enabled {
-            return 0.0;
-        }
-        let ramp = self.activation_ramp(ctx.domain_utilization);
-        if ramp <= 0.0 {
+    #[inline]
+    pub fn speculative_reads_at(&self, response: &SpecI2MResponse) -> f64 {
+        if response.ramp <= 0.0 {
             return 0.0;
         }
         // Failed attempts are those suppressed by the streak response.
-        let failed = 1.0 - self.streak_response(ctx.streak_lines);
-        (self.speculative_read_penalty * ramp * failed).clamp(0.0, 1.0)
+        let failed = 1.0 - response.streak;
+        (self.speculative_read_penalty * response.ramp * failed).clamp(0.0, 1.0)
+    }
+
+    fn response_in(&self, ctx: &EvasionContext) -> SpecI2MResponse {
+        self.response(
+            ctx.domain_utilization,
+            ctx.active_domains,
+            ctx.total_domains,
+            ctx.streak_lines,
+        )
+    }
+
+    /// [`evasion_at`](Self::evasion_at) for one store stream's context.
+    pub fn evasion_fraction(&self, ctx: &EvasionContext) -> f64 {
+        self.evasion_at(&self.response_in(ctx), ctx.store_streams)
+    }
+
+    /// [`speculative_reads_at`](Self::speculative_reads_at) for one store
+    /// stream's context.
+    pub fn speculative_read_fraction(&self, ctx: &EvasionContext) -> f64 {
+        self.speculative_reads_at(&self.response_in(ctx))
     }
 
     /// Fraction of non-temporal stores that nevertheless cause a read

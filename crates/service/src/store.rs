@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use clover_cachesim::memo::{Accounting, Dynamics, KernelSpec, RankBase, SimKey, SpecOperand};
 use clover_cachesim::{AccessKind, MemCounters, SimMemo};
 use clover_core::engine::PointKey;
-use clover_core::{CodeVariant, ScalingPoint, SweepMemo, TrafficOptions};
+use clover_core::{loop_catalogue, CodeVariant, ScalingPoint, SweepMemo, TrafficOptions};
 use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
 
 use crate::model::model_hash;
@@ -620,8 +620,9 @@ fn encode_point(key: &PointKey, p: &ScalingPoint) -> String {
         f64_hex(p.volume_per_step),
         p.loop_balances.len(),
     );
-    for (name, balance) in &p.loop_balances {
-        let _ = write!(out, " {} {}", esc(name), f64_hex(*balance));
+    // The balances are nameless in memory; the line keeps naming them.
+    for (spec, balance) in loop_catalogue().iter().zip(&p.loop_balances) {
+        let _ = write!(out, " {} {}", esc(&spec.name), f64_hex(*balance));
     }
     out
 }
@@ -644,10 +645,18 @@ fn decode_point(cur: &mut Cursor) -> Option<(PointKey, ScalingPoint)> {
     let speedup = cur.f64()?;
     let memory_bandwidth = cur.f64()?;
     let volume_per_step = cur.f64()?;
-    let n_loops = cur.usize()?;
-    let mut loop_balances = Vec::with_capacity(n_loops);
-    for _ in 0..n_loops {
-        loop_balances.push((cur.string()?, cur.f64()?));
+    // A point is the catalogue's loops, by name and in order: any other
+    // count or name is a line this model cannot have written.
+    let catalogue = loop_catalogue();
+    if cur.usize()? != catalogue.len() {
+        return None;
+    }
+    let mut loop_balances = Vec::with_capacity(catalogue.len());
+    for spec in catalogue {
+        if cur.string()? != spec.name {
+            return None;
+        }
+        loop_balances.push(cur.f64()?);
     }
     Some((
         PointKey {
@@ -735,7 +744,10 @@ mod tests {
             speedup: 0.0,
             memory_bandwidth: 1.5e11,
             volume_per_step: 3.7e9,
-            loop_balances: vec![("ac01".into(), 56.25), ("pdv p leg".into(), 1.0 / 3.0)],
+            // One balance per catalogue loop, none a short decimal.
+            loop_balances: (1..=loop_catalogue().len())
+                .map(|i| 56.25 / i as f64)
+                .collect(),
         };
         (key, point)
     }
@@ -805,7 +817,9 @@ mod tests {
 
     #[test]
     fn point_entries_round_trip_bit_exactly() {
-        let (key, point) = sample_point_entry();
+        let (mut key, point) = sample_point_entry();
+        // The one free-form string of a point line must survive escaping.
+        key.machine = "icx 8360y%".into();
         let line = encode_point(&key, &point);
         let tokens: Vec<&str> = line.split_whitespace().collect();
         assert_eq!(tokens[0], "point");
@@ -819,8 +833,87 @@ mod tests {
             "f64 round trip must be bit-exact"
         );
         assert_eq!(rp, point);
-        // The escaped loop name with a space survived.
-        assert_eq!(rp.loop_balances[1].0, "pdv p leg");
+        assert_eq!(tokens[1], "icx%208360y%25");
+    }
+
+    /// A `point` line exactly as the binary before the nameless balances
+    /// wrote it (`figures sweep --machine icx-8360y --ranks 19..19 --grid
+    /// 1920 --stage optimized --replacement srrip --write-policy
+    /// non-temporal --layer-condition broken --store …`).
+    const POINT_LINE: &str = "point icx-8360y 1920 19 optimized 19 0 srrip non-temporal 19 1 101 \
+        3fb55c0a330bd911 0000000000000000 4233a6d42f0ab27a 41fa3c0248c376cc 22 \
+        am00 404a7cc5c8d82a92 am01 404a7cc5c8d82a92 am02 4046319ddba225e0 \
+        am03 4041e675ee6c212e am04 403a7cc5c8d82a92 am05 404ec7edb60e2f44 \
+        am06 4041898ad1a219fc am07 40455233ab731523 am08 403a7cc5c8d82a92 \
+        am09 4051898ad1a219fc am10 404a1fdaac0e2361 am11 40499d5b98a919d5 \
+        ac00 404a7cc5c8d82a92 ac01 4041e675ee6c212e ac02 404a7cc5c8d82a92 \
+        ac03 4051070bbe3d1071 ac04 404a7cc5c8d82a92 ac05 4046319ddba225e0 \
+        ac06 4055d4b2bed81eae ac07 405777c7a20e177c pdv00 405e6b0299442813 \
+        pdv01 406380a939d818bd";
+
+    #[test]
+    fn point_line_fixture_decodes_to_the_expected_entry_and_encodes_back() {
+        let expected_key = PointKey {
+            machine: "icx-8360y".into(),
+            grid: 1920,
+            ranks: 19,
+            opts: TrafficOptions::optimized(19)
+                .with_layer_condition(false)
+                .with_replacement(ReplacementPolicyKind::Srrip)
+                .with_write_policy(WritePolicyKind::NonTemporal),
+        };
+        let tokens: Vec<&str> = POINT_LINE.split_whitespace().collect();
+        let mut cur = Cursor::new(&tokens[1..]);
+        let (key, point) = decode_point(&mut cur).expect("the fixture decodes");
+        assert!(cur.done());
+        assert_eq!(key, expected_key);
+        // The line is what the model computes for its key, to the bit.
+        let engine = clover_core::ScalingEngine::new(icelake_sp_8360y(), key.grid);
+        assert_eq!(point, engine.point(key.ranks, &key.opts));
+        assert_eq!(
+            (point.ranks, point.prime, point.local_inner),
+            (19, true, 101)
+        );
+        assert_eq!(point.time_per_step.to_bits(), 0x3fb55c0a330bd911);
+        assert_eq!(point.loop_balances.len(), 22);
+        assert_eq!(point.loop_balances[4].to_bits(), 0x403a7cc5c8d82a92, "am04");
+        assert_eq!(point.loop_balances[21].to_bits(), 0x406380a939d818bd);
+        assert_eq!(encode_point(&key, &point), tokens.join(" "));
+    }
+
+    #[test]
+    fn point_lines_that_disagree_with_the_catalogue_are_corrupt() {
+        let dir = std::env::temp_dir().join("cloverstore-test-catalogue");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let store = PersistentStore::with_hash(dir.join("store.txt"), 7);
+        let outcome = |line: &str| {
+            let text = format!("cloverstore 1 {:016x}\n{line}\nend 1\n", 7);
+            fs::write(store.path(), text).unwrap();
+            store.load().1
+        };
+        let line = POINT_LINE.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert_eq!(outcome(&line), LoadOutcome::Warm(1));
+        // Two names swapped (their balances stay put).
+        let swapped = line
+            .replace(" am02 ", " am?? ")
+            .replace(" am03 ", " am02 ")
+            .replace(" am?? ", " am03 ");
+        assert_ne!(swapped, line);
+        assert_eq!(outcome(&swapped), LoadOutcome::ColdCorrupt);
+        // One loop renamed.
+        assert_eq!(
+            outcome(&line.replace(" pdv01 ", " pdv02 ")),
+            LoadOutcome::ColdCorrupt
+        );
+        // A wrong loop count: one loop short, and one too many.
+        let short = line
+            .replace(" 22 am00 ", " 21 am00 ")
+            .replace(" pdv01 406380a939d818bd", "");
+        assert_eq!(outcome(&short), LoadOutcome::ColdCorrupt);
+        let long = line.replace(" 22 am00 ", " 23 am00 ") + " pdv02 406380a939d818bd";
+        assert_eq!(outcome(&long), LoadOutcome::ColdCorrupt);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! that their derived model inputs match Table I exactly (verified by the
 //! tests at the bottom of this module).
 
+use std::sync::OnceLock;
+
 use crate::spec::{ArrayAccess, LoopSpec};
 
 /// The three hotspot functions of CloverLeaf.
@@ -397,9 +399,17 @@ pub fn cloverleaf_loops() -> Vec<LoopSpec> {
     ]
 }
 
+/// The process-wide catalogue: [`cloverleaf_loops`] built once.  The one
+/// place a loop's name lives — per-loop tables elsewhere (the balances of a
+/// scaling point, the store codec) are plain values in this order.
+pub fn loop_catalogue() -> &'static [LoopSpec] {
+    static CATALOGUE: OnceLock<Vec<LoopSpec>> = OnceLock::new();
+    CATALOGUE.get_or_init(cloverleaf_loops)
+}
+
 /// Look up a loop descriptor by its paper label.
 pub fn loop_by_name(name: &str) -> Option<LoopSpec> {
-    cloverleaf_loops().into_iter().find(|l| l.name == name)
+    loop_catalogue().iter().find(|l| l.name == name).cloned()
 }
 
 /// Measured single-core code balance from Table I (`byte/it_meas,1`), used

@@ -27,7 +27,9 @@ pub mod layer;
 pub mod spec;
 
 pub use balance::CodeBalance;
-pub use catalogue::{cloverleaf_loops, loop_by_name, HotspotFunction, PAPER_MEASURED_SINGLE_CORE};
+pub use catalogue::{
+    cloverleaf_loops, loop_by_name, loop_catalogue, HotspotFunction, PAPER_MEASURED_SINGLE_CORE,
+};
 pub use layer::LayerCondition;
 pub use spec::{AccessMode, ArrayAccess, LoopSpec};
 

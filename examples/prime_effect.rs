@@ -8,7 +8,7 @@
 //! ```
 
 use cloverleaf_wa::core::decomp::is_prime;
-use cloverleaf_wa::core::{ScalingModel, TrafficOptions};
+use cloverleaf_wa::core::{loop_catalogue, ScalingModel, TrafficOptions};
 use cloverleaf_wa::machine::icelake_sp_8360y;
 
 fn main() {
@@ -18,16 +18,15 @@ fn main() {
     let with_speci2m = model.sweep(72, TrafficOptions::original);
     let without = model.sweep(72, TrafficOptions::speci2m_off);
 
+    let am04_column = loop_catalogue()
+        .iter()
+        .position(|l| l.name == "am04")
+        .expect("am04 is a catalogue loop");
     println!("ranks  inner  prime   speedup(on)  speedup(off)  am04 byte/it(on)");
     for ranks in [16usize, 17, 18, 19, 20, 36, 37, 38, 53, 64, 71, 72] {
         let on = &with_speci2m[ranks - 1];
         let off = &without[ranks - 1];
-        let am04 = on
-            .loop_balances
-            .iter()
-            .find(|(n, _)| n == "am04")
-            .map(|(_, b)| *b)
-            .unwrap_or(f64::NAN);
+        let am04 = on.loop_balances[am04_column];
         println!(
             "{:>5}  {:>5}  {:>5}  {:>11.2}  {:>12.2}  {:>16.2}",
             ranks,

@@ -62,7 +62,7 @@ fn prime_rank_counts_spike_in_code_balance() {
     let points = model.sweep(72, TrafficOptions::original);
     let avg = |ranks: usize| -> f64 {
         let p = &points[ranks - 1];
-        p.loop_balances.iter().map(|(_, b)| b).sum::<f64>() / p.loop_balances.len() as f64
+        p.loop_balances.iter().sum::<f64>() / p.loop_balances.len() as f64
     };
     for prime in [37usize, 41, 43, 47, 53, 59, 61, 67, 71] {
         assert!(is_prime(prime));
@@ -83,7 +83,7 @@ fn speci2m_off_flattens_the_code_balance() {
     let points = model.sweep(72, TrafficOptions::speci2m_off);
     let avg = |ranks: usize| -> f64 {
         let p = &points[ranks - 1];
-        p.loop_balances.iter().map(|(_, b)| b).sum::<f64>() / p.loop_balances.len() as f64
+        p.loop_balances.iter().sum::<f64>() / p.loop_balances.len() as f64
     };
     let spread = avg(71) / avg(72);
     assert!(

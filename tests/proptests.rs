@@ -5,7 +5,8 @@ use cloverleaf_wa::cachesim::{
     CoreSim, MemCounters, NodeSim, SetAssocCache, SimConfig, WriteCoalescer, LINE_BYTES,
 };
 use cloverleaf_wa::core::decomp::{is_prime, prime_factors, Decomposition};
-use cloverleaf_wa::machine::{icelake_sp_8360y, Machine};
+use cloverleaf_wa::machine::speci2m::EvasionContext;
+use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset, SpecI2MParams};
 use cloverleaf_wa::stencil::{cloverleaf_loops, CodeBalance};
 use proptest::prelude::*;
 
@@ -27,7 +28,61 @@ fn mini_store_ratio(machine: &Machine, cores: usize, streams: usize) -> f64 {
     report.total_bytes() / initiated
 }
 
+/// The SpecI2M fractions as one closed form per store stream, the way they
+/// were written before the response was split off: the reference the split
+/// must reproduce to the bit.
+fn unsplit_fractions(p: &SpecI2MParams, c: &EvasionContext) -> (f64, f64) {
+    let ramp = p.activation_ramp(c.domain_utilization);
+    if !p.enabled || ramp <= 0.0 {
+        return (0.0, 0.0);
+    }
+    let streams = p.stream_response.factor(c.store_streams);
+    let streak = p.streak_response(c.streak_lines);
+    let node = p.node_population_factor(c.active_domains, c.total_domains);
+    (
+        (p.max_evasion * ramp * streams * streak * node).clamp(0.0, 1.0),
+        (p.speculative_read_penalty * ramp * (1.0 - streak)).clamp(0.0, 1.0),
+    )
+}
+
 proptest! {
+    /// A response derived once and applied per stream count gives the
+    /// evasion and speculative-read fractions of the unsplit closed form,
+    /// bit for bit, on every preset's parameter block (MSR switch on and
+    /// off) over random occupancies, stream counts and streak lengths.
+    #[test]
+    fn split_speci2m_response_reproduces_the_unsplit_fractions(
+        preset in prop::sample::select(MachinePreset::all()),
+        switched_off in prop::sample::select(vec![false, true]),
+        utilization_permille in 0u64..=1100,
+        total_domains in 1usize..=8,
+        active_domains in 0usize..=9,
+        store_streams in 0usize..=6,
+        streak_draw in 0u64..=4_000_000,
+    ) {
+        let params = preset.machine().speci2m;
+        let params = if switched_off { params.switched_off() } else { params };
+        let ctx = EvasionContext {
+            domain_utilization: utilization_permille as f64 / 1000.0,
+            active_domains,
+            total_domains,
+            store_streams,
+            // 0 to 4000 lines in steps no streak scale divides evenly.
+            streak_lines: streak_draw as f64 / 1000.0,
+        };
+        let (evasion, speculative) = unsplit_fractions(&params, &ctx);
+        let response = params.response(
+            ctx.domain_utilization,
+            ctx.active_domains,
+            ctx.total_domains,
+            ctx.streak_lines,
+        );
+        prop_assert_eq!(params.evasion_at(&response, store_streams).to_bits(), evasion.to_bits());
+        prop_assert_eq!(params.speculative_reads_at(&response).to_bits(), speculative.to_bits());
+        prop_assert_eq!(params.evasion_fraction(&ctx).to_bits(), evasion.to_bits());
+        prop_assert_eq!(params.speculative_read_fraction(&ctx).to_bits(), speculative.to_bits());
+    }
+
     /// Prime factorisation multiplies back to the original number and every
     /// factor is prime.
     #[test]

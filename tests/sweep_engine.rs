@@ -8,7 +8,8 @@
 //!   deterministic order.
 
 use cloverleaf_wa::core::{
-    normalise_speedups, ScalingEngine, ScalingModel, SweepMemo, TrafficOptions,
+    normalise_speedups, Decomposition, ScalingEngine, ScalingModel, SweepMemo, TrafficModel,
+    TrafficOptions,
 };
 use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::{
@@ -17,6 +18,7 @@ use cloverleaf_wa::machine::{
 use cloverleaf_wa::scenario::{
     evaluate, render_block, run_plan, LayerCondition, RankRange, Stage, SweepPlan,
 };
+use cloverleaf_wa::stencil::cloverleaf_loops;
 use proptest::prelude::*;
 
 fn small_plan() -> SweepPlan {
@@ -110,28 +112,47 @@ proptest! {
         prop_assert_eq!(reference, nested);
     }
 
-    /// The hoisted scaling engine reproduces the reference model bit for
-    /// bit over random rank counts, stages and layer-condition settings —
-    /// with and without a shared memo.
+    /// The engine evaluates a point from tables derived once per process
+    /// (per loop) and once per point (per occupancy); the oracle is
+    /// `TrafficModel::predict_loop`, which derives every model input from
+    /// the `LoopSpec` at call time.  Over every machine preset, rank count,
+    /// stage and policy axis each balance must agree to the bit — as must
+    /// the `ScalingModel` façade and the memo, cold and warm.
     #[test]
     fn scaling_engine_point_matches_model(
-        ranks in 1usize..=72,
+        preset in prop::sample::select(MachinePreset::all()),
+        rank_seed in 0usize..10_000,
         stage_idx in 0usize..3,
+        replacement in prop::sample::select(ReplacementPolicyKind::all()),
+        write_policy in prop::sample::select(WritePolicyKind::all()),
         layer_condition in prop::sample::select(vec![false, true]),
         grid in prop::sample::select(vec![960usize, 1920]),
     ) {
-        let machine = icelake_sp_8360y();
-        let model = ScalingModel::new(machine.clone()).with_grid(grid);
-        let engine = ScalingEngine::new(machine, grid);
+        let machine = preset.machine();
+        let ranks = 1 + rank_seed % machine.total_cores();
+        let engine = ScalingEngine::new(machine.clone(), grid);
         let opts = Stage::all()[stage_idx]
             .options(ranks)
+            .with_replacement(replacement)
+            .with_write_policy(write_policy)
             .with_layer_condition(layer_condition);
-        let reference = model.point(ranks, &opts);
-        prop_assert_eq!(&reference, &engine.point(ranks, &opts));
+        let point = engine.point(ranks, &opts);
+
+        let oracle = TrafficModel::new(machine.clone());
+        let decomp = Decomposition::new(ranks, grid, grid);
+        let specs = cloverleaf_loops();
+        prop_assert_eq!(point.loop_balances.len(), specs.len());
+        for (spec, balance) in specs.iter().zip(&point.loop_balances) {
+            let expected = oracle.predict_loop(spec, &opts, &decomp).code_balance();
+            prop_assert_eq!(balance.to_bits(), expected.to_bits(), "{}", &spec.name);
+        }
+
+        let model = ScalingModel::new(machine).with_grid(grid);
+        prop_assert_eq!(&point, &model.point(ranks, &opts));
         let memo = SweepMemo::new();
-        prop_assert_eq!(&reference, &engine.point_memo(ranks, &opts, &memo));
+        prop_assert_eq!(&point, &engine.point_memo(ranks, &opts, &memo));
         // Second lookup is a hit and still identical.
-        prop_assert_eq!(&reference, &engine.point_memo(ranks, &opts, &memo));
+        prop_assert_eq!(&point, &engine.point_memo(ranks, &opts, &memo));
         prop_assert_eq!(memo.stats(), (1, 1));
     }
 }
