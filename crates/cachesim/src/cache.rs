@@ -342,9 +342,10 @@ fn refresh_meta(meta: &mut u64, stamp: u64, write: bool) {
 /// (simple and unambiguous).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true> {
-    /// Tag lane: `sets × ways` line indices, set-major.  Slot validity is
-    /// encoded in the tag (`INVALID_LINE`); valid tags form a prefix of
-    /// each set.
+    /// Tag lane: at least `sets × ways` line indices, set-major (the
+    /// current geometry uses that prefix; [`reshape`](Self::reshape) keeps
+    /// a larger arena).  Slot validity is encoded in the tag
+    /// (`INVALID_LINE`); valid tags form a prefix of each set.
     tags: Box<[u64]>,
     /// Meta lane, parallel to `tags`: `stamp << 1 | dirty` per slot
     /// (`0` for empty slots).
@@ -370,6 +371,8 @@ pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true
     probe_tier: ProbeTier,
     hits: u64,
     misses: u64,
+    /// Valid lines displaced by a fill since construction/reset.
+    evictions: u64,
     stamp: u64,
 }
 
@@ -401,16 +404,15 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
             probe_tier: detect_probe_tier(),
             hits: 0,
             misses: 0,
+            evictions: 0,
             stamp: 0,
         }
     }
 
     /// The `(sets, ways)` geometry [`new`] would pick for a capacity and
-    /// associativity — exposed so callers can tell whether an existing cache
-    /// can be [`reset`] in place instead of reallocated.
+    /// associativity.
     ///
     /// [`new`]: Self::new
-    /// [`reset`]: Self::reset
     pub fn geometry(capacity_bytes: usize, ways: usize) -> (usize, usize) {
         assert!(capacity_bytes >= 64 && ways > 0);
         let total_lines = capacity_bytes / 64;
@@ -425,17 +427,6 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         (sets_pow2, effective_ways)
     }
 
-    /// True if this cache has exactly the geometry [`new`]`(capacity_bytes,
-    /// ways)` would produce, i.e. [`reset`] yields the same state as a fresh
-    /// construction.
-    ///
-    /// [`new`]: Self::new
-    /// [`reset`]: Self::reset
-    pub fn matches_geometry(&self, capacity_bytes: usize, ways: usize) -> bool {
-        let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
-        self.ways == effective_ways && self.set_mask == (sets - 1) as u64
-    }
-
     /// Empty the cache and zero the counters, reusing the lane allocations.
     /// Afterwards the cache is indistinguishable from a freshly constructed
     /// one of the same geometry.  Costs O(sets ever filled), not
@@ -444,7 +435,34 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         self.clear_entries();
         self.hits = 0;
         self.misses = 0;
+        self.evictions = 0;
         self.stamp = 0;
+    }
+
+    /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
+    /// ways)` would have, reusing the lanes: emptying leaves every slot of
+    /// the arena `INVALID_LINE`, so any geometry that fits is just a new
+    /// `ways`/`set_mask` over the same lanes; they are reallocated only to
+    /// grow.  Afterwards the cache is indistinguishable from that fresh
+    /// construction.
+    ///
+    /// [`new`]: Self::new
+    pub fn reshape(&mut self, capacity_bytes: usize, ways: usize) {
+        self.reset();
+        let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
+        if self.ways == effective_ways && self.set_mask == (sets - 1) as u64 {
+            return;
+        }
+        if sets * effective_ways > self.tags.len() {
+            self.tags = vec![INVALID_LINE; sets * effective_ways].into_boxed_slice();
+            self.meta = vec![0u64; sets * effective_ways].into_boxed_slice();
+        }
+        if sets.div_ceil(64) > self.used_bitmap.len() {
+            self.used_bitmap = vec![0u64; sets.div_ceil(64)].into_boxed_slice();
+        }
+        self.policy = R::new(sets, effective_ways);
+        self.ways = effective_ways;
+        self.set_mask = (sets - 1) as u64;
     }
 
     /// Empty every set that ever received a fill and forget the used-set
@@ -479,9 +497,10 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         }
     }
 
-    /// Total capacity in cache lines.
+    /// Total capacity in cache lines (`sets × ways` of the current
+    /// geometry, not the arena a [`reshape`](Self::reshape) may have kept).
     pub fn capacity_lines(&self) -> usize {
-        self.tags.len()
+        (self.set_mask as usize + 1) * self.ways
     }
 
     /// Number of lines currently resident.  Costs O(sets ever filled):
@@ -508,6 +527,11 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         self.misses
     }
 
+    /// Valid lines displaced by a fill since construction.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
     /// Start offset of `line`'s set in the flat lanes.
     #[inline]
     fn lane_start(&self, line: u64) -> usize {
@@ -518,8 +542,10 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// per-probe bounds check (measurably visible in probe-bound scans).
     ///
     /// SAFETY: `start` is always `(set index masked to sets - 1) * ways`,
-    /// and the lanes are allocated with exactly `sets * ways` slots, so
-    /// `start + ways <= tags.len()` holds by construction (debug-asserted).
+    /// and the lanes hold at least `sets * ways` slots (`new` allocates
+    /// exactly that, `reshape` grows them before adopting a larger
+    /// geometry), so `start + ways <= tags.len()` holds by construction
+    /// (debug-asserted).
     #[inline(always)]
     fn set_tags(&self, start: usize) -> &[u64] {
         debug_assert!(start + self.ways <= self.tags.len());
@@ -618,6 +644,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
             line: old,
             dirty: meta_dirty(self.meta[i]),
         });
+        self.evictions += evicted.is_some() as u64;
         self.tags[i] = line;
         self.meta[i] = make_meta(stamp, dirty);
         if !R::LRU_SCAN {
@@ -1130,8 +1157,41 @@ mod tests {
         for line in [3u64, 7, 3, 11, 3] {
             assert_eq!(c.probe_fill(line, false), fresh.probe_fill(line, false));
         }
-        assert!(c.matches_geometry(8 * 64, 4));
-        assert!(!c.matches_geometry(16 * 64, 4));
+    }
+
+    #[test]
+    fn reshape_adopts_another_geometry_in_place() {
+        fn check<R: ReplacementPolicy>() {
+            let mut c: SetAssocCache<R> = SetAssocCache::new(64 * 64, 4);
+            // Shrink, grow past the first arena, return: each time with
+            // lines still resident, each time like a fresh cache.
+            for (lines, ways) in [(8usize, 4usize), (256, 8), (64, 4), (12, 3)] {
+                for line in 0..100u64 {
+                    c.probe_fill(line * 3, line % 2 == 0);
+                }
+                c.reshape(lines * 64, ways);
+                let mut fresh: SetAssocCache<R> = SetAssocCache::new(lines * 64, ways);
+                assert_eq!(c.capacity_lines(), lines, "{}", R::KIND);
+                assert_eq!(c.capacity_lines(), fresh.capacity_lines());
+                assert_eq!(c.resident_lines(), 0);
+                assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 0, 0));
+                for n in 0..400u64 {
+                    let line = (n * 7) % 61;
+                    assert_eq!(
+                        c.probe_fill(line, n % 3 == 0),
+                        fresh.probe_fill(line, n % 3 == 0),
+                        "{}: {lines} lines, access {n}",
+                        R::KIND
+                    );
+                }
+                assert_eq!(c.evictions(), fresh.evictions());
+                assert!(lines >= 61 || c.evictions() > 0);
+            }
+        }
+        check::<TrueLru>();
+        check::<TreePlru>();
+        check::<Srrip>();
+        check::<RandomEvict>();
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //! results are deterministic.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
-use clover_machine::speci2m::EvasionContext;
-use clover_machine::{Machine, WritePolicyKind};
+use clover_machine::speci2m::SpecI2MResponse;
+use clover_machine::{Machine, SpecI2MParams, WritePolicyKind};
 
 use crate::access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
 use crate::cache::{LookupResult, SetAssocCache};
@@ -153,7 +154,7 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
 /// This is the foundation of [`SimMemo`]'s differential re-simulation.
 ///
 /// [`SimMemo`]: crate::memo::SimMemo
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TraceOp {
     /// A demand-miss memory read (`read_lines += 1`).
     DemandRead,
@@ -168,9 +169,10 @@ pub(crate) enum TraceOp {
         full: bool,
         /// `FinalizedLine::active_streams` at finalization (raw; the
         /// `.max(1)` floor is applied at replay, exactly as live).
-        streams: usize,
-        /// `FinalizedLine::streak_estimate` (raw; `.max(1.0)` at replay).
-        streak: f64,
+        streams: u8,
+        /// `FinalizedLine::streak_estimate`, a whole number of lines (raw;
+        /// the `.max(1.0)` floor is applied at replay).
+        streak: u32,
     },
     /// A non-temporal store line (`write_lines += 1` plus the full/partial
     /// read term).
@@ -182,35 +184,146 @@ pub(crate) enum TraceOp {
     /// The final write-back accounting (`write_lines += distinct`).
     WritebackBulk {
         /// Distinct dirty lines drained across all levels.
-        distinct: u64,
+        distinct: u32,
     },
+}
+
+// A trace is one op per counter-site event; its size is the recording's
+// whole memory cost.
+const _: () = assert!(std::mem::size_of::<TraceOp>() == 8);
+
+impl TraceOp {
+    /// The op of a write-allocate store miss, or `None` when the line's
+    /// stream state does not fit the compact fields exactly (more than
+    /// `u8::MAX` streams, a fractional, negative or `> u32::MAX` streak).
+    fn wa_store(ev: &FinalizedLine) -> Option<Self> {
+        let streak = ev.streak_estimate as u32;
+        if f64::from(streak).to_bits() != ev.streak_estimate.to_bits() {
+            return None;
+        }
+        Some(TraceOp::WaStore {
+            full: ev.full,
+            streams: u8::try_from(ev.active_streams).ok()?,
+            streak,
+        })
+    }
+
+    /// The op of the final write-back accounting, or `None` for more
+    /// dirty lines than the compact field counts.
+    fn writeback_bulk(distinct: usize) -> Option<Self> {
+        let distinct = u32::try_from(distinct).ok()?;
+        Some(TraceOp::WritebackBulk { distinct })
+    }
 }
 
 /// Cap on recorded ops: a trace past this size stops recording (the memo
 /// falls back to plain re-simulation for that dynamics class).  2^20 ops
 /// cover every in-tree kernel with room to spare while bounding worst-case
-/// memory per class to a few MiB.
+/// memory per class to 8 MiB.
 pub(crate) const TRACE_OP_CAP: usize = 1 << 20;
 
-/// Opt-in recorder of [`TraceOp`]s attached to a [`PrivateCore`].
+/// Opt-in recorder of [`TraceOp`]s attached to a [`PrivateCore`].  The
+/// buffer outlives a recording (a pooled core records every leader into
+/// the same allocation); a finished trace is copied out once, exactly
+/// sized.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TraceRecorder {
     ops: Vec<TraceOp>,
+    recording: bool,
+    /// The recording was abandoned: it outgrew [`TRACE_OP_CAP`] or met an
+    /// event the compact ops cannot represent.
     overflowed: bool,
 }
 
 impl TraceRecorder {
+    /// Begin a fresh recording into the retained buffer.
+    fn start(&mut self) {
+        self.ops.clear();
+        self.recording = true;
+        self.overflowed = false;
+    }
+
+    /// End the recording; the trace, unless none was active or it was
+    /// abandoned.
+    fn finish(&mut self) -> Option<Arc<[TraceOp]>> {
+        let complete = std::mem::take(&mut self.recording);
+        let trace = complete.then(|| self.ops.as_slice().into());
+        self.ops.clear();
+        trace
+    }
+
+    /// Record `op` if a recording is active; `None` is an event whose
+    /// narrowing into the compact op failed, which abandons the recording
+    /// (and frees its buffer) like outgrowing the cap does.
     #[inline]
-    fn push(&mut self, op: TraceOp) {
-        if self.overflowed {
+    fn push(&mut self, op: Option<TraceOp>) {
+        if !self.recording {
             return;
         }
-        if self.ops.len() >= TRACE_OP_CAP {
-            self.overflowed = true;
-            self.ops = Vec::new();
-            return;
+        match op {
+            Some(op) if self.ops.len() < TRACE_OP_CAP => self.ops.push(op),
+            _ => {
+                self.recording = false;
+                self.overflowed = true;
+                self.ops = Vec::new();
+            }
         }
-        self.ops.push(op);
+    }
+}
+
+/// The SpecI2M response of the last store line's streak, kept while the
+/// streak estimate's bits are unchanged: occupancy and parameter block are
+/// fixed for a simulation (or a replay), so consecutive lines of a
+/// steady-state row share one `exp()`.
+#[derive(Debug, Clone, Copy, Default)]
+struct StreakResponse(Option<(u64, SpecI2MResponse)>);
+
+impl StreakResponse {
+    /// `params.response` under `ctx` at `streak` lines (raw; floored at one
+    /// line here, as the evasion context always was).
+    #[inline]
+    fn at(
+        &mut self,
+        params: &SpecI2MParams,
+        ctx: OccupancyContext,
+        streak: f64,
+    ) -> SpecI2MResponse {
+        let bits = streak.to_bits();
+        match self.0 {
+            Some((at, response)) if at == bits => response,
+            _ => {
+                let response = params.response(
+                    ctx.domain_utilization,
+                    ctx.active_domains,
+                    ctx.total_domains,
+                    streak.max(1.0),
+                );
+                self.0 = Some((bits, response));
+                response
+            }
+        }
+    }
+}
+
+/// `(evaded, speculative read)` fractions of one write-allocate store miss
+/// — shared by the live store path and the replay so both multiply in the
+/// same order.
+#[inline]
+fn wa_store_fractions(
+    params: &SpecI2MParams,
+    response: &SpecI2MResponse,
+    full: bool,
+    streams: usize,
+    pf_factor: f64,
+) -> (f64, f64) {
+    let spec_read = params.speculative_reads_at(response);
+    if full {
+        let evaded = params.evasion_at(response, streams.max(1)) * pf_factor;
+        (evaded.clamp(0.0, 1.0), spec_read)
+    } else {
+        // Partially written lines can never be claimed without a read;
+        // under load they still trigger speculative activity.
+        (0.0, spec_read)
     }
 }
 
@@ -222,7 +335,7 @@ impl TraceRecorder {
 /// by the same sequence of float additions the live simulation performs,
 /// so the result is bit-identical — asserted by the equivalence proptests.
 pub(crate) fn replay_trace(
-    speci2m: &clover_machine::SpecI2MParams,
+    speci2m: &SpecI2MParams,
     ctx: OccupancyContext,
     options: CoreSimOptions,
     ops: &[TraceOp],
@@ -233,6 +346,7 @@ pub(crate) fn replay_trace(
         speci2m.switched_off()
     };
     let pf_factor = options.prefetchers.evasion_factor();
+    let mut response = StreakResponse::default();
     let mut c = MemCounters::new();
     for op in ops {
         match *op {
@@ -247,20 +361,9 @@ pub(crate) fn replay_trace(
                 streams,
                 streak,
             } => {
-                let ectx = EvasionContext {
-                    domain_utilization: ctx.domain_utilization,
-                    active_domains: ctx.active_domains,
-                    total_domains: ctx.total_domains,
-                    store_streams: streams.max(1),
-                    streak_lines: streak.max(1.0),
-                };
-                let (evaded, spec_read) = if full {
-                    let e = speci2m_store.evasion_fraction(&ectx) * pf_factor;
-                    let s = speci2m_store.speculative_read_fraction(&ectx);
-                    (e.clamp(0.0, 1.0), s)
-                } else {
-                    (0.0, speci2m_store.speculative_read_fraction(&ectx))
-                };
+                let response = response.at(&speci2m_store, ctx, f64::from(streak));
+                let (evaded, spec_read) =
+                    wa_store_fractions(&speci2m_store, &response, full, streams.into(), pf_factor);
                 c.itom_lines += evaded;
                 c.write_allocate_lines += 1.0 - evaded;
                 c.read_lines += 1.0 - evaded;
@@ -283,7 +386,7 @@ pub(crate) fn replay_trace(
                     c.read_lines += 1.0;
                 }
             }
-            TraceOp::WritebackBulk { distinct } => c.write_lines += distinct as f64,
+            TraceOp::WritebackBulk { distinct } => c.write_lines += f64::from(distinct),
         }
     }
     c
@@ -310,14 +413,16 @@ pub struct PrivateCore<
     streamer: StreamerPrefetcher,
     options: CoreSimOptions,
     ctx: OccupancyContext,
-    speci2m: clover_machine::SpecI2MParams,
+    speci2m: SpecI2MParams,
     /// `speci2m` with the MSR switch applied — precomputed so the store
     /// path does not clone the parameter block per finalized line.
-    speci2m_store: clover_machine::SpecI2MParams,
+    speci2m_store: SpecI2MParams,
+    /// `speci2m_store`'s response at the last store line's streak.
+    response: StreakResponse,
     counters: MemCounters,
-    /// Differential-re-simulation recorder; `None` (the default) costs one
+    /// Differential-re-simulation recorder; idle (the default) costs one
     /// predictable branch per counter-site event.
-    trace: Option<TraceRecorder>,
+    trace: TraceRecorder,
     _write: PhantomData<W>,
 }
 
@@ -341,8 +446,9 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
             ctx,
             speci2m,
             speci2m_store,
+            response: StreakResponse::default(),
             counters: MemCounters::new(),
-            trace: None,
+            trace: TraceRecorder::default(),
             _write: PhantomData,
         }
     }
@@ -360,31 +466,28 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         } else {
             self.speci2m.switched_off()
         };
+        self.response = StreakResponse::default();
         self.options = options;
         self.ctx = ctx;
         self.counters = MemCounters::new();
-        self.trace = None;
+        self.trace.finish();
     }
 
     /// Start recording counter-site events for differential re-simulation.
     pub(crate) fn start_trace(&mut self) {
-        self.trace = Some(TraceRecorder::default());
+        self.trace.start();
     }
 
     /// Stop recording and return the trace, or `None` if recording was
-    /// never started or the trace overflowed [`TRACE_OP_CAP`].
-    pub(crate) fn take_trace(&mut self) -> Option<Vec<TraceOp>> {
-        self.trace
-            .take()
-            .and_then(|t| (!t.overflowed).then_some(t.ops))
+    /// never started or was abandoned (see [`TraceRecorder`]).
+    pub(crate) fn take_trace(&mut self) -> Option<Arc<[TraceOp]>> {
+        self.trace.finish()
     }
 
     /// Record one counter-site event if a trace is active.
     #[inline]
     fn record(&mut self, op: TraceOp) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(op);
-        }
+        self.trace.push(Some(op));
     }
 
     /// The occupancy context this core was configured with.
@@ -562,9 +665,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
             l1_dirty.len() + l2_dirty.len() + l3_dirty.len()
         };
         self.counters.write_lines += distinct as f64;
-        self.record(TraceOp::WritebackBulk {
-            distinct: distinct as u64,
-        });
+        self.trace.push(TraceOp::writeback_bulk(distinct));
         self.counters
     }
 
@@ -678,16 +779,6 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         }
     }
 
-    fn evasion_context(&self, ev: &FinalizedLine) -> EvasionContext {
-        EvasionContext {
-            domain_utilization: self.ctx.domain_utilization,
-            active_domains: self.ctx.active_domains,
-            total_domains: self.ctx.total_domains,
-            store_streams: ev.active_streams.max(1),
-            streak_lines: ev.streak_estimate.max(1.0),
-        }
-    }
-
     fn handle_nt_line(&mut self, llc: &mut SetAssocCache<R, SIMD>, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
         self.l1.invalidate(ev.line);
@@ -752,16 +843,12 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
     /// Re-arm the simulator for a fresh measurement under a (possibly
     /// different) occupancy and option set, reusing the cache arena
     /// allocations.  Afterwards the state is indistinguishable from
-    /// `CoreSim::new` on the same machine — only cheaper: the L1/L2 arenas
-    /// are always reused and the L3 arena whenever the sharer count implies
-    /// the same geometry.
+    /// `CoreSim::new` on the same machine — only cheaper: the L3 share of a
+    /// different sharer count is a new geometry over the same lanes, which
+    /// grow only for a share larger than any before.
     pub fn reset(&mut self, ctx: OccupancyContext, options: CoreSimOptions) {
         let l3_share = l3_share_bytes(self.l3_full_bytes, options.l3_sharers);
-        if self.l3.matches_geometry(l3_share, self.l3_ways) {
-            self.l3.reset();
-        } else {
-            self.l3 = SetAssocCache::new(l3_share, self.l3_ways);
-        }
+        self.l3.reshape(l3_share, self.l3_ways);
         self.private.reset(ctx, options);
     }
 
@@ -855,9 +942,15 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
     }
 
     /// Stop recording and return the trace, or `None` if recording was not
-    /// active or the trace overflowed.
-    pub(crate) fn take_trace(&mut self) -> Option<Vec<TraceOp>> {
+    /// active or was abandoned.
+    pub(crate) fn take_trace(&mut self) -> Option<Arc<[TraceOp]>> {
         self.private.take_trace()
+    }
+
+    /// Lines the L3 share has evicted since construction or the last
+    /// [`reset`](Self::reset).
+    pub(crate) fn l3_evictions(&self) -> u64 {
+        self.l3.evictions()
     }
 }
 
@@ -866,6 +959,9 @@ impl WritePolicy for WriteAllocate {
 
     /// The paper machines' store-miss path: a write-allocate read unless
     /// SpecI2M claims the line without one (ITOM).
+    // Once per stored line: left to the inliner's size heuristics this has
+    // fallen out of `store_line_segment` and cost the store path ~15 %.
+    #[inline]
     fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
         core: &mut PrivateCore<R, Self, SIMD>,
         llc: &mut SetAssocCache<R, SIMD>,
@@ -876,28 +972,21 @@ impl WritePolicy for WriteAllocate {
             // back on eviction.
             return;
         }
-        let ectx = core.evasion_context(&ev);
         let params = &core.speci2m_store;
-        let pf_factor = core.options.prefetchers.evasion_factor();
-        let (evaded, spec_read) = if ev.full {
-            let e = params.evasion_fraction(&ectx) * pf_factor;
-            let s = params.speculative_read_fraction(&ectx);
-            (e.clamp(0.0, 1.0), s)
-        } else {
-            // Partially written lines can never be claimed without a read;
-            // under load they still trigger speculative activity.
-            (0.0, params.speculative_read_fraction(&ectx))
-        };
+        let response = core.response.at(params, core.ctx, ev.streak_estimate);
+        let (evaded, spec_read) = wa_store_fractions(
+            params,
+            &response,
+            ev.full,
+            ev.active_streams,
+            core.options.prefetchers.evasion_factor(),
+        );
         core.counters.itom_lines += evaded;
         core.counters.write_allocate_lines += 1.0 - evaded;
         core.counters.read_lines += 1.0 - evaded;
         core.counters.read_lines += spec_read;
         core.counters.speculative_read_lines += spec_read;
-        core.record(TraceOp::WaStore {
-            full: ev.full,
-            streams: ev.active_streams,
-            streak: ev.streak_estimate,
-        });
+        core.trace.push(TraceOp::wa_store(&ev));
         // The line now lives dirty in the hierarchy either way.
         core.fill_all(llc, ev.line, true);
     }
@@ -1242,21 +1331,50 @@ mod tests {
 
     #[test]
     fn reset_reproduces_a_fresh_core() {
-        let m = icelake_sp_8360y();
+        use clover_machine::sapphire_rapids_8480;
+        // A working set that outgrows the smallest L3 shares, so the runs
+        // differ by geometry and evict where the share is small.
+        let lines = 40 * 1024u64;
         let run = |core: &mut CoreSim| {
-            copy_kernel(core, 0, 1 << 30, 2048, false);
+            core.drive_run(AccessRun::load(0, 8 * lines));
+            core.drive_run(AccessRun::store(1 << 30, 8 * lines));
             copy_kernel(core, 1 << 33, 1 << 34, 512, true);
-            core.flush()
+            // `flush`, step by step, to see the dirty lists themselves.
+            let (l1, l2) = core.private.flush_streams_and_upper(&mut core.l3);
+            let dirty = [l1, l2, core.l3.flush_dirty()];
+            let [l1, l2, l3] = dirty.clone();
+            let counters = core.private.account_writebacks(l1, l2, l3);
+            (counters, core.cache_stats(), dirty)
         };
-        // Dirty a core under one configuration, then reset it into the
-        // serial configuration: it must reproduce a fresh serial core
-        // exactly, including the L3 reallocation for the sharer change.
-        let mut reused = loaded_core(&m);
-        let _ = run(&mut reused);
-        reused.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
-        let mut fresh = serial_core(&m);
-        assert_eq!(run(&mut reused), run(&mut fresh));
-        assert_eq!(reused.cache_stats(), fresh.cache_stats());
+        // One core walks a shrinking and growing sharer sequence — every
+        // reset re-shapes the L3 lanes in place, smaller or larger — and
+        // must reproduce a fresh core of that share each time.
+        for m in [icelake_sp_8360y(), sapphire_rapids_8480()] {
+            let max = m.caches.l3_sharers;
+            let mut reused = loaded_core(&m);
+            let _ = run(&mut reused);
+            for l3_sharers in [1, max, 2, max / 2, 1] {
+                let ctx = OccupancyContext::compact(&m, l3_sharers);
+                let options = CoreSimOptions {
+                    l3_sharers,
+                    ..Default::default()
+                };
+                reused.reset(ctx, options);
+                let mut fresh: CoreSim = CoreSim::new(&m, ctx, options);
+                assert_eq!(
+                    reused.l3.capacity_lines(),
+                    fresh.l3.capacity_lines(),
+                    "{} sharers={l3_sharers}",
+                    m.id
+                );
+                assert_eq!(
+                    run(&mut reused),
+                    run(&mut fresh),
+                    "{} sharers={l3_sharers}",
+                    m.id
+                );
+            }
+        }
     }
 
     #[test]
@@ -1286,7 +1404,7 @@ mod tests {
         m: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
-    ) -> (MemCounters, Vec<TraceOp>) {
+    ) -> (MemCounters, Arc<[TraceOp]>) {
         let mut core: CoreSim = CoreSim::new(m, ctx, options);
         core.start_trace();
         for row in 0..16u64 {
@@ -1350,13 +1468,95 @@ mod tests {
     #[test]
     fn trace_overflow_discards_the_recording() {
         let mut rec = TraceRecorder::default();
+        rec.start();
         for _ in 0..TRACE_OP_CAP {
-            rec.push(TraceOp::DemandRead);
+            rec.push(Some(TraceOp::DemandRead));
         }
         assert!(!rec.overflowed);
-        rec.push(TraceOp::DemandRead);
+        rec.push(Some(TraceOp::DemandRead));
         assert!(rec.overflowed);
-        assert!(rec.ops.is_empty(), "an overflowed trace frees its buffer");
+        assert_eq!(
+            rec.ops.capacity(),
+            0,
+            "an overflowed trace frees its buffer"
+        );
+        assert!(rec.finish().is_none());
+        // The next recording starts clean.
+        rec.start();
+        rec.push(Some(TraceOp::Writeback));
+        assert_eq!(rec.finish().as_deref(), Some(&[TraceOp::Writeback][..]));
+    }
+
+    #[test]
+    fn a_store_line_that_does_not_fit_the_compact_op_abandons_the_recording() {
+        // Narrowing into the 8-byte op is checked, never truncating: each
+        // of these synthetic lines must abandon the recording (the memo
+        // then answers the class `Oversized` and re-simulates) while the
+        // live counters stay those of an unrecorded core.
+        let m = icelake_sp_8360y();
+        let ev = FinalizedLine {
+            line: 1 << 20,
+            full: true,
+            streak_estimate: 27.0,
+            active_streams: 2,
+        };
+        assert_eq!(
+            TraceOp::wa_store(&ev),
+            Some(TraceOp::WaStore {
+                full: true,
+                streams: 2,
+                streak: 27
+            })
+        );
+        let unfit = [
+            FinalizedLine {
+                active_streams: u8::MAX as usize + 1,
+                ..ev
+            },
+            FinalizedLine {
+                streak_estimate: 27.5,
+                ..ev
+            },
+            FinalizedLine {
+                streak_estimate: u32::MAX as f64 + 1.0,
+                ..ev
+            },
+            FinalizedLine {
+                streak_estimate: -1.0,
+                ..ev
+            },
+            FinalizedLine {
+                streak_estimate: f64::NAN,
+                ..ev
+            },
+        ];
+        for ev in unfit {
+            assert_eq!(TraceOp::wa_store(&ev), None, "{ev:?}");
+            let mut recorded = loaded_core(&m);
+            let mut plain = loaded_core(&m);
+            recorded.start_trace();
+            recorded.load(0, 8);
+            plain.load(0, 8);
+            for core in [&mut recorded, &mut plain] {
+                WriteAllocate::handle_store_line(&mut core.private, &mut core.l3, ev);
+            }
+            assert!(recorded.private.trace.overflowed, "{ev:?}");
+            assert!(recorded.private.trace.ops.is_empty());
+            let live = recorded.flush();
+            // NaN counters (the NaN streak) still compare by bits.
+            assert_eq!(
+                format!("{live:?}"),
+                format!("{:?}", plain.flush()),
+                "{ev:?}"
+            );
+            assert!(recorded.take_trace().is_none(), "{ev:?}");
+        }
+        // The bulk write-back count narrows the same way.
+        assert_eq!(
+            TraceOp::writeback_bulk(7),
+            Some(TraceOp::WritebackBulk { distinct: 7 })
+        );
+        assert_eq!(TraceOp::writeback_bulk(u32::MAX as usize + 1), None);
     }
 
     #[test]

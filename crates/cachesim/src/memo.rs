@@ -41,11 +41,15 @@ use std::sync::Arc;
 use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
 
 use crate::access::AccessKind;
+use crate::cache::SetAssocCache;
 use crate::counters::MemCounters;
 use crate::flight::FlightMemo;
-use crate::hierarchy::{replay_trace, CoreSim, CoreSimOptions, OccupancyContext, TraceOp};
+use crate::hierarchy::{
+    l3_share_bytes, replay_trace, CoreSim, CoreSimOptions, OccupancyContext, TraceOp,
+};
 use crate::patterns::{StencilOperand, StencilRowSweep};
 use crate::policy::{ReplacementPolicy, TrueLru, WriteAllocate, WritePolicy};
+use crate::prefetch::PrefetcherConfig;
 
 /// Smallest [`RankBase::Shifted`] shift the memo accepts: 2^30-aligned
 /// rank windows are a multiple of every cache level's `sets × line` span
@@ -187,41 +191,91 @@ impl KernelSpec {
         self.inner * self.rows
     }
 
-    /// Inclusive cache-line window `[first, last]` this kernel touches when
-    /// driven as `rank`, or `None` for an empty kernel (no operands or a
-    /// zero-trip sweep).
+    /// Inclusive cache-line window `[first, last]` of each operand that has
+    /// stencil points, when the kernel is driven as `rank`; nothing for a
+    /// zero-trip sweep.
     ///
     /// Every access address is affine in `(i, k)` with non-negative
     /// coefficients (`row_stride`, element size), so the extrema lie at the
-    /// sweep corners: the window is exact, not an over-approximation.
-    pub fn line_span(&self, rank: usize) -> Option<(u64, u64)> {
+    /// sweep corners: a window is the exact hull of its operand's accesses.
+    fn operand_windows(&self, rank: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
         use crate::access::{ELEM_BYTES, LINE_BYTES};
-        if self.operands.is_empty() || self.inner == 0 || self.rows == 0 {
-            return None;
-        }
+        let trips = self.inner > 0 && self.rows > 0;
         let base = self.rank_base.base(rank) as i128;
         let stride = self.row_stride as i128;
-        let (mut lo, mut hi) = (i128::MAX, i128::MIN);
-        for op in &self.operands {
-            for &(di, dk) in &op.points {
-                let term = dk as i128 * stride + di as i128;
-                let min_idx = self.k0 as i128 * stride + self.i0 as i128 + term;
-                let max_idx = (self.k0 + self.rows - 1) as i128 * stride
-                    + (self.i0 + self.inner - 1) as i128
-                    + term;
-                lo = lo.min(base + op.offset as i128 + min_idx * ELEM_BYTES as i128);
-                hi = hi.max(
-                    base + op.offset as i128
-                        + max_idx * ELEM_BYTES as i128
-                        + (ELEM_BYTES - 1) as i128,
-                );
-            }
-        }
-        if lo > hi {
-            return None;
-        }
-        debug_assert!(lo >= 0, "stencil kernel reaches below address zero");
-        Some((lo as u64 / LINE_BYTES, hi as u64 / LINE_BYTES))
+        self.operands
+            .iter()
+            .filter(move |op| trips && !op.points.is_empty())
+            .map(move |op| {
+                let (mut lo, mut hi) = (i128::MAX, i128::MIN);
+                for &(di, dk) in &op.points {
+                    let term = dk as i128 * stride + di as i128;
+                    let min_idx = self.k0 as i128 * stride + self.i0 as i128 + term;
+                    let max_idx = (self.k0 + self.rows - 1) as i128 * stride
+                        + (self.i0 + self.inner - 1) as i128
+                        + term;
+                    lo = lo.min(base + op.offset as i128 + min_idx * ELEM_BYTES as i128);
+                    hi = hi.max(
+                        base + op.offset as i128
+                            + max_idx * ELEM_BYTES as i128
+                            + (ELEM_BYTES - 1) as i128,
+                    );
+                }
+                debug_assert!(lo >= 0, "stencil kernel reaches below address zero");
+                (lo as u64 / LINE_BYTES, hi as u64 / LINE_BYTES)
+            })
+    }
+
+    /// Inclusive cache-line window `[first, last]` this kernel touches when
+    /// driven as `rank` (the hull of its operands' windows), or `None` for
+    /// an empty kernel (no operands or a zero-trip sweep).
+    pub fn line_span(&self, rank: usize) -> Option<(u64, u64)> {
+        self.operand_windows(rank)
+            .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
+    }
+
+    /// Whether `machine`'s per-core L3 share under `options` (its sharer
+    /// count and prefetchers) can be proven never to evict while this
+    /// kernel runs: then the kernel's traffic does not depend on the size
+    /// of the share, and the memo simulates it once for every sharer count
+    /// the proof holds for.
+    pub fn never_evicts_l3(&self, machine: &Machine, options: &CoreSimOptions) -> bool {
+        let l3 = &machine.caches.l3;
+        let (sets, ways) = SetAssocCache::<TrueLru>::geometry(
+            l3_share_bytes(l3.capacity_bytes, options.l3_sharers),
+            l3.associativity,
+        );
+        self.never_evicts(sets, ways, &options.prefetchers)
+    }
+
+    /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of
+    /// `sets × ways`.
+    ///
+    /// The lines that ever enter the last level are the kernel's own plus
+    /// what the prefetchers add around them: the adjacent-line prefetcher
+    /// the buddy `line ^ 1`, the streamer at most `streamer_distance` lines
+    /// ahead.  A contiguous window of `n` lines puts at most `ceil(n /
+    /// sets)` lines into any one set, whatever its base, so if the
+    /// operands' widened windows together stay within the associativity no
+    /// set ever holds more lines than it has ways — under any replacement
+    /// policy, since an empty way is always filled first.  Overlapping
+    /// windows are counted twice and windows whose set ranges do not meet
+    /// are still added up: the bound is sufficient, not necessary.
+    fn never_evicts(&self, sets: usize, ways: usize, prefetchers: &PrefetcherConfig) -> bool {
+        let per_set: u64 = self
+            .operand_windows(0)
+            .map(|(first, last)| {
+                let (mut lo, mut hi) = (first, last);
+                if prefetchers.adjacent_line {
+                    (lo, hi) = (lo & !1, hi | 1);
+                }
+                if prefetchers.streamer {
+                    hi = hi.max(last.saturating_add(prefetchers.streamer_distance));
+                }
+                (hi - lo).saturating_add(1).div_ceil(sets as u64)
+            })
+            .fold(0, u64::saturating_add);
+        per_set <= ways as u64
     }
 }
 
@@ -391,17 +445,59 @@ impl CoRunKey {
     }
 }
 
-/// Identity of one *cache-dynamics* trace: a [`SimKey`] without its
-/// [`Accounting`].  The memo records the trace once per `DiffKey` and
-/// replays it (bit-identically — same floating-point addition order per
-/// counter field) under each neighbour's accounting instead of
+/// The last level's part of a trace identity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum LlcClass {
+    /// The kernel provably never evicts at the last level under the
+    /// point's L3 share ([`KernelSpec::never_evicts_l3`]).  Then the share
+    /// answers "resident?" exactly like an unbounded cache would, so the
+    /// event sequence is the same for every share the proof holds for and
+    /// the sharer count is no part of the identity.
+    NeverEvicts,
+    /// The kernel may evict: the sharer count, which sets the share's
+    /// geometry, decides which lines survive.
+    Sharers(usize),
+}
+
+/// Identity of one *cache-dynamics* trace: the [`Dynamics`] of a
+/// [`SimKey`] with the sharer count reduced to its [`LlcClass`], and the
+/// kernel — no [`Accounting`].  The memo records the trace once per
+/// `DiffKey` and replays it (bit-identically — same floating-point addition
+/// order per counter field) under each neighbour's accounting instead of
 /// re-simulating the cache dynamics from scratch.  Because the key holds
 /// the whole [`Dynamics`], a replay can never be served across machines,
-/// prefetcher switches, L3 sharer counts, policies or kernels.
+/// prefetcher switches, policies or kernels, nor across L3 shares unless
+/// the kernel never evicts in either.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct DiffKey {
+    /// `l3_sharers` is zeroed here: the count lives in `llc`, or nowhere.
     dynamics: Dynamics,
+    llc: LlcClass,
     kernel: KernelSpec,
+}
+
+impl DiffKey {
+    fn of(
+        machine: &Machine,
+        options: CoreSimOptions,
+        kernel: &KernelSpec,
+        replacement: ReplacementPolicyKind,
+        write_policy: WritePolicyKind,
+    ) -> Self {
+        let llc = if kernel.never_evicts_l3(machine, &options) {
+            LlcClass::NeverEvicts
+        } else {
+            LlcClass::Sharers(options.l3_sharers)
+        };
+        Self {
+            dynamics: Dynamics {
+                l3_sharers: 0,
+                ..Dynamics::of(machine, options, replacement, write_policy)
+            },
+            llc,
+            kernel: kernel.clone(),
+        }
+    }
 }
 
 /// One memoized cache-dynamics trace (or the fact that recording it was
@@ -537,7 +633,7 @@ impl SimMemo {
     ) -> MemCounters {
         let key = SimKey::for_policies(machine, ctx, options, kernel, R::KIND, W::KIND);
         self.get_or_insert_with(key, || {
-            let scratch = || Self::simulate::<R, W>(machine, ctx, options, kernel, rank, false).0;
+            let scratch = || Self::simulate::<R, W>(machine, ctx, options, kernel, rank, None).0;
             if !self.differential {
                 return scratch();
             }
@@ -549,19 +645,14 @@ impl SimMemo {
             // outside every lock; the diff lookup never waits on an
             // `inner` flight (only the reverse), so the nesting cannot
             // deadlock.
-            let dkey = DiffKey {
-                dynamics: Dynamics::of(machine, options, R::KIND, W::KIND),
-                kernel: kernel.clone(),
-            };
+            let dkey = DiffKey::of(machine, options, kernel, R::KIND, W::KIND);
+            let llc = dkey.llc;
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
                 let (counters, ops) =
-                    Self::simulate::<R, W>(machine, ctx, options, kernel, rank, true);
+                    Self::simulate::<R, W>(machine, ctx, options, kernel, rank, Some(llc));
                 live = Some(counters);
-                match ops {
-                    Some(ops) => DiffEntry::Trace(ops.into()),
-                    None => DiffEntry::Oversized,
-                }
+                ops.map_or(DiffEntry::Oversized, DiffEntry::Trace)
             });
             if let Some(counters) = live {
                 // Trace leader: its live counters are the result.
@@ -574,40 +665,53 @@ impl SimMemo {
         })
     }
 
-    /// From-scratch simulation of one representative core, recording the
-    /// event trace when `trace` is set.  The returned trace is `None`
-    /// when recording was off or the kernel overflowed the recording cap
-    /// (the counters are exact either way).  The default policy pair runs
-    /// on the thread-local core pool; other pairs build a fresh typed core
-    /// (the branch is a compile-time constant per monomorphisation).
+    /// From-scratch simulation of one representative core; with
+    /// `record = Some(class)` as the leader of that trace class, recording
+    /// the event trace.  The returned trace is `None` when recording was
+    /// off or abandoned (the counters are exact either way).  The default
+    /// policy pair runs on the thread-local core pool; other pairs build a
+    /// fresh typed core (the branch is a compile-time constant per
+    /// monomorphisation).
     fn simulate<R: ReplacementPolicy, W: WritePolicy>(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         kernel: &KernelSpec,
         rank: usize,
-        trace: bool,
-    ) -> (MemCounters, Option<Vec<TraceOp>>) {
+        record: Option<LlcClass>,
+    ) -> (MemCounters, Option<Arc<[TraceOp]>>) {
         fn run<R: ReplacementPolicy, W: WritePolicy>(
             core: &mut CoreSim<R, W>,
             kernel: &KernelSpec,
             rank: usize,
-            trace: bool,
-        ) -> (MemCounters, Option<Vec<TraceOp>>) {
-            if trace {
+            record: Option<LlcClass>,
+        ) -> (MemCounters, Option<Arc<[TraceOp]>>) {
+            if record.is_some() {
                 core.start_trace();
             }
             kernel.drive(rank, core);
-            (core.flush(), core.take_trace())
+            let counters = core.flush();
+            if record == Some(LlcClass::NeverEvicts) {
+                // Every share of the class replays this trace: were the
+                // proof wrong, their counters would be too.
+                assert_eq!(
+                    core.l3_evictions(),
+                    0,
+                    "a kernel classed NeverEvicts evicted at the last level"
+                );
+            }
+            (counters, core.take_trace())
         }
         if R::KIND == ReplacementPolicyKind::Lru && W::KIND == WritePolicyKind::Allocate {
-            with_pooled_core(machine, ctx, options, |core| run(core, kernel, rank, trace))
+            with_pooled_core(machine, ctx, options, |core| {
+                run(core, kernel, rank, record)
+            })
         } else {
             run(
                 &mut CoreSim::<R, W>::new(machine, ctx, options),
                 kernel,
                 rank,
-                trace,
+                record,
             )
         }
     }
@@ -936,46 +1040,69 @@ mod tests {
         assert_eq!(scratch.len(), 8);
     }
 
+    /// 4 MiB of stores: more than an 18- or 36-sharer L3 share of the ICX
+    /// holds, so the kernel may evict there (and provably cannot in the
+    /// whole 54 MiB).
+    const EVICTING_ELEMENTS: u64 = 512 * 1024;
+
     #[test]
     fn differential_traces_never_mix_across_dynamics_axes() {
         use crate::policy::NoWriteAllocate;
         use crate::prefetch::PrefetcherConfig;
-        // Anything that can change the event sequence — kernel, L3
-        // sharers, prefetcher switches, policies — gets its own trace key.
+        // Anything that can change the event sequence — kernel, prefetcher
+        // switches, policies — gets its own trace key, and so does the L3
+        // sharer count exactly when the kernel may evict at the last
+        // level: a streaming kernel's traffic cannot depend on the size of
+        // a share it never fills.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         let ctx = OccupancyContext::serial(&m);
         let options = CoreSimOptions::default();
-        let scratch = SimMemo::without_differential();
-        let mut expect = Vec::new();
-
-        let _ = memo.counters(&m, ctx, options, &store_spec(1024), 0);
-        expect.push((options, store_spec(1024)));
-        let _ = memo.counters(&m, ctx, options, &store_spec(1025), 0);
-        expect.push((options, store_spec(1025)));
-        let sharers = CoreSimOptions {
-            l3_sharers: 36,
+        let sharers = |l3_sharers| CoreSimOptions {
+            l3_sharers,
             ..Default::default()
         };
-        let _ = memo.counters(&m, ctx, sharers, &store_spec(1024), 0);
-        expect.push((sharers, store_spec(1024)));
         let no_pf = CoreSimOptions {
             prefetchers: PrefetcherConfig::disabled(),
             ..Default::default()
         };
-        let _ = memo.counters(&m, ctx, no_pf, &store_spec(1024), 0);
-        expect.push((no_pf, store_spec(1024)));
+        let big = store_spec(EVICTING_ELEMENTS);
+        let distinct = [
+            (options, store_spec(1024)),
+            (options, store_spec(1025)),
+            (no_pf, store_spec(1024)),
+            (sharers(36), big.clone()),
+            (sharers(18), big.clone()),
+            (options, big),
+        ];
+        for (opts, spec) in &distinct {
+            let _ = memo.counters(&m, ctx, *opts, spec, 0);
+        }
         let nowa =
             memo.counters_for::<TrueLru, NoWriteAllocate>(&m, ctx, options, &store_spec(1024), 0);
-
-        // Five distinct dynamics identities, zero replays.
-        assert_eq!(memo.diff_len(), 5);
+        // Seven distinct dynamics identities, zero replays.
+        assert_eq!(memo.diff_len(), 7);
         assert_eq!(memo.diff_stats().hits, 0);
+
+        // The streaming kernel under other sharer counts: new `SimKey`s,
+        // the trace of the first.
+        let streaming = [
+            (sharers(36), store_spec(1024)),
+            (sharers(2), store_spec(1024)),
+        ];
+        for (opts, spec) in &streaming {
+            let _ = memo.counters(&m, ctx, *opts, spec, 0);
+        }
+        assert_eq!(memo.diff_len(), 7);
+        assert_eq!(memo.diff_stats().hits, 2);
+        assert_eq!(memo.len(), 9);
+
         // And every result still equals the from-scratch reference.
-        for (opts, spec) in expect {
+        let scratch = SimMemo::without_differential();
+        for (opts, spec) in distinct.iter().chain(&streaming) {
             assert_eq!(
-                memo.counters(&m, ctx, opts, &spec, 0),
-                scratch.counters(&m, ctx, opts, &spec, 0)
+                memo.counters(&m, ctx, *opts, spec, 0),
+                scratch.counters(&m, ctx, *opts, spec, 0)
             );
         }
         assert_eq!(
@@ -1001,22 +1128,21 @@ mod tests {
             let mut options = CoreSimOptions::default();
             vary(&mut ctx, &mut options);
             let full = SimKey::for_policies(machine, ctx, options, spec, r, w);
-            let diff = DiffKey {
-                dynamics: full.dynamics.clone(),
-                kernel: full.kernel.clone(),
-            };
-            (full, diff)
+            (full, DiffKey::of(machine, options, spec, r, w))
         };
         let vary = |vary: Vary| keys(&m, vary, &spec, lru, wa);
         let (base_full, base_diff) = vary(|_, _| {});
+        assert_eq!(base_diff.llc, LlcClass::NeverEvicts);
 
-        // One accounting field at a time: a different SimKey, the same trace.
-        let accounting: [Vary; 5] = [
+        // One accounting field at a time — and the sharer count of this
+        // never-evicting kernel: a different SimKey, the same trace.
+        let accounting: [Vary; 6] = [
             |c, _| c.domain_utilization = 0.25,
             |c, _| c.active_domains = 3,
             |c, _| c.total_domains = 8,
             |_, o| o.speci2m_enabled = false,
             |_, o| o.prefetchers.pf_off_evasion_factor = 0.5,
+            |_, o| o.l3_sharers = 36,
         ];
         for (i, (full, diff)) in accounting.into_iter().map(vary).enumerate() {
             assert_ne!(full, base_full, "accounting field {i} is in the SimKey");
@@ -1029,7 +1155,6 @@ mod tests {
             vary(|_, o| o.prefetchers.adjacent_line = false),
             vary(|_, o| o.prefetchers.streamer = false),
             vary(|_, o| o.prefetchers.streamer_distance += 1),
-            vary(|_, o| o.l3_sharers = 36),
             keys(&m, |_, _| {}, &spec, ReplacementPolicyKind::Srrip, wa),
             keys(&m, |_, _| {}, &spec, lru, WritePolicyKind::NoAllocate),
             keys(&m, |_, _| {}, &store_spec(1025), lru, wa),
@@ -1038,6 +1163,92 @@ mod tests {
             assert_ne!(full, base_full, "dynamics field {i}");
             assert_ne!(diff, base_diff, "dynamics field {i} must split traces");
         }
+
+        // The sharer count is a dynamics field of a kernel that may evict.
+        let big = store_spec(EVICTING_ELEMENTS);
+        let at = |vary: Vary| keys(&m, vary, &big, lru, wa).1;
+        let (s36, s18) = (at(|_, o| o.l3_sharers = 36), at(|_, o| o.l3_sharers = 18));
+        assert_eq!(s36.llc, LlcClass::Sharers(36));
+        assert_eq!(s18.llc, LlcClass::Sharers(18));
+        assert_ne!(s36, s18);
+        assert_eq!(at(|_, _| {}).llc, LlcClass::NeverEvicts);
+    }
+
+    #[test]
+    fn never_evicts_counts_each_operand_window_against_the_ways() {
+        use crate::prefetch::PrefetcherConfig;
+        let (on, off) = (PrefetcherConfig::enabled(), PrefetcherConfig::disabled());
+        // One 4096-line stream in 2048 sets: two lines per set; the
+        // streamer's eight lines ahead make it three.
+        let one = store_spec(8 * 4096);
+        assert!(one.never_evicts(2048, 2, &off));
+        assert!(!one.never_evicts(2048, 2, &on));
+        assert!(one.never_evicts(2048, 3, &on));
+        // An odd first line: the buddy prefetch reaches one line below.
+        let odd = KernelSpec {
+            i0: 8,
+            ..store_spec(8 * 4096)
+        };
+        let buddy_only = PrefetcherConfig {
+            streamer: false,
+            ..on
+        };
+        assert!(odd.never_evicts(4096, 1, &off));
+        assert!(!odd.never_evicts(4096, 1, &buddy_only));
+        // Three aliasing streams (set-span-multiple offsets) add up.
+        let three = KernelSpec {
+            operands: (0..3u64)
+                .map(|s| SpecOperand {
+                    offset: s << 30,
+                    points: vec![(0, 0)],
+                    kind: AccessKind::Store,
+                })
+                .collect(),
+            ..store_spec(8 * 4096)
+        };
+        assert!(three.never_evicts(2048, 6, &off));
+        assert!(!three.never_evicts(2048, 5, &off));
+        // No lines, no evictions.
+        assert!(store_spec(0).never_evicts(1, 1, &on));
+    }
+
+    #[test]
+    fn an_abandoned_recording_makes_the_class_oversized_and_stays_exact() {
+        // One op per NT line: a stream of more lines than TRACE_OP_CAP
+        // abandons the leader's recording, so the neighbour re-simulates.
+        let m = icelake_sp_8360y();
+        let lines = crate::hierarchy::TRACE_OP_CAP as u64 + 8;
+        let spec = KernelSpec::contiguous(
+            RankBase::Shifted { shift: 36, plus: 0 },
+            0,
+            8 * lines,
+            AccessKind::StoreNT,
+        );
+        let diff = SimMemo::new();
+        let scratch = SimMemo::without_differential();
+        let options = CoreSimOptions::default();
+        for ctx in [
+            OccupancyContext::serial(&m),
+            OccupancyContext::compact(&m, 36),
+        ] {
+            assert_eq!(
+                diff.counters(&m, ctx, options, &spec, 0),
+                scratch.counters(&m, ctx, options, &spec, 0)
+            );
+        }
+        let dkey = DiffKey::of(
+            &m,
+            options,
+            &spec,
+            ReplacementPolicyKind::Lru,
+            WritePolicyKind::Allocate,
+        );
+        let entry = diff
+            .diff
+            .get_or_insert_with(dkey, || unreachable!("recorded above"));
+        assert!(matches!(entry, DiffEntry::Oversized));
+        let dstats = diff.diff_stats();
+        assert_eq!((dstats.hits, dstats.misses), (2, 1));
     }
 
     #[test]

@@ -12,7 +12,9 @@ use cloverleaf_wa::cachesim::{
     SetAssocCache, SimConfig, SimMemo, SpecOperand, Srrip, SweepCursor, TreePlru, TrueLru,
     WriteAllocate, WritePolicy,
 };
-use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, ReplacementPolicyKind, WritePolicyKind};
+use cloverleaf_wa::machine::{
+    icelake_sp_8360y, Machine, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
+};
 use proptest::prelude::*;
 
 const KINDS: [AccessKind; 3] = [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT];
@@ -170,7 +172,166 @@ fn assert_probe_equivalent_for_all_policies(machine: &Machine, ranks: usize, run
     combos!(TrueLru, TreePlru, Srrip, RandomEvict);
 }
 
+/// Operand spacing of the trace-class tests: a multiple of every L3
+/// share's set span (at most 2^16 sets of 64-byte lines), so equal lines
+/// of different operands collide in one set under any sharer count.
+const SET_SPAN_MULTIPLE: u64 = 1 << 26;
+
+/// A random multi-operand stencil kernel: 1–4 operands `SET_SPAN_MULTIPLE`
+/// apart plus a skew (a line or element offset, or a 4-byte misalignment
+/// that forces the element-wise driver), each a load, store or NT store
+/// of 1–3 stencil points.
+fn aliasing_kernel(seed: u64, inner: u64, halo: u64, rows: u64) -> KernelSpec {
+    let mut state = seed;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    const SKEWS: [u64; 6] = [0, 8, 64, 72, 4096 + 24, 4];
+    let operands = (0..1 + draw(4))
+        .map(|j| SpecOperand {
+            offset: j * SET_SPAN_MULTIPLE + SKEWS[draw(SKEWS.len() as u64) as usize],
+            points: (0..1 + draw(3))
+                .map(|_| (draw(3) as i64 - 1, draw(3) as i64 - 1))
+                .collect(),
+            kind: KINDS[draw(3) as usize],
+        })
+        .collect();
+    KernelSpec {
+        rank_base: RankBase::Shifted { shift: 40, plus: 1 },
+        operands,
+        row_stride: inner + halo,
+        i0: 1,
+        inner,
+        k0: 1,
+        rows,
+    }
+}
+
+/// `counters` of `kernel` at `(l3_sharers, active_domains)` through both
+/// memos, asserted equal.
+fn assert_differential_equals_scratch(
+    machine: &Machine,
+    kernel: &KernelSpec,
+    (l3_sharers, active_domains): (usize, usize),
+    diff: &SimMemo,
+    scratch: &SimMemo,
+) {
+    let ctx = OccupancyContext::domain_load(machine, 1, active_domains);
+    let options = CoreSimOptions {
+        l3_sharers,
+        ..Default::default()
+    };
+    assert_eq!(
+        diff.counters(machine, ctx, options, kernel, 0),
+        scratch.counters(machine, ctx, options, kernel, 0),
+        "{} sharers={l3_sharers} domains={active_domains} {kernel:?}",
+        machine.id
+    );
+}
+
+/// The negative arm of the trace-class rule: a kernel that may evict at
+/// the last level keeps the sharer count in its trace identity, so two
+/// sharer counts under one accounting are two simulations and no replay.
+#[test]
+fn kernels_that_may_evict_keep_the_sharer_count_in_their_trace_identity() {
+    let machine = icelake_sp_8360y();
+    let ways = machine.caches.l3.associativity as u64;
+    let streaming = |elements| {
+        KernelSpec::contiguous(
+            RankBase::Shifted { shift: 40, plus: 1 },
+            0,
+            elements,
+            AccessKind::Store,
+        )
+    };
+    // A working set larger than the share: 4 MiB of stores against 1.5 and
+    // 3 MiB.  And a working set of a few KiB that collides: one more
+    // aliasing stream than the share has ways.
+    let colliding = KernelSpec {
+        operands: (0..=ways)
+            .map(|j| SpecOperand {
+                offset: j * SET_SPAN_MULTIPLE,
+                points: vec![(0, 0)],
+                kind: if j % 2 == 0 {
+                    AccessKind::Load
+                } else {
+                    AccessKind::Store
+                },
+            })
+            .collect(),
+        ..streaming(64)
+    };
+    for kernel in [streaming(512 * 1024), colliding] {
+        let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
+        for l3_sharers in [36, 18] {
+            let options = CoreSimOptions {
+                l3_sharers,
+                ..Default::default()
+            };
+            assert!(!kernel.never_evicts_l3(&machine, &options));
+            assert_differential_equals_scratch(&machine, &kernel, (l3_sharers, 1), &diff, &scratch);
+        }
+        let stats = diff.diff_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 2), "{kernel:?}");
+        // The same kernels with the whole L3 to themselves cannot evict.
+        assert!(streaming(512 * 1024).never_evicts_l3(&machine, &CoreSimOptions::default()));
+    }
+}
+
 proptest! {
+    /// Soundness of the trace class: a random multi-operand kernel —
+    /// aliasing operands, skewed and misaligned bases, stencil points,
+    /// every access kind — walked over two sharer counts and two
+    /// active-domain counts on any preset gives the counters of the
+    /// from-scratch memo at every point, and the second sharer count
+    /// replays the first one's trace exactly when the kernel provably
+    /// evicts under neither share.  (The leader of such a class also
+    /// hard-asserts that its L3 share evicted nothing.)
+    #[test]
+    fn trace_class_shares_one_simulation_across_sharer_counts_iff_nothing_evicts(
+        seed in 0u64..u64::MAX,
+        inner in 8u64..=3000,
+        halo in 0u64..20,
+        rows in 1u64..=40,
+        preset in prop::sample::select(MachinePreset::all()),
+        sharers in prop::sample::select(vec![(0usize, 3usize), (3, 1), (1, 2), (2, 0), (3, 2)]),
+    ) {
+        let machine = preset.machine();
+        let max = machine.caches.l3_sharers;
+        let counts = [1, 2, (max / 2).max(3), max];
+        let (first, second) = (counts[sharers.0], counts[sharers.1]);
+        let domains = [1, machine.topology.domains.len()];
+        let kernel = aliasing_kernel(seed, inner, halo, rows);
+        let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
+        for l3_sharers in [first, second] {
+            for active_domains in domains {
+                assert_differential_equals_scratch(
+                    &machine,
+                    &kernel,
+                    (l3_sharers, active_domains),
+                    &diff,
+                    &scratch,
+                );
+            }
+        }
+        let proven = [first, second].into_iter().all(|l3_sharers| {
+            let options = CoreSimOptions { l3_sharers, ..Default::default() };
+            kernel.never_evicts_l3(&machine, &options)
+        });
+        // Four lookups (two, where the node has one domain): every one but
+        // the leader of a trace identity replays.
+        let lookups = if domains[0] == domains[1] { 2 } else { 4 };
+        let leaders = if proven { 1 } else { 2 };
+        let stats = diff.diff_stats();
+        prop_assert_eq!(
+            (stats.hits, stats.misses), (lookups - leaders, leaders),
+            "{} sharers {}/{} proven={} {:?}", machine.id, first, second, proven, kernel
+        );
+    }
+
     /// One run of any kind, any byte alignment of the base (including
     /// non-8-aligned bases whose elements straddle cache lines) and any
     /// length is bit-identical under any occupancy.

@@ -4,58 +4,11 @@
 //! into the path moves these counts by tens and fails here, where a timing
 //! would drown in host noise.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
 
 use cloverleaf_wa::core::{ScalingEngine, SweepMemo, TrafficOptions, TINY_GRID};
 use cloverleaf_wa::machine::{icelake_sp_8360y, ReplacementPolicyKind, WritePolicyKind};
-
-struct Counting;
-
-thread_local! {
-    /// Allocations made by this thread; per thread, so the tests of this
-    /// binary may run in parallel.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local `Cell` without a destructor, so touching it never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn count() {
-    // A thread being torn down has no counter left; it is not measuring.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-/// Allocations the calling thread makes inside `f`.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let value = f();
-    (value, ALLOCS.with(Cell::get) - before)
-}
+use common::allocations;
 
 /// Points across every branch of the traffic formula: serial, a prime
 /// count, a partially filled domain and the full node, each stage, the
@@ -86,7 +39,7 @@ fn one_point_costs_four_allocations() {
     // The process-wide loop tables are built by the first evaluation.
     let _ = engine.point(1, &TrafficOptions::original(1));
     for (ranks, opts) in sample_points() {
-        let (point, allocs) = allocations(|| engine.point(ranks, &opts));
+        let (point, (allocs, _)) = allocations(|| engine.point(ranks, &opts));
         assert_eq!(point.loop_balances.len(), 22);
         // The active-cores-per-domain table (read by the occupancy context
         // and again by the bandwidths), the per-rank bandwidths, and the
@@ -101,7 +54,7 @@ fn one_memo_hit_costs_two_allocations() {
     let memo = SweepMemo::new();
     for (ranks, opts) in sample_points() {
         let cold = engine.point_memo(ranks, &opts, &memo);
-        let (warm, allocs) = allocations(|| engine.point_memo(ranks, &opts, &memo));
+        let (warm, (allocs, _)) = allocations(|| engine.point_memo(ranks, &opts, &memo));
         assert_eq!(warm, cold);
         // The key's machine id and the returned copy's balances.
         assert_eq!(allocs, 2, "ranks {ranks}, {opts:?}");

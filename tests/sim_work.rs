@@ -1,0 +1,100 @@
+//! Deterministic gate on the simulator's work for the six simulated paper
+//! figures — counts that repeat exactly, no timing: each figure's curve or
+//! grid, walked through one `SimMemo` the way `clover-bench` walks it, runs
+//! one from-scratch simulation per cache-dynamics class (machine × kernel
+//! × prefetcher setting; every other point replays a trace or hits the
+//! memo), and the six walks together allocate less than 1e8 bytes once the
+//! thread's pooled cores exist.
+
+mod common;
+
+use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
+use cloverleaf_wa::cachesim::{with_pooled_core, SimMemo};
+use cloverleaf_wa::machine::{
+    icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine,
+};
+use cloverleaf_wa::ubench::{
+    copy_halo_ratio_memo, copy_volume_per_iteration_memo, store_ratio_memo, StoreKind,
+};
+use common::allocations;
+
+/// Figs. 5, 9, 10: one to three normal, then non-temporal, store streams
+/// at every `step`-th core count.
+fn store_curve(machine: &Machine, step: usize, memo: &SimMemo) {
+    for cores in (1..=machine.total_cores()).step_by(step) {
+        for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
+            for streams in 1..=3 {
+                store_ratio_memo(machine, cores, streams, kind, memo);
+            }
+        }
+    }
+}
+
+/// Figs. 8, 11: three inner dimensions × halos 0–17 on the full node,
+/// prefetchers on and (Fig. 8) off.
+fn halo_grid(machine: &Machine, with_pf_off: bool, memo: &SimMemo) {
+    for halo in 0..=17 {
+        for inner in [216, 530, 1920] {
+            copy_halo_ratio_memo(machine, inner, halo, true, memo);
+            if with_pf_off {
+                copy_halo_ratio_memo(machine, inner, halo, false, memo);
+            }
+        }
+    }
+}
+
+#[test]
+fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
+    let icx = icelake_sp_8360y();
+    let spr = sapphire_rapids_8480();
+    type Walk<'a> = Box<dyn Fn(&SimMemo) + 'a>;
+    // (figure, distinct machine × kernel × prefetcher classes, walk)
+    let figures: [(&str, u64, Walk); 6] = [
+        ("fig5", 6, Box::new(|memo| store_curve(&icx, 3, memo))),
+        (
+            "fig6",
+            1,
+            Box::new(|memo| {
+                for threads in 1..=36 {
+                    copy_volume_per_iteration_memo(&icx, threads, memo);
+                }
+            }),
+        ),
+        (
+            "fig9",
+            12,
+            Box::new(|memo| {
+                store_curve(&sapphire_rapids_8470(true), 8, memo);
+                store_curve(&sapphire_rapids_8470(false), 8, memo);
+            }),
+        ),
+        ("fig10", 6, Box::new(|memo| store_curve(&spr, 8, memo))),
+        ("fig8", 108, Box::new(|memo| halo_grid(&icx, true, memo))),
+        ("fig11", 54, Box::new(|memo| halo_grid(&spr, false, memo))),
+    ];
+    // The pooled core of a machine, its arenas sized for the whole L3, is
+    // allocated once per thread: not part of a figure's work.
+    for machine in [
+        &icx,
+        &spr,
+        &sapphire_rapids_8470(true),
+        &sapphire_rapids_8470(false),
+    ] {
+        let ctx = OccupancyContext::serial(machine);
+        with_pooled_core(machine, ctx, CoreSimOptions::default(), |_| ());
+    }
+    let ((), (_, bytes)) = allocations(|| {
+        for (figure, classes, walk) in figures {
+            let memo = SimMemo::new();
+            walk(&memo);
+            assert_eq!(
+                memo.diff_stats().misses,
+                classes,
+                "{figure}: from-scratch simulations ({:?} lookups of {} points)",
+                memo.diff_stats(),
+                memo.len()
+            );
+        }
+    });
+    assert!(bytes < 100_000_000, "six figures allocated {bytes} bytes");
+}
