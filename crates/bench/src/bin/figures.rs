@@ -26,12 +26,15 @@
 //!                                # default to the paper's LRU +
 //!                                # write-allocate + fulfilled layer
 //!                                # condition and the tenancy axes to an
-//!                                # exclusive node; `--store` warm-loads a
-//!                                # persistent memo store first and writes
-//!                                # it back after the sweep (stale or
-//!                                # corrupt stores are rebuilt);
+//!                                # exclusive node; `--store` warm-loads
+//!                                # the co-run simulations of a persistent
+//!                                # store first and writes them back after
+//!                                # the sweep (stale or corrupt stores are
+//!                                # rebuilt; analytic points are cheaper
+//!                                # to evaluate than to load, so only a
+//!                                # contended plan has anything to store);
 //!                                # `--store-cap N` compacts the write-back
-//!                                # to the N most recently touched entries
+//!                                # to the N most recently touched co-runs
 //! figures interfere [--json] [<name> ...]
 //!                                # canned multi-tenant artifacts from the
 //!                                # shared-LLC co-run engine (timestep
@@ -45,14 +48,16 @@
 //!                                # requests (`sweep <flags>`, `stats`,
 //!                                # `save`, `ping`, `quit`) over stdin or a
 //!                                # unix socket, answered from one warm
-//!                                # memo state shared by every client; the
+//!                                # memo state shared by every client (its
+//!                                # co-run simulations loaded from and
+//!                                # saved to `--store`); the
 //!                                # socket mode serves any client count
 //!                                # from a fixed pool of N workers
 //!                                # (default: the host's parallelism),
 //!                                # repeat queries hit a bounded response
 //!                                # cache (128 payloads) and
 //!                                # `save` compacts the store to the
-//!                                # `--store-cap` most recent entries
+//!                                # `--store-cap` most recent co-runs
 //! ```
 //!
 //! Experiment names must be unique, known, and not mixed with `all`.
@@ -221,21 +226,24 @@ struct SweepOptions {
     store_cap: Option<usize>,
 }
 
-/// Extract a repeat-checked `--store <path>` / `--socket <path>` style
-/// flag from `args`, returning the remaining arguments and the value.
-fn extract_path_flag(args: &[String], flag: &str) -> Result<(Vec<String>, Option<String>), String> {
+/// Extract a repeat-checked `<flag> <value>` pair from `args`, returning
+/// the remaining arguments and the value as `parse` reads it.  A missing
+/// value and a duplicate flag are usage errors naming the flag, as every
+/// error of `parse` must be.
+fn extract_flag<T>(
+    args: &[String],
+    flag: &str,
+    parse: impl Fn(&str, Option<&String>) -> Result<T, String>,
+) -> Result<(Vec<String>, Option<T>), String> {
     let mut rest = Vec::with_capacity(args.len());
-    let mut value: Option<String> = None;
+    let mut value: Option<T> = None;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == flag {
-            let path = iter
-                .next()
-                .ok_or_else(|| format!("{flag} needs a file path"))?;
-            if value.is_some() {
+            let parsed = parse(flag, iter.next())?;
+            if value.replace(parsed).is_some() {
                 return Err(format!("{flag} given twice"));
             }
-            value = Some(path.clone());
         } else {
             rest.push(arg.clone());
         }
@@ -243,34 +251,22 @@ fn extract_path_flag(args: &[String], flag: &str) -> Result<(Vec<String>, Option
     Ok((rest, value))
 }
 
-/// Extract a repeat-checked `--workers <n>` style positive-count flag
-/// from `args`, returning the remaining arguments and the value.  Zero,
-/// non-numeric, missing and duplicate values are usage errors naming the
-/// flag.
-fn extract_count_flag(args: &[String], flag: &str) -> Result<(Vec<String>, Option<usize>), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut value: Option<usize> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        if arg == flag {
-            let raw = iter
-                .next()
-                .ok_or_else(|| format!("{flag} needs a positive count"))?;
-            if value.is_some() {
-                return Err(format!("{flag} given twice"));
-            }
-            let n: usize = raw
-                .parse()
-                .map_err(|_| format!("{flag}: '{raw}' is not a count"))?;
-            if n == 0 {
-                return Err(format!("{flag} must be at least 1"));
-            }
-            value = Some(n);
-        } else {
-            rest.push(arg.clone());
-        }
+/// [`extract_flag`] reading of a `--store <path>` / `--socket <path>`
+/// style value.
+fn path_value(flag: &str, raw: Option<&String>) -> Result<String, String> {
+    raw.cloned()
+        .ok_or_else(|| format!("{flag} needs a file path"))
+}
+
+/// [`extract_flag`] reading of a `--workers <n>` style positive count:
+/// zero and non-numeric values are refused.
+fn count_value(flag: &str, raw: Option<&String>) -> Result<usize, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a positive count"))?;
+    match raw.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(n) => Ok(n),
+        Err(_) => Err(format!("{flag}: '{raw}' is not a count")),
     }
-    Ok((rest, value))
 }
 
 /// Parse the arguments after the `sweep` keyword.  The axis grammar lives
@@ -278,8 +274,8 @@ fn extract_count_flag(args: &[String], flag: &str) -> Result<(Vec<String>, Optio
 /// daemon); the CLI adds only the `--store <path>` persistence flag and
 /// its `--store-cap <n>` compaction bound.
 fn parse_sweep_args(args: &[String]) -> Result<SweepOptions, String> {
-    let (rest, store) = extract_path_flag(args, "--store")?;
-    let (rest, store_cap) = extract_count_flag(&rest, "--store-cap")?;
+    let (rest, store) = extract_flag(args, "--store", path_value)?;
+    let (rest, store_cap) = extract_flag(&rest, "--store-cap", count_value)?;
     if store_cap.is_some() && store.is_none() {
         return Err("--store-cap requires --store".to_string());
     }
@@ -360,10 +356,10 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
         Ok(opts) => opts,
         Err(message) => return sweep_usage_error(&message),
     };
-    // With `--store` the memo outlives the process: warm-load before the
-    // sweep, write back after.  The store only changes *when* points are
-    // evaluated, never their values, so stdout stays byte-identical to a
-    // storeless run.
+    // With `--store` the co-run simulations outlive the process: warm-load
+    // before the sweep, write back after.  The store only changes *when*
+    // a co-run is simulated, never its result, so stdout stays
+    // byte-identical to a storeless run.
     let store = opts.store.as_deref().map(PersistentStore::new);
     let memo = SweepMemo::new();
     let sim = SimMemo::new();
@@ -371,13 +367,13 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
         match store.warm_load(&sim, &memo) {
             LoadOutcome::Warm(n) => {
                 eprintln!(
-                    "figures sweep: store {}: {n} entries warm",
+                    "figures sweep: store {}: {n} co-run simulations warm",
                     store.path().display()
                 );
             }
             LoadOutcome::ColdMissing => {}
             LoadOutcome::ColdStale => eprintln!(
-                "figures sweep: store {}: model hash changed, rebuilding",
+                "figures sweep: store {}: model hash or format changed, rebuilding",
                 store.path().display()
             ),
             LoadOutcome::ColdCorrupt => eprintln!(
@@ -396,25 +392,21 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
         }
     }
     if let Some(store) = &store {
-        let (hits, misses) = memo.stats();
-        let rate = if hits + misses > 0 {
-            100.0 * hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
         match store.save_capped(&sim, &memo, opts.store_cap.unwrap_or(usize::MAX)) {
             Ok(report) => {
                 if report.evicted > 0 {
                     eprintln!(
-                        "figures sweep: store {}: {} least-recently-used entries compacted away",
+                        "figures sweep: store {}: {} least-recently-used co-run simulations \
+                         compacted away",
                         store.path().display(),
                         report.evicted
                     );
                 }
                 eprintln!(
-                    "figures sweep: store {}: {} entries saved (memo hit rate {rate:.1}%)",
+                    "figures sweep: store {}: {} co-run simulations saved ({} simulated now)",
                     store.path().display(),
-                    report.written
+                    report.written,
+                    sim.corun_stats().misses
                 );
             }
             Err(e) => {
@@ -431,25 +423,25 @@ fn sweep_main(args: &[String], out: &mut impl Write) -> ExitCode {
 
 /// Run the `figures serve` subcommand: the sweep daemon over stdin (the
 /// default) or a unix socket (`--socket <path>`), optionally backed by a
-/// persistent store (`--store <path>`, compacted to `--store-cap`
-/// entries on save).  The socket mode serves every client from a fixed
-/// pool of `--workers` threads; repeat queries are answered from a
-/// bounded response cache of
+/// persistent store of co-run simulations (`--store <path>`, compacted to
+/// `--store-cap` entries on save).  The socket mode serves every client
+/// from a fixed pool of `--workers` threads; repeat queries are answered
+/// from a bounded response cache of
 /// [`clover_service::DEFAULT_RESPONSE_CACHE_ENTRIES`] payloads.
 fn serve_main(args: &[String]) -> ExitCode {
-    let (rest, store_path) = match extract_path_flag(args, "--store") {
+    let (rest, store_path) = match extract_flag(args, "--store", path_value) {
         Ok(split) => split,
         Err(message) => return serve_usage_error(&message),
     };
-    let (rest, socket) = match extract_path_flag(&rest, "--socket") {
+    let (rest, socket) = match extract_flag(&rest, "--socket", path_value) {
         Ok(split) => split,
         Err(message) => return serve_usage_error(&message),
     };
-    let (rest, workers) = match extract_count_flag(&rest, "--workers") {
+    let (rest, workers) = match extract_flag(&rest, "--workers", count_value) {
         Ok(split) => split,
         Err(message) => return serve_usage_error(&message),
     };
-    let (rest, store_cap) = match extract_count_flag(&rest, "--store-cap") {
+    let (rest, store_cap) = match extract_flag(&rest, "--store-cap", count_value) {
         Ok(split) => split,
         Err(message) => return serve_usage_error(&message),
     };
@@ -468,12 +460,16 @@ fn serve_main(args: &[String]) -> ExitCode {
             let store = PersistentStore::new(&path);
             let (service, outcome) = SweepService::with_store(store);
             match outcome {
-                LoadOutcome::Warm(n) => eprintln!("figures serve: store {path}: {n} entries warm"),
+                LoadOutcome::Warm(n) => {
+                    eprintln!("figures serve: store {path}: {n} co-run simulations warm")
+                }
                 LoadOutcome::ColdMissing => {
                     eprintln!("figures serve: store {path}: starting cold")
                 }
                 LoadOutcome::ColdStale => {
-                    eprintln!("figures serve: store {path}: model hash changed, rebuilding")
+                    eprintln!(
+                        "figures serve: store {path}: model hash or format changed, rebuilding"
+                    )
                 }
                 LoadOutcome::ColdCorrupt => {
                     eprintln!("figures serve: store {path}: unreadable or truncated, rebuilding")
@@ -709,12 +705,16 @@ mod tests {
     #[test]
     fn count_flags_validate_strictly() {
         // Value extracted, remaining args untouched and in order.
-        let (rest, v) =
-            extract_count_flag(&args(&["--workers", "4", "--json"]), "--workers").unwrap();
+        let (rest, v) = extract_flag(
+            &args(&["--workers", "4", "--json"]),
+            "--workers",
+            count_value,
+        )
+        .unwrap();
         assert_eq!(v, Some(4));
         assert_eq!(rest, args(&["--json"]));
         // Absent flag is fine.
-        let (rest, v) = extract_count_flag(&args(&["--json"]), "--workers").unwrap();
+        let (rest, v) = extract_flag(&args(&["--json"]), "--workers", count_value).unwrap();
         assert_eq!(v, None);
         assert_eq!(rest, args(&["--json"]));
         // Missing value, zero, garbage and duplicates all name the flag.
@@ -725,11 +725,15 @@ mod tests {
             &["--workers", "-1"],
             &["--workers", "1", "--workers", "2"],
         ] {
-            let err = extract_count_flag(&args(bad), "--workers").unwrap_err();
+            let err = extract_flag(&args(bad), "--workers", count_value).unwrap_err();
             assert!(err.contains("--workers"), "{bad:?}: {err}");
         }
-        let err = extract_count_flag(&args(&["--workers", "1", "--workers", "2"]), "--workers")
-            .unwrap_err();
+        let err = extract_flag(
+            &args(&["--workers", "1", "--workers", "2"]),
+            "--workers",
+            count_value,
+        )
+        .unwrap_err();
         assert!(err.contains("twice"), "{err}");
     }
 

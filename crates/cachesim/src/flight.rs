@@ -262,19 +262,12 @@ impl<K: Hash + Eq + Clone, V: Clone> FlightMemo<K, V> {
         )
     }
 
-    /// Snapshot every published entry (for persistence).  In-flight
-    /// computations are skipped; the snapshot order is unspecified.
-    pub fn entries(&self) -> Vec<(K, V)> {
-        self.entries_stamped()
-            .into_iter()
-            .map(|(k, v, _)| (k, v))
-            .collect()
-    }
-
     /// Snapshot every published entry together with its access stamp (the
     /// memo-wide clock value of its most recent touch; 0 for preloaded
-    /// entries never accessed since).  Higher stamp ⇒ more recently used;
-    /// a capped persistence pass keeps the highest-stamped entries.
+    /// entries never accessed since), for persistence.  Higher stamp ⇒
+    /// more recently used; a capped persistence pass keeps the
+    /// highest-stamped entries.  In-flight computations are skipped; the
+    /// snapshot order is unspecified.
     pub fn entries_stamped(&self) -> Vec<(K, V, u64)> {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -421,14 +414,20 @@ mod tests {
         for i in 0..50u64 {
             memo.get_or_insert_with(format!("k{i}"), || i * i);
         }
-        let mut snapshot = memo.entries();
-        snapshot.sort();
+        let sorted = |memo: &FlightMemo<String, u64>| {
+            let mut entries: Vec<(String, u64)> = memo
+                .entries_stamped()
+                .into_iter()
+                .map(|(k, v, _)| (k, v))
+                .collect();
+            entries.sort();
+            entries
+        };
+        let snapshot = sorted(&memo);
         assert_eq!(snapshot.len(), 50);
         let restored: FlightMemo<String, u64> = FlightMemo::new();
         restored.preload(snapshot.clone());
-        let mut restored_snapshot = restored.entries();
-        restored_snapshot.sort();
-        assert_eq!(snapshot, restored_snapshot);
+        assert_eq!(snapshot, sorted(&restored));
         assert_eq!(
             restored.get_or_insert_with("k7".into(), || unreachable!()),
             49

@@ -772,27 +772,25 @@ impl SimMemo {
         MemoStats { hits, misses }
     }
 
-    /// Snapshot every memoized `(key, counters)` pair, e.g. for
-    /// persistence to an on-disk store.  Simulations still in flight are
-    /// skipped; the order is unspecified.
-    pub fn entries(&self) -> Vec<(SimKey, MemCounters)> {
-        self.inner.entries()
-    }
-
-    /// [`entries`](Self::entries) plus each entry's access stamp (see
+    /// Snapshot every memoized co-run with its access stamp (see
     /// [`FlightMemo::entries_stamped`]): higher stamp ⇒ more recently
-    /// touched.  A capped persistence pass keeps the highest-stamped
-    /// entries and evicts the rest.
-    pub fn entries_stamped(&self) -> Vec<(SimKey, MemCounters, u64)> {
-        self.inner.entries_stamped()
+    /// touched.  This is what a persistent store writes; a capped
+    /// persistence pass keeps the highest-stamped entries and evicts the
+    /// rest.  Co-runs still in flight are skipped; the order is
+    /// unspecified.
+    pub fn corun_entries_stamped(&self) -> Vec<(CoRunKey, Vec<crate::engine::TenantReport>, u64)> {
+        self.corun.entries_stamped()
     }
 
-    /// Publish previously snapshotted entries (warm-loading a persisted
+    /// Publish previously snapshotted co-runs (warm-loading a persisted
     /// store).  Keys already present are left untouched and the hit/miss
     /// statistics are unchanged — preloaded entries surface as hits only
     /// once a lookup finds them.
-    pub fn preload(&self, entries: impl IntoIterator<Item = (SimKey, MemCounters)>) {
-        self.inner.preload(entries);
+    pub fn corun_preload(
+        &self,
+        entries: impl IntoIterator<Item = (CoRunKey, Vec<crate::engine::TenantReport>)>,
+    ) {
+        self.corun.preload(entries);
     }
 }
 

@@ -35,10 +35,8 @@ use crate::traffic::{loop_traffic, roofline_time, LoopInvariants, TrafficModel, 
 
 /// Identity of one scaling point.  Machines are identified by their preset
 /// id (`Machine::id`); preset machines with equal ids are structurally
-/// identical, so equal keys imply bit-identical points.
-///
-/// The fields are public so a persistence layer (`clover-service`) can
-/// serialize and rebuild keys; everything a point depends on is in here.
+/// identical, so equal keys imply bit-identical points: everything a point
+/// depends on is in here.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct PointKey {
     /// `Machine::id` of the evaluated machine.
@@ -92,30 +90,6 @@ impl SweepMemo {
     /// evaluations run.
     pub fn stats(&self) -> (u64, u64) {
         self.inner.stats()
-    }
-
-    /// Snapshot every memoized `(key, point)` pair, e.g. for persistence
-    /// to an on-disk store.  Evaluations still in flight are skipped; the
-    /// order is unspecified.  Points are stored pre-normalisation
-    /// (`speedup == 0.0`), exactly as the memo holds them.
-    pub fn entries(&self) -> Vec<(PointKey, ScalingPoint)> {
-        self.inner.entries()
-    }
-
-    /// [`entries`](Self::entries) plus each entry's access stamp (see
-    /// [`FlightMemo::entries_stamped`]): higher stamp ⇒ more recently
-    /// touched, stamp 0 ⇒ preloaded and never used since.  A capped
-    /// persistence pass keeps the highest-stamped entries.
-    pub fn entries_stamped(&self) -> Vec<(PointKey, ScalingPoint, u64)> {
-        self.inner.entries_stamped()
-    }
-
-    /// Publish previously snapshotted entries (warm-loading a persisted
-    /// store).  Keys already present are left untouched and the hit/miss
-    /// statistics are unchanged — preloaded entries surface as hits only
-    /// once a lookup finds them.
-    pub fn preload(&self, entries: impl IntoIterator<Item = (PointKey, ScalingPoint)>) {
-        self.inner.preload(entries);
     }
 }
 
@@ -259,7 +233,8 @@ mod tests {
         let full = sweep(1..=18);
         let partial = sweep(9..=18);
         assert_eq!(memo.stats(), (10, 18), "the sub-range is all hits");
-        assert!(memo.entries().iter().all(|(_, p)| p.speedup == 0.0));
+        let held = |r| engine.point_memo(r, &TrafficOptions::original(r), &memo);
+        assert!((1..=18).all(|r| held(r).speedup == 0.0));
         assert!((partial[0].speedup - 1.0).abs() < 1e-12);
         let expected = full[8].time_per_step / full[17].time_per_step;
         assert!((partial[9].speedup - expected).abs() < 1e-12);

@@ -162,11 +162,11 @@ pub fn run_plan_memo(plan: &SweepPlan, jobs: usize, memo: &SweepMemo) -> Vec<Art
 
 /// [`run_plan`] through external, caller-owned memos.
 ///
-/// Both memos may outlive the plan: a persistent store (`clover-service`)
-/// or a `figures serve` daemon passes one pair to every plan it runs, so
-/// points evaluated by earlier plans — or warm-loaded from disk — are
+/// Both memos may outlive the plan: a `figures serve` daemon passes one
+/// pair to every plan it runs, so points evaluated by earlier plans are
 /// served as hits, and plans sharing a `(machine, aggressor, interleave)`
-/// co-run identity pay for one interference simulation between them.
+/// co-run identity pay for one interference simulation between them — or
+/// for none, when a persistent store (`clover-service`) warm-loaded it.
 /// Points are memoized pre-normalisation, so sharing a memo across plans
 /// cannot leak one range's speedup baseline into another; the output stays
 /// byte-identical to a cold [`run_plan`].

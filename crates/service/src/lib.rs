@@ -1,26 +1,30 @@
 //! `clover-service` — sweep-as-a-service: persistent memo stores and the
 //! `figures serve` query daemon.
 //!
-//! The paper's whole argument rests on cheap re-evaluation of the traffic
-//! model across machines, grids and policy variants; the memo layers
-//! (`clover_cachesim::SimMemo`, `clover_core::SweepMemo`) make that cheap
-//! *within* a process, and this crate makes it durable *across*
-//! processes:
+//! The paper's result is that CloverLeaf's memory traffic can be
+//! predicted analytically, so an analytic scaling point is cheap by
+//! construction; the expensive instrument is the cache simulation, most of
+//! all the shared-LLC co-run of a victim against an aggressor.  The memo
+//! layers (`clover_cachesim::SimMemo`, `clover_core::SweepMemo`) share
+//! both *within* a process; this crate makes durable *across* processes
+//! the one part that costs more to recompute than to load:
 //!
 //! * [`model`] — the model hash versioning persisted entries: a
 //!   fingerprint of every machine preset, the policy registries and the
 //!   simulator/model schema versions, so any change that could alter a
 //!   cached value invalidates the store wholesale,
-//! * [`store`] — [`PersistentStore`]: a bit-exact text codec for memo
-//!   snapshots with atomic (temp file + rename) writes and tolerant loads
-//!   (missing, stale or corrupt stores rebuild instead of crashing),
+//! * [`store`] — [`PersistentStore`]: a bit-exact text codec
+//!   (`cloverstore 2`) for the co-run simulations of a `SimMemo`, with
+//!   atomic (temp file + rename) writes and tolerant loads (missing,
+//!   stale, corrupt and `cloverstore 1` files rebuild instead of
+//!   crashing); analytic points are not persisted,
 //! * [`serve`] — [`SweepService`]: a long-running request loop over
 //!   stdin or a unix socket, answering batched `sweep` requests from the
 //!   warm memo state with byte-identical `figures sweep` output, plus
 //!   `stats`/`save`/`ping`/`quit` control verbs,
-//! * [`pool`] — the bounded-concurrency front end: a sharded MPMC
-//!   [`ShardedQueue`] plus a fixed [`WorkerPool`], so the unix-socket
-//!   daemon serves any client count with a fixed thread budget,
+//! * [`pool`] — the bounded-concurrency front end: a fixed [`WorkerPool`]
+//!   behind a bounded channel, so the unix-socket daemon serves any
+//!   client count with a fixed thread budget,
 //! * [`cache`] — a bounded LRU [`ResponseCache`] over rendered payloads:
 //!   repeat queries become an O(payload) byte copy.
 //!
@@ -36,6 +40,6 @@ pub mod store;
 
 pub use cache::{ResponseCache, ResponseCacheStats};
 pub use model::model_hash;
-pub use pool::{default_workers, ShardedQueue, WorkerPool};
+pub use pool::{default_workers, WorkerPool};
 pub use serve::{serve_stdin, serve_unix, Response, SweepService, DEFAULT_RESPONSE_CACHE_ENTRIES};
-pub use store::{LoadOutcome, PersistentStore, SaveReport, StoreSnapshot};
+pub use store::{CoRunEntry, LoadOutcome, PersistentStore, SaveReport};

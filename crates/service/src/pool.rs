@@ -1,170 +1,20 @@
-//! Bounded-concurrency request plumbing for the serve daemon: a sharded
-//! MPMC queue plus a fixed worker pool.
+//! Bounded-concurrency request plumbing for the serve daemon: a fixed
+//! worker pool behind a bounded channel.
 //!
-//! PR 7's `serve_unix` spawned one thread per accepted client and only
-//! reaped them when the listener died — under sustained traffic the
-//! process accumulated an unbounded thread set, and every client's sweep
-//! fanned out its *own* nested worker threads on top.  This module is the
-//! replacement front end:
-//!
-//! * [`ShardedQueue`] — a bounded multi-producer/multi-consumer queue
-//!   whose item storage is split across power-of-two shards (short lock
-//!   hold times under many producers), with blocking push/pop and a
-//!   `close`-to-drain shutdown protocol;
-//! * [`WorkerPool`] — a fixed set of worker threads popping items from
-//!   one queue and applying a shared job closure, with per-item panic
-//!   isolation (a panicking job is logged and the worker keeps serving).
-//!
-//! The daemon wires them together: an acceptor thread pushes accepted
-//! connections, `--workers N` pool threads pop and serve them, and
-//! cross-request coalescing happens in the shared memo/response-cache
-//! state the job closure captures.  The queue is generic, so the
-//! `serve_throughput` bench drives the identical machinery with
-//! request-line items instead of connections.
+//! The unix-socket front end must serve any client count with a fixed
+//! thread budget: an acceptor thread sends accepted connections into the
+//! channel [`WorkerPool::spawn`] returns, `--workers N` pool threads take
+//! turns receiving from it and serve them, and cross-request coalescing
+//! happens in the shared memo/response-cache state the job closure
+//! captures.  The channel is a `std::sync::mpsc::sync_channel` of
+//! `2 × workers` slots: a full channel blocks the sender (for the daemon,
+//! the kernel's own listen backlog absorbs the burst), dropping every
+//! sender closes it, and the workers drain what is queued before they end.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-/// Number of item shards; a small power of two spreads producer/consumer
-/// lock traffic without wasting memory on short queues.
-const QUEUE_SHARDS: usize = 8;
-
-/// Push/pop accounting, kept under one small mutex so the blocking
-/// semantics stay exact (the item storage itself is sharded).
-struct Gate {
-    /// Capacity slots handed to producers (item may still be in flight
-    /// towards its shard).
-    reserved: usize,
-    /// Items that have fully landed in a shard and are claimable.
-    ready: usize,
-    /// Closed queues reject pushes and drain to `None`.
-    closed: bool,
-}
-
-/// A bounded, closeable MPMC queue over sharded deques.
-///
-/// `push` blocks while the queue is full; `pop` blocks while it is empty
-/// and returns `None` once the queue is closed *and* drained — the
-/// worker-loop termination signal.  Items land in shards round-robin and
-/// are claimed via a counter, so ordering is approximately FIFO (exact
-/// FIFO per shard); the serve daemon only needs fairness, not a total
-/// order.
-pub struct ShardedQueue<T> {
-    shards: [Mutex<VecDeque<T>>; QUEUE_SHARDS],
-    push_cursor: AtomicUsize,
-    pop_cursor: AtomicUsize,
-    cap: usize,
-    gate: StdMutex<Gate>,
-    /// Waiting consumers (queue empty).
-    items_cv: Condvar,
-    /// Waiting producers (queue full).
-    space_cv: Condvar,
-}
-
-impl<T> ShardedQueue<T> {
-    /// A queue holding at most `cap` items (`cap` is clamped to ≥ 1).
-    pub fn bounded(cap: usize) -> Self {
-        Self {
-            shards: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
-            push_cursor: AtomicUsize::new(0),
-            pop_cursor: AtomicUsize::new(0),
-            cap: cap.max(1),
-            gate: StdMutex::new(Gate {
-                reserved: 0,
-                ready: 0,
-                closed: false,
-            }),
-            items_cv: Condvar::new(),
-            space_cv: Condvar::new(),
-        }
-    }
-
-    /// Push `item`, blocking while the queue is full.  Returns the item
-    /// back as `Err` when the queue is (or gets) closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        {
-            let mut gate = self.gate.lock().expect("queue gate never poisoned");
-            loop {
-                if gate.closed {
-                    return Err(item);
-                }
-                if gate.reserved < self.cap {
-                    gate.reserved += 1;
-                    break;
-                }
-                gate = self.space_cv.wait(gate).expect("queue gate never poisoned");
-            }
-        }
-        let shard = self.push_cursor.fetch_add(1, Ordering::Relaxed) % QUEUE_SHARDS;
-        self.shards[shard].lock().push_back(item);
-        let mut gate = self.gate.lock().expect("queue gate never poisoned");
-        gate.ready += 1;
-        drop(gate);
-        self.items_cv.notify_one();
-        Ok(())
-    }
-
-    /// Pop one item, blocking while the queue is empty.  `None` once the
-    /// queue is closed and fully drained.
-    pub fn pop(&self) -> Option<T> {
-        {
-            let mut gate = self.gate.lock().expect("queue gate never poisoned");
-            loop {
-                if gate.ready > 0 {
-                    gate.ready -= 1;
-                    gate.reserved -= 1;
-                    break;
-                }
-                // `reserved` covers items still in flight towards a
-                // shard: only a closed queue with nothing reserved is
-                // truly dry.
-                if gate.closed && gate.reserved == 0 {
-                    return None;
-                }
-                gate = self.items_cv.wait(gate).expect("queue gate never poisoned");
-            }
-        }
-        self.space_cv.notify_one();
-        // A claimed item is guaranteed present (ready counts only landed
-        // items and each claim removes exactly one), but another claimant
-        // may reach "our" shard first — scan from a rotating start until
-        // one surfaces.
-        let start = self.pop_cursor.fetch_add(1, Ordering::Relaxed);
-        loop {
-            for i in 0..QUEUE_SHARDS {
-                if let Some(item) = self.shards[(start + i) % QUEUE_SHARDS].lock().pop_front() {
-                    return Some(item);
-                }
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Close the queue: further pushes fail, blocked producers give up,
-    /// and consumers drain the remaining items before seeing `None`.
-    pub fn close(&self) {
-        let mut gate = self.gate.lock().expect("queue gate never poisoned");
-        gate.closed = true;
-        drop(gate);
-        self.items_cv.notify_all();
-        self.space_cv.notify_all();
-    }
-
-    /// Items currently queued (landed and claimable).
-    pub fn len(&self) -> usize {
-        self.gate.lock().expect("queue gate never poisoned").ready
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A fixed set of worker threads draining one [`ShardedQueue`] through a
+/// A fixed set of worker threads draining one bounded channel through a
 /// shared job closure.  The pool's size never changes after spawn — the
 /// bounded-concurrency guarantee of the serve daemon — and a job that
 /// panics is logged and isolated (the worker keeps serving).
@@ -174,29 +24,42 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads (clamped to ≥ 1) running `job` on every
-    /// item popped from `queue` until the queue closes and drains.
-    pub fn spawn<T, F>(queue: Arc<ShardedQueue<T>>, workers: usize, job: F) -> Self
+    /// item sent into the returned channel, which holds at most
+    /// `2 × workers` items not yet taken by a worker.  The workers end
+    /// once every sender is dropped and the channel is drained.
+    pub fn spawn<T, F>(workers: usize, job: F) -> (SyncSender<T>, Self)
     where
         T: Send + 'static,
         F: Fn(T) + Send + Sync + 'static,
     {
+        let workers = workers.max(1);
+        let (sender, receiver) = sync_channel(workers * 2);
+        let receiver: Arc<Mutex<Receiver<T>>> = Arc::new(Mutex::new(receiver));
         let job = Arc::new(job);
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|_| {
-                let queue = Arc::clone(&queue);
+                let receiver = Arc::clone(&receiver);
                 let job = Arc::clone(&job);
-                std::thread::spawn(move || {
-                    while let Some(item) = queue.pop() {
-                        let result =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(item)));
-                        if result.is_err() {
-                            eprintln!("figures serve: worker job panicked; continuing");
-                        }
+                std::thread::spawn(move || loop {
+                    // A statement of its own: the guard is dropped before
+                    // the job runs, so one worker waits in `recv` and the
+                    // others wait for the lock, never behind a job.
+                    let next = receiver
+                        .lock()
+                        .expect("no job runs under the receiver lock, so it is never poisoned")
+                        .recv();
+                    let Ok(item) = next else {
+                        break; // every sender is gone and the channel is dry
+                    };
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(item)));
+                    if result.is_err() {
+                        eprintln!("figures serve: worker job panicked; continuing");
                     }
                 })
             })
             .collect();
-        Self { handles }
+        (sender, Self { handles })
     }
 
     /// Number of worker threads.
@@ -204,8 +67,8 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Wait for every worker to finish (the queue must be closed first,
-    /// or this blocks forever).
+    /// Wait for every worker to finish (every sender must be dropped
+    /// first, or this blocks forever).
     pub fn join(self) {
         for handle in self.handles {
             let _ = handle.join();
@@ -223,87 +86,100 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn queue_round_trips_items_in_shard_order() {
-        let q: ShardedQueue<u32> = ShardedQueue::bounded(16);
-        for i in 0..10 {
-            q.push(i).unwrap();
-        }
-        assert_eq!(q.len(), 10);
-        let mut got: Vec<u32> = (0..10).map(|_| q.pop().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, TrySendError};
 
     #[test]
     fn closed_queue_drains_then_signals_none() {
-        let q: ShardedQueue<u32> = ShardedQueue::bounded(8);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.close();
-        assert_eq!(q.push(3), Err(3), "pushes fail after close");
-        let mut drained = vec![q.pop().unwrap(), q.pop().unwrap()];
-        drained.sort_unstable();
-        assert_eq!(drained, vec![1, 2]);
-        assert_eq!(q.pop(), None, "drained and closed");
+        // One worker held inside its first job while the channel fills.
+        let (release, gate) = channel::<()>();
+        let gate = Mutex::new(gate);
+        let served = Arc::new(AtomicU64::new(0));
+        let (queue, pool) = WorkerPool::spawn(1, {
+            let served = Arc::clone(&served);
+            move |item: u64| {
+                gate.lock().unwrap().recv().unwrap();
+                served.fetch_add(item, Ordering::Relaxed);
+            }
+        });
+        for item in [1, 2, 4] {
+            queue.send(item).unwrap();
+        }
+        // Closing with items still queued: the worker drains all of them,
+        // then sees the closed channel and ends.
+        drop(queue);
+        for _ in 0..3 {
+            release.send(()).unwrap();
+        }
+        pool.join();
+        assert_eq!(served.load(Ordering::Relaxed), 7);
     }
 
     #[test]
     fn bounded_push_blocks_until_a_consumer_frees_space() {
-        let q = Arc::new(ShardedQueue::<u32>::bounded(2));
-        q.push(1).unwrap();
-        q.push(2).unwrap();
+        let (release, gate) = channel::<()>();
+        let gate = Mutex::new(gate);
+        let (queue, pool) = WorkerPool::spawn(1, move |_: u32| {
+            gate.lock().unwrap().recv().unwrap();
+        });
+        // Capacity 2 × 1 worker: the third send returns only once the
+        // worker has taken the first item, and the worker then waits at
+        // the gate — so the channel is exactly full, with no sleep.
+        for item in 0..3 {
+            queue.send(item).unwrap();
+        }
+        assert!(
+            matches!(queue.try_send(3), Err(TrySendError::Full(3))),
+            "a full channel must refuse the item"
+        );
         let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(3))
+            let queue = queue.clone();
+            std::thread::spawn(move || queue.send(3))
         };
-        // The producer is blocked on the full queue; popping unblocks it.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!producer.is_finished(), "push must block at capacity");
-        assert!(q.pop().is_some());
+        // The producer is blocked on the full channel until a job ends
+        // and the worker takes the next item.
+        for _ in 0..4 {
+            release.send(()).unwrap();
+        }
         producer.join().unwrap().unwrap();
-        assert_eq!(q.len(), 2);
+        drop(queue);
+        pool.join();
     }
 
     #[test]
     fn worker_pool_processes_every_item_across_producers() {
-        const PRODUCERS: usize = 4;
+        const PRODUCERS: u64 = 4;
         const ITEMS: u64 = 200;
-        let q = Arc::new(ShardedQueue::<u64>::bounded(16));
         let sum = Arc::new(AtomicU64::new(0));
-        let pool = WorkerPool::spawn(Arc::clone(&q), 3, {
+        let (queue, pool) = WorkerPool::spawn(3, {
             let sum = Arc::clone(&sum);
-            move |item| {
+            move |item: u64| {
                 sum.fetch_add(item, Ordering::Relaxed);
             }
         });
         assert_eq!(pool.workers(), 3);
         std::thread::scope(|scope| {
-            for p in 0..PRODUCERS as u64 {
-                let q = Arc::clone(&q);
+            for p in 0..PRODUCERS {
+                let queue = queue.clone();
                 scope.spawn(move || {
                     for i in 0..ITEMS {
-                        q.push(p * ITEMS + i).unwrap();
+                        queue.send(p * ITEMS + i).unwrap();
                     }
                 });
             }
         });
-        q.close();
+        drop(queue);
         pool.join();
-        let expect: u64 = (0..PRODUCERS as u64 * ITEMS).sum();
+        let expect: u64 = (0..PRODUCERS * ITEMS).sum();
         assert_eq!(sum.load(Ordering::Relaxed), expect);
     }
 
     #[test]
     fn panicking_jobs_do_not_kill_the_pool() {
-        let q = Arc::new(ShardedQueue::<u32>::bounded(8));
         let done = Arc::new(AtomicU64::new(0));
-        let pool = WorkerPool::spawn(Arc::clone(&q), 1, {
+        let (queue, pool) = WorkerPool::spawn(1, {
             let done = Arc::clone(&done);
-            move |item| {
+            move |item: u32| {
                 if item == 13 {
                     panic!("unlucky");
                 }
@@ -311,9 +187,9 @@ mod tests {
             }
         });
         for i in [13u32, 1, 2, 3] {
-            q.push(i).unwrap();
+            queue.send(i).unwrap();
         }
-        q.close();
+        drop(queue);
         pool.join();
         // The panicking item was isolated; the rest were still served.
         assert_eq!(done.load(Ordering::Relaxed), 3);

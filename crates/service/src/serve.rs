@@ -2,9 +2,9 @@
 //! warm memo state.
 //!
 //! A [`SweepService`] owns one [`SweepMemo`] + [`SimMemo`] pair for its
-//! whole lifetime (warm-loaded from a [`PersistentStore`] at startup,
-//! written back on shutdown and on request), and answers a line-based
-//! request protocol:
+//! whole lifetime (the co-run simulations of the latter warm-loaded from a
+//! [`PersistentStore`] at startup, written back on shutdown and on
+//! request), and answers a line-based request protocol:
 //!
 //! ```text
 //! sweep <axis flags...>   evaluate a sweep plan; the flags are exactly
@@ -13,7 +13,7 @@
 //!                         to what `figures sweep` prints
 //! stats                   memo hit/miss/entry counts (`sim-*` sum the
 //!                         solo and co-run simulation tables)
-//! save                    persist the memo state now
+//! save                    persist the co-run simulations now
 //! ping                    liveness probe
 //! quit                    save (if a store is configured) and disconnect
 //! ```
@@ -26,8 +26,8 @@
 //! The daemon front ends ([`serve_stdin`], [`serve_unix`]) share
 //! [`SweepService::serve`] over generic reader/writer pairs, so the whole
 //! protocol is testable in-memory.  The unix-socket front end is a
-//! bounded-concurrency pipeline (PR 10): an acceptor thread feeds accepted
-//! connections into a sharded MPMC queue drained by a fixed worker pool
+//! bounded-concurrency pipeline: an acceptor thread feeds accepted
+//! connections into a bounded channel drained by a fixed worker pool
 //! (`--workers N`), every worker sharing one service.  Cross-request
 //! coalescing happens in the shared state: identical in-flight keys across
 //! concurrent clients collapse onto one evaluation (single-flight, a
@@ -47,21 +47,22 @@ use clover_scenario::{render_block, run_plan_memos, SweepArgs};
 
 use crate::cache::{ResponseCache, ResponseCacheStats};
 use crate::model::model_hash;
-use crate::pool::{ShardedQueue, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::store::{LoadOutcome, PersistentStore};
 
 /// Response-cache capacity (payload entries) of a service.
 pub const DEFAULT_RESPONSE_CACHE_ENTRIES: usize = 128;
 
-/// A long-lived sweep evaluator: the memo state, optionally backed by a
-/// persistent store, fronted by a bounded LRU response cache.
+/// A long-lived sweep evaluator: the memo state, its co-run simulations
+/// optionally backed by a persistent store, fronted by a bounded LRU
+/// response cache.
 pub struct SweepService {
     sim: SimMemo,
     sweep: SweepMemo,
     store: Option<PersistentStore>,
     /// Rendered-payload cache.
     responses: ResponseCache,
-    /// Entry bound applied when persisting the memos (see
+    /// Entry bound applied when persisting the co-run simulations (see
     /// [`PersistentStore::save_capped`]); `None` saves everything.
     store_cap: Option<usize>,
     /// Per-request `--jobs` clamp; `None` trusts the request.  The pooled
@@ -100,8 +101,8 @@ impl SweepService {
         }
     }
 
-    /// A service backed by `store`: the store is warm-loaded immediately
-    /// (missing/stale/corrupt stores yield empty memos, see
+    /// A service backed by `store`: its co-run simulations are warm-loaded
+    /// immediately (missing/stale/corrupt stores load nothing, see
     /// [`LoadOutcome`]) and written back by `save` requests, `quit` and
     /// [`serve`](Self::serve) shutdown.
     pub fn with_store(store: PersistentStore) -> (Self, LoadOutcome) {
@@ -143,8 +144,8 @@ impl SweepService {
         self.responses.stats()
     }
 
-    /// Persist the memo state, if a store is configured.  Returns the
-    /// number of entries written, or `None` without a store.  With a
+    /// Persist the co-run simulations, if a store is configured.  Returns
+    /// the number of entries written, or `None` without a store.  With a
     /// store cap the save is a compaction pass: the least recently
     /// touched entries beyond the cap are evicted from the written file
     /// (counted in the `stats` verb's `store-evictions` /
@@ -243,8 +244,8 @@ impl SweepService {
     }
 
     /// Serve requests from `reader` line by line until `quit` or EOF,
-    /// writing framed responses to `writer`; then persist the memo state
-    /// (when a store is configured).  Batched requests — several lines
+    /// writing framed responses to `writer`; then persist the co-run
+    /// simulations (when a store is configured).  Batched requests — several lines
     /// sent at once — are answered in order.
     pub fn serve(&self, reader: impl BufRead, writer: &mut impl Write) -> io::Result<()> {
         for line in reader.lines() {
@@ -303,32 +304,40 @@ pub fn serve_stdin(service: &SweepService) -> io::Result<()> {
 }
 
 /// Serve the request protocol on a unix socket with a bounded worker
-/// pool: the acceptor thread pushes accepted connections into a sharded
-/// MPMC queue drained by exactly `workers` pool threads (clamped to
-/// ≥ 1), all sharing `service` — identical in-flight keys across
-/// concurrent clients are evaluated once, overlapping plans share their
-/// per-point flights, identical requests hit the response cache.  Accept
-/// and per-connection IO errors are logged and the daemon keeps serving
-/// (PR 7's front end died on the first accept error and accumulated one
-/// unreaped thread per client).  Binds `path`, removing a stale socket
-/// file first; runs until the process is killed.
+/// pool: the acceptor thread sends accepted connections into a bounded
+/// channel drained by exactly `workers` pool threads (clamped to ≥ 1), all
+/// sharing `service` — identical in-flight keys across concurrent clients
+/// are evaluated once, overlapping plans share their per-point flights,
+/// identical requests hit the response cache.  Accept and per-connection
+/// IO errors are logged and the daemon keeps serving.  Binds `path`: a
+/// socket file nobody listens on (a dead daemon's) is taken over, one a
+/// live daemon answers on is `AddrInUse`.  Runs until the process is
+/// killed.
 pub fn serve_unix(
     service: Arc<SweepService>,
     path: &std::path::Path,
     workers: usize,
 ) -> io::Result<()> {
     use std::os::unix::net::{UnixListener, UnixStream};
-    // A previous daemon's socket file would make bind fail with
-    // AddrInUse; connecting to decide liveness is overkill for a
-    // local tool — take the path over.
-    let _ = std::fs::remove_file(path);
+    match UnixStream::connect(path) {
+        // Somebody accepts on it: unlinking the file would silently take
+        // every future client away from a live daemon.
+        Ok(_) => {
+            return Err(io::Error::new(
+                io::ErrorKind::AddrInUse,
+                format!("socket {} is owned by a live daemon", path.display()),
+            ))
+        }
+        // A dead daemon's socket file would make bind fail with
+        // AddrInUse; if it cannot be removed, bind says so.
+        Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
+            let _ = std::fs::remove_file(path);
+        }
+        // Absent, or something bind reports better than we can.
+        Err(_) => {}
+    }
     let listener = UnixListener::bind(path)?;
-    let workers = workers.max(1);
-    // A short connection backlog per worker: the acceptor blocks (and the
-    // kernel's own listen backlog absorbs bursts) instead of the queue
-    // growing without bound.
-    let queue: Arc<ShardedQueue<UnixStream>> = Arc::new(ShardedQueue::bounded(workers * 2));
-    let pool = WorkerPool::spawn(Arc::clone(&queue), workers, {
+    let (queue, pool) = WorkerPool::spawn(workers, {
         let service = Arc::clone(&service);
         move |stream: UnixStream| {
             let served = (|| -> io::Result<()> {
@@ -346,8 +355,8 @@ pub fn serve_unix(
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
-                if queue.push(stream).is_err() {
-                    break; // queue closed: shutting down
+                if queue.send(stream).is_err() {
+                    break; // no worker is left to serve it
                 }
             }
             Err(e) => {
@@ -355,7 +364,7 @@ pub fn serve_unix(
             }
         }
     }
-    queue.close();
+    drop(queue);
     pool.join();
     Ok(())
 }
@@ -538,6 +547,52 @@ mod tests {
         let service = SweepService::new();
         let output = run(&service, "ping\nquit\nping\n");
         assert_eq!(output, "ok pong\nok bye\n");
+    }
+
+    #[test]
+    fn a_live_socket_is_refused_and_a_dead_one_taken_over() {
+        use std::os::unix::net::{UnixListener, UnixStream};
+        let dir = std::env::temp_dir().join(format!("clover-serve-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("daemon.sock");
+        // What a killed daemon leaves behind: a socket file nobody accepts on.
+        drop(UnixListener::bind(&path).unwrap());
+        assert!(path.exists());
+
+        // `serve_unix` only returns on an error; the listener thread lives
+        // until the test process exits.
+        let first = std::thread::spawn({
+            let path = path.clone();
+            move || serve_unix(Arc::new(SweepService::new()), &path, 1)
+        });
+        let ping = || -> io::Result<String> {
+            let mut stream = UnixStream::connect(&path)?;
+            stream.write_all(b"ping\n")?;
+            let mut line = String::new();
+            BufReader::new(stream).read_line(&mut line)?;
+            Ok(line)
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while ping().ok().as_deref() != Some("ok pong\n") {
+            assert!(!first.is_finished(), "{:?}", first.join());
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the stale socket file was never taken over"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+
+        let second = serve_unix(Arc::new(SweepService::new()), &path, 1);
+        let err = second.expect_err("the path has a live owner");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        assert!(err.to_string().contains("daemon.sock"), "{err}");
+        assert_eq!(
+            ping().unwrap(),
+            "ok pong\n",
+            "the first daemon still owns it"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,29 +1,32 @@
-//! Bit-exact on-disk persistence of the memo stores.
+//! Bit-exact on-disk persistence of the co-run simulations.
 //!
-//! A store file holds a snapshot of a [`SimMemo`] (representative-core
-//! simulations) and a [`SweepMemo`] (analytic scaling points), versioned
-//! by the [`model_hash`](crate::model::model_hash) of the binary that
-//! wrote it.  The format is a line-based text codec:
+//! A store file holds what costs more to recompute than to load: the
+//! `CoRunKey → Vec<TenantReport>` table of a [`SimMemo`] — the shared-LLC
+//! co-run of a victim against an aggressor, hundreds of milliseconds per
+//! identity.  Analytic scaling points are *not* persisted: evaluating one
+//! is cheaper than parsing the line that would hold it.  The file is
+//! versioned by the [`model_hash`](crate::model::model_hash) of the binary
+//! that wrote it; the format is a line-based text codec:
 //!
 //! ```text
-//! cloverstore 1 <model-hash hex>
-//! sim <key tokens ...> <6 counter f64s as hex bit patterns>
-//! point <key tokens ...> <point tokens ...>
+//! cloverstore 2 <model-hash hex>
+//! corun <environment> <n> <n kernels> <interleave lines> <n tenant reports>
 //! end <entry count>
 //! ```
 //!
 //! Every `f64` is written as the hex rendering of its IEEE-754 bit
 //! pattern, so a load restores the exact value bit for bit — the property
 //! that keeps warm-start sweep output byte-identical to a cold run.
-//! Strings (machine ids, loop names) are percent-escaped so the
-//! whitespace tokenizer cannot be confused.  The `end <count>` trailer
-//! detects truncated files (a crash mid-write, though the atomic
-//! temp-file + rename in [`PersistentStore::save`] makes that unlikely).
+//! Strings (machine ids) are percent-escaped so the whitespace tokenizer
+//! cannot be confused.  The `end <count>` trailer detects truncated files
+//! (a crash mid-write, though the atomic temp-file + rename in
+//! [`PersistentStore::save`] makes that unlikely).
 //!
-//! Loading is *tolerant*: a missing, stale (hash mismatch) or corrupt
-//! file yields an empty snapshot plus a [`LoadOutcome`] explaining why —
-//! never an error, because the memo contents are pure caches that can
-//! always be rebuilt.
+//! Loading is *tolerant*: a missing, stale or corrupt file yields no
+//! entries plus a [`LoadOutcome`] explaining why — never an error, because
+//! the memo contents are pure caches that can always be rebuilt.  Stale
+//! covers a model-hash mismatch and a file of the retired `cloverstore 1`
+//! format alike: neither is parsed, and the next save replaces it.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -31,10 +34,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use clover_cachesim::memo::{Accounting, Dynamics, KernelSpec, RankBase, SimKey, SpecOperand};
-use clover_cachesim::{AccessKind, MemCounters, SimMemo};
-use clover_core::engine::PointKey;
-use clover_core::{loop_catalogue, CodeVariant, ScalingPoint, SweepMemo, TrafficOptions};
+use clover_cachesim::memo::{Accounting, CoRunKey, Dynamics, KernelSpec, RankBase, SpecOperand};
+use clover_cachesim::{AccessKind, MemCounters, SimMemo, TenantReport};
+use clover_core::SweepMemo;
 use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
 
 use crate::model::model_hash;
@@ -47,7 +49,8 @@ pub enum LoadOutcome {
     /// No store file exists yet (first run).
     ColdMissing,
     /// The store was written under a different model hash — the presets,
-    /// policies or schema changed, so every entry is untrusted.
+    /// policies or schema changed, so every entry is untrusted — or in the
+    /// retired `cloverstore 1` format.
     ColdStale,
     /// The store exists but is unreadable, truncated or malformed.
     ColdCorrupt,
@@ -63,26 +66,9 @@ impl LoadOutcome {
     }
 }
 
-/// An in-memory snapshot of a store file's entries.
-#[derive(Debug, Default)]
-pub struct StoreSnapshot {
-    /// Simulation entries.
-    pub sims: Vec<(SimKey, MemCounters)>,
-    /// Scaling-point entries.
-    pub points: Vec<(PointKey, ScalingPoint)>,
-}
-
-impl StoreSnapshot {
-    /// Total entry count.
-    pub fn len(&self) -> usize {
-        self.sims.len() + self.points.len()
-    }
-
-    /// True when the snapshot holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
+/// One persisted co-run simulation: its identity and the per-tenant
+/// reports in the key's canonical tenant order.
+pub type CoRunEntry = (CoRunKey, Vec<TenantReport>);
 
 /// A versioned on-disk memo store at a fixed path.
 #[derive(Debug, Clone)]
@@ -120,66 +106,66 @@ impl PersistentStore {
     }
 
     /// Load the store file.  Never fails: a missing, stale or corrupt
-    /// file yields an empty snapshot and the matching [`LoadOutcome`].
-    pub fn load(&self) -> (StoreSnapshot, LoadOutcome) {
+    /// file yields no entries and the matching [`LoadOutcome`].
+    pub fn load(&self) -> (Vec<CoRunEntry>, LoadOutcome) {
         let text = match fs::read_to_string(&self.path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return (StoreSnapshot::default(), LoadOutcome::ColdMissing)
+                return (Vec::new(), LoadOutcome::ColdMissing)
             }
-            Err(_) => return (StoreSnapshot::default(), LoadOutcome::ColdCorrupt),
+            Err(_) => return (Vec::new(), LoadOutcome::ColdCorrupt),
         };
         match parse_store(&text, self.model_hash) {
-            Ok(snapshot) => {
-                let n = snapshot.len();
-                (snapshot, LoadOutcome::Warm(n))
+            Ok(entries) => {
+                let n = entries.len();
+                (entries, LoadOutcome::Warm(n))
             }
-            Err(ParseError::Stale) => (StoreSnapshot::default(), LoadOutcome::ColdStale),
-            Err(ParseError::Corrupt) => (StoreSnapshot::default(), LoadOutcome::ColdCorrupt),
+            Err(cold) => (Vec::new(), cold),
         }
     }
 
-    /// Load the store file and publish its entries into `sim` and
-    /// `sweep` (via their `preload`, which never clobbers existing
-    /// entries and never touches hit/miss statistics).
-    pub fn warm_load(&self, sim: &SimMemo, sweep: &SweepMemo) -> LoadOutcome {
-        let (snapshot, outcome) = self.load();
-        sim.preload(snapshot.sims);
-        sweep.preload(snapshot.points);
+    /// Load the store file and publish its entries into `sim`'s co-run
+    /// table (via `corun_preload`, which never clobbers existing entries
+    /// and never touches hit/miss statistics).
+    ///
+    /// `_sweep` is unread: analytic points are not persisted.  The
+    /// parameter stays, here and on the two saves, until the `benchmark/`
+    /// harness that passes it can change with it (ROADMAP item 1).
+    pub fn warm_load(&self, sim: &SimMemo, _sweep: &SweepMemo) -> LoadOutcome {
+        let (entries, outcome) = self.load();
+        sim.corun_preload(entries);
         outcome
     }
 
-    /// Atomically write the current contents of `sim` and `sweep` to the
-    /// store file: the snapshot is rendered to a temp file in the same
-    /// directory and renamed over the target, so a crash mid-write leaves
-    /// either the old store or the new one, never a torn file.  Entries
-    /// are written in sorted line order, so equal memo contents produce a
-    /// byte-identical file.
+    /// Atomically write the co-run table of `sim` to the store file: the
+    /// snapshot is rendered to a temp file in the same directory and
+    /// renamed over the target, so a crash mid-write leaves either the old
+    /// store or the new one, never a torn file.  Entries are written in
+    /// sorted line order, so equal memo contents produce a byte-identical
+    /// file.
     pub fn save(&self, sim: &SimMemo, sweep: &SweepMemo) -> io::Result<usize> {
         self.save_capped(sim, sweep, usize::MAX).map(|r| r.written)
     }
 
     /// [`save`](Self::save) bounded to at most `cap` entries: when the
-    /// memos hold more, the *least recently touched* entries (lowest
+    /// memo holds more, the *least recently touched* entries (lowest
     /// access stamp — preloaded-and-never-used entries sort first, see
     /// `FlightMemo::entries_stamped`) are evicted from the written file.
-    /// The memos themselves are untouched; compaction only bounds what the
+    /// The memo itself is untouched; compaction only bounds what the
     /// next process warm-loads, so an unbounded corpus stops growing the
     /// store and its load cost forever.  The write path is the same
     /// atomic temp-file + rename codec as an uncapped save.
     pub fn save_capped(
         &self,
         sim: &SimMemo,
-        sweep: &SweepMemo,
+        _sweep: &SweepMemo,
         cap: usize,
     ) -> io::Result<SaveReport> {
-        let mut stamped: Vec<(u64, String)> = Vec::new();
-        for (key, counters, stamp) in sim.entries_stamped() {
-            stamped.push((stamp, encode_sim(&key, &counters)));
-        }
-        for (key, point, stamp) in sweep.entries_stamped() {
-            stamped.push((stamp, encode_point(&key, &point)));
-        }
+        let mut stamped: Vec<(u64, String)> = sim
+            .corun_entries_stamped()
+            .into_iter()
+            .map(|(key, reports, stamp)| (stamp, encode_corun(&key, &reports)))
+            .collect();
         let evicted = stamped.len().saturating_sub(cap);
         if evicted > 0 {
             // Keep the `cap` most recently touched entries; equal stamps
@@ -192,7 +178,7 @@ impl PersistentStore {
         lines.sort_unstable();
         let count = lines.len();
 
-        let mut text = format!("cloverstore 1 {:016x}\n", self.model_hash);
+        let mut text = format!("cloverstore 2 {:016x}\n", self.model_hash);
         for line in &lines {
             text.push_str(line);
             text.push('\n');
@@ -234,72 +220,65 @@ pub struct SaveReport {
     pub evicted: usize,
 }
 
-enum ParseError {
-    Stale,
-    Corrupt,
-}
-
-fn parse_store(text: &str, expected_hash: u64) -> Result<StoreSnapshot, ParseError> {
+/// The entries of a store file's `text`, or the cold outcome it loads as.
+fn parse_store(text: &str, expected_hash: u64) -> Result<Vec<CoRunEntry>, LoadOutcome> {
+    use LoadOutcome::{ColdCorrupt as Corrupt, ColdStale as Stale};
     let mut lines = text.lines();
-    let header = lines.next().ok_or(ParseError::Corrupt)?;
+    let header = lines.next().ok_or(Corrupt)?;
     let mut head = header.split_whitespace();
-    if head.next() != Some("cloverstore") || head.next() != Some("1") {
-        return Err(ParseError::Corrupt);
+    if head.next() != Some("cloverstore") {
+        return Err(Corrupt);
+    }
+    match head.next() {
+        Some("2") => {}
+        // The retired format, whatever its hash: nothing below the header
+        // is read, the next save rebuilds the file.
+        Some("1") => return Err(Stale),
+        _ => return Err(Corrupt),
     }
     let hash = head
         .next()
         .and_then(|t| u64::from_str_radix(t, 16).ok())
-        .ok_or(ParseError::Corrupt)?;
+        .ok_or(Corrupt)?;
     if head.next().is_some() {
-        return Err(ParseError::Corrupt);
+        return Err(Corrupt);
     }
     if hash != expected_hash {
-        return Err(ParseError::Stale);
+        return Err(Stale);
     }
 
-    let mut snapshot = StoreSnapshot::default();
+    let mut entries = Vec::new();
     let mut ended = false;
     for line in lines {
         if ended {
             // Trailing garbage after the `end` trailer.
-            return Err(ParseError::Corrupt);
+            return Err(Corrupt);
         }
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match tokens.first() {
-            Some(&"sim") => {
+            Some(&"corun") => {
                 let mut cur = Cursor::new(&tokens[1..]);
-                let entry = decode_sim(&mut cur).ok_or(ParseError::Corrupt)?;
+                let entry = decode_corun(&mut cur).ok_or(Corrupt)?;
                 if !cur.done() {
-                    return Err(ParseError::Corrupt);
+                    return Err(Corrupt);
                 }
-                snapshot.sims.push(entry);
-            }
-            Some(&"point") => {
-                let mut cur = Cursor::new(&tokens[1..]);
-                let entry = decode_point(&mut cur).ok_or(ParseError::Corrupt)?;
-                if !cur.done() {
-                    return Err(ParseError::Corrupt);
-                }
-                snapshot.points.push(entry);
+                entries.push(entry);
             }
             Some(&"end") => {
-                let count: usize = tokens
-                    .get(1)
-                    .and_then(|t| t.parse().ok())
-                    .ok_or(ParseError::Corrupt)?;
-                if tokens.len() != 2 || count != snapshot.len() {
-                    return Err(ParseError::Corrupt);
+                let count: usize = tokens.get(1).and_then(|t| t.parse().ok()).ok_or(Corrupt)?;
+                if tokens.len() != 2 || count != entries.len() {
+                    return Err(Corrupt);
                 }
                 ended = true;
             }
-            _ => return Err(ParseError::Corrupt),
+            _ => return Err(Corrupt),
         }
     }
     if !ended {
         // Truncated: the `end <count>` trailer never arrived.
-        return Err(ParseError::Corrupt);
+        return Err(Corrupt);
     }
-    Ok(snapshot)
+    Ok(entries)
 }
 
 // ---------------------------------------------------------------------------
@@ -344,10 +323,6 @@ fn unesc(token: &str) -> Option<String> {
     Some(out)
 }
 
-fn f64_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
 struct Cursor<'a, 'b> {
     tokens: &'a [&'b str],
     pos: usize,
@@ -374,6 +349,14 @@ impl<'a, 'b> Cursor<'a, 'b> {
 
     fn usize(&mut self) -> Option<usize> {
         self.next()?.parse().ok()
+    }
+
+    /// A count of items that follow on the line.  Each item is at least
+    /// one token, so a count beyond the tokens left is a lie — refused
+    /// here, before anything is allocated for it.
+    fn count(&mut self) -> Option<usize> {
+        let n = self.usize()?;
+        (n <= self.tokens.len() - self.pos).then_some(n)
     }
 
     fn u64(&mut self) -> Option<u64> {
@@ -418,23 +401,6 @@ fn bool_token(b: bool) -> &'static str {
         "1"
     } else {
         "0"
-    }
-}
-
-fn variant_name(v: CodeVariant) -> &'static str {
-    match v {
-        CodeVariant::Original => "original",
-        CodeVariant::SpecI2MOff => "speci2m-off",
-        CodeVariant::Optimized => "optimized",
-    }
-}
-
-fn parse_variant(token: &str) -> Option<CodeVariant> {
-    match token {
-        "original" => Some(CodeVariant::Original),
-        "speci2m-off" => Some(CodeVariant::SpecI2MOff),
-        "optimized" => Some(CodeVariant::Optimized),
-        _ => None,
     }
 }
 
@@ -486,11 +452,11 @@ fn decode_kernel(cur: &mut Cursor) -> Option<KernelSpec> {
         },
         _ => return None,
     };
-    let n_ops = cur.usize()?;
+    let n_ops = cur.count()?;
     let mut operands = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
         let offset = cur.u64()?;
-        let n_points = cur.usize()?;
+        let n_points = cur.count()?;
         let mut points = Vec::with_capacity(n_points);
         for _ in 0..n_points {
             points.push((cur.i64()?, cur.i64()?));
@@ -513,13 +479,37 @@ fn decode_kernel(cur: &mut Cursor) -> Option<KernelSpec> {
     })
 }
 
-fn encode_sim(key: &SimKey, c: &MemCounters) -> String {
+fn encode_counters(out: &mut String, c: &MemCounters) {
+    for v in [
+        c.read_lines,
+        c.write_lines,
+        c.itom_lines,
+        c.write_allocate_lines,
+        c.prefetch_lines,
+        c.speculative_read_lines,
+    ] {
+        let _ = write!(out, " {:016x}", v.to_bits());
+    }
+}
+
+fn decode_counters(cur: &mut Cursor) -> Option<MemCounters> {
+    Some(MemCounters {
+        read_lines: cur.f64()?,
+        write_lines: cur.f64()?,
+        itom_lines: cur.f64()?,
+        write_allocate_lines: cur.f64()?,
+        prefetch_lines: cur.f64()?,
+        speculative_read_lines: cur.f64()?,
+    })
+}
+
+fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     let (d, a) = (&key.dynamics, &key.accounting);
-    let mut out = String::from("sim ");
+    let mut out = String::from("corun ");
     out.push_str(&esc(&d.machine));
     let _ = write!(
         out,
-        " {:016x} {} {} {} {} {} {} {:016x} {} {} {}",
+        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {}",
         a.utilization_bits,
         a.active_domains,
         a.total_domains,
@@ -531,24 +521,32 @@ fn encode_sim(key: &SimKey, c: &MemCounters) -> String {
         d.l3_sharers,
         d.replacement.name(),
         d.write_policy.name(),
+        key.tenants.len(),
     );
-    encode_kernel(&mut out, &key.kernel);
-    let _ = write!(
-        out,
-        " {} {} {} {} {} {}",
-        f64_hex(c.read_lines),
-        f64_hex(c.write_lines),
-        f64_hex(c.itom_lines),
-        f64_hex(c.write_allocate_lines),
-        f64_hex(c.prefetch_lines),
-        f64_hex(c.speculative_read_lines),
-    );
+    for kernel in &key.tenants {
+        encode_kernel(&mut out, kernel);
+    }
+    let _ = write!(out, " {}", key.interleave_lines);
+    for r in reports {
+        encode_counters(&mut out, &r.counters);
+        encode_counters(&mut out, &r.solo);
+        let _ = write!(
+            out,
+            " {} {} {} {} {} {}",
+            r.llc_hits,
+            r.llc_misses,
+            r.solo_llc_hits,
+            r.solo_llc_misses,
+            r.occupancy_lines,
+            r.solo_occupancy_lines,
+        );
+    }
     out
 }
 
-fn decode_sim(cur: &mut Cursor) -> Option<(SimKey, MemCounters)> {
-    // Token order is the `cloverstore 1` line format, not the key's
-    // structure: dynamics and accounting fields interleave.
+fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
+    // Token order is the line format, not the key's structure: dynamics
+    // and accounting fields interleave.
     let machine = cur.string()?;
     let utilization_bits = cur.bits()?;
     let active_domains = cur.usize()?;
@@ -561,17 +559,28 @@ fn decode_sim(cur: &mut Cursor) -> Option<(SimKey, MemCounters)> {
     let l3_sharers = cur.usize()?;
     let replacement = cur.replacement()?;
     let write_policy = cur.write_policy()?;
-    let kernel = decode_kernel(cur)?;
-    let counters = MemCounters {
-        read_lines: cur.f64()?,
-        write_lines: cur.f64()?,
-        itom_lines: cur.f64()?,
-        write_allocate_lines: cur.f64()?,
-        prefetch_lines: cur.f64()?,
-        speculative_read_lines: cur.f64()?,
-    };
+    // One report per tenant: the one count sizes both lists.
+    let n = cur.count()?;
+    let mut tenants = Vec::with_capacity(n);
+    for _ in 0..n {
+        tenants.push(decode_kernel(cur)?);
+    }
+    let interleave_lines = cur.u64()?;
+    let mut reports = Vec::with_capacity(n);
+    for _ in 0..n {
+        reports.push(TenantReport {
+            counters: decode_counters(cur)?,
+            solo: decode_counters(cur)?,
+            llc_hits: cur.u64()?,
+            llc_misses: cur.u64()?,
+            solo_llc_hits: cur.u64()?,
+            solo_llc_misses: cur.u64()?,
+            occupancy_lines: cur.u64()?,
+            solo_occupancy_lines: cur.u64()?,
+        });
+    }
     Some((
-        SimKey {
+        CoRunKey {
             dynamics: Dynamics {
                 machine,
                 adjacent_line,
@@ -588,106 +597,22 @@ fn decode_sim(cur: &mut Cursor) -> Option<(SimKey, MemCounters)> {
                 speci2m_enabled,
                 pf_off_evasion_bits,
             },
-            kernel,
+            tenants,
+            interleave_lines,
         },
-        counters,
-    ))
-}
-
-fn encode_point(key: &PointKey, p: &ScalingPoint) -> String {
-    let mut out = String::from("point ");
-    out.push_str(&esc(&key.machine));
-    let _ = write!(
-        out,
-        " {} {} {} {} {} {} {}",
-        key.grid,
-        key.ranks,
-        variant_name(key.opts.variant),
-        key.opts.ranks,
-        bool_token(key.opts.layer_condition_ok),
-        key.opts.replacement.name(),
-        key.opts.write_policy.name(),
-    );
-    let _ = write!(
-        out,
-        " {} {} {} {} {} {} {} {}",
-        p.ranks,
-        bool_token(p.prime),
-        p.local_inner,
-        f64_hex(p.time_per_step),
-        f64_hex(p.speedup),
-        f64_hex(p.memory_bandwidth),
-        f64_hex(p.volume_per_step),
-        p.loop_balances.len(),
-    );
-    // The balances are nameless in memory; the line keeps naming them.
-    for (spec, balance) in loop_catalogue().iter().zip(&p.loop_balances) {
-        let _ = write!(out, " {} {}", esc(&spec.name), f64_hex(*balance));
-    }
-    out
-}
-
-fn decode_point(cur: &mut Cursor) -> Option<(PointKey, ScalingPoint)> {
-    let machine = cur.string()?;
-    let grid = cur.usize()?;
-    let ranks = cur.usize()?;
-    let opts = TrafficOptions {
-        variant: parse_variant(cur.next()?)?,
-        ranks: cur.usize()?,
-        layer_condition_ok: cur.bool()?,
-        replacement: cur.replacement()?,
-        write_policy: cur.write_policy()?,
-    };
-    let p_ranks = cur.usize()?;
-    let prime = cur.bool()?;
-    let local_inner = cur.usize()?;
-    let time_per_step = cur.f64()?;
-    let speedup = cur.f64()?;
-    let memory_bandwidth = cur.f64()?;
-    let volume_per_step = cur.f64()?;
-    // A point is the catalogue's loops, by name and in order: any other
-    // count or name is a line this model cannot have written.
-    let catalogue = loop_catalogue();
-    if cur.usize()? != catalogue.len() {
-        return None;
-    }
-    let mut loop_balances = Vec::with_capacity(catalogue.len());
-    for spec in catalogue {
-        if cur.string()? != spec.name {
-            return None;
-        }
-        loop_balances.push(cur.f64()?);
-    }
-    Some((
-        PointKey {
-            machine,
-            grid,
-            ranks,
-            opts,
-        },
-        ScalingPoint {
-            ranks: p_ranks,
-            prime,
-            local_inner,
-            time_per_step,
-            speedup,
-            memory_bandwidth,
-            volume_per_step,
-            loop_balances,
-        },
+        reports,
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clover_cachesim::hierarchy::CoreSimOptions;
-    use clover_cachesim::OccupancyContext;
-    use clover_machine::icelake_sp_8360y;
 
-    fn sample_sim_entry() -> (SimKey, MemCounters) {
-        let m = icelake_sp_8360y();
-        let kernel = KernelSpec {
+    /// A two-tenant co-run in canonical tenant order: a rank-shifted
+    /// kernel with a two-point load operand and a `store-nt` one, next to
+    /// a one-operand reuse kernel; no two values of a report are equal.
+    fn sample_corun_entry() -> CoRunEntry {
+        let stencil = KernelSpec {
             rank_base: RankBase::Shifted { shift: 36, plus: 1 },
             operands: vec![
                 SpecOperand {
@@ -702,85 +627,25 @@ mod tests {
                 },
             ],
             row_stride: 221,
-            i0: 0,
+            i0: 2,
             inner: 216,
-            k0: 0,
+            k0: 1,
             rows: 4,
         };
-        let key = SimKey::for_policies(
-            &m,
-            OccupancyContext::compact(&m, 18),
-            CoreSimOptions::default(),
-            &kernel,
-            ReplacementPolicyKind::Lru,
-            WritePolicyKind::Allocate,
-        );
-        let counters = MemCounters {
-            read_lines: 1234.5,
-            write_lines: 0.1 + 0.2, // deliberately not exactly 0.3
-            itom_lines: f64::MIN_POSITIVE,
-            write_allocate_lines: 1e300,
-            prefetch_lines: 0.0,
-            speculative_read_lines: -0.0,
+        let reuse = KernelSpec {
+            rank_base: RankBase::Shifted { shift: 40, plus: 0 },
+            operands: vec![SpecOperand {
+                offset: 0,
+                points: vec![(0, 0)],
+                kind: AccessKind::Load,
+            }],
+            row_stride: 0,
+            i0: 0,
+            inner: 1_769_472,
+            k0: 0,
+            rows: 3,
         };
-        (key, counters)
-    }
-
-    fn sample_point_entry() -> (PointKey, ScalingPoint) {
-        let key = PointKey {
-            machine: "icx-8360y".into(),
-            grid: 15_360,
-            ranks: 19,
-            opts: TrafficOptions::optimized(19)
-                .with_layer_condition(false)
-                .with_replacement(ReplacementPolicyKind::Srrip)
-                .with_write_policy(WritePolicyKind::NonTemporal),
-        };
-        let point = ScalingPoint {
-            ranks: 19,
-            prime: true,
-            local_inner: 809,
-            time_per_step: 0.123456789,
-            speedup: 0.0,
-            memory_bandwidth: 1.5e11,
-            volume_per_step: 3.7e9,
-            // One balance per catalogue loop, none a short decimal.
-            loop_balances: (1..=loop_catalogue().len())
-                .map(|i| 56.25 / i as f64)
-                .collect(),
-        };
-        (key, point)
-    }
-
-    #[test]
-    fn sim_entries_round_trip_bit_exactly() {
-        let (key, counters) = sample_sim_entry();
-        let line = encode_sim(&key, &counters);
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(tokens[0], "sim");
-        let mut cur = Cursor::new(&tokens[1..]);
-        let (rk, rc) = decode_sim(&mut cur).expect("decodes");
-        assert!(cur.done());
-        assert_eq!(rk, key);
-        // Bit-for-bit, including -0.0 (PartialEq would say -0.0 == 0.0).
-        assert_eq!(rc.read_lines.to_bits(), counters.read_lines.to_bits());
-        assert_eq!(
-            rc.speculative_read_lines.to_bits(),
-            counters.speculative_read_lines.to_bits()
-        );
-        assert_eq!(rc, counters);
-    }
-
-    #[test]
-    fn sim_line_fixture_decodes_to_the_expected_key_and_encodes_back() {
-        // A literal `cloverstore 1` line: round trips alone would also pass
-        // a symmetric reorder of two fields in encode and decode.
-        let line = "sim spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 srrip \
-                    no-allocate shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt \
-                    221 2 216 1 4 40934a0000000000 3fd3333333333334 0010000000000000 \
-                    7e37e43c8800759c 0000000000000000 8000000000000000";
-        let (sample_key, expected_counters) = sample_sim_entry();
-        let expected_key = SimKey {
+        let key = CoRunKey {
             dynamics: Dynamics {
                 machine: "spr 8470".into(),
                 adjacent_line: true,
@@ -797,49 +662,147 @@ mod tests {
                 speci2m_enabled: false,
                 pf_off_evasion_bits: 0.55f64.to_bits(),
             },
-            // The sample kernel: rank-shifted, a two-point load operand
-            // and a `store-nt` one.
-            kernel: KernelSpec {
-                i0: 2,
-                k0: 1,
-                ..sample_key.kernel
-            },
+            tenants: vec![stencil, reuse],
+            interleave_lines: 64,
         };
+        let counters = |v: [f64; 6]| MemCounters {
+            read_lines: v[0],
+            write_lines: v[1],
+            itom_lines: v[2],
+            write_allocate_lines: v[3],
+            prefetch_lines: v[4],
+            speculative_read_lines: v[5],
+        };
+        let reports = vec![
+            TenantReport {
+                // 0.1 + 0.2 is deliberately not exactly 0.3.
+                counters: counters([1234.5, 0.1 + 0.2, f64::MIN_POSITIVE, 1e300, 0.0, -0.0]),
+                solo: counters([100.0, 1.0, 2.0, 3.0, 1.5, 0.75]),
+                llc_hits: 7,
+                llc_misses: 11,
+                solo_llc_hits: 13,
+                solo_llc_misses: 17,
+                occupancy_lines: 19,
+                solo_occupancy_lines: 23,
+            },
+            TenantReport {
+                counters: counters([4.0, 5.0, 6.0, 7.0, 8.0, 9.0]),
+                solo: counters([10.0, 11.0, 12.0, 13.0, 14.0, 15.0]),
+                llc_hits: 1,
+                llc_misses: 2,
+                solo_llc_hits: 3,
+                solo_llc_misses: 4,
+                occupancy_lines: 5,
+                solo_occupancy_lines: 6,
+            },
+        ];
+        (key, reports)
+    }
+
+    /// The sample entry under another interleave: a distinct identity.
+    fn sample_with_interleave(interleave_lines: u64) -> CoRunEntry {
+        let (key, reports) = sample_corun_entry();
+        (
+            CoRunKey {
+                interleave_lines,
+                ..key
+            },
+            reports,
+        )
+    }
+
+    /// The sample entry as a literal `cloverstore 2` line.
+    const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 \
+        srrip no-allocate 2 \
+        shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
+        shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
+        64 \
+        40934a0000000000 3fd3333333333334 0010000000000000 7e37e43c8800759c \
+        0000000000000000 8000000000000000 \
+        4059000000000000 3ff0000000000000 4000000000000000 4008000000000000 \
+        3ff8000000000000 3fe8000000000000 \
+        7 11 13 17 19 23 \
+        4010000000000000 4014000000000000 4018000000000000 401c000000000000 \
+        4020000000000000 4022000000000000 \
+        4024000000000000 4026000000000000 4028000000000000 402a000000000000 \
+        402c000000000000 402e000000000000 \
+        1 2 3 4 5 6";
+
+    fn decode_line(line: &str) -> Option<CoRunEntry> {
         let tokens: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(tokens[0], "corun");
         let mut cur = Cursor::new(&tokens[1..]);
-        let (key, counters) = decode_sim(&mut cur).expect("the fixture decodes");
-        assert!(cur.done());
-        assert_eq!(key, expected_key);
-        assert_eq!(counters, expected_counters);
-        assert!(counters.speculative_read_lines.is_sign_negative());
-        assert_eq!(encode_sim(&key, &counters), tokens.join(" "));
+        let entry = decode_corun(&mut cur)?;
+        cur.done().then_some(entry)
+    }
+
+    fn temp_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("cloverstore-test-{name}"));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
     #[test]
-    fn point_entries_round_trip_bit_exactly() {
-        let (mut key, point) = sample_point_entry();
-        // The one free-form string of a point line must survive escaping.
-        key.machine = "icx 8360y%".into();
-        let line = encode_point(&key, &point);
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(tokens[0], "point");
-        let mut cur = Cursor::new(&tokens[1..]);
-        let (rk, rp) = decode_point(&mut cur).expect("decodes");
-        assert!(cur.done());
+    fn corun_entries_round_trip_bit_exactly() {
+        let (mut key, reports) = sample_corun_entry();
+        // The one free-form string of a line must survive escaping.
+        key.dynamics.machine = "spr 8470%".into();
+        let line = encode_corun(&key, &reports);
+        assert!(line.starts_with("corun spr%208470%25 "), "{line}");
+        let (rk, rr) = decode_line(&line).expect("decodes");
         assert_eq!(rk, key);
+        assert_eq!(rr, reports);
+        // Bit-for-bit, including -0.0 (PartialEq would say -0.0 == 0.0).
+        let (got, want) = (&rr[0].counters, &reports[0].counters);
+        assert_eq!(got.write_lines.to_bits(), want.write_lines.to_bits());
         assert_eq!(
-            rp.time_per_step.to_bits(),
-            point.time_per_step.to_bits(),
-            "f64 round trip must be bit-exact"
+            got.speculative_read_lines.to_bits(),
+            want.speculative_read_lines.to_bits()
         );
-        assert_eq!(rp, point);
-        assert_eq!(tokens[1], "icx%208360y%25");
     }
 
-    /// A `point` line exactly as the binary before the nameless balances
-    /// wrote it (`figures sweep --machine icx-8360y --ranks 19..19 --grid
-    /// 1920 --stage optimized --replacement srrip --write-policy
-    /// non-temporal --layer-condition broken --store …`).
+    #[test]
+    fn corun_line_fixture_decodes_to_the_expected_key_and_encodes_back() {
+        // A literal line: round trips alone would also pass a symmetric
+        // reorder of two fields in encode and decode.
+        let (expected_key, expected_reports) = sample_corun_entry();
+        let (key, reports) = decode_line(CORUN_LINE).expect("the fixture decodes");
+        assert_eq!(key, expected_key);
+        assert_eq!(reports, expected_reports);
+        assert!(reports[0]
+            .counters
+            .speculative_read_lines
+            .is_sign_negative());
+        assert!(reports[0].counters.prefetch_lines.is_sign_positive());
+        assert_eq!(reports[0].counters.itom_lines, f64::MIN_POSITIVE);
+        let tokens: Vec<&str> = CORUN_LINE.split_whitespace().collect();
+        assert_eq!(encode_corun(&key, &reports), tokens.join(" "));
+    }
+
+    #[test]
+    fn counts_beyond_the_line_are_corrupt_before_they_allocate() {
+        let line = CORUN_LINE.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(decode_line(&line).is_some());
+        for (from, to) in [
+            // Tenants, operands of a kernel, points of an operand.
+            (" no-allocate 2 ", " no-allocate 18446744073709551615 "),
+            (" shifted 36 1 2 ", " shifted 36 1 9999999999999999 "),
+            (
+                " shifted 40 0 1 0 1 ",
+                " shifted 40 0 1 0 8888888888888888 ",
+            ),
+            // One tenant short of its reports, and one report short.
+            (" no-allocate 2 ", " no-allocate 1 "),
+            (" 1 2 3 4 5 6", ""),
+        ] {
+            let lied = line.replace(from, to);
+            assert_ne!(lied, line, "{from:?} must occur in the fixture");
+            assert!(decode_line(&lied).is_none(), "{from:?} -> {to:?}");
+        }
+    }
+
+    /// A `point` line exactly as a `cloverstore 1` binary wrote it.
     const POINT_LINE: &str = "point icx-8360y 1920 19 optimized 19 0 srrip non-temporal 19 1 101 \
         3fb55c0a330bd911 0000000000000000 4233a6d42f0ab27a 41fa3c0248c376cc 22 \
         am00 404a7cc5c8d82a92 am01 404a7cc5c8d82a92 am02 4046319ddba225e0 \
@@ -852,67 +815,32 @@ mod tests {
         pdv01 406380a939d818bd";
 
     #[test]
-    fn point_line_fixture_decodes_to_the_expected_entry_and_encodes_back() {
-        let expected_key = PointKey {
-            machine: "icx-8360y".into(),
-            grid: 1920,
-            ranks: 19,
-            opts: TrafficOptions::optimized(19)
-                .with_layer_condition(false)
-                .with_replacement(ReplacementPolicyKind::Srrip)
-                .with_write_policy(WritePolicyKind::NonTemporal),
-        };
-        let tokens: Vec<&str> = POINT_LINE.split_whitespace().collect();
-        let mut cur = Cursor::new(&tokens[1..]);
-        let (key, point) = decode_point(&mut cur).expect("the fixture decodes");
-        assert!(cur.done());
-        assert_eq!(key, expected_key);
-        // The line is what the model computes for its key, to the bit.
-        let engine = clover_core::ScalingEngine::new(icelake_sp_8360y(), key.grid);
-        assert_eq!(point, engine.point(key.ranks, &key.opts));
-        assert_eq!(
-            (point.ranks, point.prime, point.local_inner),
-            (19, true, 101)
-        );
-        assert_eq!(point.time_per_step.to_bits(), 0x3fb55c0a330bd911);
-        assert_eq!(point.loop_balances.len(), 22);
-        assert_eq!(point.loop_balances[4].to_bits(), 0x403a7cc5c8d82a92, "am04");
-        assert_eq!(point.loop_balances[21].to_bits(), 0x406380a939d818bd);
-        assert_eq!(encode_point(&key, &point), tokens.join(" "));
-    }
-
-    #[test]
-    fn point_lines_that_disagree_with_the_catalogue_are_corrupt() {
-        let dir = std::env::temp_dir().join("cloverstore-test-catalogue");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let store = PersistentStore::with_hash(dir.join("store.txt"), 7);
-        let outcome = |line: &str| {
-            let text = format!("cloverstore 1 {:016x}\n{line}\nend 1\n", 7);
-            fs::write(store.path(), text).unwrap();
-            store.load().1
-        };
+    fn a_cloverstore_1_file_is_stale_and_the_next_save_rebuilds_it() {
+        let dir = temp_dir("v1");
+        // A valid v1 file written under the *current* model hash: stale by
+        // format alone.
+        let store = PersistentStore::new(dir.join("store.txt"));
         let line = POINT_LINE.split_whitespace().collect::<Vec<_>>().join(" ");
-        assert_eq!(outcome(&line), LoadOutcome::Warm(1));
-        // Two names swapped (their balances stay put).
-        let swapped = line
-            .replace(" am02 ", " am?? ")
-            .replace(" am03 ", " am02 ")
-            .replace(" am?? ", " am03 ");
-        assert_ne!(swapped, line);
-        assert_eq!(outcome(&swapped), LoadOutcome::ColdCorrupt);
-        // One loop renamed.
+        let v1 = format!("cloverstore 1 {:016x}\n{line}\nend 1\n", model_hash());
+        fs::write(store.path(), &v1).unwrap();
+        let (entries, outcome) = store.load();
+        assert_eq!(outcome, LoadOutcome::ColdStale);
+        assert!(entries.is_empty());
+        // Nothing below a v1 header is read: garbage there is stale too.
+        fs::write(store.path(), v1.replace("point", "\u{0}pxint")).unwrap();
+        assert_eq!(store.load().1, LoadOutcome::ColdStale);
+
+        let sim = SimMemo::new();
         assert_eq!(
-            outcome(&line.replace(" pdv01 ", " pdv02 ")),
-            LoadOutcome::ColdCorrupt
+            store.warm_load(&sim, &SweepMemo::new()),
+            LoadOutcome::ColdStale
         );
-        // A wrong loop count: one loop short, and one too many.
-        let short = line
-            .replace(" 22 am00 ", " 21 am00 ")
-            .replace(" pdv01 406380a939d818bd", "");
-        assert_eq!(outcome(&short), LoadOutcome::ColdCorrupt);
-        let long = line.replace(" 22 am00 ", " 23 am00 ") + " pdv02 406380a939d818bd";
-        assert_eq!(outcome(&long), LoadOutcome::ColdCorrupt);
+        sim.corun_preload([sample_corun_entry()]);
+        assert_eq!(store.save(&sim, &SweepMemo::new()).unwrap(), 1);
+        let text = fs::read_to_string(store.path()).unwrap();
+        assert!(text.starts_with("cloverstore 2 "), "{text}");
+        assert!(!text.contains("point"), "{text}");
+        assert_eq!(store.load().1, LoadOutcome::Warm(1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -933,40 +861,42 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let dir = std::env::temp_dir().join("cloverstore-test-roundtrip");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("store.txt");
-        let store = PersistentStore::with_hash(&path, 0xdead_beef);
-
+        let dir = temp_dir("roundtrip");
+        // A directory that does not exist yet is created by the save.
+        let store = PersistentStore::with_hash(dir.join("nested").join("store.txt"), 0xdead_beef);
         let sim = SimMemo::new();
         let sweep = SweepMemo::new();
-        let (sk, sc) = sample_sim_entry();
-        let (pk, pp) = sample_point_entry();
-        sim.preload([(sk.clone(), sc)]);
-        sweep.preload([(pk.clone(), pp.clone())]);
-        assert_eq!(store.save(&sim, &sweep).unwrap(), 2);
+        let entry = sample_corun_entry();
+        sim.corun_preload([entry.clone()]);
+        assert_eq!(store.save(&sim, &sweep).unwrap(), 1);
 
-        let (snapshot, outcome) = store.load();
-        assert_eq!(outcome, LoadOutcome::Warm(2));
-        assert_eq!(snapshot.sims, vec![(sk, sc)]);
-        assert_eq!(snapshot.points, vec![(pk, pp)]);
+        let (entries, outcome) = store.load();
+        assert_eq!(outcome, LoadOutcome::Warm(1));
+        assert_eq!(entries, vec![entry.clone()]);
+
+        // A warm load publishes the entry as a hit-to-be, not as a hit.
+        let warm = SimMemo::new();
+        assert_eq!(store.warm_load(&warm, &sweep), LoadOutcome::Warm(1));
+        assert_eq!(warm.corun_len(), 1);
+        assert_eq!((warm.corun_stats().hits, warm.corun_stats().misses), (0, 0));
+        let served = warm.corun_get_or_insert_with(entry.0, || unreachable!("preloaded"));
+        assert_eq!(served, entry.1);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn save_is_deterministic() {
-        let dir = std::env::temp_dir().join("cloverstore-test-determinism");
-        let _ = fs::remove_dir_all(&dir);
+        let dir = temp_dir("determinism");
         let store_a = PersistentStore::with_hash(dir.join("a.txt"), 7);
         let store_b = PersistentStore::with_hash(dir.join("b.txt"), 7);
-        let sim = SimMemo::new();
+        // The same entries, published in opposite orders.
+        let (sim_a, sim_b) = (SimMemo::new(), SimMemo::new());
+        let entries: Vec<CoRunEntry> = (1..=5).map(sample_with_interleave).collect();
+        sim_a.corun_preload(entries.iter().cloned());
+        sim_b.corun_preload(entries.iter().rev().cloned());
         let sweep = SweepMemo::new();
-        let (sk, sc) = sample_sim_entry();
-        let (pk, pp) = sample_point_entry();
-        sim.preload([(sk, sc)]);
-        sweep.preload([(pk, pp)]);
-        store_a.save(&sim, &sweep).unwrap();
-        store_b.save(&sim, &sweep).unwrap();
+        store_a.save(&sim_a, &sweep).unwrap();
+        store_b.save(&sim_b, &sweep).unwrap();
         assert_eq!(
             fs::read(store_a.path()).unwrap(),
             fs::read(store_b.path()).unwrap()
@@ -976,31 +906,17 @@ mod tests {
 
     #[test]
     fn capped_save_evicts_least_recently_touched_entries() {
-        let dir = std::env::temp_dir().join("cloverstore-test-capped");
-        let _ = fs::remove_dir_all(&dir);
-        let path = dir.join("store.txt");
-        let store = PersistentStore::with_hash(&path, 11);
-
+        let dir = temp_dir("capped");
+        let store = PersistentStore::with_hash(dir.join("store.txt"), 11);
         let sim = SimMemo::new();
         let sweep = SweepMemo::new();
-        let (sk, sc) = sample_sim_entry();
-        // Preloaded and never touched: stamp 0, first eviction candidate.
-        sim.preload([(sk.clone(), sc)]);
-        let (pk, pp) = sample_point_entry();
-        let old_key = PointKey {
-            ranks: 3,
-            ..pk.clone()
-        };
-        let new_key = PointKey {
-            ranks: 5,
-            ..pk.clone()
-        };
-        sweep.preload([(old_key.clone(), pp.clone()), (new_key.clone(), pp.clone())]);
-        assert!(sweep.entries_stamped().iter().all(|(_, _, s)| *s == 0));
-        // Touch only `new_key` (a memo hit): it becomes the most recent
+        // Preloaded and never touched: stamp 0, first eviction candidates.
+        sim.corun_preload((1..=3).map(sample_with_interleave));
+        assert!(sim.corun_entries_stamped().iter().all(|(_, _, s)| *s == 0));
+        // Touch only one entry (a memo hit): it becomes the most recent
         // entry and the only survivor of a cap of 1.
-        let engine = clover_core::ScalingEngine::new(icelake_sp_8360y(), new_key.grid);
-        let _ = engine.point_memo(new_key.ranks, &new_key.opts, &sweep);
+        let (recent, _) = sample_with_interleave(2);
+        let _ = sim.corun_get_or_insert_with(recent.clone(), || unreachable!("preloaded"));
 
         let report = store.save_capped(&sim, &sweep, 1).unwrap();
         assert_eq!(
@@ -1010,11 +926,10 @@ mod tests {
                 evicted: 2
             }
         );
-        let (snapshot, outcome) = store.load();
+        let (entries, outcome) = store.load();
         assert_eq!(outcome, LoadOutcome::Warm(1));
-        assert!(snapshot.sims.is_empty(), "stamp-0 sim entry evicted");
-        assert_eq!(snapshot.points.len(), 1);
-        assert_eq!(snapshot.points[0].0, new_key, "most recent entry survives");
+        assert_eq!(entries[0].0, recent, "most recent entry survives");
+        assert_eq!(sim.corun_len(), 3, "the memo itself is untouched");
 
         // A cap that fits everything is byte-identical to an uncapped save.
         let report = store.save_capped(&sim, &sweep, 10).unwrap();
@@ -1027,22 +942,19 @@ mod tests {
 
     #[test]
     fn missing_stale_and_corrupt_stores_load_cold() {
-        let dir = std::env::temp_dir().join("cloverstore-test-cold");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("cold");
         let path = dir.join("store.txt");
 
         // Missing file.
         let store = PersistentStore::with_hash(&path, 1);
-        let (snapshot, outcome) = store.load();
+        let (entries, outcome) = store.load();
         assert_eq!(outcome, LoadOutcome::ColdMissing);
-        assert!(snapshot.is_empty());
+        assert!(entries.is_empty());
 
         // Stale: written under hash 1, read under hash 2.
         let sim = SimMemo::new();
         let sweep = SweepMemo::new();
-        let (pk, pp) = sample_point_entry();
-        sweep.preload([(pk, pp)]);
+        sim.corun_preload([sample_corun_entry()]);
         store.save(&sim, &sweep).unwrap();
         let (_, outcome) = PersistentStore::with_hash(&path, 2).load();
         assert_eq!(outcome, LoadOutcome::ColdStale);
@@ -1051,42 +963,40 @@ mod tests {
 
         // Truncated: drop the trailer line.
         let full = fs::read_to_string(&path).unwrap();
-        let truncated: String =
-            full.lines()
-                .take(full.lines().count() - 1)
-                .fold(String::new(), |mut acc, line| {
-                    acc.push_str(line);
-                    acc.push('\n');
-                    acc
-                });
+        let truncated = full.strip_suffix("end 1\n").expect("the trailer ends it");
         fs::write(&path, truncated).unwrap();
-        let (snapshot, outcome) = store.load();
+        let (entries, outcome) = store.load();
         assert_eq!(outcome, LoadOutcome::ColdCorrupt);
-        assert!(snapshot.is_empty());
+        assert!(entries.is_empty());
 
-        // Garbage bytes.
-        fs::write(&path, "not a store at all\n").unwrap();
+        // Anything after the trailer.
+        fs::write(&path, format!("{full}corun\n")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
 
-        // Mid-line corruption.
-        store.save(&sim, &sweep).unwrap();
-        let mangled = fs::read_to_string(&path).unwrap().replace("point", "pxint");
-        fs::write(&path, mangled).unwrap();
+        // Garbage bytes, an empty file, a format from the future.
+        fs::write(&path, "not a store at all\n").unwrap();
+        assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
+        fs::write(&path, "").unwrap();
+        assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
+        fs::write(&path, full.replace("cloverstore 2", "cloverstore 3")).unwrap();
+        assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
+
+        // Mid-line corruption: an unknown record kind, a mangled token.
+        fs::write(&path, full.replace("corun", "cxrun")).unwrap();
+        assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
+        fs::write(&path, full.replace(" srrip ", " sxrip ")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn wrong_entry_count_is_corrupt() {
-        let dir = std::env::temp_dir().join("cloverstore-test-count");
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = temp_dir("count");
         let path = dir.join("store.txt");
         let store = PersistentStore::with_hash(&path, 1);
-        let sweep = SweepMemo::new();
-        let (pk, pp) = sample_point_entry();
-        sweep.preload([(pk, pp)]);
-        store.save(&SimMemo::new(), &sweep).unwrap();
+        let sim = SimMemo::new();
+        sim.corun_preload([sample_corun_entry()]);
+        store.save(&sim, &SweepMemo::new()).unwrap();
         let lied = fs::read_to_string(&path).unwrap().replace("end 1", "end 5");
         fs::write(&path, lied).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);

@@ -401,7 +401,7 @@ pub fn cloverleaf_loops() -> Vec<LoopSpec> {
 
 /// The process-wide catalogue: [`cloverleaf_loops`] built once.  The one
 /// place a loop's name lives — per-loop tables elsewhere (the balances of a
-/// scaling point, the store codec) are plain values in this order.
+/// scaling point) are plain values in this order.
 pub fn loop_catalogue() -> &'static [LoopSpec] {
     static CATALOGUE: OnceLock<Vec<LoopSpec>> = OnceLock::new();
     CATALOGUE.get_or_init(cloverleaf_loops)

@@ -1,47 +1,49 @@
-//! Tier-1 suite of the persistent memo store and the sweep service.
+//! Tier-1 suite of the persistent store and the sweep service.
 //!
 //! The acceptance properties of sweep-as-a-service:
 //!
 //! * **warm restart** — a second "process" (fresh memos) loading the
-//!   persisted store answers a repeated plan with ≥ 90% memo hit rate and
-//!   byte-identical output to the cold run,
+//!   persisted store answers a contended plan without simulating its
+//!   co-run again, byte-identical to a service that never had a store,
 //! * **invalidation** — a bumped model hash makes the store load cold and
-//!   forces a clean rebuild (same bytes, recomputed),
+//!   forces a clean rebuild,
 //! * **resilience** — truncated or corrupt store files rebuild instead of
 //!   crashing, and a rebuild-and-save restores a warm store,
 //! * **exact statistics** — the single-flight memo counts one miss per
-//!   computed key no matter how many threads race on it, which is what
-//!   makes the hit-rate acceptance number meaningful,
+//!   computed key no matter how many threads race on it,
 //! * **concurrent coalescing** — any number of clients racing overlapping
 //!   and identical sweeps on one shared service get payloads
 //!   byte-identical to the single-threaded CLI, while the flight
 //!   statistics prove each unique point was computed exactly once,
 //! * **compaction** — a `--store-cap` save keeps the most recently
-//!   touched entries, and a reload of the compacted store answers the
+//!   touched co-runs, and a reload of the compacted store answers the
 //!   recent plan fully warm from ≤ cap entries.
+//!
+//! Only the restart test pays for a real machine's co-run; the others run
+//! theirs on the embedded `cva6` preset, whose 2 MiB LLC simulates in
+//! milliseconds.
 
 use std::fs;
 use std::sync::Arc;
 
-use cloverleaf_wa::cachesim::FlightMemo;
+use cloverleaf_wa::cachesim::{FlightMemo, SimMemo};
 use cloverleaf_wa::core::SweepMemo;
-use cloverleaf_wa::scenario::{render_block, run_plan_memo, SweepArgs};
+use cloverleaf_wa::scenario::{render_block, run_plan_memo, run_plan_memos, SweepArgs};
 use cloverleaf_wa::service::{model_hash, LoadOutcome, PersistentStore, Response, SweepService};
 use proptest::prelude::*;
 
-/// Flags of the repeated plan, exactly as a daemon client or the
-/// `figures sweep` command line would spell them.
+/// Flags of the analytic plan the protocol tests repeat, exactly as a
+/// daemon client or the `figures sweep` command line would spell them.
 const SWEEP_FLAGS: &str = "--machine icx-8360y --grid 1920 --ranks 1..12 --stage all --jobs 2";
 
-fn sweep_words() -> Vec<String> {
-    SWEEP_FLAGS.split_whitespace().map(str::to_string).collect()
-}
+/// A contended plan with three co-run identities (one per aggressor).
+const CONTENDED_FLAGS: &str = "--machine cva6 --ranks 1..4 --aggressor all --jobs 2";
 
-/// The payload bytes of one `sweep` request against `service`.
-fn request_sweep(service: &SweepService) -> String {
-    match service.handle_request(&format!("sweep {SWEEP_FLAGS}")) {
+/// The payload bytes of one `sweep <flags>` request against `service`.
+fn request(service: &SweepService, flags: &str) -> String {
+    match service.handle_request(&format!("sweep {flags}")) {
         Response::Payload(payload) => payload,
-        other => panic!("sweep request failed: {other:?}"),
+        other => panic!("sweep {flags} failed: {other:?}"),
     }
 }
 
@@ -54,35 +56,44 @@ fn temp_store(name: &str) -> PersistentStore {
 #[test]
 fn warm_restart_hits_the_memo_and_reproduces_the_cold_bytes() {
     let store = temp_store("warm-restart");
-    let plan_points = SweepArgs::parse(&sweep_words()).unwrap().plan.len() as u64 * 12; // 12 ranks per scenario curve
+    // Two requests with one co-run identity: the victim against a
+    // thrashing aggressor on the Ice Lake LLC.
+    let first = "--machine icx-8360y --ranks 1..36 --aggressor thrash";
+    let second = "--machine icx-8360y --ranks 37..72 --aggressor thrash";
+    let storeless = SweepService::new();
+    let expected = (request(&storeless, first), request(&storeless, second));
 
-    // "Process 1": cold start, first evaluation, persist.
+    // "Process 1": cold start, the co-run is simulated and persisted.
     let (cold, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::ColdMissing);
-    let cold_bytes = request_sweep(&cold);
-    let (_, cold_misses) = cold.sweep_memo().stats();
-    assert!(cold_misses > 0, "a cold run must compute");
+    assert_eq!(request(&cold, first), expected.0);
+    let corun = cold.sim_memo().corun_stats();
+    assert_eq!((corun.hits, corun.misses), (0, 1), "a cold run simulates");
     let saved = cold.save().unwrap().expect("store is configured");
-    assert_eq!(saved as u64, plan_points, "every point persists");
-
-    // "Process 2": fresh memos, warm-loaded from disk.
-    let (warm, outcome) = SweepService::with_store(store.clone());
-    assert_eq!(outcome, LoadOutcome::Warm(saved), "store loads warm");
-    let warm_bytes = request_sweep(&warm);
     assert_eq!(
-        warm_bytes, cold_bytes,
+        saved, 1,
+        "the co-run persists, the 36 analytic points do not"
+    );
+
+    // "Process 2": fresh memos, warm-loaded from disk, a request the first
+    // process never saw — answered without simulating.
+    let (warm, outcome) = SweepService::with_store(store.clone());
+    assert_eq!(outcome, LoadOutcome::Warm(1), "store loads warm");
+    assert_eq!(request(&warm, second), expected.1);
+    let corun = warm.sim_memo().corun_stats();
+    assert_eq!(
+        (corun.hits, corun.misses),
+        (1, 0),
+        "the persisted co-run is a hit"
+    );
+    assert_eq!(
+        request(&warm, first),
+        expected.0,
         "warm restart must be byte-identical"
     );
-    let (hits, misses) = warm.sweep_memo().stats();
-    let hit_rate = hits as f64 / (hits + misses) as f64;
-    assert!(
-        hit_rate >= 0.9,
-        "acceptance: warm hit rate ≥ 90%, got {hits} hits / {misses} misses"
-    );
-    assert_eq!(misses, 0, "a persisted identical plan recomputes nothing");
 
-    // "Process 3": the model hash changed — the store is untrusted, the
-    // service rebuilds cleanly and arrives at the same bytes.
+    // "Process 3": the model hash changed — the store is untrusted and
+    // nothing of it is loaded.
     let bumped = PersistentStore::with_hash(store.path(), model_hash() ^ 1);
     let (rebuilt, outcome) = SweepService::with_store(bumped);
     assert_eq!(
@@ -90,37 +101,51 @@ fn warm_restart_hits_the_memo_and_reproduces_the_cold_bytes() {
         LoadOutcome::ColdStale,
         "bumped hash must invalidate"
     );
-    let rebuilt_bytes = request_sweep(&rebuilt);
-    assert_eq!(rebuilt_bytes, cold_bytes, "rebuild reproduces the output");
-    let (_, rebuilt_misses) = rebuilt.sweep_memo().stats();
-    assert_eq!(
-        rebuilt_misses, cold_misses,
-        "a stale store recomputes fully"
-    );
+    assert_eq!(rebuilt.sim_memo().corun_len(), 0);
 
     let _ = fs::remove_dir_all(store.path().parent().unwrap());
 }
 
 #[test]
 fn store_round_trip_is_byte_identical_without_the_service_layer() {
-    // The same property straight through `run_plan_memo` + the store —
+    // The same property straight through `run_plan_memos` + the store —
     // the path `figures sweep --store <path>` takes.
     let store = temp_store("round-trip");
-    let parsed = SweepArgs::parse(&sweep_words()).unwrap();
+    let words: Vec<String> = CONTENDED_FLAGS
+        .split_whitespace()
+        .map(str::to_string)
+        .collect();
+    let parsed = SweepArgs::parse(&words).unwrap();
 
-    let cold_memo = SweepMemo::new();
-    let cold_artifacts = run_plan_memo(&parsed.plan, parsed.jobs, &cold_memo);
-    store
-        .save(&cloverleaf_wa::cachesim::SimMemo::new(), &cold_memo)
-        .unwrap();
+    let (cold_sim, cold_memo) = (SimMemo::new(), SweepMemo::new());
+    let cold_artifacts = run_plan_memos(&parsed.plan, parsed.jobs, &cold_memo, &cold_sim);
+    assert_eq!(cold_sim.corun_stats().misses, 3, "one per aggressor");
+    assert_eq!(store.save(&cold_sim, &cold_memo).unwrap(), 3);
 
-    let warm_memo = SweepMemo::new();
-    let outcome = store.warm_load(&cloverleaf_wa::cachesim::SimMemo::new(), &warm_memo);
-    assert_eq!(outcome.loaded(), cold_memo.len());
-    let warm_artifacts = run_plan_memo(&parsed.plan, parsed.jobs, &warm_memo);
+    let (warm_sim, warm_memo) = (SimMemo::new(), SweepMemo::new());
+    let outcome = store.warm_load(&warm_sim, &warm_memo);
+    assert_eq!(outcome.loaded(), 3);
+    assert!(warm_memo.is_empty(), "analytic points are not persisted");
+    // What was loaded is what was simulated, to the bit (`TenantReport`
+    // compares its counters as floats; none of them is a NaN or -0.0).
+    let sorted = |sim: &SimMemo| {
+        let mut entries: Vec<_> = sim
+            .corun_entries_stamped()
+            .into_iter()
+            .map(|(key, reports, _)| (format!("{key:?}"), reports))
+            .collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    };
+    assert_eq!(sorted(&warm_sim), sorted(&cold_sim));
+    let warm_artifacts = run_plan_memos(&parsed.plan, parsed.jobs, &warm_memo, &warm_sim);
     assert_eq!(warm_artifacts, cold_artifacts, "full-precision equality");
-    let (_, misses) = warm_memo.stats();
-    assert_eq!(misses, 0, "the warm run is served from the store");
+    let corun = warm_sim.corun_stats();
+    assert_eq!(
+        (corun.hits, corun.misses),
+        (3, 0),
+        "the warm run simulates nothing"
+    );
 
     let _ = fs::remove_dir_all(store.path().parent().unwrap());
 }
@@ -129,8 +154,8 @@ fn store_round_trip_is_byte_identical_without_the_service_layer() {
 fn truncated_and_corrupt_stores_rebuild_and_resave() {
     let store = temp_store("corrupt");
     let (cold, _) = SweepService::with_store(store.clone());
-    let cold_bytes = request_sweep(&cold);
-    cold.save().unwrap();
+    let cold_bytes = request(&cold, CONTENDED_FLAGS);
+    assert_eq!(cold.save().unwrap(), Some(3));
 
     // Truncate: drop the `end <count>` trailer (a torn write).
     let full = fs::read_to_string(store.path()).unwrap();
@@ -138,17 +163,22 @@ fn truncated_and_corrupt_stores_rebuild_and_resave() {
     fs::write(store.path(), &full[..trailer_at]).unwrap();
     let (service, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::ColdCorrupt, "truncation is detected");
-    assert_eq!(request_sweep(&service), cold_bytes, "rebuild is clean");
+    assert_eq!(
+        request(&service, CONTENDED_FLAGS),
+        cold_bytes,
+        "rebuild is clean"
+    );
+    assert_eq!(service.sim_memo().corun_stats().misses, 3);
     // Saving heals the store for the next process.
     service.save().unwrap();
     let (_, outcome) = SweepService::with_store(store.clone());
-    assert!(matches!(outcome, LoadOutcome::Warm(_)), "store was healed");
+    assert_eq!(outcome, LoadOutcome::Warm(3), "store was healed");
 
     // Arbitrary garbage never panics either.
     fs::write(store.path(), b"\xff\xfe not a store \x00").unwrap();
     let (service, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::ColdCorrupt);
-    assert_eq!(request_sweep(&service), cold_bytes);
+    assert_eq!(request(&service, CONTENDED_FLAGS), cold_bytes);
 
     let _ = fs::remove_dir_all(store.path().parent().unwrap());
 }
@@ -196,7 +226,7 @@ fn concurrent_saves_never_share_a_temp_file() {
     // the interleaving, the file left behind is one complete snapshot.
     let store = temp_store("concurrent-saves");
     let (service, _) = SweepService::with_store(store.clone());
-    request_sweep(&service);
+    request(&service, CONTENDED_FLAGS);
     let barrier = std::sync::Barrier::new(9);
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -209,19 +239,19 @@ fn concurrent_saves_never_share_a_temp_file() {
         }
         scope.spawn(|| {
             barrier.wait();
-            for ranks in 13..24 {
-                let line = format!("sweep --machine icx-8360y --grid 1920 --ranks 1..{ranks}");
-                let Response::Payload(_) = service.handle_request(&line) else {
-                    panic!("sweep failed under racing saves");
-                };
+            // Every interleave is a co-run identity of its own: the table
+            // the saves snapshot keeps growing under them.
+            for interleave in 1..12 {
+                request(
+                    &service,
+                    &format!("{CONTENDED_FLAGS} --interleave {interleave}"),
+                );
             }
         });
     });
     let entries = service.save().unwrap().expect("store is configured");
-    assert_eq!(
-        entries,
-        service.sweep_memo().len() + service.sim_memo().len()
-    );
+    assert_eq!(entries, 3 * 12);
+    assert_eq!(entries, service.sim_memo().corun_len());
     assert_eq!(store.load().1, LoadOutcome::Warm(entries));
     let dir = store.path().parent().unwrap();
     let leftovers: Vec<_> = fs::read_dir(dir)
@@ -238,29 +268,25 @@ fn concurrent_saves_never_share_a_temp_file() {
 
 #[test]
 fn compacted_store_reloads_warm_within_the_cap() {
-    // Compaction acceptance: after serving a 12-point plan and then a
-    // 6-point subset (which refreshes the subset's recency), a capped
-    // save keeps only the 6 most recently touched entries, and a fresh
-    // process loading the compacted store answers the subset fully warm.
+    // Compaction acceptance: after serving a plan with three co-run
+    // identities and then another rank range of one of them (which
+    // refreshes that co-run's recency), a save capped to 1 keeps only the
+    // most recently touched co-run, and a fresh process loading the
+    // compacted store answers the recent plan without simulating.
     let store = temp_store("compaction");
-    let full = "sweep --machine icx-8360y --grid 1920 --ranks 1..12";
-    let recent = "sweep --machine icx-8360y --grid 1920 --ranks 1..6";
-    let cap = 6;
+    let recent = "--machine cva6 --ranks 2..3 --aggressor stream";
+    let cap = 1;
 
     let (cold, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::ColdMissing);
     let cold = cold.with_store_cap(cap);
-    let Response::Payload(_) = cold.handle_request(full) else {
-        panic!("full sweep failed");
-    };
-    let Response::Payload(recent_bytes) = cold.handle_request(recent) else {
-        panic!("subset sweep failed");
-    };
+    request(&cold, CONTENDED_FLAGS);
+    let recent_bytes = request(&cold, recent);
     let saved = cold.save().unwrap().expect("store is configured");
     assert_eq!(saved, cap, "save is compacted to the cap");
     match cold.handle_request("stats") {
         Response::Line(line) => assert!(
-            line.contains("store-evictions 6 store-compactions 1"),
+            line.contains("store-evictions 2 store-compactions 1"),
             "compaction is counted: {line}"
         ),
         other => panic!("stats failed: {other:?}"),
@@ -270,15 +296,16 @@ fn compacted_store_reloads_warm_within_the_cap() {
     // recently served plan replays fully warm and byte-identical.
     let (warm, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::Warm(cap), "entry count ≤ store cap");
-    let Response::Payload(warm_bytes) = warm.handle_request(recent) else {
-        panic!("warm subset sweep failed");
-    };
-    assert_eq!(warm_bytes, recent_bytes, "compaction never changes bytes");
-    let (hits, misses) = warm.sweep_memo().stats();
-    let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-    assert!(
-        hit_rate >= 0.9,
-        "acceptance: compacted reload ≥ 90% warm, got {hits} hits / {misses} misses"
+    assert_eq!(
+        request(&warm, recent),
+        recent_bytes,
+        "compaction never changes bytes"
+    );
+    let corun = warm.sim_memo().corun_stats();
+    assert_eq!(
+        (corun.hits, corun.misses),
+        (1, 0),
+        "the surviving co-run is the recent one"
     );
 
     let _ = fs::remove_dir_all(store.path().parent().unwrap());
