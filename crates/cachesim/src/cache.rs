@@ -5,39 +5,44 @@
 //! (`Box<[u64]>`, the LRU stamp and dirty bit packed as `stamp << 1 |
 //! dirty`), both with a fixed `ways` stride per set and mask-derived set
 //! indices.  A probe touches only the tag lane — at most `ways` contiguous
-//! `u64`s — so the hot scan is a chunked branch-free compare over 8-wide
-//! groups (`u64x8`-style: accumulate hit/empty bit masks, one
-//! `trailing_zeros` resolve per chunk) instead of a scalar early-exit loop.
-//! The meta lane is read only on the slot the probe resolved to, or by the
-//! miss-path victim scan.  Validity is encoded in the tag itself
+//! `u64`s; the meta lane is read only on the slot the probe resolved to, or
+//! by the miss-path victim scan.  Validity is encoded in the tag itself
 //! (`tag == INVALID_LINE`).
 //!
-//! The SIMD path is tiered by runtime feature detection (stable
-//! `std::arch` intrinsics behind `is_x86_feature_detected!` — no nightly
-//! `std::simd`): AVX-512 mask-register compares where available, then
-//! AVX2 compare + movemask, then the portable chunked loop everywhere
-//! else.  Single probes pay one dispatched call; batch probes
-//! ([`resident_count`](SetAssocCache::resident_count)) resolve the
-//! dispatch once and run the whole scan loop inside the selected
-//! implementation.  The `const SIMD: bool` type parameter selects the
-//! scalar reference scan at compile time (used by the equivalence
-//! proptests), and the `scalar-probe` cargo feature forces the scalar
-//! path crate-wide so CI can run the whole suite on the fallback.
+//! There is one probe: a scalar early-exit loop over the set's tags.  The
+//! simulated traffic is streaming stencils, so most probes are hits in the
+//! first few ways (L1 hit ratio 0.84 on the paper's figures) and the loop
+//! leaves after one or two compares.  A tiered SIMD scan (AVX-512 / AVX2 /
+//! portable 8-wide chunks, PRs 9–16) was A/B-measured against it on the
+//! two simulator workloads of `benchmark/` (`points_per_s`, median of
+//! alternating 12 s runs on a 2-vCPU AVX-512 host):
+//!
+//! | probe                 | `paper_all`         | `tenancy`     |
+//! | --------------------- | ------------------- | ------------- |
+//! | AVX-512 tier          | 1 219 (1 050–1 305) | 210 (206–217) |
+//! | this scalar loop      | 1 200 (1 037–1 347) | 205 (187–207) |
+//! | portable chunked only |   833 (737–867)     | 124 (115–132) |
+//!
+//! The scalar loop sits inside the AVX-512 tier's own spread, and the
+//! "fast" fallback of every host without AVX2 lost a third to it — so the
+//! tiers, their feature detection and their `unsafe` went.  Only a
+//! full-set miss scan (`cachesim.probe_ns_per_line` of the benchmark, a
+//! shape no product path produces) is slower without them, about 2×.
 //!
 //! The victim-selection strategy is a zero-cost generic parameter
 //! ([`ReplacementPolicy`], default [`TrueLru`]).  True LRU derives the
 //! victim from the meta lane (stamps are unique, so ordering by the packed
 //! word orders by recency regardless of the dirty bit); other policies
 //! carry their own per-set state and are consulted through
-//! compile-time-guarded hooks, so all 12 policy × write-policy combos stay
-//! fully monomorphised.
+//! compile-time-guarded hooks, so each of the four policies is fully
+//! monomorphised.
 //!
 //! Three invariants keep the scans short:
 //!
 //! * **prefix invariant** — within a set, valid entries always form a
 //!   prefix ([`invalidate`](SetAssocCache::invalidate) compacts), so a hit
-//!   always precedes the first empty slot and every probe stops at the
-//!   first chunk containing either;
+//!   always precedes the first empty slot and every probe stops at
+//!   whichever comes first;
 //! * **miss memo** — a [`touch`](SetAssocCache::touch) that misses records
 //!   the slot a fill of that line would use, so the
 //!   [`fill`](SetAssocCache::fill) that typically follows is O(1);
@@ -82,9 +87,10 @@ enum SetProbe {
     Full,
 }
 
-/// Scalar reference probe: the pre-SoA early-exit loop over the tag lane.
+/// The probe: an early-exit scan of one set's tag lane (see the module
+/// docs for why there is exactly one).
 #[inline(always)]
-fn probe_scalar(tags: &[u64], line: u64) -> SetProbe {
+fn probe_set(tags: &[u64], line: u64) -> SetProbe {
     for (idx, &tag) in tags.iter().enumerate() {
         if tag == line {
             return SetProbe::Hit(idx);
@@ -95,196 +101,6 @@ fn probe_scalar(tags: &[u64], line: u64) -> SetProbe {
         }
     }
     SetProbe::Full
-}
-
-/// Chunked branch-free probe: accumulate 8-wide hit/empty bit masks per
-/// chunk of the tag lane (`u64x8`-style — the compare loop has no
-/// data-dependent branch, so it vectorises), then resolve each chunk with
-/// two `trailing_zeros`.  The prefix invariant guarantees a hit precedes
-/// the first empty slot, so the first chunk with either mask non-zero
-/// decides the probe.
-#[inline(always)]
-fn probe_chunked(tags: &[u64], line: u64) -> SetProbe {
-    let mut base = 0usize;
-    for chunk in tags.chunks(8) {
-        let mut hit = 0u32;
-        let mut empty = 0u32;
-        for (j, &tag) in chunk.iter().enumerate() {
-            hit |= ((tag == line) as u32) << j;
-            empty |= ((tag == INVALID_LINE) as u32) << j;
-        }
-        if hit | empty != 0 {
-            let h = hit.trailing_zeros();
-            let e = empty.trailing_zeros();
-            return if h < e {
-                SetProbe::Hit(base + h as usize)
-            } else {
-                SetProbe::Empty(base + e as usize)
-            };
-        }
-        base += chunk.len();
-    }
-    SetProbe::Full
-}
-
-/// AVX2 probe: one `_mm256_cmpeq_epi64` against the needle and one against
-/// the empty sentinel per 4-wide group, compressed to hit/empty bit masks
-/// with `_mm256_movemask_pd` and resolved exactly like the portable chunked
-/// path.  The win over the scalar loop is largest when the probed line is
-/// *absent from a full set* — the streaming-eviction hot case, where the
-/// scalar scan has no early exit and must walk all `ways` tags.
-///
-/// # Safety
-/// Callers must guarantee AVX2 is available (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn probe_avx2(tags: &[u64], line: u64) -> SetProbe {
-    use std::arch::x86_64::*;
-    let needle = _mm256_set1_epi64x(line as i64);
-    let hole = _mm256_set1_epi64x(-1i64); // INVALID_LINE in every lane
-    let mut base = 0usize;
-    let mut chunks = tags.chunks_exact(4);
-    for chunk in &mut chunks {
-        let lane = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        let hit = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lane, needle))) as u32;
-        let empty = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(lane, hole))) as u32;
-        if hit | empty != 0 {
-            let h = hit.trailing_zeros();
-            let e = empty.trailing_zeros();
-            return if h < e {
-                SetProbe::Hit(base + h as usize)
-            } else {
-                SetProbe::Empty(base + e as usize)
-            };
-        }
-        base += 4;
-    }
-    for (j, &tag) in chunks.remainder().iter().enumerate() {
-        if tag == line {
-            return SetProbe::Hit(base + j);
-        }
-        if tag == INVALID_LINE {
-            return SetProbe::Empty(base + j);
-        }
-    }
-    SetProbe::Full
-}
-
-/// AVX-512 probe: eight tags per `_mm512_cmpeq_epi64_mask`, with the
-/// hit/empty masks landing directly in mask registers (`__mmask8`) — no
-/// float-domain movemask round trip — and the sub-8 tail handled by one
-/// masked load + masked compare instead of a scalar remainder loop.  The
-/// compares are *masked* (`_mm512_mask_cmpeq_epi64_mask`) on the tail so
-/// the zeroed masked-out lanes can never fake a hit on line 0.
-///
-/// # Safety
-/// Callers must guarantee AVX-512F is available
-/// (`is_x86_feature_detected!`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn probe_avx512(tags: &[u64], line: u64) -> SetProbe {
-    use std::arch::x86_64::*;
-    let needle = _mm512_set1_epi64(line as i64);
-    let hole = _mm512_set1_epi64(-1i64); // INVALID_LINE in every lane
-    let mut base = 0usize;
-    let mut chunks = tags.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lane = _mm512_loadu_epi64(chunk.as_ptr() as *const i64);
-        let hit = _mm512_cmpeq_epi64_mask(lane, needle) as u32;
-        let empty = _mm512_cmpeq_epi64_mask(lane, hole) as u32;
-        if hit | empty != 0 {
-            let h = hit.trailing_zeros();
-            let e = empty.trailing_zeros();
-            return if h < e {
-                SetProbe::Hit(base + h as usize)
-            } else {
-                SetProbe::Empty(base + e as usize)
-            };
-        }
-        base += 8;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let k: __mmask8 = (1u8 << rem.len()) - 1;
-        let lane = _mm512_maskz_loadu_epi64(k, rem.as_ptr() as *const i64);
-        let hit = _mm512_mask_cmpeq_epi64_mask(k, lane, needle) as u32;
-        let empty = _mm512_mask_cmpeq_epi64_mask(k, lane, hole) as u32;
-        if hit | empty != 0 {
-            let h = hit.trailing_zeros();
-            let e = empty.trailing_zeros();
-            return if h < e {
-                SetProbe::Hit(base + h as usize)
-            } else {
-                SetProbe::Empty(base + e as usize)
-            };
-        }
-    }
-    SetProbe::Full
-}
-
-/// Which probe implementation runtime feature detection picked for the
-/// `SIMD = true` path.  Detected once per cache construction and cached as
-/// a plain field ([`detect_probe_tier`]): a non-atomic field load is
-/// loop-invariant to LLVM, so hot probe loops hoist the dispatch branch
-/// instead of re-reading `std`'s atomic detection cache every probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ProbeTier {
-    /// Mask-register compares, 8 tags per instruction ([`probe_avx512`]).
-    #[cfg(target_arch = "x86_64")]
-    Avx512,
-    /// 256-bit compares + movemask, 4 tags per instruction
-    /// ([`probe_avx2`]).
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    /// The portable chunked loop ([`probe_chunked`]).
-    Portable,
-}
-
-/// One-time probe-tier detection (see [`ProbeTier`]).
-#[inline]
-fn detect_probe_tier() -> ProbeTier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::is_x86_feature_detected!("avx512f") {
-            ProbeTier::Avx512
-        } else if std::is_x86_feature_detected!("avx2") {
-            ProbeTier::Avx2
-        } else {
-            ProbeTier::Portable
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        ProbeTier::Portable
-    }
-}
-
-/// Runtime-dispatched SIMD probe: the widest vector compare the CPU has,
-/// the portable chunked loop everywhere else.  `tier` must come from
-/// [`detect_probe_tier`].
-#[inline(always)]
-fn probe_simd(tags: &[u64], line: u64, tier: ProbeTier) -> SetProbe {
-    match tier {
-        // SAFETY: each tier is picked only when its runtime feature
-        // detection succeeded.
-        #[cfg(target_arch = "x86_64")]
-        ProbeTier::Avx512 => unsafe { probe_avx512(tags, line) },
-        #[cfg(target_arch = "x86_64")]
-        ProbeTier::Avx2 => unsafe { probe_avx2(tags, line) },
-        ProbeTier::Portable => probe_chunked(tags, line),
-    }
-}
-
-/// Compile-time probe selection: the SIMD lane scan unless the type asked
-/// for the scalar reference (`SIMD = false`) or the `scalar-probe` feature
-/// forces the fallback crate-wide.
-#[inline(always)]
-fn probe_lane<const SIMD: bool>(tags: &[u64], line: u64, tier: ProbeTier) -> SetProbe {
-    if SIMD && !cfg!(feature = "scalar-probe") {
-        probe_simd(tags, line, tier)
-    } else {
-        probe_scalar(tags, line)
-    }
 }
 
 /// Length of the valid prefix of a set's tag lane (index of the first
@@ -334,12 +150,15 @@ fn refresh_meta(meta: &mut u64, stamp: u64, write: bool) {
 }
 
 /// A single set-associative cache level with a pluggable replacement
-/// policy (true LRU by default) and a compile-time probe-path selector
-/// (`SIMD = true` is the chunked lane scan, `false` the scalar reference).
+/// policy (true LRU by default).
 ///
 /// Lines are identified by their global line index (`addr / 64`); the set
 /// index is derived from the line index, the tag is the full line index
 /// (simple and unambiguous).
+///
+/// `SIMD` is read by nothing: it selected a probe implementation until
+/// PR 17 and stays only because `benchmark/` (which that PR could not
+/// edit) spells the type `SetAssocCache::<TrueLru, true>`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true> {
     /// Tag lane: at least `sets × ways` line indices, set-major (the
@@ -366,9 +185,6 @@ pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true
     policy: R,
     ways: usize,
     set_mask: u64,
-    /// Cached [`detect_probe_tier`] result (see there);
-    /// geometry-independent.
-    probe_tier: ProbeTier,
     hits: u64,
     misses: u64,
     /// Valid lines displaced by a fill since construction/reset.
@@ -401,7 +217,6 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
             policy: R::new(sets, effective_ways),
             ways: effective_ways,
             set_mask: (sets - 1) as u64,
-            probe_tier: detect_probe_tier(),
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -558,73 +373,16 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
         let start = self.lane_start(line);
-        matches!(
-            probe_lane::<SIMD>(self.set_tags(start), line, self.probe_tier),
-            SetProbe::Hit(_)
-        )
+        matches!(probe_set(self.set_tags(start), line), SetProbe::Hit(_))
     }
 
-    /// Count how many of `lines` are resident — a bulk [`contains`] that
-    /// modifies no LRU state or counters.
-    ///
-    /// The probe-path dispatch (AVX-512 / AVX2 / portable) is resolved
-    /// *once for the whole batch* and the scan loop runs inside the
-    /// selected implementation, so the per-probe call, `vzeroupper` and
-    /// needle-broadcast overhead of a dispatched single probe is amortised
-    /// away.  This is the shape a working-set residency question has
-    /// (many lines against one cache), and what the probe-scan benchmark
-    /// measures.
+    /// Count how many of `lines` are resident: [`contains`] over a slice,
+    /// modifying no LRU state or counters.  No product path calls it; it is
+    /// what `benchmark/`'s `cachesim.probe_ns_per_line` times.
     ///
     /// [`contains`]: Self::contains
     pub fn resident_count(&self, lines: &[u64]) -> usize {
-        if SIMD && !cfg!(feature = "scalar-probe") {
-            match self.probe_tier {
-                #[cfg(target_arch = "x86_64")]
-                // SAFETY: each tier is picked only when its runtime
-                // feature detection succeeded.
-                ProbeTier::Avx512 => unsafe { self.resident_count_avx512(lines) },
-                #[cfg(target_arch = "x86_64")]
-                ProbeTier::Avx2 => unsafe { self.resident_count_avx2(lines) },
-                ProbeTier::Portable => self.resident_count_with(lines, probe_chunked),
-            }
-        } else {
-            self.resident_count_with(lines, probe_scalar)
-        }
-    }
-
-    /// [`resident_count`](Self::resident_count) loop over one concrete
-    /// probe implementation (inlined into the feature-enabled wrappers, so
-    /// the probe itself inlines into the batch loop).
-    #[inline(always)]
-    fn resident_count_with(&self, lines: &[u64], probe: impl Fn(&[u64], u64) -> SetProbe) -> usize {
-        lines
-            .iter()
-            .filter(|&&line| {
-                matches!(
-                    probe(self.set_tags(self.lane_start(line)), line),
-                    SetProbe::Hit(_)
-                )
-            })
-            .count()
-    }
-
-    /// # Safety
-    /// AVX-512F must be available (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn resident_count_avx512(&self, lines: &[u64]) -> usize {
-        // SAFETY: the caller guarantees AVX-512F; the closure inherits the
-        // feature context, so the probe inlines without a per-line call.
-        self.resident_count_with(lines, |tags, line| unsafe { probe_avx512(tags, line) })
-    }
-
-    /// # Safety
-    /// AVX2 must be available (`is_x86_feature_detected!`).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn resident_count_avx2(&self, lines: &[u64]) -> usize {
-        // SAFETY: the caller guarantees AVX2 (see above on inlining).
-        self.resident_count_with(lines, |tags, line| unsafe { probe_avx2(tags, line) })
+        lines.iter().filter(|&&line| self.contains(line)).count()
     }
 
     /// Write `line` into `slot` of `set_idx` with a fresh meta word,
@@ -667,7 +425,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let stamp = self.next_stamp();
         let set_idx = (line & self.set_mask) as usize;
         let start = set_idx * self.ways;
-        match probe_lane::<SIMD>(self.set_tags(start), line, self.probe_tier) {
+        match probe_set(self.set_tags(start), line) {
             SetProbe::Hit(idx) => {
                 refresh_meta(&mut self.meta[start + idx], stamp, write);
                 if !R::LRU_SCAN {
@@ -718,7 +476,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let stamp = self.next_stamp();
         let set_idx = (line & self.set_mask) as usize;
         let start = set_idx * self.ways;
-        match probe_lane::<SIMD>(self.set_tags(start), line, self.probe_tier) {
+        match probe_set(self.set_tags(start), line) {
             SetProbe::Hit(idx) => {
                 refresh_meta(&mut self.meta[start + idx], stamp, false);
                 if !R::LRU_SCAN {
@@ -745,7 +503,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let stamp = self.next_stamp();
         let set_idx = (line & self.set_mask) as usize;
         let start = set_idx * self.ways;
-        match probe_lane::<SIMD>(self.set_tags(start), line, self.probe_tier) {
+        match probe_set(self.set_tags(start), line) {
             SetProbe::Hit(idx) => {
                 refresh_meta(&mut self.meta[start + idx], stamp, write);
                 if !R::LRU_SCAN {
@@ -789,7 +547,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let stamp = self.next_stamp();
         let set_idx = (line & self.set_mask) as usize;
         let start = set_idx * self.ways;
-        match probe_lane::<SIMD>(self.set_tags(start), line, self.probe_tier) {
+        match probe_set(self.set_tags(start), line) {
             SetProbe::Hit(idx) => {
                 // Already present (e.g. racing prefetch): refresh.
                 refresh_meta(&mut self.meta[start + idx], stamp, dirty);
@@ -819,7 +577,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let set_idx = (line & self.set_mask) as usize;
         let start = set_idx * self.ways;
         let tags = &self.tags[start..start + self.ways];
-        let idx = match probe_lane::<SIMD>(tags, line, self.probe_tier) {
+        let idx = match probe_set(tags, line) {
             SetProbe::Hit(idx) => idx,
             _ => return None,
         };
@@ -1247,138 +1005,24 @@ mod tests {
         probe_fill_equivalence_generic::<RandomEvict>();
     }
 
-    /// Drive the chunked-probe and scalar-probe instantiations of the same
-    /// policy with an identical mixed operation stream; every result,
-    /// counter and flush must agree bit for bit.
-    fn chunked_matches_scalar_generic<R: ReplacementPolicy>(capacity: usize, ways: usize) {
-        let mut simd: SetAssocCache<R, true> = SetAssocCache::new(capacity, ways);
-        let mut scalar: SetAssocCache<R, false> = SetAssocCache::new(capacity, ways);
-        // Deterministic mixed stream over a working set larger than the
-        // cache so full sets, evictions and invalidations all occur.
-        let mut x = 0x9e3779b97f4a7c15u64;
-        for n in 0..4096u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 512;
-            match n % 7 {
-                0 | 1 => {
-                    assert_eq!(simd.touch(line, n % 3 == 0), scalar.touch(line, n % 3 == 0));
-                }
-                2 => {
-                    assert_eq!(simd.fill(line, n % 5 == 0), scalar.fill(line, n % 5 == 0));
-                }
-                3 | 4 => {
-                    assert_eq!(
-                        simd.probe_fill(line, n % 2 == 0),
-                        scalar.probe_fill(line, n % 2 == 0)
-                    );
-                }
-                5 => {
-                    assert_eq!(
-                        simd.touch_repeat(line, n % 4),
-                        scalar.touch_repeat(line, n % 4)
-                    );
-                }
-                _ => {
-                    assert_eq!(simd.invalidate(line), scalar.invalidate(line));
-                }
-            }
-            assert_eq!(simd.contains(line), scalar.contains(line), "{}", R::KIND);
-        }
-        assert_eq!(simd.hits(), scalar.hits(), "{}", R::KIND);
-        assert_eq!(simd.misses(), scalar.misses(), "{}", R::KIND);
-        assert_eq!(
-            simd.resident_lines(),
-            scalar.resident_lines(),
-            "{}",
-            R::KIND
-        );
-        let mut d1 = simd.flush_dirty();
-        let mut d2 = scalar.flush_dirty();
-        d1.sort_unstable();
-        d2.sort_unstable();
-        assert_eq!(d1, d2, "{}", R::KIND);
-    }
-
     #[test]
-    fn chunked_probe_matches_scalar_probe_for_every_policy() {
-        // Geometries straddling the 8-wide chunk size: narrower, equal,
-        // wider and non-multiple ways counts.
-        for &(capacity, ways) in &[(16 * 64, 4), (64 * 64, 8), (96 * 64, 12), (128 * 64, 16)] {
-            chunked_matches_scalar_generic::<TrueLru>(capacity, ways);
-            chunked_matches_scalar_generic::<TreePlru>(capacity, ways);
-            chunked_matches_scalar_generic::<Srrip>(capacity, ways);
-            chunked_matches_scalar_generic::<RandomEvict>(capacity, ways);
+    fn resident_count_matches_contains() {
+        let mut cache = lru(64 * 64, 8);
+        // Mixed population: some sets full, some partial, some empty.
+        for line in 0..40u64 {
+            cache.probe_fill(line * 3, line % 2 == 0);
         }
-    }
-
-    #[test]
-    fn probe_implementations_agree_on_synthetic_lanes() {
-        // Every probe tier against the scalar reference on raw tag lanes:
-        // widths straddling both the 4-wide AVX2 group and the 8-wide
-        // portable chunk, every valid-prefix length (prefix invariant), and
-        // probes that hit each resident slot, miss entirely, or sit next to
-        // the sentinel.  This covers the portable chunked path directly even
-        // on hosts where the runtime dispatch always picks AVX2.
-        let mut x = 0x243f6a8885a308d3u64;
-        for ways in [1usize, 3, 4, 5, 8, 11, 12, 16, 24] {
-            for valid in 0..=ways {
-                let mut tags = vec![INVALID_LINE; ways];
-                for slot in tags.iter_mut().take(valid) {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    *slot = x >> 8;
-                }
-                let mut probes: Vec<u64> = tags[..valid].to_vec();
-                probes.push(12345);
-                probes.push(u64::MAX - 1);
-                for line in probes {
-                    let want = probe_scalar(&tags, line);
-                    assert_eq!(
-                        probe_chunked(&tags, line),
-                        want,
-                        "chunked ways={ways} valid={valid}"
-                    );
-                    assert_eq!(
-                        probe_simd(&tags, line, detect_probe_tier()),
-                        want,
-                        "simd ways={ways} valid={valid}"
-                    );
-                    #[cfg(target_arch = "x86_64")]
-                    if std::is_x86_feature_detected!("avx2") {
-                        // SAFETY: guarded by the runtime detection above.
-                        let got = unsafe { probe_avx2(&tags, line) };
-                        assert_eq!(got, want, "avx2 ways={ways} valid={valid}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resident_count_matches_contains_under_both_probe_paths() {
-        fn check<const SIMD: bool>() {
-            let mut cache: SetAssocCache<TrueLru, SIMD> = SetAssocCache::new(64 * 64, 8);
-            // Mixed population: some sets full, some partial, some empty.
-            for line in 0..40u64 {
-                cache.probe_fill(line * 3, line % 2 == 0);
-            }
-            // Resident lines, absent lines aliasing populated sets, and
-            // lines mapping to never-filled sets, interleaved.
-            let probes: Vec<u64> = (0..200u64).collect();
-            let expected = probes.iter().filter(|&&l| cache.contains(l)).count();
-            assert!(expected > 0 && expected < probes.len());
-            assert_eq!(cache.resident_count(&probes), expected);
-            assert_eq!(cache.resident_count(&[]), 0);
-            // Bulk probing must not touch counters or LRU state.
-            let (hits, misses) = (cache.hits(), cache.misses());
-            cache.resident_count(&probes);
-            assert_eq!((cache.hits(), cache.misses()), (hits, misses));
-        }
-        check::<true>();
-        check::<false>();
+        // Resident lines, absent lines aliasing populated sets, and
+        // lines mapping to never-filled sets, interleaved.
+        let probes: Vec<u64> = (0..200u64).collect();
+        let expected = probes.iter().filter(|&&l| cache.contains(l)).count();
+        assert!(expected > 0 && expected < probes.len());
+        assert_eq!(cache.resident_count(&probes), expected);
+        assert_eq!(cache.resident_count(&[]), 0);
+        // Bulk probing must not touch counters or LRU state.
+        let (hits, misses) = (cache.hits(), cache.misses());
+        cache.resident_count(&probes);
+        assert_eq!((cache.hits(), cache.misses()), (hits, misses));
     }
 
     #[test]

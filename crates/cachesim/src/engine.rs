@@ -17,10 +17,7 @@ use crate::hierarchy::{
 };
 use crate::memo::{CoRunKey, KernelSpec, SimMemo};
 use crate::patterns::{StencilRowSweep, SweepCursor};
-use crate::policy::{
-    NoWriteAllocate, NonTemporal, RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru,
-    WriteAllocate, WritePolicy,
-};
+use crate::policy::{RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru};
 use crate::prefetch::PrefetcherConfig;
 
 /// Configuration of one node-level simulation run.
@@ -86,6 +83,7 @@ impl SimConfig {
             speci2m_enabled: self.speci2m_enabled,
             prefetchers: self.prefetchers,
             l3_sharers: DomainOccupancy::l3_sharers(&self.machine, cores_in_domain),
+            write_policy: self.write_policy,
         }
     }
 }
@@ -125,29 +123,19 @@ impl NodeSimReport {
     }
 }
 
-/// Call `$sim.$typed::<R, W>(args)` with the policy types matching the
-/// configuration's runtime selectors — the one dispatch table from
-/// [`SimConfig::replacement`] × [`SimConfig::write_policy`] to the twelve
-/// monomorphised hierarchies.
+/// Call `$sim.$typed::<R>(args)` with the replacement-policy type matching
+/// the configuration's runtime selector — the one dispatch table from
+/// [`SimConfig::replacement`] to the four monomorphised hierarchies.  (The
+/// store-miss policy travels as data, in [`CoreSimOptions`].)
 macro_rules! dispatch_policies {
-    ($sim:ident . $typed:ident ( $($arg:expr),* )) => {{
-        use ReplacementPolicyKind as R;
-        use WritePolicyKind as W;
-        match ($sim.config.replacement, $sim.config.write_policy) {
-            (R::Lru, W::Allocate) => $sim.$typed::<TrueLru, WriteAllocate>($($arg),*),
-            (R::Lru, W::NoAllocate) => $sim.$typed::<TrueLru, NoWriteAllocate>($($arg),*),
-            (R::Lru, W::NonTemporal) => $sim.$typed::<TrueLru, NonTemporal>($($arg),*),
-            (R::Plru, W::Allocate) => $sim.$typed::<TreePlru, WriteAllocate>($($arg),*),
-            (R::Plru, W::NoAllocate) => $sim.$typed::<TreePlru, NoWriteAllocate>($($arg),*),
-            (R::Plru, W::NonTemporal) => $sim.$typed::<TreePlru, NonTemporal>($($arg),*),
-            (R::Srrip, W::Allocate) => $sim.$typed::<Srrip, WriteAllocate>($($arg),*),
-            (R::Srrip, W::NoAllocate) => $sim.$typed::<Srrip, NoWriteAllocate>($($arg),*),
-            (R::Srrip, W::NonTemporal) => $sim.$typed::<Srrip, NonTemporal>($($arg),*),
-            (R::Random, W::Allocate) => $sim.$typed::<RandomEvict, WriteAllocate>($($arg),*),
-            (R::Random, W::NoAllocate) => $sim.$typed::<RandomEvict, NoWriteAllocate>($($arg),*),
-            (R::Random, W::NonTemporal) => $sim.$typed::<RandomEvict, NonTemporal>($($arg),*),
+    ($sim:ident . $typed:ident ( $($arg:expr),* )) => {
+        match $sim.config.replacement {
+            ReplacementPolicyKind::Lru => $sim.$typed::<TrueLru>($($arg),*),
+            ReplacementPolicyKind::Plru => $sim.$typed::<TreePlru>($($arg),*),
+            ReplacementPolicyKind::Srrip => $sim.$typed::<Srrip>($($arg),*),
+            ReplacementPolicyKind::Random => $sim.$typed::<RandomEvict>($($arg),*),
         }
-    }};
+    };
 }
 
 /// Node-level SPMD simulator.
@@ -172,9 +160,10 @@ impl NodeSim {
         &self.config
     }
 
-    /// The closure-based entry points always simulate the default
-    /// LRU + write-allocate hierarchy; a non-default policy configuration
-    /// would be silently ignored there, so refuse it.
+    /// The closure-based entry points are the paper-configuration
+    /// reference: their kernels take a true-LRU [`CoreSim`], so a
+    /// replacement selector would be silently ignored there.  Refuse any
+    /// non-default policy configuration.
     fn assert_default_policies(&self, entry: &str) {
         assert!(
             self.config.replacement == ReplacementPolicyKind::default()
@@ -260,19 +249,20 @@ impl NodeSim {
     /// [`run_spmd`]: Self::run_spmd
     ///
     /// Honours the configuration's [`replacement`](SimConfig::replacement)
-    /// and [`write_policy`](SimConfig::write_policy) selectors by
-    /// dispatching to the matching monomorphised hierarchy.
+    /// selector by dispatching to the matching monomorphised hierarchy and
+    /// its [`write_policy`](SimConfig::write_policy) through the core
+    /// options.
     pub fn run_spmd_memo(&self, kernel: &KernelSpec, memo: &SimMemo) -> NodeSimReport {
         dispatch_policies!(self.run_spmd_memo_typed(kernel, memo))
     }
 
-    fn run_spmd_memo_typed<RP: ReplacementPolicy, WP: WritePolicy>(
+    fn run_spmd_memo_typed<RP: ReplacementPolicy>(
         &self,
         kernel: &KernelSpec,
         memo: &SimMemo,
     ) -> NodeSimReport {
         self.fold_domains(|ctx, options, rank| {
-            memo.counters_for::<RP, WP>(&self.config.machine, ctx, options, kernel, rank)
+            memo.counters_for::<RP>(&self.config.machine, ctx, options, kernel, rank)
         })
     }
 
@@ -353,7 +343,7 @@ impl NodeSim {
         dispatch_policies!(self.run_corun_typed(tenants, interleave_lines, memo))
     }
 
-    fn run_corun_typed<RP: ReplacementPolicy, WP: WritePolicy>(
+    fn run_corun_typed<RP: ReplacementPolicy>(
         &self,
         tenants: &[KernelSpec],
         interleave_lines: u64,
@@ -399,20 +389,12 @@ impl NodeSim {
             }
         }
 
-        let key = CoRunKey::for_policies(
-            machine,
-            ctx,
-            options,
-            &sorted,
-            interleave,
-            RP::KIND,
-            WP::KIND,
-        );
+        let key = CoRunKey::for_policies(machine, ctx, options, &sorted, interleave, RP::KIND);
         let share = l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers);
         let sorted_reports = memo.corun_get_or_insert_with(key, || {
             let sweeps: Vec<StencilRowSweep> =
                 sorted.iter().enumerate().map(|(j, t)| t.sweep(j)).collect();
-            simulate_corun::<RP, WP>(
+            simulate_corun::<RP>(
                 machine,
                 ctx,
                 options,
@@ -532,7 +514,7 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
 /// pure interference.  `sweeps` are the tenants' kernels in canonical
 /// order, each materialised at its canonical rank; the returned reports
 /// match that order.
-fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
+fn simulate_corun<RP: ReplacementPolicy>(
     machine: &Machine,
     ctx: OccupancyContext,
     options: CoreSimOptions,
@@ -543,7 +525,7 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
 ) -> Vec<TenantReport> {
     let n = sweeps.len();
     let mut llc = SetAssocCache::<RP>::new(llc_bytes, machine.caches.l3.associativity);
-    let mut cores: Vec<PrivateCore<RP, WP>> = (0..n)
+    let mut cores: Vec<PrivateCore<RP>> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
     let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
@@ -612,7 +594,7 @@ fn simulate_corun<RP: ReplacementPolicy, WP: WritePolicy>(
     // run (deltas exactly zero), which is also the recursion's base case.
     if n > 1 {
         for (j, rep) in reports.iter_mut().enumerate() {
-            let solo = simulate_corun::<RP, WP>(
+            let solo = simulate_corun::<RP>(
                 machine,
                 ctx,
                 options,

@@ -15,8 +15,23 @@
 //! Probabilistic micro-architectural events (evasion success, speculative
 //! reads, partial write-combine flushes) use fractional accounting so the
 //! results are deterministic.
+//!
+//! The paper keeps *what the caches do* (layer conditions, write-allocates)
+//! apart from *how SpecI2M weights it* (the evasion fraction under load),
+//! and so does this module.  The cache dynamics — [`PrivateCore`] driving
+//! its banks — never touch a counter: at each of the eight sites where
+//! memory traffic happens they emit one [`Event`].  The [`Accountant`] is
+//! the only code that turns an event into [`MemCounters`]
+//! ([`Accountant::apply`]); it owns everything that weights one (the
+//! SpecI2M parameters, the occupancy context, the prefetch-off factor).
+//! A live simulation applies each event as it occurs and, when recording,
+//! pushes its 8-byte [`TraceOp`] form; [`replay_trace`] widens the ops back
+//! and applies them under another accountant — so a replay is bit-identical
+//! to the live run by construction.  Only the replacement policy `R`, which
+//! every probe of a full set consults, is a type parameter; the store-miss
+//! policy is read once per finalized store line and is a field of
+//! [`CoreSimOptions`].
 
-use std::marker::PhantomData;
 use std::sync::Arc;
 
 use clover_machine::speci2m::SpecI2MResponse;
@@ -26,9 +41,7 @@ use crate::access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYT
 use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
-use crate::policy::{
-    NoWriteAllocate, NonTemporal, ReplacementPolicy, TrueLru, WriteAllocate, WritePolicy,
-};
+use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::{PrefetcherConfig, StreamerPrefetcher};
 
 /// Per-domain activity of a compactly pinned job — the statistics that
@@ -122,6 +135,8 @@ pub struct CoreSimOptions {
     /// Number of cores actively sharing the L3 (determines this core's L3
     /// share).  `1` gives the full L3 to this core.
     pub l3_sharers: usize,
+    /// What a store that misses the hierarchy does.
+    pub write_policy: WritePolicyKind,
 }
 
 impl Default for CoreSimOptions {
@@ -130,6 +145,7 @@ impl Default for CoreSimOptions {
             speci2m_enabled: true,
             prefetchers: PrefetcherConfig::enabled(),
             l3_sharers: 1,
+            write_policy: WritePolicyKind::Allocate,
         }
     }
 }
@@ -139,80 +155,129 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
     (l3_full_bytes / sharers.max(1)).max(64 * 64)
 }
 
-/// One counter-affecting event of a simulation, recorded at the exact
-/// sites where [`MemCounters`] fields are mutated.
+/// One counter-affecting event of a simulation: what the cache dynamics
+/// hand the [`Accountant`], emitted at the exact sites where memory traffic
+/// happens.
 ///
 /// The cache *dynamics* of a simulation (which lines hit, miss, evict,
 /// prefetch or coalesce) depend only on the machine geometry, the
 /// prefetcher configuration, the L3 sharer count, the policies and the
 /// kernel — **not** on the occupancy context, the SpecI2M MSR switch or
-/// the prefetch-off evasion factor, which scale purely *fractional*
-/// accounting terms.  A trace of these ops therefore replays
-/// bit-identically under any of those "neighbour" axis values by
-/// recomputing only the fractional terms, in the same order the live
-/// simulation adds them (float addition order is preserved per field).
-/// This is the foundation of [`SimMemo`]'s differential re-simulation.
+/// the prefetch-off evasion factor, which only weight the events.  The
+/// event sequence of one simulation therefore stands for every "neighbour"
+/// that differs in those axes alone.  This is the foundation of
+/// [`SimMemo`]'s differential re-simulation.
 ///
 /// [`SimMemo`]: crate::memo::SimMemo
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceOp {
-    /// A demand-miss memory read (`read_lines += 1`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Event {
+    /// A demand-miss memory read.
     DemandRead,
-    /// A prefetch fill (`read_lines += 1; prefetch_lines += 1`).
+    /// A prefetch fill.
     PrefetchRead,
-    /// One dirty-line write-back (`write_lines += 1`).
+    /// One dirty-line write-back.
     Writeback,
-    /// A write-allocate store miss: the five SpecI2M accounting terms,
-    /// parameterised by the live stream state the evasion context needs.
+    /// A write-allocate store miss, with the live stream state the evasion
+    /// context needs.
     WaStore {
         /// Whether the finalized line was fully covered by stores.
         full: bool,
         /// `FinalizedLine::active_streams` at finalization (raw; the
-        /// `.max(1)` floor is applied at replay, exactly as live).
-        streams: u8,
-        /// `FinalizedLine::streak_estimate`, a whole number of lines (raw;
-        /// the `.max(1.0)` floor is applied at replay).
-        streak: u32,
+        /// accountant floors it at one stream).
+        streams: usize,
+        /// `FinalizedLine::streak_estimate` (raw; the accountant floors it
+        /// at one line).
+        streak: f64,
     },
-    /// A non-temporal store line (`write_lines += 1` plus the full/partial
-    /// read term).
+    /// A non-temporal store line.
     NtLine {
         /// Whether the line was fully covered (partial flush fraction)
         /// or partial (a whole read-modify-write).
         full: bool,
     },
-    /// The final write-back accounting (`write_lines += distinct`).
+    /// The final write-back accounting of a flush.
     WritebackBulk {
         /// Distinct dirty lines drained across all levels.
-        distinct: u32,
+        distinct: usize,
     },
 }
 
-// A trace is one op per counter-site event; its size is the recording's
-// whole memory cost.
+/// An [`Event`] in 8 bytes — the form a trace stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TraceOp {
+    /// [`Event::DemandRead`].
+    DemandRead,
+    /// [`Event::PrefetchRead`].
+    PrefetchRead,
+    /// [`Event::Writeback`].
+    Writeback,
+    /// [`Event::WaStore`]; the streak is a whole number of lines.
+    WaStore {
+        full: bool,
+        streams: u8,
+        streak: u32,
+    },
+    /// [`Event::NtLine`].
+    NtLine { full: bool },
+    /// [`Event::WritebackBulk`].
+    WritebackBulk { distinct: u32 },
+}
+
+// A trace is one op per event; its size is the recording's whole memory
+// cost.
 const _: () = assert!(std::mem::size_of::<TraceOp>() == 8);
 
 impl TraceOp {
-    /// The op of a write-allocate store miss, or `None` when the line's
-    /// stream state does not fit the compact fields exactly (more than
-    /// `u8::MAX` streams, a fractional, negative or `> u32::MAX` streak).
-    fn wa_store(ev: &FinalizedLine) -> Option<Self> {
-        let streak = ev.streak_estimate as u32;
-        if f64::from(streak).to_bits() != ev.streak_estimate.to_bits() {
-            return None;
-        }
-        Some(TraceOp::WaStore {
-            full: ev.full,
-            streams: u8::try_from(ev.active_streams).ok()?,
-            streak,
+    /// The op of `event`, or `None` when it does not fit the compact
+    /// fields exactly: more than `u8::MAX` streams, a fractional, negative
+    /// or `> u32::MAX` streak, more than `u32::MAX` dirty lines.
+    fn narrow(event: Event) -> Option<Self> {
+        Some(match event {
+            Event::DemandRead => TraceOp::DemandRead,
+            Event::PrefetchRead => TraceOp::PrefetchRead,
+            Event::Writeback => TraceOp::Writeback,
+            Event::WaStore {
+                full,
+                streams,
+                streak,
+            } => {
+                let whole = streak as u32;
+                if f64::from(whole).to_bits() != streak.to_bits() {
+                    return None;
+                }
+                TraceOp::WaStore {
+                    full,
+                    streams: u8::try_from(streams).ok()?,
+                    streak: whole,
+                }
+            }
+            Event::NtLine { full } => TraceOp::NtLine { full },
+            Event::WritebackBulk { distinct } => TraceOp::WritebackBulk {
+                distinct: u32::try_from(distinct).ok()?,
+            },
         })
     }
 
-    /// The op of the final write-back accounting, or `None` for more
-    /// dirty lines than the compact field counts.
-    fn writeback_bulk(distinct: usize) -> Option<Self> {
-        let distinct = u32::try_from(distinct).ok()?;
-        Some(TraceOp::WritebackBulk { distinct })
+    /// The event this op was narrowed from, bit for bit.
+    fn widen(self) -> Event {
+        match self {
+            TraceOp::DemandRead => Event::DemandRead,
+            TraceOp::PrefetchRead => Event::PrefetchRead,
+            TraceOp::Writeback => Event::Writeback,
+            TraceOp::WaStore {
+                full,
+                streams,
+                streak,
+            } => Event::WaStore {
+                full,
+                streams: streams.into(),
+                streak: streak.into(),
+            },
+            TraceOp::NtLine { full } => Event::NtLine { full },
+            TraceOp::WritebackBulk { distinct } => Event::WritebackBulk {
+                distinct: distinct as usize,
+            },
+        }
     }
 }
 
@@ -252,15 +317,15 @@ impl TraceRecorder {
         trace
     }
 
-    /// Record `op` if a recording is active; `None` is an event whose
-    /// narrowing into the compact op failed, which abandons the recording
-    /// (and frees its buffer) like outgrowing the cap does.
+    /// Record `event` if a recording is active.  An event that does not
+    /// fit the compact op abandons the recording (and frees its buffer)
+    /// like outgrowing the cap does.
     #[inline]
-    fn push(&mut self, op: Option<TraceOp>) {
+    fn push(&mut self, event: Event) {
         if !self.recording {
             return;
         }
-        match op {
+        match TraceOp::narrow(event) {
             Some(op) if self.ops.len() < TRACE_OP_CAP => self.ops.push(op),
             _ => {
                 self.recording = false;
@@ -305,137 +370,156 @@ impl StreakResponse {
     }
 }
 
-/// `(evaded, speculative read)` fractions of one write-allocate store miss
-/// — shared by the live store path and the replay so both multiply in the
-/// same order.
-#[inline]
-fn wa_store_fractions(
-    params: &SpecI2MParams,
-    response: &SpecI2MResponse,
-    full: bool,
-    streams: usize,
+/// Everything that turns [`Event`]s into [`MemCounters`]: the accounting
+/// environment of one simulation (or one replay) and the counters it has
+/// accumulated.  [`apply`](Self::apply) is the only place a counter field
+/// is added to, so a live simulation and a replay of its events perform
+/// the same sequence of float additions per field.
+#[derive(Debug, Clone)]
+pub(crate) struct Accountant {
+    /// The machine's SpecI2M block, its `enabled` flag and-ed with the MSR
+    /// switch of the options (the one field
+    /// [`SpecI2MParams::switched_off`] touches).
+    speci2m: SpecI2MParams,
+    /// `speci2m.enabled` as the machine has it: what a re-arm switches
+    /// from.
+    machine_enabled: bool,
+    ctx: OccupancyContext,
+    /// [`PrefetcherConfig::evasion_factor`] of the options.
     pf_factor: f64,
-) -> (f64, f64) {
-    let spec_read = params.speculative_reads_at(response);
-    if full {
-        let evaded = params.evasion_at(response, streams.max(1)) * pf_factor;
-        (evaded.clamp(0.0, 1.0), spec_read)
-    } else {
-        // Partially written lines can never be claimed without a read;
-        // under load they still trigger speculative activity.
-        (0.0, spec_read)
-    }
+    /// `speci2m`'s response at the last store line's streak.
+    response: StreakResponse,
+    counters: MemCounters,
 }
 
-/// Recompute [`MemCounters`] from a recorded op trace under a (possibly
-/// different) neighbour configuration: occupancy context, SpecI2M MSR
-/// switch and prefetcher evasion factor.  `speci2m` is the machine's raw
-/// parameter block (the MSR switch is applied here, like
-/// [`PrivateCore::new`] does).  Every counter field is accumulated
-/// by the same sequence of float additions the live simulation performs,
-/// so the result is bit-identical — asserted by the equivalence proptests.
-pub(crate) fn replay_trace(
-    speci2m: &SpecI2MParams,
-    ctx: OccupancyContext,
-    options: CoreSimOptions,
-    ops: &[TraceOp],
-) -> MemCounters {
-    let speci2m_store = if options.speci2m_enabled {
-        speci2m.clone()
-    } else {
-        speci2m.switched_off()
-    };
-    let pf_factor = options.prefetchers.evasion_factor();
-    let mut response = StreakResponse::default();
-    let mut c = MemCounters::new();
-    for op in ops {
-        match *op {
-            TraceOp::DemandRead => c.read_lines += 1.0,
-            TraceOp::PrefetchRead => {
+impl Accountant {
+    /// Zeroed counters under `ctx` and `options`; `speci2m` is the
+    /// machine's raw parameter block.
+    fn new(speci2m: &SpecI2MParams, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
+        let mut account = Self {
+            speci2m: speci2m.clone(),
+            machine_enabled: speci2m.enabled,
+            ctx,
+            pf_factor: 0.0,
+            response: StreakResponse::default(),
+            counters: MemCounters::new(),
+        };
+        account.arm(ctx, options);
+        account
+    }
+
+    /// Zero the counters for a fresh measurement under a (possibly
+    /// different) occupancy and option set.
+    fn arm(&mut self, ctx: OccupancyContext, options: CoreSimOptions) {
+        self.speci2m.enabled = self.machine_enabled && options.speci2m_enabled;
+        self.ctx = ctx;
+        self.pf_factor = options.prefetchers.evasion_factor();
+        self.response = StreakResponse::default();
+        self.counters = MemCounters::new();
+    }
+
+    /// Account one event.
+    // `always`: every live site passes a literal event, so the match folds
+    // to that site's one arm, and the replay loop keeps the counters in
+    // registers.  Left to the inliner's size heuristics this stayed a call
+    // and figs. 5–11 took 8–25 % longer.
+    #[inline(always)]
+    fn apply(&mut self, event: Event) {
+        let c = &mut self.counters;
+        match event {
+            Event::DemandRead => c.read_lines += 1.0,
+            Event::PrefetchRead => {
                 c.read_lines += 1.0;
                 c.prefetch_lines += 1.0;
             }
-            TraceOp::Writeback => c.write_lines += 1.0,
-            TraceOp::WaStore {
+            Event::Writeback => c.write_lines += 1.0,
+            Event::WaStore {
                 full,
                 streams,
                 streak,
             } => {
-                let response = response.at(&speci2m_store, ctx, f64::from(streak));
-                let (evaded, spec_read) =
-                    wa_store_fractions(&speci2m_store, &response, full, streams.into(), pf_factor);
+                let response = self.response.at(&self.speci2m, self.ctx, streak);
+                let spec_read = self.speci2m.speculative_reads_at(&response);
+                let evaded = if full {
+                    let evaded = self.speci2m.evasion_at(&response, streams.max(1));
+                    (evaded * self.pf_factor).clamp(0.0, 1.0)
+                } else {
+                    // Partially written lines can never be claimed without
+                    // a read; under load they still trigger speculative
+                    // activity.
+                    0.0
+                };
                 c.itom_lines += evaded;
                 c.write_allocate_lines += 1.0 - evaded;
                 c.read_lines += 1.0 - evaded;
                 c.read_lines += spec_read;
                 c.speculative_read_lines += spec_read;
             }
-            TraceOp::NtLine { full } => {
+            Event::NtLine { full } => {
                 c.write_lines += 1.0;
-                if full {
-                    // The NT partial-flush model deliberately ignores the
-                    // MSR switch (matching `handle_nt_line`, which reads
-                    // the raw parameter block).
-                    let frac = speci2m.nt_partial_flush_fraction(
-                        ctx.domain_utilization,
-                        ctx.active_domains,
-                        ctx.total_domains,
-                    );
-                    c.read_lines += frac;
+                c.read_lines += if full {
+                    // Under heavy load a fraction of write-combine buffers
+                    // is flushed early, causing a read-modify-write.  The
+                    // model ignores the MSR switch: it never reads
+                    // `enabled`.
+                    self.speci2m.nt_partial_flush_fraction(
+                        self.ctx.domain_utilization,
+                        self.ctx.active_domains,
+                        self.ctx.total_domains,
+                    )
                 } else {
-                    c.read_lines += 1.0;
-                }
+                    1.0
+                };
             }
-            TraceOp::WritebackBulk { distinct } => c.write_lines += f64::from(distinct),
+            Event::WritebackBulk { distinct } => c.write_lines += distinct as f64,
         }
     }
-    c
+}
+
+/// Recompute [`MemCounters`] from a recorded op trace under a (possibly
+/// different) neighbour configuration: occupancy context, SpecI2M MSR
+/// switch and prefetcher evasion factor.  `speci2m` is the machine's raw
+/// parameter block.  The ops go through the same [`Accountant::apply`] the
+/// live simulation's events went through, so the result is bit-identical.
+pub(crate) fn replay_trace(
+    speci2m: &SpecI2MParams,
+    ctx: OccupancyContext,
+    options: CoreSimOptions,
+    ops: &[TraceOp],
+) -> MemCounters {
+    let mut account = Accountant::new(speci2m, ctx, options);
+    for op in ops {
+        account.apply(op.widen());
+    }
+    account.counters
 }
 
 /// The private half of one core's hierarchy: L1 + L2 + the store paths
-/// (coalescers, SpecI2M model, streamer prefetcher) and this core's
-/// traffic counters — everything *except* the last level.
+/// (coalescers, streamer prefetcher) and the [`Accountant`] of this core's
+/// traffic — everything *except* the last level.
 ///
 /// Every driving method takes the last-level cache as a parameter: the solo
 /// [`CoreSim`] passes its own per-core L3 share, the co-run engine passes
 /// the tenant-shared LLC.  Generic over the replacement policy `R` of all
-/// levels, the store-miss policy `W` and the probe implementation `SIMD`.
+/// levels.
 #[derive(Debug, Clone)]
-pub struct PrivateCore<
-    R: ReplacementPolicy = TrueLru,
-    W: WritePolicy = WriteAllocate,
-    const SIMD: bool = true,
-> {
-    l1: SetAssocCache<R, SIMD>,
-    l2: SetAssocCache<R, SIMD>,
+pub struct PrivateCore<R: ReplacementPolicy = TrueLru> {
+    l1: SetAssocCache<R>,
+    l2: SetAssocCache<R>,
     coalescer: WriteCoalescer,
     nt_coalescer: WriteCoalescer,
     streamer: StreamerPrefetcher,
     options: CoreSimOptions,
-    ctx: OccupancyContext,
-    speci2m: SpecI2MParams,
-    /// `speci2m` with the MSR switch applied — precomputed so the store
-    /// path does not clone the parameter block per finalized line.
-    speci2m_store: SpecI2MParams,
-    /// `speci2m_store`'s response at the last store line's streak.
-    response: StreakResponse,
-    counters: MemCounters,
+    account: Accountant,
     /// Differential-re-simulation recorder; idle (the default) costs one
-    /// predictable branch per counter-site event.
+    /// predictable branch per event.
     trace: TraceRecorder,
-    _write: PhantomData<W>,
 }
 
-impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, SIMD> {
+impl<R: ReplacementPolicy> PrivateCore<R> {
     /// Build the private half for `machine` with policy-`R` L1/L2 caches.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
         let caches = &machine.caches;
-        let speci2m = machine.speci2m.clone();
-        let speci2m_store = if options.speci2m_enabled {
-            speci2m.clone()
-        } else {
-            speci2m.switched_off()
-        };
         Self {
             l1: SetAssocCache::new(caches.l1.capacity_bytes, caches.l1.associativity),
             l2: SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
@@ -443,13 +527,8 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
             nt_coalescer: WriteCoalescer::default(),
             streamer: StreamerPrefetcher::new(options.prefetchers.streamer_distance),
             options,
-            ctx,
-            speci2m,
-            speci2m_store,
-            response: StreakResponse::default(),
-            counters: MemCounters::new(),
+            account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
-            _write: PhantomData,
         }
     }
 
@@ -461,15 +540,8 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         self.coalescer.reset();
         self.nt_coalescer.reset();
         self.streamer.reset(options.prefetchers.streamer_distance);
-        self.speci2m_store = if options.speci2m_enabled {
-            self.speci2m.clone()
-        } else {
-            self.speci2m.switched_off()
-        };
-        self.response = StreakResponse::default();
         self.options = options;
-        self.ctx = ctx;
-        self.counters = MemCounters::new();
+        self.account.arm(ctx, options);
         self.trace.finish();
     }
 
@@ -484,20 +556,22 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         self.trace.finish()
     }
 
-    /// Record one counter-site event if a trace is active.
+    /// One event of memory traffic: account it and, if a trace is active,
+    /// record it.
     #[inline]
-    fn record(&mut self, op: TraceOp) {
-        self.trace.push(Some(op));
+    fn emit(&mut self, event: Event) {
+        self.account.apply(event);
+        self.trace.push(event);
     }
 
     /// The occupancy context this core was configured with.
     pub fn context(&self) -> OccupancyContext {
-        self.ctx
+        self.account.ctx
     }
 
     /// Current counter snapshot (without flushing pending state).
     pub fn counters(&self) -> MemCounters {
-        self.counters
+        self.account.counters
     }
 
     /// `(hits, misses)` of the private L1 and L2 banks.
@@ -509,7 +583,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     }
 
     /// Feed a single access against the given last-level bank.
-    pub fn access(&mut self, llc: &mut SetAssocCache<R, SIMD>, access: Access) {
+    pub fn access(&mut self, llc: &mut SetAssocCache<R>, access: Access) {
         match access.kind {
             AccessKind::Load => {
                 for line in access.lines() {
@@ -523,7 +597,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
 
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
     /// cache-line granularity (see [`CoreSim::drive_run`]).
-    pub fn drive_run(&mut self, llc: &mut SetAssocCache<R, SIMD>, run: AccessRun) {
+    pub fn drive_run(&mut self, llc: &mut SetAssocCache<R>, run: AccessRun) {
         if run.elements == 0 {
             return;
         }
@@ -538,7 +612,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// element touches as the guaranteed L1 hits they are in the scalar
     /// path (consecutive touches of a just-accessed line cannot miss — no
     /// fill happens in between).
-    fn load_run(&mut self, llc: &mut SetAssocCache<R, SIMD>, base: u64, bytes: u64) {
+    fn load_run(&mut self, llc: &mut SetAssocCache<R>, base: u64, bytes: u64) {
         let first = line_of(base);
         let last = line_of(base + bytes - 1);
         for line in first..=last {
@@ -562,7 +636,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// Allocation-free store path shared by the scalar API and the batched
     /// run driver: split the span into per-line segments and consume each
     /// finalized line as the coalescer produces it.
-    fn store_span(&mut self, llc: &mut SetAssocCache<R, SIMD>, base: u64, bytes: u64, nt: bool) {
+    fn store_span(&mut self, llc: &mut SetAssocCache<R>, base: u64, bytes: u64, nt: bool) {
         let mut addr = base;
         let mut remaining = bytes;
         while remaining > 0 {
@@ -579,7 +653,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// handle the at most one line it finalizes.
     pub(crate) fn store_line_segment(
         &mut self,
-        llc: &mut SetAssocCache<R, SIMD>,
+        llc: &mut SetAssocCache<R>,
         line: u64,
         offset: u64,
         len: u64,
@@ -590,7 +664,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
                 self.handle_nt_line(llc, ev);
             }
         } else if let Some(ev) = self.coalescer.store_segment(line, offset, len) {
-            W::handle_store_line(self, llc, ev);
+            self.handle_store_line(llc, ev);
         }
     }
 
@@ -625,11 +699,11 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// [`account_writebacks`]: Self::account_writebacks
     pub(crate) fn flush_streams_and_upper(
         &mut self,
-        llc: &mut SetAssocCache<R, SIMD>,
+        llc: &mut SetAssocCache<R>,
     ) -> (Vec<u64>, Vec<u64>) {
         let events = self.coalescer.flush();
         for ev in events {
-            W::handle_store_line(self, llc, ev);
+            self.handle_store_line(llc, ev);
         }
         let nt_events = self.nt_coalescer.flush();
         for ev in nt_events {
@@ -664,12 +738,11 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         } else {
             l1_dirty.len() + l2_dirty.len() + l3_dirty.len()
         };
-        self.counters.write_lines += distinct as f64;
-        self.trace.push(TraceOp::writeback_bulk(distinct));
-        self.counters
+        self.emit(Event::WritebackBulk { distinct });
+        self.account.counters
     }
 
-    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64, write: bool) -> bool {
+    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache<R>, line: u64, write: bool) -> bool {
         if self.l1.touch(line, write) == LookupResult::Hit {
             return true;
         }
@@ -688,25 +761,18 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// Land a dirty line evicted from an upper level in the last level
     /// (present or not), counting the write-back its own victim may cause.
     /// One combined probe instead of a touch followed by a fill.
-    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
+    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
         let (_, evicted) = llc.probe_fill(line, true);
         if let Some(ev3) = evicted {
             if ev3.dirty {
-                self.counters.write_lines += 1.0;
-                self.record(TraceOp::Writeback);
+                self.emit(Event::Writeback);
             }
         }
     }
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
     /// dirty evictions downwards without generating memory traffic.
-    fn fill_upper(
-        &mut self,
-        llc: &mut SetAssocCache<R, SIMD>,
-        line: u64,
-        dirty: bool,
-        levels: usize,
-    ) {
+    fn fill_upper(&mut self, llc: &mut SetAssocCache<R>, line: u64, dirty: bool, levels: usize) {
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
@@ -731,39 +797,34 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
     /// Fill a line into the whole hierarchy after a memory read or an ITOM
     /// claim.  The dirty bit is kept at the last level only so the eventual
     /// write-back is counted exactly once.
-    fn fill_all(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64, dirty: bool) {
+    fn fill_all(&mut self, llc: &mut SetAssocCache<R>, line: u64, dirty: bool) {
         if let Some(ev) = llc.fill(line, dirty) {
             if ev.dirty {
-                self.counters.write_lines += 1.0;
-                self.record(TraceOp::Writeback);
+                self.emit(Event::Writeback);
             }
         }
         self.fill_upper(llc, line, false, 2);
     }
 
     /// Fill a prefetched line into the last level only.
-    fn fill_prefetch(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
+    fn fill_prefetch(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
         if llc.contains(line) {
             return;
         }
-        self.counters.read_lines += 1.0;
-        self.counters.prefetch_lines += 1.0;
-        self.record(TraceOp::PrefetchRead);
+        self.emit(Event::PrefetchRead);
         if let Some(ev) = llc.fill(line, false) {
             if ev.dirty {
-                self.counters.write_lines += 1.0;
-                self.record(TraceOp::Writeback);
+                self.emit(Event::Writeback);
             }
         }
     }
 
-    fn load_line(&mut self, llc: &mut SetAssocCache<R, SIMD>, line: u64) {
+    fn load_line(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
         // Demand miss: read from memory.
-        self.counters.read_lines += 1.0;
-        self.record(TraceOp::DemandRead);
+        self.emit(Event::DemandRead);
         self.fill_all(llc, line, false);
         // Prefetchers react to demand misses.
         if self.options.prefetchers.adjacent_line {
@@ -779,54 +840,69 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> PrivateCore<R, W, S
         }
     }
 
-    fn handle_nt_line(&mut self, llc: &mut SetAssocCache<R, SIMD>, ev: FinalizedLine) {
+    /// Retire one coalesced line of regular stores as the options'
+    /// [`write_policy`](CoreSimOptions::write_policy) says.
+    // Once per stored line: left to the inliner's size heuristics this has
+    // fallen out of `store_line_segment` and cost the store path ~15 %.
+    #[inline]
+    fn handle_store_line(&mut self, llc: &mut SetAssocCache<R>, ev: FinalizedLine) {
+        let policy = self.options.write_policy;
+        if policy == WritePolicyKind::NonTemporal {
+            // Every regular store behaves like a non-temporal streaming
+            // store: the coalesced line bypasses the hierarchy entirely.
+            return self.handle_nt_line(llc, ev);
+        }
+        if self.hierarchy_hit(llc, ev.line, true) {
+            // Store hit: no memory traffic now; the dirty line is written
+            // back on eviction.
+            return;
+        }
+        if policy == WritePolicyKind::NoAllocate {
+            // The line is written through to memory without claiming it in
+            // the hierarchy — no read-for-ownership, no fill, no SpecI2M
+            // involvement.
+            return self.emit(Event::Writeback);
+        }
+        // The paper machines' store-miss path: a write-allocate read unless
+        // SpecI2M claims the line without one (ITOM).
+        self.emit(Event::WaStore {
+            full: ev.full,
+            streams: ev.active_streams,
+            streak: ev.streak_estimate,
+        });
+        // The line now lives dirty in the hierarchy either way.
+        self.fill_all(llc, ev.line, true);
+    }
+
+    fn handle_nt_line(&mut self, llc: &mut SetAssocCache<R>, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
         self.l1.invalidate(ev.line);
         self.l2.invalidate(ev.line);
         llc.invalidate(ev.line);
-        self.counters.write_lines += 1.0;
-        self.record(TraceOp::NtLine { full: ev.full });
-        if ev.full {
-            // Under heavy load a fraction of write-combine buffers is
-            // flushed early, causing a read-modify-write.
-            let frac = self.speci2m.nt_partial_flush_fraction(
-                self.ctx.domain_utilization,
-                self.ctx.active_domains,
-                self.ctx.total_domains,
-            );
-            self.counters.read_lines += frac;
-        } else {
-            self.counters.read_lines += 1.0;
-        }
+        self.emit(Event::NtLine { full: ev.full });
     }
 }
 
 /// Cache hierarchy + store path of a single core.
 ///
-/// Generic over the replacement policy `R` of all three levels and the
-/// store-miss policy `W`; both default to the paper's configuration
-/// (true-LRU, write-allocate), for which the monomorphised code is
-/// instruction-identical to the pre-policy-space simulator.
+/// Generic over the replacement policy `R` of all three levels, defaulted
+/// to the paper's true LRU.
 ///
-/// Since the private/shared split this is a thin facade: the L1/L2 banks,
-/// store paths and counters live in a [`PrivateCore`] and the per-core L3
-/// share is the last-level bank it is driven against — the same composition
-/// the co-run engine builds with a *tenant-shared* LLC instead.
+/// A thin facade: the L1/L2 banks, store paths and counters live in a
+/// [`PrivateCore`] and the per-core L3 share is the last-level bank it is
+/// driven against — the same composition the co-run engine builds with a
+/// *tenant-shared* LLC instead.
 #[derive(Debug, Clone)]
-pub struct CoreSim<
-    R: ReplacementPolicy = TrueLru,
-    W: WritePolicy = WriteAllocate,
-    const SIMD: bool = true,
-> {
-    private: PrivateCore<R, W, SIMD>,
-    l3: SetAssocCache<R, SIMD>,
+pub struct CoreSim<R: ReplacementPolicy = TrueLru> {
+    private: PrivateCore<R>,
+    l3: SetAssocCache<R>,
     /// Full (unshared) L3 capacity, kept so [`reset`](Self::reset) can
     /// re-derive the per-core share for a different sharer count.
     l3_full_bytes: usize,
     l3_ways: usize,
 }
 
-impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD> {
+impl<R: ReplacementPolicy> CoreSim<R> {
     /// Build a core simulator for `machine` under the given occupancy and
     /// options.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
@@ -921,7 +997,7 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
     /// The private half and the L3 share it is driven against — what the
     /// stencil cursor advances on (the co-run engine hands it a
     /// tenant-shared LLC instead).
-    pub(crate) fn split(&mut self) -> (&mut PrivateCore<R, W, SIMD>, &mut SetAssocCache<R, SIMD>) {
+    pub(crate) fn split(&mut self) -> (&mut PrivateCore<R>, &mut SetAssocCache<R>) {
         (&mut self.private, &mut self.l3)
     }
 
@@ -951,77 +1027,6 @@ impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> CoreSim<R, W, SIMD>
     /// [`reset`](Self::reset).
     pub(crate) fn l3_evictions(&self) -> u64 {
         self.l3.evictions()
-    }
-}
-
-impl WritePolicy for WriteAllocate {
-    const KIND: WritePolicyKind = WritePolicyKind::Allocate;
-
-    /// The paper machines' store-miss path: a write-allocate read unless
-    /// SpecI2M claims the line without one (ITOM).
-    // Once per stored line: left to the inliner's size heuristics this has
-    // fallen out of `store_line_segment` and cost the store path ~15 %.
-    #[inline]
-    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
-        core: &mut PrivateCore<R, Self, SIMD>,
-        llc: &mut SetAssocCache<R, SIMD>,
-        ev: FinalizedLine,
-    ) {
-        if core.hierarchy_hit(llc, ev.line, true) {
-            // Store hit: no memory traffic now; the dirty line is written
-            // back on eviction.
-            return;
-        }
-        let params = &core.speci2m_store;
-        let response = core.response.at(params, core.ctx, ev.streak_estimate);
-        let (evaded, spec_read) = wa_store_fractions(
-            params,
-            &response,
-            ev.full,
-            ev.active_streams,
-            core.options.prefetchers.evasion_factor(),
-        );
-        core.counters.itom_lines += evaded;
-        core.counters.write_allocate_lines += 1.0 - evaded;
-        core.counters.read_lines += 1.0 - evaded;
-        core.counters.read_lines += spec_read;
-        core.counters.speculative_read_lines += spec_read;
-        core.trace.push(TraceOp::wa_store(&ev));
-        // The line now lives dirty in the hierarchy either way.
-        core.fill_all(llc, ev.line, true);
-    }
-}
-
-impl WritePolicy for NoWriteAllocate {
-    const KIND: WritePolicyKind = WritePolicyKind::NoAllocate;
-
-    /// No-write-allocate: a store miss writes the line through to memory
-    /// without claiming it in the hierarchy — no read-for-ownership, no
-    /// fill, no SpecI2M involvement.  Store hits stay write-back.
-    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
-        core: &mut PrivateCore<R, Self, SIMD>,
-        llc: &mut SetAssocCache<R, SIMD>,
-        ev: FinalizedLine,
-    ) {
-        if core.hierarchy_hit(llc, ev.line, true) {
-            return;
-        }
-        core.counters.write_lines += 1.0;
-        core.record(TraceOp::Writeback);
-    }
-}
-
-impl WritePolicy for NonTemporal {
-    const KIND: WritePolicyKind = WritePolicyKind::NonTemporal;
-
-    /// Every regular store behaves like a non-temporal streaming store:
-    /// the coalesced line bypasses the hierarchy entirely.
-    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
-        core: &mut PrivateCore<R, Self, SIMD>,
-        llc: &mut SetAssocCache<R, SIMD>,
-        ev: FinalizedLine,
-    ) {
-        core.handle_nt_line(llc, ev);
     }
 }
 
@@ -1422,29 +1427,36 @@ mod tests {
     fn trace_replay_reproduces_live_counters_across_neighbour_axes() {
         // The recorded dynamics of ONE simulation must replay bit-exactly
         // under every "neighbour" configuration — axes that only scale the
-        // fractional accounting: occupancy context, the SpecI2M MSR switch.
-        // (The trace itself is recorded once per axis value here purely to
-        // obtain the live reference; replay always uses the leader's trace.)
+        // fractional accounting: occupancy context, the SpecI2M MSR switch
+        // — whatever the store-miss policy put into the trace (`WaStore`,
+        // `Writeback` or `NtLine` ops).  (The trace itself is recorded once
+        // per axis value here purely to obtain the live reference; replay
+        // always uses the leader's trace.)
         let m = icelake_sp_8360y();
-        let base_opts = CoreSimOptions {
-            l3_sharers: 36,
-            ..Default::default()
-        };
-        let (_, leader_trace) = traced_run(&m, OccupancyContext::serial(&m), base_opts);
-        for ranks in [1usize, 7, 18, 72] {
-            for speci2m in [true, false] {
-                let ctx = OccupancyContext::compact(&m, ranks);
-                let options = CoreSimOptions {
-                    speci2m_enabled: speci2m,
-                    ..base_opts
-                };
-                let (live, live_trace) = traced_run(&m, ctx, options);
-                // Same dynamics class ⇒ identical op traces...
-                assert_eq!(live_trace, leader_trace, "ranks={ranks} s2m={speci2m}");
-                // ...and replaying the leader's trace under this neighbour's
-                // context reproduces the live counters bit for bit.
-                let replayed = replay_trace(&m.speci2m, ctx, options, &leader_trace);
-                assert_eq!(replayed, live, "ranks={ranks} s2m={speci2m}");
+        for write_policy in WritePolicyKind::all() {
+            let base_opts = CoreSimOptions {
+                l3_sharers: 36,
+                write_policy,
+                ..Default::default()
+            };
+            let (_, leader_trace) = traced_run(&m, OccupancyContext::serial(&m), base_opts);
+            for ranks in [1usize, 7, 18, 72] {
+                for speci2m in [true, false] {
+                    let at = format!("{write_policy} ranks={ranks} s2m={speci2m}");
+                    let ctx = OccupancyContext::compact(&m, ranks);
+                    let options = CoreSimOptions {
+                        speci2m_enabled: speci2m,
+                        ..base_opts
+                    };
+                    let (live, live_trace) = traced_run(&m, ctx, options);
+                    // Same dynamics class ⇒ identical op traces...
+                    assert_eq!(live_trace, leader_trace, "{at}");
+                    // ...and replaying the leader's trace under this
+                    // neighbour's context reproduces the live counters bit
+                    // for bit.
+                    let replayed = replay_trace(&m.speci2m, ctx, options, &leader_trace);
+                    assert_eq!(replayed, live, "{at}");
+                }
             }
         }
     }
@@ -1470,10 +1482,10 @@ mod tests {
         let mut rec = TraceRecorder::default();
         rec.start();
         for _ in 0..TRACE_OP_CAP {
-            rec.push(Some(TraceOp::DemandRead));
+            rec.push(Event::DemandRead);
         }
         assert!(!rec.overflowed);
-        rec.push(Some(TraceOp::DemandRead));
+        rec.push(Event::DemandRead);
         assert!(rec.overflowed);
         assert_eq!(
             rec.ops.capacity(),
@@ -1483,7 +1495,7 @@ mod tests {
         assert!(rec.finish().is_none());
         // The next recording starts clean.
         rec.start();
-        rec.push(Some(TraceOp::Writeback));
+        rec.push(Event::Writeback);
         assert_eq!(rec.finish().as_deref(), Some(&[TraceOp::Writeback][..]));
     }
 
@@ -1500,14 +1512,18 @@ mod tests {
             streak_estimate: 27.0,
             active_streams: 2,
         };
-        assert_eq!(
-            TraceOp::wa_store(&ev),
-            Some(TraceOp::WaStore {
-                full: true,
-                streams: 2,
-                streak: 27
-            })
-        );
+        let event = |ev: &FinalizedLine| Event::WaStore {
+            full: ev.full,
+            streams: ev.active_streams,
+            streak: ev.streak_estimate,
+        };
+        let op = TraceOp::WaStore {
+            full: true,
+            streams: 2,
+            streak: 27,
+        };
+        assert_eq!(TraceOp::narrow(event(&ev)), Some(op));
+        assert_eq!(op.widen(), event(&ev));
         let unfit = [
             FinalizedLine {
                 active_streams: u8::MAX as usize + 1,
@@ -1531,14 +1547,14 @@ mod tests {
             },
         ];
         for ev in unfit {
-            assert_eq!(TraceOp::wa_store(&ev), None, "{ev:?}");
+            assert_eq!(TraceOp::narrow(event(&ev)), None, "{ev:?}");
             let mut recorded = loaded_core(&m);
             let mut plain = loaded_core(&m);
             recorded.start_trace();
             recorded.load(0, 8);
             plain.load(0, 8);
             for core in [&mut recorded, &mut plain] {
-                WriteAllocate::handle_store_line(&mut core.private, &mut core.l3, ev);
+                core.private.handle_store_line(&mut core.l3, ev);
             }
             assert!(recorded.private.trace.overflowed, "{ev:?}");
             assert!(recorded.private.trace.ops.is_empty());
@@ -1552,11 +1568,9 @@ mod tests {
             assert!(recorded.take_trace().is_none(), "{ev:?}");
         }
         // The bulk write-back count narrows the same way.
-        assert_eq!(
-            TraceOp::writeback_bulk(7),
-            Some(TraceOp::WritebackBulk { distinct: 7 })
-        );
-        assert_eq!(TraceOp::writeback_bulk(u32::MAX as usize + 1), None);
+        let bulk = |distinct| TraceOp::narrow(Event::WritebackBulk { distinct });
+        assert_eq!(bulk(7), Some(TraceOp::WritebackBulk { distinct: 7 }));
+        assert_eq!(bulk(u32::MAX as usize + 1), None);
     }
 
     #[test]
@@ -1599,41 +1613,5 @@ mod tests {
             .chain((0..3).map(|_| AccessRun::store(0, 8)))
             .collect();
         assert_equivalent(&runs, || serial_core(&m));
-    }
-
-    #[test]
-    fn scalar_probe_core_matches_the_default_core() {
-        // `CoreSim<_, _, false>` uses the scalar reference probe at every
-        // level; the full hierarchy must behave identically to the chunked
-        // default.
-        let m = icelake_sp_8360y();
-        let ctx = OccupancyContext::compact(&m, 72);
-        let options = CoreSimOptions {
-            l3_sharers: 36,
-            ..Default::default()
-        };
-        let mut simd: CoreSim = CoreSim::new(&m, ctx, options);
-        let mut scalar: CoreSim<TrueLru, WriteAllocate, false> = CoreSim::new(&m, ctx, options);
-        for row in 0..24u64 {
-            let off = row * (216 + 3) * 8;
-            for c in [&mut simd as &mut dyn FnMutDriver, &mut scalar] {
-                c.run(AccessRun::load((1 << 33) + off, 216));
-                c.run(AccessRun::store(off, 216));
-            }
-        }
-        assert_eq!(simd.cache_stats(), scalar.cache_stats());
-        assert_eq!(simd.flush(), scalar.flush());
-    }
-
-    /// Object-safe shim so the test above can iterate over two `CoreSim`
-    /// instantiations that are *different types*.
-    trait FnMutDriver {
-        fn run(&mut self, run: AccessRun);
-    }
-
-    impl<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool> FnMutDriver for CoreSim<R, W, SIMD> {
-        fn run(&mut self, run: AccessRun) {
-            self.drive_run(run);
-        }
     }
 }

@@ -25,6 +25,22 @@
 //! accounting for probabilistic events (an evasion probability of 0.7 adds
 //! 0.3 read lines), which keeps results exactly reproducible.
 //!
+//! # Shape
+//!
+//! What the caches do and how the traffic is weighted are kept apart, as
+//! in the paper: the hierarchy ([`hierarchy`]) decides which lines hit,
+//! miss, evict, prefetch or coalesce and emits one event per memory
+//! transaction; one accountant turns events into [`MemCounters`] under the
+//! occupancy context, the SpecI2M parameters and the prefetch-off factor.
+//! A recorded event trace replayed through the same accountant under a
+//! neighbouring context is therefore bit-identical to simulating there
+//! ([`memo`]).  The hierarchy is generic over one thing, the replacement
+//! policy ([`policy`]) — consulted by every probe of a full set; the
+//! store-miss policy is consulted once per 64-byte store line and is a
+//! field of [`hierarchy::CoreSimOptions`].  Each cache level has one probe,
+//! a scalar early-exit scan ([`cache`] has the measurement that retired the
+//! SIMD tiers).
+//!
 //! # Performance
 //!
 //! The hot state is allocation-free in steady state: each cache level is a
@@ -68,9 +84,6 @@ pub use memo::{
     with_pooled_core, Accounting, CoRunKey, Dynamics, KernelSpec, MemoStats, RankBase, SimKey,
     SimMemo, SpecOperand,
 };
-pub use patterns::{ArraySweep, RowSweep, StencilRowSweep, SweepCursor};
-pub use policy::{
-    NoWriteAllocate, NonTemporal, RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru,
-    WriteAllocate, WritePolicy,
-};
+pub use patterns::{StencilRowSweep, SweepCursor};
+pub use policy::{RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru};
 pub use prefetch::PrefetcherConfig;

@@ -48,7 +48,7 @@ use crate::hierarchy::{
     l3_share_bytes, replay_trace, CoreSim, CoreSimOptions, OccupancyContext, TraceOp,
 };
 use crate::patterns::{StencilOperand, StencilRowSweep};
-use crate::policy::{ReplacementPolicy, TrueLru, WriteAllocate, WritePolicy};
+use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::PrefetcherConfig;
 
 /// Smallest [`RankBase::Shifted`] shift the memo accepts: 2^30-aligned
@@ -178,11 +178,7 @@ impl KernelSpec {
     }
 
     /// Drive the kernel through `core` as rank `rank`.
-    pub fn drive<R: ReplacementPolicy, W: WritePolicy>(
-        &self,
-        rank: usize,
-        core: &mut CoreSim<R, W>,
-    ) {
+    pub fn drive<R: ReplacementPolicy>(&self, rank: usize, core: &mut CoreSim<R>) {
         self.sweep(rank).drive(core);
     }
 
@@ -305,12 +301,7 @@ pub struct Dynamics {
 }
 
 impl Dynamics {
-    fn of(
-        machine: &Machine,
-        options: CoreSimOptions,
-        replacement: ReplacementPolicyKind,
-        write_policy: WritePolicyKind,
-    ) -> Self {
+    fn of(machine: &Machine, options: CoreSimOptions, replacement: ReplacementPolicyKind) -> Self {
         Self {
             machine: machine.id.clone(),
             adjacent_line: options.prefetchers.adjacent_line,
@@ -318,7 +309,7 @@ impl Dynamics {
             streamer_distance: options.prefetchers.streamer_distance,
             l3_sharers: options.l3_sharers,
             replacement,
-            write_policy,
+            write_policy: options.write_policy,
         }
     }
 }
@@ -370,16 +361,15 @@ pub struct SimKey {
 
 impl SimKey {
     /// Key of the simulation of `kernel` on `machine` under `ctx` and
-    /// `options` with an explicit policy pair.  Keys of distinct policies
-    /// never collide, so one memo can span a sweep that mixes policy
-    /// configurations.
+    /// `options` (which name the store-miss policy) with an explicit
+    /// replacement policy.  Keys of distinct policies never collide, so one
+    /// memo can span a sweep that mixes policy configurations.
     pub fn for_policies(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         kernel: &KernelSpec,
         replacement: ReplacementPolicyKind,
-        write_policy: WritePolicyKind,
     ) -> Self {
         // The key omits the rank: that is only sound when the rank base
         // cannot change any set index (see `MIN_MEMO_SHIFT`).
@@ -392,7 +382,7 @@ impl SimKey {
             );
         }
         Self {
-            dynamics: Dynamics::of(machine, options, replacement, write_policy),
+            dynamics: Dynamics::of(machine, options, replacement),
             accounting: Accounting::of(ctx, options),
             kernel: kernel.clone(),
         }
@@ -420,9 +410,10 @@ pub struct CoRunKey {
 }
 
 impl CoRunKey {
-    /// Key of the co-run of `tenants` under an explicit policy pair.
-    /// `tenants` must already be in canonical (sorted) order; the caller
-    /// sorts so the stored permutation maps reports back to input order.
+    /// Key of the co-run of `tenants` under `options` (which name the
+    /// store-miss policy) and an explicit replacement policy.  `tenants`
+    /// must already be in canonical (sorted) order; the caller sorts so the
+    /// stored permutation maps reports back to input order.
     pub fn for_policies(
         machine: &Machine,
         ctx: OccupancyContext,
@@ -430,14 +421,13 @@ impl CoRunKey {
         tenants: &[KernelSpec],
         interleave_lines: u64,
         replacement: ReplacementPolicyKind,
-        write_policy: WritePolicyKind,
     ) -> Self {
         debug_assert!(
             tenants.windows(2).all(|w| w[0] <= w[1]),
             "CoRunKey tenants must be in canonical sorted order"
         );
         Self {
-            dynamics: Dynamics::of(machine, options, replacement, write_policy),
+            dynamics: Dynamics::of(machine, options, replacement),
             accounting: Accounting::of(ctx, options),
             tenants: tenants.to_vec(),
             interleave_lines,
@@ -482,7 +472,6 @@ impl DiffKey {
         options: CoreSimOptions,
         kernel: &KernelSpec,
         replacement: ReplacementPolicyKind,
-        write_policy: WritePolicyKind,
     ) -> Self {
         let llc = if kernel.never_evicts_l3(machine, &options) {
             LlcClass::NeverEvicts
@@ -492,7 +481,7 @@ impl DiffKey {
         Self {
             dynamics: Dynamics {
                 l3_sharers: 0,
-                ..Dynamics::of(machine, options, replacement, write_policy)
+                ..Dynamics::of(machine, options, replacement)
             },
             llc,
             kernel: kernel.clone(),
@@ -607,8 +596,8 @@ impl SimMemo {
     }
 
     /// Counters of `kernel` on `machine` under `ctx`/`options` with the
-    /// paper's default policies, simulated as rank `rank` on a miss (via
-    /// the thread-local core pool).
+    /// paper's true-LRU replacement, simulated as rank `rank` on a miss
+    /// (via the thread-local core pool).
     pub fn counters(
         &self,
         machine: &Machine,
@@ -617,13 +606,13 @@ impl SimMemo {
         kernel: &KernelSpec,
         rank: usize,
     ) -> MemCounters {
-        self.counters_for::<TrueLru, WriteAllocate>(machine, ctx, options, kernel, rank)
+        self.counters_for::<TrueLru>(machine, ctx, options, kernel, rank)
     }
 
-    /// Counters of `kernel` under an explicit policy pair `(R, W)`.  The
-    /// key carries the policy kinds, so a hit can never be served from a
+    /// Counters of `kernel` under an explicit replacement policy `R`.  The
+    /// key carries both policy kinds, so a hit can never be served from a
     /// different policy's entry.
-    pub fn counters_for<R: ReplacementPolicy, W: WritePolicy>(
+    pub fn counters_for<R: ReplacementPolicy>(
         &self,
         machine: &Machine,
         ctx: OccupancyContext,
@@ -631,9 +620,9 @@ impl SimMemo {
         kernel: &KernelSpec,
         rank: usize,
     ) -> MemCounters {
-        let key = SimKey::for_policies(machine, ctx, options, kernel, R::KIND, W::KIND);
+        let key = SimKey::for_policies(machine, ctx, options, kernel, R::KIND);
         self.get_or_insert_with(key, || {
-            let scratch = || Self::simulate::<R, W>(machine, ctx, options, kernel, rank, None).0;
+            let scratch = || Self::simulate::<R>(machine, ctx, options, kernel, rank, None).0;
             if !self.differential {
                 return scratch();
             }
@@ -645,12 +634,12 @@ impl SimMemo {
             // outside every lock; the diff lookup never waits on an
             // `inner` flight (only the reverse), so the nesting cannot
             // deadlock.
-            let dkey = DiffKey::of(machine, options, kernel, R::KIND, W::KIND);
+            let dkey = DiffKey::of(machine, options, kernel, R::KIND);
             let llc = dkey.llc;
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
                 let (counters, ops) =
-                    Self::simulate::<R, W>(machine, ctx, options, kernel, rank, Some(llc));
+                    Self::simulate::<R>(machine, ctx, options, kernel, rank, Some(llc));
                 live = Some(counters);
                 ops.map_or(DiffEntry::Oversized, DiffEntry::Trace)
             });
@@ -668,11 +657,11 @@ impl SimMemo {
     /// From-scratch simulation of one representative core; with
     /// `record = Some(class)` as the leader of that trace class, recording
     /// the event trace.  The returned trace is `None` when recording was
-    /// off or abandoned (the counters are exact either way).  The default
-    /// policy pair runs on the thread-local core pool; other pairs build a
-    /// fresh typed core (the branch is a compile-time constant per
+    /// off or abandoned (the counters are exact either way).  True LRU
+    /// runs on the thread-local core pool; other replacement policies
+    /// build a fresh typed core (the branch is a compile-time constant per
     /// monomorphisation).
-    fn simulate<R: ReplacementPolicy, W: WritePolicy>(
+    fn simulate<R: ReplacementPolicy>(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
@@ -680,8 +669,8 @@ impl SimMemo {
         rank: usize,
         record: Option<LlcClass>,
     ) -> (MemCounters, Option<Arc<[TraceOp]>>) {
-        fn run<R: ReplacementPolicy, W: WritePolicy>(
-            core: &mut CoreSim<R, W>,
+        fn run<R: ReplacementPolicy>(
+            core: &mut CoreSim<R>,
             kernel: &KernelSpec,
             rank: usize,
             record: Option<LlcClass>,
@@ -702,13 +691,13 @@ impl SimMemo {
             }
             (counters, core.take_trace())
         }
-        if R::KIND == ReplacementPolicyKind::Lru && W::KIND == WritePolicyKind::Allocate {
+        if R::KIND == ReplacementPolicyKind::Lru {
             with_pooled_core(machine, ctx, options, |core| {
                 run(core, kernel, rank, record)
             })
         } else {
             run(
-                &mut CoreSim::<R, W>::new(machine, ctx, options),
+                &mut CoreSim::<R>::new(machine, ctx, options),
                 kernel,
                 rank,
                 record,
@@ -795,8 +784,8 @@ impl SimMemo {
 }
 
 thread_local! {
-    /// One reusable [`CoreSim`] per machine (identified by `Machine::id`)
-    /// per worker thread.
+    /// One reusable true-LRU [`CoreSim`] per machine (identified by
+    /// `Machine::id`) per worker thread.
     static CORE_POOL: RefCell<Vec<(String, CoreSim)>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -979,16 +968,20 @@ mod tests {
 
     #[test]
     fn memo_never_serves_across_policies() {
-        use crate::policy::{NoWriteAllocate, TreePlru};
+        use crate::policy::TreePlru;
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         let spec = store_spec(1024);
         let ctx = OccupancyContext::serial(&m);
         let options = CoreSimOptions::default();
-        let lru = memo.counters_for::<TrueLru, WriteAllocate>(&m, ctx, options, &spec, 0);
-        let nowa = memo.counters_for::<TrueLru, NoWriteAllocate>(&m, ctx, options, &spec, 0);
-        let _plru = memo.counters_for::<TreePlru, WriteAllocate>(&m, ctx, options, &spec, 0);
-        // Three distinct entries: the policy pair is part of the key.
+        let no_allocate = CoreSimOptions {
+            write_policy: WritePolicyKind::NoAllocate,
+            ..options
+        };
+        let lru = memo.counters_for::<TrueLru>(&m, ctx, options, &spec, 0);
+        let nowa = memo.counters_for::<TrueLru>(&m, ctx, no_allocate, &spec, 0);
+        let _plru = memo.counters_for::<TreePlru>(&m, ctx, options, &spec, 0);
+        // Three distinct entries: both policies are part of the key.
         assert_eq!(memo.len(), 3);
         assert_eq!(memo.stats().misses, 3);
         // No-write-allocate genuinely changes the counters (no WA reads),
@@ -1004,7 +997,8 @@ mod tests {
         // Neighbour axes: occupancy context, SpecI2M switch, prefetch-off
         // evasion factor.  Every point after the first per (machine,
         // prefetchers, l3_sharers, policies, kernel) replays the leader's
-        // trace; counters must equal the from-scratch memo's bit for bit.
+        // trace — of `WaStore`, `Writeback` or `NtLine` ops, by store-miss
+        // policy; counters must equal the from-scratch memo's bit for bit.
         let m = icelake_sp_8360y();
         let diff = SimMemo::new();
         let scratch = SimMemo::without_differential();
@@ -1015,27 +1009,32 @@ mod tests {
             OccupancyContext::domain_load(&m, 18, 2),
             OccupancyContext::domain_load(&m, 18, 4),
         ];
-        for ctx in contexts {
-            for speci2m_enabled in [true, false] {
-                let options = CoreSimOptions {
-                    speci2m_enabled,
-                    l3_sharers: 36,
-                    ..Default::default()
-                };
-                let a = diff.counters(&m, ctx, options, &spec, 0);
-                let b = scratch.counters(&m, ctx, options, &spec, 0);
-                assert_eq!(a, b, "ctx={ctx:?} speci2m={speci2m_enabled}");
+        let policies = WritePolicyKind::all();
+        for &write_policy in &policies {
+            for ctx in contexts {
+                for speci2m_enabled in [true, false] {
+                    let options = CoreSimOptions {
+                        speci2m_enabled,
+                        l3_sharers: 36,
+                        write_policy,
+                        ..Default::default()
+                    };
+                    let a = diff.counters(&m, ctx, options, &spec, 0);
+                    let b = scratch.counters(&m, ctx, options, &spec, 0);
+                    assert_eq!(a, b, "{write_policy} ctx={ctx:?} speci2m={speci2m_enabled}");
+                }
             }
         }
-        // One trace serves all eight neighbour points.
-        assert_eq!(diff.diff_len(), 1);
+        // One trace per policy serves all eight of its neighbour points.
+        let n = policies.len();
+        assert_eq!(diff.diff_len(), n);
         let dstats = diff.diff_stats();
-        assert_eq!((dstats.hits, dstats.misses), (7, 1));
+        assert_eq!((dstats.hits, dstats.misses), (7 * n as u64, n as u64));
         // The from-scratch memo recorded no traces.
         assert_eq!(scratch.diff_len(), 0);
-        // Both memos hold the same eight full-key entries.
-        assert_eq!(diff.len(), 8);
-        assert_eq!(scratch.len(), 8);
+        // Both memos hold the same eight full-key entries per policy.
+        assert_eq!(diff.len(), 8 * n);
+        assert_eq!(scratch.len(), 8 * n);
     }
 
     /// 4 MiB of stores: more than an 18- or 36-sharer L3 share of the ICX
@@ -1045,7 +1044,6 @@ mod tests {
 
     #[test]
     fn differential_traces_never_mix_across_dynamics_axes() {
-        use crate::policy::NoWriteAllocate;
         use crate::prefetch::PrefetcherConfig;
         // Anything that can change the event sequence — kernel, prefetcher
         // switches, policies — gets its own trace key, and so does the L3
@@ -1064,11 +1062,16 @@ mod tests {
             prefetchers: PrefetcherConfig::disabled(),
             ..Default::default()
         };
+        let no_allocate = CoreSimOptions {
+            write_policy: WritePolicyKind::NoAllocate,
+            ..Default::default()
+        };
         let big = store_spec(EVICTING_ELEMENTS);
         let distinct = [
             (options, store_spec(1024)),
             (options, store_spec(1025)),
             (no_pf, store_spec(1024)),
+            (no_allocate, store_spec(1024)),
             (sharers(36), big.clone()),
             (sharers(18), big.clone()),
             (options, big),
@@ -1076,8 +1079,6 @@ mod tests {
         for (opts, spec) in &distinct {
             let _ = memo.counters(&m, ctx, *opts, spec, 0);
         }
-        let nowa =
-            memo.counters_for::<TrueLru, NoWriteAllocate>(&m, ctx, options, &store_spec(1024), 0);
         // Seven distinct dynamics identities, zero replays.
         assert_eq!(memo.diff_len(), 7);
         assert_eq!(memo.diff_stats().hits, 0);
@@ -1103,16 +1104,6 @@ mod tests {
                 scratch.counters(&m, ctx, *opts, spec, 0)
             );
         }
-        assert_eq!(
-            nowa,
-            scratch.counters_for::<TrueLru, NoWriteAllocate>(
-                &m,
-                ctx,
-                options,
-                &store_spec(1024),
-                0
-            )
-        );
     }
 
     #[test]
@@ -1120,15 +1111,15 @@ mod tests {
         type Vary = fn(&mut OccupancyContext, &mut CoreSimOptions);
         let m = icelake_sp_8360y();
         let spec = store_spec(1024);
-        let (lru, wa) = (ReplacementPolicyKind::Lru, WritePolicyKind::Allocate);
-        let keys = |machine: &Machine, vary: Vary, spec: &KernelSpec, r, w| {
+        let lru = ReplacementPolicyKind::Lru;
+        let keys = |machine: &Machine, vary: Vary, spec: &KernelSpec, r| {
             let mut ctx = OccupancyContext::domain_load(&m, 18, 2);
             let mut options = CoreSimOptions::default();
             vary(&mut ctx, &mut options);
-            let full = SimKey::for_policies(machine, ctx, options, spec, r, w);
-            (full, DiffKey::of(machine, options, spec, r, w))
+            let full = SimKey::for_policies(machine, ctx, options, spec, r);
+            (full, DiffKey::of(machine, options, spec, r))
         };
-        let vary = |vary: Vary| keys(&m, vary, &spec, lru, wa);
+        let vary = |vary: Vary| keys(&m, vary, &spec, lru);
         let (base_full, base_diff) = vary(|_, _| {});
         assert_eq!(base_diff.llc, LlcClass::NeverEvicts);
 
@@ -1149,13 +1140,14 @@ mod tests {
 
         // One dynamics field (or the kernel) at a time: a different trace.
         let dynamics = [
-            keys(&sapphire_rapids_8480(), |_, _| {}, &spec, lru, wa),
+            keys(&sapphire_rapids_8480(), |_, _| {}, &spec, lru),
             vary(|_, o| o.prefetchers.adjacent_line = false),
             vary(|_, o| o.prefetchers.streamer = false),
             vary(|_, o| o.prefetchers.streamer_distance += 1),
-            keys(&m, |_, _| {}, &spec, ReplacementPolicyKind::Srrip, wa),
-            keys(&m, |_, _| {}, &spec, lru, WritePolicyKind::NoAllocate),
-            keys(&m, |_, _| {}, &store_spec(1025), lru, wa),
+            vary(|_, o| o.write_policy = WritePolicyKind::NoAllocate),
+            vary(|_, o| o.write_policy = WritePolicyKind::NonTemporal),
+            keys(&m, |_, _| {}, &spec, ReplacementPolicyKind::Srrip),
+            keys(&m, |_, _| {}, &store_spec(1025), lru),
         ];
         for (i, (full, diff)) in dynamics.into_iter().enumerate() {
             assert_ne!(full, base_full, "dynamics field {i}");
@@ -1164,7 +1156,7 @@ mod tests {
 
         // The sharer count is a dynamics field of a kernel that may evict.
         let big = store_spec(EVICTING_ELEMENTS);
-        let at = |vary: Vary| keys(&m, vary, &big, lru, wa).1;
+        let at = |vary: Vary| keys(&m, vary, &big, lru).1;
         let (s36, s18) = (at(|_, o| o.l3_sharers = 36), at(|_, o| o.l3_sharers = 18));
         assert_eq!(s36.llc, LlcClass::Sharers(36));
         assert_eq!(s18.llc, LlcClass::Sharers(18));
@@ -1234,13 +1226,7 @@ mod tests {
                 scratch.counters(&m, ctx, options, &spec, 0)
             );
         }
-        let dkey = DiffKey::of(
-            &m,
-            options,
-            &spec,
-            ReplacementPolicyKind::Lru,
-            WritePolicyKind::Allocate,
-        );
+        let dkey = DiffKey::of(&m, options, &spec, ReplacementPolicyKind::Lru);
         let entry = diff
             .diff
             .get_or_insert_with(dkey, || unreachable!("recorded above"));

@@ -1,23 +1,22 @@
-//! Reusable access-pattern generators.
+//! The stencil row sweep: the one access pattern every caller drives.
 //!
-//! The microbenchmarks (`clover-ubench`) and the row-sampled CloverLeaf
-//! traffic measurements (`clover-perfmon`) drive the core simulator with a
-//! small set of canonical patterns: contiguous array sweeps, row-wise sweeps
-//! with halo gaps, and multi-array stencil row sweeps.
+//! The microbenchmarks (`clover-ubench`), the row-sampled CloverLeaf traffic
+//! measurements (`clover-perfmon`) and the kernel replay (`clover-leaf`)
+//! all describe their loops as a [`StencilRowSweep`] — several arrays, each
+//! with its stencil offsets, swept row by row; a contiguous array or a
+//! row-wise copy with halo gaps is the one-point special case.
 //!
-//! The array and row sweeps run on the batched line-granular fast path
-//! ([`CoreSim::drive_run`]); the stencil sweep has exactly one driver, the
-//! resumable [`SweepCursor`], which the solo path ([`StencilRowSweep::drive`])
-//! runs to completion and the co-run engine advances in turns.  Each
-//! pattern keeps a `drive_scalar` reference implementation issuing one
-//! 8-byte access per element, used by the equivalence tests to prove the
-//! fast path changes nothing but speed.
+//! The sweep has exactly one driver, the resumable [`SweepCursor`], which
+//! the solo path ([`StencilRowSweep::drive`]) runs to completion and the
+//! co-run engine advances in turns, and a `drive_scalar` reference
+//! implementation issuing one 8-byte access per element, used by the
+//! equivalence tests to prove the fast path changes nothing but speed.
 
 pub use crate::access::ELEM_BYTES;
-use crate::access::{line_of, Access, AccessKind, AccessRun, LINE_BYTES};
+use crate::access::{line_of, Access, AccessKind, LINE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
-use crate::policy::{ReplacementPolicy, WritePolicy};
+use crate::policy::ReplacementPolicy;
 
 /// One scalar 8-byte access of the given kind.
 fn elem(kind: AccessKind, addr: u64) -> Access {
@@ -25,95 +24,6 @@ fn elem(kind: AccessKind, addr: u64) -> Access {
         addr,
         bytes: ELEM_BYTES as u32,
         kind,
-    }
-}
-
-/// A contiguous sweep over `elements` doubles starting at `base`.
-#[derive(Debug, Clone, Copy)]
-pub struct ArraySweep {
-    /// First byte address of the array.
-    pub base: u64,
-    /// Number of double elements.
-    pub elements: u64,
-    /// Kind of access performed on each element.
-    pub kind: AccessKind,
-}
-
-impl ArraySweep {
-    /// Drive the sweep through a core simulator (batched fast path).
-    pub fn drive<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
-        core.drive_run(AccessRun {
-            base: self.base,
-            elements: self.elements,
-            kind: self.kind,
-        });
-    }
-
-    /// Per-element reference implementation (bit-identical, slower).
-    pub fn drive_scalar<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
-        for i in 0..self.elements {
-            core.access(elem(self.kind, self.base + i * ELEM_BYTES));
-        }
-    }
-
-    /// Total bytes explicitly touched by the sweep.
-    pub fn touched_bytes(&self) -> u64 {
-        self.elements * ELEM_BYTES
-    }
-}
-
-/// A row-wise sweep: `rows` rows of `inner` doubles each, separated by a
-/// halo gap of `halo` doubles that is *not* touched — the access pattern of
-/// a rank that owns a narrow strip of a larger grid (the copy-with-halo
-/// microbenchmark of Figs. 8 and 11).
-#[derive(Debug, Clone, Copy)]
-pub struct RowSweep {
-    /// First byte address of the first row.
-    pub base: u64,
-    /// Touched elements per row.
-    pub inner: u64,
-    /// Untouched halo elements between consecutive rows.
-    pub halo: u64,
-    /// Number of rows.
-    pub rows: u64,
-    /// Kind of access performed on each element.
-    pub kind: AccessKind,
-}
-
-impl RowSweep {
-    /// Row stride in elements (touched + halo).
-    pub fn stride_elements(&self) -> u64 {
-        self.inner + self.halo
-    }
-
-    /// Byte address of element `i` in row `row`.
-    pub fn addr(&self, row: u64, i: u64) -> u64 {
-        self.base + (row * self.stride_elements() + i) * ELEM_BYTES
-    }
-
-    /// Drive the sweep through a core simulator: one batched run per row.
-    pub fn drive<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
-        for row in 0..self.rows {
-            core.drive_run(AccessRun {
-                base: self.addr(row, 0),
-                elements: self.inner,
-                kind: self.kind,
-            });
-        }
-    }
-
-    /// Per-element reference implementation (bit-identical, slower).
-    pub fn drive_scalar<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
-        for row in 0..self.rows {
-            for i in 0..self.inner {
-                core.access(elem(self.kind, self.addr(row, i)));
-            }
-        }
-    }
-
-    /// Total bytes explicitly touched.
-    pub fn touched_bytes(&self) -> u64 {
-        self.rows * self.inner * ELEM_BYTES
     }
 }
 
@@ -175,13 +85,13 @@ impl StencilRowSweep {
     /// to completion against the core's own private half and L3 share —
     /// the same segment loop the co-run engine advances in turns — and
     /// bit-identical to [`drive_scalar`](Self::drive_scalar).
-    pub fn drive<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
+    pub fn drive<R: ReplacementPolicy>(&self, core: &mut CoreSim<R>) {
         let (private, l3) = core.split();
         SweepCursor::new(self).advance(private, l3, u64::MAX);
     }
 
     /// Per-element reference implementation (bit-identical, slower).
-    pub fn drive_scalar<R: ReplacementPolicy, W: WritePolicy>(&self, core: &mut CoreSim<R, W>) {
+    pub fn drive_scalar<R: ReplacementPolicy>(&self, core: &mut CoreSim<R>) {
         for k in self.k0..self.k0 + self.rows {
             for i in self.i0..self.i0 + self.inner {
                 for op in &self.operands {
@@ -274,10 +184,10 @@ impl SweepCursor {
     /// been issued or the sweep finishes, whichever comes first; returns
     /// the number actually issued.  A zero budget still makes progress
     /// (one segment), so a co-run round-robin can never stall.
-    pub fn advance<R: ReplacementPolicy, W: WritePolicy, const SIMD: bool>(
+    pub fn advance<R: ReplacementPolicy>(
         &mut self,
-        core: &mut PrivateCore<R, W, SIMD>,
-        llc: &mut SetAssocCache<R, SIMD>,
+        core: &mut PrivateCore<R>,
+        llc: &mut SetAssocCache<R>,
         budget_lines: u64,
     ) -> u64 {
         let budget = budget_lines.max(1);
@@ -355,6 +265,7 @@ impl SweepCursor {
 mod tests {
     use super::*;
     use crate::hierarchy::{CoreSimOptions, OccupancyContext};
+    use crate::memo::{KernelSpec, RankBase};
     use clover_machine::icelake_sp_8360y;
 
     fn serial_core() -> CoreSim {
@@ -375,50 +286,36 @@ mod tests {
         )
     }
 
+    /// `rows` rows of `inner` doubles of one array at `base`, separated by
+    /// an untouched halo gap of `halo` doubles: a contiguous array sweep
+    /// for one row, the access pattern of a rank that owns a narrow strip
+    /// of a larger grid (Figs. 8 and 11) for several.
+    fn row_sweep(base: u64, inner: u64, halo: u64, rows: u64, kind: AccessKind) -> StencilRowSweep {
+        let spec = KernelSpec {
+            row_stride: inner + halo,
+            rows,
+            ..KernelSpec::contiguous(RankBase::Shared, base, inner, kind)
+        };
+        spec.sweep(0)
+    }
+
     #[test]
     fn array_sweep_load_volume() {
         let mut core = serial_core();
-        let sweep = ArraySweep {
-            base: 0,
-            elements: 8192,
-            kind: AccessKind::Load,
-        };
-        sweep.drive(&mut core);
+        row_sweep(0, 8192, 0, 1, AccessKind::Load).drive(&mut core);
         let c = core.flush();
         let expected_lines = 8192.0 / 8.0;
         assert!(c.read_lines >= expected_lines);
         assert!(c.read_lines <= expected_lines * 1.05);
-        assert_eq!(sweep.touched_bytes(), 8192 * 8);
-    }
-
-    #[test]
-    fn row_sweep_addressing() {
-        let r = RowSweep {
-            base: 1000,
-            inner: 216,
-            halo: 5,
-            rows: 3,
-            kind: AccessKind::Store,
-        };
-        assert_eq!(r.stride_elements(), 221);
-        assert_eq!(r.addr(0, 0), 1000);
-        assert_eq!(r.addr(1, 0), 1000 + 221 * 8);
-        assert_eq!(r.touched_bytes(), 3 * 216 * 8);
     }
 
     #[test]
     fn row_sweep_store_generates_writes() {
         let mut core = serial_core();
-        let r = RowSweep {
-            base: 0,
-            inner: 216,
-            halo: 5,
-            rows: 8,
-            kind: AccessKind::Store,
-        };
-        r.drive(&mut core);
+        let sweep = row_sweep(0, 216, 5, 8, AccessKind::Store);
+        sweep.drive(&mut core);
         let c = core.flush();
-        let touched_lines = r.touched_bytes() as f64 / 64.0;
+        let touched_lines = (sweep.iterations() * ELEM_BYTES) as f64 / 64.0;
         assert!(c.write_lines >= touched_lines * 0.95);
         // Serial run: every written line needs a write-allocate read.
         assert!(c.read_lines >= touched_lines * 0.9);
@@ -427,31 +324,20 @@ mod tests {
     #[test]
     fn array_and_row_sweeps_match_their_scalar_reference() {
         for kind in [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT] {
-            let sweep = ArraySweep {
-                base: 24,
-                elements: 700,
-                kind,
-            };
-            let mut fast = serial_core();
-            let mut slow = serial_core();
-            sweep.drive(&mut fast);
-            sweep.drive_scalar(&mut slow);
-            assert_eq!(fast.cache_stats(), slow.cache_stats());
-            assert_eq!(fast.flush(), slow.flush());
-
-            let rowsweep = RowSweep {
-                base: 8 * 3,
-                inner: 216,
-                halo: 5,
-                rows: 12,
-                kind,
-            };
-            let mut fast = loaded_core();
-            let mut slow = loaded_core();
-            rowsweep.drive(&mut fast);
-            rowsweep.drive_scalar(&mut slow);
-            assert_eq!(fast.cache_stats(), slow.cache_stats());
-            assert_eq!(fast.flush(), slow.flush());
+            for (sweep, mk) in [
+                (
+                    row_sweep(24, 700, 0, 1, kind),
+                    serial_core as fn() -> CoreSim,
+                ),
+                (row_sweep(8 * 3, 216, 5, 12, kind), loaded_core),
+            ] {
+                let mut fast = mk();
+                let mut slow = mk();
+                sweep.drive(&mut fast);
+                sweep.drive_scalar(&mut slow);
+                assert_eq!(fast.cache_stats(), slow.cache_stats());
+                assert_eq!(fast.flush(), slow.flush());
+            }
         }
     }
 

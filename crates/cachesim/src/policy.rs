@@ -1,19 +1,16 @@
-//! Replacement and write policies as zero-cost generic parameters.
+//! The replacement policy: the one generic parameter of the hierarchy.
 //!
 //! The paper's machines are modelled as true-LRU, write-back +
 //! write-allocate caches whose only deviation is the SpecI2M
-//! write-allocate evasion.  This module turns those two hard-coded choices
-//! into a policy space:
+//! write-allocate evasion.  Who gets evicted is decided on every probe
+//! that misses a full set, so it is a type: [`ReplacementPolicy`], with
+//! [`TrueLru`] (the default), [`TreePlru`], [`Srrip`] and a deterministic
+//! [`RandomEvict`] whose xorshift seed lives in the policy state, so runs
+//! are reproducible.  What a store miss does is consulted once per
+//! finalized 64-byte store line, so it is data:
+//! [`CoreSimOptions::write_policy`].
 //!
-//! * [`ReplacementPolicy`] — who gets evicted.  [`TrueLru`] (the default),
-//!   [`TreePlru`], [`Srrip`] and a deterministic [`RandomEvict`] whose
-//!   xorshift seed lives in the policy state, so runs are reproducible.
-//! * [`WritePolicy`] — what a store miss does.  [`WriteAllocate`] (the
-//!   default; carries the SpecI2M evasion model unchanged),
-//!   [`NoWriteAllocate`] (CVA6-style write-through on miss) and
-//!   [`NonTemporal`] (every store stream behaves like software NT stores).
-//!
-//! Both traits are generic parameters of [`SetAssocCache`] and [`CoreSim`],
+//! The trait is a generic parameter of [`SetAssocCache`] and [`CoreSim`],
 //! defaulted to the paper's configuration.  For [`TrueLru`] the dedicated
 //! `LRU_SCAN` flag keeps the original fused probe-scan victim selection, so
 //! the default monomorphisation compiles to exactly the pre-refactor hot
@@ -21,12 +18,9 @@
 //!
 //! [`SetAssocCache`]: crate::cache::SetAssocCache
 //! [`CoreSim`]: crate::hierarchy::CoreSim
+//! [`CoreSimOptions::write_policy`]: crate::hierarchy::CoreSimOptions::write_policy
 
-use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
-
-use crate::cache::SetAssocCache;
-use crate::coalescer::FinalizedLine;
-use crate::hierarchy::PrivateCore;
+use clover_machine::ReplacementPolicyKind;
 
 /// Victim selection strategy of one [`SetAssocCache`] level.
 ///
@@ -297,46 +291,6 @@ impl ReplacementPolicy for RandomEvict {
     fn on_invalidate(&mut self, _set: usize, _hole: usize, _last: usize) {}
 }
 
-/// Store-miss behaviour of a simulated hierarchy.
-///
-/// The policy is a type-level strategy: `handle_store_line` receives the
-/// private half of the core plus the last-level cache so implementations
-/// can drive the hierarchy, the SpecI2M model and the traffic counters
-/// exactly like the original hard-coded store path did.  Implementations
-/// live next to `PrivateCore` (they need its internals); this trait and
-/// the marker types are the public surface.
-pub trait WritePolicy: std::fmt::Debug + Clone + Send + Sized + 'static {
-    /// Selector this implementation corresponds to (used in memo keys and
-    /// dispatch tables).
-    const KIND: WritePolicyKind;
-
-    /// Retire one coalesced store line through the hierarchy: the private
-    /// half of the core plus whatever last-level cache it currently shares
-    /// (its own on the solo path, the tenant-shared LLC on a co-run).
-    fn handle_store_line<R: ReplacementPolicy, const SIMD: bool>(
-        core: &mut PrivateCore<R, Self, SIMD>,
-        llc: &mut SetAssocCache<R, SIMD>,
-        ev: FinalizedLine,
-    );
-}
-
-/// Write-back + write-allocate with SpecI2M evasion — the paper's default
-/// store path, bit for bit.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WriteAllocate;
-
-/// Write-back + no-write-allocate (CVA6-style): store misses are written
-/// through to memory without fetching the line; store hits dirty the cache
-/// as usual.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoWriteAllocate;
-
-/// Every coalesced store stream behaves like software non-temporal stores:
-/// lines bypass (and invalidate) the hierarchy, paying the partial
-/// write-combine flush penalty instead of write-allocate reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NonTemporal;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,9 +378,6 @@ mod tests {
         assert_eq!(TreePlru::KIND, ReplacementPolicyKind::Plru);
         assert_eq!(Srrip::KIND, ReplacementPolicyKind::Srrip);
         assert_eq!(RandomEvict::KIND, ReplacementPolicyKind::Random);
-        assert_eq!(WriteAllocate::KIND, WritePolicyKind::Allocate);
-        assert_eq!(NoWriteAllocate::KIND, WritePolicyKind::NoAllocate);
-        assert_eq!(NonTemporal::KIND, WritePolicyKind::NonTemporal);
         assert!(TrueLru::LRU_SCAN && !TreePlru::LRU_SCAN);
     }
 }

@@ -99,6 +99,7 @@ pub fn measure_loop(machine: &Machine, spec: &LoopSpec, cfg: &MeasureConfig) -> 
             speci2m_enabled: cfg.speci2m_enabled,
             prefetchers: cfg.prefetchers,
             l3_sharers: sharers,
+            ..Default::default()
         },
     );
 

@@ -20,6 +20,12 @@ use clover_machine::{
 
 use crate::plan::{Aggressor, LayerCondition, RankRange, Stage, SweepPlan};
 
+/// Largest `--grid` side accepted: `2^26` is the largest power of two whose
+/// square an `f64` still counts exactly.  The model's cell counts and
+/// volumes are `i64`/`f64` products of the side; far enough beyond this
+/// they wrap (a local extent of -1, a 6e35 MB volume).
+const MAX_GRID: usize = 1 << 26;
+
 /// A parsed sweep invocation: the validated plan plus the execution flags
 /// shared by every front end.
 #[derive(Debug)]
@@ -63,9 +69,12 @@ impl SweepArgs {
                     let value = iter
                         .next()
                         .ok_or_else(|| "--grid needs a cell count".to_string())?;
-                    let grid: usize =
-                        value.parse().ok().filter(|&g| g >= 1).ok_or_else(|| {
-                            format!("--grid: '{value}' is not a positive cell count")
+                    let grid = value
+                        .parse()
+                        .ok()
+                        .filter(|grid| (1..=MAX_GRID).contains(grid))
+                        .ok_or_else(|| {
+                            format!("--grid: '{value}' is not a cell count in 1..={MAX_GRID}")
                         })?;
                     if plan.grids.contains(&grid) {
                         return Err(format!("duplicate grid size {grid}"));
@@ -322,6 +331,22 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("unexpected argument 'fig2'"));
+        // A grid side is a cell count the model's i64/f64 arithmetic holds.
+        let grid = |side: &str| {
+            SweepArgs::parse(&args(&[
+                "--machine",
+                "icx-8360y",
+                "--ranks",
+                "1..3",
+                "--grid",
+                side,
+            ]))
+        };
+        for side in ["0", "67108865", "18446744073709551615", "1e3"] {
+            let err = grid(side).unwrap_err();
+            assert!(err.contains("--grid") && err.contains(side), "{err}");
+        }
+        assert_eq!(grid("67108864").unwrap().plan.grids, vec![MAX_GRID]);
     }
 
     #[test]

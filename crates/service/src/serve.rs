@@ -37,7 +37,7 @@
 //! bounded LRU [`ResponseCache`] keyed by the canonical request identity
 //! (`SweepArgs::cache_key` + model hash).
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -52,6 +52,12 @@ use crate::store::{LoadOutcome, PersistentStore};
 
 /// Response-cache capacity (payload entries) of a service.
 pub const DEFAULT_RESPONSE_CACHE_ENTRIES: usize = 128;
+
+/// Longest request line [`SweepService::serve`] accepts, in bytes without
+/// the newline (a sweep over every axis is a few hundred).  A client that
+/// sends more without a newline is answered one error line and
+/// disconnected, so it cannot grow a worker's line buffer without bound.
+const MAX_REQUEST_LINE: usize = 64 << 10;
 
 /// A long-lived sweep evaluator: the memo state, its co-run simulations
 /// optionally backed by a persistent store, fronted by a bounded LRU
@@ -243,13 +249,28 @@ impl SweepService {
         }
     }
 
-    /// Serve requests from `reader` line by line until `quit` or EOF,
-    /// writing framed responses to `writer`; then persist the co-run
-    /// simulations (when a store is configured).  Batched requests — several lines
-    /// sent at once — are answered in order.
-    pub fn serve(&self, reader: impl BufRead, writer: &mut impl Write) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
+    /// Serve requests from `reader` line by line until `quit`, EOF or a
+    /// line longer than 64 KiB (`error request line exceeds 65536 bytes`,
+    /// and this client is disconnected), writing framed responses to
+    /// `writer`; then persist the co-run simulations (when a store is
+    /// configured).  Batched requests — several lines sent at once — are
+    /// answered in order.
+    pub fn serve(&self, mut reader: impl BufRead, writer: &mut impl Write) -> io::Result<()> {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let mut bounded = reader.by_ref().take(MAX_REQUEST_LINE as u64 + 1);
+            if bounded.read_line(&mut line)? == 0 {
+                break;
+            }
+            if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') {
+                writeln!(
+                    writer,
+                    "error request line exceeds {MAX_REQUEST_LINE} bytes"
+                )?;
+                writer.flush()?;
+                break;
+            }
             match self.handle_request(&line) {
                 Response::Empty => {}
                 Response::Line(text) => {
@@ -275,8 +296,9 @@ impl SweepService {
                 }
             }
         }
-        // EOF: persist like a clean quit, but best-effort (the peer is
-        // gone; nobody can observe an error response).
+        // EOF, or a client cut off: persist like a clean quit, but
+        // best-effort (the peer is gone; nobody can observe an error
+        // response).
         let _ = self.save();
         Ok(())
     }

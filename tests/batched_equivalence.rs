@@ -5,12 +5,11 @@
 //! representative-core regression of the `CoreSim::reset` reuse.
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
-use cloverleaf_wa::cachesim::patterns::{RowSweep, StencilOperand, StencilRowSweep};
+use cloverleaf_wa::cachesim::patterns::{StencilOperand, StencilRowSweep};
 use cloverleaf_wa::cachesim::{
-    AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NoWriteAllocate, NodeSim,
-    NonTemporal, PrefetcherConfig, PrivateCore, RandomEvict, RankBase, ReplacementPolicy,
-    SetAssocCache, SimConfig, SimMemo, SpecOperand, Srrip, SweepCursor, TreePlru, TrueLru,
-    WriteAllocate, WritePolicy,
+    AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NodeSim, PrefetcherConfig,
+    PrivateCore, RandomEvict, RankBase, ReplacementPolicy, SetAssocCache, SimConfig, SimMemo,
+    SpecOperand, Srrip, SweepCursor, TreePlru, TrueLru,
 };
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, Machine, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
@@ -37,10 +36,7 @@ fn core_for(machine: &Machine, ranks: usize, prefetchers: bool) -> CoreSim {
 }
 
 /// Feed one run element by element through the scalar API.
-fn drive_scalar_run<R: ReplacementPolicy, W: WritePolicy>(
-    core: &mut CoreSim<R, W>,
-    run: AccessRun,
-) {
+fn drive_scalar_run<R: ReplacementPolicy>(core: &mut CoreSim<R>, run: AccessRun) {
     for i in 0..run.elements {
         let addr = run.base + i * 8;
         match run.kind {
@@ -67,109 +63,54 @@ fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &
     assert_eq!(scalar.flush(), batched.flush(), "counter mismatch");
 }
 
-/// Scalar vs. batched equivalence of one policy monomorphisation.
-fn assert_policy_equivalent<R: ReplacementPolicy, W: WritePolicy>(
+/// Scalar vs. batched equivalence of one replacement-policy
+/// monomorphisation under every store-miss policy.
+fn assert_policy_equivalent<R: ReplacementPolicy>(
     machine: &Machine,
     ranks: usize,
     runs: &[AccessRun],
 ) {
-    let mk = || {
-        let ctx = OccupancyContext::compact(machine, ranks);
-        CoreSim::<R, W>::new(
-            machine,
-            ctx,
-            CoreSimOptions {
-                l3_sharers: ranks.min(36),
-                ..Default::default()
-            },
-        )
-    };
-    let mut scalar = mk();
-    let mut batched = mk();
-    for &run in runs {
-        drive_scalar_run(&mut scalar, run);
-        batched.drive_run(run);
+    for write_policy in WritePolicyKind::all() {
+        let mk = || {
+            let ctx = OccupancyContext::compact(machine, ranks);
+            CoreSim::<R>::new(
+                machine,
+                ctx,
+                CoreSimOptions {
+                    l3_sharers: ranks.min(36),
+                    write_policy,
+                    ..Default::default()
+                },
+            )
+        };
+        let mut scalar = mk();
+        let mut batched = mk();
+        for &run in runs {
+            drive_scalar_run(&mut scalar, run);
+            batched.drive_run(run);
+        }
+        assert_eq!(
+            scalar.cache_stats(),
+            batched.cache_stats(),
+            "{:?}+{write_policy:?}: hit/miss mismatch for {runs:?}",
+            R::KIND
+        );
+        assert_eq!(
+            scalar.flush(),
+            batched.flush(),
+            "{:?}+{write_policy:?}: counter mismatch",
+            R::KIND
+        );
     }
-    assert_eq!(
-        scalar.cache_stats(),
-        batched.cache_stats(),
-        "{:?}+{:?}: hit/miss mismatch for {runs:?}",
-        R::KIND,
-        W::KIND
-    );
-    assert_eq!(
-        scalar.flush(),
-        batched.flush(),
-        "{:?}+{:?}: counter mismatch",
-        R::KIND,
-        W::KIND
-    );
 }
 
-/// Run [`assert_policy_equivalent`] for every replacement × write policy
-/// monomorphisation the dispatcher can reach.
+/// Run [`assert_policy_equivalent`] for every replacement policy the
+/// dispatcher can reach.
 fn assert_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
-    macro_rules! combos {
-        ($($r:ty),*) => {
-            $(
-                assert_policy_equivalent::<$r, WriteAllocate>(machine, ranks, runs);
-                assert_policy_equivalent::<$r, NoWriteAllocate>(machine, ranks, runs);
-                assert_policy_equivalent::<$r, NonTemporal>(machine, ranks, runs);
-            )*
-        };
-    }
-    combos!(TrueLru, TreePlru, Srrip, RandomEvict);
-}
-
-/// SIMD (chunked tag-lane) vs. scalar probe scan equivalence of one policy
-/// monomorphisation: identical per-level hit/miss counts and identical
-/// flushed counters (which cover every eviction's writeback) for the same
-/// batched run stream.
-fn assert_probe_equivalent<R: ReplacementPolicy, W: WritePolicy>(
-    machine: &Machine,
-    ranks: usize,
-    runs: &[AccessRun],
-) {
-    let ctx = OccupancyContext::compact(machine, ranks);
-    let options = CoreSimOptions {
-        l3_sharers: ranks.min(36),
-        ..Default::default()
-    };
-    let mut simd = CoreSim::<R, W, true>::new(machine, ctx, options);
-    let mut scalar = CoreSim::<R, W, false>::new(machine, ctx, options);
-    for &run in runs {
-        simd.drive_run(run);
-        scalar.drive_run(run);
-    }
-    assert_eq!(
-        simd.cache_stats(),
-        scalar.cache_stats(),
-        "{:?}+{:?}: SIMD vs scalar probe hit/miss mismatch for {runs:?}",
-        R::KIND,
-        W::KIND
-    );
-    assert_eq!(
-        simd.flush(),
-        scalar.flush(),
-        "{:?}+{:?}: SIMD vs scalar probe counter mismatch",
-        R::KIND,
-        W::KIND
-    );
-}
-
-/// Run [`assert_probe_equivalent`] for every replacement × write policy
-/// monomorphisation.
-fn assert_probe_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
-    macro_rules! combos {
-        ($($r:ty),*) => {
-            $(
-                assert_probe_equivalent::<$r, WriteAllocate>(machine, ranks, runs);
-                assert_probe_equivalent::<$r, NoWriteAllocate>(machine, ranks, runs);
-                assert_probe_equivalent::<$r, NonTemporal>(machine, ranks, runs);
-            )*
-        };
-    }
-    combos!(TrueLru, TreePlru, Srrip, RandomEvict);
+    assert_policy_equivalent::<TrueLru>(machine, ranks, runs);
+    assert_policy_equivalent::<TreePlru>(machine, ranks, runs);
+    assert_policy_equivalent::<Srrip>(machine, ranks, runs);
+    assert_policy_equivalent::<RandomEvict>(machine, ranks, runs);
 }
 
 /// Operand spacing of the trace-class tests: a multiple of every L3
@@ -412,7 +353,8 @@ proptest! {
         prop_assert_eq!(fast.flush(), slow.flush());
     }
 
-    /// The row-sweep driver equals its scalar reference.
+    /// Rows with a halo gap between them, from a possibly misaligned base,
+    /// one batched run per row: bit-identical to the scalar reference.
     #[test]
     fn row_sweep_matches_scalar(
         base_align in 0u64..64,
@@ -421,19 +363,14 @@ proptest! {
         kind_idx in 0usize..3,
     ) {
         let machine = icelake_sp_8360y();
-        let sweep = RowSweep {
-            base: (1 << 28) + base_align,
-            inner,
-            halo,
-            rows: 4,
-            kind: KINDS[kind_idx],
-        };
-        let mut fast = core_for(&machine, 1, true);
-        let mut slow = core_for(&machine, 1, true);
-        sweep.drive(&mut fast);
-        sweep.drive_scalar(&mut slow);
-        prop_assert_eq!(fast.cache_stats(), slow.cache_stats());
-        prop_assert_eq!(fast.flush(), slow.flush());
+        let runs: Vec<AccessRun> = (0..4)
+            .map(|row| AccessRun {
+                base: (1 << 28) + base_align + row * (inner + halo) * 8,
+                elements: inner,
+                kind: KINDS[kind_idx],
+            })
+            .collect();
+        assert_equivalent(&machine, 1, true, &runs);
     }
 
     /// The cross-sweep memo is exact: for arbitrary kernel specs (operand
@@ -521,9 +458,9 @@ proptest! {
     }
 
     /// The batched fast path stays bit-identical to the scalar reference
-    /// under every replacement × write policy monomorphisation, not just
-    /// the paper's LRU + write-allocate default: mixed load/store/NT rows
-    /// with halo misalignment across all 12 combinations.
+    /// under every replacement × write policy combination, not just the
+    /// paper's LRU + write-allocate default: mixed load/store/NT rows with
+    /// halo misalignment across all 12.
     #[test]
     fn batched_path_matches_scalar_under_every_policy(
         inner in 1u64..180,
@@ -620,32 +557,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// The SIMD tag-lane probe scan is bit-identical to the scalar
-    /// reference probe under every replacement × write policy
-    /// monomorphisation: same per-level hit/miss counts and same flushed
-    /// counters for mixed load/store/NT rows with halo misalignment.
-    #[test]
-    fn simd_probe_matches_scalar_probe_under_every_policy(
-        inner in 1u64..180,
-        halo in 0u64..10,
-        rows in 1u64..4,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let mut runs = Vec::new();
-        for row in 0..rows {
-            let off = row * (inner + halo) * 8;
-            runs.push(AccessRun::load((1 << 33) + off, inner));
-            runs.push(AccessRun {
-                base: (1 << 30) + off,
-                elements: inner,
-                kind: KINDS[kind_idx],
-            });
-        }
-        assert_probe_equivalent_for_all_policies(&machine, ranks, &runs);
     }
 
     /// Differential re-simulation is exact over a randomly ordered walk of
@@ -829,7 +740,7 @@ proptest! {
         prop_assert_eq!((t.llc_hits, t.llc_misses), oracle.cache_stats()[2]);
         // The report carries the shared level only; the private levels are
         // read off a cursor advanced in the same turns.
-        let mut private = PrivateCore::<TrueLru, WriteAllocate>::new(&machine, ctx, options);
+        let mut private = PrivateCore::<TrueLru>::new(&machine, ctx, options);
         let mut llc = SetAssocCache::<TrueLru>::new(
             (corun.llc_lines * 64) as usize,
             machine.caches.l3.associativity,

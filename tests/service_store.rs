@@ -23,7 +23,10 @@
 //! theirs on the embedded `cva6` preset, whose 2 MiB LLC simulates in
 //! milliseconds.
 
+mod common;
+
 use std::fs;
+use std::io::{self, BufRead, BufReader, Read};
 use std::sync::Arc;
 
 use cloverleaf_wa::cachesim::{FlightMemo, SimMemo};
@@ -217,6 +220,34 @@ fn serve_loop_answers_batched_clients_with_framed_payloads() {
         "repeat is a response-cache hit: {tail}"
     );
     assert!(tail.ends_with("ok bye\n"), "quit without a store: {tail}");
+}
+
+#[test]
+fn an_endless_request_line_costs_one_buffer_and_one_error_line() {
+    fn serve(service: &SweepService, input: impl BufRead) -> String {
+        let mut out = Vec::new();
+        service.serve(input, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+    let batch = format!("ping\nsweep {SWEEP_FLAGS}\nquit\n");
+    let expected = serve(&SweepService::new(), batch.as_bytes());
+
+    // 16 MiB without a newline: refused after 64 KiB, nothing buffered
+    // beyond that, the connection closed.
+    let service = SweepService::new();
+    let endless = BufReader::new(io::repeat(b'x').take(16 << 20));
+    let (out, (_, bytes)) = common::allocations(|| serve(&service, endless));
+    assert_eq!(out, "error request line exceeds 65536 bytes\n");
+    assert!(bytes < 1 << 20, "allocated {bytes} bytes");
+    // The limit is on the line, not the batch: 65536 bytes and a newline
+    // are a (bad) request like any other, one byte more is not.
+    let longest = format!("{}\nping\n", "x".repeat(65536));
+    let out = serve(&service, longest.as_bytes());
+    assert!(out.starts_with("error unknown request") && out.ends_with("\nok pong\n"));
+    let out = serve(&service, format!("x{longest}").as_bytes());
+    assert_eq!(out, "error request line exceeds 65536 bytes\n");
+    // The service and its other clients are unaffected.
+    assert_eq!(serve(&service, batch.as_bytes()), expected);
 }
 
 #[test]
