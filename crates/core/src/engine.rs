@@ -26,6 +26,8 @@
 //!
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
+use std::sync::Arc;
+
 use clover_cachesim::FlightMemo;
 use clover_machine::Machine;
 
@@ -37,10 +39,12 @@ use crate::traffic::{loop_traffic, roofline_time, LoopInvariants, TrafficModel, 
 /// id (`Machine::id`); preset machines with equal ids are structurally
 /// identical, so equal keys imply bit-identical points: everything a point
 /// depends on is in here.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PointKey {
-    /// `Machine::id` of the evaluated machine.
-    pub machine: String,
+    /// `Machine::id` of the evaluated machine, shared with the
+    /// [`ScalingEngine`] that built the key: cloning a key allocates
+    /// nothing.
+    pub machine: Arc<str>,
     /// Square grid size in cells.
     pub grid: usize,
     /// Evaluated rank count.
@@ -97,6 +101,8 @@ impl SweepMemo {
 #[derive(Debug, Clone)]
 pub struct ScalingEngine {
     traffic: TrafficModel,
+    /// The machine's id, as every [`PointKey`] of this engine carries it.
+    machine_id: Arc<str>,
     grid: usize,
 }
 
@@ -104,6 +110,7 @@ impl ScalingEngine {
     /// Engine for `machine` on a square `grid`.
     pub fn new(machine: Machine, grid: usize) -> Self {
         Self {
+            machine_id: machine.id.as_str().into(),
             traffic: TrafficModel::new(machine),
             grid,
         }
@@ -138,31 +145,37 @@ impl ScalingEngine {
         // Per-rank iterations; every loop sweeps the whole local domain.
         let per_rank_iterations = iterations / ranks as f64;
         let peak = machine.core_peak_flops();
-        // Per-rank bandwidth of each populated domain.
-        let per_rank_bws: Vec<f64> = machine
-            .topology
-            .active_cores_per_domain(ranks)
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| machine.bandwidth.domain_bandwidth(c) / c as f64)
-            .collect();
+        // Per-rank bandwidth of each distinct domain load: compact pinning
+        // fills whole domains and leaves at most one partly filled.
+        let (full_domains, cores_per_domain, remainder) = machine.topology.compact_loads(ranks);
+        let per_rank_bw = |cores: usize| machine.bandwidth.domain_bandwidth(cores) / cores as f64;
+        let per_rank_bws = [
+            (full_domains > 0).then(|| per_rank_bw(cores_per_domain)),
+            (remainder > 0).then(|| per_rank_bw(remainder)),
+        ];
         let loops = LoopInvariants::of_catalogue();
-        let mut loop_balances = Vec::with_capacity(loops.len());
+        // The point's one allocation.
+        let loop_balances: Arc<[f64]> = loops
+            .iter()
+            .map(|inv| {
+                let bytes = loop_traffic(inv, opts, &ctx);
+                bytes.read + bytes.write
+            })
+            .collect();
         let mut time = 0.0;
         let mut volume = 0.0;
-        for inv in loops {
-            let bytes = loop_traffic(inv, opts, &ctx);
-            let balance = bytes.read + bytes.write;
+        for (inv, &balance) in loops.iter().zip(loop_balances.iter()) {
             // The code is bulk-synchronous (halo exchange after every
             // kernel): each loop finishes when the most loaded ccNUMA
-            // domain finishes.
+            // domain finishes.  Equally loaded domains finish together,
+            // so the distinct loads decide the maximum.
             let loop_time = per_rank_bws
                 .iter()
+                .flatten()
                 .map(|&bw| per_rank_iterations * roofline_time(balance, inv.bounds.flops, bw, peak))
                 .fold(0.0, f64::max);
             time += loop_time;
             volume += iterations * balance;
-            loop_balances.push(balance);
         }
         // The non-hotspot 31 % scale the same way (memory bound).
         let time_per_step = time / (1.0 - NON_HOTSPOT_FRACTION);
@@ -187,7 +200,7 @@ impl ScalingEngine {
         memo: &SweepMemo,
     ) -> ScalingPoint {
         let key = PointKey {
-            machine: self.machine().id.clone(),
+            machine: Arc::clone(&self.machine_id),
             grid: self.grid,
             ranks,
             opts: *opts,

@@ -7,6 +7,8 @@
 //! the runtime; the remainder is modelled as a fixed memory-bound fraction
 //! so the absolute shares match the profile in Listing 2.
 
+use std::sync::Arc;
+
 use clover_machine::Machine;
 
 use crate::engine::ScalingEngine;
@@ -18,7 +20,7 @@ use crate::{TINY_GRID, TINY_STEPS};
 pub(crate) const NON_HOTSPOT_FRACTION: f64 = 0.31;
 
 /// One point of the scaling study.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Number of ranks.
     pub ranks: usize,
@@ -36,8 +38,9 @@ pub struct ScalingPoint {
     pub volume_per_step: f64,
     /// Per-loop code balance (byte/it), one value per loop of
     /// [`loop_catalogue`](crate::loop_catalogue) in its order (the names
-    /// live there).
-    pub loop_balances: Vec<f64>,
+    /// live there).  Shared, so that a memo hands out copies of a point
+    /// without allocating.
+    pub loop_balances: Arc<[f64]>,
 }
 
 /// Fill in speedups relative to the first point of a range — the one

@@ -336,9 +336,14 @@ impl TrafficModel {
         // `blocked`: that variant never reads the response.
         let params = &machine.speci2m;
         let local_inner = decomp.typical_local_inner().max(1);
-        let per_domain = machine.topology.active_cores_per_domain(opts.ranks);
-        let active_domains = per_domain.iter().filter(|&&c| c > 0).count().max(1);
-        let busiest = per_domain.iter().copied().max().unwrap_or(1);
+        let (full_domains, cores_per_domain, remainder) =
+            machine.topology.compact_loads(opts.ranks);
+        let active_domains = (full_domains + usize::from(remainder > 0)).max(1);
+        let busiest = if full_domains > 0 {
+            cores_per_domain
+        } else {
+            remainder
+        };
         let domain_utilization = machine.domain_utilization(busiest);
         let total_domains = machine.topology.domains.len();
         let response = params.response(

@@ -109,6 +109,21 @@ impl Topology {
         }
         counts
     }
+
+    /// The distinct domain loads under compact pinning of `n` ranks, as
+    /// `(full_domains, cores_per_domain, remainder)`: `full_domains`
+    /// domains run all their `cores_per_domain` cores and, when `remainder`
+    /// is not zero, one more domain runs `remainder` of them — the counts
+    /// [`active_cores_per_domain`](Self::active_cores_per_domain) lists
+    /// domain by domain, without the list.
+    pub fn compact_loads(&self, n: usize) -> (usize, usize, usize) {
+        let per = self.cores_per_domain();
+        let n = n.min(self.total_cores());
+        match per {
+            0 => (0, 0, 0),
+            _ => (n / per, per, n % per),
+        }
+    }
 }
 
 /// A rank→core assignment produced by a pinning strategy.
@@ -195,6 +210,23 @@ mod tests {
             let pin = t.compact_pinning(n).ranks_per_domain(4);
             assert_eq!(counts, pin, "mismatch at n={n}");
             assert_eq!(counts.iter().sum::<usize>(), n);
+        }
+    }
+
+    #[test]
+    fn compact_loads_summarise_the_per_domain_counts() {
+        for t in [
+            icx_topology(),
+            Topology::homogeneous(2, 4, 13),
+            Topology::homogeneous(1, 1, 6),
+        ] {
+            for n in 0..=t.total_cores() + 3 {
+                let (full, per, remainder) = t.compact_loads(n);
+                let mut expected = vec![per; full];
+                expected.extend((remainder > 0).then_some(remainder));
+                expected.resize(t.domains.len(), 0);
+                assert_eq!(expected, t.active_cores_per_domain(n), "n={n}");
+            }
         }
     }
 

@@ -29,6 +29,8 @@ pub use plan::{
 };
 pub use runner::run_scenario_items_with;
 
+use std::fmt::Write as _;
+
 use clover_cachesim::SimMemo;
 use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
 use clover_golden::Artifact;
@@ -38,7 +40,13 @@ use clover_golden::Artifact;
 /// so "byte-identical to the sequential path" is always asserted against
 /// the actual output format.
 pub fn render_block(artifact: &Artifact) -> String {
-    format!("==== {} ====\n{}\n", artifact.id, artifact.to_csv())
+    // Header, CSV and trailing blank line in the one buffer `write_csv`
+    // sizes; writing into a `String` cannot fail.
+    let mut out = String::new();
+    let _ = writeln!(out, "==== {} ====", artifact.id);
+    artifact.write_csv(&mut out);
+    out.push('\n');
+    out
 }
 
 /// Assemble the default scaling-sweep artifact of `scenario` from its

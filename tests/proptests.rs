@@ -5,6 +5,7 @@ use cloverleaf_wa::cachesim::{
     CoreSim, MemCounters, NodeSim, SetAssocCache, SimConfig, WriteCoalescer, LINE_BYTES,
 };
 use cloverleaf_wa::core::decomp::{is_prime, prime_factors, Decomposition};
+use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::speci2m::EvasionContext;
 use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset, SpecI2MParams};
 use cloverleaf_wa::stencil::{cloverleaf_loops, CodeBalance};
@@ -243,5 +244,52 @@ proptest! {
         // and full evasion (1.0).
         prop_assert!((0.98..=2.05).contains(&fewer));
         prop_assert!((0.98..=2.05).contains(&more));
+    }
+
+    /// A CSV cell is `format!("{:.*}", precision, x)` byte for byte, whether
+    /// the exact integer writer takes the value (finite, non-negative,
+    /// precision ≤ 9) or hands it to `core::fmt` (everything else).
+    #[test]
+    fn csv_cells_equal_std_fixed_formatting(seed in 0u64..=u64::MAX, precision in 0usize..=12) {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut values = Vec::new();
+        for _ in 0..64 {
+            // Any bit pattern: both signs, subnormals, huge, NaN.
+            values.push(f64::from_bits(next()));
+            // Magnitudes an artifact holds, 1e-6..1e7.
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            values.push(10f64.powf(unit * 13.0 - 6.0));
+            // Exact binary fractions j / 2^t: every decimal tie is one.
+            let (j, t) = (next() % (1 << 24), next() % 21);
+            values.push(j as f64 / (1u64 << t) as f64);
+            // Three-decimal values, which are no ties in binary, and their
+            // neighbours one ulp either side.
+            let milli = (next() % 10_000_000) as f64 / 1000.0;
+            values.push(milli);
+            values.push(f64::from_bits(milli.to_bits() + 1));
+            values.push(f64::from_bits(milli.to_bits().wrapping_sub(1)));
+        }
+        let mut artifact = Artifact::new("cells", "one column").num_column("x", None, precision);
+        for &x in &values {
+            artifact.push_row(vec![x.into()]);
+        }
+        let csv = artifact.to_csv();
+        let mut cells = csv.lines().skip(1);
+        for x in values {
+            prop_assert_eq!(
+                cells.next(),
+                Some(format!("{x:.precision$}").as_str()),
+                "{:e} ({:#018x}) at precision {}", x, x.to_bits(), precision
+            );
+        }
+        prop_assert_eq!(cells.next(), None);
     }
 }

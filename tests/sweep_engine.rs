@@ -142,7 +142,7 @@ proptest! {
         let decomp = Decomposition::new(ranks, grid, grid);
         let specs = cloverleaf_loops();
         prop_assert_eq!(point.loop_balances.len(), specs.len());
-        for (spec, balance) in specs.iter().zip(&point.loop_balances) {
+        for (spec, balance) in specs.iter().zip(point.loop_balances.iter()) {
             let expected = oracle.predict_loop(spec, &opts, &decomp).code_balance();
             prop_assert_eq!(balance.to_bits(), expected.to_bits(), "{}", &spec.name);
         }
@@ -154,6 +154,44 @@ proptest! {
         // Second lookup is a hit and still identical.
         prop_assert_eq!(&point, &engine.point_memo(ranks, &opts, &memo));
         prop_assert_eq!(memo.stats(), (1, 1));
+    }
+
+    /// The engine takes a loop's time from the two distinct domain loads of
+    /// compact pinning (`Topology::compact_loads`); the reference folds
+    /// over every populated domain of `active_cores_per_domain`, one
+    /// bandwidth evaluation each.  `f64::max` does not care how often or in
+    /// which order it sees a value, so the times agree to the bit.
+    #[test]
+    fn point_time_matches_a_fold_over_every_domain(
+        preset in prop::sample::select(MachinePreset::all()),
+        rank_seed in 0usize..10_000,
+        stage_idx in 0usize..3,
+        grid in prop::sample::select(vec![960usize, 1920, 15360]),
+    ) {
+        let machine = preset.machine();
+        let ranks = 1 + rank_seed % machine.total_cores();
+        let opts = Stage::all()[stage_idx].options(ranks);
+        let point = ScalingEngine::new(machine.clone(), grid).point(ranks, &opts);
+
+        let per_rank_iterations = (grid as f64) * (grid as f64) / ranks as f64;
+        let peak = machine.core_peak_flops();
+        let per_rank_bws: Vec<f64> = machine
+            .topology
+            .active_cores_per_domain(ranks)
+            .into_iter()
+            .filter(|&c| c > 0)
+            .map(|c| machine.bandwidth.domain_bandwidth(c) / c as f64)
+            .collect();
+        let decomp = Decomposition::new(ranks, grid, grid);
+        let mut time = 0.0;
+        for traffic in TrafficModel::new(machine).predict_all(&opts, &decomp) {
+            time += per_rank_bws
+                .iter()
+                .map(|&bw| per_rank_iterations * traffic.time_per_iteration(bw, peak))
+                .fold(0.0, f64::max);
+        }
+        // The hotspot loops are 69 % of a step.
+        prop_assert_eq!(point.time_per_step.to_bits(), (time / (1.0 - 0.31)).to_bits());
     }
 }
 
