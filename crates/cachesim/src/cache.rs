@@ -1,13 +1,26 @@
 //! Set-associative cache with pluggable replacement and write-back lines.
 //!
-//! Storage is a pair of parallel flat lanes (structure-of-arrays): a packed
-//! **tag lane** (`Box<[u64]>`, one line index per slot) and a **meta lane**
-//! (`Box<[u64]>`, the LRU stamp and dirty bit packed as `stamp << 1 |
-//! dirty`), both with a fixed `ways` stride per set and mask-derived set
-//! indices.  A probe touches only the tag lane — at most `ways` contiguous
-//! `u64`s; the meta lane is read only on the slot the probe resolved to, or
-//! by the miss-path victim scan.  Validity is encoded in the tag itself
-//! (`tag == INVALID_LINE`).
+//! Storage is one flat **tag lane** (`Box<[u64]>`, one word per slot) with
+//! a fixed `ways` stride per set and mask-derived set indices.  A word is
+//! the line index with the **dirty flag in bit 63** (line indices are
+//! `addr / 64 <= 2^58`, so the bit is free); an empty slot is the all-ones
+//! `INVALID_LINE`, which matches no line once the flag is masked off.
+//! Every operation reads and writes that one lane — there is no second
+//! lane of per-slot metadata, no LRU stamps and no clock.
+//!
+//! Under [`TrueLru`] a set is kept **in recency order**: a hit moves its
+//! entry to the front, a fill pushes at the front, and whatever falls off
+//! the end is the victim — or a hole, if the set was not full.  There is no
+//! victim search at all, the re-hit of the line touched last (the common
+//! case of a streaming stencil) is one compare, and the order *is* exact
+//! LRU: the entry at the end is the one whose last touch is oldest.  The
+//! other three policies stay **slot-stable** — a line keeps its way until
+//! it is evicted — because their per-set state (tree-PLRU's decision bits,
+//! SRRIP's per-way RRPVs, the way index a random draw names) is indexed by
+//! way and would have to move with every entry.  Which discipline a cache
+//! uses is the policy's associated constant
+//! [`RECENCY_ORDER`](ReplacementPolicy::RECENCY_ORDER), decided at compile
+//! time, so each of the four policies is fully monomorphised.
 //!
 //! There is one probe: a scalar early-exit loop over the set's tags.  The
 //! simulated traffic is streaming stencils, so most probes are hits in the
@@ -15,7 +28,8 @@
 //! leaves after one or two compares.  A tiered SIMD scan (AVX-512 / AVX2 /
 //! portable 8-wide chunks, PRs 9–16) was A/B-measured against it on the
 //! two simulator workloads of `benchmark/` (`points_per_s`, median of
-//! alternating 12 s runs on a 2-vCPU AVX-512 host):
+//! alternating 12 s runs on a 2-vCPU AVX-512 host, at PR 17 — before
+//! recency order made the first compare the likeliest hit):
 //!
 //! | probe                 | `paper_all`         | `tenancy`     |
 //! | --------------------- | ------------------- | ------------- |
@@ -29,34 +43,43 @@
 //! full-set miss scan (`cachesim.probe_ns_per_line` of the benchmark, a
 //! shape no product path produces) is slower without them, about 2×.
 //!
-//! The victim-selection strategy is a zero-cost generic parameter
-//! ([`ReplacementPolicy`], default [`TrueLru`]).  True LRU derives the
-//! victim from the meta lane (stamps are unique, so ordering by the packed
-//! word orders by recency regardless of the dirty bit); other policies
-//! carry their own per-set state and are consulted through
-//! compile-time-guarded hooks, so each of the four policies is fully
-//! monomorphised.
-//!
-//! Three invariants keep the scans short:
+//! Three invariants keep the work per line short:
 //!
 //! * **prefix invariant** — within a set, valid entries always form a
-//!   prefix ([`invalidate`](SetAssocCache::invalidate) compacts), so a hit
-//!   always precedes the first empty slot and every probe stops at
-//!   whichever comes first;
-//! * **miss memo** — a [`touch`](SetAssocCache::touch) that misses records
-//!   the slot a fill of that line would use, so the
-//!   [`fill`](SetAssocCache::fill) that typically follows is O(1);
+//!   prefix, so a hit always precedes the first empty slot and every probe
+//!   stops at whichever comes first.  Under recency order it holds by
+//!   construction (entries only ever shift towards the end, and
+//!   [`invalidate`](SetAssocCache::invalidate) closes its hole by shifting
+//!   the rest forward); the slot-stable policies compact by moving the last
+//!   valid entry into the hole;
+//! * **known-absent memo** — a [`touch`](SetAssocCache::touch) that misses
+//!   remembers its line as absent, so under recency order the
+//!   [`fill`](SetAssocCache::fill) that typically follows neither probes
+//!   nor scans: it pushes at the front (the slot-stable policies probe
+//!   again, for the first hole);
 //! * **used-set tracking** — draining operations (and
 //!   [`resident_lines`](SetAssocCache::resident_lines)) visit only sets
 //!   that ever received a fill, so they cost O(resident), not O(capacity).
 
-use std::collections::HashMap;
-
 use crate::policy::{ReplacementPolicy, TrueLru};
 
-/// Sentinel line index marking an empty arena slot.  Real line indices are
-/// `addr / 64 <= 2^58`, so the all-ones value can never collide.
+/// Sentinel word marking an empty arena slot.  Real line indices are
+/// `addr / 64 <= 2^58`, so the all-ones value can never collide — with or
+/// without the dirty flag masked off.
 const INVALID_LINE: u64 = u64::MAX;
+
+/// The dirty flag of a tag word.
+const DIRTY: u64 = 1 << 63;
+
+/// [`DIRTY`] if `dirty`, else no bit.
+#[inline(always)]
+fn dirty_bit(dirty: bool) -> u64 {
+    if dirty {
+        DIRTY
+    } else {
+        0
+    }
+}
 
 /// Result of probing or filling a cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +104,10 @@ pub struct Eviction {
 enum SetProbe {
     /// Line resident at this way index.
     Hit(usize),
-    /// Line absent; first empty slot at this way index (a fill goes here).
+    /// Line absent; first empty slot at this way index.
     Empty(usize),
-    /// Line absent and the set is full (a fill needs a victim).
+    /// Line absent and no empty slot seen (a fill displaces a line — or,
+    /// standing for the known-absent memo, whatever the last slot holds).
     Full,
 }
 
@@ -92,7 +116,7 @@ enum SetProbe {
 #[inline(always)]
 fn probe_set(tags: &[u64], line: u64) -> SetProbe {
     for (idx, &tag) in tags.iter().enumerate() {
-        if tag == line {
+        if tag & !DIRTY == line {
             return SetProbe::Hit(idx);
         }
         if tag == INVALID_LINE {
@@ -112,41 +136,17 @@ fn valid_prefix_len(tags: &[u64]) -> usize {
         .unwrap_or(tags.len())
 }
 
-/// True-LRU victim of a full set: the way with the minimum packed meta
-/// word.  Stamps are unique, so the first strict minimum is the least
-/// recently used line regardless of dirty bits — exactly the victim the
-/// pre-SoA fused scan produced.
+/// Put `tag` at the front of `tags`, moving every other entry one slot
+/// towards the end; the entry that falls off is returned.  The one move of
+/// recency order: a hit at way `idx` is this over the first `idx + 1`
+/// slots with the hit's own word (which "falls off" its old place), a fill
+/// is this over the set with the new line's word.
 #[inline(always)]
-fn min_meta_slot(meta: &[u64]) -> usize {
-    let mut victim = 0usize;
-    let mut best = meta[0];
-    for (idx, &m) in meta.iter().enumerate().skip(1) {
-        if m < best {
-            victim = idx;
-            best = m;
-        }
-    }
-    victim
-}
-
-/// Pack a meta word: the dirty flag lives in the low bit of the LRU word
-/// (`meta = stamp << 1 | dirty`).  Stamps are unique, so ordering by the
-/// packed word orders by stamp regardless of the dirty bit.
-#[inline(always)]
-fn make_meta(stamp: u64, dirty: bool) -> u64 {
-    stamp << 1 | dirty as u64
-}
-
-/// Whether a meta word carries the dirty bit.
-#[inline(always)]
-fn meta_dirty(meta: u64) -> bool {
-    meta & 1 == 1
-}
-
-/// Refresh a meta word's LRU stamp, keeping (and optionally setting) dirty.
-#[inline(always)]
-fn refresh_meta(meta: &mut u64, stamp: u64, write: bool) {
-    *meta = stamp << 1 | (*meta & 1) | write as u64;
+fn push_front(tags: &mut [u64], tag: u64) -> u64 {
+    // One pass with the moving word in a register: a set is a dozen or two
+    // words, too few to repay a `memmove` call.
+    tags.iter_mut()
+        .fold(tag, |moving, slot| std::mem::replace(slot, moving))
 }
 
 /// A single set-associative cache level with a pluggable replacement
@@ -161,14 +161,12 @@ fn refresh_meta(meta: &mut u64, stamp: u64, write: bool) {
 /// edit) spells the type `SetAssocCache::<TrueLru, true>`.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true> {
-    /// Tag lane: at least `sets × ways` line indices, set-major (the
-    /// current geometry uses that prefix; [`reshape`](Self::reshape) keeps
-    /// a larger arena).  Slot validity is encoded in the tag
-    /// (`INVALID_LINE`); valid tags form a prefix of each set.
+    /// Tag lane: at least `sets × ways` words, set-major (the current
+    /// geometry uses that prefix; [`reshape`](Self::reshape) keeps a larger
+    /// arena).  A word is `line | dirty << 63`, or `INVALID_LINE` for an
+    /// empty slot; valid words form a prefix of each set, in recency order
+    /// under [`ReplacementPolicy::RECENCY_ORDER`].
     tags: Box<[u64]>,
-    /// Meta lane, parallel to `tags`: `stamp << 1 | dirty` per slot
-    /// (`0` for empty slots).
-    meta: Box<[u64]>,
     /// Set indices that received at least one fill since the last
     /// reset/flush, so draining operations touch O(resident) entries
     /// instead of the whole arena (a streaming kernel leaves most of a
@@ -176,11 +174,9 @@ pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true
     used_sets: Vec<u32>,
     /// One bit per set: whether it is in `used_sets`.
     used_bitmap: Box<[u64]>,
-    /// Insertion slot remembered by the last missing [`touch`]
-    /// (see [`Self::fill`]); valid only while `stamp` is unchanged.
-    ///
-    /// [`touch`]: Self::touch
-    miss_memo: Option<MissMemo>,
+    /// The line the last missing [`touch`](Self::touch) found absent, until
+    /// something is inserted (`INVALID_LINE`: none); see [`Self::fill`].
+    known_absent: u64,
     /// Replacement-policy state (zero-sized for [`TrueLru`]).
     policy: R,
     ways: usize,
@@ -189,16 +185,6 @@ pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true
     misses: u64,
     /// Valid lines displaced by a fill since construction/reset.
     evictions: u64,
-    stamp: u64,
-}
-
-/// See [`SetAssocCache::fill`]: the slot a fill of `line` would use, as
-/// determined by the scan of a missing touch at stamp `stamp`.
-#[derive(Debug, Clone, Copy)]
-struct MissMemo {
-    line: u64,
-    slot: usize,
-    stamp: u64,
 }
 
 impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
@@ -210,17 +196,15 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
         Self {
             tags: vec![INVALID_LINE; sets * effective_ways].into_boxed_slice(),
-            meta: vec![0u64; sets * effective_ways].into_boxed_slice(),
             used_sets: Vec::new(),
             used_bitmap: vec![0u64; sets.div_ceil(64)].into_boxed_slice(),
-            miss_memo: None,
+            known_absent: INVALID_LINE,
             policy: R::new(sets, effective_ways),
             ways: effective_ways,
             set_mask: (sets - 1) as u64,
             hits: 0,
             misses: 0,
             evictions: 0,
-            stamp: 0,
         }
     }
 
@@ -242,22 +226,21 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         (sets_pow2, effective_ways)
     }
 
-    /// Empty the cache and zero the counters, reusing the lane allocations.
+    /// Empty the cache and zero the counters, reusing the lane allocation.
     /// Afterwards the cache is indistinguishable from a freshly constructed
     /// one of the same geometry.  Costs O(sets ever filled), not
     /// O(capacity).
     pub fn reset(&mut self) {
-        self.clear_entries();
+        self.drain_entries(|_| ());
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
-        self.stamp = 0;
     }
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
-    /// ways)` would have, reusing the lanes: emptying leaves every slot of
+    /// ways)` would have, reusing the lane: emptying leaves every slot of
     /// the arena `INVALID_LINE`, so any geometry that fits is just a new
-    /// `ways`/`set_mask` over the same lanes; they are reallocated only to
+    /// `ways`/`set_mask` over the same lane; it is reallocated only to
     /// grow.  Afterwards the cache is indistinguishable from that fresh
     /// construction.
     ///
@@ -270,7 +253,6 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         }
         if sets * effective_ways > self.tags.len() {
             self.tags = vec![INVALID_LINE; sets * effective_ways].into_boxed_slice();
-            self.meta = vec![0u64; sets * effective_ways].into_boxed_slice();
         }
         if sets.div_ceil(64) > self.used_bitmap.len() {
             self.used_bitmap = vec![0u64; sets.div_ceil(64)].into_boxed_slice();
@@ -280,23 +262,23 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         self.set_mask = (sets - 1) as u64;
     }
 
-    /// Empty every set that ever received a fill and forget the used-set
-    /// tracking.
-    fn clear_entries(&mut self) {
-        for i in 0..self.used_sets.len() {
-            let start = self.used_sets[i] as usize * self.ways;
-            for slot in start..start + self.ways {
-                if self.tags[slot] == INVALID_LINE {
+    /// Empty every set that ever received a fill, handing each valid tag
+    /// word to `drained` on the way, and forget the used-set tracking.
+    fn drain_entries(&mut self, mut drained: impl FnMut(u64)) {
+        for &set in &self.used_sets {
+            let start = set as usize * self.ways;
+            for tag in &mut self.tags[start..start + self.ways] {
+                if *tag == INVALID_LINE {
                     // Prefix invariant: everything beyond is already empty.
                     break;
                 }
-                self.tags[slot] = INVALID_LINE;
-                self.meta[slot] = 0;
+                drained(*tag);
+                *tag = INVALID_LINE;
             }
         }
         self.used_sets.clear();
         self.used_bitmap.fill(0);
-        self.miss_memo = None;
+        self.known_absent = INVALID_LINE;
         self.policy.reset();
     }
 
@@ -347,18 +329,12 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         self.evictions
     }
 
-    /// Start offset of `line`'s set in the flat lanes.
-    #[inline]
-    fn lane_start(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize * self.ways
-    }
-
     /// Tag lane of the set starting at flat offset `start`, without a
     /// per-probe bounds check (measurably visible in probe-bound scans).
     ///
     /// SAFETY: `start` is always `(set index masked to sets - 1) * ways`,
-    /// and the lanes hold at least `sets * ways` slots (`new` allocates
-    /// exactly that, `reshape` grows them before adopting a larger
+    /// and the lane holds at least `sets * ways` slots (`new` allocates
+    /// exactly that, `reshape` grows it before adopting a larger
     /// geometry), so `start + ways <= tags.len()` holds by construction
     /// (debug-asserted).
     #[inline(always)]
@@ -367,13 +343,20 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         unsafe { self.tags.get_unchecked(start..start + self.ways) }
     }
 
+    /// Index of `line`'s set and what a probe of it finds.
+    #[inline(always)]
+    fn probe(&self, line: u64) -> (usize, SetProbe) {
+        debug_assert!(line <= 1 << 58, "line indices are addr / 64");
+        let set_idx = (line & self.set_mask) as usize;
+        (set_idx, probe_set(self.set_tags(set_idx * self.ways), line))
+    }
+
     /// Probe for a line without modifying LRU state or counters.
     /// (`#[inline]` so cross-crate hot loops — the hierarchy, the probe
     /// benchmarks — inline the scan instead of paying a call per probe.)
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        let start = self.lane_start(line);
-        matches!(probe_set(self.set_tags(start), line), SetProbe::Hit(_))
+        matches!(self.probe(line).1, SetProbe::Hit(_))
     }
 
     /// Count how many of `lines` are resident: [`contains`] over a slice,
@@ -385,36 +368,62 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         lines.iter().filter(|&&line| self.contains(line)).count()
     }
 
-    /// Write `line` into `slot` of `set_idx` with a fresh meta word,
-    /// returning the eviction if the slot held a valid line.
-    #[inline]
-    fn replace_slot(
+    /// A hit on way `idx` of `set_idx`: make the entry the most recently
+    /// used of its set, dirty if `write` (or already).
+    #[inline(always)]
+    fn refresh(&mut self, set_idx: usize, idx: usize, write: bool) {
+        let start = set_idx * self.ways;
+        let tag = self.tags[start + idx] | dirty_bit(write);
+        if R::RECENCY_ORDER {
+            push_front(&mut self.tags[start..=start + idx], tag);
+        } else {
+            self.tags[start + idx] = tag;
+            self.policy.on_hit(set_idx, idx);
+        }
+    }
+
+    /// Insert `line`, which `probe` found absent from `set_idx`, as the
+    /// most recently used entry; the eviction if a valid line had to go.
+    #[inline(always)]
+    fn insert(
         &mut self,
         set_idx: usize,
-        slot: usize,
+        probe: SetProbe,
         line: u64,
-        stamp: u64,
         dirty: bool,
     ) -> Option<Eviction> {
-        let i = set_idx * self.ways + slot;
-        let old = self.tags[i];
-        let evicted = (old != INVALID_LINE).then(|| Eviction {
-            line: old,
-            dirty: meta_dirty(self.meta[i]),
+        let start = set_idx * self.ways;
+        let tag = line | dirty_bit(dirty);
+        let old = if R::RECENCY_ORDER {
+            // Up to the first hole if the probe saw one, else the whole
+            // set: what falls off the end is the least recently used line.
+            let len = match probe {
+                SetProbe::Empty(idx) => idx + 1,
+                _ => self.ways,
+            };
+            push_front(&mut self.tags[start..start + len], tag)
+        } else {
+            let slot = match probe {
+                SetProbe::Empty(idx) => idx,
+                _ => self.policy.pick_victim(set_idx, self.ways),
+            };
+            self.policy.on_fill(set_idx, slot);
+            std::mem::replace(&mut self.tags[start + slot], tag)
+        };
+        self.known_absent = INVALID_LINE;
+        self.mark_used(set_idx);
+        let evicted = (old != INVALID_LINE).then_some(Eviction {
+            line: old & !DIRTY,
+            dirty: old & DIRTY != 0,
         });
         self.evictions += evicted.is_some() as u64;
-        self.tags[i] = line;
-        self.meta[i] = make_meta(stamp, dirty);
-        if !R::LRU_SCAN {
-            self.policy.on_fill(set_idx, slot);
-        }
         evicted
     }
 
     /// Access (touch) a line: returns `Hit` and refreshes LRU if present,
     /// `Miss` otherwise (the line is *not* filled — call [`fill`] or use the
-    /// combined [`probe_fill`]).  On a miss the insertion slot found by the
-    /// scan is remembered, making the [`fill`] that typically follows O(1).
+    /// combined [`probe_fill`]).  A miss remembers the line as absent, which
+    /// spares the [`fill`] that typically follows its probe.
     ///
     /// `write` marks the line dirty on a hit.
     ///
@@ -422,31 +431,15 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// [`probe_fill`]: Self::probe_fill
     #[inline]
     pub fn touch(&mut self, line: u64, write: bool) -> LookupResult {
-        let stamp = self.next_stamp();
-        let set_idx = (line & self.set_mask) as usize;
-        let start = set_idx * self.ways;
-        match probe_set(self.set_tags(start), line) {
-            SetProbe::Hit(idx) => {
-                refresh_meta(&mut self.meta[start + idx], stamp, write);
-                if !R::LRU_SCAN {
-                    self.policy.on_hit(set_idx, idx);
-                }
+        match self.probe(line) {
+            (set_idx, SetProbe::Hit(idx)) => {
+                self.refresh(set_idx, idx, write);
                 self.hits += 1;
                 LookupResult::Hit
             }
-            probe => {
+            _ => {
                 self.misses += 1;
-                // For non-LRU policies a full set has no victim yet (the
-                // policy is consulted — and possibly aged — only by the fill
-                // itself), so only an empty slot can be remembered.
-                let slot = match probe {
-                    SetProbe::Empty(idx) => Some(idx),
-                    _ if R::LRU_SCAN => Some(min_meta_slot(&self.meta[start..start + self.ways])),
-                    _ => None,
-                };
-                if let Some(slot) = slot {
-                    self.miss_memo = Some(MissMemo { line, slot, stamp });
-                }
+                self.known_absent = line;
                 LookupResult::Miss
             }
         }
@@ -473,15 +466,9 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         if n == 0 {
             return true;
         }
-        let stamp = self.next_stamp();
-        let set_idx = (line & self.set_mask) as usize;
-        let start = set_idx * self.ways;
-        match probe_set(self.set_tags(start), line) {
-            SetProbe::Hit(idx) => {
-                refresh_meta(&mut self.meta[start + idx], stamp, false);
-                if !R::LRU_SCAN {
-                    self.policy.on_hit(set_idx, idx);
-                }
+        match self.probe(line) {
+            (set_idx, SetProbe::Hit(idx)) => {
+                self.refresh(set_idx, idx, false);
                 self.hits += n;
                 true
             }
@@ -500,28 +487,18 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// [`fill`]: Self::fill
     #[inline]
     pub fn probe_fill(&mut self, line: u64, write: bool) -> (LookupResult, Option<Eviction>) {
-        let stamp = self.next_stamp();
-        let set_idx = (line & self.set_mask) as usize;
-        let start = set_idx * self.ways;
-        match probe_set(self.set_tags(start), line) {
-            SetProbe::Hit(idx) => {
-                refresh_meta(&mut self.meta[start + idx], stamp, write);
-                if !R::LRU_SCAN {
-                    self.policy.on_hit(set_idx, idx);
-                }
+        match self.probe(line) {
+            (set_idx, SetProbe::Hit(idx)) => {
+                self.refresh(set_idx, idx, write);
                 self.hits += 1;
                 (LookupResult::Hit, None)
             }
-            probe => {
-                let victim = match probe {
-                    SetProbe::Empty(idx) => idx,
-                    _ if R::LRU_SCAN => min_meta_slot(&self.meta[start..start + self.ways]),
-                    _ => self.policy.pick_victim(set_idx, self.ways),
-                };
-                let evicted = self.replace_slot(set_idx, victim, line, stamp, write);
+            (set_idx, absent) => {
                 self.misses += 1;
-                self.mark_used(set_idx);
-                (LookupResult::Miss, evicted)
+                (
+                    LookupResult::Miss,
+                    self.insert(set_idx, absent, line, write),
+                )
             }
         }
     }
@@ -531,68 +508,65 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// immediately (used for stores and for ITOM-claimed lines).
     #[inline]
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
-        // Fast path: the scan of a missing `touch` already determined the
-        // slot, and nothing has changed since (same stamp).  The full scan
-        // below would reproduce exactly that slot.
-        if let Some(memo) = self.miss_memo {
-            if memo.line == line && memo.stamp == self.stamp {
-                let stamp = self.next_stamp();
-                self.miss_memo = None;
-                let set_idx = (line & self.set_mask) as usize;
-                let evicted = self.replace_slot(set_idx, memo.slot, line, stamp, dirty);
-                self.mark_used(set_idx);
-                return evicted;
-            }
+        // Fast path: a missing `touch` found the line absent and nothing
+        // was inserted since, so under recency order there is nothing to
+        // look for — the line goes to the front of its set.
+        if R::RECENCY_ORDER && self.known_absent == line {
+            let set_idx = (line & self.set_mask) as usize;
+            return self.insert(set_idx, SetProbe::Full, line, dirty);
         }
-        let stamp = self.next_stamp();
-        let set_idx = (line & self.set_mask) as usize;
-        let start = set_idx * self.ways;
-        match probe_set(self.set_tags(start), line) {
-            SetProbe::Hit(idx) => {
+        match self.probe(line) {
+            (set_idx, SetProbe::Hit(idx)) => {
                 // Already present (e.g. racing prefetch): refresh.
-                refresh_meta(&mut self.meta[start + idx], stamp, dirty);
-                if !R::LRU_SCAN {
-                    self.policy.on_hit(set_idx, idx);
-                }
+                self.refresh(set_idx, idx, dirty);
                 None
             }
-            probe => {
-                let victim = match probe {
-                    SetProbe::Empty(idx) => idx,
-                    _ if R::LRU_SCAN => min_meta_slot(&self.meta[start..start + self.ways]),
-                    _ => self.policy.pick_victim(set_idx, self.ways),
-                };
-                let evicted = self.replace_slot(set_idx, victim, line, stamp, dirty);
-                self.mark_used(set_idx);
-                evicted
-            }
+            (set_idx, absent) => self.insert(set_idx, absent, line, dirty),
+        }
+    }
+
+    /// Insert a clean line unless it is resident, in a single set scan.  A
+    /// resident line is left exactly as it was — recency, dirty flag and
+    /// every counter, as [`contains`] leaves it — and reported `Hit`; an
+    /// absent one is inserted like [`fill`]`(line, false)` does and
+    /// reported `Miss` with the eviction, if any.  Neither outcome counts
+    /// as a hit or a miss: this is a prefetch's fill, not a demand access.
+    ///
+    /// [`contains`]: Self::contains
+    /// [`fill`]: Self::fill
+    #[inline]
+    pub fn fill_if_absent(&mut self, line: u64) -> (LookupResult, Option<Eviction>) {
+        match self.probe(line) {
+            (_, SetProbe::Hit(_)) => (LookupResult::Hit, None),
+            (set_idx, absent) => (
+                LookupResult::Miss,
+                self.insert(set_idx, absent, line, false),
+            ),
         }
     }
 
     /// Remove a specific line (e.g. when an NT store invalidates it).
     /// Returns whether the removed line was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        // The removal moves entries around; a remembered slot may go stale.
-        self.miss_memo = None;
-        let set_idx = (line & self.set_mask) as usize;
-        let start = set_idx * self.ways;
-        let tags = &self.tags[start..start + self.ways];
-        let idx = match probe_set(tags, line) {
-            SetProbe::Hit(idx) => idx,
-            _ => return None,
+        let (set_idx, SetProbe::Hit(idx)) = self.probe(line) else {
+            return None;
         };
+        let start = set_idx * self.ways;
+        let set = &mut self.tags[start..start + self.ways];
         // The hit sits inside the valid prefix; find where that prefix ends.
-        let valid = idx + 1 + valid_prefix_len(&tags[idx + 1..]);
-        let dirty = meta_dirty(self.meta[start + idx]);
-        // Preserve the prefix invariant by moving the last valid entry into
-        // the hole (the same reordering the old `Vec::swap_remove` did).
-        self.tags[start + idx] = self.tags[start + valid - 1];
-        self.meta[start + idx] = self.meta[start + valid - 1];
-        self.tags[start + valid - 1] = INVALID_LINE;
-        self.meta[start + valid - 1] = 0;
-        if !R::LRU_SCAN {
-            self.policy.on_invalidate(set_idx, idx, valid - 1);
+        let last = idx + valid_prefix_len(&set[idx + 1..]);
+        let dirty = set[idx] & DIRTY != 0;
+        // Preserve the prefix invariant.
+        if R::RECENCY_ORDER {
+            // Close the hole; the entries behind it keep their order.
+            set.copy_within(idx + 1..=last, idx);
+        } else {
+            // Move the last valid entry into the hole: every other line
+            // keeps its way, and the policy moves that one way's state.
+            set[idx] = set[last];
+            self.policy.on_invalidate(set_idx, idx, last);
         }
+        set[last] = INVALID_LINE;
         Some(dirty)
     }
 
@@ -602,113 +576,30 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     pub fn flush_dirty(&mut self) -> Vec<u64> {
         let mut dirty = Vec::new();
         // Single pass: collect the dirty lines and clear each set while its
-        // lanes are still in the host cache.
-        for i in 0..self.used_sets.len() {
-            let start = self.used_sets[i] as usize * self.ways;
-            for slot in start..start + self.ways {
-                if self.tags[slot] == INVALID_LINE {
-                    // Prefix invariant: everything beyond is already empty.
-                    break;
-                }
-                if meta_dirty(self.meta[slot]) {
-                    dirty.push(self.tags[slot]);
-                }
-                self.tags[slot] = INVALID_LINE;
-                self.meta[slot] = 0;
+        // lane is still in the host cache.
+        self.drain_entries(|tag| {
+            if tag & DIRTY != 0 {
+                dirty.push(tag & !DIRTY);
             }
-        }
-        self.used_sets.clear();
-        self.used_bitmap.fill(0);
-        self.miss_memo = None;
-        self.policy.reset();
+        });
         dirty
     }
 
-    /// Visit every resident line without draining it, in `used_sets`
-    /// order (the same order [`flush_dirty`](Self::flush_dirty) drains).
-    /// Used by the co-run engine to attribute shared-level occupancy to
-    /// tenants at the end of a run.  Costs O(sets ever filled).
+    /// Visit every resident line without draining it, in no particular
+    /// order.  Used by the co-run engine to attribute shared-level
+    /// occupancy to tenants at the end of a run.  Costs O(sets ever
+    /// filled).
     pub fn for_each_resident(&self, mut f: impl FnMut(u64, bool)) {
         for &set in &self.used_sets {
             let start = set as usize * self.ways;
-            for slot in start..start + self.ways {
-                if self.tags[slot] == INVALID_LINE {
+            for &tag in &self.tags[start..start + self.ways] {
+                if tag == INVALID_LINE {
                     // Prefix invariant: everything beyond is already empty.
                     break;
                 }
-                f(self.tags[slot], meta_dirty(self.meta[slot]));
+                f(tag & !DIRTY, tag & DIRTY != 0);
             }
         }
-    }
-
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
-    }
-}
-
-/// A simple fully-associative helper cache used for small structures
-/// (e.g. the streamer prefetcher's stream table).  Maps a key to a value
-/// with LRU eviction.
-#[derive(Debug, Clone)]
-pub struct LruTable<V> {
-    capacity: usize,
-    stamp: u64,
-    entries: HashMap<u64, (V, u64)>,
-}
-
-impl<V> LruTable<V> {
-    /// Create a table holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        Self {
-            capacity,
-            stamp: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// Get a mutable reference to the value for `key`, refreshing its LRU
-    /// position.
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        self.entries.get_mut(&key).map(|(v, s)| {
-            *s = stamp;
-            v
-        })
-    }
-
-    /// Insert a value, evicting the least recently used entry if full.
-    pub fn insert(&mut self, key: u64, value: V) {
-        self.stamp += 1;
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            if let Some((&lru_key, _)) = self.entries.iter().min_by_key(|(_, (_, s))| *s) {
-                self.entries.remove(&lru_key);
-            }
-        }
-        self.entries.insert(key, (value, self.stamp));
-    }
-
-    /// Drop every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.stamp = 0;
-    }
-
-    /// Number of entries currently stored.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterate over values.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.values().map(|(v, _)| v)
     }
 }
 
@@ -1026,6 +917,56 @@ mod tests {
     }
 
     #[test]
+    fn fill_if_absent_fills_an_absent_line_and_leaves_a_resident_one_as_it_was() {
+        fn check<R: ReplacementPolicy>() {
+            // Two caches see the same accesses; `prefetched` also gets a
+            // `fill_if_absent` of a resident line after each of them.  Were
+            // that to refresh the line, the full sets would pick other
+            // victims from then on.
+            let mut plain: SetAssocCache<R> = SetAssocCache::new(8 * 64, 4);
+            let mut prefetched: SetAssocCache<R> = SetAssocCache::new(8 * 64, 4);
+            for n in 0..200u64 {
+                let line = (n * 7) % 23;
+                let write = n % 3 == 0;
+                let at = format!("{}: access {n}", R::KIND);
+                assert_eq!(
+                    plain.probe_fill(line, write),
+                    prefetched.probe_fill(line, write),
+                    "{at}"
+                );
+                let resident = (0..23u64)
+                    .map(|k| (n + k) % 23)
+                    .find(|&l| prefetched.contains(l))
+                    .expect("the cache is not empty");
+                assert_eq!(
+                    prefetched.fill_if_absent(resident),
+                    (LookupResult::Hit, None),
+                    "{at}"
+                );
+            }
+            let stats = |c: &SetAssocCache<R>| (c.hits(), c.misses(), c.evictions());
+            assert_eq!(stats(&plain), stats(&prefetched), "{}", R::KIND);
+            // An absent line is `fill(line, false)` — here into full sets —
+            // and no demand access either.
+            for line in 100..110u64 {
+                let (result, evicted) = prefetched.fill_if_absent(line);
+                assert_eq!(result, LookupResult::Miss);
+                assert_eq!(evicted, plain.fill(line, false), "{}", R::KIND);
+                assert!(evicted.is_some() && prefetched.contains(line));
+            }
+            assert_eq!(stats(&plain), stats(&prefetched), "{}", R::KIND);
+            let (mut d1, mut d2) = (plain.flush_dirty(), prefetched.flush_dirty());
+            d1.sort_unstable();
+            d2.sort_unstable();
+            assert_eq!(d1, d2, "{}", R::KIND);
+        }
+        check::<TrueLru>();
+        check::<TreePlru>();
+        check::<Srrip>();
+        check::<RandomEvict>();
+    }
+
+    #[test]
     fn non_lru_policies_reset_to_fresh_state() {
         fn check<R: ReplacementPolicy>() {
             let mut c: SetAssocCache<R> = SetAssocCache::new(8 * 64, 4);
@@ -1076,18 +1017,5 @@ mod tests {
         // the deterministic-random policy may evict more lines than LRU —
         // only its sequence must deviate.
         assert_ne!(victims::<RandomEvict>(), lru_order);
-    }
-
-    #[test]
-    fn lru_table_evicts() {
-        let mut t: LruTable<u32> = LruTable::new(2);
-        t.insert(1, 10);
-        t.insert(2, 20);
-        assert_eq!(t.get_mut(1).copied(), Some(10));
-        t.insert(3, 30); // evicts key 2 (LRU)
-        assert_eq!(t.len(), 2);
-        assert!(t.get_mut(2).is_none());
-        assert!(t.get_mut(1).is_some());
-        assert!(t.get_mut(3).is_some());
     }
 }

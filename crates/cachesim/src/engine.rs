@@ -509,11 +509,12 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
 
 /// The co-run simulation proper: one private half per tenant sweep
 /// round-robins over one shared LLC of `llc_bytes`; then, for more than one
-/// tenant, each tenant's solo baseline — this function's own single-tenant
-/// case on an exclusive LLC of the same geometry, so the deltas measure
-/// pure interference.  `sweeps` are the tenants' kernels in canonical
-/// order, each materialised at its canonical rank; the returned reports
-/// match that order.
+/// tenant, each tenant's solo baseline — the same pass with that tenant
+/// alone, on the same (drained, reset) LLC and private half, so the deltas
+/// measure pure interference and a co-run holds one LLC arena, not one per
+/// baseline.  `sweeps` are the tenants' kernels in canonical order, each
+/// materialised at its canonical rank; the returned reports match that
+/// order.
 fn simulate_corun<RP: ReplacementPolicy>(
     machine: &Machine,
     ctx: OccupancyContext,
@@ -528,6 +529,43 @@ fn simulate_corun<RP: ReplacementPolicy>(
     let mut cores: Vec<PrivateCore<RP>> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
+    let mut reports = corun_pass(&mut llc, &mut cores, sweeps, spans, interleave_lines);
+    // A single tenant has nothing to contend with: its pass IS the solo
+    // run (deltas exactly zero).
+    if n > 1 {
+        for (j, rep) in reports.iter_mut().enumerate() {
+            llc.reset();
+            cores[j].reset(ctx, options);
+            let solo = corun_pass(
+                &mut llc,
+                &mut cores[j..=j],
+                &sweeps[j..=j],
+                &spans[j..=j],
+                u64::MAX,
+            )
+            .pop()
+            .expect("one tenant, one report");
+            rep.solo = solo.counters;
+            rep.solo_llc_hits = solo.llc_hits;
+            rep.solo_llc_misses = solo.llc_misses;
+            rep.solo_occupancy_lines = solo.occupancy_lines;
+        }
+    }
+    reports
+}
+
+/// One pass of `sweeps` over `llc`, tenant `j` on `cores[j]`, in turns of
+/// `interleave_lines`, flushed at the end (which leaves `llc` and the
+/// private banks drained).  Every report's solo half is a copy of its
+/// contended half: the pass knows no other run to compare with.
+fn corun_pass<RP: ReplacementPolicy>(
+    llc: &mut SetAssocCache<RP>,
+    cores: &mut [PrivateCore<RP>],
+    sweeps: &[StencilRowSweep],
+    spans: &[Option<(u64, u64)>],
+    interleave_lines: u64,
+) -> Vec<TenantReport> {
+    let n = sweeps.len();
     let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
     let mut llc_hits = vec![0u64; n];
     let mut llc_misses = vec![0u64; n];
@@ -537,7 +575,7 @@ fn simulate_corun<RP: ReplacementPolicy>(
                 continue;
             }
             let (h0, m0) = (llc.hits(), llc.misses());
-            cursors[j].advance(&mut cores[j], &mut llc, interleave_lines);
+            cursors[j].advance(&mut cores[j], llc, interleave_lines);
             llc_hits[j] += llc.hits() - h0;
             llc_misses[j] += llc.misses() - m0;
         }
@@ -545,7 +583,7 @@ fn simulate_corun<RP: ReplacementPolicy>(
 
     // End-of-run occupancy, attributed by address window.  Prefetched
     // buddy lines can fall just outside every window; they are simply not
-    // attributed (consistently so in the solo baseline below).
+    // attributed (consistently so in a solo baseline).
     let mut occupancy = vec![0u64; n];
     llc.for_each_resident(|line, _dirty| {
         if let Some(j) = owner_of(line, spans) {
@@ -559,7 +597,7 @@ fn simulate_corun<RP: ReplacementPolicy>(
     let mut upper_dirty: Vec<(Vec<u64>, Vec<u64>)> = Vec::with_capacity(n);
     for j in 0..n {
         let (h0, m0) = (llc.hits(), llc.misses());
-        upper_dirty.push(cores[j].flush_streams_and_upper(&mut llc));
+        upper_dirty.push(cores[j].flush_streams_and_upper(llc));
         llc_hits[j] += llc.hits() - h0;
         llc_misses[j] += llc.misses() - m0;
     }
@@ -588,28 +626,6 @@ fn simulate_corun<RP: ReplacementPolicy>(
             occupancy_lines: occupancy[j],
             solo_occupancy_lines: occupancy[j],
         });
-    }
-
-    // A single tenant has nothing to contend with: its co-run IS the solo
-    // run (deltas exactly zero), which is also the recursion's base case.
-    if n > 1 {
-        for (j, rep) in reports.iter_mut().enumerate() {
-            let solo = simulate_corun::<RP>(
-                machine,
-                ctx,
-                options,
-                llc_bytes,
-                &sweeps[j..=j],
-                &spans[j..=j],
-                u64::MAX,
-            )
-            .pop()
-            .expect("one tenant, one report");
-            rep.solo = solo.counters;
-            rep.solo_llc_hits = solo.llc_hits;
-            rep.solo_llc_misses = solo.llc_misses;
-            rep.solo_occupancy_lines = solo.occupancy_lines;
-        }
     }
     reports
 }

@@ -806,16 +806,15 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         self.fill_upper(llc, line, false, 2);
     }
 
-    /// Fill a prefetched line into the last level only.
+    /// Fill a prefetched line into the last level only; a line already
+    /// there is left as it is, and costs no traffic.
     fn fill_prefetch(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
-        if llc.contains(line) {
+        let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
             return;
-        }
+        };
         self.emit(Event::PrefetchRead);
-        if let Some(ev) = llc.fill(line, false) {
-            if ev.dirty {
-                self.emit(Event::Writeback);
-            }
+        if evicted.is_some_and(|ev| ev.dirty) {
+            self.emit(Event::Writeback);
         }
     }
 
@@ -1380,6 +1379,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_prefetch_costs_traffic_only_for_an_absent_line() {
+        let m = icelake_sp_8360y();
+        let mut core = loaded_core(&m);
+        let (sets, ways) = SetAssocCache::<TrueLru>::geometry(
+            l3_share_bytes(m.caches.l3.capacity_bytes, 36),
+            m.caches.l3.associativity,
+        );
+        let congruent = |k: usize| (1 << 20) + (k * sets) as u64;
+        // One L3 set full of dirty lines, `congruent(0)` the oldest.
+        for k in 0..ways {
+            assert!(core.l3.fill(congruent(k), true).is_none());
+        }
+        let stats = core.cache_stats();
+        core.start_trace();
+        // Of a resident line: no event, and no refresh either — the oldest
+        // line is still the next victim.
+        core.private.fill_prefetch(&mut core.l3, congruent(0));
+        // Of an absent line: the read, and the write-back of its dirty
+        // victim.
+        core.private.fill_prefetch(&mut core.l3, congruent(ways));
+        assert!(!core.l3.contains(congruent(0)) && core.l3.contains(congruent(1)));
+        // Into a set with room: the read alone.
+        core.private.fill_prefetch(&mut core.l3, congruent(0) + 1);
+        // A prefetch is no demand access, whatever it finds.
+        assert_eq!(core.cache_stats(), stats);
+        assert_eq!(
+            core.take_trace().as_deref(),
+            Some(
+                &[
+                    TraceOp::PrefetchRead,
+                    TraceOp::Writeback,
+                    TraceOp::PrefetchRead
+                ][..]
+            )
+        );
+        let c = core.counters();
+        assert_eq!(
+            (c.read_lines, c.prefetch_lines, c.write_lines),
+            (2.0, 2.0, 1.0)
+        );
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! [`CoreSimOptions::write_policy`].
 //!
 //! The trait is a generic parameter of [`SetAssocCache`] and [`CoreSim`],
-//! defaulted to the paper's configuration.  For [`TrueLru`] the dedicated
-//! `LRU_SCAN` flag keeps the original fused probe-scan victim selection, so
-//! the default monomorphisation compiles to exactly the pre-refactor hot
-//! path and `figures all` stays byte-identical.
+//! defaulted to the paper's configuration.  [`TrueLru`] sets the
+//! `RECENCY_ORDER` constant: the cache then keeps each set in recency
+//! order and the line at its end is the victim, so the default
+//! monomorphisation has no victim search and calls none of the hooks
+//! below; the other policies keep every line in the way it was filled
+//! into and are consulted through them.
 //!
 //! [`SetAssocCache`]: crate::cache::SetAssocCache
 //! [`CoreSim`]: crate::hierarchy::CoreSim
@@ -25,10 +27,10 @@ use clover_machine::ReplacementPolicyKind;
 /// Victim selection strategy of one [`SetAssocCache`] level.
 ///
 /// Implementations own whatever per-set state they need (tree bits, RRPV
-/// counters, an RNG seed); [`TrueLru`] owns nothing because the cache's
-/// existing stamp words already encode perfect recency.  All hooks receive
-/// the set index and way index; `pick_victim` is only consulted when every
-/// way of the set is valid (empty slots always win first).
+/// counters, an RNG seed); [`TrueLru`] owns nothing because the order of a
+/// set's entries is itself the perfect recency.  All hooks receive the set
+/// index and way index; `pick_victim` is only consulted when every way of
+/// the set is valid (empty slots always win first).
 ///
 /// [`SetAssocCache`]: crate::cache::SetAssocCache
 pub trait ReplacementPolicy: std::fmt::Debug + Clone + Send + 'static {
@@ -36,11 +38,13 @@ pub trait ReplacementPolicy: std::fmt::Debug + Clone + Send + 'static {
     /// dispatch tables).
     const KIND: ReplacementPolicyKind;
 
-    /// True when the victim is the minimum-stamp entry found by the probe
-    /// scan itself.  The cache then keeps the original fused single-pass
-    /// scan and never calls [`pick_victim`](Self::pick_victim) — the
-    /// [`TrueLru`] monomorphisation is the pre-refactor code path.
-    const LRU_SCAN: bool = false;
+    /// True when the victim is always the least recently used line.  The
+    /// cache then keeps each set in recency order — a hit moves its entry
+    /// to the front, a fill pushes at the front, the entry that falls off
+    /// the end is the victim — and calls none of the hooks below.  False
+    /// (the default) keeps storage slot-stable: a line stays in the way it
+    /// was filled into, which is what way-indexed policy state needs.
+    const RECENCY_ORDER: bool = false;
 
     /// Construct state for a cache of `sets` sets with `ways` ways each.
     fn new(sets: usize, ways: usize) -> Self;
@@ -64,14 +68,14 @@ pub trait ReplacementPolicy: std::fmt::Debug + Clone + Send + 'static {
 }
 
 /// True least-recently-used replacement — the paper's baseline and the
-/// default. Stateless: the cache's stamp words are the recency order, and
-/// the probe scan finds the minimum for free (`LRU_SCAN`).
+/// default. Stateless: the cache keeps each set in recency order
+/// (`RECENCY_ORDER`), so the victim is whatever sits at its end.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrueLru;
 
 impl ReplacementPolicy for TrueLru {
     const KIND: ReplacementPolicyKind = ReplacementPolicyKind::Lru;
-    const LRU_SCAN: bool = true;
+    const RECENCY_ORDER: bool = true;
 
     #[inline]
     fn new(_sets: usize, _ways: usize) -> Self {
@@ -89,7 +93,7 @@ impl ReplacementPolicy for TrueLru {
 
     #[inline]
     fn pick_victim(&mut self, _set: usize, _ways: usize) -> usize {
-        debug_assert!(false, "LRU victims come from the probe scan");
+        debug_assert!(false, "the LRU victim falls off the end of its set");
         0
     }
 
@@ -378,6 +382,6 @@ mod tests {
         assert_eq!(TreePlru::KIND, ReplacementPolicyKind::Plru);
         assert_eq!(Srrip::KIND, ReplacementPolicyKind::Srrip);
         assert_eq!(RandomEvict::KIND, ReplacementPolicyKind::Random);
-        assert!(TrueLru::LRU_SCAN && !TreePlru::LRU_SCAN);
+        assert!(TrueLru::RECENCY_ORDER && !TreePlru::RECENCY_ORDER);
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! The streamer here detects ascending sequential misses within 4 KiB pages
 //! and issues a configurable number of prefetch requests ahead of the
-//! demand stream.
-
-use crate::cache::LruTable;
+//! demand stream.  It tracks up to sixteen pages in a fixed array
+//! scanned linearly — one compare per tracked page, no hashing — and, when
+//! all are taken, forgets the page whose last demand miss is oldest.
 
 /// Page size used for stream detection (prefetchers do not cross 4 KiB
 /// boundaries).
@@ -80,18 +80,38 @@ impl Default for PrefetcherConfig {
     }
 }
 
+/// Pages the streamer tracks at once.
+const STREAMS: usize = 16;
+
+/// One tracked page.
 #[derive(Debug, Clone, Copy)]
-struct StreamState {
+struct Stream {
+    page: u64,
+    /// When this page last missed, on the streamer's miss clock; `0` for a
+    /// slot never used, which is therefore the first to be taken.
+    stamp: u64,
     last_line: u64,
     ascending_hits: u32,
     prefetched_up_to: u64,
 }
 
+/// A slot never used: its page is none a line can have (`line / 64 <=
+/// 2^52`).
+const UNUSED: Stream = Stream {
+    page: u64::MAX,
+    stamp: 0,
+    last_line: 0,
+    ascending_hits: 0,
+    prefetched_up_to: 0,
+};
+
 /// Streamer prefetcher: detects ascending sequential demand-miss streams per
 /// page and issues prefetches ahead of them.
 #[derive(Debug, Clone)]
 pub struct StreamerPrefetcher {
-    streams: LruTable<StreamState>,
+    streams: [Stream; STREAMS],
+    /// Demand misses seen: the clock of the `stamp`s.
+    clock: u64,
     distance: u64,
 }
 
@@ -99,17 +119,16 @@ impl StreamerPrefetcher {
     /// Create a streamer with the given lookahead distance (lines).
     pub fn new(distance: u64) -> Self {
         Self {
-            streams: LruTable::new(16),
+            streams: [UNUSED; STREAMS],
+            clock: 0,
             distance,
         }
     }
 
-    /// Forget every tracked stream and adopt a new lookahead distance,
-    /// reusing the table allocation (the cheap counterpart of `new` used by
-    /// `CoreSim::reset`).
+    /// Forget every tracked stream and adopt a new lookahead distance (the
+    /// counterpart of `new` used by `CoreSim::reset`).
     pub fn reset(&mut self, distance: u64) {
-        self.streams.clear();
-        self.distance = distance;
+        *self = Self::new(distance);
     }
 
     /// Inform the prefetcher about a demand read miss at `line`.  Returns
@@ -122,7 +141,9 @@ impl StreamerPrefetcher {
         }
         let page = line / PAGE_LINES;
         let page_end = (page + 1) * PAGE_LINES;
-        if let Some(s) = self.streams.get_mut(page) {
+        self.clock += 1;
+        if let Some(s) = self.streams.iter_mut().find(|s| s.page == page) {
+            s.stamp = self.clock;
             let ascending = line == s.last_line + 1;
             s.last_line = line;
             if ascending {
@@ -142,14 +163,19 @@ impl StreamerPrefetcher {
             }
             None
         } else {
-            self.streams.insert(
+            // A new page takes the slot whose page missed longest ago
+            // (stamps are distinct but for the never-used slots', any of
+            // which will do).
+            let oldest = (self.streams.iter_mut())
+                .min_by_key(|s| s.stamp)
+                .expect("the table has slots");
+            *oldest = Stream {
                 page,
-                StreamState {
-                    last_line: line,
-                    ascending_hits: 0,
-                    prefetched_up_to: line,
-                },
-            );
+                stamp: self.clock,
+                last_line: line,
+                ascending_hits: 0,
+                prefetched_up_to: line,
+            };
             None
         }
     }
@@ -213,6 +239,33 @@ mod tests {
         let second = p.on_demand_miss(23).unwrap_or(0..0);
         // The second batch must not contain lines already prefetched.
         assert!(second.start >= first.end);
+    }
+
+    #[test]
+    fn a_seventeenth_page_takes_the_slot_of_the_least_recently_missed() {
+        let line = |page: u64, i: u64| page * PAGE_LINES + i;
+        let mut p = StreamerPrefetcher::new(4);
+        // Sixteen interleaved pages, each one ascending miss short of
+        // prefetching.
+        for i in 0..2 {
+            for page in 0..STREAMS as u64 {
+                assert!(p.on_demand_miss(line(page, i)).is_none());
+            }
+        }
+        // A miss on a tracked page refreshes its recency: page 0 is now
+        // the youngest, page 1 the oldest — which the seventeenth page
+        // replaces.
+        assert!(p.on_demand_miss(line(0, 2)).is_some());
+        assert!(p.on_demand_miss(line(16, 0)).is_none());
+        assert!(p.on_demand_miss(line(0, 3)).is_some(), "page 0 survived");
+        // Page 1 is forgotten: its next ascending miss starts a fresh
+        // stream (in the slot of page 2, by now the oldest) that needs a
+        // new run before it prefetches.
+        assert!(p.on_demand_miss(line(1, 2)).is_none());
+        assert!(p.on_demand_miss(line(1, 3)).is_none());
+        assert!(p.on_demand_miss(line(1, 4)).is_some());
+        assert!(p.on_demand_miss(line(3, 2)).is_some(), "page 3 survived");
+        assert!(p.on_demand_miss(line(2, 2)).is_none(), "page 2 did not");
     }
 
     #[test]

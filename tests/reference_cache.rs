@@ -10,10 +10,20 @@
 //! (congruent lines of a few sets, more of them than ways) and streaming —
 //! and must agree on every hit, every victim and every dirty write-back,
 //! across `reshape`s of the real cache to smaller and larger geometries.
+//!
+//! That model speaks true LRU only.  What every policy shares — which
+//! lines are resident and which of them are dirty — has a second, smaller
+//! model below ([`Membership`]): a map from line to dirty flag that learns
+//! the victims from the cache's own returned evictions, so it needs no
+//! knowledge of how a victim is chosen, and holds all four policies to it.
 
 use cloverleaf_wa::cachesim::cache::LookupResult;
 use cloverleaf_wa::cachesim::{SetAssocCache, TrueLru};
 use proptest::prelude::*;
+
+use cloverleaf_wa::cachesim::cache::Eviction;
+use cloverleaf_wa::cachesim::{RandomEvict, ReplacementPolicy, Srrip, TreePlru};
+use std::collections::HashMap;
 
 #[derive(Clone, Copy, Default)]
 struct Way {
@@ -253,5 +263,221 @@ proptest! {
             let (lines, ways) = GEOMETRIES[geometry];
             cache.reshape(lines * 64, ways);
         }
+    }
+}
+
+/// What is resident, and dirty, whatever the replacement policy: the lines
+/// inserted and not yet evicted, invalidated or flushed.  Which line a full
+/// set gives up is the cache's word — checked to name a resident line of
+/// that set with the dirty flag the model holds for it, and to come exactly
+/// when the set is full.
+struct Membership {
+    lines: HashMap<u64, bool>,
+    /// Resident lines per set index.
+    per_set: HashMap<u64, usize>,
+    sets: u64,
+    ways: usize,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl Membership {
+    fn new(capacity_bytes: usize, ways: usize) -> Self {
+        let geometry = NaiveCache::new(capacity_bytes, ways);
+        Self {
+            lines: HashMap::new(),
+            per_set: HashMap::new(),
+            sets: geometry.sets.len() as u64,
+            ways: geometry.sets[0].len(),
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    /// A demand access: whether it must hit.
+    fn touch(&mut self, line: u64, write: bool) -> bool {
+        match self.lines.get_mut(&line) {
+            Some(dirty) => {
+                *dirty |= write;
+                self.hits += 1;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
+            }
+        }
+    }
+
+    /// The absent `line` goes in, and the cache reports `evicted`.
+    fn insert(&mut self, line: u64, dirty: bool, evicted: Option<(u64, bool)>, at: &str) {
+        let set = line % self.sets;
+        let full = self.per_set.get(&set).copied().unwrap_or(0) == self.ways;
+        prop_assert_eq!(
+            evicted.is_some(),
+            full,
+            "{}: evicts iff the set is full",
+            at
+        );
+        if let Some((victim, victim_dirty)) = evicted {
+            prop_assert_eq!(victim >> 63, 0, "{}: the flag bit leaked into a line", at);
+            prop_assert_eq!(victim % self.sets, set, "{}: victim of another set", at);
+            let held = self.lines.remove(&victim);
+            prop_assert_eq!(held, Some(victim_dirty), "{}: victim {}", at, victim);
+            self.evictions += 1;
+        } else {
+            *self.per_set.entry(set).or_insert(0) += 1;
+        }
+        self.lines.insert(line, dirty);
+    }
+
+    /// `fill`: refresh a resident line (never an eviction), else insert.
+    fn fill(&mut self, line: u64, dirty: bool, evicted: Option<(u64, bool)>, at: &str) {
+        match self.lines.get_mut(&line) {
+            Some(held) => {
+                *held |= dirty;
+                prop_assert_eq!(evicted, None, "{}: a refresh evicts nothing", at);
+            }
+            None => self.insert(line, dirty, evicted, at),
+        }
+    }
+
+    fn invalidate(&mut self, line: u64) -> Option<bool> {
+        let dirty = self.lines.remove(&line)?;
+        *self.per_set.get_mut(&(line % self.sets)).expect("counted") -= 1;
+        Some(dirty)
+    }
+
+    fn sorted(&self, only_dirty: bool) -> Vec<(u64, bool)> {
+        let mut lines: Vec<(u64, bool)> = (self.lines.iter())
+            .filter(|(_, &dirty)| dirty || !only_dirty)
+            .map(|(&line, &dirty)| (line, dirty))
+            .collect();
+        lines.sort_unstable();
+        lines
+    }
+
+    fn clear(&mut self) {
+        self.lines.clear();
+        self.per_set.clear();
+    }
+}
+
+/// Drive one policy through the op mix of the LRU oracle above — plus
+/// `touch_repeat`, `fill_if_absent` and the draining reads — against the
+/// membership model.
+fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
+    let mut state = seed;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let pair = |e: Option<Eviction>| e.map(|e| (e.line, e.dirty));
+    let (lines, ways) = GEOMETRIES[first];
+    let mut cache: SetAssocCache<R> = SetAssocCache::new(lines * 64, ways);
+    let mut geometry = first;
+    for episode in 0..6 {
+        let (lines, ways) = GEOMETRIES[geometry];
+        let mut model = Membership::new(lines * 64, ways);
+        prop_assert_eq!(cache.capacity_lines(), model.sets as usize * model.ways);
+        let (sets, assoc) = (model.sets, model.ways as u64);
+        let adversarial = episode % 2 == 0;
+        let base = (1 << 20) + draw(1 << 40);
+        let mut cursor = base;
+        for step in 0..1500 {
+            let line = if adversarial {
+                base + draw(3) + draw(assoc + 3) * sets
+            } else {
+                cursor += draw(3);
+                cursor - draw(2) * draw(4 * assoc)
+            };
+            let flag = draw(2) == 1;
+            let at = format!("{} {:?}", R::KIND, (episode, step, line));
+            match draw(20) {
+                0..=3 => prop_assert_eq!(
+                    hit(cache.touch(line, flag)),
+                    model.touch(line, flag),
+                    "{}",
+                    at
+                ),
+                4..=6 => model.fill(line, flag, pair(cache.fill(line, flag)), &at),
+                7..=10 => {
+                    let (result, evicted) = cache.probe_fill(line, flag);
+                    prop_assert_eq!(hit(result), model.touch(line, flag), "{}", at);
+                    if hit(result) {
+                        prop_assert_eq!(evicted, None, "{}", at);
+                    } else {
+                        model.insert(line, flag, pair(evicted), &at);
+                    }
+                }
+                11..=12 => {
+                    // Load-only bulk hits: counted, never dirtying.
+                    let n = draw(9);
+                    let resident = model.lines.contains_key(&line);
+                    prop_assert_eq!(cache.touch_repeat(line, n), resident || n == 0, "{}", at);
+                    model.hits += if resident { n } else { 0 };
+                }
+                13..=15 => {
+                    // A prefetch's fill: no demand access, and nothing at
+                    // all for a resident line.
+                    let (result, evicted) = cache.fill_if_absent(line);
+                    prop_assert_eq!(hit(result), model.lines.contains_key(&line), "{}", at);
+                    if hit(result) {
+                        prop_assert_eq!(evicted, None, "{}", at);
+                    } else {
+                        model.insert(line, false, pair(evicted), &at);
+                    }
+                }
+                16..=17 => {
+                    prop_assert_eq!(cache.invalidate(line), model.invalidate(line), "{}", at)
+                }
+                18 if draw(8) == 0 => {
+                    let mut dirty = cache.flush_dirty();
+                    dirty.sort_unstable();
+                    let held: Vec<u64> = model.sorted(true).iter().map(|&(l, _)| l).collect();
+                    prop_assert_eq!(dirty, held, "{}", at);
+                    model.clear();
+                }
+                _ => prop_assert_eq!(
+                    cache.contains(line),
+                    model.lines.contains_key(&line),
+                    "{}",
+                    at
+                ),
+            }
+        }
+        prop_assert_eq!(
+            (cache.hits(), cache.misses(), cache.evictions()),
+            (model.hits, model.misses, model.evictions),
+            "{}",
+            R::KIND
+        );
+        let mut resident = Vec::new();
+        cache.for_each_resident(|line, dirty| resident.push((line, dirty)));
+        resident.sort_unstable();
+        prop_assert_eq!(cache.resident_lines(), resident.len());
+        prop_assert_eq!(resident, model.sorted(false), "{}", R::KIND);
+        // On to a random other geometry, smaller or larger, in place, with
+        // the lines of this episode still resident.
+        geometry = draw(GEOMETRIES.len() as u64) as usize;
+        let (lines, ways) = GEOMETRIES[geometry];
+        cache.reshape(lines * 64, ways);
+    }
+}
+
+proptest! {
+    #[test]
+    fn every_policy_keeps_the_lines_and_dirty_flags_a_membership_model_holds(
+        seed in 0u64..u64::MAX,
+        first in 0usize..GEOMETRIES.len(),
+    ) {
+        check_membership::<TrueLru>(seed, first);
+        check_membership::<TreePlru>(seed, first);
+        check_membership::<Srrip>(seed, first);
+        check_membership::<RandomEvict>(seed, first);
     }
 }

@@ -4,7 +4,8 @@
 //! one from-scratch simulation per cache-dynamics class (machine × kernel
 //! × prefetcher setting; every other point replays a trace or hits the
 //! memo), and the six walks together allocate less than 1e8 bytes once the
-//! thread's pooled cores exist.
+//! thread's pooled cores exist.  Beside them, the arena of a cold co-run:
+//! one shared-LLC lane for the contended pass and every solo baseline.
 
 mod common;
 
@@ -13,6 +14,7 @@ use cloverleaf_wa::cachesim::{with_pooled_core, SimMemo};
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine,
 };
+use cloverleaf_wa::scenario::{interference_factor, Aggressor, DEFAULT_INTERLEAVE};
 use cloverleaf_wa::ubench::{
     copy_halo_ratio_memo, copy_volume_per_iteration_memo, store_ratio_memo, StoreKind,
 };
@@ -97,4 +99,28 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
         }
     });
     assert!(bytes < 100_000_000, "six figures allocated {bytes} bytes");
+}
+
+#[test]
+fn a_cold_corun_allocates_one_llc_arena_and_a_repeat_none() {
+    // The tenants of `--aggressor thrash` on the ICX share a 27 MiB LLC:
+    // 3.5e6 bytes of tags.  The contended pass and both solo baselines run
+    // on that one arena (2.27e7 bytes were requested when each baseline
+    // built its own and every slot had a second, metadata word).
+    let icx = icelake_sp_8360y();
+    let memo = SimMemo::new();
+    let factor = || interference_factor(&icx, Aggressor::Thrash, DEFAULT_INTERLEAVE, &memo);
+    let (cold, (_, cold_bytes)) = allocations(factor);
+    assert!(
+        cold_bytes < 6_000_000,
+        "a cold co-run allocated {cold_bytes} bytes"
+    );
+    // A repeat is a memo hit: not one LLC-sized block.
+    let (warm, (_, warm_bytes)) = allocations(factor);
+    assert_eq!(memo.corun_stats().misses, 1);
+    assert_eq!(cold.to_bits(), warm.to_bits());
+    assert!(
+        warm_bytes < 1_000_000,
+        "a memo hit allocated {warm_bytes} bytes"
+    );
 }
