@@ -3,8 +3,8 @@
 //! The paper measures CloverLeaf on an *exclusive* node; these artifacts
 //! extend the study to a *shared* node, where a competing kernel stream on
 //! a sibling core fights CloverLeaf for the last-level cache.  Three views
-//! of the same two-tenant co-run (`NodeSim::run_corun`, the PR's
-//! private/shared hierarchy split):
+//! of the same two-tenant co-run beside the victim's pass alone
+//! (`clover_scenario::interference::victim_contention`):
 //!
 //! * `interfere-timestep` — the CloverLeaf timestep cost under each
 //!   aggressor: the scaling model's full-domain point scaled by the
@@ -20,11 +20,11 @@
 //! and `figures --check`; everything is deterministic simulation, so the
 //! bytes are still reproducible run to run.
 
-use clover_cachesim::{AccessKind, CoRunReport, KernelSpec, NodeSim, RankBase, SimConfig, SimMemo};
+use clover_cachesim::{AccessKind, KernelSpec, RankBase, SimMemo};
 use clover_core::{ScalingModel, TrafficOptions, TINY_GRID};
 use clover_golden::Artifact;
 use clover_machine::{icelake_sp_8360y, Machine};
-use clover_scenario::interference::{aggressor_kernel, victim_kernel, TENANT_SHIFT};
+use clover_scenario::interference::{victim_contention, victim_kernel, TENANT_SHIFT};
 use clover_scenario::{interference_factor, Aggressor, DEFAULT_INTERLEAVE};
 
 /// The interference experiment identifiers (`figures interfere` names).
@@ -58,21 +58,6 @@ pub fn interfere_occupancy() -> Artifact {
 /// `interfere-evasion` on the paper's Ice Lake SP node.
 pub fn interfere_evasion() -> Artifact {
     evasion_artifact(&icelake_sp_8360y())
-}
-
-/// Run the two-tenant co-run of `victim` against `aggressor` (or solo for
-/// [`Aggressor::None`]) on one shared LLC.
-fn corun(
-    machine: &Machine,
-    victim: KernelSpec,
-    aggressor: Aggressor,
-    memo: &SimMemo,
-) -> CoRunReport {
-    let sim = NodeSim::new(SimConfig::new(machine.clone(), 2));
-    match aggressor_kernel(machine, aggressor) {
-        None => sim.run_corun(&[victim], DEFAULT_INTERLEAVE, memo),
-        Some(a) => sim.run_corun(&[victim, a], DEFAULT_INTERLEAVE, memo),
-    }
 }
 
 fn timestep_artifact(machine: &Machine) -> Artifact {
@@ -123,14 +108,16 @@ fn occupancy_artifact(machine: &Machine) -> Artifact {
     .num_column("occupancy_share", None, 3)
     .num_column("extra_llc_misses", Some("lines"), 0)
     .num_column("extra_read_volume", Some("MB"), 1);
+    let victim = victim_kernel(machine);
+    let contention =
+        |aggressor| victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, &memo);
     for aggressor in Aggressor::all() {
-        let report = corun(machine, victim_kernel(machine), aggressor, &memo);
-        let v = &report.tenants[0];
+        let v = contention(aggressor);
         a.push_row(vec![
             aggressor.name().into(),
-            (v.solo_occupancy_lines as f64).into(),
-            (v.occupancy_lines as f64).into(),
-            report.occupancy_fraction(0).into(),
+            (v.solo.occupancy_lines as f64).into(),
+            (v.contended.occupancy_lines as f64).into(),
+            v.occupancy_fraction().into(),
             v.extra_llc_misses().into(),
             (v.extra_read_lines() * 64.0 / 1e6).into(),
         ]);
@@ -139,7 +126,7 @@ fn occupancy_artifact(machine: &Machine) -> Artifact {
         "machine: {}; shared LLC of a 2-core tenancy ({} lines); end-of-run \
          residency; deltas vs a solo run on the same LLC geometry",
         machine.name,
-        corun(machine, victim_kernel(machine), Aggressor::None, &memo).llc_lines,
+        contention(Aggressor::None).llc_lines,
     ));
     a
 }
@@ -178,9 +165,10 @@ fn evasion_artifact(machine: &Machine) -> Artifact {
     .num_column("solo_evasion", None, 3)
     .num_column("evasion", None, 3)
     .num_column("extra_write_allocate", Some("MB"), 1);
+    let victim = store_victim(machine);
     for aggressor in Aggressor::all() {
-        let report = corun(machine, store_victim(machine), aggressor, &memo);
-        let v = &report.tenants[0];
+        let v = victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, &memo);
+        let (solo, contended) = (&v.solo.counters, &v.contended.counters);
         // Fraction of ownership claims that evaded the write-allocate read.
         let evasion = |itom: f64, wa: f64| {
             if itom + wa <= 0.0 {
@@ -191,10 +179,10 @@ fn evasion_artifact(machine: &Machine) -> Artifact {
         };
         a.push_row(vec![
             aggressor.name().into(),
-            (v.solo.write_allocate_lines * 64.0 / 1e6).into(),
-            (v.counters.write_allocate_lines * 64.0 / 1e6).into(),
-            evasion(v.solo.itom_lines, v.solo.write_allocate_lines).into(),
-            evasion(v.counters.itom_lines, v.counters.write_allocate_lines).into(),
+            (solo.write_allocate_lines * 64.0 / 1e6).into(),
+            (contended.write_allocate_lines * 64.0 / 1e6).into(),
+            evasion(solo.itom_lines, solo.write_allocate_lines).into(),
+            evasion(contended.itom_lines, contended.write_allocate_lines).into(),
             (v.extra_write_allocate_lines() * 64.0 / 1e6).into(),
         ]);
     }

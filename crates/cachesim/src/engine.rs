@@ -307,25 +307,25 @@ impl NodeSim {
         }
     }
 
-    /// Co-schedule `tenants.len()` kernel streams on cores of one ccNUMA
-    /// domain sharing the last-level cache, interleaving their line streams
-    /// at the shared level in round-robin turns of `interleave_lines`
-    /// line-granular operations.
+    /// Simulate `tenants`, once, on cores of one ccNUMA domain sharing the
+    /// last-level cache, interleaving their line streams at the shared
+    /// level in round-robin turns of `interleave_lines` line-granular
+    /// operations.
     ///
-    /// Each tenant keeps a private L1/L2 half ([`PrivateCore`]); the LLC is
-    /// one [`SetAssocCache`] sized to the tenants' combined per-core share,
-    /// so a single tenant (`tenants.len() == 1`) sees exactly the solo
-    /// geometry and the result is bit-identical to [`run_spmd`] driving the
-    /// same spec on one rank (a tested property).  The report carries, per
-    /// tenant, the contended counters *and* a solo baseline simulated on an
-    /// exclusive LLC of the same geometry, so the deltas isolate pure
-    /// interference (competition for the shared level) from capacity
-    /// effects.
+    /// The tenancy is [`SimConfig::ranks`] cores (`tenants.len() <= ranks`):
+    /// the occupancy context, the core options and the LLC — one
+    /// [`SetAssocCache`] of `ranks` per-core shares — come from it, not from
+    /// how many of its cores `tenants` occupies; each tenant keeps a private
+    /// L1/L2 half ([`PrivateCore`]).  The report says what was simulated
+    /// together and nothing else: *a baseline is the same call with one
+    /// tenant*, alone on the same tenancy, so a delta between the two
+    /// isolates pure interference from capacity effects.  One tenant on a
+    /// tenancy of one sees exactly the solo geometry, bit-identical to
+    /// [`run_spmd`] driving the same spec on one rank (a tested property).
     ///
-    /// Results are memoized under a [`CoRunKey`] — sorted tenant specs plus
-    /// interleave on top of every environment field — in a table disjoint
-    /// from the solo memo, so a shared [`SimMemo`] can never serve a solo
-    /// result for a contended run, or one interleave's result for another.
+    /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
+    /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
+    /// for a contended run, or one interleave's result for another.
     ///
     /// Tenants are identified by their canonical rank (index after
     /// sorting), so their kernels must occupy pairwise-disjoint address
@@ -350,18 +350,22 @@ impl NodeSim {
         memo: &SimMemo,
     ) -> CoRunReport {
         let machine = &self.config.machine;
-        let n = tenants.len();
+        let (n, cores) = (tenants.len(), self.config.ranks);
         assert!(n >= 1, "need at least one tenant");
         assert!(
-            n <= machine.topology.cores_per_domain(),
-            "co-run tenants are pinned within one ccNUMA domain \
+            n <= cores,
+            "{n} tenants on a tenancy of {cores} cores (SimConfig::ranks)"
+        );
+        assert!(
+            cores <= machine.topology.cores_per_domain(),
+            "a co-run tenancy is pinned within one ccNUMA domain \
              ({} cores on {})",
             machine.topology.cores_per_domain(),
             machine.id
         );
         let interleave = interleave_lines.max(1);
-        let ctx = OccupancyContext::domain_load(machine, n, 1);
-        let options = self.config.core_options(n);
+        let ctx = OccupancyContext::domain_load(machine, cores, 1);
+        let options = self.config.core_options(cores);
 
         // Canonical tenant order: sort (stably) so permutations of the same
         // tenant multiset share one memo entry; `order[j]` is the input
@@ -389,115 +393,53 @@ impl NodeSim {
             }
         }
 
-        let key = CoRunKey::for_policies(machine, ctx, options, &sorted, interleave, RP::KIND);
-        let share = l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers);
+        let key =
+            CoRunKey::for_policies(machine, ctx, options, cores, &sorted, interleave, RP::KIND);
+        let llc_bytes =
+            l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers) * cores;
         let sorted_reports = memo.corun_get_or_insert_with(key, || {
             let sweeps: Vec<StencilRowSweep> =
                 sorted.iter().enumerate().map(|(j, t)| t.sweep(j)).collect();
-            simulate_corun::<RP>(
-                machine,
-                ctx,
-                options,
-                share * n,
-                &sweeps,
-                &spans,
-                interleave,
+            corun_pass::<RP>(
+                machine, ctx, options, llc_bytes, &sweeps, &spans, interleave,
             )
         });
 
-        let mut slots: Vec<Option<TenantReport>> = vec![None; n];
-        for (j, rep) in sorted_reports.into_iter().enumerate() {
-            slots[order[j]] = Some(rep);
-        }
-        let tenant_reports: Vec<TenantReport> = slots
-            .into_iter()
-            .map(|r| r.expect("the canonical order is a permutation"))
-            .collect();
-        let mut total = MemCounters::new();
-        for t in &tenant_reports {
-            total.merge(&t.counters);
+        // Back to input order (`order` is a permutation).
+        let mut tenants = sorted_reports.clone();
+        for (rep, &i) in sorted_reports.into_iter().zip(&order) {
+            tenants[i] = rep;
         }
         CoRunReport {
-            tenants: tenant_reports,
-            interleave_lines: interleave,
-            llc_lines: (share * n) as u64 / LINE_BYTES,
-            total,
+            tenants,
+            llc_lines: llc_bytes as u64 / LINE_BYTES,
         }
     }
 }
 
-/// Per-tenant result of a co-run: the contended counters next to a solo
-/// baseline of the *same* LLC geometry, so every delta isolates pure
-/// interference from capacity effects.
+/// What one tenant of a [`NodeSim::run_corun`] pass did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
-    /// Memory traffic of this tenant under contention.
+    /// Memory traffic of this tenant.
     pub counters: MemCounters,
-    /// Memory traffic of the same kernel alone on an exclusive LLC of the
-    /// shared geometry.
-    pub solo: MemCounters,
     /// Shared-LLC hits attributed to this tenant's turns.
     pub llc_hits: u64,
     /// Shared-LLC misses attributed to this tenant's turns.
     pub llc_misses: u64,
-    /// LLC hits of the solo baseline.
-    pub solo_llc_hits: u64,
-    /// LLC misses of the solo baseline.
-    pub solo_llc_misses: u64,
     /// Lines of this tenant's address window resident in the shared LLC at
     /// the end of the run (before the flush).
     pub occupancy_lines: u64,
-    /// End-of-run LLC residency of the solo baseline.
-    pub solo_occupancy_lines: u64,
 }
 
-impl TenantReport {
-    /// Extra shared-LLC misses caused by contention (negative when the
-    /// co-run happened to hit more, which disjoint windows make rare).
-    pub fn extra_llc_misses(&self) -> f64 {
-        self.llc_misses as f64 - self.solo_llc_misses as f64
-    }
-
-    /// End-of-run LLC occupancy lost (negative) or gained versus running
-    /// alone.
-    pub fn occupancy_delta_lines(&self) -> f64 {
-        self.occupancy_lines as f64 - self.solo_occupancy_lines as f64
-    }
-
-    /// Extra memory read lines caused by contention.
-    pub fn extra_read_lines(&self) -> f64 {
-        self.counters.read_lines - self.solo.read_lines
-    }
-
-    /// Extra write-allocate traffic caused by contention — the quantity
-    /// the paper's evasion machinery is supposed to keep low, eroded when
-    /// an aggressor flushes the victim's store streams out of the shared
-    /// level.
-    pub fn extra_write_allocate_lines(&self) -> f64 {
-        self.counters.write_allocate_lines - self.solo.write_allocate_lines
-    }
-}
-
-/// Result of [`NodeSim::run_corun`]: per-tenant reports in the caller's
-/// tenant order plus node totals.
+/// Result of [`NodeSim::run_corun`]: what each tenant of the pass did, in
+/// the caller's tenant order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoRunReport {
-    /// Per-tenant contended-vs-solo reports, in input order.
+    /// Per-tenant reports, in input order.
     pub tenants: Vec<TenantReport>,
-    /// Lines per round-robin turn at the shared LLC (as clamped to ≥ 1).
-    pub interleave_lines: u64,
-    /// Capacity of the shared LLC in lines (for occupancy fractions).
+    /// Capacity of the tenancy's shared LLC in lines (for occupancy
+    /// fractions).
     pub llc_lines: u64,
-    /// Traffic counters summed over all tenants.
-    pub total: MemCounters,
-}
-
-impl CoRunReport {
-    /// Fraction of the shared LLC the tenant at `idx` holds at the end of
-    /// the run.
-    pub fn occupancy_fraction(&self, idx: usize) -> f64 {
-        self.tenants[idx].occupancy_lines as f64 / self.llc_lines.max(1) as f64
-    }
 }
 
 /// Is `line` inside tenant `j`'s address window?
@@ -508,14 +450,11 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
 }
 
 /// The co-run simulation proper: one private half per tenant sweep
-/// round-robins over one shared LLC of `llc_bytes`; then, for more than one
-/// tenant, each tenant's solo baseline — the same pass with that tenant
-/// alone, on the same (drained, reset) LLC and private half, so the deltas
-/// measure pure interference and a co-run holds one LLC arena, not one per
-/// baseline.  `sweeps` are the tenants' kernels in canonical order, each
-/// materialised at its canonical rank; the returned reports match that
-/// order.
-fn simulate_corun<RP: ReplacementPolicy>(
+/// round-robins, in turns of `interleave_lines`, over one shared LLC of
+/// `llc_bytes`, flushed at the end.  `sweeps` are the tenants' kernels in
+/// canonical order, each materialised at its canonical rank; the returned
+/// reports match that order.
+fn corun_pass<RP: ReplacementPolicy>(
     machine: &Machine,
     ctx: OccupancyContext,
     options: CoreSimOptions,
@@ -525,47 +464,10 @@ fn simulate_corun<RP: ReplacementPolicy>(
     interleave_lines: u64,
 ) -> Vec<TenantReport> {
     let n = sweeps.len();
-    let mut llc = SetAssocCache::<RP>::new(llc_bytes, machine.caches.l3.associativity);
+    let llc = &mut SetAssocCache::<RP>::new(llc_bytes, machine.caches.l3.associativity);
     let mut cores: Vec<PrivateCore<RP>> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
-    let mut reports = corun_pass(&mut llc, &mut cores, sweeps, spans, interleave_lines);
-    // A single tenant has nothing to contend with: its pass IS the solo
-    // run (deltas exactly zero).
-    if n > 1 {
-        for (j, rep) in reports.iter_mut().enumerate() {
-            llc.reset();
-            cores[j].reset(ctx, options);
-            let solo = corun_pass(
-                &mut llc,
-                &mut cores[j..=j],
-                &sweeps[j..=j],
-                &spans[j..=j],
-                u64::MAX,
-            )
-            .pop()
-            .expect("one tenant, one report");
-            rep.solo = solo.counters;
-            rep.solo_llc_hits = solo.llc_hits;
-            rep.solo_llc_misses = solo.llc_misses;
-            rep.solo_occupancy_lines = solo.occupancy_lines;
-        }
-    }
-    reports
-}
-
-/// One pass of `sweeps` over `llc`, tenant `j` on `cores[j]`, in turns of
-/// `interleave_lines`, flushed at the end (which leaves `llc` and the
-/// private banks drained).  Every report's solo half is a copy of its
-/// contended half: the pass knows no other run to compare with.
-fn corun_pass<RP: ReplacementPolicy>(
-    llc: &mut SetAssocCache<RP>,
-    cores: &mut [PrivateCore<RP>],
-    sweeps: &[StencilRowSweep],
-    spans: &[Option<(u64, u64)>],
-    interleave_lines: u64,
-) -> Vec<TenantReport> {
-    let n = sweeps.len();
     let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
     let mut llc_hits = vec![0u64; n];
     let mut llc_misses = vec![0u64; n];
@@ -583,7 +485,7 @@ fn corun_pass<RP: ReplacementPolicy>(
 
     // End-of-run occupancy, attributed by address window.  Prefetched
     // buddy lines can fall just outside every window; they are simply not
-    // attributed (consistently so in a solo baseline).
+    // attributed (consistently so in a one-tenant baseline).
     let mut occupancy = vec![0u64; n];
     llc.for_each_resident(|line, _dirty| {
         if let Some(j) = owner_of(line, spans) {
@@ -618,13 +520,9 @@ fn corun_pass<RP: ReplacementPolicy>(
         let counters = cores[j].account_writebacks(l1_dirty, l2_dirty, l3_dirty);
         reports.push(TenantReport {
             counters,
-            solo: counters,
             llc_hits: llc_hits[j],
             llc_misses: llc_misses[j],
-            solo_llc_hits: llc_hits[j],
-            solo_llc_misses: llc_misses[j],
             occupancy_lines: occupancy[j],
-            solo_occupancy_lines: occupancy[j],
         });
     }
     reports
@@ -847,13 +745,6 @@ mod tests {
         assert_eq!(corun.tenants.len(), 1);
         let t = &corun.tenants[0];
         assert_eq!(t.counters, solo.per_rank);
-        // One tenant has nothing to contend with: every delta is exactly 0.
-        assert_eq!(t.counters, t.solo);
-        assert_eq!(
-            (t.llc_hits, t.llc_misses),
-            (t.solo_llc_hits, t.solo_llc_misses)
-        );
-        assert_eq!(t.occupancy_lines, t.solo_occupancy_lines);
         // Solo and co-run entries live in disjoint memo tables.
         assert_eq!(memo.corun_len(), 1);
         assert!(memo.len() >= 1);
@@ -872,29 +763,71 @@ mod tests {
         // Aggressor: a 64 MiB single-pass stream — larger than the whole
         // shared LLC, evicting the victim's working set as it goes.
         let aggressor = corun_spec(AccessKind::Load, 64 * 1024 * 1024 / 8, 1);
-        let rep = sim.run_corun(&[victim, aggressor], 64, &memo);
-        let v = &rep.tenants[0];
+        let tenants = [victim, aggressor];
+        let rep = sim.run_corun(&tenants, 64, &memo);
+        // A baseline is the same call with one tenant.
+        let alone = |i: usize| sim.run_corun(&tenants[i..=i], 64, &memo).tenants.remove(0);
+        let extra_misses = |i: usize| rep.tenants[i].llc_misses as i64 - alone(i).llc_misses as i64;
+        let (v, v_alone) = (&rep.tenants[0], alone(0));
         assert!(
-            v.extra_llc_misses() > 0.0,
+            extra_misses(0) > 0,
             "contention must cost the victim LLC misses, got {}",
-            v.extra_llc_misses()
+            extra_misses(0)
         );
         assert!(
-            v.extra_read_lines() > 0.0,
-            "extra misses must surface as memory reads, got {}",
-            v.extra_read_lines()
+            v.counters.read_lines > v_alone.counters.read_lines,
+            "extra misses must surface as memory reads: {} vs {} alone",
+            v.counters.read_lines,
+            v_alone.counters.read_lines
         );
         assert!(
-            v.occupancy_delta_lines() < 0.0,
-            "the aggressor must displace victim lines, got {}",
-            v.occupancy_delta_lines()
+            v.occupancy_lines < v_alone.occupancy_lines,
+            "the aggressor must displace victim lines: {} vs {} alone",
+            v.occupancy_lines,
+            v_alone.occupancy_lines
         );
         // The streaming aggressor barely notices the victim.
-        let a = &rep.tenants[1];
-        assert!(a.extra_llc_misses() <= v.extra_llc_misses());
-        // Totals are per-tenant sums; occupancy fractions are within [0,1].
-        assert!(rep.total.read_lines >= v.counters.read_lines);
-        assert!(rep.occupancy_fraction(0) <= 1.0 && rep.occupancy_fraction(1) <= 1.0);
+        assert!(extra_misses(1) <= extra_misses(0));
+        // Nobody holds more of the shared LLC than there is.
+        assert!(rep
+            .tenants
+            .iter()
+            .all(|t| t.occupancy_lines <= rep.llc_lines));
+        // Three passes: the co-run and the two baselines asked for.
+        assert_eq!(memo.corun_stats().misses, 3);
+    }
+
+    #[test]
+    fn the_tenancy_size_is_in_the_key_where_nothing_else_tells_two_apart() {
+        use crate::access::AccessKind;
+        use clover_machine::{cva6_like, SaturationCurve};
+        // A CVA6 whose per-core L3 share is the whole L3 at any core count
+        // and whose bandwidth one core saturates: a one- and a two-core
+        // tenancy have the same dynamics and the same accounting, and
+        // differ in the LLC they share — one share or two.
+        let mut m = cva6_like();
+        m.caches.l3_sharers = 1;
+        m.bandwidth.curve = SaturationCurve::new(1e-6, 4.0);
+        // 3 MiB read twice: resident in 4 MiB, not in 2.
+        let spec = corun_spec(AccessKind::Load, 3 * 1024 * 1024 / 8, 2);
+        let memo = SimMemo::new();
+        let on = |cores| {
+            let sim = NodeSim::new(SimConfig::new(m.clone(), cores));
+            sim.run_corun(std::slice::from_ref(&spec), 64, &memo)
+        };
+        let (one, two) = (on(1), on(2));
+        assert_eq!(memo.corun_stats().misses, 2, "never one entry");
+        assert_eq!(two.llc_lines, 2 * one.llc_lines);
+        assert!(two.tenants[0].llc_misses < one.tenants[0].llc_misses);
+        let mut keys: Vec<CoRunKey> = memo
+            .corun_entries_stamped()
+            .into_iter()
+            .map(|(key, _, _)| key)
+            .collect();
+        keys.sort_by_key(|key| key.cores);
+        assert_eq!((keys[0].cores, keys[1].cores), (1, 2));
+        keys[1].cores = 1;
+        assert_eq!(keys[0], keys[1], "every other key field coincides");
     }
 
     #[test]

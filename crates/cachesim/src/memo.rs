@@ -16,8 +16,9 @@
 //!   once: what can change the event sequence, and what only scales the
 //!   fractional accounting of those events,
 //! * [`SimKey`] (dynamics + accounting + kernel), [`CoRunKey`] (dynamics +
-//!   accounting + sorted tenants + interleave) and the trace key `DiffKey`
-//!   (dynamics + kernel) — the three memo identities built from them,
+//!   accounting + tenancy cores + sorted tenants + interleave) and the
+//!   trace key `DiffKey` (dynamics + kernel) — the three memo identities
+//!   built from them,
 //! * [`SimMemo`] — a sharded, concurrently usable map from [`SimKey`] to
 //!   [`MemCounters`], shared across a whole sweep (or several sweeps) so a
 //!   72-point curve performs O(distinct contexts) core simulations instead
@@ -346,6 +347,19 @@ impl Accounting {
     }
 }
 
+/// A key that omits its kernel's rank is only sound when the rank base
+/// cannot change any set index (see [`MIN_MEMO_SHIFT`]).
+fn debug_assert_rank_invariant(kernel: &KernelSpec) {
+    if let RankBase::Shifted { shift, .. } = kernel.rank_base {
+        debug_assert!(
+            shift >= MIN_MEMO_SHIFT,
+            "RankBase::Shifted {{ shift: {shift} }} is below MIN_MEMO_SHIFT \
+             ({MIN_MEMO_SHIFT}): counters would be rank-dependent and \
+             memoization inexact"
+        );
+    }
+}
+
 /// Identity of one representative-core simulation.  Two simulations with
 /// equal keys produce bit-identical counters, so the key is exactly what a
 /// memo may share.
@@ -371,16 +385,7 @@ impl SimKey {
         kernel: &KernelSpec,
         replacement: ReplacementPolicyKind,
     ) -> Self {
-        // The key omits the rank: that is only sound when the rank base
-        // cannot change any set index (see `MIN_MEMO_SHIFT`).
-        if let RankBase::Shifted { shift, .. } = kernel.rank_base {
-            debug_assert!(
-                shift >= MIN_MEMO_SHIFT,
-                "RankBase::Shifted {{ shift: {shift} }} is below MIN_MEMO_SHIFT \
-                 ({MIN_MEMO_SHIFT}): counters would be rank-dependent and \
-                 memoization inexact"
-            );
-        }
+        debug_assert_rank_invariant(kernel);
         Self {
             dynamics: Dynamics::of(machine, options, replacement),
             accounting: Accounting::of(ctx, options),
@@ -389,35 +394,45 @@ impl SimKey {
     }
 }
 
-/// Identity of one multi-tenant co-run simulation (see
+/// Identity of one co-run pass (see
 /// [`NodeSim::run_corun`](crate::engine::NodeSim::run_corun)): the whole
-/// environment of a [`SimKey`] plus the *sorted* tenant kernels and the
-/// interleave granularity.  A co-run key can never collide with a solo
-/// [`SimKey`] (they live in separate memo tables) and two co-runs share an
-/// entry only when their tenant multisets, interleave and environment all
-/// match — a solo result is never served for a contended run and vice
-/// versa.
+/// environment of a [`SimKey`] plus the tenancy's cores, the *sorted* tenant
+/// kernels and the interleave granularity.  Co-run keys live in a table of
+/// their own — a solo result is never served for a contended run or vice
+/// versa — and two passes share an entry only when all of that matches.
+///
+/// A one-tenant key (a baseline) carries neither an interleave — turn
+/// boundaries decide nothing for one tenant (`tests/batched_equivalence.rs`
+/// proves it per interleave), so it stores `u64::MAX` — nor a rank: the
+/// pass runs at rank 0 whatever rank its kernel has in the co-runs it is
+/// the baseline of, exact under the [`MIN_MEMO_SHIFT`] rule as for [`SimKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct CoRunKey {
     /// What decides the event sequence.
     pub dynamics: Dynamics,
     /// What weights the events.
     pub accounting: Accounting,
+    /// Cores of the tenancy: the LLC is this many per-core shares.  The
+    /// share is in `dynamics.l3_sharers`; once that and the saturation
+    /// curve clamp, nothing else tells two tenancy sizes apart.
+    pub cores: usize,
     /// Tenant kernels in canonical (sorted) order.
     pub tenants: Vec<KernelSpec>,
-    /// Lines each tenant streams per round-robin turn at the shared LLC.
+    /// Lines each tenant streams per round-robin turn at the shared LLC
+    /// (`u64::MAX` for one tenant).
     pub interleave_lines: u64,
 }
 
 impl CoRunKey {
-    /// Key of the co-run of `tenants` under `options` (which name the
-    /// store-miss policy) and an explicit replacement policy.  `tenants`
-    /// must already be in canonical (sorted) order; the caller sorts so the
-    /// stored permutation maps reports back to input order.
+    /// Key of the pass of `tenants` on `cores` cores under `options` (which
+    /// name the store-miss policy) and an explicit replacement policy.
+    /// `tenants` must already be in canonical (sorted) order; the caller
+    /// sorts so the stored permutation maps reports back to input order.
     pub fn for_policies(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
+        cores: usize,
         tenants: &[KernelSpec],
         interleave_lines: u64,
         replacement: ReplacementPolicyKind,
@@ -426,9 +441,17 @@ impl CoRunKey {
             tenants.windows(2).all(|w| w[0] <= w[1]),
             "CoRunKey tenants must be in canonical sorted order"
         );
+        let interleave_lines = match tenants {
+            [alone] => {
+                debug_assert_rank_invariant(alone);
+                u64::MAX
+            }
+            _ => interleave_lines,
+        };
         Self {
             dynamics: Dynamics::of(machine, options, replacement),
             accounting: Accounting::of(ctx, options),
+            cores,
             tenants: tenants.to_vec(),
             interleave_lines,
         }
@@ -514,7 +537,7 @@ pub(crate) enum DiffEntry {
 #[derive(Debug)]
 pub struct SimMemo {
     inner: FlightMemo<SimKey, MemCounters>,
-    /// Co-run results, keyed separately from solo simulations: a
+    /// Co-run passes, keyed separately from solo simulations: a
     /// [`CoRunKey`] and a [`SimKey`] live in disjoint tables, so a memo
     /// shared across solo and contended sweeps can never serve a solo
     /// result for a co-run (or one interleave's result for another).

@@ -212,9 +212,14 @@ impl SweepArgs {
                             format!("--jobs: '{value}' is not a worker count >= 1")
                         })?);
                 }
-                "--json" => json = true,
+                "--json" => {
+                    if json {
+                        return Err("--json given twice".to_string());
+                    }
+                    json = true;
+                }
                 other => {
-                    return Err(format!("sweep: unexpected argument '{other}'"));
+                    return Err(format!("unexpected argument '{other}'"));
                 }
             }
         }
@@ -330,7 +335,18 @@ mod tests {
             "fig2",
         ]))
         .unwrap_err();
-        assert!(err.contains("unexpected argument 'fig2'"));
+        // The whole message: both front ends put their own `sweep: ` before it.
+        assert_eq!(err, "unexpected argument 'fig2'");
+        let err = SweepArgs::parse(&args(&[
+            "--machine",
+            "icx-8360y",
+            "--ranks",
+            "1..4",
+            "--json",
+            "--json",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "--json given twice");
         // A grid side is a cell count the model's i64/f64 arithmetic holds.
         let grid = |side: &str| {
             SweepArgs::parse(&args(&[

@@ -8,7 +8,8 @@
 //! traffic inflation factor** from first principles: a two-tenant co-run
 //! of the cache simulator ([`NodeSim::run_corun`]) pits a CloverLeaf-like
 //! reuse proxy against the scenario's aggressor on one shared LLC, and the
-//! ratio of the victim's contended to solo memory traffic scales the
+//! ratio of the victim's memory traffic there to its traffic alone on the
+//! same tenancy ([`victim_contention`] pairs the two passes) scales the
 //! model's per-step volume and time.
 //!
 //! The proxy footprints are derived from the machine's LLC capacity, so
@@ -17,7 +18,8 @@
 //! artifact byte derived from it — is reproducible.
 
 use clover_cachesim::{
-    AccessKind, KernelSpec, NodeSim, RankBase, SimConfig, SimMemo, SpecOperand, LINE_BYTES,
+    AccessKind, KernelSpec, NodeSim, RankBase, SimConfig, SimMemo, SpecOperand, TenantReport,
+    LINE_BYTES,
 };
 use clover_machine::Machine;
 
@@ -101,31 +103,92 @@ pub fn aggressor_kernel(machine: &Machine, aggressor: Aggressor) -> Option<Kerne
     }
 }
 
+/// A victim beside an aggressor and alone: two passes on the same
+/// two-core tenancy, so every delta isolates pure interference
+/// (competition for the shared level) from capacity effects.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Contention {
+    /// The victim co-run with the aggressor.
+    pub contended: TenantReport,
+    /// The victim alone on the tenancy's LLC.
+    pub solo: TenantReport,
+    /// Capacity of the tenancy's shared LLC in lines.
+    pub llc_lines: u64,
+}
+
+impl Contention {
+    /// Extra shared-LLC misses caused by contention (negative when the
+    /// co-run happened to hit more, which disjoint windows make rare).
+    pub fn extra_llc_misses(&self) -> f64 {
+        self.contended.llc_misses as f64 - self.solo.llc_misses as f64
+    }
+
+    /// Extra memory read lines caused by contention.
+    pub fn extra_read_lines(&self) -> f64 {
+        self.contended.counters.read_lines - self.solo.counters.read_lines
+    }
+
+    /// Extra write-allocate traffic caused by contention: what the paper's
+    /// evasion machinery keeps low and an aggressor's flushing erodes.
+    pub fn extra_write_allocate_lines(&self) -> f64 {
+        self.contended.counters.write_allocate_lines - self.solo.counters.write_allocate_lines
+    }
+
+    /// Fraction of the shared LLC the contended victim holds at the end.
+    pub fn occupancy_fraction(&self) -> f64 {
+        self.contended.occupancy_lines as f64 / self.llc_lines.max(1) as f64
+    }
+}
+
+/// Simulate `victim` beside `aggressor`'s kernel and alone on `machine`'s
+/// two-core tenancy — the one place that pairs a contended tenant with its
+/// baseline.  The baseline is one memo entry per victim, shared by every
+/// aggressor and interleave; for [`Aggressor::None`] it is both halves.
+pub fn victim_contention(
+    machine: &Machine,
+    victim: &KernelSpec,
+    aggressor: Aggressor,
+    interleave: u64,
+    memo: &SimMemo,
+) -> Contention {
+    let sim = NodeSim::new(SimConfig::new(machine.clone(), 2));
+    let pass = |tenants: &[KernelSpec]| sim.run_corun(tenants, interleave, memo);
+    let mut alone = pass(std::slice::from_ref(victim));
+    let solo = alone.tenants.swap_remove(0);
+    let contended = match aggressor_kernel(machine, aggressor) {
+        None => solo.clone(),
+        Some(a) => pass(&[victim.clone(), a]).tenants.swap_remove(0),
+    };
+    Contention {
+        contended,
+        solo,
+        llc_lines: alone.llc_lines,
+    }
+}
+
 /// The victim traffic inflation factor of running `aggressor` next to a
 /// CloverLeaf-like reuse tenant on `machine`'s shared LLC: contended over
 /// solo memory bytes of the victim, `>= 1.0` (`1.0` exactly for
-/// [`Aggressor::None`]).
+/// [`Aggressor::None`], without simulating).
 ///
-/// Deterministic in all inputs; `memo` carries the underlying co-run and
-/// solo simulations across calls (e.g. across the scenarios of one plan).
+/// Deterministic in all inputs; `memo` carries the two underlying passes
+/// across calls (e.g. across the scenarios of one plan).
 pub fn interference_factor(
     machine: &Machine,
     aggressor: Aggressor,
     interleave: u64,
     memo: &SimMemo,
 ) -> f64 {
-    let Some(aggressor_spec) = aggressor_kernel(machine, aggressor) else {
+    if aggressor == Aggressor::None {
         return 1.0;
-    };
+    }
     let victim = victim_kernel(machine);
-    let sim = NodeSim::new(SimConfig::new(machine.clone(), 2));
-    let report = sim.run_corun(&[victim, aggressor_spec], interleave, memo);
-    let v = &report.tenants[0];
-    let solo = v.solo.total_bytes();
+    let v = victim_contention(machine, &victim, aggressor, interleave, memo);
+    let solo = v.solo.counters.total_bytes();
     if solo <= 0.0 {
         return 1.0;
     }
-    (v.counters.total_bytes() / solo).max(1.0)
+    (v.contended.counters.total_bytes() / solo).max(1.0)
 }
 
 #[cfg(test)]
@@ -162,6 +225,68 @@ mod tests {
             stream
         );
         assert_eq!(memo.corun_stats().misses, misses);
+    }
+
+    #[test]
+    fn the_none_row_is_the_baseline_twice_and_every_aggressor_shares_it() {
+        let m = cva6_like();
+        let memo = SimMemo::new();
+        let victim = victim_kernel(&m);
+        let alone = victim_contention(&m, &victim, Aggressor::None, 16, &memo);
+        assert_eq!(alone.contended, alone.solo);
+        assert_eq!(alone.extra_llc_misses(), 0.0);
+        assert_eq!(memo.corun_stats().misses, 1);
+        // Another aggressor, another interleave: the same baseline entry.
+        let thrashed = victim_contention(&m, &victim, Aggressor::Thrash, 64, &memo);
+        assert_eq!(thrashed.solo, alone.solo);
+        assert_eq!(thrashed.llc_lines, alone.llc_lines);
+        assert_eq!(memo.corun_stats().misses, 2);
+        assert!((0.0..=1.0).contains(&thrashed.occupancy_fraction()));
+    }
+
+    #[test]
+    fn both_halves_reproduce_what_the_three_pass_co_run_reported() {
+        // Recorded from the commit before a co-run became one pass (PR 19,
+        // `a574883`), whose `run_corun` simulated the victim beside the
+        // aggressor and then alone on the drained LLC: the victim's
+        // `TenantReport` on `cva6-nowa` at `DEFAULT_INTERLEAVE`, counters as
+        // `f64::to_bits`.  The contended half then, the contended pass now;
+        // the `solo*` half then, the shared baseline now.
+        let traffic = [0x40c0000000000000, 0, 0, 0, 0x40b0000000000000, 0];
+        // (aggressor, contended occupancy); hits, misses and the solo
+        // occupancy were the same against both.
+        let recorded = [(Aggressor::Thrash, 0), (Aggressor::StreamHeavy, 2048)];
+        let m = cva6_like();
+        let memo = SimMemo::new();
+        let facts = |t: &TenantReport| {
+            let c = &t.counters;
+            let counters = [
+                c.read_lines,
+                c.write_lines,
+                c.itom_lines,
+                c.write_allocate_lines,
+                c.prefetch_lines,
+                c.speculative_read_lines,
+            ];
+            (
+                counters.map(f64::to_bits),
+                t.llc_hits,
+                t.llc_misses,
+                t.occupancy_lines,
+            )
+        };
+        for (aggressor, occupancy) in recorded {
+            let v = victim_contention(
+                &m,
+                &victim_kernel(&m),
+                aggressor,
+                crate::DEFAULT_INTERLEAVE,
+                &memo,
+            );
+            assert_eq!(facts(&v.contended), (traffic, 4096, 4096, occupancy));
+            assert_eq!(facts(&v.solo), (traffic, 4096, 4096, 8192));
+            assert_eq!(v.llc_lines, 32768);
+        }
     }
 
     #[test]

@@ -12,11 +12,14 @@
 //!                         parser), the response payload is byte-identical
 //!                         to what `figures sweep` prints
 //! stats                   memo hit/miss/entry counts (`sim-*` sum the
-//!                         solo and co-run simulation tables)
+//!                         solo and co-run tables; a co-run identity is
+//!                         two passes, the contended one and the baseline)
 //! save                    persist the co-run simulations now
 //! ping                    liveness probe
 //! quit                    save (if a store is configured) and disconnect
 //! ```
+//! The four control verbs take no arguments (`error <verb> takes no
+//! arguments`; a refused `quit` stays connected).
 //!
 //! Responses are framed so payloads of any shape stream unambiguously:
 //! `ok <byte count>\n<payload>` for sweeps, `error <message>\n` for
@@ -180,7 +183,14 @@ impl SweepService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let trimmed = line.trim();
         let mut words = trimmed.split_whitespace();
-        match words.next() {
+        let verb = words.next();
+        // Only `sweep` reads the rest of its line.
+        if let Some(verb @ ("ping" | "stats" | "save" | "quit")) = verb {
+            if words.next().is_some() {
+                return Response::Line(format!("error {verb} takes no arguments"));
+            }
+        }
+        match verb {
             None => Response::Empty,
             Some("ping") => Response::Line("ok pong".into()),
             Some("stats") => {
@@ -519,13 +529,15 @@ mod tests {
                 panic!("expected a payload");
             };
         }
+        // Two passes — the contended one and the victim's baseline —
+        // simulated by the first request, found by the second.
         let corun = service.sim_memo().corun_stats();
-        assert_eq!((corun.hits, corun.misses), (1, 1));
+        assert_eq!((corun.hits, corun.misses), (2, 2));
         let Response::Line(stats) = service.handle_request("stats") else {
             panic!("expected a stats line");
         };
         assert!(
-            stats.contains("sim-hits 1 sim-misses 1 sim-entries 1 "),
+            stats.contains("sim-hits 2 sim-misses 2 sim-entries 2 "),
             "{stats}"
         );
     }
@@ -541,6 +553,36 @@ mod tests {
         assert!(err.contains("unknown machine"), "{err}");
         assert!(err.contains('\n') == false, "errors are one line");
         assert_eq!(service.sweep_memo().len(), 0);
+        // The whole line, once: the parser's message behind one prefix.
+        let flags = "sweep --machine icx-8360y --ranks 1..4";
+        for (rest, message) in [
+            ("x", "unexpected argument 'x'"),
+            ("--json --json", "--json given twice"),
+        ] {
+            assert_eq!(
+                service.handle_request(&format!("{flags} {rest}")),
+                Response::Line(format!("error sweep: {message}"))
+            );
+        }
+    }
+
+    #[test]
+    fn control_verbs_take_no_arguments() {
+        let service = SweepService::new();
+        let output = run(
+            &service,
+            "ping y\nsave x\nstats now\nquit now\nping\nquit\nping\n",
+        );
+        assert_eq!(
+            output,
+            "error ping takes no arguments\n\
+             error save takes no arguments\n\
+             error stats takes no arguments\n\
+             error quit takes no arguments\n\
+             ok pong\n\
+             ok bye\n",
+            "a refused quit does not disconnect"
+        );
     }
 
     #[test]

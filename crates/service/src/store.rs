@@ -1,19 +1,23 @@
 //! Bit-exact on-disk persistence of the co-run simulations.
 //!
 //! A store file holds what costs more to recompute than to load: the
-//! `CoRunKey → Vec<TenantReport>` table of a [`SimMemo`] — the shared-LLC
-//! co-run of a victim against an aggressor, hundreds of milliseconds per
-//! identity.  Analytic scaling points are *not* persisted: evaluating one
-//! is cheaper than parsing the line that would hold it.  The file is
-//! versioned by the [`model_hash`](crate::model::model_hash) of the binary
-//! that wrote it; the format is a line-based text codec:
+//! `CoRunKey → Vec<TenantReport>` table of a [`SimMemo`] — one entry per
+//! pass over a shared LLC (a victim beside an aggressor, or alone as the
+//! baseline every aggressor shares), up to hundreds of milliseconds each.
+//! Analytic scaling points are *not* persisted: evaluating one is cheaper
+//! than parsing the line that would hold it.  The file is versioned by the
+//! [`model_hash`](crate::model::model_hash) of the binary that wrote it;
+//! the format is a line-based text codec (a `corun` record is one line):
 //!
 //! ```text
-//! cloverstore 2 <model-hash hex>
-//! corun <environment> <n> <n kernels> <interleave lines> <n tenant reports>
+//! cloverstore 3 <model-hash hex>
+//! corun <12 environment tokens> <cores> <n> <n kernels>
+//!       <interleave lines> <n × 9 report tokens>
 //! end <entry count>
 //! ```
 //!
+//! A report is the six counters, LLC hits, LLC misses and occupancy; the
+//! interleave of a one-tenant line is `u64::MAX` (its key carries none).
 //! Every `f64` is written as the hex rendering of its IEEE-754 bit
 //! pattern, so a load restores the exact value bit for bit — the property
 //! that keeps warm-start sweep output byte-identical to a cold run.
@@ -25,8 +29,9 @@
 //! Loading is *tolerant*: a missing, stale or corrupt file yields no
 //! entries plus a [`LoadOutcome`] explaining why — never an error, because
 //! the memo contents are pure caches that can always be rebuilt.  Stale
-//! covers a model-hash mismatch and a file of the retired `cloverstore 1`
-//! format alike: neither is parsed, and the next save replaces it.
+//! covers a model-hash mismatch and a file of a retired format
+//! (`cloverstore 1`, `2`) alike: neither is parsed, and the next save
+//! replaces it.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -49,8 +54,8 @@ pub enum LoadOutcome {
     /// No store file exists yet (first run).
     ColdMissing,
     /// The store was written under a different model hash — the presets,
-    /// policies or schema changed, so every entry is untrusted — or in the
-    /// retired `cloverstore 1` format.
+    /// policies or schema changed, so every entry is untrusted — or in a
+    /// retired format (`cloverstore 1` or `2`).
     ColdStale,
     /// The store exists but is unreadable, truncated or malformed.
     ColdCorrupt,
@@ -66,8 +71,8 @@ impl LoadOutcome {
     }
 }
 
-/// One persisted co-run simulation: its identity and the per-tenant
-/// reports in the key's canonical tenant order.
+/// One persisted co-run pass: its identity and the per-tenant reports in
+/// the key's canonical tenant order.
 pub type CoRunEntry = (CoRunKey, Vec<TenantReport>);
 
 /// A versioned on-disk memo store at a fixed path.
@@ -178,7 +183,7 @@ impl PersistentStore {
         lines.sort_unstable();
         let count = lines.len();
 
-        let mut text = format!("cloverstore 2 {:016x}\n", self.model_hash);
+        let mut text = format!("cloverstore 3 {:016x}\n", self.model_hash);
         for line in &lines {
             text.push_str(line);
             text.push('\n');
@@ -230,10 +235,10 @@ fn parse_store(text: &str, expected_hash: u64) -> Result<Vec<CoRunEntry>, LoadOu
         return Err(Corrupt);
     }
     match head.next() {
-        Some("2") => {}
-        // The retired format, whatever its hash: nothing below the header
+        Some("3") => {}
+        // A retired format, whatever its hash: nothing below the header
         // is read, the next save rebuilds the file.
-        Some("1") => return Err(Stale),
+        Some("1" | "2") => return Err(Stale),
         _ => return Err(Corrupt),
     }
     let hash = head
@@ -509,7 +514,7 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     out.push_str(&esc(&d.machine));
     let _ = write!(
         out,
-        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {}",
+        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {} {}",
         a.utilization_bits,
         a.active_domains,
         a.total_domains,
@@ -521,6 +526,7 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
         d.l3_sharers,
         d.replacement.name(),
         d.write_policy.name(),
+        key.cores,
         key.tenants.len(),
     );
     for kernel in &key.tenants {
@@ -529,16 +535,10 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     let _ = write!(out, " {}", key.interleave_lines);
     for r in reports {
         encode_counters(&mut out, &r.counters);
-        encode_counters(&mut out, &r.solo);
         let _ = write!(
             out,
-            " {} {} {} {} {} {}",
-            r.llc_hits,
-            r.llc_misses,
-            r.solo_llc_hits,
-            r.solo_llc_misses,
-            r.occupancy_lines,
-            r.solo_occupancy_lines,
+            " {} {} {}",
+            r.llc_hits, r.llc_misses, r.occupancy_lines
         );
     }
     out
@@ -559,6 +559,7 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
     let l3_sharers = cur.usize()?;
     let replacement = cur.replacement()?;
     let write_policy = cur.write_policy()?;
+    let cores = cur.usize()?;
     // One report per tenant: the one count sizes both lists.
     let n = cur.count()?;
     let mut tenants = Vec::with_capacity(n);
@@ -570,13 +571,9 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
     for _ in 0..n {
         reports.push(TenantReport {
             counters: decode_counters(cur)?,
-            solo: decode_counters(cur)?,
             llc_hits: cur.u64()?,
             llc_misses: cur.u64()?,
-            solo_llc_hits: cur.u64()?,
-            solo_llc_misses: cur.u64()?,
             occupancy_lines: cur.u64()?,
-            solo_occupancy_lines: cur.u64()?,
         });
     }
     Some((
@@ -597,6 +594,7 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
                 speci2m_enabled,
                 pf_off_evasion_bits,
             },
+            cores,
             tenants,
             interleave_lines,
         },
@@ -662,6 +660,7 @@ mod tests {
                 speci2m_enabled: false,
                 pf_off_evasion_bits: 0.55f64.to_bits(),
             },
+            cores: 3,
             tenants: vec![stencil, reuse],
             interleave_lines: 64,
         };
@@ -677,23 +676,15 @@ mod tests {
             TenantReport {
                 // 0.1 + 0.2 is deliberately not exactly 0.3.
                 counters: counters([1234.5, 0.1 + 0.2, f64::MIN_POSITIVE, 1e300, 0.0, -0.0]),
-                solo: counters([100.0, 1.0, 2.0, 3.0, 1.5, 0.75]),
                 llc_hits: 7,
                 llc_misses: 11,
-                solo_llc_hits: 13,
-                solo_llc_misses: 17,
                 occupancy_lines: 19,
-                solo_occupancy_lines: 23,
             },
             TenantReport {
                 counters: counters([4.0, 5.0, 6.0, 7.0, 8.0, 9.0]),
-                solo: counters([10.0, 11.0, 12.0, 13.0, 14.0, 15.0]),
                 llc_hits: 1,
                 llc_misses: 2,
-                solo_llc_hits: 3,
-                solo_llc_misses: 4,
                 occupancy_lines: 5,
-                solo_occupancy_lines: 6,
             },
         ];
         (key, reports)
@@ -711,22 +702,18 @@ mod tests {
         )
     }
 
-    /// The sample entry as a literal `cloverstore 2` line.
+    /// The sample entry as a literal `cloverstore 3` line.
     const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 \
-        srrip no-allocate 2 \
+        srrip no-allocate 3 2 \
         shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
         shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
         64 \
         40934a0000000000 3fd3333333333334 0010000000000000 7e37e43c8800759c \
         0000000000000000 8000000000000000 \
-        4059000000000000 3ff0000000000000 4000000000000000 4008000000000000 \
-        3ff8000000000000 3fe8000000000000 \
-        7 11 13 17 19 23 \
+        7 11 19 \
         4010000000000000 4014000000000000 4018000000000000 401c000000000000 \
         4020000000000000 4022000000000000 \
-        4024000000000000 4026000000000000 4028000000000000 402a000000000000 \
-        402c000000000000 402e000000000000 \
-        1 2 3 4 5 6";
+        1 2 5";
 
     fn decode_line(line: &str) -> Option<CoRunEntry> {
         let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -760,6 +747,16 @@ mod tests {
             got.speculative_read_lines.to_bits(),
             want.speculative_read_lines.to_bits()
         );
+        // A baseline: one tenant, one report, the interleave every
+        // one-tenant key stores.
+        let alone = CoRunKey {
+            tenants: key.tenants[1..].to_vec(),
+            interleave_lines: u64::MAX,
+            ..key
+        };
+        let line = encode_corun(&alone, &reports[1..]);
+        assert!(line.contains(" 3 18446744073709551615 "), "{line}");
+        assert_eq!(decode_line(&line), Some((alone, reports[1..].to_vec())));
     }
 
     #[test]
@@ -786,15 +783,15 @@ mod tests {
         assert!(decode_line(&line).is_some());
         for (from, to) in [
             // Tenants, operands of a kernel, points of an operand.
-            (" no-allocate 2 ", " no-allocate 18446744073709551615 "),
+            (" no-allocate 3 2 ", " no-allocate 3 18446744073709551615 "),
             (" shifted 36 1 2 ", " shifted 36 1 9999999999999999 "),
             (
                 " shifted 40 0 1 0 1 ",
                 " shifted 40 0 1 0 8888888888888888 ",
             ),
             // One tenant short of its reports, and one report short.
-            (" no-allocate 2 ", " no-allocate 1 "),
-            (" 1 2 3 4 5 6", ""),
+            (" no-allocate 3 2 ", " no-allocate 3 1 "),
+            (" 1 2 5", ""),
         ] {
             let lied = line.replace(from, to);
             assert_ne!(lied, line, "{from:?} must occur in the fixture");
@@ -814,20 +811,23 @@ mod tests {
         ac06 4055d4b2bed81eae ac07 405777c7a20e177c pdv00 405e6b0299442813 \
         pdv01 406380a939d818bd";
 
-    #[test]
-    fn a_cloverstore_1_file_is_stale_and_the_next_save_rebuilds_it() {
-        let dir = temp_dir("v1");
-        // A valid v1 file written under the *current* model hash: stale by
-        // format alone.
+    /// A one-entry file of the retired format `version`, valid under the
+    /// *current* model hash, is stale by format alone; nothing below its
+    /// header is read; the next save rebuilds it as `cloverstore 3`.
+    fn retired_format_is_stale_and_rebuilt(version: u32, line: &str) {
+        let dir = temp_dir(&format!("v{version}"));
         let store = PersistentStore::new(dir.join("store.txt"));
-        let line = POINT_LINE.split_whitespace().collect::<Vec<_>>().join(" ");
-        let v1 = format!("cloverstore 1 {:016x}\n{line}\nend 1\n", model_hash());
-        fs::write(store.path(), &v1).unwrap();
+        let line = line.split_whitespace().collect::<Vec<_>>().join(" ");
+        let record = line.split(' ').next().unwrap();
+        let old = format!(
+            "cloverstore {version} {:016x}\n{line}\nend 1\n",
+            model_hash()
+        );
+        fs::write(store.path(), &old).unwrap();
         let (entries, outcome) = store.load();
         assert_eq!(outcome, LoadOutcome::ColdStale);
         assert!(entries.is_empty());
-        // Nothing below a v1 header is read: garbage there is stale too.
-        fs::write(store.path(), v1.replace("point", "\u{0}pxint")).unwrap();
+        fs::write(store.path(), old.replace(record, "\u{0}garbage")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdStale);
 
         let sim = SimMemo::new();
@@ -838,10 +838,43 @@ mod tests {
         sim.corun_preload([sample_corun_entry()]);
         assert_eq!(store.save(&sim, &SweepMemo::new()).unwrap(), 1);
         let text = fs::read_to_string(store.path()).unwrap();
-        assert!(text.starts_with("cloverstore 2 "), "{text}");
-        assert!(!text.contains("point"), "{text}");
+        assert!(text.starts_with("cloverstore 3 "), "{text}");
+        assert!(!text.contains(&line), "{text}");
         assert_eq!(store.load().1, LoadOutcome::Warm(1));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cloverstore_1_file_is_stale_and_the_next_save_rebuilds_it() {
+        retired_format_is_stale_and_rebuilt(1, POINT_LINE);
+    }
+
+    /// The one `corun` line of the store the PR 19 binary wrote for
+    /// `figures sweep --machine cva6-nowa --ranks 1..2 --aggressor thrash`:
+    /// eighteen tokens per tenant, no tenancy size.
+    const CORUN_LINE_V2: &str = "corun cva6-nowa 3feae89f995ad3ad 1 1 1 1 1 8 3fe199999999999a 2 \
+        lru allocate 2 \
+        shifted 40 0 1 0 1 0 0 load 0 0 65536 0 3 \
+        shifted 40 0 1 0 1 0 0 load 0 0 262144 0 2 \
+        64 \
+        40c0000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40b0000000000000 0000000000000000 \
+        40c0000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40b0000000000000 0000000000000000 \
+        4096 4096 4096 4096 0 8192 \
+        40e3000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40d3000000000000 0000000000000000 \
+        40e0000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40d0000000000000 0000000000000000 \
+        46080 19456 49152 16384 32768 32768";
+
+    #[test]
+    fn a_cloverstore_2_file_is_stale_and_the_next_save_rebuilds_it() {
+        retired_format_is_stale_and_rebuilt(2, CORUN_LINE_V2);
+        // The same line under the current header is not a `cloverstore 3`
+        // record either: the format number is what keeps it from being
+        // misread.
+        assert!(decode_line(CORUN_LINE_V2).is_none());
     }
 
     #[test]
@@ -978,7 +1011,7 @@ mod tests {
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         fs::write(&path, "").unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
-        fs::write(&path, full.replace("cloverstore 2", "cloverstore 3")).unwrap();
+        fs::write(&path, full.replace("cloverstore 3", "cloverstore 4")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
 
         // Mid-line corruption: an unknown record kind, a mangled token.

@@ -16,8 +16,12 @@
 //!   byte-identical to the single-threaded CLI, while the flight
 //!   statistics prove each unique point was computed exactly once,
 //! * **compaction** — a `--store-cap` save keeps the most recently
-//!   touched co-runs, and a reload of the compacted store answers the
+//!   touched passes, and a reload of the compacted store answers the
 //!   recent plan fully warm from ≤ cap entries.
+//!
+//! The store counts simulation *passes*: a co-run identity is its contended
+//! pass plus the victim's baseline, which every aggressor and interleave
+//! of one machine share.
 //!
 //! Only the restart test pays for a real machine's co-run; the others run
 //! theirs on the embedded `cva6` preset, whose 2 MiB LLC simulates in
@@ -39,7 +43,8 @@ use proptest::prelude::*;
 /// daemon client or the `figures sweep` command line would spell them.
 const SWEEP_FLAGS: &str = "--machine icx-8360y --grid 1920 --ranks 1..12 --stage all --jobs 2";
 
-/// A contended plan with three co-run identities (one per aggressor).
+/// A contended plan with three co-run identities (one per aggressor): four
+/// passes, the three contended ones and the baseline they share.
 const CONTENDED_FLAGS: &str = "--machine cva6 --ranks 1..4 --aggressor all --jobs 2";
 
 /// The payload bytes of one `sweep <flags>` request against `service`.
@@ -71,23 +76,23 @@ fn warm_restart_hits_the_memo_and_reproduces_the_cold_bytes() {
     assert_eq!(outcome, LoadOutcome::ColdMissing);
     assert_eq!(request(&cold, first), expected.0);
     let corun = cold.sim_memo().corun_stats();
-    assert_eq!((corun.hits, corun.misses), (0, 1), "a cold run simulates");
+    assert_eq!((corun.hits, corun.misses), (0, 2), "a cold run simulates");
     let saved = cold.save().unwrap().expect("store is configured");
     assert_eq!(
-        saved, 1,
-        "the co-run persists, the 36 analytic points do not"
+        saved, 2,
+        "both passes persist, the 36 analytic points do not"
     );
 
     // "Process 2": fresh memos, warm-loaded from disk, a request the first
     // process never saw — answered without simulating.
     let (warm, outcome) = SweepService::with_store(store.clone());
-    assert_eq!(outcome, LoadOutcome::Warm(1), "store loads warm");
+    assert_eq!(outcome, LoadOutcome::Warm(2), "store loads warm");
     assert_eq!(request(&warm, second), expected.1);
     let corun = warm.sim_memo().corun_stats();
     assert_eq!(
         (corun.hits, corun.misses),
-        (1, 0),
-        "the persisted co-run is a hit"
+        (2, 0),
+        "both persisted passes are hits"
     );
     assert_eq!(
         request(&warm, first),
@@ -122,12 +127,16 @@ fn store_round_trip_is_byte_identical_without_the_service_layer() {
 
     let (cold_sim, cold_memo) = (SimMemo::new(), SweepMemo::new());
     let cold_artifacts = run_plan_memos(&parsed.plan, parsed.jobs, &cold_memo, &cold_sim);
-    assert_eq!(cold_sim.corun_stats().misses, 3, "one per aggressor");
-    assert_eq!(store.save(&cold_sim, &cold_memo).unwrap(), 3);
+    assert_eq!(
+        cold_sim.corun_stats().misses,
+        4,
+        "one per aggressor and their baseline"
+    );
+    assert_eq!(store.save(&cold_sim, &cold_memo).unwrap(), 4);
 
     let (warm_sim, warm_memo) = (SimMemo::new(), SweepMemo::new());
     let outcome = store.warm_load(&warm_sim, &warm_memo);
-    assert_eq!(outcome.loaded(), 3);
+    assert_eq!(outcome.loaded(), 4);
     assert!(warm_memo.is_empty(), "analytic points are not persisted");
     // What was loaded is what was simulated, to the bit (`TenantReport`
     // compares its counters as floats; none of them is a NaN or -0.0).
@@ -146,7 +155,7 @@ fn store_round_trip_is_byte_identical_without_the_service_layer() {
     let corun = warm_sim.corun_stats();
     assert_eq!(
         (corun.hits, corun.misses),
-        (3, 0),
+        (6, 0),
         "the warm run simulates nothing"
     );
 
@@ -158,7 +167,7 @@ fn truncated_and_corrupt_stores_rebuild_and_resave() {
     let store = temp_store("corrupt");
     let (cold, _) = SweepService::with_store(store.clone());
     let cold_bytes = request(&cold, CONTENDED_FLAGS);
-    assert_eq!(cold.save().unwrap(), Some(3));
+    assert_eq!(cold.save().unwrap(), Some(4));
 
     // Truncate: drop the `end <count>` trailer (a torn write).
     let full = fs::read_to_string(store.path()).unwrap();
@@ -171,11 +180,11 @@ fn truncated_and_corrupt_stores_rebuild_and_resave() {
         cold_bytes,
         "rebuild is clean"
     );
-    assert_eq!(service.sim_memo().corun_stats().misses, 3);
+    assert_eq!(service.sim_memo().corun_stats().misses, 4);
     // Saving heals the store for the next process.
     service.save().unwrap();
     let (_, outcome) = SweepService::with_store(store.clone());
-    assert_eq!(outcome, LoadOutcome::Warm(3), "store was healed");
+    assert_eq!(outcome, LoadOutcome::Warm(4), "store was healed");
 
     // Arbitrary garbage never panics either.
     fs::write(store.path(), b"\xff\xfe not a store \x00").unwrap();
@@ -270,8 +279,9 @@ fn concurrent_saves_never_share_a_temp_file() {
         }
         scope.spawn(|| {
             barrier.wait();
-            // Every interleave is a co-run identity of its own: the table
-            // the saves snapshot keeps growing under them.
+            // Every interleave is three contended passes of its own (the
+            // baseline is shared): the table the saves snapshot keeps
+            // growing under them.
             for interleave in 1..12 {
                 request(
                     &service,
@@ -281,7 +291,7 @@ fn concurrent_saves_never_share_a_temp_file() {
         });
     });
     let entries = service.save().unwrap().expect("store is configured");
-    assert_eq!(entries, 3 * 12);
+    assert_eq!(entries, 3 * 12 + 1);
     assert_eq!(entries, service.sim_memo().corun_len());
     assert_eq!(store.load().1, LoadOutcome::Warm(entries));
     let dir = store.path().parent().unwrap();
@@ -300,13 +310,14 @@ fn concurrent_saves_never_share_a_temp_file() {
 #[test]
 fn compacted_store_reloads_warm_within_the_cap() {
     // Compaction acceptance: after serving a plan with three co-run
-    // identities and then another rank range of one of them (which
-    // refreshes that co-run's recency), a save capped to 1 keeps only the
-    // most recently touched co-run, and a fresh process loading the
-    // compacted store answers the recent plan without simulating.
+    // identities (four passes) and then another rank range of one of them
+    // (which refreshes the recency of its two passes), a save capped to 2
+    // keeps only those — the contended pass and the baseline — and a
+    // fresh process loading the compacted store answers the recent plan
+    // without simulating.
     let store = temp_store("compaction");
     let recent = "--machine cva6 --ranks 2..3 --aggressor stream";
-    let cap = 1;
+    let cap = 2;
 
     let (cold, outcome) = SweepService::with_store(store.clone());
     assert_eq!(outcome, LoadOutcome::ColdMissing);
@@ -335,8 +346,8 @@ fn compacted_store_reloads_warm_within_the_cap() {
     let corun = warm.sim_memo().corun_stats();
     assert_eq!(
         (corun.hits, corun.misses),
-        (1, 0),
-        "the surviving co-run is the recent one"
+        (2, 0),
+        "the surviving passes are the recent co-run's"
     );
 
     let _ = fs::remove_dir_all(store.path().parent().unwrap());

@@ -4,16 +4,17 @@
 //! one from-scratch simulation per cache-dynamics class (machine × kernel
 //! × prefetcher setting; every other point replays a trace or hits the
 //! memo), and the six walks together allocate less than 1e8 bytes once the
-//! thread's pooled cores exist.  Beside them, the arena of a cold co-run:
-//! one shared-LLC lane for the contended pass and every solo baseline.
+//! thread's pooled cores exist.  Beside them, the co-run: one shared-LLC
+//! lane requested per pass, and no pass that is not a distinct one.
 
 mod common;
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
-use cloverleaf_wa::cachesim::{with_pooled_core, SimMemo};
+use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine,
 };
+use cloverleaf_wa::scenario::interference::{aggressor_kernel, victim_contention, victim_kernel};
 use cloverleaf_wa::scenario::{interference_factor, Aggressor, DEFAULT_INTERLEAVE};
 use cloverleaf_wa::ubench::{
     copy_halo_ratio_memo, copy_volume_per_iteration_memo, store_ratio_memo, StoreKind,
@@ -104,23 +105,68 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
 #[test]
 fn a_cold_corun_allocates_one_llc_arena_and_a_repeat_none() {
     // The tenants of `--aggressor thrash` on the ICX share a 27 MiB LLC:
-    // 3.5e6 bytes of tags.  The contended pass and both solo baselines run
-    // on that one arena (2.27e7 bytes were requested when each baseline
-    // built its own and every slot had a second, metadata word).
+    // 3.5e6 bytes of tags.  Each pass — the co-run, and the victim alone
+    // as its baseline — requests that arena once (2.27e7 bytes were
+    // requested when a co-run built one per tenant baseline as well and
+    // every slot had a second, metadata word).  Two arenas in sequence are
+    // never two arenas alive: a pass owns its LLC and drops it before it
+    // returns, and `victim_contention` runs its two passes one after the
+    // other on the calling thread.
     let icx = icelake_sp_8360y();
     let memo = SimMemo::new();
-    let factor = || interference_factor(&icx, Aggressor::Thrash, DEFAULT_INTERLEAVE, &memo);
-    let (cold, (_, cold_bytes)) = allocations(factor);
-    assert!(
-        cold_bytes < 6_000_000,
-        "a cold co-run allocated {cold_bytes} bytes"
-    );
-    // A repeat is a memo hit: not one LLC-sized block.
-    let (warm, (_, warm_bytes)) = allocations(factor);
-    assert_eq!(memo.corun_stats().misses, 1);
-    assert_eq!(cold.to_bits(), warm.to_bits());
+    let victim = victim_kernel(&icx);
+    let sim = NodeSim::new(SimConfig::new(icx.clone(), 2));
+    let pair = [
+        victim.clone(),
+        aggressor_kernel(&icx, Aggressor::Thrash).expect("thrash has a kernel"),
+    ];
+    for tenants in [&pair[..], &pair[..1]] {
+        let (_, (_, bytes)) = allocations(|| sim.run_corun(tenants, DEFAULT_INTERLEAVE, &memo));
+        assert!(
+            bytes < 4_500_000,
+            "a cold pass of {} allocated {bytes} bytes",
+            tenants.len()
+        );
+    }
+    // A repeat is two memo hits: not one LLC-sized block.
+    let contention =
+        || victim_contention(&icx, &victim, Aggressor::Thrash, DEFAULT_INTERLEAVE, &memo);
+    let (_, (_, warm_bytes)) = allocations(contention);
+    assert_eq!(memo.corun_stats().misses, 2);
     assert!(
         warm_bytes < 1_000_000,
-        "a memo hit allocated {warm_bytes} bytes"
+        "two memo hits allocated {warm_bytes} bytes"
+    );
+}
+
+#[test]
+fn distinct_passes_are_the_only_passes() {
+    // By `corun_stats()`, through one fresh memo each: a factor is its
+    // contended pass plus the victim's baseline, and the baseline is one
+    // entry for every aggressor, every interleave and the `none` row.
+    let icx = icelake_sp_8360y();
+    let misses = |memo: &SimMemo| memo.corun_stats().misses;
+
+    let memo = SimMemo::new();
+    let cold = interference_factor(&icx, Aggressor::Thrash, 64, &memo);
+    assert_eq!(misses(&memo), 2, "a cold factor: contended + baseline");
+    let warm = interference_factor(&icx, Aggressor::Thrash, 64, &memo);
+    assert_eq!(misses(&memo), 2, "a repeat simulates nothing");
+    assert_eq!(cold.to_bits(), warm.to_bits());
+    interference_factor(&icx, Aggressor::Thrash, 8, &memo);
+    assert_eq!(misses(&memo), 3, "a second interleave: one contended pass");
+
+    let memo = SimMemo::new();
+    for aggressor in [Aggressor::Stream, Aggressor::StreamHeavy, Aggressor::Thrash] {
+        interference_factor(&icx, aggressor, 64, &memo);
+    }
+    assert_eq!(misses(&memo), 4, "three contended passes, one baseline");
+    let hits = memo.corun_stats().hits;
+    let none = victim_contention(&icx, &victim_kernel(&icx), Aggressor::None, 64, &memo);
+    assert_eq!(none.contended, none.solo);
+    assert_eq!(
+        (misses(&memo), memo.corun_stats().hits),
+        (4, hits + 1),
+        "the `none` row is one hit of the shared baseline"
     );
 }
