@@ -487,9 +487,7 @@ fn serve_main(args: &[String]) -> ExitCode {
             // Each in-flight request already fans its plan out over
             // `--jobs` threads; clamp per-request jobs so `workers`
             // concurrent requests cannot oversubscribe the host.
-            let host = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
+            let host = clover_scenario::runner::host_parallelism();
             let service = service.with_max_jobs((host / workers).max(1));
             eprintln!("figures serve: listening on {path} ({workers} workers)");
             clover_service::serve_unix(

@@ -23,6 +23,7 @@ use clover_core::{
 };
 use clover_golden::{check_artifact, golden, markdown_delta_table, Artifact, Cell, DiffReport};
 use clover_machine::{icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine};
+use clover_scenario::runner::{host_parallelism, par_map};
 use clover_stencil::{loop_catalogue, CodeBalance, PAPER_MEASURED_SINGLE_CORE};
 use clover_ubench::{
     copy_halo_ratio_memo, copy_volume_per_iteration_memo, store_ratio_memo, StoreKind,
@@ -321,28 +322,45 @@ pub fn fig7() -> Artifact {
     a
 }
 
+/// The points `(halo, inner, prefetchers)` of a copy-halo figure in row
+/// order: per halo 0–17 the three inner dimensions with the prefetchers
+/// on, then (fig. 8) the same three with them off.
+pub fn copy_halo_points(with_pf_off: bool) -> Vec<(usize, usize, bool)> {
+    let settings: &[bool] = if with_pf_off { &[true, false] } else { &[true] };
+    let mut points = Vec::new();
+    for halo in 0..=17 {
+        for &prefetchers in settings {
+            points.extend([216, 530, 1920].map(|inner| (halo, inner, prefetchers)));
+        }
+    }
+    points
+}
+
+/// The rows of a copy-halo figure, its points simulated by `jobs` workers.
+/// Every (inner, halo, prefetcher) point is its own cache-dynamics class
+/// (`tests/sim_work.rs` holds the figures to that: as many from-scratch
+/// simulations as points), so no point can replay another's trace: the
+/// points are independent jobs, and the memo records no traces.
+fn copy_halo_rows(machine: &Machine, with_pf_off: bool, jobs: usize) -> Vec<Vec<Cell>> {
+    let points = copy_halo_points(with_pf_off);
+    let memo = SimMemo::without_differential();
+    let mut ratios = par_map(points.len(), jobs, |i| {
+        let (halo, inner, prefetchers) = points[i];
+        copy_halo_ratio_memo(machine, inner, halo, prefetchers, &memo).ratio
+    })
+    .into_iter();
+    points
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|of_halo| {
+            let mut row: Vec<Cell> = vec![of_halo[0].0.into()];
+            row.extend(ratios.by_ref().take(of_halo.len()).map(Cell::Num));
+            row
+        })
+        .collect()
+}
+
 fn copy_halo_figure(a: &mut Artifact, machine: &Machine, with_pf_off: bool) {
-    // Every (inner, halo) pair is a distinct kernel, so the memo's value
-    // here is the pooled-core arena reuse across the 18×3(×2) points.
-    let memo = SimMemo::new();
-    for halo in 0..=17usize {
-        let mut row: Vec<Cell> = vec![halo.into()];
-        for &inner in &[216usize, 530, 1920] {
-            row.push(
-                copy_halo_ratio_memo(machine, inner, halo, true, &memo)
-                    .ratio
-                    .into(),
-            );
-        }
-        if with_pf_off {
-            for &inner in &[216usize, 530, 1920] {
-                row.push(
-                    copy_halo_ratio_memo(machine, inner, halo, false, &memo)
-                        .ratio
-                        .into(),
-                );
-            }
-        }
+    for row in copy_halo_rows(machine, with_pf_off, host_parallelism()) {
         a.push_row(row);
     }
 }
@@ -483,6 +501,55 @@ mod tests {
         a.perturb(1.10);
         let report = check_artifact(&a, golden("table1").unwrap());
         assert!(!report.passed(), "a 10% model error must be caught");
+    }
+
+    #[test]
+    fn halo_points_are_listed_in_row_order() {
+        let fig11 = copy_halo_points(false);
+        assert_eq!(fig11.len(), 54);
+        assert_eq!(
+            fig11[..4],
+            [
+                (0, 216, true),
+                (0, 530, true),
+                (0, 1920, true),
+                (1, 216, true)
+            ]
+        );
+        let fig8 = copy_halo_points(true);
+        assert_eq!(fig8.len(), 108);
+        assert_eq!(
+            fig8[2..5],
+            [(0, 1920, true), (0, 216, false), (0, 530, false)]
+        );
+        assert_eq!(fig8[107], (17, 1920, false));
+    }
+
+    #[test]
+    fn halo_rows_are_the_same_bits_at_any_width() {
+        // A cheap machine: the figures' own bytes are pinned by
+        // `benchmark/expected/digests.txt`, which `paper_all` checks before
+        // it times anything, on whatever width the host has.
+        let machine = clover_machine::cva6_like();
+        let bits = |rows: Vec<Vec<Cell>>| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|cell| cell.as_f64().expect("a numeric cell").to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        let sequential = bits(copy_halo_rows(&machine, true, 1));
+        assert_eq!(sequential.len(), 18);
+        assert!(sequential.iter().all(|row| row.len() == 7));
+        for jobs in [2, 5] {
+            assert_eq!(
+                bits(copy_halo_rows(&machine, true, jobs)),
+                sequential,
+                "jobs={jobs}"
+            );
+        }
     }
 
     #[test]

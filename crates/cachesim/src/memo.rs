@@ -595,9 +595,14 @@ impl SimMemo {
     }
 
     /// An empty memo with differential re-simulation disabled: every miss
-    /// simulates from scratch.  Counters are bit-identical to the
-    /// differential path (a tested property); this exists for the
-    /// equivalence tests and as a debugging escape hatch.
+    /// simulates from scratch and records no trace.  Counters are
+    /// bit-identical to the differential path (a tested property).  For a
+    /// caller that knows every point it looks up is its own cache-dynamics
+    /// class — a trace it recorded would be kept and replayed by nobody —
+    /// such as the copy-halo figures, which `tests/sim_work.rs`
+    /// (`each_figure_simulates_once_per_dynamics_class_and_allocates_little`)
+    /// holds to that: as many classes as points.  The equivalence tests
+    /// use it as the from-scratch reference.
     pub fn without_differential() -> Self {
         Self {
             differential: false,

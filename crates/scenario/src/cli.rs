@@ -241,11 +241,7 @@ impl SweepArgs {
         // Every scenario must be evaluable (non-empty range, ranks within
         // the machine's core count) before any worker starts.
         plan.validate()?;
-        let jobs = jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+        let jobs = jobs.unwrap_or_else(crate::runner::host_parallelism);
         Ok(SweepArgs { plan, jobs, json })
     }
 

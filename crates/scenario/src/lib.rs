@@ -7,8 +7,8 @@
 //!   range × code [`Stage`] (the `TrafficOptions` variant),
 //! * [`SweepPlan`] — a cartesian grid of those axes that expands into a
 //!   deterministic scenario list,
-//! * [`runner`] — a parallel runner that fans scenarios out across
-//!   `crossbeam` scoped worker threads and returns `clover_golden::Artifact`
+//! * [`runner`] — a parallel runner that fans scenarios out through one
+//!   ordered [`runner::par_map`] and returns `clover_golden::Artifact`
 //!   tables in deterministic (plan) order, byte-identical to the sequential
 //!   path,
 //! * [`evaluate`] — the default evaluator: the node-level scaling model of

@@ -1,28 +1,99 @@
 //! Parallel sweep runner.
 //!
-//! The runner fans work out across `jobs` `crossbeam` scoped worker threads
-//! pulling indices from a shared atomic counter (work stealing without any
-//! queue allocation).  Since PR 5 the work is not whole scenarios but the
-//! flattened `(scenario, item)` pairs — for the default evaluator an item
-//! is one rank point — so a single large curve no longer serialises on one
-//! worker.  A worker claims a *run* of up to `CHUNK` (64) consecutive items
-//! of one scenario at a time and publishes the run's results as one `Vec`
-//! into its pre-allocated slot (no channel buffering the whole plan until
-//! the scope ends); the assembly walks the slots in plan order, so the
-//! output is byte-identical to the sequential path regardless of worker
-//! interleaving — determinism is a tested property, not an accident.
+//! One ordered parallel map, [`par_map`], is the only place the sweeps and
+//! the figures spawn worker threads: the workers — `jobs − 1` scoped threads
+//! and the caller — claim indices one at a time from a shared atomic
+//! counter (work stealing without any queue allocation) and the results
+//! come back in index order, so the output is byte-identical to the
+//! sequential path regardless of worker interleaving — determinism is a
+//! tested property, not an accident.  Since PR 5 the runner's work is not
+//! whole scenarios but the flattened `(scenario, item)` pairs — for the
+//! default evaluator an item is one rank point — so a single large curve
+//! no longer serialises on one worker: the indices it maps are *runs* of up
+//! to `CHUNK` (64) consecutive items of one scenario, and the assembly
+//! walks the runs in plan order.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use clover_golden::Artifact;
-use parking_lot::Mutex;
 
 use crate::plan::Scenario;
 
+/// Hardware threads available to this process (1 when the host does not
+/// say): the default width of every [`par_map`].
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// What a spawned worker sleeps before it claims its first index.  On the
+/// 2-vCPU host of PR 21 a thread spawned beside a busy parent was, for an
+/// hour at a time, left on the parent's CPU for ≈ 0.4 s — longer than a
+/// figure takes — while the other CPU idled (`figures fig8`: 170 ms real,
+/// 169 ms user, five of five); a thread that *wakes* was placed on the
+/// idle CPU at once (77 ms real, 150 ms user, five of five).  When the host
+/// places new threads well by itself the nap reads neither better nor
+/// worse: the caller works through it, so it costs the worker's 50 µs.
+const WORKER_START_NAP: Duration = Duration::from_micros(50);
+
+/// `f(0), f(1), …, f(len − 1)`, in index order, evaluated by `jobs`
+/// workers: `jobs − 1` scoped threads and the calling thread, each claiming
+/// the next unclaimed index until none is left.  With `jobs == 1` or
+/// `len <= 1` nothing is spawned and the calls run inline, in order.  The
+/// result is the same `Vec` for any `jobs` whenever `f` is a function of
+/// its index.
+///
+/// # Panics
+/// Panics if `jobs == 0` or a call of `f` panics (the panic is propagated
+/// once every worker has stopped).
+pub fn par_map<T: Send>(len: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    assert!(jobs >= 1, "jobs must be >= 1");
+    if jobs == 1 || len <= 1 {
+        return (0..len).map(f).collect();
+    }
+    // `Relaxed`: the counter hands out indices and publishes nothing; a
+    // worker's results reach the caller through its join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
+                break done;
+            }
+            done.push((i, f(i)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..jobs.min(len))
+            .map(|_| {
+                scope.spawn(|| {
+                    std::thread::sleep(WORKER_START_NAP);
+                    work()
+                })
+            })
+            .collect();
+        let mut done = work();
+        for handle in spawned {
+            done.extend(
+                handle
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        done
+    });
+    // Every index was claimed exactly once: sorted, the values are in order.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
+}
+
 /// Consecutive items of one scenario a worker claims at a time.  An
 /// analytic point is ≈ 0.5 µs of work: claimed one by one, the shared
-/// counter and a slot lock per point made two workers slower than one.
+/// counter per point made two workers slower than one.
 const CHUNK: usize = 64;
 
 /// Evaluate the flattened `(scenario, item)` pairs of `scenarios` with
@@ -70,36 +141,12 @@ where
             .collect();
     }
 
-    // Pre-allocated result slots, written directly by the workers: peak
-    // extra memory is the in-flight runs of the `jobs` workers, not a
-    // channel buffering the whole plan until the scope ends.
-    let slots: Vec<Mutex<Option<Vec<T>>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = jobs.min(chunks.len());
-    let eval_item = &eval_item;
-    let next = &next;
-    let chunks = &chunks;
-    let slots = &slots;
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((si, items)) = chunks.get(i) else {
-                    break;
-                };
-                let scenario = &scenarios[*si];
-                let values = items.clone().map(|ii| eval_item(scenario, ii)).collect();
-                *slots[i].lock() = Some(values);
-            });
-        }
+    let mut runs = par_map(chunks.len(), jobs, |i| -> Vec<T> {
+        let (si, items) = &chunks[i];
+        let scenario = &scenarios[*si];
+        items.clone().map(|ii| eval_item(scenario, ii)).collect()
     })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-    let mut runs = slots.iter().map(|slot| {
-        slot.lock()
-            .take()
-            .expect("every run evaluated exactly once")
-    });
+    .into_iter();
     scenarios
         .iter()
         .zip(&counts)
@@ -270,5 +317,60 @@ mod tests {
                 assert_eq!(a.rows, expected, "{} with jobs={jobs}", s.id());
             }
         }
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order_at_any_width() {
+        for len in [0, 1, 2, 7, 100] {
+            let expected: Vec<usize> = (0..len).map(|i| i * i).collect();
+            for jobs in [1, 2, 3, len + 5] {
+                assert_eq!(par_map(len, jobs, |i| i * i), expected, "{len} / {jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn one_job_runs_every_item_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = par_map(5, 1, |_| std::thread::current().id());
+        assert_eq!(ran_on, [caller; 5]);
+        // One item is not worth a thread either.
+        assert_eq!(par_map(1, 8, |_| std::thread::current().id()), [caller]);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Items 0 and 1 can only pass the barrier together, so they run on
+        // two threads; with `jobs == 2` one thread is spawned, so the other
+        // party must be the caller.
+        let caller = std::thread::current().id();
+        let meet = std::sync::Barrier::new(2);
+        let ran_on = par_map(2, 2, |_| {
+            meet.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&caller), "the caller did not work");
+    }
+
+    #[test]
+    fn a_panicking_item_propagates_and_does_not_hang() {
+        for jobs in [1, 2, 4] {
+            let result = std::panic::catch_unwind(|| {
+                par_map(16, jobs, |i| {
+                    assert_ne!(i, 5, "item five exploded");
+                    i
+                })
+            });
+            let payload = result.expect_err("the panic must reach the caller");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert!(message.contains("item five exploded"), "{message}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "jobs must be >= 1")]
+    fn par_map_rejects_zero_jobs() {
+        par_map(3, 0, |i| i);
     }
 }

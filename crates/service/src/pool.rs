@@ -78,9 +78,7 @@ impl WorkerPool {
 
 /// The daemon's default worker count: one per available hardware thread.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    clover_scenario::runner::host_parallelism()
 }
 
 #[cfg(test)]

@@ -115,8 +115,10 @@ pub fn copy_halo_ratio(
 }
 
 /// [`copy_halo_ratio`] through a cross-sweep [`SimMemo`].  The halo/inner
-/// axes make every point a distinct kernel, so the memo's value here is the
-/// pooled-core arena reuse plus sharing across repeated evaluations.
+/// axes make every point a distinct kernel and its own cache-dynamics
+/// class: what the memo shares is a repeated evaluation, never a trace, so
+/// a caller that walks each point once (figs. 8/11) passes
+/// [`SimMemo::without_differential`] and may walk the points in parallel.
 pub fn copy_halo_ratio_memo(
     machine: &Machine,
     inner: usize,

@@ -1,14 +1,18 @@
 //! Deterministic gate on the simulator's work for the six simulated paper
 //! figures — counts that repeat exactly, no timing: each figure's curve or
-//! grid, walked through one `SimMemo` the way `clover-bench` walks it, runs
-//! one from-scratch simulation per cache-dynamics class (machine × kernel
-//! × prefetcher setting; every other point replays a trace or hits the
-//! memo), and the six walks together allocate less than 1e8 bytes once the
-//! thread's pooled cores exist.  Beside them, the co-run: one shared-LLC
-//! lane requested per pass, and no pass that is not a distinct one.
+//! grid, walked through the memo `clover-bench` walks it through, runs one
+//! from-scratch simulation per cache-dynamics class (machine × kernel ×
+//! prefetcher setting; every other point replays a trace or hits the
+//! memo), and the six walks together allocate less than 5e7 bytes once the
+//! thread's pooled cores exist.  In the copy-halo figures every point is
+//! its own class — the count below is the evidence — which is why
+//! `clover-bench` records no traces for them and simulates their points in
+//! parallel.  Beside them, the co-run: one shared-LLC lane requested per
+//! pass, and no pass that is not a distinct one.
 
 mod common;
 
+use clover_bench::copy_halo_points;
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::machine::{
@@ -33,16 +37,10 @@ fn store_curve(machine: &Machine, step: usize, memo: &SimMemo) {
     }
 }
 
-/// Figs. 8, 11: three inner dimensions × halos 0–17 on the full node,
-/// prefetchers on and (Fig. 8) off.
+/// Figs. 8, 11: the point list `clover-bench` simulates, on the full node.
 fn halo_grid(machine: &Machine, with_pf_off: bool, memo: &SimMemo) {
-    for halo in 0..=17 {
-        for inner in [216, 530, 1920] {
-            copy_halo_ratio_memo(machine, inner, halo, true, memo);
-            if with_pf_off {
-                copy_halo_ratio_memo(machine, inner, halo, false, memo);
-            }
-        }
+    for (halo, inner, prefetchers) in copy_halo_points(with_pf_off) {
+        copy_halo_ratio_memo(machine, inner, halo, prefetchers, memo);
     }
 }
 
@@ -52,7 +50,7 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
     let spr = sapphire_rapids_8480();
     type Walk<'a> = Box<dyn Fn(&SimMemo) + 'a>;
     // (figure, distinct machine × kernel × prefetcher classes, walk)
-    let figures: [(&str, u64, Walk); 6] = [
+    let shared: [(&str, u64, Walk); 4] = [
         ("fig5", 6, Box::new(|memo| store_curve(&icx, 3, memo))),
         (
             "fig6",
@@ -72,9 +70,9 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
             }),
         ),
         ("fig10", 6, Box::new(|memo| store_curve(&spr, 8, memo))),
-        ("fig8", 108, Box::new(|memo| halo_grid(&icx, true, memo))),
-        ("fig11", 54, Box::new(|memo| halo_grid(&spr, false, memo))),
     ];
+    // (figure, machine, prefetchers-off columns too, points)
+    let halo = [("fig8", &icx, true, 108), ("fig11", &spr, false, 54)];
     // The pooled core of a machine, its arenas sized for the whole L3, is
     // allocated once per thread: not part of a figure's work.
     for machine in [
@@ -86,8 +84,23 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
         let ctx = OccupancyContext::serial(machine);
         with_pooled_core(machine, ctx, CoreSimOptions::default(), |_| ());
     }
+    // The evidence that a halo figure has no trace to replay: through a
+    // differential memo, as many trace classes as points.  If an
+    // experiment change ever makes this fewer, `copy_halo_rows` must go
+    // back to `SimMemo::new()` and a leader-first walk.
+    for (figure, machine, with_pf_off, points) in halo {
+        assert_eq!(copy_halo_points(with_pf_off).len() as u64, points);
+        let memo = SimMemo::new();
+        halo_grid(machine, with_pf_off, &memo);
+        assert_eq!(
+            memo.diff_stats().misses,
+            points,
+            "{figure}: a point shares its cache dynamics with another"
+        );
+    }
+    // The six walks as `clover-bench` runs them.
     let ((), (_, bytes)) = allocations(|| {
-        for (figure, classes, walk) in figures {
+        for (figure, classes, walk) in shared {
             let memo = SimMemo::new();
             walk(&memo);
             assert_eq!(
@@ -98,8 +111,15 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
                 memo.len()
             );
         }
+        for (figure, machine, with_pf_off, points) in halo {
+            let memo = SimMemo::without_differential();
+            halo_grid(machine, with_pf_off, &memo);
+            assert_eq!(memo.stats().misses, points, "{figure}: simulations");
+            assert_eq!(memo.diff_len(), 0, "{figure}: traces recorded");
+        }
     });
-    assert!(bytes < 100_000_000, "six figures allocated {bytes} bytes");
+    // 3.12e7 measured (6.2e7 while the halo figures recorded 162 traces).
+    assert!(bytes < 50_000_000, "six figures allocated {bytes} bytes");
 }
 
 #[test]
