@@ -15,7 +15,8 @@
 //!   `clover-core` applied to the scenario's axes.
 //!
 //! The `figures sweep` subcommand and the `figures serve` daemon expose the
-//! engine; custom evaluators plug in via [`run_scenario_items_with`].
+//! engine; [`cli`] is the command-line grammar both speak and [`render`]
+//! the bytes both print.
 
 pub mod cli;
 pub mod interference;
@@ -25,15 +26,20 @@ pub mod runner;
 pub use cli::SweepArgs;
 pub use interference::interference_factor;
 pub use plan::{
-    Aggressor, LayerCondition, RankRange, Scenario, Stage, SweepPlan, DEFAULT_INTERLEAVE,
+    Aggressor, LayerCondition, NamedAxis, RankRange, Scenario, Stage, SweepPlan, DEFAULT_INTERLEAVE,
 };
-pub use runner::run_scenario_items_with;
 
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 use clover_cachesim::SimMemo;
 use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
 use clover_golden::Artifact;
+
+/// Consecutive rank points of one scenario a worker claims at a time.  An
+/// analytic point is ≈ 0.5 µs of work: claimed one by one, the shared
+/// counter per point made two workers slower than one.
+const CHUNK: usize = 64;
 
 /// Render one artifact as the block the `figures` CLI prints (`==== id ====`
 /// header + CSV).  The CLI and the byte-identity tests share this function,
@@ -47,6 +53,17 @@ pub fn render_block(artifact: &Artifact) -> String {
     artifact.write_csv(&mut out);
     out.push('\n');
     out
+}
+
+/// What every front end prints for `artifacts`: their [`render_block`]s one
+/// after the other, or with `json` one line holding them as a JSON array.
+pub fn render(artifacts: &[Artifact], json: bool) -> String {
+    if json {
+        let blocks: Vec<String> = artifacts.iter().map(Artifact::to_json).collect();
+        format!("[{}]\n", blocks.join(","))
+    } else {
+        artifacts.iter().map(render_block).collect()
+    }
 }
 
 /// Assemble the default scaling-sweep artifact of `scenario` from its
@@ -151,7 +168,7 @@ pub fn evaluate(scenario: &Scenario) -> Artifact {
 /// Expand and run a whole plan with the default evaluator.
 ///
 /// The plan is flattened into `(scenario, rank point)` work items fanned
-/// out across `jobs` workers ([`run_scenario_items_with`]), every point is
+/// out across `jobs` workers ([`runner::par_map`]), every point is
 /// evaluated through one [`SweepMemo`] spanning the whole plan (scenarios
 /// with overlapping rank ranges on the same machine, grid and stage share
 /// their points instead of re-evaluating them), and each scenario's points
@@ -206,16 +223,39 @@ pub fn run_plan_memos(
             .map(|(_, e)| e)
             .expect("every scenario's engine was built above")
     };
-    run_scenario_items_with(
-        &scenarios,
-        jobs,
-        |s| s.ranks.len(),
-        |s, i| {
-            let ranks = s.ranks.start + i;
-            engine_for(s).point_memo(ranks, &s.options(ranks), memo)
-        },
-        |s, points| assemble(s, points, sims),
-    )
+    // The flattened work list, in plan order: runs of up to `CHUNK`
+    // consecutive rank counts of one scenario, beside its engine.
+    let chunks: Vec<(&Scenario, &ScalingEngine, RangeInclusive<usize>)> = scenarios
+        .iter()
+        .flat_map(|s| {
+            let (engine, last) = (engine_for(s), s.ranks.end);
+            let runs = s.ranks.iter().step_by(CHUNK);
+            runs.map(move |first| (s, engine, first..=last.min(first + CHUNK - 1)))
+        })
+        .collect();
+    let mut runs = runner::par_map(chunks.len(), jobs, |i| -> Vec<ScalingPoint> {
+        let (s, engine, ranks) = &chunks[i];
+        let point = |r| engine.point_memo(r, &s.options(r), memo);
+        ranks.clone().map(point).collect()
+    })
+    .into_iter();
+    scenarios
+        .iter()
+        .map(|s| {
+            // A scenario's first run becomes its point list (most
+            // scenarios are one run: nothing is copied), later ones join it.
+            let mut points = Vec::new();
+            while points.len() < s.ranks.len() {
+                let run = runs.next().expect("a run for every point");
+                if points.is_empty() {
+                    points = run;
+                } else {
+                    points.extend(run);
+                }
+            }
+            assemble(s, points, sims)
+        })
+        .collect()
 }
 
 #[cfg(test)]

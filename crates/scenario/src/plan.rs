@@ -5,6 +5,62 @@ use std::fmt;
 use clover_core::{CodeVariant, TrafficOptions};
 use clover_machine::{MachinePreset, ReplacementPolicyKind, WritePolicyKind};
 
+/// A sweep axis whose values have names on the command line.  The parser,
+/// its messages and the usage line read an axis only through this trait,
+/// so a value's name is written once: in its axis's [`named_axis!`] table
+/// below, or in `clover-machine` for the two cache-policy axes.
+pub trait NamedAxis: Copy + PartialEq + 'static {
+    /// Every value, in canonical order: what `all` on the command line spans.
+    fn all() -> Vec<Self>;
+
+    /// The value's stable name.
+    fn name(&self) -> &'static str;
+}
+
+/// `named_axis!(Axis { "name" => Variant, … })` is the axis's table: its
+/// `all()` (table order), `name()`, `Display` and [`NamedAxis`] all derive
+/// from the rows.  `named_axis!(Type)` joins a type that has `all` and
+/// `name` already.
+macro_rules! named_axis {
+    ($axis:ty) => {
+        impl NamedAxis for $axis {
+            fn all() -> Vec<Self> {
+                <$axis>::all()
+            }
+
+            fn name(&self) -> &'static str {
+                <$axis>::name(self)
+            }
+        }
+    };
+    ($axis:ident { $($name:literal => $variant:ident),* $(,)? }) => {
+        impl $axis {
+            /// Every value, in canonical order (a default comes first).
+            pub fn all() -> Vec<$axis> {
+                vec![$($axis::$variant),*]
+            }
+
+            /// Stable name used in artifact ids and on the command line.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($axis::$variant => $name),*
+                }
+            }
+        }
+
+        impl fmt::Display for $axis {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(self.name())
+            }
+        }
+
+        named_axis!($axis);
+    };
+}
+
+named_axis!(ReplacementPolicyKind);
+named_axis!(WritePolicyKind);
+
 /// Code stage of a scenario: which variant of CloverLeaf the traffic model
 /// evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,31 +74,6 @@ pub enum Stage {
 }
 
 impl Stage {
-    /// Every stage, in canonical order.
-    pub fn all() -> Vec<Stage> {
-        vec![Stage::Original, Stage::SpecI2MOff, Stage::Optimized]
-    }
-
-    /// Stable name used in artifact ids and on the command line.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Original => "original",
-            Stage::SpecI2MOff => "speci2m-off",
-            Stage::Optimized => "optimized",
-        }
-    }
-
-    /// Parse a `--stage` argument: a stage name or `"all"` (every stage).
-    pub fn parse(s: &str) -> Option<Vec<Stage>> {
-        match s {
-            "all" => Some(Stage::all()),
-            "original" => Some(vec![Stage::Original]),
-            "speci2m-off" => Some(vec![Stage::SpecI2MOff]),
-            "optimized" => Some(vec![Stage::Optimized]),
-            _ => None,
-        }
-    }
-
     /// The traffic-model code variant this stage maps to.
     pub fn variant(&self) -> CodeVariant {
         match self {
@@ -58,11 +89,11 @@ impl Stage {
     }
 }
 
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+named_axis!(Stage {
+    "original" => Original,
+    "speci2m-off" => SpecI2MOff,
+    "optimized" => Optimized,
+});
 
 /// Layer-condition axis of a sweep: whether the stencil rows of the local
 /// grid fit the caches.  The paper's Tiny working set always fulfils the
@@ -78,40 +109,16 @@ pub enum LayerCondition {
 }
 
 impl LayerCondition {
-    /// Both settings, default first.
-    pub fn all() -> Vec<LayerCondition> {
-        vec![LayerCondition::Ok, LayerCondition::Broken]
-    }
-
-    /// Stable name used in artifact ids and on the command line.
-    pub fn name(&self) -> &'static str {
-        match self {
-            LayerCondition::Ok => "ok",
-            LayerCondition::Broken => "broken",
-        }
-    }
-
-    /// Parse a `--layer-condition` argument: a name or `"all"`.
-    pub fn parse(s: &str) -> Option<Vec<LayerCondition>> {
-        match s {
-            "all" => Some(Self::all()),
-            "ok" => Some(vec![LayerCondition::Ok]),
-            "broken" => Some(vec![LayerCondition::Broken]),
-            _ => None,
-        }
-    }
-
     /// The flag value the traffic model consumes.
     pub fn is_ok(&self) -> bool {
         matches!(self, LayerCondition::Ok)
     }
 }
 
-impl fmt::Display for LayerCondition {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+named_axis!(LayerCondition {
+    "ok" => Ok,
+    "broken" => Broken,
+});
 
 /// Lines each co-scheduled tenant streams per turn at the shared LLC when
 /// a scenario runs against an aggressor; the paper-faithful solo scenarios
@@ -144,45 +151,12 @@ pub enum Aggressor {
     Thrash,
 }
 
-impl Aggressor {
-    /// Every aggressor, default first.
-    pub fn all() -> Vec<Aggressor> {
-        vec![
-            Aggressor::None,
-            Aggressor::Stream,
-            Aggressor::StreamHeavy,
-            Aggressor::Thrash,
-        ]
-    }
-
-    /// Stable name used in artifact ids and on the command line.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Aggressor::None => "none",
-            Aggressor::Stream => "stream",
-            Aggressor::StreamHeavy => "stream-heavy",
-            Aggressor::Thrash => "thrash",
-        }
-    }
-
-    /// Parse an `--aggressor` argument: a name or `"all"`.
-    pub fn parse(s: &str) -> Option<Vec<Aggressor>> {
-        match s {
-            "all" => Some(Self::all()),
-            "none" => Some(vec![Aggressor::None]),
-            "stream" => Some(vec![Aggressor::Stream]),
-            "stream-heavy" => Some(vec![Aggressor::StreamHeavy]),
-            "thrash" => Some(vec![Aggressor::Thrash]),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Aggressor {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+named_axis!(Aggressor {
+    "none" => None,
+    "stream" => Stream,
+    "stream-heavy" => StreamHeavy,
+    "thrash" => Thrash,
+});
 
 /// An inclusive rank range, written `start..end` on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -540,13 +514,21 @@ mod tests {
         assert_eq!(RankRange::new(5, 4).len(), 0);
     }
 
+    /// The names `all` yields, in order.
+    fn names<T>(all: Vec<T>, name: fn(&T) -> &'static str) -> Vec<&'static str> {
+        all.iter().map(name).collect()
+    }
+
     #[test]
     fn stage_parsing_covers_all_and_rejects_unknown() {
-        assert_eq!(Stage::parse("all"), Some(Stage::all()));
-        assert_eq!(Stage::parse("original"), Some(vec![Stage::Original]));
-        assert_eq!(Stage::parse("speci2m-off"), Some(vec![Stage::SpecI2MOff]));
-        assert_eq!(Stage::parse("optimized"), Some(vec![Stage::Optimized]));
-        assert_eq!(Stage::parse("turbo"), None);
+        // The names are artifact ids and cache keys: pinned to their
+        // variants here, which a round trip through the table cannot do.
+        assert_eq!(
+            names(Stage::all(), Stage::name),
+            ["original", "speci2m-off", "optimized"]
+        );
+        assert_eq!(Stage::SpecI2MOff.name(), "speci2m-off");
+        assert_eq!(Stage::Optimized.to_string(), "optimized");
     }
 
     #[test]
@@ -628,13 +610,11 @@ mod tests {
 
     #[test]
     fn layer_condition_parses_names_and_all() {
-        assert_eq!(LayerCondition::parse("ok"), Some(vec![LayerCondition::Ok]));
         assert_eq!(
-            LayerCondition::parse("broken"),
-            Some(vec![LayerCondition::Broken])
+            names(LayerCondition::all(), LayerCondition::name),
+            ["ok", "broken"]
         );
-        assert_eq!(LayerCondition::parse("all"), Some(LayerCondition::all()));
-        assert_eq!(LayerCondition::parse("maybe"), None);
+        assert_eq!(LayerCondition::Broken.name(), "broken");
         assert!(LayerCondition::Ok.is_ok());
         assert!(!LayerCondition::Broken.is_ok());
     }
@@ -682,15 +662,12 @@ mod tests {
 
     #[test]
     fn aggressor_parses_names_and_all() {
-        assert_eq!(Aggressor::parse("all"), Some(Aggressor::all()));
-        assert_eq!(Aggressor::parse("none"), Some(vec![Aggressor::None]));
-        assert_eq!(Aggressor::parse("stream"), Some(vec![Aggressor::Stream]));
         assert_eq!(
-            Aggressor::parse("stream-heavy"),
-            Some(vec![Aggressor::StreamHeavy])
+            names(Aggressor::all(), Aggressor::name),
+            ["none", "stream", "stream-heavy", "thrash"]
         );
-        assert_eq!(Aggressor::parse("thrash"), Some(vec![Aggressor::Thrash]));
-        assert_eq!(Aggressor::parse("polite"), None);
+        assert_eq!(Aggressor::StreamHeavy.name(), "stream-heavy");
+        assert_eq!(Aggressor::Thrash.to_string(), "thrash");
     }
 
     #[test]

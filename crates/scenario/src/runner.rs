@@ -6,20 +6,13 @@
 //! counter (work stealing without any queue allocation) and the results
 //! come back in index order, so the output is byte-identical to the
 //! sequential path regardless of worker interleaving — determinism is a
-//! tested property, not an accident.  Since PR 5 the runner's work is not
-//! whole scenarios but the flattened `(scenario, item)` pairs — for the
-//! default evaluator an item is one rank point — so a single large curve
-//! no longer serialises on one worker: the indices it maps are *runs* of up
-//! to `CHUNK` (64) consecutive items of one scenario, and the assembly
-//! walks the runs in plan order.
+//! tested property, not an accident.  A sweep's work is not whole scenarios
+//! but runs of up to 64 consecutive rank points of one scenario
+//! ([`crate::run_plan_memos`] builds the list and walks the results in plan
+//! order), so a single large curve does not serialise on one worker.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
-
-use clover_golden::Artifact;
-
-use crate::plan::Scenario;
 
 /// Hardware threads available to this process (1 when the host does not
 /// say): the default width of every [`par_map`].
@@ -91,81 +84,12 @@ pub fn par_map<T: Send>(len: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) 
     done.into_iter().map(|(_, value)| value).collect()
 }
 
-/// Consecutive items of one scenario a worker claims at a time.  An
-/// analytic point is ≈ 0.5 µs of work: claimed one by one, the shared
-/// counter per point made two workers slower than one.
-const CHUNK: usize = 64;
-
-/// Evaluate the flattened `(scenario, item)` pairs of `scenarios` with
-/// `eval_item`, fanning out across `jobs` worker threads in plan order,
-/// then assemble one artifact per scenario (in plan order) from its items
-/// (in item order).
-///
-/// `item_count` declares how many independent items each scenario splits
-/// into; `eval_item(scenario, i)` evaluates item `i` of a scenario;
-/// `assemble(scenario, items)` builds the scenario's artifact from all its
-/// item results.  The output is identical for any `jobs`.
-///
-/// # Panics
-/// Panics if `jobs == 0` or a worker panics (the panic is propagated).
-pub fn run_scenario_items_with<T, C, E, A>(
-    scenarios: &[Scenario],
-    jobs: usize,
-    item_count: C,
-    eval_item: E,
-    assemble: A,
-) -> Vec<Artifact>
-where
-    T: Send,
-    C: Fn(&Scenario) -> usize,
-    E: Fn(&Scenario, usize) -> T + Sync,
-    A: Fn(&Scenario, Vec<T>) -> Artifact,
-{
-    assert!(jobs >= 1, "jobs must be >= 1");
-    let counts: Vec<usize> = scenarios.iter().map(&item_count).collect();
-    // Flattened work list, in plan order: (scenario index, run of items).
-    let chunks: Vec<(usize, Range<usize>)> = counts
-        .iter()
-        .enumerate()
-        .flat_map(|(si, &n)| {
-            (0..n)
-                .step_by(CHUNK)
-                .map(move |start| (si, start..n.min(start + CHUNK)))
-        })
-        .collect();
-    if jobs == 1 || chunks.len() <= 1 {
-        return scenarios
-            .iter()
-            .zip(&counts)
-            .map(|(s, &n)| assemble(s, (0..n).map(|i| eval_item(s, i)).collect()))
-            .collect();
-    }
-
-    let mut runs = par_map(chunks.len(), jobs, |i| -> Vec<T> {
-        let (si, items) = &chunks[i];
-        let scenario = &scenarios[*si];
-        items.clone().map(|ii| eval_item(scenario, ii)).collect()
-    })
-    .into_iter();
-    scenarios
-        .iter()
-        .zip(&counts)
-        .map(|(s, &n)| {
-            let mut items = Vec::with_capacity(n);
-            while items.len() < n {
-                items.extend(runs.next().expect("a run for every item"));
-            }
-            assemble(s, items)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{RankRange, Stage, SweepPlan};
     use crate::run_plan;
-    use clover_golden::Cell;
+    use clover_golden::{Artifact, Cell};
     use clover_machine::MachinePreset;
 
     fn small_plan() -> SweepPlan {
@@ -243,79 +167,66 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let scenarios = small_plan().expand();
-        let result = std::panic::catch_unwind(|| {
-            run_scenario_items_with(
-                &scenarios,
-                2,
-                |_| 1,
-                |_, _| -> Artifact { panic!("evaluator exploded") },
-                |_, mut items| items.pop().expect("one item per scenario"),
-            )
-        });
-        assert!(result.is_err());
+        // A plan nobody validated: the model refuses to pin 73 ranks to
+        // the 72 cores of the Ice Lake node, in whichever worker claimed
+        // that run, and the caller hears of it.
+        let plan = SweepPlan::new()
+            .machine(MachinePreset::IceLakeSp8360y)
+            .grid(1920)
+            .ranks(RankRange::new(1, 200))
+            .stage(Stage::Original);
+        for jobs in [1, 2] {
+            let result = std::panic::catch_unwind(|| run_plan(&plan, jobs));
+            assert!(result.is_err(), "jobs={jobs}");
+        }
+    }
+
+    /// A plan whose rank ranges sit around the run length a worker claims:
+    /// none, one, a run less one, exactly a run, a run plus one, a run and
+    /// a tail (the 104 cores of the SPR 8470 hold no third run).
+    fn run_crossing_plan() -> SweepPlan {
+        let run = crate::CHUNK;
+        [
+            (5, 4),
+            (7, 7),
+            (1, run - 1),
+            (1, run),
+            (1, run + 1),
+            (9, 104),
+        ]
+        .into_iter()
+        .fold(
+            SweepPlan::new()
+                .machine(MachinePreset::SapphireRapids8470 { snc: true })
+                .grid(1920)
+                .stage(Stage::Original)
+                .stage(Stage::Optimized),
+            |plan, (start, end)| plan.ranks(RankRange::new(start, end)),
+        )
     }
 
     #[test]
     fn item_runner_splits_and_reassembles_in_order() {
-        let scenarios = small_plan().expand();
+        let plan = run_crossing_plan();
+        let scenarios = plan.expand();
         for jobs in [1, 2, 5] {
-            let artifacts = run_scenario_items_with(
-                &scenarios,
-                jobs,
-                |s| s.ranks.len(),
-                |s, i| format!("{}#{}", s.id(), i),
-                |s, items| {
-                    let mut a = Artifact::new(&s.id(), "item order").column("item", None);
-                    for item in items {
-                        a.push_row(vec![item.into()]);
-                    }
-                    a
-                },
-            );
+            let artifacts = run_plan(&plan, jobs);
             assert_eq!(artifacts.len(), scenarios.len());
             for (s, a) in scenarios.iter().zip(&artifacts) {
-                assert_eq!(a.rows.len(), s.ranks.len());
-                for (i, row) in a.rows.iter().enumerate() {
-                    match &row[0] {
-                        Cell::Text(text) => assert_eq!(*text, format!("{}#{}", s.id(), i)),
-                        other => panic!("expected a text cell, got {other:?}"),
-                    }
-                }
+                assert_eq!(a.id, s.id());
+                let ranks: Vec<Cell> = s.ranks.iter().map(Cell::from).collect();
+                let rows: Vec<Cell> = a.rows.iter().map(|row| row[0].clone()).collect();
+                assert_eq!(rows, ranks, "{} with jobs={jobs}", s.id());
             }
         }
     }
 
     #[test]
     fn scenarios_of_any_length_split_into_runs_and_reassemble_in_order() {
-        // Item counts around the claim length: none, one, a run less one,
-        // exactly a run, a run plus one, two runs and a tail.
-        let scenarios = small_plan().expand();
-        let count = |s: &Scenario| {
-            let at = scenarios.iter().position(|other| other == s).unwrap();
-            [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2][at % 6]
-        };
+        let plan = run_crossing_plan();
+        let reference: Vec<Artifact> = plan.expand().iter().map(crate::evaluate).collect();
         for jobs in [1, 2, 5] {
-            let artifacts = run_scenario_items_with(
-                &scenarios,
-                jobs,
-                count,
-                |s, i| format!("{}#{}", s.id(), i),
-                |s, items| {
-                    let mut a = Artifact::new(&s.id(), "item order").column("item", None);
-                    for item in items {
-                        a.push_row(vec![item.into()]);
-                    }
-                    a
-                },
-            );
-            assert_eq!(artifacts.len(), scenarios.len());
-            for (s, a) in scenarios.iter().zip(&artifacts) {
-                let expected: Vec<Vec<Cell>> = (0..count(s))
-                    .map(|i| vec![format!("{}#{}", s.id(), i).into()])
-                    .collect();
-                assert_eq!(a.rows, expected, "{} with jobs={jobs}", s.id());
-            }
+            assert_eq!(run_plan(&plan, jobs), reference, "jobs={jobs}");
         }
     }
 

@@ -28,9 +28,10 @@
 //! * [`cache`] — a bounded LRU [`ResponseCache`] over rendered payloads:
 //!   repeat queries become an O(payload) byte copy.
 //!
-//! `figures serve` (crate `clover-bench`) is a thin front end over this
-//! crate; `figures sweep --store <path>` uses [`PersistentStore`]
-//! directly for one-shot warm restarts.
+//! Both `figures serve` and `figures sweep` (crate `clover-bench`) are thin
+//! front ends over [`SweepService`]: the daemon answers request lines with
+//! it, the one-shot command is a single [`SweepService::sweep`] followed by
+//! a save, so the two print the same bytes by construction.
 
 pub mod cache;
 pub mod model;

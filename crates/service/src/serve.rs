@@ -46,12 +46,12 @@ use std::sync::Arc;
 
 use clover_cachesim::SimMemo;
 use clover_core::SweepMemo;
-use clover_scenario::{render_block, run_plan_memos, SweepArgs};
+use clover_scenario::{render, run_plan_memos, SweepArgs};
 
 use crate::cache::{ResponseCache, ResponseCacheStats};
 use crate::model::model_hash;
 use crate::pool::WorkerPool;
-use crate::store::{LoadOutcome, PersistentStore};
+use crate::store::{LoadOutcome, PersistentStore, SaveReport};
 
 /// Response-cache capacity (payload entries) of a service.
 pub const DEFAULT_RESPONSE_CACHE_ENTRIES: usize = 128;
@@ -72,13 +72,13 @@ pub struct SweepService {
     /// Rendered-payload cache.
     responses: ResponseCache,
     /// Entry bound applied when persisting the co-run simulations (see
-    /// [`PersistentStore::save_capped`]); `None` saves everything.
-    store_cap: Option<usize>,
-    /// Per-request `--jobs` clamp; `None` trusts the request.  The pooled
-    /// daemon sets this so `workers × jobs` cannot oversubscribe the
+    /// [`PersistentStore::save_capped`]); `usize::MAX` saves everything.
+    store_cap: usize,
+    /// Per-request `--jobs` clamp; `usize::MAX` trusts the request.  The
+    /// pooled daemon sets this so `workers × jobs` cannot oversubscribe the
     /// machine (output is byte-identical for any jobs count, so clamping
     /// is invisible in the payload).
-    max_jobs: Option<usize>,
+    max_jobs: usize,
     /// Requests answered so far (all verbs).
     requests: AtomicU64,
     /// Store entries evicted by capped saves so far.
@@ -102,8 +102,8 @@ impl SweepService {
             sweep: SweepMemo::new(),
             store: None,
             responses: ResponseCache::new(DEFAULT_RESPONSE_CACHE_ENTRIES),
-            store_cap: None,
-            max_jobs: None,
+            store_cap: usize::MAX,
+            max_jobs: usize::MAX,
             requests: AtomicU64::new(0),
             store_evictions: AtomicU64::new(0),
             store_compactions: AtomicU64::new(0),
@@ -125,7 +125,7 @@ impl SweepService {
     /// compaction passes that evict the least recently touched entries
     /// (see [`PersistentStore::save_capped`]).
     pub fn with_store_cap(mut self, cap: usize) -> Self {
-        self.store_cap = Some(cap);
+        self.store_cap = cap;
         self
     }
 
@@ -134,7 +134,7 @@ impl SweepService {
     /// only; the pooled daemon uses it to keep `workers × jobs` within
     /// the machine's parallelism.
     pub fn with_max_jobs(mut self, max_jobs: usize) -> Self {
-        self.max_jobs = Some(max_jobs.max(1));
+        self.max_jobs = max_jobs.max(1);
         self
     }
 
@@ -154,27 +154,35 @@ impl SweepService {
     }
 
     /// Persist the co-run simulations, if a store is configured.  Returns
-    /// the number of entries written, or `None` without a store.  With a
-    /// store cap the save is a compaction pass: the least recently
-    /// touched entries beyond the cap are evicted from the written file
-    /// (counted in the `stats` verb's `store-evictions` /
+    /// what was written, or `None` without a store; a failure reads `save
+    /// failed: <e>`, which is what every front end says behind its own
+    /// prefix.  With a store cap the save is a compaction pass: the least
+    /// recently touched entries beyond the cap are evicted from the
+    /// written file (counted in the `stats` verb's `store-evictions` /
     /// `store-compactions`).
-    pub fn save(&self) -> io::Result<Option<usize>> {
+    pub fn save(&self) -> io::Result<Option<SaveReport>> {
         let Some(store) = &self.store else {
             return Ok(None);
         };
-        match self.store_cap {
-            Some(cap) => {
-                let report = store.save_capped(&self.sim, &self.sweep, cap)?;
-                if report.evicted > 0 {
-                    self.store_evictions
-                        .fetch_add(report.evicted as u64, Ordering::Relaxed);
-                    self.store_compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(Some(report.written))
-            }
-            None => store.save(&self.sim, &self.sweep).map(Some),
+        let report = store
+            .save_capped(&self.sim, &self.sweep, self.store_cap)
+            .map_err(|e| io::Error::new(e.kind(), format!("save failed: {e}")))?;
+        if report.evicted > 0 {
+            self.store_evictions
+                .fetch_add(report.evicted as u64, Ordering::Relaxed);
+            self.store_compactions.fetch_add(1, Ordering::Relaxed);
         }
+        Ok(Some(report))
+    }
+
+    /// Evaluate one parsed sweep: exactly the bytes `figures sweep` prints
+    /// for the same flags, because `figures sweep` prints what this
+    /// returns.  The memos are the service's, so plans that overlap an
+    /// earlier one pay only for what is new.
+    pub fn sweep(&self, args: &SweepArgs) -> String {
+        let jobs = args.jobs.min(self.max_jobs).max(1);
+        let artifacts = run_plan_memos(&args.plan, jobs, &self.sweep, &self.sim);
+        render(&artifacts, args.json)
     }
 
     /// Answer one request line with the response to send back.  Exposed
@@ -216,9 +224,9 @@ impl SweepService {
                 ))
             }
             Some("save") => match self.save() {
-                Ok(Some(n)) => Response::Line(format!("ok saved {n}")),
+                Ok(Some(saved)) => Response::Line(format!("ok saved {}", saved.written)),
                 Ok(None) => Response::Line("error no store configured".into()),
-                Err(e) => Response::Line(format!("error save failed: {e}")),
+                Err(e) => Response::Line(format!("error {e}")),
             },
             Some("quit") => Response::Quit,
             Some("sweep") => {
@@ -237,17 +245,7 @@ impl SweepService {
                             // deterministic evaluation that produced them).
                             return Response::Payload((*payload).clone());
                         }
-                        let jobs = parsed.jobs.min(self.max_jobs.unwrap_or(usize::MAX)).max(1);
-                        let artifacts = run_plan_memos(&parsed.plan, jobs, &self.sweep, &self.sim);
-                        // Exactly the bytes `figures sweep` prints for the
-                        // same flags — byte-identity is the contract.
-                        let payload = if parsed.json {
-                            let blocks: Vec<String> =
-                                artifacts.iter().map(|a| a.to_json()).collect();
-                            format!("[{}]\n", blocks.join(","))
-                        } else {
-                            artifacts.iter().map(render_block).collect()
-                        };
+                        let payload = self.sweep(&parsed);
                         self.responses.insert(key, Arc::new(payload.clone()));
                         Response::Payload(payload)
                     }
@@ -263,8 +261,9 @@ impl SweepService {
     /// line longer than 64 KiB (`error request line exceeds 65536 bytes`,
     /// and this client is disconnected), writing framed responses to
     /// `writer`; then persist the co-run simulations (when a store is
-    /// configured).  Batched requests — several lines sent at once — are
-    /// answered in order.
+    /// configured; at EOF a failure is the returned error, `save failed:
+    /// <e>`, after `quit` it is the reply).  Batched requests — several
+    /// lines sent at once — are answered in order.
     pub fn serve(&self, mut reader: impl BufRead, writer: &mut impl Write) -> io::Result<()> {
         let mut line = String::new();
         loop {
@@ -295,9 +294,9 @@ impl SweepService {
                 }
                 Response::Quit => {
                     let text = match self.save() {
-                        Ok(Some(n)) => format!("ok bye saved {n}"),
+                        Ok(Some(saved)) => format!("ok bye saved {}", saved.written),
                         Ok(None) => "ok bye".to_string(),
-                        Err(e) => format!("error save failed: {e}"),
+                        Err(e) => format!("error {e}"),
                     };
                     writer.write_all(text.as_bytes())?;
                     writer.write_all(b"\n")?;
@@ -306,11 +305,9 @@ impl SweepService {
                 }
             }
         }
-        // EOF, or a client cut off: persist like a clean quit, but
-        // best-effort (the peer is gone; nobody can observe an error
-        // response).
-        let _ = self.save();
-        Ok(())
+        // EOF, or a client cut off: persist like a clean quit.  The peer
+        // is gone, so a failed save is the caller's to report.
+        self.save().map(drop)
     }
 }
 
@@ -378,9 +375,10 @@ pub fn serve_unix(
                 service.serve(reader, &mut writer)
             })();
             if let Err(e) = served {
-                // One client's broken pipe must not take the daemon (or
+                // One client's broken pipe, or a store that cannot be
+                // written when it leaves, must not take the daemon (or
                 // this worker) down.
-                eprintln!("figures serve: client connection error: {e}; continuing");
+                eprintln!("figures serve: {e}; continuing");
             }
         }
     });
@@ -447,10 +445,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let parsed = SweepArgs::parse(&args).unwrap();
-        let expected: String = clover_scenario::run_plan(&parsed.plan, 2)
-            .iter()
-            .map(render_block)
-            .collect();
+        let expected = render(&clover_scenario::run_plan(&parsed.plan, 2), false);
         let Response::Payload(payload) = service.handle_request(&sweep_line("")) else {
             panic!("expected a payload");
         };
@@ -657,6 +652,23 @@ mod tests {
             "the first daemon still owns it"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_save_is_a_reply_behind_quit_and_an_error_at_eof() {
+        // A store path under a regular file can never be written.
+        let file = std::env::temp_dir().join(format!("clover-serve-file-{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let (service, _) = SweepService::with_store(PersistentStore::new(file.join("store")));
+        let mut out = Vec::new();
+        let err = service
+            .serve(Cursor::new("ping\n"), &mut out)
+            .expect_err("nobody is left to read a reply: the caller reports it");
+        assert!(err.to_string().starts_with("save failed: "), "{err}");
+        assert_eq!(out, b"ok pong\n");
+        let reply = run(&service, "quit\n");
+        assert!(reply.starts_with("error save failed: "), "{reply}");
+        let _ = std::fs::remove_file(&file);
     }
 
     #[test]

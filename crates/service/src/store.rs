@@ -71,6 +71,19 @@ impl LoadOutcome {
     }
 }
 
+/// What a front end tells its user about a load, behind its own `figures
+/// <verb>: store <path>: ` prefix.
+impl std::fmt::Display for LoadOutcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LoadOutcome::Warm(n) => write!(f, "{n} co-run simulations warm"),
+            LoadOutcome::ColdMissing => f.write_str("starting cold"),
+            LoadOutcome::ColdStale => f.write_str("model hash or format changed, rebuilding"),
+            LoadOutcome::ColdCorrupt => f.write_str("unreadable or truncated, rebuilding"),
+        }
+    }
+}
+
 /// One persisted co-run pass: its identity and the per-tenant reports in
 /// the key's canonical tenant order.
 pub type CoRunEntry = (CoRunKey, Vec<TenantReport>);

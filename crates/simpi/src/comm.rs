@@ -1,10 +1,9 @@
 //! The per-rank communicator.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crossbeam::channel::{Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::timing::{MpiOp, TimeBreakdown};
 
@@ -151,16 +150,26 @@ impl Comm {
         self.timers.add(MpiOp::Barrier, t0.elapsed());
     }
 
+    /// The allreduce contributions.  Poisoned only when another rank
+    /// panicked inside an allreduce, which aborts this one too (as an MPI
+    /// abort would).
+    fn reduce_slots(&self) -> MutexGuard<'_, Vec<Option<f64>>> {
+        self.collective
+            .reduce_slots
+            .lock()
+            .expect("a rank panicked inside an allreduce")
+    }
+
     fn allreduce_with(&mut self, value: f64, op: MpiOp, combine: fn(f64, f64) -> f64) -> f64 {
         let t0 = Instant::now();
         {
-            let mut slots = self.collective.reduce_slots.lock();
+            let mut slots = self.reduce_slots();
             slots[self.rank] = Some(value);
         }
         // Wait until every rank has deposited its contribution.
         self.collective.barrier.wait();
         let result = {
-            let slots = self.collective.reduce_slots.lock();
+            let slots = self.reduce_slots();
             slots
                 .iter()
                 .map(|s| s.expect("every rank contributed"))
@@ -170,7 +179,7 @@ impl Comm {
         // Wait until every rank has read the result before clearing.
         self.collective.barrier.wait();
         {
-            let mut slots = self.collective.reduce_slots.lock();
+            let mut slots = self.reduce_slots();
             slots[self.rank] = None;
         }
         self.collective.barrier.wait();

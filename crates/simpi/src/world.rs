@@ -1,9 +1,8 @@
 //! World setup: spawn one thread per rank and wire up the communicators.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crossbeam::channel;
-use parking_lot::Mutex;
 
 use crate::comm::{CollectiveState, Comm, Message};
 

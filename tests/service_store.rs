@@ -79,7 +79,7 @@ fn warm_restart_hits_the_memo_and_reproduces_the_cold_bytes() {
     assert_eq!((corun.hits, corun.misses), (0, 2), "a cold run simulates");
     let saved = cold.save().unwrap().expect("store is configured");
     assert_eq!(
-        saved, 2,
+        saved.written, 2,
         "both passes persist, the 36 analytic points do not"
     );
 
@@ -167,7 +167,7 @@ fn truncated_and_corrupt_stores_rebuild_and_resave() {
     let store = temp_store("corrupt");
     let (cold, _) = SweepService::with_store(store.clone());
     let cold_bytes = request(&cold, CONTENDED_FLAGS);
-    assert_eq!(cold.save().unwrap(), Some(4));
+    assert_eq!(cold.save().unwrap().map(|saved| saved.written), Some(4));
 
     // Truncate: drop the `end <count>` trailer (a torn write).
     let full = fs::read_to_string(store.path()).unwrap();
@@ -290,7 +290,8 @@ fn concurrent_saves_never_share_a_temp_file() {
             }
         });
     });
-    let entries = service.save().unwrap().expect("store is configured");
+    let saved = service.save().unwrap().expect("store is configured");
+    let entries = saved.written;
     assert_eq!(entries, 3 * 12 + 1);
     assert_eq!(entries, service.sim_memo().corun_len());
     assert_eq!(store.load().1, LoadOutcome::Warm(entries));
@@ -325,7 +326,7 @@ fn compacted_store_reloads_warm_within_the_cap() {
     request(&cold, CONTENDED_FLAGS);
     let recent_bytes = request(&cold, recent);
     let saved = cold.save().unwrap().expect("store is configured");
-    assert_eq!(saved, cap, "save is compacted to the cap");
+    assert_eq!(saved.written, cap, "save is compacted to the cap");
     match cold.handle_request("stats") {
         Response::Line(line) => assert!(
             line.contains("store-evictions 2 store-compactions 1"),
