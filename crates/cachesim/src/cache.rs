@@ -5,61 +5,79 @@
 //! the line index with the **dirty flag in bit 63** (line indices are
 //! `addr / 64 <= 2^58`, so the bit is free); an empty slot is the all-ones
 //! `INVALID_LINE`, which matches no line once the flag is masked off.
-//! Every operation reads and writes that one lane — there is no second
-//! lane of per-slot metadata, no LRU stamps and no clock.
+//! There is no lane of per-slot metadata, no LRU stamps and no clock.
 //!
-//! Under [`TrueLru`] a set is kept **in recency order**: a hit moves its
-//! entry to the front, a fill pushes at the front, and whatever falls off
-//! the end is the victim — or a hole, if the set was not full.  There is no
-//! victim search at all, the re-hit of the line touched last (the common
-//! case of a streaming stencil) is one compare, and the order *is* exact
-//! LRU: the entry at the end is the one whose last touch is oldest.  The
-//! other three policies stay **slot-stable** — a line keeps its way until
-//! it is evicted — because their per-set state (tree-PLRU's decision bits,
-//! SRRIP's per-way RRPVs, the way index a random draw names) is indexed by
-//! way and would have to move with every entry.  Which discipline a cache
-//! uses is the policy's associated constant
+//! Under [`TrueLru`] a set is a **ring in recency order**: its entries run
+//! from the set's *head* slot (one `u16` per set, a second small lane) round
+//! to the slot before it, most recently used first.  A fill writes the slot
+//! before the head and moves the head there: what it overwrites is the end
+//! of the ring — the least recently used line, or a hole if the set was not
+//! full — so a fill moves nothing and there is no victim search.  A hit at
+//! ring distance *k* moves the *k* entries ahead of it one step back and
+//! takes the head slot; the re-hit of the line touched last (the common
+//! case of a streaming stencil) is one compare and no move.  The order *is*
+//! exact LRU.  The other three policies stay **slot-stable** — a line keeps
+//! its way until it is evicted — because their per-set state (tree-PLRU's
+//! decision bits, SRRIP's per-way RRPVs, the way index a random draw names)
+//! is indexed by way and would have to move with every entry.  Which
+//! discipline a cache uses is the policy's associated constant
 //! [`RECENCY_ORDER`](ReplacementPolicy::RECENCY_ORDER), decided at compile
 //! time, so each of the four policies is fully monomorphised.
 //!
-//! There is one probe: a scalar early-exit loop over the set's tags.  The
-//! simulated traffic is streaming stencils, so most probes are hits in the
-//! first few ways (L1 hit ratio 0.84 on the paper's figures) and the loop
-//! leaves after one or two compares.  A tiered SIMD scan (AVX-512 / AVX2 /
-//! portable 8-wide chunks, PRs 9–16) was A/B-measured against it on the
-//! two simulator workloads of `benchmark/` (`points_per_s`, median of
-//! alternating 12 s runs on a 2-vCPU AVX-512 host, at PR 17 — before
-//! recency order made the first compare the likeliest hit):
+//! There is one probe: a scalar early-exit loop over a set's tags (from the
+//! head round, for a ring).  The simulated traffic is streaming stencils,
+//! so most hits are in the first few entries (L1 hit ratio 0.84 on the
+//! paper's figures) and the loop leaves after one or two compares.  A
+//! tiered SIMD scan (AVX-512 / AVX2 / portable chunks, PRs 9–16) measured
+//! inside this loop's spread on both simulator workloads of `benchmark/`
+//! at PR 17 — `points_per_s` 1 219 against 1 200 on `paper_all`, 210
+//! against 205 on `tenancy` — and its portable fallback lost a third, so
+//! the tiers, their feature detection and their `unsafe` went (table in
+//! EXPERIMENTS "Simulator type surface").
 //!
-//! | probe                 | `paper_all`         | `tenancy`     |
-//! | --------------------- | ------------------- | ------------- |
-//! | AVX-512 tier          | 1 219 (1 050–1 305) | 210 (206–217) |
-//! | this scalar loop      | 1 200 (1 037–1 347) | 205 (187–207) |
-//! | portable chunked only |   833 (737–867)     | 124 (115–132) |
+//! What streams do most is *miss* (nearly every new line is absent from L1
+//! and L2), and a miss scanned a full set.  So a ring-ordered cache that is
+//! small enough carries an exact **presence filter**: `u8` counters, four
+//! per line of capacity rounded up to a power of two, indexed by the top
+//! bits of `line × 0x9E37_79B9_7F4A_7C15`.  An insert increments the new
+//! line's counter and decrements the displaced line's, an invalidation
+//! decrements, a drain zeroes; a counter that reaches 255 *sticks* (it no
+//! longer knows how many lines it stands for).  So a counter reads zero
+//! only if no resident line maps to it: zero **proves absence** and the
+//! probe answers without touching the set; anything else scans, and the
+//! filter can only err by saying "maybe".  Size rule and hash are constants
+//! set by measurement (fastest of 4 × 7 on a 2-vCPU host, PR 23).  A cold
+//! `interference_factor(icx-8360y, thrash, 64)` — 202 ms at PR 19's shifted
+//! sets without a filter — reads 146 ms with filters of at most 256 KiB and
+//! 203 ms with 2 MiB of counters on the 27 MiB co-run LLC as well: a lookup
+//! there misses the host's cache, where the 13-way scan it spares is two
+//! sequential host lines.  So L1 (4 KiB), L2 (128 KiB) and L3 shares of up
+//! to 64 Ki lines have a filter, the co-run LLC and an unshared L3 none.
+//! `figures fig8` — 79 ms — reads 64 ms with this index and 85 ms with a
+//! locality-preserving one (a fold of the high bits), which aliases the
+//! copy kernel's two streams.  `benchmark/`'s `cachesim.probe_ns_per_line`
+//! (full-set miss scans of a 160 KiB cache, a shape no product path has) is
+//! answered by the filter and reads ≈ 1 ns where the scan read ≈ 13–15.
 //!
-//! The scalar loop sits inside the AVX-512 tier's own spread, and the
-//! "fast" fallback of every host without AVX2 lost a third to it — so the
-//! tiers, their feature detection and their `unsafe` went.  Only a
-//! full-set miss scan (`cachesim.probe_ns_per_line` of the benchmark, a
-//! shape no product path produces) is slower without them, about 2×.
+//! Three invariants keep the rest of the work per line short:
 //!
-//! Three invariants keep the work per line short:
-//!
-//! * **prefix invariant** — within a set, valid entries always form a
-//!   prefix, so a hit always precedes the first empty slot and every probe
-//!   stops at whichever comes first.  Under recency order it holds by
-//!   construction (entries only ever shift towards the end, and
-//!   [`invalidate`](SetAssocCache::invalidate) closes its hole by shifting
-//!   the rest forward); the slot-stable policies compact by moving the last
-//!   valid entry into the hole;
+//! * **prefix invariant** — a set's valid entries are contiguous from the
+//!   start of its order (slot 0, or the head in ring order), so a hit
+//!   precedes the first hole and every probe stops at whichever comes
+//!   first.  A ring keeps it by construction — a fill extends the run at
+//!   its head, a hit permutes inside it, [`invalidate`] moves its line to
+//!   the head as a hit would and steps the head past it; the slot-stable
+//!   policies compact by moving the last valid entry into the hole;
 //! * **known-absent memo** — a [`touch`](SetAssocCache::touch) that misses
 //!   remembers its line as absent, so under recency order the
 //!   [`fill`](SetAssocCache::fill) that typically follows neither probes
-//!   nor scans: it pushes at the front (the slot-stable policies probe
-//!   again, for the first hole);
+//!   nor asks the filter (the slot-stable policies probe again, for the
+//!   first hole);
 //! * **used-set tracking** — draining operations (and
 //!   [`resident_lines`](SetAssocCache::resident_lines)) visit only sets
 //!   that ever received a fill, so they cost O(resident), not O(capacity).
+//!
+//! [`invalidate`]: SetAssocCache::invalidate
 
 use crate::policy::{ReplacementPolicy, TrueLru};
 
@@ -99,15 +117,17 @@ pub struct Eviction {
     pub dirty: bool,
 }
 
-/// Outcome of scanning one set's tag lane for a line.
+/// Outcome of scanning one set's tag lane for a line.  Positions are way
+/// indices, or under recency order ring distances (0 = the head).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SetProbe {
-    /// Line resident at this way index.
+    /// Line resident at this position.
     Hit(usize),
-    /// Line absent; first empty slot at this way index.
+    /// Line absent; first empty slot at this position.
     Empty(usize),
     /// Line absent and no empty slot seen (a fill displaces a line — or,
-    /// standing for the known-absent memo, whatever the last slot holds).
+    /// standing for the known-absent memo and a zero filter counter,
+    /// whatever the end of the ring holds).
     Full,
 }
 
@@ -136,17 +156,25 @@ fn valid_prefix_len(tags: &[u64]) -> usize {
         .unwrap_or(tags.len())
 }
 
-/// Put `tag` at the front of `tags`, moving every other entry one slot
-/// towards the end; the entry that falls off is returned.  The one move of
-/// recency order: a hit at way `idx` is this over the first `idx + 1`
-/// slots with the hit's own word (which "falls off" its old place), a fill
-/// is this over the set with the new line's word.
+/// Presence-filter counters per line of capacity (then rounded up to a
+/// power of two), and the largest filter a cache carries, in counters
+/// (= bytes): above it a cache has none.  Measured, see the module docs.
+const FILTER_COUNTERS_PER_LINE: usize = 4;
+const FILTER_MAX_COUNTERS: usize = 256 << 10;
+
+/// Multiplier of the filter's index hash (2^64 / φ): a line's counter is
+/// the top bits of the product.  Measured against a fold, see there.
+const FILTER_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A saturated filter counter: never decremented again, so it cannot reach
+/// a zero it has not earned.
+const FILTER_STUCK: u8 = u8::MAX;
+
+/// The counter of `line` in a filter of `1 << (64 - shift)` counters.
 #[inline(always)]
-fn push_front(tags: &mut [u64], tag: u64) -> u64 {
-    // One pass with the moving word in a register: a set is a dozen or two
-    // words, too few to repay a `memmove` call.
-    tags.iter_mut()
-        .fold(tag, |moving, slot| std::mem::replace(slot, moving))
+fn filter_idx(shift: u32, line: u64) -> usize {
+    debug_assert!(shift > 0, "a cache without a filter has no counters");
+    (line.wrapping_mul(FILTER_HASH) >> shift) as usize
 }
 
 /// A single set-associative cache level with a pluggable replacement
@@ -164,9 +192,21 @@ pub struct SetAssocCache<R: ReplacementPolicy = TrueLru, const SIMD: bool = true
     /// Tag lane: at least `sets × ways` words, set-major (the current
     /// geometry uses that prefix; [`reshape`](Self::reshape) keeps a larger
     /// arena).  A word is `line | dirty << 63`, or `INVALID_LINE` for an
-    /// empty slot; valid words form a prefix of each set, in recency order
-    /// under [`ReplacementPolicy::RECENCY_ORDER`].
+    /// empty slot; valid words form a prefix of each set, in ring order
+    /// from the set's head under [`ReplacementPolicy::RECENCY_ORDER`].
     tags: Box<[u64]>,
+    /// Under recency order, each set's head: the slot of its most recently
+    /// used entry (`< ways`; zero in an empty cache).  Else empty.
+    heads: Box<[u16]>,
+    /// Presence filter: per counter, how many resident lines hash to it
+    /// (see the module docs).  Like `tags`, an arena that only grows.
+    filter: Box<[u8]>,
+    /// What [`filter_idx`] shifts by in the current geometry: 64 − log2 of
+    /// its filter's size, or 0 for "no filter".
+    filter_shift: u32,
+    /// Whether a counter saturated since the last drain, which must then
+    /// zero the whole lane: a stuck counter may outlive its lines.
+    filter_stuck: bool,
     /// Set indices that received at least one fill since the last
     /// reset/flush, so draining operations touch O(resident) entries
     /// instead of the whole arena (a streaming kernel leaves most of a
@@ -191,11 +231,17 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// Create a cache with `capacity_bytes` total capacity, `ways`
     /// associativity and 64-byte lines.  The number of sets is rounded down
     /// to the next power of two so the set index is a simple mask; capacity
-    /// is preserved by widening the ways accordingly.
+    /// is preserved by widening the ways accordingly (to less than twice
+    /// `ways`; a head is a `u16`, so at most 65 536 of them, asserted).
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
         let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
+        let (heads, counters) = Self::ring_lanes(sets, effective_ways);
         Self {
             tags: vec![INVALID_LINE; sets * effective_ways].into_boxed_slice(),
+            heads: vec![0u16; heads].into_boxed_slice(),
+            filter: vec![0u8; counters].into_boxed_slice(),
+            filter_shift: u64::BITS - (counters as u64).trailing_zeros(),
+            filter_stuck: false,
             used_sets: Vec::new(),
             used_bitmap: vec![0u64; sets.div_ceil(64)].into_boxed_slice(),
             known_absent: INVALID_LINE,
@@ -226,10 +272,27 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         (sets_pow2, effective_ways)
     }
 
-    /// Empty the cache and zero the counters, reusing the lane allocation.
+    /// Entries of the head lane and of the presence filter a geometry has:
+    /// none under the slot-stable policies (their insert needs the hole
+    /// only a scan finds), no filter above [`FILTER_MAX_COUNTERS`].
+    fn ring_lanes(sets: usize, ways: usize) -> (usize, usize) {
+        if !R::RECENCY_ORDER {
+            return (0, 0);
+        }
+        assert!(ways <= 1 << u16::BITS, "a head is a u16 below `ways`");
+        match (sets * ways * FILTER_COUNTERS_PER_LINE).next_power_of_two() {
+            counters if counters <= FILTER_MAX_COUNTERS => (sets, counters),
+            _ => (sets, 0),
+        }
+    }
+
+    /// Empty the cache and zero the counters, reusing the lane allocations.
     /// Afterwards the cache is indistinguishable from a freshly constructed
     /// one of the same geometry.  Costs O(sets ever filled), not
-    /// O(capacity).
+    /// O(capacity) — the filter too: a counter only ever counted resident
+    /// lines, so zeroing each drained line's counter reaches every non-zero
+    /// one but a saturated counter whose lines have left, and only after a
+    /// saturation is the whole lane (at most 256 KiB) zeroed instead.
     pub fn reset(&mut self) {
         self.drain_entries(|_| ());
         self.hits = 0;
@@ -238,11 +301,11 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     }
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
-    /// ways)` would have, reusing the lane: emptying leaves every slot of
-    /// the arena `INVALID_LINE`, so any geometry that fits is just a new
-    /// `ways`/`set_mask` over the same lane; it is reallocated only to
-    /// grow.  Afterwards the cache is indistinguishable from that fresh
-    /// construction.
+    /// ways)` would have, reusing the lanes: emptying leaves every slot of
+    /// the arena `INVALID_LINE` and every head and counter zero, so any
+    /// geometry that fits is just a new `ways`/`set_mask`/`filter_shift`
+    /// over the same lanes; each is reallocated only to grow.  Afterwards
+    /// the cache is indistinguishable from that fresh construction.
     ///
     /// [`new`]: Self::new
     pub fn reshape(&mut self, capacity_bytes: usize, ways: usize) {
@@ -257,6 +320,14 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         if sets.div_ceil(64) > self.used_bitmap.len() {
             self.used_bitmap = vec![0u64; sets.div_ceil(64)].into_boxed_slice();
         }
+        let (heads, counters) = Self::ring_lanes(sets, effective_ways);
+        if heads > self.heads.len() {
+            self.heads = vec![0u16; heads].into_boxed_slice();
+        }
+        if counters > self.filter.len() {
+            self.filter = vec![0u8; counters].into_boxed_slice();
+        }
+        self.filter_shift = u64::BITS - (counters as u64).trailing_zeros();
         self.policy = R::new(sets, effective_ways);
         self.ways = effective_ways;
         self.set_mask = (sets - 1) as u64;
@@ -267,14 +338,23 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     fn drain_entries(&mut self, mut drained: impl FnMut(u64)) {
         for &set in &self.used_sets {
             let start = set as usize * self.ways;
+            // Every slot: a ring's valid entries need not start at slot 0.
             for tag in &mut self.tags[start..start + self.ways] {
                 if *tag == INVALID_LINE {
-                    // Prefix invariant: everything beyond is already empty.
-                    break;
+                    continue;
                 }
                 drained(*tag);
+                if self.filter_shift != 0 {
+                    self.filter[filter_idx(self.filter_shift, *tag & !DIRTY)] = 0;
+                }
                 *tag = INVALID_LINE;
             }
+            if R::RECENCY_ORDER {
+                self.heads[set as usize] = 0;
+            }
+        }
+        if std::mem::take(&mut self.filter_stuck) {
+            self.filter.fill(0);
         }
         self.used_sets.clear();
         self.used_bitmap.fill(0);
@@ -301,17 +381,12 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     }
 
     /// Number of lines currently resident.  Costs O(sets ever filled):
-    /// only used sets are visited, and the prefix invariant stops each
-    /// walk at the first hole — the never-filled bulk of the arena is
+    /// only used sets are visited — the never-filled bulk of the arena is
     /// never touched.
     pub fn resident_lines(&self) -> usize {
-        self.used_sets
-            .iter()
-            .map(|&set| {
-                let start = set as usize * self.ways;
-                valid_prefix_len(&self.tags[start..start + self.ways])
-            })
-            .sum()
+        let mut resident = 0;
+        self.for_each_resident(|_, _| resident += 1);
+        resident
     }
 
     /// Hit count since construction.
@@ -343,12 +418,31 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         unsafe { self.tags.get_unchecked(start..start + self.ways) }
     }
 
-    /// Index of `line`'s set and what a probe of it finds.
+    /// Index of `line`'s set and what a probe of it finds.  Under recency
+    /// order a zero filter counter answers without touching the set (`Full`:
+    /// a ring's insert needs no more than "absent"); the scan is from the
+    /// head round.
     #[inline(always)]
     fn probe(&self, line: u64) -> (usize, SetProbe) {
         debug_assert!(line <= 1 << 58, "line indices are addr / 64");
         let set_idx = (line & self.set_mask) as usize;
-        (set_idx, probe_set(self.set_tags(set_idx * self.ways), line))
+        let tags = self.set_tags(set_idx * self.ways);
+        if !R::RECENCY_ORDER {
+            return (set_idx, probe_set(tags, line));
+        }
+        if self.filter_shift != 0 && self.filter[filter_idx(self.filter_shift, line)] == 0 {
+            return (set_idx, SetProbe::Full);
+        }
+        let (wrapped, first) = tags.split_at(usize::from(self.heads[set_idx]));
+        let found = match probe_set(first, line) {
+            SetProbe::Full => match probe_set(wrapped, line) {
+                SetProbe::Hit(idx) => SetProbe::Hit(first.len() + idx),
+                SetProbe::Empty(idx) => SetProbe::Empty(first.len() + idx),
+                SetProbe::Full => SetProbe::Full,
+            },
+            found => found,
+        };
+        (set_idx, found)
     }
 
     /// Probe for a line without modifying LRU state or counters.
@@ -368,18 +462,30 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         lines.iter().filter(|&&line| self.contains(line)).count()
     }
 
-    /// A hit on way `idx` of `set_idx`: make the entry the most recently
-    /// used of its set, dirty if `write` (or already).
+    /// A hit on way (under recency order: at ring distance) `idx` of
+    /// `set_idx`: make the entry the most recently used of its set, dirty
+    /// if `write` (or already).  The one move of recency order: the entry
+    /// takes the head slot, every more recently used one steps a slot back
+    /// round the ring — none for distance 0, the streaming re-hit.
     #[inline(always)]
     fn refresh(&mut self, set_idx: usize, idx: usize, write: bool) {
-        let start = set_idx * self.ways;
-        let tag = self.tags[start + idx] | dirty_bit(write);
-        if R::RECENCY_ORDER {
-            push_front(&mut self.tags[start..=start + idx], tag);
-        } else {
-            self.tags[start + idx] = tag;
-            self.policy.on_hit(set_idx, idx);
+        let set = &mut self.tags[set_idx * self.ways..][..self.ways];
+        if !R::RECENCY_ORDER {
+            set[idx] |= dirty_bit(write);
+            return self.policy.on_hit(set_idx, idx);
         }
+        let head = usize::from(self.heads[set_idx]);
+        let mut slot = head + idx;
+        if slot >= set.len() {
+            slot -= set.len();
+        }
+        let tag = set[slot] | dirty_bit(write);
+        while slot != head {
+            let previous = if slot == 0 { set.len() } else { slot } - 1;
+            set[slot] = set[previous];
+            slot = previous;
+        }
+        set[head] = tag;
     }
 
     /// Insert `line`, which `probe` found absent from `set_idx`, as the
@@ -395,13 +501,14 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let start = set_idx * self.ways;
         let tag = line | dirty_bit(dirty);
         let old = if R::RECENCY_ORDER {
-            // Up to the first hole if the probe saw one, else the whole
-            // set: what falls off the end is the least recently used line.
-            let len = match probe {
-                SetProbe::Empty(idx) => idx + 1,
-                _ => self.ways,
+            // The slot before the head is the end of the ring: it holds the
+            // least recently used line, or a hole if the set is not full.
+            let head = match self.heads[set_idx] {
+                0 => self.ways - 1,
+                head => usize::from(head) - 1,
             };
-            push_front(&mut self.tags[start..start + len], tag)
+            self.heads[set_idx] = head as u16;
+            std::mem::replace(&mut self.tags[start + head], tag)
         } else {
             let slot = match probe {
                 SetProbe::Empty(idx) => idx,
@@ -417,7 +524,27 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
             dirty: old & DIRTY != 0,
         });
         self.evictions += evicted.is_some() as u64;
+        self.filter_count(line, true);
+        if let Some(evicted) = evicted {
+            self.filter_count(evicted.line, false);
+        }
         evicted
+    }
+
+    /// `line` became resident (`arrived`) or stopped being: count it in or
+    /// out of its filter counter, if there is a filter.  A counter that
+    /// saturates sticks: it no longer knows how many lines it stands for.
+    #[inline(always)]
+    fn filter_count(&mut self, line: u64, arrived: bool) {
+        if self.filter_shift == 0 {
+            return;
+        }
+        let counter = &mut self.filter[filter_idx(self.filter_shift, line)];
+        debug_assert!(arrived || *counter > 0, "a resident line was counted");
+        if *counter != FILTER_STUCK {
+            *counter = if arrived { *counter + 1 } else { *counter - 1 };
+            self.filter_stuck |= *counter == FILTER_STUCK;
+        }
     }
 
     /// Access (touch) a line: returns `Hit` and refreshes LRU if present,
@@ -450,7 +577,10 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     /// equivalent of calling [`touch`] `n` times in a row on a resident line
     /// — the hit counter advances by `n` while the set is scanned only once.
     /// Returns `false` (and changes nothing) if the line is not resident;
-    /// callers fall back to the scalar path in that case.
+    /// callers fall back to the scalar path in that case.  Zero repeats are
+    /// vacuously accounted: `n == 0` returns `true` and changes nothing —
+    /// no counter, no recency — whether or not the line is resident (both
+    /// in-tree callers ask only with `n > 0`).
     ///
     /// This is a **load-only** fast path: the refresh deliberately passes
     /// `write = false`, so an already-dirty line stays dirty and a clean
@@ -510,7 +640,7 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     pub fn fill(&mut self, line: u64, dirty: bool) -> Option<Eviction> {
         // Fast path: a missing `touch` found the line absent and nothing
         // was inserted since, so under recency order there is nothing to
-        // look for — the line goes to the front of its set.
+        // look for — the line takes the slot before its set's head.
         if R::RECENCY_ORDER && self.known_absent == line {
             let set_idx = (line & self.set_mask) as usize;
             return self.insert(set_idx, SetProbe::Full, line, dirty);
@@ -551,21 +681,28 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
         let (set_idx, SetProbe::Hit(idx)) = self.probe(line) else {
             return None;
         };
+        if R::RECENCY_ORDER {
+            // Close the hole in ring order: the line becomes the head, as
+            // on a hit, and the head steps past it.  The entries behind
+            // keep their order and stay contiguous from the new head.
+            self.refresh(set_idx, idx, false);
+            let slot = set_idx * self.ways + usize::from(self.heads[set_idx]);
+            let tag = std::mem::replace(&mut self.tags[slot], INVALID_LINE);
+            let head = usize::from(self.heads[set_idx]) + 1;
+            self.heads[set_idx] = if head == self.ways { 0 } else { head as u16 };
+            self.filter_count(line, false);
+            return Some(tag & DIRTY != 0);
+        }
         let start = set_idx * self.ways;
         let set = &mut self.tags[start..start + self.ways];
         // The hit sits inside the valid prefix; find where that prefix ends.
         let last = idx + valid_prefix_len(&set[idx + 1..]);
         let dirty = set[idx] & DIRTY != 0;
-        // Preserve the prefix invariant.
-        if R::RECENCY_ORDER {
-            // Close the hole; the entries behind it keep their order.
-            set.copy_within(idx + 1..=last, idx);
-        } else {
-            // Move the last valid entry into the hole: every other line
-            // keeps its way, and the policy moves that one way's state.
-            set[idx] = set[last];
-            self.policy.on_invalidate(set_idx, idx, last);
-        }
+        // Preserve the prefix invariant: move the last valid entry into
+        // the hole.  Every other line keeps its way, and the policy moves
+        // that one way's state.
+        set[idx] = set[last];
+        self.policy.on_invalidate(set_idx, idx, last);
         set[last] = INVALID_LINE;
         Some(dirty)
     }
@@ -592,12 +729,11 @@ impl<R: ReplacementPolicy, const SIMD: bool> SetAssocCache<R, SIMD> {
     pub fn for_each_resident(&self, mut f: impl FnMut(u64, bool)) {
         for &set in &self.used_sets {
             let start = set as usize * self.ways;
+            // Every slot: a ring's valid entries need not start at slot 0.
             for &tag in &self.tags[start..start + self.ways] {
-                if tag == INVALID_LINE {
-                    // Prefix invariant: everything beyond is already empty.
-                    break;
+                if tag != INVALID_LINE {
+                    f(tag & !DIRTY, tag & DIRTY != 0);
                 }
-                f(tag & !DIRTY, tag & DIRTY != 0);
             }
         }
     }
@@ -612,6 +748,274 @@ mod tests {
     /// the replacement parameter unconstrained in a `let`).
     fn lru(capacity_bytes: usize, ways: usize) -> SetAssocCache {
         SetAssocCache::new(capacity_bytes, ways)
+    }
+
+    /// `emptied` — a cache after `reset`, `reshape` or `flush_dirty` — is a
+    /// `fresh`ly constructed one: the same geometry and filter size, and
+    /// every tag, head, filter counter and tracking bit of its (possibly
+    /// larger) lanes as construction leaves them.
+    fn assert_like_fresh<R: ReplacementPolicy>(
+        emptied: &SetAssocCache<R>,
+        fresh: &SetAssocCache<R>,
+    ) {
+        let geometry = |c: &SetAssocCache<R>| (c.ways, c.set_mask, c.filter_shift);
+        assert_eq!(geometry(emptied), geometry(fresh), "{}", R::KIND);
+        assert!(emptied.tags.iter().all(|&tag| tag == INVALID_LINE));
+        assert!(emptied.heads.iter().all(|&head| head == 0));
+        assert!(emptied.filter.iter().all(|&count| count == 0));
+        assert!(!emptied.filter_stuck);
+        assert!(emptied.used_sets.is_empty());
+        assert!(emptied.used_bitmap.iter().all(|&word| word == 0));
+        assert_eq!(emptied.known_absent, INVALID_LINE);
+        assert!(emptied.tags.len() >= fresh.tags.len());
+        assert!(emptied.heads.len() >= fresh.heads.len());
+        assert!(emptied.filter.len() >= fresh.filter.len());
+    }
+
+    /// The naive model of recency-ordered sets: per set the resident lines,
+    /// most recently used first.
+    struct RecencyLists {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl RecencyLists {
+        fn like(cache: &SetAssocCache) -> Self {
+            Self {
+                sets: vec![Vec::new(); cache.set_mask as usize + 1],
+                ways: cache.ways,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<u64> {
+            let sets = self.sets.len() as u64;
+            &mut self.sets[(line % sets) as usize]
+        }
+
+        /// Move a resident line to the front; whether it was resident.
+        fn touch(&mut self, line: u64) -> bool {
+            let set = self.set(line);
+            let Some(at) = set.iter().position(|&l| l == line) else {
+                return false;
+            };
+            set[..=at].rotate_right(1);
+            true
+        }
+
+        /// Insert an absent line at the front; the line that falls off.
+        fn fill(&mut self, line: u64) -> Option<u64> {
+            let ways = self.ways;
+            let set = self.set(line);
+            set.insert(0, line);
+            (set.len() > ways).then(|| set.pop().expect("non-empty"))
+        }
+
+        fn invalidate(&mut self, line: u64) {
+            self.set(line).retain(|&l| l != line);
+        }
+
+        /// The ring invariant, slot by slot: from each set's head the
+        /// model's lines in the model's order, then holes to the end.
+        fn assert_is(&self, cache: &SetAssocCache, at: &str) {
+            for (set, lines) in self.sets.iter().enumerate() {
+                let head = usize::from(cache.heads[set]);
+                assert!(head < self.ways, "{at}");
+                let slots = &cache.tags[set * self.ways..][..self.ways];
+                let ring: Vec<u64> = (slots[head..].iter().chain(&slots[..head]))
+                    .map(|&tag| {
+                        if tag == INVALID_LINE {
+                            tag
+                        } else {
+                            tag & !DIRTY
+                        }
+                    })
+                    .collect();
+                let mut expected = lines.clone();
+                expected.resize(self.ways, INVALID_LINE);
+                assert_eq!(ring, expected, "{at}: set {set}, head {head}");
+            }
+        }
+    }
+
+    /// A 1-set and a 4-set cache of 5 ways with every set full and every
+    /// head at `head`, and their model; `(cache, model, next unused line)`.
+    fn rings_with_heads_at(head: usize) -> Vec<(SetAssocCache, RecencyLists, u64)> {
+        [1usize, 4]
+            .into_iter()
+            .map(|sets| {
+                let mut cache = lru(sets * 5 * 64, 5);
+                assert_eq!((cache.set_mask as usize + 1, cache.ways), (sets, 5));
+                let mut model = RecencyLists::like(&cache);
+                // Each fill steps its set's head back one slot, from 0.
+                let fills = (sets * (10 - head)) as u64;
+                for line in 0..fills {
+                    assert_eq!(
+                        cache.fill(line, line % 3 == 0).map(|e| e.line),
+                        model.fill(line)
+                    );
+                }
+                assert!(cache.heads.iter().all(|&h| usize::from(h) == head));
+                model.assert_is(&cache, "set up");
+                (cache, model, fills)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_hit_at_every_distance_with_the_head_at_every_slot() {
+        for head in 0..5 {
+            for distance in 0..5 {
+                for (mut cache, mut model, next) in rings_with_heads_at(head) {
+                    let at = format!("head {head}, distance {distance}");
+                    // In every set, hit the line `distance` behind the
+                    // head: with the head at `head`, distances of `5 - head`
+                    // and more shift across the wrap.
+                    for set in 0..model.sets.len() {
+                        let line = model.sets[set][distance];
+                        assert_eq!(cache.touch(line, false), LookupResult::Hit, "{at}");
+                        assert!(model.touch(line));
+                        assert_eq!(usize::from(cache.heads[set]), head, "a hit moves no head");
+                    }
+                    model.assert_is(&cache, &at);
+                    // Every victim from here on is the model's.
+                    for line in next..next + 6 * model.sets.len() as u64 {
+                        assert_eq!(
+                            cache.fill(line, false).map(|e| e.line),
+                            model.fill(line),
+                            "{at}"
+                        );
+                    }
+                    model.assert_is(&cache, &at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_invalidate_at_every_distance_leaves_holes_that_fills_take_first() {
+        for head in 0..5 {
+            for distance in 0..5 {
+                for (mut cache, mut model, next) in rings_with_heads_at(head) {
+                    let at = format!("head {head}, distance {distance}");
+                    let sets = model.sets.len() as u64;
+                    // Two holes a set: at `distance`, then at what is now
+                    // the front (the wrap is crossed for every `head`).
+                    for set in 0..sets as usize {
+                        for distance in [distance, 0] {
+                            let line = model.sets[set][distance];
+                            let dirty = line % 3 == 0;
+                            assert_eq!(cache.invalidate(line), Some(dirty), "{at}");
+                            assert_eq!(cache.invalidate(line), None, "{at}");
+                            model.invalidate(line);
+                            model.assert_is(&cache, &at);
+                        }
+                    }
+                    assert_eq!(cache.resident_lines(), 3 * sets as usize);
+                    // The draining reads see both sides of a wrapped head.
+                    let mut seen = Vec::new();
+                    cache.for_each_resident(|line, dirty| {
+                        assert_eq!(dirty, line % 3 == 0, "{at}");
+                        seen.push(line);
+                    });
+                    seen.sort_unstable();
+                    let mut resident: Vec<u64> = model.sets.concat();
+                    resident.sort_unstable();
+                    assert_eq!(seen, resident, "{at}");
+                    // Two fills a set land in the holes; the third evicts
+                    // the model's victim.
+                    for line in next..next + 3 * sets {
+                        let evicted = cache.fill(line, false).map(|e| e.line);
+                        assert_eq!(evicted, model.fill(line), "{at}");
+                        assert_eq!(evicted.is_some(), line >= next + 2 * sets, "{at}");
+                    }
+                    model.assert_is(&cache, &at);
+                    let mut dirty = cache.flush_dirty();
+                    dirty.sort_unstable();
+                    let mut expected: Vec<u64> = model.sets.concat();
+                    expected.retain(|&line| line < next && line % 3 == 0);
+                    expected.sort_unstable();
+                    assert_eq!(dirty, expected, "{at}");
+                    assert_like_fresh(&cache, &lru(sets as usize * 5 * 64, 5));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ring_heads_wrap_under_a_miss_stream_and_evict_first_in_first_out() {
+        let mut cache = lru(4 * 5 * 64, 5);
+        let mut wraps = 0;
+        for line in 0..4 * 5 * 4u64 {
+            let evicted = cache.probe_fill(line, false).1.map(|e| e.line);
+            assert_eq!(evicted, line.checked_sub(20), "line {line}");
+            let head = cache.heads[(line % 4) as usize];
+            assert_eq!(u64::from(head), (20 - 1 - line / 4 % 5) % 5, "line {line}");
+            wraps += usize::from(line % 4 == 0 && head == 4);
+        }
+        assert!(wraps >= 3, "set 0's head wrapped {wraps} times");
+        assert_eq!((cache.misses(), cache.evictions()), (80, 60));
+    }
+
+    /// `n` lines that share the filter counter `counter` of a filter that
+    /// shifts by `shift`: preimages of `counter` in the top bits, through the
+    /// hash multiplier's inverse modulo 2^64 (Newton's iteration doubles
+    /// the correct low bits; an odd number is its own inverse modulo 8).
+    fn lines_sharing_a_counter(shift: u32, counter: u64, n: usize) -> Vec<u64> {
+        let inverse = (0..5).fold(FILTER_HASH, |inv, _| {
+            inv.wrapping_mul(2u64.wrapping_sub(FILTER_HASH.wrapping_mul(inv)))
+        });
+        assert_eq!(FILTER_HASH.wrapping_mul(inverse), 1);
+        (0u64..)
+            .map(|low| ((counter << shift) | low).wrapping_mul(inverse))
+            .filter(|&line| line < 1 << 58)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn a_saturated_filter_counter_sticks_and_still_only_ever_says_maybe() {
+        use std::collections::HashSet;
+        // The largest geometry that carries a filter: 64 Ki lines.
+        let mut c = lru(4 << 20, 16);
+        assert_eq!(c.filter_shift, 64 - 18);
+        let counter = 0x2_a5f1;
+        let sharing = lines_sharing_a_counter(c.filter_shift, counter as u64, 320);
+        let mut resident = HashSet::new();
+        let fill = |c: &mut SetAssocCache, resident: &mut HashSet<u64>, line: u64| {
+            assert_eq!(
+                filter_idx(c.filter_shift, line) == counter,
+                sharing.contains(&line)
+            );
+            let (result, evicted) = c.probe_fill(line, false);
+            assert_eq!(result == LookupResult::Miss, resident.insert(line));
+            if let Some(evicted) = evicted {
+                assert!(resident.remove(&evicted.line));
+            }
+        };
+        for (n, &line) in sharing.iter().enumerate() {
+            assert!(!c.contains(line) && c.evictions() == 0);
+            assert_eq!(usize::from(c.filter[counter]), n.min(255));
+            fill(&mut c, &mut resident, line);
+        }
+        assert!(c.filter_stuck);
+        // Evict every one of them (twice the capacity streams through) and
+        // a counter that counted would read 0; this one no longer counts.
+        for line in (1 << 30)..(1 << 30) + (2 << 16) {
+            fill(&mut c, &mut resident, line);
+        }
+        assert_eq!(c.filter[counter], FILTER_STUCK);
+        assert_eq!(resident.len(), 1 << 16);
+        for &line in sharing.iter().chain(&resident) {
+            assert_eq!(c.contains(line), resident.contains(&line), "line {line}");
+        }
+        // Taking and returning a line moves it neither.
+        assert_eq!(c.probe_fill(sharing[0], true).0, LookupResult::Miss);
+        assert_eq!(c.invalidate(sharing[0]), Some(true));
+        assert_eq!(c.filter[counter], FILTER_STUCK);
+        assert!(!c.contains(sharing[0]));
+        // No resident line names the stuck counter, and a drain zeroes it.
+        c.reset();
+        assert_like_fresh(&c, &lru(4 << 20, 16));
     }
 
     #[test]
@@ -750,8 +1154,15 @@ mod tests {
         assert!(!c.touch_repeat(13, 3));
         assert_eq!(c.hits(), 7);
         assert_eq!(c.misses(), 0);
-        // n == 0 is a no-op that reports success.
+        // Zero repeats are vacuously accounted — resident line or not —
+        // and refresh nothing: 9 stays the least recently used of its set.
         assert!(c.touch_repeat(13, 0));
+        for line in [17, 21, 25] {
+            c.fill(line, false);
+        }
+        assert!(c.touch_repeat(9, 0));
+        assert_eq!((c.hits(), c.misses()), (7, 0));
+        assert_eq!(c.fill(29, false).map(|e| e.line), Some(9));
     }
 
     #[test]
@@ -798,11 +1209,15 @@ mod tests {
             c.probe_fill(line, line % 2 == 0);
         }
         assert!(c.resident_lines() > 0 && c.misses() > 0);
+        c.invalidate(9);
+        assert!(c.heads.iter().any(|&h| h != 0) && c.filter.iter().any(|&n| n != 0));
         c.reset();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!((c.hits(), c.misses()), (0, 0));
-        // Behaves exactly like a fresh cache afterwards.
+        // Behaves exactly like a fresh cache afterwards, and is one: every
+        // head and every filter counter is zero again.
         let mut fresh = lru(8 * 64, 4);
+        assert_like_fresh(&c, &fresh);
         for line in [3u64, 7, 3, 11, 3] {
             assert_eq!(c.probe_fill(line, false), fresh.probe_fill(line, false));
         }
@@ -814,7 +1229,12 @@ mod tests {
             let mut c: SetAssocCache<R> = SetAssocCache::new(64 * 64, 4);
             // Shrink, grow past the first arena, return: each time with
             // lines still resident, each time like a fresh cache.
-            for (lines, ways) in [(8usize, 4usize), (256, 8), (64, 4), (12, 3)] {
+            // The last four are an unshared 54 MiB L3 and its 1.5 MiB share —
+            // under recency order without a filter and with one — which a
+            // pooled `CoreSim` alternates between sharer counts.
+            let l3 = [(13 << 16, 13), (24576, 12)];
+            let small = [(8usize, 4usize), (256, 8), (64, 4), (12, 3)];
+            for (lines, ways) in small.into_iter().chain(l3).chain(l3) {
                 for line in 0..100u64 {
                     c.probe_fill(line * 3, line % 2 == 0);
                 }
@@ -824,6 +1244,12 @@ mod tests {
                 assert_eq!(c.capacity_lines(), fresh.capacity_lines());
                 assert_eq!(c.resident_lines(), 0);
                 assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 0, 0));
+                assert_like_fresh(&c, &fresh);
+                assert_eq!(
+                    c.filter_shift != 0,
+                    R::RECENCY_ORDER && lines <= 1 << 16,
+                    "a filter for recency-ordered caches of at most 64 Ki lines"
+                );
                 for n in 0..400u64 {
                     let line = (n * 7) % 61;
                     assert_eq!(
@@ -858,6 +1284,27 @@ mod tests {
         assert!(c.flush_dirty().is_empty());
         c.fill(130, true);
         assert_eq!(c.flush_dirty(), vec![130]);
+        // After any mix of operations a drain leaves every head and every
+        // filter counter zero.
+        for n in 0..2000u64 {
+            let line = (n * n) % 331;
+            match n % 7 {
+                0 | 1 => drop(c.fill(line, n % 2 == 0)),
+                2 | 3 => drop(c.probe_fill(line, n % 2 == 0)),
+                4 => drop(c.fill_if_absent(line)),
+                5 => drop(c.invalidate(line)),
+                _ => drop(c.touch(line, true)),
+            }
+        }
+        let resident = c.resident_lines();
+        assert!(resident > 40 && c.evictions() > 0);
+        let counted: usize = c.filter.iter().map(|&count| usize::from(count)).sum();
+        assert_eq!(
+            counted, resident,
+            "the filter counts exactly the resident lines"
+        );
+        c.flush_dirty();
+        assert_like_fresh(&c, &lru(64 * 64, 4));
     }
 
     /// Mirror of `probe_fill_matches_touch_then_fill` for every non-LRU

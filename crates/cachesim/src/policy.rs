@@ -12,11 +12,12 @@
 //!
 //! The trait is a generic parameter of [`SetAssocCache`] and [`CoreSim`],
 //! defaulted to the paper's configuration.  [`TrueLru`] sets the
-//! `RECENCY_ORDER` constant: the cache then keeps each set in recency
-//! order and the line at its end is the victim, so the default
-//! monomorphisation has no victim search and calls none of the hooks
-//! below; the other policies keep every line in the way it was filled
-//! into and are consulted through them.
+//! `RECENCY_ORDER` constant: the cache then keeps each set as a ring in
+//! recency order behind a head index — a fill overwrites the end of the
+//! ring, which is the victim — so the default monomorphisation has no
+//! victim search and calls none of the hooks below; the other policies
+//! keep every line in the way it was filled into and are consulted
+//! through them.
 //!
 //! [`SetAssocCache`]: crate::cache::SetAssocCache
 //! [`CoreSim`]: crate::hierarchy::CoreSim
@@ -39,11 +40,13 @@ pub trait ReplacementPolicy: std::fmt::Debug + Clone + Send + 'static {
     const KIND: ReplacementPolicyKind;
 
     /// True when the victim is always the least recently used line.  The
-    /// cache then keeps each set in recency order — a hit moves its entry
-    /// to the front, a fill pushes at the front, the entry that falls off
-    /// the end is the victim — and calls none of the hooks below.  False
-    /// (the default) keeps storage slot-stable: a line stays in the way it
-    /// was filled into, which is what way-indexed policy state needs.
+    /// cache then keeps each set as a ring in recency order from a per-set
+    /// head — a hit moves its entry to the head, a fill takes the slot
+    /// before the head and with it the ring's last entry, the victim — may
+    /// answer a miss from its presence filter, and calls none of the hooks
+    /// below.  False (the default) keeps storage slot-stable: a line stays
+    /// in the way it was filled into, which is what way-indexed policy
+    /// state needs.
     const RECENCY_ORDER: bool = false;
 
     /// Construct state for a cache of `sets` sets with `ways` ways each.
@@ -68,7 +71,7 @@ pub trait ReplacementPolicy: std::fmt::Debug + Clone + Send + 'static {
 }
 
 /// True least-recently-used replacement — the paper's baseline and the
-/// default. Stateless: the cache keeps each set in recency order
+/// default. Stateless: the cache keeps each set as a ring in recency order
 /// (`RECENCY_ORDER`), so the victim is whatever sits at its end.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrueLru;
@@ -93,7 +96,7 @@ impl ReplacementPolicy for TrueLru {
 
     #[inline]
     fn pick_victim(&mut self, _set: usize, _ways: usize) -> usize {
-        debug_assert!(false, "the LRU victim falls off the end of its set");
+        debug_assert!(false, "the LRU victim is the end of its set's ring");
         0
     }
 

@@ -1,8 +1,9 @@
 //! An oracle for `SetAssocCache<TrueLru>` that shares none of its code: a
 //! deliberately naive set-associative cache in the shape of a pin-tool
 //! model — one `Way { valid, lru, tag, dirty }` per slot in a
-//! `Vec<Vec<Way>>`, linear scans, a global access clock.  No packed lanes,
-//! no SIMD probe, no valid-prefix invariant, no remembered miss slot, no
+//! `Vec<Vec<Way>>`, linear scans, a global access clock.  No packed tag
+//! words, no sets kept as rings in recency order behind a head index, no
+//! presence filter answering for an absent line, no remembered miss, no
 //! used-set tracking: every shortcut the real cache takes is absent here,
 //! so a misconception built into those shortcuts cannot pass.
 //!
@@ -16,6 +17,10 @@
 //! model below ([`Membership`]): a map from line to dirty flag that learns
 //! the victims from the cache's own returned evictions, so it needs no
 //! knowledge of how a victim is chosen, and holds all four policies to it.
+//!
+//! Last, eviction sets (Snippet 1's construction over `L2_CACHE_WAYS`) as
+//! invariants at the paper machine's three geometries: how many congruent
+//! lines it takes to evict a victim, and which line goes.
 
 use cloverleaf_wa::cachesim::cache::LookupResult;
 use cloverleaf_wa::cachesim::{SetAssocCache, TrueLru};
@@ -388,8 +393,28 @@ fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
         let adversarial = episode % 2 == 0;
         let base = (1 << 20) + draw(1 << 40);
         let mut cursor = base;
+        // Every third episode half the accesses go to lines that collide
+        // in the cache's presence filter (`cache.rs`: four counters a line
+        // of capacity, rounded up to a power of two, indexed by the top
+        // bits of `line × 0x9E37_79B9_7F4A_7C15`): preimages of one counter
+        // through the multiplier's inverse modulo 2^64, the first of them
+        // that are line indices.  A counter shared by lines that come and
+        // go must still never call a resident one absent.
+        let colliding: Vec<u64> = if episode % 3 == 2 {
+            let bits = (4 * lines).next_power_of_two().trailing_zeros();
+            let counter = draw(1 << bits) << (64 - bits);
+            (0u64..)
+                .map(|low| (counter | low).wrapping_mul(0xF1DE_83E1_9937_733D))
+                .filter(|&line| line < 1 << 58)
+                .take(2 * ways + 6)
+                .collect()
+        } else {
+            Vec::new()
+        };
         for step in 0..1500 {
-            let line = if adversarial {
+            let line = if !colliding.is_empty() && draw(2) == 0 {
+                colliding[draw(colliding.len() as u64) as usize]
+            } else if adversarial {
                 base + draw(3) + draw(assoc + 3) * sets
             } else {
                 cursor += draw(3);
@@ -479,5 +504,68 @@ proptest! {
         check_membership::<TreePlru>(seed, first);
         check_membership::<Srrip>(seed, first);
         check_membership::<RandomEvict>(seed, first);
+    }
+}
+
+/// What it takes to evict `victim` from a set of `ways`: it survives
+/// `ways - 1` congruent lines (same set index, a set-span apart), the
+/// `ways`-th evicts one line of that set — under true LRU exactly the
+/// victim, or the oldest congruent line if the victim was touched again
+/// first; under the other policies some line of the set, which is all the
+/// membership model can say — and lines of other sets never do, however
+/// many.
+fn check_eviction_set<R: ReplacementPolicy>(capacity_bytes: usize, nominal_ways: usize) {
+    let shape = NaiveCache::new(capacity_bytes, nominal_ways);
+    let (sets, ways) = (shape.sets.len() as u64, shape.sets[0].len() as u64);
+    let lru = R::KIND == TrueLru::KIND;
+    let at = format!("{} {}x{}", R::KIND, sets, ways);
+    let victim = (1 << 32) + 5 % sets;
+    let congruent = |n: u64| victim + n * sets;
+    for retouch in [false, true] {
+        let mut cache: SetAssocCache<R> = SetAssocCache::new(capacity_bytes, nominal_ways);
+        assert_eq!(cache.capacity_lines() as u64, sets * ways, "{at}");
+        assert_eq!(cache.fill(victim, true), None, "{at}");
+        // Non-congruent lines, four times the capacity of them: they evict
+        // each other and never the victim.
+        for line in (0..4 * sets * ways).filter(|line| line % sets != victim % sets) {
+            if let Some(evicted) = cache.fill(line, false) {
+                assert_ne!(evicted.line % sets, victim % sets, "{at}");
+            }
+        }
+        assert!(cache.contains(victim), "{at}");
+        for n in 1..ways {
+            assert_eq!(cache.fill(congruent(n), false), None, "{at}: line {n}");
+        }
+        assert!(cache.contains(victim), "{at}: {} congruent lines", ways - 1);
+        if retouch {
+            assert!(hit(cache.touch(victim, false)), "{at}");
+        }
+        let evicted = cache
+            .fill(congruent(ways), false)
+            .expect("the set was full");
+        let set: Vec<u64> = (0..ways).map(congruent).collect();
+        assert!(set.contains(&evicted.line), "{at}: evicted {evicted:?}");
+        assert_eq!(evicted.dirty, evicted.line == victim, "{at}");
+        if lru {
+            assert_eq!(evicted.line, congruent(retouch as u64), "{at}");
+        }
+        // Exactly that line and nothing else.
+        for &line in &set {
+            assert_eq!(cache.contains(line), line != evicted.line, "{at}");
+        }
+        assert!(cache.contains(congruent(ways)), "{at}");
+        assert_eq!(cache.resident_lines() as u64, sets * ways, "{at}");
+    }
+}
+
+/// Eviction sets at the paper machine's geometries (Ice Lake SP 8360Y: the
+/// L1, the L2, and one core's share of the L3 at 36 sharers).
+#[test]
+fn an_eviction_set_is_exactly_as_many_congruent_lines_as_the_set_has_ways() {
+    for (capacity_bytes, ways) in [(48 << 10, 12), (1280 << 10, 20), (1536 << 10, 12)] {
+        check_eviction_set::<TrueLru>(capacity_bytes, ways);
+        check_eviction_set::<TreePlru>(capacity_bytes, ways);
+        check_eviction_set::<Srrip>(capacity_bytes, ways);
+        check_eviction_set::<RandomEvict>(capacity_bytes, ways);
     }
 }
