@@ -516,10 +516,13 @@ impl DiffKey {
 /// abandoned).
 #[derive(Debug, Clone)]
 pub(crate) enum DiffEntry {
-    /// The recorded event trace, replayable under any neighbour context.
+    /// The recorded trace — ops and runs of equal ops — replayable under
+    /// any neighbour context in O(entries).
     Trace(Arc<[TraceOp]>),
-    /// The kernel overflowed [`TRACE_OP_CAP`](crate::hierarchy::TRACE_OP_CAP)
-    /// events; neighbours of this key re-simulate from scratch.
+    /// The recording was abandoned: the kernel's trace outgrew
+    /// [`TRACE_OP_CAP`](crate::hierarchy::TRACE_OP_CAP) entries or met a
+    /// count its op cannot hold; neighbours of this key re-simulate from
+    /// scratch.
     Oversized,
 }
 
@@ -1232,16 +1235,23 @@ mod tests {
 
     #[test]
     fn an_abandoned_recording_makes_the_class_oversized_and_stays_exact() {
-        // One op per NT line: a stream of more lines than TRACE_OP_CAP
-        // abandons the leader's recording, so the neighbour re-simulates.
+        // An NT stream of full lines is one op and one run, however long.
+        // Rows of one full and one partial line (12 of 16 elements) are an
+        // entry per line: more lines than TRACE_OP_CAP abandon the
+        // leader's recording, so the neighbour re-simulates.
         let m = icelake_sp_8360y();
-        let lines = crate::hierarchy::TRACE_OP_CAP as u64 + 8;
-        let spec = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            8 * lines,
-            AccessKind::StoreNT,
-        );
+        let rows = crate::hierarchy::TRACE_OP_CAP as u64 / 2 + 8;
+        let spec = KernelSpec {
+            row_stride: 16,
+            inner: 12,
+            rows,
+            ..KernelSpec::contiguous(
+                RankBase::Shifted { shift: 36, plus: 0 },
+                0,
+                0,
+                AccessKind::StoreNT,
+            )
+        };
         let diff = SimMemo::new();
         let scratch = SimMemo::without_differential();
         let options = CoreSimOptions::default();
@@ -1261,6 +1271,71 @@ mod tests {
         assert!(matches!(entry, DiffEntry::Oversized));
         let dstats = diff.diff_stats();
         assert_eq!((dstats.hits, dstats.misses), (2, 1));
+    }
+
+    #[test]
+    fn fig5_replays_an_eighth_as_many_entries_as_events() {
+        // Fig. 5's curve as `clover-ubench` walks it: the ICX at every
+        // third core count, one to three normal, then NT store streams of
+        // 32 Ki elements.  Six traces; a saturated stream is one run.
+        let m = icelake_sp_8360y();
+        let memo = SimMemo::new();
+        for cores in (1..=m.total_cores()).step_by(3) {
+            let sim = NodeSim::new(SimConfig::new(m.clone(), cores));
+            for kind in [AccessKind::Store, AccessKind::StoreNT] {
+                for streams in 1..=3u64 {
+                    let spec = KernelSpec {
+                        rank_base: RankBase::Shifted { shift: 40, plus: 1 },
+                        operands: (0..streams)
+                            .map(|s| SpecOperand {
+                                offset: s << 30,
+                                points: vec![(0, 0)],
+                                kind,
+                            })
+                            .collect(),
+                        ..KernelSpec::contiguous(RankBase::Shared, 0, 32 * 1024, kind)
+                    };
+                    sim.run_spmd_memo(&spec, &memo);
+                }
+            }
+        }
+        // Every simulated point past the first of its trace is a replay.
+        let mut points: std::collections::HashMap<DiffKey, u64> = Default::default();
+        for (key, _, _) in memo.inner.entries_stamped() {
+            let options = CoreSimOptions {
+                l3_sharers: key.dynamics.l3_sharers,
+                ..Default::default()
+            };
+            let dkey = DiffKey::of(&m, options, &key.kernel, ReplacementPolicyKind::Lru);
+            *points.entry(dkey).or_default() += 1;
+        }
+        let (mut entries, mut events) = (0, 0);
+        let traces = memo.diff.entries_stamped();
+        assert_eq!(traces.len(), 6);
+        for (dkey, trace, _) in traces {
+            let DiffEntry::Trace(ops) = trace else {
+                panic!("fig. 5's traces fit the cap")
+            };
+            let replays = points[&dkey] - 1;
+            entries += replays * ops.len() as u64;
+            events += replays
+                * ops
+                    .iter()
+                    .map(|op| match op {
+                        TraceOp::Repeat { count } => u64::from(*count),
+                        _ => 1,
+                    })
+                    .sum::<u64>();
+        }
+        assert_eq!(
+            points.values().sum::<u64>() - 6,
+            memo.diff_stats().hits,
+            "one replay per point after a trace's leader"
+        );
+        assert!(
+            8 * entries <= events,
+            "{entries} entries replayed for {events} events"
+        );
     }
 
     #[test]

@@ -94,6 +94,23 @@ pub struct SpecI2MResponse {
     node: f64,
 }
 
+impl SpecI2MResponse {
+    /// The response composed from an activation ramp, a node-population
+    /// factor and a streak response — bit for bit what
+    /// [`SpecI2MParams::response`] returns for the occupancy and streak
+    /// those three values were computed at.  A caller that holds the two
+    /// occupancy factors fixed (the cache simulator, for a whole
+    /// simulation) computes them once and only the streak response per
+    /// store line.
+    #[inline]
+    pub fn with_streak(ramp: f64, node: f64, streak: f64) -> Self {
+        if ramp <= 0.0 {
+            return Self::default();
+        }
+        Self { ramp, streak, node }
+    }
+}
+
 /// Workload/occupancy context for one store stream, used to evaluate the
 /// SpecI2M efficiency.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,11 +207,11 @@ impl SpecI2MParams {
             // store path of every serial measurement lands here).
             return SpecI2MResponse::default();
         }
-        SpecI2MResponse {
+        SpecI2MResponse::with_streak(
             ramp,
-            streak: self.streak_response(streak_lines),
-            node: self.node_population_factor(active_domains, total_domains),
-        }
+            self.node_population_factor(active_domains, total_domains),
+            self.streak_response(streak_lines),
+        )
     }
 
     /// Fraction of write-allocates evaded (0..=1) by a core issuing

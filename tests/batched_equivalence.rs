@@ -838,3 +838,76 @@ proptest! {
         prop_assert_eq!(&solo_again.per_rank, &fresh_solo.per_rank);
     }
 }
+
+/// Every counter's bits, so that a one-ulp drift cannot hide.
+fn counter_bits(c: &cloverleaf_wa::cachesim::MemCounters) -> [u64; 6] {
+    [
+        c.read_lines,
+        c.write_lines,
+        c.itom_lines,
+        c.write_allocate_lines,
+        c.prefetch_lines,
+        c.speculative_read_lines,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Every replayed point of the simulated store-ratio and copy-volume
+/// figures, by counter bits: the figures print three decimals, and the
+/// proptests above drive kernels too short for a store stream to saturate
+/// (974 lines on the ICX), so neither would see a run added one ulp off.
+#[test]
+fn every_replayed_point_of_figs_5_6_9_and_10_is_the_from_scratch_counters() {
+    use cloverleaf_wa::machine::{sapphire_rapids_8470, sapphire_rapids_8480};
+    use cloverleaf_wa::ubench::{copy_kernel_spec, store_kernel_spec, StoreKind};
+    let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
+    let check = |machine: &Machine, ranks: usize, kernel: &KernelSpec, point: &str| {
+        let sim = NodeSim::new(SimConfig::new(machine.clone(), ranks));
+        let (a, b) = (
+            sim.run_spmd_memo(kernel, &diff),
+            sim.run_spmd_memo(kernel, &scratch),
+        );
+        for (a, b) in [(&a.total, &b.total), (&a.per_rank, &b.per_rank)] {
+            assert_eq!(counter_bits(a), counter_bits(b), "{} {point}", machine.id);
+        }
+    };
+    // (figure's machines, core-count step): figs. 5, 9 and 10.
+    let curves = [
+        (vec![icelake_sp_8360y()], 3),
+        (
+            vec![sapphire_rapids_8470(true), sapphire_rapids_8470(false)],
+            8,
+        ),
+        (vec![sapphire_rapids_8480()], 8),
+    ];
+    for (machines, step) in curves {
+        for machine in &machines {
+            for cores in (1..=machine.total_cores()).step_by(step) {
+                for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
+                    for streams in 1..=3 {
+                        let kernel = store_kernel_spec(streams, kind);
+                        check(
+                            machine,
+                            cores,
+                            &kernel,
+                            &format!("{cores} {streams} {kind:?}"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    // Fig. 6: `copy_volume_per_iteration`'s kernel at every thread count.
+    let copy = copy_kernel_spec(1 << 30, 32 * 1024, 0, 1);
+    for threads in 1..=36 {
+        check(
+            &icelake_sp_8360y(),
+            threads,
+            &copy,
+            &format!("copy {threads}"),
+        );
+    }
+    // One trace per class (figs. 5, 9, 10, 6), every other point replays.
+    let replays = diff.diff_stats();
+    assert_eq!((replays.hits, replays.misses), (443, 6 + 12 + 6 + 1));
+}
