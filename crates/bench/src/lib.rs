@@ -4,12 +4,11 @@
 //! that produces a typed [`Artifact`] (named, unit-annotated columns); the
 //! CSV text the `figures` binary prints and its `--json` dump are renderings
 //! of that structure.  `figures --check` diffs each artifact against the
-//! digitised paper data in `clover-golden`; the Criterion bench under
-//! `benches/` measures the native kernels on the host.  The
-//! [`interference`] module adds the canned multi-tenant artifacts behind
-//! `figures interfere` — shared-LLC co-run studies the paper has no golden
-//! data for, kept outside [`EXPERIMENTS`].  Performance is measured by the
-//! standalone package under `benchmark/` (see `benchmark/README.md`).
+//! digitised paper data in `clover-golden`.  The [`interference`] module
+//! adds the canned multi-tenant artifacts behind `figures interfere` —
+//! shared-LLC co-run studies the paper has no golden data for, kept
+//! outside [`EXPERIMENTS`].  Performance is measured by the standalone
+//! package under `benchmark/` (see `benchmark/README.md`).
 
 pub mod interference;
 

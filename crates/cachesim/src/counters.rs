@@ -87,7 +87,7 @@ impl MemCounters {
         }
     }
 
-    /// Difference `self - other` (used by region markers to compute
+    /// Difference `self - earlier` (used by region markers to compute
     /// per-region deltas).
     pub fn delta(&self, earlier: &MemCounters) -> MemCounters {
         MemCounters {

@@ -19,7 +19,9 @@
 //! * **hardware prefetcher models** (adjacent-line and streamer) whose
 //!   effect on read volume can be switched off, mirroring the paper's
 //!   "PF off" experiments,
-//! * **memory-controller counters** aggregated per core and per node.
+//! * **memory-controller counters** aggregated per core and per node, and
+//!   **region markers** ([`marker`]) attributing them to named code
+//!   regions.
 //!
 //! The simulator is line-granular and uses deterministic *fractional*
 //! accounting for probabilistic events (an evasion probability of 0.7 adds
@@ -59,6 +61,7 @@ pub mod counters;
 pub mod engine;
 pub mod flight;
 pub mod hierarchy;
+pub mod marker;
 pub mod memo;
 pub mod patterns;
 pub mod policy;
@@ -80,6 +83,7 @@ pub use counters::MemCounters;
 pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
 pub use flight::FlightMemo;
 pub use hierarchy::{CoreSim, DomainOccupancy, OccupancyContext, PrivateCore};
+pub use marker::{PerfMonitor, RegionStats};
 pub use memo::{
     with_pooled_core, Accounting, CoRunKey, Dynamics, KernelSpec, MemoStats, RankBase, SimKey,
     SimMemo, SpecOperand,

@@ -1,9 +1,13 @@
 //! Region markers over the simulator's memory counters.
+//!
+//! The counterpart of LIKWID's Marker API, with which the paper attributes
+//! the memory-controller counters to each hotspot loop: a region is
+//! bracketed by [`PerfMonitor::start`]/[`PerfMonitor::stop`] snapshots of
+//! the [`MemCounters`], and the delta accumulates under the region's name.
 
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
-use clover_cachesim::MemCounters;
+use crate::MemCounters;
 
 /// Accumulated statistics of one marked region.
 #[derive(Debug, Clone, Default)]
@@ -12,8 +16,6 @@ pub struct RegionStats {
     pub call_count: u64,
     /// Accumulated traffic counters (deltas between start and stop).
     pub counters: MemCounters,
-    /// Accumulated wall-clock time inside the region.
-    pub elapsed: Duration,
 }
 
 impl RegionStats {
@@ -33,11 +35,11 @@ impl RegionStats {
     }
 }
 
-/// The marker registry of one rank (LIKWID Marker API equivalent).
+/// The marker registry of one rank.
 #[derive(Debug, Default)]
 pub struct PerfMonitor {
     regions: HashMap<String, RegionStats>,
-    open: HashMap<String, (MemCounters, Instant)>,
+    open: HashMap<String, MemCounters>,
 }
 
 impl PerfMonitor {
@@ -48,8 +50,7 @@ impl PerfMonitor {
 
     /// Start a region, snapshotting the current counters.
     pub fn start(&mut self, name: &str, counters: MemCounters) {
-        self.open
-            .insert(name.to_string(), (counters, Instant::now()));
+        self.open.insert(name.to_string(), counters);
     }
 
     /// Stop a region, attributing the counter delta since `start`.
@@ -57,14 +58,13 @@ impl PerfMonitor {
     /// # Panics
     /// Panics if the region was never started.
     pub fn stop(&mut self, name: &str, counters: MemCounters) {
-        let (start_counters, t0) = self
+        let start = self
             .open
             .remove(name)
             .unwrap_or_else(|| panic!("region '{name}' stopped without start"));
         let stats = self.regions.entry(name.to_string()).or_default();
         stats.call_count += 1;
-        stats.counters.merge(&counters.delta(&start_counters));
-        stats.elapsed += t0.elapsed();
+        stats.counters.merge(&counters.delta(&start));
     }
 
     /// Look up the accumulated statistics of a region.
@@ -76,7 +76,7 @@ impl PerfMonitor {
     pub fn regions(&self) -> Vec<(&str, &RegionStats)> {
         let mut v: Vec<(&str, &RegionStats)> =
             self.regions.iter().map(|(k, s)| (k.as_str(), s)).collect();
-        v.sort_by_key(|(k, _)| k.to_string());
+        v.sort_unstable_by_key(|&(k, _)| k);
         v
     }
 
@@ -87,7 +87,6 @@ impl PerfMonitor {
             let entry = self.regions.entry(name.clone()).or_default();
             entry.call_count += stats.call_count;
             entry.counters.merge(&stats.counters);
-            entry.elapsed += stats.elapsed;
         }
     }
 }

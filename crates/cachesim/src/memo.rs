@@ -64,9 +64,9 @@ pub const MIN_MEMO_SHIFT: u32 = 30;
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub enum RankBase {
-    /// Every rank uses the same addresses (e.g. the CloverLeaf kernel
-    /// replay, whose field bases are fixed offsets in a private address
-    /// space).
+    /// Every rank uses the same addresses (e.g. the CloverLeaf hotspot
+    /// loops of `clover_core::loop_kernel`, whose array bases are fixed
+    /// offsets in a private address space).
     Shared,
     /// `(rank + plus) << shift` — the convention of the microbenchmarks,
     /// which place each rank's streams in a private high-address window.
@@ -114,8 +114,8 @@ pub struct SpecOperand {
 /// through the [`RankBase`] of its operands.
 ///
 /// Everything the node simulator previously received as a closure (the
-/// store/copy microbenchmark kernels, the CloverLeaf kernel footprints,
-/// plain contiguous runs) is expressible as a `KernelSpec`; driving the
+/// store/copy microbenchmark kernels, the CloverLeaf hotspot loops, plain
+/// contiguous runs) is expressible as a `KernelSpec`; driving the
 /// spec reproduces the exact same [`StencilRowSweep`] the closures built,
 /// so converting a call site changes no output byte.
 #[derive(

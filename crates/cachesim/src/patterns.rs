@@ -1,8 +1,8 @@
 //! The stencil row sweep: the one access pattern every caller drives.
 //!
-//! The microbenchmarks (`clover-ubench`), the row-sampled CloverLeaf traffic
-//! measurements (`clover-perfmon`) and the kernel replay (`clover-leaf`)
-//! all describe their loops as a [`StencilRowSweep`] — several arrays, each
+//! The microbenchmarks (`clover-ubench`) and the row-sampled CloverLeaf
+//! hotspot loops (`clover_core::loop_kernel`) both describe their loops as
+//! a [`StencilRowSweep`] — several arrays, each
 //! with its stencil offsets, swept row by row; a contiguous array or a
 //! row-wise copy with halo gaps is the one-point special case.
 //!

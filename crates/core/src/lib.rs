@@ -9,7 +9,8 @@
 //!   "prime number effect",
 //! * [`traffic`] — the per-loop memory-traffic / code-balance model with
 //!   layer conditions, write-allocates and the phenomenological SpecI2M
-//!   factor (Table I and Fig. 7),
+//!   factor (Table I and Fig. 7), and the same loops as simulator kernels
+//!   ([`loop_kernel`]) the model is checked against,
 //! * [`scaling`] — the node-level scaling model producing speedup, memory
 //!   bandwidth and per-loop code balance as functions of the rank count
 //!   (Figs. 2 and 3),
@@ -22,6 +23,8 @@
 
 pub mod decomp;
 pub mod engine;
+#[cfg(test)]
+mod loop_measure;
 pub mod mpimodel;
 pub mod optimize;
 pub mod profile;
@@ -34,7 +37,7 @@ pub use mpimodel::{CommModel, MpiShare};
 pub use optimize::{relative_improvement, LoopOptimization, OptimizationPlan};
 pub use profile::{hotspot_profile, ProfileEntry};
 pub use scaling::{normalise_speedups, ScalingModel, ScalingPoint};
-pub use traffic::{CodeVariant, LoopTraffic, TrafficModel, TrafficOptions};
+pub use traffic::{loop_kernel, CodeVariant, LoopTraffic, TrafficModel, TrafficOptions};
 
 /// The loops a [`ScalingPoint`]'s `loop_balances` are the balances of, in
 /// order: the process-wide catalogue of `clover-stencil`.

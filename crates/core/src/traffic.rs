@@ -12,13 +12,16 @@
 //!
 //! into a predicted code balance in byte per iteration.  The refined
 //! full-node model of Fig. 7 and the per-rank curves of Fig. 3 are both
-//! produced by this module.
+//! produced by this module.  [`loop_kernel`] is the other side of Table I:
+//! the same loop descriptor as a simulator kernel, whose measured balance
+//! the prediction is checked against.
 
 use std::sync::OnceLock;
 
+use clover_cachesim::{AccessKind, KernelSpec, RankBase, SpecOperand};
 use clover_machine::speci2m::SpecI2MResponse;
 use clover_machine::{Machine, ReplacementPolicyKind, SpecI2MParams, WritePolicyKind};
-use clover_stencil::{loop_catalogue, CodeBalance, LoopSpec};
+use clover_stencil::{loop_catalogue, AccessMode, CodeBalance, LoopSpec};
 
 use crate::decomp::Decomposition;
 
@@ -402,12 +405,67 @@ impl TrafficModel {
     }
 }
 
+/// Hotspot loop `spec` as a simulator kernel: its arrays and stencil points
+/// swept over a band of `rows` grid rows of `local_inner` elements — what
+/// the simulator "measures" where the paper measured Table I.
+///
+/// Tracing all 15360² iterations of the Tiny working set is infeasible, and
+/// a streaming stencil's traffic is periodic in the rows, so a band
+/// suffices.  Each array is its own page-aligned allocation, one page or
+/// more apart, at an address every rank shares; an array the loop reads and
+/// writes is loaded, then stored, at each of its points.  The busiest core
+/// of `ranks` compactly pinned ranks measures
+/// `NodeSim::new(SimConfig::new(machine, ranks)).run_spmd_memo(&kernel,
+/// &memo).per_rank`.
+pub fn loop_kernel(spec: &LoopSpec, local_inner: u64, rows: u64) -> KernelSpec {
+    // Halo elements on each side of a row, and halo rows around the band.
+    const HALO: u64 = 2;
+    let row_stride = local_inner + 2 * HALO;
+    let array_bytes = row_stride * (rows + 2 * HALO) * 8;
+    let gap = (array_bytes / 4096 + 2) * 4096;
+    let operands = spec
+        .arrays
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, arr)| {
+            // `+`, not `|`: a full Tiny band's arrays reach past bit 33.
+            let offset = (1u64 << 33) + idx as u64 * gap;
+            let points: Vec<(i64, i64)> = arr
+                .offsets
+                .iter()
+                .map(|&(di, dk)| (di.into(), dk.into()))
+                .collect();
+            let kinds: &[AccessKind] = match arr.mode {
+                AccessMode::Read => &[AccessKind::Load],
+                AccessMode::Write => &[AccessKind::Store],
+                AccessMode::ReadWrite => &[AccessKind::Load, AccessKind::Store],
+            };
+            kinds.iter().map(move |&kind| SpecOperand {
+                offset,
+                points: points.clone(),
+                kind,
+            })
+        })
+        .collect();
+    KernelSpec {
+        rank_base: RankBase::Shared,
+        operands,
+        row_stride,
+        i0: HALO,
+        inner: local_inner,
+        k0: HALO,
+        rows,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::TINY_GRID;
+    use clover_cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
+    use clover_cachesim::{CoreSim, NodeSim, SimConfig, SimMemo};
     use clover_machine::icelake_sp_8360y;
-    use clover_stencil::loop_by_name;
+    use clover_stencil::{cloverleaf_loops, loop_by_name, ArrayAccess};
 
     fn model() -> TrafficModel {
         TrafficModel::new(icelake_sp_8360y())
@@ -415,6 +473,190 @@ mod tests {
 
     fn decomp(ranks: usize) -> Decomposition {
         Decomposition::new(ranks, TINY_GRID, TINY_GRID)
+    }
+
+    /// Simulated code balance (byte/it) of the busiest of `ranks` compactly
+    /// pinned ICX cores sweeping `spec` over `rows` rows of `local_inner`
+    /// elements.
+    fn replayed_balance(spec: &LoopSpec, local_inner: u64, rows: u64, ranks: usize) -> f64 {
+        let kernel = loop_kernel(spec, local_inner, rows);
+        let sim = NodeSim::new(SimConfig::new(icelake_sp_8360y(), ranks));
+        let counters = sim.run_spmd_memo(&kernel, &SimMemo::new()).per_rank;
+        counters.total_bytes() / kernel.iterations() as f64
+    }
+
+    #[test]
+    fn replay_matches_scalar_reference() {
+        // The replay runs on the batched line-run path; it must be
+        // bit-identical to the per-element path for every hotspot loop.
+        let m = icelake_sp_8360y();
+        for spec in cloverleaf_loops() {
+            let sweep = loop_kernel(&spec, 216, 16).sweep(0);
+            let mk = || -> CoreSim {
+                CoreSim::new(
+                    &m,
+                    OccupancyContext::compact(&m, m.total_cores()),
+                    CoreSimOptions {
+                        l3_sharers: 36,
+                        ..Default::default()
+                    },
+                )
+            };
+            let mut fast = mk();
+            let mut slow = mk();
+            sweep.drive(&mut fast);
+            sweep.drive_scalar(&mut slow);
+            assert_eq!(fast.cache_stats(), slow.cache_stats(), "{}", spec.name);
+            assert_eq!(fast.flush(), slow.flush(), "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn reset_field_balance_matches_hand_count() {
+        // CloverLeaf's reset_field copies four arrays (density, energy and
+        // both velocities: `*0 = *1`).  Serial, without evasion: 8 B read +
+        // 8 B write-allocate + 8 B write per array pair → 4 × 24 = 96 B/it.
+        let reset_field = LoopSpec {
+            name: "reset_field".into(),
+            function: "reset_field".into(),
+            arrays: ["density", "energy", "xvel", "yvel"]
+                .iter()
+                .flat_map(|f| {
+                    [
+                        ArrayAccess::read(&format!("{f}1"), &[(0, 0)]),
+                        ArrayAccess::write(&format!("{f}0")),
+                    ]
+                })
+                .collect(),
+            flops: 0,
+            has_branches: false,
+            speci2m_blocked: false,
+        };
+        let b = replayed_balance(&reset_field, 1920, 24, 1);
+        assert!((90.0..=102.0).contains(&b), "reset_field {b} byte/it");
+    }
+
+    #[test]
+    fn full_node_occupancy_lowers_the_balance() {
+        let total = |ranks: usize| -> f64 {
+            cloverleaf_loops()
+                .iter()
+                .map(|spec| replayed_balance(spec, 1920, 12, ranks))
+                .sum()
+        };
+        let (serial, node) = (total(1), total(72));
+        assert!(node < serial - 10.0, "node {node} vs serial {serial}");
+    }
+
+    #[test]
+    fn every_timestep_kernel_is_replayed() {
+        // Every hotspot loop of the timestep becomes a kernel the simulator
+        // replays with traffic on both sides of the memory interface.
+        let m = icelake_sp_8360y();
+        let loops = cloverleaf_loops();
+        assert_eq!(loops.len(), 22);
+        for spec in &loops {
+            let kernel = loop_kernel(spec, 256, 8);
+            assert_eq!(kernel.iterations(), 256 * 8, "{}", spec.name);
+            let counters = NodeSim::new(SimConfig::new(m.clone(), 4))
+                .run_spmd_memo(&kernel, &SimMemo::new())
+                .per_rank;
+            assert!(counters.read_bytes() > 0.0, "{}", spec.name);
+            assert!(counters.write_bytes() > 0.0, "{}", spec.name);
+            let b = counters.total_bytes() / kernel.iterations() as f64;
+            assert!(b > 8.0, "{}: {b} byte/it", spec.name);
+        }
+    }
+
+    #[test]
+    fn memoized_replay_is_bit_identical() {
+        let m = icelake_sp_8360y();
+        let memo = SimMemo::new();
+        let loops = cloverleaf_loops();
+        for ranks in [1usize, 18, 19, 72] {
+            let sim = NodeSim::new(SimConfig::new(m.clone(), ranks));
+            for spec in &loops {
+                let kernel = loop_kernel(spec, 256, 8);
+                let memoized = sim.run_spmd_memo(&kernel, &memo).per_rank;
+                // The unmemoized reference: a fresh core driven directly.
+                let occ = DomainOccupancy::compact(&m, ranks);
+                let mut core: CoreSim = CoreSim::new(
+                    &m,
+                    OccupancyContext::compact(&m, ranks),
+                    CoreSimOptions {
+                        l3_sharers: DomainOccupancy::l3_sharers(&m, occ.busiest),
+                        ..Default::default()
+                    },
+                );
+                kernel.drive(0, &mut core);
+                assert_eq!(core.flush(), memoized, "{} ranks={ranks}", spec.name);
+            }
+        }
+        // Ranks 19 and 72 share no context, but a second pass over any rank
+        // count is free.
+        let before = memo.stats().misses;
+        let sim = NodeSim::new(SimConfig::new(m.clone(), 18));
+        for spec in &loops {
+            let _ = sim.run_spmd_memo(&loop_kernel(spec, 256, 8), &memo);
+        }
+        assert_eq!(memo.stats().misses, before, "second pass must be hits");
+    }
+
+    #[test]
+    fn sweeps_respect_field_layout() {
+        // ac03 updates density1 and energy1 in place.
+        let spec = loop_by_name("ac03").unwrap();
+        let sweep = loop_kernel(&spec, 100, 10).sweep(0);
+        // Two halo elements on each side of a row, two halo rows above.
+        assert_eq!(sweep.row_stride, 104);
+        assert_eq!(sweep.inner, 100);
+        assert_eq!(sweep.rows, 10);
+        assert_eq!(sweep.i0, 2);
+        assert_eq!(sweep.k0, 2);
+        // One page-aligned base per array; a read-modify-write array is one
+        // load followed by one store at the same base.
+        let rw = spec
+            .arrays
+            .iter()
+            .filter(|a| a.mode == AccessMode::ReadWrite)
+            .count();
+        assert_eq!(rw, 2);
+        assert_eq!(sweep.operands.len(), spec.arrays.len() + rw);
+        for pair in sweep.operands.windows(2) {
+            if pair[0].base == pair[1].base {
+                assert_eq!(
+                    (pair[0].kind, pair[1].kind),
+                    (AccessKind::Load, AccessKind::Store)
+                );
+            }
+        }
+        let mut bases: Vec<u64> = sweep.operands.iter().map(|o| o.base).collect();
+        assert!(bases.iter().all(|b| b % 4096 == 0));
+        bases.sort_unstable();
+        bases.dedup();
+        assert_eq!(bases.len(), spec.arrays.len());
+    }
+
+    #[test]
+    fn loop_kernel_arrays_never_overlap_on_the_full_tiny_grid() {
+        // pdv01 has 13 arrays; one band of 15360 rows of 15360 elements
+        // puts the last of them past bit 33 of the address, where an `|`
+        // in place of the `+` made neighbours overlap.  An array spans its
+        // halo'd rows, two halo rows above and below the band included.
+        let k = loop_kernel(&loop_by_name("pdv01").unwrap(), 15_360, 15_360);
+        let array_bytes = k.row_stride * (k.rows + 4) * 8;
+        let mut bases: Vec<u64> = k.operands.iter().map(|op| op.offset).collect();
+        bases.sort_unstable();
+        bases.dedup();
+        assert_eq!(bases.len(), 13);
+        for pair in bases.windows(2) {
+            assert!(
+                pair[1] - pair[0] >= array_bytes,
+                "arrays at {:#x} and {:#x} overlap ({array_bytes} bytes each)",
+                pair[0],
+                pair[1]
+            );
+        }
     }
 
     #[test]

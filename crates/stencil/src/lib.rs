@@ -17,9 +17,9 @@
 //!   write-allocates can be evaded,
 //! * the layer-condition cache-size requirement.
 //!
-//! The same descriptors drive the row-sampled cache-simulator measurement in
-//! `clover-perfmon`, so the analytic model and the "measurement" come from a
-//! single source of truth.
+//! The same descriptors drive the row-sampled cache-simulator measurement
+//! (`clover_core::loop_kernel`), so the analytic model and the
+//! "measurement" come from a single source of truth.
 
 pub mod balance;
 pub mod catalogue;

@@ -1,7 +1,7 @@
 //! `clover-ubench` — the microbenchmarks of the paper.
 //!
-//! Three families of kernels characterise the SpecI2M write-allocate
-//! evasion feature:
+//! Two families of simulated kernels characterise the SpecI2M
+//! write-allocate evasion feature:
 //!
 //! * [`store`] — pure store kernels with 1–3 independent streams, normal or
 //!   non-temporal, measuring the *store ratio* (actual memory traffic over
@@ -10,10 +10,10 @@
 //! * [`copy`] — the array-copy kernel `a(:) = b(:)`, measuring the per-
 //!   iteration read/write/SpecI2M volumes versus thread count (Fig. 6) and
 //!   the read-to-write ratio versus halo size and inner dimension
-//!   (Figs. 8, 11),
-//! * [`native`] — the same kernels executed natively on the host CPU (with
-//!   genuine non-temporal stores via `std::arch` where available), used by
-//!   the Criterion benches so `cargo bench` also measures real hardware.
+//!   (Figs. 8, 11).
+//!
+//! [`native`] holds the same store and copy kernels executed on the host
+//! CPU, with genuine non-temporal stores via `std::arch` where available.
 
 pub mod copy;
 pub mod native;

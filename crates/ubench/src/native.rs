@@ -1,31 +1,35 @@
 //! Native execution of the microbenchmark kernels on the host CPU.
 //!
-//! These kernels are what the Criterion benches run: real arrays, real
-//! stores, and — on x86-64 with SSE2 — genuine non-temporal stores via
-//! `std::arch`, so `cargo bench` exercises actual write-allocate evasion on
-//! the machine the benches run on.  On other architectures the NT path
-//! falls back to plain stores (the measured effect simply disappears).
+//! Real arrays, real stores, and — on x86-64 with SSE2 — genuine
+//! non-temporal stores via `std::arch`, so a caller timing these kernels
+//! exercises actual write-allocate evasion on the host it runs on.  On
+//! other architectures the NT path falls back to plain stores (the measured
+//! effect simply disappears).
 
 /// Fill `dst` with `value` using plain stores.
 pub fn store_plain(dst: &mut [f64], value: f64) {
-    for x in dst.iter_mut() {
-        *x = value;
-    }
+    dst.fill(value);
 }
 
 /// Fill `dst` with `value` using non-temporal stores where the platform
-/// supports them (x86-64 SSE2 `MOVNTPD`), falling back to plain stores
-/// elsewhere or for unaligned buffers.
+/// supports them (x86-64: SSE2 `MOVNTPD`, with plain stores for an
+/// unaligned first and an odd last element), plain stores elsewhere.
 pub fn store_nontemporal(dst: &mut [f64], value: f64) {
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("sse2") {
-            // SAFETY: guarded by the sse2 feature check; `stream_store`
-            // handles the unaligned head/tail with plain stores.
-            unsafe { stream_store_sse2(dst, value) };
-            return;
+        use std::arch::x86_64::{_mm_set1_pd, _mm_sfence, _mm_stream_pd};
+        let (head, body) = dst.split_at_mut(dst.as_ptr().align_offset(16).min(dst.len()));
+        head.fill(value);
+        let mut pairs = body.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            // SAFETY: `pair` is two in-bounds elements, 16-byte aligned.
+            unsafe { _mm_stream_pd(pair.as_mut_ptr(), _mm_set1_pd(value)) };
         }
+        pairs.into_remainder().fill(value);
+        // SAFETY: SSE, hence SFENCE, is part of every x86-64 CPU.
+        unsafe { _mm_sfence() };
     }
+    #[cfg(not(target_arch = "x86_64"))]
     store_plain(dst, value);
 }
 
@@ -38,7 +42,8 @@ pub fn copy_plain(dst: &mut [f64], src: &[f64]) {
     dst.copy_from_slice(src);
 }
 
-/// Copy `src` into `dst` with non-temporal stores where supported.
+/// Copy `src` into `dst` with non-temporal stores where supported, split
+/// like [`store_nontemporal`].
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
@@ -46,61 +51,24 @@ pub fn copy_nontemporal(dst: &mut [f64], src: &[f64]) {
     assert_eq!(dst.len(), src.len());
     #[cfg(target_arch = "x86_64")]
     {
-        if is_x86_feature_detected!("sse2") {
-            // SAFETY: guarded by the sse2 feature check.
-            unsafe { stream_copy_sse2(dst, src) };
-            return;
+        use std::arch::x86_64::{_mm_loadu_pd, _mm_sfence, _mm_stream_pd};
+        let head = dst.as_ptr().align_offset(16).min(dst.len());
+        dst[..head].copy_from_slice(&src[..head]);
+        let mut pairs = dst[head..].chunks_exact_mut(2);
+        let mut src_pairs = src[head..].chunks_exact(2);
+        for (d, s) in (&mut pairs).zip(&mut src_pairs) {
+            // SAFETY: `d` and `s` are two in-bounds elements, `d` 16-byte
+            // aligned.
+            unsafe { _mm_stream_pd(d.as_mut_ptr(), _mm_loadu_pd(s.as_ptr())) };
         }
+        pairs
+            .into_remainder()
+            .copy_from_slice(src_pairs.remainder());
+        // SAFETY: SSE, hence SFENCE, is part of every x86-64 CPU.
+        unsafe { _mm_sfence() };
     }
+    #[cfg(not(target_arch = "x86_64"))]
     dst.copy_from_slice(src);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn stream_store_sse2(dst: &mut [f64], value: f64) {
-    use std::arch::x86_64::{_mm_set1_pd, _mm_sfence, _mm_stream_pd};
-    let ptr = dst.as_mut_ptr();
-    let len = dst.len();
-    // Head: advance to 16-byte alignment with plain stores.
-    let mut i = 0usize;
-    while i < len && (ptr.add(i) as usize) % 16 != 0 {
-        *ptr.add(i) = value;
-        i += 1;
-    }
-    let v = _mm_set1_pd(value);
-    while i + 2 <= len {
-        _mm_stream_pd(ptr.add(i), v);
-        i += 2;
-    }
-    while i < len {
-        *ptr.add(i) = value;
-        i += 1;
-    }
-    _mm_sfence();
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn stream_copy_sse2(dst: &mut [f64], src: &[f64]) {
-    use std::arch::x86_64::{_mm_loadu_pd, _mm_sfence, _mm_stream_pd};
-    let out = dst.as_mut_ptr();
-    let inp = src.as_ptr();
-    let len = dst.len();
-    let mut i = 0usize;
-    while i < len && (out.add(i) as usize) % 16 != 0 {
-        *out.add(i) = *inp.add(i);
-        i += 1;
-    }
-    while i + 2 <= len {
-        let v = _mm_loadu_pd(inp.add(i));
-        _mm_stream_pd(out.add(i), v);
-        i += 2;
-    }
-    while i < len {
-        *out.add(i) = *inp.add(i);
-        i += 1;
-    }
-    _mm_sfence();
 }
 
 /// Row-wise copy with an untouched halo gap, the native counterpart of the

@@ -1,57 +1,48 @@
-//! Quickstart: run a scaled-down CloverLeaf problem serially and in
-//! parallel, print the field summary, the hotspot profile and the
-//! single-core code-balance model.
+//! Quickstart: the single-core code balance of six hotspot loops as the
+//! analytic model predicts it and as the cache simulator measures it, then
+//! the hotspot profile.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
+use cloverleaf_wa::cachesim::{NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::core::decomp::Decomposition;
 use cloverleaf_wa::core::TINY_GRID;
-use cloverleaf_wa::core::{hotspot_profile, TrafficModel, TrafficOptions};
-use cloverleaf_wa::leaf::{SimConfig, Simulation};
+use cloverleaf_wa::core::{hotspot_profile, loop_kernel, TrafficModel, TrafficOptions};
 use cloverleaf_wa::machine::icelake_sp_8360y;
 use cloverleaf_wa::stencil::cloverleaf_loops;
 
 fn main() {
-    // 1. Run the hydro mini-app on a small grid, serial and 4 ranks.
-    let config = SimConfig::small(64, 10);
-    let serial = Simulation::run_serial(&config);
-    let parallel = Simulation::run_parallel(&config, 4);
-    println!(
-        "CloverLeaf {}x{} grid, {} steps",
-        config.grid_x, config.grid_y, config.steps
-    );
-    println!(
-        "  serial   : mass {:.6}  internal {:.6}  kinetic {:.6}",
-        serial.mass, serial.internal_energy, serial.kinetic_energy
-    );
-    println!(
-        "  4 ranks  : mass {:.6}  internal {:.6}  kinetic {:.6}",
-        parallel.mass, parallel.internal_energy, parallel.kinetic_energy
-    );
-
-    // 2. The hotspot profile of the Tiny working set (Listing 2).
     let machine = icelake_sp_8360y();
-    println!("\nHotspot profile ({}):", machine.name);
-    for entry in hotspot_profile(&machine, 72).iter().take(5) {
-        println!("  {:<22} {:5.2} %", entry.name, entry.share * 100.0);
-    }
+    let model = TrafficModel::new(machine.clone());
 
-    // 3. Single-core code balance of the hotspot loops (Table I).
-    let model = TrafficModel::new(machine);
+    // 1. Table I's two sides: the model's prediction and the simulator's
+    //    measurement of a 12-row band of 3840-element rows on one core.
     let decomp = Decomposition::new(1, TINY_GRID, TINY_GRID);
     let opts = TrafficOptions::original(1);
-    println!("\nSingle-core code balance (byte/it):");
+    let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
+    let memo = SimMemo::new();
+    println!("Single-core code balance on {} (byte/it):", machine.name);
     for spec in cloverleaf_loops().iter().take(6) {
         let t = model.predict_loop(spec, &opts, &decomp);
+        let kernel = loop_kernel(spec, 3840, 12);
+        let counters = sim.run_spmd_memo(&kernel, &memo).per_rank;
+        let simulated = counters.total_bytes() / kernel.iterations() as f64;
         println!(
-            "  {:<6} min {:>5.1}  predicted {:>6.2}  max {:>6.1}",
+            "  {:<6} min {:>5.1}  predicted {:>6.2}  simulated {:>6.2}  max {:>6.1}",
             spec.name,
             t.bounds.min,
             t.code_balance(),
+            simulated,
             t.bounds.max
         );
+    }
+
+    // 2. The hotspot profile of the Tiny working set (Listing 2).
+    println!("\nHotspot profile:");
+    for entry in hotspot_profile(&machine, 72).iter().take(5) {
+        println!("  {:<22} {:5.2} %", entry.name, entry.share * 100.0);
     }
     println!("  ... run `cargo run -p clover-bench --bin figures -- table1` for all 22 loops");
 }

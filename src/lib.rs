@@ -8,13 +8,11 @@
 //!   SpecI2M parameter sets,
 //! * [`cachesim`] — the cache-hierarchy / memory-traffic simulator with the
 //!   SpecI2M write-allocate-evasion engine,
-//! * [`simpi`] — the in-process message-passing substrate,
 //! * [`stencil`] — loop descriptors, layer conditions and code-balance
 //!   bounds (Table I),
 //! * [`core`] — traffic, scaling, MPI and optimization models (the paper's
-//!   analyses),
-//! * [`leaf`] — the CloverLeaf hydrodynamics mini-app port,
-//! * [`perfmon`] — region markers and row-sampled loop measurements,
+//!   analyses), and `loop_kernel`, the simulator-side sweep of one hotspot
+//!   loop the model is checked against,
 //! * [`ubench`] — the store/copy microbenchmarks,
 //! * [`golden`] — typed artifacts, the digitised paper reference data and
 //!   the tolerance-aware fidelity diff engine,
@@ -29,11 +27,8 @@
 pub use clover_cachesim as cachesim;
 pub use clover_core as core;
 pub use clover_golden as golden;
-pub use clover_leaf as leaf;
 pub use clover_machine as machine;
-pub use clover_perfmon as perfmon;
 pub use clover_scenario as scenario;
 pub use clover_service as service;
-pub use clover_simpi as simpi;
 pub use clover_stencil as stencil;
 pub use clover_ubench as ubench;

@@ -1,14 +1,22 @@
 //! Cross-crate integration tests: the analytic traffic model, the cache
-//! simulator measurement, the scaling model and the hydro mini-app must tell
-//! a consistent story.
+//! simulator's measurement of the same loops, the scaling model and the
+//! store microbenchmark must tell a consistent story.
 
+use cloverleaf_wa::cachesim::{NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::core::decomp::{is_prime, Decomposition};
-use cloverleaf_wa::core::{ScalingModel, TrafficModel, TrafficOptions, TINY_GRID};
-use cloverleaf_wa::leaf::{SimConfig, Simulation};
-use cloverleaf_wa::machine::icelake_sp_8360y;
-use cloverleaf_wa::perfmon::{measure_loop, MeasureConfig};
-use cloverleaf_wa::stencil::{cloverleaf_loops, loop_by_name, CodeBalance};
+use cloverleaf_wa::core::{loop_kernel, ScalingModel, TrafficModel, TrafficOptions, TINY_GRID};
+use cloverleaf_wa::machine::{icelake_sp_8360y, Machine};
+use cloverleaf_wa::stencil::{cloverleaf_loops, loop_by_name, CodeBalance, LoopSpec};
 use cloverleaf_wa::ubench::{store_ratio, StoreKind};
+
+/// Code balance (byte/it) the simulator measures for `spec` on one core of
+/// `machine`, swept over `rows` rows of `local_inner` elements.
+fn single_core_balance(machine: &Machine, spec: &LoopSpec, local_inner: u64, rows: u64) -> f64 {
+    let kernel = loop_kernel(spec, local_inner, rows);
+    let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
+    let counters = sim.run_spmd_memo(&kernel, &SimMemo::new()).per_rank;
+    counters.total_bytes() / kernel.iterations() as f64
+}
 
 /// The analytic model and the cache-simulator measurement must agree on the
 /// single-core code balance of every hotspot loop within ~12 %.
@@ -18,16 +26,11 @@ fn model_and_simulator_agree_on_single_core_balance() {
     let model = TrafficModel::new(machine.clone());
     let decomp = Decomposition::new(1, TINY_GRID, TINY_GRID);
     let opts = TrafficOptions::original(1);
-    // A shortened inner dimension keeps the simulation cheap; the layer
-    // condition is still satisfied, so the balance is representative.
-    let cfg = MeasureConfig {
-        local_inner: 2048,
-        rows: 10,
-        ..MeasureConfig::single_rank()
-    };
     for spec in cloverleaf_loops() {
         let predicted = model.predict_loop(&spec, &opts, &decomp).code_balance();
-        let measured = measure_loop(&machine, &spec, &cfg).bytes_per_iteration();
+        // A shortened inner dimension keeps the simulation cheap; the layer
+        // condition is still satisfied, so the balance is representative.
+        let measured = single_core_balance(&machine, &spec, 2048, 10);
         let rel = (predicted - measured).abs() / predicted;
         assert!(
             rel < 0.12,
@@ -41,14 +44,8 @@ fn model_and_simulator_agree_on_single_core_balance() {
 /// LCF+WA bound; the simulator must reproduce that for am04 (Listing 3).
 #[test]
 fn am04_single_core_measurement_matches_paper_value() {
-    let machine = icelake_sp_8360y();
     let spec = loop_by_name("am04").unwrap();
-    let cfg = MeasureConfig {
-        local_inner: 3840,
-        rows: 12,
-        ..MeasureConfig::single_rank()
-    };
-    let measured = measure_loop(&machine, &spec, &cfg).bytes_per_iteration();
+    let measured = single_core_balance(&icelake_sp_8360y(), &spec, 3840, 12);
     // Paper: 24.05 byte/it.
     assert!((measured - 24.05).abs() < 2.5, "measured {measured}");
 }
@@ -114,19 +111,6 @@ fn store_benchmark_and_loop_model_are_consistent() {
         t.code_balance(),
         expected
     );
-}
-
-/// End-to-end: the hydro mini-app runs on a prime rank count with a 1D
-/// decomposition and still produces the same physics as the serial run.
-#[test]
-fn hydro_app_is_decomposition_invariant_even_for_prime_ranks() {
-    let config = SimConfig::small(35, 3);
-    let serial = Simulation::run_serial(&config);
-    let prime = Simulation::run_parallel(&config, 7);
-    let rel = (prime.internal_energy - serial.internal_energy).abs() / serial.internal_energy;
-    assert!(rel < 1e-6, "prime-rank run diverges by {rel}");
-    let d = Decomposition::new(7, 35, 35);
-    assert!(d.is_one_dimensional(), "7 ranks must decompose 1D");
 }
 
 /// The optimized code variant must never be slower than the original in the
