@@ -18,35 +18,35 @@
 //!
 //! The paper keeps *what the caches do* (layer conditions, write-allocates)
 //! apart from *how SpecI2M weights it* (the evasion fraction under load),
-//! and so does this module.  The cache dynamics — [`PrivateCore`] driving
-//! its banks — never touch a counter: at each of the eight sites where
-//! memory traffic happens they emit one [`Event`].  The [`Accountant`] is
-//! the only code that turns an event into [`MemCounters`]; it owns
-//! everything that weights one (the SpecI2M parameters, the occupancy
-//! context, the prefetch-off factor) and splits what it can once per
-//! occupancy ([`Accountant::arm`]).  A live simulation applies each event
-//! as it occurs and, when recording, appends its [`TraceOp`] — a store
-//! line's op carries its streak *response*, the one factor of its weight
-//! the occupancy cannot change — merging equal consecutive ops into runs.
-//! [`replay_trace`] weighs a single op through the same helpers a live
-//! event goes through, so it is exact by shared formulas; a run of `n` is
-//! added in O(binades) by [`repeat_add`], which a seeded sweep holds to the
-//! naive loop bit for bit.  Only the replacement policy `R`, which every
-//! probe of a full set consults, is a type parameter; the store-miss policy
-//! is read once per finalized store line and is a field of
-//! [`CoreSimOptions`].
+//! and so does the simulator, in one vocabulary: the [`Event`].  The cache
+//! dynamics of this module — [`PrivateCore`] driving its banks — never
+//! touch a counter: at each of the eight sites where memory traffic
+//! happens they emit one event, a store line's carrying its streak
+//! *response*, the one factor of its weight the occupancy cannot change.
+//! The [`Accountant`] (`accountant.rs`) is the only code that turns an
+//! event into [`MemCounters`]; it owns everything that weights one (the
+//! SpecI2M parameters, the occupancy context, the prefetch-off factor) and
+//! splits what it can once per occupancy.  A trace (`trace.rs`) stores the
+//! emitted events themselves, equal consecutive ones merged into runs, and
+//! [`replay_trace`] weighs each through the same [`Accountant::weigh`] a
+//! live event goes through, so it is exact by shared formulas; a run of
+//! `n` is added in O(binades), bit for bit the naive loop.  Only the
+//! replacement policy `R`, which every probe of a full set consults, is a
+//! type parameter; the store-miss policy is read once per finalized store
+//! line and is a field of [`CoreSimOptions`].
+//!
+//! [`replay_trace`]: crate::trace::replay_trace
 
-use std::sync::Arc;
-
-use clover_machine::speci2m::SpecI2MResponse;
-use clover_machine::{Machine, SpecI2MParams, WritePolicyKind};
+use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
+use crate::accountant::Accountant;
 use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
 use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::{PrefetcherConfig, StreamerPrefetcher};
+use crate::trace::{Event, TraceRecorder};
 
 /// Per-domain activity of a compactly pinned job — the statistics that
 /// every occupancy-dependent component (evasion context, L3 sharing, the
@@ -159,518 +159,6 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
     (l3_full_bytes / sharers.max(1)).max(64 * 64)
 }
 
-/// One counter-affecting event of a simulation: what the cache dynamics
-/// hand the [`Accountant`], emitted at the exact sites where memory traffic
-/// happens.
-///
-/// The cache *dynamics* of a simulation (which lines hit, miss, evict,
-/// prefetch or coalesce) depend only on the machine geometry, the
-/// prefetcher configuration, the L3 sharer count, the policies and the
-/// kernel — **not** on the occupancy context, the SpecI2M MSR switch or
-/// the prefetch-off evasion factor, which only weight the events.  The
-/// event sequence of one simulation therefore stands for every "neighbour"
-/// that differs in those axes alone.  This is the foundation of
-/// [`SimMemo`]'s differential re-simulation.
-///
-/// [`SimMemo`]: crate::memo::SimMemo
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Event {
-    /// A demand-miss memory read.
-    DemandRead,
-    /// A prefetch fill.
-    PrefetchRead,
-    /// One dirty-line write-back.
-    Writeback,
-    /// A write-allocate store miss, with the live stream state the evasion
-    /// context needs.
-    WaStore {
-        /// Whether the finalized line was fully covered by stores.
-        full: bool,
-        /// `FinalizedLine::active_streams` at finalization (raw; the
-        /// accountant floors it at one stream).
-        streams: usize,
-        /// `FinalizedLine::streak_estimate` (raw; the accountant floors it
-        /// at one line).
-        streak: f64,
-    },
-    /// A non-temporal store line.
-    NtLine {
-        /// Whether the line was fully covered (partial flush fraction)
-        /// or partial (a whole read-modify-write).
-        full: bool,
-    },
-    /// The final write-back accounting of a flush.
-    WritebackBulk {
-        /// Distinct dirty lines drained across all levels.
-        distinct: usize,
-    },
-}
-
-/// One entry of a trace: an [`Event`] with what its weight needs and
-/// nothing a replay must recompute, or a run of the op before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TraceOp {
-    /// [`Event::DemandRead`].
-    DemandRead,
-    /// [`Event::PrefetchRead`].
-    PrefetchRead,
-    /// [`Event::Writeback`].
-    Writeback,
-    /// [`Event::WaStore`], its streak as the bits of
-    /// `streak_response(streak.max(1.0))` — the one factor of the line's
-    /// weight that the occupancy cannot change.
-    WaStore {
-        full: bool,
-        streams: u8,
-        response: u64,
-    },
-    /// [`Event::NtLine`].
-    NtLine { full: bool },
-    /// [`Event::WritebackBulk`].
-    WritebackBulk { distinct: u32 },
-    /// The previous op that is not a `Repeat`, `count` more times.
-    Repeat { count: u32 },
-}
-
-// An entry's size times the entries is the recording's whole memory cost.
-const _: () = assert!(std::mem::size_of::<TraceOp>() == 16);
-
-impl TraceOp {
-    /// The op of `event`, a store line's streak weighed by `response`, or
-    /// `None` when a count does not fit its field: more than `u8::MAX`
-    /// streams, more than `u32::MAX` dirty lines.
-    fn narrow(event: Event, response: impl FnOnce(f64) -> f64) -> Option<Self> {
-        Some(match event {
-            Event::DemandRead => TraceOp::DemandRead,
-            Event::PrefetchRead => TraceOp::PrefetchRead,
-            Event::Writeback => TraceOp::Writeback,
-            Event::WaStore {
-                full,
-                streams,
-                streak,
-            } => TraceOp::WaStore {
-                full,
-                streams: u8::try_from(streams).ok()?,
-                response: response(streak).to_bits(),
-            },
-            Event::NtLine { full } => TraceOp::NtLine { full },
-            Event::WritebackBulk { distinct } => TraceOp::WritebackBulk {
-                distinct: u32::try_from(distinct).ok()?,
-            },
-        })
-    }
-}
-
-/// Cap on trace entries (ops and runs): a recording that would outgrow it
-/// is abandoned (the memo falls back to plain re-simulation for that
-/// dynamics class).  2^19 entries cover every in-tree kernel with room to
-/// spare while bounding worst-case memory per class to 8 MiB.
-pub(crate) const TRACE_OP_CAP: usize = 1 << 19;
-
-/// Opt-in recorder of [`TraceOp`]s attached to a [`PrivateCore`].  An op
-/// equal to the one the trailing entries repeat extends their run instead
-/// of taking an entry.  The buffer outlives a recording (a pooled core
-/// records every leader into the same allocation); a finished trace is
-/// copied out once, exactly sized.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TraceRecorder {
-    ops: Vec<TraceOp>,
-    /// The op a next equal op extends: the last one that is not a
-    /// [`TraceOp::Repeat`].
-    run: Option<TraceOp>,
-    recording: bool,
-    /// The recording was abandoned: it outgrew [`TRACE_OP_CAP`] or met an
-    /// event the ops cannot represent.
-    overflowed: bool,
-}
-
-impl TraceRecorder {
-    /// Begin a fresh recording into the retained buffer.
-    fn start(&mut self) {
-        self.ops.clear();
-        self.run = None;
-        self.recording = true;
-        self.overflowed = false;
-    }
-
-    /// End the recording; the trace, unless none was active or it was
-    /// abandoned.
-    fn finish(&mut self) -> Option<Arc<[TraceOp]>> {
-        let complete = std::mem::take(&mut self.recording);
-        let trace = complete.then(|| self.ops.as_slice().into());
-        self.ops.clear();
-        trace
-    }
-
-    /// Append `op` to the active recording (`None`: an event the ops cannot
-    /// represent, which abandons it), as one more round of the current run
-    /// when it equals the run's op.  A run whose count is full starts a
-    /// new `Repeat`.  A new entry past [`TRACE_OP_CAP`] abandons the
-    /// recording too; abandoning frees the buffer.
-    fn push(&mut self, op: Option<TraceOp>) {
-        let Some(op) = op else {
-            return self.abandon();
-        };
-        let entry = if self.run == Some(op) {
-            if let Some(TraceOp::Repeat { count }) = self.ops.last_mut() {
-                if *count < u32::MAX {
-                    *count += 1;
-                    return;
-                }
-            }
-            TraceOp::Repeat { count: 1 }
-        } else {
-            self.run = Some(op);
-            op
-        };
-        if self.ops.len() < TRACE_OP_CAP {
-            self.ops.push(entry);
-        } else {
-            self.abandon();
-        }
-    }
-
-    fn abandon(&mut self) {
-        self.recording = false;
-        self.overflowed = true;
-        self.ops = Vec::new();
-    }
-}
-
-/// What one event adds to the counters: the fields it adds to, each with
-/// its increments in the order [`Accountant::apply_weight`] adds them.
-#[derive(Debug, Clone, Copy)]
-enum Weight {
-    /// `read_lines` += 1.
-    Read,
-    /// `read_lines` += 1, `prefetch_lines` += 1.
-    Prefetch,
-    /// `write_lines` += the lines written back.
-    Write(f64),
-    /// A write-allocate store line, `evaded` of it claimed by ITOM and
-    /// `spec_read` of a line read speculatively.
-    Store { evaded: f64, spec_read: f64 },
-    /// A non-temporal line: `write_lines` += 1, `read_lines` += `read`.
-    Nt { read: f64 },
-}
-
-/// Everything that turns [`Event`]s into [`MemCounters`]: the accounting
-/// environment of one simulation (or one replay) and the counters it has
-/// accumulated.  [`apply_weight`](Self::apply_weight) is the only place a
-/// counter field is added to one event at a time, and
-/// [`apply_repeated`](Self::apply_repeated), through [`repeat_add`], the
-/// only place it is added to a run at a time — so a live simulation and a
-/// replay of its trace perform the same float additions per field.
-#[derive(Debug, Clone)]
-pub(crate) struct Accountant {
-    /// The machine's SpecI2M block, its `enabled` flag and-ed with the MSR
-    /// switch of the options (the one field
-    /// [`SpecI2MParams::switched_off`] touches).
-    speci2m: SpecI2MParams,
-    /// `speci2m.enabled` as the machine has it: what a re-arm switches
-    /// from.
-    machine_enabled: bool,
-    ctx: OccupancyContext,
-    /// [`PrefetcherConfig::evasion_factor`] of the options.
-    pf_factor: f64,
-    /// How far SpecI2M has kicked in at `ctx` (its activation ramp).
-    ramp: f64,
-    /// `speci2m`'s node-population factor at `ctx`.
-    node: f64,
-    /// What a fully covered NT line reads at `ctx` (the partial-flush
-    /// fraction).
-    nt_flush: f64,
-    /// The last store line's streak bits and their streak response.
-    streak: Option<(u64, f64)>,
-    counters: MemCounters,
-}
-
-impl Accountant {
-    /// Zeroed counters under `ctx` and `options`; `speci2m` is the
-    /// machine's raw parameter block.
-    fn new(speci2m: &SpecI2MParams, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
-        let mut account = Self {
-            speci2m: speci2m.clone(),
-            machine_enabled: speci2m.enabled,
-            ctx,
-            pf_factor: 0.0,
-            ramp: 0.0,
-            node: 0.0,
-            nt_flush: 0.0,
-            streak: None,
-            counters: MemCounters::new(),
-        };
-        account.arm(ctx, options);
-        account
-    }
-
-    /// Zero the counters for a fresh measurement under a (possibly
-    /// different) occupancy and option set, and compute the factors of a
-    /// line's weight that only the occupancy decides.
-    fn arm(&mut self, ctx: OccupancyContext, options: CoreSimOptions) {
-        let p = &mut self.speci2m;
-        p.enabled = self.machine_enabled && options.speci2m_enabled;
-        self.ramp = p.activation_ramp(ctx.domain_utilization);
-        self.node = p.node_population_factor(ctx.active_domains, ctx.total_domains);
-        // Under heavy load a fraction of write-combine buffers is flushed
-        // early, causing a read-modify-write.  The model ignores the MSR
-        // switch: it never reads `enabled`.
-        self.nt_flush = p.nt_partial_flush_fraction(
-            ctx.domain_utilization,
-            ctx.active_domains,
-            ctx.total_domains,
-        );
-        self.ctx = ctx;
-        self.pf_factor = options.prefetchers.evasion_factor();
-        self.streak = None;
-        self.counters = MemCounters::new();
-    }
-
-    /// The streak response of a store line at `streak` lines (raw; floored
-    /// at one line, as the evasion context always was): what its
-    /// [`TraceOp::WaStore`] records.  Kept while the streak's bits repeat:
-    /// consecutive lines of a steady-state row share one `exp()`.
-    #[inline]
-    fn streak_response(&mut self, streak: f64) -> f64 {
-        let bits = streak.to_bits();
-        match self.streak {
-            Some((at, response)) if at == bits => response,
-            _ => {
-                let response = self.speci2m.streak_response(streak.max(1.0));
-                self.streak = Some((bits, response));
-                response
-            }
-        }
-    }
-
-    /// Account one live event.
-    // `always`: every live site passes a literal event, so the match folds
-    // to that site's one arm.  Left to the inliner's size heuristics this
-    // stayed a call and figs. 5–11 took 8–25 % longer.
-    #[inline(always)]
-    fn apply(&mut self, event: Event) {
-        let weight = match event {
-            Event::DemandRead => Weight::Read,
-            Event::PrefetchRead => Weight::Prefetch,
-            Event::Writeback => Weight::Write(1.0),
-            Event::WaStore {
-                full,
-                streams,
-                streak,
-            } => {
-                // Below the activation ramp no fraction reads the streak
-                // response: skip its `exp()`.
-                let response = if self.ramp <= 0.0 {
-                    0.0
-                } else {
-                    self.streak_response(streak)
-                };
-                self.store_weight(full, streams, response)
-            }
-            Event::NtLine { full } => self.nt_weight(full),
-            Event::WritebackBulk { distinct } => Weight::Write(distinct as f64),
-        };
-        self.apply_weight(weight);
-    }
-
-    /// The weight of a trace op that is not a run, through the helpers
-    /// [`apply`](Self::apply) weighs a live event with.
-    fn weigh(&self, op: TraceOp) -> Weight {
-        match op {
-            TraceOp::DemandRead => Weight::Read,
-            TraceOp::PrefetchRead => Weight::Prefetch,
-            TraceOp::Writeback => Weight::Write(1.0),
-            TraceOp::WaStore {
-                full,
-                streams,
-                response,
-            } => self.store_weight(full, streams.into(), f64::from_bits(response)),
-            TraceOp::NtLine { full } => self.nt_weight(full),
-            TraceOp::WritebackBulk { distinct } => Weight::Write(distinct.into()),
-            TraceOp::Repeat { .. } => unreachable!("a run is weighed by the op it repeats"),
-        }
-    }
-
-    /// The weight of a write-allocate store line with `streams` streams
-    /// open and streak response `streak`.
-    #[inline(always)]
-    fn store_weight(&self, full: bool, streams: usize, streak: f64) -> Weight {
-        let response = SpecI2MResponse::with_streak(self.ramp, self.node, streak);
-        let spec_read = self.speci2m.speculative_reads_at(&response);
-        let evaded = if full {
-            let evaded = self.speci2m.evasion_at(&response, streams.max(1));
-            (evaded * self.pf_factor).clamp(0.0, 1.0)
-        } else {
-            // Partially written lines can never be claimed without a read;
-            // under load they still trigger speculative activity.
-            0.0
-        };
-        Weight::Store { evaded, spec_read }
-    }
-
-    /// The weight of a non-temporal line: a partial one is a whole
-    /// read-modify-write.
-    #[inline(always)]
-    fn nt_weight(&self, full: bool) -> Weight {
-        let read = if full { self.nt_flush } else { 1.0 };
-        Weight::Nt { read }
-    }
-
-    /// Add one event's weight.
-    #[inline(always)]
-    fn apply_weight(&mut self, weight: Weight) {
-        let c = &mut self.counters;
-        match weight {
-            Weight::Read => c.read_lines += 1.0,
-            Weight::Prefetch => {
-                c.read_lines += 1.0;
-                c.prefetch_lines += 1.0;
-            }
-            Weight::Write(lines) => c.write_lines += lines,
-            Weight::Store { evaded, spec_read } => {
-                c.itom_lines += evaded;
-                c.write_allocate_lines += 1.0 - evaded;
-                c.read_lines += 1.0 - evaded;
-                c.read_lines += spec_read;
-                c.speculative_read_lines += spec_read;
-            }
-            Weight::Nt { read } => {
-                c.write_lines += 1.0;
-                c.read_lines += read;
-            }
-        }
-    }
-
-    /// [`apply_weight`](Self::apply_weight) `n` times over: each field
-    /// through [`repeat_add`] with its increments in `apply_weight`'s order.
-    fn apply_repeated(&mut self, weight: Weight, n: u32) {
-        let n = u64::from(n);
-        let c = &mut self.counters;
-        let run = |sum: &mut f64, increments: &[f64]| *sum = repeat_add(*sum, increments, n);
-        match weight {
-            Weight::Read => run(&mut c.read_lines, &[1.0]),
-            Weight::Prefetch => {
-                run(&mut c.read_lines, &[1.0]);
-                run(&mut c.prefetch_lines, &[1.0]);
-            }
-            Weight::Write(lines) => run(&mut c.write_lines, &[lines]),
-            Weight::Store { evaded, spec_read } => {
-                run(&mut c.itom_lines, &[evaded]);
-                run(&mut c.write_allocate_lines, &[1.0 - evaded]);
-                run(&mut c.read_lines, &[1.0 - evaded, spec_read]);
-                run(&mut c.speculative_read_lines, &[spec_read]);
-            }
-            Weight::Nt { read } => {
-                run(&mut c.write_lines, &[1.0]);
-                run(&mut c.read_lines, &[read]);
-            }
-        }
-    }
-}
-
-/// What `n` rounds of `for a in increments { x += a }` return, bit for
-/// bit, in O(binades crossed) additions instead of O(n).
-///
-/// The doubles of a binade `[2^e, 2^(e+1))` are the multiples of one ulp
-/// `u`, so while a sum stays inside one, `x += a` moves `x` by exactly
-/// `round(a / u) · u` — unless `a / u` is a half-integer, whose rounding
-/// goes to the even neighbour and so depends on `x`.  Whole rounds
-/// therefore jump, in integer units of `u`, for as long as the round after
-/// them cannot reach the binade's top; the round that may cross it, every
-/// round with a tie or with a summand of a binade or more, and all rounds
-/// of a run of at most 8 (where the arithmetic costs more than it saves)
-/// are added as written.  The subnormals and the lowest normal binade share
-/// one ulp and count as one binade.  A negative, NaN or infinite `x`, or a
-/// summand that is negative or NaN, takes the plain loop.
-fn repeat_add(mut x: f64, increments: &[f64], mut n: u64) -> f64 {
-    let round = |x: f64| increments.iter().fold(x, |x, &a| x + a);
-    if n <= 8 || !(x.is_finite() && x.is_sign_positive() && increments.iter().all(|&a| a >= 0.0)) {
-        for _ in 0..n {
-            x = round(x);
-        }
-        return x;
-    }
-    // Every double of a binade is `units · u` with `units < TOP`.
-    const TOP: u64 = 1 << 53;
-    while n > 0 {
-        if x.is_infinite() {
-            // ∞ plus any non-negative summand is ∞.
-            return x;
-        }
-        let bits = x.to_bits();
-        let biased = bits >> 52;
-        let units = (bits & (TOP / 2 - 1)) | if biased > 0 { TOP / 2 } else { 0 };
-        let scale = biased.max(1);
-        let u = if scale > 52 {
-            f64::from_bits((scale - 52) << 52)
-        } else {
-            f64::from_bits(1 << (scale - 1))
-        };
-        // Units one round moves `x` while inside the binade, exact unless a
-        // summand ties or outgrows the binade.
-        let (mut step, mut exact) = (0u64, true);
-        for &a in increments {
-            let ratio = a / u;
-            exact &= ratio < TOP as f64 && ratio - ratio.floor() != 0.5;
-            step = step.saturating_add(ratio.round() as u64);
-        }
-        if !exact {
-            let before = x;
-            x = round(x);
-            n -= 1;
-            if x.to_bits() == before.to_bits() {
-                // A round that leaves `x` as it is always will.
-                return x;
-            }
-            continue;
-        }
-        if step == 0 {
-            // Every summand rounds away.
-            return x;
-        }
-        let rounds = ((TOP - 1 - units) / step).min(n);
-        if rounds == 0 {
-            // The round that crosses into the next binade.
-            x = round(x);
-            n -= 1;
-        } else {
-            x = (units + rounds * step) as f64 * u;
-            n -= rounds;
-        }
-    }
-    x
-}
-
-/// Recompute [`MemCounters`] from a recorded trace under a (possibly
-/// different) neighbour configuration: occupancy context, SpecI2M MSR
-/// switch and prefetcher evasion factor.  `speci2m` is the machine's raw
-/// parameter block.  A single op is weighed by the helpers the live event
-/// was, and a run adds its op's weight through
-/// [`Accountant::apply_repeated`]; the result is bit-identical to the live
-/// simulation's.
-pub(crate) fn replay_trace(
-    speci2m: &SpecI2MParams,
-    ctx: OccupancyContext,
-    options: CoreSimOptions,
-    ops: &[TraceOp],
-) -> MemCounters {
-    let mut account = Accountant::new(speci2m, ctx, options);
-    let mut run = None;
-    for &op in ops {
-        match op {
-            TraceOp::Repeat { count } => {
-                account.apply_repeated(run.expect("a trace opens with an op"), count);
-            }
-            op => {
-                let weight = account.weigh(op);
-                account.apply_weight(weight);
-                run = Some(weight);
-            }
-        }
-    }
-    account.counters
-}
-
 /// The private half of one core's hierarchy: L1 + L2 + the store paths
 /// (coalescers, streamer prefetcher) and the [`Accountant`] of this core's
 /// traffic — everything *except* the last level.
@@ -690,7 +178,7 @@ pub struct PrivateCore<R: ReplacementPolicy = TrueLru> {
     account: Accountant,
     /// Differential-re-simulation recorder; idle (the default) costs one
     /// predictable branch per event.
-    trace: TraceRecorder,
+    pub(crate) trace: TraceRecorder,
 }
 
 impl<R: ReplacementPolicy> PrivateCore<R> {
@@ -722,39 +210,19 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         self.trace.finish();
     }
 
-    /// Start recording counter-site events for differential re-simulation.
-    pub(crate) fn start_trace(&mut self) {
-        self.trace.start();
-    }
-
-    /// Stop recording and return the trace, or `None` if recording was
-    /// never started or was abandoned (see [`TraceRecorder`]).
-    pub(crate) fn take_trace(&mut self) -> Option<Arc<[TraceOp]>> {
-        self.trace.finish()
-    }
-
     /// One event of memory traffic: account it and, if a trace is active,
     /// record it.
     #[inline]
     fn emit(&mut self, event: Event) {
         self.account.apply(event);
-        if self.trace.recording {
-            self.record(event);
+        if self.trace.is_recording() {
+            self.trace.push(event);
         }
-    }
-
-    /// Append `event` to the active trace.  Out of line, so that `emit`
-    /// stays `apply` plus one predictable branch when nothing records.
-    #[cold]
-    #[inline(never)]
-    fn record(&mut self, event: Event) {
-        let op = TraceOp::narrow(event, |streak| self.account.streak_response(streak));
-        self.trace.push(op);
     }
 
     /// The occupancy context this core was configured with.
     pub fn context(&self) -> OccupancyContext {
-        self.account.ctx
+        self.account.context()
     }
 
     /// Current counter snapshot (without flushing pending state).
@@ -926,7 +394,9 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         } else {
             l1_dirty.len() + l2_dirty.len() + l3_dirty.len()
         };
-        self.emit(Event::WritebackBulk { distinct });
+        self.emit(Event::WritebackBulk {
+            distinct: distinct as u64,
+        });
         self.account.counters
     }
 
@@ -1052,10 +522,11 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         }
         // The paper machines' store-miss path: a write-allocate read unless
         // SpecI2M claims the line without one (ITOM).
+        let response = self.account.streak_response(ev.streak_estimate);
         self.emit(Event::WaStore {
             full: ev.full,
-            streams: ev.active_streams,
-            streak: ev.streak_estimate,
+            streams: ev.active_streams as u32,
+            response: response.to_bits(),
         });
         // The line now lives dirty in the hierarchy either way.
         self.fill_all(llc, ev.line, true);
@@ -1198,18 +669,6 @@ impl<R: ReplacementPolicy> CoreSim<R> {
             .account_writebacks(l1_dirty, l2_dirty, l3_dirty)
     }
 
-    /// Start recording counter-site events for differential re-simulation
-    /// (see [`TraceOp`]).
-    pub(crate) fn start_trace(&mut self) {
-        self.private.start_trace();
-    }
-
-    /// Stop recording and return the trace, or `None` if recording was not
-    /// active or was abandoned.
-    pub(crate) fn take_trace(&mut self) -> Option<Arc<[TraceOp]>> {
-        self.private.take_trace()
-    }
-
     /// Lines the L3 share has evicted since construction or the last
     /// [`reset`](Self::reset).
     pub(crate) fn l3_evictions(&self) -> u64 {
@@ -1220,6 +679,7 @@ impl<R: ReplacementPolicy> CoreSim<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{replay_trace, Trace};
     use clover_machine::icelake_sp_8360y;
 
     fn serial_core(machine: &Machine) -> CoreSim {
@@ -1583,7 +1043,7 @@ mod tests {
             assert!(core.l3.fill(congruent(k), true).is_none());
         }
         let stats = core.cache_stats();
-        core.start_trace();
+        core.private.trace.start();
         // Of a resident line: no event, and no refresh either — the oldest
         // line is still the next victim.
         core.private.fill_prefetch(&mut core.l3, congruent(0));
@@ -1596,14 +1056,8 @@ mod tests {
         // A prefetch is no demand access, whatever it finds.
         assert_eq!(core.cache_stats(), stats);
         assert_eq!(
-            core.take_trace().as_deref(),
-            Some(
-                &[
-                    TraceOp::PrefetchRead,
-                    TraceOp::Writeback,
-                    TraceOp::PrefetchRead
-                ][..]
-            )
+            core.private.trace.finish().as_deref(),
+            Some(&[Event::PrefetchRead, Event::Writeback, Event::PrefetchRead][..])
         );
         let c = core.counters();
         assert_eq!(
@@ -1633,15 +1087,15 @@ mod tests {
     }
 
     /// Run the Fig.-8-shaped row kernel (loads, stores and NT stores so
-    /// every op variant is recorded) under `ctx`/`options`, returning the
+    /// every event variant is recorded) under `ctx`/`options`, returning the
     /// final counters and the recorded trace.
     fn traced_run(
         m: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
-    ) -> (MemCounters, Arc<[TraceOp]>) {
+    ) -> (MemCounters, Trace) {
         let mut core: CoreSim = CoreSim::new(m, ctx, options);
-        core.start_trace();
+        core.private.trace.start();
         for row in 0..16u64 {
             let off = row * (216 + 3) * 8;
             core.drive_run(AccessRun::load((1 << 33) + off, 216));
@@ -1649,7 +1103,11 @@ mod tests {
         }
         core.store_nt(1 << 35, 8 * 64);
         let c = core.flush();
-        let trace = core.take_trace().expect("trace fits well under the cap");
+        let trace = core
+            .private
+            .trace
+            .finish()
+            .expect("trace fits well under the cap");
         (c, trace)
     }
 
@@ -1659,7 +1117,7 @@ mod tests {
         // under every "neighbour" configuration — axes that only scale the
         // fractional accounting: occupancy context, the SpecI2M MSR switch
         // — whatever the store-miss policy put into the trace (`WaStore`,
-        // `Writeback` or `NtLine` ops).  (The trace itself is recorded once
+        // `Writeback` or `NtLine` events).  (The trace itself is recorded once
         // per axis value here purely to obtain the live reference; replay
         // always uses the leader's trace.)
         let m = icelake_sp_8360y();
@@ -1679,7 +1137,7 @@ mod tests {
                         ..base_opts
                     };
                     let (live, live_trace) = traced_run(&m, ctx, options);
-                    // Same dynamics class ⇒ identical op traces...
+                    // Same dynamics class ⇒ identical traces...
                     assert_eq!(live_trace, leader_trace, "{at}");
                     // ...and replaying the leader's trace under this
                     // neighbour's context reproduces the live counters bit
@@ -1707,38 +1165,6 @@ mod tests {
         assert_eq!(replay_trace(&m.speci2m, ctx, options, &trace), live);
     }
 
-    #[test]
-    fn trace_overflow_discards_the_recording() {
-        // A run of one event is two entries whatever its length, so the
-        // cap is reached with alternating events.
-        let alternating = |i: usize| [TraceOp::DemandRead, TraceOp::Writeback][i % 2];
-        let mut rec = TraceRecorder::default();
-        rec.start();
-        for i in 0..TRACE_OP_CAP - 1 {
-            rec.push(Some(alternating(i)));
-        }
-        // The cap's last entry opens a run; extending it takes none.
-        let last = alternating(TRACE_OP_CAP - 2);
-        for _ in 0..3 {
-            rec.push(Some(last));
-        }
-        assert!(!rec.overflowed);
-        assert_eq!(rec.ops.len(), TRACE_OP_CAP);
-        assert_eq!(rec.ops.last(), Some(&TraceOp::Repeat { count: 3 }));
-        rec.push(Some(alternating(TRACE_OP_CAP - 1)));
-        assert!(rec.overflowed);
-        assert_eq!(
-            rec.ops.capacity(),
-            0,
-            "an overflowed trace frees its buffer"
-        );
-        assert!(rec.finish().is_none());
-        // The next recording starts clean.
-        rec.start();
-        rec.push(Some(TraceOp::Writeback));
-        assert_eq!(rec.finish().as_deref(), Some(&[TraceOp::Writeback][..]));
-    }
-
     /// Every counter's bits: NaN counters compare too.
     fn counter_bits(c: MemCounters) -> [u64; 6] {
         [
@@ -1753,13 +1179,12 @@ mod tests {
     }
 
     #[test]
-    fn a_store_line_that_does_not_fit_the_compact_op_abandons_the_recording() {
-        // A store line's op holds its streak response, so any streak
-        // records — fractional, negative, NaN, past `u32::MAX` — and its
-        // replay is the live run's bits, whether SpecI2M is ramped up or
-        // not.  Only a count that outgrows its field abandons the recording
-        // (the memo then answers the class `Oversized` and re-simulates),
-        // and the live counters stay those of an unrecorded core.
+    fn every_streak_records_and_replays_to_the_bits_of_an_unrecorded_core() {
+        // A store line's event carries its streak response, computed as it
+        // is emitted, so any streak records — fractional, negative, NaN,
+        // past `u32::MAX` — and its replay is the live run's bits, whether
+        // SpecI2M is ramped up or not.  Recording changes no live counter:
+        // the recorded core's bits are those of the same core unrecorded.
         let m = icelake_sp_8360y();
         let ev = FinalizedLine {
             line: 1 << 20,
@@ -1767,99 +1192,48 @@ mod tests {
             streak_estimate: 27.0,
             active_streams: 2,
         };
-        let event = Event::WaStore {
-            full: true,
-            streams: 2,
-            streak: 27.0,
-        };
-        let response = |streak: f64| m.speci2m.streak_response(streak.max(1.0));
-        assert_eq!(
-            TraceOp::narrow(event, response),
-            Some(TraceOp::WaStore {
-                full: true,
-                streams: 2,
-                response: m.speci2m.streak_response(27.0).to_bits(),
-            })
-        );
         let loaded = loaded_core(&m);
         let serial = serial_core(&m);
         for streak in [27.0, 27.5, -1.0, f64::NAN, u32::MAX as f64 + 1.0, 1e300] {
             for template in [&loaded, &serial] {
                 let (ctx, options) = (template.context(), template.private.options);
-                let mut core = template.clone();
-                core.start_trace();
-                core.load(0, 8);
                 let line = FinalizedLine {
                     streak_estimate: streak,
                     ..ev
                 };
-                core.private.handle_store_line(&mut core.l3, line);
-                let live = core.flush();
-                let trace = core.take_trace().expect("every streak records");
+                let mut recorded = template.clone();
+                let mut plain = template.clone();
+                recorded.private.trace.start();
+                for core in [&mut recorded, &mut plain] {
+                    core.load(0, 8);
+                    core.private.handle_store_line(&mut core.l3, line);
+                }
+                let live = recorded.flush();
+                assert_eq!(counter_bits(live), counter_bits(plain.flush()), "{line:?}");
+                let trace = recorded
+                    .private
+                    .trace
+                    .finish()
+                    .expect("every streak records");
                 let replayed = replay_trace(&m.speci2m, ctx, options, &trace);
                 assert_eq!(counter_bits(replayed), counter_bits(live), "{line:?}");
+                if streak == 27.0 {
+                    let response = m.speci2m.streak_response(27.0).to_bits();
+                    assert!(trace.contains(&Event::WaStore {
+                        full: true,
+                        streams: 2,
+                        response
+                    }));
+                }
             }
         }
-        let unfit = FinalizedLine {
-            active_streams: u8::MAX as usize + 1,
-            ..ev
-        };
-        let mut recorded = loaded_core(&m);
-        let mut plain = loaded_core(&m);
-        recorded.start_trace();
-        recorded.load(0, 8);
-        plain.load(0, 8);
-        for core in [&mut recorded, &mut plain] {
-            core.private.handle_store_line(&mut core.l3, unfit);
-        }
-        assert!(recorded.private.trace.overflowed);
-        assert!(recorded.private.trace.ops.is_empty());
-        assert_eq!(counter_bits(recorded.flush()), counter_bits(plain.flush()));
-        assert!(recorded.take_trace().is_none());
-        // The bulk write-back count narrows the same way.
-        let bulk = |distinct| TraceOp::narrow(Event::WritebackBulk { distinct }, response);
-        assert_eq!(bulk(7), Some(TraceOp::WritebackBulk { distinct: 7 }));
-        assert_eq!(bulk(u32::MAX as usize + 1), None);
-    }
-
-    #[test]
-    fn a_full_run_starts_a_new_repeat() {
-        let mut rec = TraceRecorder::default();
-        rec.start();
-        rec.push(Some(TraceOp::DemandRead));
-        rec.push(Some(TraceOp::DemandRead));
-        // Fast-forward the run to a full count.
-        rec.ops[1] = TraceOp::Repeat { count: u32::MAX };
-        for _ in 0..2 {
-            rec.push(Some(TraceOp::DemandRead));
-        }
-        rec.push(Some(TraceOp::Writeback));
-        let trace = rec.finish().expect("recorded");
-        assert_eq!(
-            *trace,
-            [
-                TraceOp::DemandRead,
-                TraceOp::Repeat { count: u32::MAX },
-                TraceOp::Repeat { count: 2 },
-                TraceOp::Writeback,
-            ]
-        );
-        // Both runs repeat the read.
-        let m = icelake_sp_8360y();
-        let c = replay_trace(
-            &m.speci2m,
-            OccupancyContext::serial(&m),
-            CoreSimOptions::default(),
-            &trace,
-        );
-        assert_eq!((c.read_lines, c.write_lines), (2f64.powi(32) + 2.0, 1.0));
     }
 
     #[test]
     fn a_store_stream_past_its_saturation_streak_is_a_run() {
         // From the streak at which `1 − e^(−s/scale)` rounds to 1.0 every
         // line of a stream weighs the same: the rest of the stream is one
-        // op and one run, so the trace holds the streaks below saturation,
+        // event and one run, so the trace holds the streaks below saturation,
         // those two entries and the flush's bulk write-back.
         let mut saturations = Vec::new();
         for m in [icelake_sp_8360y(), clover_machine::sapphire_rapids_8480()] {
@@ -1874,10 +1248,10 @@ mod tests {
                 ..Default::default()
             };
             let mut core: CoreSim = CoreSim::new(&m, ctx, options);
-            core.start_trace();
+            core.private.trace.start();
             core.drive_run(AccessRun::store(1 << 30, 8 * 3 * u64::from(saturation)));
             let live = core.flush();
-            let trace = core.take_trace().expect("fits");
+            let trace = core.private.trace.finish().expect("fits");
             assert!(
                 trace.len() <= saturation as usize + 2,
                 "{}: {} entries for a saturation streak of {saturation}",
@@ -1885,7 +1259,7 @@ mod tests {
                 trace.len()
             );
             // Lines `saturation ..= 3 · saturation` are the last run.
-            let saturated = TraceOp::WaStore {
+            let saturated = Event::WaStore {
                 full: true,
                 streams: 1,
                 response: 1f64.to_bits(),
@@ -1894,7 +1268,7 @@ mod tests {
                 trace[trace.len() - 3..trace.len() - 1],
                 [
                     saturated,
-                    TraceOp::Repeat {
+                    Event::Repeat {
                         count: 2 * saturation
                     }
                 ],
@@ -1906,132 +1280,15 @@ mod tests {
         assert_eq!(saturations, [974, 674]);
     }
 
-    /// Seeded splitmix64: the oracle's inputs, with no code of its own
-    /// shared with `repeat_add`.
-    struct Draw(u64);
-
-    impl Draw {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// Uniform in `[0, 1)`.
-        fn unit(&mut self) -> f64 {
-            (self.next() >> 11) as f64 / (1u64 << 53) as f64
-        }
-    }
-
-    /// The evasion fractions fig. 5's store lines produce on the ICX: every
-    /// domain load and populated-domain count, one to three streams, streak
-    /// responses from one line to saturation.
-    fn fig5_evasion_fractions() -> Vec<f64> {
-        let m = icelake_sp_8360y();
-        let mut fractions = Vec::new();
-        for cores in 1..=18 {
-            for domains in 1..=4 {
-                let ctx = OccupancyContext::domain_load(&m, cores, domains);
-                let account = Accountant::new(&m.speci2m, ctx, CoreSimOptions::default());
-                for streams in 1..=3 {
-                    for streak in [1.0, 2.0, 7.0, 27.0, 240.0, 973.0, 4096.0] {
-                        let response = m.speci2m.streak_response(streak);
-                        if let Weight::Store { evaded, .. } =
-                            account.store_weight(true, streams, response)
-                        {
-                            fractions.push(evaded);
-                        }
-                    }
-                }
-            }
-        }
-        fractions.retain(|&e| e > 0.0);
-        fractions.sort_by(f64::total_cmp);
-        fractions.dedup();
-        assert!(fractions.len() > 100, "{} fractions", fractions.len());
-        fractions
-    }
-
-    /// `cases` draws of `(x, summands, n)` against `n` rounds of the plain
-    /// loop, by bits.
-    fn repeat_add_sweep(cases: u64, seed: u64) {
-        let fractions = fig5_evasion_fractions();
-        let mut draw = Draw(seed);
-        for case in 0..cases {
-            let x = match draw.below(6) {
-                0 => 0.0,
-                1 => f64::from_bits(draw.below(1 << 52)),
-                2 => draw.below(1 << 40) as f64,
-                3 => (1.0 + draw.unit()) * 2f64.powi(draw.below(40) as i32),
-                // The last ulps below a power of two, 2^-1022 to 2^64.
-                _ => {
-                    let biased_power = 1 + draw.below(1087);
-                    f64::from_bits((biased_power << 52) - 1 - draw.below(4))
-                }
-            };
-            let ulp = f64::from_bits(x.to_bits() + 1) - x;
-            let second = draw.below(2);
-            let mut summand = || match draw.below(9) {
-                0 => 0.0,
-                1 => 1.0,
-                2 => (1 + draw.below(63)) as f64 / f64::from(1u32 << draw.below(16)),
-                3 => fractions[draw.below(fractions.len() as u64) as usize],
-                4 => 1.0 - fractions[draw.below(fractions.len() as u64) as usize],
-                // An exact half-ulp tie of `x`'s binade.
-                5 => (draw.below(4) as f64 + 0.5) * ulp,
-                // At least 2^52 ulps: one add leaves the binade.
-                6 => ulp * 2f64.powi(52) * (1.0 + 3.0 * draw.unit()),
-                // A few ulps and a fraction.
-                7 => ulp * 3.0 * draw.unit(),
-                _ => draw.unit(),
-            };
-            let summands: Vec<f64> = (0..=second).map(|_| summand()).collect();
-            let n = if draw.below(8) == 0 {
-                10f64.powf(6.0 * draw.unit()) as u64
-            } else {
-                draw.below(21)
-            };
-            let mut naive = x;
-            for _ in 0..n {
-                for &a in &summands {
-                    naive += a;
-                }
-            }
-            assert_eq!(
-                repeat_add(x, &summands, n).to_bits(),
-                naive.to_bits(),
-                "case {case}: x = {x:e} ({:#x}), summands {summands:?}, n = {n}",
-                x.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn repeat_add_is_the_naive_loop_bit_for_bit() {
-        repeat_add_sweep(20_000, 25);
-    }
-
-    #[test]
-    #[ignore = "a million cases: CI runs it in release"]
-    fn repeat_add_is_the_naive_loop_over_a_million_cases() {
-        repeat_add_sweep(1_000_000, 2311_0427);
-    }
-
     #[test]
     fn reset_clears_an_active_trace() {
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
-        core.start_trace();
+        core.private.trace.start();
         core.load(0, 8);
         core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
         assert!(
-            core.take_trace().is_none(),
+            core.private.trace.finish().is_none(),
             "a pooled core must not leak a stale trace across resets"
         );
     }

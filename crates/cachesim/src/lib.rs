@@ -32,16 +32,17 @@
 //! What the caches do and how the traffic is weighted are kept apart, as
 //! in the paper: the hierarchy ([`hierarchy`]) decides which lines hit,
 //! miss, evict, prefetch or coalesce and emits one event per memory
-//! transaction; one accountant turns events into [`MemCounters`] under the
-//! occupancy context, the SpecI2M parameters and the prefetch-off factor.
-//! A recorded event trace replayed through the same accountant under a
-//! neighbouring context is therefore bit-identical to simulating there
-//! ([`memo`]).  The hierarchy is generic over one thing, the replacement
-//! policy ([`policy`]) — consulted by every probe of a full set; the
-//! store-miss policy is consulted once per 64-byte store line and is a
-//! field of [`hierarchy::CoreSimOptions`].  Each cache level has one probe,
-//! a scalar early-exit scan ([`cache`] has the measurement that retired the
-//! SIMD tiers).
+//! transaction; one accountant (private module `accountant`) turns events
+//! into [`MemCounters`] under the occupancy context, the SpecI2M
+//! parameters and the prefetch-off factor.  A trace (private module
+//! `trace`) stores those same events; replayed through the same accountant
+//! under a neighbouring context it is therefore bit-identical to
+//! simulating there ([`memo`]).  The hierarchy is generic over one thing,
+//! the replacement policy ([`policy`]) — consulted by every probe of a full
+//! set; the store-miss policy is consulted once per 64-byte store line and
+//! is a field of [`hierarchy::CoreSimOptions`].  Each cache level has one
+//! probe, a scalar early-exit scan ([`cache`] has the measurement that
+//! retired the SIMD tiers).
 //!
 //! # Performance
 //!
@@ -55,6 +56,7 @@
 //! `benchmark/` track the throughput of these paths.
 
 pub mod access;
+mod accountant;
 pub mod cache;
 pub mod coalescer;
 pub mod counters;
@@ -66,6 +68,7 @@ pub mod memo;
 pub mod patterns;
 pub mod policy;
 pub mod prefetch;
+mod trace;
 
 /// Schema version of the simulator as seen by persisted memo entries.
 ///

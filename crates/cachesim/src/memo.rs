@@ -37,7 +37,6 @@
 //! [`NodeSim::run_spmd`]: crate::engine::NodeSim::run_spmd
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
 
@@ -45,12 +44,11 @@ use crate::access::AccessKind;
 use crate::cache::SetAssocCache;
 use crate::counters::MemCounters;
 use crate::flight::FlightMemo;
-use crate::hierarchy::{
-    l3_share_bytes, replay_trace, CoreSim, CoreSimOptions, OccupancyContext, TraceOp,
-};
+use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext};
 use crate::patterns::{StencilOperand, StencilRowSweep};
 use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::PrefetcherConfig;
+use crate::trace::{replay_trace, Trace};
 
 /// Smallest [`RankBase::Shifted`] shift the memo accepts: 2^30-aligned
 /// rank windows are a multiple of every cache level's `sets × line` span
@@ -512,20 +510,6 @@ impl DiffKey {
     }
 }
 
-/// One memoized cache-dynamics trace (or the fact that recording it was
-/// abandoned).
-#[derive(Debug, Clone)]
-pub(crate) enum DiffEntry {
-    /// The recorded trace — ops and runs of equal ops — replayable under
-    /// any neighbour context in O(entries).
-    Trace(Arc<[TraceOp]>),
-    /// The recording was abandoned: the kernel's trace outgrew
-    /// [`TRACE_OP_CAP`](crate::hierarchy::TRACE_OP_CAP) entries or met a
-    /// count its op cannot hold; neighbours of this key re-simulate from
-    /// scratch.
-    Oversized,
-}
-
 /// Sharded concurrent memo of representative-core simulations.
 ///
 /// One `SimMemo` is meant to span a whole sweep (or a whole plan of
@@ -551,7 +535,8 @@ pub struct SimMemo {
     /// accounting context instead of re-simulating — and the replayed
     /// counters are published into `inner` under the full [`SimKey`], so
     /// differential and from-scratch results can never mix.
-    diff: FlightMemo<DiffKey, DiffEntry>,
+    /// `None` for a key whose recording was abandoned.
+    diff: FlightMemo<DiffKey, Option<Trace>>,
     /// Whether misses record/replay traces.  `false` forces every miss
     /// down the from-scratch path (used by the equivalence tests and
     /// available for debugging); results are bit-identical either way.
@@ -669,18 +654,18 @@ impl SimMemo {
             let llc = dkey.llc;
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
-                let (counters, ops) =
+                let (counters, trace) =
                     Self::simulate::<R>(machine, ctx, options, kernel, rank, Some(llc));
                 live = Some(counters);
-                ops.map_or(DiffEntry::Oversized, DiffEntry::Trace)
+                trace
             });
             if let Some(counters) = live {
                 // Trace leader: its live counters are the result.
                 return counters;
             }
             match entry {
-                DiffEntry::Trace(ops) => replay_trace(&machine.speci2m, ctx, options, &ops),
-                DiffEntry::Oversized => scratch(),
+                Some(trace) => replay_trace(&machine.speci2m, ctx, options, &trace),
+                None => scratch(),
             }
         })
     }
@@ -699,15 +684,15 @@ impl SimMemo {
         kernel: &KernelSpec,
         rank: usize,
         record: Option<LlcClass>,
-    ) -> (MemCounters, Option<Arc<[TraceOp]>>) {
+    ) -> (MemCounters, Option<Trace>) {
         fn run<R: ReplacementPolicy>(
             core: &mut CoreSim<R>,
             kernel: &KernelSpec,
             rank: usize,
             record: Option<LlcClass>,
-        ) -> (MemCounters, Option<Arc<[TraceOp]>>) {
+        ) -> (MemCounters, Option<Trace>) {
             if record.is_some() {
-                core.start_trace();
+                core.split().0.trace.start();
             }
             kernel.drive(rank, core);
             let counters = core.flush();
@@ -720,7 +705,7 @@ impl SimMemo {
                     "a kernel classed NeverEvicts evicted at the last level"
                 );
             }
-            (counters, core.take_trace())
+            (counters, core.split().0.trace.finish())
         }
         if R::KIND == ReplacementPolicyKind::Lru {
             with_pooled_core(machine, ctx, options, |core| {
@@ -1028,8 +1013,9 @@ mod tests {
         // Neighbour axes: occupancy context, SpecI2M switch, prefetch-off
         // evasion factor.  Every point after the first per (machine,
         // prefetchers, l3_sharers, policies, kernel) replays the leader's
-        // trace — of `WaStore`, `Writeback` or `NtLine` ops, by store-miss
-        // policy; counters must equal the from-scratch memo's bit for bit.
+        // trace — of write-allocate store, write-back or NT line events, by
+        // store-miss policy; counters must equal the from-scratch memo's bit
+        // for bit.
         let m = icelake_sp_8360y();
         let diff = SimMemo::new();
         let scratch = SimMemo::without_differential();
@@ -1235,12 +1221,12 @@ mod tests {
 
     #[test]
     fn an_abandoned_recording_makes_the_class_oversized_and_stays_exact() {
-        // An NT stream of full lines is one op and one run, however long.
-        // Rows of one full and one partial line (12 of 16 elements) are an
-        // entry per line: more lines than TRACE_OP_CAP abandon the
-        // leader's recording, so the neighbour re-simulates.
+        // An NT stream of full lines is one event and one run, however
+        // long.  Rows of one full and one partial line (12 of 16 elements)
+        // are an entry per line: more lines than a trace's 2^19 entries
+        // abandon the leader's recording, so the neighbour re-simulates.
         let m = icelake_sp_8360y();
-        let rows = crate::hierarchy::TRACE_OP_CAP as u64 / 2 + 8;
+        let rows = (1 << 18) + 8;
         let spec = KernelSpec {
             row_stride: 16,
             inner: 12,
@@ -1268,7 +1254,7 @@ mod tests {
         let entry = diff
             .diff
             .get_or_insert_with(dkey, || unreachable!("recorded above"));
-        assert!(matches!(entry, DiffEntry::Oversized));
+        assert!(entry.is_none(), "the recording was abandoned");
         let dstats = diff.diff_stats();
         assert_eq!((dstats.hits, dstats.misses), (2, 1));
     }
@@ -1313,29 +1299,19 @@ mod tests {
         let traces = memo.diff.entries_stamped();
         assert_eq!(traces.len(), 6);
         for (dkey, trace, _) in traces {
-            let DiffEntry::Trace(ops) = trace else {
-                panic!("fig. 5's traces fit the cap")
-            };
+            let trace = trace.expect("fig. 5's traces fit the cap");
             let replays = points[&dkey] - 1;
-            entries += replays * ops.len() as u64;
-            events += replays
-                * ops
-                    .iter()
-                    .map(|op| match op {
-                        TraceOp::Repeat { count } => u64::from(*count),
-                        _ => 1,
-                    })
-                    .sum::<u64>();
+            entries += replays * trace.len() as u64;
+            events += replays * crate::trace::events_in(&trace);
         }
         assert_eq!(
             points.values().sum::<u64>() - 6,
             memo.diff_stats().hits,
             "one replay per point after a trace's leader"
         );
-        assert!(
-            8 * entries <= events,
-            "{entries} entries replayed for {events} events"
-        );
+        // Under an eighth, and exactly: a vocabulary that weighs the same
+        // but records other runs moves these.
+        assert_eq!((entries, events), (117_286, 1_278_108));
     }
 
     #[test]

@@ -11,12 +11,8 @@
 //!   iteration read/write/SpecI2M volumes versus thread count (Fig. 6) and
 //!   the read-to-write ratio versus halo size and inner dimension
 //!   (Figs. 8, 11).
-//!
-//! [`native`] holds the same store and copy kernels executed on the host
-//! CPU, with genuine non-temporal stores via `std::arch` where available.
 
 pub mod copy;
-pub mod native;
 pub mod store;
 
 pub use copy::{
