@@ -7,7 +7,7 @@
 //! domain load and scales the counters — with an exact per-rank mode kept
 //! for validation ([`NodeSim::run_spmd_exact`]).
 
-use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
+use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::LINE_BYTES;
 use crate::cache::SetAssocCache;
@@ -17,7 +17,6 @@ use crate::hierarchy::{
 };
 use crate::memo::{CoRunKey, KernelSpec, SimMemo};
 use crate::patterns::{StencilRowSweep, SweepCursor};
-use crate::policy::{RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru};
 use crate::prefetch::PrefetcherConfig;
 
 /// Configuration of one node-level simulation run.
@@ -31,8 +30,6 @@ pub struct SimConfig {
     pub speci2m_enabled: bool,
     /// Hardware prefetcher configuration.
     pub prefetchers: PrefetcherConfig,
-    /// Replacement policy of the simulated hierarchy (all levels).
-    pub replacement: ReplacementPolicyKind,
     /// Store-miss policy of the simulated hierarchy.
     pub write_policy: WritePolicyKind,
 }
@@ -46,7 +43,6 @@ impl SimConfig {
             ranks,
             speci2m_enabled: true,
             prefetchers: PrefetcherConfig::enabled(),
-            replacement: ReplacementPolicyKind::default(),
             write_policy: WritePolicyKind::default(),
         }
     }
@@ -60,12 +56,6 @@ impl SimConfig {
     /// Disable all hardware prefetchers.
     pub fn without_prefetchers(mut self) -> Self {
         self.prefetchers = PrefetcherConfig::disabled();
-        self
-    }
-
-    /// Select the replacement policy of every cache level.
-    pub fn with_replacement(mut self, replacement: ReplacementPolicyKind) -> Self {
-        self.replacement = replacement;
         self
     }
 
@@ -123,21 +113,6 @@ impl NodeSimReport {
     }
 }
 
-/// Call `$sim.$typed::<R>(args)` with the replacement-policy type matching
-/// the configuration's runtime selector — the one dispatch table from
-/// [`SimConfig::replacement`] to the four monomorphised hierarchies.  (The
-/// store-miss policy travels as data, in [`CoreSimOptions`].)
-macro_rules! dispatch_policies {
-    ($sim:ident . $typed:ident ( $($arg:expr),* )) => {
-        match $sim.config.replacement {
-            ReplacementPolicyKind::Lru => $sim.$typed::<TrueLru>($($arg),*),
-            ReplacementPolicyKind::Plru => $sim.$typed::<TreePlru>($($arg),*),
-            ReplacementPolicyKind::Srrip => $sim.$typed::<Srrip>($($arg),*),
-            ReplacementPolicyKind::Random => $sim.$typed::<RandomEvict>($($arg),*),
-        }
-    };
-}
-
 /// Node-level SPMD simulator.
 #[derive(Debug, Clone)]
 pub struct NodeSim {
@@ -161,13 +136,11 @@ impl NodeSim {
     }
 
     /// The closure-based entry points are the paper-configuration
-    /// reference: their kernels take a true-LRU [`CoreSim`], so a
-    /// replacement selector would be silently ignored there.  Refuse any
-    /// non-default policy configuration.
+    /// reference the memoized path is checked against: refuse any other
+    /// store-miss policy.
     fn assert_default_policies(&self, entry: &str) {
         assert!(
-            self.config.replacement == ReplacementPolicyKind::default()
-                && self.config.write_policy == WritePolicyKind::default(),
+            self.config.write_policy == WritePolicyKind::default(),
             "{entry} always simulates the default LRU + write-allocate hierarchy; \
              use run_spmd_memo for policy sweeps"
         );
@@ -248,21 +221,11 @@ impl NodeSim {
     ///
     /// [`run_spmd`]: Self::run_spmd
     ///
-    /// Honours the configuration's [`replacement`](SimConfig::replacement)
-    /// selector by dispatching to the matching monomorphised hierarchy and
-    /// its [`write_policy`](SimConfig::write_policy) through the core
-    /// options.
+    /// Honours the configuration's [`write_policy`](SimConfig::write_policy)
+    /// through the core options.
     pub fn run_spmd_memo(&self, kernel: &KernelSpec, memo: &SimMemo) -> NodeSimReport {
-        dispatch_policies!(self.run_spmd_memo_typed(kernel, memo))
-    }
-
-    fn run_spmd_memo_typed<RP: ReplacementPolicy>(
-        &self,
-        kernel: &KernelSpec,
-        memo: &SimMemo,
-    ) -> NodeSimReport {
         self.fold_domains(|ctx, options, rank| {
-            memo.counters_for::<RP>(&self.config.machine, ctx, options, kernel, rank)
+            memo.counters(&self.config.machine, ctx, options, kernel, rank)
         })
     }
 
@@ -340,15 +303,6 @@ impl NodeSim {
         interleave_lines: u64,
         memo: &SimMemo,
     ) -> CoRunReport {
-        dispatch_policies!(self.run_corun_typed(tenants, interleave_lines, memo))
-    }
-
-    fn run_corun_typed<RP: ReplacementPolicy>(
-        &self,
-        tenants: &[KernelSpec],
-        interleave_lines: u64,
-        memo: &SimMemo,
-    ) -> CoRunReport {
         let machine = &self.config.machine;
         let (n, cores) = (tenants.len(), self.config.ranks);
         assert!(n >= 1, "need at least one tenant");
@@ -393,14 +347,13 @@ impl NodeSim {
             }
         }
 
-        let key =
-            CoRunKey::for_policies(machine, ctx, options, cores, &sorted, interleave, RP::KIND);
+        let key = CoRunKey::new(machine, ctx, options, cores, &sorted, interleave);
         let llc_bytes =
             l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers) * cores;
         let sorted_reports = memo.corun_get_or_insert_with(key, || {
             let sweeps: Vec<StencilRowSweep> =
                 sorted.iter().enumerate().map(|(j, t)| t.sweep(j)).collect();
-            corun_pass::<RP>(
+            corun_pass(
                 machine, ctx, options, llc_bytes, &sweeps, &spans, interleave,
             )
         });
@@ -454,7 +407,7 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
 /// `llc_bytes`, flushed at the end.  `sweeps` are the tenants' kernels in
 /// canonical order, each materialised at its canonical rank; the returned
 /// reports match that order.
-fn corun_pass<RP: ReplacementPolicy>(
+fn corun_pass(
     machine: &Machine,
     ctx: OccupancyContext,
     options: CoreSimOptions,
@@ -464,8 +417,8 @@ fn corun_pass<RP: ReplacementPolicy>(
     interleave_lines: u64,
 ) -> Vec<TenantReport> {
     let n = sweeps.len();
-    let llc = &mut SetAssocCache::<RP>::new(llc_bytes, machine.caches.l3.associativity);
-    let mut cores: Vec<PrivateCore<RP>> = (0..n)
+    let llc = &mut SetAssocCache::new(llc_bytes, machine.caches.l3.associativity);
+    let mut cores: Vec<PrivateCore> = (0..n)
         .map(|_| PrivateCore::new(machine, ctx, options))
         .collect();
     let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
@@ -664,7 +617,7 @@ mod tests {
         let run = |cfg: SimConfig| NodeSim::new(cfg).run_spmd_memo(&spec, &memo);
         let wa = run(SimConfig::new(m.clone(), 1));
         let nowa = run(SimConfig::new(m.clone(), 1).with_write_policy(WritePolicyKind::NoAllocate));
-        let nt = run(SimConfig::new(m.clone(), 1).with_write_policy(WritePolicyKind::NonTemporal));
+        let nt = run(SimConfig::new(m, 1).with_write_policy(WritePolicyKind::NonTemporal));
         // Serial write-allocate reads every store line back; no-allocate
         // writes it through without a read; the NT policy also avoids the
         // read-for-ownership on full lines.
@@ -672,12 +625,8 @@ mod tests {
         assert!(nowa.total.read_lines < 1.0, "{}", nowa.total.read_lines);
         assert!(nt.total.read_lines < 0.2 * 512.0, "{}", nt.total.read_lines);
         assert!(nowa.total.write_lines > 0.95 * 512.0);
-        // A non-LRU replacement policy still runs end to end and produces
-        // a distinct memo entry (same kernel, different key).
-        let before = memo.len();
-        let plru = run(SimConfig::new(m, 1).with_replacement(ReplacementPolicyKind::Plru));
-        assert_eq!(plru.ranks, 1);
-        assert!(memo.len() > before);
+        // Each store-miss policy is a distinct memo entry of the one kernel.
+        assert_eq!(memo.len(), 3);
     }
 
     #[test]

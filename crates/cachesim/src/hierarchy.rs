@@ -30,10 +30,10 @@
 //! emitted events themselves, equal consecutive ones merged into runs, and
 //! [`replay_trace`] weighs each through the same [`Accountant::weigh`] a
 //! live event goes through, so it is exact by shared formulas; a run of
-//! `n` is added in O(binades), bit for bit the naive loop.  Only the
-//! replacement policy `R`, which every probe of a full set consults, is a
-//! type parameter; the store-miss policy is read once per finalized store
-//! line and is a field of [`CoreSimOptions`].
+//! `n` is added in O(binades), bit for bit the naive loop.  Every level is
+//! a true-LRU [`SetAssocCache`], so nothing here is a type parameter; the
+//! store-miss policy is read once per finalized store line and is a field
+//! of [`CoreSimOptions`].
 //!
 //! [`replay_trace`]: crate::trace::replay_trace
 
@@ -44,7 +44,6 @@ use crate::accountant::Accountant;
 use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
-use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::{PrefetcherConfig, StreamerPrefetcher};
 use crate::trace::{Event, TraceRecorder};
 
@@ -165,12 +164,11 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
 ///
 /// Every driving method takes the last-level cache as a parameter: the solo
 /// [`CoreSim`] passes its own per-core L3 share, the co-run engine passes
-/// the tenant-shared LLC.  Generic over the replacement policy `R` of all
-/// levels.
+/// the tenant-shared LLC.
 #[derive(Debug, Clone)]
-pub struct PrivateCore<R: ReplacementPolicy = TrueLru> {
-    l1: SetAssocCache<R>,
-    l2: SetAssocCache<R>,
+pub struct PrivateCore {
+    l1: SetAssocCache,
+    l2: SetAssocCache,
     coalescer: WriteCoalescer,
     nt_coalescer: WriteCoalescer,
     streamer: StreamerPrefetcher,
@@ -181,8 +179,8 @@ pub struct PrivateCore<R: ReplacementPolicy = TrueLru> {
     pub(crate) trace: TraceRecorder,
 }
 
-impl<R: ReplacementPolicy> PrivateCore<R> {
-    /// Build the private half for `machine` with policy-`R` L1/L2 caches.
+impl PrivateCore {
+    /// Build the private half for `machine`.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
         let caches = &machine.caches;
         Self {
@@ -239,7 +237,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     }
 
     /// Feed a single access against the given last-level bank.
-    pub fn access(&mut self, llc: &mut SetAssocCache<R>, access: Access) {
+    pub fn access(&mut self, llc: &mut SetAssocCache, access: Access) {
         match access.kind {
             AccessKind::Load => {
                 for line in access.lines() {
@@ -253,7 +251,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
 
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
     /// cache-line granularity (see [`CoreSim::drive_run`]).
-    pub fn drive_run(&mut self, llc: &mut SetAssocCache<R>, run: AccessRun) {
+    pub fn drive_run(&mut self, llc: &mut SetAssocCache, run: AccessRun) {
         if run.elements == 0 {
             return;
         }
@@ -268,7 +266,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// element touches as the guaranteed L1 hits they are in the scalar
     /// path (consecutive touches of a just-accessed line cannot miss — no
     /// fill happens in between).
-    fn load_run(&mut self, llc: &mut SetAssocCache<R>, base: u64, bytes: u64) {
+    fn load_run(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64) {
         let first = line_of(base);
         let last = line_of(base + bytes - 1);
         for line in first..=last {
@@ -292,7 +290,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// Allocation-free store path shared by the scalar API and the batched
     /// run driver: split the span into per-line segments and consume each
     /// finalized line as the coalescer produces it.
-    fn store_span(&mut self, llc: &mut SetAssocCache<R>, base: u64, bytes: u64, nt: bool) {
+    fn store_span(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64, nt: bool) {
         let mut addr = base;
         let mut remaining = bytes;
         while remaining > 0 {
@@ -309,7 +307,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// handle the at most one line it finalizes.
     pub(crate) fn store_line_segment(
         &mut self,
-        llc: &mut SetAssocCache<R>,
+        llc: &mut SetAssocCache,
         line: u64,
         offset: u64,
         len: u64,
@@ -355,7 +353,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// [`account_writebacks`]: Self::account_writebacks
     pub(crate) fn flush_streams_and_upper(
         &mut self,
-        llc: &mut SetAssocCache<R>,
+        llc: &mut SetAssocCache,
     ) -> (Vec<u64>, Vec<u64>) {
         let events = self.coalescer.flush();
         for ev in events {
@@ -400,7 +398,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         self.account.counters
     }
 
-    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache<R>, line: u64, write: bool) -> bool {
+    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache, line: u64, write: bool) -> bool {
         if self.l1.touch(line, write) == LookupResult::Hit {
             return true;
         }
@@ -419,7 +417,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// Land a dirty line evicted from an upper level in the last level
     /// (present or not), counting the write-back its own victim may cause.
     /// One combined probe instead of a touch followed by a fill.
-    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
+    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache, line: u64) {
         let (_, evicted) = llc.probe_fill(line, true);
         if let Some(ev3) = evicted {
             if ev3.dirty {
@@ -430,7 +428,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
     /// dirty evictions downwards without generating memory traffic.
-    fn fill_upper(&mut self, llc: &mut SetAssocCache<R>, line: u64, dirty: bool, levels: usize) {
+    fn fill_upper(&mut self, llc: &mut SetAssocCache, line: u64, dirty: bool, levels: usize) {
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
@@ -455,7 +453,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     /// Fill a line into the whole hierarchy after a memory read or an ITOM
     /// claim.  The dirty bit is kept at the last level only so the eventual
     /// write-back is counted exactly once.
-    fn fill_all(&mut self, llc: &mut SetAssocCache<R>, line: u64, dirty: bool) {
+    fn fill_all(&mut self, llc: &mut SetAssocCache, line: u64, dirty: bool) {
         if let Some(ev) = llc.fill(line, dirty) {
             if ev.dirty {
                 self.emit(Event::Writeback);
@@ -466,7 +464,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
 
     /// Fill a prefetched line into the last level only; a line already
     /// there is left as it is, and costs no traffic.
-    fn fill_prefetch(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
+    fn fill_prefetch(&mut self, llc: &mut SetAssocCache, line: u64) {
         let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
             return;
         };
@@ -476,7 +474,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         }
     }
 
-    fn load_line(&mut self, llc: &mut SetAssocCache<R>, line: u64) {
+    fn load_line(&mut self, llc: &mut SetAssocCache, line: u64) {
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
@@ -502,7 +500,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
     // Once per stored line: left to the inliner's size heuristics this has
     // fallen out of `store_line_segment` and cost the store path ~15 %.
     #[inline]
-    fn handle_store_line(&mut self, llc: &mut SetAssocCache<R>, ev: FinalizedLine) {
+    fn handle_store_line(&mut self, llc: &mut SetAssocCache, ev: FinalizedLine) {
         let policy = self.options.write_policy;
         if policy == WritePolicyKind::NonTemporal {
             // Every regular store behaves like a non-temporal streaming
@@ -532,7 +530,7 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
         self.fill_all(llc, ev.line, true);
     }
 
-    fn handle_nt_line(&mut self, llc: &mut SetAssocCache<R>, ev: FinalizedLine) {
+    fn handle_nt_line(&mut self, llc: &mut SetAssocCache, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
         self.l1.invalidate(ev.line);
         self.l2.invalidate(ev.line);
@@ -543,24 +541,21 @@ impl<R: ReplacementPolicy> PrivateCore<R> {
 
 /// Cache hierarchy + store path of a single core.
 ///
-/// Generic over the replacement policy `R` of all three levels, defaulted
-/// to the paper's true LRU.
-///
 /// A thin facade: the L1/L2 banks, store paths and counters live in a
 /// [`PrivateCore`] and the per-core L3 share is the last-level bank it is
 /// driven against — the same composition the co-run engine builds with a
 /// *tenant-shared* LLC instead.
 #[derive(Debug, Clone)]
-pub struct CoreSim<R: ReplacementPolicy = TrueLru> {
-    private: PrivateCore<R>,
-    l3: SetAssocCache<R>,
+pub struct CoreSim {
+    private: PrivateCore,
+    l3: SetAssocCache,
     /// Full (unshared) L3 capacity, kept so [`reset`](Self::reset) can
     /// re-derive the per-core share for a different sharer count.
     l3_full_bytes: usize,
     l3_ways: usize,
 }
 
-impl<R: ReplacementPolicy> CoreSim<R> {
+impl CoreSim {
     /// Build a core simulator for `machine` under the given occupancy and
     /// options.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
@@ -655,7 +650,7 @@ impl<R: ReplacementPolicy> CoreSim<R> {
     /// The private half and the L3 share it is driven against — what the
     /// stencil cursor advances on (the co-run engine hands it a
     /// tenant-shared LLC instead).
-    pub(crate) fn split(&mut self) -> (&mut PrivateCore<R>, &mut SetAssocCache<R>) {
+    pub(crate) fn split(&mut self) -> (&mut PrivateCore, &mut SetAssocCache) {
         (&mut self.private, &mut self.l3)
     }
 
@@ -1033,7 +1028,7 @@ mod tests {
     fn a_prefetch_costs_traffic_only_for_an_absent_line() {
         let m = icelake_sp_8360y();
         let mut core = loaded_core(&m);
-        let (sets, ways) = SetAssocCache::<TrueLru>::geometry(
+        let (sets, ways) = SetAssocCache::geometry(
             l3_share_bytes(m.caches.l3.capacity_bytes, 36),
             m.caches.l3.associativity,
         );

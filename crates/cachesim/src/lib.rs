@@ -37,12 +37,12 @@
 //! parameters and the prefetch-off factor.  A trace (private module
 //! `trace`) stores those same events; replayed through the same accountant
 //! under a neighbouring context it is therefore bit-identical to
-//! simulating there ([`memo`]).  The hierarchy is generic over one thing,
-//! the replacement policy ([`policy`]) — consulted by every probe of a full
-//! set; the store-miss policy is consulted once per 64-byte store line and
-//! is a field of [`hierarchy::CoreSimOptions`].  Each cache level has one
-//! probe, a scalar early-exit scan ([`cache`] has the measurement that
-//! retired the SIMD tiers).
+//! simulating there ([`memo`]).  Every level is true LRU, the paper's
+//! replacement policy and the only one simulated, so the hierarchy is
+//! generic over nothing; the store-miss policy is consulted once per
+//! 64-byte store line and is a field of [`hierarchy::CoreSimOptions`].
+//! Each cache level has one probe, a scalar early-exit scan ([`cache`] has
+//! the measurement that retired the SIMD tiers).
 //!
 //! # Performance
 //!
@@ -66,7 +66,6 @@ pub mod hierarchy;
 pub mod marker;
 pub mod memo;
 pub mod patterns;
-pub mod policy;
 pub mod prefetch;
 mod trace;
 
@@ -80,7 +79,7 @@ mod trace;
 pub const SIM_SCHEMA_VERSION: u32 = 1;
 
 pub use access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
-pub use cache::SetAssocCache;
+pub use cache::{SetAssocCache, TrueLru};
 pub use coalescer::{StreakTracker, WriteCoalescer};
 pub use counters::MemCounters;
 pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
@@ -92,5 +91,4 @@ pub use memo::{
     SimMemo, SpecOperand,
 };
 pub use patterns::{StencilRowSweep, SweepCursor};
-pub use policy::{RandomEvict, ReplacementPolicy, Srrip, TreePlru, TrueLru};
 pub use prefetch::PrefetcherConfig;

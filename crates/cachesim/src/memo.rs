@@ -38,7 +38,7 @@
 
 use std::cell::RefCell;
 
-use clover_machine::{Machine, ReplacementPolicyKind, WritePolicyKind};
+use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::AccessKind;
 use crate::cache::SetAssocCache;
@@ -46,7 +46,6 @@ use crate::counters::MemCounters;
 use crate::flight::FlightMemo;
 use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext};
 use crate::patterns::{StencilOperand, StencilRowSweep};
-use crate::policy::{ReplacementPolicy, TrueLru};
 use crate::prefetch::PrefetcherConfig;
 use crate::trace::{replay_trace, Trace};
 
@@ -72,7 +71,7 @@ pub enum RankBase {
     /// For memoized use the shift must be at least [`MIN_MEMO_SHIFT`]: a
     /// smaller shift puts rank bases inside the caches' set-index range,
     /// making counters genuinely rank-dependent, which would break the
-    /// memo's bit-exactness contract ([`SimKey::for_policies`] debug-asserts
+    /// memo's bit-exactness contract ([`SimKey::new`] debug-asserts
     /// this).
     Shifted {
         /// Left shift applied to `rank + plus`.
@@ -177,7 +176,7 @@ impl KernelSpec {
     }
 
     /// Drive the kernel through `core` as rank `rank`.
-    pub fn drive<R: ReplacementPolicy>(&self, rank: usize, core: &mut CoreSim<R>) {
+    pub fn drive(&self, rank: usize, core: &mut CoreSim) {
         self.sweep(rank).drive(core);
     }
 
@@ -236,7 +235,7 @@ impl KernelSpec {
     /// the proof holds for.
     pub fn never_evicts_l3(&self, machine: &Machine, options: &CoreSimOptions) -> bool {
         let l3 = &machine.caches.l3;
-        let (sets, ways) = SetAssocCache::<TrueLru>::geometry(
+        let (sets, ways) = SetAssocCache::geometry(
             l3_share_bytes(l3.capacity_bytes, options.l3_sharers),
             l3.associativity,
         );
@@ -278,9 +277,9 @@ impl KernelSpec {
 /// sequence* — which lines hit, miss, evict, prefetch or write back: the
 /// machine (identified by its preset id — preset machines with equal ids
 /// are structurally identical, cache geometry included), the enabled
-/// prefetchers, the L3 sharer count and the policies.  Every memo identity
-/// carries it, the trace key included: that is the differential-replay
-/// soundness rule, as a type.
+/// prefetchers, the L3 sharer count and the store-miss policy.  Every memo
+/// identity carries it, the trace key included: that is the
+/// differential-replay soundness rule, as a type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Dynamics {
     /// `Machine::id` of the simulated machine.
@@ -293,21 +292,18 @@ pub struct Dynamics {
     pub streamer_distance: u64,
     /// Cores sharing the L3.
     pub l3_sharers: usize,
-    /// Replacement policy of the simulated hierarchy.
-    pub replacement: ReplacementPolicyKind,
     /// Store-miss policy of the simulated hierarchy.
     pub write_policy: WritePolicyKind,
 }
 
 impl Dynamics {
-    fn of(machine: &Machine, options: CoreSimOptions, replacement: ReplacementPolicyKind) -> Self {
+    fn of(machine: &Machine, options: CoreSimOptions) -> Self {
         Self {
             machine: machine.id.clone(),
             adjacent_line: options.prefetchers.adjacent_line,
             streamer: options.prefetchers.streamer,
             streamer_distance: options.prefetchers.streamer_distance,
             l3_sharers: options.l3_sharers,
-            replacement,
             write_policy: options.write_policy,
         }
     }
@@ -373,19 +369,18 @@ pub struct SimKey {
 
 impl SimKey {
     /// Key of the simulation of `kernel` on `machine` under `ctx` and
-    /// `options` (which name the store-miss policy) with an explicit
-    /// replacement policy.  Keys of distinct policies never collide, so one
-    /// memo can span a sweep that mixes policy configurations.
-    pub fn for_policies(
+    /// `options` (which name the store-miss policy).  Keys of distinct
+    /// policies never collide, so one memo can span a sweep that mixes
+    /// policy configurations.
+    pub fn new(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         kernel: &KernelSpec,
-        replacement: ReplacementPolicyKind,
     ) -> Self {
         debug_assert_rank_invariant(kernel);
         Self {
-            dynamics: Dynamics::of(machine, options, replacement),
+            dynamics: Dynamics::of(machine, options),
             accounting: Accounting::of(ctx, options),
             kernel: kernel.clone(),
         }
@@ -423,17 +418,16 @@ pub struct CoRunKey {
 
 impl CoRunKey {
     /// Key of the pass of `tenants` on `cores` cores under `options` (which
-    /// name the store-miss policy) and an explicit replacement policy.
-    /// `tenants` must already be in canonical (sorted) order; the caller
-    /// sorts so the stored permutation maps reports back to input order.
-    pub fn for_policies(
+    /// name the store-miss policy).  `tenants` must already be in canonical
+    /// (sorted) order; the caller sorts so the stored permutation maps
+    /// reports back to input order.
+    pub fn new(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         cores: usize,
         tenants: &[KernelSpec],
         interleave_lines: u64,
-        replacement: ReplacementPolicyKind,
     ) -> Self {
         debug_assert!(
             tenants.windows(2).all(|w| w[0] <= w[1]),
@@ -447,7 +441,7 @@ impl CoRunKey {
             _ => interleave_lines,
         };
         Self {
-            dynamics: Dynamics::of(machine, options, replacement),
+            dynamics: Dynamics::of(machine, options),
             accounting: Accounting::of(ctx, options),
             cores,
             tenants: tenants.to_vec(),
@@ -477,8 +471,8 @@ pub(crate) enum LlcClass {
 /// order per counter field) under each neighbour's accounting instead of
 /// re-simulating the cache dynamics from scratch.  Because the key holds
 /// the whole [`Dynamics`], a replay can never be served across machines,
-/// prefetcher switches, policies or kernels, nor across L3 shares unless
-/// the kernel never evicts in either.
+/// prefetcher switches, store-miss policies or kernels, nor across L3
+/// shares unless the kernel never evicts in either.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct DiffKey {
     /// `l3_sharers` is zeroed here: the count lives in `llc`, or nowhere.
@@ -488,12 +482,7 @@ pub(crate) struct DiffKey {
 }
 
 impl DiffKey {
-    fn of(
-        machine: &Machine,
-        options: CoreSimOptions,
-        kernel: &KernelSpec,
-        replacement: ReplacementPolicyKind,
-    ) -> Self {
+    fn of(machine: &Machine, options: CoreSimOptions, kernel: &KernelSpec) -> Self {
         let llc = if kernel.never_evicts_l3(machine, &options) {
             LlcClass::NeverEvicts
         } else {
@@ -502,7 +491,7 @@ impl DiffKey {
         Self {
             dynamics: Dynamics {
                 l3_sharers: 0,
-                ..Dynamics::of(machine, options, replacement)
+                ..Dynamics::of(machine, options)
             },
             llc,
             kernel: kernel.clone(),
@@ -611,9 +600,10 @@ impl SimMemo {
         self.inner.get_or_insert_with(key, simulate)
     }
 
-    /// Counters of `kernel` on `machine` under `ctx`/`options` with the
-    /// paper's true-LRU replacement, simulated as rank `rank` on a miss
-    /// (via the thread-local core pool).
+    /// Counters of `kernel` on `machine` under `ctx`/`options`, simulated
+    /// as rank `rank` on a miss (via the thread-local core pool).  The key
+    /// carries the store-miss policy, so a hit can never be served from a
+    /// different policy's entry.
     pub fn counters(
         &self,
         machine: &Machine,
@@ -622,23 +612,9 @@ impl SimMemo {
         kernel: &KernelSpec,
         rank: usize,
     ) -> MemCounters {
-        self.counters_for::<TrueLru>(machine, ctx, options, kernel, rank)
-    }
-
-    /// Counters of `kernel` under an explicit replacement policy `R`.  The
-    /// key carries both policy kinds, so a hit can never be served from a
-    /// different policy's entry.
-    pub fn counters_for<R: ReplacementPolicy>(
-        &self,
-        machine: &Machine,
-        ctx: OccupancyContext,
-        options: CoreSimOptions,
-        kernel: &KernelSpec,
-        rank: usize,
-    ) -> MemCounters {
-        let key = SimKey::for_policies(machine, ctx, options, kernel, R::KIND);
+        let key = SimKey::new(machine, ctx, options, kernel);
         self.get_or_insert_with(key, || {
-            let scratch = || Self::simulate::<R>(machine, ctx, options, kernel, rank, None).0;
+            let scratch = || Self::simulate(machine, ctx, options, kernel, rank, None).0;
             if !self.differential {
                 return scratch();
             }
@@ -650,12 +626,12 @@ impl SimMemo {
             // outside every lock; the diff lookup never waits on an
             // `inner` flight (only the reverse), so the nesting cannot
             // deadlock.
-            let dkey = DiffKey::of(machine, options, kernel, R::KIND);
+            let dkey = DiffKey::of(machine, options, kernel);
             let llc = dkey.llc;
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
                 let (counters, trace) =
-                    Self::simulate::<R>(machine, ctx, options, kernel, rank, Some(llc));
+                    Self::simulate(machine, ctx, options, kernel, rank, Some(llc));
                 live = Some(counters);
                 trace
             });
@@ -670,14 +646,12 @@ impl SimMemo {
         })
     }
 
-    /// From-scratch simulation of one representative core; with
-    /// `record = Some(class)` as the leader of that trace class, recording
-    /// the event trace.  The returned trace is `None` when recording was
-    /// off or abandoned (the counters are exact either way).  True LRU
-    /// runs on the thread-local core pool; other replacement policies
-    /// build a fresh typed core (the branch is a compile-time constant per
-    /// monomorphisation).
-    fn simulate<R: ReplacementPolicy>(
+    /// From-scratch simulation of one representative core on the
+    /// thread-local core pool; with `record = Some(class)` as the leader of
+    /// that trace class, recording the event trace.  The returned trace is
+    /// `None` when recording was off or abandoned (the counters are exact
+    /// either way).
+    fn simulate(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
@@ -685,12 +659,7 @@ impl SimMemo {
         rank: usize,
         record: Option<LlcClass>,
     ) -> (MemCounters, Option<Trace>) {
-        fn run<R: ReplacementPolicy>(
-            core: &mut CoreSim<R>,
-            kernel: &KernelSpec,
-            rank: usize,
-            record: Option<LlcClass>,
-        ) -> (MemCounters, Option<Trace>) {
+        with_pooled_core(machine, ctx, options, |core| {
             if record.is_some() {
                 core.split().0.trace.start();
             }
@@ -706,19 +675,7 @@ impl SimMemo {
                 );
             }
             (counters, core.split().0.trace.finish())
-        }
-        if R::KIND == ReplacementPolicyKind::Lru {
-            with_pooled_core(machine, ctx, options, |core| {
-                run(core, kernel, rank, record)
-            })
-        } else {
-            run(
-                &mut CoreSim::<R>::new(machine, ctx, options),
-                kernel,
-                rank,
-                record,
-            )
-        }
+        })
     }
 
     /// Number of memoized simulations.
@@ -984,7 +941,6 @@ mod tests {
 
     #[test]
     fn memo_never_serves_across_policies() {
-        use crate::policy::TreePlru;
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         let spec = store_spec(1024);
@@ -994,16 +950,15 @@ mod tests {
             write_policy: WritePolicyKind::NoAllocate,
             ..options
         };
-        let lru = memo.counters_for::<TrueLru>(&m, ctx, options, &spec, 0);
-        let nowa = memo.counters_for::<TrueLru>(&m, ctx, no_allocate, &spec, 0);
-        let _plru = memo.counters_for::<TreePlru>(&m, ctx, options, &spec, 0);
-        // Three distinct entries: both policies are part of the key.
-        assert_eq!(memo.len(), 3);
-        assert_eq!(memo.stats().misses, 3);
+        let lru = memo.counters(&m, ctx, options, &spec, 0);
+        let nowa = memo.counters(&m, ctx, no_allocate, &spec, 0);
+        // Two distinct entries: the store-miss policy is part of the key.
+        assert_eq!(memo.len(), 2);
+        assert_eq!(memo.stats().misses, 2);
         // No-write-allocate genuinely changes the counters (no WA reads),
         // so serving it from the write-allocate entry would be wrong.
         assert!(nowa.write_allocate_lines < lru.write_allocate_lines);
-        // The untyped default path hits the TrueLru+WriteAllocate entry.
+        // The default options hit the write-allocate entry.
         assert_eq!(memo.counters(&m, ctx, options, &spec, 0), lru);
         assert_eq!(memo.stats().hits, 1);
     }
@@ -1128,15 +1083,14 @@ mod tests {
         type Vary = fn(&mut OccupancyContext, &mut CoreSimOptions);
         let m = icelake_sp_8360y();
         let spec = store_spec(1024);
-        let lru = ReplacementPolicyKind::Lru;
-        let keys = |machine: &Machine, vary: Vary, spec: &KernelSpec, r| {
+        let keys = |machine: &Machine, vary: Vary, spec: &KernelSpec| {
             let mut ctx = OccupancyContext::domain_load(&m, 18, 2);
             let mut options = CoreSimOptions::default();
             vary(&mut ctx, &mut options);
-            let full = SimKey::for_policies(machine, ctx, options, spec, r);
-            (full, DiffKey::of(machine, options, spec, r))
+            let full = SimKey::new(machine, ctx, options, spec);
+            (full, DiffKey::of(machine, options, spec))
         };
-        let vary = |vary: Vary| keys(&m, vary, &spec, lru);
+        let vary = |vary: Vary| keys(&m, vary, &spec);
         let (base_full, base_diff) = vary(|_, _| {});
         assert_eq!(base_diff.llc, LlcClass::NeverEvicts);
 
@@ -1157,14 +1111,13 @@ mod tests {
 
         // One dynamics field (or the kernel) at a time: a different trace.
         let dynamics = [
-            keys(&sapphire_rapids_8480(), |_, _| {}, &spec, lru),
+            keys(&sapphire_rapids_8480(), |_, _| {}, &spec),
             vary(|_, o| o.prefetchers.adjacent_line = false),
             vary(|_, o| o.prefetchers.streamer = false),
             vary(|_, o| o.prefetchers.streamer_distance += 1),
             vary(|_, o| o.write_policy = WritePolicyKind::NoAllocate),
             vary(|_, o| o.write_policy = WritePolicyKind::NonTemporal),
-            keys(&m, |_, _| {}, &spec, ReplacementPolicyKind::Srrip),
-            keys(&m, |_, _| {}, &store_spec(1025), lru),
+            keys(&m, |_, _| {}, &store_spec(1025)),
         ];
         for (i, (full, diff)) in dynamics.into_iter().enumerate() {
             assert_ne!(full, base_full, "dynamics field {i}");
@@ -1173,7 +1126,7 @@ mod tests {
 
         // The sharer count is a dynamics field of a kernel that may evict.
         let big = store_spec(EVICTING_ELEMENTS);
-        let at = |vary: Vary| keys(&m, vary, &big, lru).1;
+        let at = |vary: Vary| keys(&m, vary, &big).1;
         let (s36, s18) = (at(|_, o| o.l3_sharers = 36), at(|_, o| o.l3_sharers = 18));
         assert_eq!(s36.llc, LlcClass::Sharers(36));
         assert_eq!(s18.llc, LlcClass::Sharers(18));
@@ -1250,7 +1203,7 @@ mod tests {
                 scratch.counters(&m, ctx, options, &spec, 0)
             );
         }
-        let dkey = DiffKey::of(&m, options, &spec, ReplacementPolicyKind::Lru);
+        let dkey = DiffKey::of(&m, options, &spec);
         let entry = diff
             .diff
             .get_or_insert_with(dkey, || unreachable!("recorded above"));
@@ -1292,7 +1245,7 @@ mod tests {
                 l3_sharers: key.dynamics.l3_sharers,
                 ..Default::default()
             };
-            let dkey = DiffKey::of(&m, options, &key.kernel, ReplacementPolicyKind::Lru);
+            let dkey = DiffKey::of(&m, options, &key.kernel);
             *points.entry(dkey).or_default() += 1;
         }
         let (mut entries, mut events) = (0, 0);

@@ -16,7 +16,6 @@ pub use crate::access::ELEM_BYTES;
 use crate::access::{line_of, Access, AccessKind, LINE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
-use crate::policy::ReplacementPolicy;
 
 /// One scalar 8-byte access of the given kind.
 fn elem(kind: AccessKind, addr: u64) -> Access {
@@ -85,13 +84,13 @@ impl StencilRowSweep {
     /// to completion against the core's own private half and L3 share —
     /// the same segment loop the co-run engine advances in turns — and
     /// bit-identical to [`drive_scalar`](Self::drive_scalar).
-    pub fn drive<R: ReplacementPolicy>(&self, core: &mut CoreSim<R>) {
+    pub fn drive(&self, core: &mut CoreSim) {
         let (private, l3) = core.split();
         SweepCursor::new(self).advance(private, l3, u64::MAX);
     }
 
     /// Per-element reference implementation (bit-identical, slower).
-    pub fn drive_scalar<R: ReplacementPolicy>(&self, core: &mut CoreSim<R>) {
+    pub fn drive_scalar(&self, core: &mut CoreSim) {
         for k in self.k0..self.k0 + self.rows {
             for i in self.i0..self.i0 + self.inner {
                 for op in &self.operands {
@@ -184,10 +183,10 @@ impl SweepCursor {
     /// been issued or the sweep finishes, whichever comes first; returns
     /// the number actually issued.  A zero budget still makes progress
     /// (one segment), so a co-run round-robin can never stall.
-    pub fn advance<R: ReplacementPolicy>(
+    pub fn advance(
         &mut self,
-        core: &mut PrivateCore<R>,
-        llc: &mut SetAssocCache<R>,
+        core: &mut PrivateCore,
+        llc: &mut SetAssocCache,
         budget_lines: u64,
     ) -> u64 {
         let budget = budget_lines.max(1);

@@ -4,7 +4,7 @@
 //! selectors*; the actual simulation of hits/misses/write-allocates lives
 //! in `clover-cachesim`.
 
-use crate::policy::{ReplacementPolicyKind, WritePolicyKind};
+use crate::policy::WritePolicyKind;
 
 /// Cache line size in bytes on every evaluated platform.
 pub const CACHE_LINE_BYTES: usize = 64;
@@ -50,8 +50,6 @@ pub struct CacheSpec {
     pub line_bytes: usize,
     /// Whether the cache is shared between cores (`true` for L3).
     pub shared: bool,
-    /// Replacement policy of this level (LRU on every paper machine).
-    pub replacement: ReplacementPolicyKind,
 }
 
 impl CacheSpec {
@@ -79,14 +77,7 @@ impl CacheSpec {
             associativity,
             line_bytes,
             shared,
-            replacement: ReplacementPolicyKind::default(),
         }
-    }
-
-    /// Same spec with a different replacement policy.
-    pub fn with_replacement(mut self, replacement: ReplacementPolicyKind) -> Self {
-        self.replacement = replacement;
-        self
     }
 
     /// Number of sets.
@@ -203,12 +194,6 @@ mod tests {
     #[test]
     fn policy_fields_default_to_the_papers_configuration() {
         let m = icelake_sp_8360y();
-        for lvl in CacheLevel::ALL {
-            assert_eq!(m.caches.level(lvl).replacement, ReplacementPolicyKind::Lru);
-        }
         assert_eq!(m.caches.write_policy, WritePolicyKind::Allocate);
-        let spec = CacheSpec::new(CacheLevel::L1, 32 * 1024, 8, 64, false)
-            .with_replacement(ReplacementPolicyKind::Random);
-        assert_eq!(spec.replacement, ReplacementPolicyKind::Random);
     }
 }

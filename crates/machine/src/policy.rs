@@ -6,15 +6,15 @@
 //! write-allocate default.  Related designs sit elsewhere in the policy
 //! space — the CVA6 d-cache is write-back + *no-write-allocate*, embedded
 //! cores often ship pseudo-random replacement — so the machine model names
-//! the policy corners here and the cache simulator (`clover-cachesim`)
-//! monomorphises an implementation per corner.
+//! the policy corners here.
 //!
 //! These enums are *selectors*: pure data with a stable name registry for
-//! the command line, serialisation and memo keys.  The behaviour lives in
-//! `clover_cachesim::policy`.
+//! the command line, serialisation and memo keys.  A replacement policy is
+//! an analytic-model factor only ([`ReplacementPolicyKind::reuse_efficiency`]);
+//! the cache simulator (`clover-cachesim`) is true LRU throughout.  A write
+//! policy is honoured by both.
 
-/// Which replacement policy a cache (or the whole simulated hierarchy)
-/// uses.
+/// Which replacement policy the analytic traffic model assumes.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize,
 )]
@@ -26,7 +26,7 @@ pub enum ReplacementPolicyKind {
     Plru,
     /// Static re-reference interval prediction (2-bit SRRIP).
     Srrip,
-    /// Deterministic "random" eviction from a fixed xorshift seed.
+    /// Random eviction.
     Random,
 }
 

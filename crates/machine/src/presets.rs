@@ -2,7 +2,7 @@
 
 use crate::bandwidth::{BandwidthModel, SaturationCurve};
 use crate::cache::{CacheLevel, CacheSpec, MemoryHierarchySpec, CACHE_LINE_BYTES};
-use crate::policy::{ReplacementPolicyKind, WritePolicyKind};
+use crate::policy::WritePolicyKind;
 use crate::speci2m::{SpecI2MParams, StreamCountResponse};
 use crate::topology::Topology;
 use crate::Machine;
@@ -177,23 +177,21 @@ pub fn sapphire_rapids_8470(snc: bool) -> Machine {
 /// CVA6-like embedded quad-core node.
 ///
 /// Models the policy corner documented for the CVA6 (Ariane) d-cache:
-/// write-back + **no-write-allocate** with pseudo-random replacement, and of
-/// course no SpecI2M — store misses never fetch the line, so the
-/// write-allocate-evasion question does not arise.  The preset exists to
-/// exercise the policy fields of the machine model and the policy-generic
-/// simulator; no paper figure uses it.
+/// write-back + **no-write-allocate**, and of course no SpecI2M — store
+/// misses never fetch the line, so the write-allocate-evasion question
+/// does not arise.  The preset exists to exercise the policy fields of the
+/// machine model; no paper figure uses it.  Its caches simulate as true
+/// LRU, like every preset's.  The hardware's pseudo-random and PLRU
+/// replacement is not modelled.
 pub fn cva6_like() -> Machine {
     Machine {
         name: "CVA6-like embedded quad-core (write-back, no-write-allocate)".to_string(),
         id: "cva6-nowa".to_string(),
         topology: Topology::homogeneous(1, 1, 4),
         caches: MemoryHierarchySpec {
-            l1: CacheSpec::new(CacheLevel::L1, 32 * 1024, 8, CACHE_LINE_BYTES, false)
-                .with_replacement(ReplacementPolicyKind::Random),
-            l2: CacheSpec::new(CacheLevel::L2, 512 * 1024, 8, CACHE_LINE_BYTES, false)
-                .with_replacement(ReplacementPolicyKind::Random),
-            l3: CacheSpec::new(CacheLevel::L3, 2 * 1024 * 1024, 16, CACHE_LINE_BYTES, true)
-                .with_replacement(ReplacementPolicyKind::Plru),
+            l1: CacheSpec::new(CacheLevel::L1, 32 * 1024, 8, CACHE_LINE_BYTES, false),
+            l2: CacheSpec::new(CacheLevel::L2, 512 * 1024, 8, CACHE_LINE_BYTES, false),
+            l3: CacheSpec::new(CacheLevel::L3, 2 * 1024 * 1024, 16, CACHE_LINE_BYTES, true),
             l3_sharers: 4,
             write_policy: WritePolicyKind::NoAllocate,
         },
@@ -311,13 +309,10 @@ mod tests {
         let m = cva6_like();
         assert_eq!(m.total_cores(), 4);
         assert_eq!(m.caches.write_policy, WritePolicyKind::NoAllocate);
-        assert_eq!(m.caches.l1.replacement, ReplacementPolicyKind::Random);
-        assert_eq!(m.caches.l3.replacement, ReplacementPolicyKind::Plru);
         assert!(!m.speci2m.enabled, "CVA6 has no write-allocate to evade");
         // The Xeon presets keep the paper's default policy corner.
         let icx = icelake_sp_8360y();
         assert_eq!(icx.caches.write_policy, WritePolicyKind::Allocate);
-        assert_eq!(icx.caches.l1.replacement, ReplacementPolicyKind::Lru);
     }
 
     #[test]

@@ -369,4 +369,44 @@ mod tests {
         };
         assert_eq!(json(&reference), json(&served));
     }
+
+    #[test]
+    fn the_policy_axes_do_not_reach_the_co_run_factor() {
+        use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
+        // `--replacement` and `--write-policy` steer the analytic model
+        // only: a contended plan under other policies simulates no co-run
+        // of its own and is scaled by the default policies' factor.
+        let plan = || {
+            SweepPlan::new()
+                .machine(MachinePreset::IceLakeSp8360y)
+                .grid(1920)
+                .ranks(RankRange::new(1, 4))
+                .stage(Stage::Original)
+                .aggressor(Aggressor::Thrash)
+        };
+        let other = plan()
+            .replacement(ReplacementPolicyKind::Plru)
+            .write_policy(WritePolicyKind::NoAllocate);
+        let (sweep, sims) = (SweepMemo::new(), SimMemo::new());
+        let mut seen = Vec::new();
+        for plan in [plan(), other] {
+            let artifact = run_plan_memos(&plan, 1, &sweep, &sims).remove(0);
+            let passes = sims.corun_stats().misses;
+            let s = &plan.expand()[0];
+            let machine = s.machine.machine();
+            let factor = interference_factor(&machine, s.aggressor, s.interleave, &sims);
+            assert_eq!(sims.corun_stats().misses, passes, "the plan's own passes");
+            assert!(factor > 1.0);
+            // What the plan scaled its analytic points by is that factor.
+            let engine = ScalingEngine::new(machine, s.grid);
+            let volume = artifact.column_index("volume_per_step").unwrap();
+            for (row, ranks) in artifact.rows.iter().zip(s.ranks.iter()) {
+                let solo = engine.point(ranks, &s.options(ranks)).volume_per_step;
+                let cell = row[volume].as_f64().unwrap();
+                assert_eq!(cell.to_bits(), (solo * factor / 1e6).to_bits(), "{ranks}");
+            }
+            seen.push((passes, factor.to_bits()));
+        }
+        assert_eq!(seen[0], seen[1], "no new co-run, the same factor");
+    }
 }

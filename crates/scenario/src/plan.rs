@@ -219,9 +219,13 @@ pub struct Scenario {
     pub ranks: RankRange,
     /// Code stage.
     pub stage: Stage,
-    /// Cache replacement policy of the modelled hierarchy.
+    /// Cache replacement policy of the analytic traffic model.  It does
+    /// not reach the co-run behind [`aggressor`](Self::aggressor), which
+    /// the simulator runs under true LRU.
     pub replacement: ReplacementPolicyKind,
-    /// Store-miss policy of the modelled hierarchy.
+    /// Store-miss policy of the analytic traffic model.  It does not reach
+    /// the co-run behind [`aggressor`](Self::aggressor) either, which is
+    /// simulated under write-allocate.
     pub write_policy: WritePolicyKind,
     /// Layer-condition assumption of the traffic model.
     pub layer_condition: LayerCondition,

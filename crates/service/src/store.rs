@@ -10,8 +10,8 @@
 //! the format is a line-based text codec (a `corun` record is one line):
 //!
 //! ```text
-//! cloverstore 3 <model-hash hex>
-//! corun <12 environment tokens> <cores> <n> <n kernels>
+//! cloverstore 4 <model-hash hex>
+//! corun <11 environment tokens> <cores> <n> <n kernels>
 //!       <interleave lines> <n × 9 report tokens>
 //! end <entry count>
 //! ```
@@ -30,7 +30,7 @@
 //! entries plus a [`LoadOutcome`] explaining why — never an error, because
 //! the memo contents are pure caches that can always be rebuilt.  Stale
 //! covers a model-hash mismatch and a file of a retired format
-//! (`cloverstore 1`, `2`) alike: neither is parsed, and the next save
+//! (`cloverstore 1`, `2`, `3`) alike: neither is parsed, and the next save
 //! replaces it.
 
 use std::fmt::Write as _;
@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use clover_cachesim::memo::{Accounting, CoRunKey, Dynamics, KernelSpec, RankBase, SpecOperand};
 use clover_cachesim::{AccessKind, MemCounters, SimMemo, TenantReport};
 use clover_core::SweepMemo;
-use clover_machine::{ReplacementPolicyKind, WritePolicyKind};
+use clover_machine::WritePolicyKind;
 
 use crate::model::model_hash;
 
@@ -55,7 +55,7 @@ pub enum LoadOutcome {
     ColdMissing,
     /// The store was written under a different model hash — the presets,
     /// policies or schema changed, so every entry is untrusted — or in a
-    /// retired format (`cloverstore 1` or `2`).
+    /// retired format (`cloverstore 1`, `2` or `3`).
     ColdStale,
     /// The store exists but is unreadable, truncated or malformed.
     ColdCorrupt,
@@ -196,7 +196,7 @@ impl PersistentStore {
         lines.sort_unstable();
         let count = lines.len();
 
-        let mut text = format!("cloverstore 3 {:016x}\n", self.model_hash);
+        let mut text = format!("cloverstore 4 {:016x}\n", self.model_hash);
         for line in &lines {
             text.push_str(line);
             text.push('\n');
@@ -248,10 +248,10 @@ fn parse_store(text: &str, expected_hash: u64) -> Result<Vec<CoRunEntry>, LoadOu
         return Err(Corrupt);
     }
     match head.next() {
-        Some("3") => {}
+        Some("4") => {}
         // A retired format, whatever its hash: nothing below the header
         // is read, the next save rebuilds the file.
-        Some("1" | "2") => return Err(Stale),
+        Some("1" | "2" | "3") => return Err(Stale),
         _ => return Err(Corrupt),
     }
     let hash = head
@@ -405,10 +405,6 @@ impl<'a, 'b> Cursor<'a, 'b> {
         }
     }
 
-    fn replacement(&mut self) -> Option<ReplacementPolicyKind> {
-        ReplacementPolicyKind::parse(self.next()?)
-    }
-
     fn write_policy(&mut self) -> Option<WritePolicyKind> {
         WritePolicyKind::parse(self.next()?)
     }
@@ -527,7 +523,7 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     out.push_str(&esc(&d.machine));
     let _ = write!(
         out,
-        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {} {}",
+        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {}",
         a.utilization_bits,
         a.active_domains,
         a.total_domains,
@@ -537,7 +533,6 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
         d.streamer_distance,
         a.pf_off_evasion_bits,
         d.l3_sharers,
-        d.replacement.name(),
         d.write_policy.name(),
         key.cores,
         key.tenants.len(),
@@ -570,7 +565,6 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
     let streamer_distance = cur.u64()?;
     let pf_off_evasion_bits = cur.bits()?;
     let l3_sharers = cur.usize()?;
-    let replacement = cur.replacement()?;
     let write_policy = cur.write_policy()?;
     let cores = cur.usize()?;
     // One report per tenant: the one count sizes both lists.
@@ -597,7 +591,6 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
                 streamer,
                 streamer_distance,
                 l3_sharers,
-                replacement,
                 write_policy,
             },
             accounting: Accounting {
@@ -663,7 +656,6 @@ mod tests {
                 streamer: false,
                 streamer_distance: 12,
                 l3_sharers: 26,
-                replacement: ReplacementPolicyKind::Srrip,
                 write_policy: WritePolicyKind::NoAllocate,
             },
             accounting: Accounting {
@@ -715,9 +707,9 @@ mod tests {
         )
     }
 
-    /// The sample entry as a literal `cloverstore 3` line.
+    /// The sample entry as a literal `cloverstore 4` line.
     const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 \
-        srrip no-allocate 3 2 \
+        no-allocate 3 2 \
         shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
         shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
         64 \
@@ -826,7 +818,7 @@ mod tests {
 
     /// A one-entry file of the retired format `version`, valid under the
     /// *current* model hash, is stale by format alone; nothing below its
-    /// header is read; the next save rebuilds it as `cloverstore 3`.
+    /// header is read; the next save rebuilds it as `cloverstore 4`.
     fn retired_format_is_stale_and_rebuilt(version: u32, line: &str) {
         let dir = temp_dir(&format!("v{version}"));
         let store = PersistentStore::new(dir.join("store.txt"));
@@ -851,7 +843,7 @@ mod tests {
         sim.corun_preload([sample_corun_entry()]);
         assert_eq!(store.save(&sim, &SweepMemo::new()).unwrap(), 1);
         let text = fs::read_to_string(store.path()).unwrap();
-        assert!(text.starts_with("cloverstore 3 "), "{text}");
+        assert!(text.starts_with("cloverstore 4 "), "{text}");
         assert!(!text.contains(&line), "{text}");
         assert_eq!(store.load().1, LoadOutcome::Warm(1));
         let _ = fs::remove_dir_all(&dir);
@@ -884,10 +876,33 @@ mod tests {
     #[test]
     fn a_cloverstore_2_file_is_stale_and_the_next_save_rebuilds_it() {
         retired_format_is_stale_and_rebuilt(2, CORUN_LINE_V2);
-        // The same line under the current header is not a `cloverstore 3`
+        // The same line under the current header is not a `cloverstore 4`
         // record either: the format number is what keeps it from being
         // misread.
         assert!(decode_line(CORUN_LINE_V2).is_none());
+    }
+
+    /// The contended `corun` line of the store the last `cloverstore 3`
+    /// binary wrote for `figures sweep --machine cva6-nowa --ranks 1..2
+    /// --aggressor thrash`: a replacement token (`lru`) before the
+    /// store-miss policy.
+    const CORUN_LINE_V3: &str = "corun cva6-nowa 3feae89f995ad3ad 1 1 1 1 1 8 3fe199999999999a 2 \
+        lru allocate 2 2 \
+        shifted 40 0 1 0 1 0 0 load 0 0 65536 0 3 \
+        shifted 40 0 1 0 1 0 0 load 0 0 262144 0 2 \
+        64 \
+        40c0000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40b0000000000000 0000000000000000 \
+        4096 4096 0 \
+        40e3000000000000 0000000000000000 0000000000000000 0000000000000000 \
+        40d3000000000000 0000000000000000 \
+        46080 19456 32768";
+
+    #[test]
+    fn a_cloverstore_3_file_is_stale_and_the_next_save_rebuilds_it() {
+        retired_format_is_stale_and_rebuilt(3, CORUN_LINE_V3);
+        // Under the current header the replacement token is one too many.
+        assert!(decode_line(CORUN_LINE_V3).is_none());
     }
 
     #[test]
@@ -1024,13 +1039,13 @@ mod tests {
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         fs::write(&path, "").unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
-        fs::write(&path, full.replace("cloverstore 3", "cloverstore 4")).unwrap();
+        fs::write(&path, full.replace("cloverstore 4", "cloverstore 5")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
 
         // Mid-line corruption: an unknown record kind, a mangled token.
         fs::write(&path, full.replace("corun", "cxrun")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
-        fs::write(&path, full.replace(" srrip ", " sxrip ")).unwrap();
+        fs::write(&path, full.replace(" no-allocate ", " no-alxocate ")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         let _ = fs::remove_dir_all(&dir);
     }

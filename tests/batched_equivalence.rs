@@ -8,12 +8,9 @@ use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::patterns::{StencilOperand, StencilRowSweep};
 use cloverleaf_wa::cachesim::{
     AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NodeSim, PrefetcherConfig,
-    PrivateCore, RandomEvict, RankBase, ReplacementPolicy, SetAssocCache, SimConfig, SimMemo,
-    SpecOperand, Srrip, SweepCursor, TreePlru, TrueLru,
+    PrivateCore, RankBase, SetAssocCache, SimConfig, SimMemo, SpecOperand, SweepCursor,
 };
-use cloverleaf_wa::machine::{
-    icelake_sp_8360y, Machine, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
-};
+use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset, WritePolicyKind};
 use proptest::prelude::*;
 
 const KINDS: [AccessKind; 3] = [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT];
@@ -36,7 +33,7 @@ fn core_for(machine: &Machine, ranks: usize, prefetchers: bool) -> CoreSim {
 }
 
 /// Feed one run element by element through the scalar API.
-fn drive_scalar_run<R: ReplacementPolicy>(core: &mut CoreSim<R>, run: AccessRun) {
+fn drive_scalar_run(core: &mut CoreSim, run: AccessRun) {
     for i in 0..run.elements {
         let addr = run.base + i * 8;
         match run.kind {
@@ -63,17 +60,12 @@ fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &
     assert_eq!(scalar.flush(), batched.flush(), "counter mismatch");
 }
 
-/// Scalar vs. batched equivalence of one replacement-policy
-/// monomorphisation under every store-miss policy.
-fn assert_policy_equivalent<R: ReplacementPolicy>(
-    machine: &Machine,
-    ranks: usize,
-    runs: &[AccessRun],
-) {
+/// Scalar vs. batched equivalence under every store-miss policy.
+fn assert_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
     for write_policy in WritePolicyKind::all() {
         let mk = || {
             let ctx = OccupancyContext::compact(machine, ranks);
-            CoreSim::<R>::new(
+            CoreSim::new(
                 machine,
                 ctx,
                 CoreSimOptions {
@@ -92,25 +84,14 @@ fn assert_policy_equivalent<R: ReplacementPolicy>(
         assert_eq!(
             scalar.cache_stats(),
             batched.cache_stats(),
-            "{:?}+{write_policy:?}: hit/miss mismatch for {runs:?}",
-            R::KIND
+            "{write_policy:?}: hit/miss mismatch for {runs:?}"
         );
         assert_eq!(
             scalar.flush(),
             batched.flush(),
-            "{:?}+{write_policy:?}: counter mismatch",
-            R::KIND
+            "{write_policy:?}: counter mismatch"
         );
     }
-}
-
-/// Run [`assert_policy_equivalent`] for every replacement policy the
-/// dispatcher can reach.
-fn assert_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
-    assert_policy_equivalent::<TrueLru>(machine, ranks, runs);
-    assert_policy_equivalent::<TreePlru>(machine, ranks, runs);
-    assert_policy_equivalent::<Srrip>(machine, ranks, runs);
-    assert_policy_equivalent::<RandomEvict>(machine, ranks, runs);
 }
 
 /// Operand spacing of the trace-class tests: a multiple of every L3
@@ -458,9 +439,9 @@ proptest! {
     }
 
     /// The batched fast path stays bit-identical to the scalar reference
-    /// under every replacement × write policy combination, not just the
-    /// paper's LRU + write-allocate default: mixed load/store/NT rows with
-    /// halo misalignment across all 12.
+    /// under every write policy, not just the paper's write-allocate
+    /// default: mixed load/store/NT rows with halo misalignment across all
+    /// three.
     #[test]
     fn batched_path_matches_scalar_under_every_policy(
         inner in 1u64..180,
@@ -483,10 +464,10 @@ proptest! {
         assert_equivalent_for_all_policies(&machine, ranks, &runs);
     }
 
-    /// The policy-generic dispatcher under the default LRU + write-allocate
-    /// selectors is bit-identical to the pre-refactor closure path *and*
-    /// shares its memo entries with an explicitly-defaulted config: the
-    /// policy space costs the paper configuration nothing.
+    /// The memoized path under the default write-allocate selector is
+    /// bit-identical to the closure path *and* shares its memo entries with
+    /// an explicitly-defaulted config: the policy space costs the paper
+    /// configuration nothing.
     #[test]
     fn default_policy_dispatch_matches_the_closure_path_and_shares_the_memo(
         elements in 64u64..1024,
@@ -506,12 +487,10 @@ proptest! {
         let defaulted = implicit.run_spmd_memo(&spec, &memo);
         prop_assert_eq!(&closure.total, &defaulted.total);
         prop_assert_eq!(&closure.per_rank, &defaulted.per_rank);
-        // An explicit LRU + write-allocate selection is the same SimKey:
-        // every context is served from the memo, no new simulation runs.
+        // An explicit write-allocate selection is the same SimKey: every
+        // context is served from the memo, no new simulation runs.
         let explicit = NodeSim::new(
-            SimConfig::new(machine, ranks)
-                .with_replacement(ReplacementPolicyKind::Lru)
-                .with_write_policy(WritePolicyKind::Allocate),
+            SimConfig::new(machine, ranks).with_write_policy(WritePolicyKind::Allocate),
         );
         let before = memo.stats();
         let again = explicit.run_spmd_memo(&spec, &memo);
@@ -523,8 +502,8 @@ proptest! {
     }
 
     /// Sharing one `SimMemo` across policy selections never changes a bit:
-    /// the policy kinds are part of the memo key, so a cross-policy lookup
-    /// can never be served a stale entry.
+    /// the store-miss policy is part of the memo key, so a cross-policy
+    /// lookup can never be served a stale entry.
     #[test]
     fn shared_memo_never_serves_a_cross_policy_hit(
         elements in 64u64..1024,
@@ -539,23 +518,13 @@ proptest! {
             KINDS[kind_idx],
         );
         let shared = SimMemo::new();
-        for replacement in ReplacementPolicyKind::all() {
-            for write_policy in WritePolicyKind::all() {
-                let cfg = SimConfig::new(machine.clone(), ranks)
-                    .with_replacement(replacement)
-                    .with_write_policy(write_policy);
-                let sim = NodeSim::new(cfg);
-                let with_shared = sim.run_spmd_memo(&spec, &shared);
-                let with_fresh = sim.run_spmd_memo(&spec, &SimMemo::new());
-                prop_assert_eq!(
-                    &with_shared.total, &with_fresh.total,
-                    "{:?}+{:?}", replacement, write_policy
-                );
-                prop_assert_eq!(
-                    &with_shared.per_rank, &with_fresh.per_rank,
-                    "{:?}+{:?}", replacement, write_policy
-                );
-            }
+        for write_policy in WritePolicyKind::all() {
+            let cfg = SimConfig::new(machine.clone(), ranks).with_write_policy(write_policy);
+            let sim = NodeSim::new(cfg);
+            let with_shared = sim.run_spmd_memo(&spec, &shared);
+            let with_fresh = sim.run_spmd_memo(&spec, &SimMemo::new());
+            prop_assert_eq!(&with_shared.total, &with_fresh.total, "{:?}", write_policy);
+            prop_assert_eq!(&with_shared.per_rank, &with_fresh.per_rank, "{:?}", write_policy);
         }
     }
 
@@ -608,9 +577,9 @@ proptest! {
     }
 
     /// Differential memo isolation across the policy space: one
-    /// differential memo shared by all 12 replacement × write policy
-    /// combinations never serves a trace across policies — every result
-    /// equals a fresh from-scratch run bit for bit.
+    /// differential memo shared by all three write policies never serves a
+    /// trace across policies — every result equals a fresh from-scratch run
+    /// bit for bit.
     #[test]
     fn differential_memo_never_crosses_policies(
         elements in 64u64..1024,
@@ -625,26 +594,16 @@ proptest! {
             KINDS[kind_idx],
         );
         let shared = SimMemo::new();
-        for replacement in ReplacementPolicyKind::all() {
-            for write_policy in WritePolicyKind::all() {
-                let cfg = SimConfig::new(machine.clone(), ranks)
-                    .with_replacement(replacement)
-                    .with_write_policy(write_policy);
-                let sim = NodeSim::new(cfg);
-                let with_shared = sim.run_spmd_memo(&spec, &shared);
-                let from_scratch = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
-                prop_assert_eq!(
-                    &with_shared.total, &from_scratch.total,
-                    "{:?}+{:?}", replacement, write_policy
-                );
-                prop_assert_eq!(
-                    &with_shared.per_rank, &from_scratch.per_rank,
-                    "{:?}+{:?}", replacement, write_policy
-                );
-            }
+        for write_policy in WritePolicyKind::all() {
+            let cfg = SimConfig::new(machine.clone(), ranks).with_write_policy(write_policy);
+            let sim = NodeSim::new(cfg);
+            let with_shared = sim.run_spmd_memo(&spec, &shared);
+            let from_scratch = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
+            prop_assert_eq!(&with_shared.total, &from_scratch.total, "{:?}", write_policy);
+            prop_assert_eq!(&with_shared.per_rank, &from_scratch.per_rank, "{:?}", write_policy);
         }
-        // Every policy pair recorded its own trace identity.
-        prop_assert!(shared.diff_len() >= 12, "diff_len={}", shared.diff_len());
+        // Every policy recorded its own trace identity.
+        prop_assert!(shared.diff_len() >= 3, "diff_len={}", shared.diff_len());
     }
 
     /// Regression for the `CoreSim::reset` reuse inside the node loops:
@@ -736,8 +695,8 @@ proptest! {
         prop_assert_eq!((t.llc_hits, t.llc_misses), oracle.cache_stats()[2]);
         // The report carries the shared level only; the private levels are
         // read off a cursor advanced in the same turns.
-        let mut private = PrivateCore::<TrueLru>::new(&machine, ctx, options);
-        let mut llc = SetAssocCache::<TrueLru>::new(
+        let mut private = PrivateCore::new(&machine, ctx, options);
+        let mut llc = SetAssocCache::new(
             (corun.llc_lines * 64) as usize,
             machine.caches.l3.associativity,
         );

@@ -1,4 +1,4 @@
-//! An oracle for `SetAssocCache<TrueLru>` that shares none of its code: a
+//! An oracle for `SetAssocCache` that shares none of its code: a
 //! deliberately naive set-associative cache in the shape of a pin-tool
 //! model — one `Way { valid, lru, tag, dirty }` per slot in a
 //! `Vec<Vec<Way>>`, linear scans, a global access clock.  No packed tag
@@ -12,22 +12,20 @@
 //! and must agree on every hit, every victim and every dirty write-back,
 //! across `reshape`s of the real cache to smaller and larger geometries.
 //!
-//! That model speaks true LRU only.  What every policy shares — which
-//! lines are resident and which of them are dirty — has a second, smaller
-//! model below ([`Membership`]): a map from line to dirty flag that learns
-//! the victims from the cache's own returned evictions, so it needs no
-//! knowledge of how a victim is chosen, and holds all four policies to it.
+//! That model checks the victim choice.  Which lines are resident and
+//! which of them are dirty has a second, smaller model below
+//! ([`Membership`]): a map from line to dirty flag that learns the victims
+//! from the cache's own returned evictions, so it needs no knowledge of how
+//! a victim is chosen, and adds `touch_repeat`, `fill_if_absent` and
+//! filter-colliding lines to the op mix.
 //!
 //! Last, eviction sets (Snippet 1's construction over `L2_CACHE_WAYS`) as
 //! invariants at the paper machine's three geometries: how many congruent
 //! lines it takes to evict a victim, and which line goes.
 
-use cloverleaf_wa::cachesim::cache::LookupResult;
-use cloverleaf_wa::cachesim::{SetAssocCache, TrueLru};
+use cloverleaf_wa::cachesim::cache::{Eviction, LookupResult};
+use cloverleaf_wa::cachesim::SetAssocCache;
 use proptest::prelude::*;
-
-use cloverleaf_wa::cachesim::cache::Eviction;
-use cloverleaf_wa::cachesim::{RandomEvict, ReplacementPolicy, Srrip, TreePlru};
 use std::collections::HashMap;
 
 #[derive(Clone, Copy, Default)]
@@ -207,7 +205,7 @@ proptest! {
             (state >> 33) % n
         };
         let (lines, ways) = GEOMETRIES[first];
-        let mut cache: SetAssocCache<TrueLru> = SetAssocCache::new(lines * 64, ways);
+        let mut cache = SetAssocCache::new(lines * 64, ways);
         let mut geometry = first;
         for episode in 0..6 {
             let (lines, ways) = GEOMETRIES[geometry];
@@ -271,7 +269,7 @@ proptest! {
     }
 }
 
-/// What is resident, and dirty, whatever the replacement policy: the lines
+/// What is resident, and dirty, whoever picks the victims: the lines
 /// inserted and not yet evicted, invalidated or flushed.  Which line a full
 /// set gives up is the cache's word — checked to name a resident line of
 /// that set with the dirty flag the model holds for it, and to come exactly
@@ -370,10 +368,10 @@ impl Membership {
     }
 }
 
-/// Drive one policy through the op mix of the LRU oracle above — plus
+/// Drive the cache through the op mix of the LRU oracle above — plus
 /// `touch_repeat`, `fill_if_absent` and the draining reads — against the
 /// membership model.
-fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
+fn check_membership(seed: u64, first: usize) {
     let mut state = seed;
     let mut draw = |n: u64| {
         state = state
@@ -383,7 +381,7 @@ fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
     };
     let pair = |e: Option<Eviction>| e.map(|e| (e.line, e.dirty));
     let (lines, ways) = GEOMETRIES[first];
-    let mut cache: SetAssocCache<R> = SetAssocCache::new(lines * 64, ways);
+    let mut cache = SetAssocCache::new(lines * 64, ways);
     let mut geometry = first;
     for episode in 0..6 {
         let (lines, ways) = GEOMETRIES[geometry];
@@ -421,7 +419,7 @@ fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
                 cursor - draw(2) * draw(4 * assoc)
             };
             let flag = draw(2) == 1;
-            let at = format!("{} {:?}", R::KIND, (episode, step, line));
+            let at = format!("{:?}", (episode, step, line));
             match draw(20) {
                 0..=3 => prop_assert_eq!(
                     hit(cache.touch(line, flag)),
@@ -477,15 +475,13 @@ fn check_membership<R: ReplacementPolicy>(seed: u64, first: usize) {
         }
         prop_assert_eq!(
             (cache.hits(), cache.misses(), cache.evictions()),
-            (model.hits, model.misses, model.evictions),
-            "{}",
-            R::KIND
+            (model.hits, model.misses, model.evictions)
         );
         let mut resident = Vec::new();
         cache.for_each_resident(|line, dirty| resident.push((line, dirty)));
         resident.sort_unstable();
         prop_assert_eq!(cache.resident_lines(), resident.len());
-        prop_assert_eq!(resident, model.sorted(false), "{}", R::KIND);
+        prop_assert_eq!(resident, model.sorted(false));
         // On to a random other geometry, smaller or larger, in place, with
         // the lines of this episode still resident.
         geometry = draw(GEOMETRIES.len() as u64) as usize;
@@ -500,29 +496,23 @@ proptest! {
         seed in 0u64..u64::MAX,
         first in 0usize..GEOMETRIES.len(),
     ) {
-        check_membership::<TrueLru>(seed, first);
-        check_membership::<TreePlru>(seed, first);
-        check_membership::<Srrip>(seed, first);
-        check_membership::<RandomEvict>(seed, first);
+        check_membership(seed, first);
     }
 }
 
 /// What it takes to evict `victim` from a set of `ways`: it survives
 /// `ways - 1` congruent lines (same set index, a set-span apart), the
-/// `ways`-th evicts one line of that set — under true LRU exactly the
-/// victim, or the oldest congruent line if the victim was touched again
-/// first; under the other policies some line of the set, which is all the
-/// membership model can say — and lines of other sets never do, however
-/// many.
-fn check_eviction_set<R: ReplacementPolicy>(capacity_bytes: usize, nominal_ways: usize) {
+/// `ways`-th evicts exactly the victim, or the oldest congruent line if the
+/// victim was touched again first — and lines of other sets never do,
+/// however many.
+fn check_eviction_set(capacity_bytes: usize, nominal_ways: usize) {
     let shape = NaiveCache::new(capacity_bytes, nominal_ways);
     let (sets, ways) = (shape.sets.len() as u64, shape.sets[0].len() as u64);
-    let lru = R::KIND == TrueLru::KIND;
-    let at = format!("{} {}x{}", R::KIND, sets, ways);
+    let at = format!("{sets}x{ways}");
     let victim = (1 << 32) + 5 % sets;
     let congruent = |n: u64| victim + n * sets;
     for retouch in [false, true] {
-        let mut cache: SetAssocCache<R> = SetAssocCache::new(capacity_bytes, nominal_ways);
+        let mut cache = SetAssocCache::new(capacity_bytes, nominal_ways);
         assert_eq!(cache.capacity_lines() as u64, sets * ways, "{at}");
         assert_eq!(cache.fill(victim, true), None, "{at}");
         // Non-congruent lines, four times the capacity of them: they evict
@@ -546,9 +536,7 @@ fn check_eviction_set<R: ReplacementPolicy>(capacity_bytes: usize, nominal_ways:
         let set: Vec<u64> = (0..ways).map(congruent).collect();
         assert!(set.contains(&evicted.line), "{at}: evicted {evicted:?}");
         assert_eq!(evicted.dirty, evicted.line == victim, "{at}");
-        if lru {
-            assert_eq!(evicted.line, congruent(retouch as u64), "{at}");
-        }
+        assert_eq!(evicted.line, congruent(retouch as u64), "{at}");
         // Exactly that line and nothing else.
         for &line in &set {
             assert_eq!(cache.contains(line), line != evicted.line, "{at}");
@@ -563,9 +551,6 @@ fn check_eviction_set<R: ReplacementPolicy>(capacity_bytes: usize, nominal_ways:
 #[test]
 fn an_eviction_set_is_exactly_as_many_congruent_lines_as_the_set_has_ways() {
     for (capacity_bytes, ways) in [(48 << 10, 12), (1280 << 10, 20), (1536 << 10, 12)] {
-        check_eviction_set::<TrueLru>(capacity_bytes, ways);
-        check_eviction_set::<TreePlru>(capacity_bytes, ways);
-        check_eviction_set::<Srrip>(capacity_bytes, ways);
-        check_eviction_set::<RandomEvict>(capacity_bytes, ways);
+        check_eviction_set(capacity_bytes, ways);
     }
 }
