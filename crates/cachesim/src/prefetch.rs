@@ -269,6 +269,21 @@ mod tests {
     }
 
     #[test]
+    fn misses_two_lines_apart_never_start_a_stream() {
+        // What a sequential load stream shows the streamer once the
+        // adjacent-line prefetcher has filled each miss's buddy: every
+        // second line.  A miss counts as ascending only one line above the
+        // last, so no prefetch is ever issued, from an even start or an odd
+        // one.
+        for start in [5 * PAGE_LINES, 5 * PAGE_LINES + 1] {
+            let mut p = StreamerPrefetcher::new(8);
+            for line in (start..6 * PAGE_LINES).step_by(2) {
+                assert!(p.on_demand_miss(line).is_none(), "line {line}");
+            }
+        }
+    }
+
+    #[test]
     fn zero_distance_streamer_is_inert() {
         let mut p = StreamerPrefetcher::new(0);
         for l in 0..10 {

@@ -31,14 +31,15 @@ use crate::plan::{Aggressor, LayerCondition, NamedAxis, RankRange, Stage, SweepP
 const MAX_GRID: usize = 1 << 26;
 
 /// A command line (or request line) being read left to right: the one
-/// place a flag's value is taken off it.
-pub struct Args<'a> {
-    rest: std::slice::Iter<'a, String>,
+/// place a flag's value is taken off it.  The words are a process's owned
+/// arguments or a request line's borrowed ones.
+pub struct Args<'a, S> {
+    rest: std::slice::Iter<'a, S>,
 }
 
-impl<'a> Args<'a> {
+impl<'a, S: AsRef<str>> Args<'a, S> {
     /// A reader at the first of `args`.
-    pub fn new(args: &'a [String]) -> Self {
+    pub fn new(args: &'a [S]) -> Self {
         Self { rest: args.iter() }
     }
 
@@ -71,11 +72,11 @@ impl<'a> Args<'a> {
 }
 
 /// The arguments in order, flags and positionals alike.
-impl<'a> Iterator for Args<'a> {
+impl<'a, S: AsRef<str>> Iterator for Args<'a, S> {
     type Item = &'a str;
 
     fn next(&mut self) -> Option<&'a str> {
-        self.rest.next().map(String::as_str)
+        self.rest.next().map(S::as_ref)
     }
 }
 
@@ -113,7 +114,7 @@ fn choices<T: NamedAxis>(sep: &str) -> String {
 /// value in canonical order.  `what` is the noun of its messages.
 fn push_named<T: NamedAxis>(
     axis: &mut Vec<T>,
-    args: &mut Args,
+    args: &mut Args<impl AsRef<str>>,
     flag: &str,
     what: &str,
 ) -> Result<(), String> {
@@ -140,7 +141,7 @@ fn push_named<T: NamedAxis>(
 /// `parse` reads the value or says what is wrong with it.
 fn push_parsed<T: PartialEq>(
     axis: &mut Vec<T>,
-    args: &mut Args,
+    args: &mut Args<impl AsRef<str>>,
     flag: &str,
     what: &str,
     parse: impl FnOnce(&str) -> Result<T, String>,
@@ -177,11 +178,12 @@ pub struct SweepArgs {
 }
 
 impl SweepArgs {
-    /// Parse the arguments after the `sweep` keyword (or of one daemon
-    /// request).  Unknown arguments are rejected with the exact flag name;
-    /// the returned plan has passed [`SweepPlan::validate`], so every
-    /// scenario is evaluable before any worker starts.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parse the arguments after the `sweep` keyword (or the words of one
+    /// daemon request, borrowed from its line).  Unknown arguments are
+    /// rejected with the exact flag name; the returned plan has passed
+    /// [`SweepPlan::validate`], so every scenario is evaluable before any
+    /// worker starts.
+    pub fn parse<S: AsRef<str>>(args: &[S]) -> Result<Self, String> {
         let mut plan = SweepPlan::new();
         let mut jobs: Option<usize> = None;
         let mut json: Option<()> = None;

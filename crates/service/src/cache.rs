@@ -7,8 +7,10 @@
 //! canonical identity of a request's output bytes (see
 //! `SweepArgs::cache_key` — scenario ids + output format, spelled-out and
 //! default flags collapse onto one key, `--jobs` is excluded because the
-//! output is jobs-invariant) maps straight to the rendered payload, so a
-//! repeat query is an O(payload) byte copy.
+//! output is jobs-invariant) maps straight to the bytes stored for it.  The
+//! cache does not care what those bytes are: `SweepService` stores each
+//! reply as it goes on the wire, `ok <len>\n<payload>`, so a repeat query
+//! is one write of shared bytes and copies nothing.
 //!
 //! The cache is bounded by entry count and evicts the least recently used
 //! entry (exact LRU via monotonic access stamps; eviction is an O(entries)

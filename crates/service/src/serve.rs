@@ -36,9 +36,16 @@
 //! concurrent clients collapse onto one evaluation (single-flight, a
 //! property of the memos themselves), overlapping plans share their
 //! `(scenario, point)` work units through the common [`SweepMemo`], and
-//! *identical* requests short-circuit to an O(payload) byte copy through a
-//! bounded LRU [`ResponseCache`] keyed by the canonical request identity
+//! *identical* requests short-circuit through a bounded LRU
+//! [`ResponseCache`] keyed by the canonical request identity
 //! (`SweepArgs::cache_key` + model hash).
+//!
+//! Every reply leaves in one `write` of one buffer: a payload's header and
+//! bytes are framed together and a line carries its newline, so a client
+//! may read a whole reply at once.  The service caches replies as they go
+//! on the wire, `ok <len>\n<payload>` (the cache itself does not care what
+//! its strings hold), so a response-cache hit writes shared bytes and
+//! copies none.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,7 +76,7 @@ pub struct SweepService {
     sim: SimMemo,
     sweep: SweepMemo,
     store: Option<PersistentStore>,
-    /// Rendered-payload cache.
+    /// Framed sweep replies, `ok <len>\n<payload>`, by canonical key.
     responses: ResponseCache,
     /// Entry bound applied when persisting the co-run simulations (see
     /// [`PersistentStore::save_capped`]); `usize::MAX` saves everything.
@@ -185,9 +192,29 @@ impl SweepService {
         render(&artifacts, args.json)
     }
 
-    /// Answer one request line with the response to send back.  Exposed
-    /// for tests and for front ends with their own framing.
+    /// Answer one request line with the response to send back: the reply
+    /// [`serve`](Self::serve) writes, unframed (a line without its newline,
+    /// a payload copied out behind its header).  Exposed for tests and for
+    /// front ends with their own framing.
     pub fn handle_request(&self, line: &str) -> Response {
+        match self.reply(line) {
+            Reply::Empty => Response::Empty,
+            Reply::Line(mut text) => {
+                text.pop();
+                Response::Line(text)
+            }
+            Reply::Frame(frame) => {
+                let (_, payload) = frame
+                    .split_once('\n')
+                    .expect("a frame starts with its header line");
+                Response::Payload(payload.to_string())
+            }
+            Reply::Quit => Response::Quit,
+        }
+    }
+
+    /// Answer one request line with its reply as it goes on the wire.
+    fn reply(&self, line: &str) -> Reply {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let trimmed = line.trim();
         let mut words = trimmed.split_whitespace();
@@ -195,22 +222,22 @@ impl SweepService {
         // Only `sweep` reads the rest of its line.
         if let Some(verb @ ("ping" | "stats" | "save" | "quit")) = verb {
             if words.next().is_some() {
-                return Response::Line(format!("error {verb} takes no arguments"));
+                return Reply::Line(format!("error {verb} takes no arguments\n"));
             }
         }
         match verb {
-            None => Response::Empty,
-            Some("ping") => Response::Line("ok pong".into()),
+            None => Reply::Empty,
+            Some("ping") => Reply::Line("ok pong\n".into()),
             Some("stats") => {
                 let (sweep_hits, sweep_misses) = self.sweep.stats();
                 // Both simulation tables: a co-run is a simulation too.
                 let (sim, corun) = (self.sim.stats(), self.sim.corun_stats());
                 let responses = self.response_stats();
-                Response::Line(format!(
+                Reply::Line(format!(
                     "ok stats sweep-hits {sweep_hits} sweep-misses {sweep_misses} \
                      sweep-entries {} sim-hits {} sim-misses {} sim-entries {} \
                      requests {} response-hits {} response-misses {} \
-                     response-evictions {} store-evictions {} store-compactions {}",
+                     response-evictions {} store-evictions {} store-compactions {}\n",
                     self.sweep.len(),
                     sim.hits + corun.hits,
                     sim.misses + corun.misses,
@@ -223,36 +250,37 @@ impl SweepService {
                     self.store_compactions.load(Ordering::Relaxed),
                 ))
             }
-            Some("save") => match self.save() {
-                Ok(Some(saved)) => Response::Line(format!("ok saved {}", saved.written)),
-                Ok(None) => Response::Line("error no store configured".into()),
-                Err(e) => Response::Line(format!("error {e}")),
-            },
-            Some("quit") => Response::Quit,
+            Some("save") => Reply::Line(match self.save() {
+                Ok(Some(saved)) => format!("ok saved {}\n", saved.written),
+                Ok(None) => "error no store configured\n".into(),
+                Err(e) => format!("error {e}\n"),
+            }),
+            Some("quit") => Reply::Quit,
             Some("sweep") => {
-                let args: Vec<String> = words.map(str::to_string).collect();
+                let args: Vec<&str> = words.collect();
                 match SweepArgs::parse(&args) {
-                    Err(message) => Response::Line(format!("error sweep: {message}")),
+                    Err(message) => Reply::Line(format!("error sweep: {message}\n")),
                     Ok(parsed) => {
                         // Canonical output identity: collapses flag
                         // spellings and `--jobs`, versioned by the model
                         // hash like the persistent store.
                         let key = format!("{:016x}\n{}", model_hash(), parsed.cache_key());
-                        if let Some(payload) = self.responses.get(&key) {
-                            // Repeat query: an O(payload) byte copy,
-                            // byte-identical by construction (payloads are
+                        if let Some(frame) = self.responses.get(&key) {
+                            // Repeat query: the cached frame itself,
+                            // byte-identical by construction (frames are
                             // stored under the canonical key of the
                             // deterministic evaluation that produced them).
-                            return Response::Payload((*payload).clone());
+                            return Reply::Frame(frame);
                         }
                         let payload = self.sweep(&parsed);
-                        self.responses.insert(key, Arc::new(payload.clone()));
-                        Response::Payload(payload)
+                        let frame = Arc::new(format!("ok {}\n", payload.len()) + &payload);
+                        self.responses.insert(key, Arc::clone(&frame));
+                        Reply::Frame(frame)
                     }
                 }
             }
-            Some(other) => Response::Line(format!(
-                "error unknown request '{other}' (known: sweep, stats, save, ping, quit)"
+            Some(other) => Reply::Line(format!(
+                "error unknown request '{other}' (known: sweep, stats, save, ping, quit)\n"
             )),
         }
     }
@@ -265,6 +293,13 @@ impl SweepService {
     /// <e>`, after `quit` it is the reply).  Batched requests — several
     /// lines sent at once — are answered in order.
     pub fn serve(&self, mut reader: impl BufRead, writer: &mut impl Write) -> io::Result<()> {
+        // A reply is one buffer, so it leaves in one `write` (unless the
+        // peer's buffer takes it in parts); `write!` would issue one per
+        // piece of its format string.
+        let mut send = |reply: &str| -> io::Result<()> {
+            writer.write_all(reply.as_bytes())?;
+            writer.flush()
+        };
         let mut line = String::new();
         loop {
             line.clear();
@@ -273,35 +308,21 @@ impl SweepService {
                 break;
             }
             if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') {
-                writeln!(
-                    writer,
-                    "error request line exceeds {MAX_REQUEST_LINE} bytes"
-                )?;
-                writer.flush()?;
+                send(&format!(
+                    "error request line exceeds {MAX_REQUEST_LINE} bytes\n"
+                ))?;
                 break;
             }
-            match self.handle_request(&line) {
-                Response::Empty => {}
-                Response::Line(text) => {
-                    writer.write_all(text.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                }
-                Response::Payload(payload) => {
-                    write!(writer, "ok {}\n", payload.len())?;
-                    writer.write_all(payload.as_bytes())?;
-                    writer.flush()?;
-                }
-                Response::Quit => {
-                    let text = match self.save() {
-                        Ok(Some(saved)) => format!("ok bye saved {}", saved.written),
-                        Ok(None) => "ok bye".to_string(),
-                        Err(e) => format!("error {e}"),
-                    };
-                    writer.write_all(text.as_bytes())?;
-                    writer.write_all(b"\n")?;
-                    writer.flush()?;
-                    return Ok(());
+            match self.reply(&line) {
+                Reply::Empty => {}
+                Reply::Line(text) => send(&text)?,
+                Reply::Frame(frame) => send(&frame)?,
+                Reply::Quit => {
+                    return send(&match self.save() {
+                        Ok(Some(saved)) => format!("ok bye saved {}\n", saved.written),
+                        Ok(None) => "ok bye\n".to_string(),
+                        Err(e) => format!("error {e}\n"),
+                    });
                 }
             }
         }
@@ -321,6 +342,19 @@ pub enum Response {
     /// A sweep payload, framed as `ok <byte count>\n<payload>`.
     Payload(String),
     /// `quit`: acknowledge, save and stop serving this client.
+    Quit,
+}
+
+/// One reply of [`SweepService::reply`], as it goes on the wire.
+enum Reply {
+    /// Blank request line; nothing is written.
+    Empty,
+    /// A single line, newline included.
+    Line(String),
+    /// A sweep payload framed as `ok <byte count>\n<payload>`: what the
+    /// response cache holds, so a hit shares its bytes.
+    Frame(Arc<String>),
+    /// `quit`: its line depends on the save [`SweepService::serve`] makes.
     Quit,
 }
 
@@ -599,6 +633,93 @@ mod tests {
         let stats_line = &payload_and_stats[payload_len..];
         assert!(stats_line.starts_with("ok stats "), "{stats_line}");
         assert!(stats_line.contains("sweep-misses 8"), "{stats_line}");
+    }
+
+    /// A writer that keeps the bytes of each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Writes {
+        fn text(self) -> Vec<String> {
+            self.0
+                .into_iter()
+                .map(|w| String::from_utf8(w).unwrap())
+                .collect()
+        }
+    }
+
+    #[test]
+    fn every_reply_leaves_in_one_write() {
+        // Each reply as the protocol frames it, built from what makes its
+        // bytes rather than from `serve`.
+        let frame = |json| {
+            let flags = [
+                "--machine",
+                "icx-8360y",
+                "--ranks",
+                "1..8",
+                "--grid",
+                "1920",
+            ];
+            let plan = SweepArgs::parse(&flags).unwrap().plan;
+            let payload = render(&clover_scenario::run_plan(&plan, 2), json);
+            format!("ok {}\n{payload}", payload.len())
+        };
+        let unknown = SweepArgs::parse(&["--machine", "epyc", "--ranks", "1..4"]).unwrap_err();
+        let batch: [(String, String); 10] = [
+            (sweep_line(""), frame(false)),
+            // Respelled: a response-cache hit.
+            (sweep_line(" --stage original"), frame(false)),
+            (sweep_line(" --json"), frame(true)),
+            (
+                "sweep --machine epyc --ranks 1..4".into(),
+                format!("error sweep: {unknown}\n"),
+            ),
+            (
+                "bogus".into(),
+                "error unknown request 'bogus' (known: sweep, stats, save, ping, quit)\n".into(),
+            ),
+            ("ping".into(), "ok pong\n".into()),
+            // Blank: no reply, no write.
+            ("  ".into(), String::new()),
+            (
+                "stats".into(),
+                "ok stats sweep-hits 8 sweep-misses 8 sweep-entries 8 sim-hits 0 \
+                 sim-misses 0 sim-entries 0 requests 8 response-hits 1 response-misses 2 \
+                 response-evictions 0 store-evictions 0 store-compactions 0\n"
+                    .into(),
+            ),
+            ("save".into(), "error no store configured\n".into()),
+            ("quit".into(), "ok bye\n".into()),
+        ];
+        let input: String = batch.iter().map(|(line, _)| format!("{line}\n")).collect();
+        let replies: Vec<String> = batch
+            .into_iter()
+            .map(|(_, reply)| reply)
+            .filter(|reply| !reply.is_empty())
+            .collect();
+        let service = SweepService::new();
+        let mut writes = Writes::default();
+        service.serve(Cursor::new(input), &mut writes).unwrap();
+        assert_eq!(writes.text(), replies);
+
+        // A second session, one line over the limit: one write, then the
+        // client is cut off.
+        let mut writes = Writes::default();
+        let endless = "x".repeat(MAX_REQUEST_LINE + 1);
+        service.serve(Cursor::new(endless), &mut writes).unwrap();
+        assert_eq!(writes.text(), ["error request line exceeds 65536 bytes\n"]);
     }
 
     #[test]
