@@ -86,19 +86,6 @@ impl MemCounters {
             speculative_read_lines: self.speculative_read_lines * factor,
         }
     }
-
-    /// Difference `self - earlier` (used by region markers to compute
-    /// per-region deltas).
-    pub fn delta(&self, earlier: &MemCounters) -> MemCounters {
-        MemCounters {
-            read_lines: self.read_lines - earlier.read_lines,
-            write_lines: self.write_lines - earlier.write_lines,
-            itom_lines: self.itom_lines - earlier.itom_lines,
-            write_allocate_lines: self.write_allocate_lines - earlier.write_allocate_lines,
-            prefetch_lines: self.prefetch_lines - earlier.prefetch_lines,
-            speculative_read_lines: self.speculative_read_lines - earlier.speculative_read_lines,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,22 +138,5 @@ mod tests {
         assert_eq!(a.itom_lines, 1.0);
         let s = a.scaled(2.0);
         assert_eq!(s.write_lines, 6.0);
-    }
-
-    #[test]
-    fn delta_subtracts_fieldwise() {
-        let early = MemCounters {
-            read_lines: 1.0,
-            write_lines: 1.0,
-            ..Default::default()
-        };
-        let late = MemCounters {
-            read_lines: 4.0,
-            write_lines: 1.5,
-            ..Default::default()
-        };
-        let d = late.delta(&early);
-        assert_eq!(d.read_lines, 3.0);
-        assert_eq!(d.write_lines, 0.5);
     }
 }

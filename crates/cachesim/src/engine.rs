@@ -802,66 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn the_streamer_changes_no_bit_of_a_copy_or_a_co_run() {
-        // The adjacent-line prefetcher fills the buddy of every demand
-        // miss, so a sequential load stream misses only every second line
-        // and the streamer never sees two ascending misses in a row: with
-        // it switched off, nothing the simulator reports moves.
-        use crate::access::AccessKind;
-        use crate::memo::{RankBase, SpecOperand};
-        let m = icelake_sp_8360y();
-        let without_streamer = PrefetcherConfig {
-            streamer: false,
-            ..PrefetcherConfig::enabled()
-        };
-        // Fig. 8's copy (216-element rows, a 5-element halo) on a core of
-        // the full node.
-        let copy = KernelSpec {
-            rank_base: RankBase::Shifted { shift: 40, plus: 1 },
-            operands: vec![
-                SpecOperand {
-                    offset: 0,
-                    points: vec![(0, 0)],
-                    kind: AccessKind::Load,
-                },
-                SpecOperand {
-                    offset: 1 << 32,
-                    points: vec![(0, 0)],
-                    kind: AccessKind::Store,
-                },
-            ],
-            row_stride: 216 + 5,
-            i0: 0,
-            inner: 216,
-            k0: 0,
-            rows: 96,
-        };
-        let drive = |prefetchers| {
-            let options = CoreSimOptions {
-                prefetchers,
-                l3_sharers: DomainOccupancy::l3_sharers(&m, 18),
-                ..CoreSimOptions::default()
-            };
-            let mut core = CoreSim::new(&m, OccupancyContext::domain_load(&m, 18, 4), options);
-            copy.drive(0, &mut core);
-            let levels = core.cache_stats();
-            (core.flush(), levels)
-        };
-        assert_eq!(drive(without_streamer), drive(PrefetcherConfig::enabled()));
-        // A small reuse victim beside a thrashing aggressor.
-        let tenants = [
-            corun_spec(AccessKind::Load, 1 << 18, 3),
-            corun_spec(AccessKind::Load, 1 << 20, 2),
-        ];
-        let corun = |prefetchers| {
-            let mut config = SimConfig::new(m.clone(), 2);
-            config.prefetchers = prefetchers;
-            NodeSim::new(config).run_corun(&tenants, 64, &SimMemo::new())
-        };
-        assert_eq!(corun(without_streamer), corun(PrefetcherConfig::enabled()));
-    }
-
-    #[test]
     fn report_helpers() {
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 2));

@@ -2,7 +2,7 @@
 //!
 //! A [`CoreSim`] models one core's private L1/L2 caches plus its share of
 //! the socket's L3 cache, a write-coalescing store path with the SpecI2M
-//! engine, a non-temporal store path, and the hardware prefetchers.  It
+//! engine, a non-temporal store path, and the adjacent-line prefetcher.  It
 //! produces the memory-controller counters ([`MemCounters`]) for the access
 //! stream fed to it.
 //!
@@ -44,7 +44,7 @@ use crate::accountant::Accountant;
 use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
-use crate::prefetch::{PrefetcherConfig, StreamerPrefetcher};
+use crate::prefetch::PrefetcherConfig;
 use crate::trace::{Event, TraceRecorder};
 
 /// Per-domain activity of a compactly pinned job — the statistics that
@@ -159,8 +159,8 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
 }
 
 /// The private half of one core's hierarchy: L1 + L2 + the store paths
-/// (coalescers, streamer prefetcher) and the [`Accountant`] of this core's
-/// traffic — everything *except* the last level.
+/// (coalescers), the adjacent-line prefetcher and the [`Accountant`] of
+/// this core's traffic — everything *except* the last level.
 ///
 /// Every driving method takes the last-level cache as a parameter: the solo
 /// [`CoreSim`] passes its own per-core L3 share, the co-run engine passes
@@ -171,7 +171,6 @@ pub struct PrivateCore {
     l2: SetAssocCache,
     coalescer: WriteCoalescer,
     nt_coalescer: WriteCoalescer,
-    streamer: StreamerPrefetcher,
     options: CoreSimOptions,
     account: Accountant,
     /// Differential-re-simulation recorder; idle (the default) costs one
@@ -188,7 +187,6 @@ impl PrivateCore {
             l2: SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
             coalescer: WriteCoalescer::default(),
             nt_coalescer: WriteCoalescer::default(),
-            streamer: StreamerPrefetcher::new(options.prefetchers.streamer_distance),
             options,
             account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
@@ -202,7 +200,6 @@ impl PrivateCore {
         self.l2.reset();
         self.coalescer.reset();
         self.nt_coalescer.reset();
-        self.streamer.reset(options.prefetchers.streamer_distance);
         self.options = options;
         self.account.arm(ctx, options);
         self.trace.finish();
@@ -481,17 +478,10 @@ impl PrivateCore {
         // Demand miss: read from memory.
         self.emit(Event::DemandRead);
         self.fill_all(llc, line, false);
-        // Prefetchers react to demand misses.
+        // The adjacent-line prefetcher reacts to the demand miss.
         if self.options.prefetchers.adjacent_line {
             let buddy = line ^ 1;
             self.fill_prefetch(llc, buddy);
-        }
-        if self.options.prefetchers.streamer {
-            if let Some(pf_lines) = self.streamer.on_demand_miss(line) {
-                for pf in pf_lines {
-                    self.fill_prefetch(llc, pf);
-                }
-            }
         }
     }
 

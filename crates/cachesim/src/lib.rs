@@ -16,12 +16,10 @@
 //! * a **SpecI2M engine** applying the machine's phenomenological evasion
 //!   parameters (activation with bandwidth utilisation, stream-count and
 //!   streak-length response, node-population penalty),
-//! * **hardware prefetcher models** (adjacent-line and streamer) whose
-//!   effect on read volume can be switched off, mirroring the paper's
-//!   "PF off" experiments,
-//! * **memory-controller counters** aggregated per core and per node, and
-//!   **region markers** ([`marker`]) attributing them to named code
-//!   regions.
+//! * an **adjacent-line prefetcher model** whose effect on read volume
+//!   can be switched off, mirroring the paper's "PF off" experiments
+//!   ([`prefetch`] says why no stream prefetcher is modelled),
+//! * **memory-controller counters** aggregated per core and per node.
 //!
 //! The simulator is line-granular and uses deterministic *fractional*
 //! accounting for probabilistic events (an evasion probability of 0.7 adds
@@ -63,7 +61,6 @@ pub mod counters;
 pub mod engine;
 pub mod flight;
 pub mod hierarchy;
-pub mod marker;
 pub mod memo;
 pub mod patterns;
 pub mod prefetch;
@@ -85,7 +82,6 @@ pub use counters::MemCounters;
 pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
 pub use flight::FlightMemo;
 pub use hierarchy::{CoreSim, DomainOccupancy, OccupancyContext, PrivateCore};
-pub use marker::{PerfMonitor, RegionStats};
 pub use memo::{
     with_pooled_core, Accounting, CoRunKey, Dynamics, KernelSpec, MemoStats, RankBase, SimKey,
     SimMemo, SpecOperand,

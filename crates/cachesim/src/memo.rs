@@ -245,27 +245,25 @@ impl KernelSpec {
     /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of
     /// `sets × ways`.
     ///
-    /// The lines that ever enter the last level are the kernel's own plus
-    /// what the prefetchers add around them: the adjacent-line prefetcher
-    /// the buddy `line ^ 1`, the streamer at most `streamer_distance` lines
-    /// ahead.  A contiguous window of `n` lines puts at most `ceil(n /
-    /// sets)` lines into any one set, whatever its base, so if the
-    /// operands' widened windows together stay within the associativity no
-    /// set ever holds more lines than it has ways — under any replacement
-    /// policy, since an empty way is always filled first.  Overlapping
-    /// windows are counted twice and windows whose set ranges do not meet
-    /// are still added up: the bound is sufficient, not necessary.
+    /// The lines that ever enter the last level are the kernel's own plus,
+    /// with the adjacent-line prefetcher on, each one's buddy `line ^ 1`:
+    /// the only line a prefetch brings in.  A contiguous window of `n`
+    /// lines puts at most `ceil(n / sets)` lines into any one set, whatever
+    /// its base, so if the operands' widened windows together stay within
+    /// the associativity no set ever holds more lines than it has ways —
+    /// under any replacement policy, since an empty way is always filled
+    /// first.  Overlapping windows are counted twice and windows whose set
+    /// ranges do not meet are still added up: the bound is sufficient, not
+    /// necessary.
     fn never_evicts(&self, sets: usize, ways: usize, prefetchers: &PrefetcherConfig) -> bool {
         let per_set: u64 = self
             .operand_windows(0)
             .map(|(first, last)| {
-                let (mut lo, mut hi) = (first, last);
-                if prefetchers.adjacent_line {
-                    (lo, hi) = (lo & !1, hi | 1);
-                }
-                if prefetchers.streamer {
-                    hi = hi.max(last.saturating_add(prefetchers.streamer_distance));
-                }
+                let (lo, hi) = if prefetchers.adjacent_line {
+                    (first & !1, last | 1)
+                } else {
+                    (first, last)
+                };
                 (hi - lo).saturating_add(1).div_ceil(sets as u64)
             })
             .fold(0, u64::saturating_add);
@@ -276,20 +274,16 @@ impl KernelSpec {
 /// Everything of a simulation's environment that *can change the event
 /// sequence* — which lines hit, miss, evict, prefetch or write back: the
 /// machine (identified by its preset id — preset machines with equal ids
-/// are structurally identical, cache geometry included), the enabled
-/// prefetchers, the L3 sharer count and the store-miss policy.  Every memo
-/// identity carries it, the trace key included: that is the
-/// differential-replay soundness rule, as a type.
+/// are structurally identical, cache geometry included), the
+/// adjacent-line prefetcher switch, the L3 sharer count and the store-miss
+/// policy.  Every memo identity carries it, the trace key included: that
+/// is the differential-replay soundness rule, as a type.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct Dynamics {
     /// `Machine::id` of the simulated machine.
     pub machine: String,
     /// Adjacent-line prefetcher switch.
     pub adjacent_line: bool,
-    /// Streamer prefetcher switch.
-    pub streamer: bool,
-    /// Streamer prefetch distance.
-    pub streamer_distance: u64,
     /// Cores sharing the L3.
     pub l3_sharers: usize,
     /// Store-miss policy of the simulated hierarchy.
@@ -301,8 +295,6 @@ impl Dynamics {
         Self {
             machine: machine.id.clone(),
             adjacent_line: options.prefetchers.adjacent_line,
-            streamer: options.prefetchers.streamer,
-            streamer_distance: options.prefetchers.streamer_distance,
             l3_sharers: options.l3_sharers,
             write_policy: options.write_policy,
         }
@@ -1113,8 +1105,6 @@ mod tests {
         let dynamics = [
             keys(&sapphire_rapids_8480(), |_, _| {}, &spec),
             vary(|_, o| o.prefetchers.adjacent_line = false),
-            vary(|_, o| o.prefetchers.streamer = false),
-            vary(|_, o| o.prefetchers.streamer_distance += 1),
             vary(|_, o| o.write_policy = WritePolicyKind::NoAllocate),
             vary(|_, o| o.write_policy = WritePolicyKind::NonTemporal),
             keys(&m, |_, _| {}, &store_spec(1025)),
@@ -1138,23 +1128,19 @@ mod tests {
     fn never_evicts_counts_each_operand_window_against_the_ways() {
         use crate::prefetch::PrefetcherConfig;
         let (on, off) = (PrefetcherConfig::enabled(), PrefetcherConfig::disabled());
-        // One 4096-line stream in 2048 sets: two lines per set; the
-        // streamer's eight lines ahead make it three.
+        // One aligned 4096-line stream in 2048 sets: two lines per set,
+        // and every buddy is a line of the stream.
         let one = store_spec(8 * 4096);
         assert!(one.never_evicts(2048, 2, &off));
-        assert!(!one.never_evicts(2048, 2, &on));
-        assert!(one.never_evicts(2048, 3, &on));
+        assert!(one.never_evicts(2048, 2, &on));
+        assert!(!one.never_evicts(2048, 1, &on));
         // An odd first line: the buddy prefetch reaches one line below.
         let odd = KernelSpec {
             i0: 8,
             ..store_spec(8 * 4096)
         };
-        let buddy_only = PrefetcherConfig {
-            streamer: false,
-            ..on
-        };
         assert!(odd.never_evicts(4096, 1, &off));
-        assert!(!odd.never_evicts(4096, 1, &buddy_only));
+        assert!(!odd.never_evicts(4096, 1, &on));
         // Three aliasing streams (set-span-multiple offsets) add up.
         let three = KernelSpec {
             operands: (0..3u64)

@@ -14,9 +14,9 @@
 //!   simulator/model schema versions, so any change that could alter a
 //!   cached value invalidates the store wholesale,
 //! * [`store`] — [`PersistentStore`]: a bit-exact text codec
-//!   (`cloverstore 4`) for the co-run simulations of a `SimMemo`, with
+//!   (`cloverstore 5`) for the co-run simulations of a `SimMemo`, with
 //!   atomic (temp file + rename) writes and tolerant loads (missing,
-//!   stale, corrupt and `cloverstore 1`–`3` files rebuild instead of
+//!   stale, corrupt and `cloverstore 1`–`4` files rebuild instead of
 //!   crashing); analytic points are not persisted,
 //! * [`serve`] — [`SweepService`]: a long-running request loop over
 //!   stdin or a unix socket, answering batched `sweep` requests from the

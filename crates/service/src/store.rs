@@ -10,8 +10,8 @@
 //! the format is a line-based text codec (a `corun` record is one line):
 //!
 //! ```text
-//! cloverstore 4 <model-hash hex>
-//! corun <11 environment tokens> <cores> <n> <n kernels>
+//! cloverstore 5 <model-hash hex>
+//! corun <9 environment tokens> <cores> <n> <n kernels>
 //!       <interleave lines> <n × 9 report tokens>
 //! end <entry count>
 //! ```
@@ -30,7 +30,7 @@
 //! entries plus a [`LoadOutcome`] explaining why — never an error, because
 //! the memo contents are pure caches that can always be rebuilt.  Stale
 //! covers a model-hash mismatch and a file of a retired format
-//! (`cloverstore 1`, `2`, `3`) alike: neither is parsed, and the next save
+//! (`cloverstore 1` to `4`) alike: neither is parsed, and the next save
 //! replaces it.
 
 use std::fmt::Write as _;
@@ -55,7 +55,7 @@ pub enum LoadOutcome {
     ColdMissing,
     /// The store was written under a different model hash — the presets,
     /// policies or schema changed, so every entry is untrusted — or in a
-    /// retired format (`cloverstore 1`, `2` or `3`).
+    /// retired format (`cloverstore 1` to `4`).
     ColdStale,
     /// The store exists but is unreadable, truncated or malformed.
     ColdCorrupt,
@@ -196,7 +196,7 @@ impl PersistentStore {
         lines.sort_unstable();
         let count = lines.len();
 
-        let mut text = format!("cloverstore 4 {:016x}\n", self.model_hash);
+        let mut text = format!("cloverstore 5 {:016x}\n", self.model_hash);
         for line in &lines {
             text.push_str(line);
             text.push('\n');
@@ -248,10 +248,10 @@ fn parse_store(text: &str, expected_hash: u64) -> Result<Vec<CoRunEntry>, LoadOu
         return Err(Corrupt);
     }
     match head.next() {
-        Some("4") => {}
+        Some("5") => {}
         // A retired format, whatever its hash: nothing below the header
         // is read, the next save rebuilds the file.
-        Some("1" | "2" | "3") => return Err(Stale),
+        Some("1" | "2" | "3" | "4") => return Err(Stale),
         _ => return Err(Corrupt),
     }
     let hash = head
@@ -523,14 +523,12 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     out.push_str(&esc(&d.machine));
     let _ = write!(
         out,
-        " {:016x} {} {} {} {} {} {} {:016x} {} {} {} {}",
+        " {:016x} {} {} {} {} {:016x} {} {} {} {}",
         a.utilization_bits,
         a.active_domains,
         a.total_domains,
         bool_token(a.speci2m_enabled),
         bool_token(d.adjacent_line),
-        bool_token(d.streamer),
-        d.streamer_distance,
         a.pf_off_evasion_bits,
         d.l3_sharers,
         d.write_policy.name(),
@@ -561,8 +559,6 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
     let total_domains = cur.usize()?;
     let speci2m_enabled = cur.bool()?;
     let adjacent_line = cur.bool()?;
-    let streamer = cur.bool()?;
-    let streamer_distance = cur.u64()?;
     let pf_off_evasion_bits = cur.bits()?;
     let l3_sharers = cur.usize()?;
     let write_policy = cur.write_policy()?;
@@ -588,8 +584,6 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
             dynamics: Dynamics {
                 machine,
                 adjacent_line,
-                streamer,
-                streamer_distance,
                 l3_sharers,
                 write_policy,
             },
@@ -653,8 +647,6 @@ mod tests {
             dynamics: Dynamics {
                 machine: "spr 8470".into(),
                 adjacent_line: true,
-                streamer: false,
-                streamer_distance: 12,
                 l3_sharers: 26,
                 write_policy: WritePolicyKind::NoAllocate,
             },
@@ -707,8 +699,8 @@ mod tests {
         )
     }
 
-    /// The sample entry as a literal `cloverstore 4` line.
-    const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 \
+    /// The sample entry as a literal `cloverstore 5` line.
+    const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 3fe199999999999a 26 \
         no-allocate 3 2 \
         shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
         shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
@@ -818,7 +810,7 @@ mod tests {
 
     /// A one-entry file of the retired format `version`, valid under the
     /// *current* model hash, is stale by format alone; nothing below its
-    /// header is read; the next save rebuilds it as `cloverstore 4`.
+    /// header is read; the next save rebuilds it as `cloverstore 5`.
     fn retired_format_is_stale_and_rebuilt(version: u32, line: &str) {
         let dir = temp_dir(&format!("v{version}"));
         let store = PersistentStore::new(dir.join("store.txt"));
@@ -843,7 +835,7 @@ mod tests {
         sim.corun_preload([sample_corun_entry()]);
         assert_eq!(store.save(&sim, &SweepMemo::new()).unwrap(), 1);
         let text = fs::read_to_string(store.path()).unwrap();
-        assert!(text.starts_with("cloverstore 4 "), "{text}");
+        assert!(text.starts_with("cloverstore 5 "), "{text}");
         assert!(!text.contains(&line), "{text}");
         assert_eq!(store.load().1, LoadOutcome::Warm(1));
         let _ = fs::remove_dir_all(&dir);
@@ -876,7 +868,7 @@ mod tests {
     #[test]
     fn a_cloverstore_2_file_is_stale_and_the_next_save_rebuilds_it() {
         retired_format_is_stale_and_rebuilt(2, CORUN_LINE_V2);
-        // The same line under the current header is not a `cloverstore 4`
+        // The same line under the current header is not a `cloverstore 5`
         // record either: the format number is what keeps it from being
         // misread.
         assert!(decode_line(CORUN_LINE_V2).is_none());
@@ -903,6 +895,30 @@ mod tests {
         retired_format_is_stale_and_rebuilt(3, CORUN_LINE_V3);
         // Under the current header the replacement token is one too many.
         assert!(decode_line(CORUN_LINE_V3).is_none());
+    }
+
+    /// The sample entry as the last `cloverstore 4` binary wrote it: a
+    /// stream-prefetcher switch (`0`) and distance (`12`) after the
+    /// adjacent-line switch.
+    const CORUN_LINE_V4: &str =
+        "corun spr%208470 3fe8000000000000 3 8 0 1 0 12 3fe199999999999a 26 \
+        no-allocate 3 2 \
+        shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
+        shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
+        64 \
+        40934a0000000000 3fd3333333333334 0010000000000000 7e37e43c8800759c \
+        0000000000000000 8000000000000000 \
+        7 11 19 \
+        4010000000000000 4014000000000000 4018000000000000 401c000000000000 \
+        4020000000000000 4022000000000000 \
+        1 2 5";
+
+    #[test]
+    fn a_cloverstore_4_file_is_stale_and_the_next_save_rebuilds_it() {
+        retired_format_is_stale_and_rebuilt(4, CORUN_LINE_V4);
+        // Under the current header the stream-prefetcher tokens are two
+        // too many.
+        assert!(decode_line(CORUN_LINE_V4).is_none());
     }
 
     #[test]
@@ -1039,7 +1055,7 @@ mod tests {
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         fs::write(&path, "").unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
-        fs::write(&path, full.replace("cloverstore 4", "cloverstore 5")).unwrap();
+        fs::write(&path, full.replace("cloverstore 5", "cloverstore 6")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
 
         // Mid-line corruption: an unknown record kind, a mangled token.
