@@ -19,7 +19,7 @@
 //!   a poisoned key never wedges the memo.
 //!
 //! What a lookup costs beyond the computation is what an analytic point
-//! (≈ 0.5 µs of model) can afford:
+//! (≈ 0.4 µs of model) can afford:
 //!
 //! * **The marker is a counter, not an object.**  An in-flight slot is
 //!   `InFlight { waiters }` in the shard map itself; there is no per-flight

@@ -18,24 +18,22 @@
 //!
 //! The paper keeps *what the caches do* (layer conditions, write-allocates)
 //! apart from *how SpecI2M weights it* (the evasion fraction under load),
-//! and so does the simulator, in one vocabulary: the [`Event`].  The cache
+//! and so does the simulator, in one vocabulary: the `Event`.  The cache
 //! dynamics of this module — [`PrivateCore`] driving its banks — never
 //! touch a counter: at each of the eight sites where memory traffic
 //! happens they emit one event, a store line's carrying its streak
 //! *response*, the one factor of its weight the occupancy cannot change.
-//! The [`Accountant`] (`accountant.rs`) is the only code that turns an
+//! The `Accountant` (`accountant.rs`) is the only code that turns an
 //! event into [`MemCounters`]; it owns everything that weights one (the
 //! SpecI2M parameters, the occupancy context, the prefetch-off factor) and
 //! splits what it can once per occupancy.  A trace (`trace.rs`) stores the
 //! emitted events themselves, equal consecutive ones merged into runs, and
-//! [`replay_trace`] weighs each through the same [`Accountant::weigh`] a
+//! `replay_trace` weighs each through the same `Accountant::weigh` a
 //! live event goes through, so it is exact by shared formulas; a run of
 //! `n` is added in O(binades), bit for bit the naive loop.  Every level is
 //! a true-LRU [`SetAssocCache`], so nothing here is a type parameter; the
 //! store-miss policy is read once per finalized store line and is a field
 //! of [`CoreSimOptions`].
-//!
-//! [`replay_trace`]: crate::trace::replay_trace
 
 use clover_machine::{Machine, WritePolicyKind};
 
@@ -159,7 +157,7 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
 }
 
 /// The private half of one core's hierarchy: L1 + L2 + the store paths
-/// (coalescers), the adjacent-line prefetcher and the [`Accountant`] of
+/// (coalescers), the adjacent-line prefetcher and the `Accountant` of
 /// this core's traffic — everything *except* the last level.
 ///
 /// Every driving method takes the last-level cache as a parameter: the solo

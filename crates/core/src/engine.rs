@@ -10,9 +10,12 @@
 //! This module provides
 //!
 //! * [`ScalingEngine`] — the evaluator.  What no point can change about a
-//!   loop is a process-wide table and what no loop can change about a
-//!   point is derived once per point, so [`point`](ScalingEngine::point)
-//!   is a few flops per loop and allocates only its result.
+//!   loop is a process-wide table, and what no option can change about a
+//!   point — the decomposition, the bandwidth of each domain load, the
+//!   SpecI2M response — is an engine's table, one slot per rank count,
+//!   filled the first time that count is evaluated.  So
+//!   [`point`](ScalingEngine::point) is a few flops per loop and allocates
+//!   only its result.
 //!   [`ScalingModel`](crate::ScalingModel) is its one-shot front;
 //! * [`SweepMemo`] — a sharded concurrent memo of evaluated points keyed by
 //!   `(machine id, grid, ranks, options)`, meant to span a whole sweep
@@ -26,14 +29,16 @@
 //!
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use clover_cachesim::FlightMemo;
 use clover_machine::Machine;
 
 use crate::decomp::{is_prime, Decomposition};
 use crate::scaling::{ScalingPoint, NON_HOTSPOT_FRACTION};
-use crate::traffic::{loop_traffic, roofline_time, LoopInvariants, TrafficModel, TrafficOptions};
+use crate::traffic::{
+    loop_traffic, roofline_time, LoopInvariants, RankContext, TrafficModel, TrafficOptions,
+};
 
 /// Identity of one scaling point.  Machines are identified by their preset
 /// id (`Machine::id`); preset machines with equal ids are structurally
@@ -97,6 +102,19 @@ impl SweepMemo {
     }
 }
 
+/// Everything of a point that depends on the rank count but on no option:
+/// the twin of [`LoopInvariants`], derived at most once per engine and rank
+/// count.
+#[derive(Debug, Clone)]
+struct RankInvariants {
+    prime: bool,
+    local_inner: usize,
+    /// Per-rank bandwidth of each distinct domain load: compact pinning
+    /// fills whole domains and leaves at most one partly filled.
+    per_rank_bws: [Option<f64>; 2],
+    context: RankContext,
+}
+
 /// Scaling evaluator for one machine and grid.
 #[derive(Debug, Clone)]
 pub struct ScalingEngine {
@@ -104,6 +122,10 @@ pub struct ScalingEngine {
     /// The machine's id, as every [`PointKey`] of this engine carries it.
     machine_id: Arc<str>,
     grid: usize,
+    /// Slot `r - 1` holds the invariants of `r` ranks once a point on `r`
+    /// ranks has been evaluated.  The slots are allocated by the first
+    /// point, so an engine that only serves memo hits allocates none.
+    by_rank: OnceLock<Box<[OnceLock<RankInvariants>]>>,
 }
 
 impl ScalingEngine {
@@ -111,6 +133,7 @@ impl ScalingEngine {
     pub fn new(machine: Machine, grid: usize) -> Self {
         Self {
             machine_id: machine.id.as_str().into(),
+            by_rank: OnceLock::new(),
             traffic: TrafficModel::new(machine),
             grid,
         }
@@ -119,6 +142,8 @@ impl ScalingEngine {
     /// The same engine on a different square grid.
     pub(crate) fn with_grid(mut self, grid: usize) -> Self {
         self.grid = grid;
+        // Every invariant but the bandwidths depends on the grid.
+        self.by_rank.take();
         self
     }
 
@@ -132,27 +157,46 @@ impl ScalingEngine {
         self.grid
     }
 
-    /// Evaluate one rank count: the per-loop traffic model combined with
-    /// the domain decomposition and the bandwidth saturation curve into a
-    /// time and a memory volume per timestep.
+    /// The invariants of `ranks` ranks, derived by the first caller.
+    fn rank_invariants(&self, ranks: usize) -> &RankInvariants {
+        let slots = self.by_rank.get_or_init(|| {
+            (0..self.machine().total_cores())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[ranks - 1].get_or_init(|| {
+            let machine = self.machine();
+            let decomp = Decomposition::new(ranks, self.grid, self.grid);
+            let (full_domains, cores_per_domain, remainder) = machine.topology.compact_loads(ranks);
+            let per_rank_bw =
+                |cores: usize| machine.bandwidth.domain_bandwidth(cores) / cores as f64;
+            RankInvariants {
+                prime: is_prime(ranks),
+                local_inner: decomp.typical_local_inner(),
+                per_rank_bws: [
+                    (full_domains > 0).then(|| per_rank_bw(cores_per_domain)),
+                    (remainder > 0).then(|| per_rank_bw(remainder)),
+                ],
+                context: self.traffic.rank_context(ranks, &decomp),
+            }
+        })
+    }
+
+    /// Evaluate one rank count (`opts.ranks` must be `ranks`): the per-loop
+    /// traffic model combined with the domain decomposition and the
+    /// bandwidth saturation curve into a time and a memory volume per
+    /// timestep.
     pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
         let machine = self.machine();
         assert!(ranks >= 1 && ranks <= machine.total_cores());
-        let decomp = Decomposition::new(ranks, self.grid, self.grid);
-        let ctx = self.traffic.point_context(opts, &decomp);
+        assert_eq!(opts.ranks, ranks, "options of another rank count");
+        let rank = self.rank_invariants(ranks);
+        let ctx = self.traffic.point_context(&rank.context, opts);
 
         let iterations = (self.grid as f64) * (self.grid as f64);
         // Per-rank iterations; every loop sweeps the whole local domain.
         let per_rank_iterations = iterations / ranks as f64;
         let peak = machine.core_peak_flops();
-        // Per-rank bandwidth of each distinct domain load: compact pinning
-        // fills whole domains and leaves at most one partly filled.
-        let (full_domains, cores_per_domain, remainder) = machine.topology.compact_loads(ranks);
-        let per_rank_bw = |cores: usize| machine.bandwidth.domain_bandwidth(cores) / cores as f64;
-        let per_rank_bws = [
-            (full_domains > 0).then(|| per_rank_bw(cores_per_domain)),
-            (remainder > 0).then(|| per_rank_bw(remainder)),
-        ];
         let loops = LoopInvariants::of_catalogue();
         // The point's one allocation.
         let loop_balances: Arc<[f64]> = loops
@@ -169,7 +213,8 @@ impl ScalingEngine {
             // kernel): each loop finishes when the most loaded ccNUMA
             // domain finishes.  Equally loaded domains finish together,
             // so the distinct loads decide the maximum.
-            let loop_time = per_rank_bws
+            let loop_time = rank
+                .per_rank_bws
                 .iter()
                 .flatten()
                 .map(|&bw| per_rank_iterations * roofline_time(balance, inv.bounds.flops, bw, peak))
@@ -182,8 +227,8 @@ impl ScalingEngine {
         let volume_per_step = volume / (1.0 - NON_HOTSPOT_FRACTION);
         ScalingPoint {
             ranks,
-            prime: is_prime(ranks),
-            local_inner: decomp.typical_local_inner(),
+            prime: rank.prime,
+            local_inner: rank.local_inner,
             time_per_step,
             speedup: 0.0, // filled in by the range normalisation
             memory_bandwidth: volume_per_step / time_per_step,
@@ -213,7 +258,9 @@ impl ScalingEngine {
 mod tests {
     use super::*;
     use crate::TINY_GRID;
-    use clover_machine::{icelake_sp_8360y, sapphire_rapids_8480};
+    use clover_machine::{
+        icelake_sp_8360y, sapphire_rapids_8480, ReplacementPolicyKind, WritePolicyKind,
+    };
 
     #[test]
     fn memo_distinguishes_stage_grid_and_machine() {
@@ -251,5 +298,49 @@ mod tests {
         assert!((partial[0].speedup - 1.0).abs() < 1e-12);
         let expected = full[8].time_per_step / full[17].time_per_step;
         assert!((partial[9].speedup - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_rank_count_fills_its_slot_once_under_every_option() {
+        let mut engine = ScalingEngine::new(icelake_sp_8360y(), TINY_GRID);
+        let filled = |engine: &ScalingEngine| {
+            let slots = engine.by_rank.get().map_or(&[][..], |slots| &slots[..]);
+            slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| slot.get().map(|_| i + 1))
+                .collect::<Vec<_>>()
+        };
+        assert!(engine.by_rank.get().is_none(), "built without slots");
+        assert_eq!(
+            engine.point(19, &TrafficOptions::original(19)).local_inner,
+            808
+        );
+        // Mark the filled slot: a point that derived the invariants again
+        // would report the true local inner extent.
+        let slot = &mut engine.by_rank.get_mut().unwrap()[18];
+        let mut marked = slot.take().unwrap();
+        marked.local_inner = usize::MAX;
+        slot.set(marked).unwrap();
+        for opts in [
+            TrafficOptions::original(19),
+            TrafficOptions::speci2m_off(19),
+            TrafficOptions::optimized(19),
+            TrafficOptions::original(19).with_layer_condition(false),
+            TrafficOptions::original(19).with_replacement(ReplacementPolicyKind::Random),
+            TrafficOptions::original(19).with_write_policy(WritePolicyKind::NonTemporal),
+        ] {
+            assert_eq!(engine.point(19, &opts).local_inner, usize::MAX, "{opts:?}");
+        }
+        assert_eq!(filled(&engine), vec![19]);
+        let _ = engine.point(72, &TrafficOptions::original(72));
+        assert_eq!(filled(&engine), vec![19, 72]);
+        // Another grid starts from an empty table.
+        let engine = engine.with_grid(1920);
+        assert!(engine.by_rank.get().is_none());
+        assert_eq!(
+            engine.point(19, &TrafficOptions::original(19)).local_inner,
+            101
+        );
     }
 }

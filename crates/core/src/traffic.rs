@@ -184,22 +184,31 @@ impl LoopInvariants {
     }
 }
 
-/// Everything of a loop-traffic prediction that depends on the evaluated
-/// point `(machine, options, decomposition)` but not on the loop: derived
-/// once per point and shared by all 22 catalogue loops.
-pub(crate) struct PointContext<'a> {
+/// Everything of a loop-traffic prediction that depends on the rank count
+/// (and, through its decomposition, the grid) but on neither the loop nor
+/// the options: derived once per `(machine, grid, ranks)` and shared by
+/// every loop and option combination evaluated there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RankContext {
     /// Short-row halo overhead factor (one extra line per row and stream).
     row_overhead: f64,
-    /// SpecI2M parameter block of the machine.
-    params: &'a SpecI2MParams,
-    /// Its response at the point's occupancy and store streak length (a
-    /// grid row of `local_inner` doubles); only the stream count is left
-    /// to the loop.
+    /// SpecI2M response at the rank count's occupancy and store streak
+    /// length (a grid row of `local_inner` doubles); only the stream count
+    /// is left to the loop.
     response: SpecI2MResponse,
     /// Speculative-read fraction of an unblocked loop.
     speculative_reads: f64,
     /// Early-flush read fraction of non-temporal stores.
     nt_flush: f64,
+}
+
+/// A [`RankContext`] with what the options add to it: everything of a
+/// loop-traffic prediction that does not depend on the loop, shared by all
+/// 22 catalogue loops of one point.
+pub(crate) struct PointContext<'a> {
+    rank: &'a RankContext,
+    /// SpecI2M parameter block of the machine.
+    params: &'a SpecI2MParams,
     /// Reuse efficiency of the modelled replacement policy.
     reuse_efficiency: f64,
 }
@@ -240,11 +249,12 @@ pub(crate) fn loop_traffic(
         inv.rd_lcb
     };
     let mut evadable = inv.evadable;
+    let rank = ctx.rank;
 
     // Halo overhead of short rows: each read stream fetches up to one
     // extra cache line per row (Sec. V-C); partial first/last lines of
     // the written rows add the same overhead on the write-allocate side.
-    let read_halo_overhead = rd_base * elem * ctx.row_overhead;
+    let read_halo_overhead = rd_base * elem * rank.row_overhead;
 
     // Loops whose stores the hardware fails to recognise (ac01/ac05 in
     // the original code) and branchy loops (ac02/ac06) see no SpecI2M in
@@ -286,8 +296,8 @@ pub(crate) fn loop_traffic(
         // SpecI2M sees every written array as one concurrent store stream.
         let store_streams = (inv.wr as usize).max(1);
         (
-            ctx.params.evasion_at(&ctx.response, store_streams),
-            ctx.speculative_reads,
+            ctx.params.evasion_at(&rank.response, store_streams),
+            rank.speculative_reads,
         )
     };
 
@@ -295,12 +305,12 @@ pub(crate) fn loop_traffic(
     // reads + NT partial flushes + short-row halo overhead.
     let wa_reads = evadable * elem * (1.0 - evasion);
     let speculative = evadable * elem * spec_read;
-    let nt_reads = nt_streams * elem * ctx.nt_flush;
+    let nt_reads = nt_streams * elem * rank.nt_flush;
     let read = rd_base * elem + wa_reads + speculative + nt_reads + read_halo_overhead;
 
     // Writes: every written element reaches memory once; partial lines
     // at row boundaries add up to one extra line per row and stream.
-    let write_halo_overhead = inv.wr * elem * ctx.row_overhead * 0.5;
+    let write_halo_overhead = inv.wr * elem * rank.row_overhead * 0.5;
     let write = inv.wr * elem + write_halo_overhead;
 
     LoopBytes {
@@ -327,20 +337,15 @@ impl TrafficModel {
         &self.machine
     }
 
-    /// The loop-independent state of a prediction for `opts` with the local
-    /// domains of `decomp`.
-    pub(crate) fn point_context(
-        &self,
-        opts: &TrafficOptions,
-        decomp: &Decomposition,
-    ) -> PointContext<'_> {
+    /// The option- and loop-independent state of a prediction on `ranks`
+    /// compactly pinned ranks with the local domains of `decomp`.
+    pub(crate) fn rank_context(&self, ranks: usize, decomp: &Decomposition) -> RankContext {
         let machine = &self.machine;
         // The MSR switch of `CodeVariant::SpecI2MOff` is `loop_traffic`'s
         // `blocked`: that variant never reads the response.
         let params = &machine.speci2m;
         let local_inner = decomp.typical_local_inner().max(1);
-        let (full_domains, cores_per_domain, remainder) =
-            machine.topology.compact_loads(opts.ranks);
+        let (full_domains, cores_per_domain, remainder) = machine.topology.compact_loads(ranks);
         let active_domains = (full_domains + usize::from(remainder > 0)).max(1);
         let busiest = if full_domains > 0 {
             cores_per_domain
@@ -355,9 +360,8 @@ impl TrafficModel {
             total_domains,
             (local_inner as f64 * 8.0 / 64.0).max(1.0),
         );
-        PointContext {
+        RankContext {
             row_overhead: 8.0 / (local_inner as f64 + 8.0),
-            params,
             response,
             speculative_reads: params.speculative_reads_at(&response),
             nt_flush: params.nt_partial_flush_fraction(
@@ -365,6 +369,18 @@ impl TrafficModel {
                 active_domains,
                 total_domains,
             ),
+        }
+    }
+
+    /// `rank` completed by the options of one point.
+    pub(crate) fn point_context<'a>(
+        &'a self,
+        rank: &'a RankContext,
+        opts: &TrafficOptions,
+    ) -> PointContext<'a> {
+        PointContext {
+            rank,
+            params: &self.machine.speci2m,
             reuse_efficiency: opts.replacement.reuse_efficiency(),
         }
     }
@@ -392,12 +408,14 @@ impl TrafficModel {
         opts: &TrafficOptions,
         decomp: &Decomposition,
     ) -> LoopTraffic {
-        Self::predict_in(spec, opts, &self.point_context(opts, decomp))
+        let rank = self.rank_context(opts.ranks, decomp);
+        Self::predict_in(spec, opts, &self.point_context(&rank, opts))
     }
 
     /// Predict the traffic of every catalogue loop.
     pub fn predict_all(&self, opts: &TrafficOptions, decomp: &Decomposition) -> Vec<LoopTraffic> {
-        let ctx = self.point_context(opts, decomp);
+        let rank = self.rank_context(opts.ranks, decomp);
+        let ctx = self.point_context(&rank, opts);
         loop_catalogue()
             .iter()
             .map(|spec| Self::predict_in(spec, opts, &ctx))

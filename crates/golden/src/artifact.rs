@@ -204,10 +204,7 @@ impl Artifact {
                     out.push(',');
                 }
                 match cell {
-                    // Writing into a `String` cannot fail.
-                    Cell::Int(v) => {
-                        let _ = write!(out, "{v}");
-                    }
+                    Cell::Int(v) => write_int(out, *v),
                     Cell::Num(x) => write_fixed(out, *x, col.precision.unwrap_or(3)),
                     Cell::Text(t) => out.push_str(t),
                     Cell::Empty => {}
@@ -351,15 +348,34 @@ fn write_fixed(out: &mut String, x: f64, precision: usize) {
         at -= 1;
         buf[at] = b'.';
     }
+    at = put_digits(&mut buf[..at], n);
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and a point"));
+}
+
+/// Append `v`: the bytes of `write!(out, "{v}")`.
+fn write_int(out: &mut String, v: i64) {
+    // A sign and the at most 20 digits of a u64.
+    let mut buf = [0u8; 21];
+    let mut at = put_digits(&mut buf, v.unsigned_abs());
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and a sign"));
+}
+
+/// Write the decimal digits of `n` (at least one) right-aligned into the
+/// end of `buf`; returns where they start.
+fn put_digits(buf: &mut [u8], mut n: u64) -> usize {
+    let mut at = buf.len();
     loop {
         at -= 1;
         buf[at] = b'0' + (n % 10) as u8;
         n /= 10;
         if n == 0 {
-            break;
+            return at;
         }
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and a point"));
 }
 
 /// JSON string literal with the mandatory escapes.
@@ -418,6 +434,15 @@ mod tests {
         let mut out = String::from("==== figx ====\n");
         sample().write_csv(&mut out);
         assert_eq!(out, format!("==== figx ====\n{}", sample().to_csv()));
+    }
+
+    #[test]
+    fn int_cells_equal_std_formatting() {
+        for v in [0, 7, 10, -1, -10, 1_000_000, i64::MIN, i64::MAX] {
+            let mut a = Artifact::new("ints", "integer cells").column("v", None);
+            a.push_row(vec![Cell::Int(v)]);
+            assert_eq!(a.to_csv(), format!("v\n{v}\n"), "{v}");
+        }
     }
 
     #[test]

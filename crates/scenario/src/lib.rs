@@ -37,7 +37,7 @@ use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
 use clover_golden::Artifact;
 
 /// Consecutive rank points of one scenario a worker claims at a time.  An
-/// analytic point is ≈ 0.5 µs of work: claimed one by one, the shared
+/// analytic point is ≈ 0.4 µs of work: claimed one by one, the shared
 /// counter per point made two workers slower than one.
 const CHUNK: usize = 64;
 

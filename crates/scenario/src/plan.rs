@@ -7,7 +7,7 @@ use clover_machine::{MachinePreset, ReplacementPolicyKind, WritePolicyKind};
 
 /// A sweep axis whose values have names on the command line.  The parser,
 /// its messages and the usage line read an axis only through this trait,
-/// so a value's name is written once: in its axis's [`named_axis!`] table
+/// so a value's name is written once: in its axis's `named_axis!` table
 /// below, or in `clover-machine` for the two cache-policy axes.
 pub trait NamedAxis: Copy + PartialEq + 'static {
     /// Every value, in canonical order: what `all` on the command line spans.

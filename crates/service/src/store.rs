@@ -6,7 +6,7 @@
 //! baseline every aggressor shares), up to hundreds of milliseconds each.
 //! Analytic scaling points are *not* persisted: evaluating one is cheaper
 //! than parsing the line that would hold it.  The file is versioned by the
-//! [`model_hash`](crate::model::model_hash) of the binary that wrote it;
+//! [`model_hash`] of the binary that wrote it;
 //! the format is a line-based text codec (a `corun` record is one line):
 //!
 //! ```text

@@ -7,9 +7,10 @@
 //! * plan expansion is the exact cartesian product of the axes, in
 //!   deterministic order.
 
+use cloverleaf_wa::core::decomp::is_prime;
 use cloverleaf_wa::core::{
     normalise_speedups, Decomposition, ScalingEngine, ScalingModel, SweepMemo, TrafficModel,
-    TrafficOptions,
+    TrafficOptions, TINY_GRID,
 };
 use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::{
@@ -113,7 +114,7 @@ proptest! {
     }
 
     /// The engine evaluates a point from tables derived once per process
-    /// (per loop) and once per point (per occupancy); the oracle is
+    /// (per loop) and once per engine (per rank count); the oracle is
     /// `TrafficModel::predict_loop`, which derives every model input from
     /// the `LoopSpec` at call time.  Over every machine preset, rank count,
     /// stage and policy axis each balance must agree to the bit — as must
@@ -192,6 +193,76 @@ proptest! {
         }
         // The hotspot loops are 69 % of a step.
         prop_assert_eq!(point.time_per_step.to_bits(), (time / (1.0 - 0.31)).to_bits());
+    }
+}
+
+/// An engine derives what a rank count alone decides once and keeps it for
+/// every option evaluated there; the oracle derives everything from scratch
+/// per call.  Over every preset, every rank count and every option axis,
+/// one engine per machine and grid must answer what `predict_all` on a
+/// fresh decomposition answers, to the bit.
+#[test]
+fn tabled_rank_invariants_match_a_fresh_prediction() {
+    for preset in MachinePreset::all() {
+        let machine = preset.machine();
+        let oracle = TrafficModel::new(machine.clone());
+        for grid in [1920, TINY_GRID] {
+            let engine = ScalingEngine::new(machine.clone(), grid);
+            for ranks in 1..=machine.total_cores() {
+                let decomp = Decomposition::new(ranks, grid, grid);
+                for stage in Stage::all() {
+                    for write_policy in WritePolicyKind::all() {
+                        for layer_condition in [true, false] {
+                            let opts = stage
+                                .options(ranks)
+                                .with_write_policy(write_policy)
+                                .with_layer_condition(layer_condition);
+                            let point = engine.point(ranks, &opts);
+                            let at = format!("{} g{grid} r{ranks} {opts:?}", machine.id);
+                            assert_eq!(point.prime, is_prime(ranks), "{at}");
+                            assert_eq!(point.local_inner, decomp.typical_local_inner(), "{at}");
+                            let expected: Vec<u64> = oracle
+                                .predict_all(&opts, &decomp)
+                                .iter()
+                                .map(|t| (t.read_bytes_per_it + t.write_bytes_per_it).to_bits())
+                                .collect();
+                            let got: Vec<u64> =
+                                point.loop_balances.iter().map(|b| b.to_bits()).collect();
+                            assert_eq!(got, expected, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `with_grid` must not leave the previous grid's rank invariants behind:
+/// a model that evaluated every rank count at one grid answers, at the
+/// next, what an engine built for that grid answers.
+#[test]
+fn with_grid_forgets_the_previous_grid() {
+    for preset in MachinePreset::all() {
+        let machine = preset.machine();
+        let mut model = ScalingModel::new(machine.clone());
+        for grid in [1920, 961] {
+            let _ = model.sweep(machine.total_cores(), TrafficOptions::original);
+            model = model.with_grid(grid);
+            let fresh = ScalingEngine::new(machine.clone(), grid);
+            for ranks in 1..=machine.total_cores() {
+                for opts in [
+                    TrafficOptions::original(ranks),
+                    TrafficOptions::optimized(ranks),
+                ] {
+                    assert_eq!(
+                        model.point(ranks, &opts),
+                        fresh.point(ranks, &opts),
+                        "{} g{grid} r{ranks}",
+                        machine.id
+                    );
+                }
+            }
+        }
     }
 }
 
