@@ -2,11 +2,12 @@
 //!
 //! Both memo layers of the workspace — [`SimMemo`](crate::memo::SimMemo)
 //! over representative-core simulations and `clover_core`'s `SweepMemo`
-//! over analytic scaling points — share the same concurrency problem: many
-//! workers look up overlapping keys, a miss triggers a pure computation,
-//! and the caches must stay exact (a hit returns the bit-identical value
-//! the computation would produce, and the hit/miss statistics count
-//! computations, not races).  Lookups are **single-flight**:
+//! over rank curves of analytic scaling points — share the same
+//! concurrency problem: many workers look up overlapping keys, a miss
+//! triggers a pure computation, and the caches must stay exact (a hit
+//! returns the bit-identical value the computation would produce, and the
+//! hit/miss statistics count computations, not races).  Lookups are
+//! **single-flight**:
 //!
 //! * the first worker to miss a key becomes its *leader*: it leaves an
 //!   in-flight marker in the key's slot, runs the computation outside every
@@ -18,8 +19,11 @@
 //!   wake, find the slot empty, and one of them becomes the new leader, so
 //!   a poisoned key never wedges the memo.
 //!
-//! What a lookup costs beyond the computation is what an analytic point
-//! (≈ 0.4 µs of model) can afford:
+//! What a lookup costs beyond the computation must stay small beside what
+//! one key holds: a co-run pass (milliseconds) for `SimMemo`, and for
+//! `SweepMemo` a rank curve, which a run of up to 64 analytic points
+//! (≈ 0.25 µs of model each) looks up once — the points themselves sit in
+//! the curve's slots, outside this map:
 //!
 //! * **The marker is a counter, not an object.**  An in-flight slot is
 //!   `InFlight { waiters }` in the shard map itself; there is no per-flight
@@ -39,12 +43,13 @@
 //!   caller's key to re-find the slot with: a miss clones the key once and
 //!   the value once.
 //!
-//! SipHash stays although it is the largest part of a hit: the keys are
-//! request axes, chosen by whoever can reach the daemon's socket.  An
-//! unkeyed or non-cryptographic hash would let a client craft keys that
-//! collide into one bucket chain of one shard and turn every worker's
-//! lookups into a linear scan under one lock — the service-level twin of a
-//! shared-cache denial of service.
+//! SipHash stays although it is the largest part of a hit (`SweepMemo`
+//! pays it once per curve, not once per point): the keys are request
+//! axes, chosen by whoever can reach the daemon's socket.  An unkeyed or
+//! non-cryptographic hash would let a client craft keys that collide into
+//! one bucket chain of one shard and turn every worker's lookups into a
+//! linear scan under one lock — the service-level twin of a shared-cache
+//! denial of service.
 //!
 //! Exact hit/miss accounting under concurrency is asserted by a tier-1
 //! proptest (`tests/service_store.rs`).

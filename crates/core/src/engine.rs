@@ -17,10 +17,12 @@
 //!   [`point`](ScalingEngine::point) is a few flops per loop and allocates
 //!   only its result.
 //!   [`ScalingModel`](crate::ScalingModel) is its one-shot front;
-//! * [`SweepMemo`] — a sharded concurrent memo of evaluated points keyed by
-//!   `(machine id, grid, ranks, options)`, meant to span a whole sweep
-//!   plan: overlapping rank ranges, repeated stages and repeated artifact
-//!   generations all collapse onto one evaluation per distinct point.
+//! * [`SweepMemo`] — a sharded concurrent memo of evaluated points, held
+//!   as rank curves keyed by `(machine id, grid, options)` with one slot
+//!   per rank count, meant to span a whole sweep plan: overlapping rank
+//!   ranges, repeated stages and repeated artifact generations all
+//!   collapse onto one evaluation per distinct point, and a run of rank
+//!   counts pays for one keyed lookup.
 //!
 //! Points are stored *before* speedup normalisation (speedup is a property
 //! of a sweep range, not of a point); a caller normalises its own copy with
@@ -29,6 +31,8 @@
 //!
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
+use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use clover_cachesim::FlightMemo;
@@ -40,34 +44,44 @@ use crate::traffic::{
     loop_traffic, roofline_time, LoopInvariants, RankContext, TrafficModel, TrafficOptions,
 };
 
-/// Identity of one scaling point.  Machines are identified by their preset
-/// id (`Machine::id`); preset machines with equal ids are structurally
-/// identical, so equal keys imply bit-identical points: everything a point
-/// depends on is in here.
+/// Identity of one rank curve: everything a point depends on but its rank
+/// count.  Machines are identified by their preset id (`Machine::id`);
+/// preset machines with equal ids are structurally identical, so equal keys
+/// and equal rank counts imply bit-identical points.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PointKey {
+struct CurveKey {
     /// `Machine::id` of the evaluated machine, shared with the
     /// [`ScalingEngine`] that built the key: cloning a key allocates
     /// nothing.
-    pub machine: Arc<str>,
+    machine: Arc<str>,
     /// Square grid size in cells.
-    pub grid: usize,
-    /// Evaluated rank count.
-    pub ranks: usize,
-    /// Traffic-model options of the evaluation.
-    pub opts: TrafficOptions,
+    grid: usize,
+    /// Traffic-model options of the curve's points, `ranks` cleared to 0.
+    opts: TrafficOptions,
 }
 
+/// One memoized rank curve: slot `r - 1` holds the point on `r` ranks once
+/// it has been evaluated.  It has a slot for every rank count of the
+/// machine, allocated by the curve's first lookup.
+type Curve = Arc<[OnceLock<ScalingPoint>]>;
+
 /// Sharded concurrent memo of evaluated [`ScalingPoint`]s, spanning a whole
-/// sweep plan (or a whole `figures serve` daemon lifetime).  Lookups and
-/// inserts lock only the shard the key hashes to; evaluation runs outside
-/// any lock.  Concurrent lookups of the same missing key are
-/// *single-flight* (via [`FlightMemo`]): one worker evaluates, every other
-/// worker waits for that result and counts as a hit, so hit/miss
-/// statistics are exact even under races.
+/// sweep plan (or a whole `figures serve` daemon lifetime).
+///
+/// Points are held per rank curve: a [`FlightMemo`] maps each curve key
+/// (machine, grid, options without the rank count) to a table with one slot
+/// per rank count.  A run of consecutive rank counts
+/// ([`ScalingEngine::run_memo`]) pays the keyed hash and the shard lock
+/// once, then reads or fills its slots by index.  A slot is filled by the
+/// first lookup that reaches it, outside every lock; concurrent lookups of
+/// the same point wait for that evaluation and count as hits, so the
+/// per-point hit/miss statistics are exact even under races, and an
+/// evaluation that panics leaves its slot empty for the next lookup.
 #[derive(Debug, Default)]
 pub struct SweepMemo {
-    inner: FlightMemo<PointKey, ScalingPoint>,
+    curves: FlightMemo<CurveKey, Curve>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl SweepMemo {
@@ -76,29 +90,79 @@ impl SweepMemo {
         Self::default()
     }
 
-    fn get_or_insert_with(
-        &self,
-        key: PointKey,
-        evaluate: impl FnOnce() -> ScalingPoint,
-    ) -> ScalingPoint {
-        self.inner.get_or_insert_with(key, evaluate)
+    /// The curve of `key`, with `slots` empty slots if it is new.
+    fn curve(&self, key: CurveKey, slots: usize) -> Curve {
+        self.curves
+            .get_or_insert_with(key, || (0..slots).map(|_| OnceLock::new()).collect())
     }
 
-    /// Number of memoized points.
+    /// Number of memoized points.  Slots are never emptied, so this is the
+    /// number of evaluations run.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.misses.load(Ordering::Relaxed) as usize
     }
 
     /// True when nothing is memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.len() == 0
     }
 
-    /// `(hits, misses)` since construction.  Waiters of an in-flight
-    /// evaluation count as hits, so `misses` is exactly the number of
-    /// evaluations run.
+    /// `(hits, misses)` of point lookups since construction.  Waiters of an
+    /// in-flight evaluation count as hits, so `misses` is exactly the
+    /// number of evaluations run.
     pub fn stats(&self) -> (u64, u64) {
-        self.inner.stats()
+        (
+            self.hits.load(Ordering::Relaxed),
+            self.misses.load(Ordering::Relaxed),
+        )
+    }
+
+    /// A tally of the point lookups of one curve lookup.
+    fn tally(&self) -> Tally<'_> {
+        Tally {
+            memo: self,
+            hits: 0,
+            misses: 0,
+        }
+    }
+}
+
+/// The point lookups of one curve lookup, added to the memo's statistics
+/// once, when the run ends — or unwinds from a panicking evaluation, so
+/// that the points it did fill are counted.
+struct Tally<'a> {
+    memo: &'a SweepMemo,
+    hits: u64,
+    misses: u64,
+}
+
+impl Tally<'_> {
+    /// The point in `slot`, evaluated by `evaluate` unless another lookup
+    /// did (or is doing) so; a miss only if this lookup evaluated it.
+    fn point(
+        &mut self,
+        slot: &OnceLock<ScalingPoint>,
+        evaluate: impl FnOnce() -> ScalingPoint,
+    ) -> ScalingPoint {
+        let mut evaluated = false;
+        let point = slot.get_or_init(|| {
+            let point = evaluate();
+            evaluated = true;
+            point
+        });
+        if evaluated {
+            self.misses += 1;
+        } else {
+            self.hits += 1;
+        }
+        point.clone()
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.memo.hits.fetch_add(self.hits, Ordering::Relaxed);
+        self.memo.misses.fetch_add(self.misses, Ordering::Relaxed);
     }
 }
 
@@ -119,7 +183,7 @@ struct RankInvariants {
 #[derive(Debug, Clone)]
 pub struct ScalingEngine {
     traffic: TrafficModel,
-    /// The machine's id, as every [`PointKey`] of this engine carries it.
+    /// The machine's id, as every curve key of this engine carries it.
     machine_id: Arc<str>,
     grid: usize,
     /// Slot `r - 1` holds the invariants of `r` ranks once a point on `r`
@@ -157,14 +221,26 @@ impl ScalingEngine {
         self.grid
     }
 
+    /// The slot of `ranks` in a per-rank table: `ranks - 1`, once the
+    /// count is known to fit the machine.
+    fn rank_slot(&self, ranks: usize) -> usize {
+        let cores = self.machine().total_cores();
+        assert!(
+            (1..=cores).contains(&ranks),
+            "{ranks} ranks on a {cores}-core machine"
+        );
+        ranks - 1
+    }
+
     /// The invariants of `ranks` ranks, derived by the first caller.
     fn rank_invariants(&self, ranks: usize) -> &RankInvariants {
+        let slot = self.rank_slot(ranks);
         let slots = self.by_rank.get_or_init(|| {
             (0..self.machine().total_cores())
                 .map(|_| OnceLock::new())
                 .collect()
         });
-        slots[ranks - 1].get_or_init(|| {
+        slots[slot].get_or_init(|| {
             let machine = self.machine();
             let decomp = Decomposition::new(ranks, self.grid, self.grid);
             let (full_domains, cores_per_domain, remainder) = machine.topology.compact_loads(ranks);
@@ -187,10 +263,9 @@ impl ScalingEngine {
     /// bandwidth saturation curve into a time and a memory volume per
     /// timestep.
     pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
-        let machine = self.machine();
-        assert!(ranks >= 1 && ranks <= machine.total_cores());
         assert_eq!(opts.ranks, ranks, "options of another rank count");
         let rank = self.rank_invariants(ranks);
+        let machine = self.machine();
         let ctx = self.traffic.point_context(&rank.context, opts);
 
         let iterations = (self.grid as f64) * (self.grid as f64);
@@ -237,20 +312,56 @@ impl ScalingEngine {
         }
     }
 
-    /// Evaluate one rank count through a cross-sweep memo.
+    /// The memoized curve `opts` lies on (`opts.ranks` is ignored).
+    fn memo_curve(&self, opts: &TrafficOptions, memo: &SweepMemo) -> Curve {
+        let key = CurveKey {
+            machine: Arc::clone(&self.machine_id),
+            grid: self.grid,
+            opts: TrafficOptions { ranks: 0, ..*opts },
+        };
+        memo.curve(key, self.machine().total_cores())
+    }
+
+    /// The point of `curve` on `ranks` ranks (`opts.ranks` must be
+    /// `ranks`), evaluated by the first lookup of its slot.
+    fn curve_point(
+        &self,
+        curve: &Curve,
+        ranks: usize,
+        opts: &TrafficOptions,
+        tally: &mut Tally,
+    ) -> ScalingPoint {
+        tally.point(&curve[self.rank_slot(ranks)], || self.point(ranks, opts))
+    }
+
+    /// Evaluate one rank count through a cross-sweep memo: one curve
+    /// lookup and one slot.
     pub fn point_memo(
         &self,
         ranks: usize,
         opts: &TrafficOptions,
         memo: &SweepMemo,
     ) -> ScalingPoint {
-        let key = PointKey {
-            machine: Arc::clone(&self.machine_id),
-            grid: self.grid,
-            ranks,
-            opts: *opts,
-        };
-        memo.get_or_insert_with(key, || self.point(ranks, opts))
+        assert_eq!(opts.ranks, ranks, "options of another rank count");
+        let curve = self.memo_curve(opts, memo);
+        self.curve_point(&curve, ranks, opts, &mut memo.tally())
+    }
+
+    /// Evaluate the consecutive rank counts `ranks` under `opts` (its
+    /// `ranks` is ignored; each point gets its own) through a cross-sweep
+    /// memo: one curve lookup for the whole run, then one slot per point.
+    /// Equal to [`point_memo`](Self::point_memo) of every rank count.
+    pub fn run_memo(
+        &self,
+        ranks: RangeInclusive<usize>,
+        opts: &TrafficOptions,
+        memo: &SweepMemo,
+    ) -> Vec<ScalingPoint> {
+        let curve = self.memo_curve(opts, memo);
+        let mut tally = memo.tally();
+        ranks
+            .map(|r| self.curve_point(&curve, r, &TrafficOptions { ranks: r, ..*opts }, &mut tally))
+            .collect()
     }
 }
 
@@ -274,6 +385,54 @@ mod tests {
         let _ = spr.point_memo(18, &TrafficOptions::original(18), &memo);
         assert_eq!(memo.len(), 4);
         assert!(!memo.is_empty());
+    }
+
+    #[test]
+    fn a_panicked_evaluation_leaves_its_slot_to_the_next_lookup() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::Barrier;
+        use std::time::Duration;
+
+        let engine = ScalingEngine::new(icelake_sp_8360y(), TINY_GRID);
+        let memo = SweepMemo::new();
+        let curve = engine.memo_curve(&TrafficOptions::original(1), &memo);
+        let dies = || -> ScalingPoint { panic!("evaluation dies") };
+
+        // Alone: the slot stays empty, nothing is counted, and the next
+        // lookup evaluates the point.
+        let died = catch_unwind(AssertUnwindSafe(|| memo.tally().point(&curve[18], dies)));
+        assert!(died.is_err());
+        assert!(curve[18].get().is_none());
+        assert_eq!((memo.stats(), memo.len()), ((0, 0), 0));
+        let opts = TrafficOptions::original(19);
+        assert_eq!(engine.point_memo(19, &opts, &memo), engine.point(19, &opts));
+        assert_eq!((memo.stats(), memo.len()), ((0, 1), 1));
+
+        // With a lookup waiting on it: the waiter evaluates in its place.
+        // Whether it blocks on the doomed evaluation or arrives after its
+        // panic, the outcome is the same; the nap makes blocking likely.
+        let opts = TrafficOptions::original(20);
+        let in_flight = Barrier::new(2);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let died = catch_unwind(AssertUnwindSafe(|| {
+                    memo.tally().point(&curve[19], || {
+                        in_flight.wait();
+                        std::thread::sleep(Duration::from_millis(10));
+                        panic!("evaluation dies mid-flight")
+                    })
+                }));
+                assert!(died.is_err());
+            });
+            let waiter = scope.spawn(|| {
+                in_flight.wait(); // the doomed evaluation is running
+                engine.point_memo(20, &opts, &memo)
+            });
+            assert_eq!(waiter.join().unwrap(), engine.point(20, &opts));
+        });
+        assert_eq!((memo.stats(), memo.len()), ((0, 2), 2));
+        let _ = engine.point_memo(20, &opts, &memo);
+        assert_eq!(memo.stats(), (1, 2));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod scaling;
 pub mod traffic;
 
 pub use decomp::{Decomposition, TILE_INNER_FULL};
-pub use engine::{PointKey, ScalingEngine, SweepMemo};
+pub use engine::{ScalingEngine, SweepMemo};
 pub use mpimodel::{CommModel, MpiShare};
 pub use optimize::{relative_improvement, LoopOptimization, OptimizationPlan};
 pub use profile::{hotspot_profile, ProfileEntry};
@@ -47,8 +47,10 @@ pub use clover_stencil::loop_catalogue;
 /// entries.
 ///
 /// Any change that can alter an evaluated [`ScalingPoint`] for an
-/// unchanged [`engine::PointKey`] — traffic-model refinements, new loop
-/// catalogue entries, decomposition changes — must bump this constant.  It
+/// unchanged rank count on an unchanged [`SweepMemo`] curve key (machine
+/// id, grid, and the `TrafficOptions` with their rank count cleared) —
+/// traffic-model refinements, new loop catalogue entries, decomposition
+/// changes — must bump this constant.  It
 /// feeds the model hash that versions on-disk memo stores
 /// (`clover-service`), so stale stores are rebuilt instead of silently
 /// serving outdated points.

@@ -35,10 +35,14 @@ use std::ops::RangeInclusive;
 use clover_cachesim::SimMemo;
 use clover_core::{normalise_speedups, ScalingEngine, ScalingPoint, SweepMemo};
 use clover_golden::Artifact;
+use clover_machine::Machine;
 
-/// Consecutive rank points of one scenario a worker claims at a time.  An
-/// analytic point is ≈ 0.4 µs of work: claimed one by one, the shared
-/// counter per point made two workers slower than one.
+/// Consecutive rank points of one scenario a worker claims at a time, and
+/// the run [`ScalingEngine::run_memo`] looks its memo curve up for once.
+/// An analytic point is ≈ 0.25 µs of model: claimed one by one, the
+/// shared counter per point made two workers slower than one, and looked
+/// up one by one, the memo's keyed hash and shard lock doubled a cold
+/// point.
 const CHUNK: usize = 64;
 
 /// Render one artifact as the block the `figures` CLI prints (`==== id ====`
@@ -67,11 +71,11 @@ pub fn render(artifacts: &[Artifact], json: bool) -> String {
 }
 
 /// Assemble the default scaling-sweep artifact of `scenario` from its
-/// evaluated points.  [`evaluate`] and the nested-parallel [`run_plan`]
-/// both render through this function, so the two paths cannot drift apart
-/// in format.
-pub fn sweep_artifact(scenario: &Scenario, points: &[ScalingPoint]) -> Artifact {
-    let machine = scenario.machine.machine();
+/// evaluated points on `machine` (the scenario's preset, as its engine
+/// holds it).  [`evaluate`] and the nested-parallel [`run_plan`] both
+/// render through this function, so the two paths cannot drift apart in
+/// format.
+pub fn sweep_artifact(scenario: &Scenario, machine: &Machine, points: &[ScalingPoint]) -> Artifact {
     let stage = scenario.stage;
     let mut a = Artifact::new(&scenario.id(), &scenario.title())
         .column("ranks", None)
@@ -125,14 +129,17 @@ pub fn sweep_artifact(scenario: &Scenario, points: &[ScalingPoint]) -> Artifact 
 /// Scale a contended scenario's points by its co-run interference factor:
 /// the victim moves `factor`× the bytes in `factor`× the time (same
 /// bandwidth, same speedup curve).  A no-aggressor scenario is untouched —
-/// bit for bit, since the factor is exactly `1.0` and no scaling runs.
-fn apply_interference(scenario: &Scenario, points: &mut [ScalingPoint], memo: &SimMemo) {
-    let factor = interference_factor(
-        &scenario.machine.machine(),
-        scenario.aggressor,
-        scenario.interleave,
-        memo,
-    );
+/// bit for bit, since its factor is exactly `1.0` and no scaling runs.
+fn apply_interference(
+    scenario: &Scenario,
+    machine: &Machine,
+    points: &mut [ScalingPoint],
+    memo: &SimMemo,
+) {
+    if scenario.aggressor == Aggressor::None {
+        return;
+    }
+    let factor = interference_factor(machine, scenario.aggressor, scenario.interleave, memo);
     if factor == 1.0 {
         return;
     }
@@ -146,10 +153,15 @@ fn apply_interference(scenario: &Scenario, points: &mut [ScalingPoint], memo: &S
 /// artifact: interference scaling, then speedup normalisation, then the
 /// table.  The one assemble step of [`evaluate`] and [`run_plan_memos`], so
 /// the two paths agree to the last bit of every cell.
-fn assemble(scenario: &Scenario, mut points: Vec<ScalingPoint>, corun_memo: &SimMemo) -> Artifact {
-    apply_interference(scenario, &mut points, corun_memo);
+fn assemble(
+    scenario: &Scenario,
+    machine: &Machine,
+    mut points: Vec<ScalingPoint>,
+    corun_memo: &SimMemo,
+) -> Artifact {
+    apply_interference(scenario, machine, &mut points, corun_memo);
     normalise_speedups(&mut points);
-    sweep_artifact(scenario, &points)
+    sweep_artifact(scenario, machine, &points)
 }
 
 /// Default scenario evaluator: the node-level scaling model swept over the
@@ -162,7 +174,7 @@ pub fn evaluate(scenario: &Scenario) -> Artifact {
         .iter()
         .map(|r| engine.point(r, &scenario.options(r)))
         .collect();
-    assemble(scenario, points, &SimMemo::new())
+    assemble(scenario, engine.machine(), points, &SimMemo::new())
 }
 
 /// Expand and run a whole plan with the default evaluator.
@@ -235,8 +247,7 @@ pub fn run_plan_memos(
         .collect();
     let mut runs = runner::par_map(chunks.len(), jobs, |i| -> Vec<ScalingPoint> {
         let (s, engine, ranks) = &chunks[i];
-        let point = |r| engine.point_memo(r, &s.options(r), memo);
-        ranks.clone().map(point).collect()
+        engine.run_memo(ranks.clone(), &s.options(*ranks.start()), memo)
     })
     .into_iter();
     scenarios
@@ -253,7 +264,7 @@ pub fn run_plan_memos(
                     points.extend(run);
                 }
             }
-            assemble(s, points, sims)
+            assemble(s, engine_for(s).machine(), points, sims)
         })
         .collect()
 }

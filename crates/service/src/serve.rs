@@ -35,7 +35,8 @@
 //! coalescing happens in the shared state: identical in-flight keys across
 //! concurrent clients collapse onto one evaluation (single-flight, a
 //! property of the memos themselves), overlapping plans share their
-//! `(scenario, point)` work units through the common [`SweepMemo`], and
+//! points through the common [`SweepMemo`] (one rank curve per machine,
+//! grid and option set, one slot per rank count), and
 //! *identical* requests short-circuit through a bounded LRU
 //! [`ResponseCache`] keyed by the canonical request identity
 //! (`SweepArgs::cache_key` + model hash).

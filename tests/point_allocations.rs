@@ -55,8 +55,9 @@ fn one_memo_hit_costs_no_allocation() {
         let cold = engine.point_memo(ranks, &opts, &memo);
         let (warm, (allocs, _)) = allocations(|| engine.point_memo(ranks, &opts, &memo));
         assert_eq!(warm, cold);
-        // The key shares the engine's machine id and the returned copy
-        // the memoized point's balances.
+        // The curve key shares the engine's machine id, the curve is
+        // shared by reference count, and the returned copy shares the
+        // memoized point's balances.
         assert_eq!(allocs, 0, "ranks {ranks}, {opts:?}");
     }
     let n = sample_points().len() as u64;
@@ -81,7 +82,8 @@ fn a_memo_miss_allocates_only_what_the_map_grows_by() {
         "{allocs} allocations for {MISSES} misses"
     );
 
-    // Through the sweep memo a miss costs what its point costs.
+    // Through the sweep memo a miss costs what its point costs, plus the
+    // slot table of each new curve.
     let engine = ScalingEngine::new(icelake_sp_8360y(), TINY_GRID);
     let _ = engine.point(1, &TrafficOptions::original(1));
     let memo = SweepMemo::new();
@@ -91,7 +93,8 @@ fn a_memo_miss_allocates_only_what_the_map_grows_by() {
             engine.point_memo(*ranks, opts, &memo);
         }
     });
-    // Its point, and at most one (first) growth of the shard map it lands in.
+    // Its point; per new curve (six here, one per option set) its slots
+    // and at most one growth of the shard map it lands in.
     assert!(
         allocs <= 2 * points.len() as u64,
         "{allocs} allocations for {} cold points",

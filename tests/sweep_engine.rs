@@ -7,15 +7,20 @@
 //! * plan expansion is the exact cartesian product of the axes, in
 //!   deterministic order.
 
+use std::collections::HashSet;
+use std::ops::RangeInclusive;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use cloverleaf_wa::core::decomp::is_prime;
 use cloverleaf_wa::core::{
-    normalise_speedups, Decomposition, ScalingEngine, ScalingModel, SweepMemo, TrafficModel,
-    TrafficOptions, TINY_GRID,
+    normalise_speedups, Decomposition, ScalingEngine, ScalingModel, ScalingPoint, SweepMemo,
+    TrafficModel, TrafficOptions, TINY_GRID,
 };
 use cloverleaf_wa::golden::Artifact;
 use cloverleaf_wa::machine::{
     icelake_sp_8360y, MachinePreset, ReplacementPolicyKind, WritePolicyKind,
 };
+use cloverleaf_wa::scenario::runner::par_map;
 use cloverleaf_wa::scenario::{
     evaluate, render_block, run_plan, LayerCondition, RankRange, Stage, SweepPlan,
 };
@@ -77,7 +82,129 @@ fn parallel_runner_is_byte_identical_to_sequential() {
     }
 }
 
+/// Every option combination of the traffic model — stage × replacement ×
+/// write policy × layer condition, in a fixed order — with `ranks` 0: each
+/// lookup sets its own.
+fn option_sets() -> Vec<TrafficOptions> {
+    let mut sets = Vec::new();
+    for stage in Stage::all() {
+        for replacement in ReplacementPolicyKind::all() {
+            for write_policy in WritePolicyKind::all() {
+                for layer_condition in [true, false] {
+                    sets.push(
+                        stage
+                            .options(0)
+                            .with_replacement(replacement)
+                            .with_write_policy(write_policy)
+                            .with_layer_condition(layer_condition),
+                    );
+                }
+            }
+        }
+    }
+    sets
+}
+
+/// The bits of every field of a point: equal bits, bit-identical points.
+fn point_bits(p: &ScalingPoint) -> Vec<u64> {
+    let mut bits = vec![
+        p.ranks as u64,
+        u64::from(p.prime),
+        p.local_inner as u64,
+        p.time_per_step.to_bits(),
+        p.speedup.to_bits(),
+        p.memory_bandwidth.to_bits(),
+        p.volume_per_step.to_bits(),
+    ];
+    bits.extend(p.loop_balances.iter().map(|b| b.to_bits()));
+    bits
+}
+
+/// The message a panicking `f` unwound with.
+fn panic_message<T>(f: impl FnOnce() -> T) -> String {
+    let payload = catch_unwind(AssertUnwindSafe(f))
+        .err()
+        .expect("the call must panic");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast::<&str>()
+            .map(|message| message.to_string())
+            .unwrap_or_default(),
+    }
+}
+
 proptest! {
+    /// A `SweepMemo` holds rank curves: one keyed lookup per run of rank
+    /// counts, one slot per point.  Random overlapping runs of random
+    /// option sets, looked up concurrently through one memo as runs
+    /// (`run_memo`) and point by point (`point_memo`), must each return
+    /// what `ScalingEngine::point` returns, bit for bit, and the statistics
+    /// must count points exactly: a miss per distinct point, a hit per
+    /// other lookup, an entry per miss.
+    #[test]
+    fn curve_memo_matches_point_and_counts_every_lookup(
+        preset in prop::sample::select(MachinePreset::all()),
+        grid in prop::sample::select(vec![960usize, 1920]),
+        jobs in prop::sample::select(vec![1usize, 2, 4]),
+        starts in 0usize..1_000_000,
+        lens in 0usize..1_000_000,
+        set_a in 0usize..72,
+        set_b in 0usize..72,
+    ) {
+        let machine = preset.machine();
+        let cores = machine.total_cores();
+        let engine = ScalingEngine::new(machine.clone(), grid);
+        // Three rank runs from the seeds, clamped to the machine; they
+        // overlap often, and a run may be a single point or the whole
+        // machine.
+        let runs: Vec<RangeInclusive<usize>> = (0..3)
+            .map(|i| {
+                let start = 1 + (starts >> (7 * i)) % cores;
+                let len = (lens >> (7 * i)) % 80;
+                start..=cores.min(start + len)
+            })
+            .collect();
+        let sets = option_sets();
+        prop_assert_eq!(sets.len(), 72);
+        // Every run under both option sets, then the first run again point
+        // by point: tasks `(run, set, by points)`.
+        let mut tasks: Vec<(RangeInclusive<usize>, usize, bool)> = Vec::new();
+        for run in &runs {
+            for set in [set_a, set_b] {
+                tasks.push((run.clone(), set, false));
+            }
+        }
+        tasks.push((runs[0].clone(), set_b, true));
+
+        let memo = SweepMemo::new();
+        let results = par_map(tasks.len(), jobs, |i| {
+            let (run, set, by_points) = &tasks[i];
+            let opts = |r| TrafficOptions { ranks: r, ..sets[*set] };
+            if *by_points {
+                run.clone().map(|r| engine.point_memo(r, &opts(r), &memo)).collect()
+            } else {
+                engine.run_memo(run.clone(), &opts(*run.start()), &memo)
+            }
+        });
+
+        let oracle = ScalingEngine::new(machine, grid);
+        let mut distinct = HashSet::new();
+        let mut lookups = 0;
+        for ((run, set, _), points) in tasks.iter().zip(&results) {
+            prop_assert_eq!(points.len(), run.clone().count());
+            for (r, point) in run.clone().zip(points) {
+                let opts = TrafficOptions { ranks: r, ..sets[*set] };
+                prop_assert_eq!(point_bits(point), point_bits(&oracle.point(r, &opts)));
+                distinct.insert((*set, r));
+                lookups += 1;
+            }
+        }
+        let misses = distinct.len() as u64;
+        prop_assert_eq!(memo.stats(), (lookups - misses, misses));
+        prop_assert_eq!(memo.len() as u64, misses);
+    }
+
     /// The nested-parallel, plan-wide-memoized runner is byte-identical to
     /// mapping the sequential per-scenario evaluator over the expansion,
     /// for random plans (axes, overlapping rank ranges) and job counts.
@@ -333,6 +460,40 @@ fn every_policy_combination_is_selectable_end_to_end() {
     });
     assert!(volume_of(&broken) > volume_of(&artifacts[default_idx]));
     assert!(broken.id.ends_with("-lc-broken"));
+}
+
+/// Through the memo a rank count outside the machine is refused as
+/// `ScalingEngine::point` refuses it, not by indexing past a curve.
+#[test]
+fn the_memo_refuses_a_rank_count_as_point_does() {
+    let engine = ScalingEngine::new(icelake_sp_8360y(), 1920);
+    let cores = engine.machine().total_cores();
+    let memo = SweepMemo::new();
+    for ranks in [0, cores + 1] {
+        let opts = TrafficOptions::original(ranks);
+        let refused = panic_message(|| engine.point(ranks, &opts));
+        assert!(refused.contains("ranks on a"), "{refused}");
+        assert_eq!(
+            panic_message(|| engine.point_memo(ranks, &opts, &memo)),
+            refused
+        );
+        assert_eq!(
+            panic_message(|| engine.run_memo(ranks..=ranks, &opts, &memo)),
+            refused
+        );
+    }
+    assert_eq!((memo.stats(), memo.len()), ((0, 0), 0));
+    // A run that steps off the machine keeps, and counts, the points it
+    // evaluated before it was refused.
+    let opts = TrafficOptions::original(1);
+    let refused = panic_message(|| engine.point(cores + 1, &TrafficOptions::original(cores + 1)));
+    assert_eq!(
+        panic_message(|| engine.run_memo(cores - 2..=cores + 1, &opts, &memo)),
+        refused
+    );
+    assert_eq!((memo.stats(), memo.len()), ((0, 3), 3));
+    let _ = engine.run_memo(cores - 3..=cores, &opts, &memo);
+    assert_eq!((memo.stats(), memo.len()), ((3, 4), 4));
 }
 
 #[test]
