@@ -66,6 +66,7 @@ use std::process::ExitCode;
 use clover_bench::{
     delta_table, run_artifact, run_interference_artifact, EXPERIMENTS, INTERFERENCE_EXPERIMENTS,
 };
+use clover_cachesim::SimMemo;
 use clover_golden::{check_artifact, Artifact};
 use clover_scenario::cli::{push_unique, set_once, sweep_usage, Args};
 use clover_scenario::{render, SweepArgs};
@@ -262,9 +263,11 @@ fn parse_interfere_args(args: &[String]) -> Result<(bool, Vec<&'static str>), St
 /// Run the `figures interfere` subcommand.
 fn interfere_main(args: &[String], out: &mut impl Write) -> Result<ExitCode, String> {
     let (json, names) = parse_interfere_args(args)?;
+    // One memo for every artifact: they share co-run passes.
+    let memo = SimMemo::new();
     let artifacts: Vec<Artifact> = names
         .into_iter()
-        .map(|name| run_interference_artifact(name).expect("validated name"))
+        .map(|name| run_interference_artifact(name, &memo).expect("validated name"))
         .collect();
     emit(out, format_args!("{}", render(&artifacts, json)));
     Ok(ExitCode::SUCCESS)

@@ -34,40 +34,23 @@ pub const INTERFERENCE_EXPERIMENTS: [&str; 3] = [
     "interfere-evasion",
 ];
 
-/// Generate one interference artifact by name.  Unknown names return
-/// `None`.
-pub fn run_interference_artifact(name: &str) -> Option<Artifact> {
+/// Generate one interference artifact by name on the paper's Ice Lake SP
+/// node, simulating its co-runs through `memo`: the timestep and occupancy
+/// views read the same victim co-runs, so artifacts generated through one
+/// memo simulate each distinct pass once.  Unknown names return `None`.
+pub fn run_interference_artifact(name: &str, memo: &SimMemo) -> Option<Artifact> {
+    let machine = icelake_sp_8360y();
     match name {
-        "interfere-timestep" => Some(interfere_timestep()),
-        "interfere-occupancy" => Some(interfere_occupancy()),
-        "interfere-evasion" => Some(interfere_evasion()),
+        "interfere-timestep" => Some(timestep_artifact(&machine, memo)),
+        "interfere-occupancy" => Some(occupancy_artifact(&machine, memo)),
+        "interfere-evasion" => Some(evasion_artifact(&machine, memo)),
         _ => None,
     }
 }
 
-/// `interfere-timestep` on the paper's Ice Lake SP node.
-pub fn interfere_timestep() -> Artifact {
-    timestep_artifact(&icelake_sp_8360y())
-}
-
-/// `interfere-occupancy` on the paper's Ice Lake SP node.
-pub fn interfere_occupancy() -> Artifact {
-    occupancy_artifact(&icelake_sp_8360y())
-}
-
-/// `interfere-evasion` on the paper's Ice Lake SP node.
-pub fn interfere_evasion() -> Artifact {
-    evasion_artifact(&icelake_sp_8360y())
-}
-
-fn timestep_artifact(machine: &Machine) -> Artifact {
+fn timestep_artifact(machine: &Machine, memo: &SimMemo) -> Artifact {
     let ranks = machine.topology.cores_per_domain();
-    let model = ScalingModel::new(machine.clone()).with_grid(TINY_GRID);
-    let base = model
-        .sweep_range(ranks..=ranks, TrafficOptions::original)
-        .pop()
-        .expect("one rank point");
-    let memo = SimMemo::new();
+    let base = ScalingModel::new(machine.clone()).point(ranks, &TrafficOptions::original(ranks));
     let mut a = Artifact::new(
         "interfere-timestep",
         "CloverLeaf timestep cost under shared-LLC aggressors",
@@ -78,7 +61,7 @@ fn timestep_artifact(machine: &Machine) -> Artifact {
     .num_column("volume_per_step", Some("MB"), 1)
     .num_column("bandwidth", Some("GB/s"), 1);
     for aggressor in Aggressor::all() {
-        let factor = interference_factor(machine, aggressor, DEFAULT_INTERLEAVE, &memo);
+        let factor = interference_factor(machine, aggressor, DEFAULT_INTERLEAVE, memo);
         a.push_row(vec![
             aggressor.name().into(),
             factor.into(),
@@ -96,8 +79,7 @@ fn timestep_artifact(machine: &Machine) -> Artifact {
     a
 }
 
-fn occupancy_artifact(machine: &Machine) -> Artifact {
-    let memo = SimMemo::new();
+fn occupancy_artifact(machine: &Machine, memo: &SimMemo) -> Artifact {
     let mut a = Artifact::new(
         "interfere-occupancy",
         "victim shared-LLC residency and miss deltas per aggressor",
@@ -110,7 +92,7 @@ fn occupancy_artifact(machine: &Machine) -> Artifact {
     .num_column("extra_read_volume", Some("MB"), 1);
     let victim = victim_kernel(machine);
     let contention =
-        |aggressor| victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, &memo);
+        |aggressor| victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, memo);
     for aggressor in Aggressor::all() {
         let v = contention(aggressor);
         a.push_row(vec![
@@ -153,8 +135,7 @@ fn store_victim(machine: &Machine) -> KernelSpec {
     spec
 }
 
-fn evasion_artifact(machine: &Machine) -> Artifact {
-    let memo = SimMemo::new();
+fn evasion_artifact(machine: &Machine, memo: &SimMemo) -> Artifact {
     let mut a = Artifact::new(
         "interfere-evasion",
         "victim write-allocate evasion under shared-LLC contention",
@@ -167,7 +148,7 @@ fn evasion_artifact(machine: &Machine) -> Artifact {
     .num_column("extra_write_allocate", Some("MB"), 1);
     let victim = store_victim(machine);
     for aggressor in Aggressor::all() {
-        let v = victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, &memo);
+        let v = victim_contention(machine, &victim, aggressor, DEFAULT_INTERLEAVE, memo);
         let (solo, contended) = (&v.solo.counters, &v.contended.counters);
         // Fraction of ownership claims that evaded the write-allocate read.
         let evasion = |itom: f64, wa: f64| {
@@ -207,7 +188,7 @@ mod tests {
 
     #[test]
     fn unknown_interference_experiment_returns_none() {
-        assert!(run_interference_artifact("interfere-bogus").is_none());
+        assert!(run_interference_artifact("interfere-bogus", &SimMemo::new()).is_none());
         for name in INTERFERENCE_EXPERIMENTS {
             assert!(name.starts_with("interfere-"));
         }
@@ -215,7 +196,7 @@ mod tests {
 
     #[test]
     fn timestep_rows_cover_every_aggressor_and_none_is_neutral() {
-        let a = timestep_artifact(&cva6_like());
+        let a = timestep_artifact(&cva6_like(), &SimMemo::new());
         assert_eq!(a.rows.len(), Aggressor::all().len());
         let inflation = a.column_index("inflation").unwrap();
         let time = a.column_index("time_per_step").unwrap();
@@ -232,7 +213,7 @@ mod tests {
 
     #[test]
     fn occupancy_deltas_are_zero_without_an_aggressor() {
-        let a = occupancy_artifact(&cva6_like());
+        let a = occupancy_artifact(&cva6_like(), &SimMemo::new());
         assert_eq!(a.rows.len(), Aggressor::all().len());
         let extra = a.column_index("extra_llc_misses").unwrap();
         let share = a.column_index("occupancy_share").unwrap();
@@ -245,7 +226,7 @@ mod tests {
 
     #[test]
     fn evasion_fractions_stay_in_range_and_contention_never_helps() {
-        let a = evasion_artifact(&cva6_like());
+        let a = evasion_artifact(&cva6_like(), &SimMemo::new());
         let solo = a.column_index("solo_evasion").unwrap();
         let contended = a.column_index("evasion").unwrap();
         let wa_solo = a.column_index("solo_write_allocate").unwrap();

@@ -18,13 +18,6 @@ pub enum AccessKind {
     StoreNT,
 }
 
-impl AccessKind {
-    /// True for either store flavour.
-    pub fn is_store(self) -> bool {
-        matches!(self, AccessKind::Store | AccessKind::StoreNT)
-    }
-}
-
 /// One memory access: a byte range `[addr, addr + bytes)` of a given kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
@@ -37,33 +30,6 @@ pub struct Access {
 }
 
 impl Access {
-    /// Convenience constructor for an 8-byte (double precision) load.
-    pub fn load8(addr: u64) -> Self {
-        Self {
-            addr,
-            bytes: 8,
-            kind: AccessKind::Load,
-        }
-    }
-
-    /// Convenience constructor for an 8-byte (double precision) store.
-    pub fn store8(addr: u64) -> Self {
-        Self {
-            addr,
-            bytes: 8,
-            kind: AccessKind::Store,
-        }
-    }
-
-    /// Convenience constructor for an 8-byte non-temporal store.
-    pub fn store8_nt(addr: u64) -> Self {
-        Self {
-            addr,
-            bytes: 8,
-            kind: AccessKind::StoreNT,
-        }
-    }
-
     /// First cache line touched by this access.
     pub fn first_line(&self) -> u64 {
         line_of(self.addr)
@@ -138,15 +104,6 @@ impl AccessRun {
     pub fn bytes(&self) -> u64 {
         self.elements * ELEM_BYTES
     }
-
-    /// Number of distinct cache lines the run touches (0 for an empty run).
-    pub fn lines_touched(&self) -> u64 {
-        if self.elements == 0 {
-            0
-        } else {
-            line_of(self.base + self.bytes() - 1) - line_of(self.base) + 1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +120,11 @@ mod tests {
 
     #[test]
     fn access_within_one_line() {
-        let a = Access::load8(16);
+        let a = Access {
+            addr: 16,
+            bytes: 8,
+            kind: AccessKind::Load,
+        };
         assert_eq!(a.first_line(), 0);
         assert_eq!(a.last_line(), 0);
         assert_eq!(a.lines().count(), 1);
@@ -183,22 +144,9 @@ mod tests {
 
     #[test]
     fn store_kinds() {
-        assert!(AccessKind::Store.is_store());
-        assert!(AccessKind::StoreNT.is_store());
-        assert!(!AccessKind::Load.is_store());
-        assert_eq!(Access::store8(0).kind, AccessKind::Store);
-        assert_eq!(Access::store8_nt(0).kind, AccessKind::StoreNT);
-    }
-
-    #[test]
-    fn access_run_line_counts() {
-        assert_eq!(AccessRun::load(0, 8).lines_touched(), 1);
-        assert_eq!(AccessRun::load(0, 9).lines_touched(), 2);
-        // Misaligned base: 5 elements starting at byte 56 span 40 bytes
-        // across the 64- and 128-byte boundaries.
-        assert_eq!(AccessRun::store(56, 5).lines_touched(), 2);
-        assert_eq!(AccessRun::store_nt(60, 1).lines_touched(), 2);
-        assert_eq!(AccessRun::load(128, 0).lines_touched(), 0);
+        assert_eq!(AccessRun::load(0, 1).kind, AccessKind::Load);
+        assert_eq!(AccessRun::store(0, 1).kind, AccessKind::Store);
+        assert_eq!(AccessRun::store_nt(0, 1).kind, AccessKind::StoreNT);
         assert_eq!(AccessRun::store(8, 2).bytes(), 16);
     }
 

@@ -37,8 +37,7 @@ pub(crate) enum Weight {
 #[derive(Debug, Clone)]
 pub(crate) struct Accountant {
     /// The machine's SpecI2M block, its `enabled` flag and-ed with the MSR
-    /// switch of the options (the one field
-    /// [`SpecI2MParams::switched_off`] touches).
+    /// switch of the options (the one field that switch clears).
     speci2m: SpecI2MParams,
     /// `speci2m.enabled` as the machine has it: what a re-arm switches
     /// from.

@@ -55,34 +55,6 @@ pub struct WriteCoalescer {
     stamp: u64,
 }
 
-/// Streak bookkeeping shared by [`WriteCoalescer`] consumers that only need
-/// the streak statistics (e.g. analytic models feeding row lengths).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreakTracker {
-    current: u64,
-    last_completed: u64,
-}
-
-impl StreakTracker {
-    /// Record a completed full line.
-    pub fn full_line(&mut self) {
-        self.current += 1;
-    }
-
-    /// Record a gap (partial line or address jump), closing the streak.
-    pub fn gap(&mut self) {
-        if self.current > 0 {
-            self.last_completed = self.current;
-        }
-        self.current = 0;
-    }
-
-    /// Steady-state streak estimate in lines.
-    pub fn estimate(&self) -> f64 {
-        self.current.max(self.last_completed) as f64
-    }
-}
-
 impl Default for WriteCoalescer {
     fn default() -> Self {
         Self::new(8)
@@ -377,22 +349,6 @@ mod tests {
         assert_eq!(WriteCoalescer::coverage_mask(0, 64), u64::MAX);
         assert_eq!(WriteCoalescer::coverage_mask(0, 8), 0xFF);
         assert_eq!(WriteCoalescer::coverage_mask(56, 8), 0xFF00_0000_0000_0000);
-    }
-
-    #[test]
-    fn streak_tracker_estimates() {
-        let mut t = StreakTracker::default();
-        assert_eq!(t.estimate(), 0.0);
-        t.full_line();
-        t.full_line();
-        assert_eq!(t.estimate(), 2.0);
-        t.gap();
-        assert_eq!(t.estimate(), 2.0);
-        t.full_line();
-        assert_eq!(t.estimate(), 2.0);
-        t.full_line();
-        t.full_line();
-        assert_eq!(t.estimate(), 3.0);
     }
 
     #[test]

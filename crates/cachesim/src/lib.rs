@@ -77,7 +77,7 @@ pub const SIM_SCHEMA_VERSION: u32 = 1;
 
 pub use access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
 pub use cache::{SetAssocCache, TrueLru};
-pub use coalescer::{StreakTracker, WriteCoalescer};
+pub use coalescer::WriteCoalescer;
 pub use counters::MemCounters;
 pub use engine::{CoRunReport, NodeSim, NodeSimReport, SimConfig, TenantReport};
 pub use flight::FlightMemo;

@@ -1,14 +1,11 @@
 //! CloverLeaf's domain decomposition.
 //!
-//! CloverLeaf factorises the number of ranks and spreads the prime factors
-//! as evenly as possible across both grid dimensions, starting with the
-//! outer (y) dimension.  For a *prime* rank count the only factorisation is
-//! `1 × p`; the code then cuts the **inner (x) dimension** into `p` strips,
-//! producing very short rows per rank (216 elements for 71 ranks on the Tiny
-//! grid) — the root cause of the paper's prime-number effect.
-
-/// Marker value: the local inner dimension equals the full grid width.
-pub const TILE_INNER_FULL: usize = usize::MAX;
+//! CloverLeaf splits the ranks into a rank grid `ranks_x × ranks_y` by a
+//! search over the factor pairs of the rank count (`clover_decompose`).
+//! For a *prime* rank count the only pairs are `1 × p` and `p × 1`; the
+//! code then cuts the **inner (x) dimension** into `p` strips, producing
+//! very short rows per rank (216 elements for 71 ranks on the Tiny grid) —
+//! the root cause of the paper's prime-number effect.
 
 /// The rank grid and local chunk sizes of one decomposition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,11 +24,13 @@ pub struct Decomposition {
 
 impl Decomposition {
     /// Decompose a `grid_x × grid_y` grid over `ranks` ranks the way
-    /// CloverLeaf does: prime factors are distributed to keep the rank grid
-    /// as square as possible, assigning each factor to the dimension that
-    /// currently has the larger cells-per-rank extent, starting with the
-    /// outer dimension; a prime rank count therefore ends up as
-    /// `ranks_x = ranks`, `ranks_y = 1`.
+    /// CloverLeaf's `clover_decompose` does: `ranks_y` is the smallest
+    /// divisor `c` of `ranks` with `(ranks / c) / c` at most the mesh ratio
+    /// `grid_x / grid_y`, and `ranks_x = ranks / c`.  When no divisor
+    /// qualifies, or the smallest that does is `ranks` itself (every prime
+    /// rank count on a square mesh), the grid is cut along one dimension:
+    /// x for a wide or square mesh (`ranks_x = ranks`, `ranks_y = 1`), y
+    /// for a tall one.
     pub fn new(ranks: usize, grid_x: usize, grid_y: usize) -> Self {
         assert!(ranks > 0 && grid_x > 0 && grid_y > 0);
         // Port of clover_decompose: find the first factor pair
@@ -73,8 +72,9 @@ impl Decomposition {
         }
     }
 
-    /// True if the rank count is prime (and > 2 ranks), i.e. the grid is cut
-    /// only along one dimension.
+    /// True if the rank grid is a single row or column (`ranks_x` or
+    /// `ranks_y` equals `ranks`): every prime rank count, 1 rank, and any
+    /// other count whose factor-pair search degenerates to one dimension.
     pub fn is_one_dimensional(&self) -> bool {
         self.ranks_x == self.ranks || self.ranks_y == self.ranks
     }
@@ -186,23 +186,6 @@ pub fn is_prime(n: usize) -> bool {
     true
 }
 
-/// Prime factorisation of `n` in ascending order (empty for `n == 1`).
-pub fn prime_factors(mut n: usize) -> Vec<usize> {
-    let mut factors = Vec::new();
-    let mut d = 2;
-    while d * d <= n {
-        while n % d == 0 {
-            factors.push(d);
-            n /= d;
-        }
-        d += 1;
-    }
-    if n > 1 {
-        factors.push(n);
-    }
-    factors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,9 +196,6 @@ mod tests {
     fn prime_helpers() {
         assert!(is_prime(2) && is_prime(3) && is_prime(19) && is_prime(71));
         assert!(!is_prime(1) && !is_prime(38) && !is_prime(72));
-        assert_eq!(prime_factors(72), vec![2, 2, 2, 3, 3]);
-        assert_eq!(prime_factors(71), vec![71]);
-        assert_eq!(prime_factors(1), Vec::<usize>::new());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! Points are stored *before* speedup normalisation (speedup is a property
 //! of a sweep range, not of a point); a caller normalises its own copy with
 //! [`normalise_speedups`](crate::normalise_speedups), exactly like
-//! `ScalingModel::sweep_range`.
+//! [`ScalingModel::sweep`](crate::ScalingModel::sweep).
 //!
 //! [`SweepPlan`]: ../../clover_scenario/struct.SweepPlan.html
 
@@ -201,14 +201,6 @@ impl ScalingEngine {
             traffic: TrafficModel::new(machine),
             grid,
         }
-    }
-
-    /// The same engine on a different square grid.
-    pub(crate) fn with_grid(mut self, grid: usize) -> Self {
-        self.grid = grid;
-        // Every invariant but the bandwidths depends on the grid.
-        self.by_rank.take();
-        self
     }
 
     /// The machine the engine evaluates.
@@ -494,12 +486,5 @@ mod tests {
         assert_eq!(filled(&engine), vec![19]);
         let _ = engine.point(72, &TrafficOptions::original(72));
         assert_eq!(filled(&engine), vec![19, 72]);
-        // Another grid starts from an empty table.
-        let engine = engine.with_grid(1920);
-        assert!(engine.by_rank.get().is_none());
-        assert_eq!(
-            engine.point(19, &TrafficOptions::original(19)).local_inner,
-            101
-        );
     }
 }

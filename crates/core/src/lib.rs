@@ -31,10 +31,10 @@ pub mod profile;
 pub mod scaling;
 pub mod traffic;
 
-pub use decomp::{Decomposition, TILE_INNER_FULL};
+pub use decomp::Decomposition;
 pub use engine::{ScalingEngine, SweepMemo};
 pub use mpimodel::{CommModel, MpiShare};
-pub use optimize::{relative_improvement, LoopOptimization, OptimizationPlan};
+pub use optimize::{LoopOptimization, OptimizationPlan};
 pub use profile::{hotspot_profile, ProfileEntry};
 pub use scaling::{normalise_speedups, ScalingModel, ScalingPoint};
 pub use traffic::{loop_kernel, CodeVariant, LoopTraffic, TrafficModel, TrafficOptions};
@@ -57,7 +57,5 @@ pub use clover_stencil::loop_catalogue;
 pub const MODEL_SCHEMA_VERSION: u32 = 1;
 
 /// The "Tiny" working set of SPEChpc 2021 519.clvleaf_t: a square grid of
-/// 15360×15360 cells run for 400 timesteps.
+/// 15360×15360 cells (run for 400 timesteps).
 pub const TINY_GRID: usize = 15_360;
-/// Number of timesteps of the Tiny working set.
-pub const TINY_STEPS: usize = 400;

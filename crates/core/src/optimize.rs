@@ -52,9 +52,8 @@ impl LoopAdvice {
 }
 
 /// Relative code-balance improvement of `optimized` over `original`
-/// (0 for a non-positive original balance).  Shared by [`LoopAdvice`] and
-/// the swept Fig. 7 assembly in `clover-bench` so the two can never drift.
-pub fn relative_improvement(original: f64, optimized: f64) -> f64 {
+/// (0 for a non-positive original balance).
+fn relative_improvement(original: f64, optimized: f64) -> f64 {
     if original <= 0.0 {
         0.0
     } else {

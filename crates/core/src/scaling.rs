@@ -13,7 +13,7 @@ use clover_machine::Machine;
 
 use crate::engine::ScalingEngine;
 use crate::traffic::TrafficOptions;
-use crate::{TINY_GRID, TINY_STEPS};
+use crate::TINY_GRID;
 
 /// Fraction of the total runtime spent outside the three hotspot functions
 /// (Listing 2: the hotspots cover 67.5–69.2 %).
@@ -44,7 +44,7 @@ pub struct ScalingPoint {
 }
 
 /// Fill in speedups relative to the first point of a range — the one
-/// normalisation every sweep path applies ([`ScalingModel::sweep_range`],
+/// normalisation every sweep path applies ([`ScalingModel::sweep`],
 /// the memoized engine sweep and the scenario runner's per-scenario
 /// assembly all share this function, so the byte-identity between those
 /// paths cannot drift).  An empty slice is left untouched.
@@ -72,17 +72,6 @@ impl ScalingModel {
         }
     }
 
-    /// Use a different (e.g. scaled-down) square grid.
-    pub fn with_grid(mut self, grid: usize) -> Self {
-        self.engine = self.engine.with_grid(grid);
-        self
-    }
-
-    /// Grid size used by the model.
-    pub fn grid(&self) -> usize {
-        self.engine.grid()
-    }
-
     /// Evaluate one rank count.
     pub fn point(&self, ranks: usize, opts: &TrafficOptions) -> ScalingPoint {
         self.engine.point(ranks, opts)
@@ -96,26 +85,11 @@ impl ScalingModel {
         max_ranks: usize,
         opts_for: impl Fn(usize) -> TrafficOptions,
     ) -> Vec<ScalingPoint> {
-        self.sweep_range(1..=max_ranks, opts_for)
-    }
-
-    /// Evaluate an arbitrary inclusive rank range and fill in speedups
-    /// relative to the *first* point of the range (for `1..=n` that is the
-    /// single-rank baseline).  An empty range yields an empty `Vec`.
-    pub fn sweep_range(
-        &self,
-        ranks: std::ops::RangeInclusive<usize>,
-        opts_for: impl Fn(usize) -> TrafficOptions,
-    ) -> Vec<ScalingPoint> {
-        let mut points: Vec<ScalingPoint> = ranks.map(|r| self.point(r, &opts_for(r))).collect();
+        let mut points: Vec<ScalingPoint> = (1..=max_ranks)
+            .map(|r| self.point(r, &opts_for(r)))
+            .collect();
         normalise_speedups(&mut points);
         points
-    }
-
-    /// Total runtime estimate of a full Tiny run (400 steps) on `ranks`
-    /// ranks.
-    pub fn total_runtime(&self, ranks: usize, opts: &TrafficOptions) -> f64 {
-        self.point(ranks, opts).time_per_step * TINY_STEPS as f64
     }
 }
 
@@ -197,19 +171,18 @@ mod tests {
         // Regression: `sweep(0, …)` used to index `points[0]` out of bounds.
         let model = ScalingModel::new(icelake_sp_8360y());
         assert!(model.sweep(0, TrafficOptions::original).is_empty());
-        let empty = std::ops::RangeInclusive::new(5, 4);
-        assert!(empty.is_empty());
-        assert!(model
-            .sweep_range(empty, TrafficOptions::original)
-            .is_empty());
     }
 
     #[test]
     fn range_sweep_normalises_to_its_first_point() {
+        // A plan's `--ranks 9..18` scenario: the model's points over the
+        // range, normalised as every sweep path normalises them.
         let model = ScalingModel::new(icelake_sp_8360y());
         let full = model.sweep(72, TrafficOptions::original);
-        let partial = model.sweep_range(9..=18, TrafficOptions::original);
-        assert_eq!(partial.len(), 10);
+        let mut partial: Vec<ScalingPoint> = (9..=18)
+            .map(|r| model.point(r, &TrafficOptions::original(r)))
+            .collect();
+        normalise_speedups(&mut partial);
         assert_eq!(partial[0].ranks, 9);
         assert!((partial[0].speedup - 1.0).abs() < 1e-12);
         // Same model points as the full sweep, only the baseline differs.
@@ -219,18 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn total_runtime_scales_with_steps() {
-        let model = ScalingModel::new(icelake_sp_8360y());
-        let t_step = model.point(36, &TrafficOptions::original(36)).time_per_step;
-        let total = model.total_runtime(36, &TrafficOptions::original(36));
-        assert!((total - 400.0 * t_step).abs() < 1e-9);
-    }
-
-    #[test]
     fn smaller_grid_runs_faster() {
         let big = ScalingModel::new(icelake_sp_8360y());
-        let small = ScalingModel::new(icelake_sp_8360y()).with_grid(1920);
-        assert!(small.grid() < big.grid());
+        let small = ScalingEngine::new(icelake_sp_8360y(), 1920);
+        assert!(small.grid() < TINY_GRID);
         let tb = big.point(18, &TrafficOptions::original(18)).time_per_step;
         let ts = small.point(18, &TrafficOptions::original(18)).time_per_step;
         assert!(ts < tb / 10.0);

@@ -49,8 +49,11 @@ pub struct TrafficOptions {
     pub variant: CodeVariant,
     /// Number of ranks (compact pinning).
     pub ranks: usize,
-    /// Whether the layer condition is fulfilled (it always is for the Tiny
-    /// working set on the evaluated machines; exposed for what-if studies).
+    /// Whether the layer condition is fulfilled.  `true` is what
+    /// `LayerCondition::evaluate` finds for every catalogue loop at every
+    /// rank count of every preset on the Tiny grid
+    /// (`tests/integration.rs::layer_condition_holds_at_every_rank_count_of_every_preset`);
+    /// `false` is a what-if.
     pub layer_condition_ok: bool,
     /// Cache replacement policy of the modelled hierarchy.  Non-LRU
     /// policies hold stencil rows less reliably, pushing the read balance

@@ -81,35 +81,6 @@ impl Machine {
         self.bandwidth.domain_saturated_bw
     }
 
-    /// Attainable memory bandwidth of the full node in byte/s, assuming all
-    /// ccNUMA domains are used.
-    pub fn node_bandwidth(&self) -> f64 {
-        self.bandwidth.domain_saturated_bw * self.topology.domains.len() as f64
-    }
-
-    /// Aggregate attainable bandwidth for `n` cores under compact pinning.
-    ///
-    /// Compact pinning fills each ccNUMA domain before moving to the next
-    /// (the pinning used throughout the paper).  The returned value is the
-    /// sum of the per-domain saturation curves.
-    pub fn bandwidth_for_cores(&self, n: usize) -> f64 {
-        let per_domain = self.topology.cores_per_domain();
-        let mut remaining = n;
-        let mut bw = 0.0;
-        for _ in &self.topology.domains {
-            if remaining == 0 {
-                break;
-            }
-            let used = remaining.min(per_domain);
-            bw += self
-                .bandwidth
-                .curve
-                .bandwidth(used, self.bandwidth.domain_saturated_bw);
-            remaining -= used;
-        }
-        bw
-    }
-
     /// Memory-bandwidth utilisation (0..=1) of the ccNUMA domain that holds
     /// `cores_in_domain` active, memory-bound cores.
     pub fn domain_utilization(&self, cores_in_domain: usize) -> f64 {
@@ -138,10 +109,26 @@ mod tests {
         assert_eq!(sapphire_rapids_8480().total_cores(), 112);
     }
 
+    /// Aggregate attainable bandwidth of `n` compactly pinned cores, summed
+    /// over the domain loads the scaling engine reads.
+    fn compact_bandwidth(m: &Machine, n: usize) -> f64 {
+        let (full_domains, cores_per_domain, remainder) = m.topology.compact_loads(n);
+        let full = full_domains as f64 * m.bandwidth.domain_bandwidth(cores_per_domain);
+        let partial = if remainder > 0 {
+            m.bandwidth.domain_bandwidth(remainder)
+        } else {
+            0.0
+        };
+        full + partial
+    }
+
     #[test]
     fn node_bandwidth_is_domains_times_domain_bw() {
+        // Compact pinning of every core fills every domain.
         let m = icelake_sp_8360y();
-        assert!((m.node_bandwidth() - 4.0 * m.domain_bandwidth()).abs() < 1e-6);
+        let domain = m.bandwidth.domain_bandwidth(m.topology.cores_per_domain());
+        let node = compact_bandwidth(&m, m.total_cores());
+        assert!((node - 4.0 * domain).abs() < 1e-6);
     }
 
     #[test]
@@ -149,7 +136,7 @@ mod tests {
         let m = icelake_sp_8360y();
         let mut prev = 0.0;
         for n in 1..=m.total_cores() {
-            let bw = m.bandwidth_for_cores(n);
+            let bw = compact_bandwidth(&m, n);
             assert!(bw >= prev - 1e-9, "bandwidth must be non-decreasing");
             prev = bw;
         }
@@ -158,9 +145,10 @@ mod tests {
     #[test]
     fn full_node_bandwidth_close_to_sum_of_domains() {
         let m = icelake_sp_8360y();
-        let full = m.bandwidth_for_cores(m.total_cores());
-        assert!(full <= m.node_bandwidth() + 1e-6);
-        assert!(full >= 0.95 * m.node_bandwidth());
+        let full = compact_bandwidth(&m, m.total_cores());
+        let sum = m.topology.domains.len() as f64 * m.domain_bandwidth();
+        assert!(full <= sum + 1e-6);
+        assert!(full >= 0.95 * sum);
     }
 
     #[test]

@@ -111,24 +111,6 @@ impl SpecI2MResponse {
     }
 }
 
-/// Workload/occupancy context for one store stream, used to evaluate the
-/// SpecI2M efficiency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EvasionContext {
-    /// Bandwidth utilisation (0..=1) of the ccNUMA domain the stream's
-    /// target memory lives in.
-    pub domain_utilization: f64,
-    /// Number of ccNUMA domains populated with at least one active core.
-    pub active_domains: usize,
-    /// Total number of ccNUMA domains in the node.
-    pub total_domains: usize,
-    /// Concurrent store streams issued by the core.
-    pub store_streams: usize,
-    /// Length of the consecutive full-line store streak in cache lines
-    /// (e.g. an inner loop of 216 doubles → 27 lines).
-    pub streak_lines: f64,
-}
-
 impl SpecI2MParams {
     /// Parameter set representing a chip without any automatic
     /// write-allocate evasion (or with the feature switched off).
@@ -144,14 +126,6 @@ impl SpecI2MParams {
             speculative_read_penalty: 0.0,
             nt_partial_flush_max: 0.0,
         }
-    }
-
-    /// Return a copy with the feature switched off (models clearing the MSR
-    /// bit, as done in Sec. V-A of the paper).
-    pub fn switched_off(&self) -> Self {
-        let mut p = self.clone();
-        p.enabled = false;
-        p
     }
 
     /// Ramp factor (0..=1) describing how far SpecI2M has "kicked in" at a
@@ -246,26 +220,6 @@ impl SpecI2MParams {
         (self.speculative_read_penalty * response.ramp * failed).clamp(0.0, 1.0)
     }
 
-    fn response_in(&self, ctx: &EvasionContext) -> SpecI2MResponse {
-        self.response(
-            ctx.domain_utilization,
-            ctx.active_domains,
-            ctx.total_domains,
-            ctx.streak_lines,
-        )
-    }
-
-    /// [`evasion_at`](Self::evasion_at) for one store stream's context.
-    pub fn evasion_fraction(&self, ctx: &EvasionContext) -> f64 {
-        self.evasion_at(&self.response_in(ctx), ctx.store_streams)
-    }
-
-    /// [`speculative_reads_at`](Self::speculative_reads_at) for one store
-    /// stream's context.
-    pub fn speculative_read_fraction(&self, ctx: &EvasionContext) -> f64 {
-        self.speculative_reads_at(&self.response_in(ctx))
-    }
-
     /// Fraction of non-temporal stores that nevertheless cause a read
     /// (partial write-combine-buffer flush) at the given utilisation.
     pub fn nt_partial_flush_fraction(
@@ -289,44 +243,49 @@ mod tests {
     use super::*;
     use crate::presets::{icelake_sp_8360y, sapphire_rapids_8480};
 
-    fn ctx(util: f64, domains: usize, streams: usize, streak: f64) -> EvasionContext {
-        EvasionContext {
-            domain_utilization: util,
-            active_domains: domains,
-            total_domains: 4,
-            store_streams: streams,
-            streak_lines: streak,
-        }
+    /// Evasion fraction of a core issuing `streams` store streams at
+    /// `util` utilisation with `domains` of 4 ccNUMA domains populated.
+    fn evasion(p: &SpecI2MParams, util: f64, domains: usize, streams: usize, streak: f64) -> f64 {
+        p.evasion_at(&p.response(util, domains, 4, streak), streams)
+    }
+
+    /// Speculative-read fraction at the same occupancy.
+    fn speculative(p: &SpecI2MParams, util: f64, domains: usize, streak: f64) -> f64 {
+        p.speculative_reads_at(&p.response(util, domains, 4, streak))
     }
 
     #[test]
     fn disabled_never_evades() {
         let p = SpecI2MParams::disabled();
-        assert_eq!(p.evasion_fraction(&ctx(1.0, 1, 1, 1000.0)), 0.0);
-        assert_eq!(p.speculative_read_fraction(&ctx(1.0, 1, 1, 1.0)), 0.0);
+        assert_eq!(evasion(&p, 1.0, 1, 1, 1000.0), 0.0);
+        assert_eq!(speculative(&p, 1.0, 1, 1.0), 0.0);
     }
 
     #[test]
     fn switched_off_copy_keeps_other_params() {
+        // The MSR switch clears `enabled` and nothing else.
         let p = icelake_sp_8360y().speci2m;
-        let off = p.switched_off();
-        assert!(!off.enabled);
+        let off = SpecI2MParams {
+            enabled: false,
+            ..p.clone()
+        };
         assert_eq!(off.max_evasion, p.max_evasion);
-        assert_eq!(off.evasion_fraction(&ctx(1.0, 1, 1, 1000.0)), 0.0);
+        assert_eq!(evasion(&off, 1.0, 1, 1, 1000.0), 0.0);
+        assert_eq!(speculative(&off, 1.0, 4, 27.0), 0.0);
     }
 
     #[test]
     fn icx_serial_code_sees_no_evasion() {
         let p = icelake_sp_8360y();
         let u = p.domain_utilization(1);
-        let f = p.speci2m.evasion_fraction(&ctx(u, 1, 1, 1000.0));
+        let f = evasion(&p.speci2m, u, 1, 1, 1000.0);
         assert!(f < 0.05, "serial evasion should be negligible, got {f}");
     }
 
     #[test]
     fn icx_saturated_domain_evasion_is_high() {
-        let p = icelake_sp_8360y();
-        let f = p.speci2m.evasion_fraction(&ctx(1.0, 1, 1, 2000.0));
+        let p = icelake_sp_8360y().speci2m;
+        let f = evasion(&p, 1.0, 1, 1, 2000.0);
         assert!(
             f > 0.9,
             "saturated single-domain evasion should exceed 90 %, got {f}"
@@ -336,8 +295,8 @@ mod tests {
     #[test]
     fn full_node_is_worse_than_full_socket_on_icx() {
         let p = icelake_sp_8360y().speci2m;
-        let socket = p.evasion_fraction(&ctx(1.0, 2, 1, 2000.0));
-        let node = p.evasion_fraction(&ctx(1.0, 4, 1, 2000.0));
+        let socket = evasion(&p, 1.0, 2, 1, 2000.0);
+        let node = evasion(&p, 1.0, 4, 1, 2000.0);
         assert!(node < socket);
         // Full-node store ratio should land in the paper's 1.2–1.25 band.
         let ratio = 2.0 - node;
@@ -348,17 +307,17 @@ mod tests {
     fn more_streams_hurt_on_icx_but_not_spr() {
         let icx = icelake_sp_8360y().speci2m;
         let spr = sapphire_rapids_8480().speci2m;
-        let c1 = ctx(1.0, 1, 1, 2000.0);
-        let c3 = ctx(1.0, 1, 3, 2000.0);
-        assert!(icx.evasion_fraction(&c3) < icx.evasion_fraction(&c1));
-        assert!((spr.evasion_fraction(&c3) - spr.evasion_fraction(&c1)).abs() < 1e-12);
+        assert!(evasion(&icx, 1.0, 1, 3, 2000.0) < evasion(&icx, 1.0, 1, 1, 2000.0));
+        assert!(
+            (evasion(&spr, 1.0, 1, 3, 2000.0) - evasion(&spr, 1.0, 1, 1, 2000.0)).abs() < 1e-12
+        );
     }
 
     #[test]
     fn short_streaks_evade_less() {
         let p = icelake_sp_8360y().speci2m;
-        let short = p.evasion_fraction(&ctx(1.0, 4, 1, 27.0)); // 216 doubles
-        let long = p.evasion_fraction(&ctx(1.0, 4, 1, 240.0)); // 1920 doubles
+        let short = evasion(&p, 1.0, 4, 1, 27.0); // 216 doubles
+        let long = evasion(&p, 1.0, 4, 1, 240.0); // 1920 doubles
         assert!(short < long);
         assert!(
             long - short > 0.15,
@@ -369,21 +328,20 @@ mod tests {
     #[test]
     fn speculative_reads_only_for_short_streaks_under_load() {
         let p = icelake_sp_8360y().speci2m;
-        assert_eq!(p.speculative_read_fraction(&ctx(0.0, 1, 1, 10.0)), 0.0);
-        let short = p.speculative_read_fraction(&ctx(1.0, 4, 1, 27.0));
-        let long = p.speculative_read_fraction(&ctx(1.0, 4, 1, 2000.0));
+        assert_eq!(speculative(&p, 0.0, 1, 10.0), 0.0);
+        let short = speculative(&p, 1.0, 4, 27.0);
+        let long = speculative(&p, 1.0, 4, 2000.0);
         assert!(short > long);
         assert!(short > 0.05);
     }
 
     #[test]
     fn spr_evades_less_than_icx() {
-        let icx = icelake_sp_8360y().speci2m;
-        let spr = sapphire_rapids_8480().speci2m;
-        let c = ctx(1.0, 1, 1, 2000.0);
-        assert!(spr.evasion_fraction(&c) < icx.evasion_fraction(&c));
+        let icx = evasion(&icelake_sp_8360y().speci2m, 1.0, 1, 1, 2000.0);
+        let spr = evasion(&sapphire_rapids_8480().speci2m, 1.0, 1, 1, 2000.0);
+        assert!(spr < icx);
         // SPR evades roughly half of the write-allocates at best.
-        let ratio = 2.0 - spr.evasion_fraction(&c);
+        let ratio = 2.0 - spr;
         assert!((1.4..=1.6).contains(&ratio), "SPR best ratio = {ratio}");
     }
 

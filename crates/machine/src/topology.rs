@@ -64,14 +64,6 @@ impl Topology {
         self.domains.len() / self.sockets.max(1)
     }
 
-    /// The ccNUMA domain a given core belongs to.
-    pub fn domain_of(&self, core: CoreId) -> Option<DomainId> {
-        self.domains
-            .iter()
-            .find(|d| d.cores.contains(&core))
-            .map(|d| d.id)
-    }
-
     /// Compact pinning of `n` ranks: rank `i` is pinned to core `i`.
     ///
     /// Returns the list of (rank, core, domain) assignments.  Panics if `n`
@@ -179,16 +171,6 @@ mod tests {
         assert_eq!(t.domains.len(), 4);
         assert_eq!(t.cores_per_domain(), 18);
         assert_eq!(t.domains_per_socket(), 2);
-    }
-
-    #[test]
-    fn domain_of_core() {
-        let t = icx_topology();
-        assert_eq!(t.domain_of(0), Some(0));
-        assert_eq!(t.domain_of(17), Some(0));
-        assert_eq!(t.domain_of(18), Some(1));
-        assert_eq!(t.domain_of(71), Some(3));
-        assert_eq!(t.domain_of(72), None);
     }
 
     #[test]

@@ -96,9 +96,11 @@ named_axis!(Stage {
 });
 
 /// Layer-condition axis of a sweep: whether the stencil rows of the local
-/// grid fit the caches.  The paper's Tiny working set always fulfils the
-/// layer condition on the evaluated machines; `Broken` exposes the dormant
-/// what-if hook of the traffic model as a sweepable axis.
+/// grid fit the caches.  `Ok` is the condition as evaluated on the Tiny
+/// grid for every loop, preset and rank count (see
+/// `tests/integration.rs::layer_condition_holds_at_every_rank_count_of_every_preset`);
+/// `Broken` exposes the what-if hook of the traffic model as a sweepable
+/// axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LayerCondition {
     /// Stencil rows fit: reads follow the LC-fulfilled balance (default).

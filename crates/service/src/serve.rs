@@ -581,7 +581,7 @@ mod tests {
         };
         assert!(err.starts_with("error sweep:"), "{err}");
         assert!(err.contains("unknown machine"), "{err}");
-        assert!(err.contains('\n') == false, "errors are one line");
+        assert!(!err.contains('\n'), "errors are one line");
         assert_eq!(service.sweep_memo().len(), 0);
         // The whole line, once: the parser's message behind one prefix.
         let flags = "sweep --machine icx-8360y --ranks 1..4";

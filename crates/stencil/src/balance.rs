@@ -3,8 +3,8 @@
 use crate::spec::LoopSpec;
 use crate::ELEMENT_BYTES;
 
-/// The four code-balance bounds of one loop in byte per iteration, plus the
-/// derived computational intensity.
+/// The four code-balance bounds of one loop in byte per iteration, plus its
+/// flops per iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodeBalance {
     /// Minimum traffic: layer condition fulfilled, all write-allocates
@@ -40,35 +40,6 @@ impl CodeBalance {
             lcb: e * (rd_lcb + wr),
             max: e * (rd_lcb + wr + wa),
             flops: spec.flops as f64,
-        }
-    }
-
-    /// Computational intensity (flop/byte) at a given code balance.
-    pub fn intensity(&self, balance: f64) -> f64 {
-        if balance <= 0.0 {
-            0.0
-        } else {
-            self.flops / balance
-        }
-    }
-
-    /// Code balance in byte/flop for the minimum-traffic case.
-    pub fn byte_per_flop_min(&self) -> f64 {
-        if self.flops <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.min / self.flops
-        }
-    }
-
-    /// Roofline performance limit in iterations/s for a loop with this code
-    /// balance running at memory bandwidth `bw` (byte/s), assuming the given
-    /// effective balance (byte/it).
-    pub fn roofline_iterations_per_s(balance: f64, bw: f64) -> f64 {
-        if balance <= 0.0 {
-            f64::INFINITY
-        } else {
-            bw / balance
         }
     }
 }
@@ -120,29 +91,5 @@ mod tests {
         assert_eq!(b.min, b.lcf_wa);
         assert_eq!(b.lcb, b.max);
         assert_eq!(b.min, b.lcb);
-    }
-
-    #[test]
-    fn intensity_and_roofline() {
-        let b = CodeBalance::from_spec(&am04());
-        assert!((b.intensity(16.0) - 0.25).abs() < 1e-12);
-        assert!((b.byte_per_flop_min() - 4.0).abs() < 1e-12);
-        // 80 GB/s at 16 byte/it → 5 Giga-iterations/s.
-        let perf = CodeBalance::roofline_iterations_per_s(16.0, 80e9);
-        assert!((perf - 5e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn degenerate_inputs() {
-        let b = CodeBalance {
-            min: 0.0,
-            lcf_wa: 0.0,
-            lcb: 0.0,
-            max: 0.0,
-            flops: 0.0,
-        };
-        assert_eq!(b.intensity(0.0), 0.0);
-        assert!(b.byte_per_flop_min().is_infinite());
-        assert!(CodeBalance::roofline_iterations_per_s(0.0, 1.0).is_infinite());
     }
 }

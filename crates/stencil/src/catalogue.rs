@@ -32,15 +32,6 @@ impl HotspotFunction {
             HotspotFunction::Pdv => "pdv_kernel",
         }
     }
-
-    /// Loop-label prefix used in the paper.
-    pub fn prefix(&self) -> &'static str {
-        match self {
-            HotspotFunction::AdvecMom => "am",
-            HotspotFunction::AdvecCell => "ac",
-            HotspotFunction::Pdv => "pdv",
-        }
-    }
 }
 
 /// Centre-point offset.
@@ -51,10 +42,6 @@ const IX: [(i32, i32); 2] = [(0, 0), (1, 0)];
 const KX: [(i32, i32); 2] = [(0, 0), (0, 1)];
 /// Four-point pattern spanning two rows (Listing 3).
 const QUAD: [(i32, i32); 4] = [(0, -1), (0, 0), (1, -1), (1, 0)];
-/// Three-row pattern (centre, above, below); no catalogue loop uses it yet,
-/// kept for the advec_mom variants a future catalogue extension adds.
-#[allow(dead_code)]
-const TRI_K: [(i32, i32); 3] = [(0, -1), (0, 0), (0, 1)];
 
 fn spec(
     name: &str,
@@ -445,10 +432,10 @@ mod tests {
     use super::*;
     use crate::balance::CodeBalance;
 
-    /// Expected Table I model inputs:
+    /// One row of Table I's model inputs:
     /// (name, #arrays, RD_LCF, RD_LCB, WR, RD&WR, flops, min, lcf_wa, lcb, max)
-    const TABLE_ONE: [(
-        &str,
+    type TableOneRow = (
+        &'static str,
         usize,
         usize,
         usize,
@@ -459,7 +446,10 @@ mod tests {
         f64,
         f64,
         f64,
-    ); 22] = [
+    );
+
+    /// Expected Table I model inputs.
+    const TABLE_ONE: [TableOneRow; 22] = [
         ("am00", 5, 3, 4, 2, 0, 4, 40.0, 56.0, 48.0, 64.0),
         ("am01", 5, 3, 4, 2, 0, 4, 40.0, 56.0, 48.0, 64.0),
         ("am02", 4, 2, 3, 2, 0, 2, 32.0, 48.0, 40.0, 56.0),
@@ -573,7 +563,6 @@ mod tests {
 
     #[test]
     fn hotspot_function_metadata() {
-        assert_eq!(HotspotFunction::AdvecMom.prefix(), "am");
         assert_eq!(HotspotFunction::Pdv.name(), "pdv_kernel");
         let loops = cloverleaf_loops();
         assert_eq!(

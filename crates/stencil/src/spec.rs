@@ -146,16 +146,6 @@ impl LoopSpec {
             .max()
             .unwrap_or(0)
     }
-
-    /// Names of the arrays written without a prior read (the non-temporal
-    /// store / SpecI2M candidates).
-    pub fn evadable_targets(&self) -> Vec<&str> {
-        self.arrays
-            .iter()
-            .filter(|a| a.mode == AccessMode::Write)
-            .map(|a| a.name.as_str())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +198,6 @@ mod tests {
         assert_eq!(l.wr(), 2);
         assert_eq!(l.rd_and_wr(), 1);
         assert_eq!(l.evadable_write_streams(), 1);
-        assert_eq!(l.evadable_targets(), vec!["c"]);
     }
 
     #[test]

@@ -19,6 +19,4 @@ pub use copy::{
     copy_halo_ratio, copy_halo_ratio_memo, copy_kernel_spec, copy_volume_per_iteration,
     copy_volume_per_iteration_memo, CopyHaloPoint, CopyVolumePoint,
 };
-pub use store::{
-    store_kernel_spec, store_ratio, store_ratio_memo, store_ratio_sweep, StoreKind, StoreRatioPoint,
-};
+pub use store::{store_kernel_spec, store_ratio, store_ratio_memo, StoreKind};

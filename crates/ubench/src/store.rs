@@ -18,19 +18,6 @@ pub enum StoreKind {
     NonTemporal,
 }
 
-/// One point of a store-ratio sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StoreRatioPoint {
-    /// Number of active cores.
-    pub cores: usize,
-    /// Number of independent store streams per core.
-    pub streams: usize,
-    /// Store flavour.
-    pub kind: StoreKind,
-    /// Actual traffic / initiated store volume.
-    pub ratio: f64,
-}
-
 /// Doubles stored per stream per core in the simulated benchmark.  The real
 /// benchmark stores 10 GB; the simulator only needs enough elements for the
 /// evasion statistics to converge, which keeps the sweep fast.
@@ -89,23 +76,6 @@ pub fn store_ratio_memo(
     // Actual traffic over initiated store volume.
     let initiated = (cores as u64 * streams as u64 * ELEMENTS_PER_STREAM * 8) as f64;
     report.total_bytes() / initiated
-}
-
-/// Sweep the store ratio over core counts `1..=max_cores`.
-pub fn store_ratio_sweep(
-    machine: &Machine,
-    max_cores: usize,
-    streams: usize,
-    kind: StoreKind,
-) -> Vec<StoreRatioPoint> {
-    (1..=max_cores)
-        .map(|cores| StoreRatioPoint {
-            cores,
-            streams,
-            kind,
-            ratio: store_ratio(machine, cores, streams, kind),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -193,14 +163,6 @@ mod tests {
         let r40 = store_ratio(&m, 40, 1, StoreKind::Normal);
         assert!(r12 > 1.9, "12 cores: ratio {r12}");
         assert!(r40 < 1.8, "40 cores: ratio {r40}");
-    }
-
-    #[test]
-    fn sweep_returns_one_point_per_core_count() {
-        let m = icelake_sp_8360y();
-        let sweep = store_ratio_sweep(&m, 4, 1, StoreKind::Normal);
-        assert_eq!(sweep.len(), 4);
-        assert!(sweep.iter().enumerate().all(|(i, p)| p.cores == i + 1));
     }
 
     #[test]

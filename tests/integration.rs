@@ -5,8 +5,10 @@
 use cloverleaf_wa::cachesim::{NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::core::decomp::{is_prime, Decomposition};
 use cloverleaf_wa::core::{loop_kernel, ScalingModel, TrafficModel, TrafficOptions, TINY_GRID};
-use cloverleaf_wa::machine::{icelake_sp_8360y, Machine};
-use cloverleaf_wa::stencil::{cloverleaf_loops, loop_by_name, CodeBalance, LoopSpec};
+use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset};
+use cloverleaf_wa::stencil::{
+    cloverleaf_loops, loop_by_name, CodeBalance, LayerCondition, LoopSpec,
+};
 use cloverleaf_wa::ubench::{store_ratio, StoreKind};
 
 /// Code balance (byte/it) the simulator measures for `spec` on one core of
@@ -37,6 +39,46 @@ fn model_and_simulator_agree_on_single_core_balance() {
             "{}: model {predicted:.2} vs simulator {measured:.2} byte/it",
             spec.name
         );
+    }
+}
+
+/// Sec. II-C, Eq. (1): the layer condition of every hotspot loop holds on
+/// the Tiny grid at every rank count of every preset, for the widest local
+/// row a rank gets — so no rank count, prime or not, breaks it, and the
+/// `--layer-condition ok` default every output assumes is the evaluated
+/// one.  The tightest case needs 2 rows × 15 360 × 8 B = 245 760 B against
+/// the 524 288 B `cva6-nowa` offers.
+#[test]
+fn layer_condition_holds_at_every_rank_count_of_every_preset() {
+    let loops = cloverleaf_loops();
+    let names: Vec<&str> = MachinePreset::all().iter().map(|p| p.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "icx-8360y",
+            "spr-8470-sncon",
+            "spr-8470-sncoff",
+            "spr-8480plus",
+            "cva6-nowa"
+        ]
+    );
+    for preset in MachinePreset::all() {
+        let machine = preset.machine();
+        let capacity = machine.caches.layer_condition_capacity();
+        for ranks in 1..=machine.total_cores() {
+            let decomp = Decomposition::new(ranks, TINY_GRID, TINY_GRID);
+            let widest = (0..ranks).map(|r| decomp.local_inner(r)).max().unwrap();
+            for spec in &loops {
+                let lc = LayerCondition::evaluate(spec, widest, capacity);
+                assert!(
+                    lc.satisfied,
+                    "{} on {ranks} ranks of {}: {} B needed, {capacity} B available",
+                    spec.name,
+                    preset.name(),
+                    lc.required_bytes()
+                );
+            }
+        }
     }
 }
 

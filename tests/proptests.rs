@@ -4,9 +4,8 @@ use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::{
     CoreSim, MemCounters, NodeSim, SetAssocCache, SimConfig, WriteCoalescer, LINE_BYTES,
 };
-use cloverleaf_wa::core::decomp::{is_prime, prime_factors, Decomposition};
+use cloverleaf_wa::core::decomp::{is_prime, Decomposition};
 use cloverleaf_wa::golden::Artifact;
-use cloverleaf_wa::machine::speci2m::EvasionContext;
 use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset, SpecI2MParams};
 use cloverleaf_wa::stencil::{cloverleaf_loops, CodeBalance};
 use proptest::prelude::*;
@@ -32,14 +31,21 @@ fn mini_store_ratio(machine: &Machine, cores: usize, streams: usize) -> f64 {
 /// The SpecI2M fractions as one closed form per store stream, the way they
 /// were written before the response was split off: the reference the split
 /// must reproduce to the bit.
-fn unsplit_fractions(p: &SpecI2MParams, c: &EvasionContext) -> (f64, f64) {
-    let ramp = p.activation_ramp(c.domain_utilization);
+fn unsplit_fractions(
+    p: &SpecI2MParams,
+    domain_utilization: f64,
+    active_domains: usize,
+    total_domains: usize,
+    store_streams: usize,
+    streak_lines: f64,
+) -> (f64, f64) {
+    let ramp = p.activation_ramp(domain_utilization);
     if !p.enabled || ramp <= 0.0 {
         return (0.0, 0.0);
     }
-    let streams = p.stream_response.factor(c.store_streams);
-    let streak = p.streak_response(c.streak_lines);
-    let node = p.node_population_factor(c.active_domains, c.total_domains);
+    let streams = p.stream_response.factor(store_streams);
+    let streak = p.streak_response(streak_lines);
+    let node = p.node_population_factor(active_domains, total_domains);
     (
         (p.max_evasion * ramp * streams * streak * node).clamp(0.0, 1.0),
         (p.speculative_read_penalty * ramp * (1.0 - streak)).clamp(0.0, 1.0),
@@ -62,38 +68,26 @@ proptest! {
         streak_draw in 0u64..=4_000_000,
     ) {
         let params = preset.machine().speci2m;
-        let params = if switched_off { params.switched_off() } else { params };
-        let ctx = EvasionContext {
-            domain_utilization: utilization_permille as f64 / 1000.0,
+        let params = if switched_off {
+            SpecI2MParams { enabled: false, ..params }
+        } else {
+            params
+        };
+        let domain_utilization = utilization_permille as f64 / 1000.0;
+        // 0 to 4000 lines in steps no streak scale divides evenly.
+        let streak_lines = streak_draw as f64 / 1000.0;
+        let (evasion, speculative) = unsplit_fractions(
+            &params,
+            domain_utilization,
             active_domains,
             total_domains,
             store_streams,
-            // 0 to 4000 lines in steps no streak scale divides evenly.
-            streak_lines: streak_draw as f64 / 1000.0,
-        };
-        let (evasion, speculative) = unsplit_fractions(&params, &ctx);
-        let response = params.response(
-            ctx.domain_utilization,
-            ctx.active_domains,
-            ctx.total_domains,
-            ctx.streak_lines,
+            streak_lines,
         );
+        let response =
+            params.response(domain_utilization, active_domains, total_domains, streak_lines);
         prop_assert_eq!(params.evasion_at(&response, store_streams).to_bits(), evasion.to_bits());
         prop_assert_eq!(params.speculative_reads_at(&response).to_bits(), speculative.to_bits());
-        prop_assert_eq!(params.evasion_fraction(&ctx).to_bits(), evasion.to_bits());
-        prop_assert_eq!(params.speculative_read_fraction(&ctx).to_bits(), speculative.to_bits());
-    }
-
-    /// Prime factorisation multiplies back to the original number and every
-    /// factor is prime.
-    #[test]
-    fn prime_factors_multiply_back(n in 1usize..20_000) {
-        let factors = prime_factors(n);
-        let product: usize = factors.iter().product();
-        prop_assert_eq!(product.max(1), n.max(1));
-        for f in factors {
-            prop_assert!(is_prime(f));
-        }
     }
 
     /// Any decomposition conserves cells and keeps chunk sizes within one
@@ -212,7 +206,7 @@ proptest! {
                 } else {
                     core.store(addr, 8);
                 }
-                lines.insert(addr / LINE_BYTES as u64);
+                lines.insert(addr / LINE_BYTES);
             }
         }
         let c: MemCounters = core.flush();

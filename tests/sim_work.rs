@@ -12,7 +12,7 @@
 
 mod common;
 
-use clover_bench::copy_halo_points;
+use clover_bench::{copy_halo_points, run_interference_artifact, INTERFERENCE_EXPERIMENTS};
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::machine::{
@@ -189,4 +189,17 @@ fn distinct_passes_are_the_only_passes() {
         (4, hits + 1),
         "the `none` row is one hit of the shared baseline"
     );
+}
+
+#[test]
+fn figures_interfere_simulates_each_distinct_pass_once() {
+    // `figures interfere` generates its three artifacts through one memo:
+    // the timestep and occupancy views read the same four victim co-run
+    // passes (three contended, one baseline), the evasion view its own
+    // four, so eight passes, not twelve.
+    let memo = SimMemo::new();
+    for name in INTERFERENCE_EXPERIMENTS {
+        run_interference_artifact(name, &memo).expect("known name");
+    }
+    assert_eq!(memo.corun_stats().misses, 8);
 }
