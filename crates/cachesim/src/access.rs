@@ -60,8 +60,8 @@ pub const ELEM_BYTES: u64 = 8;
 /// `CoreSim::drive_run` expands a run into one hierarchy operation per
 /// 64-byte cache line (plus exact bookkeeping for the repeated touches of a
 /// line and for partially covered head/tail lines) instead of one operation
-/// per 8-byte element, producing bit-identical counters to the scalar
-/// per-element path at a fraction of the cost.
+/// per 8-byte element, producing the counters of the per-element sequence
+/// at a fraction of the cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessRun {
     /// First byte address of the run.

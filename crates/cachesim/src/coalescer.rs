@@ -11,7 +11,7 @@
 //! decides — based on the machine's SpecI2M parameters — whether the
 //! write-allocate is evaded.
 
-use crate::access::{line_of, LINE_BYTES};
+use crate::access::LINE_BYTES;
 
 /// Result of finalizing one written cache line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -47,32 +47,26 @@ impl WriteStream {
     }
 }
 
-/// Tracks the open store streams of one core.
-#[derive(Debug, Clone)]
+/// Store streams a core follows at once: the hardware store buffer can only
+/// track a handful.  A store that would open a ninth displaces the least
+/// recently stored-to stream.
+const MAX_STREAMS: usize = 8;
+
+/// Forward gap, in lines, across which a stream continues: a store at most
+/// this many lines past a stream's line advances it (an aligned halo of a
+/// few cache lines does not break the hardware's stream detection).
+const GAP_TOLERANCE: u64 = 4;
+
+/// Tracks the open store streams of one core, in the order they were
+/// opened: when several streams could continue at a store, the earliest
+/// opened does, and [`flush`](Self::flush) finalizes them in that order.
+#[derive(Debug, Clone, Default)]
 pub struct WriteCoalescer {
     streams: Vec<WriteStream>,
-    max_streams: usize,
     stamp: u64,
 }
 
-impl Default for WriteCoalescer {
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
-
 impl WriteCoalescer {
-    /// Create a coalescer tracking at most `max_streams` concurrent store
-    /// streams (the hardware store buffer can only follow a handful).
-    pub fn new(max_streams: usize) -> Self {
-        assert!(max_streams > 0);
-        Self {
-            streams: Vec::new(),
-            max_streams,
-            stamp: 0,
-        }
-    }
-
     /// Number of store streams currently open.
     pub fn active_streams(&self) -> usize {
         self.streams.len()
@@ -93,30 +87,6 @@ impl WriteCoalescer {
     pub fn reset(&mut self) {
         self.streams.clear();
         self.stamp = 0;
-    }
-
-    /// Record a store of `bytes` bytes at `addr`.  Returns the lines that
-    /// were *finalized* by this store (the stream moved past them or a new
-    /// stream displaced an old one).
-    ///
-    /// This is the allocating convenience wrapper around
-    /// [`store_segment`]; hot paths split the store into per-line segments
-    /// themselves and consume each event as it is produced.
-    ///
-    /// [`store_segment`]: Self::store_segment
-    pub fn store(&mut self, addr: u64, bytes: u32) -> Vec<FinalizedLine> {
-        let mut finalized = Vec::new();
-        let mut addr = addr;
-        let mut remaining = bytes as u64;
-        while remaining > 0 {
-            let line = line_of(addr);
-            let offset = addr % LINE_BYTES;
-            let in_line = (LINE_BYTES - offset).min(remaining);
-            finalized.extend(self.store_segment(line, offset, in_line));
-            addr += in_line;
-            remaining -= in_line;
-        }
-        finalized
     }
 
     fn coverage_mask(offset: u64, len: u64) -> u64 {
@@ -146,11 +116,9 @@ impl WriteCoalescer {
             return None;
         }
 
-        // 2. The store advances an existing stream to a nearby later line.
-        //    Small forward gaps (an aligned halo of up to a few cache lines)
-        //    do not break the hardware's stream detection, so the streak
-        //    carries across them as long as the completed lines were full.
-        const GAP_TOLERANCE: u64 = 4;
+        // 2. The store advances an existing stream to a nearby later line
+        //    (within `GAP_TOLERANCE`); the streak carries across the gap as
+        //    long as the completed lines were full.
         let active = self.streams.len();
         if let Some(s) = self
             .streams
@@ -181,14 +149,14 @@ impl WriteCoalescer {
 
         // 3. Otherwise open a new stream, possibly displacing the oldest.
         let mut finalized = None;
-        if self.streams.len() >= self.max_streams {
+        if self.streams.len() >= MAX_STREAMS {
             let (idx, _) = self
                 .streams
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, s)| s.stamp)
                 .expect("non-empty streams");
-            let old = self.streams.swap_remove(idx);
+            let old = self.streams.remove(idx);
             finalized = Some(Self::finalize_stream(&old, self.streams.len() + 1));
         }
         self.streams.push(WriteStream {
@@ -232,20 +200,24 @@ impl WriteCoalescer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::line_of;
+
+    /// Store one 8-byte-aligned double at `addr`.
+    fn store_double(c: &mut WriteCoalescer, addr: u64) -> Option<FinalizedLine> {
+        c.store_segment(line_of(addr), addr % LINE_BYTES, 8)
+    }
 
     /// Store an entire contiguous array of `n` doubles starting at `base`,
-    /// 8 bytes at a time, and return all finalized lines plus the flush.
+    /// 8 bytes at a time, and return the lines finalized on the way.
     fn store_doubles(c: &mut WriteCoalescer, base: u64, n: u64) -> Vec<FinalizedLine> {
-        let mut out = Vec::new();
-        for i in 0..n {
-            out.extend(c.store(base + 8 * i, 8));
-        }
-        out
+        (0..n)
+            .filter_map(|i| store_double(c, base + 8 * i))
+            .collect()
     }
 
     #[test]
     fn contiguous_stores_produce_full_lines() {
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         let mut lines = store_doubles(&mut c, 0, 64); // 8 lines worth
         lines.extend(c.flush());
         assert_eq!(lines.len(), 8);
@@ -254,7 +226,7 @@ mod tests {
 
     #[test]
     fn streak_grows_with_consecutive_full_lines() {
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         let lines = store_doubles(&mut c, 0, 64);
         // 7 lines finalized by advancing (the 8th is still open).
         assert_eq!(lines.len(), 7);
@@ -264,24 +236,23 @@ mod tests {
 
     #[test]
     fn partial_line_breaks_streak_and_reports_not_full() {
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         // Fill line 0 fully, then skip half of line 1, continue on line 2.
         store_doubles(&mut c, 0, 8); // line 0 complete, line cursor at 0
                                      // Write only the first 4 doubles of line 1.
         store_doubles(&mut c, 64, 4);
         // Jump to line 2: a new store at line 2 advances stream, finalizing
         // line 1 as partial.
-        let fin = c.store(128, 8);
-        assert_eq!(fin.len(), 1);
-        assert!(!fin[0].full);
-        assert_eq!(fin[0].line, 1);
+        let fin = store_double(&mut c, 128).expect("line 1 is finalized");
+        assert!(!fin.full);
+        assert_eq!(fin.line, 1);
     }
 
     #[test]
     fn unaligned_halo_rows_yield_partial_boundary_lines() {
         // Rows of 27 doubles (216 bytes + change): with a 5-double halo gap,
         // row starts are not line-aligned so boundary lines are partial.
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         let row_elems = 27u64;
         let halo = 5u64;
         let mut all = Vec::new();
@@ -299,12 +270,12 @@ mod tests {
 
     #[test]
     fn two_interleaved_streams_are_tracked_separately() {
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         let mut fin = Vec::new();
         // Interleave stores to two far-apart arrays.
         for i in 0..32u64 {
-            fin.extend(c.store(i * 8, 8));
-            fin.extend(c.store(1 << 20 | (i * 8), 8));
+            fin.extend(store_double(&mut c, i * 8));
+            fin.extend(store_double(&mut c, 1 << 20 | (i * 8)));
         }
         assert_eq!(c.active_streams(), 2);
         fin.extend(c.flush());
@@ -314,14 +285,42 @@ mod tests {
 
     #[test]
     fn stream_table_eviction_finalizes_oldest() {
-        let mut c = WriteCoalescer::new(2);
-        c.store(0, 8);
-        c.store(1 << 20, 8);
-        // Third distinct stream evicts the first (partial line).
-        let fin = c.store(1 << 30, 8);
-        assert_eq!(fin.len(), 1);
-        assert!(!fin[0].full);
-        assert_eq!(c.active_streams(), 2);
+        let mut c = WriteCoalescer::default();
+        // Eight far-apart streams fill the table; storing to the first
+        // again makes the second the least recently used.
+        for s in 0..MAX_STREAMS as u64 {
+            assert_eq!(store_double(&mut c, s << 20), None);
+        }
+        assert_eq!(store_double(&mut c, 8), None);
+        // A ninth displaces it: a partial line, finalized with the whole
+        // table open.
+        let fin = store_double(&mut c, 1 << 30).expect("a stream is displaced");
+        assert_eq!(fin.line, line_of(1 << 20));
+        assert!(!fin.full);
+        assert_eq!(fin.active_streams, MAX_STREAMS);
+        assert_eq!(c.active_streams(), MAX_STREAMS);
+        // The others are still open, flushed in the order they were opened
+        // (the ninth last).
+        let order: Vec<u64> = c.flush().iter().map(|l| l.line).collect();
+        let mut expected: Vec<u64> = (0..MAX_STREAMS as u64)
+            .filter(|&s| s != 1)
+            .map(|s| line_of(s << 20))
+            .collect();
+        expected.push(line_of(1 << 30));
+        assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn the_earliest_opened_of_two_candidate_streams_continues() {
+        let mut c = WriteCoalescer::default();
+        // Streams on lines 2 and 0, opened in that order: a store to line 3
+        // is within the gap of both, and the earlier one moves.
+        for line in [2u64, 0] {
+            assert_eq!(store_double(&mut c, line * 64), None);
+        }
+        let fin = store_double(&mut c, 3 * 64).expect("a stream advances");
+        assert_eq!(fin.line, 2);
+        assert!(c.stream_at_line(0) && c.stream_at_line(3));
     }
 
     #[test]
@@ -329,7 +328,7 @@ mod tests {
         // Aligned rows of exactly 8 lines separated by a jump: after the
         // first row, the estimate for early lines of the next row should
         // report the previous row's length, not the small running count.
-        let mut c = WriteCoalescer::new(4);
+        let mut c = WriteCoalescer::default();
         let mut fin = store_doubles(&mut c, 0, 64); // row 0: lines 0..8
                                                     // Jump to a new row far away (same stream cannot continue).
         fin.extend(store_doubles(&mut c, 1 << 16, 64));
@@ -353,8 +352,15 @@ mod tests {
 
     #[test]
     fn zero_byte_store_is_noop() {
-        let mut c = WriteCoalescer::new(2);
-        assert!(c.store(0, 0).is_empty());
-        assert_eq!(c.active_streams(), 0);
+        // A run of no elements reaches no coalescer: nothing opens, nothing
+        // is finalized at the flush, no level is probed.
+        use crate::access::AccessRun;
+        use crate::hierarchy::{CoreSim, CoreSimOptions, OccupancyContext};
+        let m = clover_machine::icelake_sp_8360y();
+        let mut core = CoreSim::new(&m, OccupancyContext::serial(&m), CoreSimOptions::default());
+        core.drive_run(AccessRun::store(0, 0));
+        core.drive_run(AccessRun::store_nt(0, 0));
+        assert_eq!(core.flush(), crate::counters::MemCounters::new());
+        assert_eq!(core.cache_stats(), [(0, 0); 3]);
     }
 }

@@ -4,8 +4,9 @@
 //! kernel on every rank (SPMD).  Ranks pinned to the same ccNUMA domain see
 //! the same occupancy, so their memory traffic is identical; the node
 //! simulator therefore simulates one *representative* core per distinct
-//! domain load and scales the counters — with an exact per-rank mode kept
-//! for validation ([`NodeSim::run_spmd_exact`]).
+//! domain load and scales the counters.  That every rank of a kernel
+//! drives the same counters is what `tests/batched_equivalence.rs` checks
+//! rank by rank.
 
 use clover_machine::{Machine, WritePolicyKind};
 
@@ -13,7 +14,7 @@ use crate::access::LINE_BYTES;
 use crate::cache::SetAssocCache;
 use crate::counters::MemCounters;
 use crate::hierarchy::{
-    l3_share_bytes, CoreSim, CoreSimOptions, DomainOccupancy, OccupancyContext, PrivateCore,
+    l3_share_bytes, CoreSimOptions, DomainOccupancy, OccupancyContext, PrivateCore,
 };
 use crate::memo::{CoRunKey, KernelSpec, SimMemo};
 use crate::patterns::{StencilRowSweep, SweepCursor};
@@ -135,25 +136,19 @@ impl NodeSim {
         &self.config
     }
 
-    /// The closure-based entry points are the paper-configuration
-    /// reference the memoized path is checked against: refuse any other
-    /// store-miss policy.
-    fn assert_default_policies(&self, entry: &str) {
-        assert!(
-            self.config.write_policy == WritePolicyKind::default(),
-            "{entry} always simulates the default LRU + write-allocate hierarchy; \
-             use run_spmd_memo for policy sweeps"
-        );
-    }
-
-    /// Fold one representative simulation per distinct domain load into a
-    /// node report: `simulate(ctx, options, rank)` runs (or looks up) the
-    /// core standing in for the domain whose first rank is `rank`, and its
-    /// counters are scaled by the number of ranks at that load.
-    fn fold_domains(
-        &self,
-        mut simulate: impl FnMut(OccupancyContext, CoreSimOptions, usize) -> MemCounters,
-    ) -> NodeSimReport {
+    /// Run an SPMD [`KernelSpec`], simulating one representative core per
+    /// distinct domain occupancy — the domain's first rank — and scaling its
+    /// counters by the number of ranks at that occupancy, through a
+    /// cross-sweep [`SimMemo`]: each distinct `(occupancy context, core
+    /// options, kernel)` level is simulated at most once per memo lifetime
+    /// and shared across every rank count of a sweep — bit-identical to a
+    /// fresh memo's simulation (see `crate::memo` for why memo hits are
+    /// exact).  Misses simulate on the thread-local pooled core, so the
+    /// cache arenas are reused across calls as well.
+    ///
+    /// Honours the configuration's [`write_policy`](SimConfig::write_policy)
+    /// through the core options.
+    pub fn run_spmd_memo(&self, kernel: &KernelSpec, memo: &SimMemo) -> NodeSimReport {
         let machine = &self.config.machine;
         let occ = DomainOccupancy::compact(machine, self.config.ranks);
 
@@ -170,7 +165,8 @@ impl NodeSim {
             }
             let counters = *by_load[count].get_or_insert_with(|| {
                 let ctx = OccupancyContext::domain_load(machine, count, occ.active_domains);
-                simulate(ctx, self.config.core_options(count), first_rank_of_domain)
+                let options = self.config.core_options(count);
+                memo.counters(machine, ctx, options, kernel, first_rank_of_domain)
             });
             if first {
                 per_rank = counters;
@@ -180,88 +176,6 @@ impl NodeSim {
             first_rank_of_domain += count;
         }
 
-        NodeSimReport {
-            ranks: self.config.ranks,
-            total,
-            per_rank,
-            cores_per_domain: occ.cores_per_domain,
-        }
-    }
-
-    /// Run an SPMD kernel, simulating one representative core per distinct
-    /// domain occupancy and scaling the counters by the number of ranks at
-    /// that occupancy.
-    ///
-    /// The kernel receives the rank id it is standing in for and the core
-    /// simulator to drive.
-    pub fn run_spmd<F>(&self, kernel: F) -> NodeSimReport
-    where
-        F: Fn(usize, &mut CoreSim),
-    {
-        self.assert_default_policies("run_spmd");
-        // One core simulator serves every distinct domain load: `reset`
-        // reuses its cache arenas instead of reallocating three caches and
-        // two coalescers per load level.
-        let mut core: Option<CoreSim> = None;
-        self.fold_domains(|ctx, options, rank| {
-            let core = core.get_or_insert_with(|| CoreSim::new(&self.config.machine, ctx, options));
-            core.reset(ctx, options);
-            kernel(rank, core);
-            core.flush()
-        })
-    }
-
-    /// Run an SPMD [`KernelSpec`] through a cross-sweep [`SimMemo`]: each
-    /// distinct `(occupancy context, core options, kernel)` level is
-    /// simulated at most once per memo lifetime and shared across every
-    /// rank count of a sweep — bit-identical to [`run_spmd`] with a closure
-    /// driving the same spec (see `crate::memo` for why memo hits are
-    /// exact).  Misses simulate on the thread-local pooled core, so the
-    /// cache arenas are reused across calls as well.
-    ///
-    /// [`run_spmd`]: Self::run_spmd
-    ///
-    /// Honours the configuration's [`write_policy`](SimConfig::write_policy)
-    /// through the core options.
-    pub fn run_spmd_memo(&self, kernel: &KernelSpec, memo: &SimMemo) -> NodeSimReport {
-        self.fold_domains(|ctx, options, rank| {
-            memo.counters(&self.config.machine, ctx, options, kernel, rank)
-        })
-    }
-
-    /// Run an SPMD kernel simulating *every* rank individually.  Exact but
-    /// linearly more expensive; used to validate the representative-core
-    /// approximation.
-    pub fn run_spmd_exact<F>(&self, kernel: F) -> NodeSimReport
-    where
-        F: Fn(usize, &mut CoreSim),
-    {
-        self.assert_default_policies("run_spmd_exact");
-        let machine = &self.config.machine;
-        let occ = DomainOccupancy::compact(machine, self.config.ranks);
-
-        let mut total = MemCounters::new();
-        let mut per_rank = MemCounters::new();
-        let mut core: Option<CoreSim> = None;
-        let mut rank = 0usize;
-        for &count in &occ.cores_per_domain {
-            if count == 0 {
-                break;
-            }
-            let ctx = OccupancyContext::domain_load(machine, count, occ.active_domains);
-            for _ in 0..count {
-                let options = self.config.core_options(count);
-                let core = core.get_or_insert_with(|| CoreSim::new(machine, ctx, options));
-                core.reset(ctx, options);
-                kernel(rank, core);
-                let c = core.flush();
-                if rank == 0 {
-                    per_rank = c;
-                }
-                total.merge(&c);
-                rank += 1;
-            }
-        }
         NodeSimReport {
             ranks: self.config.ranks,
             total,
@@ -284,7 +198,7 @@ impl NodeSim {
     /// tenant*, alone on the same tenancy, so a delta between the two
     /// isolates pure interference from capacity effects.  One tenant on a
     /// tenancy of one sees exactly the solo geometry, bit-identical to
-    /// [`run_spmd`] driving the same spec on one rank (a tested property).
+    /// [`run_spmd_memo`] of the same spec on one rank (a tested property).
     ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
     /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
@@ -296,7 +210,7 @@ impl NodeSim {
     /// ([`RankBase::Shifted`](crate::memo::RankBase)) guarantee this;
     /// overlapping windows panic.
     ///
-    /// [`run_spmd`]: Self::run_spmd
+    /// [`run_spmd_memo`]: Self::run_spmd_memo
     pub fn run_corun(
         &self,
         tenants: &[KernelSpec],
@@ -484,14 +398,47 @@ fn corun_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessKind;
+    use crate::hierarchy::CoreSim;
+    use crate::memo::RankBase;
     use clover_machine::icelake_sp_8360y;
 
-    fn store_kernel(n: u64) -> impl Fn(usize, &mut CoreSim) {
-        move |rank, core| {
-            let base = (rank as u64) << 36;
-            for i in 0..n {
-                core.store(base + i * 8, 8);
+    /// `n` stores of 8 bytes from the rank's base `rank << 36`.
+    fn store_kernel(n: u64) -> KernelSpec {
+        KernelSpec::contiguous(
+            RankBase::Shifted { shift: 36, plus: 0 },
+            0,
+            n,
+            AccessKind::Store,
+        )
+    }
+
+    /// `kernel` on `ranks` ranks of `m` through a fresh memo.
+    fn run(m: &Machine, ranks: usize, kernel: &KernelSpec) -> NodeSimReport {
+        NodeSim::new(SimConfig::new(m.clone(), ranks)).run_spmd_memo(kernel, &SimMemo::new())
+    }
+
+    /// What simulating every rank individually gives: each rank's kernel on
+    /// a fresh core of its domain's occupancy, summed over the node.
+    fn every_rank(sim: &NodeSim, kernel: &KernelSpec) -> NodeSimReport {
+        let config = sim.config();
+        let occ = DomainOccupancy::compact(&config.machine, config.ranks);
+        let mut total = MemCounters::new();
+        let mut per_rank = Vec::new();
+        for &count in occ.cores_per_domain.iter().filter(|&&c| c > 0) {
+            let ctx = OccupancyContext::domain_load(&config.machine, count, occ.active_domains);
+            for _ in 0..count {
+                let mut core = CoreSim::new(&config.machine, ctx, config.core_options(count));
+                kernel.drive(per_rank.len(), &mut core);
+                per_rank.push(core.flush());
+                total.merge(per_rank.last().expect("pushed"));
             }
+        }
+        NodeSimReport {
+            ranks: config.ranks,
+            total,
+            per_rank: per_rank[0],
+            cores_per_domain: occ.cores_per_domain,
         }
     }
 
@@ -499,12 +446,12 @@ mod tests {
     fn representative_matches_exact_on_uniform_occupancy() {
         // 72 ranks load every ICX domain with exactly 18 cores; with one
         // distinct domain load the representative core must reproduce the
-        // exact per-rank simulation bit for bit (regression guard for the
-        // `CoreSim::reset` reuse in both loops).
+        // per-rank simulation of every rank bit for bit (a guard for the
+        // pooled core's `CoreSim::reset` reuse too).
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 72));
-        let fast = sim.run_spmd(store_kernel(2048));
-        let exact = sim.run_spmd_exact(store_kernel(2048));
+        let fast = sim.run_spmd_memo(&store_kernel(2048), &SimMemo::new());
+        let exact = every_rank(&sim, &store_kernel(2048));
         // The representative core is bit-identical; the node totals only up
         // to summation order (one `c * 18` versus eighteen additions).
         assert_eq!(fast.per_rank, exact.per_rank);
@@ -527,22 +474,29 @@ mod tests {
         // between whole runs.
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 20));
-        let a = sim.run_spmd(store_kernel(2048));
-        let b = sim.run_spmd(store_kernel(2048));
+        let fresh = || sim.run_spmd_memo(&store_kernel(2048), &SimMemo::without_differential());
+        let (a, b) = (fresh(), fresh());
         assert_eq!(a.total, b.total);
         assert_eq!(a.per_rank, b.per_rank);
     }
 
     #[test]
     fn batched_kernel_matches_scalar_kernel_node_wide() {
-        use crate::access::AccessRun;
+        // One row of 4096 stores, batched by the sweep cursor, against the
+        // same stores as 4096 rows of one element each (a one-element
+        // segment per row: element by element).
         let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 19));
-        let scalar = sim.run_spmd(store_kernel(4096));
-        let batched = sim.run_spmd(|rank, core| {
-            let base = (rank as u64) << 36;
-            core.drive_run(AccessRun::store(base, 4096));
-        });
+        let batched = run(&m, 19, &store_kernel(4096));
+        let scalar = run(
+            &m,
+            19,
+            &KernelSpec {
+                row_stride: 1,
+                inner: 1,
+                rows: 4096,
+                ..store_kernel(4096)
+            },
+        );
         assert_eq!(scalar.total, batched.total);
         assert_eq!(scalar.per_rank, batched.per_rank);
     }
@@ -552,8 +506,8 @@ mod tests {
         let m = icelake_sp_8360y();
         let cfg = SimConfig::new(m, 4);
         let sim = NodeSim::new(cfg);
-        let fast = sim.run_spmd(store_kernel(4096));
-        let exact = sim.run_spmd_exact(store_kernel(4096));
+        let fast = sim.run_spmd_memo(&store_kernel(4096), &SimMemo::new());
+        let exact = every_rank(&sim, &store_kernel(4096));
         let rel = |a: f64, b: f64| (a - b).abs() / b.max(1e-12);
         assert!(rel(fast.total.read_lines, exact.total.read_lines) < 1e-9);
         assert!(rel(fast.total.write_lines, exact.total.write_lines) < 1e-9);
@@ -564,8 +518,7 @@ mod tests {
     fn scaling_store_ratio_drops_with_cores() {
         let m = icelake_sp_8360y();
         let ratio = |ranks: usize| {
-            let sim = NodeSim::new(SimConfig::new(m.clone(), ranks));
-            let rep = sim.run_spmd(store_kernel(4096));
+            let rep = run(&m, ranks, &store_kernel(4096));
             rep.total_bytes() / rep.total.write_bytes()
         };
         let serial = ratio(1);
@@ -581,8 +534,7 @@ mod tests {
     fn new_domain_worsens_the_ratio_again() {
         let m = icelake_sp_8360y();
         let ratio = |ranks: usize| {
-            let sim = NodeSim::new(SimConfig::new(m.clone(), ranks));
-            let rep = sim.run_spmd(store_kernel(4096));
+            let rep = run(&m, ranks, &store_kernel(4096));
             rep.total_bytes() / rep.total.write_bytes()
         };
         // 18 ranks saturate domain 0; 20 ranks put two lonely ranks on
@@ -594,7 +546,7 @@ mod tests {
     fn speci2m_off_keeps_ratio_at_two() {
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 36).without_speci2m());
-        let rep = sim.run_spmd(store_kernel(4096));
+        let rep = sim.run_spmd_memo(&store_kernel(4096), &SimMemo::new());
         let ratio = rep.total_bytes() / rep.total.write_bytes();
         assert!(
             ratio > 1.95,
@@ -604,8 +556,6 @@ mod tests {
 
     #[test]
     fn policy_selectors_change_the_memoized_simulation() {
-        use crate::access::AccessKind;
-        use crate::memo::RankBase;
         let m = icelake_sp_8360y();
         let spec = KernelSpec::contiguous(
             RankBase::Shifted { shift: 36, plus: 0 },
@@ -638,33 +588,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "run_spmd always simulates the default")]
-    fn closure_path_refuses_a_non_default_policy_config() {
-        // A hard assert, not a debug one: a release build must not silently
-        // simulate LRU + write-allocate for a no-allocate configuration.
-        let cfg =
-            SimConfig::new(icelake_sp_8360y(), 1).with_write_policy(WritePolicyKind::NoAllocate);
-        let _ = NodeSim::new(cfg).run_spmd(store_kernel(64));
-    }
-
-    #[test]
     fn report_ratio_of_write_free_kernel_is_zero_not_infinite() {
         // Satellite guard: the raw counters keep the INFINITY semantics,
         // the node report clamps to 0.0 so downstream arithmetic and JSON
         // stay finite.
         let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 1));
-        let rep = sim.run_spmd(|rank, core| {
-            let base = (rank as u64) << 36;
-            core.load(base, 8 * 1024);
-        });
+        let loads = KernelSpec {
+            operands: vec![crate::memo::SpecOperand {
+                offset: 0,
+                points: vec![(0, 0)],
+                kind: AccessKind::Load,
+            }],
+            ..store_kernel(1024)
+        };
+        let rep = run(&m, 1, &loads);
         assert!(rep.total.write_lines <= 0.0);
         assert!(rep.total.read_write_ratio().is_infinite());
         assert_eq!(rep.read_write_ratio(), 0.0);
     }
 
-    fn corun_spec(kind: crate::access::AccessKind, elements: u64, rows: u64) -> KernelSpec {
-        use crate::memo::{RankBase, SpecOperand};
+    fn corun_spec(kind: AccessKind, elements: u64, rows: u64) -> KernelSpec {
+        use crate::memo::SpecOperand;
         KernelSpec {
             rank_base: RankBase::Shifted { shift: 36, plus: 0 },
             operands: vec![SpecOperand {
@@ -684,7 +628,6 @@ mod tests {
 
     #[test]
     fn single_tenant_corun_is_bit_identical_to_run_spmd() {
-        use crate::access::AccessKind;
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 1));
         let memo = SimMemo::new();
@@ -701,7 +644,6 @@ mod tests {
 
     #[test]
     fn thrashing_aggressor_inflicts_extra_misses_on_a_reuse_victim() {
-        use crate::access::AccessKind;
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m.clone(), 2));
         let memo = SimMemo::new();
@@ -748,7 +690,6 @@ mod tests {
 
     #[test]
     fn the_tenancy_size_is_in_the_key_where_nothing_else_tells_two_apart() {
-        use crate::access::AccessKind;
         use clover_machine::{cva6_like, SaturationCurve};
         // A CVA6 whose per-core L3 share is the whole L3 at any core count
         // and whose bandwidth one core saturates: a one- and a two-core
@@ -781,7 +722,6 @@ mod tests {
 
     #[test]
     fn corun_memo_never_crosses_tenant_order_or_interleave() {
-        use crate::access::AccessKind;
         let m = icelake_sp_8360y();
         let sim = NodeSim::new(SimConfig::new(m, 2));
         let memo = SimMemo::new();
@@ -804,8 +744,7 @@ mod tests {
     #[test]
     fn report_helpers() {
         let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 2));
-        let rep = sim.run_spmd(store_kernel(1024));
+        let rep = run(&m, 2, &store_kernel(1024));
         assert_eq!(rep.ranks, 2);
         assert_eq!(rep.cores_per_domain.iter().sum::<usize>(), 2);
         assert!(rep.total_bytes() > 0.0);

@@ -6,11 +6,13 @@
 //! produces the memory-controller counters ([`MemCounters`]) for the access
 //! stream fed to it.
 //!
-//! Two entry points exist: the scalar per-access API ([`CoreSim::load`],
-//! [`CoreSim::store`], …) and the batched [`CoreSim::drive_run`], which
-//! expands a contiguous element run into one hierarchy operation per
-//! 64-byte cache line (the granularity at which traffic is decided) while
-//! producing bit-identical counters to the scalar path.
+//! A core is driven by [`CoreSim::drive_run`], which expands a contiguous
+//! element run into one hierarchy operation per 64-byte cache line (the
+//! granularity at which traffic is decided), or by a stencil sweep
+//! ([`crate::patterns`]).  Either must produce the counters and per-level
+//! hits and misses of feeding the same 8-byte elements one at a time;
+//! `tests/reference_hierarchy.rs` holds both to a naive hierarchy that
+//! shares none of this code, element by element.
 //!
 //! Probabilistic micro-architectural events (evasion success, speculative
 //! reads, partial write-combine flushes) use fractional accounting so the
@@ -258,17 +260,17 @@ impl PrivateCore {
     }
 
     /// Batched load path: touch each line once and account the remaining
-    /// element touches as the guaranteed L1 hits they are in the scalar
-    /// path (consecutive touches of a just-accessed line cannot miss — no
-    /// fill happens in between).
+    /// element touches as the guaranteed L1 hits they are element by
+    /// element (consecutive touches of a just-accessed line cannot miss —
+    /// no fill happens in between).
     fn load_run(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64) {
         let first = line_of(base);
         let last = line_of(base + bytes - 1);
         for line in first..=last {
             let seg_start = (line * LINE_BYTES).max(base);
             let seg_end = ((line + 1) * LINE_BYTES).min(base + bytes);
-            // Elements overlapping [seg_start, seg_end): the scalar path
-            // touches this line once per overlapping element.
+            // Elements overlapping [seg_start, seg_end): element by element
+            // this line is touched once per overlapping element.
             let elem_first = (seg_start - base) / ELEM_BYTES;
             let elem_last = (seg_end - 1 - base) / ELEM_BYTES;
             let repeats = elem_last - elem_first;
@@ -282,9 +284,9 @@ impl PrivateCore {
         }
     }
 
-    /// Allocation-free store path shared by the scalar API and the batched
-    /// run driver: split the span into per-line segments and consume each
-    /// finalized line as the coalescer produces it.
+    /// Allocation-free store path of single accesses and runs: split the
+    /// span into per-line segments and consume each finalized line as the
+    /// coalescer produces it.
     fn store_span(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64, nt: bool) {
         let mut addr = base;
         let mut remaining = bytes;
@@ -580,57 +582,19 @@ impl CoreSim {
     }
 
     /// Per-level `(hits, misses)` of the L1, L2 and L3 caches — exposed so
-    /// the scalar/batched equivalence tests can assert that the fast path
-    /// reproduces not just the memory counters but the full cache
-    /// behaviour.
+    /// the reference-hierarchy tests can hold not just the memory counters
+    /// but the full cache behaviour to an independent model.
     pub fn cache_stats(&self) -> [(u64, u64); 3] {
         let [l1, l2] = self.private.upper_cache_stats();
         [l1, l2, (self.l3.hits(), self.l3.misses())]
     }
 
-    /// Feed a single access.
-    pub fn access(&mut self, access: Access) {
-        self.private.access(&mut self.l3, access);
-    }
-
-    /// Feed a load of `bytes` bytes at `addr`.
-    pub fn load(&mut self, addr: u64, bytes: u32) {
-        self.access(Access {
-            addr,
-            bytes,
-            kind: AccessKind::Load,
-        });
-    }
-
-    /// Feed a store of `bytes` bytes at `addr`.
-    pub fn store(&mut self, addr: u64, bytes: u32) {
-        self.access(Access {
-            addr,
-            bytes,
-            kind: AccessKind::Store,
-        });
-    }
-
-    /// Feed a non-temporal store of `bytes` bytes at `addr`.
-    pub fn store_nt(&mut self, addr: u64, bytes: u32) {
-        self.access(Access {
-            addr,
-            bytes,
-            kind: AccessKind::StoreNT,
-        });
-    }
-
     /// Drive a contiguous run of 8-byte elements through the hierarchy at
     /// cache-line granularity: one hierarchy touch per 64-byte line and one
-    /// coalescer transition per line instead of eight scalar calls, with
-    /// partially covered head/tail lines handled exactly.  Produces
-    /// bit-identical [`MemCounters`] and per-level hit/miss counts to
-    /// feeding the same elements one by one through [`load`]/[`store`]/
-    /// [`store_nt`].
-    ///
-    /// [`load`]: Self::load
-    /// [`store`]: Self::store
-    /// [`store_nt`]: Self::store_nt
+    /// coalescer transition per line instead of one per element, with
+    /// partially covered head/tail lines handled exactly.  Produces the
+    /// [`MemCounters`] and per-level hit/miss counts of feeding the same
+    /// elements one by one (a run of one element is one access).
     pub fn drive_run(&mut self, run: AccessRun) {
         self.private.drive_run(&mut self.l3, run);
     }
@@ -686,15 +650,16 @@ mod tests {
         )
     }
 
-    /// Stream `n` doubles: load from `src`, store to `dst`.
+    /// Stream `n` doubles element by element: load from `src`, store to
+    /// `dst`.
     fn copy_kernel(core: &mut CoreSim, src: u64, dst: u64, n: u64, nt: bool) {
         for i in 0..n {
-            core.load(src + 8 * i, 8);
-            if nt {
-                core.store_nt(dst + 8 * i, 8);
+            core.drive_run(AccessRun::load(src + 8 * i, 1));
+            core.drive_run(if nt {
+                AccessRun::store_nt(dst + 8 * i, 1)
             } else {
-                core.store(dst + 8 * i, 8);
-            }
+                AccessRun::store(dst + 8 * i, 1)
+            });
         }
     }
 
@@ -703,9 +668,7 @@ mod tests {
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
         let n = 8 * 1024u64; // 64 KiB of doubles = 1024 lines
-        for i in 0..n {
-            core.load(i * 8, 8);
-        }
+        core.drive_run(AccessRun::load(0, n));
         let c = core.flush();
         // Prefetchers may overfetch a few lines past the end, but the order
         // of magnitude must be exactly one read per line and no writes.
@@ -846,13 +809,9 @@ mod tests {
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
         // Load a small array (fits in L1), then overwrite it.
-        for i in 0..64u64 {
-            core.load(i * 8, 8);
-        }
+        core.drive_run(AccessRun::load(0, 64));
         let after_loads = core.counters();
-        for i in 0..64u64 {
-            core.store(i * 8, 8);
-        }
+        core.drive_run(AccessRun::store(0, 64));
         let c = core.flush();
         assert_eq!(
             c.read_lines, after_loads.read_lines,
@@ -865,9 +824,7 @@ mod tests {
     fn flush_is_idempotent_for_writes() {
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
-        for i in 0..512u64 {
-            core.store(i * 8, 8);
-        }
+        core.drive_run(AccessRun::store(0, 512));
         let c1 = core.flush();
         let c2 = core.flush();
         assert_eq!(
@@ -895,8 +852,8 @@ mod tests {
             for row in 0..64u64 {
                 let base = row * (216 + 3) * 8;
                 for i in 0..216u64 {
-                    core.load((1 << 33) + base + i * 8, 8);
-                    core.store(base + i * 8, 8);
+                    core.drive_run(AccessRun::load((1 << 33) + base + i * 8, 1));
+                    core.drive_run(AccessRun::store(base + i * 8, 1));
                 }
             }
             core.flush()
@@ -911,19 +868,19 @@ mod tests {
         );
     }
 
-    /// Drive the same accesses through the scalar API and `drive_run`; the
-    /// counters and the per-level cache statistics must match bit for bit.
+    /// Drive the same accesses as whole runs and element by element (runs
+    /// of one); the counters and the per-level cache statistics must match
+    /// bit for bit.
     fn assert_equivalent(runs: &[AccessRun], mk: impl Fn() -> CoreSim) {
         let mut scalar = mk();
         let mut batched = mk();
         for run in runs {
             for i in 0..run.elements {
-                let addr = run.base + i * 8;
-                match run.kind {
-                    AccessKind::Load => scalar.load(addr, 8),
-                    AccessKind::Store => scalar.store(addr, 8),
-                    AccessKind::StoreNT => scalar.store_nt(addr, 8),
-                }
+                scalar.drive_run(AccessRun {
+                    base: run.base + i * 8,
+                    elements: 1,
+                    kind: run.kind,
+                });
             }
             batched.drive_run(*run);
         }
@@ -1084,7 +1041,7 @@ mod tests {
             core.drive_run(AccessRun::load((1 << 33) + off, 216));
             core.drive_run(AccessRun::store(off, 216));
         }
-        core.store_nt(1 << 35, 8 * 64);
+        core.drive_run(AccessRun::store_nt(1 << 35, 64));
         let c = core.flush();
         let trace = core
             .private
@@ -1188,7 +1145,7 @@ mod tests {
                 let mut plain = template.clone();
                 recorded.private.trace.start();
                 for core in [&mut recorded, &mut plain] {
-                    core.load(0, 8);
+                    core.drive_run(AccessRun::load(0, 1));
                     core.private.handle_store_line(&mut core.l3, line);
                 }
                 let live = recorded.flush();
@@ -1268,7 +1225,7 @@ mod tests {
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
         core.private.trace.start();
-        core.load(0, 8);
+        core.drive_run(AccessRun::load(0, 1));
         core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
         assert!(
             core.private.trace.finish().is_none(),
@@ -1283,12 +1240,11 @@ mod tests {
         // the dirty bit survives and the write-back is accounted.
         let m = icelake_sp_8360y();
         let mut core = serial_core(&m);
-        for i in 0..8u64 {
-            core.load(i * 8, 8); // line 0 resident and clean
-        }
+        core.drive_run(AccessRun::load(0, 8)); // line 0 resident and clean
         for _ in 0..3 {
             for i in 0..8u64 {
-                core.store(i * 8, 8); // repeated stores, always hitting
+                // Repeated stores, always hitting.
+                core.drive_run(AccessRun::store(i * 8, 1));
             }
         }
         let c = core.flush();
@@ -1297,7 +1253,7 @@ mod tests {
             "the stored line must be written back, got {}",
             c.write_lines
         );
-        // And the batched driver agrees with the scalar path on the same
+        // And whole runs agree with single elements on the same
         // repeated-resident-store pattern.
         let runs: Vec<AccessRun> = std::iter::once(AccessRun::load(0, 8))
             .chain((0..3).map(|_| AccessRun::store(0, 8)))

@@ -49,9 +49,11 @@
 //! finalized lines to the hierarchy without building event vectors, and the
 //! batched [`AccessRun`]/[`CoreSim::drive_run`] API expands contiguous
 //! element runs into one hierarchy operation per 64-byte cache line — the
-//! granularity at which traffic is decided — while staying bit-identical to
-//! the scalar per-element path.  The `cachesim.*` per-layer probes of
-//! `benchmark/` track the throughput of these paths.
+//! granularity at which traffic is decided — with the counters of feeding
+//! the same elements one at a time, which `tests/reference_hierarchy.rs`
+//! holds to a naive hierarchy that shares none of this crate's code.  The
+//! `cachesim.*` per-layer probes of `benchmark/` track the throughput of
+//! these paths.
 
 pub mod access;
 mod accountant;

@@ -1,7 +1,7 @@
 //! Cross-sweep simulation memoization.
 //!
 //! The node simulator runs one *representative* core per distinct ccNUMA
-//! domain load ([`NodeSim::run_spmd`]), but a scaling curve evaluates dozens
+//! domain load ([`NodeSim::run_spmd_memo`]), but a scaling curve evaluates dozens
 //! of neighbouring rank counts whose domain-load contexts overlap massively:
 //! on an 18-core-per-domain machine the full-domain level `(18 cores,
 //! 2 active domains)` recurs for every rank count from 19 to 36.  Without a
@@ -10,8 +10,7 @@
 //! This module makes the representative-core simulation the cached unit of
 //! work:
 //!
-//! * [`KernelSpec`] — a typed, hashable description of an SPMD kernel (the
-//!   workloads previously passed to `run_spmd` as bare closures),
+//! * [`KernelSpec`] — a typed, hashable description of an SPMD kernel,
 //! * [`Dynamics`] and [`Accounting`] — the simulation environment, declared
 //!   once: what can change the event sequence, and what only scales the
 //!   fractional accounting of those events,
@@ -34,7 +33,7 @@
 //! beyond any cache's set-index range, so the counters are rank-invariant —
 //! a property the tier-1 equivalence proptests assert.
 //!
-//! [`NodeSim::run_spmd`]: crate::engine::NodeSim::run_spmd
+//! [`NodeSim::run_spmd_memo`]: crate::engine::NodeSim::run_spmd_memo
 
 use std::cell::RefCell;
 
@@ -110,11 +109,9 @@ pub struct SpecOperand {
 /// drives through its core simulator, parameterised over the rank id only
 /// through the [`RankBase`] of its operands.
 ///
-/// Everything the node simulator previously received as a closure (the
-/// store/copy microbenchmark kernels, the CloverLeaf hotspot loops, plain
-/// contiguous runs) is expressible as a `KernelSpec`; driving the
-/// spec reproduces the exact same [`StencilRowSweep`] the closures built,
-/// so converting a call site changes no output byte.
+/// Every kernel the node simulator runs (the store/copy microbenchmark
+/// kernels, the CloverLeaf hotspot loops, plain contiguous runs) is a
+/// `KernelSpec`.
 #[derive(
     Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
@@ -911,13 +908,13 @@ mod tests {
     fn run_spmd_memo_equals_run_spmd_across_a_curve() {
         // One shared memo across rank counts 1..=40: later points reuse
         // earlier full-domain simulations, and the node reports must stay
-        // bit-identical to the unmemoized closure path at every point.
+        // bit-identical to a fresh from-scratch memo's at every point.
         let m = icelake_sp_8360y();
         let spec = store_spec(1024);
         let memo = SimMemo::new();
         for ranks in [1usize, 5, 17, 18, 19, 20, 36, 37, 40] {
             let sim = NodeSim::new(SimConfig::new(m.clone(), ranks));
-            let plain = sim.run_spmd(|rank, core| spec.drive(rank, core));
+            let plain = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
             let memoized = sim.run_spmd_memo(&spec, &memo);
             assert_eq!(plain.total, memoized.total, "ranks={ranks}");
             assert_eq!(plain.per_rank, memoized.per_rank, "ranks={ranks}");

@@ -8,9 +8,8 @@
 //!
 //! The sweep has exactly one driver, the resumable [`SweepCursor`], which
 //! the solo path ([`StencilRowSweep::drive`]) runs to completion and the
-//! co-run engine advances in turns, and a `drive_scalar` reference
-//! implementation issuing one 8-byte access per element, used by the
-//! equivalence tests to prove the fast path changes nothing but speed.
+//! co-run engine advances in turns.  `tests/reference_hierarchy.rs` holds
+//! both to a naive hierarchy fed one 8-byte access per element.
 
 pub use crate::access::ELEM_BYTES;
 use crate::access::{line_of, Access, AccessKind, LINE_BYTES};
@@ -82,25 +81,11 @@ impl StencilRowSweep {
     /// Fortran source: outer loop over rows, inner loop over `i`, reads
     /// before the write of each iteration.  This is a [`SweepCursor`] run
     /// to completion against the core's own private half and L3 share —
-    /// the same segment loop the co-run engine advances in turns — and
-    /// bit-identical to [`drive_scalar`](Self::drive_scalar).
+    /// the same segment loop the co-run engine advances in turns — with the
+    /// counters of feeding every element in that order one at a time.
     pub fn drive(&self, core: &mut CoreSim) {
         let (private, l3) = core.split();
         SweepCursor::new(self).advance(private, l3, u64::MAX);
-    }
-
-    /// Per-element reference implementation (bit-identical, slower).
-    pub fn drive_scalar(&self, core: &mut CoreSim) {
-        for k in self.k0..self.k0 + self.rows {
-            for i in self.i0..self.i0 + self.inner {
-                for op in &self.operands {
-                    for &(di, dk) in &op.offsets {
-                        let addr = self.addr(op.base, i as i64 + di, k as i64 + dk);
-                        core.access(elem(op.kind, addr));
-                    }
-                }
-            }
-        }
     }
 
     /// Number of grid-point updates performed by the sweep.
@@ -122,7 +107,8 @@ impl StencilRowSweep {
 /// the rest in bulk, at one cache probe per line instead of one per
 /// element.  The bulk phase performs no fills or stream transitions,
 /// leaves the same final LRU order (the streams are visited in operand
-/// order, like the last scalar iteration) and counts the same hits;
+/// order, like the segment's last iteration element by element) and counts
+/// the same hits;
 /// whenever its preconditions cannot be proven (a line evicted or a stream
 /// displaced within the first iteration) the rest of the segment runs
 /// element by element, and a sweep with a misaligned operand base runs
@@ -130,9 +116,9 @@ impl StencilRowSweep {
 ///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
-/// themselves), so a run is bit-identical to
-/// [`StencilRowSweep::drive_scalar`] for *any* sequence of turn budgets —
-/// which the tier-1 proptests assert against that reference.
+/// themselves), so a run is the per-element sweep for *any* sequence of
+/// turn budgets — which `tests/reference_hierarchy.rs` asserts through
+/// single-tenant co-runs at random interleaves.
 #[derive(Debug, Clone)]
 pub struct SweepCursor {
     /// Flattened streams positioned at `i0` of the current row.
@@ -263,6 +249,7 @@ impl SweepCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessRun;
     use crate::hierarchy::{CoreSimOptions, OccupancyContext};
     use crate::memo::{KernelSpec, RankBase};
     use clover_machine::icelake_sp_8360y;
@@ -283,6 +270,25 @@ mod tests {
                 ..Default::default()
             },
         )
+    }
+
+    /// The sweep one access at a time in its loop order, each a
+    /// one-element run: what the cursor's segments must reproduce.
+    fn drive_per_element(sweep: &StencilRowSweep, core: &mut CoreSim) {
+        for k in sweep.k0..sweep.k0 + sweep.rows {
+            for i in sweep.i0..sweep.i0 + sweep.inner {
+                for op in &sweep.operands {
+                    for &(di, dk) in &op.offsets {
+                        let base = sweep.addr(op.base, i as i64 + di, k as i64 + dk);
+                        core.drive_run(AccessRun {
+                            base,
+                            elements: 1,
+                            kind: op.kind,
+                        });
+                    }
+                }
+            }
+        }
     }
 
     /// `rows` rows of `inner` doubles of one array at `base`, separated by
@@ -318,48 +324,6 @@ mod tests {
         assert!(c.write_lines >= touched_lines * 0.95);
         // Serial run: every written line needs a write-allocate read.
         assert!(c.read_lines >= touched_lines * 0.9);
-    }
-
-    #[test]
-    fn array_and_row_sweeps_match_their_scalar_reference() {
-        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT] {
-            for (sweep, mk) in [
-                (
-                    row_sweep(24, 700, 0, 1, kind),
-                    serial_core as fn() -> CoreSim,
-                ),
-                (row_sweep(8 * 3, 216, 5, 12, kind), loaded_core),
-            ] {
-                let mut fast = mk();
-                let mut slow = mk();
-                sweep.drive(&mut fast);
-                sweep.drive_scalar(&mut slow);
-                assert_eq!(fast.cache_stats(), slow.cache_stats());
-                assert_eq!(fast.flush(), slow.flush());
-            }
-        }
-    }
-
-    fn copy_stencil(stride: u64, i0: u64, inner: u64, rows: u64) -> StencilRowSweep {
-        StencilRowSweep {
-            operands: vec![
-                StencilOperand {
-                    base: 1 << 30,
-                    offsets: vec![(0, 0)],
-                    kind: AccessKind::Load,
-                },
-                StencilOperand {
-                    base: 1 << 31,
-                    offsets: vec![(0, 0)],
-                    kind: AccessKind::Store,
-                },
-            ],
-            row_stride: stride,
-            i0,
-            inner,
-            k0: 1,
-            rows,
-        }
     }
 
     #[test]
@@ -417,6 +381,48 @@ mod tests {
     }
 
     #[test]
+    fn array_and_row_sweeps_match_their_scalar_reference() {
+        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT] {
+            for (sweep, mk) in [
+                (
+                    row_sweep(24, 700, 0, 1, kind),
+                    serial_core as fn() -> CoreSim,
+                ),
+                (row_sweep(8 * 3, 216, 5, 12, kind), loaded_core),
+            ] {
+                let mut fast = mk();
+                let mut slow = mk();
+                sweep.drive(&mut fast);
+                drive_per_element(&sweep, &mut slow);
+                assert_eq!(fast.cache_stats(), slow.cache_stats());
+                assert_eq!(fast.flush(), slow.flush());
+            }
+        }
+    }
+
+    fn copy_stencil(stride: u64, i0: u64, inner: u64, rows: u64) -> StencilRowSweep {
+        StencilRowSweep {
+            operands: vec![
+                StencilOperand {
+                    base: 1 << 30,
+                    offsets: vec![(0, 0)],
+                    kind: AccessKind::Load,
+                },
+                StencilOperand {
+                    base: 1 << 31,
+                    offsets: vec![(0, 0)],
+                    kind: AccessKind::Store,
+                },
+            ],
+            row_stride: stride,
+            i0,
+            inner,
+            k0: 1,
+            rows,
+        }
+    }
+
+    #[test]
     fn stencil_drive_matches_scalar_reference() {
         // Shapes covering unaligned starts, short rows and neighbour
         // offsets, under both serial and loaded occupancy.
@@ -458,7 +464,7 @@ mod tests {
                 let mut fast = mk();
                 let mut slow = mk();
                 sweep.drive(&mut fast);
-                sweep.drive_scalar(&mut slow);
+                drive_per_element(sweep, &mut slow);
                 assert_eq!(fast.cache_stats(), slow.cache_stats(), "sweep {n}");
                 assert_eq!(fast.flush(), slow.flush(), "sweep {n}");
             }
@@ -474,7 +480,7 @@ mod tests {
         let mut fast = serial_core();
         let mut slow = serial_core();
         sweep.drive(&mut fast);
-        sweep.drive_scalar(&mut slow);
+        drive_per_element(&sweep, &mut slow);
         assert_eq!(fast.cache_stats(), slow.cache_stats());
         assert_eq!(fast.flush(), slow.flush());
     }

@@ -484,7 +484,7 @@ mod tests {
     use super::*;
     use crate::TINY_GRID;
     use clover_cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
-    use clover_cachesim::{CoreSim, NodeSim, SimConfig, SimMemo};
+    use clover_cachesim::{AccessRun, CoreSim, NodeSim, SimConfig, SimMemo};
     use clover_machine::icelake_sp_8360y;
     use clover_stencil::{cloverleaf_loops, loop_by_name, ArrayAccess};
 
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn replay_matches_scalar_reference() {
         // The replay runs on the batched line-run path; it must be
-        // bit-identical to the per-element path for every hotspot loop.
+        // bit-identical to feeding every hotspot loop element by element.
         let m = icelake_sp_8360y();
         for spec in cloverleaf_loops() {
             let sweep = loop_kernel(&spec, 216, 16).sweep(0);
@@ -526,7 +526,21 @@ mod tests {
             let mut fast = mk();
             let mut slow = mk();
             sweep.drive(&mut fast);
-            sweep.drive_scalar(&mut slow);
+            // The same accesses one element at a time, in loop order.
+            for k in sweep.k0..sweep.k0 + sweep.rows {
+                for i in sweep.i0..sweep.i0 + sweep.inner {
+                    for op in &sweep.operands {
+                        for &(di, dk) in &op.offsets {
+                            let idx = (k as i64 + dk) * sweep.row_stride as i64 + i as i64 + di;
+                            slow.drive_run(AccessRun {
+                                base: op.base + 8 * idx as u64,
+                                elements: 1,
+                                kind: op.kind,
+                            });
+                        }
+                    }
+                }
+            }
             assert_eq!(fast.cache_stats(), slow.cache_stats(), "{}", spec.name);
             assert_eq!(fast.flush(), slow.flush(), "{}", spec.name);
         }

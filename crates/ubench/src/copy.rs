@@ -231,13 +231,13 @@ mod tests {
 
     #[test]
     fn memoized_copy_points_are_bit_identical() {
-        // Against the unmemoized closure-driven `run_spmd` reference.
+        // Against a fresh from-scratch memo per point.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for threads in [1usize, 9, 17, 18, 19, 36] {
             let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
             let plain = NodeSim::new(SimConfig::new(m.clone(), threads))
-                .run_spmd(|rank, core| spec.drive(rank, core))
+                .run_spmd_memo(&spec, &SimMemo::without_differential())
                 .total;
             let memoized = copy_volume_per_iteration_memo(&m, threads, &memo);
             let iterations = (threads as u64 * COPY_ELEMENTS) as f64;
@@ -259,7 +259,7 @@ mod tests {
                 config = config.without_prefetchers();
             }
             let plain = NodeSim::new(config)
-                .run_spmd(|rank, core| spec.drive(rank, core))
+                .run_spmd_memo(&spec, &SimMemo::without_differential())
                 .total;
             let memoized = copy_halo_ratio_memo(&m, inner, halo, pf, &memo);
             assert_eq!(

@@ -174,10 +174,9 @@ mod tests {
 
     #[test]
     fn memoized_ratio_is_bit_identical_to_unmemoized() {
-        // The unmemoized reference is the closure-driven `run_spmd` on a
-        // fresh core per domain load.  One memo spans the whole mini-curve,
-        // so later points are served partly from cache — the ratios must
-        // not change in a single bit.
+        // The reference is a fresh from-scratch memo per point.  One memo
+        // spans the whole mini-curve, so later points are served partly
+        // from cache — the ratios must not change in a single bit.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
@@ -185,7 +184,7 @@ mod tests {
                 let spec = store_kernel_spec(streams, kind);
                 for cores in [1usize, 2, 18, 19, 20, 36, 37] {
                     let plain = NodeSim::new(SimConfig::new(m.clone(), cores))
-                        .run_spmd(|rank, core| spec.drive(rank, core))
+                        .run_spmd_memo(&spec, &SimMemo::without_differential())
                         .total_bytes()
                         / (cores as u64 * streams as u64 * ELEMENTS_PER_STREAM * 8) as f64;
                     let memoized = store_ratio_memo(&m, cores, streams, kind, &memo);

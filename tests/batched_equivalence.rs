@@ -1,10 +1,14 @@
-//! Property tests proving the batched line-granular fast path is
-//! bit-identical to the scalar per-element simulator: same `MemCounters`
-//! and same per-level hit/miss counts for arbitrary bases, run lengths,
-//! access kinds, head/tail misalignment and occupancy — plus the
-//! representative-core regression of the `CoreSim::reset` reuse.
+//! Property tests of the simulator's batching and caching layers against
+//! the paths they batch or cache: a run against its elements one at a
+//! time (same `MemCounters` and per-level hit/miss counts for arbitrary
+//! bases, run lengths, access kinds, head/tail misalignment and
+//! occupancy), the memo against a fresh from-scratch memo, a replayed
+//! trace against simulating, and the representative core against every
+//! rank.  `reference_hierarchy.rs` holds the drivers themselves to a
+//! hierarchy that shares none of their code.
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
+use cloverleaf_wa::cachesim::memo::MIN_MEMO_SHIFT;
 use cloverleaf_wa::cachesim::patterns::{StencilOperand, StencilRowSweep};
 use cloverleaf_wa::cachesim::{
     AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NodeSim, PrefetcherConfig,
@@ -32,19 +36,40 @@ fn core_for(machine: &Machine, ranks: usize, prefetchers: bool) -> CoreSim {
     )
 }
 
-/// Feed one run element by element through the scalar API.
+/// Feed one run element by element, each a run of one.
 fn drive_scalar_run(core: &mut CoreSim, run: AccessRun) {
     for i in 0..run.elements {
-        let addr = run.base + i * 8;
-        match run.kind {
-            AccessKind::Load => core.load(addr, 8),
-            AccessKind::Store => core.store(addr, 8),
-            AccessKind::StoreNT => core.store_nt(addr, 8),
+        core.drive_run(AccessRun {
+            base: run.base + i * 8,
+            elements: 1,
+            ..run
+        });
+    }
+}
+
+/// Feed a sweep one access at a time in its loop order, each a run of one.
+fn drive_scalar_sweep(core: &mut CoreSim, sweep: &StencilRowSweep) {
+    for k in sweep.k0..sweep.k0 + sweep.rows {
+        for i in sweep.i0..sweep.i0 + sweep.inner {
+            for op in &sweep.operands {
+                for &(di, dk) in &op.offsets {
+                    let idx = (k as i64 + dk) * sweep.row_stride as i64 + i as i64 + di;
+                    drive_scalar_run(
+                        core,
+                        AccessRun {
+                            base: op.base + 8 * idx as u64,
+                            elements: 1,
+                            kind: op.kind,
+                        },
+                    );
+                }
+            }
         }
     }
 }
 
-/// Assert scalar and batched execution of `runs` agree bit for bit.
+/// Assert element-by-element and batched execution of `runs` agree bit for
+/// bit.
 fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &[AccessRun]) {
     let mut scalar = core_for(machine, ranks, prefetchers);
     let mut batched = core_for(machine, ranks, prefetchers);
@@ -329,7 +354,7 @@ proptest! {
         let mut fast = core_for(&machine, 72, true);
         let mut slow = core_for(&machine, 72, true);
         sweep.drive(&mut fast);
-        sweep.drive_scalar(&mut slow);
+        drive_scalar_sweep(&mut slow, &sweep);
         prop_assert_eq!(fast.cache_stats(), slow.cache_stats());
         prop_assert_eq!(fast.flush(), slow.flush());
     }
@@ -356,8 +381,8 @@ proptest! {
 
     /// The cross-sweep memo is exact: for arbitrary kernel specs (operand
     /// mixes, stencil shapes, rank-base schemes) and any rank count,
-    /// `run_spmd_memo` through a fresh memo reproduces the unmemoized
-    /// closure path bit for bit.
+    /// `run_spmd_memo` through a fresh memo reproduces a fresh from-scratch
+    /// memo bit for bit.
     #[test]
     fn run_spmd_memo_matches_run_spmd(
         operand_mix in 0usize..4,
@@ -402,7 +427,7 @@ proptest! {
             rows,
         };
         let sim = NodeSim::new(SimConfig::new(machine, ranks));
-        let plain = sim.run_spmd(|rank, core| spec.drive(rank, core));
+        let plain = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
         let memoized = sim.run_spmd_memo(&spec, &SimMemo::new());
         prop_assert_eq!(plain.total, memoized.total);
         prop_assert_eq!(plain.per_rank, memoized.per_rank);
@@ -428,7 +453,7 @@ proptest! {
         let memo = SimMemo::new();
         for ranks in [1usize, 18, 19, 20, 35, 36, 37, 54, 72] {
             let sim = NodeSim::new(SimConfig::new(machine.clone(), ranks));
-            let plain = sim.run_spmd(|rank, core| spec.drive(rank, core));
+            let plain = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
             let memoized = sim.run_spmd_memo(&spec, &memo);
             prop_assert_eq!(plain.total, memoized.total, "ranks={}", ranks);
             prop_assert_eq!(plain.per_rank, memoized.per_rank, "ranks={}", ranks);
@@ -438,7 +463,7 @@ proptest! {
         prop_assert!(memo.stats().hits > 0);
     }
 
-    /// The batched fast path stays bit-identical to the scalar reference
+    /// The batched fast path stays bit-identical to element-by-element runs
     /// under every write policy, not just the paper's write-allocate
     /// default: mixed load/store/NT rows with halo misalignment across all
     /// three.
@@ -465,9 +490,9 @@ proptest! {
     }
 
     /// The memoized path under the default write-allocate selector is
-    /// bit-identical to the closure path *and* shares its memo entries with
-    /// an explicitly-defaulted config: the policy space costs the paper
-    /// configuration nothing.
+    /// bit-identical to a fresh from-scratch memo *and* shares its memo
+    /// entries with an explicitly-defaulted config: the policy space costs
+    /// the paper configuration nothing.
     #[test]
     fn default_policy_dispatch_matches_the_closure_path_and_shares_the_memo(
         elements in 64u64..1024,
@@ -483,7 +508,7 @@ proptest! {
         );
         let memo = SimMemo::new();
         let implicit = NodeSim::new(SimConfig::new(machine.clone(), ranks));
-        let closure = implicit.run_spmd(|rank, core| spec.drive(rank, core));
+        let closure = implicit.run_spmd_memo(&spec, &SimMemo::without_differential());
         let defaulted = implicit.run_spmd_memo(&spec, &memo);
         prop_assert_eq!(&closure.total, &defaulted.total);
         prop_assert_eq!(&closure.per_rank, &defaulted.per_rank);
@@ -606,37 +631,88 @@ proptest! {
         prop_assert!(shared.diff_len() >= 3, "diff_len={}", shared.diff_len());
     }
 
-    /// Regression for the `CoreSim::reset` reuse inside the node loops:
-    /// with every domain equally loaded the representative-core fast path
-    /// must equal the exact per-rank simulation (identical per-rank
-    /// counters; totals up to float summation order).
+    /// The premise of the representative core: every rank of a kernel
+    /// drives the same counters and cache statistics on a fresh core of
+    /// its domain's occupancy — for shared bases and for rank windows
+    /// shifted by at least `MIN_MEMO_SHIFT` — so one core per domain load
+    /// times its rank count is the sum over every rank, and
+    /// `run_spmd_memo`'s per-rank report is rank 0's.
     #[test]
     fn run_spmd_equals_exact_on_uniform_occupancy(
-        elements in 128u64..1024,
-        ranks in prop::sample::select(vec![18usize, 36, 72]),
+        operand_mix in 0usize..4,
+        inner in 8u64..200,
+        rows in 1u64..4,
+        shift in prop::sample::select(vec![0u32, MIN_MEMO_SHIFT, MIN_MEMO_SHIFT + 3, 40]),
+        plus in 0u64..3,
+        ranks in prop::sample::select(vec![2usize, 19, 37]),
     ) {
         let machine = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(machine, ranks));
-        let kernel = move |rank: usize, core: &mut CoreSim| {
-            core.drive_run(AccessRun::store((rank as u64) << 36, elements));
+        let rank_base = if shift == 0 {
+            RankBase::Shared
+        } else {
+            RankBase::Shifted { shift, plus }
         };
-        let fast = sim.run_spmd(kernel);
-        let exact = sim.run_spmd_exact(kernel);
-        prop_assert_eq!(fast.per_rank, exact.per_rank);
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-        prop_assert!(rel(fast.total.read_lines, exact.total.read_lines) < 1e-12);
-        prop_assert!(rel(fast.total.write_lines, exact.total.write_lines) < 1e-12);
-        prop_assert!(rel(fast.total.itom_lines, exact.total.itom_lines.max(1e-12)) < 1e-9);
+        let mut operands = vec![SpecOperand {
+            offset: 1 << 28,
+            points: vec![(0, 0)],
+            kind: AccessKind::Store,
+        }];
+        if operand_mix % 2 == 1 {
+            operands.push(SpecOperand {
+                offset: 1 << 26,
+                points: vec![(0, 0), (1, 0), (0, -1)],
+                kind: AccessKind::Load,
+            });
+        }
+        if operand_mix >= 2 {
+            operands.push(SpecOperand {
+                offset: 3 << 27,
+                points: vec![(0, 0)],
+                kind: AccessKind::StoreNT,
+            });
+        }
+        let spec = KernelSpec {
+            rank_base,
+            operands,
+            row_stride: inner + 2,
+            i0: 1,
+            inner,
+            k0: 1,
+            rows,
+        };
+        let occ = DomainOccupancy::compact(&machine, ranks);
+        let mut rank = 0;
+        let mut first = None;
+        for &count in occ.cores_per_domain.iter().filter(|&&c| c > 0) {
+            let ctx = OccupancyContext::domain_load(&machine, count, occ.active_domains);
+            let options = CoreSimOptions {
+                l3_sharers: DomainOccupancy::l3_sharers(&machine, count),
+                ..Default::default()
+            };
+            let mut domain = None;
+            for _ in 0..count {
+                let mut core = CoreSim::new(&machine, ctx, options);
+                spec.drive(rank, &mut core);
+                let stats = core.cache_stats();
+                let got = (core.flush(), stats);
+                let at = format!("rank {rank} of {ranks}, {rank_base:?}");
+                prop_assert_eq!(&got, domain.get_or_insert(got), "{}", at);
+                rank += 1;
+            }
+            first.get_or_insert(domain.expect("a populated domain").0);
+        }
+        let report = NodeSim::new(SimConfig::new(machine, ranks))
+            .run_spmd_memo(&spec, &SimMemo::without_differential());
+        prop_assert_eq!(Some(report.per_rank), first);
     }
 
     /// A single-tenant co-run is the solo composition driven through the
     /// resumable cursor: for arbitrary kernels and *any* interleave
-    /// granularity it must be bit-identical to `run_spmd` on one rank.
-    /// `run_spmd` runs the
-    /// same cursor, so the oracle is the per-element `drive_scalar` on a
-    /// fresh core: same counters, same hits and misses at every level, for
-    /// every turn budget and for a misaligned base (the cursor's
-    /// element-by-element mode).
+    /// granularity it must be bit-identical to `run_spmd_memo` on one rank,
+    /// and, since that runs the same cursor, to the sweep fed element by
+    /// element on a fresh core: same counters, same hits and misses at
+    /// every level, for every turn budget and for a misaligned base (the
+    /// cursor's element-by-element mode).
     #[test]
     fn single_tenant_corun_matches_run_spmd_for_any_interleave(
         operand_mix in 0usize..4,
@@ -676,7 +752,7 @@ proptest! {
             rows,
         };
         let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
-        let solo = sim.run_spmd(|rank, core| spec.drive(rank, core));
+        let solo = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
         let corun = sim.run_corun(std::slice::from_ref(&spec), interleave, &SimMemo::new());
         prop_assert_eq!(corun.tenants.len(), 1);
         let t = &corun.tenants[0];
@@ -689,7 +765,7 @@ proptest! {
             ..Default::default()
         };
         let mut oracle: CoreSim = CoreSim::new(&machine, ctx, options);
-        spec.sweep(0).drive_scalar(&mut oracle);
+        drive_scalar_sweep(&mut oracle, &spec.sweep(0));
         let stats_before_flush = oracle.cache_stats();
         prop_assert_eq!(&t.counters, &oracle.flush(), "interleave={}", interleave);
         prop_assert_eq!((t.llc_hits, t.llc_misses), oracle.cache_stats()[2]);

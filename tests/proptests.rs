@@ -2,7 +2,8 @@
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::{
-    CoreSim, MemCounters, NodeSim, SetAssocCache, SimConfig, WriteCoalescer, LINE_BYTES,
+    line_of, AccessKind, AccessRun, CoreSim, KernelSpec, MemCounters, NodeSim, RankBase,
+    SetAssocCache, SimConfig, SimMemo, SpecOperand, WriteCoalescer, LINE_BYTES,
 };
 use cloverleaf_wa::core::decomp::{is_prime, Decomposition};
 use cloverleaf_wa::golden::Artifact;
@@ -15,15 +16,24 @@ use proptest::prelude::*;
 /// enough for property testing in debug builds.
 fn mini_store_ratio(machine: &Machine, cores: usize, streams: usize) -> f64 {
     const ELEMENTS: u64 = 2048;
+    // Per iteration one store to each stream, the streams 2^30 apart.
+    let kernel = KernelSpec {
+        operands: (0..streams as u64)
+            .map(|s| SpecOperand {
+                offset: s << 30,
+                points: vec![(0, 0)],
+                kind: AccessKind::Store,
+            })
+            .collect(),
+        ..KernelSpec::contiguous(
+            RankBase::Shifted { shift: 40, plus: 1 },
+            0,
+            ELEMENTS,
+            AccessKind::Store,
+        )
+    };
     let sim = NodeSim::new(SimConfig::new(machine.clone(), cores));
-    let report = sim.run_spmd(|rank, core| {
-        let rank_base = (rank as u64 + 1) << 40;
-        for i in 0..ELEMENTS {
-            for s in 0..streams as u64 {
-                core.store(rank_base + (s << 30) + i * 8, 8);
-            }
-        }
-    });
+    let report = sim.run_spmd_memo(&kernel, &SimMemo::new());
     let initiated = (cores as u64 * streams as u64 * ELEMENTS * 8) as f64;
     report.total_bytes() / initiated
 }
@@ -123,12 +133,13 @@ proptest! {
     /// lines written and classifies fully covered lines as full.
     #[test]
     fn coalescer_streaks_are_bounded(rows in 1u64..20, inner in 8u64..512, gap in 0u64..16) {
-        let mut c = WriteCoalescer::new(8);
+        let mut c = WriteCoalescer::default();
         let mut finalized = Vec::new();
         for row in 0..rows {
             let base = row * (inner + gap) * 8;
             for i in 0..inner {
-                finalized.extend(c.store(base + i * 8, 8));
+                let addr = base + i * 8;
+                finalized.extend(c.store_segment(line_of(addr), addr % LINE_BYTES, 8));
             }
         }
         finalized.extend(c.flush());
@@ -149,7 +160,7 @@ proptest! {
         let ctx = OccupancyContext::compact(&machine, ranks);
         let mut core: CoreSim = CoreSim::new(&machine, ctx, CoreSimOptions::default());
         for i in 0..elements {
-            core.store(i * 8, 8);
+            core.drive_run(AccessRun::store(i * 8, 1));
         }
         let c: MemCounters = core.flush();
         let stored_lines = (elements as f64 * 8.0 / 64.0).ceil();
@@ -201,11 +212,11 @@ proptest! {
             let base = row * (inner + gap) * 8;
             for i in 0..inner {
                 let addr = base + i * 8;
-                if nt {
-                    core.store_nt(addr, 8);
+                core.drive_run(if nt {
+                    AccessRun::store_nt(addr, 1)
                 } else {
-                    core.store(addr, 8);
-                }
+                    AccessRun::store(addr, 1)
+                });
                 lines.insert(addr / LINE_BYTES);
             }
         }

@@ -23,154 +23,14 @@
 //! invariants at the paper machine's three geometries: how many congruent
 //! lines it takes to evict a victim, and which line goes.
 
+mod naive_cache;
+
 use cloverleaf_wa::cachesim::cache::{Eviction, LookupResult};
 use cloverleaf_wa::cachesim::SetAssocCache;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-#[derive(Clone, Copy, Default)]
-struct Way {
-    valid: bool,
-    lru: u64,
-    tag: u64,
-    dirty: bool,
-}
-
-struct NaiveCache {
-    sets: Vec<Vec<Way>>,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl NaiveCache {
-    /// 64-byte lines; the largest power-of-two set count that leaves at
-    /// least `ways` ways, the ways widened to keep the capacity (what the
-    /// documentation of `SetAssocCache::new` promises).
-    fn new(capacity_bytes: usize, ways: usize) -> Self {
-        let lines = capacity_bytes / 64;
-        let mut sets = 1;
-        while sets * 2 * ways <= lines {
-            sets *= 2;
-        }
-        Self {
-            sets: vec![vec![Way::default(); (lines / sets).max(1)]; sets],
-            clock: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    fn capacity_lines(&self) -> usize {
-        self.sets.len() * self.sets[0].len()
-    }
-
-    fn locate(&self, line: u64) -> (usize, u64) {
-        let sets = self.sets.len() as u64;
-        ((line % sets) as usize, line / sets)
-    }
-
-    fn find(&mut self, line: u64) -> Option<&mut Way> {
-        let (set, tag) = self.locate(line);
-        self.sets[set].iter_mut().find(|w| w.valid && w.tag == tag)
-    }
-
-    fn touch(&mut self, line: u64, write: bool) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        match self.find(line) {
-            Some(way) => {
-                way.lru = clock;
-                way.dirty |= write;
-                self.hits += 1;
-                true
-            }
-            None => {
-                self.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Insert or refresh; the displaced `(line, dirty)` if a valid way had
-    /// to go.
-    fn fill(&mut self, line: u64, dirty: bool) -> Option<(u64, bool)> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(way) = self.find(line) {
-            way.lru = clock;
-            way.dirty |= dirty;
-            return None;
-        }
-        let (set, tag) = self.locate(line);
-        let sets = self.sets.len() as u64;
-        let ways = &mut self.sets[set];
-        let slot = match ways.iter().position(|w| !w.valid) {
-            Some(free) => free,
-            None => {
-                let oldest = ways.iter().map(|w| w.lru).min().expect("a set has ways");
-                ways.iter()
-                    .position(|w| w.lru == oldest)
-                    .expect("found above")
-            }
-        };
-        let old = ways[slot];
-        ways[slot] = Way {
-            valid: true,
-            lru: clock,
-            tag,
-            dirty,
-        };
-        self.evictions += old.valid as u64;
-        old.valid
-            .then_some((old.tag * sets + set as u64, old.dirty))
-    }
-
-    fn probe_fill(&mut self, line: u64, write: bool) -> (bool, Option<(u64, bool)>) {
-        if self.touch(line, write) {
-            (true, None)
-        } else {
-            (false, self.fill(line, write))
-        }
-    }
-
-    fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let way = self.find(line)?;
-        way.valid = false;
-        Some(way.dirty)
-    }
-
-    fn resident(&self) -> Vec<u64> {
-        let sets = self.sets.len() as u64;
-        let mut lines: Vec<u64> = (0..)
-            .zip(&self.sets)
-            .flat_map(|(set, ways)| {
-                ways.iter()
-                    .filter(|w| w.valid)
-                    .map(move |w| w.tag * sets + set)
-            })
-            .collect();
-        lines.sort_unstable();
-        lines
-    }
-
-    fn flush_dirty(&mut self) -> Vec<u64> {
-        let sets = self.sets.len() as u64;
-        let mut dirty = Vec::new();
-        for (set, ways) in (0..).zip(&mut self.sets) {
-            for way in ways.iter_mut().filter(|w| w.valid) {
-                if way.dirty {
-                    dirty.push(way.tag * sets + set);
-                }
-                way.valid = false;
-            }
-        }
-        dirty.sort_unstable();
-        dirty
-    }
-}
+use naive_cache::NaiveCache;
 
 /// `(capacity in lines, nominal ways)`: one and many sets, power-of-two
 /// and widened associativities, the paper machines' L1/L2/L3 ratios.
@@ -212,7 +72,7 @@ proptest! {
             let mut naive = NaiveCache::new(lines * 64, ways);
             prop_assert_eq!(cache.capacity_lines(), naive.capacity_lines(), "{:?}", (lines, ways));
             let sets = naive.sets.len() as u64;
-            let assoc = naive.sets[0].len() as u64;
+            let assoc = naive.ways as u64;
             // Adversarial episodes pick among `assoc + 3` congruent lines
             // of three sets; streaming ones walk forward with re-references.
             let adversarial = episode % 2 == 0;
@@ -244,7 +104,7 @@ proptest! {
                         dirty.sort_unstable();
                         prop_assert_eq!(dirty, naive.flush_dirty(), "{:?}", at);
                     }
-                    _ => prop_assert_eq!(cache.contains(line), naive.find(line).is_some(), "{:?}", at),
+                    _ => prop_assert_eq!(cache.contains(line), naive.contains(line), "{:?}", at),
                 }
             }
             prop_assert_eq!(
@@ -292,7 +152,7 @@ impl Membership {
             lines: HashMap::new(),
             per_set: HashMap::new(),
             sets: geometry.sets.len() as u64,
-            ways: geometry.sets[0].len(),
+            ways: geometry.ways,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -507,7 +367,7 @@ proptest! {
 /// however many.
 fn check_eviction_set(capacity_bytes: usize, nominal_ways: usize) {
     let shape = NaiveCache::new(capacity_bytes, nominal_ways);
-    let (sets, ways) = (shape.sets.len() as u64, shape.sets[0].len() as u64);
+    let (sets, ways) = (shape.sets.len() as u64, shape.ways as u64);
     let at = format!("{sets}x{ways}");
     let victim = (1 << 32) + 5 % sets;
     let congruent = |n: u64| victim + n * sets;
