@@ -37,14 +37,15 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// Default configuration: all features on, `ranks` ranks on `machine`,
-    /// the paper's LRU + write-allocate hierarchy.
+    /// whose hierarchy misses stores under the policy it declares
+    /// (`caches.write_policy`).
     pub fn new(machine: Machine, ranks: usize) -> Self {
         Self {
+            write_policy: machine.caches.write_policy,
             machine,
             ranks,
             speci2m_enabled: true,
             prefetchers: PrefetcherConfig::enabled(),
-            write_policy: WritePolicyKind::default(),
         }
     }
 

@@ -54,7 +54,7 @@ pub use clover_stencil::loop_catalogue;
 /// feeds the model hash that versions on-disk memo stores
 /// (`clover-service`), so stale stores are rebuilt instead of silently
 /// serving outdated points.
-pub const MODEL_SCHEMA_VERSION: u32 = 1;
+pub const MODEL_SCHEMA_VERSION: u32 = 2;
 
 /// The "Tiny" working set of SPEChpc 2021 519.clvleaf_t: a square grid of
 /// 15360×15360 cells (run for 400 timesteps).

@@ -47,6 +47,16 @@ impl MachinePreset {
         ]
     }
 
+    /// The store-miss policy the preset declares — `caches.write_policy`
+    /// of its [`machine`](Self::machine), read without building one (the
+    /// sweep asks it per scenario).
+    pub fn write_policy(&self) -> WritePolicyKind {
+        match self {
+            MachinePreset::Cva6Like => WritePolicyKind::NoAllocate,
+            _ => WritePolicyKind::Allocate,
+        }
+    }
+
     /// Canonical registry name of this preset: the `Machine::id` it
     /// materialises to (`"icx-8360y"`, `"spr-8470-sncon"`, …).
     pub fn name(&self) -> &'static str {
@@ -313,6 +323,18 @@ mod tests {
         // The Xeon presets keep the paper's default policy corner.
         let icx = icelake_sp_8360y();
         assert_eq!(icx.caches.write_policy, WritePolicyKind::Allocate);
+    }
+
+    #[test]
+    fn every_preset_declares_the_policy_its_machine_runs() {
+        for preset in MachinePreset::all() {
+            assert_eq!(
+                preset.write_policy(),
+                preset.machine().caches.write_policy,
+                "{}",
+                preset.name()
+            );
+        }
     }
 
     #[test]

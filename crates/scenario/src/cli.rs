@@ -12,8 +12,9 @@
 //! out from the axis tables of [`crate::plan`].
 //!
 //! Axis flags repeat to span a cartesian [`SweepPlan`]; `--grid` defaults to
-//! the Tiny grid, `--stage` to `original`, the cache-policy axes to the
-//! paper's LRU + write-allocate + fulfilled layer condition, and the
+//! the Tiny grid, `--stage` to `original`, the cache-policy axes to LRU,
+//! the machine's declared write policy (write-allocate on the paper's
+//! machines) and a fulfilled layer condition, and the
 //! tenancy axes to an exclusive node (no aggressor, 64-line interleave).
 //! `--jobs <n>` picks the worker count (default: available parallelism) and
 //! `--json` switches the output format.

@@ -107,7 +107,7 @@ pub fn sweep_artifact(scenario: &Scenario, machine: &Machine, points: &[ScalingP
     if scenario.replacement != Default::default() {
         note.push_str(&format!("; replacement: {}", scenario.replacement));
     }
-    if scenario.write_policy != Default::default() {
+    if scenario.write_policy != scenario.machine.write_policy() {
         note.push_str(&format!("; write policy: {}", scenario.write_policy));
     }
     if scenario.layer_condition != Default::default() {
@@ -379,6 +379,26 @@ mod tests {
             artifacts.iter().map(Artifact::to_json).collect()
         };
         assert_eq!(json(&reference), json(&served));
+    }
+
+    #[test]
+    fn a_default_sweep_runs_the_write_policy_its_machine_declares() {
+        // An empty write-policy axis is the machine's declared policy: the
+        // same bytes as naming it, text and JSON, with no policy suffix or
+        // note — on the no-write-allocate CVA6 as on the paper's machines.
+        for preset in MachinePreset::all() {
+            let sweep = |extra: &[&str]| {
+                let mut args = vec!["--machine", preset.name(), "--ranks", "1..4"];
+                args.extend_from_slice(extra);
+                let plan = crate::SweepArgs::parse(&args).expect("valid").plan;
+                let artifacts = run_plan(&plan, 1);
+                (render(&artifacts, false), render(&artifacts, true))
+            };
+            let declared = sweep(&[]);
+            let named = sweep(&["--write-policy", preset.write_policy().name()]);
+            assert_eq!(declared, named, "{}", preset.name());
+            assert!(!declared.0.contains("write policy"), "{}", declared.0);
+        }
     }
 
     #[test]

@@ -225,9 +225,10 @@ pub struct Scenario {
     /// not reach the co-run behind [`aggressor`](Self::aggressor), which
     /// the simulator runs under true LRU.
     pub replacement: ReplacementPolicyKind,
-    /// Store-miss policy of the analytic traffic model.  It does not reach
-    /// the co-run behind [`aggressor`](Self::aggressor) either, which is
-    /// simulated under write-allocate.
+    /// Store-miss policy of the analytic traffic model; a plan's empty
+    /// write-policy axis pins the machine's declared one.  It does not
+    /// reach the co-run behind [`aggressor`](Self::aggressor) either, which
+    /// is simulated under the declared policy.
     pub write_policy: WritePolicyKind,
     /// Layer-condition assumption of the traffic model.
     pub layer_condition: LayerCondition,
@@ -241,7 +242,8 @@ pub struct Scenario {
 impl Scenario {
     /// Stable identifier, used as the artifact id of the default evaluator.
     /// Policy axes append a suffix only when they deviate from the paper's
-    /// defaults, so every pre-existing artifact id is unchanged.
+    /// defaults — the write policy from the one the machine declares — so
+    /// every pre-existing artifact id is unchanged.
     pub fn id(&self) -> String {
         let mut id = format!(
             "sweep-{}-g{}-r{}-{}",
@@ -254,7 +256,7 @@ impl Scenario {
             id.push('-');
             id.push_str(self.replacement.name());
         }
-        if self.write_policy != WritePolicyKind::default() {
+        if self.write_policy != self.machine.write_policy() {
             id.push('-');
             id.push_str(self.write_policy.name());
         }
@@ -346,7 +348,7 @@ pub struct SweepPlan {
     pub stages: Vec<Stage>,
     /// Replacement-policy axis (empty = the default LRU).
     pub replacements: Vec<ReplacementPolicyKind>,
-    /// Write-policy axis (empty = the default write-allocate).
+    /// Write-policy axis (empty = each machine's declared policy).
     pub write_policies: Vec<WritePolicyKind>,
     /// Layer-condition axis (empty = the default fulfilled).
     pub layer_conditions: Vec<LayerCondition>,
@@ -448,7 +450,6 @@ impl SweepPlan {
             }
         }
         let replacements = or_default(&self.replacements);
-        let write_policies = or_default(&self.write_policies);
         let layer_conditions = or_default(&self.layer_conditions);
         let aggressors = or_default(&self.aggressors);
         let interleaves = if self.interleaves.is_empty() {
@@ -458,6 +459,11 @@ impl SweepPlan {
         };
         let mut scenarios = Vec::with_capacity(self.len());
         for &machine in &self.machines {
+            let write_policies = if self.write_policies.is_empty() {
+                vec![machine.write_policy()]
+            } else {
+                self.write_policies.clone()
+            };
             for &grid in &self.grids {
                 for &ranks in &self.rank_ranges {
                     for &stage in &self.stages {

@@ -1,6 +1,7 @@
 //! An oracle for `SetAssocCache` that shares none of its code: a
 //! deliberately naive set-associative cache in the shape of a pin-tool
-//! model — one `Way { valid, lru, tag, dirty }` per slot in a
+//! model (`tests/naive_cache`, which `reference_hierarchy` composes into a
+//! whole hierarchy) — one `Way { valid, lru, tag, dirty }` per slot in a
 //! `Vec<Vec<Way>>`, linear scans, a global access clock.  No packed tag
 //! words, no sets kept as rings in recency order behind a head index, no
 //! presence filter answering for an absent line, no remembered miss, no
@@ -20,13 +21,16 @@
 //! filter-colliding lines to the op mix.
 //!
 //! Last, eviction sets (Snippet 1's construction over `L2_CACHE_WAYS`) as
-//! invariants at the paper machine's three geometries: how many congruent
-//! lines it takes to evict a victim, and which line goes.
+//! invariants at the paper machine's three geometries and every preset's
+//! L1 and L2: how many congruent lines it takes to evict a victim, and
+//! which line goes — congruent by set index, and by page offset (Snippet
+//! 2's `& 0xFC0`).
 
 mod naive_cache;
 
 use cloverleaf_wa::cachesim::cache::{Eviction, LookupResult};
 use cloverleaf_wa::cachesim::SetAssocCache;
+use cloverleaf_wa::machine::MachinePreset;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -365,6 +369,12 @@ proptest! {
 /// `ways`-th evicts exactly the victim, or the oldest congruent line if the
 /// victim was touched again first — and lines of other sets never do,
 /// however many.
+///
+/// And by page offset (Snippet 2's `& 0xFC0`): lines one 4 KiB page apart
+/// share the set-index bits below the page, so in a cache of at most 64
+/// sets they fill one set and `ways + 1` of them evict the first; in a
+/// cache of more they spread over `sets / 64` sets, and only
+/// `sets / 64 × ways + 1` of them evict the first.
 fn check_eviction_set(capacity_bytes: usize, nominal_ways: usize) {
     let shape = NaiveCache::new(capacity_bytes, nominal_ways);
     let (sets, ways) = (shape.sets.len() as u64, shape.ways as u64);
@@ -404,13 +414,31 @@ fn check_eviction_set(capacity_bytes: usize, nominal_ways: usize) {
         assert!(cache.contains(congruent(ways)), "{at}");
         assert_eq!(cache.resident_lines() as u64, sets * ways, "{at}");
     }
+    const PAGE_LINES: u64 = 4096 / 64;
+    let spread = (sets / PAGE_LINES).max(1);
+    let page = |n: u64| victim + n * PAGE_LINES;
+    let mut cache = SetAssocCache::new(capacity_bytes, nominal_ways);
+    for n in 0..spread * ways {
+        assert_eq!(cache.fill(page(n), false), None, "{at}: page {n}");
+    }
+    let evicted = cache.fill(page(spread * ways), false);
+    assert_eq!(evicted.map(|e| e.line), Some(page(0)), "{at}: by page");
 }
 
 /// Eviction sets at the paper machine's geometries (Ice Lake SP 8360Y: the
-/// L1, the L2, and one core's share of the L3 at 36 sharers).
+/// L1, the L2, and one core's share of the L3 at 36 sharers), and at every
+/// preset's L1 — 64 sets of 64 bytes, one page, on each — and L2.
 #[test]
 fn an_eviction_set_is_exactly_as_many_congruent_lines_as_the_set_has_ways() {
     for (capacity_bytes, ways) in [(48 << 10, 12), (1280 << 10, 20), (1536 << 10, 12)] {
         check_eviction_set(capacity_bytes, ways);
+    }
+    for preset in MachinePreset::all() {
+        let caches = preset.machine().caches;
+        let l1 = NaiveCache::new(caches.l1.capacity_bytes, caches.l1.associativity);
+        assert_eq!(l1.sets.len(), 64, "{}: an L1 of one page", preset.name());
+        for level in [caches.l1, caches.l2] {
+            check_eviction_set(level.capacity_bytes, level.associativity);
+        }
     }
 }
