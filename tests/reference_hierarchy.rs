@@ -524,10 +524,15 @@ impl Case {
         let policy = WritePolicyKind::all()[index / presets.len() % 3];
         let prefetch = index / (3 * presets.len()) % 2 == 0;
         let mut draw = Draw(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        // 1–3 load and 1–3 store operands, 4 MiB apart (a multiple of every
-        // level's set span, so equal offsets collide in one set) plus a
-        // skew: none, an element, a line, a page and then some, a random
-        // 8-byte-aligned one, or a misaligned one.
+        // 1–3 load and 1–3 store operands of 1–3 stencil points, 4 MiB
+        // apart (a multiple of every level's set span, so equal offsets
+        // collide in one set) plus a skew: none, an element, a line, a page
+        // and then some, a random 8-byte-aligned one, or a misaligned one.
+        // One case in four crowds the L1 instead: no skews, rows a multiple
+        // of a page apart and the points a column of 3–5 rows, so that
+        // every point of every operand falls into one L1 set — often more
+        // lines than it has ways within one iteration of the loop.
+        let crowded = draw.below(4) == 0;
         let loads = 1 + draw.below(3);
         let stores = 1 + draw.below(3);
         let skews = [
@@ -538,12 +543,27 @@ impl Case {
             8 * draw.below(4096),
             4 + 8 * draw.below(64),
         ];
+        let mut offsets: Vec<u64> = (0..loads + stores)
+            .map(|j| (j << 22) + if crowded { 0 } else { draw.pick(&skews) })
+            .collect();
+        // A store operand may update a load operand's array in place, so
+        // that stores, NT ones included, meet lines the loads brought in.
+        for j in loads..loads + stores {
+            if draw.below(3) == 0 {
+                offsets[j as usize] = offsets[draw.below(loads) as usize];
+            }
+        }
         let operands: Vec<SpecOperand> = (0..loads + stores)
             .map(|j| SpecOperand {
-                offset: (j << 22) + draw.pick(&skews),
-                points: (0..1 + draw.below(2))
-                    .map(|_| (draw.below(3) as i64 - 1, draw.below(3) as i64 - 1))
-                    .collect(),
+                offset: offsets[j as usize],
+                points: match crowded {
+                    true => (0..3 + draw.below(3))
+                        .map(|dk| (0, dk as i64 - 1))
+                        .collect(),
+                    false => (0..1 + draw.below(3))
+                        .map(|_| (draw.below(3) as i64 - 1, draw.below(3) as i64 - 1))
+                        .collect(),
+                },
                 kind: if j < loads {
                     AccessKind::Load
                 } else {
@@ -555,11 +575,13 @@ impl Case {
         let inner = 8 + draw.below(400);
         // A few thousand lines of accesses in all.
         let rows = (1 + draw.below(3000) * 8 / (inner * points)).min(40);
-        // Halos of 0–19 elements, or every row over the same elements.
-        let row_stride = if draw.below(8) == 0 {
-            0
-        } else {
-            inner + draw.below(20)
+        // Halos of 0–19 elements, or rows a multiple of a page apart, or
+        // every row over the same elements.
+        let row_stride = match draw.below(8) {
+            _ if crowded => inner.next_multiple_of(512),
+            0 => 0,
+            1 => inner.next_multiple_of(512),
+            _ => inner + draw.below(20),
         };
         let kernel = KernelSpec {
             rank_base: RankBase::Shifted { shift: 40, plus: 1 },
@@ -622,18 +644,37 @@ impl Case {
         Hierarchy::new(machine, l3_sharers, self.policy, self.prefetch)
     }
 
-    fn expected(
+    /// The oracle fed the kernel's sweep, flushed.
+    fn swept_oracle(&self, machine: &Machine, l3_sharers: usize) -> Hierarchy {
+        let mut oracle = self.oracle(machine, l3_sharers);
+        for (addr, kind) in sweep_elements(&self.kernel.sweep(0)) {
+            oracle.element(addr, kind);
+        }
+        oracle.flush();
+        oracle
+    }
+
+    /// `counters` are what the flushed `oracle` counts (SpecI2M off) or
+    /// weighs (on) under `ctx` and `options`, to the bit.
+    fn assert_counters(
         &self,
+        counters: &MemCounters,
         oracle: &Hierarchy,
-        machine: &Machine,
-        ctx: OccupancyContext,
-        options: CoreSimOptions,
-    ) -> MemCounters {
-        if options.speci2m_enabled {
+        (machine, ctx, options): (&Machine, OccupancyContext, CoreSimOptions),
+        what: &str,
+    ) {
+        let expected = if options.speci2m_enabled {
             oracle.weighed(machine, ctx, options)
         } else {
             oracle.counts()
-        }
+        };
+        let at = format!("{:?} {:?} pf={}", self.preset, self.policy, self.prefetch);
+        assert_eq!(
+            bits(counters),
+            bits(&expected),
+            "{what} {at} s2m={}\n{counters:?}\n{expected:?}",
+            options.speci2m_enabled
+        );
     }
 
     /// Every driver against the oracle, with SpecI2M off (counts) or on
@@ -643,9 +684,10 @@ impl Case {
         self.check_node_drivers(speci2m);
     }
 
-    /// `CoreSim::drive_run` over the kernel's rows as runs, and
-    /// `StencilRowSweep::drive` over its sweep, at a random occupancy and
-    /// L3 share.
+    /// `CoreSim::drive_run` over the kernel's rows as runs, one per stencil
+    /// point of each operand, and `StencilRowSweep::drive` over its sweep,
+    /// at a random occupancy and L3 share — per-level hits and misses
+    /// before and after the flush too.
     fn check_core_drivers(&mut self, speci2m: bool) {
         let machine = self.machine(speci2m);
         let max = machine.caches.l3_sharers;
@@ -654,21 +696,15 @@ impl Case {
         let ctx = OccupancyContext::compact(&machine, ranks);
         let options = self.options(l3_sharers, speci2m);
         let sweep = self.kernel.sweep(0);
-        let at = format!(
-            "{:?} {:?} pf={} s2m={speci2m} sharers={l3_sharers}",
-            self.preset, self.policy, self.prefetch
-        );
-
-        // Row by row, one run per stencil point of each operand.
         let runs: Vec<AccessRun> = (sweep.k0..sweep.k0 + sweep.rows)
             .flat_map(|k| {
-                let row = StencilRowSweep {
+                let row_start = StencilRowSweep {
                     k0: k,
                     rows: 1,
                     inner: 1,
                     ..sweep.clone()
                 };
-                sweep_elements(&row)
+                sweep_elements(&row_start)
                     .map(|(base, kind)| AccessRun {
                         base,
                         elements: sweep.inner,
@@ -677,80 +713,48 @@ impl Case {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let mut core = CoreSim::new(&machine, ctx, options);
-        let mut oracle = self.oracle(&machine, l3_sharers);
-        for &run in &runs {
-            core.drive_run(run);
-            for e in 0..run.elements {
-                oracle.element(run.base + 8 * e, run.kind);
+        for what in ["drive_run", "drive"] {
+            let mut core = CoreSim::new(&machine, ctx, options);
+            let mut oracle = self.oracle(&machine, l3_sharers);
+            if what == "drive_run" {
+                for &run in &runs {
+                    core.drive_run(run);
+                    for e in 0..run.elements {
+                        oracle.element(run.base + 8 * e, run.kind);
+                    }
+                }
+            } else {
+                sweep.drive(&mut core);
+                for (addr, kind) in sweep_elements(&sweep) {
+                    oracle.element(addr, kind);
+                }
             }
+            let at = format!("{what} at {l3_sharers} sharers");
+            assert_eq!(core.cache_stats(), oracle.stats(), "{at}");
+            let counters = core.flush();
+            oracle.flush();
+            assert_eq!(core.cache_stats(), oracle.stats(), "{at}, flushed");
+            self.assert_counters(&counters, &oracle, (&machine, ctx, options), &at);
         }
-        assert_eq!(core.cache_stats(), oracle.stats(), "drive_run {at}");
-        let counters = core.flush();
-        oracle.flush();
-        assert_eq!(core.cache_stats(), oracle.stats(), "drive_run flush {at}");
-        let expected = self.expected(&oracle, &machine, ctx, options);
-        assert_eq!(
-            bits(&counters),
-            bits(&expected),
-            "drive_run {at}\n{counters:?}\n{expected:?}"
-        );
-
-        let mut core = CoreSim::new(&machine, ctx, options);
-        let mut oracle = self.oracle(&machine, l3_sharers);
-        sweep.drive(&mut core);
-        for (addr, kind) in sweep_elements(&sweep) {
-            oracle.element(addr, kind);
-        }
-        assert_eq!(core.cache_stats(), oracle.stats(), "drive {at}");
-        let counters = core.flush();
-        oracle.flush();
-        assert_eq!(core.cache_stats(), oracle.stats(), "drive flush {at}");
-        let expected = self.expected(&oracle, &machine, ctx, options);
-        assert_eq!(
-            bits(&counters),
-            bits(&expected),
-            "drive {at}\n{counters:?}\n{expected:?}"
-        );
     }
 
     /// The cursor advanced in random turns (a one-tenant co-run) and the
-    /// representative core of `run_spmd_memo`, each the oracle at the
-    /// occupancy the node simulator derives.
+    /// representative core of `run_spmd_memo`, each against the oracle at
+    /// the occupancy the node simulator derives.
     fn check_node_drivers(&mut self, speci2m: bool) {
         let machine = self.machine(speci2m);
-        let at = format!(
-            "{:?} {:?} pf={} s2m={speci2m}",
-            self.preset, self.policy, self.prefetch
-        );
-        let sweep = self.kernel.sweep(0);
-
+        let tenant = std::slice::from_ref(&self.kernel);
         let interleave = self.draw.pick(&[1, 2, 3, 7, 64, 1000, u64::MAX]);
         let sim = NodeSim::new(self.config(machine.clone(), 1, speci2m));
-        let corun = sim.run_corun(
-            std::slice::from_ref(&self.kernel),
-            interleave,
-            &SimMemo::new(),
-        );
-        let tenant = &corun.tenants[0];
+        let corun = sim.run_corun(tenant, interleave, &SimMemo::new());
         let sharers = DomainOccupancy::l3_sharers(&machine, 1);
         let ctx = OccupancyContext::domain_load(&machine, 1, 1);
-        let mut oracle = self.oracle(&machine, sharers);
-        for (addr, kind) in sweep_elements(&sweep) {
-            oracle.element(addr, kind);
-        }
-        oracle.flush();
-        let expected = self.expected(&oracle, &machine, ctx, self.options(sharers, speci2m));
-        assert_eq!(
-            bits(&tenant.counters),
-            bits(&expected),
-            "cursor turns of {interleave} {at}"
-        );
-        assert_eq!(
-            (tenant.llc_hits, tenant.llc_misses),
-            oracle.stats()[2],
-            "cursor {at}"
-        );
+        let oracle = self.swept_oracle(&machine, sharers);
+        let env = (&machine, ctx, self.options(sharers, speci2m));
+        let at = format!("cursor in turns of {interleave}");
+        let t = &corun.tenants[0];
+        self.assert_counters(&t.counters, &oracle, env, &at);
+        assert_eq!((t.llc_hits, t.llc_misses), oracle.stats()[2], "{at}");
 
         let ranks = 1 + self.draw.below(machine.total_cores() as u64) as usize;
         let report = NodeSim::new(self.config(machine.clone(), ranks, speci2m))
@@ -759,17 +763,10 @@ impl Case {
         let count = occ.cores_per_domain[0];
         let sharers = DomainOccupancy::l3_sharers(&machine, count);
         let ctx = OccupancyContext::domain_load(&machine, count, occ.active_domains);
-        let mut oracle = self.oracle(&machine, sharers);
-        for (addr, kind) in sweep_elements(&sweep) {
-            oracle.element(addr, kind);
-        }
-        oracle.flush();
-        let expected = self.expected(&oracle, &machine, ctx, self.options(sharers, speci2m));
-        assert_eq!(
-            bits(&report.per_rank),
-            bits(&expected),
-            "run_spmd_memo at {ranks} ranks {at}"
-        );
+        let oracle = self.swept_oracle(&machine, sharers);
+        let env = (&machine, ctx, self.options(sharers, speci2m));
+        let at = format!("run_spmd_memo at {ranks} ranks");
+        self.assert_counters(&report.per_rank, &oracle, env, &at);
     }
 }
 
