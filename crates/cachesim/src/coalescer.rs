@@ -156,6 +156,7 @@ impl WriteCoalescer {
                 .enumerate()
                 .min_by_key(|(_, s)| s.stamp)
                 .expect("non-empty streams");
+            // `remove`, not `swap_remove`: the others keep their order.
             let old = self.streams.remove(idx);
             finalized = Some(Self::finalize_stream(&old, self.streams.len() + 1));
         }
