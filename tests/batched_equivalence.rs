@@ -508,10 +508,10 @@ proptest! {
         );
         let memo = SimMemo::new();
         let implicit = NodeSim::new(SimConfig::new(machine.clone(), ranks));
-        let closure = implicit.run_spmd_memo(&spec, &SimMemo::without_differential());
+        let fresh = implicit.run_spmd_memo(&spec, &SimMemo::without_differential());
         let defaulted = implicit.run_spmd_memo(&spec, &memo);
-        prop_assert_eq!(&closure.total, &defaulted.total);
-        prop_assert_eq!(&closure.per_rank, &defaulted.per_rank);
+        prop_assert_eq!(&fresh.total, &defaulted.total);
+        prop_assert_eq!(&fresh.per_rank, &defaulted.per_rank);
         // An explicit write-allocate selection is the same SimKey: every
         // context is served from the memo, no new simulation runs.
         let explicit = NodeSim::new(
