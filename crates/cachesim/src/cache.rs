@@ -37,11 +37,13 @@
 //! capacity rounded up to a power of two, indexed by the top bits of
 //! `line × 0x9E37_79B9_7F4A_7C15`.  An insert increments the new
 //! line's counter and decrements the displaced line's, an invalidation
-//! decrements, a drain zeroes; a counter that reaches 255 *sticks* (it no
-//! longer knows how many lines it stands for).  So a counter reads zero
-//! only if no resident line maps to it: zero **proves absence** and the
-//! probe answers without touching the set; anything else scans, and the
-//! filter can only err by saying "maybe".  Size rule and hash are constants
+//! decrements, a drain zeroes (line by line while that is cheaper than one
+//! `fill` of the lane, then the whole lane); a counter that reaches 255
+//! *sticks* (it no longer knows how many lines it stands for).  So a
+//! counter reads zero only if no resident line maps to it: zero **proves
+//! absence** and the probe answers without touching the set; anything
+//! else scans, and the filter can only err by saying "maybe".
+//! Size rule and hash are constants
 //! set by measurement (fastest of 4 × 7 on a 2-vCPU host, PR 23).  A cold
 //! `interference_factor(icx-8360y, thrash, 64)` — 202 ms at PR 19's shifted
 //! sets without a filter — reads 146 ms with filters of at most 256 KiB and
@@ -149,6 +151,17 @@ fn probe_set(tags: &[u64], line: u64) -> SetProbe {
 const FILTER_COUNTERS_PER_LINE: usize = 4;
 const FILTER_MAX_COUNTERS: usize = 256 << 10;
 
+/// A drain zeroes its first `counters / FILTER_FILL_PER_LINE` lines'
+/// filter counters one by one, each a write to a random byte of the lane,
+/// and if more lines follow, zeroes the whole lane in one `fill` instead.
+/// Set by measurement on a 2-vCPU host, draining a streamed L2 of the
+/// paper's ICX (20 480 lines, 128 Ki counters): line by line took 79–85
+/// µs, one fill 34–41 µs, and up to a quarter full line by line was as
+/// fast.  With 32 a full drain read 41–44 µs and a partial one kept the
+/// line-by-line time; 16 was slower on half and full drains, 64 within
+/// noise of 32.
+const FILTER_FILL_PER_LINE: usize = 32;
+
 /// Multiplier of the filter's index hash (2^64 / φ): a line's counter is
 /// the top bits of the product.  Measured against a fold, see there.
 const FILTER_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -211,6 +224,12 @@ pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true> {
     misses: u64,
     /// Valid lines displaced by a fill since construction/reset.
     evictions: u64,
+    /// Changes of recency order since construction/reset: inserts, and
+    /// hits that moved a line (not the re-hit of a set's head).
+    reorders: u64,
+    /// Lines removed by [`invalidate`](Self::invalidate) since
+    /// construction/reset.
+    invalidations: u64,
     unread: PhantomData<R>,
 }
 
@@ -237,6 +256,8 @@ impl SetAssocCache {
             hits: 0,
             misses: 0,
             evictions: 0,
+            reorders: 0,
+            invalidations: 0,
             unread: PhantomData,
         }
     }
@@ -274,13 +295,16 @@ impl SetAssocCache {
     /// one of the same geometry.  Costs O(sets ever filled), not
     /// O(capacity) — the filter too: a counter only ever counted resident
     /// lines, so zeroing each drained line's counter reaches every non-zero
-    /// one but a saturated counter whose lines have left, and only after a
-    /// saturation is the whole lane (at most 256 KiB) zeroed instead.
+    /// one but a saturated counter whose lines have left.  So the whole
+    /// lane (at most 256 KiB) is zeroed instead only after a saturation,
+    /// or when so many lines drain that one `fill` is cheaper.
     pub fn reset(&mut self) {
         self.drain_entries(|_| ());
         self.hits = 0;
         self.misses = 0;
         self.evictions = 0;
+        self.reorders = 0;
+        self.invalidations = 0;
     }
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
@@ -318,6 +342,19 @@ impl SetAssocCache {
     /// Empty every set that ever received a fill, handing each valid tag
     /// word to `drained` on the way, and forget the used-set tracking.
     fn drain_entries(&mut self, mut drained: impl FnMut(u64)) {
+        // The filter: zero drained lines' counters one by one (each a write
+        // to a random byte of the lane) until that has cost about what one
+        // fill of the lane costs, then fill it; after a saturation, fill it.
+        let counters = match self.filter_shift {
+            0 => 0,
+            shift => 1usize << (u64::BITS - shift),
+        };
+        let mut whole_lane = std::mem::take(&mut self.filter_stuck);
+        let mut singly = if whole_lane {
+            0
+        } else {
+            counters / FILTER_FILL_PER_LINE
+        };
         for &set in &self.used_sets {
             let start = set as usize * self.ways;
             // Every slot: a ring's valid entries need not start at slot 0.
@@ -326,15 +363,18 @@ impl SetAssocCache {
                     continue;
                 }
                 drained(*tag);
-                if self.filter_shift != 0 {
+                if singly > 0 {
+                    singly -= 1;
                     self.filter[filter_idx(self.filter_shift, *tag & !DIRTY)] = 0;
+                } else {
+                    whole_lane = true;
                 }
                 *tag = INVALID_LINE;
             }
             self.heads[set as usize] = 0;
         }
-        if std::mem::take(&mut self.filter_stuck) {
-            self.filter.fill(0);
+        if whole_lane {
+            self.filter[..counters].fill(0);
         }
         self.used_sets.clear();
         self.used_bitmap.fill(0);
@@ -381,6 +421,28 @@ impl SetAssocCache {
     /// Valid lines displaced by a fill since construction.
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Associativity of the current geometry (what [`geometry`] widened
+    /// it to).
+    ///
+    /// [`geometry`]: Self::geometry
+    pub(crate) fn ways(&self) -> usize {
+        self.ways
+    }
+
+    /// Changes of recency order since construction: inserts and hits that
+    /// moved a line.  A line made the most recent of its set leaves only
+    /// after `ways` more of them (one of which is an insert into its set)
+    /// or an invalidation.
+    pub(crate) fn reorders(&self) -> u64 {
+        self.reorders
+    }
+
+    /// Lines removed by [`invalidate`](Self::invalidate) since
+    /// construction.
+    pub(crate) fn invalidations(&self) -> u64 {
+        self.invalidations
     }
 
     /// Tag lane of the set starting at flat offset `start`, without a
@@ -443,6 +505,7 @@ impl SetAssocCache {
     /// distance 0, the streaming re-hit.
     #[inline(always)]
     fn refresh(&mut self, set_idx: usize, idx: usize, write: bool) {
+        self.reorders += (idx != 0) as u64;
         let set = &mut self.tags[set_idx * self.ways..][..self.ways];
         let head = usize::from(self.heads[set_idx]);
         let mut slot = head + idx;
@@ -469,6 +532,7 @@ impl SetAssocCache {
             head => usize::from(head) - 1,
         };
         self.heads[set_idx] = head as u16;
+        self.reorders += 1;
         let slot = &mut self.tags[set_idx * self.ways + head];
         let old = std::mem::replace(slot, line | dirty_bit(dirty));
         self.known_absent = INVALID_LINE;
@@ -531,7 +595,9 @@ impl SetAssocCache {
     /// equivalent of calling [`touch`] `n` times in a row on a resident line
     /// — the hit counter advances by `n` while the set is scanned only once.
     /// Returns `false` (and changes nothing) if the line is not resident;
-    /// callers fall back to the scalar path in that case.  Zero repeats are
+    /// callers fall back to the scalar path in that case.  A line at its
+    /// set's head — the re-hit of a streaming stencil — is one compare: no
+    /// filter lookup, no scan, no move.  Zero repeats are
     /// vacuously accounted: `n == 0` returns `true` and changes nothing —
     /// no counter, no recency — whether or not the line is resident (both
     /// in-tree callers ask only with `n > 0`).
@@ -550,6 +616,19 @@ impl SetAssocCache {
         if n == 0 {
             return true;
         }
+        let set_idx = (line & self.set_mask) as usize;
+        if self.set_tags(set_idx * self.ways)[usize::from(self.heads[set_idx])] & !DIRTY == line {
+            self.hits += n;
+            return true;
+        }
+        self.touch_repeat_behind_head(line, n)
+    }
+
+    /// [`touch_repeat`](Self::touch_repeat) of a line not at its set's
+    /// head: a probe and, if resident, a move.  Out of line, so that the
+    /// head compare inlines into the callers' loops.
+    #[inline(never)]
+    fn touch_repeat_behind_head(&mut self, line: u64, n: u64) -> bool {
         match self.probe(line) {
             (set_idx, SetProbe::Hit(idx)) => {
                 self.refresh(set_idx, idx, false);
@@ -558,6 +637,14 @@ impl SetAssocCache {
             }
             _ => false,
         }
+    }
+
+    /// Count `n` hits on resident lines that a touch would leave where they
+    /// are — each already the most recent of its set in the order the
+    /// touches would repeat — without looking at them.
+    #[inline]
+    pub(crate) fn settled_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// Combined touch-or-fill in a single set scan: counts a hit or a miss
@@ -637,6 +724,7 @@ impl SetAssocCache {
         let tag = std::mem::replace(&mut self.tags[slot], INVALID_LINE);
         let head = usize::from(self.heads[set_idx]) + 1;
         self.heads[set_idx] = if head == self.ways { 0 } else { head as u16 };
+        self.invalidations += 1;
         self.filter_count(line, false);
         Some(tag & DIRTY != 0)
     }
@@ -1196,6 +1284,10 @@ mod tests {
         d.sort_unstable();
         assert_eq!(d, vec![1, 65]);
         assert_eq!(c.resident_lines(), 0);
+        // Three lines, below a drain's `counters / FILTER_FILL_PER_LINE`:
+        // their counters were zeroed one by one; the drain after the mix
+        // below empties more and zeroes the whole lane.
+        assert_like_fresh(&c, &SetAssocCache::new(64 * 64, 4));
         // Used-set tracking restarts cleanly: a second flush is empty, new
         // fills are drained again.
         assert!(c.flush_dirty().is_empty());

@@ -64,6 +64,9 @@ const GAP_TOLERANCE: u64 = 4;
 pub struct WriteCoalescer {
     streams: Vec<WriteStream>,
     stamp: u64,
+    /// The newest stamp a stream carried when a store moved it to another
+    /// line or displaced it (see [`settled_since`](Self::settled_since)).
+    moved_stamp: u64,
 }
 
 impl WriteCoalescer {
@@ -81,12 +84,29 @@ impl WriteCoalescer {
         self.streams.iter().any(|s| s.line == line)
     }
 
+    /// The stamp of the last store, to hand to
+    /// [`settled_since`](Self::settled_since) later.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// True if no stream stored to after `stamp` has since been moved to
+    /// another line or displaced: every store since then still has an
+    /// open stream on its line (a store leaves one there, and only such a
+    /// move takes it away).  O(1), where [`stream_at_line`] scans.
+    ///
+    /// [`stream_at_line`]: Self::stream_at_line
+    pub(crate) fn settled_since(&self, stamp: u64) -> bool {
+        self.moved_stamp <= stamp
+    }
+
     /// Drop every open stream without finalizing it and reset the stamp,
     /// reusing the allocation.  Afterwards the coalescer is
     /// indistinguishable from a freshly constructed one.
     pub fn reset(&mut self) {
         self.streams.clear();
         self.stamp = 0;
+        self.moved_stamp = 0;
     }
 
     fn coverage_mask(offset: u64, len: u64) -> u64 {
@@ -141,6 +161,7 @@ impl WriteCoalescer {
                 streak_estimate,
                 active_streams: active,
             };
+            self.moved_stamp = self.moved_stamp.max(s.stamp);
             s.line = line;
             s.coverage = mask;
             s.stamp = stamp;
@@ -158,6 +179,7 @@ impl WriteCoalescer {
                 .expect("non-empty streams");
             // `remove`, not `swap_remove`: the others keep their order.
             let old = self.streams.remove(idx);
+            self.moved_stamp = self.moved_stamp.max(old.stamp);
             finalized = Some(Self::finalize_stream(&old, self.streams.len() + 1));
         }
         self.streams.push(WriteStream {
@@ -309,6 +331,36 @@ mod tests {
             .collect();
         expected.push(line_of(1 << 30));
         assert_eq!(order, expected);
+    }
+
+    #[test]
+    fn settled_since_sees_every_stream_moved_after_the_stamp() {
+        let mut c = WriteCoalescer::default();
+        store_double(&mut c, 0);
+        store_double(&mut c, 1 << 20);
+        // Stores that merge, open a stream or move one stored to before
+        // the stamp leave every store since it on its line.
+        let stamp = c.stamp();
+        store_double(&mut c, 8);
+        store_double(&mut c, (1 << 20) + 64);
+        store_double(&mut c, 2 << 20);
+        assert!(c.settled_since(stamp));
+        // Moving one stored to since the stamp does not.
+        store_double(&mut c, 64);
+        assert!(!c.settled_since(stamp));
+        assert!(c.settled_since(c.stamp()));
+        // Displacing a stream: only one stored to since the stamp counts.
+        let mut c = WriteCoalescer::default();
+        for s in 0..=MAX_STREAMS as u64 {
+            store_double(&mut c, s << 20);
+        }
+        let stamp = c.stamp();
+        assert!(store_double(&mut c, 1 << 30).is_some());
+        assert!(c.settled_since(stamp));
+        for s in 0..=MAX_STREAMS as u64 {
+            store_double(&mut c, (s << 20) + 8);
+        }
+        assert!(!c.settled_since(stamp));
     }
 
     #[test]

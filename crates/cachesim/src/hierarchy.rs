@@ -341,6 +341,45 @@ impl PrivateCore {
         }
     }
 
+    /// The L1's recency changes so far (see [`SetAssocCache`]'s
+    /// `reorders`).
+    #[inline]
+    pub(crate) fn l1_reorders(&self) -> u64 {
+        self.l1.reorders()
+    }
+
+    /// Count `n` L1 hits on lines the caller knows are resident and
+    /// already where a touch would put them.
+    #[inline]
+    pub(crate) fn l1_settled_hits(&mut self, n: u64) {
+        self.l1.settled_hits(n);
+    }
+
+    /// A snapshot for [`undisturbed_since`](Self::undisturbed_since).
+    #[inline]
+    pub(crate) fn mark(&self) -> SegmentMark {
+        SegmentMark {
+            l1_reorders: self.l1.reorders(),
+            l1_invalidations: self.l1.invalidations(),
+            store_stamp: self.coalescer.stamp(),
+            nt_stamp: self.nt_coalescer.stamp(),
+        }
+    }
+
+    /// True if every line loaded since `mark` is still L1-resident and
+    /// every line stored to since then still has an open stream: no L1
+    /// line was invalidated, fewer than `ways` L1 recency changes happened
+    /// (a line made the most recent of its set leaves only after `ways`),
+    /// and neither coalescer moved a stream stored to since.  O(1): it
+    /// looks at no line.
+    #[inline]
+    pub(crate) fn undisturbed_since(&self, mark: SegmentMark) -> bool {
+        self.l1.invalidations() == mark.l1_invalidations
+            && self.l1.reorders() - mark.l1_reorders < self.l1.ways() as u64
+            && self.coalescer.settled_since(mark.store_stamp)
+            && self.nt_coalescer.settled_since(mark.nt_stamp)
+    }
+
     /// First half of a flush: finalize pending store streams (which may
     /// still generate traffic against `llc`) and drain the private banks,
     /// returning their dirty lines.  The caller drains the last level —
@@ -471,7 +510,8 @@ impl PrivateCore {
         }
     }
 
-    fn load_line(&mut self, llc: &mut SetAssocCache, line: u64) {
+    /// One demand load of `line`.
+    pub(crate) fn load_line(&mut self, llc: &mut SetAssocCache, line: u64) {
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
@@ -527,6 +567,16 @@ impl PrivateCore {
         llc.invalidate(ev.line);
         self.emit(Event::NtLine { full: ev.full });
     }
+}
+
+/// What [`PrivateCore::undisturbed_since`] compares against: the L1's
+/// recency log and the coalescers' stamps at one moment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SegmentMark {
+    l1_reorders: u64,
+    l1_invalidations: u64,
+    store_stamp: u64,
+    nt_stamp: u64,
 }
 
 /// Cache hierarchy + store path of a single core.

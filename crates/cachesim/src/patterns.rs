@@ -16,15 +16,6 @@ use crate::access::{line_of, Access, AccessKind, LINE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
 
-/// One scalar 8-byte access of the given kind.
-fn elem(kind: AccessKind, addr: u64) -> Access {
-    Access {
-        addr,
-        bytes: ELEM_BYTES as u32,
-        kind,
-    }
-}
-
 /// One array operand of a stencil row sweep.
 #[derive(Debug, Clone)]
 pub struct StencilOperand {
@@ -103,16 +94,33 @@ impl StencilRowSweep {
 /// stream just touched and every store is a pure coverage merge in the
 /// coalescer — so [`advance`](Self::advance) executes only the first
 /// iteration of each such *segment* faithfully (this is where line
-/// crossings, cache fills and coalescer transitions happen) and accounts
-/// the rest in bulk, at one cache probe per line instead of one per
-/// element.  The bulk phase performs no fills or stream transitions,
-/// leaves the same final LRU order (the streams are visited in operand
-/// order, like the segment's last iteration element by element) and counts
-/// the same hits;
-/// whenever its preconditions cannot be proven (a line evicted or a stream
-/// displaced within the first iteration) the rest of the segment runs
-/// element by element, and a sweep with a misaligned operand base runs
-/// element by element throughout.
+/// crossings, cache fills and coalescer transitions happen), each element
+/// straight as the one line operation it is, and accounts the rest in
+/// bulk, at one L1 touch per load line instead of one per element — a
+/// single compare when the line is its set's most recent.  The bulk phase
+/// performs no fills or stream transitions, leaves the same final LRU
+/// order (the streams are visited in operand order, like the segment's
+/// last iteration element by element) and counts the same hits.  Where
+/// only the loads changed the L1's recency order in the first iteration
+/// (no line a store retired entered or moved in it), that order is the
+/// final one — under LRU, touching again, in the same order, the lines
+/// an iteration just made the most recent of their sets moves none of
+/// them — so the bulk loads are one addition to the L1's hits and touch
+/// no line.
+///
+/// Its preconditions — every load line still L1-resident, every store line
+/// still open in its coalescer — are proved in O(1) from what the first
+/// iteration did rather than looked up: no L1 line was invalidated, fewer
+/// than `ways` L1 recency changes happened (a line the iteration made the
+/// most recent of its set leaves only after `ways` of them), and no store
+/// stream the iteration stored to was moved off its line
+/// (`PrivateCore::undisturbed_since`).  Where that proof fails (more
+/// streams in one L1 set than it has ways, an NT line that invalidates an
+/// L1 copy, store streams that displace each other) the lines are looked
+/// up one by one; if one has left, the rest of the segment runs element
+/// by element.  A debug build checks every proof against the look-up.  A
+/// sweep with a misaligned operand base runs element by element
+/// throughout.
 ///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
@@ -134,12 +142,14 @@ pub struct SweepCursor {
     /// Misaligned operand base: elements straddle lines and the segment
     /// bookkeeping no longer holds, so every segment is one iteration.
     scalar: bool,
+    /// How many of the streams load.
+    loads: u64,
 }
 
 impl SweepCursor {
     /// Position a cursor at the start of `sweep`.
     pub fn new(sweep: &StencilRowSweep) -> Self {
-        let streams = sweep
+        let streams: Vec<StencilStream> = sweep
             .operands
             .iter()
             .flat_map(|op| {
@@ -150,13 +160,17 @@ impl SweepCursor {
             })
             .collect();
         Self {
-            streams,
             row_bytes: sweep.row_stride * ELEM_BYTES,
             inner: sweep.inner,
             done: 0,
             // A zero-trip inner loop has no row to pause in.
             rows_left: if sweep.inner == 0 { 0 } else { sweep.rows },
             scalar: sweep.operands.iter().any(|op| op.base % ELEM_BYTES != 0),
+            loads: streams
+                .iter()
+                .filter(|s| s.kind == AccessKind::Load)
+                .count() as u64,
+            streams,
         }
     }
 
@@ -180,8 +194,12 @@ impl SweepCursor {
         while self.rows_left > 0 && spent < budget {
             let at = self.done * ELEM_BYTES;
             // The segment's first iteration, faithfully, in operand order.
+            let mark = core.mark();
+            let mut stores_reordered = false;
             for s in &self.streams {
-                core.access(llc, elem(s.kind, s.row_base + at));
+                let before = core.l1_reorders();
+                self.feed(core, llc, s.kind, s.row_base + at);
+                stores_reordered |= s.kind != AccessKind::Load && core.l1_reorders() != before;
             }
             // The segment extends until any stream reaches its next line
             // boundary (each stream advances 8 bytes per iteration and is
@@ -195,22 +213,26 @@ impl SweepCursor {
             };
             if seg > 1 {
                 // Bulk preconditions: every load line resident in L1 and
-                // every store stream still open on its line.  After the
-                // faithful first iteration this is the overwhelmingly
-                // common case; it can only fail if that iteration evicted
-                // one of its own lines or displaced a store stream.
-                let provable = self.streams.iter().all(|s| {
-                    let line = line_of(s.row_base + at);
-                    match s.kind {
-                        AccessKind::Load => core.l1_contains(line),
-                        kind => core.coalescer_at_line(line, kind == AccessKind::StoreNT),
+                // every store stream still open on its line.  The O(1)
+                // proof establishes them in the common case; only where it
+                // cannot (see the type's docs) are the lines looked up.
+                let proven = core.undisturbed_since(mark);
+                debug_assert!(
+                    !proven || self.lines_in_place(core, at),
+                    "the segment proof vouched for a line that left"
+                );
+                if proven || self.lines_in_place(core, at) {
+                    // Loads alone reordered the L1: the bulk's touches would
+                    // move nothing (see the type's docs).
+                    let settled = proven && !stores_reordered;
+                    if settled {
+                        core.l1_settled_hits(self.loads * (seg - 1));
                     }
-                });
-                if provable {
                     for s in &self.streams {
                         let addr = s.row_base + at + ELEM_BYTES;
                         let line = line_of(addr);
                         match s.kind {
+                            AccessKind::Load if settled => {}
                             AccessKind::Load => {
                                 let resident = core.l1_touch_repeat(line, seg - 1);
                                 debug_assert!(resident, "bulk phase cannot evict");
@@ -227,7 +249,7 @@ impl SweepCursor {
                 } else {
                     for step in 1..seg {
                         for s in &self.streams {
-                            core.access(llc, elem(s.kind, s.row_base + at + step * ELEM_BYTES));
+                            self.feed(core, llc, s.kind, s.row_base + at + step * ELEM_BYTES);
                         }
                     }
                 }
@@ -243,6 +265,40 @@ impl SweepCursor {
             }
         }
         spent
+    }
+
+    /// Feed one 8-byte element of a stream: on an aligned sweep straight
+    /// as the one line operation it is, on a misaligned one as an access.
+    #[inline(always)]
+    fn feed(&self, core: &mut PrivateCore, llc: &mut SetAssocCache, kind: AccessKind, addr: u64) {
+        if self.scalar {
+            let bytes = ELEM_BYTES as u32;
+            return core.access(llc, Access { addr, bytes, kind });
+        }
+        let line = line_of(addr);
+        match kind {
+            AccessKind::Load => core.load_line(llc, line),
+            kind => core.store_line_segment(
+                llc,
+                line,
+                addr % LINE_BYTES,
+                ELEM_BYTES,
+                kind == AccessKind::StoreNT,
+            ),
+        }
+    }
+
+    /// Whether, at byte `at` of the row, every load stream's line is
+    /// L1-resident and every store stream's line has an open stream —
+    /// looked up line by line.
+    fn lines_in_place(&self, core: &PrivateCore, at: u64) -> bool {
+        self.streams.iter().all(|s| {
+            let line = line_of(s.row_base + at);
+            match s.kind {
+                AccessKind::Load => core.l1_contains(line),
+                kind => core.coalescer_at_line(line, kind == AccessKind::StoreNT),
+            }
+        })
     }
 }
 
@@ -457,6 +513,39 @@ mod tests {
                 inner: 525,
                 k0: 1,
                 rows: 7,
+            },
+            // Eight load streams and two store streams, staggered by less
+            // than a line in one L1 set, rows a page apart: a store line
+            // retired into the set after the loads of a segment's first
+            // iteration is pushed below them by the rest of the segment.
+            StencilRowSweep {
+                operands: vec![
+                    StencilOperand {
+                        base: 1 << 22,
+                        offsets: vec![(-1, 0), (0, 0)],
+                        kind: AccessKind::Load,
+                    },
+                    StencilOperand {
+                        base: 2 << 22,
+                        offsets: vec![(0, 0), (1, -1), (1, -1)],
+                        kind: AccessKind::Load,
+                    },
+                    StencilOperand {
+                        base: (3 << 22) + 56,
+                        offsets: vec![(-1, 0), (0, -1), (1, -1)],
+                        kind: AccessKind::Load,
+                    },
+                    StencilOperand {
+                        base: (4 << 22) + 56,
+                        offsets: vec![(-1, -1), (-1, 0)],
+                        kind: AccessKind::Store,
+                    },
+                ],
+                row_stride: 512,
+                i0: 1,
+                inner: 10,
+                k0: 1,
+                rows: 5,
             },
         ];
         for (n, sweep) in sweeps.iter().enumerate() {

@@ -528,10 +528,13 @@ impl Case {
         // apart (a multiple of every level's set span, so equal offsets
         // collide in one set) plus a skew: none, an element, a line, a page
         // and then some, a random 8-byte-aligned one, or a misaligned one.
-        // One case in four crowds the L1 instead: no skews, rows a multiple
-        // of a page apart and the points a column of 3–5 rows, so that
-        // every point of every operand falls into one L1 set — often more
-        // lines than it has ways within one iteration of the loop.
+        // One case in four crowds the L1 instead: skews below a line, rows
+        // a multiple of a page apart and the points a column of 3–5 rows,
+        // so that every point of every operand falls into one L1 set or
+        // its neighbour — often more lines than it has ways within one
+        // iteration of the loop — and the operands' streams cross lines in
+        // different iterations, so that one crossing reorders a set the
+        // others are still reading.
         let crowded = draw.below(4) == 0;
         let loads = 1 + draw.below(3);
         let stores = 1 + draw.below(3);
@@ -544,13 +547,22 @@ impl Case {
             4 + 8 * draw.below(64),
         ];
         let mut offsets: Vec<u64> = (0..loads + stores)
-            .map(|j| (j << 22) + if crowded { 0 } else { draw.pick(&skews) })
+            .map(|j| {
+                (j << 22)
+                    + if crowded {
+                        8 * draw.below(8)
+                    } else {
+                        draw.pick(&skews)
+                    }
+            })
             .collect();
-        // A store operand may update a load operand's array in place, so
-        // that stores, NT ones included, meet lines the loads brought in.
+        // A store operand may update a load operand's array in place, 0–3
+        // elements ahead, so that stores, NT ones included, meet lines the
+        // loads brought in — and an NT line can leave the L1 in the middle
+        // of a load stream's line.
         for j in loads..loads + stores {
             if draw.below(3) == 0 {
-                offsets[j as usize] = offsets[draw.below(loads) as usize];
+                offsets[j as usize] = offsets[draw.below(loads) as usize] + 8 * draw.below(4);
             }
         }
         let operands: Vec<SpecOperand> = (0..loads + stores)
