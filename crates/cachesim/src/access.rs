@@ -18,34 +18,6 @@ pub enum AccessKind {
     StoreNT,
 }
 
-/// One memory access: a byte range `[addr, addr + bytes)` of a given kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Access {
-    /// Starting byte address (virtual, arbitrary origin).
-    pub addr: u64,
-    /// Length in bytes (typically 8 for a double).
-    pub bytes: u32,
-    /// Load / store / non-temporal store.
-    pub kind: AccessKind,
-}
-
-impl Access {
-    /// First cache line touched by this access.
-    pub fn first_line(&self) -> u64 {
-        line_of(self.addr)
-    }
-
-    /// Last cache line touched by this access (inclusive).
-    pub fn last_line(&self) -> u64 {
-        line_of(self.addr + self.bytes.max(1) as u64 - 1)
-    }
-
-    /// Iterator over all cache-line indices touched by this access.
-    pub fn lines(&self) -> impl Iterator<Item = u64> {
-        self.first_line()..=self.last_line()
-    }
-}
-
 /// Cache-line index of a byte address.
 pub fn line_of(addr: u64) -> u64 {
     addr / LINE_BYTES
@@ -55,13 +27,13 @@ pub fn line_of(addr: u64) -> u64 {
 pub const ELEM_BYTES: u64 = 8;
 
 /// A contiguous run of double-precision elements accessed in ascending
-/// address order — the unit of the batched fast path.
+/// address order.
 ///
-/// `CoreSim::drive_run` expands a run into one hierarchy operation per
-/// 64-byte cache line (plus exact bookkeeping for the repeated touches of a
-/// line and for partially covered head/tail lines) instead of one operation
-/// per 8-byte element, producing the counters of the per-element sequence
-/// at a fraction of the cost.
+/// [`CoreSim::drive_run`](crate::CoreSim::drive_run) drives a run as a
+/// one-operand, one-row stencil sweep, through the same
+/// [`SweepCursor`](crate::SweepCursor) as every other kernel: one
+/// hierarchy operation per 64-byte cache line instead of one per 8-byte
+/// element, with the counters of the per-element sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessRun {
     /// First byte address of the run.
@@ -99,16 +71,23 @@ impl AccessRun {
             kind: AccessKind::StoreNT,
         }
     }
-
-    /// Total bytes covered by the run.
-    pub fn bytes(&self) -> u64 {
-        self.elements * ELEM_BYTES
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::{CoreSim, CoreSimOptions, OccupancyContext};
+    use clover_machine::icelake_sp_8360y;
+
+    fn fresh_core() -> CoreSim {
+        let m = icelake_sp_8360y();
+        CoreSim::new(&m, OccupancyContext::serial(&m), CoreSimOptions::default())
+    }
+
+    /// `(hits, misses)` of the core's L1.
+    fn l1(core: &CoreSim) -> (u64, u64) {
+        core.cache_stats()[0]
+    }
 
     #[test]
     fn line_mapping() {
@@ -120,26 +99,25 @@ mod tests {
 
     #[test]
     fn access_within_one_line() {
-        let a = Access {
-            addr: 16,
-            bytes: 8,
-            kind: AccessKind::Load,
-        };
-        assert_eq!(a.first_line(), 0);
-        assert_eq!(a.last_line(), 0);
-        assert_eq!(a.lines().count(), 1);
+        let mut core = fresh_core();
+        core.drive_run(AccessRun::load(16, 1));
+        assert_eq!(l1(&core), (0, 1), "one L1 lookup");
+        // It was line 0: line 0 now hits, line 1 still misses.
+        core.drive_run(AccessRun::load(0, 1));
+        assert_eq!(l1(&core), (1, 1));
+        core.drive_run(AccessRun::load(64, 1));
+        assert_eq!(l1(&core), (1, 2));
     }
 
     #[test]
     fn access_straddling_lines() {
-        let a = Access {
-            addr: 60,
-            bytes: 8,
-            kind: AccessKind::Load,
-        };
-        assert_eq!(a.first_line(), 0);
-        assert_eq!(a.last_line(), 1);
-        assert_eq!(a.lines().count(), 2);
+        let mut core = fresh_core();
+        core.drive_run(AccessRun::load(60, 1));
+        assert_eq!(l1(&core), (0, 2), "two L1 lookups");
+        // They were lines 0 and 1: both now hit.
+        core.drive_run(AccessRun::load(0, 1));
+        core.drive_run(AccessRun::load(64, 1));
+        assert_eq!(l1(&core), (2, 2));
     }
 
     #[test]
@@ -147,16 +125,5 @@ mod tests {
         assert_eq!(AccessRun::load(0, 1).kind, AccessKind::Load);
         assert_eq!(AccessRun::store(0, 1).kind, AccessKind::Store);
         assert_eq!(AccessRun::store_nt(0, 1).kind, AccessKind::StoreNT);
-        assert_eq!(AccessRun::store(8, 2).bytes(), 16);
-    }
-
-    #[test]
-    fn zero_length_access_touches_one_line() {
-        let a = Access {
-            addr: 100,
-            bytes: 0,
-            kind: AccessKind::Load,
-        };
-        assert_eq!(a.lines().count(), 1);
     }
 }

@@ -599,16 +599,16 @@ impl SetAssocCache {
     /// set's head — the re-hit of a streaming stencil — is one compare: no
     /// filter lookup, no scan, no move.  Zero repeats are
     /// vacuously accounted: `n == 0` returns `true` and changes nothing —
-    /// no counter, no recency — whether or not the line is resident (both
-    /// in-tree callers ask only with `n > 0`).
+    /// no counter, no recency — whether or not the line is resident (the
+    /// in-tree caller asks only with `n > 0`).
     ///
     /// This is a **load-only** fast path: the refresh deliberately passes
     /// `write = false`, so an already-dirty line stays dirty and a clean
     /// line stays clean.  Repeated *stores* must go through the regular
     /// store path ([`touch`] with `write = true`, or the write-policy
-    /// handler above this level) — which is how every in-tree caller uses
-    /// it (`PrivateCore::load_run` and the pattern drivers' bulk-load
-    /// phases).  The dirty-bit semantics are regression-tested.
+    /// handler above this level) — which is how the in-tree caller, the
+    /// sweep cursor's bulk-load phase, uses it.  The dirty-bit semantics
+    /// are regression-tested.
     ///
     /// [`touch`]: Self::touch
     #[inline]

@@ -6,13 +6,14 @@
 //! produces the memory-controller counters ([`MemCounters`]) for the access
 //! stream fed to it.
 //!
-//! A core is driven by [`CoreSim::drive_run`], which expands a contiguous
-//! element run into one hierarchy operation per 64-byte cache line (the
-//! granularity at which traffic is decided), or by a stencil sweep
-//! ([`crate::patterns`]).  Either must produce the counters and per-level
-//! hits and misses of feeding the same 8-byte elements one at a time;
-//! `tests/reference_hierarchy.rs` holds both to a naive hierarchy that
-//! shares none of this code, element by element.
+//! A core is driven by a stencil sweep ([`crate::patterns`]), whose one
+//! driver, the sweep cursor, turns 8-byte elements into one hierarchy
+//! operation per 64-byte cache line (the granularity at which traffic is
+//! decided); [`CoreSim::drive_run`] is the sweep of one contiguous run.
+//! The counters and per-level hits and misses must be those of feeding
+//! the same elements one at a time; `tests/reference_hierarchy.rs` holds
+//! the cursor to a naive hierarchy that shares none of this code, element
+//! by element.
 //!
 //! Probabilistic micro-architectural events (evasion success, speculative
 //! reads, partial write-combine flushes) use fractional accounting so the
@@ -39,11 +40,12 @@
 
 use clover_machine::{Machine, WritePolicyKind};
 
-use crate::access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
+use crate::access::AccessRun;
 use crate::accountant::Accountant;
 use crate::cache::{LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
+use crate::memo::{KernelSpec, RankBase};
 use crate::prefetch::PrefetcherConfig;
 use crate::trace::{Event, TraceRecorder};
 
@@ -231,73 +233,6 @@ impl PrivateCore {
             (self.l1.hits(), self.l1.misses()),
             (self.l2.hits(), self.l2.misses()),
         ]
-    }
-
-    /// Feed a single access against the given last-level bank.
-    pub fn access(&mut self, llc: &mut SetAssocCache, access: Access) {
-        match access.kind {
-            AccessKind::Load => {
-                for line in access.lines() {
-                    self.load_line(llc, line);
-                }
-            }
-            AccessKind::Store => self.store_span(llc, access.addr, access.bytes as u64, false),
-            AccessKind::StoreNT => self.store_span(llc, access.addr, access.bytes as u64, true),
-        }
-    }
-
-    /// Drive a contiguous run of 8-byte elements through the hierarchy at
-    /// cache-line granularity (see [`CoreSim::drive_run`]).
-    pub fn drive_run(&mut self, llc: &mut SetAssocCache, run: AccessRun) {
-        if run.elements == 0 {
-            return;
-        }
-        match run.kind {
-            AccessKind::Load => self.load_run(llc, run.base, run.bytes()),
-            AccessKind::Store => self.store_span(llc, run.base, run.bytes(), false),
-            AccessKind::StoreNT => self.store_span(llc, run.base, run.bytes(), true),
-        }
-    }
-
-    /// Batched load path: touch each line once and account the remaining
-    /// element touches as the guaranteed L1 hits they are element by
-    /// element (consecutive touches of a just-accessed line cannot miss —
-    /// no fill happens in between).
-    fn load_run(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64) {
-        let first = line_of(base);
-        let last = line_of(base + bytes - 1);
-        for line in first..=last {
-            let seg_start = (line * LINE_BYTES).max(base);
-            let seg_end = ((line + 1) * LINE_BYTES).min(base + bytes);
-            // Elements overlapping [seg_start, seg_end): element by element
-            // this line is touched once per overlapping element.
-            let elem_first = (seg_start - base) / ELEM_BYTES;
-            let elem_last = (seg_end - 1 - base) / ELEM_BYTES;
-            let repeats = elem_last - elem_first;
-            self.load_line(llc, line);
-            if repeats > 0 && !self.l1.touch_repeat(line, repeats) {
-                debug_assert!(false, "a just-loaded line must be L1-resident");
-                for _ in 0..repeats {
-                    self.load_line(llc, line);
-                }
-            }
-        }
-    }
-
-    /// Allocation-free store path of single accesses and runs: split the
-    /// span into per-line segments and consume each finalized line as the
-    /// coalescer produces it.
-    fn store_span(&mut self, llc: &mut SetAssocCache, base: u64, bytes: u64, nt: bool) {
-        let mut addr = base;
-        let mut remaining = bytes;
-        while remaining > 0 {
-            let line = line_of(addr);
-            let offset = addr % LINE_BYTES;
-            let in_line = (LINE_BYTES - offset).min(remaining);
-            self.store_line_segment(llc, line, offset, in_line, nt);
-            addr += in_line;
-            remaining -= in_line;
-        }
     }
 
     /// Feed one single-line store segment to the matching coalescer and
@@ -639,14 +574,14 @@ impl CoreSim {
         [l1, l2, (self.l3.hits(), self.l3.misses())]
     }
 
-    /// Drive a contiguous run of 8-byte elements through the hierarchy at
-    /// cache-line granularity: one hierarchy touch per 64-byte line and one
-    /// coalescer transition per line instead of one per element, with
-    /// partially covered head/tail lines handled exactly.  Produces the
-    /// [`MemCounters`] and per-level hit/miss counts of feeding the same
-    /// elements one by one (a run of one element is one access).
+    /// Drive a contiguous run of 8-byte elements through the hierarchy:
+    /// the run is a one-operand, one-row [`KernelSpec`], driven like every
+    /// other kernel by the [`SweepCursor`](crate::SweepCursor) at
+    /// cache-line granularity.  Produces the [`MemCounters`] and per-level
+    /// hit/miss counts of feeding the same elements one by one (a run of
+    /// one element is one access).
     pub fn drive_run(&mut self, run: AccessRun) {
-        self.private.drive_run(&mut self.l3, run);
+        KernelSpec::contiguous(RankBase::Shared, run.base, run.elements, run.kind).drive(0, self);
     }
 
     /// The private half and the L3 share it is driven against — what the
@@ -676,6 +611,7 @@ impl CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::AccessKind;
     use crate::trace::{replay_trace, Trace};
     use clover_machine::icelake_sp_8360y;
 
@@ -919,8 +855,8 @@ mod tests {
     }
 
     /// Drive the same accesses as whole runs and element by element (runs
-    /// of one); the counters and the per-level cache statistics must match
-    /// bit for bit.
+    /// of one): one driver, segmented two ways.  The counters and the
+    /// per-level cache statistics must not depend on the segmentation.
     fn assert_equivalent(runs: &[AccessRun], mk: impl Fn() -> CoreSim) {
         let mut scalar = mk();
         let mut batched = mk();

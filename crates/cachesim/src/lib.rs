@@ -45,15 +45,15 @@
 //! # Performance
 //!
 //! The hot state is allocation-free in steady state: each cache level is a
-//! single flat arena probed by one contiguous scan, the store path hands
-//! finalized lines to the hierarchy without building event vectors, and the
-//! batched [`AccessRun`]/[`CoreSim::drive_run`] API expands contiguous
-//! element runs into one hierarchy operation per 64-byte cache line — the
-//! granularity at which traffic is decided — with the counters of feeding
-//! the same elements one at a time, which `tests/reference_hierarchy.rs`
-//! holds to a naive hierarchy that shares none of this crate's code.  The
-//! `cachesim.*` per-layer probes of `benchmark/` track the throughput of
-//! these paths.
+//! single flat arena probed by one contiguous scan, and the store path
+//! hands finalized lines to the hierarchy without building event vectors.
+//! One driver, the [`SweepCursor`], turns every kernel — a stencil sweep,
+//! or a contiguous [`AccessRun`] through [`CoreSim::drive_run`] — into one
+//! hierarchy operation per 64-byte cache line, the granularity at which
+//! traffic is decided, with the counters of feeding the same elements one
+//! at a time, which `tests/reference_hierarchy.rs` holds to a naive
+//! hierarchy that shares none of this crate's code.  The `cachesim.*`
+//! per-layer probes of `benchmark/` track the throughput of this path.
 
 pub mod access;
 mod accountant;
@@ -77,7 +77,7 @@ mod trace;
 /// are rebuilt instead of silently serving outdated counters.
 pub const SIM_SCHEMA_VERSION: u32 = 2;
 
-pub use access::{line_of, Access, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
+pub use access::{line_of, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
 pub use cache::{SetAssocCache, TrueLru};
 pub use coalescer::WriteCoalescer;
 pub use counters::MemCounters;

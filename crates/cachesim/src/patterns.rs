@@ -8,11 +8,13 @@
 //!
 //! The sweep has exactly one driver, the resumable [`SweepCursor`], which
 //! the solo path ([`StencilRowSweep::drive`]) runs to completion and the
-//! co-run engine advances in turns.  `tests/reference_hierarchy.rs` holds
-//! both to a naive hierarchy fed one 8-byte access per element.
+//! co-run engine advances in turns; a contiguous run
+//! ([`CoreSim::drive_run`]) is a one-operand sweep, so the cursor is the
+//! crate's only line-granular driver.  `tests/reference_hierarchy.rs`
+//! holds it to a naive hierarchy fed one 8-byte access per element.
 
 pub use crate::access::ELEM_BYTES;
-use crate::access::{line_of, Access, AccessKind, LINE_BYTES};
+use crate::access::{line_of, AccessKind, LINE_BYTES};
 use crate::cache::SetAssocCache;
 use crate::hierarchy::{CoreSim, PrivateCore};
 
@@ -120,7 +122,7 @@ impl StencilRowSweep {
 /// up one by one; if one has left, the rest of the segment runs element
 /// by element.  A debug build checks every proof against the look-up.  A
 /// sweep with a misaligned operand base runs element by element
-/// throughout.
+/// throughout, each element one operation per line it covers.
 ///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
@@ -268,12 +270,12 @@ impl SweepCursor {
     }
 
     /// Feed one 8-byte element of a stream: on an aligned sweep straight
-    /// as the one line operation it is, on a misaligned one as an access.
+    /// as the one line operation it is, on a misaligned one split across
+    /// the lines it covers ([`feed_split`](Self::feed_split)).
     #[inline(always)]
     fn feed(&self, core: &mut PrivateCore, llc: &mut SetAssocCache, kind: AccessKind, addr: u64) {
         if self.scalar {
-            let bytes = ELEM_BYTES as u32;
-            return core.access(llc, Access { addr, bytes, kind });
+            return Self::feed_split(core, llc, kind, addr);
         }
         let line = line_of(addr);
         match kind {
@@ -285,6 +287,25 @@ impl SweepCursor {
                 ELEM_BYTES,
                 kind == AccessKind::StoreNT,
             ),
+        }
+    }
+
+    /// Feed one 8-byte element of a misaligned sweep as one operation per
+    /// line it covers (at most two).  Out of line, so that only the aligned
+    /// [`feed`](Self::feed) inlines into [`advance`](Self::advance).
+    #[cold]
+    #[inline(never)]
+    fn feed_split(core: &mut PrivateCore, llc: &mut SetAssocCache, kind: AccessKind, addr: u64) {
+        let (line, offset) = (line_of(addr), addr % LINE_BYTES);
+        let head = ELEM_BYTES.min(LINE_BYTES - offset);
+        let nt = kind == AccessKind::StoreNT;
+        let mut piece = |line, offset, len| match kind {
+            AccessKind::Load => core.load_line(llc, line),
+            _ => core.store_line_segment(llc, line, offset, len, nt),
+        };
+        piece(line, offset, head);
+        if head < ELEM_BYTES {
+            piece(line + 1, 0, ELEM_BYTES - head);
         }
     }
 

@@ -1,11 +1,12 @@
-//! Property tests of the simulator's batching and caching layers against
-//! the paths they batch or cache: a run against its elements one at a
-//! time (same `MemCounters` and per-level hit/miss counts for arbitrary
+//! Property tests of the simulator's segmentation and caching layers: the
+//! one line-granular driver, the sweep cursor, is invariant to how its
+//! input is cut (a run against its elements one at a time, each a run of
+//! one: same `MemCounters` and per-level hit/miss counts for arbitrary
 //! bases, run lengths, access kinds, head/tail misalignment and
-//! occupancy), the memo against a fresh from-scratch memo, a replayed
-//! trace against simulating, and the representative core against every
-//! rank.  `reference_hierarchy.rs` holds the drivers themselves to a
-//! hierarchy that shares none of their code.
+//! occupancy), the memo equals a fresh from-scratch memo, a replayed trace
+//! equals simulating, and the representative core equals every rank.
+//! `reference_hierarchy.rs` holds the driver itself to a hierarchy that
+//! shares none of its code.
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::memo::MIN_MEMO_SHIFT;
@@ -68,8 +69,8 @@ fn drive_scalar_sweep(core: &mut CoreSim, sweep: &StencilRowSweep) {
     }
 }
 
-/// Assert element-by-element and batched execution of `runs` agree bit for
-/// bit.
+/// Assert that `runs` driven whole and element by element agree bit for
+/// bit: one driver, segmented two ways.
 fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &[AccessRun]) {
     let mut scalar = core_for(machine, ranks, prefetchers);
     let mut batched = core_for(machine, ranks, prefetchers);
@@ -85,7 +86,7 @@ fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &
     assert_eq!(scalar.flush(), batched.flush(), "counter mismatch");
 }
 
-/// Scalar vs. batched equivalence under every store-miss policy.
+/// Whole runs vs. runs of one element under every store-miss policy.
 fn assert_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
     for write_policy in WritePolicyKind::all() {
         let mk = || {
@@ -281,7 +282,8 @@ proptest! {
 
     /// One run of any kind, any byte alignment of the base (including
     /// non-8-aligned bases whose elements straddle cache lines) and any
-    /// length is bit-identical under any occupancy.
+    /// length is bit-identical to its elements driven one at a time, under
+    /// any occupancy.
     #[test]
     fn single_run_matches_scalar(
         base_align in 0u64..130,
@@ -300,7 +302,7 @@ proptest! {
 
     /// Alternating load/store runs over two arrays with a halo-induced
     /// misaligned row start (the copy microbenchmark shape), prefetchers
-    /// on and off.
+    /// on and off: whole runs equal their elements one at a time.
     #[test]
     fn interleaved_rows_match_scalar(
         inner in 1u64..300,
@@ -318,8 +320,10 @@ proptest! {
         assert_equivalent(&machine, 72, pf == 0, &runs);
     }
 
-    /// The segmented stencil driver equals its scalar reference for random
-    /// row geometries and operand mixes.
+    /// A multi-operand stencil sweep equals its accesses fed one at a time
+    /// (each a one-element sweep) for random row geometries and operand
+    /// mixes: the cursor's segments do not depend on how many operands
+    /// share them.
     #[test]
     fn stencil_driver_matches_scalar(
         stride_extra in 0u64..9,
@@ -360,7 +364,7 @@ proptest! {
     }
 
     /// Rows with a halo gap between them, from a possibly misaligned base,
-    /// one batched run per row: bit-identical to the scalar reference.
+    /// one run per row: bit-identical to the same elements one at a time.
     #[test]
     fn row_sweep_matches_scalar(
         base_align in 0u64..64,
@@ -463,10 +467,9 @@ proptest! {
         prop_assert!(memo.stats().hits > 0);
     }
 
-    /// The batched fast path stays bit-identical to element-by-element runs
-    /// under every write policy, not just the paper's write-allocate
-    /// default: mixed load/store/NT rows with halo misalignment across all
-    /// three.
+    /// Whole runs stay bit-identical to element-by-element runs under
+    /// every write policy, not just the paper's write-allocate default:
+    /// mixed load/store/NT rows with halo misalignment across all three.
     #[test]
     fn batched_path_matches_scalar_under_every_policy(
         inner in 1u64..180,
