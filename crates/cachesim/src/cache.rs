@@ -72,6 +72,14 @@
 //!   [`resident_lines`](SetAssocCache::resident_lines)) visit only sets
 //!   that ever received a fill, so they cost O(resident), not O(capacity).
 //!
+//! Beside them a cache counts the resident lines of one **window**, a range
+//! of line indices (none unless asked): the co-run engine asks its shared
+//! LLC how many lines of one tenant's address window it holds, at any
+//! moment, in O(1).  The count is kept where the filter's is — an insert
+//! and the line it displaces, an invalidation, a drain — at the price of a
+//! subtract and a compare per line; a cache without a window compares
+//! against one no line index reaches.
+//!
 //! [`invalidate`]: SetAssocCache::invalidate
 
 use std::marker::PhantomData;
@@ -170,6 +178,30 @@ const FILTER_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 /// a zero it has not earned.
 const FILTER_STUCK: u8 = u8::MAX;
 
+/// The resident lines of the range `lo..=lo + extent` (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Window {
+    lo: u64,
+    extent: u64,
+    lines: u64,
+}
+
+impl Window {
+    /// No window: only `u64::MAX`, which is no line index, is inside.
+    const NONE: Self = Self {
+        lo: u64::MAX,
+        extent: 0,
+        lines: 0,
+    };
+
+    /// 1 if `line` is inside the window, else 0.
+    #[inline(always)]
+    fn holds(&self, line: u64) -> u64 {
+        u64::from(line.wrapping_sub(self.lo) <= self.extent)
+    }
+}
+
 /// The counter of `line` in a filter of `1 << (64 - shift)` counters.
 #[inline(always)]
 fn filter_idx(shift: u32, line: u64) -> usize {
@@ -230,6 +262,8 @@ pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true> {
     /// Lines removed by [`invalidate`](Self::invalidate) since
     /// construction/reset.
     invalidations: u64,
+    /// The counted window ([`Window::NONE`] since construction/reset).
+    window: Window,
     unread: PhantomData<R>,
 }
 
@@ -258,6 +292,7 @@ impl SetAssocCache {
             evictions: 0,
             reorders: 0,
             invalidations: 0,
+            window: Window::NONE,
             unread: PhantomData,
         }
     }
@@ -305,6 +340,7 @@ impl SetAssocCache {
         self.evictions = 0;
         self.reorders = 0;
         self.invalidations = 0;
+        self.window = Window::NONE;
     }
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
@@ -379,6 +415,7 @@ impl SetAssocCache {
         self.used_sets.clear();
         self.used_bitmap.fill(0);
         self.known_absent = INVALID_LINE;
+        self.window.lines = 0;
     }
 
     /// Record that `set_idx` holds (or held) lines, so draining operations
@@ -429,6 +466,25 @@ impl SetAssocCache {
     /// [`geometry`]: Self::geometry
     pub(crate) fn ways(&self) -> usize {
         self.ways
+    }
+
+    /// Count the resident lines of `lo..=hi` from now on (see
+    /// [`window_lines`](Self::window_lines)) in place of any window counted
+    /// before.  The cache must be empty; a reset forgets the window.
+    pub(crate) fn count_window(&mut self, lo: u64, hi: u64) {
+        assert!(lo <= hi, "an empty window");
+        assert!(self.used_sets.is_empty(), "a window is counted from empty");
+        self.window = Window {
+            lo,
+            extent: hi - lo,
+            lines: 0,
+        };
+    }
+
+    /// Resident lines of the window given to
+    /// [`count_window`](Self::count_window), 0 if none was.  O(1).
+    pub(crate) fn window_lines(&self) -> u64 {
+        self.window.lines
     }
 
     /// Changes of recency order since construction: inserts and hits that
@@ -543,8 +599,10 @@ impl SetAssocCache {
         });
         self.evictions += evicted.is_some() as u64;
         self.filter_count(line, true);
+        self.window.lines += self.window.holds(line);
         if let Some(evicted) = evicted {
             self.filter_count(evicted.line, false);
+            self.window.lines -= self.window.holds(evicted.line);
         }
         evicted
     }
@@ -726,6 +784,7 @@ impl SetAssocCache {
         self.heads[set_idx] = if head == self.ways { 0 } else { head as u16 };
         self.invalidations += 1;
         self.filter_count(line, false);
+        self.window.lines -= self.window.holds(line);
         Some(tag & DIRTY != 0)
     }
 
@@ -779,6 +838,7 @@ mod tests {
         assert!(emptied.used_sets.is_empty());
         assert!(emptied.used_bitmap.iter().all(|&word| word == 0));
         assert_eq!(emptied.known_absent, INVALID_LINE);
+        assert_eq!(emptied.window.lines, 0);
         assert!(emptied.tags.len() >= fresh.tags.len());
         assert!(emptied.heads.len() >= fresh.heads.len());
         assert!(emptied.filter.len() >= fresh.filter.len());
@@ -1406,5 +1466,52 @@ mod tests {
         d1.sort_unstable();
         d2.sort_unstable();
         assert_eq!(d1, d2);
+    }
+
+    #[test]
+    fn the_window_count_is_the_resident_lines_of_the_window() {
+        // Fills, hits, prefetch fills and invalidations of lines in and
+        // around the window, in a cache small enough that most fills
+        // evict, with and without a filter; after every step the O(1)
+        // count equals a scan.
+        for (capacity_lines, ways) in [(64usize, 4usize), (1 << 17, 16)] {
+            let mut cache = SetAssocCache::new(capacity_lines * 64, ways);
+            assert_eq!(cache.window_lines(), 0, "no window");
+            let span = capacity_lines as u64 * 3;
+            let (lo, hi) = (span / 3, span / 3 * 2);
+            cache.count_window(lo, hi);
+            let scan = |cache: &SetAssocCache| {
+                let mut inside = 0;
+                cache.for_each_resident(|line, _| inside += u64::from((lo..=hi).contains(&line)));
+                inside
+            };
+            let mut draw = 0x2545_f491_4f6c_dd1du64;
+            for step in 0..20_000u64 {
+                draw = draw
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let line = (draw >> 33) % span;
+                match step % 4 {
+                    0 => _ = cache.probe_fill(line, draw & 1 == 0),
+                    1 => _ = cache.fill_if_absent(line),
+                    2 => _ = cache.invalidate(line),
+                    _ => _ = cache.fill(line, false),
+                }
+                if step % 97 == 0 || capacity_lines == 64 {
+                    assert_eq!(cache.window_lines(), scan(&cache), "step {step}");
+                }
+            }
+            assert!(cache.window_lines() > 0);
+            // A drain empties the window and keeps counting it; a reset
+            // forgets it.
+            cache.flush_dirty();
+            assert_eq!(cache.window_lines(), 0);
+            cache.fill(lo, true);
+            assert_eq!(cache.window_lines(), 1);
+            cache.reset();
+            assert_eq!(cache.window, Window::NONE);
+            cache.fill(lo, false);
+            assert_eq!(cache.window_lines(), 0);
+        }
     }
 }

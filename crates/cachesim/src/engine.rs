@@ -185,31 +185,44 @@ impl NodeSim {
         }
     }
 
-    /// Simulate `tenants`, once, on cores of one ccNUMA domain sharing the
-    /// last-level cache, interleaving their line streams at the shared
-    /// level in round-robin turns of `interleave_lines` line-granular
-    /// operations.
+    /// Simulate `tenants[0]` (the *primary*) on cores of one ccNUMA domain
+    /// sharing the last-level cache with the other tenants, its
+    /// environment, interleaving their line streams at the shared level in
+    /// round-robin turns of `interleave_lines` line-granular operations,
+    /// and report what the primary did.
     ///
     /// The tenancy is [`SimConfig::ranks`] cores (`tenants.len() <= ranks`):
     /// the occupancy context, the core options and the LLC — one
     /// [`SetAssocCache`] of `ranks` per-core shares — come from it, not from
     /// how many of its cores `tenants` occupies; each tenant keeps a private
-    /// L1/L2 half ([`PrivateCore`]).  The report says what was simulated
-    /// together and nothing else: *a baseline is the same call with one
-    /// tenant*, alone on the same tenancy, so a delta between the two
-    /// isolates pure interference from capacity effects.  One tenant on a
-    /// tenancy of one sees exactly the solo geometry, bit-identical to
-    /// [`run_spmd_memo`] of the same spec on one rank (a tested property).
+    /// L1/L2 half ([`PrivateCore`]).  The report says what the primary did
+    /// together with the rest and nothing else: *a baseline is the same
+    /// call with one tenant*, alone on the same tenancy, so a delta between
+    /// the two isolates pure interference from capacity effects.  One
+    /// tenant on a tenancy of one sees exactly the solo geometry,
+    /// bit-identical to [`run_spmd_memo`] of the same spec on one rank (a
+    /// tested property).  Another tenant's report is another call, with
+    /// that tenant first.
+    ///
+    /// The pass stops at the first round after which nothing left to
+    /// simulate can change the primary's report: its sweep has finished,
+    /// neither of its coalescers holds an open stream, the LLC holds no
+    /// line of its window, and no other tenant's window shares a buddy pair
+    /// (`line ^ 1`) with it, so no prefetch can bring one back.  Until then,
+    /// or to the end if that never happens, it is the pass that simulates
+    /// every tenant to the end, bit for bit.
     ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
     /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
     /// for a contended run, or one interleave's result for another.
     ///
-    /// Tenants are identified by their canonical rank (index after
-    /// sorting), so their kernels must occupy pairwise-disjoint address
-    /// windows under that rank assignment — rank-private bases
+    /// Tenants are identified by their canonical rank (index after a stable
+    /// sort), which fixes both their windows and their turn order, so their
+    /// kernels must occupy pairwise-disjoint address windows under that
+    /// rank assignment — rank-private bases
     /// ([`RankBase::Shifted`](crate::memo::RankBase)) guarantee this;
-    /// overlapping windows panic.
+    /// overlapping windows panic.  The other tenants' order is no part of
+    /// the identity; the primary's canonical rank is.
     ///
     /// [`run_spmd_memo`]: Self::run_spmd_memo
     pub fn run_corun(
@@ -218,69 +231,11 @@ impl NodeSim {
         interleave_lines: u64,
         memo: &SimMemo,
     ) -> CoRunReport {
-        let machine = &self.config.machine;
-        let (n, cores) = (tenants.len(), self.config.ranks);
-        assert!(n >= 1, "need at least one tenant");
-        assert!(
-            n <= cores,
-            "{n} tenants on a tenancy of {cores} cores (SimConfig::ranks)"
-        );
-        assert!(
-            cores <= machine.topology.cores_per_domain(),
-            "a co-run tenancy is pinned within one ccNUMA domain \
-             ({} cores on {})",
-            machine.topology.cores_per_domain(),
-            machine.id
-        );
-        let interleave = interleave_lines.max(1);
-        let ctx = OccupancyContext::domain_load(machine, cores, 1);
-        let options = self.config.core_options(cores);
-
-        // Canonical tenant order: sort (stably) so permutations of the same
-        // tenant multiset share one memo entry; `order[j]` is the input
-        // index simulated as canonical rank `j`.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| tenants[a].cmp(&tenants[b]));
-        let sorted: Vec<KernelSpec> = order.iter().map(|&i| tenants[i].clone()).collect();
-
-        // The per-tenant attribution of shared-level state needs each
-        // tenant to own a private address window under its canonical rank.
-        let spans: Vec<Option<(u64, u64)>> = sorted
-            .iter()
-            .enumerate()
-            .map(|(j, t)| t.line_span(j))
-            .collect();
-        for a in 0..n {
-            for b in a + 1..n {
-                if let (Some(x), Some(y)) = (spans[a], spans[b]) {
-                    assert!(
-                        x.1 < y.0 || y.1 < x.0,
-                        "co-run tenants must occupy disjoint address windows \
-                         (lines {x:?} vs {y:?})"
-                    );
-                }
-            }
-        }
-
-        let key = CoRunKey::new(machine, ctx, options, cores, &sorted, interleave);
-        let llc_bytes =
-            l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers) * cores;
-        let sorted_reports = memo.corun_get_or_insert_with(key, || {
-            let sweeps: Vec<StencilRowSweep> =
-                sorted.iter().enumerate().map(|(j, t)| t.sweep(j)).collect();
-            corun_pass(
-                machine, ctx, options, llc_bytes, &sweeps, &spans, interleave,
-            )
-        });
-
-        // Back to input order (`order` is a permutation).
-        let mut tenants = sorted_reports.clone();
-        for (rep, &i) in sorted_reports.into_iter().zip(&order) {
-            tenants[i] = rep;
-        }
+        let pass = CoRunPass::new(&self.config, tenants, interleave_lines);
+        let report = memo.corun_get_or_insert_with(pass.key(), || pass.run().0);
         CoRunReport {
-            tenants,
-            llc_lines: llc_bytes as u64 / LINE_BYTES,
+            primary: report,
+            llc_lines: pass.llc_bytes as u64 / LINE_BYTES,
         }
     }
 }
@@ -299,12 +254,11 @@ pub struct TenantReport {
     pub occupancy_lines: u64,
 }
 
-/// Result of [`NodeSim::run_corun`]: what each tenant of the pass did, in
-/// the caller's tenant order.
+/// Result of [`NodeSim::run_corun`]: what the primary tenant did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoRunReport {
-    /// Per-tenant reports, in input order.
-    pub tenants: Vec<TenantReport>,
+    /// The report of `tenants[0]`.
+    pub primary: TenantReport,
     /// Capacity of the tenancy's shared LLC in lines (for occupancy
     /// fractions).
     pub llc_lines: u64,
@@ -317,83 +271,199 @@ fn owner_of(line: u64, spans: &[Option<(u64, u64)>]) -> Option<usize> {
         .position(|s| s.is_some_and(|(lo, hi)| (lo..=hi).contains(&line)))
 }
 
-/// The co-run simulation proper: one private half per tenant sweep
-/// round-robins, in turns of `interleave_lines`, over one shared LLC of
-/// `llc_bytes`, flushed at the end.  `sweeps` are the tenants' kernels in
-/// canonical order, each materialised at its canonical rank; the returned
-/// reports match that order.
-fn corun_pass(
-    machine: &Machine,
+/// Do two windows hold the two lines of one buddy pair (`line ^ 1`), so
+/// that an adjacent-line prefetch for one can insert a line of the other?
+fn share_buddy_pair(a: Option<(u64, u64)>, b: Option<(u64, u64)>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.0 >> 1 <= b.1 >> 1 && b.0 >> 1 <= a.1 >> 1,
+        _ => false,
+    }
+}
+
+/// One co-run simulation: a private half per tenant sweep round-robins, in
+/// turns of `interleave_lines`, over one shared LLC of `llc_bytes`, flushed
+/// at the end, and the primary's report comes out.
+struct CoRunPass<'a> {
+    machine: &'a Machine,
     ctx: OccupancyContext,
     options: CoreSimOptions,
+    /// Cores of the tenancy.
+    cores: usize,
     llc_bytes: usize,
-    sweeps: &[StencilRowSweep],
-    spans: &[Option<(u64, u64)>],
+    /// The tenants' kernels in canonical order.
+    sorted: Vec<KernelSpec>,
+    /// Their windows, each at its canonical rank.
+    spans: Vec<Option<(u64, u64)>>,
+    /// The canonical index of `tenants[0]`.
+    primary: usize,
     interleave_lines: u64,
-) -> Vec<TenantReport> {
-    let n = sweeps.len();
-    let llc = &mut SetAssocCache::new(llc_bytes, machine.caches.l3.associativity);
-    let mut cores: Vec<PrivateCore> = (0..n)
-        .map(|_| PrivateCore::new(machine, ctx, options))
-        .collect();
-    let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
-    let mut llc_hits = vec![0u64; n];
-    let mut llc_misses = vec![0u64; n];
-    while cursors.iter().any(|c| !c.finished()) {
-        for j in 0..n {
-            if cursors[j].finished() {
-                continue;
+}
+
+impl<'a> CoRunPass<'a> {
+    /// The pass of `tenants` on `config`'s tenancy (see
+    /// [`NodeSim::run_corun`] for what is asserted).
+    fn new(config: &'a SimConfig, tenants: &[KernelSpec], interleave_lines: u64) -> Self {
+        let machine = &config.machine;
+        let (n, cores) = (tenants.len(), config.ranks);
+        assert!(n >= 1, "need at least one tenant");
+        assert!(
+            n <= cores,
+            "{n} tenants on a tenancy of {cores} cores (SimConfig::ranks)"
+        );
+        assert!(
+            cores <= machine.topology.cores_per_domain(),
+            "a co-run tenancy is pinned within one ccNUMA domain \
+             ({} cores on {})",
+            machine.topology.cores_per_domain(),
+            machine.id
+        );
+        let options = config.core_options(cores);
+
+        // Canonical tenant order: sort (stably) so permutations of the
+        // other tenants share one memo entry; `order[j]` is the input index
+        // simulated as canonical rank `j`.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| tenants[a].cmp(&tenants[b]));
+        let sorted: Vec<KernelSpec> = order.iter().map(|&i| tenants[i].clone()).collect();
+        let primary = order
+            .iter()
+            .position(|&i| i == 0)
+            .expect("the order is a permutation");
+
+        // The attribution of shared-level state needs each tenant to own a
+        // private address window under its canonical rank.
+        let spans: Vec<Option<(u64, u64)>> = sorted
+            .iter()
+            .enumerate()
+            .map(|(j, t)| t.line_span(j))
+            .collect();
+        for a in 0..n {
+            for b in a + 1..n {
+                if let (Some(x), Some(y)) = (spans[a], spans[b]) {
+                    assert!(
+                        x.1 < y.0 || y.1 < x.0,
+                        "co-run tenants must occupy disjoint address windows \
+                         (lines {x:?} vs {y:?})"
+                    );
+                }
             }
+        }
+        Self {
+            machine,
+            ctx: OccupancyContext::domain_load(machine, cores, 1),
+            options,
+            cores,
+            llc_bytes: l3_share_bytes(machine.caches.l3.capacity_bytes, options.l3_sharers) * cores,
+            sorted,
+            spans,
+            primary,
+            interleave_lines: interleave_lines.max(1),
+        }
+    }
+
+    /// The memo identity of this pass.
+    fn key(&self) -> CoRunKey {
+        CoRunKey::new(
+            self.machine,
+            self.ctx,
+            self.options,
+            self.cores,
+            &self.sorted,
+            self.primary,
+            self.interleave_lines,
+        )
+    }
+
+    /// Simulate until the primary's report is final (see
+    /// [`NodeSim::run_corun`]) and return it with the number of rounds run.
+    fn run(&self) -> (TenantReport, u64) {
+        let (n, p, spans) = (self.sorted.len(), self.primary, &self.spans[..]);
+        let llc = &mut SetAssocCache::new(self.llc_bytes, self.machine.caches.l3.associativity);
+        if let Some((lo, hi)) = spans[p] {
+            llc.count_window(lo, hi);
+        }
+        let mut cores: Vec<PrivateCore> = (0..n)
+            .map(|_| PrivateCore::new(self.machine, self.ctx, self.options))
+            .collect();
+        let sweeps: Vec<StencilRowSweep> = self
+            .sorted
+            .iter()
+            .enumerate()
+            .map(|(j, t)| t.sweep(j))
+            .collect();
+        let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
+        // Once no line of its window is in the LLC, only the primary itself
+        // or a buddy prefetch of a neighbouring window can put one back.
+        let alone_in_its_pairs = (0..n).all(|j| j == p || !share_buddy_pair(spans[p], spans[j]));
+        let (mut llc_hits, mut llc_misses) = (0u64, 0u64);
+        let mut rounds = 0u64;
+        let settled = loop {
+            if alone_in_its_pairs
+                && cursors[p].finished()
+                && cores[p].streams_closed()
+                && llc.window_lines() == 0
+            {
+                break true;
+            }
+            if cursors.iter().all(SweepCursor::finished) {
+                break false;
+            }
+            rounds += 1;
+            for (j, (cursor, core)) in cursors.iter_mut().zip(&mut cores).enumerate() {
+                if cursor.finished() {
+                    continue;
+                }
+                let (h0, m0) = (llc.hits(), llc.misses());
+                cursor.advance(core, llc, self.interleave_lines);
+                if j == p {
+                    llc_hits += llc.hits() - h0;
+                    llc_misses += llc.misses() - m0;
+                }
+            }
+        };
+
+        // End-of-run occupancy of the primary's window.  A prefetched buddy
+        // just outside it is not counted (consistently so in a one-tenant
+        // baseline).
+        let occupancy_lines = llc.window_lines();
+
+        // Flush: finalize the store streams (which still contend at the
+        // shared level) in canonical order, then drain the shared LLC once
+        // and hand the primary its own dirty lines for write-back
+        // accounting.  A settled primary has no stream and no line left
+        // there, and nothing the others' flushes do reaches it.
+        let flushed = if settled { p..p + 1 } else { 0..n };
+        let mut upper_dirty = (Vec::new(), Vec::new());
+        for j in flushed {
             let (h0, m0) = (llc.hits(), llc.misses());
-            cursors[j].advance(&mut cores[j], llc, interleave_lines);
-            llc_hits[j] += llc.hits() - h0;
-            llc_misses[j] += llc.misses() - m0;
+            let dirty = cores[j].flush_streams_and_upper(llc);
+            if j == p {
+                upper_dirty = dirty;
+                llc_hits += llc.hits() - h0;
+                llc_misses += llc.misses() - m0;
+            }
         }
-    }
-
-    // End-of-run occupancy, attributed by address window.  Prefetched
-    // buddy lines can fall just outside every window; they are simply not
-    // attributed (consistently so in a one-tenant baseline).
-    let mut occupancy = vec![0u64; n];
-    llc.for_each_resident(|line, _dirty| {
-        if let Some(j) = owner_of(line, spans) {
-            occupancy[j] += 1;
+        let mut l3_dirty = Vec::new();
+        if !settled {
+            for line in llc.flush_dirty() {
+                match owner_of(line, spans) {
+                    Some(j) if j == p => l3_dirty.push(line),
+                    Some(_) => {}
+                    // A dirty line only ever comes from a store, and every
+                    // store address lies inside its tenant's (exact) window.
+                    None => unreachable!("dirty LLC line outside every tenant window"),
+                }
+            }
         }
-    });
-
-    // Flush in canonical order: finalize each tenant's store streams (which
-    // still contend at the shared level), then drain the shared LLC once
-    // and hand each tenant its own dirty lines for write-back accounting.
-    let mut upper_dirty: Vec<(Vec<u64>, Vec<u64>)> = Vec::with_capacity(n);
-    for j in 0..n {
-        let (h0, m0) = (llc.hits(), llc.misses());
-        upper_dirty.push(cores[j].flush_streams_and_upper(llc));
-        llc_hits[j] += llc.hits() - h0;
-        llc_misses[j] += llc.misses() - m0;
+        let (l1_dirty, l2_dirty) = upper_dirty;
+        let report = TenantReport {
+            counters: cores[p].account_writebacks(l1_dirty, l2_dirty, l3_dirty),
+            llc_hits,
+            llc_misses,
+            occupancy_lines,
+        };
+        (report, rounds)
     }
-    let mut l3_by_tenant: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for line in llc.flush_dirty() {
-        match owner_of(line, spans) {
-            Some(j) => l3_by_tenant[j].push(line),
-            // A dirty line only ever comes from a store, and every store
-            // address lies inside its tenant's (exact) window.
-            None => unreachable!("dirty LLC line outside every tenant window"),
-        }
-    }
-
-    let mut reports = Vec::with_capacity(n);
-    for (j, ((l1_dirty, l2_dirty), l3_dirty)) in
-        upper_dirty.into_iter().zip(l3_by_tenant).enumerate()
-    {
-        let counters = cores[j].account_writebacks(l1_dirty, l2_dirty, l3_dirty);
-        reports.push(TenantReport {
-            counters,
-            llc_hits: llc_hits[j],
-            llc_misses: llc_misses[j],
-            occupancy_lines: occupancy[j],
-        });
-    }
-    reports
 }
 
 #[cfg(test)]
@@ -635,9 +705,7 @@ mod tests {
         let spec = corun_spec(AccessKind::Store, 8192, 1);
         let solo = sim.run_spmd_memo(&spec, &memo);
         let corun = sim.run_corun(std::slice::from_ref(&spec), 64, &memo);
-        assert_eq!(corun.tenants.len(), 1);
-        let t = &corun.tenants[0];
-        assert_eq!(t.counters, solo.per_rank);
+        assert_eq!(corun.primary.counters, solo.per_rank);
         // Solo and co-run entries live in disjoint memo tables.
         assert_eq!(memo.corun_len(), 1);
         assert!(!memo.is_empty());
@@ -655,12 +723,17 @@ mod tests {
         // Aggressor: a 64 MiB single-pass stream — larger than the whole
         // shared LLC, evicting the victim's working set as it goes.
         let aggressor = corun_spec(AccessKind::Load, 64 * 1024 * 1024 / 8, 1);
-        let tenants = [victim, aggressor];
-        let rep = sim.run_corun(&tenants, 64, &memo);
+        let tenants = [victim.clone(), aggressor.clone()];
+        // A report is the first tenant's: the aggressor's side of the same
+        // co-run is the call with the aggressor first.
+        let rep = [
+            sim.run_corun(&tenants, 64, &memo),
+            sim.run_corun(&[aggressor, victim], 64, &memo),
+        ];
         // A baseline is the same call with one tenant.
-        let alone = |i: usize| sim.run_corun(&tenants[i..=i], 64, &memo).tenants.remove(0);
-        let extra_misses = |i: usize| rep.tenants[i].llc_misses as i64 - alone(i).llc_misses as i64;
-        let (v, v_alone) = (&rep.tenants[0], alone(0));
+        let alone = |i: usize| sim.run_corun(&tenants[i..=i], 64, &memo).primary;
+        let extra_misses = |i: usize| rep[i].primary.llc_misses as i64 - alone(i).llc_misses as i64;
+        let (v, v_alone) = (&rep[0].primary, alone(0));
         assert!(
             extra_misses(0) > 0,
             "contention must cost the victim LLC misses, got {}",
@@ -681,12 +754,10 @@ mod tests {
         // The streaming aggressor barely notices the victim.
         assert!(extra_misses(1) <= extra_misses(0));
         // Nobody holds more of the shared LLC than there is.
-        assert!(rep
-            .tenants
-            .iter()
-            .all(|t| t.occupancy_lines <= rep.llc_lines));
-        // Three passes: the co-run and the two baselines asked for.
-        assert_eq!(memo.corun_stats().misses, 3);
+        assert!(rep.iter().all(|r| r.primary.occupancy_lines <= r.llc_lines));
+        // Four passes: the co-run once per primary and the two baselines
+        // asked for.
+        assert_eq!(memo.corun_stats().misses, 4);
     }
 
     #[test]
@@ -709,7 +780,7 @@ mod tests {
         let (one, two) = (on(1), on(2));
         assert_eq!(memo.corun_stats().misses, 2, "never one entry");
         assert_eq!(two.llc_lines, 2 * one.llc_lines);
-        assert!(two.tenants[0].llc_misses < one.tenants[0].llc_misses);
+        assert!(two.primary.llc_misses < one.primary.llc_misses);
         let mut keys: Vec<CoRunKey> = memo
             .corun_entries_stamped()
             .into_iter()
@@ -724,22 +795,70 @@ mod tests {
     #[test]
     fn corun_memo_never_crosses_tenant_order_or_interleave() {
         let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 2));
+        let sim = NodeSim::new(SimConfig::new(m, 3));
         let memo = SimMemo::new();
+        let misses = || memo.corun_stats().misses;
         let a = corun_spec(AccessKind::Load, 32 * 1024, 2);
         let b = corun_spec(AccessKind::Store, 64 * 1024, 1);
+        let c = corun_spec(AccessKind::Load, 8 * 1024, 3);
+        let abc = sim.run_corun(&[a.clone(), b.clone(), c.clone()], 8, &memo);
+        assert_eq!(misses(), 1);
+        // The other tenants in another order are the same co-run: a memo
+        // hit with the same report.
+        let acb = sim.run_corun(&[a.clone(), c.clone(), b.clone()], 8, &memo);
+        assert_eq!(misses(), 1);
+        assert_eq!(acb, abc);
+        // Another primary is another pass, whose other tenants' order is
+        // again no part of it.
+        let bac = sim.run_corun(&[b.clone(), a.clone(), c.clone()], 8, &memo);
+        assert_eq!(misses(), 2);
+        assert_ne!(bac.primary, abc.primary);
+        let bca = sim.run_corun(&[b.clone(), c.clone(), a.clone()], 8, &memo);
+        assert_eq!(misses(), 2);
+        assert_eq!(bca, bac);
+        // Two tenants swapped change the primary: a miss.
         let ab = sim.run_corun(&[a.clone(), b.clone()], 8, &memo);
-        assert_eq!(memo.corun_stats().misses, 1);
-        // Swapped tenant order is the same co-run: a memo hit, with the
-        // per-tenant reports permuted back to input order.
         let ba = sim.run_corun(&[b.clone(), a.clone()], 8, &memo);
-        assert_eq!(memo.corun_stats().misses, 1);
-        assert_eq!(ab.tenants[0], ba.tenants[1]);
-        assert_eq!(ab.tenants[1], ba.tenants[0]);
+        assert_eq!(misses(), 4);
+        assert_ne!(ab.primary, ba.primary);
         // A different interleave is a different key (turn boundaries move,
         // so sharing would be unsound).
-        let _ = sim.run_corun(&[a, b], 16, &memo);
-        assert_eq!(memo.corun_stats().misses, 2);
+        let _ = sim.run_corun(&[a, b, c], 16, &memo);
+        assert_eq!(misses(), 5);
+    }
+
+    /// An `--aggressor` tenant on the ICX: `rows` loads over `1 / part`
+    /// of its L3 (see `corun_spec`), 2^40 bytes per rank.
+    fn icx_tenant(part: u64, rows: u64) -> KernelSpec {
+        let elements = icelake_sp_8360y().caches.l3.capacity_bytes as u64 / 8 / part;
+        KernelSpec {
+            rank_base: RankBase::Shifted { shift: 40, plus: 0 },
+            ..corun_spec(AccessKind::Load, elements, rows)
+        }
+    }
+
+    /// Rounds the pass of `tenants` at turns of 64 runs, and its report.
+    fn rounds_of(tenants: &[KernelSpec]) -> (TenantReport, u64) {
+        let config = SimConfig::new(icelake_sp_8360y(), 2);
+        CoRunPass::new(&config, tenants, 64).run()
+    }
+
+    #[test]
+    fn the_thrash_pass_settles_once_the_victim_is_gone_and_the_stream_pass_never() {
+        // Whether a pass stops early is a count, not a wall clock: the
+        // victim finishes in round 10 368, the thrash aggressor evicts the
+        // victim's last LLC line in round 16 768, and the pass settles at round
+        // 16 769, which it does not run — of the 27 648 rounds the
+        // aggressor's 1 769 472 lines take.
+        let victim = icx_tenant(4, 3);
+        let (settled, rounds) = rounds_of(&[victim.clone(), icx_tenant(1, 2)]);
+        assert_eq!(rounds, 16_768);
+        assert_eq!(settled.occupancy_lines, 0);
+        // The stream leaves victim lines resident to its end: all 13 824
+        // rounds of its 884 736 lines.
+        let (kept, rounds) = rounds_of(&[victim, icx_tenant(1, 1)]);
+        assert_eq!(rounds, 13_824);
+        assert!(kept.occupancy_lines > 0);
     }
 
     #[test]

@@ -276,6 +276,12 @@ impl PrivateCore {
         }
     }
 
+    /// True if neither coalescer has an open stream: a flush then
+    /// finalizes no line and leaves the last level untouched.
+    pub(crate) fn streams_closed(&self) -> bool {
+        self.coalescer.active_streams() == 0 && self.nt_coalescer.active_streams() == 0
+    }
+
     /// The L1's recency changes so far (see [`SetAssocCache`]'s
     /// `reorders`).
     #[inline]

@@ -75,7 +75,7 @@ mod trace;
 /// response changes — must bump this constant.  It feeds the model hash
 /// that versions on-disk memo stores (`clover-service`), so stale stores
 /// are rebuilt instead of silently serving outdated counters.
-pub const SIM_SCHEMA_VERSION: u32 = 2;
+pub const SIM_SCHEMA_VERSION: u32 = 3;
 
 pub use access::{line_of, AccessKind, AccessRun, ELEM_BYTES, LINE_BYTES};
 pub use cache::{SetAssocCache, TrueLru};

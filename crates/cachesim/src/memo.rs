@@ -15,7 +15,8 @@
 //!   once: what can change the event sequence, and what only scales the
 //!   fractional accounting of those events,
 //! * [`SimKey`] (dynamics + accounting + kernel), [`CoRunKey`] (dynamics +
-//!   accounting + tenancy cores + sorted tenants + interleave) and the
+//!   accounting + tenancy cores + sorted tenants + the reported tenant's
+//!   index among them + interleave) and the
 //!   trace key `DiffKey` (dynamics + kernel) — the three memo identities
 //!   built from them,
 //! * [`SimMemo`] — a sharded, concurrently usable map from [`SimKey`] to
@@ -42,6 +43,7 @@ use clover_machine::{Machine, WritePolicyKind};
 use crate::access::AccessKind;
 use crate::cache::SetAssocCache;
 use crate::counters::MemCounters;
+use crate::engine::TenantReport;
 use crate::flight::FlightMemo;
 use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext};
 use crate::patterns::{StencilOperand, StencilRowSweep};
@@ -379,9 +381,12 @@ impl SimKey {
 /// Identity of one co-run pass (see
 /// [`NodeSim::run_corun`](crate::engine::NodeSim::run_corun)): the whole
 /// environment of a [`SimKey`] plus the tenancy's cores, the *sorted* tenant
-/// kernels and the interleave granularity.  Co-run keys live in a table of
-/// their own — a solo result is never served for a contended run or vice
-/// versa — and two passes share an entry only when all of that matches.
+/// kernels, which of them the pass reports (the *primary*) and the
+/// interleave granularity.  Co-run keys live in a table of their own — a
+/// solo result is never served for a contended run or vice versa — and two
+/// passes share an entry only when all of that matches: the same tenants
+/// with another primary are another pass, since a pass may stop once its
+/// primary's report is final.
 ///
 /// A one-tenant key (a baseline) carries neither an interleave — turn
 /// boundaries decide nothing for one tenant (`tests/batched_equivalence.rs`
@@ -400,6 +405,9 @@ pub struct CoRunKey {
     pub cores: usize,
     /// Tenant kernels in canonical (sorted) order.
     pub tenants: Vec<KernelSpec>,
+    /// Index in `tenants` of the primary, the tenant the pass reports (0
+    /// for one tenant).
+    pub primary: usize,
     /// Lines each tenant streams per round-robin turn at the shared LLC
     /// (`u64::MAX` for one tenant).
     pub interleave_lines: u64,
@@ -407,21 +415,22 @@ pub struct CoRunKey {
 
 impl CoRunKey {
     /// Key of the pass of `tenants` on `cores` cores under `options` (which
-    /// name the store-miss policy).  `tenants` must already be in canonical
-    /// (sorted) order; the caller sorts so the stored permutation maps
-    /// reports back to input order.
+    /// name the store-miss policy) that reports `tenants[primary]`.
+    /// `tenants` must already be in canonical (sorted) order.
     pub fn new(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         cores: usize,
         tenants: &[KernelSpec],
+        primary: usize,
         interleave_lines: u64,
     ) -> Self {
         debug_assert!(
             tenants.windows(2).all(|w| w[0] <= w[1]),
             "CoRunKey tenants must be in canonical sorted order"
         );
+        assert!(primary < tenants.len(), "the primary is one of the tenants");
         let interleave_lines = match tenants {
             [alone] => {
                 debug_assert_rank_invariant(alone);
@@ -434,6 +443,7 @@ impl CoRunKey {
             accounting: Accounting::of(ctx, options),
             cores,
             tenants: tenants.to_vec(),
+            primary,
             interleave_lines,
         }
     }
@@ -506,7 +516,7 @@ pub struct SimMemo {
     /// [`CoRunKey`] and a [`SimKey`] live in disjoint tables, so a memo
     /// shared across solo and contended sweeps can never serve a solo
     /// result for a co-run (or one interleave's result for another).
-    corun: FlightMemo<CoRunKey, Vec<crate::engine::TenantReport>>,
+    corun: FlightMemo<CoRunKey, TenantReport>,
     /// Cache-dynamics traces keyed by [`DiffKey`]: the differential
     /// re-simulation layer underneath `inner`.  A [`SimKey`] miss whose
     /// [`DiffKey`] already holds a trace replays it under the point's own
@@ -686,15 +696,14 @@ impl SimMemo {
     }
 
     /// Look up the co-run `key`, simulating with `simulate` on a miss and
-    /// publishing the per-tenant reports (in the key's canonical tenant
-    /// order).  Same single-flight semantics as
-    /// [`get_or_insert_with`](Self::get_or_insert_with), over a table
-    /// disjoint from the solo one.
+    /// publishing the report of the key's primary.  Same single-flight
+    /// semantics as [`get_or_insert_with`](Self::get_or_insert_with), over
+    /// a table disjoint from the solo one.
     pub fn corun_get_or_insert_with(
         &self,
         key: CoRunKey,
-        simulate: impl FnOnce() -> Vec<crate::engine::TenantReport>,
-    ) -> Vec<crate::engine::TenantReport> {
+        simulate: impl FnOnce() -> TenantReport,
+    ) -> TenantReport {
         self.corun.get_or_insert_with(key, simulate)
     }
 
@@ -729,7 +738,7 @@ impl SimMemo {
     /// persistence pass keeps the highest-stamped entries and evicts the
     /// rest.  Co-runs still in flight are skipped; the order is
     /// unspecified.
-    pub fn corun_entries_stamped(&self) -> Vec<(CoRunKey, Vec<crate::engine::TenantReport>, u64)> {
+    pub fn corun_entries_stamped(&self) -> Vec<(CoRunKey, TenantReport, u64)> {
         self.corun.entries_stamped()
     }
 
@@ -737,10 +746,7 @@ impl SimMemo {
     /// store).  Keys already present are left untouched and the hit/miss
     /// statistics are unchanged — preloaded entries surface as hits only
     /// once a lookup finds them.
-    pub fn corun_preload(
-        &self,
-        entries: impl IntoIterator<Item = (CoRunKey, Vec<crate::engine::TenantReport>)>,
-    ) {
+    pub fn corun_preload(&self, entries: impl IntoIterator<Item = (CoRunKey, TenantReport)>) {
         self.corun.preload(entries);
     }
 }

@@ -142,7 +142,9 @@ impl Contention {
 
 /// Simulate `victim` beside `aggressor`'s kernel and alone on `machine`'s
 /// two-core tenancy — the one place that pairs a contended tenant with its
-/// baseline.  The baseline is one memo entry per victim, shared by every
+/// baseline.  The victim is the primary of both passes: the contended one
+/// stops once the victim's report is final, whatever the aggressor has
+/// left to do.  The baseline is one memo entry per victim, shared by every
 /// aggressor and interleave; for [`Aggressor::None`] it is both halves.
 pub fn victim_contention(
     machine: &Machine,
@@ -153,15 +155,14 @@ pub fn victim_contention(
 ) -> Contention {
     let sim = NodeSim::new(SimConfig::new(machine.clone(), 2));
     let pass = |tenants: &[KernelSpec]| sim.run_corun(tenants, interleave, memo);
-    let mut alone = pass(std::slice::from_ref(victim));
-    let solo = alone.tenants.swap_remove(0);
+    let alone = pass(std::slice::from_ref(victim));
     let contended = match aggressor_kernel(machine, aggressor) {
-        None => solo.clone(),
-        Some(a) => pass(&[victim.clone(), a]).tenants.swap_remove(0),
+        None => alone.primary.clone(),
+        Some(a) => pass(&[victim.clone(), a]).primary,
     };
     Contention {
         contended,
-        solo,
+        solo: alone.primary,
         llc_lines: alone.llc_lines,
     }
 }

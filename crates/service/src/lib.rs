@@ -14,10 +14,11 @@
 //!   simulator/model schema versions, so any change that could alter a
 //!   cached value invalidates the store wholesale,
 //! * [`store`] — [`PersistentStore`]: a bit-exact text codec
-//!   (`cloverstore 5`) for the co-run simulations of a `SimMemo`, with
-//!   atomic (temp file + rename) writes and tolerant loads (missing,
-//!   stale, corrupt and `cloverstore 1`–`4` files rebuild instead of
-//!   crashing); analytic points are not persisted,
+//!   (`cloverstore 6`: per co-run pass its key, the primary tenant's
+//!   index and that tenant's report) for the co-run simulations of a
+//!   `SimMemo`, with atomic (temp file + rename) writes and tolerant loads
+//!   (missing, stale, corrupt and `cloverstore 1`–`5` files rebuild
+//!   instead of crashing); analytic points are not persisted,
 //! * [`serve`] — [`SweepService`]: a long-running request loop over
 //!   stdin or a unix socket, answering batched `sweep` requests from the
 //!   warm memo state with byte-identical `figures sweep` output, plus

@@ -1,22 +1,24 @@
 //! Bit-exact on-disk persistence of the co-run simulations.
 //!
 //! A store file holds what costs more to recompute than to load: the
-//! `CoRunKey → Vec<TenantReport>` table of a [`SimMemo`] — one entry per
-//! pass over a shared LLC (a victim beside an aggressor, or alone as the
-//! baseline every aggressor shares), up to hundreds of milliseconds each.
+//! `CoRunKey → TenantReport` table of a [`SimMemo`] — one entry per pass
+//! over a shared LLC (a victim beside an aggressor, or alone as the
+//! baseline every aggressor shares), up to hundreds of milliseconds each,
+//! holding the report of the pass's primary tenant.
 //! Analytic scaling points are *not* persisted: evaluating one is cheaper
 //! than parsing the line that would hold it.  The file is versioned by the
 //! [`model_hash`] of the binary that wrote it;
 //! the format is a line-based text codec (a `corun` record is one line):
 //!
 //! ```text
-//! cloverstore 5 <model-hash hex>
+//! cloverstore 6 <model-hash hex>
 //! corun <9 environment tokens> <cores> <n> <n kernels>
-//!       <interleave lines> <n × 9 report tokens>
+//!       <interleave lines> <primary> <9 report tokens>
 //! end <entry count>
 //! ```
 //!
-//! A report is the six counters, LLC hits, LLC misses and occupancy; the
+//! `<primary>` is the canonical index (below `n`) of the tenant the report
+//! is of: the six counters, LLC hits, LLC misses and occupancy.  The
 //! interleave of a one-tenant line is `u64::MAX` (its key carries none).
 //! Every `f64` is written as the hex rendering of its IEEE-754 bit
 //! pattern, so a load restores the exact value bit for bit — the property
@@ -30,7 +32,7 @@
 //! entries plus a [`LoadOutcome`] explaining why — never an error, because
 //! the memo contents are pure caches that can always be rebuilt.  Stale
 //! covers a model-hash mismatch and a file of a retired format
-//! (`cloverstore 1` to `4`) alike: neither is parsed, and the next save
+//! (`cloverstore 1` to `5`) alike: neither is parsed, and the next save
 //! replaces it.
 
 use std::fmt::Write as _;
@@ -55,7 +57,7 @@ pub enum LoadOutcome {
     ColdMissing,
     /// The store was written under a different model hash — the presets,
     /// policies or schema changed, so every entry is untrusted — or in a
-    /// retired format (`cloverstore 1` to `4`).
+    /// retired format (`cloverstore 1` to `5`).
     ColdStale,
     /// The store exists but is unreadable, truncated or malformed.
     ColdCorrupt,
@@ -84,9 +86,8 @@ impl std::fmt::Display for LoadOutcome {
     }
 }
 
-/// One persisted co-run pass: its identity and the per-tenant reports in
-/// the key's canonical tenant order.
-pub type CoRunEntry = (CoRunKey, Vec<TenantReport>);
+/// One persisted co-run pass: its identity and its primary's report.
+pub type CoRunEntry = (CoRunKey, TenantReport);
 
 /// A versioned on-disk memo store at a fixed path.
 #[derive(Debug, Clone)]
@@ -182,7 +183,7 @@ impl PersistentStore {
         let mut stamped: Vec<(u64, String)> = sim
             .corun_entries_stamped()
             .into_iter()
-            .map(|(key, reports, stamp)| (stamp, encode_corun(&key, &reports)))
+            .map(|(key, report, stamp)| (stamp, encode_corun(&key, &report)))
             .collect();
         let evicted = stamped.len().saturating_sub(cap);
         if evicted > 0 {
@@ -196,7 +197,7 @@ impl PersistentStore {
         lines.sort_unstable();
         let count = lines.len();
 
-        let mut text = format!("cloverstore 5 {:016x}\n", self.model_hash);
+        let mut text = format!("cloverstore 6 {:016x}\n", self.model_hash);
         for line in &lines {
             text.push_str(line);
             text.push('\n');
@@ -248,10 +249,10 @@ fn parse_store(text: &str, expected_hash: u64) -> Result<Vec<CoRunEntry>, LoadOu
         return Err(Corrupt);
     }
     match head.next() {
-        Some("5") => {}
+        Some("6") => {}
         // A retired format, whatever its hash: nothing below the header
         // is read, the next save rebuilds the file.
-        Some("1" | "2" | "3" | "4") => return Err(Stale),
+        Some("1" | "2" | "3" | "4" | "5") => return Err(Stale),
         _ => return Err(Corrupt),
     }
     let hash = head
@@ -517,7 +518,7 @@ fn decode_counters(cur: &mut Cursor) -> Option<MemCounters> {
     })
 }
 
-fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
+fn encode_corun(key: &CoRunKey, report: &TenantReport) -> String {
     let (d, a) = (&key.dynamics, &key.accounting);
     let mut out = String::from("corun ");
     out.push_str(&esc(&d.machine));
@@ -538,15 +539,13 @@ fn encode_corun(key: &CoRunKey, reports: &[TenantReport]) -> String {
     for kernel in &key.tenants {
         encode_kernel(&mut out, kernel);
     }
-    let _ = write!(out, " {}", key.interleave_lines);
-    for r in reports {
-        encode_counters(&mut out, &r.counters);
-        let _ = write!(
-            out,
-            " {} {} {}",
-            r.llc_hits, r.llc_misses, r.occupancy_lines
-        );
-    }
+    let _ = write!(out, " {} {}", key.interleave_lines, key.primary);
+    encode_counters(&mut out, &report.counters);
+    let _ = write!(
+        out,
+        " {} {} {}",
+        report.llc_hits, report.llc_misses, report.occupancy_lines
+    );
     out
 }
 
@@ -563,22 +562,19 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
     let l3_sharers = cur.usize()?;
     let write_policy = cur.write_policy()?;
     let cores = cur.usize()?;
-    // One report per tenant: the one count sizes both lists.
     let n = cur.count()?;
     let mut tenants = Vec::with_capacity(n);
     for _ in 0..n {
         tenants.push(decode_kernel(cur)?);
     }
     let interleave_lines = cur.u64()?;
-    let mut reports = Vec::with_capacity(n);
-    for _ in 0..n {
-        reports.push(TenantReport {
-            counters: decode_counters(cur)?,
-            llc_hits: cur.u64()?,
-            llc_misses: cur.u64()?,
-            occupancy_lines: cur.u64()?,
-        });
-    }
+    let primary = cur.usize().filter(|&p| p < n)?;
+    let report = TenantReport {
+        counters: decode_counters(cur)?,
+        llc_hits: cur.u64()?,
+        llc_misses: cur.u64()?,
+        occupancy_lines: cur.u64()?,
+    };
     Some((
         CoRunKey {
             dynamics: Dynamics {
@@ -596,9 +592,10 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
             },
             cores,
             tenants,
+            primary,
             interleave_lines,
         },
-        reports,
+        report,
     ))
 }
 
@@ -606,9 +603,10 @@ fn decode_corun(cur: &mut Cursor) -> Option<CoRunEntry> {
 mod tests {
     use super::*;
 
-    /// A two-tenant co-run in canonical tenant order: a rank-shifted
+    /// A two-tenant co-run in canonical tenant order — a rank-shifted
     /// kernel with a two-point load operand and a `store-nt` one, next to
-    /// a one-operand reuse kernel; no two values of a report are equal.
+    /// a one-operand reuse kernel — reporting the first; no two values of
+    /// the report are equal.
     fn sample_corun_entry() -> CoRunEntry {
         let stencil = KernelSpec {
             rank_base: RankBase::Shifted { shift: 36, plus: 1 },
@@ -659,6 +657,7 @@ mod tests {
             },
             cores: 3,
             tenants: vec![stencil, reuse],
+            primary: 1,
             interleave_lines: 64,
         };
         let counters = |v: [f64; 6]| MemCounters {
@@ -669,48 +668,37 @@ mod tests {
             prefetch_lines: v[4],
             speculative_read_lines: v[5],
         };
-        let reports = vec![
-            TenantReport {
-                // 0.1 + 0.2 is deliberately not exactly 0.3.
-                counters: counters([1234.5, 0.1 + 0.2, f64::MIN_POSITIVE, 1e300, 0.0, -0.0]),
-                llc_hits: 7,
-                llc_misses: 11,
-                occupancy_lines: 19,
-            },
-            TenantReport {
-                counters: counters([4.0, 5.0, 6.0, 7.0, 8.0, 9.0]),
-                llc_hits: 1,
-                llc_misses: 2,
-                occupancy_lines: 5,
-            },
-        ];
-        (key, reports)
+        let report = TenantReport {
+            // 0.1 + 0.2 is deliberately not exactly 0.3.
+            counters: counters([1234.5, 0.1 + 0.2, f64::MIN_POSITIVE, 1e300, 0.0, -0.0]),
+            llc_hits: 7,
+            llc_misses: 11,
+            occupancy_lines: 19,
+        };
+        (key, report)
     }
 
     /// The sample entry under another interleave: a distinct identity.
     fn sample_with_interleave(interleave_lines: u64) -> CoRunEntry {
-        let (key, reports) = sample_corun_entry();
+        let (key, report) = sample_corun_entry();
         (
             CoRunKey {
                 interleave_lines,
                 ..key
             },
-            reports,
+            report,
         )
     }
 
-    /// The sample entry as a literal `cloverstore 5` line.
+    /// The sample entry as a literal `cloverstore 6` line.
     const CORUN_LINE: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 3fe199999999999a 26 \
         no-allocate 3 2 \
         shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
         shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
-        64 \
+        64 1 \
         40934a0000000000 3fd3333333333334 0010000000000000 7e37e43c8800759c \
         0000000000000000 8000000000000000 \
-        7 11 19 \
-        4010000000000000 4014000000000000 4018000000000000 401c000000000000 \
-        4020000000000000 4022000000000000 \
-        1 2 5";
+        7 11 19";
 
     fn decode_line(line: &str) -> Option<CoRunEntry> {
         let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -729,49 +717,47 @@ mod tests {
 
     #[test]
     fn corun_entries_round_trip_bit_exactly() {
-        let (mut key, reports) = sample_corun_entry();
+        let (mut key, report) = sample_corun_entry();
         // The one free-form string of a line must survive escaping.
         key.dynamics.machine = "spr 8470%".into();
-        let line = encode_corun(&key, &reports);
+        let line = encode_corun(&key, &report);
         assert!(line.starts_with("corun spr%208470%25 "), "{line}");
         let (rk, rr) = decode_line(&line).expect("decodes");
         assert_eq!(rk, key);
-        assert_eq!(rr, reports);
+        assert_eq!(rr, report);
         // Bit-for-bit, including -0.0 (PartialEq would say -0.0 == 0.0).
-        let (got, want) = (&rr[0].counters, &reports[0].counters);
+        let (got, want) = (&rr.counters, &report.counters);
         assert_eq!(got.write_lines.to_bits(), want.write_lines.to_bits());
         assert_eq!(
             got.speculative_read_lines.to_bits(),
             want.speculative_read_lines.to_bits()
         );
-        // A baseline: one tenant, one report, the interleave every
+        // A baseline: one tenant, the primary, with the interleave every
         // one-tenant key stores.
         let alone = CoRunKey {
             tenants: key.tenants[1..].to_vec(),
+            primary: 0,
             interleave_lines: u64::MAX,
             ..key
         };
-        let line = encode_corun(&alone, &reports[1..]);
-        assert!(line.contains(" 3 18446744073709551615 "), "{line}");
-        assert_eq!(decode_line(&line), Some((alone, reports[1..].to_vec())));
+        let line = encode_corun(&alone, &report);
+        assert!(line.contains(" 3 18446744073709551615 0 "), "{line}");
+        assert_eq!(decode_line(&line), Some((alone, report)));
     }
 
     #[test]
     fn corun_line_fixture_decodes_to_the_expected_key_and_encodes_back() {
         // A literal line: round trips alone would also pass a symmetric
         // reorder of two fields in encode and decode.
-        let (expected_key, expected_reports) = sample_corun_entry();
-        let (key, reports) = decode_line(CORUN_LINE).expect("the fixture decodes");
+        let (expected_key, expected_report) = sample_corun_entry();
+        let (key, report) = decode_line(CORUN_LINE).expect("the fixture decodes");
         assert_eq!(key, expected_key);
-        assert_eq!(reports, expected_reports);
-        assert!(reports[0]
-            .counters
-            .speculative_read_lines
-            .is_sign_negative());
-        assert!(reports[0].counters.prefetch_lines.is_sign_positive());
-        assert_eq!(reports[0].counters.itom_lines, f64::MIN_POSITIVE);
+        assert_eq!(report, expected_report);
+        assert!(report.counters.speculative_read_lines.is_sign_negative());
+        assert!(report.counters.prefetch_lines.is_sign_positive());
+        assert_eq!(report.counters.itom_lines, f64::MIN_POSITIVE);
         let tokens: Vec<&str> = CORUN_LINE.split_whitespace().collect();
-        assert_eq!(encode_corun(&key, &reports), tokens.join(" "));
+        assert_eq!(encode_corun(&key, &report), tokens.join(" "));
     }
 
     #[test]
@@ -786,9 +772,11 @@ mod tests {
                 " shifted 40 0 1 0 1 ",
                 " shifted 40 0 1 0 8888888888888888 ",
             ),
-            // One tenant short of its reports, and one report short.
+            // One tenant short, a primary beyond the tenants, and the
+            // report one token short.
             (" no-allocate 3 2 ", " no-allocate 3 1 "),
-            (" 1 2 5", ""),
+            (" 64 1 ", " 64 2 "),
+            (" 7 11 19", " 7 11"),
         ] {
             let lied = line.replace(from, to);
             assert_ne!(lied, line, "{from:?} must occur in the fixture");
@@ -810,7 +798,7 @@ mod tests {
 
     /// A one-entry file of the retired format `version`, valid under the
     /// *current* model hash, is stale by format alone; nothing below its
-    /// header is read; the next save rebuilds it as `cloverstore 5`.
+    /// header is read; the next save rebuilds it as `cloverstore 6`.
     fn retired_format_is_stale_and_rebuilt(version: u32, line: &str) {
         let dir = temp_dir(&format!("v{version}"));
         let store = PersistentStore::new(dir.join("store.txt"));
@@ -835,7 +823,7 @@ mod tests {
         sim.corun_preload([sample_corun_entry()]);
         assert_eq!(store.save(&sim, &SweepMemo::new()).unwrap(), 1);
         let text = fs::read_to_string(store.path()).unwrap();
-        assert!(text.starts_with("cloverstore 5 "), "{text}");
+        assert!(text.starts_with("cloverstore 6 "), "{text}");
         assert!(!text.contains(&line), "{text}");
         assert_eq!(store.load().1, LoadOutcome::Warm(1));
         let _ = fs::remove_dir_all(&dir);
@@ -868,7 +856,7 @@ mod tests {
     #[test]
     fn a_cloverstore_2_file_is_stale_and_the_next_save_rebuilds_it() {
         retired_format_is_stale_and_rebuilt(2, CORUN_LINE_V2);
-        // The same line under the current header is not a `cloverstore 5`
+        // The same line under the current header is not a `cloverstore 6`
         // record either: the format number is what keeps it from being
         // misread.
         assert!(decode_line(CORUN_LINE_V2).is_none());
@@ -919,6 +907,28 @@ mod tests {
         // Under the current header the stream-prefetcher tokens are two
         // too many.
         assert!(decode_line(CORUN_LINE_V4).is_none());
+    }
+
+    /// The sample entry's key as the last `cloverstore 5` binary wrote it,
+    /// with no primary and a report per tenant.
+    const CORUN_LINE_V5: &str = "corun spr%208470 3fe8000000000000 3 8 0 1 3fe199999999999a 26 \
+        no-allocate 3 2 \
+        shifted 36 1 2 0 2 0 0 -1 1 load 1073741824 1 0 0 store-nt 221 2 216 1 4 \
+        shifted 40 0 1 0 1 0 0 load 0 0 1769472 0 3 \
+        64 \
+        40934a0000000000 3fd3333333333334 0010000000000000 7e37e43c8800759c \
+        0000000000000000 8000000000000000 \
+        7 11 19 \
+        4010000000000000 4014000000000000 4018000000000000 401c000000000000 \
+        4020000000000000 4022000000000000 \
+        1 2 5";
+
+    #[test]
+    fn a_cloverstore_5_file_is_stale_and_the_next_save_rebuilds_it() {
+        retired_format_is_stale_and_rebuilt(5, CORUN_LINE_V5);
+        // Under the current header its first report's first counter would
+        // be read as the primary, and fails to.
+        assert!(decode_line(CORUN_LINE_V5).is_none());
     }
 
     #[test]
@@ -1055,7 +1065,7 @@ mod tests {
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
         fs::write(&path, "").unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
-        fs::write(&path, full.replace("cloverstore 5", "cloverstore 6")).unwrap();
+        fs::write(&path, full.replace("cloverstore 6", "cloverstore 7")).unwrap();
         assert_eq!(store.load().1, LoadOutcome::ColdCorrupt);
 
         // Mid-line corruption: an unknown record kind, a mangled token.

@@ -757,8 +757,7 @@ proptest! {
         let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
         let solo = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
         let corun = sim.run_corun(std::slice::from_ref(&spec), interleave, &SimMemo::new());
-        prop_assert_eq!(corun.tenants.len(), 1);
-        let t = &corun.tenants[0];
+        let t = &corun.primary;
         prop_assert_eq!(&t.counters, &solo.per_rank, "interleave={}", interleave);
         prop_assert_eq!(&t.counters, &solo.total);
 

@@ -791,7 +791,7 @@ impl Case {
         let oracle = self.swept_oracle(&machine, sharers);
         let env = (&machine, ctx, self.options(sharers, speci2m));
         let at = format!("cursor in turns of {interleave}");
-        let t = &corun.tenants[0];
+        let t = &corun.primary;
         self.assert_counters(&t.counters, &oracle, env, &at);
         assert_eq!((t.llc_hits, t.llc_misses), oracle.stats()[2], "{at}");
 

@@ -144,7 +144,7 @@ fn store_round_trip_is_byte_identical_without_the_service_layer() {
         let mut entries: Vec<_> = sim
             .corun_entries_stamped()
             .into_iter()
-            .map(|(key, reports, _)| (format!("{key:?}"), reports))
+            .map(|(key, report, _)| (format!("{key:?}"), report))
             .collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         entries
