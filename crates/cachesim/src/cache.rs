@@ -72,13 +72,13 @@
 //!   [`resident_lines`](SetAssocCache::resident_lines)) visit only sets
 //!   that ever received a fill, so they cost O(resident), not O(capacity).
 //!
-//! Beside them a cache counts the resident lines of one **window**, a range
-//! of line indices (none unless asked): the co-run engine asks its shared
-//! LLC how many lines of one tenant's address window it holds, at any
-//! moment, in O(1).  The count is kept where the filter's is — an insert
-//! and the line it displaces, an invalidation, a drain — at the price of a
-//! subtract and a compare per line; a cache without a window compares
-//! against one no line index reaches.
+//! A cache whose `WINDOW` parameter is set also counts its resident lines
+//! of one **window**, a range of line indices fixed at construction: the
+//! co-run engine asks its shared LLC how many lines of one tenant's address
+//! window it holds, at any moment, in O(1).  The count is kept where the
+//! filter's is — an insert and the line it displaces, an invalidation, a
+//! drain.  Every other cache — each level of a solo run, the private
+//! levels of a co-run — is compiled without the count.
 //!
 //! [`invalidate`]: SetAssocCache::invalidate
 
@@ -179,8 +179,8 @@ const FILTER_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
 const FILTER_STUCK: u8 = u8::MAX;
 
 /// The resident lines of the range `lo..=lo + extent` (see the module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// docs); read only by a [`WindowedCache`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Window {
     lo: u64,
     extent: u64,
@@ -188,13 +188,6 @@ struct Window {
 }
 
 impl Window {
-    /// No window: only `u64::MAX`, which is no line index, is inside.
-    const NONE: Self = Self {
-        lo: u64::MAX,
-        extent: 0,
-        lines: 0,
-    };
-
     /// 1 if `line` is inside the window, else 0.
     #[inline(always)]
     fn holds(&self, line: u64) -> u64 {
@@ -219,9 +212,13 @@ fn filter_idx(shift: u32, line: u64) -> usize {
 /// policy and a probe implementation.  They stay because `benchmark/`
 /// spells the type `SetAssocCache::<TrueLru, true>`, and a type alias,
 /// which could keep that spelling working, may not have a parameter it
-/// does not use (rustc E0091).  Every method is on the defaults.
+/// does not use (rustc E0091).  `WINDOW` says whether the cache counts
+/// its resident lines of a window (the co-run's shared LLC does); [`new`]
+/// builds one that does not, and every other method is on any `WINDOW`.
+///
+/// [`new`]: Self::new
 #[derive(Debug, Clone)]
-pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true> {
+pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true, const WINDOW: bool = false> {
     /// Tag lane: at least `sets × ways` words, set-major (the current
     /// geometry uses that prefix; [`reshape`](Self::reshape) keeps a larger
     /// arena).  A word is `line | dirty << 63`, or `INVALID_LINE` for an
@@ -262,10 +259,18 @@ pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true> {
     /// Lines removed by [`invalidate`](Self::invalidate) since
     /// construction/reset.
     invalidations: u64,
-    /// The counted window ([`Window::NONE`] since construction/reset).
+    /// The counted window, if `WINDOW`.
     window: Window,
     unread: PhantomData<R>,
 }
+
+/// A last level cache that counts its resident lines of one window, the
+/// co-run's shared LLC.
+pub(crate) type WindowedCache = SetAssocCache<TrueLru, true, true>;
+
+/// The last level a core misses into: a plain [`SetAssocCache`] or a
+/// [`WindowedCache`].
+pub(crate) type LastLevel<const WINDOW: bool> = SetAssocCache<TrueLru, true, WINDOW>;
 
 impl SetAssocCache {
     /// Create a cache with `capacity_bytes` total capacity, `ways`
@@ -274,27 +279,7 @@ impl SetAssocCache {
     /// is preserved by widening the ways accordingly (to less than twice
     /// `ways`; a head is a `u16`, so at most 65 536 of them, asserted).
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
-        let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
-        let (heads, counters) = Self::ring_lanes(sets, effective_ways);
-        Self {
-            tags: vec![INVALID_LINE; sets * effective_ways].into_boxed_slice(),
-            heads: vec![0u16; heads].into_boxed_slice(),
-            filter: vec![0u8; counters].into_boxed_slice(),
-            filter_shift: u64::BITS - (counters as u64).trailing_zeros(),
-            filter_stuck: false,
-            used_sets: Vec::new(),
-            used_bitmap: vec![0u64; sets.div_ceil(64)].into_boxed_slice(),
-            known_absent: INVALID_LINE,
-            ways: effective_ways,
-            set_mask: (sets - 1) as u64,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            reorders: 0,
-            invalidations: 0,
-            window: Window::NONE,
-            unread: PhantomData,
-        }
+        Self::build(capacity_bytes, ways, Window::default())
     }
 
     /// The `(sets, ways)` geometry [`new`] would pick for a capacity and
@@ -324,6 +309,56 @@ impl SetAssocCache {
             _ => (sets, 0),
         }
     }
+}
+
+impl WindowedCache {
+    /// A cache of [`SetAssocCache::new`]'s geometry that counts its
+    /// resident lines of `lo..=hi`.
+    pub(crate) fn with_window(capacity_bytes: usize, ways: usize, lo: u64, hi: u64) -> Self {
+        assert!(lo <= hi, "an empty window");
+        Self::build(
+            capacity_bytes,
+            ways,
+            Window {
+                lo,
+                extent: hi - lo,
+                lines: 0,
+            },
+        )
+    }
+
+    /// Resident lines of the window.  O(1).
+    pub(crate) fn window_lines(&self) -> u64 {
+        self.window.lines
+    }
+}
+
+impl<const WINDOW: bool> LastLevel<WINDOW> {
+    /// An empty cache of [`SetAssocCache::new`]'s geometry holding
+    /// `window` (read only if `WINDOW`).
+    fn build(capacity_bytes: usize, ways: usize, window: Window) -> Self {
+        let (sets, effective_ways) = SetAssocCache::geometry(capacity_bytes, ways);
+        let (heads, counters) = SetAssocCache::ring_lanes(sets, effective_ways);
+        Self {
+            tags: vec![INVALID_LINE; sets * effective_ways].into_boxed_slice(),
+            heads: vec![0u16; heads].into_boxed_slice(),
+            filter: vec![0u8; counters].into_boxed_slice(),
+            filter_shift: u64::BITS - (counters as u64).trailing_zeros(),
+            filter_stuck: false,
+            used_sets: Vec::new(),
+            used_bitmap: vec![0u64; sets.div_ceil(64)].into_boxed_slice(),
+            known_absent: INVALID_LINE,
+            ways: effective_ways,
+            set_mask: (sets - 1) as u64,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            reorders: 0,
+            invalidations: 0,
+            window,
+            unread: PhantomData,
+        }
+    }
 
     /// Empty the cache and zero the counters, reusing the lane allocations.
     /// Afterwards the cache is indistinguishable from a freshly constructed
@@ -340,7 +375,6 @@ impl SetAssocCache {
         self.evictions = 0;
         self.reorders = 0;
         self.invalidations = 0;
-        self.window = Window::NONE;
     }
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
@@ -353,7 +387,7 @@ impl SetAssocCache {
     /// [`new`]: Self::new
     pub fn reshape(&mut self, capacity_bytes: usize, ways: usize) {
         self.reset();
-        let (sets, effective_ways) = Self::geometry(capacity_bytes, ways);
+        let (sets, effective_ways) = SetAssocCache::geometry(capacity_bytes, ways);
         if self.ways == effective_ways && self.set_mask == (sets - 1) as u64 {
             return;
         }
@@ -363,7 +397,7 @@ impl SetAssocCache {
         if sets.div_ceil(64) > self.used_bitmap.len() {
             self.used_bitmap = vec![0u64; sets.div_ceil(64)].into_boxed_slice();
         }
-        let (heads, counters) = Self::ring_lanes(sets, effective_ways);
+        let (heads, counters) = SetAssocCache::ring_lanes(sets, effective_ways);
         if heads > self.heads.len() {
             self.heads = vec![0u16; heads].into_boxed_slice();
         }
@@ -466,25 +500,6 @@ impl SetAssocCache {
     /// [`geometry`]: Self::geometry
     pub(crate) fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// Count the resident lines of `lo..=hi` from now on (see
-    /// [`window_lines`](Self::window_lines)) in place of any window counted
-    /// before.  The cache must be empty; a reset forgets the window.
-    pub(crate) fn count_window(&mut self, lo: u64, hi: u64) {
-        assert!(lo <= hi, "an empty window");
-        assert!(self.used_sets.is_empty(), "a window is counted from empty");
-        self.window = Window {
-            lo,
-            extent: hi - lo,
-            lines: 0,
-        };
-    }
-
-    /// Resident lines of the window given to
-    /// [`count_window`](Self::count_window), 0 if none was.  O(1).
-    pub(crate) fn window_lines(&self) -> u64 {
-        self.window.lines
     }
 
     /// Changes of recency order since construction: inserts and hits that
@@ -599,10 +614,10 @@ impl SetAssocCache {
         });
         self.evictions += evicted.is_some() as u64;
         self.filter_count(line, true);
-        self.window.lines += self.window.holds(line);
+        self.window_count(line, true);
         if let Some(evicted) = evicted {
             self.filter_count(evicted.line, false);
-            self.window.lines -= self.window.holds(evicted.line);
+            self.window_count(evicted.line, false);
         }
         evicted
     }
@@ -620,6 +635,20 @@ impl SetAssocCache {
         if *counter != FILTER_STUCK {
             *counter = if arrived { *counter + 1 } else { *counter - 1 };
             self.filter_stuck |= *counter == FILTER_STUCK;
+        }
+    }
+
+    /// `line` became resident (`arrived`) or stopped being: count it in or
+    /// out of the window, if the cache counts one.
+    #[inline(always)]
+    fn window_count(&mut self, line: u64, arrived: bool) {
+        if WINDOW {
+            let inside = self.window.holds(line);
+            if arrived {
+                self.window.lines += inside;
+            } else {
+                self.window.lines -= inside;
+            }
         }
     }
 
@@ -784,7 +813,7 @@ impl SetAssocCache {
         self.heads[set_idx] = if head == self.ways { 0 } else { head as u16 };
         self.invalidations += 1;
         self.filter_count(line, false);
-        self.window.lines -= self.window.holds(line);
+        self.window_count(line, false);
         Some(tag & DIRTY != 0)
     }
 
@@ -1475,12 +1504,11 @@ mod tests {
         // evict, with and without a filter; after every step the O(1)
         // count equals a scan.
         for (capacity_lines, ways) in [(64usize, 4usize), (1 << 17, 16)] {
-            let mut cache = SetAssocCache::new(capacity_lines * 64, ways);
-            assert_eq!(cache.window_lines(), 0, "no window");
             let span = capacity_lines as u64 * 3;
             let (lo, hi) = (span / 3, span / 3 * 2);
-            cache.count_window(lo, hi);
-            let scan = |cache: &SetAssocCache| {
+            let mut cache = WindowedCache::with_window(capacity_lines * 64, ways, lo, hi);
+            assert_eq!(cache.window_lines(), 0);
+            let scan = |cache: &WindowedCache| {
                 let mut inside = 0;
                 cache.for_each_resident(|line, _| inside += u64::from((lo..=hi).contains(&line)));
                 inside
@@ -1502,16 +1530,19 @@ mod tests {
                 }
             }
             assert!(cache.window_lines() > 0);
-            // A drain empties the window and keeps counting it; a reset
-            // forgets it.
+            // A drain or a reset empties the window and keeps counting it.
             cache.flush_dirty();
             assert_eq!(cache.window_lines(), 0);
             cache.fill(lo, true);
             assert_eq!(cache.window_lines(), 1);
             cache.reset();
-            assert_eq!(cache.window, Window::NONE);
-            cache.fill(lo, false);
             assert_eq!(cache.window_lines(), 0);
+            cache.fill(hi, false);
+            assert_eq!(cache.window_lines(), 1);
+            // A plain cache counts nothing.
+            let mut plain = SetAssocCache::new(capacity_lines * 64, ways);
+            plain.fill(lo, false);
+            assert_eq!(plain.window, Window::default());
         }
     }
 }

@@ -11,7 +11,7 @@
 use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::LINE_BYTES;
-use crate::cache::SetAssocCache;
+use crate::cache::WindowedCache;
 use crate::counters::MemCounters;
 use crate::hierarchy::{
     l3_share_bytes, CoreSimOptions, DomainOccupancy, OccupancyContext, PrivateCore,
@@ -193,16 +193,16 @@ impl NodeSim {
     ///
     /// The tenancy is [`SimConfig::ranks`] cores (`tenants.len() <= ranks`):
     /// the occupancy context, the core options and the LLC — one
-    /// [`SetAssocCache`] of `ranks` per-core shares — come from it, not from
-    /// how many of its cores `tenants` occupies; each tenant keeps a private
-    /// L1/L2 half ([`PrivateCore`]).  The report says what the primary did
-    /// together with the rest and nothing else: *a baseline is the same
-    /// call with one tenant*, alone on the same tenancy, so a delta between
-    /// the two isolates pure interference from capacity effects.  One
-    /// tenant on a tenancy of one sees exactly the solo geometry,
-    /// bit-identical to [`run_spmd_memo`] of the same spec on one rank (a
-    /// tested property).  Another tenant's report is another call, with
-    /// that tenant first.
+    /// [`SetAssocCache`](crate::SetAssocCache) of `ranks` per-core shares —
+    /// come from it, not from how many of its cores `tenants` occupies;
+    /// each tenant keeps a private L1/L2 half ([`PrivateCore`]).  The
+    /// report says what the primary did together with the rest and nothing
+    /// else: *a baseline is the same call with one tenant*, alone on the
+    /// same tenancy, so a delta between the two isolates pure interference
+    /// from capacity effects.  One tenant on a tenancy of one sees exactly
+    /// the solo geometry, bit-identical to [`run_spmd_memo`] of the same
+    /// spec on one rank (a tested property).  Another tenant's report is
+    /// another call, with that tenant first.
     ///
     /// The pass stops at the first round after which nothing left to
     /// simulate can change the primary's report: its sweep has finished,
@@ -378,10 +378,10 @@ impl<'a> CoRunPass<'a> {
     /// [`NodeSim::run_corun`]) and return it with the number of rounds run.
     fn run(&self) -> (TenantReport, u64) {
         let (n, p, spans) = (self.sorted.len(), self.primary, &self.spans[..]);
-        let llc = &mut SetAssocCache::new(self.llc_bytes, self.machine.caches.l3.associativity);
-        if let Some((lo, hi)) = spans[p] {
-            llc.count_window(lo, hi);
-        }
+        // A primary without a line gets a window no line index reaches.
+        let (lo, hi) = spans[p].unwrap_or((u64::MAX, u64::MAX));
+        let ways = self.machine.caches.l3.associativity;
+        let llc = &mut WindowedCache::with_window(self.llc_bytes, ways, lo, hi);
         let mut cores: Vec<PrivateCore> = (0..n)
             .map(|_| PrivateCore::new(self.machine, self.ctx, self.options))
             .collect();
@@ -397,16 +397,13 @@ impl<'a> CoRunPass<'a> {
         let alone_in_its_pairs = (0..n).all(|j| j == p || !share_buddy_pair(spans[p], spans[j]));
         let (mut llc_hits, mut llc_misses) = (0u64, 0u64);
         let mut rounds = 0u64;
-        let settled = loop {
-            if alone_in_its_pairs
+        loop {
+            let settled = alone_in_its_pairs
                 && cursors[p].finished()
                 && cores[p].streams_closed()
-                && llc.window_lines() == 0
-            {
-                break true;
-            }
-            if cursors.iter().all(SweepCursor::finished) {
-                break false;
+                && llc.window_lines() == 0;
+            if settled || cursors.iter().all(SweepCursor::finished) {
+                break;
             }
             rounds += 1;
             for (j, (cursor, core)) in cursors.iter_mut().zip(&mut cores).enumerate() {
@@ -420,7 +417,7 @@ impl<'a> CoRunPass<'a> {
                     llc_misses += llc.misses() - m0;
                 }
             }
-        };
+        }
 
         // End-of-run occupancy of the primary's window.  A prefetched buddy
         // just outside it is not counted (consistently so in a one-tenant
@@ -430,13 +427,11 @@ impl<'a> CoRunPass<'a> {
         // Flush: finalize the store streams (which still contend at the
         // shared level) in canonical order, then drain the shared LLC once
         // and hand the primary its own dirty lines for write-back
-        // accounting.  A settled primary has no stream and no line left
-        // there, and nothing the others' flushes do reaches it.
-        let flushed = if settled { p..p + 1 } else { 0..n };
+        // accounting.
         let mut upper_dirty = (Vec::new(), Vec::new());
-        for j in flushed {
+        for (j, core) in cores.iter_mut().enumerate() {
             let (h0, m0) = (llc.hits(), llc.misses());
-            let dirty = cores[j].flush_streams_and_upper(llc);
+            let dirty = core.flush_streams_and_upper(llc);
             if j == p {
                 upper_dirty = dirty;
                 llc_hits += llc.hits() - h0;
@@ -444,15 +439,13 @@ impl<'a> CoRunPass<'a> {
             }
         }
         let mut l3_dirty = Vec::new();
-        if !settled {
-            for line in llc.flush_dirty() {
-                match owner_of(line, spans) {
-                    Some(j) if j == p => l3_dirty.push(line),
-                    Some(_) => {}
-                    // A dirty line only ever comes from a store, and every
-                    // store address lies inside its tenant's (exact) window.
-                    None => unreachable!("dirty LLC line outside every tenant window"),
-                }
+        for line in llc.flush_dirty() {
+            match owner_of(line, spans) {
+                Some(j) if j == p => l3_dirty.push(line),
+                Some(_) => {}
+                // A dirty line only ever comes from a store, and every store
+                // address lies inside its tenant's (exact) window.
+                None => unreachable!("dirty LLC line outside every tenant window"),
             }
         }
         let (l1_dirty, l2_dirty) = upper_dirty;

@@ -34,15 +34,16 @@
 //! `replay_trace` weighs each through the same `Accountant::weigh` a
 //! live event goes through, so it is exact by shared formulas; a run of
 //! `n` is added in O(binades), bit for bit the naive loop.  Every level is
-//! a true-LRU [`SetAssocCache`], so nothing here is a type parameter; the
-//! store-miss policy is read once per finalized store line and is a field
-//! of [`CoreSimOptions`].
+//! a true-LRU [`SetAssocCache`], so nothing here is a type parameter but
+//! whether the last level a [`PrivateCore`] misses into counts a window
+//! (only the co-run's shared LLC does); the store-miss policy is read once
+//! per finalized store line and is a field of [`CoreSimOptions`].
 
 use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::AccessRun;
 use crate::accountant::Accountant;
-use crate::cache::{LookupResult, SetAssocCache};
+use crate::cache::{LastLevel, LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
 use crate::memo::{KernelSpec, RankBase};
@@ -237,9 +238,9 @@ impl PrivateCore {
 
     /// Feed one single-line store segment to the matching coalescer and
     /// handle the at most one line it finalizes.
-    pub(crate) fn store_line_segment(
+    pub(crate) fn store_line_segment<const W: bool>(
         &mut self,
-        llc: &mut SetAssocCache,
+        llc: &mut LastLevel<W>,
         line: u64,
         offset: u64,
         len: u64,
@@ -328,9 +329,9 @@ impl PrivateCore {
     /// and completes the accounting with [`account_writebacks`].
     ///
     /// [`account_writebacks`]: Self::account_writebacks
-    pub(crate) fn flush_streams_and_upper(
+    pub(crate) fn flush_streams_and_upper<const W: bool>(
         &mut self,
-        llc: &mut SetAssocCache,
+        llc: &mut LastLevel<W>,
     ) -> (Vec<u64>, Vec<u64>) {
         let events = self.coalescer.flush();
         for ev in events {
@@ -375,7 +376,12 @@ impl PrivateCore {
         self.account.counters
     }
 
-    fn hierarchy_hit(&mut self, llc: &mut SetAssocCache, line: u64, write: bool) -> bool {
+    fn hierarchy_hit<const W: bool>(
+        &mut self,
+        llc: &mut LastLevel<W>,
+        line: u64,
+        write: bool,
+    ) -> bool {
         if self.l1.touch(line, write) == LookupResult::Hit {
             return true;
         }
@@ -394,7 +400,7 @@ impl PrivateCore {
     /// Land a dirty line evicted from an upper level in the last level
     /// (present or not), counting the write-back its own victim may cause.
     /// One combined probe instead of a touch followed by a fill.
-    fn sink_dirty_into_llc(&mut self, llc: &mut SetAssocCache, line: u64) {
+    fn sink_dirty_into_llc<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
         let (_, evicted) = llc.probe_fill(line, true);
         if let Some(ev3) = evicted {
             if ev3.dirty {
@@ -405,7 +411,13 @@ impl PrivateCore {
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
     /// dirty evictions downwards without generating memory traffic.
-    fn fill_upper(&mut self, llc: &mut SetAssocCache, line: u64, dirty: bool, levels: usize) {
+    fn fill_upper<const W: bool>(
+        &mut self,
+        llc: &mut LastLevel<W>,
+        line: u64,
+        dirty: bool,
+        levels: usize,
+    ) {
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
@@ -430,7 +442,7 @@ impl PrivateCore {
     /// Fill a line into the whole hierarchy after a memory read or an ITOM
     /// claim.  The dirty bit is kept at the last level only so the eventual
     /// write-back is counted exactly once.
-    fn fill_all(&mut self, llc: &mut SetAssocCache, line: u64, dirty: bool) {
+    fn fill_all<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, dirty: bool) {
         if let Some(ev) = llc.fill(line, dirty) {
             if ev.dirty {
                 self.emit(Event::Writeback);
@@ -441,7 +453,7 @@ impl PrivateCore {
 
     /// Fill a prefetched line into the last level only; a line already
     /// there is left as it is, and costs no traffic.
-    fn fill_prefetch(&mut self, llc: &mut SetAssocCache, line: u64) {
+    fn fill_prefetch<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
         let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
             return;
         };
@@ -452,7 +464,7 @@ impl PrivateCore {
     }
 
     /// One demand load of `line`.
-    pub(crate) fn load_line(&mut self, llc: &mut SetAssocCache, line: u64) {
+    pub(crate) fn load_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
@@ -471,7 +483,7 @@ impl PrivateCore {
     // Once per stored line: left to the inliner's size heuristics this has
     // fallen out of `store_line_segment` and cost the store path ~15 %.
     #[inline]
-    fn handle_store_line(&mut self, llc: &mut SetAssocCache, ev: FinalizedLine) {
+    fn handle_store_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, ev: FinalizedLine) {
         let policy = self.options.write_policy;
         if policy == WritePolicyKind::NonTemporal {
             // Every regular store behaves like a non-temporal streaming
@@ -501,7 +513,7 @@ impl PrivateCore {
         self.fill_all(llc, ev.line, true);
     }
 
-    fn handle_nt_line(&mut self, llc: &mut SetAssocCache, ev: FinalizedLine) {
+    fn handle_nt_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
         self.l1.invalidate(ev.line);
         self.l2.invalidate(ev.line);

@@ -15,7 +15,7 @@
 
 pub use crate::access::ELEM_BYTES;
 use crate::access::{line_of, AccessKind, LINE_BYTES};
-use crate::cache::SetAssocCache;
+use crate::cache::LastLevel;
 use crate::hierarchy::{CoreSim, PrivateCore};
 
 /// One array operand of a stencil row sweep.
@@ -185,10 +185,10 @@ impl SweepCursor {
     /// been issued or the sweep finishes, whichever comes first; returns
     /// the number actually issued.  A zero budget still makes progress
     /// (one segment), so a co-run round-robin can never stall.
-    pub fn advance(
+    pub fn advance<const W: bool>(
         &mut self,
         core: &mut PrivateCore,
-        llc: &mut SetAssocCache,
+        llc: &mut LastLevel<W>,
         budget_lines: u64,
     ) -> u64 {
         let budget = budget_lines.max(1);
@@ -273,7 +273,13 @@ impl SweepCursor {
     /// as the one line operation it is, on a misaligned one split across
     /// the lines it covers ([`feed_split`](Self::feed_split)).
     #[inline(always)]
-    fn feed(&self, core: &mut PrivateCore, llc: &mut SetAssocCache, kind: AccessKind, addr: u64) {
+    fn feed<const W: bool>(
+        &self,
+        core: &mut PrivateCore,
+        llc: &mut LastLevel<W>,
+        kind: AccessKind,
+        addr: u64,
+    ) {
         if self.scalar {
             return Self::feed_split(core, llc, kind, addr);
         }
@@ -295,7 +301,12 @@ impl SweepCursor {
     /// [`feed`](Self::feed) inlines into [`advance`](Self::advance).
     #[cold]
     #[inline(never)]
-    fn feed_split(core: &mut PrivateCore, llc: &mut SetAssocCache, kind: AccessKind, addr: u64) {
+    fn feed_split<const W: bool>(
+        core: &mut PrivateCore,
+        llc: &mut LastLevel<W>,
+        kind: AccessKind,
+        addr: u64,
+    ) {
         let (line, offset) = (line_of(addr), addr % LINE_BYTES);
         let head = ELEM_BYTES.min(LINE_BYTES - offset);
         let nt = kind == AccessKind::StoreNT;

@@ -171,11 +171,12 @@ fn recorded_digests() -> Vec<u64> {
 
 const DRAWN_SEED: u64 = 0x5eed_c0de;
 
-/// The first `count` drawn co-runs against their recorded digests.
-fn check_drawn(count: usize) {
+/// The drawn co-runs at `indices` against their recorded digests.
+fn check_drawn(indices: impl IntoIterator<Item = usize>) {
     let recorded = recorded_digests();
-    assert!(count <= recorded.len());
-    for (case, want) in drawn_cases(DRAWN_SEED, count).iter().zip(recorded) {
+    let cases = drawn_cases(DRAWN_SEED, recorded.len());
+    for index in indices {
+        let (case, want) = (&cases[index], recorded[index]);
         let got = primary_facts(case);
         assert_eq!(
             digest(&got),
@@ -192,12 +193,16 @@ fn check_drawn(count: usize) {
 
 #[test]
 fn the_first_drawn_co_runs_report_what_the_whole_co_run_did() {
-    check_drawn(8);
+    // And 55 and 470, the two of the 500 in which the primary, finished,
+    // holds no LLC line while a store stream of its own is still open: a
+    // stop that ignored the open stream reports them wrong, and no pinned
+    // co-run shows it.
+    check_drawn((0..8).chain([55, 470]));
 }
 
 /// About 10 s in release.
 #[test]
 #[ignore]
 fn five_hundred_drawn_co_runs_report_what_the_whole_co_run_did() {
-    check_drawn(500);
+    check_drawn(0..500);
 }
