@@ -1405,34 +1405,6 @@ mod tests {
         assert_like_fresh(&c, &SetAssocCache::new(64 * 64, 4));
     }
 
-    /// `probe_fill_matches_touch_then_fill` over a longer stream, whose
-    /// later fills evict from full sets.
-    #[test]
-    fn probe_fill_equivalence_holds_for_every_policy() {
-        let mut combined = SetAssocCache::new(4 * 64, 2);
-        let mut twostep = SetAssocCache::new(4 * 64, 2);
-        let stream = [0u64, 2, 4, 0, 6, 2, 8, 10, 0, 4, 6, 12, 2, 14, 0];
-        for (n, &line) in stream.iter().enumerate() {
-            let write = n % 3 == 0;
-            let (r1, ev1) = combined.probe_fill(line, write);
-            let r2 = twostep.touch(line, write);
-            let ev2 = if r2 == LookupResult::Miss {
-                twostep.fill(line, write)
-            } else {
-                None
-            };
-            assert_eq!(r1, r2, "access {n}");
-            assert_eq!(ev1, ev2, "access {n}");
-        }
-        assert_eq!(combined.hits(), twostep.hits());
-        assert_eq!(combined.misses(), twostep.misses());
-        let mut d1 = combined.flush_dirty();
-        let mut d2 = twostep.flush_dirty();
-        d1.sort_unstable();
-        d2.sort_unstable();
-        assert_eq!(d1, d2);
-    }
-
     #[test]
     fn resident_count_matches_contains() {
         let mut cache = SetAssocCache::new(64 * 64, 8);

@@ -5,8 +5,9 @@
 //! the same occupancy, so their memory traffic is identical; the node
 //! simulator therefore simulates one *representative* core per distinct
 //! domain load and scales the counters.  That every rank of a kernel
-//! drives the same counters is what `tests/batched_equivalence.rs` checks
-//! rank by rank.
+//! drives the same counters is what
+//! `every_rank_of_a_domain_drives_what_its_representative_core_reports`
+//! (`tests/batched_equivalence.rs`) checks rank by rank.
 
 use clover_machine::{Machine, WritePolicyKind};
 
@@ -89,8 +90,6 @@ pub struct NodeSimReport {
     pub total: MemCounters,
     /// Traffic counters of a single rank in the most loaded domain.
     pub per_rank: MemCounters,
-    /// Active cores per ccNUMA domain (compact pinning).
-    pub cores_per_domain: Vec<usize>,
 }
 
 impl NodeSimReport {
@@ -181,7 +180,6 @@ impl NodeSim {
             ranks: self.config.ranks,
             total,
             per_rank,
-            cores_per_domain: occ.cores_per_domain,
         }
     }
 
@@ -201,8 +199,10 @@ impl NodeSim {
     /// same tenancy, so a delta between the two isolates pure interference
     /// from capacity effects.  One tenant on a tenancy of one sees exactly
     /// the solo geometry, bit-identical to [`run_spmd_memo`] of the same
-    /// spec on one rank (a tested property).  Another tenant's report is
-    /// another call, with that tenant first.
+    /// spec on one rank: `tests/reference_hierarchy.rs` holds both, the
+    /// co-run at a random interleave, to one naive hierarchy of that
+    /// geometry.  Another tenant's report is another call, with that tenant
+    /// first.
     ///
     /// The pass stops at the first round after which nothing left to
     /// simulate can change the primary's report: its sweep has finished,
@@ -502,34 +502,7 @@ mod tests {
             ranks: config.ranks,
             total,
             per_rank: per_rank[0],
-            cores_per_domain: occ.cores_per_domain,
         }
-    }
-
-    #[test]
-    fn representative_matches_exact_on_uniform_occupancy() {
-        // 72 ranks load every ICX domain with exactly 18 cores; with one
-        // distinct domain load the representative core must reproduce the
-        // per-rank simulation of every rank bit for bit (a guard for the
-        // pooled core's `CoreSim::reset` reuse too).
-        let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 72));
-        let fast = sim.run_spmd_memo(&store_kernel(2048), &SimMemo::new());
-        let exact = every_rank(&sim, &store_kernel(2048));
-        // The representative core is bit-identical; the node totals only up
-        // to summation order (one `c * 18` versus eighteen additions).
-        assert_eq!(fast.per_rank, exact.per_rank);
-        assert_eq!(fast.cores_per_domain, exact.cores_per_domain);
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
-        assert!(rel(fast.total.read_lines, exact.total.read_lines) < 1e-12);
-        assert!(rel(fast.total.write_lines, exact.total.write_lines) < 1e-12);
-        assert!(rel(fast.total.itom_lines, exact.total.itom_lines) < 1e-12);
-        assert!(
-            rel(
-                fast.total.write_allocate_lines,
-                exact.total.write_allocate_lines
-            ) < 1e-12
-        );
     }
 
     #[test]
@@ -542,27 +515,6 @@ mod tests {
         let (a, b) = (fresh(), fresh());
         assert_eq!(a.total, b.total);
         assert_eq!(a.per_rank, b.per_rank);
-    }
-
-    #[test]
-    fn batched_kernel_matches_scalar_kernel_node_wide() {
-        // One row of 4096 stores, batched by the sweep cursor, against the
-        // same stores as 4096 rows of one element each (a one-element
-        // segment per row: element by element).
-        let m = icelake_sp_8360y();
-        let batched = run(&m, 19, &store_kernel(4096));
-        let scalar = run(
-            &m,
-            19,
-            &KernelSpec {
-                row_stride: 1,
-                inner: 1,
-                rows: 4096,
-                ..store_kernel(4096)
-            },
-        );
-        assert_eq!(scalar.total, batched.total);
-        assert_eq!(scalar.per_rank, batched.per_rank);
     }
 
     #[test]
@@ -688,20 +640,6 @@ mod tests {
             k0: 0,
             rows,
         }
-    }
-
-    #[test]
-    fn single_tenant_corun_is_bit_identical_to_run_spmd() {
-        let m = icelake_sp_8360y();
-        let sim = NodeSim::new(SimConfig::new(m, 1));
-        let memo = SimMemo::new();
-        let spec = corun_spec(AccessKind::Store, 8192, 1);
-        let solo = sim.run_spmd_memo(&spec, &memo);
-        let corun = sim.run_corun(std::slice::from_ref(&spec), 64, &memo);
-        assert_eq!(corun.primary.counters, solo.per_rank);
-        // Solo and co-run entries live in disjoint memo tables.
-        assert_eq!(memo.corun_len(), 1);
-        assert!(!memo.is_empty());
     }
 
     #[test]
@@ -859,7 +797,8 @@ mod tests {
         let m = icelake_sp_8360y();
         let rep = run(&m, 2, &store_kernel(1024));
         assert_eq!(rep.ranks, 2);
-        assert_eq!(rep.cores_per_domain.iter().sum::<usize>(), 2);
+        let occ = DomainOccupancy::compact(&m, rep.ranks);
+        assert_eq!(occ.cores_per_domain.iter().sum::<usize>(), 2);
         assert!(rep.total_bytes() > 0.0);
         assert!(rep.read_write_ratio() > 0.0);
     }

@@ -153,8 +153,8 @@ impl Hasher for StoredHash {
 /// A key's slot in a shard map.
 enum Slot<V> {
     /// Value published; hits clone it.  The `u64` is the entry's access
-    /// stamp: the memo-wide clock value of its most recent touch (compute,
-    /// hit or `get`).  Preloaded entries start at stamp 0, so entries
+    /// stamp: the memo-wide clock value of its most recent touch (compute
+    /// or hit).  Preloaded entries start at stamp 0, so entries
     /// warm-loaded from disk and never used again are the first candidates
     /// a capped persistence pass evicts.
     Ready(V, u64),
@@ -326,20 +326,6 @@ impl<K: Hash + Eq + Clone, V: Clone> FlightMemo<K, V> {
         value
     }
 
-    /// Value of `key`, if already computed and published.  Counts as an
-    /// access: the entry's recency stamp is refreshed.
-    pub fn get(&self, key: &K) -> Option<V> {
-        let probe = self.probe(key);
-        let mut state = recover(self.shard(probe.hash).state.lock());
-        match state.map.get_mut(&probe as &dyn Lookup<K>) {
-            Some(Slot::Ready(v, stamp)) => {
-                *stamp = self.tick();
-                Some(v.clone())
-            }
-            _ => None,
-        }
-    }
-
     /// Number of published (fully computed) entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -406,6 +392,15 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
+    /// The published value of `key`, read off a snapshot: no access, no
+    /// stamp, no statistic.
+    fn published<K: Hash + Eq + Clone, V: Clone>(memo: &FlightMemo<K, V>, key: &K) -> Option<V> {
+        memo.entries_stamped()
+            .into_iter()
+            .find(|(k, _, _)| k == key)
+            .map(|(_, v, _)| v)
+    }
+
     #[test]
     fn sequential_hit_miss_accounting() {
         let memo: FlightMemo<u32, u64> = FlightMemo::new();
@@ -414,8 +409,8 @@ mod tests {
         assert_eq!(memo.get_or_insert_with(8, || 80), 80);
         assert_eq!(memo.stats(), (1, 2));
         assert_eq!(memo.len(), 2);
-        assert_eq!(memo.get(&7), Some(70));
-        assert_eq!(memo.get(&9), None);
+        assert_eq!(published(&memo, &7), Some(70));
+        assert_eq!(published(&memo, &9), None);
     }
 
     #[test]
@@ -473,7 +468,7 @@ mod tests {
         // The successful retry is the one counted miss; the panicked
         // leader counted nothing.
         assert_eq!(memo.stats().1, 1);
-        assert_eq!(memo.get(&1), Some(11));
+        assert_eq!(published(&memo, &1), Some(11));
     }
 
     #[test]
@@ -486,7 +481,7 @@ mod tests {
         assert_eq!(memo.stats(), (1, 0));
         // Preload never clobbers an existing entry.
         memo.preload([(1, 999)]);
-        assert_eq!(memo.get(&1), Some(10));
+        assert_eq!(published(&memo, &1), Some(10));
     }
 
     #[test]
@@ -505,12 +500,9 @@ mod tests {
         // Untouched preloads sit at stamp 0; computes take increasing stamps.
         assert_eq!(stamp_of(&memo, 1), 0);
         assert!(stamp_of(&memo, 2) < stamp_of(&memo, 3));
-        // A hit refreshes the stamp past every earlier access...
+        // A hit refreshes the stamp past every earlier access.
         memo.get_or_insert_with(2, || unreachable!());
         assert!(stamp_of(&memo, 2) > stamp_of(&memo, 3));
-        // ...and so does a plain `get`.
-        assert_eq!(memo.get(&1), Some(10));
-        assert!(stamp_of(&memo, 1) > stamp_of(&memo, 2));
     }
 
     #[test]
@@ -578,13 +570,7 @@ mod tests {
                 );
             });
             assert_eq!(hit, 1, "hit of key {i}");
-            let get = hashed_by(&|| assert_eq!(memo.get(&Counted(i)), Some(u64::from(i))));
-            assert_eq!(get, 1, "get of key {i}");
         }
-        assert_eq!(
-            hashed_by(&|| assert_eq!(memo.get(&Counted(9_999)), None)),
-            1
-        );
         assert_eq!(memo.len(), 2_000);
     }
 
@@ -644,7 +630,7 @@ mod tests {
         });
         assert_eq!(computed.load(Ordering::SeqCst), 1, "one sleeper recomputes");
         assert_eq!(memo.stats(), (1, 1), "the other one is a hit");
-        assert_eq!(memo.get(&1), Some(11));
+        assert_eq!(published(&memo, &1), Some(11));
     }
 
     #[test]
@@ -679,7 +665,7 @@ mod tests {
             assert_eq!((memo.len(), walked(&memo)), (151, 151));
             5
         });
-        assert_eq!(memo.get(&500), Some(5));
+        assert_eq!(published(&memo, &500), Some(5));
         assert_eq!((memo.len(), walked(&memo)), (152, 152));
         // An abandoned flight publishes nothing.
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

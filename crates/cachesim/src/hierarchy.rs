@@ -629,7 +629,6 @@ impl CoreSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessKind;
     use crate::trace::{replay_trace, Trace};
     use clover_machine::icelake_sp_8360y;
 
@@ -890,39 +889,6 @@ mod tests {
         }
         assert_eq!(scalar.cache_stats(), batched.cache_stats());
         assert_eq!(scalar.flush(), batched.flush());
-    }
-
-    #[test]
-    fn drive_run_matches_scalar_for_aligned_and_misaligned_runs() {
-        let m = icelake_sp_8360y();
-        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT] {
-            for base in [0u64, 8, 24, 60, 63, 4096 - 4] {
-                for elements in [0u64, 1, 7, 8, 9, 64, 513] {
-                    assert_equivalent(
-                        &[AccessRun {
-                            base,
-                            elements,
-                            kind,
-                        }],
-                        || serial_core(&m),
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn drive_run_matches_scalar_for_row_patterns_under_load() {
-        let m = icelake_sp_8360y();
-        // Rows with an unaligned halo gap, alternating load and store
-        // arrays — the Fig. 8 pattern shape.
-        let mut runs = Vec::new();
-        for row in 0..24u64 {
-            let off = row * (216 + 3) * 8;
-            runs.push(AccessRun::load((1 << 33) + off, 216));
-            runs.push(AccessRun::store(off, 216));
-        }
-        assert_equivalent(&runs, || loaded_core(&m));
     }
 
     #[test]

@@ -389,8 +389,11 @@ impl SimKey {
 /// primary's report is final.
 ///
 /// A one-tenant key (a baseline) carries neither an interleave — turn
-/// boundaries decide nothing for one tenant (`tests/batched_equivalence.rs`
-/// proves it per interleave), so it stores `u64::MAX` — nor a rank: the
+/// boundaries decide nothing for one tenant
+/// (`a_baseline_is_the_same_at_any_interleave_and_either_rank` in
+/// `tests/batched_equivalence.rs` checks it at several interleaves and
+/// either rank, `tests/reference_hierarchy.rs` at a random interleave
+/// against a naive hierarchy), so it stores `u64::MAX` — nor a rank: the
 /// pass runs at rank 0 whatever rank its kernel has in the co-runs it is
 /// the baseline of, exact under the [`MIN_MEMO_SHIFT`] rule as for [`SimKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -810,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_sweep_reproduces_the_closure_sweep() {
+    fn a_spec_sweep_places_every_operand_at_its_rank_base() {
         let spec = KernelSpec {
             rank_base: RankBase::Shifted { shift: 40, plus: 1 },
             operands: vec![
@@ -908,54 +911,6 @@ mod tests {
             spec.drive(0, &mut fresh);
             assert_eq!(pooled, fresh.flush(), "machine {}", machine.id);
         }
-    }
-
-    #[test]
-    fn run_spmd_memo_equals_run_spmd_across_a_curve() {
-        // One shared memo across rank counts 1..=40: later points reuse
-        // earlier full-domain simulations, and the node reports must stay
-        // bit-identical to a fresh from-scratch memo's at every point.
-        let m = icelake_sp_8360y();
-        let spec = store_spec(1024);
-        let memo = SimMemo::new();
-        for ranks in [1usize, 5, 17, 18, 19, 20, 36, 37, 40] {
-            let sim = NodeSim::new(SimConfig::new(m.clone(), ranks));
-            let plain = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
-            let memoized = sim.run_spmd_memo(&spec, &memo);
-            assert_eq!(plain.total, memoized.total, "ranks={ranks}");
-            assert_eq!(plain.per_rank, memoized.per_rank, "ranks={ranks}");
-            assert_eq!(
-                plain.cores_per_domain, memoized.cores_per_domain,
-                "ranks={ranks}"
-            );
-        }
-        // The (18 cores, 2 domains) level is shared by ranks 19, 20 and 36.
-        let stats = SimMemo::stats(&memo);
-        assert!(stats.hits >= 2, "expected cross-point reuse: {stats:?}");
-    }
-
-    #[test]
-    fn memo_never_serves_across_policies() {
-        let m = icelake_sp_8360y();
-        let memo = SimMemo::new();
-        let spec = store_spec(1024);
-        let ctx = OccupancyContext::serial(&m);
-        let options = CoreSimOptions::default();
-        let no_allocate = CoreSimOptions {
-            write_policy: WritePolicyKind::NoAllocate,
-            ..options
-        };
-        let lru = memo.counters(&m, ctx, options, &spec, 0);
-        let nowa = memo.counters(&m, ctx, no_allocate, &spec, 0);
-        // Two distinct entries: the store-miss policy is part of the key.
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.stats().misses, 2);
-        // No-write-allocate genuinely changes the counters (no WA reads),
-        // so serving it from the write-allocate entry would be wrong.
-        assert!(nowa.write_allocate_lines < lru.write_allocate_lines);
-        // The default options hit the write-allocate entry.
-        assert_eq!(memo.counters(&m, ctx, options, &spec, 0), lru);
-        assert_eq!(memo.stats().hits, 1);
     }
 
     #[test]

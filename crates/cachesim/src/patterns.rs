@@ -337,7 +337,6 @@ impl SweepCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::AccessRun;
     use crate::hierarchy::{CoreSimOptions, OccupancyContext};
     use crate::memo::{KernelSpec, RankBase};
     use clover_machine::icelake_sp_8360y;
@@ -345,38 +344,6 @@ mod tests {
     fn serial_core() -> CoreSim {
         let m = icelake_sp_8360y();
         CoreSim::new(&m, OccupancyContext::serial(&m), CoreSimOptions::default())
-    }
-
-    fn loaded_core() -> CoreSim {
-        let m = icelake_sp_8360y();
-        let ctx = OccupancyContext::compact(&m, m.total_cores());
-        CoreSim::new(
-            &m,
-            ctx,
-            CoreSimOptions {
-                l3_sharers: 36,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// The sweep one access at a time in its loop order, each a
-    /// one-element run: what the cursor's segments must reproduce.
-    fn drive_per_element(sweep: &StencilRowSweep, core: &mut CoreSim) {
-        for k in sweep.k0..sweep.k0 + sweep.rows {
-            for i in sweep.i0..sweep.i0 + sweep.inner {
-                for op in &sweep.operands {
-                    for &(di, dk) in &op.offsets {
-                        let base = sweep.addr(op.base, i as i64 + di, k as i64 + dk);
-                        core.drive_run(AccessRun {
-                            base,
-                            elements: 1,
-                            kind: op.kind,
-                        });
-                    }
-                }
-            }
-        }
     }
 
     /// `rows` rows of `inner` doubles of one array at `base`, separated by
@@ -468,26 +435,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn array_and_row_sweeps_match_their_scalar_reference() {
-        for kind in [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT] {
-            for (sweep, mk) in [
-                (
-                    row_sweep(24, 700, 0, 1, kind),
-                    serial_core as fn() -> CoreSim,
-                ),
-                (row_sweep(8 * 3, 216, 5, 12, kind), loaded_core),
-            ] {
-                let mut fast = mk();
-                let mut slow = mk();
-                sweep.drive(&mut fast);
-                drive_per_element(&sweep, &mut slow);
-                assert_eq!(fast.cache_stats(), slow.cache_stats());
-                assert_eq!(fast.flush(), slow.flush());
-            }
-        }
-    }
-
     fn copy_stencil(stride: u64, i0: u64, inner: u64, rows: u64) -> StencilRowSweep {
         StencilRowSweep {
             operands: vec![
@@ -508,102 +455,6 @@ mod tests {
             k0: 1,
             rows,
         }
-    }
-
-    #[test]
-    fn stencil_drive_matches_scalar_reference() {
-        // Shapes covering unaligned starts, short rows and neighbour
-        // offsets, under both serial and loaded occupancy.
-        let sweeps = [
-            copy_stencil(221, 2, 216, 8),
-            copy_stencil(67, 1, 63, 6),
-            StencilRowSweep {
-                operands: vec![
-                    StencilOperand {
-                        base: 1 << 30,
-                        offsets: vec![(0, 1), (-1, 0), (1, 0), (0, -1)],
-                        kind: AccessKind::Load,
-                    },
-                    StencilOperand {
-                        base: (1 << 31) + 8,
-                        offsets: vec![(0, 0), (1, 0)],
-                        kind: AccessKind::Load,
-                    },
-                    StencilOperand {
-                        base: 1 << 32,
-                        offsets: vec![(0, 0)],
-                        kind: AccessKind::Store,
-                    },
-                    StencilOperand {
-                        base: 1 << 33,
-                        offsets: vec![(0, 0)],
-                        kind: AccessKind::StoreNT,
-                    },
-                ],
-                row_stride: 529,
-                i0: 2,
-                inner: 525,
-                k0: 1,
-                rows: 7,
-            },
-            // Eight load streams and two store streams, staggered by less
-            // than a line in one L1 set, rows a page apart: a store line
-            // retired into the set after the loads of a segment's first
-            // iteration is pushed below them by the rest of the segment.
-            StencilRowSweep {
-                operands: vec![
-                    StencilOperand {
-                        base: 1 << 22,
-                        offsets: vec![(-1, 0), (0, 0)],
-                        kind: AccessKind::Load,
-                    },
-                    StencilOperand {
-                        base: 2 << 22,
-                        offsets: vec![(0, 0), (1, -1), (1, -1)],
-                        kind: AccessKind::Load,
-                    },
-                    StencilOperand {
-                        base: (3 << 22) + 56,
-                        offsets: vec![(-1, 0), (0, -1), (1, -1)],
-                        kind: AccessKind::Load,
-                    },
-                    StencilOperand {
-                        base: (4 << 22) + 56,
-                        offsets: vec![(-1, -1), (-1, 0)],
-                        kind: AccessKind::Store,
-                    },
-                ],
-                row_stride: 512,
-                i0: 1,
-                inner: 10,
-                k0: 1,
-                rows: 5,
-            },
-        ];
-        for (n, sweep) in sweeps.iter().enumerate() {
-            for mk in [serial_core as fn() -> CoreSim, loaded_core] {
-                let mut fast = mk();
-                let mut slow = mk();
-                sweep.drive(&mut fast);
-                drive_per_element(sweep, &mut slow);
-                assert_eq!(fast.cache_stats(), slow.cache_stats(), "sweep {n}");
-                assert_eq!(fast.flush(), slow.flush(), "sweep {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn stencil_misaligned_base_falls_back_to_scalar() {
-        // A 4-byte-aligned operand cannot use the segment fast path; the
-        // driver must still produce the scalar result.
-        let mut sweep = copy_stencil(128, 0, 128, 3);
-        sweep.operands[0].base += 4;
-        let mut fast = serial_core();
-        let mut slow = serial_core();
-        sweep.drive(&mut fast);
-        drive_per_element(&sweep, &mut slow);
-        assert_eq!(fast.cache_stats(), slow.cache_stats());
-        assert_eq!(fast.flush(), slow.flush());
     }
 
     #[test]

@@ -484,7 +484,7 @@ mod tests {
     use super::*;
     use crate::TINY_GRID;
     use clover_cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
-    use clover_cachesim::{AccessRun, CoreSim, NodeSim, SimConfig, SimMemo};
+    use clover_cachesim::{CoreSim, NodeSim, SimConfig, SimMemo};
     use clover_machine::icelake_sp_8360y;
     use clover_stencil::{cloverleaf_loops, loop_by_name, ArrayAccess};
 
@@ -504,46 +504,6 @@ mod tests {
         let sim = NodeSim::new(SimConfig::new(icelake_sp_8360y(), ranks));
         let counters = sim.run_spmd_memo(&kernel, &SimMemo::new()).per_rank;
         counters.total_bytes() / kernel.iterations() as f64
-    }
-
-    #[test]
-    fn replay_matches_scalar_reference() {
-        // The replay runs on the batched line-run path; it must be
-        // bit-identical to feeding every hotspot loop element by element.
-        let m = icelake_sp_8360y();
-        for spec in cloverleaf_loops() {
-            let sweep = loop_kernel(&spec, 216, 16).sweep(0);
-            let mk = || -> CoreSim {
-                CoreSim::new(
-                    &m,
-                    OccupancyContext::compact(&m, m.total_cores()),
-                    CoreSimOptions {
-                        l3_sharers: 36,
-                        ..Default::default()
-                    },
-                )
-            };
-            let mut fast = mk();
-            let mut slow = mk();
-            sweep.drive(&mut fast);
-            // The same accesses one element at a time, in loop order.
-            for k in sweep.k0..sweep.k0 + sweep.rows {
-                for i in sweep.i0..sweep.i0 + sweep.inner {
-                    for op in &sweep.operands {
-                        for &(di, dk) in &op.offsets {
-                            let idx = (k as i64 + dk) * sweep.row_stride as i64 + i as i64 + di;
-                            slow.drive_run(AccessRun {
-                                base: op.base + 8 * idx as u64,
-                                elements: 1,
-                                kind: op.kind,
-                            });
-                        }
-                    }
-                }
-            }
-            assert_eq!(fast.cache_stats(), slow.cache_stats(), "{}", spec.name);
-            assert_eq!(fast.flush(), slow.flush(), "{}", spec.name);
-        }
     }
 
     #[test]

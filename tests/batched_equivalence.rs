@@ -1,124 +1,24 @@
-//! Property tests of the simulator's segmentation and caching layers: the
-//! one line-granular driver, the sweep cursor, is invariant to how its
-//! input is cut (a run against its elements one at a time, each a run of
-//! one: same `MemCounters` and per-level hit/miss counts for arbitrary
-//! bases, run lengths, access kinds, head/tail misalignment and
-//! occupancy), the memo equals a fresh from-scratch memo, a replayed trace
-//! equals simulating, and the representative core equals every rank.
-//! `reference_hierarchy.rs` holds the driver itself to a hierarchy that
-//! shares none of its code.
+//! Property tests of the simulator's memo and trace layers, which no
+//! oracle of the hierarchy sees: a memo equals a fresh from-scratch memo on
+//! any kernel and over any walk of sweep neighbours, a replayed trace
+//! equals simulating (by counter bits on every replayed point of the
+//! simulated figures), a trace class shares one simulation across sharer
+//! counts exactly when nothing can evict, the representative core reports
+//! what every rank of its domain drives, and a one-tenant co-run (a
+//! baseline) is one pass at any interleave and either rank.
+//! `reference_hierarchy.rs` holds the drivers themselves to a hierarchy
+//! that shares none of their code.
 
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::memo::MIN_MEMO_SHIFT;
-use cloverleaf_wa::cachesim::patterns::{StencilOperand, StencilRowSweep};
 use cloverleaf_wa::cachesim::{
-    AccessKind, AccessRun, CoreSim, DomainOccupancy, KernelSpec, NodeSim, PrefetcherConfig,
-    PrivateCore, RankBase, SetAssocCache, SimConfig, SimMemo, SpecOperand, SweepCursor,
+    AccessKind, CoreSim, DomainOccupancy, KernelSpec, NodeSim, RankBase, SimConfig, SimMemo,
+    SpecOperand,
 };
 use cloverleaf_wa::machine::{icelake_sp_8360y, Machine, MachinePreset, WritePolicyKind};
 use proptest::prelude::*;
 
 const KINDS: [AccessKind; 3] = [AccessKind::Load, AccessKind::Store, AccessKind::StoreNT];
-
-fn core_for(machine: &Machine, ranks: usize, prefetchers: bool) -> CoreSim {
-    let ctx = OccupancyContext::compact(machine, ranks);
-    CoreSim::new(
-        machine,
-        ctx,
-        CoreSimOptions {
-            prefetchers: if prefetchers {
-                PrefetcherConfig::enabled()
-            } else {
-                PrefetcherConfig::disabled()
-            },
-            l3_sharers: ranks.min(36),
-            ..Default::default()
-        },
-    )
-}
-
-/// Feed one run element by element, each a run of one.
-fn drive_scalar_run(core: &mut CoreSim, run: AccessRun) {
-    for i in 0..run.elements {
-        core.drive_run(AccessRun {
-            base: run.base + i * 8,
-            elements: 1,
-            ..run
-        });
-    }
-}
-
-/// Feed a sweep one access at a time in its loop order, each a run of one.
-fn drive_scalar_sweep(core: &mut CoreSim, sweep: &StencilRowSweep) {
-    for k in sweep.k0..sweep.k0 + sweep.rows {
-        for i in sweep.i0..sweep.i0 + sweep.inner {
-            for op in &sweep.operands {
-                for &(di, dk) in &op.offsets {
-                    let idx = (k as i64 + dk) * sweep.row_stride as i64 + i as i64 + di;
-                    drive_scalar_run(
-                        core,
-                        AccessRun {
-                            base: op.base + 8 * idx as u64,
-                            elements: 1,
-                            kind: op.kind,
-                        },
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Assert that `runs` driven whole and element by element agree bit for
-/// bit: one driver, segmented two ways.
-fn assert_equivalent(machine: &Machine, ranks: usize, prefetchers: bool, runs: &[AccessRun]) {
-    let mut scalar = core_for(machine, ranks, prefetchers);
-    let mut batched = core_for(machine, ranks, prefetchers);
-    for &run in runs {
-        drive_scalar_run(&mut scalar, run);
-        batched.drive_run(run);
-    }
-    assert_eq!(
-        scalar.cache_stats(),
-        batched.cache_stats(),
-        "hit/miss mismatch for {runs:?}"
-    );
-    assert_eq!(scalar.flush(), batched.flush(), "counter mismatch");
-}
-
-/// Whole runs vs. runs of one element under every store-miss policy.
-fn assert_equivalent_for_all_policies(machine: &Machine, ranks: usize, runs: &[AccessRun]) {
-    for write_policy in WritePolicyKind::all() {
-        let mk = || {
-            let ctx = OccupancyContext::compact(machine, ranks);
-            CoreSim::new(
-                machine,
-                ctx,
-                CoreSimOptions {
-                    l3_sharers: ranks.min(36),
-                    write_policy,
-                    ..Default::default()
-                },
-            )
-        };
-        let mut scalar = mk();
-        let mut batched = mk();
-        for &run in runs {
-            drive_scalar_run(&mut scalar, run);
-            batched.drive_run(run);
-        }
-        assert_eq!(
-            scalar.cache_stats(),
-            batched.cache_stats(),
-            "{write_policy:?}: hit/miss mismatch for {runs:?}"
-        );
-        assert_eq!(
-            scalar.flush(),
-            batched.flush(),
-            "{write_policy:?}: counter mismatch"
-        );
-    }
-}
 
 /// Operand spacing of the trace-class tests: a multiple of every L3
 /// share's set span (at most 2^16 sets of 64-byte lines), so equal lines
@@ -280,115 +180,12 @@ proptest! {
         );
     }
 
-    /// One run of any kind, any byte alignment of the base (including
-    /// non-8-aligned bases whose elements straddle cache lines) and any
-    /// length is bit-identical to its elements driven one at a time, under
-    /// any occupancy.
-    #[test]
-    fn single_run_matches_scalar(
-        base_align in 0u64..130,
-        elements in 0u64..1500,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let run = AccessRun {
-            base: (1 << 22) + base_align,
-            elements,
-            kind: KINDS[kind_idx],
-        };
-        assert_equivalent(&machine, ranks, true, &[run]);
-    }
-
-    /// Alternating load/store runs over two arrays with a halo-induced
-    /// misaligned row start (the copy microbenchmark shape), prefetchers
-    /// on and off: whole runs equal their elements one at a time.
-    #[test]
-    fn interleaved_rows_match_scalar(
-        inner in 1u64..300,
-        halo in 0u64..18,
-        rows in 1u64..6,
-        pf in 0usize..2,
-    ) {
-        let machine = icelake_sp_8360y();
-        let mut runs = Vec::new();
-        for row in 0..rows {
-            let off = row * (inner + halo) * 8;
-            runs.push(AccessRun::load((1 << 33) + off, inner));
-            runs.push(AccessRun::store((1 << 30) + off, inner));
-        }
-        assert_equivalent(&machine, 72, pf == 0, &runs);
-    }
-
-    /// A multi-operand stencil sweep equals its accesses fed one at a time
-    /// (each a one-element sweep) for random row geometries and operand
-    /// mixes: the cursor's segments do not depend on how many operands
-    /// share them.
-    #[test]
-    fn stencil_driver_matches_scalar(
-        stride_extra in 0u64..9,
-        inner in 8u64..260,
-        rows in 1u64..5,
-        store_kind in 0usize..2,
-    ) {
-        let machine = icelake_sp_8360y();
-        let sweep = StencilRowSweep {
-            operands: vec![
-                StencilOperand {
-                    base: 1 << 30,
-                    offsets: vec![(0, 0), (1, 0), (-1, 0), (0, -1)],
-                    kind: AccessKind::Load,
-                },
-                StencilOperand {
-                    base: 1 << 33,
-                    offsets: vec![(0, 0)],
-                    kind: if store_kind == 0 {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::StoreNT
-                    },
-                },
-            ],
-            row_stride: inner + stride_extra + 2,
-            i0: 1,
-            inner,
-            k0: 1,
-            rows,
-        };
-        let mut fast = core_for(&machine, 72, true);
-        let mut slow = core_for(&machine, 72, true);
-        sweep.drive(&mut fast);
-        drive_scalar_sweep(&mut slow, &sweep);
-        prop_assert_eq!(fast.cache_stats(), slow.cache_stats());
-        prop_assert_eq!(fast.flush(), slow.flush());
-    }
-
-    /// Rows with a halo gap between them, from a possibly misaligned base,
-    /// one run per row: bit-identical to the same elements one at a time.
-    #[test]
-    fn row_sweep_matches_scalar(
-        base_align in 0u64..64,
-        inner in 1u64..300,
-        halo in 0u64..18,
-        kind_idx in 0usize..3,
-    ) {
-        let machine = icelake_sp_8360y();
-        let runs: Vec<AccessRun> = (0..4)
-            .map(|row| AccessRun {
-                base: (1 << 28) + base_align + row * (inner + halo) * 8,
-                elements: inner,
-                kind: KINDS[kind_idx],
-            })
-            .collect();
-        assert_equivalent(&machine, 1, true, &runs);
-    }
-
     /// The cross-sweep memo is exact: for arbitrary kernel specs (operand
     /// mixes, stencil shapes, rank-base schemes) and any rank count,
     /// `run_spmd_memo` through a fresh memo reproduces a fresh from-scratch
     /// memo bit for bit.
     #[test]
-    fn run_spmd_memo_matches_run_spmd(
+    fn a_fresh_memo_reproduces_the_from_scratch_memo_on_any_kernel(
         operand_mix in 0usize..4,
         inner in 8u64..300,
         rows in 1u64..4,
@@ -435,125 +232,6 @@ proptest! {
         let memoized = sim.run_spmd_memo(&spec, &SimMemo::new());
         prop_assert_eq!(plain.total, memoized.total);
         prop_assert_eq!(plain.per_rank, memoized.per_rank);
-        prop_assert_eq!(plain.cores_per_domain, memoized.cores_per_domain);
-    }
-
-    /// Sharing one memo across a whole rank-count curve (the cross-sweep
-    /// case: later points are served from contexts simulated for earlier
-    /// points, possibly as a different representative rank) changes no bit
-    /// either.
-    #[test]
-    fn shared_memo_across_a_curve_matches_run_spmd(
-        elements in 64u64..2048,
-        kind_idx in 0usize..3,
-    ) {
-        let machine = icelake_sp_8360y();
-        let spec = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            elements,
-            KINDS[kind_idx],
-        );
-        let memo = SimMemo::new();
-        for ranks in [1usize, 18, 19, 20, 35, 36, 37, 54, 72] {
-            let sim = NodeSim::new(SimConfig::new(machine.clone(), ranks));
-            let plain = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
-            let memoized = sim.run_spmd_memo(&spec, &memo);
-            prop_assert_eq!(plain.total, memoized.total, "ranks={}", ranks);
-            prop_assert_eq!(plain.per_rank, memoized.per_rank, "ranks={}", ranks);
-        }
-        // The full-domain levels of 19..72 ranks overlap: the memo must
-        // have avoided simulations.
-        prop_assert!(memo.stats().hits > 0);
-    }
-
-    /// Whole runs stay bit-identical to element-by-element runs under
-    /// every write policy, not just the paper's write-allocate default:
-    /// mixed load/store/NT rows with halo misalignment across all three.
-    #[test]
-    fn batched_path_matches_scalar_under_every_policy(
-        inner in 1u64..180,
-        halo in 0u64..10,
-        rows in 1u64..4,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let mut runs = Vec::new();
-        for row in 0..rows {
-            let off = row * (inner + halo) * 8;
-            runs.push(AccessRun::load((1 << 33) + off, inner));
-            runs.push(AccessRun {
-                base: (1 << 30) + off,
-                elements: inner,
-                kind: KINDS[kind_idx],
-            });
-        }
-        assert_equivalent_for_all_policies(&machine, ranks, &runs);
-    }
-
-    /// The memoized path under the default write-allocate selector is
-    /// bit-identical to a fresh from-scratch memo *and* shares its memo
-    /// entries with an explicitly-defaulted config: the policy space costs
-    /// the paper configuration nothing.
-    #[test]
-    fn default_policy_dispatch_matches_the_closure_path_and_shares_the_memo(
-        elements in 64u64..1024,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 37, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let spec = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            elements,
-            KINDS[kind_idx],
-        );
-        let memo = SimMemo::new();
-        let implicit = NodeSim::new(SimConfig::new(machine.clone(), ranks));
-        let fresh = implicit.run_spmd_memo(&spec, &SimMemo::without_differential());
-        let defaulted = implicit.run_spmd_memo(&spec, &memo);
-        prop_assert_eq!(&fresh.total, &defaulted.total);
-        prop_assert_eq!(&fresh.per_rank, &defaulted.per_rank);
-        // An explicit write-allocate selection is the same SimKey: every
-        // context is served from the memo, no new simulation runs.
-        let explicit = NodeSim::new(
-            SimConfig::new(machine, ranks).with_write_policy(WritePolicyKind::Allocate),
-        );
-        let before = memo.stats();
-        let again = explicit.run_spmd_memo(&spec, &memo);
-        prop_assert_eq!(&defaulted.total, &again.total);
-        prop_assert_eq!(&defaulted.per_rank, &again.per_rank);
-        let after = memo.stats();
-        prop_assert_eq!(after.misses, before.misses, "explicit defaults must not re-simulate");
-        prop_assert!(after.hits > before.hits);
-    }
-
-    /// Sharing one `SimMemo` across policy selections never changes a bit:
-    /// the store-miss policy is part of the memo key, so a cross-policy
-    /// lookup can never be served a stale entry.
-    #[test]
-    fn shared_memo_never_serves_a_cross_policy_hit(
-        elements in 64u64..1024,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let spec = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            elements,
-            KINDS[kind_idx],
-        );
-        let shared = SimMemo::new();
-        for write_policy in WritePolicyKind::all() {
-            let cfg = SimConfig::new(machine.clone(), ranks).with_write_policy(write_policy);
-            let sim = NodeSim::new(cfg);
-            let with_shared = sim.run_spmd_memo(&spec, &shared);
-            let with_fresh = sim.run_spmd_memo(&spec, &SimMemo::new());
-            prop_assert_eq!(&with_shared.total, &with_fresh.total, "{:?}", write_policy);
-            prop_assert_eq!(&with_shared.per_rank, &with_fresh.per_rank, "{:?}", write_policy);
-        }
     }
 
     /// Differential re-simulation is exact over a randomly ordered walk of
@@ -604,36 +282,6 @@ proptest! {
         prop_assert_eq!(scratch.diff_len(), 0);
     }
 
-    /// Differential memo isolation across the policy space: one
-    /// differential memo shared by all three write policies never serves a
-    /// trace across policies — every result equals a fresh from-scratch run
-    /// bit for bit.
-    #[test]
-    fn differential_memo_never_crosses_policies(
-        elements in 64u64..1024,
-        kind_idx in 0usize..3,
-        ranks in prop::sample::select(vec![1usize, 18, 72]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let spec = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            elements,
-            KINDS[kind_idx],
-        );
-        let shared = SimMemo::new();
-        for write_policy in WritePolicyKind::all() {
-            let cfg = SimConfig::new(machine.clone(), ranks).with_write_policy(write_policy);
-            let sim = NodeSim::new(cfg);
-            let with_shared = sim.run_spmd_memo(&spec, &shared);
-            let from_scratch = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
-            prop_assert_eq!(&with_shared.total, &from_scratch.total, "{:?}", write_policy);
-            prop_assert_eq!(&with_shared.per_rank, &from_scratch.per_rank, "{:?}", write_policy);
-        }
-        // Every policy recorded its own trace identity.
-        prop_assert!(shared.diff_len() >= 3, "diff_len={}", shared.diff_len());
-    }
-
     /// The premise of the representative core: every rank of a kernel
     /// drives the same counters and cache statistics on a fresh core of
     /// its domain's occupancy — for shared bases and for rank windows
@@ -641,7 +289,7 @@ proptest! {
     /// times its rank count is the sum over every rank, and
     /// `run_spmd_memo`'s per-rank report is rank 0's.
     #[test]
-    fn run_spmd_equals_exact_on_uniform_occupancy(
+    fn every_rank_of_a_domain_drives_what_its_representative_core_reports(
         operand_mix in 0usize..4,
         inner in 8u64..200,
         rows in 1u64..4,
@@ -709,83 +357,6 @@ proptest! {
         prop_assert_eq!(Some(report.per_rank), first);
     }
 
-    /// A single-tenant co-run is the solo composition driven through the
-    /// resumable cursor: for arbitrary kernels and *any* interleave
-    /// granularity it must be bit-identical to `run_spmd_memo` on one rank,
-    /// and, since that runs the same cursor, to the sweep fed element by
-    /// element on a fresh core: same counters, same hits and misses at
-    /// every level, for every turn budget and for a misaligned base (the
-    /// cursor's element-by-element mode).
-    #[test]
-    fn single_tenant_corun_matches_run_spmd_for_any_interleave(
-        operand_mix in 0usize..4,
-        inner in 8u64..300,
-        rows in 1u64..4,
-        stride_extra in 0u64..6,
-        interleave in prop::sample::select(vec![1u64, 2, 3, 7, 64, 1000, u64::MAX]),
-        misaligned in prop::sample::select(vec![false, true]),
-    ) {
-        let machine = icelake_sp_8360y();
-        let mut operands = vec![SpecOperand {
-            offset: (1 << 33) + if misaligned { 4 } else { 0 },
-            points: vec![(0, 0)],
-            kind: AccessKind::Store,
-        }];
-        if operand_mix % 2 == 1 {
-            operands.push(SpecOperand {
-                offset: 1 << 30,
-                points: vec![(0, 0), (1, 0), (0, -1)],
-                kind: AccessKind::Load,
-            });
-        }
-        if operand_mix >= 2 {
-            operands.push(SpecOperand {
-                offset: 1 << 34,
-                points: vec![(0, 0)],
-                kind: AccessKind::StoreNT,
-            });
-        }
-        let spec = KernelSpec {
-            rank_base: RankBase::Shifted { shift: 36, plus: 0 },
-            operands,
-            row_stride: inner + stride_extra + 2,
-            i0: 1,
-            inner,
-            k0: 1,
-            rows,
-        };
-        let sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
-        let solo = sim.run_spmd_memo(&spec, &SimMemo::without_differential());
-        let corun = sim.run_corun(std::slice::from_ref(&spec), interleave, &SimMemo::new());
-        let t = &corun.primary;
-        prop_assert_eq!(&t.counters, &solo.per_rank, "interleave={}", interleave);
-        prop_assert_eq!(&t.counters, &solo.total);
-
-        let ctx = OccupancyContext::domain_load(&machine, 1, 1);
-        let options = CoreSimOptions {
-            l3_sharers: DomainOccupancy::l3_sharers(&machine, 1),
-            ..Default::default()
-        };
-        let mut oracle: CoreSim = CoreSim::new(&machine, ctx, options);
-        drive_scalar_sweep(&mut oracle, &spec.sweep(0));
-        let stats_before_flush = oracle.cache_stats();
-        prop_assert_eq!(&t.counters, &oracle.flush(), "interleave={}", interleave);
-        prop_assert_eq!((t.llc_hits, t.llc_misses), oracle.cache_stats()[2]);
-        // The report carries the shared level only; the private levels are
-        // read off a cursor advanced in the same turns.
-        let mut private = PrivateCore::new(&machine, ctx, options);
-        let mut llc = SetAssocCache::new(
-            (corun.llc_lines * 64) as usize,
-            machine.caches.l3.associativity,
-        );
-        let mut cursor = SweepCursor::new(&spec.sweep(0));
-        while !cursor.finished() {
-            cursor.advance(&mut private, &mut llc, interleave);
-        }
-        let [l1, l2] = private.upper_cache_stats();
-        prop_assert_eq!([l1, l2, (llc.hits(), llc.misses())], stats_before_flush);
-    }
-
     /// The equalities the one-tenant `CoRunKey` relies on: a baseline —
     /// one tenant on a two-core tenancy — carries neither an interleave
     /// nor a rank, so whatever turn budget the first caller brings, and
@@ -822,58 +393,6 @@ proptest! {
         prop_assert_eq!(memo.corun_stats().misses, 1);
     }
 
-    /// One `SimMemo` shared across solo runs and co-runs of the same
-    /// kernels at several interleaves never crosses entries: solo and
-    /// co-run results live in disjoint tables, distinct interleaves are
-    /// distinct keys, and every shared-memo result equals a fresh-memo run
-    /// bit for bit.
-    #[test]
-    fn shared_memo_never_crosses_solo_corun_or_interleave(
-        elements in 64u64..1024,
-        kind_idx in 0usize..3,
-    ) {
-        let machine = icelake_sp_8360y();
-        let victim = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            0,
-            elements,
-            KINDS[kind_idx],
-        );
-        let aggressor = KernelSpec::contiguous(
-            RankBase::Shifted { shift: 36, plus: 0 },
-            1 << 20,
-            2 * elements,
-            AccessKind::Load,
-        );
-        let shared = SimMemo::new();
-        let tenants = [victim.clone(), aggressor];
-
-        let solo_sim = NodeSim::new(SimConfig::new(machine.clone(), 1));
-        let solo_shared = solo_sim.run_spmd_memo(&victim, &shared);
-        let pair_sim = NodeSim::new(SimConfig::new(machine, 2));
-        let mut corun_misses = 0;
-        for interleave in [1u64, 8, 64] {
-            let with_shared = pair_sim.run_corun(&tenants, interleave, &shared);
-            corun_misses += 1;
-            prop_assert_eq!(
-                shared.corun_stats().misses, corun_misses,
-                "each interleave must be its own co-run key"
-            );
-            let with_fresh = pair_sim.run_corun(&tenants, interleave, &SimMemo::new());
-            prop_assert_eq!(&with_shared, &with_fresh, "interleave={}", interleave);
-            // A repeat is a pure hit of the same entry.
-            let again = pair_sim.run_corun(&tenants, interleave, &shared);
-            prop_assert_eq!(shared.corun_stats().misses, corun_misses);
-            prop_assert_eq!(&again, &with_shared);
-        }
-        // The co-runs touched neither the solo table's stats nor its
-        // entries: a solo lookup afterwards is still served unchanged.
-        let solo_again = solo_sim.run_spmd_memo(&victim, &shared);
-        prop_assert_eq!(&solo_again.total, &solo_shared.total);
-        prop_assert_eq!(&solo_again.per_rank, &solo_shared.per_rank);
-        let fresh_solo = solo_sim.run_spmd_memo(&victim, &SimMemo::new());
-        prop_assert_eq!(&solo_again.per_rank, &fresh_solo.per_rank);
-    }
 }
 
 /// Every counter's bits, so that a one-ulp drift cannot hide.

@@ -12,7 +12,8 @@
 //! at a random interleave) and `NodeSim::run_spmd_memo(..).per_rank` —
 //! must equal it count for count on random short kernels, on every preset
 //! under every store-miss policy with the adjacent-line prefetcher on and
-//! off:
+//! off, and on hand-made kernels that reach corners the drawn ones reach
+//! rarely or never (`fixed_kernels`, the paper's ICX configuration):
 //!
 //! * with SpecI2M off on a machine whose NT partial-flush fraction is 0,
 //!   integer for integer on all six `MemCounters` (read = demand reads +
@@ -507,9 +508,11 @@ impl Draw {
     }
 }
 
-/// One random test case: the machine × policy × prefetcher combination
-/// `index` names, and a kernel of a few thousand lines drawn from `seed`.
+/// One test case: a machine × policy × prefetcher combination and a
+/// kernel, drawn or hand-made.
 struct Case {
+    /// What the kernel is, for failure messages.
+    name: &'static str,
     preset: MachinePreset,
     policy: WritePolicyKind,
     prefetch: bool,
@@ -518,6 +521,8 @@ struct Case {
 }
 
 impl Case {
+    /// The combination `index` names and a kernel of a few thousand lines
+    /// drawn from `seed`.
     fn new(index: usize, seed: u64) -> Self {
         let presets = MachinePreset::all();
         let preset = presets[index % presets.len()];
@@ -605,6 +610,7 @@ impl Case {
             rows,
         };
         Self {
+            name: "drawn",
             preset,
             policy,
             prefetch,
@@ -622,6 +628,7 @@ impl Case {
     /// a line that collects stores of two alignments, which no other case
     /// builds.
     fn overlaid(mut self) -> Self {
+        self.name = "overlaid";
         let k = &mut self.kernel;
         let m = self.draw.below(4);
         let kind = self.draw.pick(&[AccessKind::Store, AccessKind::StoreNT]);
@@ -638,6 +645,20 @@ impl Case {
             });
         }
         self
+    }
+
+    /// A hand-made `kernel` on the ICX under write-allocate with the
+    /// prefetcher on — the paper's configuration — its occupancies drawn
+    /// from `index`.
+    fn fixed(index: usize, (name, kernel): (&'static str, KernelSpec)) -> Self {
+        Self {
+            name,
+            preset: MachinePreset::IceLakeSp8360y,
+            policy: WritePolicyKind::Allocate,
+            prefetch: true,
+            kernel,
+            draw: Draw(index as u64),
+        }
     }
 
     /// The preset as simulated: SpecI2M on, or off with no NT partial
@@ -707,7 +728,10 @@ impl Case {
         } else {
             oracle.counts()
         };
-        let at = format!("{:?} {:?} pf={}", self.preset, self.policy, self.prefetch);
+        let at = format!(
+            "{:?} {:?} pf={} ({})",
+            self.preset, self.policy, self.prefetch, self.name
+        );
         assert_eq!(
             bits(counters),
             bits(&expected),
@@ -768,7 +792,7 @@ impl Case {
                     oracle.element(addr, kind);
                 }
             }
-            let at = format!("{what} at {l3_sharers} sharers");
+            let at = format!("{what} at {l3_sharers} sharers ({})", self.name);
             assert_eq!(core.cache_stats(), oracle.stats(), "{at}");
             let counters = core.flush();
             oracle.flush();
@@ -813,12 +837,125 @@ impl Case {
 /// combination twice.
 const CASES: usize = 60;
 
-/// `times` × `CASES` drawn cases from `seed`, then half as many overlaid
-/// ones (every combination `times` times) from a seed of their own.
+/// The fixed kernels, then `times` × `CASES` drawn cases from `seed`, then
+/// half as many overlaid ones (every combination `times` times) from a
+/// seed of their own.
 fn cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
+    let fixed = fixed_kernels().into_iter().enumerate();
+    let fixed = fixed.map(|(index, kernel)| Case::fixed(index, kernel));
     let drawn = (0..times * CASES).map(move |index| Case::new(index, seed));
     let overlaid = (0..times * CASES / 2).map(move |index| Case::new(index, !seed).overlaid());
-    drawn.chain(overlaid)
+    fixed.chain(drawn).chain(overlaid)
+}
+
+/// One operand of a fixed sweep: its base, its stencil points and its
+/// access kind.
+type FixedOperand<'a> = (u64, &'a [(i64, i64)], AccessKind);
+
+/// A sweep at fixed addresses (`RankBase::Shared`) from row 1.
+fn fixed_sweep(
+    operands: &[FixedOperand],
+    row_stride: u64,
+    i0: u64,
+    inner: u64,
+    rows: u64,
+) -> KernelSpec {
+    KernelSpec {
+        rank_base: RankBase::Shared,
+        operands: operands
+            .iter()
+            .map(|&(offset, points, kind)| SpecOperand {
+                offset,
+                points: points.to_vec(),
+                kind,
+            })
+            .collect(),
+        row_stride,
+        i0,
+        inner,
+        k0: 1,
+        rows,
+    }
+}
+
+/// Hand-made kernels, each built to reach a corner the drawn ones reach
+/// rarely or never.
+fn fixed_kernels() -> Vec<(&'static str, KernelSpec)> {
+    use AccessKind::{Load, Store, StoreNT};
+    let copy = |stride, i0, inner, rows| {
+        fixed_sweep(
+            &[(1 << 30, &[(0, 0)], Load), (1 << 31, &[(0, 0)], Store)],
+            stride,
+            i0,
+            inner,
+            rows,
+        )
+    };
+    let mut kernels = vec![
+        ("copy, rows 5 elements apart", copy(221, 2, 216, 8)),
+        ("copy, short rows", copy(67, 1, 63, 6)),
+        (
+            "four-point stencil, a shifted second load, a store and an NT store",
+            fixed_sweep(
+                &[
+                    (1 << 30, &[(0, 1), (-1, 0), (1, 0), (0, -1)], Load),
+                    ((1 << 31) + 8, &[(0, 0), (1, 0)], Load),
+                    (1 << 32, &[(0, 0)], Store),
+                    (1 << 33, &[(0, 0)], StoreNT),
+                ],
+                529,
+                2,
+                525,
+                7,
+            ),
+        ),
+        // Eight load streams and two store streams, staggered by less than
+        // a line in one L1 set, rows a page apart: a store line retired
+        // into the set after the loads of a segment's first iteration is
+        // pushed below them by the rest of the segment, so the bulk loads
+        // must touch their lines again.  No drawn tier-1 kernel builds this.
+        (
+            "ten streams in one L1 set",
+            fixed_sweep(
+                &[
+                    (1 << 22, &[(-1, 0), (0, 0)], Load),
+                    (2 << 22, &[(0, 0), (1, -1), (1, -1)], Load),
+                    ((3 << 22) + 56, &[(-1, 0), (0, -1), (1, -1)], Load),
+                    ((4 << 22) + 56, &[(-1, -1), (-1, 0)], Store),
+                ],
+                512,
+                1,
+                10,
+                5,
+            ),
+        ),
+        ("copy from a misaligned source", {
+            let mut k = copy(128, 0, 128, 3);
+            k.operands[0].offset += 4;
+            k
+        }),
+        (
+            "a zero-trip inner loop, one operand misaligned",
+            fixed_sweep(
+                &[
+                    (1 << 30, &[(0, 0)], Load),
+                    ((1 << 31) + 4, &[(0, 0)], Store),
+                    (1 << 32, &[(0, 0)], StoreNT),
+                ],
+                8,
+                0,
+                0,
+                3,
+            ),
+        ),
+    ];
+    for kind in [Load, Store, StoreNT] {
+        let rows =
+            |inner, halo, rows| fixed_sweep(&[(24, &[(0, 0)], kind)], inner + halo, 0, inner, rows);
+        kernels.push(("one row from element 3", rows(700, 0, 1)));
+        kernels.push(("rows 5 elements apart from element 3", rows(216, 5, 12)));
+    }
+    kernels
 }
 
 #[test]
