@@ -1245,6 +1245,22 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_fill_hit_makes_its_line_the_most_recent() {
+        // One set of two ways: 0 then 1, so 0 is the least recently used.
+        let mut c = SetAssocCache::new(2 * 64, 2);
+        c.fill(0, false);
+        c.fill(1, false);
+        // A hit on 0, by either kind of access, makes 1 the one to go.
+        for (write, next) in [(false, 2), (true, 3)] {
+            assert_eq!(c.probe_fill(0, write), (LookupResult::Hit, None));
+            let evicted = c.fill(next, false).expect("a full set evicts");
+            assert_ne!(evicted.line, 0, "a probe_fill hit left its line behind");
+        }
+        // And the write hit left it dirty.
+        assert_eq!(c.flush_dirty(), vec![0]);
+    }
+
+    #[test]
     fn touch_repeat_counts_bulk_hits() {
         let mut c = SetAssocCache::new(4 * 64, 4);
         c.fill(9, false);

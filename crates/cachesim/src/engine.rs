@@ -212,6 +212,18 @@ impl NodeSim {
     /// or to the end if that never happens, it is the pass that simulates
     /// every tenant to the end, bit for bit.
     ///
+    /// A tenant whose private levels can never hit but on the line it
+    /// loaded last ([`KernelSpec::never_hits_private`]: one load stream
+    /// whose rows never step back, or whose rows sweep a window of more
+    /// than `ways` lines per set of its L1 and of its L2) is simulated
+    /// against the LLC alone: the repeat is an L1 hit, and every other load
+    /// does at the LLC what the full path does there, in the same order.
+    /// Its L1 and L2 would only have missed, and their fills of a clean
+    /// line evict no dirty one, so no bit of any report changes; a debug
+    /// build runs them beside it and asserts those misses.  The `--aggressor`
+    /// victim and its `stream` and `thrash` aggressors are such tenants on
+    /// the Ice Lake and Sapphire Rapids presets.
+    ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
     /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
     /// for a contended run, or one interleave's result for another.
@@ -382,8 +394,17 @@ impl<'a> CoRunPass<'a> {
         let (lo, hi) = spans[p].unwrap_or((u64::MAX, u64::MAX));
         let ways = self.machine.caches.l3.associativity;
         let llc = &mut WindowedCache::with_window(self.llc_bytes, ways, lo, hi);
-        let mut cores: Vec<PrivateCore> = (0..n)
-            .map(|_| PrivateCore::new(self.machine, self.ctx, self.options))
+        let mut cores: Vec<PrivateCore> = self
+            .sorted
+            .iter()
+            .enumerate()
+            .map(|(j, t)| {
+                let mut core = PrivateCore::new(self.machine, self.ctx, self.options);
+                if t.never_hits_private(self.machine, j) {
+                    core.skip_private_levels();
+                }
+                core
+            })
             .collect();
         let sweeps: Vec<StencilRowSweep> = self
             .sorted

@@ -179,6 +179,11 @@ pub struct PrivateCore {
     /// Differential-re-simulation recorder; idle (the default) costs one
     /// predictable branch per event.
     pub(crate) trace: TraceRecorder,
+    /// For a core whose loads against a co-run's LLC skip the private
+    /// levels ([`skip_private_levels`](Self::skip_private_levels)), the
+    /// line it loaded last (`u64::MAX` before the first), the one line its
+    /// L1 can hit; `None` for every other core.
+    last_load: Option<u64>,
 }
 
 impl PrivateCore {
@@ -193,7 +198,16 @@ impl PrivateCore {
             options,
             account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
+            last_load: None,
         }
+    }
+
+    /// Let every load against a co-run's LLC skip the private levels, which
+    /// the caller has proved never hit but on the line loaded last
+    /// ([`KernelSpec::never_hits_private`]): that line is then all of the
+    /// L1 a query sees, and everything else a load does happens at the LLC.
+    pub(crate) fn skip_private_levels(&mut self) {
+        self.last_load = Some(u64::MAX);
     }
 
     /// Re-arm the private half for a fresh measurement under a (possibly
@@ -206,6 +220,7 @@ impl PrivateCore {
         self.options = options;
         self.account.arm(ctx, options);
         self.trace.finish();
+        self.last_load = None;
     }
 
     /// One event of memory traffic: account it and, if a trace is active,
@@ -255,8 +270,13 @@ impl PrivateCore {
         }
     }
 
-    /// True if `line` is resident in the L1 (no LRU or counter effect).
+    /// True if `line` is resident in the L1 (no LRU or counter effect);
+    /// for a core that skips its private levels, if it is the line loaded
+    /// last.
     pub(crate) fn l1_contains(&self, line: u64) -> bool {
+        if let Some(last) = self.last_load {
+            return line == last;
+        }
         self.l1.contains(line)
     }
 
@@ -465,6 +485,10 @@ impl PrivateCore {
 
     /// One demand load of `line`.
     pub(crate) fn load_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
+        // Only a co-run's LLC is windowed: a solo run compiles no check.
+        if W && self.last_load.is_some() {
+            return self.load_line_at_llc(llc, line);
+        }
         if self.hierarchy_hit(llc, line, false) {
             return;
         }
@@ -475,6 +499,39 @@ impl PrivateCore {
         if self.options.prefetchers.adjacent_line {
             let buddy = line ^ 1;
             self.fill_prefetch(llc, buddy);
+        }
+    }
+
+    /// [`load_line`](Self::load_line) of a core that skips its private
+    /// levels: the line loaded last is an L1 hit, and any other does at
+    /// the LLC what the full path does there, in the same order — its L1
+    /// and L2 miss, and their fills of a clean line evict no dirty one.  A
+    /// debug build runs the private levels too and checks that they miss.
+    fn load_line_at_llc<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
+        if self.last_load == Some(line) {
+            return self.l1.settled_hits(1);
+        }
+        self.last_load = Some(line);
+        if cfg!(debug_assertions) {
+            let missed = self.l1.touch(line, false) == LookupResult::Miss
+                && self.l2.touch(line, false) == LookupResult::Miss;
+            assert!(
+                missed,
+                "line {line:#x} hit a private level proved never to hit"
+            );
+        }
+        let hit = llc.touch(line, false) == LookupResult::Hit;
+        if !hit {
+            self.emit(Event::DemandRead);
+            if llc.fill(line, false).is_some_and(|ev| ev.dirty) {
+                self.emit(Event::Writeback);
+            }
+        }
+        if cfg!(debug_assertions) {
+            self.fill_upper(llc, line, false, 2);
+        }
+        if !hit && self.options.prefetchers.adjacent_line {
+            self.fill_prefetch(llc, line ^ 1);
         }
     }
 
@@ -871,26 +928,6 @@ mod tests {
         );
     }
 
-    /// Drive the same accesses as whole runs and element by element (runs
-    /// of one): one driver, segmented two ways.  The counters and the
-    /// per-level cache statistics must not depend on the segmentation.
-    fn assert_equivalent(runs: &[AccessRun], mk: impl Fn() -> CoreSim) {
-        let mut scalar = mk();
-        let mut batched = mk();
-        for run in runs {
-            for i in 0..run.elements {
-                scalar.drive_run(AccessRun {
-                    base: run.base + i * 8,
-                    elements: 1,
-                    kind: run.kind,
-                });
-            }
-            batched.drive_run(*run);
-        }
-        assert_eq!(scalar.cache_stats(), batched.cache_stats());
-        assert_eq!(scalar.flush(), batched.flush());
-    }
-
     #[test]
     fn reset_reproduces_a_fresh_core() {
         use clover_machine::sapphire_rapids_8480;
@@ -1223,11 +1260,5 @@ mod tests {
             "the stored line must be written back, got {}",
             c.write_lines
         );
-        // And whole runs agree with single elements on the same
-        // repeated-resident-store pattern.
-        let runs: Vec<AccessRun> = std::iter::once(AccessRun::load(0, 8))
-            .chain((0..3).map(|_| AccessRun::store(0, 8)))
-            .collect();
-        assert_equivalent(&runs, || serial_core(&m));
     }
 }

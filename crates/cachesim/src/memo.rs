@@ -241,6 +241,46 @@ impl KernelSpec {
         self.never_evicts(sets, ways, &options.prefetchers)
     }
 
+    /// Whether this kernel, driven as `rank` on `machine`, can never hit
+    /// its private L1 or L2 but on the line it loaded last: then a co-run
+    /// simulates it against the shared LLC alone, bit for bit.
+    ///
+    /// The kernel must be one load stream (one operand, a `Load` at one
+    /// point), whose lines it loads in address order, row after row.  If
+    /// no row starts before the previous one ended (one row, or
+    /// `row_stride >= inner`), a line is loaded again only right after
+    /// itself.  If every row sweeps the same `n` lines (`row_stride ==
+    /// 0`), a line is used again only after every other line of the
+    /// window.  Under true LRU it then hits only if fewer than `ways` other
+    /// lines of its set were touched since its last use (Mattson et al.,
+    /// 1970), and a contiguous window puts at least `n / sets` lines into
+    /// every set: `n / sets > ways` at both private levels proves that no
+    /// reuse hits.  The proof is sufficient, not necessary; every other
+    /// kernel is refused.
+    pub fn never_hits_private(&self, machine: &Machine, rank: usize) -> bool {
+        let [op] = &self.operands[..] else {
+            return false;
+        };
+        if op.kind != AccessKind::Load || op.points.len() != 1 {
+            return false;
+        }
+        if self.rows <= 1 || self.row_stride >= self.inner {
+            return true;
+        }
+        if self.row_stride != 0 {
+            return false;
+        }
+        let (first, last) = self.line_span(rank).expect("a sweep with trips");
+        let lines = last - first + 1;
+        [&machine.caches.l1, &machine.caches.l2]
+            .iter()
+            .all(|level| {
+                let (sets, ways) =
+                    SetAssocCache::geometry(level.capacity_bytes, level.associativity);
+                lines / sets as u64 > ways as u64
+            })
+    }
+
     /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of
     /// `sets × ways`.
     ///

@@ -8,8 +8,14 @@
 //! The grid puts the primary at canonical index 0, 1 and 2; a storing
 //! primary whose dirty lines an aggressor evicts; NT-storing tenants;
 //! abutting windows with and without a buddy pair across them; two and
-//! three tenants; turns of 1, 7, 64 and 4096 lines.  The co-runs are built
-//! in `tests/corun_grid`, shared with the program that recorded them.
+//! three tenants; turns of 1, 7, 64 and 4096 lines.  Its last four cases
+//! sit at the edges of the proof that lets a tenant skip its private
+//! levels (`KernelSpec::never_hits_private`): a reuse kernel with as many
+//! lines per L2 set as the set has ways and one with a line more, and two
+//! load streams that load a line again right after loading it.  Those
+//! four were recorded with commit `b3cd47d`, which ran every load through
+//! the private levels.  The co-runs are built in `tests/corun_grid`,
+//! shared with the program that recorded them.
 
 mod corun_grid;
 
@@ -35,7 +41,7 @@ fn canonical_index(case: &Case) -> usize {
 /// Name, counters as `f64::to_bits`, and LLC hits, misses and occupancy
 /// of `tenants[0]` in each case of `pinned_cases`, in order.
 #[rustfmt::skip]
-const PINNED: [(&str, [u64; 6], [u64; 3]); 19] = [
+const PINNED: [(&str, [u64; 6], [u64; 3]); 23] = [
         (
             "victim beside thrash, turns of 1",
             [0x40e0000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x40c0000000000000, 0x0000000000000000],
@@ -130,6 +136,26 @@ const PINNED: [(&str, [u64; 6], [u64; 3]); 19] = [
             "storing victim beside thrash and an NT stream, turns of 7",
             [0x40f4f16f789f37c8, 0x40e5d64000000000, 0x40c874e0410d1abb, 0x40f4f133f7de4967, 0x0000000000000000, 0x400dc06077330d94],
             [0, 98301, 0],
+        ),
+        (
+            "reuse victim of 8192 lines beside thrash",
+            [0x40c0000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x40b0000000000000, 0x0000000000000000],
+            [4096, 4096, 0],
+        ),
+        (
+            "reuse victim of 9216 lines beside thrash",
+            [0x40c2000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x40b2000000000000, 0x0000000000000000],
+            [23040, 4608, 0],
+        ),
+        (
+            "rows of 1 001 loads beside thrash, turns of 7",
+            [0x40a7780000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x4097780000000000, 0x0000000000000000],
+            [1501, 1502, 0],
+        ),
+        (
+            "loads 4 bytes off a line beside thrash, turns of 7",
+            [0x40b0020000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x40a0020000000000, 0x0000000000000000],
+            [2048, 2049, 0],
         ),
 ];
 

@@ -210,6 +210,41 @@ pub fn pinned_cases() -> Vec<Case> {
         &[&storer, &heavy, &icx_thrash],
         7,
     ));
+    // The edges of `KernelSpec::never_hits_private`, each the primary
+    // beside the CVA6 thrash.  The CVA6's L2 is 1 024 sets × 8 ways: a
+    // reuse kernel of 8 192 lines puts 8 lines into each set, so its
+    // second and third passes hit there; one of 9 216 lines puts 9, so
+    // every pass misses both private levels.
+    for lines in [8_192u64, 9_216] {
+        cases.push(case(
+            &format!("reuse victim of {lines} lines beside thrash"),
+            cva6(2),
+            &[&reuse(PRIVATE, 0, lines * 64, 3, Load), &thrash],
+            64,
+        ));
+    }
+    // Loads whose next row starts in the line the last one ended in (rows
+    // of 1 001 elements, 125 lines and a piece), and loads 4 bytes off a
+    // line, each element split across two lines: both load a line again
+    // right after loading it, which the L1 answers.
+    let rows = KernelSpec {
+        row_stride: 1_001,
+        inner: 1_001,
+        rows: 24,
+        ..stream(PRIVATE, 0, 8, &[Load])
+    };
+    let misaligned = stream(PRIVATE, 4, 256 * KIB, &[Load]);
+    for (name, kernel) in [
+        ("rows of 1 001 loads", rows),
+        ("loads 4 bytes off a line", misaligned),
+    ] {
+        cases.push(case(
+            &format!("{name} beside thrash, turns of 7"),
+            cva6(2),
+            &[&kernel, &thrash],
+            7,
+        ));
+    }
     cases
 }
 

@@ -949,6 +949,19 @@ fn fixed_kernels() -> Vec<(&'static str, KernelSpec)> {
             ),
         ),
     ];
+    // One line loaded, then stored whole three times: the stores hit a
+    // resident clean line and must leave it dirty.  (`CoreSim::drive_run`
+    // gets it as those four runs, one per stencil point.)
+    kernels.push((
+        "a line loaded, then stored three times",
+        fixed_sweep(
+            &[(0, &[(0, 0)], Load), (0, &[(0, 0), (0, 0), (0, 0)], Store)],
+            8,
+            0,
+            8,
+            1,
+        ),
+    ));
     for kind in [Load, Store, StoreNT] {
         let rows =
             |inner, halo, rows| fixed_sweep(&[(24, &[(0, 0)], kind)], inner + halo, 0, inner, rows);

@@ -16,7 +16,7 @@ use clover_bench::{copy_halo_points, run_interference_artifact, INTERFERENCE_EXP
 use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
 use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::machine::{
-    icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine,
+    cva6_like, icelake_sp_8360y, sapphire_rapids_8470, sapphire_rapids_8480, Machine,
 };
 use cloverleaf_wa::scenario::interference::{aggressor_kernel, victim_contention, victim_kernel};
 use cloverleaf_wa::scenario::{interference_factor, Aggressor, DEFAULT_INTERLEAVE};
@@ -202,4 +202,40 @@ fn figures_interfere_simulates_each_distinct_pass_once() {
         run_interference_artifact(name, &memo).expect("known name");
     }
     assert_eq!(memo.corun_stats().misses, 8);
+}
+
+#[test]
+fn the_product_co_runs_skip_the_private_levels_where_they_can_never_hit() {
+    // A tenant that `KernelSpec::never_hits_private` proves is simulated
+    // against the shared LLC alone, to the same bits; this pins which of
+    // the `--aggressor` co-runs' tenants take that path, so that a change
+    // cannot lose it while every byte stays the same.  The victim is
+    // canonical tenant 0 of its passes, the aggressor tenant 1.
+    let proved = |machine: &Machine, aggressor| {
+        let kernel = aggressor_kernel(machine, aggressor).expect("an aggressor has a kernel");
+        kernel.never_hits_private(machine, 1)
+    };
+    for machine in [
+        icelake_sp_8360y(),
+        sapphire_rapids_8470(true),
+        sapphire_rapids_8470(false),
+        sapphire_rapids_8480(),
+    ] {
+        let id = &machine.id;
+        assert!(
+            victim_kernel(&machine).never_hits_private(&machine, 0),
+            "{id}: the victim"
+        );
+        assert!(proved(&machine, Aggressor::Stream), "{id}: stream");
+        assert!(proved(&machine, Aggressor::Thrash), "{id}: thrash");
+        // Its NT stores make it two operands, and a store may hit the L1.
+        assert!(
+            !proved(&machine, Aggressor::StreamHeavy),
+            "{id}: stream-heavy"
+        );
+    }
+    // The CVA6's victim, a quarter of its 2 MiB LLC, is 8 lines per set of
+    // its L2 of 8 ways: its second and third passes hit there.
+    let cva6 = cva6_like();
+    assert!(!victim_kernel(&cva6).never_hits_private(&cva6, 0));
 }
