@@ -100,6 +100,23 @@ impl WriteCoalescer {
         self.moved_stamp <= stamp
     }
 
+    /// Whether stores to operands whose line windows (first and last line)
+    /// are `windows`, each swept in address order, keep one stream per
+    /// window: there are at most [`MAX_STREAMS`] windows, so no store opens
+    /// a stream that displaces another (retiring a partial line that a
+    /// later store opens and retires again), and they lie pairwise more
+    /// than [`GAP_TOLERANCE`] lines apart, so no stream continues onto
+    /// another window's line.  Allocates nothing.
+    pub(crate) fn one_stream_per_window(windows: impl Iterator<Item = (u64, u64)> + Clone) -> bool {
+        windows.clone().count() <= MAX_STREAMS
+            && windows.clone().enumerate().all(|(a, (lo, hi))| {
+                windows
+                    .clone()
+                    .skip(a + 1)
+                    .all(|(first, last)| first > hi + GAP_TOLERANCE || lo > last + GAP_TOLERANCE)
+            })
+    }
+
     /// Drop every open stream without finalizing it and reset the stamp,
     /// reusing the allocation.  Afterwards the coalescer is
     /// indistinguishable from a freshly constructed one.

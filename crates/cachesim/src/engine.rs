@@ -144,7 +144,13 @@ impl NodeSim {
     /// and shared across every rank count of a sweep — bit-identical to a
     /// fresh memo's simulation (see `crate::memo` for why memo hits are
     /// exact).  Misses simulate on the thread-local pooled core, so the
-    /// cache arenas are reused across calls as well.
+    /// cache arenas are reused across calls as well.  A kernel whose
+    /// private levels can never hit but on the line it loaded last
+    /// ([`KernelSpec::never_hits_private`]; the paper's store, copy-volume
+    /// and copy-halo kernels, not the CloverLeaf hotspot loops) is
+    /// simulated against the L3 share alone, to the same bits; a debug
+    /// build runs its L1 and L2 beside that path and asserts that they
+    /// would only have missed.
     ///
     /// Honours the configuration's [`write_policy`](SimConfig::write_policy)
     /// through the core options.
@@ -213,15 +219,15 @@ impl NodeSim {
     /// every tenant to the end, bit for bit.
     ///
     /// A tenant whose private levels can never hit but on the line it
-    /// loaded last ([`KernelSpec::never_hits_private`]: one load stream
-    /// whose rows never step back, or whose rows sweep a window of more
-    /// than `ways` lines per set of its L1 and of its L2) is simulated
-    /// against the LLC alone: the repeat is an L1 hit, and every other load
-    /// does at the LLC what the full path does there, in the same order.
-    /// Its L1 and L2 would only have missed, and their fills of a clean
-    /// line evict no dirty one, so no bit of any report changes; a debug
-    /// build runs them beside it and asserts those misses.  The `--aggressor`
-    /// victim and its `stream` and `thrash` aggressors are such tenants on
+    /// loaded last ([`KernelSpec::never_hits_private`], the proof the solo
+    /// [`run_spmd_memo`] uses too) is simulated against the LLC alone: the
+    /// repeat is an L1 hit, and every other access does at the LLC what
+    /// the full path does there, in the same order.  Its L1 and L2 would
+    /// only have missed, and their fills of a clean line evict no dirty
+    /// one, so no bit of any report changes.  A release build gives such a
+    /// tenant one-line L1 and L2 lanes, which it never fills; a debug build
+    /// runs full ones beside it and asserts those misses.  The
+    /// `--aggressor` victim and all three aggressors are such tenants on
     /// the Ice Lake and Sapphire Rapids presets.
     ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
@@ -399,11 +405,12 @@ impl<'a> CoRunPass<'a> {
             .iter()
             .enumerate()
             .map(|(j, t)| {
-                let mut core = PrivateCore::new(self.machine, self.ctx, self.options);
-                if t.never_hits_private(self.machine, j) {
-                    core.skip_private_levels();
+                let (machine, ctx, options) = (self.machine, self.ctx, self.options);
+                if t.never_hits_private(machine, j) {
+                    PrivateCore::skipping_private_levels(machine, ctx, options)
+                } else {
+                    PrivateCore::new(machine, ctx, options)
                 }
-                core
             })
             .collect();
         let sweeps: Vec<StencilRowSweep> = self

@@ -179,10 +179,10 @@ pub struct PrivateCore {
     /// Differential-re-simulation recorder; idle (the default) costs one
     /// predictable branch per event.
     pub(crate) trace: TraceRecorder,
-    /// For a core whose loads against a co-run's LLC skip the private
-    /// levels ([`skip_private_levels`](Self::skip_private_levels)), the
-    /// line it loaded last (`u64::MAX` before the first), the one line its
-    /// L1 can hit; `None` for every other core.
+    /// For a core whose accesses skip the private levels
+    /// ([`skip_private_levels`](Self::skip_private_levels)), the line it
+    /// loaded last (`u64::MAX` before the first), the one line its L1 can
+    /// hit; `None` for every other core.
     last_load: Option<u64>,
 }
 
@@ -190,9 +190,45 @@ impl PrivateCore {
     /// Build the private half for `machine`.
     pub fn new(machine: &Machine, ctx: OccupancyContext, options: CoreSimOptions) -> Self {
         let caches = &machine.caches;
+        Self::with_banks(
+            SetAssocCache::new(caches.l1.capacity_bytes, caches.l1.associativity),
+            SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
+            machine,
+            ctx,
+            options,
+        )
+    }
+
+    /// A private half whose accesses skip its private levels from the
+    /// start ([`skip_private_levels`](Self::skip_private_levels)).  Only a
+    /// debug build, which runs them beside that path to check it, gives it
+    /// an L1 and an L2 of the machine's size; a release build never fills
+    /// either, so each is one line.
+    pub(crate) fn skipping_private_levels(
+        machine: &Machine,
+        ctx: OccupancyContext,
+        options: CoreSimOptions,
+    ) -> Self {
+        let mut core = if cfg!(debug_assertions) {
+            Self::new(machine, ctx, options)
+        } else {
+            let line = || SetAssocCache::new(64, 1);
+            Self::with_banks(line(), line(), machine, ctx, options)
+        };
+        core.skip_private_levels();
+        core
+    }
+
+    fn with_banks(
+        l1: SetAssocCache,
+        l2: SetAssocCache,
+        machine: &Machine,
+        ctx: OccupancyContext,
+        options: CoreSimOptions,
+    ) -> Self {
         Self {
-            l1: SetAssocCache::new(caches.l1.capacity_bytes, caches.l1.associativity),
-            l2: SetAssocCache::new(caches.l2.capacity_bytes, caches.l2.associativity),
+            l1,
+            l2,
             coalescer: WriteCoalescer::default(),
             nt_coalescer: WriteCoalescer::default(),
             options,
@@ -202,12 +238,23 @@ impl PrivateCore {
         }
     }
 
-    /// Let every load against a co-run's LLC skip the private levels, which
-    /// the caller has proved never hit but on the line loaded last
+    /// Let every load and store skip the private levels, which the caller
+    /// has proved never hit but on the line loaded last
     /// ([`KernelSpec::never_hits_private`]): that line is then all of the
-    /// L1 a query sees, and everything else a load does happens at the LLC.
+    /// L1 a query sees, and everything else an access does happens at the
+    /// last level.  Only `SimMemo`'s simulation and a co-run pass mark a
+    /// core; one driven directly keeps its whole hierarchy, and a
+    /// [`reset`](Self::reset) clears the mark.
     pub(crate) fn skip_private_levels(&mut self) {
         self.last_load = Some(u64::MAX);
+    }
+
+    /// Whether the L1 and L2 are driven: on every core but a marked one in
+    /// a release build.  A debug build drives a marked core's too, to
+    /// check what the mark claims.
+    #[inline]
+    fn drives_private_levels(&self) -> bool {
+        self.last_load.is_none() || cfg!(debug_assertions)
     }
 
     /// Re-arm the private half for a fresh measurement under a (possibly
@@ -396,6 +443,9 @@ impl PrivateCore {
         self.account.counters
     }
 
+    /// Look `line` up from the L1 down, filling the levels above a hit;
+    /// [`hit_at_llc`](Self::hit_at_llc) is this lookup on a core that
+    /// skips its private levels.
     fn hierarchy_hit<const W: bool>(
         &mut self,
         llc: &mut LastLevel<W>,
@@ -417,6 +467,39 @@ impl PrivateCore {
         false
     }
 
+    /// [`hierarchy_hit`](Self::hierarchy_hit) of a core that skips its
+    /// private levels: their lookups would miss, so the last level's is
+    /// the lookup.
+    // Once per line a marked core loads or stores: called out of line, it
+    // cost a cold `thrash` co-run, all of whose tenants are marked, ~4 %.
+    #[inline(always)]
+    fn hit_at_llc<const W: bool>(
+        &mut self,
+        llc: &mut LastLevel<W>,
+        line: u64,
+        write: bool,
+    ) -> bool {
+        self.check_private_miss(line, write);
+        let hit = llc.touch(line, write) == LookupResult::Hit;
+        if hit {
+            self.fill_upper(llc, line, false, 2);
+        }
+        hit
+    }
+
+    /// In a debug build, look `line` up in the L1 and L2 of a core that
+    /// skips them, as the full path would, and assert that both miss.
+    fn check_private_miss(&mut self, line: u64, write: bool) {
+        if cfg!(debug_assertions) {
+            let missed = self.l1.touch(line, write) == LookupResult::Miss
+                && self.l2.touch(line, write) == LookupResult::Miss;
+            assert!(
+                missed,
+                "line {line:#x} hit a private level proved never to hit"
+            );
+        }
+    }
+
     /// Land a dirty line evicted from an upper level in the last level
     /// (present or not), counting the write-back its own victim may cause.
     /// One combined probe instead of a touch followed by a fill.
@@ -430,7 +513,8 @@ impl PrivateCore {
     }
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
-    /// dirty evictions downwards without generating memory traffic.
+    /// dirty evictions downwards without generating memory traffic;
+    /// nothing on a release build's core that skips its private levels.
     fn fill_upper<const W: bool>(
         &mut self,
         llc: &mut LastLevel<W>,
@@ -438,9 +522,13 @@ impl PrivateCore {
         dirty: bool,
         levels: usize,
     ) {
+        if !self.drives_private_levels() {
+            return;
+        }
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
+                    debug_assert!(self.last_load.is_none(), "{PROVED_CLEAN}");
                     // Dirty eviction from L2 lands in the LLC (present or
                     // not).
                     self.sink_dirty_into_llc(llc, ev.line);
@@ -449,6 +537,7 @@ impl PrivateCore {
         }
         if let Some(ev) = self.l1.fill(line, dirty) {
             if ev.dirty {
+                debug_assert!(self.last_load.is_none(), "{PROVED_CLEAN}");
                 let (_, evicted) = self.l2.probe_fill(ev.line, true);
                 if let Some(ev2) = evicted {
                     if ev2.dirty {
@@ -483,13 +572,20 @@ impl PrivateCore {
         }
     }
 
-    /// One demand load of `line`.
+    /// One demand load of `line`.  On a core that skips its private
+    /// levels a repeat of the line loaded last is an L1 hit, and any other
+    /// load is looked up at the last level alone; a miss then takes the
+    /// same path on every core.
     pub(crate) fn load_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
-        // Only a co-run's LLC is windowed: a solo run compiles no check.
-        if W && self.last_load.is_some() {
-            return self.load_line_at_llc(llc, line);
-        }
-        if self.hierarchy_hit(llc, line, false) {
+        let hit = match self.last_load {
+            None => self.hierarchy_hit(llc, line, false),
+            Some(last) if last == line => return self.repeat_load(line),
+            Some(_) => {
+                self.last_load = Some(line);
+                self.hit_at_llc(llc, line, false)
+            }
+        };
+        if hit {
             return;
         }
         // Demand miss: read from memory.
@@ -502,36 +598,18 @@ impl PrivateCore {
         }
     }
 
-    /// [`load_line`](Self::load_line) of a core that skips its private
-    /// levels: the line loaded last is an L1 hit, and any other does at
-    /// the LLC what the full path does there, in the same order — its L1
-    /// and L2 miss, and their fills of a clean line evict no dirty one.  A
-    /// debug build runs the private levels too and checks that they miss.
-    fn load_line_at_llc<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
-        if self.last_load == Some(line) {
-            return self.l1.settled_hits(1);
-        }
-        self.last_load = Some(line);
+    /// A load of the line loaded last, on a core that skips its private
+    /// levels: an L1 hit.  A debug build checks that its L1 still holds
+    /// the line.
+    fn repeat_load(&mut self, line: u64) {
         if cfg!(debug_assertions) {
-            let missed = self.l1.touch(line, false) == LookupResult::Miss
-                && self.l2.touch(line, false) == LookupResult::Miss;
+            let hit = self.l1.touch(line, false) == LookupResult::Hit;
             assert!(
-                missed,
-                "line {line:#x} hit a private level proved never to hit"
+                hit,
+                "line {line:#x}, loaded last, left an L1 proved to keep it"
             );
-        }
-        let hit = llc.touch(line, false) == LookupResult::Hit;
-        if !hit {
-            self.emit(Event::DemandRead);
-            if llc.fill(line, false).is_some_and(|ev| ev.dirty) {
-                self.emit(Event::Writeback);
-            }
-        }
-        if cfg!(debug_assertions) {
-            self.fill_upper(llc, line, false, 2);
-        }
-        if !hit && self.options.prefetchers.adjacent_line {
-            self.fill_prefetch(llc, line ^ 1);
+        } else {
+            self.l1.settled_hits(1);
         }
     }
 
@@ -547,7 +625,12 @@ impl PrivateCore {
             // store: the coalesced line bypasses the hierarchy entirely.
             return self.handle_nt_line(llc, ev);
         }
-        if self.hierarchy_hit(llc, ev.line, true) {
+        let hit = if self.last_load.is_some() {
+            self.hit_at_llc(llc, ev.line, true)
+        } else {
+            self.hierarchy_hit(llc, ev.line, true)
+        };
+        if hit {
             // Store hit: no memory traffic now; the dirty line is written
             // back on eviction.
             return;
@@ -572,12 +655,17 @@ impl PrivateCore {
 
     fn handle_nt_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, ev: FinalizedLine) {
         // NT stores bypass the hierarchy; stale copies must be invalidated.
-        self.l1.invalidate(ev.line);
-        self.l2.invalidate(ev.line);
+        if self.drives_private_levels() {
+            self.l1.invalidate(ev.line);
+            self.l2.invalidate(ev.line);
+        }
         llc.invalidate(ev.line);
         self.emit(Event::NtLine { full: ev.full });
     }
 }
+
+/// What a debug build asserts of a core that skips its private levels.
+const PROVED_CLEAN: &str = "a private level proved never to hit evicted a dirty line";
 
 /// What [`PrivateCore::undisturbed_since`] compares against: the L1's
 /// recency log and the coalescers' stamps at one moment.

@@ -42,6 +42,7 @@ use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::AccessKind;
 use crate::cache::SetAssocCache;
+use crate::coalescer::WriteCoalescer;
 use crate::counters::MemCounters;
 use crate::engine::TenantReport;
 use crate::flight::FlightMemo;
@@ -191,7 +192,7 @@ impl KernelSpec {
     /// Every access address is affine in `(i, k)` with non-negative
     /// coefficients (`row_stride`, element size), so the extrema lie at the
     /// sweep corners: a window is the exact hull of its operand's accesses.
-    fn operand_windows(&self, rank: usize) -> impl Iterator<Item = (u64, u64)> + '_ {
+    fn operand_windows(&self, rank: usize) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
         use crate::access::{ELEM_BYTES, LINE_BYTES};
         let trips = self.inner > 0 && self.rows > 0;
         let base = self.rank_base.base(rank) as i128;
@@ -242,42 +243,70 @@ impl KernelSpec {
     }
 
     /// Whether this kernel, driven as `rank` on `machine`, can never hit
-    /// its private L1 or L2 but on the line it loaded last: then a co-run
-    /// simulates it against the shared LLC alone, bit for bit.
+    /// its private L1 or L2 but on the line it loaded last: then the memo's
+    /// solo simulation and a co-run both simulate it against the last
+    /// level alone, bit for bit.
     ///
-    /// The kernel must be one load stream (one operand, a `Load` at one
-    /// point), whose lines it loads in address order, row after row.  If
-    /// no row starts before the previous one ended (one row, or
-    /// `row_stride >= inner`), a line is loaded again only right after
-    /// itself.  If every row sweeps the same `n` lines (`row_stride ==
-    /// 0`), a line is used again only after every other line of the
-    /// window.  Under true LRU it then hits only if fewer than `ways` other
-    /// lines of its set were touched since its last use (Mattson et al.,
-    /// 1970), and a contiguous window puts at least `n / sets` lines into
-    /// every set: `n / sets > ways` at both private levels proves that no
-    /// reuse hits.  The proof is sufficient, not necessary; every other
-    /// kernel is refused.
+    /// Under true LRU a line hits only if fewer than `ways` other lines of
+    /// its set were touched since its last use (Mattson et al., 1970).  A
+    /// line enters the L1 and L2 when it is loaded and when a store stream
+    /// retires it, so the proof asks that no line is loaded or retired
+    /// twice within that distance, except that a load may repeat the line
+    /// loaded last, and that this repeat is an L1 hit.  Each condition
+    /// closes one way that could fail:
+    ///
+    /// * **Every operand has one point.**  Two points of one array touch
+    ///   each other's lines within a row.
+    /// * **At most one operand loads.**  The line loaded last is the one
+    ///   line the L1 is taken to hold; a second load stream would return to
+    ///   its own line after a load of the other.
+    /// * **At most L1 `ways` operands.**  Between two loads of one line
+    ///   every other operand retires at most one line into the L1, so with
+    ///   fewer than `ways` of them the repeat is still resident, the hit the
+    ///   full path counts.
+    /// * **The write coalescer keeps one stream per operand**
+    ///   (`WriteCoalescer::one_stream_per_window`: at most its 8 streams,
+    ///   and operand line windows pairwise more than its gap tolerance of
+    ///   4 lines apart).  So no stream displaces another, which retires a
+    ///   partial line that a later store opens and retires again; a store
+    ///   line is never a load line; and no store stream continues onto
+    ///   another operand's line, which would retire that line a second
+    ///   time.
+    /// * **Rows never step back** (one row, or `row_stride >= inner`): every
+    ///   stream then visits its lines in address order, a load its line
+    ///   again only right after itself and a store stream not at all once
+    ///   it moved on.  **Or every row sweeps the same window** (`row_stride
+    ///   == 0`) and each operand's window of `n` lines puts more than `ways`
+    ///   lines into every set of both levels (`n / sets > ways` at
+    ///   `SetAssocCache::geometry`, a contiguous window puts at least `n /
+    ///   sets` into each): a line then comes back only after every other
+    ///   line of its window.
+    ///
+    /// So no private line is ever stored to, none is dirty, and no fill of
+    /// the L1 or L2 writes one back.  The proof is sufficient, not
+    /// necessary; every other kernel is refused.  It allocates nothing.  A
+    /// debug build runs the real L1 and L2 beside every marked core and
+    /// asserts what it claims, line by line.
     pub fn never_hits_private(&self, machine: &Machine, rank: usize) -> bool {
-        let [op] = &self.operands[..] else {
-            return false;
-        };
-        if op.kind != AccessKind::Load || op.points.len() != 1 {
+        let [l1, l2] = [&machine.caches.l1, &machine.caches.l2]
+            .map(|level| SetAssocCache::geometry(level.capacity_bytes, level.associativity));
+        let ops = &self.operands;
+        let loads = ops.iter().filter(|op| op.kind == AccessKind::Load).count();
+        if ops.iter().any(|op| op.points.len() != 1)
+            || loads > 1
+            || ops.len() > l1.1
+            || !WriteCoalescer::one_stream_per_window(self.operand_windows(rank))
+        {
             return false;
         }
         if self.rows <= 1 || self.row_stride >= self.inner {
             return true;
         }
-        if self.row_stride != 0 {
-            return false;
-        }
-        let (first, last) = self.line_span(rank).expect("a sweep with trips");
-        let lines = last - first + 1;
-        [&machine.caches.l1, &machine.caches.l2]
-            .iter()
-            .all(|level| {
-                let (sets, ways) =
-                    SetAssocCache::geometry(level.capacity_bytes, level.associativity);
-                lines / sets as u64 > ways as u64
+        self.row_stride == 0
+            && self.operand_windows(rank).all(|(first, last)| {
+                [l1, l2]
+                    .iter()
+                    .all(|&(sets, ways)| (last - first + 1) / sets as u64 > ways as u64)
             })
     }
 
@@ -692,7 +721,8 @@ impl SimMemo {
     /// thread-local core pool; with `record = Some(class)` as the leader of
     /// that trace class, recording the event trace.  The returned trace is
     /// `None` when recording was off or abandoned (the counters are exact
-    /// either way).
+    /// either way).  A kernel that [`KernelSpec::never_hits_private`]
+    /// proves runs against the L3 share alone, to the same events.
     fn simulate(
         machine: &Machine,
         ctx: OccupancyContext,
@@ -702,8 +732,12 @@ impl SimMemo {
         record: Option<LlcClass>,
     ) -> (MemCounters, Option<Trace>) {
         with_pooled_core(machine, ctx, options, |core| {
+            let private = core.split().0;
+            if kernel.never_hits_private(machine, rank) {
+                private.skip_private_levels();
+            }
             if record.is_some() {
-                core.split().0.trace.start();
+                private.trace.start();
             }
             kernel.drive(rank, core);
             let counters = core.flush();

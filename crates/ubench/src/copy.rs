@@ -47,6 +47,17 @@ pub fn copy_kernel_spec(dst_offset: u64, inner: u64, halo: u64, rows: u64) -> Ke
     }
 }
 
+/// The Fig. 6 kernel: one contiguous copy of 32 Ki elements per rank.
+pub fn copy_volume_kernel() -> KernelSpec {
+    copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1)
+}
+
+/// The kernel of one Fig. 8 / Fig. 11 point: 96 batches of `inner`
+/// elements, `halo` elements apart.
+pub fn copy_halo_kernel(inner: usize, halo: usize) -> KernelSpec {
+    copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS)
+}
+
 /// One point of the Fig. 6 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CopyVolumePoint {
@@ -91,7 +102,7 @@ pub fn copy_volume_per_iteration_memo(
     threads: usize,
     memo: &SimMemo,
 ) -> CopyVolumePoint {
-    let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
+    let spec = copy_volume_kernel();
     let sim = NodeSim::new(SimConfig::new(machine.clone(), threads));
     let total = sim.run_spmd_memo(&spec, memo).total;
     let iterations = (threads as u64 * COPY_ELEMENTS) as f64;
@@ -126,7 +137,7 @@ pub fn copy_halo_ratio_memo(
     prefetchers: bool,
     memo: &SimMemo,
 ) -> CopyHaloPoint {
-    let spec = copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS);
+    let spec = copy_halo_kernel(inner, halo);
     let mut config = SimConfig::new(machine.clone(), machine.total_cores());
     if !prefetchers {
         config = config.without_prefetchers();
@@ -235,7 +246,7 @@ mod tests {
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         for threads in [1usize, 9, 17, 18, 19, 36] {
-            let spec = copy_kernel_spec(1 << 30, COPY_ELEMENTS, 0, 1);
+            let spec = copy_volume_kernel();
             let plain = NodeSim::new(SimConfig::new(m.clone(), threads))
                 .run_spmd_memo(&spec, &SimMemo::without_differential())
                 .total;
@@ -253,7 +264,7 @@ mod tests {
             );
         }
         for (inner, halo, pf) in [(216usize, 5usize, true), (1920, 0, true), (216, 3, false)] {
-            let spec = copy_kernel_spec(1 << 32, inner as u64, halo as u64, HALO_ROWS);
+            let spec = copy_halo_kernel(inner, halo);
             let mut config = SimConfig::new(m.clone(), m.total_cores());
             if !pf {
                 config = config.without_prefetchers();

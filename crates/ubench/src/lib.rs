@@ -16,7 +16,7 @@ pub mod copy;
 pub mod store;
 
 pub use copy::{
-    copy_halo_ratio, copy_halo_ratio_memo, copy_kernel_spec, copy_volume_per_iteration,
-    copy_volume_per_iteration_memo, CopyHaloPoint, CopyVolumePoint,
+    copy_halo_kernel, copy_halo_ratio, copy_halo_ratio_memo, copy_kernel_spec, copy_volume_kernel,
+    copy_volume_per_iteration, copy_volume_per_iteration_memo, CopyHaloPoint, CopyVolumePoint,
 };
 pub use store::{store_kernel_spec, store_ratio, store_ratio_memo, StoreKind};

@@ -518,6 +518,8 @@ struct Case {
     prefetch: bool,
     kernel: KernelSpec,
     draw: Draw,
+    /// The preset's L1 narrowed to this many ways of its sets, if any.
+    l1_ways: Option<usize>,
 }
 
 impl Case {
@@ -616,6 +618,7 @@ impl Case {
             prefetch,
             kernel,
             draw,
+            l1_ways: None,
         }
     }
 
@@ -658,6 +661,26 @@ impl Case {
             prefetch: true,
             kernel,
             draw: Draw(index as u64),
+            l1_ways: None,
+        }
+    }
+
+    /// A fixed case on an ICX whose L1 has 4 ways, fewer than the
+    /// coalescer's 8 streams (every preset's L1 has at least 8): one load
+    /// and four stores 40 bytes into their lines, each store retiring a
+    /// line into the set of the line the load is on, so that the load's
+    /// line leaves the L1 between two loads of it.  It is the one case
+    /// where `KernelSpec::never_hits_private`'s operand bound is the L1's
+    /// ways and not the streams.
+    fn narrow_l1(index: usize) -> Self {
+        let operands: Vec<FixedOperand> = (1..=4)
+            .map(|k| ((k << 22) + 40, &[(0, 0)][..], AccessKind::Store))
+            .chain([(0, &[(0, 0)][..], AccessKind::Load)])
+            .collect();
+        let kernel = fixed_sweep(&operands, 64, 0, 64, 1);
+        Self {
+            l1_ways: Some(4),
+            ..Self::fixed(index, ("one load and four stores, a 4-way L1", kernel))
         }
     }
 
@@ -666,6 +689,12 @@ impl Case {
     /// gets an id of its own: the simulator pools cores by machine id.
     fn machine(&self, speci2m: bool) -> Machine {
         let mut m = self.preset.machine();
+        if let Some(ways) = self.l1_ways {
+            let l1 = &mut m.caches.l1;
+            l1.capacity_bytes = l1.sets() * ways * l1.line_bytes;
+            l1.associativity = ways;
+            m.id.push_str(&format!("-l1-{ways}-way"));
+        }
         if !speci2m {
             m.speci2m.nt_partial_flush_max = 0.0;
             m.id.push_str("-without-nt-flushes");
@@ -842,7 +871,10 @@ const CASES: usize = 60;
 /// seed of their own.
 fn cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
     let fixed = fixed_kernels().into_iter().enumerate();
-    let fixed = fixed.map(|(index, kernel)| Case::fixed(index, kernel));
+    let narrow = Case::narrow_l1(fixed.len());
+    let fixed = fixed
+        .map(|(index, kernel)| Case::fixed(index, kernel))
+        .chain([narrow]);
     let drawn = (0..times * CASES).map(move |index| Case::new(index, seed));
     let overlaid = (0..times * CASES / 2).map(move |index| Case::new(index, !seed).overlaid());
     fixed.chain(drawn).chain(overlaid)
@@ -968,6 +1000,66 @@ fn fixed_kernels() -> Vec<(&'static str, KernelSpec)> {
         kernels.push(("one row from element 3", rows(700, 0, 1)));
         kernels.push(("rows 5 elements apart from element 3", rows(216, 5, 12)));
     }
+    // Each kernel below breaks one condition of
+    // `KernelSpec::never_hits_private` and meets the others, so that it
+    // takes the full hierarchy.  Were that condition dropped, its private
+    // levels would hit (or a repeat of the line loaded last would miss) on
+    // the path that skips them, which the debug build's check asserts in
+    // `run_spmd_memo` and in the one-tenant co-run.  The operand bound on
+    // the L1's ways is `Case::narrow_l1`.
+    kernels.extend([
+        (
+            "a load of two points a row apart",
+            fixed_sweep(&[(1 << 30, &[(0, 0), (0, 1)], Load)], 264, 0, 256, 4),
+        ),
+        (
+            "two loads",
+            fixed_sweep(
+                &[(1 << 30, &[(0, 0)], Load), (1 << 31, &[(0, 0)], Load)],
+                256,
+                0,
+                256,
+                1,
+            ),
+        ),
+        ("nine stores, one more than the coalescer's streams", {
+            let stores: Vec<FixedOperand> = (0..9)
+                .map(|k| ((k + 1) << 22, &[(0, 0)][..], Store))
+                .collect();
+            fixed_sweep(&stores, 64, 0, 64, 2)
+        }),
+        (
+            "an array loaded and stored in place",
+            fixed_sweep(
+                &[(1 << 30, &[(0, 0)], Load), (1 << 30, &[(0, 0)], Store)],
+                256,
+                0,
+                256,
+                2,
+            ),
+        ),
+        (
+            "two one-line stores, three lines between them",
+            fixed_sweep(
+                &[
+                    (1 << 30, &[(0, 0)], Store),
+                    ((1 << 30) + 4 * LINE, &[(0, 0)], Store),
+                ],
+                8,
+                0,
+                8,
+                1,
+            ),
+        ),
+        (
+            "a load whose rows overlap by half",
+            fixed_sweep(&[(1 << 30, &[(0, 0)], Load)], 128, 0, 256, 4),
+        ),
+        (
+            "a load that sweeps eight lines four times",
+            fixed_sweep(&[(1 << 30, &[(0, 0)], Load)], 0, 0, 64, 4),
+        ),
+    ]);
     kernels
 }
 
