@@ -228,7 +228,11 @@ impl NodeSim {
     /// tenant one-line L1 and L2 lanes, which it never fills; a debug build
     /// runs full ones beside it and asserts those misses.  The
     /// `--aggressor` victim and all three aggressors are such tenants on
-    /// the Ice Lake and Sapphire Rapids presets.
+    /// the Ice Lake and Sapphire Rapids presets.  Unless another tenant's
+    /// window shares a buddy pair with its own, whose prefetches could
+    /// insert a line of it, such a tenant also takes a load above every
+    /// line its loads have put into the fresh LLC for a miss without a
+    /// probe, and its buddy for absent (`PrivateCore`'s load frontier).
     ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
     /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
@@ -400,6 +404,12 @@ impl<'a> CoRunPass<'a> {
         let (lo, hi) = spans[p].unwrap_or((u64::MAX, u64::MAX));
         let ways = self.machine.caches.l3.associativity;
         let llc = &mut WindowedCache::with_window(self.llc_bytes, ways, lo, hi);
+        // Whether no other tenant's window shares a buddy pair with tenant
+        // `j`'s: then only `j` itself can put a line of its window into the
+        // (fresh) LLC, since another's adjacent-line prefetch inserts a
+        // line of its own window or of none.
+        let alone_in_its_pairs =
+            |j: usize| (0..n).all(|k| k == j || !share_buddy_pair(spans[j], spans[k]));
         let mut cores: Vec<PrivateCore> = self
             .sorted
             .iter()
@@ -407,7 +417,8 @@ impl<'a> CoRunPass<'a> {
             .map(|(j, t)| {
                 let (machine, ctx, options) = (self.machine, self.ctx, self.options);
                 if t.never_hits_private(machine, j) {
-                    PrivateCore::skipping_private_levels(machine, ctx, options)
+                    let own = alone_in_its_pairs(j);
+                    PrivateCore::skipping_private_levels(machine, ctx, options, own)
                 } else {
                     PrivateCore::new(machine, ctx, options)
                 }
@@ -422,11 +433,11 @@ impl<'a> CoRunPass<'a> {
         let mut cursors: Vec<SweepCursor> = sweeps.iter().map(SweepCursor::new).collect();
         // Once no line of its window is in the LLC, only the primary itself
         // or a buddy prefetch of a neighbouring window can put one back.
-        let alone_in_its_pairs = (0..n).all(|j| j == p || !share_buddy_pair(spans[p], spans[j]));
+        let primary_alone = alone_in_its_pairs(p);
         let (mut llc_hits, mut llc_misses) = (0u64, 0u64);
         let mut rounds = 0u64;
         loop {
-            let settled = alone_in_its_pairs
+            let settled = primary_alone
                 && cursors[p].finished()
                 && cores[p].streams_closed()
                 && llc.window_lines() == 0;
@@ -818,6 +829,31 @@ mod tests {
         let (kept, rounds) = rounds_of(&[victim, icx_tenant(1, 1)]);
         assert_eq!(rounds, 13_824);
         assert!(kept.occupancy_lines > 0);
+    }
+
+    #[test]
+    fn windows_share_a_buddy_pair_only_across_an_even_odd_boundary() {
+        // It gates two rules: a pass's stop, and a tenant's load frontier.
+        let share = |a, b| {
+            let pair = share_buddy_pair(Some(a), Some(b));
+            assert_eq!(pair, share_buddy_pair(Some(b), Some(a)), "{a:?} {b:?}");
+            pair
+        };
+        // Ending on an even line, the window holds half of the pair
+        // {4, 5}: a neighbour from line 5 holds the other half, one from
+        // line 6 none.
+        assert!(share((0, 4), (5, 9)));
+        assert!(!share((0, 4), (6, 9)));
+        // Ending on an odd line, it holds the whole pair {2, 3}: even an
+        // abutting neighbour starts a pair of its own.
+        assert!(!share((0, 3), (4, 9)));
+        // One line each, the two halves of one pair, or of two.
+        assert!(share((6, 6), (7, 7)));
+        assert!(!share((7, 7), (8, 8)));
+        // A tenant without a line shares nothing.
+        for w in [Some((0, 4)), None] {
+            assert!(!share_buddy_pair(w, None) && !share_buddy_pair(None, w));
+        }
     }
 
     #[test]

@@ -184,6 +184,13 @@ pub struct PrivateCore {
     /// loaded last (`u64::MAX` before the first), the one line its L1 can
     /// hit; `None` for every other core.
     last_load: Option<u64>,
+    /// For a marked core whose last level holds no line of its load
+    /// window but what its own loads put there, the **load frontier**:
+    /// every line its loads and their buddy prefetches have put into the
+    /// last level lies below it, so a load from it up misses there, and so
+    /// does its buddy, without a probe.  `u64::MAX` (no line reaches it)
+    /// on every other core.
+    load_frontier: u64,
 }
 
 impl PrivateCore {
@@ -208,6 +215,7 @@ impl PrivateCore {
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
+        own_load_lines: bool,
     ) -> Self {
         let mut core = if cfg!(debug_assertions) {
             Self::new(machine, ctx, options)
@@ -215,7 +223,7 @@ impl PrivateCore {
             let line = || SetAssocCache::new(64, 1);
             Self::with_banks(line(), line(), machine, ctx, options)
         };
-        core.skip_private_levels();
+        core.skip_private_levels(own_load_lines);
         core
     }
 
@@ -235,6 +243,7 @@ impl PrivateCore {
             account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
             last_load: None,
+            load_frontier: u64::MAX,
         }
     }
 
@@ -245,8 +254,24 @@ impl PrivateCore {
     /// last level.  Only `SimMemo`'s simulation and a co-run pass mark a
     /// core; one driven directly keeps its whole hierarchy, and a
     /// [`reset`](Self::reset) clears the mark.
-    pub(crate) fn skip_private_levels(&mut self) {
+    ///
+    /// With `own_load_lines` the caller also vouches that the last level
+    /// holds no line of the core's load window now and that nothing but
+    /// this core's own loads will put one there, so the core keeps a load
+    /// frontier from line 0.  The proof makes the core's stores no threat:
+    /// its load window lies more than 4 lines from every store window
+    /// (`WriteCoalescer::one_stream_per_window`), so no store line is a
+    /// load line, and no buddy prefetch of a load line a store line.
+    pub(crate) fn skip_private_levels(&mut self, own_load_lines: bool) {
         self.last_load = Some(u64::MAX);
+        self.load_frontier = if own_load_lines { 0 } else { u64::MAX };
+    }
+
+    /// Whether the core skips its private levels
+    /// ([`skip_private_levels`](Self::skip_private_levels)).
+    #[inline]
+    pub(crate) fn skips_private_levels(&self) -> bool {
+        self.last_load.is_some()
     }
 
     /// Whether the L1 and L2 are driven: on every core but a marked one in
@@ -322,6 +347,7 @@ impl PrivateCore {
     /// last.
     pub(crate) fn l1_contains(&self, line: u64) -> bool {
         if let Some(last) = self.last_load {
+            debug_assert!(line != last || self.l1.contains(line), "{PROVED_RESIDENT}");
             return line == last;
         }
         self.l1.contains(line)
@@ -358,10 +384,19 @@ impl PrivateCore {
     }
 
     /// Count `n` L1 hits on lines the caller knows are resident and
-    /// already where a touch would put them.
+    /// already where a touch would put them; on a core that skips its
+    /// private levels, `n` repeats of the line loaded last, which a debug
+    /// build touches in the L1 it runs beside that path, so that its
+    /// recency order stays the full path's.
     #[inline]
     pub(crate) fn l1_settled_hits(&mut self, n: u64) {
-        self.l1.settled_hits(n);
+        match self.last_load {
+            Some(last) if cfg!(debug_assertions) => {
+                let resident = self.l1.touch_repeat(last, n);
+                assert!(resident, "{PROVED_RESIDENT}");
+            }
+            _ => self.l1.settled_hits(n),
+        }
     }
 
     /// A snapshot for [`undisturbed_since`](Self::undisturbed_since).
@@ -469,7 +504,8 @@ impl PrivateCore {
 
     /// [`hierarchy_hit`](Self::hierarchy_hit) of a core that skips its
     /// private levels: their lookups would miss, so the last level's is
-    /// the lookup.
+    /// the lookup; for a line the caller has proved `absent`, a miss
+    /// counted without one.
     // Once per line a marked core loads or stores: called out of line, it
     // cost a cold `thrash` co-run, all of whose tenants are marked, ~4 %.
     #[inline(always)]
@@ -478,8 +514,13 @@ impl PrivateCore {
         llc: &mut LastLevel<W>,
         line: u64,
         write: bool,
+        absent: bool,
     ) -> bool {
         self.check_private_miss(line, write);
+        if absent {
+            llc.miss_proved(line);
+            return false;
+        }
         let hit = llc.touch(line, write) == LookupResult::Hit;
         if hit {
             self.fill_upper(llc, line, false, 2);
@@ -561,10 +602,16 @@ impl PrivateCore {
     }
 
     /// Fill a prefetched line into the last level only; a line already
-    /// there is left as it is, and costs no traffic.
-    fn fill_prefetch<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
-        let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
-            return;
+    /// there is left as it is, and costs no traffic.  A line the caller
+    /// has proved `absent` is inserted without a probe.
+    fn fill_prefetch<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, absent: bool) {
+        let evicted = if absent {
+            llc.insert_absent(line, false)
+        } else {
+            let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
+                return;
+            };
+            evicted
         };
         self.emit(Event::PrefetchRead);
         if evicted.is_some_and(|ev| ev.dirty) {
@@ -574,15 +621,23 @@ impl PrivateCore {
 
     /// One demand load of `line`.  On a core that skips its private
     /// levels a repeat of the line loaded last is an L1 hit, and any other
-    /// load is looked up at the last level alone; a miss then takes the
-    /// same path on every core.
+    /// load is looked up at the last level alone, or not at all from its
+    /// load frontier up; a miss then takes the same path on every core.
     pub(crate) fn load_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
+        // From the frontier up, the line and its buddy are both absent: the
+        // frontier is 0 or `(line | 1) + 1`, even, so an odd line from it
+        // up has its buddy `line - 1` from it up too.
+        let mut absent = false;
         let hit = match self.last_load {
             None => self.hierarchy_hit(llc, line, false),
             Some(last) if last == line => return self.repeat_load(line),
             Some(_) => {
                 self.last_load = Some(line);
-                self.hit_at_llc(llc, line, false)
+                absent = line >= self.load_frontier;
+                if absent {
+                    self.load_frontier = (line | 1) + 1;
+                }
+                self.hit_at_llc(llc, line, false, absent)
             }
         };
         if hit {
@@ -594,7 +649,7 @@ impl PrivateCore {
         // The adjacent-line prefetcher reacts to the demand miss.
         if self.options.prefetchers.adjacent_line {
             let buddy = line ^ 1;
-            self.fill_prefetch(llc, buddy);
+            self.fill_prefetch(llc, buddy, absent);
         }
     }
 
@@ -604,10 +659,7 @@ impl PrivateCore {
     fn repeat_load(&mut self, line: u64) {
         if cfg!(debug_assertions) {
             let hit = self.l1.touch(line, false) == LookupResult::Hit;
-            assert!(
-                hit,
-                "line {line:#x}, loaded last, left an L1 proved to keep it"
-            );
+            assert!(hit, "line {line:#x}: {PROVED_RESIDENT}");
         } else {
             self.l1.settled_hits(1);
         }
@@ -626,7 +678,7 @@ impl PrivateCore {
             return self.handle_nt_line(llc, ev);
         }
         let hit = if self.last_load.is_some() {
-            self.hit_at_llc(llc, ev.line, true)
+            self.hit_at_llc(llc, ev.line, true, false)
         } else {
             self.hierarchy_hit(llc, ev.line, true)
         };
@@ -666,6 +718,7 @@ impl PrivateCore {
 
 /// What a debug build asserts of a core that skips its private levels.
 const PROVED_CLEAN: &str = "a private level proved never to hit evicted a dirty line";
+const PROVED_RESIDENT: &str = "the line loaded last left an L1 proved to keep it";
 
 /// What [`PrivateCore::undisturbed_since`] compares against: the L1's
 /// recency log and the coalescers' stamps at one moment.
@@ -1081,13 +1134,16 @@ mod tests {
         core.private.trace.start();
         // Of a resident line: no event, and no refresh either — the oldest
         // line is still the next victim.
-        core.private.fill_prefetch(&mut core.l3, congruent(0));
+        core.private
+            .fill_prefetch(&mut core.l3, congruent(0), false);
         // Of an absent line: the read, and the write-back of its dirty
         // victim.
-        core.private.fill_prefetch(&mut core.l3, congruent(ways));
+        core.private
+            .fill_prefetch(&mut core.l3, congruent(ways), false);
         assert!(!core.l3.contains(congruent(0)) && core.l3.contains(congruent(1)));
         // Into a set with room: the read alone.
-        core.private.fill_prefetch(&mut core.l3, congruent(0) + 1);
+        core.private
+            .fill_prefetch(&mut core.l3, congruent(0) + 1, false);
         // A prefetch is no demand access, whatever it finds.
         assert_eq!(core.cache_stats(), stats);
         assert_eq!(
@@ -1099,6 +1155,27 @@ mod tests {
             (c.read_lines, c.prefetch_lines, c.write_lines),
             (2.0, 2.0, 1.0)
         );
+    }
+
+    #[test]
+    fn a_re_marked_core_keeps_its_load_frontier_from_line_0() {
+        // The frontier says which loads miss the last level unlooked: a
+        // pooled core must not carry one over from an earlier simulation.
+        let m = icelake_sp_8360y();
+        let mut core = serial_core(&m);
+        // Own load lines or not, the lines loaded, the frontier after.
+        for (own, lines, frontier) in [
+            (true, 3..7, 8),
+            (true, 0..1, 2),
+            (false, 0..1, u64::MAX),
+            (true, 5..6, 6),
+        ] {
+            core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
+            core.private.skip_private_levels(own);
+            let elements = 8 * (lines.end - lines.start);
+            core.drive_run(AccessRun::load(64 * lines.start, elements));
+            assert_eq!(core.private.load_frontier, frontier, "{lines:?}");
+        }
     }
 
     #[test]

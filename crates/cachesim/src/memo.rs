@@ -287,6 +287,18 @@ impl KernelSpec {
     /// necessary; every other kernel is refused.  It allocates nothing.  A
     /// debug build runs the real L1 and L2 beside every marked core and
     /// asserts what it claims, line by line.
+    ///
+    /// The same conditions prove two things more, which a marked core
+    /// uses.  Its loads are one stream whose window lies more than 4 lines
+    /// from every store window, so no store line and no buddy prefetch of
+    /// a load line is a store line: a line of the load window reaches the
+    /// last level only through its loads and their prefetches, where no
+    /// other tenant's prefetch can reach it and the level starts without
+    /// one.  Then a load above every line they have put there misses
+    /// without a look (`PrivateCore`'s load frontier).  And a sweep segment
+    /// needs no proof (`SweepCursor`): the one L1 line is the line loaded
+    /// last, which the segment's bulk loads repeat, and each store stream
+    /// stays open on its line, since the coalescer keeps one per operand.
     pub fn never_hits_private(&self, machine: &Machine, rank: usize) -> bool {
         let [l1, l2] = [&machine.caches.l1, &machine.caches.l2]
             .map(|level| SetAssocCache::geometry(level.capacity_bytes, level.associativity));
@@ -734,7 +746,8 @@ impl SimMemo {
         with_pooled_core(machine, ctx, options, |core| {
             let private = core.split().0;
             if kernel.never_hits_private(machine, rank) {
-                private.skip_private_levels();
+                // The pooled core's L3 share was just emptied.
+                private.skip_private_levels(true);
             }
             if record.is_some() {
                 private.trace.start();

@@ -120,9 +120,11 @@ impl StencilRowSweep {
 /// streams in one L1 set than it has ways, an NT line that invalidates an
 /// L1 copy, store streams that displace each other) the lines are looked
 /// up one by one; if one has left, the rest of the segment runs element
-/// by element.  A debug build checks every proof against the look-up.  A
-/// sweep with a misaligned operand base runs element by element
-/// throughout, each element one operation per line it covers.
+/// by element.  A debug build checks every proof against the look-up.  On
+/// a core that skips its private levels the preconditions hold by
+/// construction, and the cursor takes no proof (see `segments`).  A sweep
+/// with a misaligned operand base runs element by element throughout,
+/// each element one operation per line it covers.
 ///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
@@ -191,17 +193,38 @@ impl SweepCursor {
         llc: &mut LastLevel<W>,
         budget_lines: u64,
     ) -> u64 {
+        if core.skips_private_levels() {
+            self.segments::<W, true>(core, llc, budget_lines)
+        } else {
+            self.segments::<W, false>(core, llc, budget_lines)
+        }
+    }
+
+    /// [`advance`](Self::advance) on a core that skips its private levels
+    /// (`MARKED`) or does not.  A marked core needs no segment proof: its
+    /// L1 is the line it loaded last, which the bulk loads repeat, and the
+    /// kernel's proof (`KernelSpec::never_hits_private`) keeps one store
+    /// stream per operand, which no store of a segment moves.  So it takes
+    /// no snapshot, tracks no recency change and counts its bulk loads as
+    /// settled hits; a debug build looks its lines up at every segment.
+    fn segments<const W: bool, const MARKED: bool>(
+        &mut self,
+        core: &mut PrivateCore,
+        llc: &mut LastLevel<W>,
+        budget_lines: u64,
+    ) -> u64 {
         let budget = budget_lines.max(1);
         let mut spent = 0u64;
         while self.rows_left > 0 && spent < budget {
             let at = self.done * ELEM_BYTES;
             // The segment's first iteration, faithfully, in operand order.
-            let mark = core.mark();
+            let mark = (!MARKED).then(|| core.mark());
             let mut stores_reordered = false;
             for s in &self.streams {
-                let before = core.l1_reorders();
+                let before = if MARKED { 0 } else { core.l1_reorders() };
                 self.feed(core, llc, s.kind, s.row_base + at);
-                stores_reordered |= s.kind != AccessKind::Load && core.l1_reorders() != before;
+                stores_reordered |=
+                    !MARKED && s.kind != AccessKind::Load && core.l1_reorders() != before;
             }
             // The segment extends until any stream reaches its next line
             // boundary (each stream advances 8 bytes per iteration and is
@@ -218,7 +241,7 @@ impl SweepCursor {
                 // every store stream still open on its line.  The O(1)
                 // proof establishes them in the common case; only where it
                 // cannot (see the type's docs) are the lines looked up.
-                let proven = core.undisturbed_since(mark);
+                let proven = mark.map_or(true, |mark| core.undisturbed_since(mark));
                 debug_assert!(
                     !proven || self.lines_in_place(core, at),
                     "the segment proof vouched for a line that left"
@@ -433,6 +456,29 @@ mod tests {
             bytes_per_it < 30.0,
             "LC satisfied should give ~24-26 B/it, got {bytes_per_it}"
         );
+    }
+
+    #[test]
+    fn a_marked_core_counts_the_l1_hits_of_the_full_path() {
+        // A core that skips its private levels counts each repeat of the
+        // line it loaded last, alone or in a segment's bulk, as the L1 hit
+        // the full path counts; a debug build, which runs the L1 and L2
+        // beside it, their misses too.  Its L3 lookups and counters are the
+        // full path's with or without a load frontier.
+        let sweep = copy_stencil(1000, 3, 990, 4);
+        let mut full = serial_core();
+        sweep.drive(&mut full);
+        for frontier in [false, true] {
+            let mut marked = serial_core();
+            marked.split().0.skip_private_levels(frontier);
+            sweep.drive(&mut marked);
+            let ([l1, l2, l3], [m1, m2, m3]) = (full.cache_stats(), marked.cache_stats());
+            assert_eq!((m1.0, m3), (l1.0, l3), "frontier {frontier}");
+            if cfg!(debug_assertions) {
+                assert_eq!((m1, m2), (l1, l2), "frontier {frontier}");
+            }
+            assert_eq!(marked.flush(), full.clone().flush(), "frontier {frontier}");
+        }
     }
 
     fn copy_stencil(stride: u64, i0: u64, inner: u64, rows: u64) -> StencilRowSweep {

@@ -222,11 +222,16 @@ fn the_first_drawn_co_runs_report_what_the_whole_co_run_did() {
     // And 55 and 470, the two of the 500 in which the primary, finished,
     // holds no LLC line while a store stream of its own is still open: a
     // stop that ignored the open stream reports them wrong, and no pinned
-    // co-run shows it.
-    check_drawn((0..8).chain([55, 470]));
+    // co-run shows it.  And 53, 239 and 365, three of the five in which a
+    // tenant that loads beside a window sharing a buddy pair with its own
+    // finds an edge line that the neighbour's prefetch inserted: a load
+    // frontier kept without the buddy-pair gate takes it for absent and
+    // reports them wrong (in 281 and 468 only the debug check sees it),
+    // and no pinned co-run shows it.
+    check_drawn((0..8).chain([55, 470, 53, 239, 365]));
 }
 
-/// About 10 s in release.
+/// 4–6 s in release on 2 vCPUs.
 #[test]
 #[ignore]
 fn five_hundred_drawn_co_runs_report_what_the_whole_co_run_did() {
