@@ -27,6 +27,10 @@ pub(crate) enum Weight {
     Nt { read: f64 },
 }
 
+/// What decides a [`Event::WaStore`]'s weight under one arming: its
+/// `full`, `streams` and `response` bits.
+type StoreKey = (bool, u32, u64);
+
 /// Everything that turns [`Event`]s into [`MemCounters`]: the accounting
 /// environment of one simulation (or one replay) and the counters it has
 /// accumulated.  [`apply_weight`](Self::apply_weight) is the only place a
@@ -56,6 +60,9 @@ pub(crate) struct Accountant {
     nt_flush: f64,
     /// The last store line's streak bits and their streak response.
     streak: Option<(u64, f64)>,
+    /// The last write-allocate store line's `full`, stream count and
+    /// response bits, and its weight.
+    store: Option<(StoreKey, Weight)>,
     pub(crate) counters: MemCounters,
 }
 
@@ -76,6 +83,7 @@ impl Accountant {
             node: 0.0,
             nt_flush: 0.0,
             streak: None,
+            store: None,
             counters: MemCounters::new(),
         };
         account.arm(ctx, options);
@@ -101,6 +109,7 @@ impl Accountant {
         self.ctx = ctx;
         self.pf_factor = options.prefetchers.evasion_factor();
         self.streak = None;
+        self.store = None;
         self.counters = MemCounters::new();
     }
 
@@ -126,13 +135,32 @@ impl Accountant {
         }
     }
 
-    /// Account one event.
+    /// Account one event.  A write-allocate store line is weighed once
+    /// while its `full`, stream count and response repeat: consecutive
+    /// lines of a steady-state row share one weight.
     // `always`: every live site passes a literal event, so the match folds
     // to that site's one arm.  Left to the inliner's size heuristics this
     // stayed a call and figs. 5–11 took 8–25 % longer.
     #[inline(always)]
     pub(crate) fn apply(&mut self, event: Event) {
-        let weight = self.weigh(event);
+        let weight = match event {
+            Event::WaStore {
+                full,
+                streams,
+                response,
+            } => {
+                let key = (full, streams, response);
+                match self.store {
+                    Some((at, weight)) if at == key => weight,
+                    _ => {
+                        let weight = self.weigh(event);
+                        self.store = Some((key, weight));
+                        weight
+                    }
+                }
+            }
+            event => self.weigh(event),
+        };
         self.apply_weight(weight);
     }
 
@@ -413,6 +441,91 @@ mod tests {
                 "case {case}: x = {x:e} ({:#x}), summands {summands:?}, n = {n}",
                 x.to_bits()
             );
+        }
+    }
+
+    /// Every counter's bits.
+    fn counter_bits(c: &MemCounters) -> [u64; 6] {
+        [
+            c.read_lines,
+            c.write_lines,
+            c.itom_lines,
+            c.write_allocate_lines,
+            c.prefetch_lines,
+            c.speculative_read_lines,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// The bits of a store line's weight.
+    fn store_bits(weight: Weight) -> [u64; 2] {
+        match weight {
+            Weight::Store { evaded, spec_read } => [evaded.to_bits(), spec_read.to_bits()],
+            other => panic!("not a store line's weight: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_store_line_weighs_what_a_fresh_weighing_gives() {
+        // `apply` keeps the last store line's weight for as long as its
+        // `full`, stream count and response repeat.  Each line below
+        // repeats the one before or changes one of the three, and a re-arm
+        // to another occupancy starts with the line the first arming ended
+        // on: the counters must be a fresh `store_weight` per line, bit for
+        // bit.
+        let m = icelake_sp_8360y();
+        let options = CoreSimOptions::default();
+        let [short, long] = [3.0, 240.0].map(|s| m.speci2m.streak_response(s).to_bits());
+        let lines = [
+            (true, 1, short),
+            (true, 1, short),
+            (true, 2, short),
+            (false, 2, short),
+            (false, 2, long),
+            (true, 2, long),
+            (true, 3, long),
+            (true, 1, long),
+            (true, 1, long),
+        ];
+        let contexts = [
+            OccupancyContext::compact(&m, m.total_cores()),
+            OccupancyContext::domain_load(&m, 12, 2),
+        ];
+        let mut live = Accountant::new(&m.speci2m, contexts[0], options);
+        // Each line's key and the bits of its fresh weight, in order.
+        let mut weighed = Vec::new();
+        for (pass, ctx) in contexts.into_iter().enumerate() {
+            live.arm(ctx, options);
+            let mut fresh = Accountant::new(&m.speci2m, ctx, options);
+            let order: Vec<_> = match pass {
+                0 => lines.to_vec(),
+                _ => lines.iter().rev().copied().collect(),
+            };
+            for (full, streams, response) in order {
+                let weight = fresh.store_weight(full, streams as usize, f64::from_bits(response));
+                weighed.push(((full, streams, response), store_bits(weight)));
+                fresh.apply_weight(weight);
+                live.apply(Event::WaStore {
+                    full,
+                    streams,
+                    response,
+                });
+                assert_eq!(
+                    counter_bits(&live.counters),
+                    counter_bits(&fresh.counters),
+                    "pass {pass}: {full} {streams} {response:#x}"
+                );
+            }
+        }
+        // Where a field changes, or the arming does, so does the weight: a
+        // key without that field, or a weight kept over the re-arm, would
+        // have counted the line before's.
+        let rearm = lines.len();
+        for i in 1..weighed.len() {
+            let ((key, weight), (before, weight_before)) = (weighed[i], weighed[i - 1]);
+            if key != before || i == rearm {
+                assert_ne!(weight, weight_before, "line {i}: {key:?} after {before:?}");
+            }
         }
     }
 

@@ -53,10 +53,11 @@
 //! to 64 Ki lines have a filter, the co-run LLC and an unshared L3 none.
 //! What spares the co-run LLC most of its miss scans is a proof instead: a
 //! streaming tenant's first touch of a line, a load above its *load
-//! frontier* (`PrivateCore`), is known to miss, so `miss_proved` counts
-//! the miss and `insert_absent` puts in its buddy prefetch, neither
-//! scanning the set; only its reloads, its store lines and unproved
-//! tenants' lines are looked up.
+//! frontier* or a store line above its *store frontier* (`PrivateCore`),
+//! is known to miss, so `miss_proved` counts the miss and `insert_absent`
+//! puts in a load's buddy prefetch, neither scanning the set; only its
+//! reloads, its re-stored lines and unproved tenants' lines are looked
+//! up.
 //! `figures fig8` — 79 ms — reads 64 ms with this index and 85 ms with a
 //! locality-preserving one (a fold of the high bits), which aliases the
 //! copy kernel's two streams.  `benchmark/`'s `cachesim.probe_ns_per_line`

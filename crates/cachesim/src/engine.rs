@@ -232,7 +232,9 @@ impl NodeSim {
     /// window shares a buddy pair with its own, whose prefetches could
     /// insert a line of it, such a tenant also takes a load above every
     /// line its loads have put into the fresh LLC for a miss without a
-    /// probe, and its buddy for absent (`PrivateCore`'s load frontier).
+    /// probe, and its buddy for absent, and so a store line above every
+    /// line its stores have put there (`PrivateCore`'s load and store
+    /// frontiers).
     ///
     /// A pass is memoized under its [`CoRunKey`] in a table disjoint from
     /// the solo memo, so a shared [`SimMemo`] can never serve a solo result
@@ -833,7 +835,7 @@ mod tests {
 
     #[test]
     fn windows_share_a_buddy_pair_only_across_an_even_odd_boundary() {
-        // It gates two rules: a pass's stop, and a tenant's load frontier.
+        // It gates two rules: a pass's stop, and a tenant's frontiers.
         let share = |a, b| {
             let pair = share_buddy_pair(Some(a), Some(b));
             assert_eq!(pair, share_buddy_pair(Some(b), Some(a)), "{a:?} {b:?}");

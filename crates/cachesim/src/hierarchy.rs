@@ -191,6 +191,12 @@ pub struct PrivateCore {
     /// does its buddy, without a probe.  `u64::MAX` (no line reaches it)
     /// on every other core.
     load_frontier: u64,
+    /// The **store frontier**, the load frontier's twin for the store
+    /// windows of the same core: every line its finalized store lines
+    /// have put into the last level lies below it, so a store line from
+    /// it up misses there without a probe.  `u64::MAX` where the load
+    /// frontier is.
+    store_frontier: u64,
 }
 
 impl PrivateCore {
@@ -215,7 +221,7 @@ impl PrivateCore {
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
-        own_load_lines: bool,
+        own_lines: bool,
     ) -> Self {
         let mut core = if cfg!(debug_assertions) {
             Self::new(machine, ctx, options)
@@ -223,7 +229,7 @@ impl PrivateCore {
             let line = || SetAssocCache::new(64, 1);
             Self::with_banks(line(), line(), machine, ctx, options)
         };
-        core.skip_private_levels(own_load_lines);
+        core.skip_private_levels(own_lines);
         core
     }
 
@@ -244,6 +250,7 @@ impl PrivateCore {
             trace: TraceRecorder::default(),
             last_load: None,
             load_frontier: u64::MAX,
+            store_frontier: u64::MAX,
         }
     }
 
@@ -255,16 +262,21 @@ impl PrivateCore {
     /// core; one driven directly keeps its whole hierarchy, and a
     /// [`reset`](Self::reset) clears the mark.
     ///
-    /// With `own_load_lines` the caller also vouches that the last level
-    /// holds no line of the core's load window now and that nothing but
-    /// this core's own loads will put one there, so the core keeps a load
-    /// frontier from line 0.  The proof makes the core's stores no threat:
+    /// With `own_lines` the caller also vouches that the last level holds
+    /// no line of the core's windows now and that nothing but this core's
+    /// own accesses will put one there, so the core keeps a load frontier
+    /// and a store frontier from line 0.  The proof keeps the two apart:
     /// its load window lies more than 4 lines from every store window
     /// (`WriteCoalescer::one_stream_per_window`), so no store line is a
-    /// load line, and no buddy prefetch of a load line a store line.
-    pub(crate) fn skip_private_levels(&mut self, own_load_lines: bool) {
+    /// load line, and no buddy prefetch of a load line a store line; a
+    /// line of a store window enters the last level only as the fill of
+    /// a finalized store line, since the private levels it skips hold no
+    /// dirty line to sink there.
+    pub(crate) fn skip_private_levels(&mut self, own_lines: bool) {
         self.last_load = Some(u64::MAX);
-        self.load_frontier = if own_load_lines { 0 } else { u64::MAX };
+        let frontier = if own_lines { 0 } else { u64::MAX };
+        self.load_frontier = frontier;
+        self.store_frontier = frontier;
     }
 
     /// Whether the core skips its private levels
@@ -522,7 +534,7 @@ impl PrivateCore {
             return false;
         }
         let hit = llc.touch(line, write) == LookupResult::Hit;
-        if hit {
+        if hit && self.drives_private_levels() {
             self.fill_upper(llc, line, false, 2);
         }
         hit
@@ -554,8 +566,14 @@ impl PrivateCore {
     }
 
     /// Fill a line into the upper levels (L1 and optionally L2), cascading
-    /// dirty evictions downwards without generating memory traffic;
-    /// nothing on a release build's core that skips its private levels.
+    /// dirty evictions downwards without generating memory traffic.  Only
+    /// for a core that [`drives_private_levels`](Self::drives_private_levels),
+    /// which each caller tests first.
+    // Out of line, and tested at the call: on a marked core's path
+    // (`fill_all`, `hit_at_llc`) a release build never calls it, where a
+    // call that only returned at the test took ~7 % of a cold `thrash`
+    // co-run's samples.
+    #[inline(never)]
     fn fill_upper<const W: bool>(
         &mut self,
         llc: &mut LastLevel<W>,
@@ -563,9 +581,7 @@ impl PrivateCore {
         dirty: bool,
         levels: usize,
     ) {
-        if !self.drives_private_levels() {
-            return;
-        }
+        debug_assert!(self.drives_private_levels());
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
@@ -598,7 +614,9 @@ impl PrivateCore {
                 self.emit(Event::Writeback);
             }
         }
-        self.fill_upper(llc, line, false, 2);
+        if self.drives_private_levels() {
+            self.fill_upper(llc, line, false, 2);
+        }
     }
 
     /// Fill a prefetched line into the last level only; a line already
@@ -666,7 +684,9 @@ impl PrivateCore {
     }
 
     /// Retire one coalesced line of regular stores as the options'
-    /// [`write_policy`](CoreSimOptions::write_policy) says.
+    /// [`write_policy`](CoreSimOptions::write_policy) says.  On a core
+    /// that skips its private levels the line is looked up at the last
+    /// level alone, or not at all from its store frontier up.
     // Once per stored line: left to the inliner's size heuristics this has
     // fallen out of `store_line_segment` and cost the store path ~15 %.
     #[inline]
@@ -678,7 +698,13 @@ impl PrivateCore {
             return self.handle_nt_line(llc, ev);
         }
         let hit = if self.last_load.is_some() {
-            self.hit_at_llc(llc, ev.line, true, false)
+            // From the store frontier up the line is absent: no finalized
+            // store line has reached it.
+            let absent = ev.line >= self.store_frontier;
+            if absent {
+                self.store_frontier = ev.line + 1;
+            }
+            self.hit_at_llc(llc, ev.line, true, absent)
         } else {
             self.hierarchy_hit(llc, ev.line, true)
         };
@@ -1175,6 +1201,28 @@ mod tests {
             let elements = 8 * (lines.end - lines.start);
             core.drive_run(AccessRun::load(64 * lines.start, elements));
             assert_eq!(core.private.load_frontier, frontier, "{lines:?}");
+        }
+    }
+
+    #[test]
+    fn a_re_marked_core_keeps_its_store_frontier_from_line_0() {
+        // The store frontier's twin of the test above.  A run of stores
+        // leaves its stream open on its last line, so the lines finalized
+        // are all but that one, and the frontier is the line above them.
+        let m = icelake_sp_8360y();
+        let mut core = serial_core(&m);
+        // Own lines or not, the lines stored, the frontier after.
+        for (own, lines, frontier) in [
+            (true, 3..7, 6),
+            (true, 0..2, 1),
+            (false, 0..2, u64::MAX),
+            (true, 5..7, 6),
+        ] {
+            core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
+            core.private.skip_private_levels(own);
+            let elements = 8 * (lines.end - lines.start);
+            core.drive_run(AccessRun::store(64 * lines.start, elements));
+            assert_eq!(core.private.store_frontier, frontier, "{lines:?}");
         }
     }
 

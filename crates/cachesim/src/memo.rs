@@ -280,7 +280,12 @@ impl KernelSpec {
     ///   lines into every set of both levels (`n / sets > ways` at
     ///   `SetAssocCache::geometry`, a contiguous window puts at least `n /
     ///   sets` into each): a line then comes back only after every other
-    ///   line of its window.
+    ///   line of its window.  A store window needs one line more per set
+    ///   (`n / sets > ways + 1`): each sweep leaves a stream open on one of
+    ///   the window's last 8 lines (the first sweep's on the last line,
+    ///   each later sweep's one line lower), which is not retired until the
+    ///   flush, so between two retirements of a line one other line of its
+    ///   set may stay out.
     ///
     /// So no private line is ever stored to, none is dirty, and no fill of
     /// the L1 or L2 writes one back.  The proof is sufficient, not
@@ -290,15 +295,20 @@ impl KernelSpec {
     ///
     /// The same conditions prove two things more, which a marked core
     /// uses.  Its loads are one stream whose window lies more than 4 lines
-    /// from every store window, so no store line and no buddy prefetch of
-    /// a load line is a store line: a line of the load window reaches the
-    /// last level only through its loads and their prefetches, where no
-    /// other tenant's prefetch can reach it and the level starts without
-    /// one.  Then a load above every line they have put there misses
-    /// without a look (`PrivateCore`'s load frontier).  And a sweep segment
-    /// needs no proof (`SweepCursor`): the one L1 line is the line loaded
-    /// last, which the segment's bulk loads repeat, and each store stream
-    /// stays open on its line, since the coalescer keeps one per operand.
+    /// from every store window, so no store line is a load line and no
+    /// buddy prefetch of a load line a store line: a line of the load
+    /// window reaches the last level only through its loads and their
+    /// prefetches, and a line of a store window only as the fill of a
+    /// finalized store line (the private levels hold no dirty line to sink
+    /// there), where no other tenant's prefetch can reach either and the
+    /// level starts without one.  Then a load above every line the loads
+    /// have put there misses without a look, and so does a store line
+    /// above every line the stores have put there (`PrivateCore`'s load
+    /// and store frontiers).  And a sweep segment needs no proof
+    /// (`SweepCursor`): the one L1 line is the line loaded last, which the
+    /// segment's bulk loads repeat, and no store of a segment moves the
+    /// stream another store of it is open on, since the operands' windows
+    /// lie apart; so a stream's whole segment is one store.
     pub fn never_hits_private(&self, machine: &Machine, rank: usize) -> bool {
         let [l1, l2] = [&machine.caches.l1, &machine.caches.l2]
             .map(|level| SetAssocCache::geometry(level.capacity_bytes, level.associativity));
@@ -314,12 +324,18 @@ impl KernelSpec {
         if self.rows <= 1 || self.row_stride >= self.inner {
             return true;
         }
+        // Every operand has its one point, so the windows are the
+        // operands' in order (or none, for a kernel that never runs).
         self.row_stride == 0
-            && self.operand_windows(rank).all(|(first, last)| {
-                [l1, l2]
-                    .iter()
-                    .all(|&(sets, ways)| (last - first + 1) / sets as u64 > ways as u64)
-            })
+            && ops
+                .iter()
+                .zip(self.operand_windows(rank))
+                .all(|(op, (first, last))| {
+                    let parked = u64::from(op.kind == AccessKind::Store);
+                    [l1, l2].iter().all(|&(sets, ways)| {
+                        (last - first + 1) / sets as u64 > ways as u64 + parked
+                    })
+                })
     }
 
     /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of

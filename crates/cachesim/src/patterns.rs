@@ -207,6 +207,10 @@ impl SweepCursor {
     /// stream per operand, which no store of a segment moves.  So it takes
     /// no snapshot, tracks no recency change and counts its bulk loads as
     /// settled hits; a debug build looks its lines up at every segment.
+    /// And it stores each store stream's segment in one call at its first
+    /// element: the bulk stores would only merge into the line that call
+    /// leaves the stream on, and no other stream's store in between can
+    /// move it.
     fn segments<const W: bool, const MARKED: bool>(
         &mut self,
         core: &mut PrivateCore,
@@ -217,15 +221,6 @@ impl SweepCursor {
         let mut spent = 0u64;
         while self.rows_left > 0 && spent < budget {
             let at = self.done * ELEM_BYTES;
-            // The segment's first iteration, faithfully, in operand order.
-            let mark = (!MARKED).then(|| core.mark());
-            let mut stores_reordered = false;
-            for s in &self.streams {
-                let before = if MARKED { 0 } else { core.l1_reorders() };
-                self.feed(core, llc, s.kind, s.row_base + at);
-                stores_reordered |=
-                    !MARKED && s.kind != AccessKind::Load && core.l1_reorders() != before;
-            }
             // The segment extends until any stream reaches its next line
             // boundary (each stream advances 8 bytes per iteration and is
             // 8-aligned, so the residual is exact).
@@ -236,6 +231,21 @@ impl SweepCursor {
                     seg.min((LINE_BYTES - (s.row_base + at) % LINE_BYTES) / ELEM_BYTES)
                 })
             };
+            // The segment's first iteration, faithfully, in operand order;
+            // on a marked core each store stream's whole segment at once.
+            let mark = (!MARKED).then(|| core.mark());
+            let mut stores_reordered = false;
+            for s in &self.streams {
+                let before = if MARKED { 0 } else { core.l1_reorders() };
+                let addr = s.row_base + at;
+                if MARKED && s.kind != AccessKind::Load && !self.scalar {
+                    Self::store_elements(core, llc, s.kind, addr, seg);
+                } else {
+                    self.feed(core, llc, s.kind, addr);
+                }
+                stores_reordered |=
+                    !MARKED && s.kind != AccessKind::Load && core.l1_reorders() != before;
+            }
             if seg > 1 {
                 // Bulk preconditions: every load line resident in L1 and
                 // every store stream still open on its line.  The O(1)
@@ -255,20 +265,15 @@ impl SweepCursor {
                     }
                     for s in &self.streams {
                         let addr = s.row_base + at + ELEM_BYTES;
-                        let line = line_of(addr);
                         match s.kind {
                             AccessKind::Load if settled => {}
                             AccessKind::Load => {
-                                let resident = core.l1_touch_repeat(line, seg - 1);
+                                let resident = core.l1_touch_repeat(line_of(addr), seg - 1);
                                 debug_assert!(resident, "bulk phase cannot evict");
                             }
-                            kind => core.store_line_segment(
-                                llc,
-                                line,
-                                addr % LINE_BYTES,
-                                (seg - 1) * ELEM_BYTES,
-                                kind == AccessKind::StoreNT,
-                            ),
+                            // Stored with the segment's first element.
+                            _ if MARKED => {}
+                            kind => Self::store_elements(core, llc, kind, addr, seg - 1),
                         }
                     }
                 } else {
@@ -306,17 +311,29 @@ impl SweepCursor {
         if self.scalar {
             return Self::feed_split(core, llc, kind, addr);
         }
-        let line = line_of(addr);
         match kind {
-            AccessKind::Load => core.load_line(llc, line),
-            kind => core.store_line_segment(
-                llc,
-                line,
-                addr % LINE_BYTES,
-                ELEM_BYTES,
-                kind == AccessKind::StoreNT,
-            ),
+            AccessKind::Load => core.load_line(llc, line_of(addr)),
+            kind => Self::store_elements(core, llc, kind, addr, 1),
         }
+    }
+
+    /// Store `n` consecutive elements of one line from `addr` as one
+    /// segment of the store path.
+    #[inline(always)]
+    fn store_elements<const W: bool>(
+        core: &mut PrivateCore,
+        llc: &mut LastLevel<W>,
+        kind: AccessKind,
+        addr: u64,
+        n: u64,
+    ) {
+        core.store_line_segment(
+            llc,
+            line_of(addr),
+            addr % LINE_BYTES,
+            n * ELEM_BYTES,
+            kind == AccessKind::StoreNT,
+        );
     }
 
     /// Feed one 8-byte element of a misaligned sweep as one operation per

@@ -518,8 +518,9 @@ struct Case {
     prefetch: bool,
     kernel: KernelSpec,
     draw: Draw,
-    /// The preset's L1 narrowed to this many ways of its sets, if any.
-    l1_ways: Option<usize>,
+    /// The preset's L1 and L2 narrowed to this many ways of their sets,
+    /// if any.
+    ways: [Option<usize>; 2],
 }
 
 impl Case {
@@ -618,7 +619,7 @@ impl Case {
             prefetch,
             kernel,
             draw,
-            l1_ways: None,
+            ways: [None; 2],
         }
     }
 
@@ -661,7 +662,7 @@ impl Case {
             prefetch: true,
             kernel,
             draw: Draw(index as u64),
-            l1_ways: None,
+            ways: [None; 2],
         }
     }
 
@@ -679,9 +680,46 @@ impl Case {
             .collect();
         let kernel = fixed_sweep(&operands, 64, 0, 64, 1);
         Self {
-            l1_ways: Some(4),
+            ways: [Some(4), None],
             ..Self::fixed(index, ("one load and four stores, a 4-way L1", kernel))
         }
+    }
+
+    /// A fixed case on an ICX whose L2 has 4 ways (1 024 sets): a store
+    /// window of `per_set` lines per L2 set, swept twice (`row_stride ==
+    /// 0`).  At 6 per set `KernelSpec::never_hits_private` proves it: the
+    /// first sweep moves the store frontier past the window, every line of
+    /// the second lies below it and must be looked up, and it is still in
+    /// the last level wherever the share holds the window.  At 5 per set it
+    /// is refused: the first sweep leaves its stream open on the window's
+    /// last line, so only 3 other lines of that line's L2 set are retired
+    /// before the second sweep retires line 1 023 of the window again, and
+    /// it hits the L2.
+    fn store_window_swept_twice(index: usize, (name, per_set): (&'static str, u64)) -> Self {
+        let kernel = fixed_sweep(
+            &[(1 << 30, &[(0, 0)], AccessKind::Store)],
+            0,
+            0,
+            8 * 1024 * per_set,
+            2,
+        );
+        Self {
+            ways: [None, Some(4)],
+            ..Self::fixed(index, (name, kernel))
+        }
+    }
+
+    /// The case, asserted to be one that `KernelSpec::never_hits_private`
+    /// proves: a case built to reach a corner of the path that skips the
+    /// private levels must take it.
+    fn proved(self) -> Self {
+        let machine = self.machine(true);
+        assert!(
+            self.kernel.never_hits_private(&machine, 0),
+            "{} is refused",
+            self.name
+        );
+        self
     }
 
     /// The preset as simulated: SpecI2M on, or off with no NT partial
@@ -689,11 +727,17 @@ impl Case {
     /// gets an id of its own: the simulator pools cores by machine id.
     fn machine(&self, speci2m: bool) -> Machine {
         let mut m = self.preset.machine();
-        if let Some(ways) = self.l1_ways {
-            let l1 = &mut m.caches.l1;
-            l1.capacity_bytes = l1.sets() * ways * l1.line_bytes;
-            l1.associativity = ways;
-            m.id.push_str(&format!("-l1-{ways}-way"));
+        let caches = &mut m.caches;
+        for (level, (spec, ways)) in [&mut caches.l1, &mut caches.l2]
+            .into_iter()
+            .zip(self.ways)
+            .enumerate()
+        {
+            if let Some(ways) = ways {
+                spec.capacity_bytes = spec.sets() * ways * spec.line_bytes;
+                spec.associativity = ways;
+                m.id.push_str(&format!("-l{}-{ways}-way", level + 1));
+            }
         }
         if !speci2m {
             m.speci2m.nt_partial_flush_max = 0.0;
@@ -866,15 +910,31 @@ impl Case {
 /// combination twice.
 const CASES: usize = 60;
 
-/// The fixed kernels, then `times` × `CASES` drawn cases from `seed`, then
-/// half as many overlaid ones (every combination `times` times) from a
-/// seed of their own.
+/// The fixed kernels (the proof's and the frontiers' edges last), then
+/// `times` × `CASES` drawn cases from `seed`, then half as many overlaid
+/// ones (every combination `times` times) from a seed of their own.
 fn cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
-    let fixed = fixed_kernels().into_iter().enumerate();
-    let narrow = Case::narrow_l1(fixed.len());
+    let (fixed, frontier) = (fixed_kernels(), frontier_kernels());
+    let (n, m) = (fixed.len(), fixed.len() + 1 + frontier.len());
+    let proved = frontier
+        .into_iter()
+        .enumerate()
+        .map(move |(k, kernel)| Case::fixed(n + 1 + k, kernel))
+        .chain([Case::store_window_swept_twice(
+            m,
+            ("a store window swept twice, 6 lines per L2 set", 6),
+        )])
+        .map(Case::proved);
     let fixed = fixed
+        .into_iter()
+        .enumerate()
         .map(|(index, kernel)| Case::fixed(index, kernel))
-        .chain([narrow]);
+        .chain([Case::narrow_l1(n)])
+        .chain(proved)
+        .chain([Case::store_window_swept_twice(
+            m + 1,
+            ("a store window swept twice, 5 lines per L2 set", 5),
+        )]);
     let drawn = (0..times * CASES).map(move |index| Case::new(index, seed));
     let overlaid = (0..times * CASES / 2).map(move |index| Case::new(index, !seed).overlaid());
     fixed.chain(drawn).chain(overlaid)
@@ -1061,6 +1121,56 @@ fn fixed_kernels() -> Vec<(&'static str, KernelSpec)> {
         ),
     ]);
     kernels
+}
+
+/// Hand-made kernels that `KernelSpec::never_hits_private` proves, at the
+/// edges of the load and store frontiers of the core that skips its private
+/// levels (a solo simulation through the memo, a one-tenant co-run): a line
+/// from a frontier up is taken for absent from the last level without a
+/// look, which a debug build asserts.  The store window swept twice is
+/// `Case::store_window_swept_twice`.
+fn frontier_kernels() -> Vec<(&'static str, KernelSpec)> {
+    use AccessKind::{Load, Store};
+    vec![
+        // Rows 5 elements apart and operands skewed within their lines, so
+        // that row ends retire partial lines.  Each segment retires a line
+        // of the middle window, then of the highest, then of the lowest:
+        // only the highest window's lines lie above every store line
+        // before them.
+        (
+            "a load and three store streams whose lines interleave",
+            fixed_sweep(
+                &[
+                    (1 << 30, &[(0, 0)], Load),
+                    ((2 << 31) + 8, &[(0, 0)], Store),
+                    ((3 << 31) + 24, &[(0, 0)], Store),
+                    (1 << 31, &[(0, 0)], Store),
+                ],
+                221,
+                2,
+                216,
+                6,
+            ),
+        ),
+        // Rows of 8 lines, 4 rows: the load window is lines 9..=40 past
+        // its array's base and the store window lines 45..=76, the closest
+        // `one_stream_per_window` admits.  The last load line is even, so
+        // its buddy prefetch is line 41, four lines below the first store
+        // line.
+        (
+            "a load window exactly 5 lines below a store window",
+            fixed_sweep(
+                &[
+                    ((1 << 30) + LINE, &[(0, 0)], Load),
+                    ((1 << 30) + 37 * LINE, &[(0, 0)], Store),
+                ],
+                64,
+                0,
+                64,
+                4,
+            ),
+        ),
+    ]
 }
 
 #[test]
