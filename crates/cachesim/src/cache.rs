@@ -31,38 +31,26 @@
 //! the tiers, their feature detection and their `unsafe` went (table in
 //! EXPERIMENTS "Simulator type surface").
 //!
-//! What streams do most is *miss* (nearly every new line is absent from L1
-//! and L2), and a miss scanned a full set.  So a cache that is small enough
-//! carries an exact **presence filter**: `u8` counters, four per line of
-//! capacity rounded up to a power of two, indexed by the top bits of
-//! `line × 0x9E37_79B9_7F4A_7C15`.  An insert increments the new
-//! line's counter and decrements the displaced line's, an invalidation
-//! decrements, a drain zeroes (line by line while that is cheaper than one
-//! `fill` of the lane, then the whole lane); a counter that reaches 255
-//! *sticks* (it no longer knows how many lines it stands for).  So a
-//! counter reads zero only if no resident line maps to it: zero **proves
-//! absence** and the probe answers without touching the set; anything
-//! else scans, and the filter can only err by saying "maybe".
-//! Size rule and hash are constants
-//! set by measurement (fastest of 4 × 7 on a 2-vCPU host, PR 23).  A cold
-//! `interference_factor(icx-8360y, thrash, 64)` — 202 ms at PR 19's shifted
-//! sets without a filter — reads 146 ms with filters of at most 256 KiB and
-//! 203 ms with 2 MiB of counters on the 27 MiB co-run LLC as well: a lookup
-//! there misses the host's cache, where the 13-way scan it spares is two
-//! sequential host lines.  So L1 (4 KiB), L2 (128 KiB) and L3 shares of up
-//! to 64 Ki lines have a filter, the co-run LLC and an unshared L3 none.
-//! What spares the co-run LLC most of its miss scans is a proof instead: a
-//! streaming tenant's first touch of a line, a load above its *load
-//! frontier* or a store line above its *store frontier* (`PrivateCore`),
-//! is known to miss, so `miss_proved` counts the miss and `insert_absent`
-//! puts in a load's buddy prefetch, neither scanning the set; only its
-//! reloads, its re-stored lines and unproved tenants' lines are looked
-//! up.
-//! `figures fig8` — 79 ms — reads 64 ms with this index and 85 ms with a
-//! locality-preserving one (a fold of the high bits), which aliases the
-//! copy kernel's two streams.  `benchmark/`'s `cachesim.probe_ns_per_line`
-//! (full-set miss scans of a 160 KiB cache, a shape no product path has) is
-//! answered by the filter and reads ≈ 1 ns where the scan read ≈ 13–15.
+//! There is no presence filter.  What streams do most is *miss*, and
+//! caches of up to 64 Ki lines once carried `u8` counters whose zero proved
+//! a line absent without a scan.  But every simulation a paper figure runs
+//! is on a core that `KernelSpec::never_hits_private` marks: it never
+//! drives its L1 or L2, and its *load* and *store frontiers*
+//! (`PrivateCore`) prove its first touches of the last level absent, so
+//! `miss_proved` counts such a miss and `insert_absent` puts the line in,
+//! neither scanning the set; only reloads, re-stored lines and unmarked
+//! cores' lines are looked up.  The filter then answered almost nothing,
+//! while its counter updates on every insert were 12 % of fig. 8's samples
+//! against 1.8 % for the probe.  Without it `paper_all` reads 6 736 → 7 675
+//! points/s (ten-pair medians on 2 vCPUs, every byte unchanged).  An
+//! unmarked core, which no benchmarked workload runs, pays with a full
+//! scan of every miss: the 22 hotspot loops through `loop_kernel` at 71 +
+//! 72 ranks take ≈ 7 % longer, and `benchmark/`'s
+//! `cachesim.probe_ns_per_line` (full-set miss scans of a 160 KiB cache)
+//! reads 18–31 ns where the filter answered in 1–2 (EXPERIMENTS, "The
+//! presence filter after marked cores").  The co-run LLC never had one:
+//! there its counters missed the host's cache and measured slower than the
+//! scan they spared.
 //!
 //! Three invariants keep the rest of the work per line short:
 //!
@@ -74,7 +62,7 @@
 //!   head past it;
 //! * **known-absent memo** — a [`touch`](SetAssocCache::touch) that misses
 //!   remembers its line as absent, so the [`fill`](SetAssocCache::fill)
-//!   that typically follows neither probes nor asks the filter;
+//!   that typically follows does not probe;
 //! * **used-set tracking** — draining operations (and
 //!   [`resident_lines`](SetAssocCache::resident_lines)) visit only sets
 //!   that ever received a fill, so they cost O(resident), not O(capacity).
@@ -82,10 +70,10 @@
 //! A cache whose `WINDOW` parameter is set also counts its resident lines
 //! of one **window**, a range of line indices fixed at construction: the
 //! co-run engine asks its shared LLC how many lines of one tenant's address
-//! window it holds, at any moment, in O(1).  The count is kept where the
-//! filter's is — an insert and the line it displaces, an invalidation, a
-//! drain.  Every other cache — each level of a solo run, the private
-//! levels of a co-run — is compiled without the count.
+//! window it holds, at any moment, in O(1).  The count is kept wherever
+//! residency changes — an insert and the line it displaces, an
+//! invalidation, a drain.  Every other cache — each level of a solo run,
+//! the private levels of a co-run — is compiled without the count.
 //!
 //! [`invalidate`]: SetAssocCache::invalidate
 
@@ -139,8 +127,7 @@ enum SetProbe {
     Hit(usize),
     /// Line absent; an empty slot ended the scan.
     Empty,
-    /// Line absent and no empty slot seen (or, standing for a zero filter
-    /// counter, not looked for).
+    /// Line absent and no empty slot seen: every way scanned.
     Full,
 }
 
@@ -160,30 +147,8 @@ fn probe_set(tags: &[u64], line: u64) -> SetProbe {
     SetProbe::Full
 }
 
-/// Presence-filter counters per line of capacity (then rounded up to a
-/// power of two), and the largest filter a cache carries, in counters
-/// (= bytes): above it a cache has none.  Measured, see the module docs.
-const FILTER_COUNTERS_PER_LINE: usize = 4;
-const FILTER_MAX_COUNTERS: usize = 256 << 10;
-
-/// A drain zeroes its first `counters / FILTER_FILL_PER_LINE` lines'
-/// filter counters one by one, each a write to a random byte of the lane,
-/// and if more lines follow, zeroes the whole lane in one `fill` instead.
-/// Set by measurement on a 2-vCPU host, draining a streamed L2 of the
-/// paper's ICX (20 480 lines, 128 Ki counters): line by line took 79–85
-/// µs, one fill 34–41 µs, and up to a quarter full line by line was as
-/// fast.  With 32 a full drain read 41–44 µs and a partial one kept the
-/// line-by-line time; 16 was slower on half and full drains, 64 within
-/// noise of 32.
-const FILTER_FILL_PER_LINE: usize = 32;
-
-/// Multiplier of the filter's index hash (2^64 / φ): a line's counter is
-/// the top bits of the product.  Measured against a fold, see there.
-const FILTER_HASH: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// A saturated filter counter: never decremented again, so it cannot reach
-/// a zero it has not earned.
-const FILTER_STUCK: u8 = u8::MAX;
+/// The most ways a set may have: its head is a `u16` below `ways`.
+const MAX_WAYS: usize = 1 << u16::BITS;
 
 /// The resident lines of the range `lo..=lo + extent` (see the module
 /// docs); read only by a [`WindowedCache`].
@@ -200,13 +165,6 @@ impl Window {
     fn holds(&self, line: u64) -> u64 {
         u64::from(line.wrapping_sub(self.lo) <= self.extent)
     }
-}
-
-/// The counter of `line` in a filter of `1 << (64 - shift)` counters.
-#[inline(always)]
-fn filter_idx(shift: u32, line: u64) -> usize {
-    debug_assert!(shift > 0, "a cache without a filter has no counters");
-    (line.wrapping_mul(FILTER_HASH) >> shift) as usize
 }
 
 /// A single set-associative true-LRU cache level.
@@ -235,15 +193,6 @@ pub struct SetAssocCache<R = TrueLru, const SIMD: bool = true, const WINDOW: boo
     /// Each set's head: the slot of its most recently used entry (`<
     /// ways`; zero in an empty set).
     heads: Box<[u16]>,
-    /// Presence filter: per counter, how many resident lines hash to it
-    /// (see the module docs).  Like `tags`, an arena that only grows.
-    filter: Box<[u8]>,
-    /// What [`filter_idx`] shifts by in the current geometry: 64 − log2 of
-    /// its filter's size, or 0 for "no filter".
-    filter_shift: u32,
-    /// Whether a counter saturated since the last drain, which must then
-    /// zero the whole lane: a stuck counter may outlive its lines.
-    filter_stuck: bool,
     /// Set indices that received at least one fill since the last
     /// reset/flush, so draining operations touch O(resident) entries
     /// instead of the whole arena (a streaming kernel leaves most of a
@@ -306,16 +255,6 @@ impl SetAssocCache {
         let effective_ways = (total_lines / sets_pow2).max(1);
         (sets_pow2, effective_ways)
     }
-
-    /// Entries of the head lane and of the presence filter a geometry has:
-    /// no filter above [`FILTER_MAX_COUNTERS`].
-    fn ring_lanes(sets: usize, ways: usize) -> (usize, usize) {
-        assert!(ways <= 1 << u16::BITS, "a head is a u16 below `ways`");
-        match (sets * ways * FILTER_COUNTERS_PER_LINE).next_power_of_two() {
-            counters if counters <= FILTER_MAX_COUNTERS => (sets, counters),
-            _ => (sets, 0),
-        }
-    }
 }
 
 impl WindowedCache {
@@ -345,13 +284,10 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
     /// `window` (read only if `WINDOW`).
     fn build(capacity_bytes: usize, ways: usize, window: Window) -> Self {
         let (sets, effective_ways) = SetAssocCache::geometry(capacity_bytes, ways);
-        let (heads, counters) = SetAssocCache::ring_lanes(sets, effective_ways);
+        assert!(effective_ways <= MAX_WAYS, "a head is a u16 below `ways`");
         Self {
             tags: vec![INVALID_LINE; sets * effective_ways].into_boxed_slice(),
-            heads: vec![0u16; heads].into_boxed_slice(),
-            filter: vec![0u8; counters].into_boxed_slice(),
-            filter_shift: u64::BITS - (counters as u64).trailing_zeros(),
-            filter_stuck: false,
+            heads: vec![0u16; sets].into_boxed_slice(),
             used_sets: Vec::new(),
             used_bitmap: vec![0u64; sets.div_ceil(64)].into_boxed_slice(),
             known_absent: INVALID_LINE,
@@ -370,11 +306,7 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
     /// Empty the cache and zero the counters, reusing the lane allocations.
     /// Afterwards the cache is indistinguishable from a freshly constructed
     /// one of the same geometry.  Costs O(sets ever filled), not
-    /// O(capacity) — the filter too: a counter only ever counted resident
-    /// lines, so zeroing each drained line's counter reaches every non-zero
-    /// one but a saturated counter whose lines have left.  So the whole
-    /// lane (at most 256 KiB) is zeroed instead only after a saturation,
-    /// or when so many lines drain that one `fill` is cheaper.
+    /// O(capacity).
     pub fn reset(&mut self) {
         self.drain_entries(|_| ());
         self.hits = 0;
@@ -386,10 +318,10 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
 
     /// [`reset`](Self::reset) into the geometry [`new`]`(capacity_bytes,
     /// ways)` would have, reusing the lanes: emptying leaves every slot of
-    /// the arena `INVALID_LINE` and every head and counter zero, so any
-    /// geometry that fits is just a new `ways`/`set_mask`/`filter_shift`
-    /// over the same lanes; each is reallocated only to grow.  Afterwards
-    /// the cache is indistinguishable from that fresh construction.
+    /// the arena `INVALID_LINE` and every head zero, so any geometry that
+    /// fits is just a new `ways`/`set_mask` over the same lanes; each is
+    /// reallocated only to grow.  Afterwards the cache is indistinguishable
+    /// from that fresh construction.
     ///
     /// [`new`]: Self::new
     pub fn reshape(&mut self, capacity_bytes: usize, ways: usize) {
@@ -404,14 +336,10 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
         if sets.div_ceil(64) > self.used_bitmap.len() {
             self.used_bitmap = vec![0u64; sets.div_ceil(64)].into_boxed_slice();
         }
-        let (heads, counters) = SetAssocCache::ring_lanes(sets, effective_ways);
-        if heads > self.heads.len() {
-            self.heads = vec![0u16; heads].into_boxed_slice();
+        assert!(effective_ways <= MAX_WAYS, "a head is a u16 below `ways`");
+        if sets > self.heads.len() {
+            self.heads = vec![0u16; sets].into_boxed_slice();
         }
-        if counters > self.filter.len() {
-            self.filter = vec![0u8; counters].into_boxed_slice();
-        }
-        self.filter_shift = u64::BITS - (counters as u64).trailing_zeros();
         self.ways = effective_ways;
         self.set_mask = (sets - 1) as u64;
     }
@@ -419,39 +347,16 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
     /// Empty every set that ever received a fill, handing each valid tag
     /// word to `drained` on the way, and forget the used-set tracking.
     fn drain_entries(&mut self, mut drained: impl FnMut(u64)) {
-        // The filter: zero drained lines' counters one by one (each a write
-        // to a random byte of the lane) until that has cost about what one
-        // fill of the lane costs, then fill it; after a saturation, fill it.
-        let counters = match self.filter_shift {
-            0 => 0,
-            shift => 1usize << (u64::BITS - shift),
-        };
-        let mut whole_lane = std::mem::take(&mut self.filter_stuck);
-        let mut singly = if whole_lane {
-            0
-        } else {
-            counters / FILTER_FILL_PER_LINE
-        };
         for &set in &self.used_sets {
             let start = set as usize * self.ways;
             // Every slot: a ring's valid entries need not start at slot 0.
             for tag in &mut self.tags[start..start + self.ways] {
-                if *tag == INVALID_LINE {
-                    continue;
+                if *tag != INVALID_LINE {
+                    drained(*tag);
+                    *tag = INVALID_LINE;
                 }
-                drained(*tag);
-                if singly > 0 {
-                    singly -= 1;
-                    self.filter[filter_idx(self.filter_shift, *tag & !DIRTY)] = 0;
-                } else {
-                    whole_lane = true;
-                }
-                *tag = INVALID_LINE;
             }
             self.heads[set as usize] = 0;
-        }
-        if whole_lane {
-            self.filter[..counters].fill(0);
         }
         self.used_sets.clear();
         self.used_bitmap.fill(0);
@@ -537,16 +442,12 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
         unsafe { self.tags.get_unchecked(start..start + self.ways) }
     }
 
-    /// Index of `line`'s set and what a probe of it finds.  A zero filter
-    /// counter answers without touching the set (`Full`: an insert needs no
-    /// more than "absent"); the scan is from the head round.
+    /// Index of `line`'s set and what a probe of it finds: a scan of the
+    /// set from its head round, which stops at the line or the first hole.
     #[inline(always)]
     fn probe(&self, line: u64) -> (usize, SetProbe) {
         debug_assert!(line <= 1 << 58, "line indices are addr / 64");
         let set_idx = (line & self.set_mask) as usize;
-        if self.filter_shift != 0 && self.filter[filter_idx(self.filter_shift, line)] == 0 {
-            return (set_idx, SetProbe::Full);
-        }
         let tags = self.set_tags(set_idx * self.ways);
         let (wrapped, first) = tags.split_at(usize::from(self.heads[set_idx]));
         let found = match probe_set(first, line) {
@@ -569,7 +470,8 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
 
     /// Count how many of `lines` are resident: [`contains`] over a slice,
     /// modifying no LRU state or counters.  No product path calls it; it is
-    /// what `benchmark/`'s `cachesim.probe_ns_per_line` times.
+    /// what `benchmark/`'s `cachesim.probe_ns_per_line` times: a scan of
+    /// each line's set, every way of a full set for an absent line.
     ///
     /// [`contains`]: Self::contains
     pub fn resident_count(&self, lines: &[u64]) -> usize {
@@ -620,29 +522,11 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
             dirty: old & DIRTY != 0,
         });
         self.evictions += evicted.is_some() as u64;
-        self.filter_count(line, true);
         self.window_count(line, true);
         if let Some(evicted) = evicted {
-            self.filter_count(evicted.line, false);
             self.window_count(evicted.line, false);
         }
         evicted
-    }
-
-    /// `line` became resident (`arrived`) or stopped being: count it in or
-    /// out of its filter counter, if there is a filter.  A counter that
-    /// saturates sticks: it no longer knows how many lines it stands for.
-    #[inline(always)]
-    fn filter_count(&mut self, line: u64, arrived: bool) {
-        if self.filter_shift == 0 {
-            return;
-        }
-        let counter = &mut self.filter[filter_idx(self.filter_shift, line)];
-        debug_assert!(arrived || *counter > 0, "a resident line was counted");
-        if *counter != FILTER_STUCK {
-            *counter = if arrived { *counter + 1 } else { *counter - 1 };
-            self.filter_stuck |= *counter == FILTER_STUCK;
-        }
     }
 
     /// `line` became resident (`arrived`) or stopped being: count it in or
@@ -691,7 +575,7 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
     /// Returns `false` (and changes nothing) if the line is not resident;
     /// callers fall back to the scalar path in that case.  A line at its
     /// set's head — the re-hit of a streaming stencil — is one compare: no
-    /// filter lookup, no scan, no move.  Zero repeats are
+    /// scan, no move.  Zero repeats are
     /// vacuously accounted: `n == 0` returns `true` and changes nothing —
     /// no counter, no recency — whether or not the line is resident (the
     /// in-tree caller asks only with `n > 0`).
@@ -846,7 +730,6 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
         let head = usize::from(self.heads[set_idx]) + 1;
         self.heads[set_idx] = if head == self.ways { 0 } else { head as u16 };
         self.invalidations += 1;
-        self.filter_count(line, false);
         self.window_count(line, false);
         Some(tag & DIRTY != 0)
     }
@@ -888,23 +771,20 @@ mod tests {
     use super::*;
 
     /// `emptied` — a cache after `reset`, `reshape` or `flush_dirty` — is a
-    /// `fresh`ly constructed one: the same geometry and filter size, and
-    /// every tag, head, filter counter and tracking bit of its (possibly
-    /// larger) lanes as construction leaves them.
+    /// `fresh`ly constructed one: the same geometry, and every tag, head
+    /// and tracking bit of its (possibly larger) lanes as construction
+    /// leaves them.
     fn assert_like_fresh(emptied: &SetAssocCache, fresh: &SetAssocCache) {
-        let geometry = |c: &SetAssocCache| (c.ways, c.set_mask, c.filter_shift);
+        let geometry = |c: &SetAssocCache| (c.ways, c.set_mask);
         assert_eq!(geometry(emptied), geometry(fresh));
         assert!(emptied.tags.iter().all(|&tag| tag == INVALID_LINE));
         assert!(emptied.heads.iter().all(|&head| head == 0));
-        assert!(emptied.filter.iter().all(|&count| count == 0));
-        assert!(!emptied.filter_stuck);
         assert!(emptied.used_sets.is_empty());
         assert!(emptied.used_bitmap.iter().all(|&word| word == 0));
         assert_eq!(emptied.known_absent, INVALID_LINE);
         assert_eq!(emptied.window.lines, 0);
         assert!(emptied.tags.len() >= fresh.tags.len());
         assert!(emptied.heads.len() >= fresh.heads.len());
-        assert!(emptied.filter.len() >= fresh.filter.len());
     }
 
     /// The naive model of recency-ordered sets: per set the resident lines,
@@ -1089,68 +969,6 @@ mod tests {
         }
         assert!(wraps >= 3, "set 0's head wrapped {wraps} times");
         assert_eq!((cache.misses(), cache.evictions()), (80, 60));
-    }
-
-    /// `n` lines that share the filter counter `counter` of a filter that
-    /// shifts by `shift`: preimages of `counter` in the top bits, through the
-    /// hash multiplier's inverse modulo 2^64 (Newton's iteration doubles
-    /// the correct low bits; an odd number is its own inverse modulo 8).
-    fn lines_sharing_a_counter(shift: u32, counter: u64, n: usize) -> Vec<u64> {
-        let inverse = (0..5).fold(FILTER_HASH, |inv, _| {
-            inv.wrapping_mul(2u64.wrapping_sub(FILTER_HASH.wrapping_mul(inv)))
-        });
-        assert_eq!(FILTER_HASH.wrapping_mul(inverse), 1);
-        (0u64..)
-            .map(|low| ((counter << shift) | low).wrapping_mul(inverse))
-            .filter(|&line| line < 1 << 58)
-            .take(n)
-            .collect()
-    }
-
-    #[test]
-    fn a_saturated_filter_counter_sticks_and_still_only_ever_says_maybe() {
-        use std::collections::HashSet;
-        // The largest geometry that carries a filter: 64 Ki lines.
-        let mut c = SetAssocCache::new(4 << 20, 16);
-        assert_eq!(c.filter_shift, 64 - 18);
-        let counter = 0x2_a5f1;
-        let sharing = lines_sharing_a_counter(c.filter_shift, counter as u64, 320);
-        let mut resident = HashSet::new();
-        let fill = |c: &mut SetAssocCache, resident: &mut HashSet<u64>, line: u64| {
-            assert_eq!(
-                filter_idx(c.filter_shift, line) == counter,
-                sharing.contains(&line)
-            );
-            let (result, evicted) = c.probe_fill(line, false);
-            assert_eq!(result == LookupResult::Miss, resident.insert(line));
-            if let Some(evicted) = evicted {
-                assert!(resident.remove(&evicted.line));
-            }
-        };
-        for (n, &line) in sharing.iter().enumerate() {
-            assert!(!c.contains(line) && c.evictions() == 0);
-            assert_eq!(usize::from(c.filter[counter]), n.min(255));
-            fill(&mut c, &mut resident, line);
-        }
-        assert!(c.filter_stuck);
-        // Evict every one of them (twice the capacity streams through) and
-        // a counter that counted would read 0; this one no longer counts.
-        for line in (1 << 30)..(1 << 30) + (2 << 16) {
-            fill(&mut c, &mut resident, line);
-        }
-        assert_eq!(c.filter[counter], FILTER_STUCK);
-        assert_eq!(resident.len(), 1 << 16);
-        for &line in sharing.iter().chain(&resident) {
-            assert_eq!(c.contains(line), resident.contains(&line), "line {line}");
-        }
-        // Taking and returning a line moves it neither.
-        assert_eq!(c.probe_fill(sharing[0], true).0, LookupResult::Miss);
-        assert_eq!(c.invalidate(sharing[0]), Some(true));
-        assert_eq!(c.filter[counter], FILTER_STUCK);
-        assert!(!c.contains(sharing[0]));
-        // No resident line names the stuck counter, and a drain zeroes it.
-        c.reset();
-        assert_like_fresh(&c, &SetAssocCache::new(4 << 20, 16));
     }
 
     #[test]
@@ -1361,12 +1179,12 @@ mod tests {
         }
         assert!(c.resident_lines() > 0 && c.misses() > 0);
         c.invalidate(9);
-        assert!(c.heads.iter().any(|&h| h != 0) && c.filter.iter().any(|&n| n != 0));
+        assert!(c.heads.iter().any(|&h| h != 0));
         c.reset();
         assert_eq!(c.resident_lines(), 0);
         assert_eq!((c.hits(), c.misses()), (0, 0));
         // Behaves exactly like a fresh cache afterwards, and is one: every
-        // head and every filter counter is zero again.
+        // head is zero again.
         let mut fresh = SetAssocCache::new(8 * 64, 4);
         assert_like_fresh(&c, &fresh);
         for line in [3u64, 7, 3, 11, 3] {
@@ -1379,9 +1197,8 @@ mod tests {
         let mut c = SetAssocCache::new(64 * 64, 4);
         // Shrink, grow past the first arena, return: each time with lines
         // still resident, each time like a fresh cache.  The last four are
-        // an unshared 54 MiB L3 and its 1.5 MiB share — without a filter and
-        // with one — which a pooled `CoreSim` alternates between sharer
-        // counts.
+        // an unshared 54 MiB L3 and its 1.5 MiB share, which a pooled
+        // `CoreSim` alternates between sharer counts.
         let l3 = [(13 << 16, 13), (24576, 12)];
         let small = [(8usize, 4usize), (256, 8), (64, 4), (12, 3)];
         for (lines, ways) in small.into_iter().chain(l3).chain(l3) {
@@ -1395,11 +1212,6 @@ mod tests {
             assert_eq!(c.resident_lines(), 0);
             assert_eq!((c.hits(), c.misses(), c.evictions()), (0, 0, 0));
             assert_like_fresh(&c, &fresh);
-            assert_eq!(
-                c.filter_shift != 0,
-                lines <= 1 << 16,
-                "a filter for caches of at most 64 Ki lines"
-            );
             for n in 0..400u64 {
                 let line = (n * 7) % 61;
                 assert_eq!(
@@ -1423,17 +1235,13 @@ mod tests {
         d.sort_unstable();
         assert_eq!(d, vec![1, 65]);
         assert_eq!(c.resident_lines(), 0);
-        // Three lines, below a drain's `counters / FILTER_FILL_PER_LINE`:
-        // their counters were zeroed one by one; the drain after the mix
-        // below empties more and zeroes the whole lane.
         assert_like_fresh(&c, &SetAssocCache::new(64 * 64, 4));
         // Used-set tracking restarts cleanly: a second flush is empty, new
         // fills are drained again.
         assert!(c.flush_dirty().is_empty());
         c.fill(130, true);
         assert_eq!(c.flush_dirty(), vec![130]);
-        // After any mix of operations a drain leaves every head and every
-        // filter counter zero.
+        // After any mix of operations a drain leaves every head zero.
         for n in 0..2000u64 {
             let line = (n * n) % 331;
             match n % 7 {
@@ -1446,11 +1254,6 @@ mod tests {
         }
         let resident = c.resident_lines();
         assert!(resident > 40 && c.evictions() > 0);
-        let counted: usize = c.filter.iter().map(|&count| usize::from(count)).sum();
-        assert_eq!(
-            counted, resident,
-            "the filter counts exactly the resident lines"
-        );
         c.flush_dirty();
         assert_like_fresh(&c, &SetAssocCache::new(64 * 64, 4));
     }
@@ -1523,7 +1326,7 @@ mod tests {
     fn the_window_count_is_the_resident_lines_of_the_window() {
         // Fills, hits, prefetch fills and invalidations of lines in and
         // around the window, in a cache small enough that most fills
-        // evict, with and without a filter; after every step the O(1)
+        // evict and in one of 128 Ki lines; after every step the O(1)
         // count equals a scan.
         for (capacity_lines, ways) in [(64usize, 4usize), (1 << 17, 16)] {
             let span = capacity_lines as u64 * 3;

@@ -4,9 +4,9 @@
 //! whole hierarchy) — one `Way { valid, lru, tag, dirty }` per slot in a
 //! `Vec<Vec<Way>>`, linear scans, a global access clock.  No packed tag
 //! words, no sets kept as rings in recency order behind a head index, no
-//! presence filter answering for an absent line, no remembered miss, no
-//! used-set tracking: every shortcut the real cache takes is absent here,
-//! so a misconception built into those shortcuts cannot pass.
+//! remembered miss, no used-set tracking: every shortcut the real cache
+//! takes is absent here, so a misconception built into those shortcuts
+//! cannot pass.
 //!
 //! Both are driven with the same operation sequences — adversarial
 //! (congruent lines of a few sets, more of them than ways) and streaming —
@@ -18,7 +18,7 @@
 //! ([`Membership`]): a map from line to dirty flag that learns the victims
 //! from the cache's own returned evictions, so it needs no knowledge of how
 //! a victim is chosen, and adds `touch_repeat`, `fill_if_absent` and
-//! filter-colliding lines to the op mix.
+//! line indices scattered across the 2^58 range to the op mix.
 //!
 //! Last, eviction sets (Snippet 1's construction over `L2_CACHE_WAYS`) as
 //! invariants at the paper machine's three geometries and every preset's
@@ -255,18 +255,18 @@ fn check_membership(seed: u64, first: usize) {
         let adversarial = episode % 2 == 0;
         let base = (1 << 20) + draw(1 << 40);
         let mut cursor = base;
-        // Every third episode half the accesses go to lines that collide
-        // in the cache's presence filter (`cache.rs`: four counters a line
-        // of capacity, rounded up to a power of two, indexed by the top
-        // bits of `line × 0x9E37_79B9_7F4A_7C15`): preimages of one counter
-        // through the multiplier's inverse modulo 2^64, the first of them
-        // that are line indices.  A counter shared by lines that come and
-        // go must still never call a resident one absent.
-        let colliding: Vec<u64> = if episode % 3 == 2 {
+        // Every third episode half the accesses go to `2 × ways + 6`
+        // arbitrary line indices across the whole 2^58 range: a random
+        // high-bit prefix and consecutive low bits times an odd multiplier
+        // modulo 2^64, the first products that are line indices.  Unlike
+        // the lines around `base`, they set any of a line index's 58 bits,
+        // which the tag compare must keep apart from each other and from
+        // the dirty flag in bit 63, and they fall into any set.
+        let scattered: Vec<u64> = if episode % 3 == 2 {
             let bits = (4 * lines).next_power_of_two().trailing_zeros();
-            let counter = draw(1 << bits) << (64 - bits);
+            let prefix = draw(1 << bits) << (64 - bits);
             (0u64..)
-                .map(|low| (counter | low).wrapping_mul(0xF1DE_83E1_9937_733D))
+                .map(|low| (prefix | low).wrapping_mul(0xF1DE_83E1_9937_733D))
                 .filter(|&line| line < 1 << 58)
                 .take(2 * ways + 6)
                 .collect()
@@ -274,8 +274,8 @@ fn check_membership(seed: u64, first: usize) {
             Vec::new()
         };
         for step in 0..1500 {
-            let line = if !colliding.is_empty() && draw(2) == 0 {
-                colliding[draw(colliding.len() as u64) as usize]
+            let line = if !scattered.is_empty() && draw(2) == 0 {
+                scattered[draw(scattered.len() as u64) as usize]
             } else if adversarial {
                 base + draw(3) + draw(assoc + 3) * sets
             } else {

@@ -5,7 +5,7 @@
 //! lru, tag }>>` with a global LRU clock and linear scans); the store
 //! streams are a list of open streams with a byte map per line; every
 //! access is fed one 8-byte element at a time.  No batching, no bulk
-//! phase, no presence filter, no ring, no trace.
+//! phase, no ring, no trace.
 //!
 //! The product's drivers — `CoreSim::drive_run`, `StencilRowSweep::drive`,
 //! the `SweepCursor` advanced in turns (a one-tenant `NodeSim::run_corun`
