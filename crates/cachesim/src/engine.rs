@@ -17,7 +17,7 @@ use crate::counters::MemCounters;
 use crate::hierarchy::{
     l3_share_bytes, CoreSimOptions, DomainOccupancy, OccupancyContext, PrivateCore,
 };
-use crate::memo::{CoRunKey, KernelSpec, SimMemo};
+use crate::memo::{CoRunKey, KernelSpec, LastLevelUse, SimMemo};
 use crate::patterns::{StencilRowSweep, SweepCursor};
 use crate::prefetch::PrefetcherConfig;
 
@@ -418,12 +418,13 @@ impl<'a> CoRunPass<'a> {
             .enumerate()
             .map(|(j, t)| {
                 let (machine, ctx, options) = (self.machine, self.ctx, self.options);
-                if t.never_hits_private(machine, j) {
-                    let own = alone_in_its_pairs(j);
-                    PrivateCore::skipping_private_levels(machine, ctx, options, own)
+                let llc = if alone_in_its_pairs(j) {
+                    LastLevelUse::OwnLines
                 } else {
-                    PrivateCore::new(machine, ctx, options)
-                }
+                    LastLevelUse::Shared
+                };
+                let reach = t.reach(machine, &options, j, llc);
+                PrivateCore::with_reach(machine, ctx, options, reach)
             })
             .collect();
         let sweeps: Vec<StencilRowSweep> = self

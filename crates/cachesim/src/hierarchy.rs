@@ -161,6 +161,96 @@ pub(crate) fn l3_share_bytes(l3_full_bytes: usize, sharers: usize) -> usize {
     (l3_full_bytes / sharers.max(1)).max(64 * 64)
 }
 
+/// No line index: what a [`Reach`] holds for a line not loaded or
+/// prefetched yet.  Line indices are `addr / 64 <= 2^58`.
+const NO_LINE: u64 = u64::MAX;
+
+/// What a [`PrivateCore`] simulates of its hierarchy.  The proofs on its
+/// kernel decide it (`KernelSpec::reach`) and
+/// [`set_reach`](PrivateCore::set_reach) sets it before the core runs; a
+/// [`reset`](PrivateCore::reset) makes it `Full` again.
+///
+/// A core that is not `Full` is *marked*: its kernel never hits its L1 or
+/// L2 but on the line it loaded last (`KernelSpec::never_hits_private`),
+/// so a repeat of `last_load` is an L1 hit and every other access happens
+/// at the last level alone.  A debug build drives the real L1 and L2
+/// beside a marked core, and the real last level beside a `Counted` one,
+/// and asserts every hit and miss they see against what the core decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// Every access looks the L1 up, then the L2, then the last level.
+    Full,
+    /// Every access but the repeat looks the last level up, except a line
+    /// that `frontiers` prove absent.  `frontiers` is armed where the
+    /// last level holds no line of the core's windows but what its own
+    /// accesses put there.
+    LastLevel {
+        /// The line loaded last (`NO_LINE` before the first load).
+        last_load: u64,
+        /// The load and store frontiers, if armed.
+        frontiers: Option<Frontiers>,
+    },
+    /// No cache is looked at: the kernel's rows never step back, so every
+    /// line is loaded or stored for the first time but the repeat and a
+    /// prefetched buddy, which `KernelSpec::counts_last_level` proves
+    /// still resident when it is loaded.  A load is the repeat, the hit
+    /// on `pending_buddy` or a miss; a store line is a miss.
+    Counted {
+        /// The line loaded last (`NO_LINE` before the first load).
+        last_load: u64,
+        /// The buddy the last load miss prefetched (`NO_LINE`: none).
+        pending_buddy: u64,
+        /// Dirty lines the last level has taken.  Each is a line stored
+        /// once, so each is written back once: all of them at the flush.
+        dirty_fills: u64,
+    },
+}
+
+/// The frontiers of a [`Reach::LastLevel`] core whose last level holds no
+/// line of its windows but what its own accesses put there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frontiers {
+    /// Every line the loads and their buddy prefetches have put into the
+    /// last level lies below it, so a load from it up misses there, and so
+    /// does its buddy, without a probe.  It is 0 or `(line | 1) + 1`, even,
+    /// so an odd line from it up has its buddy `line - 1` from it up too.
+    load: u64,
+    /// The load frontier's twin for the store windows: every line a
+    /// finalized store line has put into the last level lies below it.
+    store: u64,
+}
+
+impl Reach {
+    /// A marked core that looks its lines up at the last level, with
+    /// frontiers from line 0 if `own_lines`.
+    pub(crate) fn last_level(own_lines: bool) -> Self {
+        Reach::LastLevel {
+            last_load: NO_LINE,
+            frontiers: own_lines.then_some(Frontiers { load: 0, store: 0 }),
+        }
+    }
+
+    /// A marked core that counts its last level.
+    pub(crate) fn counted() -> Self {
+        Reach::Counted {
+            last_load: NO_LINE,
+            pending_buddy: NO_LINE,
+            dirty_fills: 0,
+        }
+    }
+
+    /// The line a marked core loaded last; `None` on a `Full` core.
+    #[inline]
+    fn last_load(self) -> Option<u64> {
+        match self {
+            Reach::Full => None,
+            Reach::LastLevel { last_load, .. } | Reach::Counted { last_load, .. } => {
+                Some(last_load)
+            }
+        }
+    }
+}
+
 /// The private half of one core's hierarchy: L1 + L2 + the store paths
 /// (coalescers), the adjacent-line prefetcher and the `Accountant` of
 /// this core's traffic — everything *except* the last level.
@@ -179,24 +269,8 @@ pub struct PrivateCore {
     /// Differential-re-simulation recorder; idle (the default) costs one
     /// predictable branch per event.
     pub(crate) trace: TraceRecorder,
-    /// For a core whose accesses skip the private levels
-    /// ([`skip_private_levels`](Self::skip_private_levels)), the line it
-    /// loaded last (`u64::MAX` before the first), the one line its L1 can
-    /// hit; `None` for every other core.
-    last_load: Option<u64>,
-    /// For a marked core whose last level holds no line of its load
-    /// window but what its own loads put there, the **load frontier**:
-    /// every line its loads and their buddy prefetches have put into the
-    /// last level lies below it, so a load from it up misses there, and so
-    /// does its buddy, without a probe.  `u64::MAX` (no line reaches it)
-    /// on every other core.
-    load_frontier: u64,
-    /// The **store frontier**, the load frontier's twin for the store
-    /// windows of the same core: every line its finalized store lines
-    /// have put into the last level lies below it, so a store line from
-    /// it up misses there without a probe.  `u64::MAX` where the load
-    /// frontier is.
-    store_frontier: u64,
+    /// What the core simulates of its hierarchy.
+    reach: Reach,
 }
 
 impl PrivateCore {
@@ -212,24 +286,23 @@ impl PrivateCore {
         )
     }
 
-    /// A private half whose accesses skip its private levels from the
-    /// start ([`skip_private_levels`](Self::skip_private_levels)).  Only a
-    /// debug build, which runs them beside that path to check it, gives it
-    /// an L1 and an L2 of the machine's size; a release build never fills
-    /// either, so each is one line.
-    pub(crate) fn skipping_private_levels(
+    /// A private half of `reach` from the start.  Only a `Full` core, and
+    /// a debug build, which runs the L1 and L2 beside a marked core to
+    /// check it, get an L1 and an L2 of the machine's size; a marked core
+    /// in a release build never fills either, so each is one line.
+    pub(crate) fn with_reach(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
-        own_lines: bool,
+        reach: Reach,
     ) -> Self {
-        let mut core = if cfg!(debug_assertions) {
+        let mut core = if reach == Reach::Full || cfg!(debug_assertions) {
             Self::new(machine, ctx, options)
         } else {
             let line = || SetAssocCache::new(64, 1);
             Self::with_banks(line(), line(), machine, ctx, options)
         };
-        core.skip_private_levels(own_lines);
+        core.set_reach(reach);
         core
     }
 
@@ -248,42 +321,32 @@ impl PrivateCore {
             options,
             account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
-            last_load: None,
-            load_frontier: u64::MAX,
-            store_frontier: u64::MAX,
+            reach: Reach::Full,
         }
     }
 
-    /// Let every load and store skip the private levels, which the caller
-    /// has proved never hit but on the line loaded last
-    /// ([`KernelSpec::never_hits_private`]): that line is then all of the
-    /// L1 a query sees, and everything else an access does happens at the
-    /// last level.  Only `SimMemo`'s simulation and a co-run pass mark a
-    /// core; one driven directly keeps its whole hierarchy, and a
-    /// [`reset`](Self::reset) clears the mark.
+    /// Set what the core simulates, as the proofs on its kernel decided
+    /// (`KernelSpec::reach`), before it runs.  Only `SimMemo`'s simulation
+    /// and a co-run pass mark a core; one driven directly keeps its whole
+    /// hierarchy, and a [`reset`](Self::reset) makes it `Full` again.
     ///
-    /// With `own_lines` the caller also vouches that the last level holds
-    /// no line of the core's windows now and that nothing but this core's
-    /// own accesses will put one there, so the core keeps a load frontier
-    /// and a store frontier from line 0.  The proof keeps the two apart:
-    /// its load window lies more than 4 lines from every store window
+    /// Frontiers vouch that the last level holds no line of the core's
+    /// windows now and that nothing but this core's own accesses will put
+    /// one there.  The proof keeps its windows apart: its load window
+    /// lies more than 4 lines from every store window
     /// (`WriteCoalescer::one_stream_per_window`), so no store line is a
     /// load line, and no buddy prefetch of a load line a store line; a
-    /// line of a store window enters the last level only as the fill of
-    /// a finalized store line, since the private levels it skips hold no
-    /// dirty line to sink there.
-    pub(crate) fn skip_private_levels(&mut self, own_lines: bool) {
-        self.last_load = Some(u64::MAX);
-        let frontier = if own_lines { 0 } else { u64::MAX };
-        self.load_frontier = frontier;
-        self.store_frontier = frontier;
+    /// line of a store window enters the last level only as the fill of a
+    /// finalized store line, since the private levels it skips hold no
+    /// dirty line to sink there; and a line of an NT window never does.
+    pub(crate) fn set_reach(&mut self, reach: Reach) {
+        self.reach = reach;
     }
 
-    /// Whether the core skips its private levels
-    /// ([`skip_private_levels`](Self::skip_private_levels)).
+    /// Whether the core is marked: it skips its private levels.
     #[inline]
-    pub(crate) fn skips_private_levels(&self) -> bool {
-        self.last_load.is_some()
+    pub(crate) fn is_marked(&self) -> bool {
+        self.reach != Reach::Full
     }
 
     /// Whether the L1 and L2 are driven: on every core but a marked one in
@@ -291,7 +354,14 @@ impl PrivateCore {
     /// check what the mark claims.
     #[inline]
     fn drives_private_levels(&self) -> bool {
-        self.last_load.is_none() || cfg!(debug_assertions)
+        self.reach == Reach::Full || cfg!(debug_assertions)
+    }
+
+    /// Whether the last level is driven: on every core but a counted one
+    /// in a release build.  A debug build drives a counted core's too.
+    #[inline]
+    pub(crate) fn drives_last_level(&self) -> bool {
+        !matches!(self.reach, Reach::Counted { .. }) || cfg!(debug_assertions)
     }
 
     /// Re-arm the private half for a fresh measurement under a (possibly
@@ -304,7 +374,7 @@ impl PrivateCore {
         self.options = options;
         self.account.arm(ctx, options);
         self.trace.finish();
-        self.last_load = None;
+        self.reach = Reach::Full;
     }
 
     /// One event of memory traffic: account it and, if a trace is active,
@@ -358,7 +428,7 @@ impl PrivateCore {
     /// for a core that skips its private levels, if it is the line loaded
     /// last.
     pub(crate) fn l1_contains(&self, line: u64) -> bool {
-        if let Some(last) = self.last_load {
+        if let Some(last) = self.reach.last_load() {
             debug_assert!(line != last || self.l1.contains(line), "{PROVED_RESIDENT}");
             return line == last;
         }
@@ -402,7 +472,7 @@ impl PrivateCore {
     /// recency order stays the full path's.
     #[inline]
     pub(crate) fn l1_settled_hits(&mut self, n: u64) {
-        match self.last_load {
+        match self.reach.last_load() {
             Some(last) if cfg!(debug_assertions) => {
                 let resident = self.l1.touch_repeat(last, n);
                 assert!(resident, "{PROVED_RESIDENT}");
@@ -464,6 +534,13 @@ impl PrivateCore {
     /// several levels at once, i.e. when more than one level has dirty
     /// lines at all — streaming kernels keep the dirty bit at L3 only and
     /// skip it.  Returns the final counters.
+    ///
+    /// A counted core writes back every dirty line its last level took,
+    /// where the real level (which a debug build passes as `l3_dirty`)
+    /// wrote back some of them at their evictions, one `Writeback` each.
+    /// `write_lines` only ever adds whole lines, exactly, so the sum is the
+    /// same bits in either order; the trace a counted core records holds
+    /// fewer events, which replay to the same counters.
     pub(crate) fn account_writebacks(
         &mut self,
         l1_dirty: Vec<u64>,
@@ -474,7 +551,13 @@ impl PrivateCore {
             .iter()
             .filter(|d| !d.is_empty())
             .count();
-        let distinct = if levels_with_dirty > 1 {
+        let distinct = if let Reach::Counted { dirty_fills, .. } = self.reach {
+            debug_assert!(
+                levels_with_dirty <= 1 && l3_dirty.len() as u64 <= dirty_fills,
+                "{COUNTED}"
+            );
+            dirty_fills as usize
+        } else if levels_with_dirty > 1 {
             let mut dirty = l1_dirty;
             dirty.extend(l2_dirty);
             dirty.extend(l3_dirty);
@@ -491,8 +574,7 @@ impl PrivateCore {
     }
 
     /// Look `line` up from the L1 down, filling the levels above a hit;
-    /// [`hit_at_llc`](Self::hit_at_llc) is this lookup on a core that
-    /// skips its private levels.
+    /// [`hit_at_llc`](Self::hit_at_llc) is this lookup on a marked core.
     fn hierarchy_hit<const W: bool>(
         &mut self,
         llc: &mut LastLevel<W>,
@@ -514,10 +596,12 @@ impl PrivateCore {
         false
     }
 
-    /// [`hierarchy_hit`](Self::hierarchy_hit) of a core that skips its
-    /// private levels: their lookups would miss, so the last level's is
-    /// the lookup; for a line the caller has proved `absent`, a miss
-    /// counted without one.
+    /// [`hierarchy_hit`](Self::hierarchy_hit) of a marked core: the
+    /// private levels' lookups would miss, so the last level's is the
+    /// lookup, unless the core `known`s what it finds: a line the
+    /// frontiers prove absent is a miss counted without a probe, and a
+    /// counted core's verdict is all there is, which a debug build asserts
+    /// against the real last level.
     // Once per line a marked core loads or stores: called out of line, it
     // cost a cold `thrash` co-run, all of whose tenants are marked, ~4 %.
     #[inline(always)]
@@ -526,14 +610,23 @@ impl PrivateCore {
         llc: &mut LastLevel<W>,
         line: u64,
         write: bool,
-        absent: bool,
+        known: Option<bool>,
     ) -> bool {
         self.check_private_miss(line, write);
-        if absent {
-            llc.miss_proved(line);
-            return false;
-        }
-        let hit = llc.touch(line, write) == LookupResult::Hit;
+        let hit = match (known, self.reach) {
+            (None, _) => llc.touch(line, write) == LookupResult::Hit,
+            (Some(hit), Reach::Counted { .. }) => {
+                if cfg!(debug_assertions) {
+                    let found = llc.touch(line, write) == LookupResult::Hit;
+                    assert_eq!(found, hit, "line {line:#x}: {COUNTED}");
+                }
+                hit
+            }
+            (Some(_), _) => {
+                llc.miss_proved(line);
+                false
+            }
+        };
         if hit && self.drives_private_levels() {
             self.fill_upper(llc, line, false, 2);
         }
@@ -585,7 +678,7 @@ impl PrivateCore {
         if levels >= 2 {
             if let Some(ev) = self.l2.fill(line, dirty) {
                 if ev.dirty {
-                    debug_assert!(self.last_load.is_none(), "{PROVED_CLEAN}");
+                    debug_assert!(self.reach == Reach::Full, "{PROVED_CLEAN}");
                     // Dirty eviction from L2 lands in the LLC (present or
                     // not).
                     self.sink_dirty_into_llc(llc, ev.line);
@@ -594,7 +687,7 @@ impl PrivateCore {
         }
         if let Some(ev) = self.l1.fill(line, dirty) {
             if ev.dirty {
-                debug_assert!(self.last_load.is_none(), "{PROVED_CLEAN}");
+                debug_assert!(self.reach == Reach::Full, "{PROVED_CLEAN}");
                 let (_, evicted) = self.l2.probe_fill(ev.line, true);
                 if let Some(ev2) = evicted {
                     if ev2.dirty {
@@ -608,8 +701,18 @@ impl PrivateCore {
     /// Fill a line into the whole hierarchy after a memory read or an ITOM
     /// claim.  The dirty bit is kept at the last level only so the eventual
     /// write-back is counted exactly once.
+    ///
+    /// A counted core fills nothing: every line it fills is new to the
+    /// last level, so it counts a dirty one to write back at the flush,
+    /// where the real level writes each back once too, some at their
+    /// evictions.  A debug build fills the real level beside it.
     fn fill_all<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, dirty: bool) {
-        if let Some(ev) = llc.fill(line, dirty) {
+        if let Reach::Counted { dirty_fills, .. } = &mut self.reach {
+            *dirty_fills += u64::from(dirty);
+            if cfg!(debug_assertions) {
+                llc.fill(line, dirty);
+            }
+        } else if let Some(ev) = llc.fill(line, dirty) {
             if ev.dirty {
                 self.emit(Event::Writeback);
             }
@@ -621,9 +724,19 @@ impl PrivateCore {
 
     /// Fill a prefetched line into the last level only; a line already
     /// there is left as it is, and costs no traffic.  A line the caller
-    /// has proved `absent` is inserted without a probe.
+    /// has proved `absent` is inserted without a probe.  On a counted
+    /// core the line is absent (its buddy was never loaded before it) and
+    /// becomes the pending buddy; a debug build asserts it absent from the
+    /// real level as it fills it.
     fn fill_prefetch<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, absent: bool) {
-        let evicted = if absent {
+        let evicted = if let Reach::Counted { pending_buddy, .. } = &mut self.reach {
+            *pending_buddy = line;
+            if cfg!(debug_assertions) {
+                let (found, _) = llc.fill_if_absent(line);
+                assert_eq!(found, LookupResult::Miss, "buddy {line:#x}: {COUNTED}");
+            }
+            None
+        } else if absent {
             llc.insert_absent(line, false)
         } else {
             let (LookupResult::Miss, evicted) = llc.fill_if_absent(line) else {
@@ -637,37 +750,55 @@ impl PrivateCore {
         }
     }
 
-    /// One demand load of `line`.  On a core that skips its private
-    /// levels a repeat of the line loaded last is an L1 hit, and any other
-    /// load is looked up at the last level alone, or not at all from its
-    /// load frontier up; a miss then takes the same path on every core.
+    /// One demand load of `line`.  On a marked core a repeat of the line
+    /// loaded last is an L1 hit, and any other load is looked up at the
+    /// last level alone, or not at all from its load frontier up or on a
+    /// counted core; a miss then takes the same path on every core.
     pub(crate) fn load_line<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64) {
-        // From the frontier up, the line and its buddy are both absent: the
-        // frontier is 0 or `(line | 1) + 1`, even, so an odd line from it
-        // up has its buddy `line - 1` from it up too.
-        let mut absent = false;
-        let hit = match self.last_load {
-            None => self.hierarchy_hit(llc, line, false),
-            Some(last) if last == line => return self.repeat_load(line),
-            Some(_) => {
-                self.last_load = Some(line);
-                absent = line >= self.load_frontier;
-                if absent {
-                    self.load_frontier = (line | 1) + 1;
+        let known = match &mut self.reach {
+            Reach::Full => {
+                if self.hierarchy_hit(llc, line, false) {
+                    return;
                 }
-                self.hit_at_llc(llc, line, false, absent)
+                None
+            }
+            Reach::LastLevel { last_load, .. } | Reach::Counted { last_load, .. }
+                if *last_load == line =>
+            {
+                return self.repeat_load(line);
+            }
+            Reach::LastLevel {
+                last_load,
+                frontiers,
+            } => {
+                *last_load = line;
+                match frontiers {
+                    Some(f) if line >= f.load => {
+                        f.load = (line | 1) + 1;
+                        Some(false)
+                    }
+                    _ => None,
+                }
+            }
+            Reach::Counted {
+                last_load,
+                pending_buddy,
+                ..
+            } => {
+                *last_load = line;
+                Some(line == *pending_buddy)
             }
         };
-        if hit {
+        if self.reach != Reach::Full && self.hit_at_llc(llc, line, false, known) {
             return;
         }
         // Demand miss: read from memory.
         self.emit(Event::DemandRead);
         self.fill_all(llc, line, false);
-        // The adjacent-line prefetcher reacts to the demand miss.
+        // The adjacent-line prefetcher reacts to the demand miss.  Below a
+        // load frontier's line its buddy is absent too.
         if self.options.prefetchers.adjacent_line {
-            let buddy = line ^ 1;
-            self.fill_prefetch(llc, buddy, absent);
+            self.fill_prefetch(llc, line ^ 1, known == Some(false));
         }
     }
 
@@ -684,9 +815,10 @@ impl PrivateCore {
     }
 
     /// Retire one coalesced line of regular stores as the options'
-    /// [`write_policy`](CoreSimOptions::write_policy) says.  On a core
-    /// that skips its private levels the line is looked up at the last
-    /// level alone, or not at all from its store frontier up.
+    /// [`write_policy`](CoreSimOptions::write_policy) says.  On a marked
+    /// core the line is looked up at the last level alone, or not at all
+    /// from its store frontier up or on a counted core, which stores no
+    /// line twice and loads none it stores.
     // Once per stored line: left to the inliner's size heuristics this has
     // fallen out of `store_line_segment` and cost the store path ~15 %.
     #[inline]
@@ -697,18 +829,25 @@ impl PrivateCore {
             // store: the coalesced line bypasses the hierarchy entirely.
             return self.handle_nt_line(llc, ev);
         }
-        let hit = if self.last_load.is_some() {
+        let known = match &mut self.reach {
+            Reach::Full => {
+                if self.hierarchy_hit(llc, ev.line, true) {
+                    return;
+                }
+                None
+            }
             // From the store frontier up the line is absent: no finalized
             // store line has reached it.
-            let absent = ev.line >= self.store_frontier;
-            if absent {
-                self.store_frontier = ev.line + 1;
+            Reach::LastLevel {
+                frontiers: Some(f), ..
+            } if ev.line >= f.store => {
+                f.store = ev.line + 1;
+                Some(false)
             }
-            self.hit_at_llc(llc, ev.line, true, absent)
-        } else {
-            self.hierarchy_hit(llc, ev.line, true)
+            Reach::LastLevel { .. } => None,
+            Reach::Counted { .. } => Some(false),
         };
-        if hit {
+        if self.reach != Reach::Full && self.hit_at_llc(llc, ev.line, true, known) {
             // Store hit: no memory traffic now; the dirty line is written
             // back on eviction.
             return;
@@ -737,7 +876,21 @@ impl PrivateCore {
             self.l1.invalidate(ev.line);
             self.l2.invalidate(ev.line);
         }
-        llc.invalidate(ev.line);
+        match self.reach {
+            // Where frontiers could be armed, nothing puts a line of an NT
+            // window into the last level (see `set_reach`): none to find.
+            Reach::LastLevel {
+                frontiers: Some(_), ..
+            }
+            | Reach::Counted { .. } => debug_assert!(
+                !llc.contains(ev.line),
+                "NT line {:#x} is in a last level proved to hold none",
+                ev.line
+            ),
+            _ => {
+                llc.invalidate(ev.line);
+            }
+        }
         self.emit(Event::NtLine { full: ev.full });
     }
 }
@@ -745,6 +898,8 @@ impl PrivateCore {
 /// What a debug build asserts of a core that skips its private levels.
 const PROVED_CLEAN: &str = "a private level proved never to hit evicted a dirty line";
 const PROVED_RESIDENT: &str = "the line loaded last left an L1 proved to keep it";
+/// What a debug build asserts of a counted core's last-level verdicts.
+const COUNTED: &str = "the last level disagrees with the core that counts it";
 
 /// What [`PrivateCore::undisturbed_since`] compares against: the L1's
 /// recency log and the coalescers' stamps at one moment.
@@ -766,6 +921,9 @@ pub(crate) struct SegmentMark {
 pub struct CoreSim {
     private: PrivateCore,
     l3: SetAssocCache,
+    /// Lookups and fills of the L3 share before the last reset (see
+    /// [`l3_share_work`](Self::l3_share_work)).
+    l3_work: u64,
     /// Full (unshared) L3 capacity, kept so [`reset`](Self::reset) can
     /// re-derive the per-core share for a different sharer count.
     l3_full_bytes: usize,
@@ -781,6 +939,7 @@ impl CoreSim {
         Self {
             private: PrivateCore::new(machine, ctx, options),
             l3: SetAssocCache::new(l3_share, caches.l3.associativity),
+            l3_work: 0,
             l3_full_bytes: caches.l3.capacity_bytes,
             l3_ways: caches.l3.associativity,
         }
@@ -793,6 +952,7 @@ impl CoreSim {
     /// different sharer count is a new geometry over the same lanes, which
     /// grow only for a share larger than any before.
     pub fn reset(&mut self, ctx: OccupancyContext, options: CoreSimOptions) {
+        self.l3_work = self.l3_share_work();
         let l3_share = l3_share_bytes(self.l3_full_bytes, options.l3_sharers);
         self.l3.reshape(l3_share, self.l3_ways);
         self.private.reset(ctx, options);
@@ -838,9 +998,21 @@ impl CoreSim {
     /// counters.
     pub fn flush(&mut self) -> MemCounters {
         let (l1_dirty, l2_dirty) = self.private.flush_streams_and_upper(&mut self.l3);
-        let l3_dirty = self.l3.flush_dirty();
+        let l3_dirty = if self.private.drives_last_level() {
+            self.l3.flush_dirty()
+        } else {
+            Vec::new()
+        };
         self.private
             .account_writebacks(l1_dirty, l2_dirty, l3_dirty)
+    }
+
+    /// Lookups (hits and misses) and recency changes (inserts, and hits
+    /// that moved a line) of the L3 share since the core was built, over
+    /// every [`reset`](Self::reset): 0 while every simulation it ran
+    /// counted its last level in a release build.
+    pub fn l3_share_work(&self) -> u64 {
+        self.l3_work + self.l3.hits() + self.l3.misses() + self.l3.reorders()
     }
 
     /// Lines the L3 share has evicted since construction or the last
@@ -1191,16 +1363,17 @@ mod tests {
         let mut core = serial_core(&m);
         // Own load lines or not, the lines loaded, the frontier after.
         for (own, lines, frontier) in [
-            (true, 3..7, 8),
-            (true, 0..1, 2),
-            (false, 0..1, u64::MAX),
-            (true, 5..6, 6),
+            (true, 3..7, Some(8)),
+            (true, 0..1, Some(2)),
+            (false, 0..1, None),
+            (true, 5..6, Some(6)),
         ] {
             core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
-            core.private.skip_private_levels(own);
+            core.private.set_reach(Reach::last_level(own));
             let elements = 8 * (lines.end - lines.start);
             core.drive_run(AccessRun::load(64 * lines.start, elements));
-            assert_eq!(core.private.load_frontier, frontier, "{lines:?}");
+            let frontiers = frontiers(&core.private);
+            assert_eq!(frontiers.map(|f| f.load), frontier, "{lines:?}");
         }
     }
 
@@ -1213,17 +1386,26 @@ mod tests {
         let mut core = serial_core(&m);
         // Own lines or not, the lines stored, the frontier after.
         for (own, lines, frontier) in [
-            (true, 3..7, 6),
-            (true, 0..2, 1),
-            (false, 0..2, u64::MAX),
-            (true, 5..7, 6),
+            (true, 3..7, Some(6)),
+            (true, 0..2, Some(1)),
+            (false, 0..2, None),
+            (true, 5..7, Some(6)),
         ] {
             core.reset(OccupancyContext::serial(&m), CoreSimOptions::default());
-            core.private.skip_private_levels(own);
+            core.private.set_reach(Reach::last_level(own));
             let elements = 8 * (lines.end - lines.start);
             core.drive_run(AccessRun::store(64 * lines.start, elements));
-            assert_eq!(core.private.store_frontier, frontier, "{lines:?}");
+            let frontiers = frontiers(&core.private);
+            assert_eq!(frontiers.map(|f| f.store), frontier, "{lines:?}");
         }
+    }
+
+    /// The frontiers of a core that looks its lines up at the last level.
+    fn frontiers(core: &PrivateCore) -> Option<Frontiers> {
+        let Reach::LastLevel { frontiers, .. } = core.reach else {
+            panic!("{:?} is not a last-level reach", core.reach);
+        };
+        frontiers
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::coalescer::WriteCoalescer;
 use crate::counters::MemCounters;
 use crate::engine::TenantReport;
 use crate::flight::FlightMemo;
-use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext};
+use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext, Reach};
 use crate::patterns::{StencilOperand, StencilRowSweep};
 use crate::prefetch::PrefetcherConfig;
 use crate::trace::{replay_trace, Trace};
@@ -338,6 +338,96 @@ impl KernelSpec {
                 })
     }
 
+    /// Whether a core of its own, driving this kernel as `rank` on
+    /// `machine` under `options`, can count its L3 share instead of
+    /// simulating it: which line hits there, which is filled and which is
+    /// written back, is then a function of the line stream alone.  It
+    /// holds where [`never_hits_private`](Self::never_hits_private) does
+    /// and, besides:
+    ///
+    /// * **Rows never step back** (one row, or `row_stride >= inner`; not
+    ///   the `row_stride == 0` windows).  With one point per operand, every
+    ///   stream visits its lines in address order, so no line is loaded or
+    ///   retired twice but the repeat of the line loaded last, and under
+    ///   LRU a first touch misses at every capacity (Mattson et al., 1970).
+    ///   A store line is a miss; its fill is a line new to the level, so a
+    ///   dirty one is written back exactly once, at its eviction or at the
+    ///   flush: a counted core writes all of them back at the flush, and
+    ///   the sum of whole lines is the same bits.  An NT line is never in
+    ///   the level.  A load is a miss but for one line: the odd buddy
+    ///   `line + 1` that the miss of an even `line` prefetched, if the
+    ///   loads go on to it before any other line.
+    /// * **Every operand's base is element-aligned**, so no element
+    ///   straddles two lines (the misaligned sweep runs element by
+    ///   element, one line operation per line it covers).
+    /// * **The buddy is still resident when it is loaded.**  The prefetch
+    ///   inserts it as the most recent line of its set, and only a fill
+    ///   into that set can push it out: the loads in between repeat the
+    ///   line loaded last, a prefetch follows a load miss, and a store line
+    ///   is the only other fill.  Every operand's element is the load's
+    ///   shifted by a constant (one point each, one `row_stride`), and the
+    ///   loads in between lie on `line` and the first on `line + 1`, so
+    ///   each store stream's stores in between lie within 128 bytes: at
+    ///   most three lines, in address order.  A stream finalizes a line
+    ///   only when a store moves it to a new line, so it fills at most
+    ///   three lines in between: the one it leaves on entering the first
+    ///   (or the oldest stream it displaces, in any set) and the two it
+    ///   leaves inside, which lie in different sets unless the level has
+    ///   one.  So with `stores` operands of `AccessKind::Store` at most
+    ///   `2 × stores` lines (`3 × stores` in one set) enter the buddy's set,
+    ///   and it stays if that is less than the level's `ways`.  A kernel
+    ///   without a load has no buddy to keep.
+    ///
+    /// The bound holds for every paper kernel on every preset: every
+    /// preset's L3 share has at least 12 ways and more than one set at any
+    /// sharer count (at least 64 lines, 12 ways on the Ice Lake and
+    /// Sapphire Rapids, 16 on the CVA6), so it admits five store streams
+    /// beside a load, and the copy kernels have one.  The proof is
+    /// sufficient, not necessary, and allocates nothing.  A debug build
+    /// runs the real L3 share beside a counted core and asserts every
+    /// verdict against it.
+    pub fn counts_last_level(
+        &self,
+        machine: &Machine,
+        options: &CoreSimOptions,
+        rank: usize,
+    ) -> bool {
+        use crate::access::ELEM_BYTES;
+        let l3 = &machine.caches.l3;
+        let (sets, ways) = SetAssocCache::geometry(
+            l3_share_bytes(l3.capacity_bytes, options.l3_sharers),
+            l3.associativity,
+        );
+        let kinds = |kind| self.operands.iter().filter(|op| op.kind == kind).count();
+        let per_store = if sets > 1 { 2 } else { 3 };
+        let base = self.rank_base.base(rank);
+        (self.rows <= 1 || self.row_stride >= self.inner)
+            && self
+                .operands
+                .iter()
+                .all(|op| (base + op.offset) % ELEM_BYTES == 0)
+            && (kinds(AccessKind::Load) == 0 || per_store * kinds(AccessKind::Store) < ways)
+            && self.never_hits_private(machine, rank)
+    }
+
+    /// What a core driving this kernel as `rank` on `machine` under
+    /// `options` simulates, where its last level is `llc`: the one place
+    /// the proofs' verdicts become a [`Reach`].
+    pub(crate) fn reach(
+        &self,
+        machine: &Machine,
+        options: &CoreSimOptions,
+        rank: usize,
+        llc: LastLevelUse,
+    ) -> Reach {
+        match llc {
+            LastLevelUse::Own if self.counts_last_level(machine, options, rank) => Reach::counted(),
+            _ if !self.never_hits_private(machine, rank) => Reach::Full,
+            LastLevelUse::Shared => Reach::last_level(false),
+            LastLevelUse::Own | LastLevelUse::OwnLines => Reach::last_level(true),
+        }
+    }
+
     /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of
     /// `sets × ways`.
     ///
@@ -365,6 +455,21 @@ impl KernelSpec {
             .fold(0, u64::saturating_add);
         per_set <= ways as u64
     }
+}
+
+/// What the last level a core misses into holds besides what the core
+/// puts there, and who reads it: the caller's part of
+/// [`KernelSpec::reach`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LastLevelUse {
+    /// The core's own L3 share, just emptied, which nothing else fills and
+    /// whose evictions nobody counts: it may be counted, not simulated.
+    Own,
+    /// No line of the core's windows now, and none later but what the
+    /// core's own accesses put there: frontiers.
+    OwnLines,
+    /// Other tenants may put lines of the core's windows there.
+    Shared,
 }
 
 /// Everything of a simulation's environment that *can change the event
@@ -750,7 +855,9 @@ impl SimMemo {
     /// that trace class, recording the event trace.  The returned trace is
     /// `None` when recording was off or abandoned (the counters are exact
     /// either way).  A kernel that [`KernelSpec::never_hits_private`]
-    /// proves runs against the L3 share alone, to the same events.
+    /// proves runs against the L3 share alone, to the same events, and
+    /// one that [`KernelSpec::counts_last_level`] proves against no cache
+    /// at all, to the same counters.
     fn simulate(
         machine: &Machine,
         ctx: OccupancyContext,
@@ -760,11 +867,16 @@ impl SimMemo {
         record: Option<LlcClass>,
     ) -> (MemCounters, Option<Trace>) {
         with_pooled_core(machine, ctx, options, |core| {
+            // The pooled core's L3 share was just emptied, and nothing but
+            // this core fills it.  A trace that every share of its class
+            // replays keeps it simulated, for the eviction count below.
+            let llc = if record == Some(LlcClass::NeverEvicts) {
+                LastLevelUse::OwnLines
+            } else {
+                LastLevelUse::Own
+            };
             let private = core.split().0;
-            if kernel.never_hits_private(machine, rank) {
-                // The pooled core's L3 share was just emptied.
-                private.skip_private_levels(true);
-            }
+            private.set_reach(kernel.reach(machine, &options, rank, llc));
             if record.is_some() {
                 private.trace.start();
             }

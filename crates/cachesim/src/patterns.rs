@@ -193,7 +193,7 @@ impl SweepCursor {
         llc: &mut LastLevel<W>,
         budget_lines: u64,
     ) -> u64 {
-        if core.skips_private_levels() {
+        if core.is_marked() {
             self.segments::<W, true>(core, llc, budget_lines)
         } else {
             self.segments::<W, false>(core, llc, budget_lines)
@@ -377,7 +377,7 @@ impl SweepCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hierarchy::{CoreSimOptions, OccupancyContext};
+    use crate::hierarchy::{CoreSimOptions, OccupancyContext, Reach};
     use crate::memo::{KernelSpec, RankBase};
     use clover_machine::icelake_sp_8360y;
 
@@ -481,20 +481,28 @@ mod tests {
         // line it loaded last, alone or in a segment's bulk, as the L1 hit
         // the full path counts; a debug build, which runs the L1 and L2
         // beside it, their misses too.  Its L3 lookups and counters are the
-        // full path's with or without a load frontier.
+        // full path's with or without frontiers; a counted core's counters
+        // are too, and it looks nothing up at the L3 but in a debug build,
+        // which runs the real one beside it.
         let sweep = copy_stencil(1000, 3, 990, 4);
         let mut full = serial_core();
         sweep.drive(&mut full);
-        for frontier in [false, true] {
+        for reach in [
+            Reach::last_level(false),
+            Reach::last_level(true),
+            Reach::counted(),
+        ] {
             let mut marked = serial_core();
-            marked.split().0.skip_private_levels(frontier);
+            marked.split().0.set_reach(reach);
             sweep.drive(&mut marked);
             let ([l1, l2, l3], [m1, m2, m3]) = (full.cache_stats(), marked.cache_stats());
-            assert_eq!((m1.0, m3), (l1.0, l3), "frontier {frontier}");
+            let counted = reach == Reach::counted() && !cfg!(debug_assertions);
+            let l3 = if counted { (0, 0) } else { l3 };
+            assert_eq!((m1.0, m3), (l1.0, l3), "{reach:?}");
             if cfg!(debug_assertions) {
-                assert_eq!((m1, m2), (l1, l2), "frontier {frontier}");
+                assert_eq!((m1, m2), (l1, l2), "{reach:?}");
             }
-            assert_eq!(marked.flush(), full.clone().flush(), "frontier {frontier}");
+            assert_eq!(marked.flush(), full.clone().flush(), "{reach:?}");
         }
     }
 

@@ -29,7 +29,8 @@
 //!   64-byte lines, the largest power-of-two set count that leaves at least
 //!   the nominal ways, the ways widened to keep the capacity (the rule
 //!   `SetAssocCache::new`'s documentation states).  The L3 share of a core
-//!   is the L3 capacity divided by the sharer count.
+//!   is the L3 capacity divided by the sharer count, and at least 64
+//!   lines.
 //! * **Lookups.**  A demand access looks up L1, then L2, then the L3 share,
 //!   and stops at the first hit.  Every level it looks up counts a hit or
 //!   a miss there, and a hit refreshes the line's LRU stamp; a store marks
@@ -232,6 +233,10 @@ struct Hierarchy {
     policy: WritePolicyKind,
     prefetch: bool,
     traffic: Vec<Traffic>,
+    /// The line the last load miss prefetched, if any.
+    prefetched: Option<u64>,
+    /// Loads that missed a line the load miss before them prefetched.
+    lost_buddies: u64,
 }
 
 impl Hierarchy {
@@ -240,12 +245,17 @@ impl Hierarchy {
         Self {
             l1: NaiveCache::new(c.l1.capacity_bytes, c.l1.associativity),
             l2: NaiveCache::new(c.l2.capacity_bytes, c.l2.associativity),
-            l3: NaiveCache::new(c.l3.capacity_bytes / l3_sharers, c.l3.associativity),
+            l3: NaiveCache::new(
+                (c.l3.capacity_bytes / l3_sharers).max(64 * LINE as usize),
+                c.l3.associativity,
+            ),
             stores: StreamTable::default(),
             nt_stores: StreamTable::default(),
             policy,
             prefetch,
             traffic: Vec::new(),
+            prefetched: None,
+            lost_buddies: 0,
         }
     }
 
@@ -324,8 +334,10 @@ impl Hierarchy {
             return;
         }
         self.traffic.push(Traffic::DemandRead);
+        self.lost_buddies += u64::from(self.prefetched == Some(line));
         self.fill_from_memory(line, false);
         let buddy = line ^ 1;
+        self.prefetched = self.prefetch.then_some(buddy);
         if self.prefetch && !self.l3.contains(buddy) {
             self.traffic.push(Traffic::Prefetch);
             if let Some((_, true)) = self.l3.fill(buddy, false) {
@@ -521,6 +533,9 @@ struct Case {
     /// The preset's L1 and L2 narrowed to this many ways of their sets,
     /// if any.
     ways: [Option<usize>; 2],
+    /// The preset's L3 narrowed to 64 lines, the least share a core has
+    /// at any sharer count, of this many ways, if any.
+    l3_ways: Option<usize>,
 }
 
 impl Case {
@@ -620,6 +635,7 @@ impl Case {
             kernel,
             draw,
             ways: [None; 2],
+            l3_ways: None,
         }
     }
 
@@ -663,6 +679,7 @@ impl Case {
             kernel,
             draw: Draw(index as u64),
             ways: [None; 2],
+            l3_ways: None,
         }
     }
 
@@ -722,6 +739,35 @@ impl Case {
         self
     }
 
+    /// A fixed case on an ICX whose L3 is 64 lines of 8 ways (8 sets),
+    /// asserted to be one that `KernelSpec::counts_last_level` proves
+    /// (`counted`) or refuses.
+    fn narrow_l3(index: usize, (name, kernel, counted): (&'static str, KernelSpec, bool)) -> Self {
+        Self {
+            l3_ways: Some(8),
+            ..Self::fixed(index, (name, kernel))
+        }
+        .counted(counted)
+    }
+
+    /// The case, asserted to be one that `KernelSpec::counts_last_level`
+    /// proves (`counted`) or refuses at every sharer count, on a core of
+    /// its own: a case built to reach a corner of the path that counts its
+    /// last level must take it, or stay off it.
+    fn counted(self, counted: bool) -> Self {
+        let machine = self.machine(true);
+        for l3_sharers in 1..=machine.caches.l3_sharers {
+            let options = self.options(l3_sharers, true);
+            assert_eq!(
+                self.kernel.counts_last_level(&machine, &options, 0),
+                counted,
+                "{} at {l3_sharers} sharers",
+                self.name
+            );
+        }
+        self
+    }
+
     /// The preset as simulated: SpecI2M on, or off with no NT partial
     /// flushes (so that every counter is a count).  The second machine
     /// gets an id of its own: the simulator pools cores by machine id.
@@ -738,6 +784,11 @@ impl Case {
                 spec.associativity = ways;
                 m.id.push_str(&format!("-l{}-{ways}-way", level + 1));
             }
+        }
+        if let Some(ways) = self.l3_ways {
+            caches.l3.capacity_bytes = 64 * LINE as usize;
+            caches.l3.associativity = ways;
+            m.id.push_str(&format!("-l3-64-lines-{ways}-way"));
         }
         if !speci2m {
             m.speci2m.nt_partial_flush_max = 0.0;
@@ -892,17 +943,25 @@ impl Case {
         self.assert_counters(&t.counters, &oracle, env, &at);
         assert_eq!((t.llc_hits, t.llc_misses), oracle.stats()[2], "{at}");
 
+        // Through a memo that records traces, whose leader keeps its L3
+        // share when every share of its class replays the trace, and one
+        // that records none, where a kernel the rule proves counts it.
         let ranks = 1 + self.draw.below(machine.total_cores() as u64) as usize;
-        let report = NodeSim::new(self.config(machine.clone(), ranks, speci2m))
-            .run_spmd_memo(&self.kernel, &SimMemo::new());
         let occ = DomainOccupancy::compact(&machine, ranks);
         let count = occ.cores_per_domain[0];
         let sharers = DomainOccupancy::l3_sharers(&machine, count);
         let ctx = OccupancyContext::domain_load(&machine, count, occ.active_domains);
         let oracle = self.swept_oracle(&machine, sharers);
         let env = (&machine, ctx, self.options(sharers, speci2m));
-        let at = format!("run_spmd_memo at {ranks} ranks");
-        self.assert_counters(&report.per_rank, &oracle, env, &at);
+        for (memo, traces) in [
+            (SimMemo::new(), "traces"),
+            (SimMemo::without_differential(), "none"),
+        ] {
+            let report = NodeSim::new(self.config(machine.clone(), ranks, speci2m))
+                .run_spmd_memo(&self.kernel, &memo);
+            let at = format!("run_spmd_memo at {ranks} ranks, recording {traces}");
+            self.assert_counters(&report.per_rank, &oracle, env, &at);
+        }
     }
 }
 
@@ -910,12 +969,24 @@ impl Case {
 /// combination twice.
 const CASES: usize = 60;
 
-/// The fixed kernels (the proof's and the frontiers' edges last), then
-/// `times` × `CASES` drawn cases from `seed`, then half as many overlaid
-/// ones (every combination `times` times) from a seed of their own.
+/// The fixed kernels (the proof's, the frontiers' and the counted rule's
+/// edges last), then `times` × `CASES` drawn cases from `seed`, then half
+/// as many overlaid ones (every combination `times` times) from a seed of
+/// their own.
 fn cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
-    let (fixed, frontier) = (fixed_kernels(), frontier_kernels());
+    let (fixed, frontier, counted) = (fixed_kernels(), frontier_kernels(), counted_kernels());
     let (n, m) = (fixed.len(), fixed.len() + 1 + frontier.len());
+    let counted =
+        counted
+            .into_iter()
+            .enumerate()
+            .map(move |(k, (name, kernel, narrow, proved))| {
+                let index = m + 2 + k;
+                match narrow {
+                    true => Case::narrow_l3(index, (name, kernel, proved)),
+                    false => Case::fixed(index, (name, kernel)).counted(proved),
+                }
+            });
     let proved = frontier
         .into_iter()
         .enumerate()
@@ -934,7 +1005,8 @@ fn cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
         .chain([Case::store_window_swept_twice(
             m + 1,
             ("a store window swept twice, 5 lines per L2 set", 5),
-        )]);
+        )])
+        .chain(counted);
     let drawn = (0..times * CASES).map(move |index| Case::new(index, seed));
     let overlaid = (0..times * CASES / 2).map(move |index| Case::new(index, !seed).overlaid());
     fixed.chain(drawn).chain(overlaid)
@@ -1173,6 +1245,88 @@ fn frontier_kernels() -> Vec<(&'static str, KernelSpec)> {
     ]
 }
 
+/// Hand-made kernels at the edges of `KernelSpec::counts_last_level`,
+/// whose solo simulation through a memo that records no trace counts its
+/// L3 share instead of simulating it: a load is a miss but for the repeat and for a buddy
+/// that the miss before it prefetched, a store line is a miss, and each
+/// dirty fill is written back at the flush.  Each comes with whether it
+/// runs on an ICX whose L3 is narrowed to 64 lines of 8 ways
+/// (`Case::narrow_l3`) and whether the rule proves it.
+fn counted_kernels() -> Vec<(&'static str, KernelSpec, bool, bool)> {
+    use AccessKind::{Load, Store};
+    let copy = |offset: u64, stride, inner| {
+        fixed_sweep(
+            &[
+                ((1 << 30) + offset, &[(0, 0)], Load),
+                ((1 << 31) + offset, &[(0, 0)], Store),
+            ],
+            stride,
+            0,
+            inner,
+            6,
+        )
+    };
+    // One load and `stores` stores, on the 8-set L3: rows of 16 elements,
+    // 9 lines apart, the load from line 1 of its array, so that the third
+    // row's first line, 28, is even and its buddy 29 is loaded 8 elements
+    // later.  Store `j` is the load shifted by `1 + 32 j` lines and 32
+    // bytes: each row opens a stream per store, more than 4 lines past its
+    // last one, so that the third row's first stores displace the first
+    // row's streams, each retiring the first row's last line (`13 + 32
+    // j`), and 4 elements later advance, retiring the third row's first
+    // line (`29 + 32 j`): two lines per store, all in the buddy's set,
+    // after its prefetch and before its load.  Four stores push it out of
+    // its 8 ways.
+    let stores_beside_a_load = |stores: u64| {
+        let operands: Vec<FixedOperand> = [((1 << 30) + LINE, &[(0, 0)][..], Load)]
+            .into_iter()
+            .chain(
+                (1..=stores).map(|j| ((1 << 30) + (2 + 32 * j) * LINE + 32, &[(0, 0)][..], Store)),
+            )
+            .collect();
+        fixed_sweep(&operands, 72, 0, 16, 3)
+    };
+    vec![
+        // Rows of 3 lines, 4 lines apart: each row's last load line is
+        // even, and its buddy lies in the halo gap, never loaded.
+        (
+            "a copy whose rows end on an even line",
+            copy(0, 32, 24),
+            false,
+            true,
+        ),
+        // Rows of 12 elements, 16 apart, from byte 64 of a row pair: each
+        // row ends 32 bytes into an even line, and the next row begins 32
+        // bytes into its buddy, which the counted core takes for a hit.
+        (
+            "a copy whose buddy is the next row's first line",
+            copy(64, 16, 12),
+            false,
+            true,
+        ),
+        // 512 dirty lines through 64: the simulated level writes most of
+        // them back at their evictions, the counted core all at the flush.
+        (
+            "one store stream of eight times a narrowed share",
+            fixed_sweep(&[(1 << 30, &[(0, 0)], Store)], 4096, 0, 4096, 1),
+            true,
+            true,
+        ),
+        (
+            "three stores beside a load, the most the buddy bound admits",
+            stores_beside_a_load(3),
+            true,
+            true,
+        ),
+        (
+            "four stores beside a load, whose buddy leaves an 8-way set",
+            stores_beside_a_load(4),
+            true,
+            false,
+        ),
+    ]
+}
+
 #[test]
 fn every_driver_counts_what_the_reference_hierarchy_counts() {
     for mut case in cases(1, 0x5EED) {
@@ -1197,4 +1351,149 @@ fn every_driver_equals_the_reference_hierarchy_over_many_kernels() {
         case.check(false);
         case.check(true);
     }
+}
+
+/// The shrunken ICX-shaped machine the counted rule is enumerated on: an
+/// L1 of 4 sets × 4 ways, an L2 of 8 × 4 and an L3 of 16 × 4 (64 lines,
+/// every share's floor), so that kernels of a few dozen lines reach the
+/// rule's edges: the buddy bound (one store beside a load), set
+/// collisions with a buddy, the 4-line gap and stream displacements.
+/// SpecI2M off and no NT partial flushes, so that every counter is a count.
+fn shrunken_icx() -> Machine {
+    let mut m = MachinePreset::IceLakeSp8360y.machine();
+    for (spec, sets) in [
+        (&mut m.caches.l1, 4),
+        (&mut m.caches.l2, 8),
+        (&mut m.caches.l3, 16),
+    ] {
+        spec.capacity_bytes = sets * 4 * LINE as usize;
+        spec.associativity = 4;
+    }
+    m.speci2m.nt_partial_flush_max = 0.0;
+    m.id.push_str("-shrunken");
+    m
+}
+
+/// What the enumeration of small kernels found.
+#[derive(Debug, Default)]
+struct Enumerated {
+    kernels: u64,
+    /// Kernels `KernelSpec::never_hits_private` proves.
+    marked: u64,
+    /// Marked kernels whose every prefetched buddy the reference hierarchy
+    /// still holds when it is loaded: those a counting core gets right.
+    qualified: u64,
+    /// Kernels `KernelSpec::counts_last_level` proves, each equal to the
+    /// reference hierarchy.
+    counted: u64,
+}
+
+/// Every `stride`-th kernel of the enumeration, on [`shrunken_icx`]: 1–3
+/// operands, each a load, a store or an NT store, with one point; `inner`
+/// of 1..=24 elements, `rows` of 1..=4 and a `row_stride` of `inner ..=
+/// inner + 8` (one row: `inner`); the first operand `0..=8` lines into its
+/// array and every other one `0..=8` lines into its own, the arrays
+/// 1 024 lines apart (a multiple of every level's sets).  A kernel the
+/// rule proves is simulated alone through a memo that records no trace
+/// (so that it counts its L3 share), with the prefetcher on, and must
+/// equal the reference hierarchy count for count.
+fn enumerate_counted_kernels(stride: usize) -> Enumerated {
+    use AccessKind::{Load, Store, StoreNT};
+    let machine = shrunken_icx();
+    let kinds = (1..=3u32).flat_map(|n| {
+        (0..3usize.pow(n)).map(move |code| {
+            let kind = |j: u32| [Load, Store, StoreNT][code / 3usize.pow(j) % 3];
+            (0..n).map(kind).collect::<Vec<_>>()
+        })
+    });
+    let shapes: Vec<(u64, u64, u64)> = (1..=24u64)
+        .flat_map(|inner| {
+            (1..=4u64).flat_map(move |rows| {
+                let gaps = if rows == 1 { 0..=0 } else { 0..=8 };
+                gaps.map(move |gap| (inner, rows, inner + gap))
+            })
+        })
+        .collect();
+    let shapes = &shapes;
+    let kernels = kinds.flat_map(|kinds| {
+        let others = if kinds.len() == 1 { 0..=0 } else { 0..=8 };
+        (0..=8u64).flat_map(move |first| {
+            let kinds = kinds.clone();
+            others.clone().flat_map(move |other| {
+                let kinds = kinds.clone();
+                shapes.iter().map(move |&(inner, rows, row_stride)| {
+                    let operands: Vec<FixedOperand> = kinds
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &kind)| {
+                            let lines = 1024 * j as u64 + if j == 0 { first } else { other };
+                            ((1 << 30) + lines * LINE, &[(0, 0)][..], kind)
+                        })
+                        .collect();
+                    fixed_sweep(&operands, row_stride, 0, inner, rows)
+                })
+            })
+        })
+    });
+    let template = Case::fixed(0, ("an enumerated kernel", fixed_sweep(&[], 1, 0, 0, 0)));
+    let config = template.config(machine.clone(), 1, false);
+    let sharers = DomainOccupancy::l3_sharers(&machine, 1);
+    let options = template.options(sharers, false);
+    let env = (
+        &machine,
+        OccupancyContext::domain_load(&machine, 1, 1),
+        options,
+    );
+    let mut found = Enumerated::default();
+    for kernel in kernels.step_by(stride) {
+        found.kernels += 1;
+        if !kernel.never_hits_private(&machine, 0) {
+            continue;
+        }
+        found.marked += 1;
+        let case = Case {
+            kernel,
+            ..Case::fixed(0, ("an enumerated kernel", fixed_sweep(&[], 1, 0, 0, 0)))
+        };
+        let oracle = case.swept_oracle(&machine, sharers);
+        found.qualified += u64::from(oracle.lost_buddies == 0);
+        if !case.kernel.counts_last_level(&machine, &options, 0) {
+            continue;
+        }
+        found.counted += 1;
+        let memo = SimMemo::without_differential();
+        let report = NodeSim::new(config.clone()).run_spmd_memo(&case.kernel, &memo);
+        let at = format!("{:?}", case.kernel);
+        case.assert_counters(&report.per_rank, &oracle, env, &at);
+    }
+    found
+}
+
+#[test]
+fn a_stride_of_the_small_kernels_counted_equals_the_reference_hierarchy() {
+    let found = enumerate_counted_kernels(97);
+    assert!(
+        found.counted > 0 && found.qualified >= found.counted,
+        "{found:?}"
+    );
+}
+
+/// Every small kernel of `enumerate_counted_kernels`: `cargo test
+/// --release --test reference_hierarchy -- --ignored --exact
+/// every_small_kernel_counted_equals_the_reference_hierarchy --nocapture`
+/// prints how many the rule refuses of those it could count.
+#[test]
+#[ignore]
+fn every_small_kernel_counted_equals_the_reference_hierarchy() {
+    let found = enumerate_counted_kernels(1);
+    let refused = found.qualified - found.counted;
+    println!(
+        "{found:?}: the rule refuses {refused} of {} kernels it could count ({:.1} %)",
+        found.qualified,
+        100.0 * refused as f64 / found.qualified.max(1) as f64
+    );
+    assert!(
+        found.counted > 0 && found.qualified >= found.counted,
+        "{found:?}"
+    );
 }

@@ -122,7 +122,9 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
             assert_eq!(memo.diff_len(), 0, "{figure}: traces recorded");
         }
     });
-    // 3.12e7 measured (6.2e7 while the halo figures recorded 162 traces).
+    // 4.74e6 measured (3.12e7 while every halo simulation drained the
+    // dirty lines of its L3 share into a list at the flush; 6.2e7 while
+    // the halo figures recorded 162 traces).
     assert!(bytes < 50_000_000, "six figures allocated {bytes} bytes");
 }
 
@@ -275,31 +277,90 @@ fn the_paper_microbenchmarks_skip_the_private_levels_and_the_hotspot_loops_do_no
         k0: 2,
         rows: 64,
     };
+    // Those of the paper's figures also count their L3 share
+    // (`KernelSpec::counts_last_level`) at every sharer count, and
+    // simulate no cache at all where the memo records no trace that every
+    // share replays (always for figs. 8 and 11).
     for machine in MachinePreset::all().iter().map(MachinePreset::machine) {
         let id = &machine.id;
-        let proved = |kernel: &KernelSpec| kernel.never_hits_private(&machine, 0);
+        let at_every_share = |kernel: &KernelSpec| {
+            (1..=machine.caches.l3_sharers).all(|l3_sharers| {
+                let options = CoreSimOptions {
+                    l3_sharers,
+                    ..Default::default()
+                };
+                kernel.counts_last_level(&machine, &options, 0)
+            })
+        };
+        let counted = |kernel: &KernelSpec| {
+            let proved = kernel.never_hits_private(&machine, 0);
+            assert_eq!(at_every_share(kernel), proved, "{id}: {kernel:?}");
+            proved
+        };
         for (halo, inner, prefetchers) in copy_halo_points(true) {
             assert!(
-                proved(&copy_halo_kernel(inner, halo)),
+                counted(&copy_halo_kernel(inner, halo)),
                 "{id}: copy of {inner} elements, halo {halo}, prefetchers {prefetchers}"
             );
         }
         assert!(
-            proved(&copy_volume_kernel()),
+            counted(&copy_volume_kernel()),
             "{id}: the copy-volume kernel"
         );
         for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
             for streams in 1..=3 {
                 let kernel = store_kernel_spec(streams, kind);
-                assert!(proved(&kernel), "{id}: {streams} {kind:?} store streams");
+                assert!(counted(&kernel), "{id}: {streams} {kind:?} store streams");
             }
         }
-        assert!(!proved(&am04), "{id}: the drive probe's stencil");
+        assert!(!counted(&am04), "{id}: the drive probe's stencil");
         for spec in cloverleaf_loops() {
             for (inner, rows) in [(2048, 10), (3840, 12), (1920, 48)] {
                 let kernel = loop_kernel(&spec, inner, rows);
-                assert!(!proved(&kernel), "{id}: {} at {inner} × {rows}", spec.name);
+                assert!(!counted(&kernel), "{id}: {} at {inner} × {rows}", spec.name);
             }
         }
+        // The `row_stride == 0` windows re-read their lines: proved never
+        // to hit the private levels, they hit the last level, and are
+        // simulated there.
+        let thrash = aggressor_kernel(&machine, Aggressor::Thrash).expect("a kernel");
+        for window in [thrash, victim_kernel(&machine)] {
+            assert!(!at_every_share(&window), "{id}: {window:?}");
+        }
     }
+}
+
+#[test]
+fn the_halo_figures_look_nothing_up_at_the_l3_share_and_co_runs_do() {
+    // Figs. 8 and 11 are most of a `paper_all` pass.  Every one of their
+    // simulations counts its L3 share: in a release build the pooled
+    // core's share takes no lookup and no fill from them, which a change
+    // that loses the path while every byte stays the same would break.  A
+    // debug build runs the real share beside each counted core.
+    let halo = [(icelake_sp_8360y(), true), (sapphire_rapids_8480(), false)];
+    for (machine, with_pf_off) in halo {
+        let work = || {
+            let ctx = OccupancyContext::serial(&machine);
+            with_pooled_core(&machine, ctx, CoreSimOptions::default(), |core| {
+                core.l3_share_work()
+            })
+        };
+        let before = work();
+        halo_grid(&machine, with_pf_off, &SimMemo::without_differential());
+        let after = work();
+        if cfg!(debug_assertions) {
+            assert!(after > before, "{}: the debug shadow ran", machine.id);
+        } else {
+            assert_eq!(after, before, "{}: L3 share lookups and fills", machine.id);
+        }
+    }
+    // A co-run tenant shares its LLC, which it looks up, even where a core
+    // of its own would count it: the single-pass `stream` aggressor.
+    let icx = icelake_sp_8360y();
+    let stream = aggressor_kernel(&icx, Aggressor::Stream).expect("a kernel");
+    let options = CoreSimOptions::default();
+    assert!(stream.counts_last_level(&icx, &options, 0));
+    let sim = NodeSim::new(SimConfig::new(icx.clone(), 2));
+    let report = sim.run_corun(&[stream, victim_kernel(&icx)], 64, &SimMemo::new());
+    assert!(report.primary.llc_misses > 0, "{report:?}");
 }
