@@ -135,6 +135,17 @@ impl Accountant {
         }
     }
 
+    /// Whether every store line of a streak of `streak` lines or more has
+    /// the streak response 1.0, to the bit.  The response is `1 −
+    /// e^(−s/scale)`, and from `s / scale >= 38.5` on, `e^(−s/scale) <=
+    /// e^(−38.5) < 2^-55`: any `exp` within an ulp of it returns less than
+    /// 2^-54, half the spacing of the doubles below 1.0, so the difference
+    /// rounds to 1.0 (the quotient, correctly rounded, stays at or above
+    /// the representable 38.5 for every larger streak).
+    pub(crate) fn saturated(&self, streak: u64) -> bool {
+        streak as f64 / self.speci2m.streak_scale_lines >= 38.5
+    }
+
     /// Account one event.  A write-allocate store line is weighed once
     /// while its `full`, stream count and response repeat: consecutive
     /// lines of a steady-state row share one weight.
@@ -142,7 +153,7 @@ impl Accountant {
     // to that site's one arm.  Left to the inliner's size heuristics this
     // stayed a call and figs. 5–11 took 8–25 % longer.
     #[inline(always)]
-    pub(crate) fn apply(&mut self, event: Event) {
+    pub(crate) fn apply(&mut self, event: Event) -> Weight {
         let weight = match event {
             Event::WaStore {
                 full,
@@ -162,6 +173,7 @@ impl Accountant {
             event => self.weigh(event),
         };
         self.apply_weight(weight);
+        weight
     }
 
     /// The weight of an event that is not a run.
@@ -258,7 +270,62 @@ impl Accountant {
             }
         }
     }
+
+    /// What `n` rounds of [`apply_weight`](Self::apply_weight) over
+    /// `weights` (at most [`PERIOD_EVENTS`]) add to `counters`: each field
+    /// through [`repeat_add`] with its increments of one round, in
+    /// `apply_weight`'s order, which is the same additions per field as the
+    /// rounds one weight at a time.
+    pub(crate) fn add_periods(counters: &mut MemCounters, weights: &[Weight], n: u64) {
+        // The fields, in `MemCounters`' order.
+        const READ: usize = 0;
+        const WRITE: usize = 1;
+        const ITOM: usize = 2;
+        const WRITE_ALLOCATE: usize = 3;
+        const PREFETCH: usize = 4;
+        const SPECULATIVE: usize = 5;
+        let c = counters;
+        let sums = [
+            &mut c.read_lines,
+            &mut c.write_lines,
+            &mut c.itom_lines,
+            &mut c.write_allocate_lines,
+            &mut c.prefetch_lines,
+            &mut c.speculative_read_lines,
+        ];
+        let mut increments = [0.0; 2 * PERIOD_EVENTS];
+        for (field, sum) in sums.into_iter().enumerate() {
+            let mut len = 0;
+            let mut add = |a| {
+                increments[len] = a;
+                len += 1;
+            };
+            for &weight in weights {
+                match (weight, field) {
+                    (Weight::Read | Weight::Prefetch, READ) => add(1.0),
+                    (Weight::Prefetch, PREFETCH) => add(1.0),
+                    (Weight::Write(lines), WRITE) => add(lines),
+                    (Weight::Store { evaded, .. }, ITOM) => add(evaded),
+                    (Weight::Store { evaded, .. }, WRITE_ALLOCATE) => add(1.0 - evaded),
+                    (Weight::Store { evaded, spec_read }, READ) => {
+                        add(1.0 - evaded);
+                        add(spec_read);
+                    }
+                    (Weight::Store { spec_read, .. }, SPECULATIVE) => add(spec_read),
+                    (Weight::Nt { .. }, WRITE) => add(1.0),
+                    (Weight::Nt { read }, READ) => add(read),
+                    _ => {}
+                }
+            }
+            *sum = repeat_add(*sum, &increments[..len], n);
+        }
+    }
 }
+
+/// The most weights [`Accountant::add_periods`] repeats: the events of two
+/// lines of each of the at most 8 operands a counted core's kernel has,
+/// each line at most two (a load miss and its buddy prefetch).
+pub(crate) const PERIOD_EVENTS: usize = 32;
 
 /// What `n` rounds of `for a in increments { x += a }` return, bit for
 /// bit, in O(binades crossed) additions instead of O(n).
@@ -303,8 +370,13 @@ fn repeat_add(mut x: f64, increments: &[f64], mut n: u64) -> f64 {
         let (mut step, mut exact) = (0u64, true);
         for &a in increments {
             let ratio = a / u;
-            exact &= ratio < TOP as f64 && ratio - ratio.floor() != 0.5;
-            step = step.saturating_add(ratio.round() as u64);
+            // `ratio` is not negative, so its truncation is its floor, and
+            // below 2^53 the fraction left is exact: a tie is 0.5, and the
+            // rounding of anything else is the floor or the one above it.
+            let whole = ratio as u64;
+            let fraction = ratio - whole as f64;
+            exact &= ratio < TOP as f64 && fraction != 0.5;
+            step = step.saturating_add(whole.saturating_add(u64::from(fraction > 0.5)));
         }
         if !exact {
             let before = x;
@@ -444,19 +516,6 @@ mod tests {
         }
     }
 
-    /// Every counter's bits.
-    fn counter_bits(c: &MemCounters) -> [u64; 6] {
-        [
-            c.read_lines,
-            c.write_lines,
-            c.itom_lines,
-            c.write_allocate_lines,
-            c.prefetch_lines,
-            c.speculative_read_lines,
-        ]
-        .map(f64::to_bits)
-    }
-
     /// The bits of a store line's weight.
     fn store_bits(weight: Weight) -> [u64; 2] {
         match weight {
@@ -511,8 +570,8 @@ mod tests {
                     response,
                 });
                 assert_eq!(
-                    counter_bits(&live.counters),
-                    counter_bits(&fresh.counters),
+                    live.counters.bits(),
+                    fresh.counters.bits(),
                     "pass {pass}: {full} {streams} {response:#x}"
                 );
             }

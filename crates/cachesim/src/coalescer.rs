@@ -27,7 +27,7 @@ pub struct FinalizedLine {
     pub active_streams: usize,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct WriteStream {
     /// Line currently being assembled.
     line: u64,
@@ -57,12 +57,59 @@ const MAX_STREAMS: usize = 8;
 /// few cache lines does not break the hardware's stream detection).
 const GAP_TOLERANCE: u64 = 4;
 
+/// The open streams of a [`WriteCoalescer`], in the order they were
+/// opened: at most [`MAX_STREAMS`], held inline, so that a coalescer is a
+/// plain value that copies without allocating.
+#[derive(Debug, Clone, Copy, Default)]
+struct Streams {
+    table: [WriteStream; MAX_STREAMS],
+    open: usize,
+}
+
+impl Streams {
+    fn clear(&mut self) {
+        self.open = 0;
+    }
+
+    fn push(&mut self, stream: WriteStream) {
+        self.table[self.open] = stream;
+        self.open += 1;
+    }
+
+    /// Close stream `idx`; the others keep their order.
+    fn remove(&mut self, idx: usize) -> WriteStream {
+        let stream = self.table[idx];
+        self.table.copy_within(idx + 1..self.open, idx);
+        self.open -= 1;
+        stream
+    }
+}
+
+impl std::ops::Deref for Streams {
+    type Target = [WriteStream];
+    fn deref(&self) -> &[WriteStream] {
+        &self.table[..self.open]
+    }
+}
+
+impl std::ops::DerefMut for Streams {
+    fn deref_mut(&mut self) -> &mut [WriteStream] {
+        &mut self.table[..self.open]
+    }
+}
+
+impl PartialEq for Streams {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 /// Tracks the open store streams of one core, in the order they were
 /// opened: when several streams could continue at a store, the earliest
 /// opened does, and [`flush`](Self::flush) finalizes them in that order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WriteCoalescer {
-    streams: Vec<WriteStream>,
+    streams: Streams,
     stamp: u64,
     /// The newest stamp a stream carried when a store moved it to another
     /// line or displaced it (see [`settled_since`](Self::settled_since)).
@@ -117,9 +164,59 @@ impl WriteCoalescer {
             })
     }
 
-    /// Drop every open stream without finalizing it and reset the stamp,
-    /// reusing the allocation.  Afterwards the coalescer is
-    /// indistinguishable from a freshly constructed one.
+    /// How many more periods like the one since stamp `since` — in which
+    /// every stream stored to finalized `lines` full lines — finalize each
+    /// line with the streak estimates the period did (see
+    /// [`store_segment`](Self::store_segment)): a stream whose current
+    /// streak has not outgrown its last one estimates the last one until
+    /// the current one would, and a stream whose every estimate of the
+    /// period is one that `saturated` vouches for, and all above it, for
+    /// ever.  `u64::MAX` where no stream bounds them.
+    pub(crate) fn steady_periods(
+        &self,
+        since: u64,
+        lines: u64,
+        saturated: impl Fn(u64) -> bool,
+    ) -> u64 {
+        self.streams
+            .iter()
+            .filter(|s| s.stamp > since)
+            .map(|s| {
+                let (current, last) = (s.current_streak, s.last_streak);
+                if saturated(current.saturating_sub(lines - 1).max(last)) {
+                    u64::MAX
+                } else if current <= last {
+                    (last - current) / lines
+                } else {
+                    0
+                }
+            })
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Step every stream stored to after stamp `since` on by `n` more
+    /// periods like the one since: each period moves such a stream `lines`
+    /// full lines on (its streak with it) and takes as many stamps as the
+    /// period did.  What stepping those periods leaves, where each stream
+    /// stored to in the period moved on exactly `lines` lines, finalizing
+    /// each as full, and no store opened or displaced a stream.
+    pub(crate) fn repeat_since(&mut self, since: u64, lines: u64, n: u64) {
+        let stamps = (self.stamp - since) * n;
+        for s in self.streams.iter_mut().filter(|s| s.stamp > since) {
+            s.line += lines * n;
+            s.current_streak += lines * n;
+            s.stamp += stamps;
+        }
+        if self.moved_stamp > since {
+            self.moved_stamp += stamps;
+        }
+        self.stamp += stamps;
+    }
+
+    /// Drop every open stream without finalizing it and reset the stamp.
+    /// Afterwards the coalescer is indistinguishable from a freshly
+    /// constructed one.
     pub fn reset(&mut self) {
         self.streams.clear();
         self.stamp = 0;

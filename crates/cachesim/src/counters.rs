@@ -33,6 +33,19 @@ impl MemCounters {
         Self::default()
     }
 
+    /// Every field's bits, in declaration order: equal counters by bits.
+    pub(crate) fn bits(&self) -> [u64; 6] {
+        [
+            self.read_lines,
+            self.write_lines,
+            self.itom_lines,
+            self.write_allocate_lines,
+            self.prefetch_lines,
+            self.speculative_read_lines,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Read data volume in bytes.
     pub fn read_bytes(&self) -> f64 {
         self.read_lines * LINE_BYTES as f64

@@ -42,7 +42,7 @@
 use clover_machine::{Machine, WritePolicyKind};
 
 use crate::access::AccessRun;
-use crate::accountant::Accountant;
+use crate::accountant::{Accountant, Weight, PERIOD_EVENTS};
 use crate::cache::{LastLevel, LookupResult, SetAssocCache};
 use crate::coalescer::{FinalizedLine, WriteCoalescer};
 use crate::counters::MemCounters;
@@ -195,6 +195,12 @@ pub(crate) enum Reach {
     /// prefetched buddy, which `KernelSpec::counts_last_level` proves
     /// still resident when it is loaded.  A load is the repeat, the hit
     /// on `pending_buddy` or a miss; a store line is a miss.
+    ///
+    /// So what a row does from its third line on repeats every
+    /// [`PERIOD_LINES`] lines but for its lines and streaks, and a core
+    /// that records no trace does it once per row and then repeats it
+    /// ([`PrivateCore::repeat_period`]) for as long as the store lines'
+    /// streak estimates stay those of that period: see `SweepCursor`.
     Counted {
         /// The line loaded last (`NO_LINE` before the first load).
         last_load: u64,
@@ -271,6 +277,126 @@ pub struct PrivateCore {
     pub(crate) trace: TraceRecorder,
     /// What the core simulates of its hierarchy.
     reach: Reach,
+    /// The weights of the events of the period measured last.
+    period: PeriodLog,
+    /// Store lines finalized one by one, and repeated by
+    /// [`repeat_period`](Self::repeat_period), since the core was built.
+    store_lines: StoreLines,
+}
+
+/// Lines a steady period of a [`Reach::Counted`] core spans in each of its
+/// streams: two, so that every line keeps its parity and a load's buddy
+/// pattern (an even line's miss prefetching the odd line after it) repeats
+/// too.
+pub(crate) const PERIOD_LINES: u64 = 2;
+
+/// The weights of the events a core emitted while a period was measured.
+#[derive(Debug, Clone, Copy)]
+struct PeriodLog {
+    weights: [Weight; PERIOD_EVENTS],
+    /// Events emitted, past `PERIOD_EVENTS` if they did not all fit.
+    len: usize,
+    /// Whether a period is being measured.
+    measuring: bool,
+}
+
+impl PeriodLog {
+    fn weights(&self) -> &[Weight] {
+        &self.weights[..self.len]
+    }
+
+    /// Keep one more weight.  Out of line, so that emitting an event stays
+    /// one predictable branch when no period is measured.
+    #[cold]
+    #[inline(never)]
+    fn push(&mut self, weight: Weight) {
+        if let Some(slot) = self.weights.get_mut(self.len) {
+            *slot = weight;
+        }
+        self.len += 1;
+    }
+}
+
+/// Where a measured period of a counted core began (see
+/// [`PrivateCore::begin_period`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PeriodMark {
+    /// The coalescers' stamps.
+    stamps: [u64; 2],
+    l1_hits: u64,
+    dirty_fills: u64,
+    stepped: u64,
+}
+
+/// What the period a counted core measured last did, besides its events'
+/// weights, and how many more times it may be repeated (see
+/// [`PrivateCore::end_period`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Period {
+    /// The coalescers' stamps where it began.
+    stamps: [u64; 2],
+    /// The period's L1 hits, dirty fills and finalized store lines.
+    l1_hits: u64,
+    dirty_fills: u64,
+    store_lines: u64,
+    /// How many more periods make the same events.
+    pub(crate) repeats: u64,
+}
+
+/// What a [`Period`]'s repeat changes of a core: its counters, both
+/// coalescers, its [`Reach`] and its L1's hits.  A plain value, so that a
+/// debug build compares stepping with repeating without allocating.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Steady {
+    counters: MemCounters,
+    coalescers: [WriteCoalescer; 2],
+    reach: Reach,
+    l1_hits: u64,
+}
+
+impl PartialEq for Steady {
+    /// Equal counters by bits.
+    fn eq(&self, other: &Self) -> bool {
+        self.counters.bits() == other.counters.bits()
+            && (self.coalescers, self.reach, self.l1_hits)
+                == (other.coalescers, other.reach, other.l1_hits)
+    }
+}
+
+impl Steady {
+    /// Account `n` more periods like `period`, whose events weighed
+    /// `weights`.
+    fn repeat(&mut self, weights: &[Weight], period: &Period, n: u64) {
+        debug_assert!(n <= period.repeats);
+        Accountant::add_periods(&mut self.counters, weights, n);
+        self.l1_hits += n * period.l1_hits;
+        for (coalescer, since) in self.coalescers.iter_mut().zip(period.stamps) {
+            coalescer.repeat_since(since, PERIOD_LINES, n);
+        }
+        let Reach::Counted {
+            last_load,
+            pending_buddy,
+            dirty_fills,
+        } = &mut self.reach
+        else {
+            unreachable!("a period is repeated on a counted core")
+        };
+        for line in [last_load, pending_buddy] {
+            if *line != NO_LINE {
+                *line += PERIOD_LINES * n;
+            }
+        }
+        *dirty_fills += n * period.dirty_fills;
+    }
+}
+
+/// Store lines a core has finalized since it was built, over every reset.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreLines {
+    /// Finalized one by one, each through the store path.
+    pub stepped: u64,
+    /// Accounted by a counted core's repeat of a row's steady period.
+    pub repeated: u64,
 }
 
 impl PrivateCore {
@@ -322,6 +448,12 @@ impl PrivateCore {
             account: Accountant::new(&machine.speci2m, ctx, options),
             trace: TraceRecorder::default(),
             reach: Reach::Full,
+            period: PeriodLog {
+                weights: [Weight::Read; PERIOD_EVENTS],
+                len: 0,
+                measuring: false,
+            },
+            store_lines: StoreLines::default(),
         }
     }
 
@@ -375,15 +507,22 @@ impl PrivateCore {
         self.account.arm(ctx, options);
         self.trace.finish();
         self.reach = Reach::Full;
+        self.period.measuring = false;
     }
 
     /// One event of memory traffic: account it and, if a trace is active,
-    /// record it.
-    #[inline]
+    /// record it, or if a period is measured, keep its weight.
+    // `always`: each site passes a literal event, so that `apply`'s match
+    // folds to its arm.  Left to the inliner, the period log's branch kept
+    // it out of line, which cost a cold `thrash` co-run ≈ 8 %.
+    #[inline(always)]
     fn emit(&mut self, event: Event) {
-        self.account.apply(event);
+        let weight = self.account.apply(event);
         if self.trace.is_recording() {
             self.trace.push(event);
+        }
+        if self.period.measuring {
+            self.period.push(weight);
         }
     }
 
@@ -417,10 +556,114 @@ impl PrivateCore {
     ) {
         if nt {
             if let Some(ev) = self.nt_coalescer.store_segment(line, offset, len) {
+                self.store_lines.stepped += 1;
                 self.handle_nt_line(llc, ev);
             }
         } else if let Some(ev) = self.coalescer.store_segment(line, offset, len) {
+            self.store_lines.stepped += 1;
             self.handle_store_line(llc, ev);
+        }
+    }
+
+    /// Store lines the core has finalized since it was built.
+    pub(crate) fn store_lines(&self) -> StoreLines {
+        self.store_lines
+    }
+
+    /// Whether the core may repeat its sweep rows' steady periods: it is
+    /// counted and records no trace (a trace stores every event, which a
+    /// repeat would not emit).
+    pub(crate) fn repeats_periods(&self) -> bool {
+        matches!(self.reach, Reach::Counted { .. }) && !self.trace.is_recording()
+    }
+
+    /// Begin measuring a period of a sweep row's steady state, to repeat
+    /// it, on a core that [`repeats_periods`](Self::repeats_periods).
+    pub(crate) fn begin_period(&mut self) -> PeriodMark {
+        let Reach::Counted { dirty_fills, .. } = self.reach else {
+            unreachable!("a period is measured on a counted core")
+        };
+        self.period.len = 0;
+        self.period.measuring = true;
+        PeriodMark {
+            stamps: [self.coalescer.stamp(), self.nt_coalescer.stamp()],
+            l1_hits: self.l1.hits(),
+            dirty_fills,
+            stepped: self.store_lines.stepped,
+        }
+    }
+
+    /// End the period begun at `start`: what it did, and how many more
+    /// such periods make the same events, as far as the store lines'
+    /// streak estimates decide it — the caller bounds them by its row.
+    /// `None` if it emitted more events than a period keeps.
+    ///
+    /// The caller vouches that every stream stored to in the period moved
+    /// on exactly [`PERIOD_LINES`] lines, finalizing each as full, and
+    /// that the next periods' lines lie in the same rows of the sweep.
+    /// Then only the streak estimates of a write-allocate store line can
+    /// tell one period's events from the next ([`Event::WaStore`] carries
+    /// their response; no other event depends on them), which
+    /// `WriteCoalescer::steady_periods` bounds.
+    pub(crate) fn end_period(&mut self, start: PeriodMark) -> Option<Period> {
+        self.period.measuring = false;
+        let Reach::Counted { dirty_fills, .. } = self.reach else {
+            unreachable!("a period is measured on a counted core")
+        };
+        if self.period.len > PERIOD_EVENTS {
+            return None;
+        }
+        let repeats = if self.options.write_policy == WritePolicyKind::Allocate {
+            self.coalescer
+                .steady_periods(start.stamps[0], PERIOD_LINES, |streak| {
+                    self.account.saturated(streak)
+                })
+        } else {
+            u64::MAX
+        };
+        Some(Period {
+            stamps: start.stamps,
+            l1_hits: self.l1.hits() - start.l1_hits,
+            dirty_fills: dirty_fills - start.dirty_fills,
+            store_lines: self.store_lines.stepped - start.stepped,
+            repeats,
+        })
+    }
+
+    /// Account `n` more periods like `period`, which must have just ended,
+    /// where `n <= period.repeats` and the caller's rows hold them: what
+    /// stepping them would do, in O(1) ([`repeated`](Self::repeated)).
+    pub(crate) fn repeat_period(&mut self, period: &Period, n: u64) {
+        let after = self.repeated(period, n);
+        self.l1.settled_hits(after.l1_hits - self.l1.hits());
+        self.account.counters = after.counters;
+        [self.coalescer, self.nt_coalescer] = after.coalescers;
+        self.reach = after.reach;
+        self.store_lines.repeated += n * period.store_lines;
+    }
+
+    /// What `n` more periods like `period`, which must have just ended,
+    /// leave of the core: every counter field takes the period's
+    /// increments `n` times over through `repeat_add`
+    /// (`Accountant::add_periods`), bit for bit the events one at a time;
+    /// the L1 takes `n` times the period's settled hits, and the `Reach`
+    /// its dirty fills; and every line the core holds — the line loaded
+    /// last, the pending buddy, each store stream's line and streak —
+    /// moves on `n` periods of lines, every stamp `n` periods of stamps.
+    /// A debug build compares it with stepping those periods.
+    pub(crate) fn repeated(&self, period: &Period, n: u64) -> Steady {
+        let mut steady = self.steady();
+        steady.repeat(self.period.weights(), period, n);
+        steady
+    }
+
+    /// What a [`Period`]'s repeat changes of the core, as it is.
+    pub(crate) fn steady(&self) -> Steady {
+        Steady {
+            counters: self.account.counters,
+            coalescers: [self.coalescer, self.nt_coalescer],
+            reach: self.reach,
+            l1_hits: self.l1.hits(),
         }
     }
 
@@ -518,10 +761,11 @@ impl PrivateCore {
         llc: &mut LastLevel<W>,
     ) -> (Vec<u64>, Vec<u64>) {
         let events = self.coalescer.flush();
+        let nt_events = self.nt_coalescer.flush();
+        self.store_lines.stepped += (events.len() + nt_events.len()) as u64;
         for ev in events {
             self.handle_store_line(llc, ev);
         }
-        let nt_events = self.nt_coalescer.flush();
         for ev in nt_events {
             self.handle_nt_line(llc, ev);
         }
@@ -1013,6 +1257,12 @@ impl CoreSim {
     /// counted its last level in a release build.
     pub fn l3_share_work(&self) -> u64 {
         self.l3_work + self.l3.hits() + self.l3.misses() + self.l3.reorders()
+    }
+
+    /// Store lines the core has finalized since it was built, over every
+    /// [`reset`](Self::reset), one by one and by a counted core's repeats.
+    pub fn store_lines(&self) -> StoreLines {
+        self.private.store_lines()
     }
 
     /// Lines the L3 share has evicted since construction or the last
@@ -1507,19 +1757,6 @@ mod tests {
         assert_eq!(replay_trace(&m.speci2m, ctx, options, &trace), live);
     }
 
-    /// Every counter's bits: NaN counters compare too.
-    fn counter_bits(c: MemCounters) -> [u64; 6] {
-        [
-            c.read_lines,
-            c.write_lines,
-            c.itom_lines,
-            c.write_allocate_lines,
-            c.prefetch_lines,
-            c.speculative_read_lines,
-        ]
-        .map(f64::to_bits)
-    }
-
     #[test]
     fn every_streak_records_and_replays_to_the_bits_of_an_unrecorded_core() {
         // A store line's event carries its streak response, computed as it
@@ -1551,14 +1788,14 @@ mod tests {
                     core.private.handle_store_line(&mut core.l3, line);
                 }
                 let live = recorded.flush();
-                assert_eq!(counter_bits(live), counter_bits(plain.flush()), "{line:?}");
+                assert_eq!(live.bits(), plain.flush().bits(), "{line:?}");
                 let trace = recorded
                     .private
                     .trace
                     .finish()
                     .expect("every streak records");
                 let replayed = replay_trace(&m.speci2m, ctx, options, &trace);
-                assert_eq!(counter_bits(replayed), counter_bits(live), "{line:?}");
+                assert_eq!(replayed.bits(), live.bits(), "{line:?}");
                 if streak == 27.0 {
                     let response = m.speci2m.streak_response(27.0).to_bits();
                     assert!(trace.contains(&Event::WaStore {

@@ -16,7 +16,7 @@
 pub use crate::access::ELEM_BYTES;
 use crate::access::{line_of, AccessKind, LINE_BYTES};
 use crate::cache::LastLevel;
-use crate::hierarchy::{CoreSim, PrivateCore};
+use crate::hierarchy::{CoreSim, PeriodMark, PrivateCore, Steady, PERIOD_LINES};
 
 /// One array operand of a stencil row sweep.
 #[derive(Debug, Clone)]
@@ -126,11 +126,59 @@ impl StencilRowSweep {
 /// with a misaligned operand base runs element by element throughout,
 /// each element one operation per line it covers.
 ///
+/// A counted core (`Reach::Counted`) that records no trace steps no more
+/// of a row than it must.  Its kernel (`KernelSpec::counts_last_level`)
+/// has at most one load and otherwise `Store` or `StoreNT` streams, each
+/// one element-aligned point, each with a coalescer stream of its own,
+/// swept in rows that never step back; every load is the repeat, the
+/// pending buddy's hit or a miss, and every store line a miss.  Every
+/// stream crosses a line every 8 elements, so the segments repeat every 8
+/// and the line parities every `PERIOD` (= `PERIOD_LINES` = 2 lines).
+/// Past a row's *head* — the first inner index past every stream's first
+/// line crossing in the row — what a period does is a translate of what
+/// the one before did, but for the streak estimates:
+///
+/// * **Loads.**  Past its row's first line, a load stream alternates an
+///   even line, which misses and (prefetcher on) prefetches the odd line
+///   after it, and that odd line, the pending buddy's hit; with the
+///   prefetcher off every line misses.  The line loaded first in the row
+///   may be the previous row's last line, its pending buddy or an odd
+///   line whose buddy lies below it, but the next line is an even miss or
+///   the odd line its own miss prefetched.  So a period emits the same
+///   load events, counts the same repeats as L1 hits, and moves the line
+///   loaded last and the pending buddy on two lines.
+/// * **Stores.**  A crossing past the head moves a store stream from a
+///   line wholly inside the row, which is full, to the next one: the
+///   coalescer's own stream of that operand continues (other operands'
+///   windows lie more than its gap tolerance apart, and a stream an
+///   earlier row left open lies more than that below the row), so no
+///   store opens or displaces a stream.  Each period finalizes two full
+///   lines per stream, with the same stream count, moving its line and
+///   current streak on two and its stamps on the period's stores.  The
+///   line's event is an `NtLine` (an NT stream, or the non-temporal
+///   policy), a `Writeback` (no-allocate) or a write-allocate `WaStore`,
+///   whose streak response is the one thing that can change: its
+///   estimate is the larger of the current and the last streak, so it
+///   repeats while the current streak stays at or below the last, or
+///   where every estimate is one whose response is 1.0 to the bit
+///   (`WriteCoalescer::steady_periods`, `Accountant::saturated`).
+///
+/// So after the head the cursor steps one period, capturing its events
+/// (`PrivateCore::begin_period` / `end_period`), and accounts the next `n`
+/// in O(1) (`PrivateCore::repeat_period`): `n` is as many as the streak
+/// estimates allow and leave at least one element of the row to step.
+/// The tail — the row's last lines and every line a streak bound refused
+/// — is stepped.  A debug build computes the repeat from copies of the
+/// core's counters, coalescers and `Reach`, steps those periods as
+/// before, and asserts that they agree, counter bits and L1 hits
+/// included.
+///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
-/// themselves), so a run is the per-element sweep for *any* sequence of
-/// turn budgets — which `tests/reference_hierarchy.rs` asserts through
-/// single-tenant co-runs at random interleaves.
+/// themselves, and in the cursor's place in a period it measures), so a
+/// run is the per-element sweep for *any* sequence of turn budgets —
+/// which `tests/reference_hierarchy.rs` asserts through single-tenant
+/// co-runs at random interleaves.
 #[derive(Debug, Clone)]
 pub struct SweepCursor {
     /// Flattened streams positioned at `i0` of the current row.
@@ -148,6 +196,33 @@ pub struct SweepCursor {
     scalar: bool,
     /// How many of the streams load.
     loads: u64,
+    /// Where the current row stands in a counted core's repeat of its
+    /// steady period.
+    repeat: RowRepeat,
+}
+
+/// Elements of a steady period of a counted core: `PERIOD_LINES` lines of
+/// every stream.
+const PERIOD: u64 = PERIOD_LINES * LINE_BYTES / ELEM_BYTES;
+
+/// Where a row of a counted core's sweep stands in the repeat of its
+/// steady period (see [`SweepCursor`]).
+#[derive(Debug, Clone)]
+enum RowRepeat {
+    /// The row's head is stepped.
+    Head,
+    /// A period is being measured from inner index `from`, `segments`
+    /// segments so far.
+    Measuring {
+        start: PeriodMark,
+        from: u64,
+        segments: u64,
+    },
+    /// A debug build steps the periods a repeat accounted for up to inner
+    /// index `until`, where the core must be `expected`.
+    Checking { expected: Box<Steady>, until: u64 },
+    /// The row's tail is stepped.
+    Tail,
 }
 
 impl SweepCursor {
@@ -175,6 +250,7 @@ impl SweepCursor {
                 .filter(|s| s.kind == AccessKind::Load)
                 .count() as u64,
             streams,
+            repeat: RowRepeat::Head,
         }
     }
 
@@ -219,7 +295,11 @@ impl SweepCursor {
     ) -> u64 {
         let budget = budget_lines.max(1);
         let mut spent = 0u64;
+        let repeats = MARKED && !self.scalar && !self.streams.is_empty() && core.repeats_periods();
         while self.rows_left > 0 && spent < budget {
+            if repeats && !matches!(self.repeat, RowRepeat::Tail) {
+                spent += self.advance_repeat(core);
+            }
             let at = self.done * ELEM_BYTES;
             // The segment extends until any stream reaches its next line
             // boundary (each stream advances 8 bytes per iteration and is
@@ -287,6 +367,11 @@ impl SweepCursor {
             self.done += seg;
             spent += (self.streams.len() as u64).max(1);
             if self.done >= self.inner {
+                debug_assert!(
+                    matches!(self.repeat, RowRepeat::Head | RowRepeat::Tail),
+                    "a period's repeat ran past its row"
+                );
+                self.repeat = RowRepeat::Head;
                 self.done = 0;
                 self.rows_left -= 1;
                 for s in &mut self.streams {
@@ -295,6 +380,75 @@ impl SweepCursor {
             }
         }
         spent
+    }
+
+    /// At a segment boundary of a counted core's aligned sweep, move the
+    /// row's repeat of its steady period on (see [`SweepCursor`]): past
+    /// the head, begin measuring a period where the row holds it, one
+    /// more and an element; at its end, account the periods it may repeat
+    /// and skip them, or in a debug build go on stepping them, and check
+    /// the core where they end.  Returns the line operations the skipped
+    /// periods stand for.
+    fn advance_repeat(&mut self, core: &mut PrivateCore) -> u64 {
+        match &mut self.repeat {
+            RowRepeat::Head if self.done >= Self::head(&self.streams) => {
+                self.repeat = match self.done + 2 * PERIOD < self.inner {
+                    true => RowRepeat::Measuring {
+                        start: core.begin_period(),
+                        from: self.done,
+                        segments: 1,
+                    },
+                    false => RowRepeat::Tail,
+                };
+            }
+            RowRepeat::Measuring { from, segments, .. } if self.done < *from + PERIOD => {
+                *segments += 1;
+            }
+            &mut RowRepeat::Measuring {
+                start, segments, ..
+            } => {
+                self.repeat = RowRepeat::Tail;
+                let Some(period) = core.end_period(start) else {
+                    return 0;
+                };
+                // At least one element of the row is left to step.
+                let n = period.repeats.min((self.inner - 1 - self.done) / PERIOD);
+                if n == 0 {
+                    return 0;
+                }
+                if cfg!(debug_assertions) {
+                    self.repeat = RowRepeat::Checking {
+                        expected: Box::new(core.repeated(&period, n)),
+                        until: self.done + n * PERIOD,
+                    };
+                    return 0;
+                }
+                core.repeat_period(&period, n);
+                self.done += n * PERIOD;
+                return n * segments * self.streams.len() as u64;
+            }
+            RowRepeat::Checking { expected, until } if self.done == *until => {
+                assert_eq!(
+                    core.steady(),
+                    **expected,
+                    "a counted core's repeat of a period is not what stepping it does"
+                );
+                self.repeat = RowRepeat::Tail;
+            }
+            _ => {}
+        }
+        0
+    }
+
+    /// The first inner index past every stream's first line crossing in
+    /// the current row.
+    fn head(streams: &[StencilStream]) -> u64 {
+        let per_line = LINE_BYTES / ELEM_BYTES;
+        streams
+            .iter()
+            .map(|s| per_line + 1 - s.row_base % LINE_BYTES / ELEM_BYTES)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Feed one 8-byte element of a stream: on an aligned sweep straight

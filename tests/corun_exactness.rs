@@ -19,7 +19,8 @@
 
 mod corun_grid;
 
-use clover_cachesim::{NodeSim, SimMemo};
+use clover_cachesim::{AccessKind, KernelSpec, NodeSim, RankBase, SimConfig, SimMemo, SpecOperand};
+use clover_machine::icelake_sp_8360y;
 use corun_grid::{digest, drawn_cases, facts, pinned_cases, Case};
 
 /// The report of `case`'s first tenant, through a fresh memo.
@@ -236,4 +237,45 @@ fn the_first_drawn_co_runs_report_what_the_whole_co_run_did() {
 #[ignore]
 fn five_hundred_drawn_co_runs_report_what_the_whole_co_run_did() {
     check_drawn(0..500);
+}
+
+#[test]
+fn an_nt_line_a_neighbour_prefetched_leaves_the_llc_of_a_marked_tenant() {
+    // A tenant whose NT store window begins on the odd line whose buddy
+    // ends a loading tenant's window: the loader's miss there prefetches
+    // that line into the shared LLC, and the NT store must invalidate it
+    // again.  Their windows share a buddy pair, so the storing tenant is
+    // marked without frontiers and looks the line up; it must report what
+    // it reports with every tenant running its whole hierarchy, where an
+    // operand without points keeps each kernel off the marked path.
+    let icx = icelake_sp_8360y();
+    let even = 1u64 << 24;
+    let storer = KernelSpec::contiguous(RankBase::Shared, (even + 1) * 64, 64, AccessKind::StoreNT);
+    let loader = KernelSpec::contiguous(RankBase::Shared, even * 64, 8, AccessKind::Load);
+    let whole = |mut kernel: KernelSpec| {
+        kernel.operands.push(SpecOperand {
+            offset: 0,
+            points: vec![],
+            kind: AccessKind::Load,
+        });
+        kernel
+    };
+    let sim = NodeSim::new(SimConfig::new(icx.clone(), 2));
+    let mut reports = Vec::new();
+    for tenants in [
+        [storer.clone(), loader.clone()],
+        [whole(storer), whole(loader)],
+    ] {
+        let marked = tenants
+            .iter()
+            .map(|t| t.never_hits_private(&icx, 0))
+            .collect::<Vec<_>>();
+        reports.push((
+            marked,
+            facts(&sim.run_corun(&tenants, 1, &SimMemo::new()).primary),
+        ));
+    }
+    assert_eq!(reports[0].0, [true, true]);
+    assert_eq!(reports[1].0, [false, false]);
+    assert_eq!(reports[0].1, reports[1].1);
 }

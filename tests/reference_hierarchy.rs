@@ -1327,6 +1327,153 @@ fn counted_kernels() -> Vec<(&'static str, KernelSpec, bool, bool)> {
     ]
 }
 
+impl Case {
+    /// The combination `index` names (as for [`Case::new`]) and a kernel
+    /// drawn from `seed` that `KernelSpec::counts_last_level` proves, of
+    /// rows long enough for a counted core to repeat their steady period:
+    /// no load or one, beside 1–3 stores, each a `Store` or a `StoreNT`,
+    /// all in lines of their own phases; `inner` of 8–2 007 elements, a
+    /// halo of 0–19 (every residue mod 8) and 1–8 rows.
+    fn long_rows(index: usize, seed: u64) -> Self {
+        let mut case = Case::new(index, seed);
+        let draw = &mut case.draw;
+        let loads = draw.below(2);
+        let stores = 1 + draw.below(3);
+        let operands = (0..loads + stores)
+            .map(|j| SpecOperand {
+                offset: (j << 22) + 64 * draw.below(4) + 8 * draw.below(8),
+                points: vec![(0, 0)],
+                kind: match j < loads {
+                    true => AccessKind::Load,
+                    false => draw.pick(&[AccessKind::Store, AccessKind::StoreNT]),
+                },
+            })
+            .collect();
+        let inner = 8 + draw.below(2000);
+        case.kernel = KernelSpec {
+            operands,
+            row_stride: inner + draw.below(20),
+            inner,
+            rows: 1 + draw.below(8),
+            ..case.kernel
+        };
+        case.name = "long rows";
+        case
+    }
+
+    /// The representative core of `run_spmd_memo` through a memo that
+    /// records no trace — a counted core, which repeats its rows' steady
+    /// periods — against the oracle, SpecI2M on (weighed) or off
+    /// (counted): on the full node, where SpecI2M's activation ramp is
+    /// up and a store line's streak response weighs, and at a drawn rank
+    /// count.
+    fn check_counted(&mut self, speci2m: bool) {
+        let machine = self.machine(speci2m);
+        let drawn = 1 + self.draw.below(machine.total_cores() as u64) as usize;
+        for ranks in [machine.total_cores(), drawn] {
+            let occ = DomainOccupancy::compact(&machine, ranks);
+            let count = occ.cores_per_domain[0];
+            let sharers = DomainOccupancy::l3_sharers(&machine, count);
+            let ctx = OccupancyContext::domain_load(&machine, count, occ.active_domains);
+            let options = self.options(sharers, speci2m);
+            assert!(
+                self.kernel.counts_last_level(&machine, &options, 0),
+                "{} is not counted: {:?}",
+                self.name,
+                self.kernel
+            );
+            let oracle = self.swept_oracle(&machine, sharers);
+            let report = NodeSim::new(self.config(machine.clone(), ranks, speci2m))
+                .run_spmd_memo(&self.kernel, &SimMemo::without_differential());
+            let at = format!("counted at {ranks} ranks, {:?}", self.kernel);
+            self.assert_counters(&report.per_rank, &oracle, (&machine, ctx, options), &at);
+        }
+    }
+}
+
+/// Hand-made counted kernels at the edges of a counted core's repeat of a
+/// row's steady period (`SweepCursor`): its rows, element-aligned, have
+/// their head past index 16, their measured period then, and the repeats
+/// after it must leave an element of the row to step.
+fn repeat_kernels() -> Vec<(&'static str, KernelSpec)> {
+    use AccessKind::{Load, Store, StoreNT};
+    let copy = |store, stride, inner, rows| {
+        fixed_sweep(
+            &[(1 << 30, &[(0, 0)], Load), (1 << 31, &[(0, 0)], store)],
+            stride,
+            0,
+            inner,
+            rows,
+        )
+    };
+    let mut kernels = vec![
+        // Rows of 256 elements and a line of halo, an NT store beside the
+        // load so that no streak bounds the repeat: 13 periods from index
+        // 32 leave 16 elements to step, and 14 would end the row on a
+        // repeat, its next element in the halo.
+        (
+            "a repeat that ends one period before its row",
+            copy(StoreNT, 264, 256, 3),
+        ),
+        // Head, one measured period, one repeated and one element: the
+        // shortest row that repeats; one element less repeats nothing.
+        (
+            "the shortest row that repeats a period",
+            copy(StoreNT, 56, 49, 3),
+        ),
+        (
+            "one element too short to repeat a period",
+            copy(StoreNT, 56, 48, 3),
+        ),
+    ];
+    // A store 1–2 elements into its line beside an aligned load, rows a
+    // few elements of halo apart: the store's streak breaks at every row
+    // end, and where a row holds a full line more than the one before,
+    // its current streak reaches the last one inside a would-be period a
+    // period before the row's tail would end the repeat.  (The store's
+    // phase is what makes that happen: with the load's, the tail ends
+    // the repeat first.)
+    for (inner, halo, phase) in [(202, 3, 1), (203, 2, 1), (203, 4, 2), (204, 3, 2)] {
+        let mut kernel = copy(Store, inner + halo, inner, 4);
+        kernel.operands[1].offset += 8 * phase;
+        kernels.push(("a streak that reaches the last one inside a period", kernel));
+    }
+    kernels
+}
+
+/// [`repeat_kernels`] on the ICX, then `times` drawn long-row kernels per
+/// combination from `seed`.
+fn long_row_cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
+    let fixed = repeat_kernels()
+        .into_iter()
+        .enumerate()
+        .map(|(index, kernel)| Case::fixed(index, kernel));
+    let per_combination = MachinePreset::all().len() * 3 * 2;
+    let drawn = (0..times * per_combination).map(move |index| Case::long_rows(index, seed));
+    fixed.chain(drawn)
+}
+
+#[test]
+fn a_counted_core_repeats_what_the_reference_hierarchy_counts_and_weighs() {
+    for mut case in long_row_cases(1, 0x2EA7) {
+        case.check_counted(false);
+        case.check_counted(true);
+    }
+}
+
+/// A hundred times the tier-1 long-row kernels, each combination with
+/// new kernels: `cargo test --release --test reference_hierarchy --
+/// --ignored --exact
+/// a_counted_core_repeats_what_the_reference_hierarchy_counts_and_weighs_over_many_kernels`.
+#[test]
+#[ignore]
+fn a_counted_core_repeats_what_the_reference_hierarchy_counts_and_weighs_over_many_kernels() {
+    for mut case in long_row_cases(100, 0x2EA8) {
+        case.check_counted(false);
+        case.check_counted(true);
+    }
+}
+
 #[test]
 fn every_driver_counts_what_the_reference_hierarchy_counts() {
     for mut case in cases(1, 0x5EED) {

@@ -13,7 +13,7 @@
 mod common;
 
 use clover_bench::{copy_halo_points, run_interference_artifact, INTERFERENCE_EXPERIMENTS};
-use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, OccupancyContext};
+use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
 use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::cachesim::{AccessKind, KernelSpec, RankBase, SpecOperand};
 use cloverleaf_wa::core::loop_kernel;
@@ -24,8 +24,8 @@ use cloverleaf_wa::scenario::interference::{aggressor_kernel, victim_contention,
 use cloverleaf_wa::scenario::{interference_factor, Aggressor, DEFAULT_INTERLEAVE};
 use cloverleaf_wa::stencil::cloverleaf_loops;
 use cloverleaf_wa::ubench::{
-    copy_halo_kernel, copy_halo_ratio_memo, copy_volume_kernel, copy_volume_per_iteration_memo,
-    store_kernel_spec, store_ratio_memo, StoreKind,
+    copy_halo_kernel, copy_halo_ratio_memo, copy_kernel_spec, copy_volume_kernel,
+    copy_volume_per_iteration_memo, store_kernel_spec, store_ratio_memo, StoreKind,
 };
 use common::allocations;
 
@@ -363,4 +363,82 @@ fn the_halo_figures_look_nothing_up_at_the_l3_share_and_co_runs_do() {
     let sim = NodeSim::new(SimConfig::new(icx.clone(), 2));
     let report = sim.run_corun(&[stream, victim_kernel(&icx)], 64, &SimMemo::new());
     assert!(report.primary.llc_misses > 0, "{report:?}");
+}
+
+#[test]
+fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all() {
+    // A counted core that records no trace steps one period of a row's
+    // steady state and repeats it: in a release build the fig. 8 and 11
+    // walks finalize at most a tenth of the store lines they count one by
+    // one (7.2 % and 6.8 %; 19 % would mean that saturated streaks no
+    // longer repeat).  A debug build steps every line a repeat accounts
+    // for, to check it.  The lines counted are every line each store
+    // stream finalizes, however it is reached.
+    let halo = [
+        (icelake_sp_8360y(), true, 1_157_736),
+        (sapphire_rapids_8480(), false, 578_868),
+    ];
+    let store_lines = |machine: &Machine| {
+        let ctx = OccupancyContext::serial(machine);
+        with_pooled_core(machine, ctx, CoreSimOptions::default(), |core| {
+            core.store_lines()
+        })
+    };
+    for (machine, with_pf_off, lines) in halo {
+        let before = store_lines(&machine);
+        halo_grid(&machine, with_pf_off, &SimMemo::without_differential());
+        let after = store_lines(&machine);
+        let stepped = after.stepped - before.stepped;
+        let repeated = after.repeated - before.repeated;
+        println!("{}: {stepped} stepped, {repeated} repeated", machine.id);
+        assert_eq!(stepped + repeated, lines, "{}", machine.id);
+        if cfg!(debug_assertions) {
+            assert_eq!(repeated, 0, "{}: a debug build steps", machine.id);
+        } else {
+            assert!(
+                10 * stepped <= lines,
+                "{}: {stepped} of {lines} stepped",
+                machine.id
+            );
+        }
+    }
+    // Through a memo that records traces, a counted core that records one
+    // (a fig. 8 point, on the full node) and a core that looks its last
+    // level up (four rows of it on one core, which never evict the share,
+    // so that every share replays the trace) step every line; through a
+    // memo that records none, both are counted and repeat periods.
+    let icx = icelake_sp_8360y();
+    let four_rows = copy_kernel_spec(1 << 32, 1920, 3, 4);
+    for (what, ranks, kernel, evicts) in [
+        (
+            "a fig. 8 point",
+            icx.total_cores(),
+            &copy_halo_kernel(1920, 3),
+            true,
+        ),
+        ("four rows of it on one core", 1, &four_rows, false),
+    ] {
+        let occupancy = DomainOccupancy::compact(&icx, ranks);
+        let options = CoreSimOptions {
+            l3_sharers: DomainOccupancy::l3_sharers(&icx, occupancy.cores_per_domain[0]),
+            ..CoreSimOptions::default()
+        };
+        assert_eq!(!kernel.never_evicts_l3(&icx, &options), evicts, "{what}");
+        let config = SimConfig::new(icx.clone(), ranks);
+        for (memo, records) in [
+            (SimMemo::new(), true),
+            (SimMemo::without_differential(), false),
+        ] {
+            let before = store_lines(&icx);
+            NodeSim::new(config.clone()).run_spmd_memo(kernel, &memo);
+            let after = store_lines(&icx);
+            let repeated = after.repeated - before.repeated;
+            assert!(after.stepped > before.stepped, "{what}");
+            if records || cfg!(debug_assertions) {
+                assert_eq!(repeated, 0, "{what}, recording traces {records}");
+            } else {
+                assert!(repeated > 0, "{what}, recording traces {records}");
+            }
+        }
+    }
 }
