@@ -565,11 +565,6 @@ impl PrivateCore {
         }
     }
 
-    /// Store lines the core has finalized since it was built.
-    pub(crate) fn store_lines(&self) -> StoreLines {
-        self.store_lines
-    }
-
     /// Whether the core may repeat its sweep rows' steady periods: it is
     /// counted and records no trace (a trace stores every event, which a
     /// repeat would not emit).
@@ -1262,7 +1257,7 @@ impl CoreSim {
     /// Store lines the core has finalized since it was built, over every
     /// [`reset`](Self::reset), one by one and by a counted core's repeats.
     pub fn store_lines(&self) -> StoreLines {
-        self.private.store_lines()
+        self.private.store_lines
     }
 
     /// Lines the L3 share has evicted since construction or the last

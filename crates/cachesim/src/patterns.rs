@@ -392,13 +392,14 @@ impl SweepCursor {
     fn advance_repeat(&mut self, core: &mut PrivateCore) -> u64 {
         match &mut self.repeat {
             RowRepeat::Head if self.done >= Self::head(&self.streams) => {
-                self.repeat = match self.done + 2 * PERIOD < self.inner {
-                    true => RowRepeat::Measuring {
+                self.repeat = if self.done + 2 * PERIOD < self.inner {
+                    RowRepeat::Measuring {
                         start: core.begin_period(),
                         from: self.done,
                         segments: 1,
-                    },
-                    false => RowRepeat::Tail,
+                    }
+                } else {
+                    RowRepeat::Tail
                 };
             }
             RowRepeat::Measuring { from, segments, .. } if self.done < *from + PERIOD => {
