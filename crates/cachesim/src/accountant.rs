@@ -142,8 +142,32 @@ impl Accountant {
     /// 2^-54, half the spacing of the doubles below 1.0, so the difference
     /// rounds to 1.0 (the quotient, correctly rounded, stays at or above
     /// the representable 38.5 for every larger streak).
-    pub(crate) fn saturated(&self, streak: u64) -> bool {
-        streak as f64 / self.speci2m.streak_scale_lines >= 38.5
+    fn saturated(speci2m: &SpecI2MParams, streak: u64) -> bool {
+        streak as f64 / speci2m.streak_scale_lines >= 38.5
+    }
+
+    /// The least streak from which every streak is
+    /// [`saturated`](Self::saturated) (`u64::MAX` if none below 2^53 is),
+    /// under the machine's raw parameter block: it depends on its
+    /// `streak_scale_lines` alone, not on an arming, so that the periods
+    /// a trace holds are dynamics.  `saturated` grows with the streak (the
+    /// quotient of a larger one is no smaller), so it is a bisection away.
+    pub(crate) fn saturation(speci2m: &SpecI2MParams) -> u64 {
+        let saturated = |streak| Self::saturated(speci2m, streak);
+        let (mut below, mut at) = (0, 1 << 53);
+        if saturated(0) {
+            return 0;
+        } else if !saturated(at) {
+            return u64::MAX;
+        }
+        while at - below > 1 {
+            let mid = below + (at - below) / 2;
+            match saturated(mid) {
+                true => at = mid,
+                false => below = mid,
+            }
+        }
+        at
     }
 
     /// Account one event.  A write-allocate store line is weighed once
@@ -190,7 +214,9 @@ impl Accountant {
             } => self.store_weight(full, streams as usize, f64::from_bits(response)),
             Event::NtLine { full } => self.nt_weight(full),
             Event::WritebackBulk { distinct } => Weight::Write(distinct as f64),
-            Event::Repeat { .. } => unreachable!("a run is weighed by the event it repeats"),
+            Event::Repeat { .. } | Event::Period { .. } => {
+                unreachable!("a run or a period is weighed by the events it repeats")
+            }
         }
     }
 

@@ -170,20 +170,16 @@ impl WriteCoalescer {
     /// [`store_segment`](Self::store_segment)): a stream whose current
     /// streak has not outgrown its last one estimates the last one until
     /// the current one would, and a stream whose every estimate of the
-    /// period is one that `saturated` vouches for, and all above it, for
-    /// ever.  `u64::MAX` where no stream bounds them.
-    pub(crate) fn steady_periods(
-        &self,
-        since: u64,
-        lines: u64,
-        saturated: impl Fn(u64) -> bool,
-    ) -> u64 {
+    /// period is at least `saturation` (a streak from which every store
+    /// line weighs the same) for ever.  `u64::MAX` where no stream bounds
+    /// them.
+    pub(crate) fn steady_periods(&self, since: u64, lines: u64, saturation: u64) -> u64 {
         self.streams
             .iter()
             .filter(|s| s.stamp > since)
             .map(|s| {
                 let (current, last) = (s.current_streak, s.last_streak);
-                if saturated(current.saturating_sub(lines - 1).max(last)) {
+                if current.saturating_sub(lines - 1).max(last) >= saturation {
                     u64::MAX
                 } else if current <= last {
                     (last - current) / lines
@@ -193,6 +189,24 @@ impl WriteCoalescer {
             })
             .min()
             .unwrap_or(u64::MAX)
+    }
+
+    /// How many more periods like the one since stamp `since` pass before
+    /// one in which every stream stored to estimates every line at least
+    /// `saturation`, where each period moves each such stream `lines`
+    /// full lines on: the first line of the `k`-th period from now has a
+    /// current streak `lines · k + 1` above the stream's.
+    pub(crate) fn periods_to_saturation(&self, since: u64, lines: u64, saturation: u64) -> u64 {
+        self.streams
+            .iter()
+            .filter(|s| s.stamp > since && s.last_streak < saturation)
+            .map(|s| {
+                saturation
+                    .saturating_sub(s.current_streak + 1)
+                    .div_ceil(lines)
+            })
+            .max()
+            .unwrap_or(0)
     }
 
     /// Step every stream stored to after stamp `since` on by `n` more

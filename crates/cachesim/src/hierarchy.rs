@@ -30,10 +30,12 @@
 //! event into [`MemCounters`]; it owns everything that weights one (the
 //! SpecI2M parameters, the occupancy context, the prefetch-off factor) and
 //! splits what it can once per occupancy.  A trace (`trace.rs`) stores the
-//! emitted events themselves, equal consecutive ones merged into runs, and
-//! `replay_trace` weighs each through the same `Accountant::weigh` a
-//! live event goes through, so it is exact by shared formulas; a run of
-//! `n` is added in O(binades), bit for bit the naive loop.  Every level is
+//! emitted events themselves, equal consecutive ones merged into runs and
+//! a counted core's repeat of a measured period as one entry after the
+//! period's events, and `replay_trace` weighs each through the same
+//! `Accountant::weigh` a live event goes through, so it is exact by
+//! shared formulas; a run of `n` (or `n` periods) is added in
+//! O(binades), bit for bit the naive loop.  Every level is
 //! a true-LRU [`SetAssocCache`], so nothing here is a type parameter but
 //! whether the last level a [`PrivateCore`] misses into counts a window
 //! (only the co-run's shared LLC does); the store-miss policy is read once
@@ -197,10 +199,15 @@ pub(crate) enum Reach {
     /// on `pending_buddy` or a miss; a store line is a miss.
     ///
     /// So what a row does from its third line on repeats every
-    /// [`PERIOD_LINES`] lines but for its lines and streaks, and a core
-    /// that records no trace does it once per row and then repeats it
+    /// [`PERIOD_LINES`] lines but for its lines and streaks, and the core
+    /// does it once per row and then repeats it
     /// ([`PrivateCore::repeat_period`]) for as long as the store lines'
-    /// streak estimates stay those of that period: see `SweepCursor`.
+    /// streak estimates stay those of that period, and measures it once
+    /// more where they all saturate: see `SweepCursor`.  A core that
+    /// records a trace records the period's events and then one
+    /// [`Event::Period`] for the repeat, which holds for every neighbour
+    /// the trace serves: whether and how far a period repeats depends on
+    /// its events and the machine's streak scale alone.
     Counted {
         /// The line loaded last (`NO_LINE` before the first load).
         last_load: u64,
@@ -282,6 +289,11 @@ pub struct PrivateCore {
     /// Store lines finalized one by one, and repeated by
     /// [`repeat_period`](Self::repeat_period), since the core was built.
     store_lines: StoreLines,
+    /// The lines a counted core filled into its last level, where counted.
+    fills: Fills,
+    /// The least streak whose store lines all weigh alike
+    /// (`Accountant::saturation`).
+    saturation: u64,
 }
 
 /// Lines a steady period of a [`Reach::Counted`] core spans in each of its
@@ -290,12 +302,17 @@ pub struct PrivateCore {
 /// too.
 pub(crate) const PERIOD_LINES: u64 = 2;
 
-/// The weights of the events a core emitted while a period was measured.
+/// The weights of the events a core emitted while a period was measured,
+/// and the lines it filled into its last level, where counted.
 #[derive(Debug, Clone, Copy)]
 struct PeriodLog {
     weights: [Weight; PERIOD_EVENTS],
     /// Events emitted, past `PERIOD_EVENTS` if they did not all fit.
     len: usize,
+    /// Every line but the repeat and the buddy's hit is a fill, so a
+    /// period that keeps its events keeps its fills.
+    fills: [u64; PERIOD_EVENTS],
+    fill_len: usize,
     /// Whether a period is being measured.
     measuring: bool,
 }
@@ -303,6 +320,13 @@ struct PeriodLog {
 impl PeriodLog {
     fn weights(&self) -> &[Weight] {
         &self.weights[..self.len]
+    }
+
+    fn push_fill(&mut self, line: u64) {
+        if let Some(slot) = self.fills.get_mut(self.fill_len) {
+            *slot = line;
+            self.fill_len += 1;
+        }
     }
 
     /// Keep one more weight.  Out of line, so that emitting an event stays
@@ -341,6 +365,9 @@ pub(crate) struct Period {
     store_lines: u64,
     /// How many more periods make the same events.
     pub(crate) repeats: u64,
+    /// How many more periods pass before one whose store lines' streak
+    /// estimates are all saturated, which would repeat for ever.
+    pub(crate) saturated_in: u64,
 }
 
 /// What a [`Period`]'s repeat changes of a core: its counters, both
@@ -387,6 +414,68 @@ impl Steady {
             }
         }
         *dirty_fills += n * period.dirty_fills;
+    }
+}
+
+/// The lines a counted core has filled into its last level, armed where
+/// the caller asks whether a simulated level would have evicted
+/// ([`CoreSim::l3_most_fills_per_set`]): as runs of consecutive lines, each
+/// line filled one by one and each stream's lines of a repeat at once.  A
+/// counted core fills no line twice, so its level evicts exactly when one
+/// of its sets receives more lines than it has ways.
+#[derive(Debug, Clone, Default)]
+struct Fills {
+    armed: bool,
+    /// Inclusive `[first, last]` runs, in the order they were opened.
+    runs: Vec<(u64, u64)>,
+}
+
+impl Fills {
+    /// Runs a fill may extend, the newest: a counted kernel's at most 8
+    /// streams each fill one run at a time.
+    const OPEN: usize = 8;
+
+    /// Lines `first..=last` were filled.
+    fn add(&mut self, first: u64, last: u64) {
+        let open = self.runs.len().saturating_sub(Self::OPEN);
+        for run in self.runs[open..].iter_mut().rev() {
+            if first == run.1 + 1 {
+                run.1 = last;
+                return;
+            } else if last + 1 == run.0 {
+                run.0 = first;
+                return;
+            }
+        }
+        self.runs.push((first, last));
+    }
+
+    /// The most lines one set of a level of `sets` sets (a power of two)
+    /// received: a run of `n` lines gives every set `n / sets` of them and
+    /// the `n % sets` sets from its first line's on (round the end) one
+    /// more, so the most is the whole rounds plus the deepest overlap of
+    /// those arcs.
+    fn most_per_set(&self, sets: u64) -> u64 {
+        let mut whole = 0;
+        let mut bounds = Vec::with_capacity(4 * self.runs.len());
+        for &(first, last) in &self.runs {
+            let lines = last - first + 1;
+            whole += lines / sets;
+            let (from, to) = (first % sets, first % sets + lines % sets);
+            if to > sets {
+                bounds.extend([(0, 1), (to - sets, -1), (from, 1), (sets, -1)]);
+            } else if to > from {
+                bounds.extend([(from, 1), (to, -1)]);
+            }
+        }
+        // An arc ends before the one that starts where it ends.
+        bounds.sort_unstable();
+        let mut depth = 0i64;
+        let deepest = bounds.iter().fold(0, |deepest, &(_, step)| {
+            depth += step;
+            deepest.max(depth)
+        });
+        whole + deepest as u64
     }
 }
 
@@ -451,9 +540,13 @@ impl PrivateCore {
             period: PeriodLog {
                 weights: [Weight::Read; PERIOD_EVENTS],
                 len: 0,
+                fills: [0; PERIOD_EVENTS],
+                fill_len: 0,
                 measuring: false,
             },
             store_lines: StoreLines::default(),
+            fills: Fills::default(),
+            saturation: Accountant::saturation(&machine.speci2m),
         }
     }
 
@@ -508,6 +601,26 @@ impl PrivateCore {
         self.trace.finish();
         self.reach = Reach::Full;
         self.period.measuring = false;
+        self.fills.armed = false;
+        self.fills.runs.clear();
+    }
+
+    /// Count the lines a counted core fills into its last level from here
+    /// on, which [`CoreSim::l3_most_fills_per_set`] reads.
+    pub(crate) fn count_fills(&mut self) {
+        self.fills.armed = true;
+        self.fills.runs.clear();
+    }
+
+    /// A counted core filled `line` into its last level.
+    #[inline(always)]
+    fn count_fill(&mut self, line: u64) {
+        if self.fills.armed {
+            self.fills.add(line, line);
+            if self.period.measuring {
+                self.period.push_fill(line);
+            }
+        }
     }
 
     /// One event of memory traffic: account it and, if a trace is active,
@@ -566,10 +679,9 @@ impl PrivateCore {
     }
 
     /// Whether the core may repeat its sweep rows' steady periods: it is
-    /// counted and records no trace (a trace stores every event, which a
-    /// repeat would not emit).
+    /// counted.  A trace it records holds each repeat as one entry.
     pub(crate) fn repeats_periods(&self) -> bool {
-        matches!(self.reach, Reach::Counted { .. }) && !self.trace.is_recording()
+        matches!(self.reach, Reach::Counted { .. })
     }
 
     /// Begin measuring a period of a sweep row's steady state, to repeat
@@ -579,7 +691,11 @@ impl PrivateCore {
             unreachable!("a period is measured on a counted core")
         };
         self.period.len = 0;
+        self.period.fill_len = 0;
         self.period.measuring = true;
+        if self.trace.is_recording() {
+            self.trace.begin_period();
+        }
         PeriodMark {
             stamps: [self.coalescer.stamp(), self.nt_coalescer.stamp()],
             l1_hits: self.l1.hits(),
@@ -599,7 +715,10 @@ impl PrivateCore {
     /// Then only the streak estimates of a write-allocate store line can
     /// tell one period's events from the next ([`Event::WaStore`] carries
     /// their response; no other event depends on them), which
-    /// `WriteCoalescer::steady_periods` bounds.
+    /// `WriteCoalescer::steady_periods` bounds, and where they are all
+    /// saturated the period repeats for ever, which
+    /// `WriteCoalescer::periods_to_saturation` tells the distance to.
+    /// Both read the streaks and the machine's streak scale alone.
     pub(crate) fn end_period(&mut self, start: PeriodMark) -> Option<Period> {
         self.period.measuring = false;
         let Reach::Counted { dirty_fills, .. } = self.reach else {
@@ -608,13 +727,15 @@ impl PrivateCore {
         if self.period.len > PERIOD_EVENTS {
             return None;
         }
-        let repeats = if self.options.write_policy == WritePolicyKind::Allocate {
-            self.coalescer
-                .steady_periods(start.stamps[0], PERIOD_LINES, |streak| {
-                    self.account.saturated(streak)
-                })
+        let (since, saturation) = (start.stamps[0], self.saturation);
+        let (repeats, saturated_in) = if self.options.write_policy == WritePolicyKind::Allocate {
+            let c = &self.coalescer;
+            (
+                c.steady_periods(since, PERIOD_LINES, saturation),
+                c.periods_to_saturation(since, PERIOD_LINES, saturation),
+            )
         } else {
-            u64::MAX
+            (u64::MAX, 0)
         };
         Some(Period {
             stamps: start.stamps,
@@ -622,12 +743,16 @@ impl PrivateCore {
             dirty_fills: dirty_fills - start.dirty_fills,
             store_lines: self.store_lines.stepped - start.stepped,
             repeats,
+            saturated_in,
         })
     }
 
     /// Account `n` more periods like `period`, which must have just ended,
     /// where `n <= period.repeats` and the caller's rows hold them: what
     /// stepping them would do, in O(1) ([`repeated`](Self::repeated)).
+    /// A trace being recorded takes the repeat as one entry
+    /// (`TraceRecorder::repeat_period`), and counted fills take each
+    /// stream's `PERIOD_LINES · n` lines as one run.
     pub(crate) fn repeat_period(&mut self, period: &Period, n: u64) {
         let after = self.repeated(period, n);
         self.l1.settled_hits(after.l1_hits - self.l1.hits());
@@ -635,6 +760,45 @@ impl PrivateCore {
         [self.coalescer, self.nt_coalescer] = after.coalescers;
         self.reach = after.reach;
         self.store_lines.repeated += n * period.store_lines;
+        if self.trace.is_recording() {
+            self.trace.repeat_period(n);
+        }
+        if self.fills.armed {
+            // Each stream the period filled took two consecutive lines,
+            // and each repeat takes the next two.
+            let lines = &mut self.period.fills[..self.period.fill_len];
+            lines.sort_unstable();
+            let streams = lines.chunks_exact(PERIOD_LINES as usize);
+            assert!(
+                streams.remainder().is_empty()
+                    && streams
+                        .clone()
+                        .all(|s| s.windows(2).all(|w| w[1] == w[0] + 1)),
+                "a period filled other lines than two of each stream: {lines:?}"
+            );
+            for stream in streams {
+                let last = stream[stream.len() - 1];
+                self.fills.add(last + 1, last + PERIOD_LINES * n);
+            }
+        }
+    }
+
+    /// What [`repeat_period`](Self::repeat_period) would leave, for a
+    /// debug build that steps the `n` periods instead and compares: a
+    /// trace being recorded takes the same entry, and checks the events
+    /// the stepped periods emit against the period's until
+    /// [`end_check`](Self::end_check).
+    pub(crate) fn check_repeat(&mut self, period: &Period, n: u64) -> Steady {
+        if self.trace.is_recording() {
+            self.trace.check_period(n);
+        }
+        self.repeated(period, n)
+    }
+
+    /// The end of the periods [`check_repeat`](Self::check_repeat)
+    /// checks.
+    pub(crate) fn end_check(&mut self) {
+        self.trace.end_check();
     }
 
     /// What `n` more periods like `period`, which must have just ended,
@@ -948,6 +1112,7 @@ impl PrivateCore {
     fn fill_all<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, dirty: bool) {
         if let Reach::Counted { dirty_fills, .. } = &mut self.reach {
             *dirty_fills += u64::from(dirty);
+            self.count_fill(line);
             if cfg!(debug_assertions) {
                 llc.fill(line, dirty);
             }
@@ -970,6 +1135,7 @@ impl PrivateCore {
     fn fill_prefetch<const W: bool>(&mut self, llc: &mut LastLevel<W>, line: u64, absent: bool) {
         let evicted = if let Reach::Counted { pending_buddy, .. } = &mut self.reach {
             *pending_buddy = line;
+            self.count_fill(line);
             if cfg!(debug_assertions) {
                 let (found, _) = llc.fill_if_absent(line);
                 assert_eq!(found, LookupResult::Miss, "buddy {line:#x}: {COUNTED}");
@@ -1264,6 +1430,23 @@ impl CoreSim {
     /// [`reset`](Self::reset).
     pub(crate) fn l3_evictions(&self) -> u64 {
         self.l3.evictions()
+    }
+
+    /// Count the lines a counted core fills into its L3 share from here
+    /// on, for [`l3_most_fills_per_set`](Self::l3_most_fills_per_set).
+    pub(crate) fn count_l3_fills(&mut self) {
+        self.private.count_fills();
+    }
+
+    /// The most lines a counted core has filled into one set of its L3
+    /// share since [`count_l3_fills`](Self::count_l3_fills) (0 for a core
+    /// that is not counted, which fills the real share), and the share's
+    /// ways.  A counted core fills no line twice, so a simulated share
+    /// evicts exactly when the first exceeds the second.
+    pub(crate) fn l3_most_fills_per_set(&self) -> (u64, u64) {
+        let fills = &self.private.fills;
+        let most = fills.most_per_set(self.l3.sets() as u64);
+        (most, self.l3.ways() as u64)
     }
 }
 

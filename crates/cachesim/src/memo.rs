@@ -466,7 +466,8 @@ pub(crate) enum LastLevelUse {
     /// whose evictions nobody counts: it may be counted, not simulated.
     Own,
     /// No line of the core's windows now, and none later but what the
-    /// core's own accesses put there: frontiers.
+    /// core's own accesses put there, but other tenants' lines may evict
+    /// them (a co-run tenant alone in its buddy pairs): frontiers.
     OwnLines,
     /// Other tenants may put lines of the core's windows there.
     Shared,
@@ -857,7 +858,15 @@ impl SimMemo {
     /// either way).  A kernel that [`KernelSpec::never_hits_private`]
     /// proves runs against the L3 share alone, to the same events, and
     /// one that [`KernelSpec::counts_last_level`] proves against no cache
-    /// at all, to the same counters.
+    /// at all, to the same counters, recording or not.
+    ///
+    /// A trace of the class [`LlcClass::NeverEvicts`] stands for every
+    /// share the proof holds for, so its leader checks that its own share
+    /// evicted nothing: a simulated share by its evictions, and a counted
+    /// one by the lines it filled into each set, none more than its ways
+    /// (a counted core fills no line twice, so that is when a simulated
+    /// share would evict).  A debug build, which simulates the share
+    /// beside a counted core, checks both.
     fn simulate(
         machine: &Machine,
         ctx: OccupancyContext,
@@ -868,21 +877,19 @@ impl SimMemo {
     ) -> (MemCounters, Option<Trace>) {
         with_pooled_core(machine, ctx, options, |core| {
             // The pooled core's L3 share was just emptied, and nothing but
-            // this core fills it.  A trace that every share of its class
-            // replays keeps it simulated, for the eviction count below.
-            let llc = if record == Some(LlcClass::NeverEvicts) {
-                LastLevelUse::OwnLines
-            } else {
-                LastLevelUse::Own
-            };
+            // this core fills it.
+            let never_evicts = record == Some(LlcClass::NeverEvicts);
+            if never_evicts {
+                core.count_l3_fills();
+            }
             let private = core.split().0;
-            private.set_reach(kernel.reach(machine, &options, rank, llc));
+            private.set_reach(kernel.reach(machine, &options, rank, LastLevelUse::Own));
             if record.is_some() {
                 private.trace.start();
             }
             kernel.drive(rank, core);
             let counters = core.flush();
-            if record == Some(LlcClass::NeverEvicts) {
+            if never_evicts {
                 // Every share of the class replays this trace: were the
                 // proof wrong, their counters would be too.
                 assert_eq!(
@@ -890,6 +897,13 @@ impl SimMemo {
                     0,
                     "a kernel classed NeverEvicts evicted at the last level"
                 );
+                let (most, ways) = core.l3_most_fills_per_set();
+                if most > ways {
+                    panic!(
+                        "a kernel classed NeverEvicts filled {most} lines into one \
+                         {ways}-way set of the last level"
+                    );
+                }
             }
             (counters, core.split().0.trace.finish())
         })
@@ -1332,6 +1346,40 @@ mod tests {
     }
 
     #[test]
+    fn a_leader_that_fills_each_set_to_its_ways_replays_and_one_line_more_does_not() {
+        // On the ICX at 36 sharers the L3 share is 2 048 sets of 12 ways.
+        // A store stream of 12 lines per set never evicts there, and its
+        // counted leader, which fills each set to the last way, records a
+        // trace the other sharer counts replay; 13 lines per set is
+        // another class at each sharer count.  A `NeverEvicts` bound one
+        // line too generous, or a fill check that refused a full set,
+        // would panic at one of them.
+        let m = icelake_sp_8360y();
+        let options = |l3_sharers| CoreSimOptions {
+            l3_sharers,
+            ..Default::default()
+        };
+        for (per_set, evicts) in [(12, false), (13, true)] {
+            let spec = store_spec(8 * 2048 * per_set);
+            assert_eq!(spec.never_evicts_l3(&m, &options(36)), !evicts);
+            assert!(spec.counts_last_level(&m, &options(36), 0));
+            let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
+            for l3_sharers in [36, 18, 36, 1] {
+                let ctx = OccupancyContext::compact(&m, 2 * l3_sharers);
+                let a = diff.counters(&m, ctx, options(l3_sharers), &spec, 0);
+                let b = scratch.counters(&m, ctx, options(l3_sharers), &spec, 0);
+                assert_eq!(
+                    a.bits(),
+                    b.bits(),
+                    "{per_set} lines per set, {l3_sharers} sharers"
+                );
+            }
+            let misses = if evicts { 2 } else { 1 };
+            assert_eq!(diff.diff_stats().misses, misses, "{per_set} lines per set");
+        }
+    }
+
+    #[test]
     fn an_abandoned_recording_makes_the_class_oversized_and_stays_exact() {
         // An NT stream of full lines is one event and one run, however
         // long.  Rows of one full and one partial line (12 of 16 elements)
@@ -1371,59 +1419,94 @@ mod tests {
         assert_eq!((dstats.hits, dstats.misses), (2, 1));
     }
 
-    #[test]
-    fn fig5_replays_an_eighth_as_many_entries_as_events() {
-        // Fig. 5's curve as `clover-ubench` walks it: the ICX at every
-        // third core count, one to three normal, then NT store streams of
-        // 32 Ki elements.  Six traces; a saturated stream is one run.
-        let m = icelake_sp_8360y();
-        let memo = SimMemo::new();
-        for cores in (1..=m.total_cores()).step_by(3) {
-            let sim = NodeSim::new(SimConfig::new(m.clone(), cores));
-            for kind in [AccessKind::Store, AccessKind::StoreNT] {
-                for streams in 1..=3u64 {
-                    let spec = KernelSpec {
-                        rank_base: RankBase::Shifted { shift: 40, plus: 1 },
-                        operands: (0..streams)
-                            .map(|s| SpecOperand {
-                                offset: s << 30,
-                                points: vec![(0, 0)],
-                                kind,
-                            })
-                            .collect(),
-                        ..KernelSpec::contiguous(RankBase::Shared, 0, 32 * 1024, kind)
-                    };
-                    sim.run_spmd_memo(&spec, &memo);
-                }
-            }
-        }
-        // Every simulated point past the first of its trace is a replay.
+    /// Entries and events the points of `memo` replay, each point past
+    /// the first of its trace once: `traces` traces, all on `m` under the
+    /// default options at the point's sharer count.
+    fn replayed(m: &Machine, memo: &SimMemo, traces: usize) -> (u64, u64) {
         let mut points: std::collections::HashMap<DiffKey, u64> = Default::default();
         for (key, _, _) in memo.inner.entries_stamped() {
             let options = CoreSimOptions {
                 l3_sharers: key.dynamics.l3_sharers,
                 ..Default::default()
             };
-            let dkey = DiffKey::of(&m, options, &key.kernel);
+            let dkey = DiffKey::of(m, options, &key.kernel);
             *points.entry(dkey).or_default() += 1;
         }
         let (mut entries, mut events) = (0, 0);
-        let traces = memo.diff.entries_stamped();
-        assert_eq!(traces.len(), 6);
-        for (dkey, trace, _) in traces {
-            let trace = trace.expect("fig. 5's traces fit the cap");
+        let recorded = memo.diff.entries_stamped();
+        assert_eq!(recorded.len(), traces);
+        for (dkey, trace, _) in recorded {
+            let trace = trace.expect("the traces fit the cap");
             let replays = points[&dkey] - 1;
             entries += replays * trace.len() as u64;
             events += replays * crate::trace::events_in(&trace);
         }
         assert_eq!(
-            points.values().sum::<u64>() - 6,
+            points.values().sum::<u64>() - traces as u64,
             memo.diff_stats().hits,
             "one replay per point after a trace's leader"
         );
+        (entries, events)
+    }
+
+    /// `streams` operands of `kind`, each 32 Ki elements of one row, 1 GiB
+    /// apart in a rank's window: fig. 5's kernel, and with a load first
+    /// fig. 6's.
+    fn figure_kernel(operands: &[AccessKind]) -> KernelSpec {
+        KernelSpec {
+            rank_base: RankBase::Shifted { shift: 40, plus: 1 },
+            operands: (0..)
+                .zip(operands)
+                .map(|(s, &kind)| SpecOperand {
+                    offset: s << 30,
+                    points: vec![(0, 0)],
+                    kind,
+                })
+                .collect(),
+            ..KernelSpec::contiguous(RankBase::Shared, 0, 32 * 1024, AccessKind::Store)
+        }
+    }
+
+    #[test]
+    fn fig5_replays_an_eighth_as_many_entries_as_events() {
+        // Fig. 5's curve as `clover-ubench` walks it: the ICX at every
+        // third core count, one to three normal, then NT store streams of
+        // 32 Ki elements.  Six traces; a saturated stream is one run, also
+        // where the leader repeated its period instead of stepping it.
+        let m = icelake_sp_8360y();
+        let memo = SimMemo::new();
+        for cores in (1..=m.total_cores()).step_by(3) {
+            let sim = NodeSim::new(SimConfig::new(m.clone(), cores));
+            for kind in [AccessKind::Store, AccessKind::StoreNT] {
+                for streams in 1..=3 {
+                    sim.run_spmd_memo(&figure_kernel(&vec![kind; streams]), &memo);
+                }
+            }
+        }
         // Under an eighth, and exactly: a vocabulary that weighs the same
         // but records other runs moves these.
-        assert_eq!((entries, events), (117_286, 1_278_108));
+        assert_eq!(replayed(&m, &memo, 6), (117_286, 1_278_108));
+    }
+
+    #[test]
+    fn fig6_replays_a_quarter_of_its_events_as_entries() {
+        // Fig. 6's curve: the ICX's copy of 32 Ki elements at every thread
+        // count, 72 points of one trace.  A load miss, its buddy's
+        // prefetch and two store lines alternate, so no run forms: a
+        // stepped leader recorded 8 192 entries for the 8 193 events, and
+        // each of the 71 replays walked them all.  The leader steps the
+        // row to where the store streak saturates (974 lines) and records
+        // the repeat of the rest as one `Period` entry.
+        let m = icelake_sp_8360y();
+        let memo = SimMemo::new();
+        let copy = figure_kernel(&[AccessKind::Load, AccessKind::Store]);
+        for threads in 1..=m.total_cores() {
+            NodeSim::new(SimConfig::new(m.clone(), threads)).run_spmd_memo(&copy, &memo);
+        }
+        let (entries, events) = replayed(&m, &memo, 1);
+        assert_eq!(events, 71 * 8_193, "the events of 4 096 lines");
+        assert!(3 * entries < 71 * 8_192, "{entries} entries");
+        assert_eq!(entries, 71 * 2_013);
     }
 
     #[test]

@@ -126,8 +126,8 @@ impl StencilRowSweep {
 /// with a misaligned operand base runs element by element throughout,
 /// each element one operation per line it covers.
 ///
-/// A counted core (`Reach::Counted`) that records no trace steps no more
-/// of a row than it must.  Its kernel (`KernelSpec::counts_last_level`)
+/// A counted core (`Reach::Counted`) steps no more of a row than it
+/// must.  Its kernel (`KernelSpec::counts_last_level`)
 /// has at most one load and otherwise `Store` or `StoreNT` streams, each
 /// one element-aligned point, each with a coalescer stream of its own,
 /// swept in rows that never step back; every load is the repeat, the
@@ -167,11 +167,20 @@ impl StencilRowSweep {
 /// (`PrivateCore::begin_period` / `end_period`), and accounts the next `n`
 /// in O(1) (`PrivateCore::repeat_period`): `n` is as many as the streak
 /// estimates allow and leave at least one element of the row to step.
-/// The tail — the row's last lines and every line a streak bound refused
-/// — is stepped.  A debug build computes the repeat from copies of the
-/// core's counters, coalescers and `Reach`, steps those periods as
-/// before, and asserts that they agree, counter bits and L1 hits
-/// included.
+/// Where a store streak was still growing, which bounds `n` (one row
+/// whose streak starts at its first line saturates only after some 700
+/// to 1 000 lines), the cursor steps on to the first period in which
+/// every estimate is saturated, computed from the coalescer's streaks
+/// (`WriteCoalescer::periods_to_saturation`), and measures once more
+/// there, if the row holds that period, one more and an element; that
+/// period repeats to the row's end.  The tail — the row's last lines and
+/// every line a streak bound refused — is stepped.  A core that records a
+/// trace records each repeat as one entry (`Event::Period`).  A debug
+/// build computes the repeat from copies of the core's counters,
+/// coalescers and `Reach`, steps those periods as before, and asserts
+/// that they agree, counter bits and L1 hits included, and that they
+/// emit the period's events again and again, which a trace does not
+/// record a second time.
 ///
 /// The cursor pauses only at segment boundaries, and no simulator state
 /// spans one (all carry-over lives in the caches and coalescers
@@ -212,17 +221,34 @@ enum RowRepeat {
     /// The row's head is stepped.
     Head,
     /// A period is being measured from inner index `from`, `segments`
-    /// segments so far.
+    /// segments so far; `again` if the row measured one before.
     Measuring {
         start: PeriodMark,
         from: u64,
         segments: u64,
+        again: bool,
     },
     /// A debug build steps the periods a repeat accounted for up to inner
-    /// index `until`, where the core must be `expected`.
-    Checking { expected: Box<Steady>, until: u64 },
+    /// index `until`, where the core must be `expected`; then the row goes
+    /// on as `then` says.
+    Checking {
+        expected: Box<Steady>,
+        until: u64,
+        then: Option<u64>,
+    },
+    /// The row is stepped up to inner index `at`, from where every store
+    /// line's streak estimate is saturated, and measured again there.
+    Saturating { at: u64 },
     /// The row's tail is stepped.
     Tail,
+}
+
+impl RowRepeat {
+    /// What follows a repeat: a second measurement from inner index `at`,
+    /// or the tail.
+    fn then(again_at: Option<u64>) -> Self {
+        again_at.map_or(RowRepeat::Tail, |at| RowRepeat::Saturating { at })
+    }
 }
 
 impl SweepCursor {
@@ -387,40 +413,45 @@ impl SweepCursor {
     /// the head, begin measuring a period where the row holds it, one
     /// more and an element; at its end, account the periods it may repeat
     /// and skip them, or in a debug build go on stepping them, and check
-    /// the core where they end.  Returns the line operations the skipped
-    /// periods stand for.
+    /// the core where they end.  Where the store lines' streak estimates
+    /// were still growing, measure once more from the first period in
+    /// which they are all saturated, if the row holds it.  Returns the
+    /// line operations the skipped periods stand for.
     fn advance_repeat(&mut self, core: &mut PrivateCore) -> u64 {
         match &mut self.repeat {
-            RowRepeat::Head if self.done >= Self::head(&self.streams) => {
-                self.repeat = if self.done + 2 * PERIOD < self.inner {
-                    RowRepeat::Measuring {
-                        start: core.begin_period(),
-                        from: self.done,
-                        segments: 1,
-                    }
-                } else {
-                    RowRepeat::Tail
-                };
-            }
+            RowRepeat::Head if self.done >= Self::head(&self.streams) => self.measure(core, false),
+            RowRepeat::Saturating { at } if self.done >= *at => self.measure(core, true),
             RowRepeat::Measuring { from, segments, .. } if self.done < *from + PERIOD => {
                 *segments += 1;
             }
             &mut RowRepeat::Measuring {
-                start, segments, ..
+                start,
+                segments,
+                again,
+                ..
             } => {
                 self.repeat = RowRepeat::Tail;
                 let Some(period) = core.end_period(start) else {
                     return 0;
                 };
                 // At least one element of the row is left to step.
-                let n = period.repeats.min((self.inner - 1 - self.done) / PERIOD);
+                let room = (self.inner - 1 - self.done) / PERIOD;
+                let n = period.repeats.min(room);
+                // A streak bounded the repeat, and the row holds a period
+                // measured where none does, one more and an element.
+                let at = PERIOD
+                    .saturating_mul(period.saturated_in)
+                    .saturating_add(self.done);
+                let again_at = (!again && n < room && at + 2 * PERIOD < self.inner).then_some(at);
+                self.repeat = RowRepeat::then(again_at);
                 if n == 0 {
                     return 0;
                 }
                 if cfg!(debug_assertions) {
                     self.repeat = RowRepeat::Checking {
-                        expected: Box::new(core.repeated(&period, n)),
+                        expected: Box::new(core.check_repeat(&period, n)),
                         until: self.done + n * PERIOD,
+                        then: again_at,
                     };
                     return 0;
                 }
@@ -428,17 +459,37 @@ impl SweepCursor {
                 self.done += n * PERIOD;
                 return n * segments * self.streams.len() as u64;
             }
-            RowRepeat::Checking { expected, until } if self.done == *until => {
+            &mut RowRepeat::Checking {
+                ref expected,
+                until,
+                then,
+            } if self.done == until => {
+                core.end_check();
                 assert_eq!(
                     core.steady(),
                     **expected,
                     "a counted core's repeat of a period is not what stepping it does"
                 );
-                self.repeat = RowRepeat::Tail;
+                self.repeat = RowRepeat::then(then);
             }
             _ => {}
         }
         0
+    }
+
+    /// Begin measuring a period from here, the row's first (`again`
+    /// false) or second, if the row holds it, one more and an element.
+    fn measure(&mut self, core: &mut PrivateCore, again: bool) {
+        self.repeat = if self.done + 2 * PERIOD < self.inner {
+            RowRepeat::Measuring {
+                start: core.begin_period(),
+                from: self.done,
+                segments: 1,
+                again,
+            }
+        } else {
+            RowRepeat::Tail
+        };
     }
 
     /// The first inner index past every stream's first line crossing in
@@ -680,6 +731,58 @@ mod tests {
             inner,
             k0: 1,
             rows,
+        }
+    }
+
+    #[test]
+    fn a_row_is_measured_again_from_where_its_streaks_saturate() {
+        // One row of a copy on the ICX, whose store streak grows from its
+        // first line and saturates at 1 001 lines: the period measured
+        // after the head does not repeat, and the row is measured again
+        // from the first period whose every store line is saturated, if
+        // the row holds that period, one more and an element.  A trace
+        // shows it the same in every build: the second measurement's
+        // period, which repeats, and then one `Period` entry.
+        use crate::trace::Event;
+        let m = icelake_sp_8360y();
+        let copy = |inner| KernelSpec {
+            operands: [AccessKind::Load, AccessKind::Store]
+                .into_iter()
+                .zip(0..)
+                .map(|(kind, s)| crate::memo::SpecOperand {
+                    offset: s << 30,
+                    points: vec![(0, 0)],
+                    kind,
+                })
+                .collect(),
+            ..KernelSpec::contiguous(
+                RankBase::Shifted { shift: 40, plus: 1 },
+                0,
+                inner,
+                AccessKind::Load,
+            )
+        };
+        // The inner length, and how many periods the row repeats.
+        for (inner, repeats) in [(8_048, None), (8_049, Some(1)), (32_768, Some(1_545))] {
+            let ctx = OccupancyContext::compact(&m, m.total_cores());
+            let mut core = CoreSim::new(&m, ctx, CoreSimOptions::default());
+            let private = core.split().0;
+            private.set_reach(Reach::counted());
+            private.trace.start();
+            copy(inner).drive(0, &mut core);
+            core.flush();
+            let trace = core.split().0.trace.finish().expect("recorded");
+            let periods: Vec<u64> = trace
+                .iter()
+                .filter_map(|event| match *event {
+                    Event::Period { entries, count } => {
+                        assert_eq!(entries, 4, "a load miss, its buddy and two store lines");
+                        Some(count)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(periods, Vec::from_iter(repeats), "{inner} elements");
         }
     }
 

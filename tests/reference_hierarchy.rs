@@ -1361,16 +1361,56 @@ impl Case {
         case
     }
 
+    /// The combination `index` names (as for [`Case::new`]) and one row
+    /// drawn from `seed` that `KernelSpec::counts_last_level` proves, long
+    /// enough for a store streak to saturate inside it (1 001 lines on
+    /// the Ice Lake, 693 on the Sapphire Rapids), so that the counted core
+    /// measures the row again there: 1–3 `Store` or `StoreNT` streams, or
+    /// a load and a `Store`, in lines of their own phases, of 1 200–4 096
+    /// lines.
+    fn saturating_row(index: usize, seed: u64) -> Self {
+        let mut case = Case::new(index, seed);
+        let draw = &mut case.draw;
+        let kinds: Vec<AccessKind> = match draw.below(4) {
+            0 => vec![AccessKind::Load, AccessKind::Store],
+            _ => (0..1 + draw.below(3))
+                .map(|_| draw.pick(&[AccessKind::Store, AccessKind::StoreNT]))
+                .collect(),
+        };
+        let operands = (0..)
+            .zip(kinds)
+            .map(|(j, kind)| SpecOperand {
+                offset: (j << 22) + 64 * draw.below(4) + 8 * draw.below(8),
+                points: vec![(0, 0)],
+                kind,
+            })
+            .collect();
+        let inner = 8 * (1_200 + draw.below(2_897));
+        case.kernel = KernelSpec {
+            operands,
+            row_stride: inner,
+            inner,
+            rows: 1,
+            ..case.kernel
+        };
+        case.name = "a saturating row";
+        case
+    }
+
     /// The representative core of `run_spmd_memo` through a memo that
     /// records no trace — a counted core, which repeats its rows' steady
     /// periods — against the oracle, SpecI2M on (weighed) or off
     /// (counted): on the full node, where SpecI2M's activation ramp is
     /// up and a store line's streak response weighs, and at a drawn rank
-    /// count.
+    /// count.  Then through a memo that records traces: the full node's
+    /// point, whose counted core records its trace while it repeats, and
+    /// two neighbours that replay it at the occupancies of other rank
+    /// counts.
     fn check_counted(&mut self, speci2m: bool) {
         let machine = self.machine(speci2m);
-        let drawn = 1 + self.draw.below(machine.total_cores() as u64) as usize;
-        for ranks in [machine.total_cores(), drawn] {
+        let total = machine.total_cores();
+        let drawn = 1 + self.draw.below(total as u64) as usize;
+        for ranks in [total, drawn] {
             let occ = DomainOccupancy::compact(&machine, ranks);
             let count = occ.cores_per_domain[0];
             let sharers = DomainOccupancy::l3_sharers(&machine, count);
@@ -1388,6 +1428,29 @@ impl Case {
             let at = format!("counted at {ranks} ranks, {:?}", self.kernel);
             self.assert_counters(&report.per_rank, &oracle, (&machine, ctx, options), &at);
         }
+        // The full node's L3 share, at the occupancies of three rank
+        // counts: one trace class, its leader and two neighbours.
+        let per_domain = total / machine.topology.domains.len();
+        let mut contexts: Vec<OccupancyContext> = Vec::new();
+        for ranks in [total, per_domain, total / 2, per_domain / 2, drawn, 1] {
+            let ctx = OccupancyContext::compact(&machine, ranks.max(1));
+            if contexts.len() < 3 && !contexts.contains(&ctx) {
+                contexts.push(ctx);
+            }
+        }
+        let occ = DomainOccupancy::compact(&machine, total);
+        let sharers = DomainOccupancy::l3_sharers(&machine, occ.cores_per_domain[0]);
+        let options = self.options(sharers, speci2m);
+        let oracle = self.swept_oracle(&machine, sharers);
+        let memo = SimMemo::new();
+        for (k, &ctx) in contexts.iter().enumerate() {
+            let counters = memo.counters(&machine, ctx, options, &self.kernel, 0);
+            let role = if k == 0 { "leader" } else { "neighbour" };
+            let at = format!("the trace's {role} at {ctx:?}, {:?}", self.kernel);
+            self.assert_counters(&counters, &oracle, (&machine, ctx, options), &at);
+        }
+        let traces = memo.diff_stats();
+        assert_eq!((traces.misses, traces.hits), (1, 2), "{}", self.name);
     }
 }
 
@@ -1438,11 +1501,34 @@ fn repeat_kernels() -> Vec<(&'static str, KernelSpec)> {
         kernel.operands[1].offset += 8 * phase;
         kernels.push(("a streak that reaches the last one inside a period", kernel));
     }
+    // One row of a copy, whose store streak grows from its first line: the
+    // period measured after the head does not repeat, and the row is
+    // measured again from the first period whose store lines all saturate
+    // (1 001 lines), if the row holds it, one more and an element.  With
+    // the store an element into its line, its streak saturates at that
+    // period's first line; in phase with the load, at its second line,
+    // the period before.
+    for (name, inner, phase) in [
+        ("a streak that saturates at a period's first line", 9_000, 1),
+        ("a streak that saturates inside a period", 9_000, 0),
+        ("a row measured again one period before its tail", 8_049, 0),
+        ("a row one element too short to measure again", 8_048, 0),
+    ] {
+        let mut kernel = copy(Store, inner, inner, 1);
+        kernel.operands[1].offset += 8 * phase;
+        kernels.push((name, kernel));
+    }
+    // The stores first: a period of the rows' steady state opens with the
+    // event the head ended on, an NT line, which a trace must not merge
+    // into the head's run.
+    let mut kernel = copy(StoreNT, 264, 256, 3);
+    kernel.operands.reverse();
+    kernels.push(("an NT store before its load", kernel));
     kernels
 }
 
-/// [`repeat_kernels`] on the ICX, then `times` drawn long-row kernels per
-/// combination from `seed`.
+/// [`repeat_kernels`] on the ICX, then `times` drawn long-row kernels and
+/// `times` drawn saturating rows per combination from `seed`.
 fn long_row_cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
     let fixed = repeat_kernels()
         .into_iter()
@@ -1450,7 +1536,9 @@ fn long_row_cases(times: usize, seed: u64) -> impl Iterator<Item = Case> {
         .map(|(index, kernel)| Case::fixed(index, kernel));
     let per_combination = MachinePreset::all().len() * 3 * 2;
     let drawn = (0..times * per_combination).map(move |index| Case::long_rows(index, seed));
-    fixed.chain(drawn)
+    let saturating =
+        (0..times * per_combination).map(move |index| Case::saturating_row(index, !seed));
+    fixed.chain(drawn).chain(saturating)
 }
 
 #[test]

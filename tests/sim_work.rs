@@ -13,7 +13,9 @@
 mod common;
 
 use clover_bench::{copy_halo_points, run_interference_artifact, INTERFERENCE_EXPERIMENTS};
-use cloverleaf_wa::cachesim::hierarchy::{CoreSimOptions, DomainOccupancy, OccupancyContext};
+use cloverleaf_wa::cachesim::hierarchy::{
+    CoreSimOptions, DomainOccupancy, OccupancyContext, StoreLines,
+};
 use cloverleaf_wa::cachesim::{with_pooled_core, NodeSim, SimConfig, SimMemo};
 use cloverleaf_wa::cachesim::{AccessKind, KernelSpec, RankBase, SpecOperand};
 use cloverleaf_wa::core::loop_kernel;
@@ -32,13 +34,53 @@ use common::allocations;
 /// Figs. 5, 9, 10: one to three normal, then non-temporal, store streams
 /// at every `step`-th core count.
 fn store_curve(machine: &Machine, step: usize, memo: &SimMemo) {
+    for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
+        store_curve_of(machine, step, kind, memo);
+    }
+}
+
+/// The `kind` half of [`store_curve`].
+fn store_curve_of(machine: &Machine, step: usize, kind: StoreKind, memo: &SimMemo) {
     for cores in (1..=machine.total_cores()).step_by(step) {
-        for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
-            for streams in 1..=3 {
-                store_ratio_memo(machine, cores, streams, kind, memo);
-            }
+        for streams in 1..=3 {
+            store_ratio_memo(machine, cores, streams, kind, memo);
         }
     }
+}
+
+/// Fig. 6: the copy-volume kernel at every thread count of the ICX.
+fn copy_volume_curve(machine: &Machine, memo: &SimMemo) {
+    for threads in 1..=machine.total_cores() {
+        copy_volume_per_iteration_memo(machine, threads, memo);
+    }
+}
+
+/// A walk of a figure's points on a machine, through a memo.
+type MemoWalk = Box<dyn Fn(&Machine, &SimMemo)>;
+
+/// The walks of figs. 5, 6, 9 and 10, each with its normal and its
+/// non-temporal store lines apart: (figure, stores, machine, walk).
+fn store_figure_walks() -> Vec<(&'static str, StoreKind, Machine, MemoWalk)> {
+    let curve = |step| {
+        move |kind| -> MemoWalk {
+            Box::new(move |machine, memo| store_curve_of(machine, step, kind, memo))
+        }
+    };
+    let mut walks = Vec::new();
+    for kind in [StoreKind::Normal, StoreKind::NonTemporal] {
+        walks.push(("fig5", kind, icelake_sp_8360y(), curve(3)(kind)));
+        for pf in [true, false] {
+            walks.push(("fig9", kind, sapphire_rapids_8470(pf), curve(8)(kind)));
+        }
+        walks.push(("fig10", kind, sapphire_rapids_8480(), curve(8)(kind)));
+    }
+    walks.push((
+        "fig6",
+        StoreKind::Normal,
+        icelake_sp_8360y(),
+        Box::new(copy_volume_curve),
+    ));
+    walks
 }
 
 /// Figs. 8, 11: the point list `clover-bench` simulates, on the full node.
@@ -56,15 +98,7 @@ fn each_figure_simulates_once_per_dynamics_class_and_allocates_little() {
     // (figure, distinct machine × kernel × prefetcher classes, walk)
     let shared: [(&str, u64, Walk); 4] = [
         ("fig5", 6, Box::new(|memo| store_curve(&icx, 3, memo))),
-        (
-            "fig6",
-            1,
-            Box::new(|memo| {
-                for threads in 1..=36 {
-                    copy_volume_per_iteration_memo(&icx, threads, memo);
-                }
-            }),
-        ),
+        ("fig6", 1, Box::new(|memo| copy_volume_curve(&icx, memo))),
         (
             "fig9",
             12,
@@ -330,28 +364,52 @@ fn the_paper_microbenchmarks_skip_the_private_levels_and_the_hotspot_loops_do_no
     }
 }
 
+/// Lookups and fills of `machine`'s pooled L3 share so far.
+fn l3_share_work(machine: &Machine) -> u64 {
+    let ctx = OccupancyContext::serial(machine);
+    with_pooled_core(machine, ctx, CoreSimOptions::default(), |core| {
+        core.l3_share_work()
+    })
+}
+
 #[test]
 fn the_halo_figures_look_nothing_up_at_the_l3_share_and_co_runs_do() {
     // Figs. 8 and 11 are most of a `paper_all` pass.  Every one of their
     // simulations counts its L3 share: in a release build the pooled
     // core's share takes no lookup and no fill from them, which a change
     // that loses the path while every byte stays the same would break.  A
-    // debug build runs the real share beside each counted core.
+    // debug build runs the real share beside each counted core.  So do
+    // the trace leaders of figs. 5, 6, 9 and 10, walked through a memo
+    // that records traces: every one of them is a `NeverEvicts` class,
+    // whose leader counts the lines it fills into each set of its share
+    // instead of simulating it.
     let halo = [(icelake_sp_8360y(), true), (sapphire_rapids_8480(), false)];
+    // (what, machine, whether the walk fills the share, walk)
+    type Walk = Box<dyn Fn(&Machine)>;
+    let mut walks: Vec<(String, Machine, bool, Walk)> = Vec::new();
     for (machine, with_pf_off) in halo {
-        let work = || {
-            let ctx = OccupancyContext::serial(&machine);
-            with_pooled_core(&machine, ctx, CoreSimOptions::default(), |core| {
-                core.l3_share_work()
-            })
-        };
-        let before = work();
-        halo_grid(&machine, with_pf_off, &SimMemo::without_differential());
-        let after = work();
+        let walk = move |m: &Machine| halo_grid(m, with_pf_off, &SimMemo::without_differential());
+        walks.push((machine.id.clone(), machine, true, Box::new(walk)));
+    }
+    for (figure, kind, machine, walk) in store_figure_walks() {
+        let what = format!("{figure} {kind:?} on {}", machine.id);
+        let fills = kind == StoreKind::Normal;
+        walks.push((
+            what,
+            machine,
+            fills,
+            Box::new(move |m| walk(m, &SimMemo::new())),
+        ));
+    }
+    for (what, machine, fills, walk) in walks {
+        let before = l3_share_work(&machine);
+        walk(&machine);
+        let after = l3_share_work(&machine);
         if cfg!(debug_assertions) {
-            assert!(after > before, "{}: the debug shadow ran", machine.id);
+            // NT lines never reach the share, in a debug build either.
+            assert_eq!(after > before, fills, "{what}: the debug shadow ran");
         } else {
-            assert_eq!(after, before, "{}: L3 share lookups and fills", machine.id);
+            assert_eq!(after, before, "{what}: L3 share lookups and fills");
         }
     }
     // A co-run tenant shares its LLC, which it looks up, even where a core
@@ -365,25 +423,30 @@ fn the_halo_figures_look_nothing_up_at_the_l3_share_and_co_runs_do() {
     assert!(report.primary.llc_misses > 0, "{report:?}");
 }
 
+/// Store lines `machine`'s pooled core has finalized so far.
+fn store_lines(machine: &Machine) -> StoreLines {
+    let ctx = OccupancyContext::serial(machine);
+    with_pooled_core(machine, ctx, CoreSimOptions::default(), |core| {
+        core.store_lines()
+    })
+}
+
 #[test]
 fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all() {
-    // A counted core that records no trace steps one period of a row's
-    // steady state and repeats it: in a release build the fig. 8 and 11
-    // walks finalize at most a tenth of the store lines they count one by
-    // one (7.2 % and 6.8 %; 19 % would mean that saturated streaks no
-    // longer repeat).  A debug build steps every line a repeat accounts
-    // for, to check it.  The lines counted are every line each store
-    // stream finalizes, however it is reached.
+    // A counted core steps one period of a row's steady state and repeats
+    // it: in a release build the fig. 8 and 11 walks finalize at most
+    // 7.5 % of the store lines they count one by one (7.1 % and 6.8 %,
+    // where measuring a row again where its streaks saturate gains
+    // little: their rows are shorter than the 974 and 674 lines a streak
+    // takes to saturate, unless the halo keeps the streak going; 19 %
+    // would mean that saturated streaks no longer repeat).  A debug build
+    // steps every line a repeat accounts for, to check it.  The lines
+    // counted are every line each store stream finalizes, however it is
+    // reached.
     let halo = [
         (icelake_sp_8360y(), true, 1_157_736),
         (sapphire_rapids_8480(), false, 578_868),
     ];
-    let store_lines = |machine: &Machine| {
-        let ctx = OccupancyContext::serial(machine);
-        with_pooled_core(machine, ctx, CoreSimOptions::default(), |core| {
-            core.store_lines()
-        })
-    };
     for (machine, with_pf_off, lines) in halo {
         let before = store_lines(&machine);
         halo_grid(&machine, with_pf_off, &SimMemo::without_differential());
@@ -396,17 +459,16 @@ fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all(
             assert_eq!(repeated, 0, "{}: a debug build steps", machine.id);
         } else {
             assert!(
-                10 * stepped <= lines,
+                40 * stepped <= 3 * lines,
                 "{}: {stepped} of {lines} stepped",
                 machine.id
             );
         }
     }
     // Through a memo that records traces, a counted core that records one
-    // (a fig. 8 point, on the full node) and a core that looks its last
-    // level up (four rows of it on one core, which never evict the share,
-    // so that every share replays the trace) step every line; through a
-    // memo that records none, both are counted and repeat periods.
+    // (a fig. 8 point, on the full node, and four rows of it on one core,
+    // which never evict the share, so that every share replays the
+    // trace) repeats periods as it does through a memo that records none.
     let icx = icelake_sp_8360y();
     let four_rows = copy_kernel_spec(1 << 32, 1920, 3, 4);
     for (what, ranks, kernel, evicts) in [
@@ -434,11 +496,45 @@ fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all(
             let after = store_lines(&icx);
             let repeated = after.repeated - before.repeated;
             assert!(after.stepped > before.stepped, "{what}");
-            if records || cfg!(debug_assertions) {
+            if cfg!(debug_assertions) {
                 assert_eq!(repeated, 0, "{what}, recording traces {records}");
             } else {
                 assert!(repeated > 0, "{what}, recording traces {records}");
             }
+        }
+    }
+}
+
+#[test]
+fn the_store_figures_leaders_step_a_fifth_of_their_normal_store_lines_and_no_nt_line() {
+    // The trace leaders of figs. 5, 6, 9 and 10 record while they repeat
+    // periods.  Each row is one stream of 4 096 lines whose streak grows
+    // from the first line: the period measured after the head does not
+    // repeat, and the row is measured again where every streak estimate
+    // saturates (974 lines on the Ice Lake, 674 on the Sapphire Rapids),
+    // so a normal store stream steps about a fifth of its lines and an NT
+    // one, which no streak bounds, a few at each end.  A debug build
+    // steps every line.
+    for (figure, kind, machine, walk) in store_figure_walks() {
+        let what = format!("{figure} {kind:?} on {}", machine.id);
+        let before = store_lines(&machine);
+        walk(&machine, &SimMemo::new());
+        let after = store_lines(&machine);
+        let stepped = after.stepped - before.stepped;
+        let lines = stepped + after.repeated - before.repeated;
+        println!("{what}: {stepped} of {lines} stepped");
+        if cfg!(debug_assertions) {
+            assert_eq!(stepped, lines, "{what}: a debug build steps");
+        } else if kind == StoreKind::Normal {
+            assert!(
+                (16 * lines..=25 * lines).contains(&(100 * stepped)),
+                "{what}: {stepped} of {lines} stepped"
+            );
+        } else {
+            assert!(
+                200 * stepped <= lines,
+                "{what}: {stepped} of {lines} stepped"
+            );
         }
     }
 }
