@@ -1490,23 +1490,23 @@ mod tests {
 
     #[test]
     fn fig6_replays_a_quarter_of_its_events_as_entries() {
-        // Fig. 6's curve: the ICX's copy of 32 Ki elements at every thread
-        // count, 72 points of one trace.  A load miss, its buddy's
+        // Fig. 6's curve: the ICX's copy of 32 Ki elements at 1 to 36
+        // threads, 36 points of one trace.  A load miss, its buddy's
         // prefetch and two store lines alternate, so no run forms: a
         // stepped leader recorded 8 192 entries for the 8 193 events, and
-        // each of the 71 replays walked them all.  The leader steps the
-        // row to where the store streak saturates (974 lines) and records
+        // each of the 35 replays walked them all.  The leader steps the
+        // row to where the store streak saturates (1 001 lines) and records
         // the repeat of the rest as one `Period` entry.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         let copy = figure_kernel(&[AccessKind::Load, AccessKind::Store]);
-        for threads in 1..=m.total_cores() {
+        for threads in 1..=36 {
             NodeSim::new(SimConfig::new(m.clone(), threads)).run_spmd_memo(&copy, &memo);
         }
         let (entries, events) = replayed(&m, &memo, 1);
-        assert_eq!(events, 71 * 8_193, "the events of 4 096 lines");
-        assert!(3 * entries < 71 * 8_192, "{entries} entries");
-        assert_eq!(entries, 71 * 2_013);
+        assert_eq!(events, 35 * 8_193, "the events of 4 096 lines");
+        assert!(3 * entries < 35 * 8_192, "{entries} entries");
+        assert_eq!(entries, 35 * 2_013);
     }
 
     #[test]

@@ -48,9 +48,10 @@ fn store_curve_of(machine: &Machine, step: usize, kind: StoreKind, memo: &SimMem
     }
 }
 
-/// Fig. 6: the copy-volume kernel at every thread count of the ICX.
+/// Fig. 6: the copy-volume kernel at 1 to 36 threads of the ICX, as
+/// `clover-bench` walks it.
 fn copy_volume_curve(machine: &Machine, memo: &SimMemo) {
-    for threads in 1..=machine.total_cores() {
+    for threads in 1..=36 {
         copy_volume_per_iteration_memo(machine, threads, memo);
     }
 }
@@ -437,7 +438,7 @@ fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all(
     // it: in a release build the fig. 8 and 11 walks finalize at most
     // 7.5 % of the store lines they count one by one (7.1 % and 6.8 %,
     // where measuring a row again where its streaks saturate gains
-    // little: their rows are shorter than the 974 and 674 lines a streak
+    // little: their rows are shorter than the 1 001 and 693 lines a streak
     // takes to saturate, unless the halo keeps the streak going; 19 %
     // would mean that saturated streaks no longer repeat).  A debug build
     // steps every line a repeat accounts for, to check it.  The lines
@@ -511,7 +512,7 @@ fn the_store_figures_leaders_step_a_fifth_of_their_normal_store_lines_and_no_nt_
     // periods.  Each row is one stream of 4 096 lines whose streak grows
     // from the first line: the period measured after the head does not
     // repeat, and the row is measured again where every streak estimate
-    // saturates (974 lines on the Ice Lake, 674 on the Sapphire Rapids),
+    // saturates (1 001 lines on the Ice Lake, 693 on the Sapphire Rapids),
     // so a normal store stream steps about a fifth of its lines and an NT
     // one, which no streak bounds, a few at each end.  A debug build
     // steps every line.
