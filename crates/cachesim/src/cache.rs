@@ -414,12 +414,6 @@ impl<const WINDOW: bool> LastLevel<WINDOW> {
         self.ways
     }
 
-    /// Sets of the current geometry, a power of two: a line's set is its
-    /// index modulo this.
-    pub(crate) fn sets(&self) -> usize {
-        self.set_mask as usize + 1
-    }
-
     /// Changes of recency order since construction: inserts and hits that
     /// moved a line.  A line made the most recent of its set leaves only
     /// after `ways` more of them (one of which is an insert into its set)

@@ -48,7 +48,6 @@ use crate::engine::TenantReport;
 use crate::flight::FlightMemo;
 use crate::hierarchy::{l3_share_bytes, CoreSim, CoreSimOptions, OccupancyContext, Reach};
 use crate::patterns::{StencilOperand, StencilRowSweep};
-use crate::prefetch::PrefetcherConfig;
 use crate::trace::{replay_trace, Trace};
 
 /// Smallest [`RankBase::Shifted`] shift the memo accepts: 2^30-aligned
@@ -226,20 +225,6 @@ impl KernelSpec {
     pub fn line_span(&self, rank: usize) -> Option<(u64, u64)> {
         self.operand_windows(rank)
             .reduce(|(lo, hi), (first, last)| (lo.min(first), hi.max(last)))
-    }
-
-    /// Whether `machine`'s per-core L3 share under `options` (its sharer
-    /// count and prefetchers) can be proven never to evict while this
-    /// kernel runs: then the kernel's traffic does not depend on the size
-    /// of the share, and the memo simulates it once for every sharer count
-    /// the proof holds for.
-    pub fn never_evicts_l3(&self, machine: &Machine, options: &CoreSimOptions) -> bool {
-        let l3 = &machine.caches.l3;
-        let (sets, ways) = SetAssocCache::geometry(
-            l3_share_bytes(l3.capacity_bytes, options.l3_sharers),
-            l3.associativity,
-        );
-        self.never_evicts(sets, ways, &options.prefetchers)
     }
 
     /// Whether this kernel, driven as `rank` on `machine`, can never hit
@@ -427,34 +412,6 @@ impl KernelSpec {
             LastLevelUse::Own | LastLevelUse::OwnLines => Reach::last_level(true),
         }
     }
-
-    /// [`never_evicts_l3`](Self::never_evicts_l3) for a last level of
-    /// `sets × ways`.
-    ///
-    /// The lines that ever enter the last level are the kernel's own plus,
-    /// with the adjacent-line prefetcher on, each one's buddy `line ^ 1`:
-    /// the only line a prefetch brings in.  A contiguous window of `n`
-    /// lines puts at most `ceil(n / sets)` lines into any one set, whatever
-    /// its base, so if the operands' widened windows together stay within
-    /// the associativity no set ever holds more lines than it has ways —
-    /// under any replacement policy, since an empty way is always filled
-    /// first.  Overlapping windows are counted twice and windows whose set
-    /// ranges do not meet are still added up: the bound is sufficient, not
-    /// necessary.
-    fn never_evicts(&self, sets: usize, ways: usize, prefetchers: &PrefetcherConfig) -> bool {
-        let per_set: u64 = self
-            .operand_windows(0)
-            .map(|(first, last)| {
-                let (lo, hi) = if prefetchers.adjacent_line {
-                    (first & !1, last | 1)
-                } else {
-                    (first, last)
-                };
-                (hi - lo).saturating_add(1).div_ceil(sets as u64)
-            })
-            .fold(0, u64::saturating_add);
-        per_set <= ways as u64
-    }
 }
 
 /// What the last level a core misses into holds besides what the core
@@ -464,6 +421,9 @@ impl KernelSpec {
 pub(crate) enum LastLevelUse {
     /// The core's own L3 share, just emptied, which nothing else fills and
     /// whose evictions nobody counts: it may be counted, not simulated.
+    /// A counted core's events are then the same at every share where
+    /// [`KernelSpec::counts_last_level`] holds, which is what lets one
+    /// trace serve them all ([`LlcClass::Counted`]).
     Own,
     /// No line of the core's windows now, and none later but what the
     /// core's own accesses put there, but other tenants' lines may evict
@@ -655,17 +615,20 @@ impl CoRunKey {
     }
 }
 
-/// The last level's part of a trace identity.
+/// The last level's part of a trace identity, read off the [`Reach`] the
+/// point's own core simulates (`KernelSpec::reach` at
+/// [`LastLevelUse::Own`]), so that the class and the core cannot disagree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum LlcClass {
-    /// The kernel provably never evicts at the last level under the
-    /// point's L3 share ([`KernelSpec::never_evicts_l3`]).  Then the share
-    /// answers "resident?" exactly like an unbounded cache would, so the
-    /// event sequence is the same for every share the proof holds for and
-    /// the sharer count is no part of the identity.
-    NeverEvicts,
-    /// The kernel may evict: the sharer count, which sets the share's
-    /// geometry, decides which lines survive.
+    /// The core counts its L3 share ([`Reach::Counted`]): no line is
+    /// loaded or retired twice but the repeat and a buddy proved
+    /// resident, and under LRU a first touch misses at every capacity
+    /// (Mattson et al., 1970), so the core looks nothing up and emits the
+    /// same events at every share where [`KernelSpec::counts_last_level`]
+    /// holds.  The sharer count is no part of the identity.
+    Counted,
+    /// The core simulates its share: the sharer count, which sets the
+    /// share's geometry, may decide which lines survive.
     Sharers(usize),
 }
 
@@ -677,7 +640,7 @@ pub(crate) enum LlcClass {
 /// re-simulating the cache dynamics from scratch.  Because the key holds
 /// the whole [`Dynamics`], a replay can never be served across machines,
 /// prefetcher switches, store-miss policies or kernels, nor across L3
-/// shares unless the kernel never evicts in either.
+/// shares unless the kernel is counted at each.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct DiffKey {
     /// `l3_sharers` is zeroed here: the count lives in `llc`, or nowhere.
@@ -687,11 +650,12 @@ pub(crate) struct DiffKey {
 }
 
 impl DiffKey {
-    fn of(machine: &Machine, options: CoreSimOptions, kernel: &KernelSpec) -> Self {
-        let llc = if kernel.never_evicts_l3(machine, &options) {
-            LlcClass::NeverEvicts
-        } else {
-            LlcClass::Sharers(options.l3_sharers)
+    /// The trace identity of `kernel` under `options`, whose core
+    /// simulates `reach`.
+    fn of(machine: &Machine, options: CoreSimOptions, kernel: &KernelSpec, reach: Reach) -> Self {
+        let llc = match reach {
+            Reach::Counted { .. } => LlcClass::Counted,
+            _ => LlcClass::Sharers(options.l3_sharers),
         };
         Self {
             dynamics: Dynamics {
@@ -819,9 +783,11 @@ impl SimMemo {
     ) -> MemCounters {
         let key = SimKey::new(machine, ctx, options, kernel);
         self.get_or_insert_with(key, || {
-            let scratch = || Self::simulate(machine, ctx, options, kernel, rank, None).0;
+            let reach = kernel.reach(machine, &options, rank, LastLevelUse::Own);
+            let simulate =
+                |record| Self::simulate(machine, ctx, options, kernel, rank, reach, record);
             if !self.differential {
-                return scratch();
+                return simulate(false).0;
             }
             // Differential path: one trace per DiffKey.  The first miss on
             // a trace key simulates live *with recording* and keeps its
@@ -831,12 +797,10 @@ impl SimMemo {
             // outside every lock; the diff lookup never waits on an
             // `inner` flight (only the reverse), so the nesting cannot
             // deadlock.
-            let dkey = DiffKey::of(machine, options, kernel);
-            let llc = dkey.llc;
+            let dkey = DiffKey::of(machine, options, kernel, reach);
             let mut live: Option<MemCounters> = None;
             let entry = self.diff.get_or_insert_with(dkey, || {
-                let (counters, trace) =
-                    Self::simulate(machine, ctx, options, kernel, rank, Some(llc));
+                let (counters, trace) = simulate(true);
                 live = Some(counters);
                 trace
             });
@@ -846,65 +810,40 @@ impl SimMemo {
             }
             match entry {
                 Some(trace) => replay_trace(&machine.speci2m, ctx, options, &trace),
-                None => scratch(),
+                None => simulate(false).0,
             }
         })
     }
 
     /// From-scratch simulation of one representative core on the
-    /// thread-local core pool; with `record = Some(class)` as the leader of
-    /// that trace class, recording the event trace.  The returned trace is
-    /// `None` when recording was off or abandoned (the counters are exact
-    /// either way).  A kernel that [`KernelSpec::never_hits_private`]
-    /// proves runs against the L3 share alone, to the same events, and
-    /// one that [`KernelSpec::counts_last_level`] proves against no cache
-    /// at all, to the same counters, recording or not.
-    ///
-    /// A trace of the class [`LlcClass::NeverEvicts`] stands for every
-    /// share the proof holds for, so its leader checks that its own share
-    /// evicted nothing: a simulated share by its evictions, and a counted
-    /// one by the lines it filled into each set, none more than its ways
-    /// (a counted core fills no line twice, so that is when a simulated
-    /// share would evict).  A debug build, which simulates the share
-    /// beside a counted core, checks both.
+    /// thread-local core pool, which simulates `reach` of its hierarchy:
+    /// what [`KernelSpec::reach`] decided for the kernel at its own L3
+    /// share.  A kernel that [`KernelSpec::never_hits_private`] proves
+    /// runs against the L3 share alone, to the same events, and one that
+    /// [`KernelSpec::counts_last_level`] proves against no cache at all,
+    /// to the same counters, recording or not.  With `record`, as the
+    /// leader of its trace class, it records the event trace; the
+    /// returned trace is `None` when recording was off or abandoned (the
+    /// counters are exact either way).
     fn simulate(
         machine: &Machine,
         ctx: OccupancyContext,
         options: CoreSimOptions,
         kernel: &KernelSpec,
         rank: usize,
-        record: Option<LlcClass>,
+        reach: Reach,
+        record: bool,
     ) -> (MemCounters, Option<Trace>) {
         with_pooled_core(machine, ctx, options, |core| {
             // The pooled core's L3 share was just emptied, and nothing but
             // this core fills it.
-            let never_evicts = record == Some(LlcClass::NeverEvicts);
-            if never_evicts {
-                core.count_l3_fills();
-            }
             let private = core.split().0;
-            private.set_reach(kernel.reach(machine, &options, rank, LastLevelUse::Own));
-            if record.is_some() {
+            private.set_reach(reach);
+            if record {
                 private.trace.start();
             }
             kernel.drive(rank, core);
             let counters = core.flush();
-            if never_evicts {
-                // Every share of the class replays this trace: were the
-                // proof wrong, their counters would be too.
-                assert_eq!(
-                    core.l3_evictions(),
-                    0,
-                    "a kernel classed NeverEvicts evicted at the last level"
-                );
-                let (most, ways) = core.l3_most_fills_per_set();
-                if most > ways {
-                    panic!(
-                        "a kernel classed NeverEvicts filled {most} lines into one \
-                         {ways}-way set of the last level"
-                    );
-                }
-            }
             (counters, core.split().0.trace.finish())
         })
     }
@@ -1189,18 +1128,32 @@ mod tests {
     }
 
     /// 4 MiB of stores: more than an 18- or 36-sharer L3 share of the ICX
-    /// holds, so the kernel may evict there (and provably cannot in the
-    /// whole 54 MiB).
+    /// holds, so the kernel evicts there (and not in the whole 54 MiB).
     const EVICTING_ELEMENTS: u64 = 512 * 1024;
+
+    /// `store_spec(elements)` half an element off its line: no longer
+    /// counted (`KernelSpec::counts_last_level` wants element-aligned
+    /// operands), though it still skips its private levels.
+    fn misaligned_store_spec(elements: u64) -> KernelSpec {
+        let mut spec = store_spec(elements);
+        spec.operands[0].offset = 4;
+        spec
+    }
+
+    /// The trace identity of `spec` at rank 0 under `options`.
+    fn diff_key(m: &Machine, options: CoreSimOptions, spec: &KernelSpec) -> DiffKey {
+        let reach = spec.reach(m, &options, 0, LastLevelUse::Own);
+        DiffKey::of(m, options, spec, reach)
+    }
 
     #[test]
     fn differential_traces_never_mix_across_dynamics_axes() {
         use crate::prefetch::PrefetcherConfig;
         // Anything that can change the event sequence — kernel, prefetcher
         // switches, policies — gets its own trace key, and so does the L3
-        // sharer count exactly when the kernel may evict at the last
-        // level: a streaming kernel's traffic cannot depend on the size of
-        // a share it never fills.
+        // sharer count of a kernel whose core simulates its share: a
+        // counted core's traffic does not depend on the size of the share,
+        // even where the share evicts.
         let m = icelake_sp_8360y();
         let memo = SimMemo::new();
         let ctx = OccupancyContext::serial(&m);
@@ -1217,39 +1170,60 @@ mod tests {
             write_policy: WritePolicyKind::NoAllocate,
             ..Default::default()
         };
-        let big = store_spec(EVICTING_ELEMENTS);
+        let simulated = misaligned_store_spec(1024);
+        // A load beside six store streams is counted only where the share
+        // has more than twelve ways: at 1 sharer (13), not at 36 (12).
+        let six_stores = KernelSpec {
+            operands: (0..7u64)
+                .map(|s| SpecOperand {
+                    offset: s << 30,
+                    points: vec![(0, 0)],
+                    kind: [AccessKind::Load, AccessKind::Store][usize::from(s > 0)],
+                })
+                .collect(),
+            ..store_spec(1024)
+        };
+        assert!(six_stores.counts_last_level(&m, &options, 0));
+        assert!(!six_stores.counts_last_level(&m, &sharers(36), 0));
         let distinct = [
             (options, store_spec(1024)),
             (options, store_spec(1025)),
             (no_pf, store_spec(1024)),
             (no_allocate, store_spec(1024)),
-            (sharers(36), big.clone()),
-            (sharers(18), big.clone()),
-            (options, big),
+            (sharers(36), simulated.clone()),
+            (sharers(18), simulated.clone()),
+            (options, simulated),
+            (options, six_stores.clone()),
+            (sharers(36), six_stores),
         ];
         for (opts, spec) in &distinct {
             let _ = memo.counters(&m, ctx, *opts, spec, 0);
         }
-        // Seven distinct dynamics identities, zero replays.
-        assert_eq!(memo.diff_len(), 7);
+        // Nine distinct dynamics identities, zero replays.
+        assert_eq!(memo.diff_len(), 9);
         assert_eq!(memo.diff_stats().hits, 0);
 
-        // The streaming kernel under other sharer counts: new `SimKey`s,
-        // the trace of the first.
-        let streaming = [
+        // Counted kernels under other sharer counts: new `SimKey`s, the
+        // trace of the first; one that evicts at 36 and 18 sharers and not
+        // at 1 is one trace too.
+        let big = store_spec(EVICTING_ELEMENTS);
+        let counted = [
             (sharers(36), store_spec(1024)),
             (sharers(2), store_spec(1024)),
+            (sharers(36), big.clone()),
+            (sharers(18), big.clone()),
+            (options, big),
         ];
-        for (opts, spec) in &streaming {
+        for (opts, spec) in &counted {
             let _ = memo.counters(&m, ctx, *opts, spec, 0);
         }
-        assert_eq!(memo.diff_len(), 7);
-        assert_eq!(memo.diff_stats().hits, 2);
-        assert_eq!(memo.len(), 9);
+        assert_eq!(memo.diff_len(), 10);
+        assert_eq!(memo.diff_stats().hits, 4);
+        assert_eq!(memo.len(), 14);
 
         // And every result still equals the from-scratch reference.
         let scratch = SimMemo::without_differential();
-        for (opts, spec) in distinct.iter().chain(&streaming) {
+        for (opts, spec) in distinct.iter().chain(&counted) {
             assert_eq!(
                 memo.counters(&m, ctx, *opts, spec, 0),
                 scratch.counters(&m, ctx, *opts, spec, 0)
@@ -1267,14 +1241,14 @@ mod tests {
             let mut options = CoreSimOptions::default();
             vary(&mut ctx, &mut options);
             let full = SimKey::new(machine, ctx, options, spec);
-            (full, DiffKey::of(machine, options, spec))
+            (full, diff_key(machine, options, spec))
         };
         let vary = |vary: Vary| keys(&m, vary, &spec);
         let (base_full, base_diff) = vary(|_, _| {});
-        assert_eq!(base_diff.llc, LlcClass::NeverEvicts);
+        assert_eq!(base_diff.llc, LlcClass::Counted);
 
         // One accounting field at a time — and the sharer count of this
-        // never-evicting kernel: a different SimKey, the same trace.
+        // counted kernel: a different SimKey, the same trace.
         let accounting: [Vary; 6] = [
             |c, _| c.domain_utilization = 0.25,
             |c, _| c.active_domains = 3,
@@ -1301,70 +1275,50 @@ mod tests {
             assert_ne!(diff, base_diff, "dynamics field {i} must split traces");
         }
 
-        // The sharer count is a dynamics field of a kernel that may evict.
+        // A counted kernel that evicts at 36 and 18 sharers is still one
+        // class at every sharer count.
         let big = store_spec(EVICTING_ELEMENTS);
-        let at = |vary: Vary| keys(&m, vary, &big).1;
-        let (s36, s18) = (at(|_, o| o.l3_sharers = 36), at(|_, o| o.l3_sharers = 18));
+        let at = |vary: Vary, spec: &KernelSpec| keys(&m, vary, spec).1;
+        let (s36, s18) = (
+            at(|_, o| o.l3_sharers = 36, &big),
+            at(|_, o| o.l3_sharers = 18, &big),
+        );
+        assert_eq!(s36.llc, LlcClass::Counted);
+        assert_eq!(s36, s18);
+        assert_eq!(s36, at(|_, _| {}, &big));
+
+        // The sharer count is a dynamics field of a kernel that is not
+        // counted, whatever its share holds.
+        let simulated = misaligned_store_spec(1024);
+        let (s36, s18) = (
+            at(|_, o| o.l3_sharers = 36, &simulated),
+            at(|_, o| o.l3_sharers = 18, &simulated),
+        );
         assert_eq!(s36.llc, LlcClass::Sharers(36));
         assert_eq!(s18.llc, LlcClass::Sharers(18));
         assert_ne!(s36, s18);
-        assert_eq!(at(|_, _| {}).llc, LlcClass::NeverEvicts);
     }
 
     #[test]
-    fn never_evicts_counts_each_operand_window_against_the_ways() {
-        use crate::prefetch::PrefetcherConfig;
-        let (on, off) = (PrefetcherConfig::enabled(), PrefetcherConfig::disabled());
-        // One aligned 4096-line stream in 2048 sets: two lines per set,
-        // and every buddy is a line of the stream.
-        let one = store_spec(8 * 4096);
-        assert!(one.never_evicts(2048, 2, &off));
-        assert!(one.never_evicts(2048, 2, &on));
-        assert!(!one.never_evicts(2048, 1, &on));
-        // An odd first line: the buddy prefetch reaches one line below.
-        let odd = KernelSpec {
-            i0: 8,
-            ..store_spec(8 * 4096)
-        };
-        assert!(odd.never_evicts(4096, 1, &off));
-        assert!(!odd.never_evicts(4096, 1, &on));
-        // Three aliasing streams (set-span-multiple offsets) add up.
-        let three = KernelSpec {
-            operands: (0..3u64)
-                .map(|s| SpecOperand {
-                    offset: s << 30,
-                    points: vec![(0, 0)],
-                    kind: AccessKind::Store,
-                })
-                .collect(),
-            ..store_spec(8 * 4096)
-        };
-        assert!(three.never_evicts(2048, 6, &off));
-        assert!(!three.never_evicts(2048, 5, &off));
-        // No lines, no evictions.
-        assert!(store_spec(0).never_evicts(1, 1, &on));
-    }
-
-    #[test]
-    fn a_leader_that_fills_each_set_to_its_ways_replays_and_one_line_more_does_not() {
+    fn a_counted_leader_filling_each_set_to_its_ways_or_past_serves_every_share() {
         // On the ICX at 36 sharers the L3 share is 2 048 sets of 12 ways.
-        // A store stream of 12 lines per set never evicts there, and its
-        // counted leader, which fills each set to the last way, records a
-        // trace the other sharer counts replay; 13 lines per set is
-        // another class at each sharer count.  A `NeverEvicts` bound one
-        // line too generous, or a fill check that refused a full set,
-        // would panic at one of them.
+        // A store stream of 12 lines per set fills each set to the last
+        // way there, one of 13 evicts; at 18 and 1 sharers neither does.
+        // Both are counted at every sharer count, so each is one trace
+        // class whose leader and replays equal simulating from scratch.
         let m = icelake_sp_8360y();
         let options = |l3_sharers| CoreSimOptions {
             l3_sharers,
             ..Default::default()
         };
-        for (per_set, evicts) in [(12, false), (13, true)] {
+        for per_set in [12, 13] {
             let spec = store_spec(8 * 2048 * per_set);
-            assert_eq!(spec.never_evicts_l3(&m, &options(36)), !evicts);
-            assert!(spec.counts_last_level(&m, &options(36), 0));
             let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
             for l3_sharers in [36, 18, 36, 1] {
+                assert_eq!(
+                    diff_key(&m, options(l3_sharers), &spec).llc,
+                    LlcClass::Counted
+                );
                 let ctx = OccupancyContext::compact(&m, 2 * l3_sharers);
                 let a = diff.counters(&m, ctx, options(l3_sharers), &spec, 0);
                 let b = scratch.counters(&m, ctx, options(l3_sharers), &spec, 0);
@@ -1374,8 +1328,7 @@ mod tests {
                     "{per_set} lines per set, {l3_sharers} sharers"
                 );
             }
-            let misses = if evicts { 2 } else { 1 };
-            assert_eq!(diff.diff_stats().misses, misses, "{per_set} lines per set");
+            assert_eq!(diff.diff_stats().misses, 1, "{per_set} lines per set");
         }
     }
 
@@ -1410,7 +1363,7 @@ mod tests {
                 scratch.counters(&m, ctx, options, &spec, 0)
             );
         }
-        let dkey = DiffKey::of(&m, options, &spec);
+        let dkey = diff_key(&m, options, &spec);
         let entry = diff
             .diff
             .get_or_insert_with(dkey, || unreachable!("recorded above"));
@@ -1429,7 +1382,7 @@ mod tests {
                 l3_sharers: key.dynamics.l3_sharers,
                 ..Default::default()
             };
-            let dkey = DiffKey::of(m, options, &key.kernel);
+            let dkey = diff_key(m, options, &key.kernel);
             *points.entry(dkey).or_default() += 1;
         }
         let (mut entries, mut events) = (0, 0);

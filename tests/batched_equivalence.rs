@@ -3,7 +3,8 @@
 //! any kernel and over any walk of sweep neighbours, a replayed trace
 //! equals simulating (by counter bits on every replayed point of the
 //! simulated figures), a trace class shares one simulation across sharer
-//! counts exactly when nothing can evict, the representative core reports
+//! counts exactly when the kernel counts its last level at each, the
+//! representative core reports
 //! what every rank of its domain drives, and a one-tenant co-run (a
 //! baseline) is one pass at any interleave and either rank.
 //! `reference_hierarchy.rs` holds the drivers themselves to a hierarchy
@@ -28,8 +29,10 @@ const SET_SPAN_MULTIPLE: u64 = 1 << 26;
 /// A random multi-operand stencil kernel: 1–4 operands `SET_SPAN_MULTIPLE`
 /// apart plus a skew (a line or element offset, or a 4-byte misalignment
 /// that forces the element-wise driver), each a load, store or NT store
-/// of 1–3 stencil points.
-fn aliasing_kernel(seed: u64, inner: u64, halo: u64, rows: u64) -> KernelSpec {
+/// of 1–3 stencil points.  A `shaped` kernel is drawn in the shape
+/// `KernelSpec::counts_last_level` asks for: one point per operand, an
+/// element-aligned skew and at most one load.
+fn aliasing_kernel(seed: u64, inner: u64, halo: u64, rows: u64, shaped: bool) -> KernelSpec {
     let mut state = seed;
     let mut draw = |n: u64| {
         state = state
@@ -38,13 +41,24 @@ fn aliasing_kernel(seed: u64, inner: u64, halo: u64, rows: u64) -> KernelSpec {
         (state >> 33) % n
     };
     const SKEWS: [u64; 6] = [0, 8, 64, 72, 4096 + 24, 4];
+    let (skews, most_points) = if shaped { (5, 1) } else { (6, 3) };
+    let mut loads = 0;
     let operands = (0..1 + draw(4))
-        .map(|j| SpecOperand {
-            offset: j * SET_SPAN_MULTIPLE + SKEWS[draw(SKEWS.len() as u64) as usize],
-            points: (0..1 + draw(3))
+        .map(|j| {
+            let offset = j * SET_SPAN_MULTIPLE + SKEWS[draw(skews) as usize];
+            let points = (0..1 + draw(most_points))
                 .map(|_| (draw(3) as i64 - 1, draw(3) as i64 - 1))
-                .collect(),
-            kind: KINDS[draw(3) as usize],
+                .collect();
+            let mut kind = KINDS[draw(3) as usize];
+            if shaped && kind == AccessKind::Load && loads > 0 {
+                kind = AccessKind::Store;
+            }
+            loads += usize::from(kind == AccessKind::Load);
+            SpecOperand {
+                offset,
+                points,
+                kind,
+            }
         })
         .collect();
     KernelSpec {
@@ -80,11 +94,12 @@ fn assert_differential_equals_scratch(
     );
 }
 
-/// The negative arm of the trace-class rule: a kernel that may evict at
-/// the last level keeps the sharer count in its trace identity, so two
-/// sharer counts under one accounting are two simulations and no replay.
+/// The negative arm of the trace-class rule: a kernel that is not
+/// counted keeps the sharer count in its trace identity, so two sharer
+/// counts under one accounting are two simulations and no replay; a
+/// counted one is one simulation, even where both shares evict.
 #[test]
-fn kernels_that_may_evict_keep_the_sharer_count_in_their_trace_identity() {
+fn uncounted_kernels_keep_the_sharer_count_in_their_trace_identity() {
     let machine = icelake_sp_8360y();
     let ways = machine.caches.l3.associativity as u64;
     let streaming = |elements| {
@@ -96,8 +111,9 @@ fn kernels_that_may_evict_keep_the_sharer_count_in_their_trace_identity() {
         )
     };
     // A working set larger than the share: 4 MiB of stores against 1.5 and
-    // 3 MiB.  And a working set of a few KiB that collides: one more
-    // aliasing stream than the share has ways.
+    // 3 MiB, which a core counts.  And a working set of a few KiB that
+    // collides: one more aliasing stream than the share has ways, six of
+    // them loads, which a core simulates.
     let colliding = KernelSpec {
         operands: (0..=ways)
             .map(|j| SpecOperand {
@@ -112,47 +128,95 @@ fn kernels_that_may_evict_keep_the_sharer_count_in_their_trace_identity() {
             .collect(),
         ..streaming(64)
     };
-    for kernel in [streaming(512 * 1024), colliding] {
+    for (kernel, counted) in [(streaming(512 * 1024), true), (colliding, false)] {
         let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
         for l3_sharers in [36, 18] {
             let options = CoreSimOptions {
                 l3_sharers,
                 ..Default::default()
             };
-            assert!(!kernel.never_evicts_l3(&machine, &options));
+            assert_eq!(kernel.counts_last_level(&machine, &options, 0), counted);
             assert_differential_equals_scratch(&machine, &kernel, (l3_sharers, 1), &diff, &scratch);
         }
         let stats = diff.diff_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 2), "{kernel:?}");
-        // The same kernels with the whole L3 to themselves cannot evict.
-        assert!(streaming(512 * 1024).never_evicts_l3(&machine, &CoreSimOptions::default()));
+        let expected = if counted { (1, 1) } else { (0, 2) };
+        assert_eq!((stats.hits, stats.misses), expected, "{kernel:?}");
     }
+}
+
+/// The sharer counts of the trace-class proptest: pairs of indices into
+/// `[1, 2, max(l3_sharers / 2, 3), l3_sharers]`.
+const SHARER_PAIRS: [(usize, usize); 5] = [(0, 3), (3, 1), (1, 2), (2, 0), (3, 2)];
+
+/// The two sharer counts `pair` picks on `machine`.
+fn sharer_counts(machine: &Machine, pair: (usize, usize)) -> [usize; 2] {
+    let max = machine.caches.l3_sharers;
+    let counts = [1, 2, (max / 2).max(3), max];
+    [counts[pair.0], counts[pair.1]]
+}
+
+/// Whether `kernel` counts its last level at both sharer counts.
+fn counted_at(machine: &Machine, kernel: &KernelSpec, sharers: [usize; 2]) -> bool {
+    sharers.into_iter().all(|l3_sharers| {
+        let options = CoreSimOptions {
+            l3_sharers,
+            ..Default::default()
+        };
+        kernel.counts_last_level(machine, &options, 0)
+    })
+}
+
+/// What share of the trace-class proptest's kernels are counted at both
+/// of their sharer counts, over a deterministic draw of its inputs: both
+/// arms of the rule must be well represented.
+#[test]
+fn the_trace_class_proptest_draws_counted_and_uncounted_kernels() {
+    let presets = MachinePreset::all();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let mut draw = |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let (kernels, mut counted) = (2_000, 0);
+    for _ in 0..kernels {
+        let machine = presets[draw(presets.len() as u64) as usize].machine();
+        let sharers = sharer_counts(&machine, SHARER_PAIRS[draw(5) as usize]);
+        let (seed, shaped) = (draw(u64::MAX), draw(2) == 1);
+        let kernel = aliasing_kernel(seed, 8 + draw(2993), draw(20), 1 + draw(40), shaped);
+        counted += u64::from(counted_at(&machine, &kernel, sharers));
+    }
+    let share = counted as f64 / kernels as f64;
+    println!(
+        "{counted} of {kernels} drawn kernels counted ({:.1} %)",
+        100.0 * share
+    );
+    assert!((0.3..=0.7).contains(&share), "{share}");
 }
 
 proptest! {
     /// Soundness of the trace class: a random multi-operand kernel —
     /// aliasing operands, skewed and misaligned bases, stencil points,
-    /// every access kind — walked over two sharer counts and two
-    /// active-domain counts on any preset gives the counters of the
-    /// from-scratch memo at every point, and the second sharer count
-    /// replays the first one's trace exactly when the kernel provably
-    /// evicts under neither share.  (The leader of such a class also
-    /// hard-asserts that its L3 share evicted nothing.)
+    /// every access kind, or one in the shape a counted core asks for —
+    /// walked over two sharer counts and two active-domain counts on any
+    /// preset gives the counters of the from-scratch memo at every point,
+    /// and the second sharer count replays the first one's trace exactly
+    /// when the kernel counts its last level at both.
     #[test]
-    fn trace_class_shares_one_simulation_across_sharer_counts_iff_nothing_evicts(
+    fn one_simulation_serves_two_sharer_counts_iff_both_count_the_last_level(
         seed in 0u64..u64::MAX,
         inner in 8u64..=3000,
         halo in 0u64..20,
         rows in 1u64..=40,
+        shaped in prop::sample::select(vec![false, true]),
         preset in prop::sample::select(MachinePreset::all()),
-        sharers in prop::sample::select(vec![(0usize, 3usize), (3, 1), (1, 2), (2, 0), (3, 2)]),
+        sharers in prop::sample::select(SHARER_PAIRS.to_vec()),
     ) {
         let machine = preset.machine();
-        let max = machine.caches.l3_sharers;
-        let counts = [1, 2, (max / 2).max(3), max];
-        let (first, second) = (counts[sharers.0], counts[sharers.1]);
+        let [first, second] = sharer_counts(&machine, sharers);
         let domains = [1, machine.topology.domains.len()];
-        let kernel = aliasing_kernel(seed, inner, halo, rows);
+        let kernel = aliasing_kernel(seed, inner, halo, rows, shaped);
         let (diff, scratch) = (SimMemo::new(), SimMemo::without_differential());
         for l3_sharers in [first, second] {
             for active_domains in domains {
@@ -165,18 +229,15 @@ proptest! {
                 );
             }
         }
-        let proven = [first, second].into_iter().all(|l3_sharers| {
-            let options = CoreSimOptions { l3_sharers, ..Default::default() };
-            kernel.never_evicts_l3(&machine, &options)
-        });
+        let counted = counted_at(&machine, &kernel, [first, second]);
         // Four lookups (two, where the node has one domain): every one but
         // the leader of a trace identity replays.
         let lookups = if domains[0] == domains[1] { 2 } else { 4 };
-        let leaders = if proven { 1 } else { 2 };
+        let leaders = if counted { 1 } else { 2 };
         let stats = diff.diff_stats();
         prop_assert_eq!(
             (stats.hits, stats.misses), (lookups - leaders, leaders),
-            "{} sharers {}/{} proven={} {:?}", machine.id, first, second, proven, kernel
+            "{} sharers {}/{} counted={} {:?}", machine.id, first, second, counted, kernel
         );
     }
 

@@ -1589,17 +1589,20 @@ fn every_driver_equals_the_reference_hierarchy_over_many_kernels() {
 }
 
 /// The shrunken ICX-shaped machine the counted rule is enumerated on: an
-/// L1 of 4 sets × 4 ways, an L2 of 8 × 4 and an L3 of 16 × 4 (64 lines,
-/// every share's floor), so that kernels of a few dozen lines reach the
-/// rule's edges: the buddy bound (one store beside a load), set
-/// collisions with a buddy, the 4-line gap and stream displacements.
-/// SpecI2M off and no NT partial flushes, so that every counter is a count.
+/// L1 of 4 sets × 4 ways, an L2 of 8 × 4 and an L3 of 64 × 4, whose share
+/// is 128 lines at 2 sharers (one rank) and 64 at 4 (every share's floor,
+/// 16 × 4), so that kernels of a few dozen lines reach the rule's edges:
+/// the buddy bound (one store beside a load), set collisions with a
+/// buddy, the 4-line gap and stream displacements.  And a counted
+/// kernel's trace, recorded at the floor, is replayed at 1 sharer, whose
+/// share of 256 lines really differs.  SpecI2M off and no NT partial
+/// flushes, so that every counter is a count.
 fn shrunken_icx() -> Machine {
     let mut m = MachinePreset::IceLakeSp8360y.machine();
     for (spec, sets) in [
         (&mut m.caches.l1, 4),
         (&mut m.caches.l2, 8),
-        (&mut m.caches.l3, 16),
+        (&mut m.caches.l3, 64),
     ] {
         spec.capacity_bytes = sets * 4 * LINE as usize;
         spec.associativity = 4;
@@ -1631,7 +1634,10 @@ struct Enumerated {
 /// 1 024 lines apart (a multiple of every level's sets).  A kernel the
 /// rule proves is simulated alone through a memo that records no trace
 /// (so that it counts its L3 share), with the prefetcher on, and must
-/// equal the reference hierarchy count for count.
+/// equal the reference hierarchy count for count.  Then through a memo
+/// that records traces, at 4 sharers (the trace's leader, on a share of
+/// 64 lines) and at 1 (its replay, on 256 lines): one simulation, each
+/// point equal to the reference hierarchy at its own share.
 fn enumerate_counted_kernels(stride: usize) -> Enumerated {
     use AccessKind::{Load, Store, StoreNT};
     let machine = shrunken_icx();
@@ -1700,6 +1706,16 @@ fn enumerate_counted_kernels(stride: usize) -> Enumerated {
         let report = NodeSim::new(config.clone()).run_spmd_memo(&case.kernel, &memo);
         let at = format!("{:?}", case.kernel);
         case.assert_counters(&report.per_rank, &oracle, env, &at);
+        let memo = SimMemo::new();
+        for (role, l3_sharers) in [("leader", 4), ("replay", 1)] {
+            let options = case.options(l3_sharers, false);
+            assert!(case.kernel.counts_last_level(&machine, &options, 0), "{at}");
+            let counters = memo.counters(&machine, env.1, options, &case.kernel, 0);
+            let oracle = case.swept_oracle(&machine, l3_sharers);
+            let at = format!("the {role} at {l3_sharers} sharers, {at}");
+            case.assert_counters(&counters, &oracle, (&machine, env.1, options), &at);
+        }
+        assert_eq!(memo.diff_stats().misses, 1, "one trace: {at}");
     }
     found
 }

@@ -381,9 +381,8 @@ fn the_halo_figures_look_nothing_up_at_the_l3_share_and_co_runs_do() {
     // that loses the path while every byte stays the same would break.  A
     // debug build runs the real share beside each counted core.  So do
     // the trace leaders of figs. 5, 6, 9 and 10, walked through a memo
-    // that records traces: every one of them is a `NeverEvicts` class,
-    // whose leader counts the lines it fills into each set of its share
-    // instead of simulating it.
+    // that records traces: every one of them is a counted class, whose
+    // one trace serves every sharer count of the curve.
     let halo = [(icelake_sp_8360y(), true), (sapphire_rapids_8480(), false)];
     // (what, machine, whether the walk fills the share, walk)
     type Walk = Box<dyn Fn(&Machine)>;
@@ -467,26 +466,26 @@ fn the_halo_figures_step_under_a_tenth_of_their_store_lines_and_other_cores_all(
         }
     }
     // Through a memo that records traces, a counted core that records one
-    // (a fig. 8 point, on the full node, and four rows of it on one core,
-    // which never evict the share, so that every share replays the
-    // trace) repeats periods as it does through a memo that records none.
+    // (a fig. 8 point, on the full node, whose share evicts, and four rows
+    // of it on one core, whose share does not: each a counted class, whose
+    // trace every share replays) repeats periods as it does through a memo
+    // that records none.
     let icx = icelake_sp_8360y();
     let four_rows = copy_kernel_spec(1 << 32, 1920, 3, 4);
-    for (what, ranks, kernel, evicts) in [
+    for (what, ranks, kernel) in [
         (
             "a fig. 8 point",
             icx.total_cores(),
             &copy_halo_kernel(1920, 3),
-            true,
         ),
-        ("four rows of it on one core", 1, &four_rows, false),
+        ("four rows of it on one core", 1, &four_rows),
     ] {
         let occupancy = DomainOccupancy::compact(&icx, ranks);
         let options = CoreSimOptions {
             l3_sharers: DomainOccupancy::l3_sharers(&icx, occupancy.cores_per_domain[0]),
             ..CoreSimOptions::default()
         };
-        assert_eq!(!kernel.never_evicts_l3(&icx, &options), evicts, "{what}");
+        assert!(kernel.counts_last_level(&icx, &options, 0), "{what}");
         let config = SimConfig::new(icx.clone(), ranks);
         for (memo, records) in [
             (SimMemo::new(), true),
